@@ -52,6 +52,9 @@ func (c KCore) Init(ctx *core.Context) ([]float64, *bitset.Frontier) {
 // neighbor's effective degree by one.
 func (KCore) Message(_ graph.VertexID, _ float64, _ float32) float64 { return 1 }
 
+// Reduce implements core.Reducer.
+func (KCore) Reduce() core.ReduceOp { return core.ReduceSum }
+
 // Combine implements core.Program.
 func (KCore) Combine(acc, msg float64) (float64, bool) { return acc + msg, true }
 
@@ -147,6 +150,9 @@ func (p *PPR) Message(src graph.VertexID, _ float64, _ float32) float64 {
 	return PageRankDamping * p.delta[src] / float64(p.ctx.OutDegrees[src])
 }
 
+// Reduce implements core.Reducer.
+func (*PPR) Reduce() core.ReduceOp { return core.ReduceSum }
+
 // Combine implements core.Program.
 func (*PPR) Combine(acc, msg float64) (float64, bool) { return acc + msg, true }
 
@@ -227,6 +233,9 @@ func (m SpMV) Init(ctx *core.Context) ([]float64, *bitset.Frontier) {
 func (SpMV) Message(_ graph.VertexID, srcVal float64, weight float32) float64 {
 	return srcVal * float64(weight)
 }
+
+// Reduce implements core.Reducer.
+func (SpMV) Reduce() core.ReduceOp { return core.ReduceSum }
 
 // Combine implements core.Program.
 func (SpMV) Combine(acc, msg float64) (float64, bool) { return acc + msg, true }

@@ -53,6 +53,9 @@ func (DeltaSSSP) Message(_ graph.VertexID, srcVal float64, weight float32) float
 	return srcVal + float64(weight)
 }
 
+// Reduce implements core.Reducer.
+func (DeltaSSSP) Reduce() core.ReduceOp { return core.ReduceMin }
+
 // Combine implements core.Program.
 func (DeltaSSSP) Combine(acc, msg float64) (float64, bool) {
 	if msg < acc {
@@ -160,6 +163,9 @@ func (*Coreness) Init(ctx *core.Context) ([]float64, *bitset.Frontier) {
 // Message implements core.Program: a peeled vertex decrements each
 // neighbor's effective degree by one.
 func (*Coreness) Message(_ graph.VertexID, _ float64, _ float32) float64 { return 1 }
+
+// Reduce implements core.Reducer.
+func (*Coreness) Reduce() core.ReduceOp { return core.ReduceSum }
 
 // Combine implements core.Program.
 func (*Coreness) Combine(acc, msg float64) (float64, bool) { return acc + msg, true }

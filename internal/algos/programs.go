@@ -47,6 +47,9 @@ func (BFS) Message(_ graph.VertexID, srcVal float64, _ float32) float64 {
 	return srcVal + 1
 }
 
+// Reduce implements core.Reducer.
+func (BFS) Reduce() core.ReduceOp { return core.ReduceMin }
+
 // Combine implements core.Program.
 func (BFS) Combine(acc, msg float64) (float64, bool) {
 	if msg < acc {
@@ -92,6 +95,9 @@ func (SSSP) Message(_ graph.VertexID, srcVal float64, weight float32) float64 {
 	return srcVal + float64(weight)
 }
 
+// Reduce implements core.Reducer.
+func (SSSP) Reduce() core.ReduceOp { return core.ReduceMin }
+
 // Combine implements core.Program.
 func (SSSP) Combine(acc, msg float64) (float64, bool) {
 	if msg < acc {
@@ -133,6 +139,9 @@ func (WCC) Init(ctx *core.Context) ([]float64, *bitset.Frontier) {
 func (WCC) Message(_ graph.VertexID, srcVal float64, _ float32) float64 {
 	return srcVal
 }
+
+// Reduce implements core.Reducer.
+func (WCC) Reduce() core.ReduceOp { return core.ReduceMin }
 
 // Combine implements core.Program.
 func (WCC) Combine(acc, msg float64) (float64, bool) {
@@ -182,6 +191,9 @@ func (p *PageRank) Init(ctx *core.Context) ([]float64, *bitset.Frontier) {
 func (p *PageRank) Message(src graph.VertexID, srcVal float64, _ float32) float64 {
 	return srcVal / float64(p.ctx.OutDegrees[src])
 }
+
+// Reduce implements core.Reducer.
+func (*PageRank) Reduce() core.ReduceOp { return core.ReduceSum }
 
 // Combine implements core.Program.
 func (*PageRank) Combine(acc, msg float64) (float64, bool) {
@@ -240,6 +252,9 @@ func (p *PageRankDelta) Init(ctx *core.Context) ([]float64, *bitset.Frontier) {
 func (p *PageRankDelta) Message(src graph.VertexID, _ float64, _ float32) float64 {
 	return PageRankDamping * p.delta[src] / float64(p.ctx.OutDegrees[src])
 }
+
+// Reduce implements core.Reducer.
+func (*PageRankDelta) Reduce() core.ReduceOp { return core.ReduceSum }
 
 // Combine implements core.Program.
 func (*PageRankDelta) Combine(acc, msg float64) (float64, bool) {

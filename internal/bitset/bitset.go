@@ -39,6 +39,11 @@ func New(n int) *Bitset {
 // Len returns the bitset capacity in bits.
 func (b *Bitset) Len() int { return b.n }
 
+// Words exposes the backing words for read-only scans that cannot afford a
+// call per test: bit i is Words()[i/64]>>(i%64)&1. Mutating the returned
+// slice corrupts the bitset.
+func (b *Bitset) Words() []uint64 { return b.words }
+
 func (b *Bitset) check(i int) {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, b.n))

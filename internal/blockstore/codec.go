@@ -133,6 +133,50 @@ func inIndexName(i, j int) string  { return fmt.Sprintf("ii/%d.%d", i, j) }
 
 const metaName = "meta"
 
+// blobKind selects one of a cell's four blobs.
+type blobKind int
+
+const (
+	blobOutBlock blobKind = iota
+	blobOutIndex
+	blobInBlock
+	blobInIndex
+)
+
+var blobNameFuncs = [...]func(i, j int) string{outBlockName, outIndexName, inBlockName, inIndexName}
+
+// blobNames holds the P×P grids of block and index blob names, formatted
+// once per store: the read paths look a name up per load instead of
+// building it.
+type blobNames struct {
+	p    int
+	grid [len(blobNameFuncs)][]string
+}
+
+func newBlobNames(p int) *blobNames {
+	n := &blobNames{p: p}
+	for k, format := range blobNameFuncs {
+		n.grid[k] = make([]string, p*p)
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				n.grid[k][i*p+j] = format(i, j)
+			}
+		}
+	}
+	return n
+}
+
+// name returns the kind-k blob name of cell (i,j). A cell outside the
+// layout (which no blob backs) gets the freshly formatted name, so a bad
+// coordinate still surfaces as the store's not-found error; so does a
+// DualStore assembled without a grid.
+func (n *blobNames) name(k blobKind, i, j int) string {
+	if n != nil && uint(i) < uint(n.p) && uint(j) < uint(n.p) {
+		return n.grid[k][i*n.p+j]
+	}
+	return blobNameFuncs[k](i, j)
+}
+
 // encodeMeta serializes the DualStore metadata: layout, format, per-vertex
 // degrees, per-block edge counts and per-block byte sizes, so a store
 // written by Build can be reopened. FormatMixed stores append the per-block
@@ -223,7 +267,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	if len(buf) != want {
 		return fail(fmt.Sprintf("length %d, want %d", len(buf), want))
 	}
-	d := &DualStore{Layout: Layout{NumVertices: n, P: p}, Format: format, Weighted: weighted == 1, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters)}
+	d := &DualStore{Layout: Layout{NumVertices: n, P: p}, Format: format, Weighted: weighted == 1, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
 	d.OutDegrees = make([]int32, n)
 	d.InDegrees = make([]int32, n)
 	off := 36

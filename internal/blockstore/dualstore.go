@@ -122,6 +122,8 @@ type DualStore struct {
 	InCodecs            [][]Codec
 	OutIndexStoredBytes [][]int64
 	InIndexStoredBytes  [][]int64
+	// names is the blob-name grid the read paths index (see blobNames).
+	names *blobNames
 	// dec aggregates decode-side accounting (section/index decodes, codec
 	// bytes in and out, wall time), shared by pointer across Fork copies
 	// like retries so prefetch-worker decodes land in the same totals.
@@ -268,7 +270,7 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 	}
 	layout := NewLayout(g.NumVertices, opts.P)
 	p := layout.P
-	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, framed: !opts.NoChecksums, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters)}
+	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, framed: !opts.NoChecksums, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
 	d.OutDegrees = make([]int32, g.NumVertices)
 	d.InDegrees = make([]int32, g.NumVertices)
 	d.BlockEdgeCount = alloc2D(p)
@@ -520,12 +522,29 @@ func (d *DualStore) putBlobCodec(name string, payload []byte, c Codec) error {
 	}
 }
 
+// blobRead names one store read — a whole blob, or with ranged set the
+// bytes [off, off+n) of one — so the retry and hedge layers can reissue it
+// without a closure per load.
+type blobRead struct {
+	name   string
+	off, n int64
+	ranged bool
+}
+
+// issue performs the read once against the store, into b when it fits.
+func (d *DualStore) issue(r blobRead, b []byte) ([]byte, error) {
+	if r.ranged {
+		return d.store.ReadAtInto(r.name, r.off, r.n, b)
+	}
+	return d.store.ReadAllInto(r.name, b)
+}
+
 // withRetry runs attempts of read until one succeeds, fails
 // non-transiently, or the retry budget is exhausted. Each retry sleeps
 // the exponentially grown (optionally jittered) backoff first; a closed
 // Abort channel ends the ladder with the last error. Each attempt is
 // deadline-bounded and hedged per the hedge policy.
-func (d *DualStore) withRetry(buf []byte, read func([]byte) ([]byte, error)) ([]byte, error) {
+func (d *DualStore) withRetry(buf []byte, read blobRead) ([]byte, error) {
 	res, err := d.attempt(buf, read)
 	backoff := d.retry.Backoff
 	for attempt := 0; attempt < d.retry.MaxRetries && errors.Is(err, storage.ErrTransient); attempt++ {
@@ -588,14 +607,14 @@ func (d *DualStore) sleepBackoff(dur time.Duration) (aborted bool) {
 // deadline expiry a duplicate read races the original, first response
 // wins. Result channels are buffered for both attempts, so losers finish
 // their send and exit instead of leaking.
-func (d *DualStore) attempt(buf []byte, read func([]byte) ([]byte, error)) ([]byte, error) {
+func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 	deadline := d.hedge.Deadline
 	if deadline <= 0 {
 		if d.observe == nil {
-			return read(buf)
+			return d.issue(read, buf)
 		}
 		start := time.Now()
-		b, err := read(buf)
+		b, err := d.issue(read, buf)
 		d.observe(time.Since(start), err)
 		return b, err
 	}
@@ -606,7 +625,7 @@ func (d *DualStore) attempt(buf []byte, read func([]byte) ([]byte, error)) ([]by
 	}
 	ch := make(chan outcome, 2)
 	go func() {
-		b, err := read(nil)
+		b, err := d.issue(read, nil)
 		ch <- outcome{b, err}
 	}()
 	timer := time.NewTimer(deadline)
@@ -620,7 +639,7 @@ func (d *DualStore) attempt(buf []byte, read func([]byte) ([]byte, error)) ([]by
 		} else {
 			d.hedges.Add(1)
 			go func() {
-				b, err := read(nil)
+				b, err := d.issue(read, nil)
 				ch <- outcome{b, err}
 			}()
 			o = <-ch
@@ -632,12 +651,10 @@ func (d *DualStore) attempt(buf []byte, read func([]byte) ([]byte, error)) ([]by
 	return o.b, o.err
 }
 
-// readBlob loads a whole blob into buf with transient-fault retries, and
-// on framed stores validates and strips the checksum frame. The returned
-// payload aliases the read buffer (or, under a read deadline, a fresh
-// buffer the caller adopts).
-func (d *DualStore) readBlob(name string, buf []byte) ([]byte, error) {
-	payload, _, err := d.readBlobTagged(name, buf)
+// readBlob loads a whole blob with transient-fault retries, and on framed
+// stores validates and strips the checksum frame.
+func (d *DualStore) readBlob(name string) ([]byte, error) {
+	payload, _, err := d.readBlobTagged(name, nil)
 	return payload, err
 }
 
@@ -645,12 +662,25 @@ func (d *DualStore) readBlob(name string, buf []byte) ([]byte, error) {
 // CodecNone for version-1 frames and legacy stores. Block and index loads
 // dispatch their decode on it; a tag disagreeing with the meta grid is
 // reported as corruption by the callers that know what to expect.
-func (d *DualStore) readBlobTagged(name string, buf []byte) ([]byte, Codec, error) {
-	raw, err := d.withRetry(buf, func(b []byte) ([]byte, error) {
-		return d.store.ReadAllInto(name, b)
-	})
+//
+// buf, when non-nil, is the caller's reusable read buffer: the blob is read
+// into *buf if it fits, and the buffer actually read into (a larger fresh
+// one otherwise, or under a read deadline) is left in *buf for the next
+// load. The returned payload aliases it past the frame header — which is
+// why the whole buffer, not the payload, is what has to be kept: a payload
+// slice has lost the header's bytes of capacity and would never fit the
+// next blob of the same size.
+func (d *DualStore) readBlobTagged(name string, buf *[]byte) ([]byte, Codec, error) {
+	var into []byte
+	if buf != nil {
+		into = *buf
+	}
+	raw, err := d.withRetry(into, blobRead{name: name})
 	if err != nil {
 		return nil, CodecNone, err
+	}
+	if buf != nil {
+		*buf = raw
 	}
 	if !d.framed {
 		return raw, CodecNone, nil
@@ -671,9 +701,7 @@ func (d *DualStore) readRange(name string, off, n int64, buf []byte) ([]byte, er
 			off += frameHeaderLen
 		}
 	}
-	return d.withRetry(buf, func(b []byte) ([]byte, error) {
-		return d.store.ReadAtInto(name, off, n, b)
-	})
+	return d.withRetry(buf, blobRead{name: name, off: off, n: n, ranged: true})
 }
 
 // Device returns the simulated device charged by this store.
@@ -736,11 +764,10 @@ func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 // >= 0, is the expected entry count — a compressed index cannot imply it
 // from its stored length, so a short decode is reported as corruption.
 func (d *DualStore) loadIndexScratch(name string, want int, sc *Scratch) ([]uint32, error) {
-	buf, codec, err := d.readBlobTagged(name, sc.idxRaw)
+	buf, codec, err := d.readBlobTagged(name, &sc.idxRaw)
 	if err != nil {
 		return nil, err
 	}
-	sc.idxRaw = buf
 	var idx []uint32
 	if codec == CodecNone {
 		idx, err = decodeIndexInto(sc.idx, buf)
@@ -768,7 +795,7 @@ func (d *DualStore) loadIndexScratch(name string, want int, sc *Scratch) ([]uint
 func (d *DualStore) LoadOutIndex(i, j int) ([]uint32, error) {
 	sc := GetScratch()
 	defer PutScratch(sc)
-	idx, err := d.loadIndexScratch(outIndexName(i, j), d.Layout.Size(i)+1, sc)
+	idx, err := d.loadIndexScratch(d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -777,7 +804,7 @@ func (d *DualStore) LoadOutIndex(i, j int) ([]uint32, error) {
 
 // LoadOutIndexScratch is LoadOutIndex reusing sc's buffers.
 func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]uint32, error) {
-	return d.loadIndexScratch(outIndexName(i, j), d.Layout.Size(i)+1, sc)
+	return d.loadIndexScratch(d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1, sc)
 }
 
 // LoadOutRun reads the raw byte range [startByte, endByte) of
@@ -788,7 +815,7 @@ func (d *DualStore) LoadOutRun(i, j int, startByte, endByte uint32) ([]byte, err
 	if startByte >= endByte {
 		return nil, nil
 	}
-	return d.readRange(outBlockName(i, j), int64(startByte), int64(endByte-startByte), nil)
+	return d.readRange(d.names.name(blobOutBlock, i, j), int64(startByte), int64(endByte-startByte), nil)
 }
 
 // LoadOutRunScratch is LoadOutRun reusing sc's buffers.
@@ -796,7 +823,7 @@ func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, sc *S
 	if startByte >= endByte {
 		return nil, nil
 	}
-	buf, err := d.readRange(outBlockName(i, j), int64(startByte), int64(endByte-startByte), sc.raw)
+	buf, err := d.readRange(d.names.name(blobOutBlock, i, j), int64(startByte), int64(endByte-startByte), sc.raw)
 	if err != nil {
 		return nil, err
 	}
@@ -847,21 +874,20 @@ func (d *DualStore) loadBlock(out bool, i, j int, sc *Scratch) (Block, error) {
 	var c Codec
 	var want int
 	if out {
-		idxName, blkName = outIndexName(i, j), outBlockName(i, j)
+		idxName, blkName = d.names.name(blobOutIndex, i, j), d.names.name(blobOutBlock, i, j)
 		c, want = d.OutCodec(i, j), d.Layout.Size(i)+1
 	} else {
-		idxName, blkName = inIndexName(i, j), inBlockName(i, j)
+		idxName, blkName = d.names.name(blobInIndex, i, j), d.names.name(blobInBlock, i, j)
 		c, want = d.InCodec(i, j), d.Layout.Size(j)+1
 	}
 	byteIdx, err := d.loadIndexScratch(idxName, want, sc)
 	if err != nil {
 		return Block{}, err
 	}
-	payload, tag, err := d.readBlobTagged(blkName, sc.raw)
+	payload, tag, err := d.readBlobTagged(blkName, &sc.raw)
 	if err != nil {
 		return Block{}, err
 	}
-	sc.raw = payload
 	if d.Format == FormatMixed && tag != c {
 		return Block{}, fmt.Errorf("blockstore: %s: frame codec %v disagrees with meta codec %v: %w", blkName, tag, c, storage.ErrCorrupt)
 	}
@@ -907,15 +933,14 @@ func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []ui
 	if c := d.InCodec(i, j); c != CodecNone {
 		return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d) is %v-coded, not raw", i, j, c)
 	}
-	byteIdx, err := d.loadIndexScratch(inIndexName(i, j), d.Layout.Size(j)+1, sc)
+	byteIdx, err := d.loadIndexScratch(d.names.name(blobInIndex, i, j), d.Layout.Size(j)+1, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, tag, err := d.readBlobTagged(inBlockName(i, j), sc.raw)
+	payload, tag, err := d.readBlobTagged(d.names.name(blobInBlock, i, j), &sc.raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	sc.raw = payload
 	if tag != CodecNone {
 		return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d): frame codec %v disagrees with meta codec none: %w", i, j, tag, storage.ErrCorrupt)
 	}
@@ -963,7 +988,7 @@ func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) (Block, error) {
 // through the byte-offset index on touch). The returned buffer is freshly
 // allocated and owned by the caller.
 func (d *DualStore) LoadOutPayload(i, j int) ([]byte, error) {
-	payload, tag, err := d.readBlobTagged(outBlockName(i, j), nil)
+	payload, tag, err := d.readBlobTagged(d.names.name(blobOutBlock, i, j), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1044,7 +1069,7 @@ func (d *DualStore) PutAux(name string, data []byte) error {
 // verification; storage.ErrNotFound wraps missing names, storage.ErrCorrupt
 // wraps frames that fail validation.
 func (d *DualStore) GetAux(name string) ([]byte, error) {
-	return d.readBlob("aux/"+name, nil)
+	return d.readBlob("aux/" + name)
 }
 
 // DeleteAux removes an auxiliary blob; deleting a missing blob is an error.

@@ -43,7 +43,9 @@ type Prefetcher struct {
 	quiet   bool
 	pending func(BlockKey) bool
 
-	reqs  []*prefetchReq
+	// reqs is the schedule's request slab — one allocation for every
+	// entry's bookkeeping and result storage; byKey points into it.
+	reqs  []prefetchReq
 	byKey map[BlockKey]*prefetchReq
 
 	sem  chan struct{} // read-ahead tokens; nil in inline mode
@@ -86,9 +88,25 @@ type PrefetchOpts struct {
 }
 
 type prefetchReq struct {
-	key      BlockKey
-	ch       chan *PrefetchResult
+	key BlockKey
+	// ready holds one token once res is set. Receiving the token is what
+	// takes the delivery, so exactly one of a consumer and Close gets each
+	// result; whoever takes it may put another back (Close leaves an abort
+	// result behind for a consumer that arrives late).
+	ready chan struct{}
+	res   *PrefetchResult
+	// loaded is res's storage for a successful load: the result lives as
+	// long as the slab, which the consumer's pointer keeps reachable.
+	loaded   PrefetchResult
 	consumed atomic.Bool
+}
+
+// deliver publishes res as req's outcome. Only the goroutine holding the
+// request (its worker, or Close once the workers are gone) calls it, while
+// ready is empty, so the send never blocks.
+func (req *prefetchReq) deliver(res *PrefetchResult) {
+	req.res = res
+	req.ready <- struct{}{}
 }
 
 // PrefetchResult is one delivered block. Exactly one of the view families
@@ -180,7 +198,7 @@ func (d *DualStore) NewPrefetcherOpts(schedule []BlockKey, opts PrefetchOpts) *P
 		depth:   opts.Depth,
 		quiet:   opts.Quiet,
 		pending: opts.Pending,
-		reqs:    make([]*prefetchReq, len(schedule)),
+		reqs:    make([]prefetchReq, len(schedule)),
 		byKey:   make(map[BlockKey]*prefetchReq, len(schedule)),
 		quit:    make(chan struct{}),
 		drained: make(chan struct{}),
@@ -189,8 +207,11 @@ func (d *DualStore) NewPrefetcherOpts(schedule []BlockKey, opts PrefetchOpts) *P
 	// closes, so Close is never delayed by a worker mid-backoff-ladder.
 	p.ds = d.WithAbort(p.quit)
 	for i, key := range schedule {
-		req := &prefetchReq{key: key, ch: make(chan *PrefetchResult, 1)}
-		p.reqs[i] = req
+		req := &p.reqs[i]
+		req.key = key
+		if opts.Depth > 0 {
+			req.ready = make(chan struct{}, 1) // one delivery per request
+		}
 		p.byKey[key] = req
 	}
 	if opts.Depth > 0 && len(schedule) > 0 {
@@ -241,20 +262,19 @@ func (p *Prefetcher) worker() {
 		if i >= len(p.reqs) {
 			return
 		}
-		req := p.reqs[i]
+		req := &p.reqs[i]
 		var res *PrefetchResult
 		if err := p.abortErr(); err != nil {
 			// Pipeline aborted: fail the request with the root cause
 			// instead of issuing more I/O.
 			res = &PrefetchResult{Key: req.key, Err: err}
 		} else {
-			res = p.load(req.key)
+			res = p.load(req)
 			if res.Err != nil {
 				p.setAbort(res.Err)
 			}
 		}
-		//lint:ignore huslint/ctxloop req.ch is buffered (cap 1) and gets exactly one send per request, so this send never blocks
-		req.ch <- res
+		req.deliver(res)
 		if res.Err != nil {
 			// Error results hold no buffers and no token (Release is a
 			// no-op on them): hand the token back here so the pipeline
@@ -271,7 +291,8 @@ func (p *Prefetcher) worker() {
 // retried read path, then (on a miss, unless quiet) promotion into the
 // cache so the scratch can be recycled immediately and later iterations
 // hit.
-func (p *Prefetcher) load(key BlockKey) *PrefetchResult {
+func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
+	key, res := req.key, &req.loaded
 	if p.cache != nil {
 		var (
 			blk *CachedBlock
@@ -283,20 +304,23 @@ func (p *Prefetcher) load(key BlockKey) *PrefetchResult {
 			blk, ok = p.cache.Get(key)
 		}
 		if ok {
-			return &PrefetchResult{
+			*res = PrefetchResult{
 				Key: key, Cached: true, pf: p,
 				Payload: blk.Payload, ByteIdx: blk.ByteIdx,
 				Recs: blk.Recs, RecIdx: blk.RecIdx,
 			}
+			return res
 		}
 	}
 	if p.pending != nil && p.pending(key) {
 		// Expected resident by consume time: skip the read, let the
 		// consumer resolve it against the cache then.
-		return &PrefetchResult{Key: key, Deferred: true, pf: p}
+		*res = PrefetchResult{Key: key, Deferred: true, pf: p}
+		return res
 	}
 	sc := GetScratch()
-	res := &PrefetchResult{Key: key, sc: sc, pf: p}
+	//lint:ignore huslint/poolescape ownership of sc transfers to the result; PrefetchResult.Release/Close return it to the pool exactly once
+	*res = PrefetchResult{Key: key, sc: sc, pf: p}
 	var err error
 	switch key.Kind {
 	case KindOutIndex:
@@ -318,7 +342,8 @@ func (p *Prefetcher) load(key BlockKey) *PrefetchResult {
 	}
 	if err != nil {
 		PutScratch(sc)
-		return &PrefetchResult{Key: key, Err: err}
+		*res = PrefetchResult{Key: key, Err: err}
+		return res
 	}
 	if p.cache != nil && !p.quiet {
 		blk := &CachedBlock{
@@ -335,7 +360,6 @@ func (p *Prefetcher) load(key BlockKey) *PrefetchResult {
 			res.sc = nil
 		}
 	}
-	//lint:ignore huslint/poolescape ownership of sc transfers to the result; PrefetchResult.Release/Close return it to the pool exactly once
 	return res
 }
 
@@ -344,7 +368,7 @@ func (p *Prefetcher) Next() *PrefetchResult {
 	if p.nextConsume >= len(p.reqs) {
 		return &PrefetchResult{Err: fmt.Errorf("blockstore: prefetch: consumed past schedule end (%d entries)", len(p.reqs))}
 	}
-	req := p.reqs[p.nextConsume]
+	req := &p.reqs[p.nextConsume]
 	p.nextConsume++
 	return p.consume(req)
 }
@@ -362,18 +386,18 @@ func (p *Prefetcher) Take(key BlockKey) *PrefetchResult {
 func (p *Prefetcher) consume(req *prefetchReq) *PrefetchResult {
 	req.consumed.Store(true)
 	if p.sem == nil {
-		return p.load(req.key)
+		return p.load(req)
 	}
 	select {
-	case res := <-req.ch:
-		return res
+	case <-req.ready:
+		return req.res
 	default:
 	}
 	// The read hasn't completed: the consumer is stalled on I/O.
 	t0 := time.Now()
-	res := <-req.ch
+	<-req.ready
 	p.stallNanos.Add(int64(time.Since(t0)))
-	return res
+	return req.res
 }
 
 // StallTime returns the cumulative wall time consumers spent blocked
@@ -404,38 +428,36 @@ func (p *Prefetcher) Close() {
 		claimed = len(p.reqs)
 	}
 	for i := 0; i < claimed; i++ {
-		req := p.reqs[i]
+		req := &p.reqs[i]
 		if req.consumed.Load() {
 			continue
 		}
-		res := <-req.ch
+		<-req.ready
+		res := req.res
 		p.unused.Add(res.dataBytes())
 		if res.sc != nil {
 			PutScratch(res.sc)
 			res.sc = nil
 		}
-		// Refill the drained channel with an abort result: a consumer
-		// racing Close may have missed the consumed check above and be
-		// about to receive — it must get an error, never block on the
-		// channel just emptied.
+		// Leave an abort result behind: a consumer racing Close may have
+		// missed the consumed check above and be about to receive — it
+		// must get an error, never block on the token just taken.
 		p.failReq(req)
 	}
 	for i := claimed; i < len(p.reqs); i++ {
-		p.failReq(p.reqs[i])
+		p.failReq(&p.reqs[i])
 	}
 }
 
-// failReq deposits an abort result in req's channel if it is empty, so any
-// consumer arriving at or after Close resolves with an error.
+// failReq delivers an abort result for req, so any consumer arriving at or
+// after Close resolves with an error. Close calls it with the workers gone
+// and req's token taken (or never sent).
 func (p *Prefetcher) failReq(req *prefetchReq) {
 	err := p.abortErr()
 	if err == nil {
 		err = fmt.Errorf("blockstore: prefetch: closed before %s (%d,%d) was read", req.key.Kind, req.key.I, req.key.J)
 	}
-	select {
-	case req.ch <- &PrefetchResult{Key: req.key, Err: err}:
-	default:
-	}
+	req.deliver(&PrefetchResult{Key: req.key, Err: err})
 }
 
 // UnusedBytes returns the bytes loaded ahead but discarded unconsumed —

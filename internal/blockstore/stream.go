@@ -68,7 +68,7 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 
 	layout := NewLayout(numV, opts.P)
 	p := layout.P
-	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, framed: !opts.NoChecksums, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters)}
+	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, framed: !opts.NoChecksums, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
 	d.OutDegrees = make([]int32, numV)
 	d.InDegrees = make([]int32, numV)
 	d.BlockEdgeCount = alloc2D(p)

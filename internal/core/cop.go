@@ -36,6 +36,9 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 	// cache, or from the previous barrier's adopted speculation). copSkip
 	// mirrors the plan exactly — every planned key is consumed by exactly
 	// one Next call.
+	k := &e.cop
+	k.begin(e, prog, s, frontier)
+	defer k.end()
 	var maxDelta float64
 	for _, i := range e.owned { // column i updates interval i
 		lo, hi := l.Bounds(i)
@@ -54,75 +57,19 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			if res.Err != nil {
 				return 0, res.Err
 			}
+			// Uncompressed in-blocks (FormatRaw, or a mixed-store block
+			// where no codec paid) are iterated in place as packed
+			// records — no decode pass; compressed ones arrive decoded
+			// from the window (the decode ran in the prefetch worker,
+			// overlapping I/O). Either way the edge kernel partitions the
+			// block's destinations across workers by edge count.
 			if e.ds.InCodec(j, i) == blockstore.CodecNone {
-				// Raw fast path: uncompressed in-blocks (FormatRaw, or a
-				// mixed-store block where no codec paid) iterate the packed
-				// records in place — no decode pass, and the
-				// per-destination parallelism covers all of the block's
-				// work. Compressed in-blocks arrive decoded from the window
-				// (the decode ran in the prefetch worker, overlapping I/O).
-				payload, byteIdx := res.Payload, res.ByteIdx
-				if len(payload) == 0 {
-					res.Release()
-					continue
+				if len(res.Payload) > 0 {
+					k.rawBlock(d[lo:hi], res.Payload, res.ByteIdx)
 				}
-				step := blockstore.RawRecordBytes(e.ds.Weighted)
-				weighted := e.ds.Weighted
-				parallelWeightedChunks(byteIdx, e.cfg.Threads, func(cl, ch int) {
-					for local := cl; local < ch; local++ {
-						lo8, hi8 := int(byteIdx[local]), int(byteIdx[local+1])
-						if lo8 == hi8 {
-							continue
-						}
-						acc := d[lo+local]
-						dirty := false
-						for off := lo8; off < hi8; off += step {
-							nbr, w := blockstore.RawRec(payload, off, weighted)
-							if !frontier.Contains(int(nbr)) {
-								continue // IsActive check (Alg. 3 line 11)
-							}
-							msg := prog.Message(nbr, s[nbr], w)
-							if a, changed := prog.Combine(acc, msg); changed {
-								acc = a
-								dirty = true
-							}
-						}
-						if dirty {
-							d[lo+local] = acc
-						}
-					}
-				})
-				res.Release()
-				continue
+			} else if len(res.Recs) > 0 {
+				k.recBlock(d[lo:hi], res.Recs, res.RecIdx)
 			}
-			blk := blockstore.Block{Recs: res.Recs, Index: res.RecIdx}
-			if len(blk.Recs) == 0 {
-				res.Release()
-				continue
-			}
-			parallelWeightedChunks(blk.Index, e.cfg.Threads, func(cl, ch int) {
-				for local := cl; local < ch; local++ {
-					recs := blk.EdgesOf(local)
-					if len(recs) == 0 {
-						continue
-					}
-					acc := d[lo+local]
-					dirty := false
-					for _, r := range recs {
-						if !frontier.Contains(int(r.Nbr)) {
-							continue // IsActive check (Alg. 3 line 11)
-						}
-						msg := prog.Message(r.Nbr, s[r.Nbr], r.Weight)
-						if a, changed := prog.Combine(acc, msg); changed {
-							acc = a
-							dirty = true
-						}
-					}
-					if dirty {
-						d[lo+local] = acc
-					}
-				}
-			})
 			res.Release()
 		}
 
@@ -164,6 +111,9 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			}
 		case Incremental:
 			// Values synchronized after all columns.
+		}
+		if prog.Kind() != Incremental {
+			k.refresh(lo, hi) // later columns pull S_i's new messages
 		}
 		if !e.cfg.SemiExternal {
 			dev.WriteSeq(int64(l.Size(i)) * nv) // write back D_i

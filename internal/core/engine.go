@@ -35,6 +35,12 @@ type Engine struct {
 	spans   [][]span
 	runs    [][]run
 
+	// cop is the COP sweep's edge-kernel state, reused block after block;
+	// msgs is the per-source message table its fast path reads — the
+	// engine's own unless a coordinator shared one (kernel.go).
+	cop  copKernel
+	msgs *MessageTable
+
 	// cache is the budgeted hot-block cache shared by ROP and COP
 	// pipelines across iterations; nil when Config.CacheBudgetBytes is 0.
 	// prefetchUnused accumulates bytes read ahead but never consumed.
@@ -108,6 +114,7 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 		},
 		spans: make([][]span, ds.Layout.P),
 		runs:  make([][]run, ds.Layout.P),
+		msgs:  new(MessageTable),
 	}
 	owned, ownsAll, err := resolveOwner(e.cfg.Owner, ds.Layout.P)
 	if err != nil {

@@ -1,0 +1,532 @@
+package core
+
+import (
+	"encoding/binary"
+	"sync"
+
+	"husgraph/internal/bitset"
+	"husgraph/internal/blockstore"
+	"husgraph/internal/graph"
+)
+
+// Edge kernels (DESIGN.md §4i).
+//
+// The executors visit every edge of every block they load, so whatever runs
+// per edge is the engine's compute cost. Program.Message and
+// Program.Combine are interface calls the compiler cannot inline; a program
+// that declares its reduction (Reducer) lets the engine replace both on
+// unweighted stores, where Message(u, S[u], 1) depends on the source alone:
+//
+//   - COP reads a per-source message table m[u], computed once per vertex
+//     and refreshed wherever S changes during the sweep, and its edge loop
+//     is acc += m[nbr] (sum) or if m[nbr] < acc { acc = m[nbr] } (min).
+//   - ROP calls Message once per active source and pushes the value along
+//     its edges with the reduction inlined.
+//
+// Values are bit-identical to the per-edge interface loops: the table holds
+// exactly what Message would have returned, combined in the same order.
+// Those loops (copCombine*, the ReduceCustom arm of ropPush*) remain the one
+// fallback — for programs that declare nothing and for weighted stores,
+// where a message may depend on the edge.
+
+// ReduceOp names the reduction a program's Combine performs.
+type ReduceOp uint8
+
+const (
+	// ReduceCustom declares nothing: the engine calls Combine per edge.
+	ReduceCustom ReduceOp = iota
+	// ReduceSum declares Combine(acc, msg) = (acc + msg, true).
+	ReduceSum
+	// ReduceMin declares Combine(acc, msg) = (msg, true) when msg < acc and
+	// (acc, false) otherwise. The comparison is strict, so an equal or NaN
+	// message neither changes the accumulator nor activates the vertex.
+	ReduceMin
+)
+
+// String returns the reduction's name.
+func (op ReduceOp) String() string {
+	switch op {
+	case ReduceSum:
+		return "sum"
+	case ReduceMin:
+		return "min"
+	default:
+		return "custom"
+	}
+}
+
+// Combine is the reduction written out as a Program.Combine — what a
+// program declaring op promises its own Combine computes, bit for bit, and
+// what the specialised kernels inline. ReduceCustom has no definition and
+// reports no change.
+func (op ReduceOp) Combine(acc, msg float64) (float64, bool) {
+	switch op {
+	case ReduceSum:
+		return acc + msg, true
+	case ReduceMin:
+		if msg < acc {
+			return msg, true
+		}
+	}
+	return acc, false
+}
+
+// Reducer is the optional interface a Program implements to take the
+// engine's specialised edge kernels. Declaring a reduction is a promise
+// about two methods:
+//
+//   - Combine is exactly the declared ReduceOp.
+//   - Message is pure in the source: it may depend only on (src, srcVal,
+//     weight) and on per-vertex program state last written by Apply(src) —
+//     never on the destination, the edge's position, or state another
+//     vertex's Apply writes. The engine then calls it once per source
+//     instead of once per edge.
+type Reducer interface {
+	Reduce() ReduceOp
+}
+
+// reduceOf returns the reduction the executors may inline for prog on this
+// engine's store, or ReduceCustom when they must call Message and Combine
+// per edge.
+func (e *Engine) reduceOf(prog Program) ReduceOp {
+	if e.ds.Weighted {
+		return ReduceCustom // a message may depend on the edge's weight
+	}
+	if r, ok := prog.(Reducer); ok {
+		if op := r.Reduce(); op == ReduceSum || op == ReduceMin {
+			return op
+		}
+	}
+	return ReduceCustom
+}
+
+// MessageTable is COP's per-source message array: 8 bytes per vertex,
+// allocated on first use. An engine owns one by default; a coordinator
+// running K owner-scoped engines over shared S/D arrays hands all of them
+// one table (Engine.ShareMessageTable) so a run holds a single copy. Every
+// access happens inside Step.Exec, which such a coordinator serialises.
+type MessageTable struct {
+	m []float64
+}
+
+func (t *MessageTable) values(n int) []float64 {
+	if len(t.m) != n {
+		t.m = make([]float64, n)
+	}
+	return t.m
+}
+
+// ShareMessageTable makes the engine use t in place of its own table. Call
+// it between runs, never while a Step is open.
+func (e *Engine) ShareMessageTable(t *MessageTable) { e.msgs = t }
+
+// copKernel is one COP sweep's edge-kernel state: what the program declared,
+// the arrays the loops read, and the in-block being processed. The engine
+// owns one and reuses it for every block, so handing a block to the chunk
+// workers allocates nothing.
+type copKernel struct {
+	prog     Program
+	op       ReduceOp
+	weighted bool
+	threads  int
+	s        []float64
+	// m is the message table (nil under ReduceCustom). Entries of inactive
+	// sources are stale and never read: the active test guards them.
+	m []float64
+	// active is the frontier's bitmap, which the loops test each source
+	// against — nil when every vertex is active, and then the test is
+	// dropped altogether.
+	active []uint64
+
+	// The block in hand: d is the destination interval's accumulators,
+	// idx[k]..idx[k+1] delimits destination k's records — byte offsets into
+	// payload for a stored-raw block, record offsets into recs for a
+	// decoded one.
+	d       []float64
+	idx     []uint32
+	payload []byte
+	recs    []blockstore.Rec
+
+	// bounds is the block's chunking (weightedChunks); wg joins the chunk
+	// workers. Both live here so a block costs one allocation per worker
+	// spawned and none otherwise.
+	bounds []int
+	wg     sync.WaitGroup
+}
+
+// begin readies the kernel for one sweep over frontier and, when prog
+// declared a reduction, fills the message table from the current S.
+func (k *copKernel) begin(e *Engine, prog Program, s []float64, frontier *bitset.Frontier) {
+	k.prog, k.op, k.s = prog, e.reduceOf(prog), s
+	k.weighted, k.threads = e.ds.Weighted, e.cfg.Threads
+	k.active = nil
+	if frontier.Count() != frontier.Len() {
+		k.active = frontier.Bitmap().Words()
+	}
+	k.m = nil
+	if k.op != ReduceCustom {
+		k.m = e.msgs.values(len(s))
+		k.refresh(0, len(s))
+	}
+}
+
+// end drops the sweep's references so an idle engine pins no run's arrays.
+func (k *copKernel) end() {
+	k.prog, k.s, k.m, k.active = nil, nil, nil, nil
+	k.d, k.idx, k.payload, k.recs = nil, nil, nil, nil
+}
+
+// refresh recomputes the table over vertices [lo, hi) from the current S —
+// at sweep start for every vertex, and for an interval right after its
+// column synchronised S_i ← D_i. No-op under ReduceCustom.
+func (k *copKernel) refresh(lo, hi int) {
+	if k.m == nil {
+		return
+	}
+	parallelChunks(hi-lo, k.threads, func(cl, ch int) {
+		for v := lo + cl; v < lo+ch; v++ {
+			if k.active == nil || isActive(k.active, uint32(v)) {
+				k.m[v] = k.prog.Message(graph.VertexID(v), k.s[v], 1)
+			}
+		}
+	})
+}
+
+// rawBlock folds a stored-raw in-block into d; recBlock a decoded one.
+func (k *copKernel) rawBlock(d []float64, payload []byte, byteIdx []uint32) {
+	k.d, k.idx, k.payload, k.recs = d, byteIdx, payload, nil
+	k.run()
+}
+
+func (k *copKernel) recBlock(d []float64, recs []blockstore.Rec, recIdx []uint32) {
+	k.d, k.idx, k.payload, k.recs = d, recIdx, nil, recs
+	k.run()
+}
+
+// run partitions the block's destinations across workers by edge count and
+// runs the kernel on each chunk — the last on the calling goroutine, which
+// would otherwise only wait. It returns once every chunk is done.
+func (k *copKernel) run() {
+	k.bounds = weightedChunks(k.bounds[:0], k.idx, k.threads)
+	last := len(k.bounds) - 2
+	if last < 0 {
+		return
+	}
+	k.wg.Add(last)
+	for c := 0; c < last; c++ {
+		go k.worker(k.bounds[c], k.bounds[c+1])
+	}
+	k.runChunk(k.bounds[last], k.bounds[last+1])
+	k.wg.Wait()
+}
+
+func (k *copKernel) worker(cl, ch int) {
+	defer k.wg.Done()
+	k.runChunk(cl, ch)
+}
+
+// isActive tests vertex v in a frontier's bitmap words, in line.
+func isActive(active []uint64, v uint32) bool { return active[v>>6]&(1<<(v&63)) != 0 }
+
+// runChunk runs the block's kernel over destinations [cl, ch). Chunks own
+// disjoint destinations, so workers never write the same accumulator
+// (§3.5).
+func (k *copKernel) runChunk(cl, ch int) {
+	raw, all, active := k.recs == nil, k.active == nil, k.active
+	switch {
+	case k.op == ReduceSum && raw && all:
+		copSumRaw(k.m, k.d, k.payload, k.idx, cl, ch)
+	case k.op == ReduceSum && raw:
+		copSumRawProbe(k.m, k.d, k.payload, k.idx, cl, ch, active)
+	case k.op == ReduceSum && all:
+		copSumRecs(k.m, k.d, k.recs, k.idx, cl, ch)
+	case k.op == ReduceSum:
+		copSumRecsProbe(k.m, k.d, k.recs, k.idx, cl, ch, active)
+	case k.op == ReduceMin && raw && all:
+		copMinRaw(k.m, k.d, k.payload, k.idx, cl, ch)
+	case k.op == ReduceMin && raw:
+		copMinRawProbe(k.m, k.d, k.payload, k.idx, cl, ch, active)
+	case k.op == ReduceMin && all:
+		copMinRecs(k.m, k.d, k.recs, k.idx, cl, ch)
+	case k.op == ReduceMin:
+		copMinRecsProbe(k.m, k.d, k.recs, k.idx, cl, ch, active)
+	case raw:
+		copCombineRaw(k.prog, k.s, k.d, k.payload, k.idx, cl, ch, active, k.weighted)
+	default:
+		copCombineRecs(k.prog, k.s, k.d, k.recs, k.idx, cl, ch, active)
+	}
+}
+
+// The specialised COP kernels. Each destination's accumulator is read once,
+// folded over its in-neighbours in stored (ascending-source) order, and
+// written back. The all-active loops carry no IsActive check (Alg. 3 line
+// 11 is vacuous) and no call, so the accumulator and cursors stay in
+// registers; the probing loops test the frontier's bitmap words in line for
+// the same reason. Raw kernels only ever see 4-byte unweighted records:
+// reduceOf keeps weighted stores on the fallback.
+
+func copSumRaw(m, d []float64, payload []byte, idx []uint32, cl, ch int) {
+	lo := int(idx[cl])
+	for local := cl; local < ch; local++ {
+		hi := int(idx[local+1])
+		if lo == hi {
+			continue
+		}
+		acc := d[local]
+		for off := lo; off < hi; off += 4 {
+			acc += m[binary.LittleEndian.Uint32(payload[off:])]
+		}
+		d[local] = acc
+		lo = hi
+	}
+}
+
+func copSumRawProbe(m, d []float64, payload []byte, idx []uint32, cl, ch int, active []uint64) {
+	lo := int(idx[cl])
+	for local := cl; local < ch; local++ {
+		hi := int(idx[local+1])
+		if lo == hi {
+			continue
+		}
+		acc := d[local]
+		for off := lo; off < hi; off += 4 {
+			nbr := binary.LittleEndian.Uint32(payload[off:])
+			if isActive(active, nbr) {
+				acc += m[nbr]
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+}
+
+func copMinRaw(m, d []float64, payload []byte, idx []uint32, cl, ch int) {
+	lo := int(idx[cl])
+	for local := cl; local < ch; local++ {
+		hi := int(idx[local+1])
+		if lo == hi {
+			continue
+		}
+		acc := d[local]
+		for off := lo; off < hi; off += 4 {
+			if v := m[binary.LittleEndian.Uint32(payload[off:])]; v < acc {
+				acc = v
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+}
+
+func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, cl, ch int, active []uint64) {
+	lo := int(idx[cl])
+	for local := cl; local < ch; local++ {
+		hi := int(idx[local+1])
+		if lo == hi {
+			continue
+		}
+		acc := d[local]
+		for off := lo; off < hi; off += 4 {
+			nbr := binary.LittleEndian.Uint32(payload[off:])
+			if isActive(active, nbr) && m[nbr] < acc {
+				acc = m[nbr]
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+}
+
+func copSumRecs(m, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int) {
+	lo := idx[cl]
+	for local := cl; local < ch; local++ {
+		hi := idx[local+1]
+		if lo == hi {
+			continue
+		}
+		acc := d[local]
+		for _, r := range recs[lo:hi] {
+			acc += m[r.Nbr]
+		}
+		d[local] = acc
+		lo = hi
+	}
+}
+
+func copSumRecsProbe(m, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int, active []uint64) {
+	lo := idx[cl]
+	for local := cl; local < ch; local++ {
+		hi := idx[local+1]
+		if lo == hi {
+			continue
+		}
+		acc := d[local]
+		for _, r := range recs[lo:hi] {
+			if isActive(active, r.Nbr) {
+				acc += m[r.Nbr]
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+}
+
+func copMinRecs(m, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int) {
+	lo := idx[cl]
+	for local := cl; local < ch; local++ {
+		hi := idx[local+1]
+		if lo == hi {
+			continue
+		}
+		acc := d[local]
+		for _, r := range recs[lo:hi] {
+			if v := m[r.Nbr]; v < acc {
+				acc = v
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+}
+
+func copMinRecsProbe(m, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int, active []uint64) {
+	lo := idx[cl]
+	for local := cl; local < ch; local++ {
+		hi := idx[local+1]
+		if lo == hi {
+			continue
+		}
+		acc := d[local]
+		for _, r := range recs[lo:hi] {
+			if isActive(active, r.Nbr) && m[r.Nbr] < acc {
+				acc = m[r.Nbr]
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+}
+
+// The fallback COP kernels: Message and Combine per edge (Alg. 3 lines
+// 11–14 as written).
+
+func copCombineRaw(prog Program, s, d []float64, payload []byte, idx []uint32, cl, ch int, active []uint64, weighted bool) {
+	step := blockstore.RawRecordBytes(weighted)
+	for local := cl; local < ch; local++ {
+		lo8, hi8 := int(idx[local]), int(idx[local+1])
+		if lo8 == hi8 {
+			continue
+		}
+		acc := d[local]
+		dirty := false
+		for off := lo8; off < hi8; off += step {
+			nbr, w := blockstore.RawRec(payload, off, weighted)
+			if active != nil && !isActive(active, nbr) {
+				continue
+			}
+			if a, changed := prog.Combine(acc, prog.Message(nbr, s[nbr], w)); changed {
+				acc = a
+				dirty = true
+			}
+		}
+		if dirty {
+			d[local] = acc
+		}
+	}
+}
+
+func copCombineRecs(prog Program, s, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int, active []uint64) {
+	for local := cl; local < ch; local++ {
+		sec := recs[idx[local]:idx[local+1]]
+		if len(sec) == 0 {
+			continue
+		}
+		acc := d[local]
+		dirty := false
+		for _, r := range sec {
+			if active != nil && !isActive(active, r.Nbr) {
+				continue
+			}
+			if a, changed := prog.Combine(acc, prog.Message(r.Nbr, s[r.Nbr], r.Weight)); changed {
+				acc = a
+				dirty = true
+			}
+		}
+		if dirty {
+			d[local] = acc
+		}
+	}
+}
+
+// ropPushRaw pushes source src (current value srcVal) along the stored-raw
+// out-edge section sec; ropPushRecs along a decoded one. With a declared
+// reduction Message is called once for the source, not once per edge.
+// next, when non-nil, receives every destination whose accumulator changed
+// (monotone programs activate on combine-change).
+func ropPushRaw(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, sec []byte, weighted bool, d []float64, next *bitset.Frontier) {
+	switch op {
+	case ReduceSum:
+		msg := prog.Message(src, srcVal, 1)
+		for ; len(sec) >= 4; sec = sec[4:] {
+			nbr := binary.LittleEndian.Uint32(sec)
+			d[nbr] += msg
+			if next != nil {
+				next.AddAtomic(int(nbr))
+			}
+		}
+	case ReduceMin:
+		msg := prog.Message(src, srcVal, 1)
+		for ; len(sec) >= 4; sec = sec[4:] {
+			nbr := binary.LittleEndian.Uint32(sec)
+			if msg < d[nbr] {
+				d[nbr] = msg
+				if next != nil {
+					next.AddAtomic(int(nbr))
+				}
+			}
+		}
+	default:
+		step := blockstore.RawRecordBytes(weighted)
+		for off := 0; off < len(sec); off += step {
+			nbr, w := blockstore.RawRec(sec, off, weighted)
+			if acc, changed := prog.Combine(d[nbr], prog.Message(src, srcVal, w)); changed {
+				d[nbr] = acc
+				if next != nil {
+					next.AddAtomic(int(nbr))
+				}
+			}
+		}
+	}
+}
+
+func ropPushRecs(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, recs []blockstore.Rec, d []float64, next *bitset.Frontier) {
+	switch op {
+	case ReduceSum:
+		msg := prog.Message(src, srcVal, 1)
+		for _, r := range recs {
+			d[r.Nbr] += msg
+			if next != nil {
+				next.AddAtomic(int(r.Nbr))
+			}
+		}
+	case ReduceMin:
+		msg := prog.Message(src, srcVal, 1)
+		for _, r := range recs {
+			if msg < d[r.Nbr] {
+				d[r.Nbr] = msg
+				if next != nil {
+					next.AddAtomic(int(r.Nbr))
+				}
+			}
+		}
+	default:
+		for _, r := range recs {
+			if acc, changed := prog.Combine(d[r.Nbr], prog.Message(src, srcVal, r.Weight)); changed {
+				d[r.Nbr] = acc
+				if next != nil {
+					next.AddAtomic(int(r.Nbr))
+				}
+			}
+		}
+	}
+}

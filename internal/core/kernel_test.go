@@ -1,0 +1,348 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"husgraph/internal/bitset"
+	"husgraph/internal/blockstore"
+	"husgraph/internal/graph"
+	"husgraph/internal/storage"
+)
+
+// declared wraps a test program with a reduce declaration, so the same
+// Message/Combine run through the specialised kernels; the bare program
+// (no Reducer) is the fallback it is compared against.
+type declared struct {
+	Program
+	op ReduceOp
+}
+
+func (d declared) Reduce() ReduceOp { return d.op }
+
+// testLabel is min-label propagation (WCC's shape): every vertex starts
+// active with its own ID and pulls the smallest label upstream.
+type testLabel struct{ testBFS }
+
+func (testLabel) Name() string { return "testLabel" }
+func (testLabel) Init(ctx *Context) ([]float64, *bitset.Frontier) {
+	vals := make([]float64, ctx.NumVertices)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	return vals, bitset.FullFrontier(ctx.NumVertices)
+}
+func (testLabel) Message(_ graph.VertexID, srcVal float64, _ float32) float64 { return srcVal }
+
+func buildUnweighted(t testing.TB, g *graph.Graph, p int, format blockstore.Format) *blockstore.DualStore {
+	t.Helper()
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: p, Format: format})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+func randomGraph(n, m int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(n)
+	for i := 0; i < m; i++ {
+		g.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
+	}
+	g.Dedup()
+	return g
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeCaseValues are the floats a reduction can get wrong: signed zeros,
+// infinities, NaN, equal neighbours, and magnitudes whose sum rounds.
+var edgeCaseValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 1 + 1e-16, 1e308, -1e308, 5e-324,
+	math.Inf(1), math.Inf(-1), math.NaN(), 0.1, 0.2, 0.3,
+}
+
+// TestKernelsMatchDeclaredCombine folds every ordered pair of edge-case
+// values through each specialised COP kernel and through the ROP push, and
+// demands the accumulator the reduction's written-out Combine produces —
+// bit for bit, including which destinations a min activates.
+func TestKernelsMatchDeclaredCombine(t *testing.T) {
+	// Source u carries message vals[u]; destination k starts from vals[k]
+	// and has the single in-edge (pair index) → k.
+	vals := edgeCaseValues
+	n := len(vals)
+	for _, op := range []ReduceOp{ReduceSum, ReduceMin} {
+		for src, msg := range vals {
+			m := make([]float64, n)
+			m[src] = msg
+			want := make([]float64, n)
+			changed := make([]bool, n)
+			for k, acc := range vals {
+				want[k], changed[k] = op.Combine(acc, msg)
+			}
+			// One record per destination, all naming src.
+			payload := make([]byte, 4*n)
+			recs := make([]blockstore.Rec, n)
+			byteIdx := make([]uint32, n+1)
+			recIdx := make([]uint32, n+1)
+			for k := 0; k < n; k++ {
+				payload[4*k] = byte(src)
+				recs[k] = blockstore.Rec{Nbr: graph.VertexID(src), Weight: 1}
+				byteIdx[k+1], recIdx[k+1] = uint32(4*(k+1)), uint32(k+1)
+			}
+			active := bitset.NewFrontier(n)
+			active.Add(src)
+			words := active.Bitmap().Words()
+
+			run := func(name string, fn func(d []float64)) {
+				d := append([]float64(nil), vals...)
+				fn(d)
+				if !sameBits(d, want) {
+					t.Errorf("%v %s, msg %v: accumulators %v, want %v", op, name, msg, d, want)
+				}
+			}
+			if op == ReduceSum {
+				run("raw", func(d []float64) { copSumRaw(m, d, payload, byteIdx, 0, n) })
+				run("raw/probe", func(d []float64) { copSumRawProbe(m, d, payload, byteIdx, 0, n, words) })
+				run("recs", func(d []float64) { copSumRecs(m, d, recs, recIdx, 0, n) })
+				run("recs/probe", func(d []float64) { copSumRecsProbe(m, d, recs, recIdx, 0, n, words) })
+			} else {
+				run("raw", func(d []float64) { copMinRaw(m, d, payload, byteIdx, 0, n) })
+				run("raw/probe", func(d []float64) { copMinRawProbe(m, d, payload, byteIdx, 0, n, words) })
+				run("recs", func(d []float64) { copMinRecs(m, d, recs, recIdx, 0, n) })
+				run("recs/probe", func(d []float64) { copMinRecsProbe(m, d, recs, recIdx, 0, n, words) })
+			}
+
+			// ROP: one source pushing msg to every destination.
+			prog := declared{constMessage{msg}, op}
+			for _, layout := range []string{"raw", "recs"} {
+				d := append([]float64(nil), vals...)
+				next := bitset.NewFrontier(n)
+				all := make([]byte, 4*n)
+				allRecs := make([]blockstore.Rec, n)
+				for k := 0; k < n; k++ {
+					all[4*k] = byte(k)
+					allRecs[k] = blockstore.Rec{Nbr: graph.VertexID(k), Weight: 1}
+				}
+				if layout == "raw" {
+					ropPushRaw(prog, op, 0, 0, all, false, d, next)
+				} else {
+					ropPushRecs(prog, op, 0, 0, allRecs, d, next)
+				}
+				if !sameBits(d, want) {
+					t.Errorf("%v rop/%s, msg %v: accumulators %v, want %v", op, layout, msg, d, want)
+				}
+				for k := range changed {
+					if next.Contains(k) != changed[k] {
+						t.Errorf("%v rop/%s, msg %v onto %v: activated=%v, Combine says changed=%v", op, layout, msg, vals[k], next.Contains(k), changed[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// constMessage sends the same value along every edge.
+type constMessage struct{ msg float64 }
+
+func (constMessage) Name() string                                       { return "const" }
+func (constMessage) Kind() Kind                                         { return Monotone }
+func (constMessage) NeedsSymmetric() bool                               { return false }
+func (constMessage) Init(*Context) ([]float64, *bitset.Frontier)        { return nil, nil }
+func (c constMessage) Message(graph.VertexID, float64, float32) float64 { return c.msg }
+func (constMessage) Combine(acc, msg float64) (float64, bool)           { return acc, false }
+func (constMessage) Apply(_ graph.VertexID, _, acc float64) (float64, bool) {
+	return acc, false
+}
+
+// TestProbePathSkipsExactlyTheInactiveSource is the all-active boundary: a
+// frontier one vertex short of full must probe, and must leave out exactly
+// that vertex's edges.
+func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
+	const n, p = 96, 4
+	g := randomGraph(n, 900, 3)
+	skip := 41
+	want := make([]float64, n) // in-edges from every source but skip
+	for _, e := range g.Edges {
+		if int(e.Src) != skip {
+			want[e.Dst]++
+		}
+	}
+	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatCompressed} {
+		ds := buildUnweighted(t, g, p, format)
+		for _, prog := range []Program{testCount{}, declared{testCount{}, ReduceSum}} {
+			e := New(ds, Config{Threads: 2})
+			s := make([]float64, n)
+			frontier := bitset.NewFrontier(n)
+			for v := 0; v < n; v++ {
+				if v != skip {
+					frontier.Add(v)
+				}
+			}
+			k := &e.cop
+			k.begin(e, prog, s, frontier)
+			if k.active == nil {
+				t.Fatalf("%v: |V|-1 active vertices took the all-active path", format)
+			}
+			k.end()
+			k.begin(e, prog, s, bitset.FullFrontier(n))
+			if k.active != nil {
+				t.Fatalf("%v: a full frontier still probes", format)
+			}
+			k.end()
+
+			if err := e.StartRun(); err != nil {
+				t.Fatal(err)
+			}
+			d := make([]float64, n)
+			step := e.BeginIter(prog, 0, ModelCOP, frontier, bitset.NewFrontier(n))
+			InitAccumulators(prog.Kind(), s, d)
+			if err := step.Exec(s, d); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := step.End(); err != nil {
+				t.Fatal(err)
+			}
+			e.FinishRun()
+			if !sameBits(s, want) { // testCount applies acc as the new value
+				t.Fatalf("%v %T: counts %v, want %v", format, prog, s, want)
+			}
+		}
+	}
+}
+
+// TestMessageTableFollowsEagerSync runs min-label propagation down a path
+// that crosses interval boundaries under forced COP. Each column's
+// S_i ← D_i lets the next column pull the improved label within the same
+// iteration; a message table left stale after a column would still converge,
+// but later than the per-edge fallback does.
+func TestMessageTableFollowsEagerSync(t *testing.T) {
+	const n, p = 64, 8
+	ds := buildUnweighted(t, pathGraph(n), p, blockstore.FormatRaw)
+	for _, threads := range []int{1, 2, 8} {
+		ref, err := New(ds, Config{Model: ModelCOP, Threads: threads}).Run(testLabel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := New(ds, Config{Model: ModelCOP, Threads: threads}).Run(declared{testLabel{}, ReduceMin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ref.Converged || !got.Converged {
+			t.Fatalf("threads=%d: converged fallback=%v kernels=%v", threads, ref.Converged, got.Converged)
+		}
+		if got.NumIterations() != ref.NumIterations() {
+			t.Fatalf("threads=%d: kernels took %d iterations, fallback %d", threads, got.NumIterations(), ref.NumIterations())
+		}
+		if ref.NumIterations() >= n-1 {
+			t.Fatalf("threads=%d: %d iterations — eager synchronisation is not shortening the path, the test checks nothing", threads, ref.NumIterations())
+		}
+		if !sameBits(got.Values, ref.Values) {
+			t.Fatalf("threads=%d: values differ from the fallback", threads)
+		}
+		for it := range ref.Iterations {
+			if got.Iterations[it].ActiveVertices != ref.Iterations[it].ActiveVertices {
+				t.Fatalf("threads=%d iter %d: %d active, fallback %d", threads, it,
+					got.Iterations[it].ActiveVertices, ref.Iterations[it].ActiveVertices)
+			}
+		}
+	}
+}
+
+// TestSharedMessageTableAcrossOwners drives two owner-scoped engines over
+// shared S/D arrays and one shared table, the way the shard coordinator
+// does, and expects the single-engine result: each engine's sweep must see
+// the labels the other's columns just synchronised.
+func TestSharedMessageTableAcrossOwners(t *testing.T) {
+	const n, p = 64, 8
+	ds := buildUnweighted(t, pathGraph(n), p, blockstore.FormatRaw)
+	prog := declared{testLabel{}, ReduceMin}
+	ref, err := New(ds, Config{Model: ModelCOP, Threads: 1}).Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tbl := new(MessageTable)
+	var engines []*Engine
+	for k := 0; k < 2; k++ {
+		owner, err := NewIntervalRange(k*p/2, (k+1)*p/2, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(ds, Config{Threads: 1, Owner: owner})
+		e.ShareMessageTable(tbl)
+		if err := e.StartRun(); err != nil {
+			t.Fatal(err)
+		}
+		defer e.FinishRun()
+		engines = append(engines, e)
+	}
+	s, frontier := prog.Init(engines[0].Context())
+	d := make([]float64, n)
+	iters := 0
+	for ; !frontier.Empty(); iters++ {
+		next := bitset.NewFrontier(n)
+		InitAccumulators(prog.Kind(), s, d)
+		for _, e := range engines {
+			step := e.BeginIter(prog, iters, ModelCOP, frontier, next)
+			if err := step.Exec(s, d); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := step.End(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frontier = next
+	}
+	if iters != ref.NumIterations() || !sameBits(s, ref.Values) {
+		t.Fatalf("two owners over one table: %d iterations, single engine %d; values equal: %v",
+			iters, ref.NumIterations(), sameBits(s, ref.Values))
+	}
+}
+
+// TestCOPIterationAllocations guards the scan path's allocation count: one
+// COP iteration over a MemStore (whose reads allocate nothing) may cost a
+// handful of allocations per block — the worker spawned for it and its
+// prefetch hand-off — not the two dozen it once did.
+func TestCOPIterationAllocations(t *testing.T) {
+	const n, p = 4096, 8
+	ds := buildUnweighted(t, randomGraph(n, 40000, 5), p, blockstore.FormatRaw)
+	prog := declared{testCount{}, ReduceSum}
+	e := New(ds, Config{Threads: 2, PrefetchDepth: 2})
+	if err := e.StartRun(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.FinishRun()
+	s, frontier := prog.Init(e.Context())
+	d := make([]float64, n)
+	next := bitset.NewFrontier(n)
+	iter := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		step := e.BeginIter(prog, iter, ModelCOP, frontier, next)
+		InitAccumulators(prog.Kind(), s, d)
+		if err := step.Exec(s, d); err != nil {
+			t.Fatal(err)
+		}
+		step.FinalizeOwned(s, d)
+		if _, err := step.End(); err != nil {
+			t.Fatal(err)
+		}
+		iter++
+	})
+	blocks := float64(p * p)
+	if limit := 4*blocks + 100; allocs > limit {
+		t.Fatalf("one COP iteration over %d blocks allocated %.0f times, limit %.0f", p*p, allocs, limit)
+	}
+	t.Logf("%.0f allocations for %d blocks", allocs, p*p)
+}

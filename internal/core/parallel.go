@@ -31,7 +31,8 @@ func parallelFor(n, t int, fn func(k int)) {
 }
 
 // parallelChunks splits [0, n) into up to t contiguous chunks and runs
-// fn(lo, hi) for each on its own goroutine. It blocks until all return.
+// fn(lo, hi) for each, the last on the calling goroutine and the others on
+// their own. It blocks until all return.
 func parallelChunks(n, t int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -45,57 +46,55 @@ func parallelChunks(n, t int, fn func(lo, hi int)) {
 	}
 	chunk := (n + t - 1) / t
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	lo := 0
+	for ; lo+chunk < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, lo+chunk)
 	}
+	fn(lo, n)
 	wg.Wait()
 }
 
-// parallelWeightedChunks splits the local vertex range [0, n) into up to t
+// weightedChunks splits the local vertex range [0, n) into at most t
 // contiguous chunks of roughly equal *work*, where cum[k]..cum[k+1] bounds
-// vertex k's work (e.g. payload byte offsets). Power-law graphs concentrate
+// vertex k's work (e.g. payload byte offsets), and appends the chunk
+// boundaries to dst: chunk c is [b[c], b[c+1]). Power-law graphs concentrate
 // most edges on few vertices, so equal-vertex chunks would leave one worker
 // with almost all of a block's edges; equal-work chunks keep the §3.5
-// intra-block parallelism effective.
-func parallelWeightedChunks(cum []uint32, t int, fn func(lo, hi int)) {
+// intra-block parallelism effective. An empty range yields no chunk; a
+// range with no work, one.
+func weightedChunks(dst []int, cum []uint32, t int) []int {
 	n := len(cum) - 1
 	if n <= 0 {
-		return
+		return dst
 	}
+	dst = append(dst, 0)
 	total := int64(cum[n]) - int64(cum[0])
 	if t > n {
 		t = n
 	}
-	if t <= 1 || total <= 0 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	target := total / int64(t)
-	if target < 1 {
-		target = 1
-	}
-	lo := 0
-	for lo < n {
-		hi := lo + 1
-		chunkEnd := int64(cum[lo]) + target
-		for hi < n && int64(cum[hi]) < chunkEnd {
-			hi++
+	if t > 1 && total > 0 {
+		target := total / int64(t)
+		if target < 1 {
+			target = 1
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-		lo = hi
+		// The last chunk takes whatever the first t-1 left, so rounding
+		// never spawns a worker for a few trailing records.
+		for lo, c := 0, 1; c < t; c++ {
+			hi := lo + 1
+			chunkEnd := int64(cum[lo]) + target
+			for hi < n && int64(cum[hi]) < chunkEnd {
+				hi++
+			}
+			if hi == n {
+				break
+			}
+			dst = append(dst, hi)
+			lo = hi
+		}
 	}
-	wg.Wait()
+	return append(dst, n)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -63,17 +62,22 @@ func TestParallelForActuallyParallel(t *testing.T) {
 }
 
 func TestParallelWeightedChunksCoversAll(t *testing.T) {
-	// Skewed cumulative work: vertex 0 owns almost everything.
+	// Skewed cumulative work: vertex 0 owns almost everything. The chunks
+	// must tile [0, n) with no gap, overlap or empty chunk, at most t of
+	// them.
 	cum := []uint32{0, 1000, 1001, 1002, 1003, 1004}
-	hits := make([]int32, 5)
-	parallelWeightedChunks(cum, 4, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			atomic.AddInt32(&hits[k], 1)
+	for _, threads := range []int{1, 2, 4, 64} {
+		b := weightedChunks(nil, cum, threads)
+		if len(b) < 2 || b[0] != 0 || b[len(b)-1] != len(cum)-1 {
+			t.Fatalf("threads=%d: bounds %v do not span [0,%d)", threads, b, len(cum)-1)
 		}
-	})
-	for k, h := range hits {
-		if h != 1 {
-			t.Fatalf("vertex %d hit %d times", k, h)
+		if len(b)-1 > threads {
+			t.Fatalf("threads=%d: %d chunks", threads, len(b)-1)
+		}
+		for c := 0; c+1 < len(b); c++ {
+			if b[c] >= b[c+1] {
+				t.Fatalf("threads=%d: chunk %d of %v is empty or out of order", threads, c, b)
+			}
 		}
 	}
 }
@@ -82,35 +86,25 @@ func TestParallelWeightedChunksIsolatesHeavyVertex(t *testing.T) {
 	// The heavy vertex must land in its own chunk so other workers get
 	// the rest.
 	cum := []uint32{0, 1000, 1001, 1002, 1003, 1004}
-	var chunks [][2]int
-	var mu sync.Mutex
-	parallelWeightedChunks(cum, 4, func(lo, hi int) {
-		mu.Lock()
-		chunks = append(chunks, [2]int{lo, hi})
-		mu.Unlock()
-	})
-	if len(chunks) < 2 {
-		t.Fatalf("no splitting happened: %v", chunks)
+	b := weightedChunks(nil, cum, 4)
+	if len(b) < 3 {
+		t.Fatalf("no splitting happened: %v", b)
 	}
-	for _, c := range chunks {
-		if c[0] == 0 && c[1] > 1 {
-			t.Fatalf("heavy vertex chunk %v not isolated", c)
-		}
+	if b[1] != 1 {
+		t.Fatalf("heavy vertex chunk [0,%d) not isolated: %v", b[1], b)
 	}
 }
 
 func TestParallelWeightedChunksEdgeCases(t *testing.T) {
-	parallelWeightedChunks([]uint32{0}, 4, func(lo, hi int) {
-		t.Fatal("empty range invoked fn")
-	})
-	ran := false
-	parallelWeightedChunks([]uint32{5, 5}, 4, func(lo, hi int) {
-		if lo != 0 || hi != 1 {
-			t.Fatalf("zero-work chunk [%d,%d)", lo, hi)
-		}
-		ran = true
-	})
-	if !ran {
-		t.Fatal("zero-total range skipped entirely")
+	if b := weightedChunks(nil, []uint32{0}, 4); len(b) != 0 {
+		t.Fatalf("empty range chunked: %v", b)
+	}
+	if b := weightedChunks(nil, []uint32{5, 5}, 4); len(b) != 2 || b[0] != 0 || b[1] != 1 {
+		t.Fatalf("zero-work range: bounds %v, want [0 1]", b)
+	}
+	// Appending reuses the caller's buffer.
+	buf := make([]int, 0, 8)
+	if b := weightedChunks(buf, []uint32{0, 4, 8}, 2); &b[0] != &buf[:1][0] {
+		t.Fatal("bounds not appended to dst")
 	}
 }

@@ -101,6 +101,12 @@ func (c *Context) OutDegree(v graph.VertexID) int32 { return c.OutDegrees[v] }
 // Implementations must be safe for concurrent calls to Message and Combine
 // from multiple worker threads. Apply is called at most once per vertex per
 // iteration, never concurrently for the same vertex.
+//
+// A program whose Combine is a plain sum or a strict minimum should also
+// implement the optional Reducer interface (kernel.go): on unweighted stores
+// the engine then calls Message once per source instead of once per edge and
+// inlines the reduction, with bit-identical results. Programs that do not
+// are run through Message and Combine per edge, as written here.
 type Program interface {
 	// Name identifies the program in reports.
 	Name() string

@@ -34,6 +34,11 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 	dev := e.ds.Device()
 	monotone := prog.Kind() == Monotone
 	nv := int64(blockstore.VertexValueBytes)
+	op := e.reduceOf(prog)
+	var activate *bitset.Frontier // monotone programs activate on combine-change
+	if monotone {
+		activate = next
+	}
 
 	var errMu sync.Mutex
 	var firstErr error
@@ -134,22 +139,12 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 					runStart = runs[ri].s
 					loaded = true
 				}
-				srcVal := s[sp.v]
+				src, srcVal := graph.VertexID(sp.v), s[sp.v]
 				if codec == blockstore.CodecNone {
-					// Raw fast path: uncompressed sections (FormatRaw, or a
-					// mixed-store block where no codec paid) iterate their
-					// packed records in place.
-					step := blockstore.RawRecordBytes(e.ds.Weighted)
-					for off := int(sp.s - runStart); off < int(sp.e-runStart); off += step {
-						nbr, w := blockstore.RawRec(runBytes, off, e.ds.Weighted)
-						msg := prog.Message(graph.VertexID(sp.v), srcVal, w)
-						if acc, changed := prog.Combine(d[nbr], msg); changed {
-							d[nbr] = acc
-							if monotone {
-								next.AddAtomic(int(nbr))
-							}
-						}
-					}
+					// Uncompressed sections (FormatRaw, or a mixed-store
+					// block where no codec paid) are pushed in place from
+					// their packed records.
+					ropPushRaw(prog, op, src, srcVal, runBytes[sp.s-runStart:sp.e-runStart], e.ds.Weighted, d, activate)
 					continue
 				}
 				recs, err := e.ds.DecodeRecsCodecScratch(runBytes[sp.s-runStart:sp.e-runStart], codec, sc)
@@ -157,15 +152,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 					setErr(err)
 					return
 				}
-				for _, r := range recs {
-					msg := prog.Message(graph.VertexID(sp.v), srcVal, r.Weight)
-					if acc, changed := prog.Combine(d[r.Nbr], msg); changed {
-						d[r.Nbr] = acc
-						if monotone {
-							next.AddAtomic(int(r.Nbr))
-						}
-					}
-				}
+				ropPushRecs(prog, op, src, srcVal, recs, d, activate)
 			}
 		})
 		if firstErr != nil {

@@ -74,7 +74,12 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: vertex count %d exceeds 32-bit ID space", numV)
 	}
 	g := New(int(numV))
-	g.Edges = make([]Edge, 0, numE)
+	if numE > 0 {
+		// An edgeless graph keeps Edges nil, as New and the builders leave
+		// it: a round trip must give back an equal value, not merely an
+		// equivalent one.
+		g.Edges = make([]Edge, 0, numE)
+	}
 	rec := make([]byte, EdgeRecordBytes)
 	for i := uint64(0); i < numE; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {

@@ -113,6 +113,23 @@ func TestEdgeListErrors(t *testing.T) {
 }
 
 // Property: binary codec round-trips arbitrary graphs exactly.
+func TestBinaryRoundTripZeroEdges(t *testing.T) {
+	// The case TestQuickBinaryRoundTrip only draws now and then: an
+	// edgeless graph must come back DeepEqual, nil edge slice included.
+	g := New(7)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, g) {
+		t.Fatalf("zero-edge round trip: got %#v, want %#v", got, g)
+	}
+}
+
 func TestQuickBinaryRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

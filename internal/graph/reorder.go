@@ -24,7 +24,9 @@ func Relabel(g *Graph, perm []VertexID) *Graph {
 		seen[p] = true
 	}
 	out := New(g.NumVertices)
-	out.Edges = make([]Edge, len(g.Edges))
+	if len(g.Edges) > 0 { // an edgeless graph keeps Edges nil, as New leaves it
+		out.Edges = make([]Edge, len(g.Edges))
+	}
 	for i, e := range g.Edges {
 		out.Edges[i] = Edge{Src: perm[e.Src], Dst: perm[e.Dst], Weight: e.Weight}
 	}

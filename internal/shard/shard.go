@@ -101,6 +101,10 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 	per.OnIteration = nil
 	per.CacheBudgetBytes = resolved.CacheBudgetBytes / int64(k)
 	span := p / k
+	// One message table beside the shared S/D arrays, not one per engine:
+	// the token serialises every Exec, and each engine leaves the entries
+	// of the intervals it synchronised current.
+	msgs := new(core.MessageTable)
 	var vertexBytes, indexBytes int64
 	for s := 0; s < k; s++ {
 		pc := per
@@ -111,6 +115,7 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 		pc.Owner = owner
 		dev := storage.NewDevice(ds.Device().Profile())
 		eng := core.New(ds.Fork(storage.NewDeviceStore(ds.Store(), dev)), pc)
+		eng.ShareMessageTable(msgs)
 		vb, ib := eng.SemResidentBytes()
 		vertexBytes = vb // shared arrays: resident once, not once per shard
 		indexBytes += ib
