@@ -14,7 +14,9 @@
 // dataset under the synchronous, prefetch-pipelined and prefetch+cache
 // engine configurations, and one machine-readable BENCH_<dataset>.json is
 // written per dataset into DIR (modeled ns/iter, bytes read, cache hit
-// rate, speedups) — the repo's performance-trajectory artifacts.
+// rate, speedups) — the repo's performance-trajectory artifacts. Modeled
+// compute is work ÷ threads, so -bench-json runs at 4 threads (the count
+// the committed artifacts record) unless -threads is given.
 //
 // With -bench-check, the committed BENCH_*.json artifacts in DIR are
 // replayed under their recorded configurations and the modeled ns/iter is
@@ -37,7 +39,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments.ExperimentNames(), "|")+"|all")
-	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS; paper uses 16)")
+	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS, or 4 with -bench-json; paper uses 16)")
 	p := flag.Int("p", 0, "partition count (0 = 8)")
 	quick := flag.Bool("quick", false, "shrink datasets ~10x for a fast smoke run")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -48,6 +50,12 @@ func main() {
 	deviceName := flag.String("device", "hdd", "device profile for -bench-json: hdd|ssd|nvme|ram")
 	flag.Parse()
 
+	if *benchJSON != "" && *threads == 0 {
+		// The committed artifacts record their thread count and modeled
+		// compute scales with it: regenerate them at the count they were
+		// written with, not at this host's.
+		*threads = experiments.BenchThreads
+	}
 	r := experiments.NewRunner(experiments.Options{Threads: *threads, P: *p, Quick: *quick})
 	if *benchCheck != "" {
 		start := time.Now()

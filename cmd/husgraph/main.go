@@ -8,7 +8,7 @@
 //	         [-model hybrid|rop|cop] [-device hdd|ssd|nvme|ram] [-threads N] [-p P]
 //	         [-shards K] [-delta W] [-format raw|compressed|mixed] [-sem] [-sem-budget-mb MB]
 //	         [-trace] [-stats] [-input edges.txt] [-store DIR]
-//	         [-prefetch DEPTH] [-cache-mb MB] [-pipeline-depth K] [-cache-admission POLICY]
+//	         [-prefetch DEPTH] [-cache-mb MB] [-cache-admission POLICY]
 //	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D] [-retry-jitter J]
 //	         [-read-deadline D] [-hedge] [-degrade] [-degrade-window D] [-degrade-rate R]
 //	         [-fault-transient N] [-fault-bitflip N] [-fault-delay N] [-fault-stall N]
@@ -16,18 +16,10 @@
 //
 // -prefetch enables the asynchronous block-prefetch pipeline (DEPTH worker
 // goroutines reading ahead of the executor); -cache-mb retains decoded hot
-// blocks across iterations under a byte budget; -pipeline-depth extends the
-// pipeline across iteration barriers, speculatively reading provisional
-// plans up to K iterations ahead (-pipeline-iters is the older spelling of
-// the same knob); -cache-admission selects the cache insert policy under
-// eviction pressure (tinylfu|lru). All of them leave results bit-identical
-// to the synchronous configuration; -stats prints the per-iteration cache
-// and pipeline numbers that validate them, including how many barriers
-// ahead each iteration's adopted speculation was issued ("depth").
-//
-// Pipelining rides on the async prefetch pipeline, so combining it with an
-// explicit -prefetch 0 or -cache-mb 0 is a contradiction and rejected at
-// startup rather than silently degraded.
+// blocks across iterations under a byte budget; -cache-admission selects
+// the cache insert policy under eviction pressure (tinylfu|lru). All of
+// them leave results bit-identical to the synchronous configuration; -stats
+// prints the per-iteration cache and prefetch numbers that validate them.
 //
 // Algorithm names are case-insensitive. -algo sssp-delta and -algo coreness
 // run bucketed (priority-ordered) execution: activated vertices are parked
@@ -71,9 +63,9 @@
 // at the deadline gets a hedged duplicate read, first response wins
 // (-hedge=false keeps the deadline as a latency signal without the
 // duplicate). -degrade arms the adaptive degradation ladder: under
-// sustained fault/latency pressure the run sheds speculation depth, then
-// the pipeline, then prefetch, then cache reads — and re-arms one rung per
-// clear window, always with bit-identical results.
+// sustained fault/latency pressure the run sheds prefetch, then cache
+// reads — and re-arms one rung per clear window, always with bit-identical
+// results.
 //
 // Exit codes classify the outcome for wrappers: 0 success, 1 generic
 // failure, 2 transient-fault retry budget exhausted, 3 permanent device
@@ -151,16 +143,14 @@ func run() (*core.Result, error) {
 	resume := flag.Bool("resume", false, "resume from a persisted checkpoint when one exists (hus only)")
 	prefetch := flag.Int("prefetch", 0, "asynchronous block-prefetch depth overlapping I/O with compute (0 = synchronous loads; hus only)")
 	cacheMB := flag.Int64("cache-mb", 0, "hot-block cache budget in MiB, retaining decoded blocks across iterations (0 = off; hus only)")
-	pipelineIters := flag.Int("pipeline-iters", 0, "deprecated spelling of -pipeline-depth (hus only)")
-	pipelineDepth := flag.Int("pipeline-depth", 0, "cross-iteration read pipelining depth K: while an iteration computes, speculatively read provisional plans for up to the next K iterations (0 = off; hus only)")
 	cacheAdmission := flag.String("cache-admission", "tinylfu", "block-cache admission policy under eviction pressure: tinylfu|lru (hus only)")
-	stats := flag.Bool("stats", false, "print per-iteration cache and pipeline statistics (hit ratio, stall, speculation; hus only)")
+	stats := flag.Bool("stats", false, "print per-iteration cache and prefetch statistics (hit ratio, stall; hus only)")
 	retries := flag.Int("retries", 0, "retry reads failing with a transient fault up to N times each, with exponential backoff")
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")
 	retryJitter := flag.Float64("retry-jitter", 0, "multiplicative jitter fraction on retry backoff, factor drawn from [1-j, 1+j) (0 = 0.2 default; pass 0 explicitly to disable)")
 	readDeadline := flag.Duration("read-deadline", 0, "per-attempt read deadline; an attempt still pending at the deadline gets a hedged duplicate (0 = unbounded)")
 	hedge := flag.Bool("hedge", true, "issue hedged duplicate reads when -read-deadline expires (false keeps the deadline as a latency signal only)")
-	degrade := flag.Bool("degrade", false, "arm the adaptive degradation ladder: shed speculation, pipelining, prefetch and cache reads under sustained fault/latency pressure, re-arming when it clears")
+	degrade := flag.Bool("degrade", false, "arm the adaptive degradation ladder: shed prefetch, then cache reads, under sustained fault/latency pressure, re-arming when it clears")
 	degradeWindow := flag.Duration("degrade-window", 0, "observation window for the degradation circuit breaker (0 = 100ms default)")
 	degradeRate := flag.Float64("degrade-rate", 0, "fault/slow-read fraction within the window that trips one ladder rung (0 = 0.5 default)")
 	faultTransient := flag.Int("fault-transient", 0, "inject N transient read faults (demonstrates -retries)")
@@ -175,10 +165,6 @@ func run() (*core.Result, error) {
 
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	pipeline, err := pipelineConfig(explicit, *pipelineIters, *pipelineDepth, *prefetch, *cacheMB)
-	if err != nil {
-		return nil, err
-	}
 	shardK, err := shardsConfig(*shards, *system, *p, explicit["membudget"] && *memBudget > 0)
 	if err != nil {
 		return nil, err
@@ -202,8 +188,8 @@ func run() (*core.Result, error) {
 		return nil, err
 	}
 	if explicit["delta"] {
-		// Same fail-at-startup spirit as -shards/-pipeline: a width that
-		// cannot apply is an error, not a silently ignored flag.
+		// Same fail-at-startup spirit as -shards: a width that cannot
+		// apply is an error, not a silently ignored flag.
 		if algo.Name != "SSSP-Delta" {
 			return nil, fmt.Errorf("-delta applies only to -algo SSSP-Delta, not %s", algo.Name)
 		}
@@ -325,7 +311,6 @@ func run() (*core.Result, error) {
 			DegradeRate:      *degradeRate,
 			PrefetchDepth:    *prefetch,
 			CacheBudgetBytes: *cacheMB << 20,
-			PipelineIters:    pipeline,
 			CacheAdmission:   *cacheAdmission,
 		}
 		if shardK > 1 {
@@ -389,12 +374,12 @@ func run() (*core.Result, error) {
 	}
 
 	if *stats {
-		// Per-interval validation of the predictor and the pipelines: the
-		// aggregate totals in Result hide whether cache hits and hidden
-		// I/O actually line up with the iterations the predictor priced
-		// them into.
-		t := report.NewTable("per-iteration cache/pipeline stats",
-			"iter", "model", "cache hits", "misses", "hit %", "stall", "spec MB", "depth", "overlap credit", "hedges", "level")
+		// Per-iteration validation of the predictor and the prefetch
+		// pipeline: the aggregate totals in Result hide whether cache hits
+		// and stalls actually line up with the iterations the predictor
+		// priced them into.
+		t := report.NewTable("per-iteration cache/prefetch stats",
+			"iter", "model", "cache hits", "misses", "hit %", "stall", "hedges", "level")
 		for _, it := range res.Iterations {
 			hitRate := 0.0
 			if total := it.CacheHits + it.CacheMisses; total > 0 {
@@ -407,9 +392,6 @@ func run() (*core.Result, error) {
 				fmt.Sprintf("%d", it.CacheMisses),
 				fmt.Sprintf("%.1f", hitRate),
 				it.PrefetchStall.Round(time.Microsecond).String(),
-				report.MB(it.SpecReadBytes),
-				fmt.Sprintf("%d", it.SpecDepth),
-				it.OverlapCredit.Round(time.Microsecond).String(),
 				fmt.Sprintf("%d", it.Hedges),
 				it.DegradeLevel.String(),
 			)
@@ -514,10 +496,6 @@ func run() (*core.Result, error) {
 				c.RunHits, c.RunMisses, c.Promotions, c.AdmissionRejected)
 		}
 	}
-	if pipeline > 0 {
-		fmt.Printf("  pipelining:     depth %d, %s MB speculative reads, %v I/O hidden behind earlier compute\n",
-			pipeline, report.MB(res.TotalSpecReadBytes()), res.TotalOverlapCredit().Round(time.Microsecond))
-	}
 	if shardK > 1 {
 		fmt.Printf("  sharding:       %d shards, %s MB exchanged (%v), merge %v, worst skew %.2f\n",
 			shardK, report.MB(res.TotalExchangeBytes()), res.TotalExchangeTime().Round(time.Microsecond),
@@ -540,16 +518,9 @@ func run() (*core.Result, error) {
 	return res, nil
 }
 
-// pipelineConfig resolves the cross-iteration pipelining depth from its two
-// flag spellings and rejects contradictory combinations. Pipelining rides on
-// the async prefetch pipeline and replays speculative reads through the
-// block cache, so explicitly zeroing either alongside it used to degrade the
-// run silently; now it is a startup error. `set` holds the flags the user
-// actually passed (flag.Visit), so the defaults — no -prefetch, no
-// -cache-mb — still auto-configure instead of erroring.
 // shardsConfig validates the -shards flag against the rest of the command
-// line, in the same fail-at-startup spirit as pipelineConfig: a shard count
-// that cannot work is an error, not a silent fallback. K > 1 is hus-only,
+// line: a shard count that cannot work is a startup error, not a silent
+// fallback. K > 1 is hus-only,
 // and K must divide the partition count — except under -membudget, where P
 // is chosen later from the working-set budget; the coordinator re-validates
 // divisibility against the resolved P either way.
@@ -570,27 +541,4 @@ func shardsConfig(shards int, system string, p int, memBudgetP bool) (int, error
 		return 0, fmt.Errorf("-shards %d does not evenly divide -p %d; pick a divisor of P", shards, p)
 	}
 	return shards, nil
-}
-
-func pipelineConfig(set map[string]bool, iters, depth, prefetch int, cacheMB int64) (int, error) {
-	if set["pipeline-iters"] && set["pipeline-depth"] {
-		return 0, fmt.Errorf("-pipeline-iters and -pipeline-depth are the same knob; pass only -pipeline-depth")
-	}
-	k, name := depth, "-pipeline-depth"
-	if set["pipeline-iters"] {
-		k, name = iters, "-pipeline-iters"
-	}
-	if k < 0 {
-		return 0, fmt.Errorf("%s %d: depth must be >= 0", name, k)
-	}
-	if k == 0 {
-		return 0, nil
-	}
-	if set["prefetch"] && prefetch <= 0 {
-		return 0, fmt.Errorf("%s %d needs the asynchronous prefetch pipeline, but -prefetch %d disables it; drop -prefetch (pipelining defaults it to 2) or set it > 0", name, k, prefetch)
-	}
-	if set["cache-mb"] && cacheMB <= 0 {
-		return 0, fmt.Errorf("%s %d replays adopted speculation through the block cache, but -cache-mb %d disables it; drop -cache-mb or set it > 0", name, k, cacheMB)
-	}
-	return k, nil
 }

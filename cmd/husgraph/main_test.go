@@ -75,60 +75,3 @@ func TestShardsConfig(t *testing.T) {
 		})
 	}
 }
-
-func TestPipelineConfig(t *testing.T) {
-	cases := []struct {
-		name     string
-		set      []string
-		iters    int
-		depth    int
-		prefetch int
-		cacheMB  int64
-		want     int
-		errPart  string
-	}{
-		{name: "off by default", want: 0},
-		{name: "depth flag", set: []string{"pipeline-depth"}, depth: 2, want: 2},
-		{name: "legacy iters flag", set: []string{"pipeline-iters"}, iters: 1, want: 1},
-		{name: "both spellings conflict", set: []string{"pipeline-iters", "pipeline-depth"},
-			iters: 1, depth: 2, errPart: "same knob"},
-		{name: "negative depth", set: []string{"pipeline-depth"}, depth: -1, errPart: "must be >= 0"},
-		{name: "explicit prefetch 0 contradiction", set: []string{"pipeline-depth", "prefetch"},
-			depth: 2, prefetch: 0, errPart: "-prefetch 0"},
-		{name: "explicit cache-mb 0 contradiction", set: []string{"pipeline-depth", "cache-mb"},
-			depth: 2, cacheMB: 0, errPart: "-cache-mb 0"},
-		{name: "legacy spelling reports legacy name", set: []string{"pipeline-iters", "prefetch"},
-			iters: 1, prefetch: 0, errPart: "-pipeline-iters 1"},
-		{name: "unset prefetch auto-configures", set: []string{"pipeline-depth"},
-			depth: 3, prefetch: 0, cacheMB: 0, want: 3},
-		{name: "explicit nonzero prefetch and cache ok", set: []string{"pipeline-depth", "prefetch", "cache-mb"},
-			depth: 2, prefetch: 4, cacheMB: 64, want: 2},
-		{name: "explicit depth 0 is plain off", set: []string{"pipeline-depth", "prefetch"},
-			depth: 0, prefetch: 0, want: 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			set := map[string]bool{}
-			for _, f := range tc.set {
-				set[f] = true
-			}
-			got, err := pipelineConfig(set, tc.iters, tc.depth, tc.prefetch, tc.cacheMB)
-			if tc.errPart != "" {
-				if err == nil {
-					t.Fatalf("want error containing %q, got depth %d", tc.errPart, got)
-				}
-				//lint:ignore huslint/errclass the assertion is about the rendered flag-error text a user sees, not an error class the program branches on
-			if !strings.Contains(err.Error(), tc.errPart) {
-					t.Fatalf("error %q does not mention %q", err, tc.errPart)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Fatalf("resolved depth %d, want %d", got, tc.want)
-			}
-		})
-	}
-}

@@ -107,37 +107,6 @@ func (b *Bitset) AtomicTest(i int) bool {
 	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<(uint(i)%wordBits)) != 0
 }
 
-// AnyInRangeAtomic reports whether any bit in [lo, hi) is set, reading
-// words with atomic loads — safe to call concurrently with AtomicSet and
-// AtomicTestAndSet. Like all racing reads, a bit being set concurrently
-// may or may not be observed; bits already set before the call always are.
-func (b *Bitset) AnyInRangeAtomic(lo, hi int) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	if lo >= hi {
-		return false
-	}
-	wLo, wHi := lo/wordBits, (hi-1)/wordBits
-	loMask := ^uint64(0) << (uint(lo) % wordBits)
-	hiMask := ^uint64(0) >> (wordBits - 1 - uint(hi-1)%wordBits)
-	if wLo == wHi {
-		return atomic.LoadUint64(&b.words[wLo])&loMask&hiMask != 0
-	}
-	if atomic.LoadUint64(&b.words[wLo])&loMask != 0 {
-		return true
-	}
-	for w := wLo + 1; w < wHi; w++ {
-		if atomic.LoadUint64(&b.words[w]) != 0 {
-			return true
-		}
-	}
-	return atomic.LoadUint64(&b.words[wHi])&hiMask != 0
-}
-
 // Count returns the number of set bits.
 func (b *Bitset) Count() int {
 	c := 0

@@ -167,22 +167,9 @@ func (f *Frontier) CountIn(lo, hi int) int {
 	return f.dense.CountRange(lo, hi)
 }
 
-// AnyInAtomic reports whether any vertex in [lo, hi) is active, reading the
-// dense bitmap with atomic loads — the one read-side method safe to call
-// concurrently with Add/AddAtomic writers. It deliberately consults only
-// the dense bitmap (never the mutex-guarded sparse list or count), because
-// AddAtomic publishes to the bitmap before taking the lock: bits set before
-// the call are always observed, concurrent additions may or may not be. The
-// speculative cross-iteration planner uses it to probe the frontier being
-// built — for a monotone frontier a true answer can only become "more true"
-// by the time the plan is finalized.
-func (f *Frontier) AnyInAtomic(lo, hi int) bool {
-	return f.dense.AnyInRangeAtomic(lo, hi)
-}
-
 // MergeAtomic ORs other's members into f's dense bitmap with per-word CAS,
-// safe for concurrent use with AddAtomic/AnyInAtomic on f (other must be
-// quiescent — a shard's piece handed over at the barrier). Only the bitmap
+// safe for concurrent use with AddAtomic on f (other must be quiescent — a
+// shard's piece handed over at the barrier). Only the bitmap
 // is merged: the count and sparse list are left stale, so the caller must
 // Reindex once all pieces are in before using Count/Members/Range. Universe
 // sizes must match.

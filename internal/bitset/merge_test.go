@@ -66,13 +66,11 @@ func TestMergeDisjointPiecesEqualsUnsharded(t *testing.T) {
 	}
 }
 
-// TestMergeRacesAnyInRangeAtomic drives MergeAtomic from K goroutines while
-// probe goroutines hammer AnyInRangeAtomic — the speculation gate's racing
-// read against the barrier merge. Run under -race this asserts the merge is
-// data-race free; semantically, every bit set before the merge started must
-// be observed once the merge completes, and probes during the merge must
-// never see a bit outside the union.
-func TestMergeRacesAnyInRangeAtomic(t *testing.T) {
+// TestMergeAtomicConcurrentPieces drives MergeAtomic from K goroutines at
+// once — the shard barrier, where every worker ORs its piece into the
+// shared next frontier. Run under -race this asserts the merge is data-race
+// free; semantically, the merged bitmap must equal the pieces' union.
+func TestMergeAtomicConcurrentPieces(t *testing.T) {
 	const n = 4096
 	const k = 4
 	rng := rand.New(rand.NewSource(7))
@@ -91,29 +89,6 @@ func TestMergeRacesAnyInRangeAtomic(t *testing.T) {
 	}
 
 	merged := NewFrontier(n)
-	stop := make(chan struct{})
-	var probes sync.WaitGroup
-	for p := 0; p < 3; p++ {
-		probes.Add(1)
-		go func(seed int64) {
-			defer probes.Done()
-			prng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				lo := prng.Intn(n)
-				hi := lo + 1 + prng.Intn(n-lo)
-				if merged.AnyInAtomic(lo, hi) && union.CountRange(lo, hi) == 0 {
-					t.Errorf("probe saw activity in [%d,%d) outside the union", lo, hi)
-					return
-				}
-			}
-		}(int64(p))
-	}
-
 	var mergers sync.WaitGroup
 	for _, p := range pieces {
 		mergers.Add(1)
@@ -123,8 +98,6 @@ func TestMergeRacesAnyInRangeAtomic(t *testing.T) {
 		}(p)
 	}
 	mergers.Wait()
-	close(stop)
-	probes.Wait()
 
 	merged.Reindex()
 	if !merged.Bitmap().Equal(union) {

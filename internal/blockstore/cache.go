@@ -299,44 +299,6 @@ func (c *BlockCache) Get(k BlockKey) (*CachedBlock, bool) {
 	return el.Value.(*cacheEntry).blk, true
 }
 
-// GetQuiet returns the cached block for k without touching counters, LRU
-// order or the frequency sketch. The speculative cross-iteration reader
-// uses it so cache state evolves exactly as if the lookup had not happened
-// yet — the consuming iteration replays the hit or miss through
-// NoteHit/NoteMiss when it takes the result.
-func (c *BlockCache) GetQuiet(k BlockKey) (*CachedBlock, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[cacheKey{BlockKey: k}]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry).blk, true
-}
-
-// NoteHit records a deferred cache hit for k — counted and LRU-bumped now,
-// in the iteration consuming a speculatively-read block, not the iteration
-// that issued the read.
-func (c *BlockCache) NoteHit(k BlockKey) {
-	ck := cacheKey{BlockKey: k}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.note(ck)
-	c.hits++
-	if el, ok := c.items[ck]; ok {
-		c.ll.MoveToFront(el)
-	}
-}
-
-// NoteMiss records a deferred cache miss for k (see NoteHit).
-func (c *BlockCache) NoteMiss(k BlockKey) {
-	ck := cacheKey{BlockKey: k}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.note(ck)
-	c.misses++
-}
-
 // Peek reports residency without touching counters or LRU order — the
 // predictor uses it to price the coming iteration without distorting the
 // hit statistics it is trying to stay honest about.

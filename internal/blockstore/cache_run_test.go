@@ -162,57 +162,6 @@ func TestCacheTinyLFUAdmissionUnderPressure(t *testing.T) {
 	}
 }
 
-func TestCacheQuietLookupsHaveNoSideEffects(t *testing.T) {
-	c := NewBlockCacheOpts(100, CacheOptions{Admission: AdmitTinyLFU})
-	c.Put(inKey(0, 0), payloadBlock(50))
-	c.Put(inKey(0, 1), payloadBlock(50))
-	before := c.Stats()
-	if _, ok := c.GetQuiet(inKey(0, 0)); !ok {
-		t.Fatal("quiet lookup missed a resident entry")
-	}
-	if _, ok := c.GetQuiet(inKey(9, 9)); ok {
-		t.Fatal("quiet lookup hit a missing entry")
-	}
-	if d := c.Stats().Sub(before); d.Hits != 0 || d.Misses != 0 {
-		t.Fatalf("quiet lookups touched counters: %+v", d)
-	}
-	// GetQuiet must not bump LRU order: (0,0) stays oldest and is evicted.
-	c.Put(inKey(0, 2), payloadBlock(100))
-	if c.Peek(inKey(0, 0)) {
-		t.Fatal("quiet lookup refreshed LRU position")
-	}
-}
-
-func TestCacheNoteHitMissReplayMatchesDirectLookups(t *testing.T) {
-	// The speculative path (GetQuiet at read time + NoteHit/NoteMiss/Put at
-	// consume time) must leave counters and contents identical to the
-	// direct path (Get + Put) issuing the same logical lookups.
-	direct := NewBlockCacheOpts(1<<20, CacheOptions{Admission: AdmitTinyLFU})
-	replay := NewBlockCacheOpts(1<<20, CacheOptions{Admission: AdmitTinyLFU})
-	k := inKey(1, 2)
-
-	if _, ok := direct.Get(k); ok {
-		t.Fatal("unexpected hit")
-	}
-	direct.Put(k, payloadBlock(64))
-	direct.Get(k)
-
-	if _, ok := replay.GetQuiet(k); ok { // speculative read, deferred
-		t.Fatal("unexpected quiet hit")
-	}
-	replay.NoteMiss(k) // consuming iteration replays the miss
-	replay.Put(k, payloadBlock(64))
-	if _, ok := replay.GetQuiet(k); !ok { // next speculative read
-		t.Fatal("quiet miss after insert")
-	}
-	replay.NoteHit(k)
-
-	d, r := direct.Stats(), replay.Stats()
-	if d != r {
-		t.Fatalf("replayed stats diverged:\n  direct %+v\n  replay %+v", d, r)
-	}
-}
-
 func TestParseAdmission(t *testing.T) {
 	for in, want := range map[string]Admission{
 		"": AdmitTinyLFU, "tinylfu": AdmitTinyLFU, "TinyLFU": AdmitTinyLFU,

@@ -81,8 +81,8 @@ type DualStore struct {
 	framed bool
 	// retry is the transient-fault retry policy for all read paths;
 	// retries counts retry attempts actually issued. The counter is
-	// shared by pointer across Fork copies so the engine's aggregate
-	// retry accounting covers speculative readers too.
+	// shared by pointer across Fork copies so aggregate retry accounting
+	// covers every view of the store.
 	retry   RetryPolicy
 	retries *atomic.Int64
 	// hedge is the soft read-deadline / hedged-duplicate policy; hedges
@@ -456,9 +456,9 @@ func (d *DualStore) Framed() bool { return d.framed }
 func (d *DualStore) Store() storage.Store { return d.store }
 
 // Fork returns a read-only view of the same graph that issues its I/O
-// through store — normally a storage.CountingStore wrapping d's store, so a
-// side channel (the speculative cross-iteration reader) can have its device
-// charges measured separately. The fork shares the immutable metadata
+// through store — the shard coordinator hands each worker a
+// storage.DeviceStore over d's store, so every shard charges its own
+// simulated device. The fork shares the immutable metadata
 // slices and the retry counter with d; it inherits the retry policy in
 // force at fork time, so install policies with SetRetryPolicy first.
 func (d *DualStore) Fork(store storage.Store) *DualStore {
@@ -479,8 +479,8 @@ func (d *DualStore) SetHedgePolicy(p HedgePolicy) { d.hedge = p }
 
 // SetReadObserver installs fn to be called once per resolved read attempt
 // with its wall latency and outcome error — the feed for a latency/fault
-// circuit breaker. Install before Fork so speculative readers report too;
-// fn must be safe for concurrent use.
+// circuit breaker. Install before Fork so forked views report too; fn must
+// be safe for concurrent use.
 func (d *DualStore) SetReadObserver(fn func(time.Duration, error)) { d.observe = fn }
 
 // WithAbort returns a view of d whose retry-backoff sleeps end early once

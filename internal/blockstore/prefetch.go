@@ -37,11 +37,8 @@ import (
 // cause instead of being read — so a permanent fault surfaces as the
 // iteration error on every waiting consumer rather than a hang.
 type Prefetcher struct {
-	ds      *DualStore
-	cache   *BlockCache
-	depth   int
-	quiet   bool
-	pending func(BlockKey) bool
+	ds    *DualStore
+	cache *BlockCache
 
 	// reqs is the schedule's request slab — one allocation for every
 	// entry's bookkeeping and result storage; byKey points into it.
@@ -53,9 +50,6 @@ type Prefetcher struct {
 	wg   sync.WaitGroup
 	next atomic.Int64 // index of the next request to claim
 
-	drained     chan struct{} // closed once every entry has been claimed
-	drainedOnce sync.Once
-
 	errMu    sync.Mutex
 	firstErr error
 
@@ -63,28 +57,6 @@ type Prefetcher struct {
 	unused      atomic.Int64
 	stallNanos  atomic.Int64
 	closed      bool
-}
-
-// PrefetchOpts configures NewPrefetcherOpts.
-type PrefetchOpts struct {
-	// Depth is the worker count and read-ahead bound; <= 0 runs inline.
-	Depth int
-	// Cache, when non-nil, serves hits and receives loaded blocks.
-	Cache *BlockCache
-	// Quiet makes loads consult the cache without recording hits or
-	// misses, bumping recency, or inserting loaded blocks — so a
-	// speculative pipeline leaves cache state exactly as it found it and
-	// the consuming iteration can replay attribution (NoteHit/NoteMiss and
-	// the insert) when it actually takes each result.
-	Quiet bool
-	// Pending, when non-nil, marks keys expected to be cache-resident by
-	// the time this pipeline's results are consumed — inserted by a
-	// shallower pipeline whose consumption precedes this one's (depth-k
-	// speculation windows chain this way). A pending key that misses the
-	// cache is not read: the result carries Deferred=true and no data, and
-	// the consumer resolves it against the cache — or loads it inline — at
-	// consume time. Only meaningful together with Cache.
-	Pending func(BlockKey) bool
 }
 
 type prefetchReq struct {
@@ -124,11 +96,6 @@ type PrefetchResult struct {
 	// Cached reports the result was served from the block cache (no
 	// device I/O, no scratch to return).
 	Cached bool
-	// Deferred reports the load was skipped because the key is expected to
-	// be cache-resident by consume time (see PrefetchOpts.Pending): the
-	// result carries no data and no I/O happened — the consumer must
-	// resolve it from the cache or load it inline.
-	Deferred bool
 
 	sc *Scratch
 	pf *Prefetcher
@@ -153,27 +120,10 @@ func (r *PrefetchResult) Release() {
 	}
 }
 
-// AdoptCached swaps the result's views to the immutable cached copy blk and
-// recycles the scratch immediately; the read-ahead token is kept until
-// Release. Callers use it after inserting a quiet-mode result into the
-// cache so consumers hold cache memory, not pooled buffers.
-func (r *PrefetchResult) AdoptCached(blk *CachedBlock) {
-	r.Payload, r.ByteIdx = blk.Payload, blk.ByteIdx
-	r.Recs, r.RecIdx = blk.Recs, blk.RecIdx
-	if r.sc != nil {
-		PutScratch(r.sc)
-		r.sc = nil
-	}
-}
-
-// DataBytes returns the device-loaded payload size of the result — zero for
-// cache hits and errors. Exposed for unused-speculation accounting.
-func (r *PrefetchResult) DataBytes() int64 { return r.dataBytes() }
-
 // dataBytes estimates the loaded payload size, for unused-prefetch
-// accounting. Cache hits and deferred loads cost no I/O and count zero.
+// accounting. Cache hits cost no I/O and count zero.
 func (r *PrefetchResult) dataBytes() int64 {
-	if r.Cached || r.Deferred || r.Err != nil {
+	if r.Cached || r.Err != nil {
 		return 0
 	}
 	return (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx, Recs: r.Recs, RecIdx: r.RecIdx}).Bytes()
@@ -187,21 +137,11 @@ func (r *PrefetchResult) dataBytes() int64 {
 //
 // Close must be called when done (normally deferred), even after an error.
 func (d *DualStore) NewPrefetcher(schedule []BlockKey, depth int, cache *BlockCache) *Prefetcher {
-	return d.NewPrefetcherOpts(schedule, PrefetchOpts{Depth: depth, Cache: cache})
-}
-
-// NewPrefetcherOpts is NewPrefetcher with the full option set.
-func (d *DualStore) NewPrefetcherOpts(schedule []BlockKey, opts PrefetchOpts) *Prefetcher {
 	p := &Prefetcher{
-		ds:      d,
-		cache:   opts.Cache,
-		depth:   opts.Depth,
-		quiet:   opts.Quiet,
-		pending: opts.Pending,
-		reqs:    make([]prefetchReq, len(schedule)),
-		byKey:   make(map[BlockKey]*prefetchReq, len(schedule)),
-		quit:    make(chan struct{}),
-		drained: make(chan struct{}),
+		cache: cache,
+		reqs:  make([]prefetchReq, len(schedule)),
+		byKey: make(map[BlockKey]*prefetchReq, len(schedule)),
+		quit:  make(chan struct{}),
 	}
 	// Workers read through a view whose retry backoff aborts when quit
 	// closes, so Close is never delayed by a worker mid-backoff-ladder.
@@ -209,37 +149,23 @@ func (d *DualStore) NewPrefetcherOpts(schedule []BlockKey, opts PrefetchOpts) *P
 	for i, key := range schedule {
 		req := &p.reqs[i]
 		req.key = key
-		if opts.Depth > 0 {
+		if depth > 0 {
 			req.ready = make(chan struct{}, 1) // one delivery per request
 		}
 		p.byKey[key] = req
 	}
-	if opts.Depth > 0 && len(schedule) > 0 {
-		p.sem = make(chan struct{}, opts.Depth)
-		for i := 0; i < opts.Depth; i++ {
+	if depth > 0 && len(schedule) > 0 {
+		p.sem = make(chan struct{}, depth)
+		for i := 0; i < depth; i++ {
 			p.sem <- struct{}{}
 		}
-		for w := 0; w < opts.Depth; w++ {
+		for w := 0; w < depth; w++ {
 			p.wg.Add(1)
 			go p.worker()
 		}
-	} else {
-		// Inline or empty: nothing left for workers to claim.
-		p.markDrained()
 	}
 	return p
 }
-
-func (p *Prefetcher) markDrained() {
-	p.drainedOnce.Do(func() { close(p.drained) })
-}
-
-// Drained returns a channel that is closed once workers have claimed every
-// schedule entry (every read has at least started) — immediately for inline
-// or empty schedules, and at the latest when Close completes. The
-// cross-iteration scheduler uses it to delay speculative reads until the
-// current iteration's own read plan is fully in flight.
-func (p *Prefetcher) Drained() <-chan struct{} { return p.drained }
 
 // worker claims schedule entries in order, loads them, and delivers.
 func (p *Prefetcher) worker() {
@@ -256,9 +182,6 @@ func (p *Prefetcher) worker() {
 		default:
 		}
 		i := int(p.next.Add(1)) - 1
-		if i >= len(p.reqs)-1 {
-			p.markDrained()
-		}
 		if i >= len(p.reqs) {
 			return
 		}
@@ -288,22 +211,12 @@ func (p *Prefetcher) worker() {
 }
 
 // load performs one block load: cache lookup, then the store's verified,
-// retried read path, then (on a miss, unless quiet) promotion into the
-// cache so the scratch can be recycled immediately and later iterations
-// hit.
+// retried read path, then (on a miss) promotion into the cache so the
+// scratch can be recycled immediately and later iterations hit.
 func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	key, res := req.key, &req.loaded
 	if p.cache != nil {
-		var (
-			blk *CachedBlock
-			ok  bool
-		)
-		if p.quiet {
-			blk, ok = p.cache.GetQuiet(key)
-		} else {
-			blk, ok = p.cache.Get(key)
-		}
-		if ok {
+		if blk, ok := p.cache.Get(key); ok {
 			*res = PrefetchResult{
 				Key: key, Cached: true, pf: p,
 				Payload: blk.Payload, ByteIdx: blk.ByteIdx,
@@ -311,12 +224,6 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 			}
 			return res
 		}
-	}
-	if p.pending != nil && p.pending(key) {
-		// Expected resident by consume time: skip the read, let the
-		// consumer resolve it against the cache then.
-		*res = PrefetchResult{Key: key, Deferred: true, pf: p}
-		return res
 	}
 	sc := GetScratch()
 	//lint:ignore huslint/poolescape ownership of sc transfers to the result; PrefetchResult.Release/Close return it to the pool exactly once
@@ -345,7 +252,7 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		*res = PrefetchResult{Key: key, Err: err}
 		return res
 	}
-	if p.cache != nil && !p.quiet {
+	if p.cache != nil {
 		blk := &CachedBlock{
 			Payload: append([]byte(nil), res.Payload...),
 			ByteIdx: append([]uint32(nil), res.ByteIdx...),
@@ -422,7 +329,6 @@ func (p *Prefetcher) Close() {
 	}
 	close(p.quit)
 	p.wg.Wait()
-	p.markDrained()
 	claimed := int(p.next.Load())
 	if claimed > len(p.reqs) {
 		claimed = len(p.reqs)

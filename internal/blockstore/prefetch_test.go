@@ -354,89 +354,3 @@ func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 		pf.Close()
 	}
 }
-
-func TestPrefetchPendingKeysDeferToConsumeTime(t *testing.T) {
-	ds := prefetchStore(t, FormatRaw)
-	cache := NewBlockCache(1 << 20)
-	schedule := inBlockSchedule(ds)
-
-	// A shallower pipeline is expected to insert the first half of the
-	// schedule by consume time; the deeper pipeline must not re-read it.
-	pendingSet := make(map[BlockKey]struct{})
-	for _, k := range schedule[:len(schedule)/2] {
-		pendingSet[k] = struct{}{}
-	}
-	devBefore := ds.Device().Stats()
-	pf := ds.NewPrefetcherOpts(schedule, PrefetchOpts{
-		Depth: 2, Cache: cache, Quiet: true,
-		Pending: func(k BlockKey) bool { _, ok := pendingSet[k]; return ok },
-	})
-	defer pf.Close()
-	for _, key := range schedule {
-		res := pf.Next()
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		_, pending := pendingSet[key]
-		if res.Deferred != pending {
-			t.Fatalf("key %+v: Deferred=%v, pending=%v", key, res.Deferred, pending)
-		}
-		if res.Deferred && (res.Payload != nil || res.DataBytes() != 0) {
-			t.Fatalf("deferred result for %+v carries data", key)
-		}
-		res.Release()
-	}
-	dev := ds.Device().Stats().Sub(devBefore)
-
-	// Reference: an identical store reading only the non-pending keys does
-	// exactly the same device I/O — deferred keys cost no reads at all.
-	ref := prefetchStore(t, FormatRaw)
-	refBefore := ref.Device().Stats()
-	rpf := ref.NewPrefetcherOpts(schedule[len(schedule)/2:], PrefetchOpts{
-		Depth: 2, Cache: NewBlockCache(1 << 20), Quiet: true,
-	})
-	for range schedule[len(schedule)/2:] {
-		rpf.Next().Release()
-	}
-	rpf.Close()
-	refDev := ref.Device().Stats().Sub(refBefore)
-	if dev != refDev {
-		t.Fatalf("deferred pipeline I/O %+v != non-pending-only reference %+v", dev, refDev)
-	}
-	if dev.SeqReadBytes+dev.RandReadBytes == 0 {
-		t.Fatal("fixture: no non-deferred loads at all")
-	}
-}
-
-func TestPrefetchPendingIgnoredOnCacheHit(t *testing.T) {
-	// A key already resident serves from the cache even when marked
-	// pending: the deferral only skips device reads, never cached data.
-	ds := prefetchStore(t, FormatRaw)
-	cache := NewBlockCache(1 << 20)
-	schedule := inBlockSchedule(ds)
-
-	warm := ds.NewPrefetcher(schedule, 2, cache)
-	for range schedule {
-		warm.Next().Release()
-	}
-	warm.Close()
-
-	pf := ds.NewPrefetcherOpts(schedule, PrefetchOpts{
-		Depth: 2, Cache: cache, Quiet: true,
-		Pending: func(BlockKey) bool { return true },
-	})
-	defer pf.Close()
-	for range schedule {
-		res := pf.Next()
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if res.Deferred {
-			t.Fatalf("cache-resident key %+v deferred", res.Key)
-		}
-		if !res.Cached {
-			t.Fatalf("cache-resident key %+v not served from cache", res.Key)
-		}
-		res.Release()
-	}
-}

@@ -274,79 +274,6 @@ func (b *Buckets) refill() bool {
 	return true
 }
 
-// PeekBucket returns a clone of the next bucket that NextBucket would pop
-// — its live members and priority — without draining it. Returns
-// (nil, 0, false) when nothing live remains. The returned frontier is
-// independent of the structure (safe to hand to the speculative planner).
-func (b *Buckets) PeekBucket() (*bitset.Frontier, int64, bool) {
-	if b.live == 0 {
-		return nil, 0, false
-	}
-	// The next bucket is the minimum live key across the whole structure;
-	// compute it directly from pri (O(n) worst case but only over parked
-	// vertices reachable via window/overflow bits).
-	minK := int64(math.MaxInt64)
-	scan := func(f *bitset.Frontier) {
-		if f == nil {
-			return
-		}
-		f.Range(func(v int) bool {
-			p := b.pri[v]
-			if p == noPri {
-				return true
-			}
-			k := b.key(p)
-			if b.opened {
-				if off := k - b.base; off < int64(b.cur) {
-					k = b.base + int64(b.cur)
-				}
-			}
-			if k < minK {
-				minK = k
-			}
-			return true
-		})
-	}
-	if b.opened {
-		for s := b.cur; s < b.nb; s++ {
-			scan(b.window[s])
-		}
-	}
-	scan(b.overflow)
-	if minK == math.MaxInt64 {
-		return nil, 0, false
-	}
-	out := bitset.NewFrontier(b.n)
-	collectAt := func(f *bitset.Frontier) {
-		if f == nil {
-			return
-		}
-		f.Range(func(v int) bool {
-			p := b.pri[v]
-			if p == noPri {
-				return true
-			}
-			k := b.key(p)
-			if b.opened {
-				if off := k - b.base; off < int64(b.cur) {
-					k = b.base + int64(b.cur)
-				}
-			}
-			if k == minK {
-				out.Add(v)
-			}
-			return true
-		})
-	}
-	if b.opened {
-		for s := b.cur; s < b.nb; s++ {
-			collectAt(b.window[s])
-		}
-	}
-	collectAt(b.overflow)
-	return out, b.fromKey(minK), true
-}
-
 // fromKey maps a normalized key back to the caller's priority space.
 func (b *Buckets) fromKey(k int64) int64 {
 	if b.order == Decreasing {

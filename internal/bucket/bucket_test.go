@@ -122,33 +122,6 @@ func TestBucketsOverflowRefill(t *testing.T) {
 	}
 }
 
-// TestBucketsPeekMatchesPop pins PeekBucket: it previews exactly what the
-// next NextBucket returns, without draining.
-func TestBucketsPeekMatchesPop(t *testing.T) {
-	b := MakeBuckets(64, Increasing, 4)
-	rng := rand.New(rand.NewSource(7))
-	for v := 0; v < 40; v++ {
-		b.UpdateBucket(v, int64(rng.Intn(50)))
-	}
-	for {
-		pf, ppri, pok := b.PeekBucket()
-		f, pri, ok := b.NextBucket()
-		if pok != ok {
-			t.Fatalf("peek ok=%v, pop ok=%v", pok, ok)
-		}
-		if !ok {
-			break
-		}
-		if ppri != pri {
-			t.Fatalf("peek pri=%d, pop pri=%d", ppri, pri)
-		}
-		pm, m := pf.Members(), f.Members()
-		if !equalInts(pm, m) {
-			t.Fatalf("peek members %v != pop members %v", pm, m)
-		}
-	}
-}
-
 // TestBucketsPropertyVsSortedMap is the satellite property test: random
 // interleavings of UpdateBucket (monotone: never before the bucket being
 // drained) and NextBucket against a sorted-map reference, both orders.

@@ -119,7 +119,6 @@ type Tuning struct {
 	Threads       int
 	P             int
 	PrefetchDepth int
-	PipelineIters int
 	ReadRetries   int
 	ReadDeadline  time.Duration
 	Degrade       bool
@@ -147,9 +146,6 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.PrefetchDepth <= 0 {
 		t.PrefetchDepth = 2
-	}
-	if t.PipelineIters <= 0 {
-		t.PipelineIters = 2
 	}
 	if t.ReadRetries <= 0 {
 		t.ReadRetries = 4
@@ -230,7 +226,6 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 		Threads:         tune.Threads,
 		MaxIters:        a.MaxIters,
 		PrefetchDepth:   tune.PrefetchDepth,
-		PipelineIters:   tune.PipelineIters,
 		ReadRetries:     tune.ReadRetries,
 		RetryBackoff:    100 * time.Microsecond,
 		ReadDeadline:    tune.ReadDeadline,

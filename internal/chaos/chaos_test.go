@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -41,32 +40,11 @@ func runBounded(t *testing.T, a Algo, tune Tuning, sched Schedule, limit time.Du
 	}
 }
 
-// settleGoroutines waits for the goroutine count to return to (near) the
-// baseline, tolerating the runtime's own background workers.
-func settleGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= baseline+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutine leak: %d live, baseline %d\n%s", n, baseline, buf)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 // TestChaosMatrixSeeded is the CI smoke: three seeded schedules per
 // algorithm (each paired with a different update model), every run
 // verified for bit-identity, bounded wall-clock and exact recovery
-// accounting, and the whole matrix checked for goroutine leaks.
+// accounting. TestMain checks the whole package for goroutine leaks.
 func TestChaosMatrixSeeded(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	models := []core.Model{core.ModelHybrid, core.ModelROP, core.ModelCOP}
 	for _, a := range Matrix() {
 		for i, seed := range []int64{1, 2, 3} {
@@ -83,7 +61,6 @@ func TestChaosMatrixSeeded(t *testing.T) {
 			})
 		}
 	}
-	settleGoroutines(t, baseline)
 }
 
 // TestChaosHungReadsCompleteViaHedging pins the tentpole liveness claim: a
@@ -91,7 +68,6 @@ func TestChaosMatrixSeeded(t *testing.T) {
 // wall-clock bound — because every hung attempt is hedged, and each hedge
 // is accounted.
 func TestChaosHungReadsCompleteViaHedging(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	sched := Schedule{
 		Name: "stalls-only",
 		Seed: 11,
@@ -115,13 +91,11 @@ func TestChaosHungReadsCompleteViaHedging(t *testing.T) {
 	if rep.Chaotic.Recovery.Hedges < 3 {
 		t.Fatalf("Recovery.Hedges = %d, want >= 3 (one per hung read)", rep.Chaotic.Recovery.Hedges)
 	}
-	settleGoroutines(t, baseline)
 }
 
 // TestChaosKillAndResume pins the crash path: a schedule that kills the
-// run mid-flight (with cross-iteration speculation enabled) must resume
-// from its checkpoint on a cold reopen and still produce bit-identical
-// values.
+// run mid-flight must resume from its checkpoint on a cold reopen and
+// still produce bit-identical values.
 func TestChaosKillAndResume(t *testing.T) {
 	sched := RandomSchedule(4)
 	sched.KillAtIter = 2 // force the kill regardless of the seed's coin flip
@@ -170,7 +144,6 @@ func TestChaosDegradeLadderUnderSustainedFaults(t *testing.T) {
 // must compose with retries, hedges, the degrade ladder and kill-and-resume
 // without perturbing a single bit of the result.
 func TestChaosCompressedStore(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	models := []core.Model{core.ModelHybrid, core.ModelROP, core.ModelCOP}
 	for i, a := range Matrix() {
 		a, model := a, models[i%len(models)]
@@ -185,7 +158,6 @@ func TestChaosCompressedStore(t *testing.T) {
 			}
 		})
 	}
-	settleGoroutines(t, baseline)
 }
 
 // TestChaosCompressedKillAndResume forces the crash path over a compressed
@@ -220,7 +192,6 @@ func TestChaosCompressedKillAndResume(t *testing.T) {
 // is on: Verify replays the merged event log against K ladder chains, so
 // the interleaved per-shard breakers are checked, not skipped.
 func TestChaosShardedMatrix(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	models := []core.Model{core.ModelHybrid, core.ModelROP, core.ModelCOP}
 	for i, a := range Matrix() {
 		a, model := a, models[i%len(models)]
@@ -236,16 +207,12 @@ func TestChaosShardedMatrix(t *testing.T) {
 			}
 		})
 	}
-	settleGoroutines(t, baseline)
 }
 
 // TestChaosShardedKillAndResume is the K=2 crash smoke: the run is killed
-// at the iteration barrier while both shards hold cross-iteration
-// speculation in flight (PipelineIters defaults to 2), the store reopens
-// cold, and the resumed coordinator must land on the oracle's exact values
-// from its checkpoint.
+// at the iteration barrier, the store reopens cold, and the resumed
+// coordinator must land on the oracle's exact values from its checkpoint.
 func TestChaosShardedKillAndResume(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	sched := RandomSchedule(4)
 	sched.KillAtIter = 2
 	a, err := AlgoByName("BFS")
@@ -262,7 +229,6 @@ func TestChaosShardedKillAndResume(t *testing.T) {
 	if !rep.Resumed || rep.Chaotic.Recovery.ResumedIter <= 0 {
 		t.Fatalf("killed sharded run did not resume from a checkpoint (ResumedIter=%d)", rep.Chaotic.Recovery.ResumedIter)
 	}
-	settleGoroutines(t, baseline)
 }
 
 // TestChaosSoak is the long-haul entrypoint: CHAOS_SOAK=N go test -run

@@ -121,11 +121,11 @@ type Config struct {
 	NoHedge bool
 	// Degrade enables the adaptive degradation ladder: a windowed
 	// fault-rate/latency circuit breaker that sheds optimism under
-	// sustained I/O pressure (speculation depth → pipeline off → prefetch
-	// off → synchronous cache-bypass reads) and re-arms one rung per
-	// clear window. Transitions are recorded in Result.Recovery as
-	// DegradeEvents; the per-iteration rung lands in
-	// IterStats.DegradeLevel. Results stay bit-identical at every rung.
+	// sustained I/O pressure (prefetch off → synchronous cache-bypass
+	// reads) and re-arms one rung per clear window. Transitions are
+	// recorded in Result.Recovery as DegradeEvents; the per-iteration rung
+	// lands in IterStats.DegradeLevel. Results stay bit-identical at every
+	// rung.
 	Degrade bool
 	// DegradeWindow is the breaker's observation window; 0 with Degrade
 	// defaults to 100ms.
@@ -150,21 +150,6 @@ type Config struct {
 	// least-recently-used blocks. Hit/miss/evict counts land in
 	// IterStats and Result.Cache.
 	CacheBudgetBytes int64
-	// PipelineIters enables cross-iteration read pipelining and sets its
-	// depth k: once an iteration's own reads are all in flight, the
-	// scheduler speculatively reads provisional plans for the next k
-	// iterations (the full column scan after a dense COP iteration, the
-	// rows already activated in a growing monotone frontier after ROP, the
-	// value-delta prediction for additive/incremental programs) so the
-	// device stays busy through the barriers. Up to k speculative batches
-	// wait parked at the barrier; each is adopted by the iteration it
-	// targeted. Speculation the final plan diverges from is invalidated
-	// and counted as unused read-ahead; consumed speculation is
-	// attributed — I/O and cache statistics both — to the iteration that
-	// consumes it, with IterStats.SpecDepth recording how many barriers
-	// early it was issued. 0 disables. Requires PrefetchDepth (defaulted
-	// to 2 when unset).
-	PipelineIters int
 	// CacheAdmission names the block-cache insert policy under eviction
 	// pressure: "tinylfu" (default — frequency-gated admission protecting
 	// hot blocks from one-pass scans) or "lru" (always admit).
@@ -231,10 +216,6 @@ func (c Config) withDefaults() Config {
 		if c.DegradeRate <= 0 {
 			c.DegradeRate = 0.5
 		}
-	}
-	if c.PipelineIters > 0 && c.PrefetchDepth <= 0 {
-		// Cross-iteration speculation needs an async pipeline to run in.
-		c.PrefetchDepth = 2
 	}
 	return c
 }

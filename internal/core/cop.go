@@ -6,7 +6,6 @@ import (
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
-	"husgraph/internal/ioplan"
 )
 
 // runCOP executes one Column-oriented Pull iteration (paper Alg. 3) over
@@ -24,18 +23,17 @@ import (
 // The caller initializes D (InitAccumulators).
 //
 // Returns the largest per-vertex value change (non-Monotone only).
-func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *ioplan.Window, copSkip func(int) bool) (float64, error) {
+func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher, copSkip func(int) bool) (float64, error) {
 	l := e.ds.Layout
 	dev := e.ds.Device()
 	nv := int64(blockstore.VertexValueBytes)
 
 	// The column traversal order was handed to the scheduler as this
 	// window's plan (ioplan.COPKeys with the same copSkip closure): while
-	// this goroutine computes on in-block(j,i), the scheduler's workers
+	// this goroutine computes on in-block(j,i), the window's workers
 	// read, verify and decode the next blocks (or serve them from the
-	// cache, or from the previous barrier's adopted speculation). copSkip
-	// mirrors the plan exactly — every planned key is consumed by exactly
-	// one Next call.
+	// cache). copSkip mirrors the plan exactly — every planned key is
+	// consumed by exactly one Next call.
 	k := &e.cop
 	k.begin(e, prog, s, frontier)
 	defer k.end()
@@ -85,29 +83,20 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 				}
 			}
 		case Additive:
-			var sumD, maxD float64
-			var activated int64
+			var maxD float64
 			for v := lo; v < hi; v++ {
 				newVal, activate := prog.Apply(graph.VertexID(v), s[v], d[v])
 				delta := math.Abs(newVal - s[v])
-				sumD += delta
 				if delta > maxD {
 					maxD = delta
 				}
 				s[v] = newVal
 				if activate {
 					next.Add(v)
-					activated++
 				}
 			}
 			if maxD > maxDelta {
 				maxDelta = maxD
-			}
-			if e.vd != nil {
-				// Publish this interval's deltas while later columns still
-				// stream: the speculation gate predicts the next frontier
-				// from them (valuedelta.go).
-				e.vd.noteInterval(i, sumD, maxD, activated)
 			}
 		case Incremental:
 			// Values synchronized after all columns.

@@ -47,21 +47,8 @@ type Engine struct {
 	cache          *blockstore.BlockCache
 	prefetchUnused atomic.Int64
 
-	// sched owns all block read scheduling, iteration after iteration —
-	// including the speculative reads that cross the iteration barrier
-	// when Config.PipelineIters is set.
+	// sched opens each iteration's prefetch window over its read plan.
 	sched *ioplan.Scheduler
-	// slackAvail is the overlap-credit slack pool: one entry per completed
-	// iteration holding its still-unclaimed idle compute tail
-	// (ComputeModeled − IOTime when positive). A batch adopted at depth d
-	// ran behind the last d iterations' compute, so it may hide its I/O in
-	// their pooled slack; claimed slack is consumed so overlapping windows
-	// never hide two batches behind the same idle time.
-	slackAvail []time.Duration
-	// vd tracks per-interval value deltas for non-monotone programs so the
-	// speculation gate can predict the coming frontier (valuedelta.go);
-	// nil when pipelining is off.
-	vd *deltaTracker
 
 	// semIdx pins every nonempty block's decoded out-index resident under
 	// Config.SemiExternal: read (and charged to the device) exactly once
@@ -91,15 +78,10 @@ type Engine struct {
 	// Bucketed-execution hint, set at the barrier (by Run's own router or
 	// the shard coordinator via SetBucketHint) before BeginIter: bucketed
 	// marks the coming iteration as bucket-driven, bucketPri/bucketPending
-	// describe its bucket, and bucketPeek is the materialized next bucket
-	// — the speculative planner's exact provisional plan source (nil when
-	// no later bucket exists). bucketPeek is quiescent for the whole
-	// iteration (the router runs only between iterations), so the window's
-	// gate goroutine may read it freely.
+	// describe its bucket.
 	bucketed      bool
 	bucketPri     int64
 	bucketPending int
-	bucketPeek    *bitset.Frontier
 }
 
 // New creates an engine over the given store.
@@ -144,7 +126,6 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 			NoHedge:  e.cfg.NoHedge,
 		})
 	}
-	var degraded func() bool
 	if e.cfg.Degrade {
 		e.breaker = resilience.NewBreaker(resilience.Config{
 			Window:        e.cfg.DegradeWindow,
@@ -159,18 +140,8 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 			fault := err != nil && !errors.Is(err, storage.ErrNotFound)
 			br.Observe(lat, fault)
 		})
-		degraded = func() bool { return br.Level() >= resilience.LevelNoSpec }
 	}
-	// The scheduler forks the store for speculative reads, copying the
-	// retry/hedge policies and observer just installed.
-	e.sched = ioplan.NewScheduler(ds, e.cache, ioplan.Options{
-		Depth:         e.cfg.PrefetchDepth,
-		PipelineIters: e.cfg.PipelineIters,
-		Degraded:      degraded,
-	})
-	if e.cfg.PipelineIters > 0 {
-		e.vd = newDeltaTracker(ds.Layout.P, e.owned)
-	}
+	e.sched = ioplan.NewScheduler(ds, e.cache, ioplan.Options{Depth: e.cfg.PrefetchDepth})
 	return e
 }
 
@@ -276,14 +247,6 @@ func (e *Engine) RunContext(ctx context.Context, prog Program) (*Result, error) 
 		frontier, hint = router.Route(frontier, s)
 		e.SetBucketHint(hint)
 	}
-	// Speculation parked at the barrier when the run ends (converged,
-	// cancelled, or failed) has no iteration left to adopt it; its device
-	// charges land in the device totals but no iteration's IO, and its
-	// loaded bytes count as unused read-ahead.
-	defer func() {
-		_, unused := e.sched.Shutdown()
-		e.prefetchUnused.Add(unused)
-	}()
 	if e.breaker != nil {
 		defer e.breaker.Stop()
 	}
@@ -344,19 +307,6 @@ func (e *Engine) RunContext(ctx context.Context, prog Program) (*Result, error) 
 	}
 	if frontier != nil && frontier.Empty() {
 		res.Converged = true
-	}
-	// Retire any speculation the converged run left at the barrier before
-	// snapshotting totals (the deferred Shutdown then no-ops). A run that
-	// converges exactly at a window boundary leaves batches no iteration
-	// adopts; their device charges were subtracted from the issuing
-	// iterations' IO, so fold them into the last iteration's speculative
-	// counters or the Result totals silently under-report the run's reads.
-	orphanIO, orphanUnused := e.sched.Shutdown()
-	e.prefetchUnused.Add(orphanUnused)
-	if n := len(res.Iterations); n > 0 && orphanIO != (storage.Stats{}) {
-		last := &res.Iterations[n-1]
-		last.SpecReadBytes += orphanIO.ReadBytes()
-		last.SpecIOTime += orphanIO.SimIO
 	}
 	if e.breaker != nil {
 		// Transitions evaluated after the last iteration's drain (e.g. the
@@ -475,113 +425,6 @@ func (e *Engine) copSkipFunc(frontier *bitset.Frontier) func(int) bool {
 	}
 }
 
-// provisionalPlan returns the provisional read-plan generator for
-// cross-barrier speculation — called with depth 1..k for the coming
-// iterations — or nil when this barrier cannot be speculated safely:
-//
-//   - After a dense COP iteration the α shortcut keeps choosing COP, whose
-//     plan is frontier-independent — the provisional plan is exact at every
-//     depth unless the frontier collapses below the threshold (then it is
-//     invalidated).
-//   - After a monotone ROP iteration the next frontier only grows, so rows
-//     already active when the gate fires are certainly in the final plan;
-//     the closure probes the frontier being built with atomic reads. Only
-//     depth 1 — the frontier after next does not exist to probe.
-//   - Non-monotone programs rebuild their frontier in finalization, after
-//     the gate fires; the value-delta heuristic (valuedelta.go) predicts
-//     it from the per-interval delta magnitudes instead of declining.
-//   - Bucketed (priority) programs carry an exact preview: the next bucket
-//     is already materialized at the barrier (bucketPeek), so its rows are
-//     certainly in the coming ROP plan — no value-delta guessing even for
-//     non-monotone peeling programs. Monotone bucketed programs still OR
-//     in the live next-frontier probe (same-bucket reinsertions).
-//   - Everything else (forced models contradicting the speculated one, COP
-//     block skipping making the plan frontier-dependent) speculates
-//     nothing.
-func (e *Engine) provisionalPlan(prog Program, model Model, frontier, next *bitset.Frontier) ioplan.ProvisionalFunc {
-	if e.cfg.PipelineIters <= 0 {
-		return nil
-	}
-	l := e.ds.Layout
-	switch model {
-	case ModelCOP:
-		if e.cfg.Model == ModelROP || e.cfg.COPBlockSkip {
-			return nil
-		}
-		if e.cfg.Model != ModelCOP && float64(frontier.Count()) <= e.cfg.Alpha*float64(l.NumVertices) {
-			if e.bucketed {
-				// Bucketed frontiers are sparse by construction, so the
-				// next model is a toss-up the value-delta heuristic has no
-				// signal for; the ROP path below owns the exact preview.
-				return nil
-			}
-			// Below the α shortcut the next model is prediction-dependent;
-			// for non-monotone programs the value deltas still say which
-			// way it will go.
-			return e.valueDeltaProvisional(prog)
-		}
-		plan := ioplan.COPKeysFor(l, nil, e.ownedOrNil())
-		return func(int) []blockstore.BlockKey { return plan }
-	case ModelROP:
-		if e.cfg.Model == ModelCOP {
-			return nil
-		}
-		if e.bucketed {
-			if e.semIdx != nil {
-				return nil // a ROP plan is all out-indices, and they are resident
-			}
-			peek := e.bucketPeek
-			if peek == nil && prog.Kind() != Monotone {
-				return nil // nothing materialized and finalization-built frontiers cannot be probed
-			}
-			probeNext := prog.Kind() == Monotone // eager activations land atomically; safe to probe live
-			return func(depth int) []blockstore.BlockKey {
-				if depth > 1 {
-					return nil // the bucket after next is not materialized
-				}
-				plan := make([]blockstore.BlockKey, 0, l.P*l.P)
-				for _, i := range e.owned {
-					lo, hi := l.Bounds(i)
-					if (peek == nil || peek.CountIn(lo, hi) == 0) && !(probeNext && next.AnyInAtomic(lo, hi)) {
-						continue
-					}
-					for j := 0; j < l.P; j++ {
-						if e.ds.BlockEdgeCount[i][j] != 0 {
-							plan = append(plan, blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
-						}
-					}
-				}
-				return plan
-			}
-		}
-		if prog.Kind() != Monotone {
-			return e.valueDeltaProvisional(prog)
-		}
-		if e.semIdx != nil {
-			return nil // a ROP plan is all out-indices, and they are resident
-		}
-		return func(depth int) []blockstore.BlockKey {
-			if depth > 1 {
-				return nil // no frontier to probe two barriers out
-			}
-			plan := make([]blockstore.BlockKey, 0, l.P*l.P)
-			for _, i := range e.owned {
-				lo, hi := l.Bounds(i)
-				if !next.AnyInAtomic(lo, hi) {
-					continue
-				}
-				for j := 0; j < l.P; j++ {
-					if e.ds.BlockEdgeCount[i][j] != 0 {
-						plan = append(plan, blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
-					}
-				}
-			}
-			return plan
-		}
-	}
-	return nil
-}
-
 // SetBucketHint installs the barrier-time bucket state for the coming
 // iteration (see the bucketed fields on Engine). Run's own router calls it
 // between iterations; the shard coordinator calls it on every worker
@@ -591,7 +434,6 @@ func (e *Engine) SetBucketHint(h BucketHint) {
 	e.bucketed = true
 	e.bucketPri = h.Pri
 	e.bucketPending = h.Pending
-	e.bucketPeek = h.Peek
 }
 
 // loadOutRun loads byte range [s, end) of out-block(i,j), serving it from

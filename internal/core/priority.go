@@ -54,13 +54,11 @@ func NewBucketRouter(prog PriorityProgram, n int) *BucketRouter {
 }
 
 // BucketHint is the barrier-time bucket state handed to the engines before
-// an iteration: the priority of the bucket being processed, the number of
-// vertices still parked, and a materialized preview of the bucket that
-// will be popped next (nil when none) — the exact speculative plan source.
+// an iteration: the priority of the bucket being processed and the number
+// of vertices still parked.
 type BucketHint struct {
 	Pri     int64
 	Pending int
-	Peek    *bitset.Frontier
 }
 
 // Route parks every member of next at its current priority (from the value
@@ -78,9 +76,5 @@ func (r *BucketRouter) Route(next *bitset.Frontier, s []float64) (*bitset.Fronti
 		return bitset.NewFrontier(r.b.Len()), BucketHint{}
 	}
 	r.prog.EnterBucket(pri)
-	h := BucketHint{Pri: pri, Pending: r.b.Pending()}
-	if peek, _, pok := r.b.PeekBucket(); pok {
-		h.Peek = peek
-	}
-	return f, h
+	return f, BucketHint{Pri: pri, Pending: r.b.Pending()}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,7 +35,6 @@ func TestDegradeLadderStepsDownAndReArms(t *testing.T) {
 		Model:         ModelCOP,
 		Threads:       2,
 		PrefetchDepth: 2,
-		PipelineIters: 1,
 		ReadDeadline:  time.Millisecond,
 		NoHedge:       true, // pure ladder test: latency pressure without hedges
 		Degrade:       true,
@@ -60,8 +57,8 @@ func TestDegradeLadderStepsDownAndReArms(t *testing.T) {
 		}
 	}
 
-	if got := res.MaxDegradeLevel(); got < resilience.LevelNoPrefetch {
-		t.Fatalf("storm only degraded to %v, want at least no-prefetch", got)
+	if got := res.MaxDegradeLevel(); got != resilience.LevelBypass {
+		t.Fatalf("storm only degraded to %v, want bypass", got)
 	}
 	last := res.Iterations[len(res.Iterations)-1]
 	if last.DegradeLevel != resilience.LevelNormal {
@@ -72,11 +69,11 @@ func TestDegradeLadderStepsDownAndReArms(t *testing.T) {
 	}
 
 	evs := res.Recovery.DegradeEvents
-	if len(evs) < 6 {
-		t.Fatalf("got %d degrade events, want at least 6 (>=3 down + >=3 up): %v", len(evs), evs)
+	if len(evs) < 4 {
+		t.Fatalf("got %d degrade events, want at least 4 (2 down + 2 up): %v", len(evs), evs)
 	}
-	if evs[0].From != resilience.LevelNormal || evs[0].To != resilience.LevelShallowSpec {
-		t.Fatalf("first transition %v→%v, want normal→shallow-spec", evs[0].From, evs[0].To)
+	if evs[0].From != resilience.LevelNormal || evs[0].To != resilience.LevelNoPrefetch {
+		t.Fatalf("first transition %v→%v, want normal→no-prefetch", evs[0].From, evs[0].To)
 	}
 	var downs, ups int
 	for i, ev := range evs {
@@ -153,69 +150,5 @@ func TestHedgesRescueHungReadsAndAreCounted(t *testing.T) {
 	}
 	if got := res.TotalHedges(); got != res.Recovery.Hedges {
 		t.Fatalf("per-iteration hedge sum %d != recovery total %d", got, res.Recovery.Hedges)
-	}
-}
-
-// TestKillResumeWithSpeculationInFlight cancels a pipelined additive run
-// mid-flight — depth-k speculation parked at the barrier — then resumes on
-// the SAME engine instance. The resumed run must not adopt any stale
-// parked batch, its unused-read-ahead accounting must cover only its own
-// reads (not the orphans the cancelled run already reported), and the
-// union of the two runs must be bit-identical to an uninterrupted one.
-func TestKillResumeWithSpeculationInFlight(t *testing.T) {
-	g := pathGraph(64)
-	ref, err := New(buildStore(t, g, 4, storage.HDD), Config{Model: ModelCOP, Threads: 2, MaxIters: 10}).Run(testCount{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ds := buildStore(t, g, 4, storage.HDD)
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := Config{
-		Model:           ModelCOP,
-		Threads:         2,
-		MaxIters:        10,
-		PrefetchDepth:   2,
-		PipelineIters:   2,
-		CheckpointEvery: 2,
-		Resume:          true,
-		OnIteration: func(st IterStats) {
-			if st.Iter == 5 {
-				cancel() // kill with up to 2 speculative batches parked
-			}
-		},
-	}
-	e := New(ds, cfg)
-	if _, err := e.RunContext(ctx, testCount{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
-	}
-
-	unusedAfterKill := e.prefetchUnused.Load()
-	res, err := e.Run(testCount{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recovery.ResumedIter != 6 {
-		t.Fatalf("ResumedIter = %d, want 6 (best-effort checkpoint after the 6th completed iteration)", res.Recovery.ResumedIter)
-	}
-	// The cancelled run's parked speculation was retired at its shutdown;
-	// none of it may be adopted across the engine reuse.
-	if got := res.Iterations[0].SpecDepth; got != 0 {
-		t.Fatalf("first resumed iteration adopted a stale speculative batch (depth %d)", got)
-	}
-	// Unused-read-ahead accounting is pinned to this run: the result must
-	// report exactly the counter growth since the kill, not the orphaned
-	// speculation the first run already accounted.
-	if want := e.prefetchUnused.Load() - unusedAfterKill; res.PrefetchUnusedBytes != want {
-		t.Fatalf("resumed run reports %d unused bytes, counter delta is %d", res.PrefetchUnusedBytes, want)
-	}
-	for i := range res.Values {
-		if res.Values[i] != ref.Values[i] {
-			t.Fatalf("vertex %d: kill+resume computed %v, uninterrupted %v", i, res.Values[i], ref.Values[i])
-		}
-	}
-	// The two runs together cover exactly the reference iteration count.
-	if first, rest := 6, len(res.Iterations); first+rest != len(ref.Iterations) {
-		t.Fatalf("iteration split %d+%d != reference %d", first, rest, len(ref.Iterations))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
-	"husgraph/internal/ioplan"
 )
 
 // ropAccumulate executes the accumulate phase of a Row-oriented Push
@@ -29,7 +28,7 @@ import (
 // iteration (see the package comment for why). The caller initializes D
 // (InitAccumulators) — once per iteration, even when K owner-scoped
 // engines push into it in turn.
-func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *ioplan.Window) error {
+func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher) error {
 	l := e.ds.Layout
 	dev := e.ds.Device()
 	monotone := prog.Kind() == Monotone
@@ -51,7 +50,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 	}
 
 	// The window's plan (ioplan.ROPKeys) mirrors this traversal exactly:
-	// every nonempty block of every active row, row-major. The scheduler
+	// every nonempty block of every active row, row-major. The window
 	// reads ahead across block — and row — boundaries while the workers
 	// compute; each row's workers claim their indices by key (Take), which
 	// is safe because together they drain the row's contiguous schedule
@@ -174,10 +173,8 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 // applyOwned runs the end-of-iteration apply/activate/synchronize sweep
 // over the engine's owned intervals — Additive/Incremental ROP
 // finalization (COP applies per column during the streaming sweep) and
-// Incremental COP's deferred deltas. Interval by interval so the delta
-// tracker sees per-interval totals for next-frontier speculation
-// (valuedelta.go). Writes are owner-disjoint (owned vertex values, this
-// engine's own tracker and frontier adds), so K shards may run it
+// Incremental COP's deferred deltas. Writes are owner-disjoint (owned
+// vertex values, this engine's own frontier adds), so K shards may run it
 // concurrently after every shard's accumulate phase completed. Returns the
 // largest per-vertex value change.
 func (e *Engine) applyOwned(prog Program, s, d []float64, next *bitset.Frontier) float64 {
@@ -185,26 +182,16 @@ func (e *Engine) applyOwned(prog Program, s, d []float64, next *bitset.Frontier)
 	var maxDelta float64
 	for _, i := range e.owned {
 		lo, hi := l.Bounds(i)
-		var sumD, maxD float64
-		var activated int64
 		for v := lo; v < hi; v++ {
 			newVal, activate := prog.Apply(graph.VertexID(v), s[v], d[v])
 			delta := math.Abs(newVal - s[v])
-			sumD += delta
-			if delta > maxD {
-				maxD = delta
+			if delta > maxDelta {
+				maxDelta = delta
 			}
 			s[v] = newVal
 			if activate {
 				next.Add(v)
-				activated++
 			}
-		}
-		if maxD > maxDelta {
-			maxDelta = maxD
-		}
-		if e.vd != nil {
-			e.vd.noteInterval(i, sumD, maxD, activated)
 		}
 	}
 	return maxDelta

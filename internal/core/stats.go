@@ -79,33 +79,12 @@ type IterStats struct {
 	CacheMisses    int64
 	CacheEvictions int64
 	// PrefetchUnusedBytes counts bytes the prefetch pipeline read ahead
-	// but discarded unconsumed (an aborted or truncated traversal, or
-	// invalidated cross-iteration speculation).
+	// but discarded unconsumed (an aborted or truncated traversal).
 	PrefetchUnusedBytes int64
 	// PrefetchStall is the wall time consumers spent blocked on reads
 	// that had not completed when requested — the residual I/O latency
-	// the pipelines failed to hide.
+	// the pipeline failed to hide.
 	PrefetchStall time.Duration
-	// SpecReadBytes and SpecIOTime describe the speculative reads issued
-	// across an earlier iteration barrier and consumed here; both are
-	// attributed to this iteration (IO includes them), not the iteration
-	// that issued them. When a run converges leaving speculation parked at
-	// the barrier, the orphan batches' reads are folded into the final
-	// iteration's SpecReadBytes/SpecIOTime (but not its IO — nothing
-	// consumed them) so the Result totals account for every speculative
-	// read the run issued.
-	SpecReadBytes int64
-	SpecIOTime    time.Duration
-	// SpecDepth is how many iteration barriers ahead the consumed
-	// speculative batch was issued (1 = speculated during the immediately
-	// preceding iteration, up to Config.PipelineIters; 0 when no batch was
-	// adopted this iteration).
-	SpecDepth int
-	// OverlapCredit is the portion of IOTime already hidden behind the
-	// idle compute tails of the SpecDepth iterations the consumed batch
-	// ran behind; Runtime is max(IOTime − OverlapCredit, ComputeModeled).
-	// Each iteration's idle tail is claimed at most once across the run.
-	OverlapCredit time.Duration
 
 	// Bucketed-execution fields, filled only when the program implements
 	// PriorityProgram (zero otherwise). Bucketed marks the iteration as
@@ -307,27 +286,6 @@ func (r *Result) TotalCompressedBytes() int64 {
 	var t int64
 	for _, it := range r.Iterations {
 		t += it.CompressedBytes
-	}
-	return t
-}
-
-// TotalSpecReadBytes returns the summed speculative read bytes consumed
-// across iterations (including orphan speculation folded into the final
-// iteration).
-func (r *Result) TotalSpecReadBytes() int64 {
-	var t int64
-	for _, it := range r.Iterations {
-		t += it.SpecReadBytes
-	}
-	return t
-}
-
-// TotalOverlapCredit returns the summed I/O time hidden behind earlier
-// iterations' compute by cross-iteration pipelining.
-func (r *Result) TotalOverlapCredit() time.Duration {
-	var t time.Duration
-	for _, it := range r.Iterations {
-		t += it.OverlapCredit
 	}
 	return t
 }

@@ -22,9 +22,9 @@ import (
 //	st, err := step.End()                      // window teardown + attribution
 //
 // BeginIter..End must run on one goroutine per engine; everything a Step
-// touches on its engine (scheduler window, delta tracker, slack pool,
-// counters) is confined to that goroutine, and the resulting IterStats is
-// published at the barrier by value.
+// touches on its engine (scheduler window, counters) is confined to that
+// goroutine, and the resulting IterStats is published at the barrier by
+// value.
 type Step struct {
 	e    *Engine
 	prog Program
@@ -32,12 +32,11 @@ type Step struct {
 
 	frontier *bitset.Frontier
 	next     *bitset.Frontier
-	win      *ioplan.Window
+	win      *blockstore.Prefetcher
 	copSkip  func(int) bool
 
 	start         time.Time
 	ioBefore      storage.Stats
-	specBefore    storage.Stats
 	retriesBefore int64
 	hedgesBefore  int64
 	unusedBefore  int64
@@ -69,18 +68,16 @@ func InitAccumulators(kind Kind, s, d []float64) {
 }
 
 // StartRun prepares the engine for a sequence of steps: semi-external
-// residency is pinned (charged once), the overlap-credit slack pool is
-// reset, and the degradation breaker's wall-clock ticker starts. Run calls
-// it internally; a coordinator driving BeginIter directly must call it
-// first and pair it with FinishRun.
+// residency is pinned (charged once) and the degradation breaker's
+// wall-clock ticker starts. Run calls it internally; a coordinator driving
+// BeginIter directly must call it first and pair it with FinishRun.
 func (e *Engine) StartRun() error {
 	if e.cfg.SemiExternal {
 		if err := e.pinSemResident(); err != nil {
 			return err
 		}
 	}
-	e.slackAvail = e.slackAvail[:0]
-	e.bucketed, e.bucketPri, e.bucketPending, e.bucketPeek = false, 0, 0, nil
+	e.bucketed, e.bucketPri, e.bucketPending = false, 0, 0
 	if e.breaker != nil {
 		// The wall-clock ticker ages pressure out even while the engine is
 		// stuck inside one long iteration (e.g. every read hedging).
@@ -89,19 +86,14 @@ func (e *Engine) StartRun() error {
 	return nil
 }
 
-// FinishRun retires speculation parked at the barrier when the run ends and
-// stops the breaker. It returns the orphan speculative I/O (device charges
-// no iteration's IO accounts for — fold into the last iteration's
-// speculative counters as Run does) and any final ladder transitions. Call
-// exactly once per StartRun.
-func (e *Engine) FinishRun() (orphanIO storage.Stats, events []resilience.DegradeEvent) {
-	orphanIO, unused := e.sched.Shutdown()
-	e.prefetchUnused.Add(unused)
-	if e.breaker != nil {
-		e.breaker.Stop()
-		events = e.breaker.TakeEvents()
+// FinishRun stops the breaker and returns any final ladder transitions
+// (nil without Config.Degrade). Call exactly once per StartRun.
+func (e *Engine) FinishRun() []resilience.DegradeEvent {
+	if e.breaker == nil {
+		return nil
 	}
-	return orphanIO, events
+	e.breaker.Stop()
+	return e.breaker.TakeEvents()
 }
 
 // PredictCosts exposes the §3.4 I/O cost prediction over this engine's
@@ -125,15 +117,14 @@ func (e *Engine) Hedges() int64 { return e.ds.Hedges() }
 func (e *Engine) UnusedReadAheadBytes() int64 { return e.prefetchUnused.Load() }
 
 // BeginIter opens iteration iter over frontier, building the read plan and
-// provisional speculation and starting the scheduler window. Activations
-// land in next. model selects the update model to execute; pass ModelHybrid
-// to let the engine choose (Run's path — the α shortcut and §3.4 predictor
-// decide), or a concrete model when an external arbiter (the shard
-// coordinator) already chose.
+// starting the scheduler window over it. Activations land in next. model
+// selects the update model to execute; pass ModelHybrid to let the engine
+// choose (Run's path — the α shortcut and §3.4 predictor decide), or a
+// concrete model when an external arbiter (the shard coordinator) already
+// chose.
 func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *bitset.Frontier) *Step {
 	s := &Step{e: e, prog: prog, frontier: frontier, next: next}
 	s.ioBefore = e.ds.Device().Stats()
-	s.specBefore = e.sched.SpecIO()
 	s.retriesBefore = e.ds.Retries()
 	s.hedgesBefore = e.ds.Hedges()
 	s.unusedBefore = e.prefetchUnused.Load()
@@ -155,12 +146,6 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 	} else {
 		s.st.Model = model
 	}
-	if e.vd != nil {
-		// Safe here: the previous window's gate goroutine is gone
-		// (Finish waited for it), so nothing reads the tracker while
-		// the completed iteration's deltas rotate into the prev mirror.
-		e.vd.rotate()
-	}
 
 	var plan []blockstore.BlockKey
 	if s.st.Model == ModelROP {
@@ -174,21 +159,7 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 		s.copSkip = e.copSkipFunc(frontier)
 		plan = ioplan.COPKeysFor(e.ds.Layout, s.copSkip, e.ownedOrNil())
 	}
-	prov := e.provisionalPlan(prog, s.st.Model, frontier, next)
-	if prov != nil && e.breaker != nil {
-		// Re-check the ladder at gate time: it may step down while this
-		// iteration runs, and speculation launched then would amplify
-		// exactly the pressure the breaker is shedding.
-		inner, br := prov, e.breaker
-		prov = func(depth int) []blockstore.BlockKey {
-			lvl := br.Level()
-			if lvl >= resilience.LevelNoSpec || (lvl >= resilience.LevelShallowSpec && depth > 1) {
-				return nil
-			}
-			return inner(depth)
-		}
-	}
-	s.win = e.sched.Begin(plan, prov)
+	s.win = e.sched.Begin(plan)
 	return s
 }
 
@@ -221,10 +192,9 @@ func (s *Step) Exec(sv, d []float64) error {
 // over owned intervals: Additive and Incremental ROP iterations apply their
 // accumulators here (COP applied per column during Exec); Incremental COP
 // iterations consume their deferred deltas. Writes are owner-disjoint
-// (vertex values of owned intervals, the engine's own delta tracker, its
-// own next-frontier adds), so K shards may finalize concurrently once every
-// shard's Exec has completed. Monotone steps are a no-op. Skip after an
-// Exec error.
+// (vertex values of owned intervals, the engine's own next-frontier adds),
+// so K shards may finalize concurrently once every shard's Exec has
+// completed. Monotone steps are a no-op. Skip after an Exec error.
 func (s *Step) FinalizeOwned(sv, d []float64) {
 	if s.prog.Kind() == Monotone {
 		return
@@ -248,10 +218,10 @@ func (s *Step) FinalizeOwned(sv, d []float64) {
 }
 
 // End tears down the scheduler window and computes the iteration's full
-// attribution (I/O, speculation adoption, overlap credit, decode EWMA,
-// modeled runtime, cache and resilience deltas). It must be called on every
-// path — the window's pipelines have to land their device charges — and
-// returns the Exec error, if any, alongside the partial stats.
+// attribution (I/O, decode EWMA, modeled runtime, cache and resilience
+// deltas). It must be called on every path — the window's pipeline has to
+// land its device charges — and returns the Exec error, if any, alongside
+// the partial stats.
 func (s *Step) End() (IterStats, error) {
 	if s.ended {
 		return s.st, s.execErr
@@ -283,54 +253,9 @@ func (s *Step) End() (IterStats, error) {
 			e.decNsPerByte, e.decKnown = rate, true
 		}
 	}
-	// Attribution across the barrier: speculative reads issued during
-	// this window belong to the iteration that consumes them, so they
-	// are subtracted from this iteration's raw device delta; the batch
-	// this iteration consumed is added back.
-	rawIO := e.ds.Device().Stats().Sub(s.ioBefore)
-	specIssued := e.sched.SpecIO().Sub(s.specBefore)
-	st.IO = rawIO.Sub(specIssued).Add(ws.SpecIO)
+	st.IO = e.ds.Device().Stats().Sub(s.ioBefore)
 	st.IOTime = st.IO.SimIO
-	st.SpecReadBytes = ws.SpecIO.ReadBytes()
-	st.SpecIOTime = ws.SpecIO.SimIO
-	st.SpecDepth = ws.SpecDepth
 	st.PrefetchStall = ws.Stall
-	// Overlap credit: a batch adopted at depth d ran behind the last d
-	// iterations' compute, so up to min(its device time, their pooled
-	// idle tails) of this iteration's I/O time is already hidden.
-	// Claimed slack is consumed oldest-first so chained windows never
-	// hide two batches behind the same idle time.
-	var credit time.Duration
-	if d := ws.SpecDepth; d > 0 && ws.SpecIO.SimIO > 0 {
-		if d > len(e.slackAvail) {
-			d = len(e.slackAvail)
-		}
-		pool := e.slackAvail[len(e.slackAvail)-d:]
-		var hideable time.Duration
-		for _, sl := range pool {
-			hideable += sl
-		}
-		credit = ws.SpecIO.SimIO
-		if hideable < credit {
-			credit = hideable
-		}
-		if st.IOTime < credit {
-			credit = st.IOTime
-		}
-		rem := credit
-		for k := range pool {
-			take := pool[k]
-			if take > rem {
-				take = rem
-			}
-			pool[k] -= take
-			rem -= take
-			if rem == 0 {
-				break
-			}
-		}
-	}
-	st.OverlapCredit = credit
 	// Decode placement mirrors where the decompression actually runs:
 	// asynchronous pipelines decode in their prefetch workers, so the
 	// work overlaps the device and lands on the CPU side of the
@@ -339,7 +264,7 @@ func (s *Step) End() (IterStats, error) {
 	// on slow devices — on an HDD the shrunk reads dominate and the
 	// decode hides behind them; on RAM-class storage the decode is the
 	// bottleneck and compression can only break even.
-	ioSide := st.IOTime - credit
+	ioSide := st.IOTime
 	cpuSide := st.ComputeModeled
 	if e.cfg.PrefetchDepth > 0 && st.DegradeLevel < resilience.LevelNoPrefetch {
 		cpuSide += st.DecodeModeled
@@ -350,11 +275,6 @@ func (s *Step) End() (IterStats, error) {
 	if cpuSide > st.Runtime {
 		st.Runtime = cpuSide
 	}
-	slack := st.ComputeModeled - st.IOTime
-	if slack < 0 {
-		slack = 0
-	}
-	e.slackAvail = append(e.slackAvail, slack)
 	st.MaxDelta = s.maxDelta
 	st.Retries = e.ds.Retries() - s.retriesBefore
 	st.Hedges = e.ds.Hedges() - s.hedgesBefore

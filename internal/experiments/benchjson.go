@@ -23,20 +23,14 @@ import (
 type BenchEntry struct {
 	// Config names the engine configuration: "sync" (no prefetch, no
 	// cache), "prefetch" (PrefetchDepth=2), "prefetch+cache"
-	// (PrefetchDepth=2 plus the block cache), "pipeline" (prefetch+cache
-	// plus depth-1 cross-iteration speculation and TinyLFU admission),
-	// "pipeline-depth2" (the same with two speculative windows in flight),
-	// "pipeline-depth2-nocache" (depth-2 speculation with no block
-	// cache, so every adopted speculative read hits the device and the
-	// overlap credit measures real hidden I/O), "sem" (semi-external:
-	// vertex state and out-indices resident, raw store) and "compress"
+	// (PrefetchDepth=2 plus the block cache), "sem" (semi-external:
+	// vertex state and out-indices resident, raw store), "compress"
 	// (semi-external over a mixed-format store: fewer stored bytes cross
-	// the device at the price of modeled decode time).
+	// the device at the price of modeled decode time) and "shard2"/"shard4"
+	// (sync through the K-shard coordinator).
 	Config           string `json:"config"`
 	PrefetchDepth    int    `json:"prefetch_depth"`
 	CacheBudgetBytes int64  `json:"cache_budget_bytes"`
-	PipelineIters    int    `json:"pipeline_iters,omitempty"`
-	CacheAdmission   string `json:"cache_admission,omitempty"`
 	Iterations       int    `json:"iterations"`
 	// NsPerIter is the modeled runtime per iteration on the simulated
 	// device (max of I/O and modeled compute, §3.5) — the deterministic
@@ -53,11 +47,6 @@ type BenchEntry struct {
 	CacheMisses         int64   `json:"cache_misses"`
 	CacheEvictions      int64   `json:"cache_evictions"`
 	PrefetchUnusedBytes int64   `json:"prefetch_unused_bytes"`
-	// SpecReadBytes totals the speculative reads issued across iteration
-	// barriers and adopted (or folded as orphans); OverlapCreditNs is the
-	// modeled I/O time those reads hid behind earlier iterations' compute.
-	SpecReadBytes   int64 `json:"spec_read_bytes,omitempty"`
-	OverlapCreditNs int64 `json:"overlap_credit_ns,omitempty"`
 	// StoreFormat names the block format the configuration ran over; empty
 	// means raw. SemiExternal marks runs with vertex state pinned resident.
 	StoreFormat  string `json:"store_format,omitempty"`
@@ -92,15 +81,10 @@ type BenchReport struct {
 
 	Entries []BenchEntry `json:"entries"`
 
-	// SpeedupPrefetch, SpeedupPrefetchCache and SpeedupPipeline are sync
-	// modeled-runtime divided by the variant's modeled runtime (>1 is
-	// faster).
+	// SpeedupPrefetch and SpeedupPrefetchCache are sync modeled-runtime
+	// divided by the variant's modeled runtime (>1 is faster).
 	SpeedupPrefetch      float64 `json:"speedup_prefetch"`
 	SpeedupPrefetchCache float64 `json:"speedup_prefetch_cache"`
-	SpeedupPipeline      float64 `json:"speedup_pipeline,omitempty"`
-	// SpeedupDepth maps each depth-k pipeline configuration name to sync
-	// modeled-runtime divided by its modeled runtime.
-	SpeedupDepth map[string]float64 `json:"speedup_depth,omitempty"`
 	// SpeedupSem is sync modeled-runtime divided by the sem configuration's
 	// (vertex state resident, raw store). SpeedupCompress is sem divided by
 	// compress (the same semi-external engine over a mixed-format store),
@@ -125,6 +109,12 @@ type BenchReport struct {
 // configuration uses — generous enough to hold every dataset's in-block
 // working set.
 const BenchCacheBudget = 256 << 20
+
+// BenchThreads is the modeled worker-thread count of the committed bench
+// artifacts. Modeled compute is work ÷ threads, so the artifacts are only
+// reproducible at a fixed count: husbench -bench-json uses this one unless
+// -threads says otherwise, whatever the host's core count.
+const BenchThreads = 4
 
 // RunHUSWithConfig executes one algorithm on the HUS engine under a caller-
 // provided configuration (model, prefetch depth, cache budget, …); the
@@ -170,10 +160,10 @@ func (r *Runner) BenchDataset(dataset string, prof storage.Profile) (*BenchRepor
 	return r.BenchDatasetAlgo(dataset, "PageRank", prof)
 }
 
-// BenchDatasetAlgo measures one dataset/algorithm pair across the four
-// bench configurations and assembles the report. Traversal algorithms
-// (BFS, WCC) exercise the ROP executor's run-granular cache and the
-// monotone provisional plans; PageRank exercises the COP column pipeline.
+// BenchDatasetAlgo measures one dataset/algorithm pair across the bench
+// configurations and assembles the report. Traversal algorithms (BFS, WCC)
+// exercise the ROP executor's run-granular cache; PageRank exercises the
+// COP column pipeline.
 func (r *Runner) BenchDatasetAlgo(dataset, algo string, prof storage.Profile) (*BenchReport, error) {
 	d, err := r.Dataset(dataset)
 	if err != nil {
@@ -192,12 +182,6 @@ func (r *Runner) BenchDatasetAlgo(dataset, algo string, prof storage.Profile) (*
 		{name: "sync", cfg: core.Config{}, format: blockstore.FormatRaw},
 		{name: "prefetch", cfg: core.Config{PrefetchDepth: 2}, format: blockstore.FormatRaw},
 		{name: "prefetch+cache", cfg: core.Config{PrefetchDepth: 2, CacheBudgetBytes: BenchCacheBudget}, format: blockstore.FormatRaw},
-		{name: "pipeline", cfg: core.Config{PrefetchDepth: 2, CacheBudgetBytes: BenchCacheBudget, PipelineIters: 1, CacheAdmission: "tinylfu"}, format: blockstore.FormatRaw},
-		{name: "pipeline-depth2", cfg: core.Config{PrefetchDepth: 2, CacheBudgetBytes: BenchCacheBudget, PipelineIters: 2, CacheAdmission: "tinylfu"}, format: blockstore.FormatRaw},
-		// With no cache, adopted speculative reads hit the device, so the
-		// overlap credit measures I/O genuinely hidden behind compute
-		// rather than cache hits the budget would have absorbed anyway.
-		{name: "pipeline-depth2-nocache", cfg: core.Config{PrefetchDepth: 2, PipelineIters: 2}, format: blockstore.FormatRaw},
 		// GraphMP's semi-external model, split into its two levers: "sem"
 		// keeps vertex state resident over a raw store; "compress" adds the
 		// mixed-format store on top. speedup_compress = sem / compress, so
@@ -241,8 +225,6 @@ func (r *Runner) BenchDatasetAlgo(dataset, algo string, prof storage.Profile) (*
 			Config:              c.name,
 			PrefetchDepth:       c.cfg.PrefetchDepth,
 			CacheBudgetBytes:    c.cfg.CacheBudgetBytes,
-			PipelineIters:       c.cfg.PipelineIters,
-			CacheAdmission:      c.cfg.CacheAdmission,
 			Iterations:          res.NumIterations(),
 			NsPerIter:           res.TotalRuntime().Nanoseconds() / int64(iters),
 			WallNsPerIter:       res.TotalComputeTime().Nanoseconds() / int64(iters),
@@ -253,8 +235,6 @@ func (r *Runner) BenchDatasetAlgo(dataset, algo string, prof storage.Profile) (*
 			CacheMisses:         res.Cache.Misses,
 			CacheEvictions:      res.Cache.Evictions,
 			PrefetchUnusedBytes: res.PrefetchUnusedBytes,
-			SpecReadBytes:       res.TotalSpecReadBytes(),
-			OverlapCreditNs:     res.TotalOverlapCredit().Nanoseconds(),
 			StoreFormat:         formatName,
 			SemiExternal:        c.cfg.SemiExternal,
 			DecodeModeledNs:     res.TotalDecodeModeled().Nanoseconds(),
@@ -288,17 +268,6 @@ func (r *Runner) BenchDatasetAlgo(dataset, algo string, prof storage.Profile) (*
 	if pc := float64(byName["prefetch+cache"].NsPerIter); pc > 0 {
 		rep.SpeedupPrefetchCache = base / pc
 	}
-	if pl := float64(byName["pipeline"].NsPerIter); pl > 0 {
-		rep.SpeedupPipeline = base / pl
-	}
-	for _, name := range []string{"pipeline-depth2", "pipeline-depth2-nocache"} {
-		if d := float64(byName[name].NsPerIter); d > 0 {
-			if rep.SpeedupDepth == nil {
-				rep.SpeedupDepth = make(map[string]float64, 2)
-			}
-			rep.SpeedupDepth[name] = base / d
-		}
-	}
 	if sm := float64(byName["sem"].NsPerIter); sm > 0 {
 		rep.SpeedupSem = base / sm
 		if cp := float64(byName["compress"].NsPerIter); cp > 0 {
@@ -318,20 +287,16 @@ func (r *Runner) BenchDatasetAlgo(dataset, algo string, prof storage.Profile) (*
 
 // benchExtraAlgos lists (dataset, algo) artifacts written beyond the
 // default PageRank-per-dataset set: ROP-heavy traversal algorithms on the
-// largest dataset, where run-granular caching and cross-iteration
-// pipelining have the most to hide. A non-empty Device pins the artifact to
-// that profile instead of the CLI-selected one — the ram PageRank artifact
-// is the depth-k acceptance run, the one profile fast enough (at the bench's
-// modeled 4 threads) that iterations leave idle compute tails for
-// speculation to hide I/O behind, so its overlap credit must be nonzero.
-// The ssd and ram PageRank artifacts complete the device ladder for one
-// (dataset, algo) pair, so -bench-check can assert speedup_compress is
-// ordered hdd ≥ ssd ≥ ram.
+// largest dataset, where run-granular caching has the most to hide. A
+// non-empty Device pins the artifact to that profile instead of the
+// CLI-selected one: the ssd and ram PageRank artifacts complete the device
+// ladder for one (dataset, algo) pair, so -bench-check can assert
+// speedup_compress is ordered hdd ≥ ssd ≥ ram.
 // The bucketed priority programs get their own rows: delta-stepping SSSP
-// on the largest web analogue (many sparse distance buckets — the
-// schedule provisional plans must keep paying for), and the coreness
-// decomposition on the social analogue, whose peel sequence is long enough
-// to exercise bucket refill without dominating the check's wall-clock.
+// on the largest web analogue (many sparse distance buckets), and the
+// coreness decomposition on the social analogue, whose peel sequence is
+// long enough to exercise bucket refill without dominating the check's
+// wall-clock.
 var benchExtraAlgos = []struct{ Dataset, Algo, Device string }{
 	{"ukunion-sim", "BFS", ""},
 	{"ukunion-sim", "WCC", ""},

@@ -20,7 +20,7 @@ func TestBenchDatasetSpeedupAndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Entries) != 10 {
+	if len(rep.Entries) != 7 {
 		t.Fatalf("entries: %d", len(rep.Entries))
 	}
 	if !rep.ValuesIdentical {
@@ -29,15 +29,7 @@ func TestBenchDatasetSpeedupAndIdentity(t *testing.T) {
 	if rep.SpeedupPrefetchCache <= 1.0 {
 		t.Fatalf("prefetch+cache speedup = %v, want > 1", rep.SpeedupPrefetchCache)
 	}
-	if rep.SpeedupPipeline <= 1.0 {
-		t.Fatalf("pipeline speedup = %v, want > 1", rep.SpeedupPipeline)
-	}
 	sync, cached := rep.Entries[0], rep.Entries[2]
-	// Cross-iteration pipelining can only hide I/O behind the previous
-	// iteration's idle compute tail — never add modeled time.
-	if pl := rep.Entries[3]; pl.NsPerIter > cached.NsPerIter {
-		t.Fatalf("pipeline ns/iter %d exceeds prefetch+cache %d", pl.NsPerIter, cached.NsPerIter)
-	}
 	if cached.BytesRead >= sync.BytesRead {
 		t.Fatalf("cached run read %d bytes, sync %d", cached.BytesRead, sync.BytesRead)
 	}
@@ -49,31 +41,16 @@ func TestBenchDatasetSpeedupAndIdentity(t *testing.T) {
 	if pf := rep.Entries[1]; pf.BytesRead != sync.BytesRead || pf.NsPerIter != sync.NsPerIter {
 		t.Fatalf("prefetch-only changed the modeled run: sync %+v prefetch %+v", sync, pf)
 	}
-	// Depth-2 pipelining is still only hiding I/O: no added modeled time,
-	// and a recorded speedup for each depth configuration.
-	if d2 := rep.Entries[4]; d2.NsPerIter > cached.NsPerIter {
-		t.Fatalf("pipeline-depth2 ns/iter %d exceeds prefetch+cache %d", d2.NsPerIter, cached.NsPerIter)
-	}
-	for _, name := range []string{"pipeline-depth2", "pipeline-depth2-nocache"} {
-		if s, ok := rep.SpeedupDepth[name]; !ok || s <= 0 {
-			t.Fatalf("speedup_depth[%s] = %v (present=%v)", name, s, ok)
-		}
-	}
-	// Without a cache every adopted speculative read hits the device, so the
-	// uncached depth-2 run must report the speculation it performed.
-	if nc := rep.Entries[5]; nc.SpecReadBytes == 0 {
-		t.Fatal("pipeline-depth2-nocache recorded no speculative reads")
-	}
 	// The sem configuration drops vertex traffic; compress additionally
 	// trades stored edge bytes for decode cost. speedup_compress = sem /
 	// compress prices the compression lever alone, and on hdd — where
 	// bandwidth is scarcest — it must clear the 1.5× acceptance bar.
-	sem, cp := rep.Entries[6], rep.Entries[7]
+	sem, cp := rep.Entries[3], rep.Entries[4]
 	if sem.Config != "sem" || !sem.SemiExternal || sem.StoreFormat != "" {
-		t.Fatalf("entry 6 is %+v, want semi-external over raw", sem)
+		t.Fatalf("entry 3 is %+v, want semi-external over raw", sem)
 	}
 	if cp.Config != "compress" || cp.StoreFormat != "mixed" || !cp.SemiExternal {
-		t.Fatalf("entry 7 is %q over %q, want compress over mixed", cp.Config, cp.StoreFormat)
+		t.Fatalf("entry 4 is %q over %q, want compress over mixed", cp.Config, cp.StoreFormat)
 	}
 	if sem.BytesRead >= sync.BytesRead {
 		t.Fatalf("sem read %d bytes, sync %d", sem.BytesRead, sync.BytesRead)
@@ -96,9 +73,9 @@ func TestBenchDatasetSpeedupAndIdentity(t *testing.T) {
 	// Sharded entries: bit-identical values already covered by
 	// ValuesIdentical above; the exchange must be metered, and on hdd the
 	// parallel I/O must beat the modeled barrier overhead.
-	sh2, sh4 := rep.Entries[8], rep.Entries[9]
+	sh2, sh4 := rep.Entries[5], rep.Entries[6]
 	if sh2.Config != "shard2" || sh2.Shards != 2 || sh4.Config != "shard4" || sh4.Shards != 4 {
-		t.Fatalf("entries 8/9 are %q(K=%d)/%q(K=%d), want shard2/shard4", sh2.Config, sh2.Shards, sh4.Config, sh4.Shards)
+		t.Fatalf("entries 5/6 are %q(K=%d)/%q(K=%d), want shard2/shard4", sh2.Config, sh2.Shards, sh4.Config, sh4.Shards)
 	}
 	if sh2.ExchangeBytes <= 0 || sh2.MergeTimeNs <= 0 || sh2.MaxShardSkew < 1 {
 		t.Fatalf("shard2 entry metered no exchange: %+v", sh2)

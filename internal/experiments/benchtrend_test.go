@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"husgraph/internal/storage"
@@ -37,12 +38,11 @@ func TestCheckBenchTrendCleanOnFreshArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 11 configs per artifact (sync, prefetch, prefetch+cache, pipeline,
-	// pipeline-depth2, pipeline-depth2-nocache, sem, compress,
-	// compress:decode, shard2, shard4) × 2 artifacts: the dataset's
-	// PageRank default plus its Coreness benchExtraAlgos row.
-	if len(trends) != 22 {
-		t.Fatalf("trend rows = %d, want 22 (11 configs × {PageRank, Coreness})", len(trends))
+	// 8 configs per artifact (sync, prefetch, prefetch+cache, sem,
+	// compress, compress:decode, shard2, shard4) × 2 artifacts: the
+	// dataset's PageRank default plus its Coreness benchExtraAlgos row.
+	if len(trends) != 16 {
+		t.Fatalf("trend rows = %d, want 16 (8 configs × {PageRank, Coreness})", len(trends))
 	}
 	var sawDecode bool
 	for _, tr := range trends {
@@ -63,6 +63,36 @@ func TestCheckBenchTrendCleanOnFreshArtifact(t *testing.T) {
 		if tr.NewNs != tr.OldNs {
 			t.Errorf("%s/%s modeled ns/iter not reproducible: old=%d new=%d",
 				tr.Dataset, tr.Config, tr.OldNs, tr.NewNs)
+		}
+	}
+}
+
+// TestBenchReplayIsExact is the check behind every "deterministic" claim
+// made about the modeled track (DESIGN.md §7, EXPERIMENTS.md): two runs of
+// the same bench configuration agree on every recorded field — modeled
+// runtime, bytes, cache counters, decode and exchange totals — and differ
+// only in host wall-clock. PageRank covers COP, BFS covers ROP with the run
+// cache, Coreness the bucketed path.
+func TestBenchReplayIsExact(t *testing.T) {
+	for _, algo := range []string{"PageRank", "BFS", "Coreness"} {
+		var runs [2]*BenchReport
+		for i := range runs {
+			rep, err := NewRunner(Options{Quick: true, Threads: BenchThreads}).BenchDatasetAlgo("livejournal-sim", algo, storage.HDD)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range rep.Entries {
+				rep.Entries[j].WallNsPerIter = 0
+			}
+			runs[i] = rep
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			for j, e := range runs[0].Entries {
+				if e != runs[1].Entries[j] {
+					t.Errorf("%s/%s not reproducible:\n  first  %+v\n  second %+v", algo, e.Config, e, runs[1].Entries[j])
+				}
+			}
+			t.Fatalf("%s: two runs of the same configuration disagree", algo)
 		}
 	}
 }

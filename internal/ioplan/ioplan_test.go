@@ -1,14 +1,18 @@
 package ioplan
 
 import (
+	"fmt"
+	"sync"
 	"testing"
-	"time"
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
+	"husgraph/internal/leaktest"
 	"husgraph/internal/storage"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // testStore builds a P=2 store over 10 vertices whose out-block (0,1) is
 // empty — so plan constructors have one hole to skip.
@@ -98,350 +102,159 @@ func TestCOPKeysColumnMajorWithSkip(t *testing.T) {
 	}
 }
 
-// drain consumes the whole window in plan order, failing on any error.
-func drain(t *testing.T, w *Window) {
-	t.Helper()
-	for i := 0; i < len(w.plan); i++ {
+// resultBytes is the device-loaded size of one delivered block, as the
+// prefetcher's unused-read-ahead accounting sizes it.
+func resultBytes(r *blockstore.PrefetchResult) int64 {
+	return (&blockstore.CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx, Recs: r.Recs, RecIdx: r.RecIdx}).Bytes()
+}
+
+// TestSchedulerWindows pins what the engine and the degradation ladder rely
+// on from the scheduler: a window delivers every planned key exactly once
+// (in plan order through Next, by key through concurrent Take), an early
+// Finish reports what was read ahead as unused, and the ladder's two
+// switches apply to the next Begin — never to the window already open.
+func TestSchedulerWindows(t *testing.T) {
+	ds := testStore(t)
+	plan := COPKeys(ds.Layout, nil)
+	last := plan[len(plan)-1]
+	// An inline pass sizes the plan: the bytes each window delivers, and
+	// the device reads the last key costs on its own.
+	var planBytes, lastBytes, lastRead int64
+	sizer := NewScheduler(ds, nil, Options{})
+	w := sizer.Begin(plan)
+	for range plan {
+		before := ds.Device().Stats()
 		res := w.Next()
 		if res.Err != nil {
-			t.Fatalf("key %d (%+v): %v", i, res.Key, res.Err)
+			t.Fatal(res.Err)
 		}
-		if res.Key != w.plan[i] {
-			t.Fatalf("key %d = %+v, want plan order %+v", i, res.Key, w.plan[i])
+		planBytes += resultBytes(res)
+		if res.Key == last {
+			lastBytes = resultBytes(res)
+			lastRead = ds.Device().Stats().Sub(before).ReadBytes()
 		}
 		res.Release()
 	}
-}
+	sizer.Finish(w)
 
-// waitParkedN polls until the gate goroutines have parked n speculation
-// batches at the barrier. The engine never needs this — an un-parked batch
-// just means the speculation window was missed — but tests need the
-// determinism.
-func waitParkedN(t *testing.T, s *Scheduler, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		parked := len(s.parked)
-		s.mu.Unlock()
-		if parked >= n {
-			return
+	// takeLast consumes only the plan's last key. Workers claim in plan
+	// order and Finish waits for every claimed load, so a window with a
+	// worker per key has read the whole plan by then; an inline window has
+	// read nothing else.
+	takeLast := func(t *testing.T, s *Scheduler, w *blockstore.Prefetcher) WindowStats {
+		t.Helper()
+		res := w.Take(last)
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d speculation batches parked at the barrier", parked, n)
-		}
-		time.Sleep(time.Millisecond)
+		res.Release()
+		return s.Finish(w)
 	}
-}
+	// drain consumes the whole plan through Next and returns how many
+	// results came from the cache.
+	drain := func(t *testing.T, s *Scheduler, w *blockstore.Prefetcher) (cached int) {
+		t.Helper()
+		for i, key := range plan {
+			res := w.Next()
+			if res.Err != nil {
+				t.Fatalf("key %d (%+v): %v", i, key, res.Err)
+			}
+			if res.Key != key {
+				t.Fatalf("key %d = %+v, want plan order %+v", i, res.Key, key)
+			}
+			if res.Cached {
+				cached++
+			}
+			res.Release()
+		}
+		if st := s.Finish(w); st.UnusedBytes != 0 {
+			t.Fatalf("fully consumed window reports %d unused bytes", st.UnusedBytes)
+		}
+		return cached
+	}
 
-func waitParked(t *testing.T, s *Scheduler) {
-	t.Helper()
-	waitParkedN(t, s, 1)
-}
-
-func TestSchedulerWithoutPipeliningIgnoresProvisional(t *testing.T) {
-	ds := testStore(t)
-	for _, depth := range []int{0, 2} { // inline and pipelined main path
+	for _, depth := range []int{0, 1, 2, len(plan) + 4} {
 		s := NewScheduler(ds, nil, Options{Depth: depth})
-		w := s.Begin(COPKeys(ds.Layout, nil), func(int) []blockstore.BlockKey {
-			t.Error("provisional consulted with pipelining off")
-			return nil
+		t.Run(fmt.Sprintf("depth-%d/next-delivers-plan-order", depth), func(t *testing.T) {
+			w := s.Begin(plan)
+			drain(t, s, w)
+			if res := w.Next(); res.Err == nil {
+				t.Fatal("Next past the end of the plan delivered a block")
+			}
 		})
-		drain(t, w)
-		st := s.Finish(w)
-		if st.SpecBatch || st.SpecIO != (storage.Stats{}) || st.UnusedBytes != 0 {
-			t.Fatalf("depth=%d: speculation stats without speculation: %+v", depth, st)
-		}
-		if s.SpecIO() != (storage.Stats{}) {
-			t.Fatal("SpecIO nonzero with pipelining off")
-		}
-		if io, unused := s.Shutdown(); io != (storage.Stats{}) || unused != 0 {
-			t.Fatal("Shutdown found an orphan batch with pipelining off")
-		}
-	}
-}
-
-func TestSchedulerAdoptsSpeculationWithExactAttribution(t *testing.T) {
-	ds := testStore(t)
-	s := NewScheduler(ds, nil, Options{Depth: 2, PipelineIters: 1})
-	devBefore := ds.Device().Stats()
-
-	plan2 := ROPKeys(ds.Layout, ds.BlockEdgeCount, bitset.FullFrontier(10))
-	w1 := s.Begin(COPKeys(ds.Layout, nil), func(int) []blockstore.BlockKey { return plan2 })
-	drain(t, w1)
-	waitParked(t, s)
-	if st := s.Finish(w1); st.SpecBatch {
-		t.Fatalf("window 1 adopted a batch that did not exist at its Begin: %+v", st)
-	}
-	// The parked batch reads asynchronously; wait for its first device
-	// I/O to land rather than racing it (more may still land before it
-	// retires; the retired batch's b.io captures all of it).
-	for deadline := time.Now().Add(5 * time.Second); s.SpecIO() == (storage.Stats{}); {
-		if time.Now().After(deadline) {
-			t.Fatal("speculative pipeline issued no device I/O (cache is nil)")
-		}
-		time.Sleep(time.Millisecond)
+		t.Run(fmt.Sprintf("depth-%d/concurrent-take-delivers-each-key-once", depth), func(t *testing.T) {
+			w := s.Begin(plan)
+			got := make([]blockstore.BlockKey, len(plan))
+			var wg sync.WaitGroup
+			for i, key := range plan {
+				wg.Add(1)
+				go func(i int, key blockstore.BlockKey) {
+					defer wg.Done()
+					res := w.Take(key)
+					if res.Err != nil {
+						t.Errorf("take %+v: %v", key, res.Err)
+						return
+					}
+					got[i] = res.Key
+					res.Release()
+				}(i, key)
+			}
+			wg.Wait()
+			if st := s.Finish(w); st.UnusedBytes != 0 {
+				t.Fatalf("fully consumed window reports %d unused bytes", st.UnusedBytes)
+			}
+			for i, key := range plan {
+				if got[i] != key {
+					t.Fatalf("take %d delivered %+v, want %+v", i, got[i], key)
+				}
+			}
+		})
 	}
 
-	// The final plan matches the provisional plan exactly: full adoption.
-	w2 := s.Begin(plan2, nil)
-	if len(w2.specKeys) != len(plan2) {
-		t.Fatalf("adopted %d of %d planned keys", len(w2.specKeys), len(plan2))
-	}
-	drain(t, w2)
-	st := s.Finish(w2)
-	if !st.SpecBatch {
-		t.Fatal("window 2 did not report the adopted batch")
-	}
-	if st.UnusedBytes != 0 {
-		t.Fatalf("fully-adopted batch wasted %d bytes", st.UnusedBytes)
-	}
-	// Attribution closes exactly: the batch's I/O is the whole speculative
-	// tap (single batch), and device total = main-pipeline I/O + spec I/O.
-	if st.SpecIO != s.SpecIO() {
-		t.Fatalf("batch I/O %+v != cumulative spec tap %+v", st.SpecIO, s.SpecIO())
-	}
-	devDelta := ds.Device().Stats().Sub(devBefore)
-	if got := devDelta.Sub(st.SpecIO); got.SeqReadBytes < 0 || got.RandReadBytes < 0 {
-		t.Fatalf("spec I/O exceeds device I/O: device %+v spec %+v", devDelta, st.SpecIO)
-	}
-	if io, unused := s.Shutdown(); io != (storage.Stats{}) || unused != 0 {
-		t.Fatal("Shutdown found a batch after full adoption")
-	}
-}
-
-func TestSchedulerInvalidatesDivergentSpeculation(t *testing.T) {
-	ds := testStore(t)
-	s := NewScheduler(ds, nil, Options{Depth: 2, PipelineIters: 1})
-
-	full := ROPKeys(ds.Layout, ds.BlockEdgeCount, bitset.FullFrontier(10))
-	row0 := ROPKeys(ds.Layout, ds.BlockEdgeCount, frontierOf(10, 0))
-	if len(row0) >= len(full) {
-		t.Fatalf("fixture: row0 plan (%d keys) not a strict subset of full (%d)", len(row0), len(full))
-	}
-
-	// Speculate the full plan; the "real" next iteration only wants row 0.
-	w1 := s.Begin(COPKeys(ds.Layout, nil), func(int) []blockstore.BlockKey { return full })
-	drain(t, w1)
-	waitParked(t, s)
-	s.Finish(w1)
-
-	w2 := s.Begin(row0, nil)
-	if len(w2.specKeys) != len(row0) {
-		t.Fatalf("adopted %d keys, want the full row0 overlap %d", len(w2.specKeys), len(row0))
-	}
-	drain(t, w2)
-	st := s.Finish(w2)
-	if !st.SpecBatch {
-		t.Fatal("overlap not adopted")
-	}
-	if st.UnusedBytes == 0 {
-		t.Fatal("invalidated speculation reported zero unused bytes")
-	}
-	// The invalidated keys' device reads still live in this batch's I/O —
-	// the engine charges them to the consuming iteration.
-	if st.SpecIO != s.SpecIO() {
-		t.Fatalf("batch I/O %+v != spec tap %+v", st.SpecIO, s.SpecIO())
-	}
-}
-
-func TestSchedulerShutdownRetiresOrphanSpeculation(t *testing.T) {
-	ds := testStore(t)
-	s := NewScheduler(ds, nil, Options{Depth: 2, PipelineIters: 1})
-
-	plan := COPKeys(ds.Layout, nil)
-	w := s.Begin(plan, func(int) []blockstore.BlockKey { return plan })
-	drain(t, w)
-	waitParked(t, s)
-	s.Finish(w)
-
-	// The run converged: nothing adopts the parked batch.
-	io, unused := s.Shutdown()
-	if io.SeqReadBytes == 0 && io.RandReadBytes == 0 {
-		t.Fatal("orphan batch reported no device I/O")
-	}
-	if unused == 0 {
-		t.Fatal("orphan batch reported no unused bytes")
-	}
-	if io2, unused2 := s.Shutdown(); io2 != (storage.Stats{}) || unused2 != 0 {
-		t.Fatal("Shutdown is not idempotent")
-	}
-}
-
-func TestSchedulerEmptyProvisionalSkipsSpeculation(t *testing.T) {
-	ds := testStore(t)
-	s := NewScheduler(ds, nil, Options{Depth: 2, PipelineIters: 1})
-	w := s.Begin(COPKeys(ds.Layout, nil), func(int) []blockstore.BlockKey { return nil })
-	drain(t, w)
-	// Wait for the gate to run to completion so a (buggy) parked batch
-	// would be observable before Finish.
-	<-w.main.Drained()
-	s.Finish(w)
-	if s.SpecIO() != (storage.Stats{}) {
-		t.Fatal("empty provisional plan still issued speculative I/O")
-	}
-	if io, unused := s.Shutdown(); io != (storage.Stats{}) || unused != 0 {
-		t.Fatal("empty provisional plan parked a batch")
-	}
-}
-
-func TestSchedulerDepthTwoChainAdoptsPerDepth(t *testing.T) {
-	ds := testStore(t)
-	s := NewScheduler(ds, nil, Options{Depth: 2, PipelineIters: 2})
-
-	plan1 := COPKeys(ds.Layout, nil)
-	plan2 := ROPKeys(ds.Layout, ds.BlockEdgeCount, bitset.FullFrontier(10))
-	plan3 := COPKeys(ds.Layout, func(j int) bool { return j == 0 })
-	w1 := s.Begin(plan1, func(depth int) []blockstore.BlockKey {
-		switch depth {
-		case 1:
-			return plan2
-		case 2:
-			return plan3
-		default:
-			t.Errorf("provisional consulted at depth %d with k=2", depth)
-			return nil
+	t.Run("early-finish-reports-read-ahead-as-unused", func(t *testing.T) {
+		s := NewScheduler(ds, nil, Options{Depth: len(plan)})
+		if st := takeLast(t, s, s.Begin(plan)); st.UnusedBytes != planBytes-lastBytes {
+			t.Fatalf("UnusedBytes = %d, want the %d bytes read ahead of the one consumed key", st.UnusedBytes, planBytes-lastBytes)
 		}
 	})
-	drain(t, w1)
-	waitParkedN(t, s, 2)
-	if st := s.Finish(w1); st.SpecBatch || st.SpecDepth != 0 {
-		t.Fatalf("window 1 adopted a batch that did not exist at its Begin: %+v", st)
-	}
 
-	// The head of the queue serves the next barrier at depth 1...
-	w2 := s.Begin(plan2, nil)
-	if len(w2.specKeys) != len(plan2) {
-		t.Fatalf("depth-1 batch: adopted %d of %d keys", len(w2.specKeys), len(plan2))
-	}
-	drain(t, w2)
-	st2 := s.Finish(w2)
-	if !st2.SpecBatch || st2.SpecDepth != 1 {
-		t.Fatalf("depth-1 adoption: %+v", st2)
-	}
-	if st2.UnusedBytes != 0 {
-		t.Fatalf("fully-adopted depth-1 batch wasted %d bytes", st2.UnusedBytes)
-	}
-
-	// ...and the deeper batch waits its turn for the barrier after.
-	w3 := s.Begin(plan3, nil)
-	if len(w3.specKeys) != len(plan3) {
-		t.Fatalf("depth-2 batch: adopted %d of %d keys", len(w3.specKeys), len(plan3))
-	}
-	drain(t, w3)
-	st3 := s.Finish(w3)
-	if !st3.SpecBatch || st3.SpecDepth != 2 {
-		t.Fatalf("depth-2 adoption: %+v", st3)
-	}
-	if st3.UnusedBytes != 0 {
-		t.Fatalf("fully-adopted depth-2 batch wasted %d bytes", st3.UnusedBytes)
-	}
-	// Per-depth attribution closes exactly over the shared tap.
-	if got := st2.SpecIO.Add(st3.SpecIO); got != s.SpecIO() {
-		t.Fatalf("per-batch I/O %+v + %+v != spec tap %+v", st2.SpecIO, st3.SpecIO, s.SpecIO())
-	}
-	if io, unused := s.Shutdown(); io != (storage.Stats{}) || unused != 0 {
-		t.Fatal("Shutdown found a batch after the chain fully adopted")
-	}
-}
-
-func TestSchedulerInvalidatesMiddleOfChain(t *testing.T) {
-	ds := testStore(t)
-	s := NewScheduler(ds, nil, Options{Depth: 2, PipelineIters: 2})
-
-	full := ROPKeys(ds.Layout, ds.BlockEdgeCount, bitset.FullFrontier(10))
-	row0 := ROPKeys(ds.Layout, ds.BlockEdgeCount, frontierOf(10, 0))
-	cop := COPKeys(ds.Layout, nil)
-
-	// Chain [full@1, cop@2]; the real i+1 plan only wants row 0, so the
-	// depth-1 batch partially invalidates while the depth-2 batch must
-	// stay parked, unaffected, and fully adopt one barrier later.
-	w1 := s.Begin(cop, func(depth int) []blockstore.BlockKey {
-		if depth == 1 {
-			return full
+	t.Run("set-depth-applies-at-next-begin", func(t *testing.T) {
+		s := NewScheduler(ds, nil, Options{Depth: len(plan)})
+		open := s.Begin(plan)
+		s.SetDepth(0)
+		if st := takeLast(t, s, open); st.UnusedBytes != planBytes-lastBytes {
+			t.Fatalf("open window lost its read-ahead to SetDepth(0): %d unused bytes, want %d", st.UnusedBytes, planBytes-lastBytes)
 		}
-		return cop
+		before := ds.Device().Stats()
+		if st := takeLast(t, s, s.Begin(plan)); st.UnusedBytes != 0 {
+			t.Fatalf("window opened after SetDepth(0) read ahead: %d unused bytes", st.UnusedBytes)
+		}
+		if read := ds.Device().Stats().Sub(before).ReadBytes(); read != lastRead {
+			t.Fatalf("inline window read %d bytes for one consumed key, want %d", read, lastRead)
+		}
 	})
-	drain(t, w1)
-	waitParkedN(t, s, 2)
-	s.Finish(w1)
 
-	w2 := s.Begin(row0, nil)
-	if len(w2.specKeys) != len(row0) {
-		t.Fatalf("adopted %d keys, want the full row0 overlap %d", len(w2.specKeys), len(row0))
-	}
-	drain(t, w2)
-	st2 := s.Finish(w2)
-	if !st2.SpecBatch || st2.SpecDepth != 1 {
-		t.Fatalf("depth-1 adoption: %+v", st2)
-	}
-	if st2.UnusedBytes == 0 {
-		t.Fatal("divergent depth-1 batch reported zero unused bytes")
-	}
-
-	w3 := s.Begin(cop, nil)
-	if len(w3.specKeys) != len(cop) {
-		t.Fatalf("depth-2 batch survived mid-chain invalidation with %d of %d keys", len(w3.specKeys), len(cop))
-	}
-	drain(t, w3)
-	st3 := s.Finish(w3)
-	if !st3.SpecBatch || st3.SpecDepth != 2 || st3.UnusedBytes != 0 {
-		t.Fatalf("depth-2 adoption after mid-chain invalidation: %+v", st3)
-	}
-	if got := st2.SpecIO.Add(st3.SpecIO); got != s.SpecIO() {
-		t.Fatalf("per-batch I/O %+v + %+v != spec tap %+v", st2.SpecIO, st3.SpecIO, s.SpecIO())
-	}
-}
-
-func TestSchedulerShutdownRetiresChainedOrphans(t *testing.T) {
-	ds := testStore(t)
-	s := NewScheduler(ds, nil, Options{Depth: 2, PipelineIters: 2})
-
-	plan := COPKeys(ds.Layout, nil)
-	w := s.Begin(plan, func(int) []blockstore.BlockKey { return plan })
-	drain(t, w)
-	waitParkedN(t, s, 2)
-	s.Finish(w)
-
-	// The run converged mid-chain: both parked batches are orphans.
-	io, unused := s.Shutdown()
-	if io.SeqReadBytes == 0 && io.RandReadBytes == 0 {
-		t.Fatal("orphan chain reported no device I/O")
-	}
-	if unused == 0 {
-		t.Fatal("orphan chain reported no unused bytes")
-	}
-	if io != s.SpecIO() {
-		t.Fatalf("orphan I/O %+v != spec tap %+v", io, s.SpecIO())
-	}
-	if io2, unused2 := s.Shutdown(); io2 != (storage.Stats{}) || unused2 != 0 {
-		t.Fatal("Shutdown is not idempotent")
-	}
-}
-
-func TestSchedulerChainStopsAtFirstDecline(t *testing.T) {
-	ds := testStore(t)
-	s := NewScheduler(ds, nil, Options{Depth: 2, PipelineIters: 3})
-
-	plan := COPKeys(ds.Layout, nil)
-	w := s.Begin(plan, func(depth int) []blockstore.BlockKey {
-		if depth == 2 {
-			return nil // decline: the chain must not probe depth 3
+	t.Run("set-bypass-cache-applies-at-next-begin", func(t *testing.T) {
+		cache := blockstore.NewBlockCache(1 << 20)
+		s := NewScheduler(ds, cache, Options{Depth: 2})
+		open := s.Begin(plan)
+		s.SetBypassCache(true)
+		if cached := drain(t, s, open); cached != 0 {
+			t.Fatalf("cold cache served %d blocks", cached)
 		}
-		if depth > 2 {
-			t.Errorf("provisional consulted at depth %d past a decline", depth)
+		filled := cache.Stats()
+		if filled.Misses != int64(len(plan)) || !cache.Peek(last) {
+			t.Fatalf("open window stopped filling the cache at SetBypassCache(true): %+v", filled)
 		}
-		return plan
+		if cached := drain(t, s, s.Begin(plan)); cached != 0 {
+			t.Fatalf("bypassing window served %d blocks from the cache", cached)
+		}
+		if st := cache.Stats(); st != filled {
+			t.Fatalf("bypassing window touched the cache: %+v, was %+v", st, filled)
+		}
+		s.SetBypassCache(false)
+		if cached := drain(t, s, s.Begin(plan)); cached != len(plan) {
+			t.Fatalf("re-armed window served %d of %d blocks from the cache", cached, len(plan))
+		}
 	})
-	drain(t, w)
-	waitParkedN(t, s, 1)
-	s.Finish(w)
-
-	s.mu.Lock()
-	parked := len(s.parked)
-	s.mu.Unlock()
-	if parked != 1 {
-		t.Fatalf("chain parked %d batches past the declined depth", parked)
-	}
-	s.Shutdown()
 }

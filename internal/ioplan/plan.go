@@ -1,18 +1,14 @@
-// Package ioplan plans and schedules all block I/O of the engine's
-// iterations in one place.
+// Package ioplan plans all block I/O of the engine's iterations in one
+// place.
 //
-// Before this package, each executor hand-rolled its own Prefetcher
-// schedule: rop.go enumerated the out-indices of active rows, cop.go the
-// in-block columns, and neither could see past the end of its own
-// iteration. ioplan centralizes both: the plan constructors (ROPKeys,
-// COPKeys) turn a predictor decision plus a frontier into the ordered read
-// plan, and the Scheduler executes those plans iteration after iteration —
-// pipelining across the iteration barrier by speculatively reading the
-// *next* iteration's provisional plan while the current tail computes, and
-// reconciling (adopting or invalidating) the speculation once the real
-// plan is known. GraphMP's selective scheduling and PartitionedVC's
-// planned sub-block reads both argue for exactly this: one layer that owns
-// the whole I/O plan.
+// The plan constructors (ROPKeys, COPKeys) turn a predictor decision plus a
+// frontier into the iteration's ordered read plan — the out-indices of
+// active rows for ROP, the in-block columns for COP — and the Scheduler
+// opens one blockstore.Prefetcher over that plan per iteration, at the
+// read-ahead depth and cache setting the degradation ladder currently
+// allows. An iteration is a barrier: nothing is read across it. GraphMP's
+// selective scheduling and PartitionedVC's planned sub-block reads both
+// argue for exactly this: one layer that owns the whole I/O plan.
 package ioplan
 
 import (

@@ -9,10 +9,9 @@ import (
 // whose doc comment carries the "barrier-published" marker declares that
 // its fields are written only by the coordinator between iteration
 // Begin/Finish (the barrier publishes them) or through sync/atomic. The
-// engine's IterStats, the deltaTracker's prev-iteration snapshots and the
-// blockstore's DecodeStats snapshot all follow this discipline: workers
-// update atomics mid-iteration, and plain fields are touched only in
-// serial sections the barrier orders.
+// engine's IterStats and the blockstore's DecodeStats snapshot follow this
+// discipline: workers update atomics mid-iteration, and plain fields are
+// touched only in serial sections the barrier orders.
 //
 // The analyzer uses the fact system's spawn graph: a plain (non-atomic)
 // write to a barrier-published field is a violation exactly when it is
@@ -23,7 +22,7 @@ import (
 // "concurrent" over the engine's own serial sections.
 var BarrierStats = &Analyzer{
 	Name: "barrierstats",
-	Doc: "fields of barrier-published structs (IterStats, deltaTracker snapshots, DecodeStats) " +
+	Doc: "fields of barrier-published structs (IterStats, DecodeStats) " +
 		"may be written only between iteration Begin/Finish on the coordinator or via sync/atomic; " +
 		"a plain write reachable from a go statement races the barrier",
 	Run: runBarrierStats,

@@ -3,16 +3,15 @@
 // optimism one rung at a time under sustained I/O pressure and re-arms it
 // when the window clears.
 //
-// The ladder exists because every optimism the engine layers over the
-// block store — depth-k speculation, the cross-iteration pipeline,
-// prefetch read-ahead, the block cache — *amplifies* I/O during a fault
-// storm: speculative readers burn the retry budget on blocks that may
-// never be consumed, and prefetch workers multiply the number of in-flight
-// operations against a device that is already struggling. Degrading in
-// order of decreasing amplification (speculation depth, then the pipeline,
-// then prefetch, then cache-admission) trades throughput for pressure
-// relief while keeping results bit-identical: none of the rungs changes
-// what is computed, only how eagerly bytes are fetched.
+// The ladder exists because the optimism the engine layers over the block
+// store — prefetch read-ahead, the block cache — *amplifies* I/O during a
+// fault storm: prefetch workers multiply the number of in-flight operations
+// against a device that is already struggling, and read-ahead burns the
+// retry budget on blocks an aborted iteration never consumes. Degrading in
+// order of decreasing amplification (prefetch, then cache admission) trades
+// throughput for pressure relief while keeping results bit-identical:
+// neither rung changes what is computed, only how eagerly bytes are
+// fetched.
 package resilience
 
 import (
@@ -27,15 +26,8 @@ import (
 type Level int
 
 const (
-	// LevelNormal runs with full speculation, pipelining and prefetch.
+	// LevelNormal runs with the configured prefetch and cache.
 	LevelNormal Level = iota
-	// LevelShallowSpec clamps cross-iteration speculation to depth 1:
-	// the pipeline keeps overlapping the next iteration but stops
-	// chaining depth-k windows.
-	LevelShallowSpec
-	// LevelNoSpec turns cross-iteration speculation off entirely — the
-	// pipeline gate stops refilling and parked batches drain.
-	LevelNoSpec
 	// LevelNoPrefetch drops within-iteration prefetch to zero: block
 	// loads run inline on the consuming goroutine, bounding in-flight
 	// reads to the compute worker count.
@@ -54,10 +46,6 @@ func (l Level) String() string {
 	switch l {
 	case LevelNormal:
 		return "normal"
-	case LevelShallowSpec:
-		return "shallow-spec"
-	case LevelNoSpec:
-		return "no-spec"
 	case LevelNoPrefetch:
 		return "no-prefetch"
 	case LevelBypass:

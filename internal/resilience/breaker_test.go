@@ -147,18 +147,16 @@ func TestBreakerTickerStartStop(t *testing.T) {
 
 func TestLevelAndEventStrings(t *testing.T) {
 	names := map[Level]string{
-		LevelNormal:      "normal",
-		LevelShallowSpec: "shallow-spec",
-		LevelNoSpec:      "no-spec",
-		LevelNoPrefetch:  "no-prefetch",
-		LevelBypass:      "bypass",
+		LevelNormal:     "normal",
+		LevelNoPrefetch: "no-prefetch",
+		LevelBypass:     "bypass",
 	}
 	for lvl, want := range names {
 		if got := lvl.String(); got != want {
 			t.Errorf("Level(%d).String() = %q, want %q", int(lvl), got, want)
 		}
 	}
-	ev := DegradeEvent{Iter: 3, From: LevelNormal, To: LevelShallowSpec, Reason: "r"}
+	ev := DegradeEvent{Iter: 3, From: LevelNormal, To: LevelNoPrefetch, Reason: "r"}
 	if s := ev.String(); s == "" {
 		t.Errorf("empty event string")
 	}

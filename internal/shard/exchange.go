@@ -3,8 +3,8 @@
 // layout with its own store handle, cache budget slice and I/O scheduler.
 //
 // The design keeps K>1 bit-identical to the single-engine run: shards
-// parallelize I/O (each worker's scheduler plans, prefetches and speculates
-// over its owned rows/columns against its own device) while the compute
+// parallelize I/O (each worker's scheduler plans and prefetches over its
+// owned rows/columns against its own device) while the compute
 // phase is serialized by a token passed shard 0 → K−1 in interval order
 // over the shared S/D value arrays — exactly the sequential interval order
 // the monolithic engine executes, so every Gauss–Seidel interaction (eager

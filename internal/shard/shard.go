@@ -230,7 +230,7 @@ func (c *Coordinator) RunContext(ctx context.Context, prog core.Program) (*core.
 		go c.worker(w) //lint:ignore huslint/barrierstats each shard's Step is goroutine-confined and its IterStats is published by value at the barrier
 	}
 	finished := false
-	finish := func() (orphan storage.Stats, events []resilience.DegradeEvent) {
+	finish := func() (events []resilience.DegradeEvent) {
 		if finished {
 			return
 		}
@@ -238,9 +238,7 @@ func (c *Coordinator) RunContext(ctx context.Context, prog core.Program) (*core.
 		close(c.quit)
 		c.wg.Wait()
 		for _, w := range c.workers {
-			o, ev := w.eng.FinishRun()
-			orphan = orphan.Add(o)
-			events = append(events, ev...)
+			events = append(events, w.eng.FinishRun()...)
 		}
 		return
 	}
@@ -358,12 +356,7 @@ func (c *Coordinator) RunContext(ctx context.Context, prog core.Program) (*core.
 	if frontier != nil && frontier.Empty() {
 		res.Converged = true
 	}
-	orphan, events := finish()
-	if cnt := len(res.Iterations); cnt > 0 && orphan != (storage.Stats{}) {
-		last := &res.Iterations[cnt-1]
-		last.SpecReadBytes += orphan.ReadBytes()
-		last.SpecIOTime += orphan.SimIO
-	}
+	events := finish()
 	lastIter := startIter
 	if cnt := len(res.Iterations); cnt > 0 {
 		lastIter = res.Iterations[cnt-1].Iter
@@ -436,7 +429,7 @@ func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) c
 
 // combine folds K per-shard iteration reports into the run's combined
 // IterStats. Capacity-like quantities (I/O traffic, modeled compute and
-// decode work, cache and speculation counters) sum; wall-like quantities
+// decode work, cache counters) sum; wall-like quantities
 // (IOTime, ComputeTime, PrefetchStall, per-shard Runtime) take the maximum,
 // modeling K devices serving disjoint ranges in parallel — so the combined
 // IOTime is deliberately max-of-shards rather than IO.SimIO, which carries
@@ -480,16 +473,10 @@ func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.I
 		if ss.DegradeLevel > st.DegradeLevel {
 			st.DegradeLevel = ss.DegradeLevel
 		}
-		if ss.SpecDepth > st.SpecDepth {
-			st.SpecDepth = ss.SpecDepth
-		}
 		st.CacheHits += ss.CacheHits
 		st.CacheMisses += ss.CacheMisses
 		st.CacheEvictions += ss.CacheEvictions
 		st.PrefetchUnusedBytes += ss.PrefetchUnusedBytes
-		st.SpecReadBytes += ss.SpecReadBytes
-		st.SpecIOTime += ss.SpecIOTime
-		st.OverlapCredit += ss.OverlapCredit
 		if ss.Runtime > maxRuntime {
 			maxRuntime = ss.Runtime
 		}

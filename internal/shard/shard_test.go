@@ -122,7 +122,7 @@ func TestShardBitIdenticalAcrossK(t *testing.T) {
 		"plain": func(c *shard.Config) {},
 		"cache": func(c *shard.Config) { c.CacheBudgetBytes = 1 << 16 },
 		"sem":   func(c *shard.Config) { c.SemiExternal = true },
-		"pipe":  func(c *shard.Config) { c.PrefetchDepth = 2; c.PipelineIters = 2 },
+		"pipe":  func(c *shard.Config) { c.PrefetchDepth = 2 },
 	}
 	for gname, g0 := range testGraphs(t) {
 		for _, pname := range []string{"BFS", "WCC", "PageRank"} {
