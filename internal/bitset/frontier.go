@@ -17,16 +17,30 @@ const sparseThresholdDenom = 16
 // model are O(1)), and additionally maintains a sparse slice of members
 // while the set is small (so the push model can enumerate active vertices
 // without scanning the bitmap). Once the set grows past Len()/16 the sparse
-// list is dropped and enumeration falls back to a bitmap scan.
+// list is dropped and enumeration falls back to a bitmap scan. The list is
+// appended to in arrival order and put in ascending order at most once
+// between writes: by the first ordered read (Members, Range, RangeIn,
+// CountIn, Clone) that follows an out-of-order add.
 //
-// Add and AddAtomic may be called concurrently; all other methods require
-// external synchronization with respect to writers.
+// Concurrency: AddAtomic is the only writer that may run concurrently, and
+// only with other AddAtomic calls (MergeAtomic, which touches the bitmap
+// alone, may join them). Add, Reindex and every other writer need exclusive
+// access. Readers may run concurrently with each other — the ordering step
+// is serialized internally — but never with a writer. A Range or RangeIn
+// callback walks the frontier's own list and must not add to the frontier
+// it is ranging; Members returns a private copy that the caller may keep
+// across later writes.
 type Frontier struct {
-	dense  *Bitset
+	dense *Bitset
+	// mu guards count, sparse, sparseOK and unsorted between concurrent
+	// AddAtomic calls, and serializes the in-place sort among readers.
 	mu     sync.Mutex
 	sparse []int
 	// sparseOK records whether the sparse list still mirrors the dense set.
 	sparseOK bool
+	// unsorted records that a member was appended below its predecessor
+	// since the list was last in ascending order.
+	unsorted bool
 	count    int64
 }
 
@@ -92,10 +106,14 @@ func (f *Frontier) noteAdd(v int) {
 	if !f.sparseOK {
 		return
 	}
-	if len(f.sparse)+1 > f.sparseCap() {
+	n := len(f.sparse)
+	if n+1 > f.sparseCap() {
 		f.sparse = f.sparse[:0]
 		f.sparseOK = false
 		return
+	}
+	if n > 0 && v < f.sparse[n-1] {
+		f.unsorted = true
 	}
 	f.sparse = append(f.sparse, v)
 }
@@ -108,23 +126,36 @@ func (f *Frontier) sparseCap() int {
 	return c
 }
 
+// ordered returns the sparse member list in ascending order, sorting it in
+// place first if a member arrived out of order since it was last sorted.
+// Every ordered read of a sparse frontier goes through here, so concurrent
+// readers either perform the one sort or wait for it; the returned slice is
+// the frontier's own and stays valid until the next write.
+func (f *Frontier) ordered() []int {
+	f.mu.Lock()
+	if f.unsorted {
+		sort.Ints(f.sparse)
+		f.unsorted = false
+	}
+	s := f.sparse
+	f.mu.Unlock()
+	return s
+}
+
 // Members returns the active vertices in ascending order. The returned slice
 // is freshly allocated.
 func (f *Frontier) Members() []int {
 	if f.sparseOK {
-		out := make([]int, len(f.sparse))
-		copy(out, f.sparse)
-		sort.Ints(out)
-		return out
+		return append([]int(nil), f.ordered()...)
 	}
 	return f.dense.Members()
 }
 
 // Range calls fn for each active vertex in ascending order; stops when fn
-// returns false.
+// returns false. fn must not add to f.
 func (f *Frontier) Range(fn func(v int) bool) {
 	if f.sparseOK {
-		for _, v := range f.Members() {
+		for _, v := range f.ordered() {
 			if !fn(v) {
 				return
 			}
@@ -134,17 +165,13 @@ func (f *Frontier) Range(fn func(v int) bool) {
 	f.dense.Range(fn)
 }
 
-// RangeIn calls fn for each active vertex in [lo, hi) in ascending order.
+// RangeIn calls fn for each active vertex in [lo, hi) in ascending order;
+// stops when fn returns false. fn must not add to f.
 func (f *Frontier) RangeIn(lo, hi int, fn func(v int) bool) {
 	if f.sparseOK {
-		for _, v := range f.Members() {
-			if v < lo {
-				continue
-			}
-			if v >= hi {
-				return
-			}
-			if !fn(v) {
+		s := f.ordered()
+		for _, v := range s[sort.SearchInts(s, lo):] {
+			if v >= hi || !fn(v) {
 				return
 			}
 		}
@@ -156,13 +183,9 @@ func (f *Frontier) RangeIn(lo, hi int, fn func(v int) bool) {
 // CountIn returns the number of active vertices in [lo, hi).
 func (f *Frontier) CountIn(lo, hi int) int {
 	if f.sparseOK {
-		c := 0
-		for _, v := range f.sparse {
-			if v >= lo && v < hi {
-				c++
-			}
-		}
-		return c
+		s := f.ordered()
+		from := sort.SearchInts(s, lo)
+		return sort.SearchInts(s[from:], hi)
 	}
 	return f.dense.CountRange(lo, hi)
 }
@@ -181,11 +204,13 @@ func (f *Frontier) MergeAtomic(other *Frontier) {
 // after one or more MergeAtomic calls. The rebuilt state is exactly what an
 // organically-built frontier with the same members has: the sparse list is
 // kept iff the member count fits the sparse capacity (an organic frontier
-// drops it at the same threshold). Requires external synchronization (no
+// drops it at the same threshold), and it is rebuilt in ascending order, so
+// a merged frontier never sorts. Requires external synchronization (no
 // concurrent writers).
 func (f *Frontier) Reindex() {
 	f.count = int64(f.dense.Count())
 	f.sparse = f.sparse[:0]
+	f.unsorted = false
 	f.sparseOK = int(f.count) <= f.sparseCap()
 	if f.sparseOK {
 		f.dense.Range(func(v int) bool {
@@ -206,6 +231,8 @@ func (f *Frontier) Clone() *Frontier {
 		sparseOK: f.sparseOK,
 		count:    f.count,
 	}
-	c.sparse = append([]int(nil), f.sparse...)
+	if f.sparseOK {
+		c.sparse = append([]int(nil), f.ordered()...)
+	}
 	return c
 }

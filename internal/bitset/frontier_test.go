@@ -1,8 +1,10 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -210,4 +212,210 @@ func TestFrontierSparseEqualsDenseSemantics(t *testing.T) {
 			t.Fatalf("Contains(%d) = %v, want %v", v, sparse.Contains(v), vals[v])
 		}
 	}
+}
+
+// checkOrderedReads compares every ordered read of f with the answers of
+// its dense bitmap: Members, Range (whole and stopped early), and RangeIn /
+// CountIn over random windows plus the empty and whole-universe ones.
+func checkOrderedReads(t *testing.T, rng *rand.Rand, f *Frontier, label string) {
+	t.Helper()
+	n := f.Len()
+	want := f.Bitmap().Members()
+	if f.Count() != len(want) {
+		t.Fatalf("%s: Count = %d, bitmap holds %d", label, f.Count(), len(want))
+	}
+	if got := f.Members(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Members = %v, bitmap %v", label, got, want)
+	}
+	var ranged []int
+	f.Range(func(v int) bool { ranged = append(ranged, v); return true })
+	if !slices.Equal(ranged, want) {
+		t.Fatalf("%s: Range visited %v, bitmap %v", label, ranged, want)
+	}
+	if len(want) > 0 {
+		stop := 1 + rng.Intn(len(want))
+		seen := 0
+		f.Range(func(int) bool { seen++; return seen < stop })
+		if seen != stop {
+			t.Fatalf("%s: Range told to stop after %d visited %d", label, stop, seen)
+		}
+	}
+	windows := [][2]int{{0, n}, {0, 0}, {n, n}, {n / 2, n / 2}}
+	for i := 0; i < 8; i++ {
+		lo := rng.Intn(n + 1)
+		windows = append(windows, [2]int{lo, lo + rng.Intn(n+1-lo)})
+	}
+	for _, w := range windows {
+		lo, hi := w[0], w[1]
+		var in []int
+		for _, v := range want {
+			if v >= lo && v < hi {
+				in = append(in, v)
+			}
+		}
+		if got := f.CountIn(lo, hi); got != len(in) {
+			t.Fatalf("%s: CountIn(%d, %d) = %d, bitmap %d", label, lo, hi, got, len(in))
+		}
+		var got []int
+		f.RangeIn(lo, hi, func(v int) bool { got = append(got, v); return true })
+		if !slices.Equal(got, in) {
+			t.Fatalf("%s: RangeIn(%d, %d) visited %v, bitmap %v", label, lo, hi, got, in)
+		}
+		if len(in) > 0 {
+			stop := 1 + rng.Intn(len(in))
+			seen := 0
+			f.RangeIn(lo, hi, func(int) bool { seen++; return seen < stop })
+			if seen != stop {
+				t.Fatalf("%s: RangeIn(%d, %d) told to stop after %d visited %d", label, lo, hi, stop, seen)
+			}
+		}
+	}
+}
+
+// TestFrontierOrderedReadsMatchBitmap is the property behind the
+// ordered-once sparse list: whatever order members arrive in — through Add
+// or through concurrent AddAtomic, below, at and past the sparse capacity —
+// and whether the frontier was built, merged and reindexed, or cloned,
+// every ordered read answers exactly as the dense bitmap does.
+func TestFrontierOrderedReadsMatchBitmap(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 64; trial++ {
+		n := 64 + rng.Intn(1<<16-64+1)
+		f := NewFrontier(n)
+		limit := f.sparseCap()
+		var k int
+		switch trial % 4 {
+		case 0:
+			k = rng.Intn(limit)
+		case 1:
+			k = limit
+		case 2:
+			k = limit + 1
+		default:
+			k = limit + rng.Intn(n-limit+1)
+		}
+		if k > n {
+			k = n
+		}
+		order := rng.Perm(n)[:k]
+		atomicAdds := trial%8 >= 4
+		if atomicAdds {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; i < len(order); i += 8 {
+						f.AddAtomic(order[i])
+					}
+				}(g)
+			}
+			wg.Wait()
+		} else {
+			for _, v := range order {
+				f.Add(v)
+			}
+		}
+		label := fmt.Sprintf("trial %d (n=%d k=%d cap=%d atomic=%v)", trial, n, k, limit, atomicAdds)
+		if f.IsDense() != (k > limit) {
+			t.Fatalf("%s: IsDense = %v", label, f.IsDense())
+		}
+
+		clone := f.Clone() // taken before f's first ordered read
+		checkOrderedReads(t, rng, f, label)
+		checkOrderedReads(t, rng, clone, label+" clone")
+
+		// Two more out-of-order members after the list was ordered once.
+		for _, v := range []int{n - 1, 0} {
+			f.Add(v)
+		}
+		checkOrderedReads(t, rng, f, label+" after late adds")
+
+		merged := NewFrontier(n)
+		merged.Add(n / 2)
+		merged.Add(n / 3) // an unordered list of its own, discarded by Reindex
+		merged.MergeAtomic(f)
+		merged.MergeAtomic(clone)
+		merged.Reindex()
+		checkOrderedReads(t, rng, merged, label+" merged")
+	}
+}
+
+// TestFrontierFirstOrderedReadsConcurrent has many readers race for the one
+// sort an out-of-order frontier owes (run under -race): a shard run's K
+// workers all open their iteration on the same frontier.
+func TestFrontierFirstOrderedReadsConcurrent(t *testing.T) {
+	const n, k, readers = 1 << 14, 900, 16
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 20; round++ {
+		f := NewFrontier(n)
+		for _, v := range rng.Perm(n)[:k] {
+			f.Add(v)
+		}
+		want := f.Bitmap().Members()
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				lo, hi := r*n/readers, (r+1)*n/readers
+				in := 0
+				for _, v := range want {
+					if v >= lo && v < hi {
+						in++
+					}
+				}
+				switch r % 3 {
+				case 0:
+					if got := f.CountIn(lo, hi); got != in {
+						t.Errorf("reader %d: CountIn(%d, %d) = %d, want %d", r, lo, hi, got, in)
+					}
+				case 1:
+					prev, seen := -1, 0
+					f.RangeIn(lo, hi, func(v int) bool {
+						if v <= prev {
+							t.Errorf("reader %d: RangeIn visited %d after %d", r, v, prev)
+						}
+						prev = v
+						seen++
+						return true
+					})
+					if seen != in {
+						t.Errorf("reader %d: RangeIn(%d, %d) visited %d, want %d", r, lo, hi, seen, in)
+					}
+				default:
+					if got := f.Members(); !slices.Equal(got, want) {
+						t.Errorf("reader %d: Members out of order or incomplete", r)
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+	}
+}
+
+// TestFrontierSparseReadsDoNotAllocate guards the point of the ordered-once
+// list: a sparse frontier answers Range, RangeIn and CountIn from the list
+// it already holds. Copying and sorting it per call — one allocation and
+// O(k log k) per window — is what made sparse iterations cost O(|V|).
+func TestFrontierSparseReadsDoNotAllocate(t *testing.T) {
+	const n = 1 << 16
+	f := NewFrontier(n)
+	for _, v := range rand.New(rand.NewSource(3)).Perm(n)[:n/32] {
+		f.Add(v)
+	}
+	if f.IsDense() {
+		t.Fatal("setup: expected a sparse frontier")
+	}
+	sink := 0
+	for name, read := range map[string]func(){
+		"Range":   func() { f.Range(func(v int) bool { sink += v; return true }) },
+		"RangeIn": func() { f.RangeIn(n/4, n/2, func(v int) bool { sink += v; return true }) },
+		"CountIn": func() { sink += f.CountIn(n/4, n/2) },
+	} {
+		if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+			t.Errorf("%s on a sparse frontier allocates %.0f times per call", name, allocs)
+		}
+	}
+	_ = sink
 }

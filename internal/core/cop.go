@@ -80,6 +80,11 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 				if d[v] != s[v] {
 					next.Add(v)
 					s[v] = d[v]
+				} else {
+					// Equal values can still differ in bits (±0): keep
+					// S's, so D == S bit for bit at the barrier and the
+					// run never has to re-copy one into the other.
+					d[v] = s[v]
 				}
 			}
 		case Additive:

@@ -29,11 +29,13 @@ type Engine struct {
 	ownsAll bool
 
 	// scratch pools decode buffers across block loads; spans/runs hold
-	// ROP's per-destination-block range buffers (worker j owns index j
+	// ROP's per-destination-block range buffers and touched whether the
+	// current row pushed into destination interval j (worker j owns index j
 	// during a row, so no locking is needed).
 	scratch sync.Pool
 	spans   [][]span
 	runs    [][]run
+	touched []bool
 
 	// cop is the COP sweep's edge-kernel state, reused block after block;
 	// msgs is the per-source message table its fast path reads — the
@@ -94,9 +96,10 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 			OutDegrees:  ds.OutDegrees,
 			InDegrees:   ds.InDegrees,
 		},
-		spans: make([][]span, ds.Layout.P),
-		runs:  make([][]run, ds.Layout.P),
-		msgs:  new(MessageTable),
+		spans:   make([][]span, ds.Layout.P),
+		runs:    make([][]run, ds.Layout.P),
+		touched: make([]bool, ds.Layout.P),
+		msgs:    new(MessageTable),
 	}
 	owned, ownsAll, err := resolveOwner(e.cfg.Owner, ds.Layout.P)
 	if err != nil {
@@ -269,7 +272,11 @@ func (e *Engine) RunContext(ctx context.Context, prog Program) (*Result, error) 
 		}
 		next := bitset.NewFrontier(n)
 		step := e.BeginIter(prog, iter, ModelHybrid, frontier, next)
-		InitAccumulators(prog.Kind(), s, d)
+		if iter == startIter || prog.Kind() != Monotone {
+			// A monotone iteration ends with D == S bit for bit (rop.go,
+			// cop.go), so only the run's first one has to copy.
+			InitAccumulators(prog.Kind(), s, d)
+		}
 		if err := step.Exec(s, d); err == nil {
 			step.FinalizeOwned(s, d)
 		}

@@ -160,6 +160,70 @@ func TestEngineEagerSyncPropagatesAcrossColumns(t *testing.T) {
 	// Synchronous would give label[4] = 3.
 }
 
+func TestEngineEagerSyncPropagatesAcrossRows(t *testing.T) {
+	// The ROP twin: row 0 pushes 3→4 and leaves d[4] = 3; synchronized
+	// before row 1 runs, vertex 4 pushes that 3 on to vertex 5. Without the
+	// per-row synchronization row 1 would push the stale s[4] = 4.
+	g := pathGraph(16)
+	ds := buildStore(t, g, 4, storage.HDD)
+	for _, threads := range []int{1, 2, 8} {
+		e := New(ds, Config{Model: ModelROP, Threads: threads, MaxIters: 1})
+		res, err := e.Run(wave{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Values[5]; got != 3 {
+			t.Fatalf("threads=%d: after one eager ROP iteration, label[5] = %v, want 3", threads, got)
+		}
+	}
+}
+
+// zeroSum is a monotone program whose combine is a sum of zero messages:
+// every accumulator ends equal to its old value but, started from -0, with
+// the other zero's bits.
+type zeroSum struct{ wave }
+
+func (zeroSum) Init(ctx *Context) ([]float64, *bitset.Frontier) {
+	vals := make([]float64, ctx.NumVertices)
+	for i := range vals {
+		vals[i] = math.Copysign(0, -1)
+	}
+	return vals, bitset.FullFrontier(ctx.NumVertices)
+}
+func (zeroSum) Message(graph.VertexID, float64, float32) float64 { return 0 }
+func (zeroSum) Combine(acc, msg float64) (float64, bool)         { return acc + msg, true }
+
+func TestMonotoneCOPKeepsSBitsWhereValuesCompareEqual(t *testing.T) {
+	// Column finalization assigns S ← D only where the values differ, and
+	// -0 == +0: D must be put back to S's bits there, or the barrier
+	// invariant D == S (TestMonotoneBarrierInvariant) slips by a sign bit.
+	const n = 16
+	ds := buildStore(t, pathGraph(n), 4, storage.HDD)
+	e := New(ds, Config{Threads: 1})
+	if err := e.StartRun(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.FinishRun()
+	prog := zeroSum{}
+	s, frontier := prog.Init(e.Context())
+	d := make([]float64, n)
+	next := bitset.NewFrontier(n)
+	step := e.BeginIter(prog, 0, ModelCOP, frontier, next)
+	InitAccumulators(prog.Kind(), s, d)
+	if err := step.Exec(s, d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := step.End(); err != nil {
+		t.Fatal(err)
+	}
+	if !next.Empty() {
+		t.Fatalf("%d vertices activated by a sum of zeros", next.Count())
+	}
+	if !sameBits(s, d) {
+		t.Fatalf("d = %v, s = %v: bits differ after a monotone COP iteration", d, s)
+	}
+}
+
 func TestEngineFrontierDrainStops(t *testing.T) {
 	g := pathGraph(5)
 	ds := buildStore(t, g, 2, storage.HDD)

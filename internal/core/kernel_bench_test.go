@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"husgraph/internal/bitset"
@@ -80,4 +81,58 @@ func BenchmarkEdgeKernel(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkROPSparseTail times the fixed cost of a sparse ROP iteration:
+// BFS down four 250-vertex paths that share one interval of a 2¹⁸-vertex,
+// P = 16 graph, so after the root every iteration has a 4-vertex frontier
+// in one active row and pushes four edges. What an iteration then costs is
+// what the engine pays per barrier whatever the frontier: the row's 16
+// out-index loads, the plan, the predictor and the frontier walks — and
+// nothing that grows with |V|. Run drives it, so the run loop's own
+// per-iteration work (initializing D) is in the number; one MemStore run is
+// 251 iterations, and its Init (two |V|-sized arrays) is spread over them.
+func BenchmarkROPSparseTail(b *testing.B) {
+	const n, p, paths, length = 1 << 18, 16, 4, 250
+	root := n - paths*length - 1
+	rng := rand.New(rand.NewSource(1))
+	g := graph.New(n)
+	for i := 0; i < 4*n; i++ { // background: keeps every block of the row nonempty
+		g.AddEdge(graph.VertexID(rng.Intn(root)), graph.VertexID(rng.Intn(root)))
+	}
+	for k := 0; k < paths; k++ {
+		prev := root
+		for v := root + 1 + k*length; v <= root+(k+1)*length; v++ {
+			g.AddEdge(graph.VertexID(prev), graph.VertexID(v))
+			prev = v
+		}
+	}
+	g.Dedup()
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: p})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := declared{sparseStart{members: []int{root}}, ReduceMin} // hop-count BFS from root, as algos.BFS declares it
+	run := func() int {
+		res, err := New(ds, Config{Model: ModelROP, Threads: 1}).Run(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged || res.Values[n-1] != length {
+			b.Fatalf("converged=%v, dist[%d] = %v, want %d", res.Converged, n-1, res.Values[n-1], length)
+		}
+		return res.NumIterations()
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	iters := 0
+	for i := 0; i < b.N; i++ {
+		iters += run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(iters), "allocs/iter")
 }

@@ -22,12 +22,16 @@ import (
 // disk scheduler and readahead merge them exactly like this).
 //
 // Monotone programs eagerly synchronize vertex values after each row
-// (Alg. 2 lines 17–19), so later rows push already-improved values.
-// Additive and Incremental programs accumulate into D across all rows;
-// Step.FinalizeOwned applies and synchronizes them once at the end of the
-// iteration (see the package comment for why). The caller initializes D
-// (InitAccumulators) — once per iteration, even when K owner-scoped
-// engines push into it in turn.
+// (Alg. 2 lines 17–19), so later rows push already-improved values. Only
+// the destination intervals the row pushed into are copied: D enters every
+// row equal to S, so an interval no worker pushed into still is. That also
+// leaves D == S bit for bit when the iteration ends, which is why a
+// monotone run initializes D (InitAccumulators) before its first iteration
+// only. Additive and Incremental programs accumulate into D across all
+// rows; Step.FinalizeOwned applies and synchronizes them once at the end of
+// the iteration (see the package comment for why), and the caller zeroes D
+// before every iteration — once, even when K owner-scoped engines push into
+// it in turn.
 func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher) error {
 	l := e.ds.Layout
 	dev := e.ds.Device()
@@ -58,6 +62,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 	// stay on the consume path: their ranges depend on the out-index just
 	// delivered, and go through the run-granular cache.
 	coalesce := dev.Profile().CoalesceBytes()
+	touched := e.touched
 	for _, i := range e.owned {
 		lo, hi := l.Bounds(i)
 		if frontier.CountIn(lo, hi) == 0 {
@@ -66,6 +71,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 		if !e.cfg.SemiExternal {
 			dev.ReadSeq(int64(l.Size(i)) * nv) // load S_i (Alg. 2 line 1)
 		}
+		clear(touched)
 
 		parallelFor(l.P, e.cfg.Threads, func(j int) {
 			if e.ds.BlockEdgeCount[i][j] == 0 {
@@ -114,6 +120,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 				return true
 			})
 			e.spans[j], e.runs[j] = spans, runs // retain grown capacity
+			touched[j] = len(spans) > 0
 			if release != nil {
 				release()
 			}
@@ -159,8 +166,14 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 		}
 
 		if monotone {
-			// Eager synchronization: S_j ← D_j for all intervals.
-			copy(s, d)
+			// Eager synchronization: S_j ← D_j for every interval the row
+			// pushed into; the others still hold D_j == S_j.
+			for j, pushed := range touched {
+				if pushed {
+					jlo, jhi := l.Bounds(j)
+					copy(s[jlo:jhi], d[jlo:jhi])
+				}
+			}
 			if !e.cfg.SemiExternal {
 				dev.WriteSeq(int64(l.Size(i)) * nv) // write back D_i (paper's per-interval write term)
 			}

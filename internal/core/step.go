@@ -16,7 +16,7 @@ import (
 // runs. The lifecycle is:
 //
 //	step := e.BeginIter(prog, iter, model, frontier, next)
-//	InitAccumulators(prog.Kind(), s, d)        // once per iteration, not per engine
+//	InitAccumulators(prog.Kind(), s, d)        // per iteration, not per engine; Monotone: the run's first only
 //	err := step.Exec(s, d)                     // accumulate phase (serialized across shards)
 //	step.FinalizeOwned(s, d)                   // owner-disjoint apply/activate (skip on error)
 //	st, err := step.End()                      // window teardown + attribution
@@ -56,7 +56,10 @@ type Step struct {
 // programs start from the current values (so eager per-row/column
 // synchronization sees a complete copy), others accumulate from zero.
 // Exposed so a sharding coordinator can initialize the shared arrays
-// exactly once before K owner-scoped executors run.
+// exactly once before K owner-scoped executors run. A monotone iteration
+// leaves D == S bit for bit, so a monotone run needs the call only before
+// its first executed iteration (the first after a resume included);
+// repeating it every iteration is correct and redundant.
 func InitAccumulators(kind Kind, s, d []float64) {
 	if kind == Monotone {
 		copy(d, s)

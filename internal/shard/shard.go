@@ -278,7 +278,11 @@ func (c *Coordinator) RunContext(ctx context.Context, prog core.Program) (*core.
 				pieces[i] = bitset.NewFrontier(n)
 			}
 		}
-		core.InitAccumulators(prog.Kind(), s, d)
+		if iter == startIter || prog.Kind() != core.Monotone {
+			// As in core.Engine.RunContext: a monotone iteration leaves
+			// D == S, so only the run's first one has to copy.
+			core.InitAccumulators(prog.Kind(), s, d)
+		}
 		for i, w := range c.workers {
 			c.ex.SendCmd(w.id, Cmd{Iter: iter, Model: model, Frontier: frontier, Piece: pieces[i]})
 		}
