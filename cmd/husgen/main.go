@@ -96,6 +96,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		name := *blockFormat
 		if *compress {
 			if name != "raw" && name != "mixed" {

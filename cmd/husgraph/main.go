@@ -242,9 +242,12 @@ func run() (*core.Result, error) {
 		var st storage.Store
 		dev := storage.NewDevice(prof)
 		if *storeDir != "" {
-			if st, err = storage.NewFileStore(dev, *storeDir); err != nil {
+			fs, err := storage.NewFileStore(dev, *storeDir)
+			if err != nil {
 				return nil, err
 			}
+			defer fs.Close()
+			st = fs
 		} else {
 			st = storage.NewMemStore(dev)
 		}

@@ -56,6 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer store.Close()
 	in, err := os.Open(edgeFile)
 	if err != nil {
 		log.Fatal(err)

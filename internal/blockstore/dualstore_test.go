@@ -192,6 +192,7 @@ func TestBuildOnFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { fs.Close() })
 	built, err := Build(fs, g, 2)
 	if err != nil {
 		t.Fatal(err)

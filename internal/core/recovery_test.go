@@ -27,6 +27,7 @@ func fileStore(t *testing.T, g *graph.Graph, p int) (*blockstore.DualStore, stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { fs.Close() })
 	ds, err := blockstore.Build(fs, g, p)
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +41,7 @@ func reopen(t *testing.T, dir string) *blockstore.DualStore {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { fs.Close() })
 	ds, err := blockstore.Open(fs)
 	if err != nil {
 		t.Fatal(err)

@@ -205,11 +205,8 @@ func TestFaultStoreConcurrentUse(t *testing.T) {
 }
 
 func TestFileStorePutAtomicLeavesNoTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(NewDevice(RAM), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := newTestFileStore(t)
+	dir := fs.root
 	if err := fs.Put("sub/blob", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +234,8 @@ func TestFileStorePutAtomicLeavesNoTempFiles(t *testing.T) {
 }
 
 func TestFileStoreListSkipsOrphanedTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(NewDevice(RAM), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := newTestFileStore(t)
+	dir := fs.root
 	if err := fs.Put("blob", []byte("x")); err != nil {
 		t.Fatal(err)
 	}

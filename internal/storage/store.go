@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,6 +42,21 @@ type Store interface {
 
 // ErrNotFound is wrapped by store errors for missing blobs.
 var ErrNotFound = fmt.Errorf("storage: blob not found")
+
+// inRange reports whether [off, off+n) lies inside a blob of size bytes,
+// without computing off+n (which a corrupt index entry can make overflow).
+func inRange(off, n, size int64) bool {
+	return off >= 0 && n >= 0 && n <= size && off <= size-n
+}
+
+// errOutOfRange is wrapped by both stores' verdict on a range that is not
+// inside its blob, so tests can tell it from an I/O error without reading
+// the text.
+var errOutOfRange = fmt.Errorf("out of range")
+
+func rangeError(name string, off, n, size int64) error {
+	return fmt.Errorf("storage: ReadAt(%s, %d, %d) %w (size %d)", name, off, n, errOutOfRange, size)
+}
 
 // MemStore is an in-memory Store. It is the default substrate for tests and
 // benchmarks: blob contents live on the heap while every access is charged
@@ -102,8 +116,8 @@ func (s *MemStore) ReadAtInto(name string, off, n int64, buf []byte) ([]byte, er
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if off < 0 || n < 0 || off+n > int64(len(b)) {
-		return nil, fmt.Errorf("storage: ReadAt(%s, %d, %d) out of range (size %d)", name, off, n, len(b))
+	if !inRange(off, n, int64(len(b))) {
+		return nil, rangeError(name, off, n, int64(len(b)))
 	}
 	s.dev.ReadRand(n, 1)
 	return append(buf[:0], b[off:off+n]...), nil
@@ -158,9 +172,27 @@ func (s *MemStore) TotalSize() int64 {
 // out-of-core runs from the CLI. Blob names map to file paths beneath the
 // root; path separators in names create subdirectories. Simulated costs are
 // charged identically to MemStore so reported I/O amounts are comparable.
+//
+// Reads go through a table of open descriptors: a blob is opened on its
+// first read and every later read is one pread on that descriptor, with
+// nothing allocated. The contract that makes this sound:
+//
+//   - The store is its blobs' only writer. Put and Delete drop the name's
+//     descriptor, so a read that starts after either returns sees the new
+//     state. A blob replaced (renamed over) by another process or another
+//     FileStore keeps being served from the old inode until Close or
+//     eviction reopens it; one truncated or rewritten in place is seen as
+//     it is, since length and bytes are asked of the file on every read.
+//   - At most a fixed number of descriptors stay open (a quarter of
+//     RLIMIT_NOFILE, see openBlobLimit), least recently read evicted
+//     first; a read in flight keeps its own open if evicted meanwhile, and
+//     holds the one it evicted for the moment it takes to close it.
+//   - Close releases them all. The store stays usable: the next read
+//     reopens.
 type FileStore struct {
 	dev  *Device
 	root string
+	fds  *fdTable
 }
 
 // NewFileStore returns a store rooted at dir, creating it if needed.
@@ -168,28 +200,50 @@ func NewFileStore(dev *Device, dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create root: %w", err)
 	}
-	return &FileStore{dev: dev, root: dir}, nil
+	return &FileStore{dev: dev, root: dir, fds: newFDTable(openBlobLimit())}, nil
 }
 
 // Device implements Store.
 func (s *FileStore) Device() *Device { return s.dev }
 
-func (s *FileStore) path(name string) (string, error) {
+// Close releases every cached read descriptor. Reads in flight finish on
+// theirs; later reads reopen.
+func (s *FileStore) Close() error {
+	for _, e := range s.fds.dropAll() {
+		e.release()
+	}
+	return nil
+}
+
+// blobKey validates a blob name and returns its cleaned form: the path
+// beneath the root and the descriptor table's key, so that every spelling
+// of one path ("a/b", "a//b", "./a/b") shares — and Put drops — one entry.
+// filepath.Clean returns an already clean name as is, without allocating.
+func blobKey(name string) (string, error) {
 	clean := filepath.Clean(name)
 	if clean == "." || strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
 		return "", fmt.Errorf("storage: invalid blob name %q", name)
 	}
-	return filepath.Join(s.root, clean), nil
+	return clean, nil
+}
+
+// notFound maps a missing file to ErrNotFound and passes other errors on.
+func notFound(name string, err error) error {
+	if os.IsNotExist(err) {
+		return fmt.Errorf("%w: %s", ErrNotFound, name)
+	}
+	return err
 }
 
 // Put implements Store. The blob is written to a temp file in the target
 // directory and renamed into place, so a crash mid-write leaves either the
 // old contents or the new — never a torn prefix.
 func (s *FileStore) Put(name string, data []byte) error {
-	p, err := s.path(name)
+	key, err := blobKey(name)
 	if err != nil {
 		return err
 	}
+	p := filepath.Join(s.root, key)
 	dir := filepath.Dir(p)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -215,138 +269,105 @@ func (s *FileStore) Put(name string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
+	s.fds.drop(key).release()
 	s.dev.WriteSeq(int64(len(data)))
 	return nil
 }
 
+// open returns name's descriptor with a reference the caller must release:
+// the table's on a hit; on a miss a newly opened one, which joins the table
+// unless a Put or Delete came between the miss and the insert.
+func (s *FileStore) open(name string) (*fdEntry, error) {
+	key, err := blobKey(name)
+	if err != nil {
+		return nil, err
+	}
+	e, gen := s.fds.acquire(key)
+	if e != nil {
+		return e, nil
+	}
+	f, err := os.Open(filepath.Join(s.root, key))
+	if err != nil {
+		return nil, notFound(name, err)
+	}
+	e = newFDEntry(key, f)
+	s.fds.insert(e, gen).release()
+	return e, nil
+}
+
+// read is the store's one read path: the whole blob when whole is set,
+// otherwise the range [off, off+n), which must lie inside the blob. The
+// range is checked against the file's length before buf grows to hold it.
+func (s *FileStore) read(name string, off, n int64, whole bool, buf []byte) ([]byte, error) {
+	e, err := s.open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer e.release()
+	size, err := e.size()
+	if err != nil {
+		return nil, fmt.Errorf("storage: stat %s: %w", name, err)
+	}
+	if whole {
+		off, n = 0, size
+	} else if !inRange(off, n, size) {
+		return nil, rangeError(name, off, n, size)
+	}
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := e.f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("storage: read %s at %d+%d: %w", name, off, n, err)
+	}
+	if whole {
+		s.dev.ReadSeq(n)
+	} else {
+		s.dev.ReadRand(n, 1)
+	}
+	return buf, nil
+}
+
 // ReadAll implements Store.
 func (s *FileStore) ReadAll(name string) ([]byte, error) {
-	p, err := s.path(name)
-	if err != nil {
-		return nil, err
-	}
-	b, err := os.ReadFile(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return nil, err
-	}
-	s.dev.ReadSeq(int64(len(b)))
-	return b, nil
+	return s.read(name, 0, 0, true, nil)
 }
 
 // ReadAllInto implements Store.
 func (s *FileStore) ReadAllInto(name string, buf []byte) ([]byte, error) {
-	p, err := s.path(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	n := int(fi.Size())
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, fmt.Errorf("storage: ReadAllInto(%s): %w", name, err)
-	}
-	s.dev.ReadSeq(int64(n))
-	return buf, nil
+	return s.read(name, 0, 0, true, buf)
 }
 
 // ReadAt implements Store.
 func (s *FileStore) ReadAt(name string, off, n int64) ([]byte, error) {
-	p, err := s.path(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return nil, err
-	}
-	defer f.Close()
-	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("storage: ReadAt(%s, %d, %d) negative range", name, off, n)
-	}
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("storage: ReadAt(%s, %d, %d): %w", name, off, n, err)
-	}
-	s.dev.ReadRand(n, 1)
-	return buf, nil
+	return s.read(name, off, n, false, nil)
 }
 
 // ReadAtInto implements Store.
 func (s *FileStore) ReadAtInto(name string, off, n int64, buf []byte) ([]byte, error) {
-	p, err := s.path(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return nil, err
-	}
-	defer f.Close()
-	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("storage: ReadAtInto(%s, %d, %d) negative range", name, off, n)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("storage: ReadAtInto(%s, %d, %d): %w", name, off, n, err)
-	}
-	s.dev.ReadRand(n, 1)
-	return buf, nil
+	return s.read(name, off, n, false, buf)
 }
 
 // Size implements Store.
 func (s *FileStore) Size(name string) (int64, error) {
-	p, err := s.path(name)
+	e, err := s.open(name)
 	if err != nil {
 		return 0, err
 	}
-	fi, err := os.Stat(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return 0, err
-	}
-	return fi.Size(), nil
+	defer e.release()
+	return e.size()
 }
 
 // Delete implements Store.
 func (s *FileStore) Delete(name string) error {
-	p, err := s.path(name)
+	key, err := blobKey(name)
 	if err != nil {
 		return err
 	}
-	if err := os.Remove(p); err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return err
+	if err := os.Remove(filepath.Join(s.root, key)); err != nil {
+		return notFound(name, err)
 	}
+	s.fds.drop(key).release()
 	return nil
 }
 

@@ -3,22 +3,31 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 )
 
+// newTestFileStore returns a FileStore on a fresh directory whose
+// descriptors are released when the test ends.
+func newTestFileStore(tb testing.TB) *FileStore {
+	tb.Helper()
+	fs, err := NewFileStore(NewDevice(RAM), tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { fs.Close() })
+	return fs
+}
+
 // storesUnderTest builds one of each Store implementation for table-driven
 // tests.
 func storesUnderTest(t *testing.T) map[string]Store {
 	t.Helper()
-	fs, err := NewFileStore(NewDevice(RAM), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Store{
 		"mem":  NewMemStore(NewDevice(RAM)),
-		"file": fs,
+		"file": newTestFileStore(t),
 	}
 }
 
@@ -67,17 +76,47 @@ func TestStoreReadAt(t *testing.T) {
 	}
 }
 
+// TestStoreReadAtOutOfRange: both stores judge a range against the blob's
+// size before they do anything else with it — the same verdict, the same
+// error, and no buffer sized by a bad length (a corrupt index entry on an
+// unframed store can ask for terabytes).
 func TestStoreReadAtOutOfRange(t *testing.T) {
+	cases := []struct {
+		name   string
+		off, n int64
+		ok     bool   // inside the 4-byte blob
+		want   string // the bytes, when ok
+	}{
+		{name: "inside", off: 1, n: 2, ok: true, want: "12"},
+		{name: "whole", off: 0, n: 4, ok: true, want: "0123"},
+		{name: "empty", off: 2, n: 0, ok: true},
+		{name: "empty at end", off: 4, n: 0, ok: true},
+		{name: "past end", off: 2, n: 10},
+		{name: "starts past end", off: 5, n: 0},
+		{name: "negative off", off: -1, n: 2},
+		{name: "negative n", off: 2, n: -1},
+		{name: "huge n", off: 0, n: 1 << 42},
+		{name: "off+n overflows", off: 2, n: math.MaxInt64},
+	}
 	for name, s := range storesUnderTest(t) {
 		t.Run(name, func(t *testing.T) {
 			if err := s.Put("x", []byte("0123")); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.ReadAt("x", 2, 10); err == nil {
-				t.Fatal("out-of-range ReadAt succeeded")
-			}
-			if _, err := s.ReadAt("x", -1, 2); err == nil {
-				t.Fatal("negative offset ReadAt succeeded")
+			for _, c := range cases {
+				reads := map[string]func() ([]byte, error){
+					"ReadAt":     func() ([]byte, error) { return s.ReadAt("x", c.off, c.n) },
+					"ReadAtInto": func() ([]byte, error) { return s.ReadAtInto("x", c.off, c.n, nil) },
+				}
+				for op, read := range reads {
+					got, err := read()
+					switch {
+					case c.ok && (err != nil || string(got) != c.want):
+						t.Errorf("%s %s(%d, %d) = %q, %v; want %q", c.name, op, c.off, c.n, got, err, c.want)
+					case !c.ok && !errors.Is(err, errOutOfRange):
+						t.Errorf("%s %s(%d, %d) = %q, %v; want an out-of-range error", c.name, op, c.off, c.n, got, err)
+					}
+				}
 			}
 		})
 	}
@@ -175,10 +214,7 @@ func TestMemStoreTotalSize(t *testing.T) {
 }
 
 func TestFileStoreRejectsEscapingNames(t *testing.T) {
-	fs, err := NewFileStore(NewDevice(RAM), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := newTestFileStore(t)
 	for _, bad := range []string{"../evil", "/abs", "a/../../b"} {
 		if err := fs.Put(bad, []byte("x")); err == nil {
 			t.Errorf("Put(%q) succeeded", bad)
@@ -187,10 +223,7 @@ func TestFileStoreRejectsEscapingNames(t *testing.T) {
 }
 
 func TestFileStoreNestedNames(t *testing.T) {
-	fs, err := NewFileStore(NewDevice(RAM), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := newTestFileStore(t)
 	if err := fs.Put("deep/nested/blob", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +257,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 }
 
 func TestFileStoreErrorPaths(t *testing.T) {
-	fs, err := NewFileStore(NewDevice(RAM), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := newTestFileStore(t)
 	for _, bad := range []string{"../up", "/abs"} {
 		if _, err := fs.ReadAll(bad); err == nil {
 			t.Errorf("ReadAll(%q) succeeded", bad)
