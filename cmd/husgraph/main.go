@@ -316,18 +316,12 @@ func run() (*core.Result, error) {
 			CacheBudgetBytes: *cacheMB << 20,
 			CacheAdmission:   *cacheAdmission,
 		}
-		if shardK > 1 {
-			co, err := shard.New(ds, shard.Config{Config: cfg, Shards: shardK})
-			if err != nil {
-				return nil, err
-			}
-			if res, err = co.Run(algo.New(g)); err != nil {
-				return nil, err
-			}
-		} else {
-			if res, err = core.New(ds, cfg).Run(algo.New(g)); err != nil {
-				return nil, err
-			}
+		co, err := shard.New(ds, shard.Config{Config: cfg, Shards: shardK})
+		if err != nil {
+			return nil, err
+		}
+		if res, err = co.Run(algo.New(g)); err != nil {
+			return nil, err
 		}
 	} else {
 		r := experiments.NewRunner(experiments.Options{Threads: *threads, P: *p})

@@ -1,0 +1,9 @@
+package baseline
+
+import (
+	"testing"
+
+	"husgraph/internal/leaktest"
+)
+
+func TestMain(m *testing.M) { leaktest.Main(m) }

@@ -137,6 +137,23 @@ func (s CacheStats) Sub(earlier CacheStats) CacheStats {
 	return s
 }
 
+// Add returns the field-wise sum s + o, residency and budget included: K
+// shard caches over disjoint budget slices report as one.
+func (s CacheStats) Add(o CacheStats) CacheStats {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.RunHits += o.RunHits
+	s.RunMisses += o.RunMisses
+	s.Evictions += o.Evictions
+	s.BytesEvicted += o.BytesEvicted
+	s.Promotions += o.Promotions
+	s.AdmissionRejected += o.AdmissionRejected
+	s.Entries += o.Entries
+	s.BytesUsed += o.BytesUsed
+	s.Budget += o.Budget
+	return s
+}
+
 // Admission selects the cache's insert policy under eviction pressure.
 type Admission uint8
 

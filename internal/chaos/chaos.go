@@ -243,18 +243,15 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 			}
 		}
 	}
-	// runChaotic dispatches the chaotic side through the plain engine or
-	// the K-shard coordinator; the clean oracle above is always unsharded,
-	// so sharded schedules verify bit-identity across the sharding seam.
+	// runChaotic runs the chaotic side through the K-shard coordinator (one
+	// engine at K ≤ 1); the clean oracle above is a bare engine, so sharded
+	// schedules verify bit-identity across the sharding seam.
 	runChaotic := func(ctx context.Context, ds *blockstore.DualStore, cfg core.Config) (*core.Result, error) {
-		if tune.Shards > 1 {
-			co, err := shard.New(ds, shard.Config{Config: cfg, Shards: tune.Shards})
-			if err != nil {
-				return nil, err
-			}
-			return co.RunContext(ctx, a.New(g))
+		co, err := shard.New(ds, shard.Config{Config: cfg, Shards: tune.Shards})
+		if err != nil {
+			return nil, err
 		}
-		return core.New(ds, cfg).RunContext(ctx, a.New(g))
+		return co.RunContext(ctx, a.New(g))
 	}
 	res, err := runChaotic(ctx, ds, cfg)
 	if err != nil {

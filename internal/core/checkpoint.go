@@ -208,26 +208,6 @@ func (e *Engine) loadCheckpoint(prog Program) (*checkpoint, int, error) {
 	return best, fallbacks, nil
 }
 
-// WriteCheckpoint persists a resumable checkpoint of (iter, values,
-// frontier) — the exported surface the shard coordinator uses to
-// checkpoint a sharded run through shard 0's engine (checkpoint state is
-// global: the shared value array and the merged frontier).
-func (e *Engine) WriteCheckpoint(prog Program, iter int, values []float64, frontier *bitset.Frontier) error {
-	return e.writeCheckpoint(prog, iter, values, frontier)
-}
-
-// LoadCheckpoint restores the most advanced decodable checkpoint
-// generation: values is nil when none exists. Corrupt or truncated
-// generations are skipped and counted in fallbacks. Exported for the shard
-// coordinator's resume path.
-func (e *Engine) LoadCheckpoint(prog Program) (iter int, values []float64, frontier *bitset.Frontier, fallbacks int, err error) {
-	ck, fallbacks, err := e.loadCheckpoint(prog)
-	if err != nil || ck == nil {
-		return 0, nil, nil, fallbacks, err
-	}
-	return ck.iter, ck.values, ck.frontier, fallbacks, nil
-}
-
 // DeleteCheckpoint removes a program's persisted checkpoint generations
 // (and any legacy single-slot blob), if present.
 func (e *Engine) DeleteCheckpoint(prog Program) error {

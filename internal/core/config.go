@@ -180,8 +180,10 @@ type Config struct {
 
 // WithDefaults returns the config with zero fields resolved to their
 // defaults — the view an engine built from this config actually runs with.
-// The shard coordinator uses it so its run loop (iteration bound,
-// tolerance, checkpoint cadence) agrees with its engines'.
+// The shard coordinator uses it so the run loop it hands Drive (iteration
+// bound, tolerance, checkpoint cadence) agrees with its engines'. Applying
+// it twice changes nothing: the coordinator's engines resolve the resolved
+// config again.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // withDefaults resolves zero fields.
@@ -205,9 +207,6 @@ func (c Config) withDefaults() Config {
 		if c.RetryJitter == 0 {
 			c.RetryJitter = 0.2
 		}
-	}
-	if c.RetryJitter < 0 {
-		c.RetryJitter = 0
 	}
 	if c.Degrade {
 		if c.DegradeWindow <= 0 {

@@ -77,10 +77,9 @@ type Engine struct {
 	breaker      *resilience.Breaker
 	degradeLevel resilience.Level
 
-	// Bucketed-execution hint, set at the barrier (by Run's own router or
-	// the shard coordinator via SetBucketHint) before BeginIter: bucketed
-	// marks the coming iteration as bucket-driven, bucketPri/bucketPending
-	// describe its bucket.
+	// Bucketed-execution hint, set between iterations (SetBucketHint, from
+	// Drive's router) before BeginIter: bucketed marks the coming iteration
+	// as bucket-driven, bucketPri/bucketPending describe its bucket.
 	bucketed      bool
 	bucketPri     int64
 	bucketPending int
@@ -197,144 +196,38 @@ func (e *Engine) Run(prog Program) (*Result, error) {
 	return e.RunContext(context.Background(), prog)
 }
 
-// RunContext is Run with cancellation: the engine checks ctx between
-// iterations and returns ctx.Err() wrapped once it is done. Combine with
-// Config.CheckpointEvery to make cancelled long jobs resumable.
+// RunContext is Run with cancellation: ctx is checked between iterations
+// and ctx.Err() returned wrapped once it is done (see Drive, which owns the
+// loop). Combine with Config.CheckpointEvery to make cancelled long jobs
+// resumable.
 func (e *Engine) RunContext(ctx context.Context, prog Program) (*Result, error) {
-	n := e.ds.Layout.NumVertices
-	values, frontier := prog.Init(e.ctx)
-	if len(values) != n {
-		return nil, fmt.Errorf("core: program %s returned %d values for %d vertices", prog.Name(), len(values), n)
-	}
-	if frontier.Len() != n {
-		return nil, fmt.Errorf("core: program %s returned frontier over %d vertices, want %d", prog.Name(), frontier.Len(), n)
-	}
+	return Drive(ctx, e, e, e.cfg, prog)
+}
 
-	s := values               // S: previous-iteration values (paper §3.3)
-	d := make([]float64, n)   // D: current-iteration values / accumulators
-	res := &Result{Values: s} // s is kept current; assigned again before return
-	var router *BucketRouter
-	if pp, ok := prog.(PriorityProgram); ok {
-		if e.cfg.CheckpointEvery > 0 || e.cfg.Resume {
-			return nil, fmt.Errorf("core: priority program %s cannot run with checkpointing or resume: parked bucket state is not derivable from a value checkpoint", prog.Name())
-		}
-		router = NewBucketRouter(pp, n)
+// RunIter implements Runner: one iteration through the Step lifecycle, the
+// engine choosing the model itself.
+func (e *Engine) RunIter(prog Program, iter int, frontier *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, []resilience.DegradeEvent, error) {
+	next := bitset.NewFrontier(len(s))
+	step := e.BeginIter(prog, iter, ModelHybrid, frontier, next)
+	if step.Exec(s, d) == nil {
+		step.FinalizeOwned(s, d)
 	}
-	startRetries := e.ds.Retries()
-	startHedges := e.ds.Hedges()
-	// Delta-based so a reused engine (kill → resume on the same instance)
-	// reports only this run's unused read-ahead, not its predecessors'.
-	startUnused := e.prefetchUnused.Load()
-	startIter := 0
-	if e.cfg.Resume {
-		ck, fallbacks, err := e.loadCheckpoint(prog)
-		res.Recovery.CheckpointFallbacks = fallbacks
-		if err != nil {
-			return nil, err
-		}
-		if ck != nil {
-			copy(s, ck.values)
-			frontier = ck.frontier
-			startIter = ck.iter
-			res.Recovery.ResumedIter = ck.iter
-		}
-	}
+	st, err := step.End()
+	return next, st, step.Events, err
+}
 
-	if err := e.StartRun(); err != nil {
-		return nil, err
+// Totals implements Runner. Retries and Hedges are the store's counters,
+// shared across forks of the same DualStore lineage.
+func (e *Engine) Totals() RunTotals {
+	t := RunTotals{
+		Retries:             e.ds.Retries(),
+		Hedges:              e.ds.Hedges(),
+		PrefetchUnusedBytes: e.prefetchUnused.Load(),
 	}
-	if router != nil {
-		// Seed: the init frontier's members are parked at their initial
-		// priorities and the first bucket becomes iteration 0's frontier.
-		var hint BucketHint
-		frontier, hint = router.Route(frontier, s)
-		e.SetBucketHint(hint)
-	}
-	if e.breaker != nil {
-		defer e.breaker.Stop()
-	}
-	for iter := startIter; iter < e.cfg.MaxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			// Best-effort final checkpoint: a cancelled job should resume
-			// from the last *completed* iteration, not the last interval
-			// boundary. The cancellation error still wins; a failed write
-			// just leaves the previous checkpoint in place.
-			if e.cfg.CheckpointEvery > 0 && iter > startIter {
-				if werr := e.writeCheckpoint(prog, iter, s, frontier); werr == nil {
-					res.Recovery.CheckpointsWritten++
-				}
-			}
-			return nil, fmt.Errorf("core: %s cancelled before iteration %d: %w", prog.Name(), iter, err)
-		}
-		if frontier.Empty() {
-			res.Converged = true
-			break
-		}
-		next := bitset.NewFrontier(n)
-		step := e.BeginIter(prog, iter, ModelHybrid, frontier, next)
-		if iter == startIter || prog.Kind() != Monotone {
-			// A monotone iteration ends with D == S bit for bit (rop.go,
-			// cop.go), so only the run's first one has to copy.
-			InitAccumulators(prog.Kind(), s, d)
-		}
-		if err := step.Exec(s, d); err == nil {
-			step.FinalizeOwned(s, d)
-		}
-		st, err := step.End()
-		if err != nil {
-			return nil, &IterError{Program: prog.Name(), Iter: iter, Model: st.Model, Err: err}
-		}
-		res.Recovery.DegradeEvents = append(res.Recovery.DegradeEvents, step.Events...)
-		res.Iterations = append(res.Iterations, st)
-		if e.cfg.OnIteration != nil {
-			e.cfg.OnIteration(st)
-		}
-		if router != nil {
-			var hint BucketHint
-			frontier, hint = router.Route(next, s)
-			e.SetBucketHint(hint)
-		} else {
-			frontier = next
-		}
-
-		if e.cfg.CheckpointEvery > 0 && (iter+1)%e.cfg.CheckpointEvery == 0 {
-			if err := e.writeCheckpoint(prog, iter+1, s, frontier); err != nil {
-				return nil, fmt.Errorf("core: checkpoint at iteration %d: %w", iter+1, err)
-			}
-			res.Recovery.CheckpointsWritten++
-		}
-
-		// Tolerance never terminates a bucketed run: a quiescent iteration
-		// only means the current bucket settled — parked buckets remain, and
-		// convergence is structural (the router runs out of live vertices).
-		if router == nil && prog.Kind() != Monotone && e.cfg.Tolerance > 0 && st.MaxDelta < e.cfg.Tolerance {
-			res.Converged = true
-			break
-		}
-	}
-	if frontier != nil && frontier.Empty() {
-		res.Converged = true
-	}
-	if e.breaker != nil {
-		// Transitions evaluated after the last iteration's drain (e.g. the
-		// final re-arm steps) stamp as the last executed iteration.
-		lastIter := startIter
-		if n := len(res.Iterations); n > 0 {
-			lastIter = res.Iterations[n-1].Iter
-		}
-		for _, ev := range e.breaker.TakeEvents() {
-			ev.Iter = lastIter
-			res.Recovery.DegradeEvents = append(res.Recovery.DegradeEvents, ev)
-		}
-	}
-	res.Values = s
-	res.Recovery.Retries = e.ds.Retries() - startRetries
-	res.Recovery.Hedges = e.ds.Hedges() - startHedges
 	if e.cache != nil {
-		res.Cache = e.cache.Stats()
+		t.Cache = e.cache.Stats()
 	}
-	res.PrefetchUnusedBytes = e.prefetchUnused.Load() - startUnused
-	return res, nil
+	return t
 }
 
 // applyDegradeLevel reads the breaker between iterations, applies the
@@ -432,11 +325,11 @@ func (e *Engine) copSkipFunc(frontier *bitset.Frontier) func(int) bool {
 	}
 }
 
-// SetBucketHint installs the barrier-time bucket state for the coming
-// iteration (see the bucketed fields on Engine). Run's own router calls it
-// between iterations; the shard coordinator calls it on every worker
-// engine at the barrier, before the iteration command is sent — the
-// command channel's happens-before publishes the fields to the worker.
+// SetBucketHint implements Runner: it installs the bucket state for the
+// coming iteration (see the bucketed fields on Engine). Drive calls it
+// between iterations; the shard coordinator passes it on to every shard's
+// engine, and the go statement that starts a shard's BeginIter publishes
+// the fields to it.
 func (e *Engine) SetBucketHint(h BucketHint) {
 	e.bucketed = true
 	e.bucketPri = h.Pri

@@ -16,10 +16,10 @@ import (
 // next bucket opens, and the run converges when no bucket holds a live
 // vertex.
 //
-// Priority and PriorityOrder must be pure; EnterBucket is called by the
-// run's coordinator at the iteration barrier (before any worker of the
-// iteration starts), so implementations may store the bucket priority in a
-// plain field for Apply to read.
+// Priority and PriorityOrder must be pure; EnterBucket is called by Drive
+// between iterations (before any worker of the coming one starts), so
+// implementations may store the bucket priority in a plain field for Apply
+// to read.
 //
 // Priority programs cannot be checkpointed: parked bucket state is not
 // derivable from the value array, so Config.CheckpointEvery and
@@ -39,10 +39,9 @@ type PriorityProgram interface {
 // BucketRouter drives a PriorityProgram's frontiers through the bucket
 // structure: every activation the iteration produced is parked at its
 // priority, and the next iteration's frontier is the popped minimum (resp.
-// maximum) bucket. Owned by the run's coordinator goroutine — Run's own
-// loop at K=1, the shard coordinator at K>1 — and touched only at the
-// barrier, so K-shard runs route the one merged frontier exactly as an
-// unsharded run does (bit-identity).
+// maximum) bucket. Owned by Drive and touched only between iterations, so
+// a K-shard run routes its one merged frontier exactly as an unsharded run
+// routes its own (bit-identity).
 type BucketRouter struct {
 	prog PriorityProgram
 	b    *bucket.Buckets

@@ -105,9 +105,9 @@ type IterStats struct {
 	// coordinator chose; ExchangePush records that choice (push = every
 	// shard ships its local activations to the K−1 others, pull = the
 	// coordinator broadcasts the merged state). ExchangeTime prices them at
-	// the exchange cost model's EWMA-tracked ns/B plus a per-message setup
-	// cost, and is added to Runtime — exchange happens at the barrier,
-	// after every shard's wall.
+	// the exchange cost model's ns/B plus a per-message setup cost, and is
+	// added to Runtime — exchange happens at the barrier, after every
+	// shard's wall.
 	ExchangeBytes int64
 	ExchangeMsgs  int64
 	ExchangePush  bool

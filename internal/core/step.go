@@ -10,21 +10,23 @@ import (
 	"husgraph/internal/storage"
 )
 
-// Step is one iteration of an engine, carved out of Run so a sharding
+// Step is one iteration of an engine, in phases, so that a sharding
 // coordinator (internal/shard) can drive K owner-scoped engines through the
-// same begin → execute → finalize → account sequence the monolithic engine
-// runs. The lifecycle is:
+// same begin → execute → finalize → account sequence Engine.RunIter runs on
+// one. The lifecycle is:
 //
+//	InitAccumulators(prog.Kind(), s, d)        // per iteration, not per engine; Monotone: the run's first only (Drive)
 //	step := e.BeginIter(prog, iter, model, frontier, next)
-//	InitAccumulators(prog.Kind(), s, d)        // per iteration, not per engine; Monotone: the run's first only
-//	err := step.Exec(s, d)                     // accumulate phase (serialized across shards)
+//	err := step.Exec(s, d)                     // accumulate phase (in interval order across shards)
 //	step.FinalizeOwned(s, d)                   // owner-disjoint apply/activate (skip on error)
 //	st, err := step.End()                      // window teardown + attribution
 //
-// BeginIter..End must run on one goroutine per engine; everything a Step
-// touches on its engine (scheduler window, counters) is confined to that
-// goroutine, and the resulting IterStats is published at the barrier by
-// value.
+// The phases of one step need not share a goroutine, but each must
+// happen-before the next: a coordinator that runs a phase of its K steps
+// concurrently joins them before it starts the following phase. No two
+// phases of one engine ever overlap, so everything a Step touches on its
+// engine (scheduler window, counters) is still confined to one goroutine at
+// a time, and the IterStats End returns is a value.
 type Step struct {
 	e    *Engine
 	prog Program
@@ -55,11 +57,12 @@ type Step struct {
 // InitAccumulators prepares the D array for one iteration: monotone
 // programs start from the current values (so eager per-row/column
 // synchronization sees a complete copy), others accumulate from zero.
-// Exposed so a sharding coordinator can initialize the shared arrays
-// exactly once before K owner-scoped executors run. A monotone iteration
-// leaves D == S bit for bit, so a monotone run needs the call only before
-// its first executed iteration (the first after a resume included);
-// repeating it every iteration is correct and redundant.
+// Drive calls it once per iteration on the arrays all K owner-scoped
+// executors share; it is exported for a harness that writes the loop out by
+// hand. A monotone iteration leaves D == S bit for bit, so a monotone run
+// needs the call only before its first executed iteration (the first after
+// a resume included); repeating it every iteration is correct and
+// redundant.
 func InitAccumulators(kind Kind, s, d []float64) {
 	if kind == Monotone {
 		copy(d, s)
@@ -72,8 +75,8 @@ func InitAccumulators(kind Kind, s, d []float64) {
 
 // StartRun prepares the engine for a sequence of steps: semi-external
 // residency is pinned (charged once) and the degradation breaker's
-// wall-clock ticker starts. Run calls it internally; a coordinator driving
-// BeginIter directly must call it first and pair it with FinishRun.
+// wall-clock ticker starts. Drive calls it; a harness driving BeginIter
+// directly must call it first and pair it with FinishRun.
 func (e *Engine) StartRun() error {
 	if e.cfg.SemiExternal {
 		if err := e.pinSemResident(); err != nil {
@@ -107,22 +110,10 @@ func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
 	return e.predict(f)
 }
 
-// Retries returns the store's cumulative transient-fault retry count (shared
-// across forks of the same DualStore lineage); snapshot around runs to
-// attribute.
-func (e *Engine) Retries() int64 { return e.ds.Retries() }
-
-// Hedges returns the store's cumulative hedged duplicate read count.
-func (e *Engine) Hedges() int64 { return e.ds.Hedges() }
-
-// UnusedReadAheadBytes returns the engine's cumulative unused prefetch
-// bytes; snapshot around runs to attribute.
-func (e *Engine) UnusedReadAheadBytes() int64 { return e.prefetchUnused.Load() }
-
 // BeginIter opens iteration iter over frontier, building the read plan and
 // starting the scheduler window over it. Activations land in next. model
 // selects the update model to execute; pass ModelHybrid to let the engine
-// choose (Run's path — the α shortcut and §3.4 predictor decide), or a
+// choose (RunIter's path — the α shortcut and §3.4 predictor decide), or a
 // concrete model when an external arbiter (the shard coordinator) already
 // chose.
 func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *bitset.Frontier) *Step {

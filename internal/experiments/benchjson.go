@@ -131,8 +131,8 @@ func (r *Runner) RunHUSWithConfigFormat(d gen.Dataset, a Algo, prof storage.Prof
 }
 
 // RunHUSShardedFormat runs the algorithm through the K-shard coordinator
-// (internal/shard); shards <= 1 runs the plain engine, keeping the two
-// paths literally identical for the unsharded bench configurations.
+// (internal/shard); at shards <= 1 that is one unscoped engine under the
+// same run loop.
 func (r *Runner) RunHUSShardedFormat(d gen.Dataset, a Algo, prof storage.Profile, cfg core.Config, format blockstore.Format, shards int) (*core.Result, error) {
 	ds, err := r.StoreFormat(d, a.Symmetric, a.Weighted, prof, format)
 	if err != nil {
@@ -143,9 +143,6 @@ func (r *Runner) RunHUSShardedFormat(d gen.Dataset, a Algo, prof storage.Profile
 	}
 	if cfg.MaxIters == 0 {
 		cfg.MaxIters = a.MaxIters
-	}
-	if shards <= 1 {
-		return core.New(ds, cfg).Run(a.New(r.Graph(d, false)))
 	}
 	co, err := shard.New(ds, shard.Config{Config: cfg, Shards: shards})
 	if err != nil {

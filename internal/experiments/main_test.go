@@ -1,0 +1,9 @@
+package experiments
+
+import (
+	"testing"
+
+	"husgraph/internal/leaktest"
+)
+
+func TestMain(m *testing.M) { leaktest.Main(m) }

@@ -1,8 +1,9 @@
 // Package leaktest fails a package's tests when they leave goroutines
-// running. Every goroutine the engine starts — prefetch workers, hedged
-// reads, the breaker ticker, shard workers — belongs to a value whose
-// Close/Stop/Finish waits for it, so once a package's tests are done the
-// goroutine count must return to where it started.
+// running. Every goroutine the engine starts either belongs to a value
+// whose Close/Stop/Finish waits for it — prefetch workers, hedged reads, the
+// breaker ticker — or is joined by the call that started it — row and
+// column workers, a shard's phase of an iteration — so once a package's
+// tests are done the goroutine count must return to where it started.
 package leaktest
 
 import (

@@ -4,10 +4,12 @@ import (
 	"time"
 )
 
-// Exchange cost model — the §3.4-style communication term of a sharded
-// run. Exchange happens at the iteration barrier, after every shard's wall,
-// so its modeled time is added to the combined iteration Runtime. Two modes
-// are priced each iteration and the cheaper one chosen:
+// The exchange cost model — the §3.4-style communication term of a sharded
+// run: what shipping an iteration's activations between K shards would cost
+// if they did not share their arrays. It is charged at the iteration
+// barrier, after every shard's wall, so its modeled time is added to the
+// combined iteration Runtime. Two modes are priced each iteration and the
+// cheaper one chosen:
 //
 //   - push: every shard ships its local activations (vertex id + value,
 //     UpdateWireBytes each) to the K−1 other shards; K·(K−1) messages.
@@ -17,14 +19,8 @@ import (
 //     copy of the merged frontier (sparse id list or dense bitmap,
 //     whichever is smaller); 2K messages.
 //
-// Bytes are priced at the configured wire rate plus a per-message setup
-// term. The model also tracks an effective ns/B EWMA for the predictor,
-// but that rate is seeded-only until something EXTERNAL is observed:
-// Observe exists for callers with real measured exchange times, and the
-// model never feeds its own priced output back into it — a modeled time
-// is the rate times the bytes, so self-observation would only launder the
-// per-message term into the rate and ratchet EffRate upward on every
-// sparse exchange.
+// Bytes are priced at the wire rate plus a per-message setup term. Both
+// are constants nothing has calibrated yet (ROADMAP item 2c).
 const (
 	// DefaultNsPerByte models a 10 GbE-class interconnect (~0.8 ns per
 	// byte on the wire), the default for -shards runs.
@@ -41,18 +37,10 @@ const (
 	mergeNsPerByte = 0.2
 )
 
-// CostModel prices barrier exchanges and tracks the realized effective
-// byte rate. Not safe for concurrent use; the coordinator owns it.
+// CostModel prices barrier exchanges.
 type CostModel struct {
 	nsPerByte float64
 	perMsgNs  float64
-
-	// effRate is the EWMA of EXTERNALLY measured ns per byte (message
-	// setup folded in); seeded from nsPerByte and unchanged until a
-	// caller Observes a real measurement — the model's own priced output
-	// must never be fed back (see Observe).
-	effRate float64
-	known   bool
 }
 
 // NewCostModel builds a model; zero parameters take the defaults.
@@ -77,44 +65,14 @@ func (m *CostModel) Price(bytes, msgs int64) time.Duration {
 	return time.Duration(float64(bytes)*m.nsPerByte + float64(msgs)*m.perMsgNs)
 }
 
-// Observe feeds one externally measured exchange into the effective-rate
-// EWMA. Only real measurements belong here: the model's own Price/Choose
-// output is bytes·rate + msgs·setup by construction, so observing it
-// would fold the per-message term into the rate and ratchet EffRate
-// upward on every sparse exchange (each observation's realized ns/B
-// exceeds the current rate whenever setup dominates). No caller in the
-// simulator measures real exchanges today, so EffRate stays at its seed.
-// Byte-free exchanges (an empty frontier) carry no rate signal and are
-// skipped.
-func (m *CostModel) Observe(bytes int64, t time.Duration) {
-	if bytes <= 0 {
-		return
-	}
-	rate := float64(t) / float64(bytes)
-	if m.known {
-		m.effRate = 0.75*m.effRate + 0.25*rate
-	} else {
-		m.effRate, m.known = rate, true
-	}
-}
-
-// EffRate returns the current effective ns/B (the configured wire rate
-// until the first observation).
-func (m *CostModel) EffRate() float64 {
-	if !m.known {
-		return m.nsPerByte
-	}
-	return m.effRate
-}
-
 // PredictNext estimates the coming iteration's exchange time for the model
 // arbiter, using the entering frontier's activity as a proxy for the
-// activations the iteration will produce. Both modes are priced the same
-// way Choose prices them — bytes at the effective rate PLUS the modeled
-// message count at the per-message setup cost — and the cheaper one is
-// returned; without the message term, a sparse frontier's K·(K−1) push
-// messages (or the pull broadcast's 2K) would predict as near zero even
-// though setup dominates exactly there. The estimate is added to both the
+// activations the iteration will produce. Both modes are priced the way
+// Choose prices them — bytes at the wire rate PLUS the modeled message
+// count at the per-message setup cost — and the cheaper one is returned;
+// without the message term, a sparse frontier's K·(K−1) push messages (or
+// the pull broadcast's 2K) would predict as near zero even though setup
+// dominates exactly there. The estimate is added to both the
 // ROP and the COP candidate — the barrier exchange ships the same
 // activations whichever update model produced them — so it documents the
 // communication term without perturbing the ROP/COP choice away from the
@@ -124,17 +82,11 @@ func (m *CostModel) PredictNext(activeEst, n, k int) time.Duration {
 		return 0
 	}
 	push, pull := exchangeVolumes(uniformCounts(activeEst, k), activeEst, n, k)
-	t := m.predictPrice(push)
-	if pt := m.predictPrice(pull); pt < t {
+	t := m.Price(push.Bytes, push.Msgs)
+	if pt := m.Price(pull.Bytes, pull.Msgs); pt < t {
 		t = pt
 	}
 	return t
-}
-
-// predictPrice is Price at the effective (rather than configured) byte
-// rate, over a modeled exchange plan.
-func (m *CostModel) predictPrice(p ExchangePlan) time.Duration {
-	return time.Duration(float64(p.Bytes)*m.EffRate() + float64(p.Msgs)*m.perMsgNs)
 }
 
 // ExchangePlan is one priced exchange mode.
@@ -148,8 +100,6 @@ type ExchangePlan struct {
 // Choose prices push against pull for the activations the iteration
 // actually produced — pieceCounts per shard, mergedCount distinct after the
 // OR-merge, over a universe of n vertices — and returns the cheaper plan.
-// The chosen plan is NOT fed back into the rate EWMA: its Time is the
-// model's own output, not a measurement (see Observe).
 func (m *CostModel) Choose(pieceCounts []int, mergedCount, n int) ExchangePlan {
 	k := len(pieceCounts)
 	push, pull := exchangeVolumes(pieceCounts, mergedCount, n, k)

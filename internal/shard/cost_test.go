@@ -5,50 +5,6 @@ import (
 	"time"
 )
 
-// TestEffRateStableAcrossChoose pins the self-feedback fix: repeated
-// sparse exchanges priced through Choose must leave the effective rate at
-// its seed. Before the fix, Choose observed its own priced output — whose
-// realized ns/B folds the per-message setup in, and so always exceeds the
-// current rate on sparse exchanges — ratcheting EffRate upward on every
-// call.
-func TestEffRateStableAcrossChoose(t *testing.T) {
-	m := NewCostModel(0, 0)
-	seed := m.EffRate()
-	if seed != DefaultNsPerByte {
-		t.Fatalf("seed rate = %v, want %v", seed, DefaultNsPerByte)
-	}
-	// A sparse exchange: 3 activations per shard across K=4 over a large
-	// universe — per-message setup dominates the handful of wire bytes.
-	for i := 0; i < 100; i++ {
-		plan := m.Choose([]int{3, 3, 3, 3}, 12, 1<<20)
-		if plan.Time <= 0 {
-			t.Fatalf("call %d: non-positive exchange time %v", i, plan.Time)
-		}
-		if got := m.EffRate(); got != seed {
-			t.Fatalf("call %d: EffRate ratcheted to %v (seed %v)", i, got, seed)
-		}
-	}
-}
-
-// TestObserveStillFeedsExternalMeasurements pins that Observe (the
-// external-measurement path) still moves the rate — the fix removed the
-// self-feedback, not the EWMA.
-func TestObserveStillFeedsExternalMeasurements(t *testing.T) {
-	m := NewCostModel(0, 0)
-	m.Observe(1000, 2000*time.Nanosecond) // measured 2 ns/B
-	if got := m.EffRate(); got != 2.0 {
-		t.Fatalf("EffRate after first observation = %v, want 2.0", got)
-	}
-	m.Observe(1000, 4000*time.Nanosecond) // EWMA: 0.75·2 + 0.25·4
-	if got := m.EffRate(); got != 2.5 {
-		t.Fatalf("EffRate after second observation = %v, want 2.5", got)
-	}
-	m.Observe(0, time.Second) // byte-free: no rate signal
-	if got := m.EffRate(); got != 2.5 {
-		t.Fatalf("EffRate after byte-free observation = %v, want 2.5", got)
-	}
-}
-
 // TestPredictNextIncludesPerMessageTerm pins the prediction fix: a sparse
 // frontier's exchange is dominated by message setup — K·(K−1) push
 // messages or the pull broadcast's 2K — so the prediction must be at
@@ -73,7 +29,7 @@ func TestPredictNextIncludesPerMessageTerm(t *testing.T) {
 	}
 
 	// And it must price exactly like Choose does for the same modeled
-	// volumes (rate seeded, so EffRate == nsPerByte).
+	// volumes.
 	push, pull := exchangeVolumes(uniformCounts(1, k), 1, n, k)
 	want := m.Price(push.Bytes, push.Msgs)
 	if pt := m.Price(pull.Bytes, pull.Msgs); pt < want {
