@@ -381,10 +381,10 @@ func BenchmarkAblationFormat(b *testing.B) {
 			reportResult(b, res)
 		}
 	})
-	b.Run("compressed-blocks", func(b *testing.B) {
+	b.Run("mixed-blocks", func(b *testing.B) {
 		g := r.Graph(d, false)
 		ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.HDD)), g,
-			blockstore.Options{P: 8, Format: blockstore.FormatCompressed, Weighted: a.Weighted})
+			blockstore.Options{P: 8, Format: blockstore.FormatMixed, Weighted: a.Weighted})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -518,7 +518,7 @@ func BenchmarkExtensionSemiExternal(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionCompression measures the compressed block format's
+// BenchmarkExtensionCompression measures the per-block compressed (mixed) format's
 // I/O-vs-CPU trade on a full PageRank run (DESIGN.md §4a).
 func BenchmarkExtensionCompression(b *testing.B) {
 	r := runner()
@@ -527,7 +527,7 @@ func BenchmarkExtensionCompression(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := r.Graph(d, false)
-	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatCompressed} {
+	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
 		format := format
 		b.Run(format.String(), func(b *testing.B) {
 			ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.HDD)), g,

@@ -6,7 +6,7 @@
 //
 //	husgraph -dataset twitter-sim -algo BFS [-system hus|graphchi|gridgraph|xstream]
 //	         [-model hybrid|rop|cop] [-device hdd|ssd|nvme|ram] [-threads N] [-p P]
-//	         [-shards K] [-delta W] [-format raw|compressed|mixed] [-sem] [-sem-budget-mb MB]
+//	         [-shards K] [-delta W] [-format raw|mixed] [-sem] [-sem-budget-mb MB]
 //	         [-trace] [-stats] [-input edges.txt] [-store DIR]
 //	         [-prefetch DEPTH] [-cache-mb MB] [-cache-admission POLICY]
 //	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D] [-retry-jitter J]
@@ -135,7 +135,7 @@ func run() (*core.Result, error) {
 	memBudget := flag.Int64("membudget", 0, "if > 0, choose P so one block's working set fits this many bytes (paper §3.2)")
 	trace := flag.Bool("trace", false, "print per-iteration statistics")
 	storeDir := flag.String("store", "", "keep the dual-block store in real files under this directory")
-	formatName := flag.String("format", "raw", "block record format: raw|compressed|mixed (mixed picks the cheaper of delta-varint and byte-RLE per block, falling back to raw where compression does not pay)")
+	formatName := flag.String("format", "raw", "block record format: raw|mixed (mixed picks the cheaper of delta-varint and byte-RLE per block, falling back to raw where compression does not pay)")
 	sem := flag.Bool("sem", false, "semi-external-memory mode: pin vertex arrays and all out-indices in RAM, charging only edge I/O; fails fast with a sizing message when the residency exceeds -sem-budget-mb (hus only)")
 	semBudgetMB := flag.Int64("sem-budget-mb", 0, "memory budget in MiB the semi-external residency must fit in (0 = autodetect total system RAM; hus only)")
 	valuesOut := flag.String("valuesout", "", "write final vertex values to this file (one 'vertex value' line each)")

@@ -63,7 +63,7 @@ func main() {
 	}
 	ds, err := blockstore.BuildStreamingOpts(store, in, blockstore.Options{
 		P:        8,
-		Format:   blockstore.FormatCompressed,
+		Format:   blockstore.FormatMixed,
 		Weighted: false,
 	}, 1<<18 /* spill after 256k edges */)
 	in.Close()

@@ -31,15 +31,18 @@ func BenchmarkBuildRaw(b *testing.B) {
 	}
 }
 
-func BenchmarkLoadInBlockScratch(b *testing.B) {
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
+// BenchmarkLoadInBlockBytesScratch is the one in-block loader over a
+// stored-raw block and over its mixed twin: read, verify, and for the mixed
+// store decode, into a reused Scratch.
+func BenchmarkLoadInBlockBytesScratch(b *testing.B) {
+	for _, format := range []Format{FormatRaw, FormatMixed} {
 		b.Run(format.String(), func(b *testing.B) {
 			ds := benchGraphStore(b, format, true)
 			sc := &Scratch{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ds.LoadInBlockScratch(i%8, (i/8)%8, sc); err != nil {
+				if _, _, err := ds.LoadInBlockBytesScratch(i%8, (i/8)%8, sc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -47,55 +50,57 @@ func BenchmarkLoadInBlockScratch(b *testing.B) {
 	}
 }
 
-func BenchmarkLoadInBlockBytesScratch(b *testing.B) {
-	ds := benchGraphStore(b, FormatRaw, true)
-	sc := &Scratch{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ds.LoadInBlockBytesScratch(i%8, (i/8)%8, sc); err != nil {
-			b.Fatal(err)
+// BenchmarkDecodeInBlock times the decode alone — every non-empty section
+// of one in-block's stored payload through appendSection into a presized
+// buffer, no read and no CRC — and reports ns per decoded byte: the measured
+// counterpart of core's varintDecodeNsPerByte = 1.5 and rleDecodeNsPerByte =
+// 0.6 (ROADMAP 2c calibrates against it).
+func BenchmarkDecodeInBlock(b *testing.B) {
+	g := gen.RMAT(1<<14, 200000, gen.Graph500, rand.New(rand.NewSource(1)))
+	const p = 8
+	layout := NewLayout(g.NumVertices, p)
+	// In-block (0,0) — R-MAT's densest — bucketed the way Build does.
+	sorted := g.Clone()
+	sorted.SortByDst()
+	var recs []Rec
+	perVertex := make([]uint32, layout.Size(0))
+	for _, e := range sorted.Edges {
+		if layout.IntervalOf(e.Src) == 0 && layout.IntervalOf(e.Dst) == 0 {
+			recs = append(recs, Rec{Nbr: e.Src, Weight: 1})
+			perVertex[layout.Local(e.Dst)]++
 		}
 	}
-}
-
-func BenchmarkDecodeVertexRecs(b *testing.B) {
-	recs := make([]Rec, 64)
-	nbr := uint32(0)
-	rng := rand.New(rand.NewSource(3))
-	for i := range recs {
-		nbr += 1 + uint32(rng.Intn(500))
-		recs[i] = Rec{Nbr: nbr, Weight: 1}
-	}
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
-		b.Run(format.String(), func(b *testing.B) {
-			buf := encodeVertexRecs(nil, recs, format, true)
-			var out []Rec
-			b.SetBytes(int64(len(buf)))
+	for _, c := range []Codec{CodecVarint, CodecRLE} {
+		b.Run(c.String(), func(b *testing.B) {
+			var payload []byte
+			idx := make([]uint32, 0, len(perVertex)+1)
+			pos := 0
+			for _, cnt := range perVertex {
+				idx = append(idx, uint32(len(payload)))
+				payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, false, nil)
+				pos += int(cnt)
+			}
+			idx = append(idx, uint32(len(payload)))
+			dst := make([]byte, 0, len(recs)*RawRecordBytes(false))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var err error
-				out, err = decodeVertexRecsInto(out[:0], buf, format, true)
-				if err != nil {
-					b.Fatal(err)
+				out := dst[:0]
+				for k := 0; k+1 < len(idx); k++ {
+					if idx[k] == idx[k+1] {
+						continue
+					}
+					var err error
+					if out, err = appendSection(out, payload[idx[k]:idx[k+1]], c, false); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if len(out) != cap(dst) {
+					b.Fatalf("decoded %d bytes, want %d", len(out), cap(dst))
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cap(dst)), "ns/decoded-byte")
 		})
-	}
-}
-
-// BenchmarkLoadInBlock exercises the owned-copy load path, which draws its
-// working Scratch from the package pool — the per-call allocations here
-// should be the returned copies only, not decode scratch.
-func BenchmarkLoadInBlock(b *testing.B) {
-	ds := benchGraphStore(b, FormatRaw, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ds.LoadInBlock(i%8, (i/8)%8); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -130,7 +135,7 @@ func BenchmarkPrefetchColumnSweep(b *testing.B) {
 func BenchmarkBlockCacheSweep(b *testing.B) {
 	ds := benchGraphStore(b, FormatRaw, true)
 	sched := inBlockSchedule(ds)
-	cache := NewBlockCache(256 << 20)
+	cache := lruCache(256 << 20)
 	warm := ds.NewPrefetcher(sched, 2, cache)
 	for range sched {
 		res := warm.Next()

@@ -15,7 +15,9 @@ import (
 // that working set resident turns steady-state iterations from disk-bound to
 // memory-bound — so the engine threads every block load through a BlockCache
 // holding *decoded* blocks (no re-read, no re-verify, no re-decode on a hit)
-// under a strict byte budget.
+// under a strict byte budget. A decoded block is its packed raw records,
+// whatever codec stored it, so a compressed block and its stored-raw twin
+// are the same entry at the same charge.
 //
 // The cache is access-granularity-aware (PartitionedVC-style): COP's
 // in-blocks and ROP's out-indices are cached whole, while ROP's selective
@@ -31,8 +33,8 @@ import (
 type BlockKind uint8
 
 const (
-	// KindInBlock is the fully-loaded in-block(i,j): payload plus byte
-	// index for FormatRaw stores, decoded records for compressed ones.
+	// KindInBlock is the fully-loaded in-block(i,j): its packed raw
+	// records plus the per-destination byte index into them.
 	KindInBlock BlockKind = iota
 	// KindOutIndex is the decoded out-index(i,j): per-source byte offsets
 	// into out-block(i,j).
@@ -66,28 +68,24 @@ type BlockKey struct {
 // CachedBlock is one immutable decoded cache entry. Exactly the fields the
 // engine's hot paths consume are retained:
 //
-//   - KindInBlock, FormatRaw: Payload (packed records) + ByteIdx (per-
-//     destination byte offsets) — the zero-copy RawRec iteration view.
-//   - KindInBlock, FormatCompressed: Recs + RecIdx — the decoded Block view.
+//   - KindInBlock: Payload (packed raw records, decoded if the block is
+//     stored compressed) + ByteIdx (per-destination byte offsets into
+//     Payload) — the zero-copy RawRec iteration view.
 //   - KindOutIndex: ByteIdx — the decoded per-source offset index.
-//   - KindOutBlock: Payload — the raw out-block bytes runs slice into.
+//   - KindOutBlock: Payload — the *stored* out-block bytes runs slice
+//     into; sections of a compressed block are decoded on touch.
 //
 // Entries must never be mutated after insertion: they are shared by every
 // reader that hits them, concurrently.
 type CachedBlock struct {
 	Payload []byte
 	ByteIdx []uint32
-	Recs    []Rec
-	RecIdx  []uint32
 }
 
 // Bytes returns the entry's budget charge: the memory its retained slices
-// hold (8 bytes per Rec, 4 per index entry).
+// hold (4 bytes per index entry).
 func (b *CachedBlock) Bytes() int64 {
-	return int64(len(b.Payload)) +
-		4*int64(len(b.ByteIdx)) +
-		8*int64(len(b.Recs)) +
-		4*int64(len(b.RecIdx))
+	return int64(len(b.Payload)) + 4*int64(len(b.ByteIdx))
 }
 
 // CacheStats is a snapshot of a BlockCache's counters.
@@ -255,14 +253,9 @@ type cacheEntry struct {
 	sz  int64
 }
 
-// NewBlockCache returns an empty LRU cache bounded by budget bytes. A
-// budget <= 0 yields a cache that admits nothing (every Get misses).
-func NewBlockCache(budget int64) *BlockCache {
-	return NewBlockCacheOpts(budget, CacheOptions{Admission: AdmitLRU})
-}
-
-// NewBlockCacheOpts is NewBlockCache with an explicit admission policy and
-// promotion threshold.
+// NewBlockCacheOpts returns an empty cache bounded by budget bytes, with the
+// given admission policy and promotion threshold. A budget <= 0 yields a
+// cache that admits nothing (every Get misses).
 func NewBlockCacheOpts(budget int64, opts CacheOptions) *BlockCache {
 	c := &BlockCache{
 		budget:      budget,
@@ -287,12 +280,6 @@ func NewBlockCacheOpts(budget int64, opts CacheOptions) *BlockCache {
 	}
 	return c
 }
-
-// Budget returns the configured byte bound.
-func (c *BlockCache) Budget() int64 { return c.budget }
-
-// Admission returns the configured admission policy.
-func (c *BlockCache) AdmissionPolicy() Admission { return c.admission }
 
 func (c *BlockCache) note(k cacheKey) {
 	if c.sketch != nil {

@@ -15,7 +15,7 @@ func runBytes(s, e uint32) []byte {
 }
 
 func TestRunCacheServesContainedRanges(t *testing.T) {
-	c := NewBlockCache(1 << 20)
+	c := lruCache(1 << 20)
 	if c.PutRun(0, 0, 100, 200, runBytes(100, 200), 1<<20) {
 		t.Fatal("1%% density promoted")
 	}
@@ -55,7 +55,7 @@ func TestRunCacheServesContainedRanges(t *testing.T) {
 }
 
 func TestRunCacheStaysContainmentFree(t *testing.T) {
-	c := NewBlockCache(1 << 20)
+	c := lruCache(1 << 20)
 	c.PutRun(0, 0, 100, 200, runBytes(100, 200), 1<<30)
 	c.PutRun(0, 0, 300, 400, runBytes(300, 400), 1<<30)
 	entries := c.Stats().Entries
@@ -78,7 +78,7 @@ func TestRunCacheStaysContainmentFree(t *testing.T) {
 }
 
 func TestRunCachePromotionClaimedExactlyOnce(t *testing.T) {
-	c := NewBlockCache(1 << 20)
+	c := lruCache(1 << 20)
 	const blockBytes = 1000
 	if c.PutRun(2, 3, 0, 300, runBytes(0, 300), blockBytes) {
 		t.Fatal("30% density promoted early")
@@ -131,9 +131,6 @@ func TestRunCachePromotionDisabled(t *testing.T) {
 
 func TestCacheTinyLFUAdmissionUnderPressure(t *testing.T) {
 	c := NewBlockCacheOpts(100, CacheOptions{Admission: AdmitTinyLFU})
-	if c.AdmissionPolicy() != AdmitTinyLFU {
-		t.Fatal("policy not recorded")
-	}
 	hot := inKey(0, 0)
 	if !c.Put(hot, payloadBlock(60)) {
 		t.Fatal("insert without pressure must always admit")
@@ -178,10 +175,6 @@ func TestParseAdmission(t *testing.T) {
 	if AdmitLRU.String() != "lru" || AdmitTinyLFU.String() != "tinylfu" {
 		t.Fatal("admission names")
 	}
-	// NewBlockCache keeps the legacy always-admit behavior.
-	if NewBlockCache(10).AdmissionPolicy() != AdmitLRU {
-		t.Fatal("NewBlockCache default changed")
-	}
 }
 
 func TestRunCachePromotionNeverExceedsBudget(t *testing.T) {
@@ -189,7 +182,7 @@ func TestRunCachePromotionNeverExceedsBudget(t *testing.T) {
 	// entry too, transiently charging both the accumulated runs and (after
 	// the caller's Put) the whole payload — overshooting the budget and
 	// evicting unrelated hot entries for bytes dropped moments later.
-	c := NewBlockCache(100)
+	c := lruCache(100)
 	hot := BlockKey{Kind: KindInBlock, I: 5, J: 5}
 	if !c.Put(hot, &CachedBlock{Payload: make([]byte, 10)}) {
 		t.Fatal("hot entry rejected")
@@ -204,8 +197,8 @@ func TestRunCachePromotionNeverExceedsBudget(t *testing.T) {
 	if !c.PutRun(0, 0, 100, 155, runBytes(100, 155), blockBytes) {
 		t.Fatal("117% density did not promote")
 	}
-	if used := c.Stats().BytesUsed; used > c.Budget() {
-		t.Fatalf("promotion claim charged %d bytes against budget %d", used, c.Budget())
+	if st := c.Stats(); st.BytesUsed > st.Budget {
+		t.Fatalf("promotion claim charged %d bytes against budget %d", st.BytesUsed, st.Budget)
 	}
 	// The caller completes the claim; run entries are dropped before the
 	// payload is charged, so the whole sequence fits.
@@ -213,8 +206,8 @@ func TestRunCachePromotionNeverExceedsBudget(t *testing.T) {
 		t.Fatal("promoted payload rejected")
 	}
 	st := c.Stats()
-	if st.BytesUsed > c.Budget() {
-		t.Fatalf("peak charged bytes %d exceeds budget %d", st.BytesUsed, c.Budget())
+	if st.BytesUsed > st.Budget {
+		t.Fatalf("peak charged bytes %d exceeds budget %d", st.BytesUsed, st.Budget)
 	}
 	if st.Evictions != 0 {
 		t.Fatalf("promotion evicted %d unrelated entries", st.Evictions)

@@ -16,10 +16,8 @@ func TestCachedBlockBytes(t *testing.T) {
 	b := &CachedBlock{
 		Payload: make([]byte, 10),
 		ByteIdx: make([]uint32, 3),
-		Recs:    make([]Rec, 2),
-		RecIdx:  make([]uint32, 5),
 	}
-	if got := b.Bytes(); got != 10+3*4+2*8+5*4 {
+	if got := b.Bytes(); got != 10+3*4 {
 		t.Fatalf("Bytes = %d", got)
 	}
 }
@@ -27,7 +25,7 @@ func TestCachedBlockBytes(t *testing.T) {
 func TestCacheHoldsExactlyTheBudget(t *testing.T) {
 	// Two entries summing to exactly the budget must both stay resident;
 	// one more byte anywhere must evict the least-recently-used entry.
-	c := NewBlockCache(100)
+	c := lruCache(100)
 	if !c.Put(inKey(0, 0), payloadBlock(50)) || !c.Put(inKey(0, 1), payloadBlock(50)) {
 		t.Fatal("entries within budget rejected")
 	}
@@ -52,7 +50,7 @@ func TestCacheHoldsExactlyTheBudget(t *testing.T) {
 }
 
 func TestCacheLRUVictimFollowsAccessOrder(t *testing.T) {
-	c := NewBlockCache(100)
+	c := lruCache(100)
 	c.Put(inKey(0, 0), payloadBlock(50))
 	c.Put(inKey(0, 1), payloadBlock(50))
 	if _, ok := c.Get(inKey(0, 0)); !ok { // bump (0,0) to most recent
@@ -67,7 +65,7 @@ func TestCacheLRUVictimFollowsAccessOrder(t *testing.T) {
 func TestCacheHitAfterEvictReloads(t *testing.T) {
 	// A key evicted under pressure misses, can be re-inserted, and then
 	// hits again — the miss/hit counters see all three phases.
-	c := NewBlockCache(64)
+	c := lruCache(64)
 	k := inKey(3, 1)
 	c.Put(k, payloadBlock(64))
 	if _, ok := c.Get(k); !ok {
@@ -88,7 +86,7 @@ func TestCacheHitAfterEvictReloads(t *testing.T) {
 }
 
 func TestCacheRejectsOversizedEntry(t *testing.T) {
-	c := NewBlockCache(100)
+	c := lruCache(100)
 	c.Put(inKey(0, 0), payloadBlock(60))
 	if c.Put(inKey(1, 1), payloadBlock(101)) {
 		t.Fatal("entry above whole budget admitted")
@@ -101,7 +99,7 @@ func TestCacheRejectsOversizedEntry(t *testing.T) {
 }
 
 func TestCacheZeroBudgetAdmitsNothing(t *testing.T) {
-	c := NewBlockCache(0)
+	c := lruCache(0)
 	if c.Put(inKey(0, 0), payloadBlock(1)) {
 		t.Fatal("zero-budget cache admitted an entry")
 	}
@@ -111,7 +109,7 @@ func TestCacheZeroBudgetAdmitsNothing(t *testing.T) {
 }
 
 func TestCacheReplaceUpdatesUsage(t *testing.T) {
-	c := NewBlockCache(100)
+	c := lruCache(100)
 	k := inKey(2, 2)
 	c.Put(k, payloadBlock(80))
 	c.Put(k, payloadBlock(30)) // replace, not accumulate
@@ -122,7 +120,7 @@ func TestCacheReplaceUpdatesUsage(t *testing.T) {
 }
 
 func TestCachePeekHasNoSideEffects(t *testing.T) {
-	c := NewBlockCache(100)
+	c := lruCache(100)
 	c.Put(inKey(0, 0), payloadBlock(50))
 	c.Put(inKey(0, 1), payloadBlock(50))
 	for i := 0; i < 10; i++ {
@@ -139,7 +137,7 @@ func TestCachePeekHasNoSideEffects(t *testing.T) {
 }
 
 func TestCacheStatsSubDeltas(t *testing.T) {
-	c := NewBlockCache(100)
+	c := lruCache(100)
 	c.Put(inKey(0, 0), payloadBlock(60))
 	c.Get(inKey(0, 0))
 	before := c.Stats()
@@ -170,7 +168,7 @@ func TestCacheHitRate(t *testing.T) {
 func TestCacheConcurrentAccess(t *testing.T) {
 	// Hammer a small cache from many goroutines: correctness here means
 	// no races (run under -race) and an invariant-respecting final state.
-	c := NewBlockCache(1024)
+	c := lruCache(1024)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

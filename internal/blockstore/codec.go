@@ -22,8 +22,10 @@ const (
 	VertexValueBytes = 8
 )
 
-// Rec is one decoded block edge record: the neighbor on the other side of
-// the block's indexed vertex, plus the edge weight.
+// Rec is one block edge record as Build buckets it before encoding: the
+// neighbor on the other side of the block's indexed vertex, plus the edge
+// weight. Nothing loaded from a store is a Rec — loaders hand out packed
+// records (RawRec).
 type Rec struct {
 	Nbr    graph.VertexID
 	Weight float32
@@ -37,11 +39,6 @@ func encodeIndex(idx []uint32) []byte {
 		binary.LittleEndian.PutUint32(buf[i*IndexEntryBytes:], v)
 	}
 	return buf
-}
-
-// decodeIndex parses an offset index.
-func decodeIndex(buf []byte) ([]uint32, error) {
-	return decodeIndexInto(nil, buf)
 }
 
 // decodeIndexInto parses an offset index into idx, reusing its capacity.
@@ -250,7 +247,10 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	n := int(binary.LittleEndian.Uint64(buf[4:]))
 	p := int(binary.LittleEndian.Uint64(buf[12:]))
 	format := Format(binary.LittleEndian.Uint64(buf[20:]))
-	if format != FormatRaw && format != FormatCompressed && format != FormatMixed {
+	if format == 1 {
+		return nil, fmt.Errorf("blockstore: bad meta: %w", errFormatOne)
+	}
+	if format != FormatRaw && format != FormatMixed {
 		return fail(fmt.Sprintf("unknown format %d", format))
 	}
 	if len(buf) < 36 {

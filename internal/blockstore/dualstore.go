@@ -75,10 +75,6 @@ func jitterFloat() float64 {
 type DualStore struct {
 	store  storage.Store
 	Layout Layout
-	// framed records whether blobs carry checksum frames (true for
-	// everything Build writes; false for stores written before framing
-	// existed, detected by Open from the meta blob).
-	framed bool
 	// retry is the transient-fault retry policy for all read paths;
 	// retries counts retry attempts actually issued. The counter is
 	// shared by pointer across Fork copies so aggregate retry accounting
@@ -109,7 +105,7 @@ type DualStore struct {
 	BlockEdgeCount [][]int64
 	// OutBlockBytes[i][j] and InBlockBytes[i][j] are the *stored* sizes of
 	// out-block(i,j) and in-block(i,j) payloads; for FormatRaw both equal
-	// count·EdgeBytes, for compressed encodings they are the compressed
+	// count·RawRecordBytes, for compressed blocks they are the compressed
 	// sizes (the bytes I/O actually moves, which is what the predictor
 	// prices).
 	OutBlockBytes [][]int64
@@ -213,12 +209,13 @@ func (d *DualStore) noteDecode(c Codec, logical, stored int64, dur time.Duration
 	d.dec.nanos.Add(int64(dur))
 }
 
-// OutCodec returns the codec of out-block(i,j)'s stored payload.
+// OutCodec returns the codec of out-block(i,j)'s stored payload: the
+// block's entry in a FormatMixed store's grid, CodecNone on a FormatRaw one.
 func (d *DualStore) OutCodec(i, j int) Codec {
 	if d.OutCodecs != nil {
 		return d.OutCodecs[i][j]
 	}
-	return formatCodec(d.Format)
+	return CodecNone
 }
 
 // InCodec returns the codec of in-block(i,j)'s stored payload.
@@ -226,7 +223,7 @@ func (d *DualStore) InCodec(i, j int) Codec {
 	if d.InCodecs != nil {
 		return d.InCodecs[i][j]
 	}
-	return formatCodec(d.Format)
+	return CodecNone
 }
 
 // Options configures Build.
@@ -237,10 +234,6 @@ type Options struct {
 	Format Format
 	// Weighted stores edge weights with each record.
 	Weighted bool
-	// NoChecksums writes blobs without checksum frames — the pre-framing
-	// legacy layout. Only for compatibility tests and size ablations;
-	// corruption in such stores is not detected at read time.
-	NoChecksums bool
 }
 
 // Build materializes g's dual-block representation with p intervals in the
@@ -262,15 +255,12 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 		return nil, fmt.Errorf("blockstore: build: %w", err)
 	}
 	format := opts.Format
-	if format != FormatRaw && format != FormatCompressed && format != FormatMixed {
+	if format != FormatRaw && format != FormatMixed {
 		return nil, fmt.Errorf("blockstore: build: unknown format %d", format)
-	}
-	if format == FormatMixed && opts.NoChecksums {
-		return nil, fmt.Errorf("blockstore: build: mixed format requires checksum frames (codec tags live in the v2 frame header)")
 	}
 	layout := NewLayout(g.NumVertices, opts.P)
 	p := layout.P
-	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, framed: !opts.NoChecksums, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
+	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
 	d.OutDegrees = make([]int32, g.NumVertices)
 	d.InDegrees = make([]int32, g.NumVertices)
 	d.BlockEdgeCount = alloc2D(p)
@@ -360,11 +350,11 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 }
 
 // encodeBlockPayload encodes one block's per-vertex sections, returning the
-// stored payload, the byte-offset index into it, and the codec used. For
-// uniform formats the codec is fixed; FormatMixed encodes the block under
-// every codec and keeps the smallest, falling back to CodecNone unless a
-// compressed encoding is strictly smaller (compression must pay for its
-// decode cost with real byte savings).
+// stored payload, the byte-offset index into it, and the codec used:
+// CodecNone for FormatRaw; FormatMixed encodes the block under every codec
+// and keeps the smallest, falling back to CodecNone unless a compressed
+// encoding is strictly smaller (compression must pay for its decode cost
+// with real byte savings).
 func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted bool) ([]byte, []uint32, Codec) {
 	encode := func(c Codec) ([]byte, []uint32) {
 		idx := make([]uint32, len(perVertex)+1)
@@ -379,12 +369,11 @@ func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted 
 		idx[len(perVertex)] = uint32(len(payload))
 		return payload, idx
 	}
-	if format != FormatMixed {
-		payload, idx := encode(formatCodec(format))
-		return payload, idx, formatCodec(format)
-	}
 	bestPayload, bestIdx := encode(CodecNone)
 	best := CodecNone
+	if format != FormatMixed {
+		return bestPayload, bestIdx, best
+	}
 	for _, c := range []Codec{CodecVarint, CodecRLE} {
 		payload, idx := encode(c)
 		if len(payload) < len(bestPayload) {
@@ -396,7 +385,7 @@ func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted 
 
 // encodeBlockIndex encodes a block's byte-offset index. FormatMixed stores
 // compress the monotone offsets with varint deltas when that is strictly
-// smaller; uniform formats keep the fixed 4-byte layout.
+// smaller; FormatRaw keeps the fixed 4-byte layout.
 func encodeBlockIndex(idx []uint32, format Format) ([]byte, Codec) {
 	raw := encodeIndexCodec(idx, CodecNone)
 	if format != FormatMixed {
@@ -425,32 +414,34 @@ func allocCodec2D(p int) [][]Codec {
 	return m
 }
 
-// Open attaches to a dual-block store previously written by Build. The
-// meta blob's header decides the store's integrity mode: framed stores
-// verify a CRC32C on every full blob read; stores written before framing
-// existed carry no headers and are read unframed (legacy compatibility).
+// Open's refusals of stores older builds wrote. The message is the way out;
+// callers that need to tell them apart match the value.
+var (
+	errUnframed  = errors.New("not a framed HUS store — rebuild it with husgen")
+	errFormatOne = errors.New("format 1 (uniform varint) is no longer read — rebuild the store with -format mixed")
+)
+
+// Open attaches to a dual-block store previously written by Build. Every
+// blob of a store is checksum-framed and every full blob read verifies its
+// CRC32C; a meta blob without a frame is not a store this code wrote.
 func Open(store storage.Store) (*DualStore, error) {
 	buf, err := store.ReadAll(metaName)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: open: %w", err)
 	}
-	framed := isFramed(buf)
-	if framed {
-		if buf, _, err = unframeBlob(metaName, buf); err != nil {
-			return nil, fmt.Errorf("blockstore: open: %w", err)
-		}
+	if len(buf) < len(frameMagic) || string(buf[:len(frameMagic)]) != frameMagic {
+		return nil, fmt.Errorf("blockstore: open: %s: %w: %w", metaName, errUnframed, storage.ErrCorrupt)
+	}
+	if buf, _, err = unframeBlob(metaName, buf); err != nil {
+		return nil, fmt.Errorf("blockstore: open: %w", err)
 	}
 	d, err := decodeMeta(buf)
 	if err != nil {
 		return nil, err
 	}
 	d.store = store
-	d.framed = framed
 	return d, nil
 }
-
-// Framed reports whether this store's blobs carry checksum frames.
-func (d *DualStore) Framed() bool { return d.framed }
 
 // Store returns the blob store this DualStore reads through.
 func (d *DualStore) Store() storage.Store { return d.store }
@@ -502,24 +493,19 @@ func (d *DualStore) Retries() int64 { return d.retries.Load() }
 // since the store was created, shared across Fork copies like Retries.
 func (d *DualStore) Hedges() int64 { return d.hedges.Load() }
 
-// putBlob writes a durable blob, framing it unless the store is legacy.
+// putBlob writes a durable checksum-framed blob.
 func (d *DualStore) putBlob(name string, payload []byte) error {
 	return d.putBlobCodec(name, payload, CodecNone)
 }
 
 // putBlobCodec writes a durable blob whose payload is encoded with codec c.
-// FormatMixed stores write version-2 frames carrying the codec tag; other
-// framed stores write version-1 frames (their codec is implied by Format),
-// and legacy stores write the payload bare.
+// FormatMixed stores write version-2 frames carrying the codec tag;
+// FormatRaw stores write version-1 frames (every blob is CodecNone).
 func (d *DualStore) putBlobCodec(name string, payload []byte, c Codec) error {
-	switch {
-	case d.Format == FormatMixed:
+	if d.Format == FormatMixed {
 		return d.store.Put(name, frameBlobV2(payload, c))
-	case d.framed:
-		return d.store.Put(name, frameBlob(payload))
-	default:
-		return d.store.Put(name, payload)
 	}
+	return d.store.Put(name, frameBlob(payload))
 }
 
 // blobRead names one store read — a whole blob, or with ranged set the
@@ -651,17 +637,16 @@ func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 	return o.b, o.err
 }
 
-// readBlob loads a whole blob with transient-fault retries, and on framed
-// stores validates and strips the checksum frame.
+// readBlob loads a whole blob with transient-fault retries, and validates
+// and strips its checksum frame.
 func (d *DualStore) readBlob(name string) ([]byte, error) {
 	payload, _, err := d.readBlobTagged(name, nil)
 	return payload, err
 }
 
 // readBlobTagged is readBlob also returning the frame's codec tag —
-// CodecNone for version-1 frames and legacy stores. Block and index loads
-// dispatch their decode on it; a tag disagreeing with the meta grid is
-// reported as corruption by the callers that know what to expect.
+// CodecNone for version-1 frames. Index loads dispatch their decode on it;
+// block loads report a tag disagreeing with the meta grid as corruption.
 //
 // buf, when non-nil, is the caller's reusable read buffer: the blob is read
 // into *buf if it fits, and the buffer actually read into (a larger fresh
@@ -682,24 +667,19 @@ func (d *DualStore) readBlobTagged(name string, buf *[]byte) ([]byte, Codec, err
 	if buf != nil {
 		*buf = raw
 	}
-	if !d.framed {
-		return raw, CodecNone, nil
-	}
 	return unframeBlob(name, raw)
 }
 
 // readRange loads payload bytes [off, off+n) of a blob with transient-
-// fault retries, shifting past the frame header on framed stores (18 bytes
-// for a FormatMixed store's version-2 frames, 17 otherwise). Range reads
-// cannot validate the whole-blob checksum; integrity of selectively loaded
-// runs is only protected by the surrounding decode checks.
+// fault retries, shifting past the frame header (18 bytes for a FormatMixed
+// store's version-2 frames, 17 otherwise). Range reads cannot validate the
+// whole-blob checksum; integrity of selectively loaded runs is only
+// protected by the surrounding decode checks.
 func (d *DualStore) readRange(name string, off, n int64, buf []byte) ([]byte, error) {
-	if d.framed {
-		if d.Format == FormatMixed {
-			off += frameHeaderLenV2
-		} else {
-			off += frameHeaderLen
-		}
+	if d.Format == FormatMixed {
+		off += frameHeaderLenV2
+	} else {
+		off += frameHeaderLen
 	}
 	return d.withRetry(buf, blobRead{name: name, off: off, n: n, ranged: true})
 }
@@ -718,32 +698,20 @@ func (d *DualStore) NumEdges() int64 {
 	return t
 }
 
-// Block is a fully-loaded, decoded edge block. Index[k]..Index[k+1]
-// delimits the *records* of the k-th vertex of the indexed interval
-// (sources for out-blocks, destinations for in-blocks), regardless of the
-// on-disk format.
-type Block struct {
-	Index []uint32
-	Recs  []Rec
-}
-
-// EdgesOf returns the records of the indexed vertex with local index k.
-func (b *Block) EdgesOf(k int) []Rec {
-	return b.Recs[b.Index[k]:b.Index[k+1]]
-}
-
-// Scratch holds reusable decode buffers for the *Scratch loader variants,
+// Scratch holds reusable load buffers for the *Scratch loader variants,
 // eliminating steady-state allocations on the engine's hot loops. A Scratch
 // must not be shared between concurrent loads; loaded views alias its
 // buffers and are invalidated by the next load into the same Scratch.
 type Scratch struct {
-	raw     []byte
-	idxRaw  []byte
-	recs    []Rec
-	recIdx  []uint32
-	idx     []uint32
-	decoded []Rec
-	rle     []byte
+	// raw and idxRaw hold a block's and an index's blob as read; idx the
+	// index parsed out of idxRaw.
+	raw    []byte
+	idxRaw []byte
+	idx    []uint32
+	// dec holds what a compressed block or section decodes into — packed
+	// raw records — and decIdx the decoded block's byte index into it.
+	dec    []byte
+	decIdx []uint32
 }
 
 // scratchPool recycles Scratch buffers across loads, package-wide: the
@@ -807,18 +775,10 @@ func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]uint32, error)
 	return d.loadIndexScratch(d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1, sc)
 }
 
-// LoadOutRun reads the raw byte range [startByte, endByte) of
-// out-block(i,j) with one random access — ROP's selective load of one or
-// more coalesced per-vertex sections (Alg. 2 line 7). Decode sections with
-// DecodeRecs.
-func (d *DualStore) LoadOutRun(i, j int, startByte, endByte uint32) ([]byte, error) {
-	if startByte >= endByte {
-		return nil, nil
-	}
-	return d.readRange(d.names.name(blobOutBlock, i, j), int64(startByte), int64(endByte-startByte), nil)
-}
-
-// LoadOutRunScratch is LoadOutRun reusing sc's buffers.
+// LoadOutRunScratch reads the stored byte range [startByte, endByte) of
+// out-block(i,j) with one random access into sc — ROP's selective load of
+// one or more coalesced per-vertex sections (Alg. 2 line 7). Hand each
+// section to DecodeSectionScratch.
 func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, sc *Scratch) ([]byte, error) {
 	if startByte >= endByte {
 		return nil, nil
@@ -831,153 +791,98 @@ func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, sc *S
 	return buf, nil
 }
 
-// DecodeRecs decodes one vertex's self-contained record section (a slice
-// of a loaded run delimited by consecutive index entries), using the
-// store's uniform codec. FormatMixed callers must use the codec-explicit
-// variant — blocks differ.
-func (d *DualStore) DecodeRecs(section []byte) ([]Rec, error) {
-	return decodeVertexRecsInto(nil, section, d.Format, d.Weighted)
-}
-
-// DecodeRecsScratch is DecodeRecs reusing sc's decode buffer; the result
-// is invalidated by the next DecodeRecsScratch on the same sc.
-func (d *DualStore) DecodeRecsScratch(section []byte, sc *Scratch) ([]Rec, error) {
-	return d.DecodeRecsCodecScratch(section, formatCodec(d.Format), sc)
-}
-
-// DecodeRecsCodecScratch decodes one vertex's self-contained record section
-// encoded with codec c (per-block in FormatMixed stores — consult
-// OutCodec/InCodec), reusing sc's decode buffer. Non-none decodes are
-// counted in the store's DecodeStats.
-func (d *DualStore) DecodeRecsCodecScratch(section []byte, c Codec, sc *Scratch) ([]Rec, error) {
-	var start time.Time
-	if c != CodecNone {
-		start = time.Now()
+// DecodeSectionScratch returns the packed raw records of one vertex's
+// self-contained section (a slice of a loaded run delimited by consecutive
+// index entries) stored with codec c — OutCodec(i,j) for a section of
+// out-block(i,j). A CodecNone section already is its records and is handed
+// back in place; any other is decoded into sc, the result invalidated by
+// the next decode into the same sc, and counted in the store's DecodeStats.
+func (d *DualStore) DecodeSectionScratch(section []byte, c Codec, sc *Scratch) ([]byte, error) {
+	if c == CodecNone {
+		return section, nil
 	}
-	recs, err := decodeVertexRecsCodecInto(sc.decoded[:0], section, c, d.Weighted, &sc.rle)
+	start := time.Now()
+	recs, err := appendSection(sc.dec[:0], section, c, d.Weighted)
 	if err != nil {
 		return nil, err
 	}
-	sc.decoded = recs
-	if c != CodecNone {
-		d.noteDecode(c, int64(len(recs))*int64(RawRecordBytes(d.Weighted)), int64(len(section)), time.Since(start))
-	}
+	sc.dec = recs
+	d.noteDecode(c, int64(len(recs)), int64(len(section)), time.Since(start))
 	return recs, nil
 }
 
-// loadBlock reads and fully decodes one block (out or in view) of cell
-// (i,j), dispatching the section decode on the block's codec. On
-// FormatMixed stores the frame's codec tag must agree with the meta grid —
-// a mismatch means one of the two lied and is reported as corruption.
-func (d *DualStore) loadBlock(out bool, i, j int, sc *Scratch) (Block, error) {
-	var idxName, blkName string
-	var c Codec
-	var want int
-	if out {
-		idxName, blkName = d.names.name(blobOutIndex, i, j), d.names.name(blobOutBlock, i, j)
-		c, want = d.OutCodec(i, j), d.Layout.Size(i)+1
-	} else {
-		idxName, blkName = d.names.name(blobInIndex, i, j), d.names.name(blobInBlock, i, j)
-		c, want = d.InCodec(i, j), d.Layout.Size(j)+1
-	}
-	byteIdx, err := d.loadIndexScratch(idxName, want, sc)
-	if err != nil {
-		return Block{}, err
-	}
-	payload, tag, err := d.readBlobTagged(blkName, &sc.raw)
-	if err != nil {
-		return Block{}, err
-	}
-	if d.Format == FormatMixed && tag != c {
-		return Block{}, fmt.Errorf("blockstore: %s: frame codec %v disagrees with meta codec %v: %w", blkName, tag, c, storage.ErrCorrupt)
-	}
-
-	if cap(sc.recIdx) < len(byteIdx) {
-		sc.recIdx = make([]uint32, len(byteIdx))
-	}
-	recIdx := sc.recIdx[:len(byteIdx)]
-	recs := sc.recs[:0]
-	var start time.Time
-	if c != CodecNone {
-		start = time.Now()
-	}
-	for k := 0; k+1 < len(byteIdx); k++ {
-		recIdx[k] = uint32(len(recs))
-		lo, hi := byteIdx[k], byteIdx[k+1]
-		if int(hi) > len(payload) || lo > hi {
-			return Block{}, fmt.Errorf("blockstore: %s: corrupt index [%d,%d) for %d payload bytes: %w", blkName, lo, hi, len(payload), storage.ErrCorrupt)
-		}
-		recs, err = decodeVertexRecsCodecInto(recs, payload[lo:hi], c, d.Weighted, &sc.rle)
-		if err != nil {
-			return Block{}, fmt.Errorf("blockstore: %s vertex %d: %w", blkName, k, err)
-		}
-	}
-	recIdx[len(byteIdx)-1] = uint32(len(recs))
-	sc.recs, sc.recIdx = recs, recIdx
-	logical := int64(len(recs)) * int64(RawRecordBytes(d.Weighted))
-	if c != CodecNone {
-		d.noteDecode(c, logical, int64(len(payload)), time.Since(start))
-	}
-	d.dec.logicalBytes.Add(logical)
-	return Block{Index: recIdx, Recs: recs}, nil
-}
-
-// LoadInBlockBytesScratch streams in-block(i,j) WITHOUT decoding: it
-// returns the raw payload and the per-destination byte index, both aliasing
-// sc's buffers. The engine's raw fast path iterates records in place via
-// RawRec, avoiding any per-iteration decode allocation — this is what a
-// real implementation gets by mapping packed structs. Only valid for
-// blocks whose codec is CodecNone (all of FormatRaw; per-block in
-// FormatMixed).
+// LoadInBlockBytesScratch streams in-block(i,j) with its index, charged as
+// sequential reads — COP's block scan (Alg. 3 line 5) — and returns it in
+// the one shape compute consumes: payload holds the block's packed raw
+// records (RawRecordBytes each, iterated in place via RawRec) and
+// idx[k]..idx[k+1] delimits, in bytes, those of the interval's k-th
+// destination. A stored-raw block (all of FormatRaw; per-block in
+// FormatMixed) is handed over as read; a compressed one is decoded section
+// by section into exactly the bytes its CodecNone twin stores. Both views
+// alias sc's buffers.
+//
+// The frame's codec tag must agree with the meta grid and the index with the
+// payload — a mismatch means one of them lied (or the blobs come from two
+// builds) and is reported as corruption.
 func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
-	if c := d.InCodec(i, j); c != CodecNone {
-		return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d) is %v-coded, not raw", i, j, c)
-	}
+	name := d.names.name(blobInBlock, i, j)
+	c := d.InCodec(i, j)
 	byteIdx, err := d.loadIndexScratch(d.names.name(blobInIndex, i, j), d.Layout.Size(j)+1, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, tag, err := d.readBlobTagged(d.names.name(blobInBlock, i, j), &sc.raw)
+	payload, tag, err := d.readBlobTagged(name, &sc.raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	if tag != CodecNone {
-		return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d): frame codec %v disagrees with meta codec none: %w", i, j, tag, storage.ErrCorrupt)
+	if tag != c {
+		return nil, nil, fmt.Errorf("blockstore: %s: frame codec %v disagrees with meta codec %v: %w", name, tag, c, storage.ErrCorrupt)
 	}
 	if n := len(byteIdx); n == 0 || byteIdx[n-1] != uint32(len(payload)) {
-		return nil, nil, fmt.Errorf("blockstore: in-block (%d,%d): index/payload mismatch", i, j)
+		return nil, nil, fmt.Errorf("blockstore: %s: index/payload mismatch: %w", name, storage.ErrCorrupt)
 	}
-	d.dec.logicalBytes.Add(int64(len(payload)))
-	return payload, byteIdx, nil
-}
-
-// LoadInBlock streams and decodes the whole in-block(i,j) with its index,
-// charged as sequential reads — COP's block scan (Alg. 3 line 5). The
-// returned Block owns its data; decode and I/O buffers come from the pooled
-// Scratch set rather than fresh per-call allocations.
-func (d *DualStore) LoadInBlock(i, j int) (*Block, error) {
-	return d.loadOwnedBlock(false, i, j)
-}
-
-// loadOwnedBlock loads a block through a pooled Scratch and copies the
-// decoded views into exact-size slices the caller owns.
-func (d *DualStore) loadOwnedBlock(out bool, i, j int) (*Block, error) {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	blk, err := d.loadBlock(out, i, j, sc)
-	if err != nil {
-		return nil, err
+	if c == CodecNone {
+		d.dec.logicalBytes.Add(int64(len(payload)))
+		return payload, byteIdx, nil
 	}
-	return &Block{
-		Index: append([]uint32(nil), blk.Index...),
-		Recs:  append([]Rec(nil), blk.Recs...),
-	}, nil
+
+	// The decoded size is known up front, so the buffer is sized once; and
+	// most destinations of a block have no edge in it, so only non-empty
+	// sections reach the decoder.
+	if want := int(d.BlockEdgeCount[i][j]) * RawRecordBytes(d.Weighted); cap(sc.dec) < want {
+		sc.dec = make([]byte, 0, want)
+	}
+	if cap(sc.decIdx) < len(byteIdx) {
+		sc.decIdx = make([]uint32, len(byteIdx))
+	}
+	dec, decIdx := sc.dec[:0], sc.decIdx[:len(byteIdx)]
+	start := time.Now()
+	for k := 0; k+1 < len(byteIdx); k++ {
+		decIdx[k] = uint32(len(dec))
+		lo, hi := byteIdx[k], byteIdx[k+1]
+		if int(hi) > len(payload) || lo > hi {
+			return nil, nil, fmt.Errorf("blockstore: %s: corrupt index [%d,%d) for %d payload bytes: %w", name, lo, hi, len(payload), storage.ErrCorrupt)
+		}
+		if lo == hi {
+			continue
+		}
+		if dec, err = appendSection(dec, payload[lo:hi], c, d.Weighted); err != nil {
+			return nil, nil, fmt.Errorf("blockstore: %s vertex %d: %w", name, k, err)
+		}
+	}
+	decIdx[len(byteIdx)-1] = uint32(len(dec))
+	sc.dec = dec
+	d.noteDecode(c, int64(len(dec)), int64(len(payload)), time.Since(start))
+	d.dec.logicalBytes.Add(int64(len(dec)))
+	return dec, decIdx, nil
 }
 
-// LoadInBlockScratch is LoadInBlock reusing sc's buffers. The returned view
-// is invalidated by the next load into sc.
-func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) (Block, error) {
-	return d.loadBlock(false, i, j, sc)
+// LoadInBlockScratch is LoadInBlockBytesScratch without the index.
+// perfbench/trace.go calls it for compressed blocks; it goes when a
+// benchmark PR drops that call (ROADMAP 7d).
+func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) ([]byte, error) {
+	payload, _, err := d.LoadInBlockBytesScratch(i, j, sc)
+	return payload, err
 }
 
 // LoadOutPayload streams the stored payload of out-block(i,j) in one
@@ -992,17 +897,10 @@ func (d *DualStore) LoadOutPayload(i, j int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.Format == FormatMixed && tag != d.OutCodec(i, j) {
-		return nil, fmt.Errorf("blockstore: out-block (%d,%d): frame codec %v disagrees with meta codec %v: %w", i, j, tag, d.OutCodec(i, j), storage.ErrCorrupt)
+	if c := d.OutCodec(i, j); tag != c {
+		return nil, fmt.Errorf("blockstore: out-block (%d,%d): frame codec %v disagrees with meta codec %v: %w", i, j, tag, c, storage.ErrCorrupt)
 	}
 	return payload, nil
-}
-
-// LoadOutBlock streams and decodes the whole out-block(i,j) with its
-// index, charged as sequential reads (full-push baselines and ablations).
-// Like LoadInBlock, the returned Block owns its data.
-func (d *DualStore) LoadOutBlock(i, j int) (*Block, error) {
-	return d.loadOwnedBlock(true, i, j)
 }
 
 // OutIndexBytes returns the stored size of out-index(i,j) — the actual
@@ -1023,16 +921,6 @@ func (d *DualStore) InIndexBytes(i, j int) int64 {
 	return int64(d.Layout.Size(j)+1) * IndexEntryBytes
 }
 
-// InColumnBytes returns the on-disk size of column j of the in-block grid:
-// the bytes COP streams to process interval j (edges plus indices).
-func (d *DualStore) InColumnBytes(j int) int64 {
-	var t int64
-	for i := 0; i < d.Layout.P; i++ {
-		t += d.InBlockBytes[i][j] + d.InIndexBytes(i, j)
-	}
-	return t
-}
-
 // TotalEdgeBytes returns the on-disk size of all out-blocks, excluding
 // indices.
 func (d *DualStore) TotalEdgeBytes() int64 {
@@ -1045,22 +933,10 @@ func (d *DualStore) TotalEdgeBytes() int64 {
 	return t
 }
 
-// TotalInEdgeBytes returns the on-disk size of all in-blocks, excluding
-// indices.
-func (d *DualStore) TotalInEdgeBytes() int64 {
-	var t int64
-	for _, row := range d.InBlockBytes {
-		for _, b := range row {
-			t += b
-		}
-	}
-	return t
-}
-
 // Aux blob support: small named blobs (checkpoints, run metadata) stored
 // alongside the immutable graph blocks under the "aux/" namespace.
 
-// PutAux writes an auxiliary blob, checksum-framed on framed stores.
+// PutAux writes an auxiliary blob, checksum-framed like every other.
 func (d *DualStore) PutAux(name string, data []byte) error {
 	return d.putBlob("aux/"+name, data)
 }

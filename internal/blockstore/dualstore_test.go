@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -58,7 +59,7 @@ func TestBuildPaperExample(t *testing.T) {
 	}
 	// Figure 4(c): out-block (1,2) [0-indexed (0,1)] contains 1→6,7,9;
 	// 2→6,9; 5→7,10 — i.e. 0→5,6,8; 1→5,8; 4→6,9.
-	blk, err := ds.LoadOutBlock(0, 1)
+	blk, err := loadOutBlock(ds, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestBuildPaperExample(t *testing.T) {
 	// Figure 4(b): in-block (1,1) [(0,0)]: 2,4→1; 4→2; 2,4→3; 1→4; 1,2→5
 	// (plus 10→5 belongs to in-block (2,1)). 0-indexed: dst0←{1,3},
 	// dst1←{3}, dst2←{1,3}, dst3←{0}, dst4←{0,1}.
-	in, err := ds.LoadInBlock(0, 0)
+	in, err := loadInBlock(ds, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,8 @@ func TestBuildPaperExample(t *testing.T) {
 }
 
 func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
+	sc := new(Scratch)
+	for _, format := range []Format{FormatRaw, FormatMixed} {
 		g := gen.RMAT(256, 2000, gen.Graph500, rand.New(rand.NewSource(3)))
 		ds, err := BuildWithFormat(memStore(), g, 4, format)
 		if err != nil {
@@ -110,7 +112,7 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 		}
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
-				full, err := ds.LoadOutBlock(i, j)
+				full, err := loadOutBlock(ds, i, j)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,14 +125,11 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 				}
 				for k := 0; k+1 < len(idx); k++ {
 					want := full.EdgesOf(k)
-					raw, err := ds.LoadOutRun(i, j, idx[k], idx[k+1])
+					sec, err := loadOutSection(ds, i, j, idx, k, sc)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := ds.DecodeRecs(raw)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := rawRecs(sec, ds.Weighted)
 					if len(want) == 0 && len(got) == 0 {
 						continue
 					}
@@ -204,7 +203,7 @@ func TestBuildOnFileStore(t *testing.T) {
 	if opened.NumEdges() != built.NumEdges() {
 		t.Fatalf("edges %d != %d", opened.NumEdges(), built.NumEdges())
 	}
-	blk, err := opened.LoadInBlock(1, 0)
+	blk, err := loadInBlock(opened, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,9 @@ func TestSizeAccounting(t *testing.T) {
 	}
 	var colSum int64
 	for j := 0; j < ds.Layout.P; j++ {
-		colSum += ds.InColumnBytes(j)
+		for i := 0; i < ds.Layout.P; i++ {
+			colSum += ds.InBlockBytes[i][j] + ds.InIndexBytes(i, j)
+		}
 	}
 	wantIdx := int64(0)
 	for j := 0; j < ds.Layout.P; j++ {
@@ -251,7 +252,7 @@ func TestRandomAccessCharged(t *testing.T) {
 	// Find a vertex with edges.
 	for k := 0; k+1 < len(idx); k++ {
 		if idx[k+1] > idx[k] {
-			if _, err := ds.LoadOutRun(0, 0, idx[k], idx[k+1]); err != nil {
+			if _, err := ds.LoadOutRunScratch(0, 0, idx[k], idx[k+1], new(Scratch)); err != nil {
 				t.Fatal(err)
 			}
 			break
@@ -283,7 +284,7 @@ func TestEmptyGraphBuild(t *testing.T) {
 	if ds.NumEdges() != 0 {
 		t.Fatalf("NumEdges = %d", ds.NumEdges())
 	}
-	blk, err := ds.LoadInBlock(0, 0)
+	blk, err := loadInBlock(ds, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,18 +294,25 @@ func TestEmptyGraphBuild(t *testing.T) {
 }
 
 func TestCodecRejectsCorruptPayloads(t *testing.T) {
-	if _, err := decodeVertexRecsInto(nil, make([]byte, 7), FormatRaw, true); err == nil {
-		t.Fatal("bad raw payload accepted")
+	for _, c := range []struct {
+		what     string
+		section  []byte
+		codec    Codec
+		weighted bool
+	}{
+		{"raw payload of 7 bytes", make([]byte, 7), CodecNone, true},
+		{"varint whose weight is cut off", []byte{0x01, 0xAA}, CodecVarint, true},
+		{"unterminated varint", []byte{0xFF}, CodecVarint, true},
+		{"neighbor past uint32", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, CodecVarint, false},
+		{"rle group past the end", []byte{0x05, 1, 2}, CodecRLE, false},
+		{"rle expanding to a partial record", appendRLE(nil, make([]byte, 6)), CodecRLE, false},
+		{"unknown codec", nil, numCodecs, false},
+	} {
+		if _, err := appendSection(nil, c.section, c.codec, c.weighted); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
+		}
 	}
-	// A compressed payload whose varint is fine but whose weight is cut off.
-	if _, err := decodeVertexRecsInto(nil, []byte{0x01, 0xAA}, FormatCompressed, true); err == nil {
-		t.Fatal("truncated compressed payload accepted")
-	}
-	// An unterminated varint.
-	if _, err := decodeVertexRecsInto(nil, []byte{0xFF}, FormatCompressed, true); err == nil {
-		t.Fatal("corrupt varint accepted")
-	}
-	if _, err := decodeIndex(make([]byte, 6)); err == nil {
+	if _, err := decodeIndexInto(nil, make([]byte, 6)); err == nil {
 		t.Fatal("bad index payload accepted")
 	}
 	if _, err := decodeMeta([]byte("JUNK")); err == nil {
@@ -344,7 +352,7 @@ func TestQuickDualBlockPartition(t *testing.T) {
 		fromIn := map[graph.Edge]int{}
 		for i := 0; i < l.P; i++ {
 			for j := 0; j < l.P; j++ {
-				ob, err := ds.LoadOutBlock(i, j)
+				ob, err := loadOutBlock(ds, i, j)
 				if err != nil {
 					return false
 				}
@@ -357,7 +365,7 @@ func TestQuickDualBlockPartition(t *testing.T) {
 						fromOut[graph.Edge{Src: graph.VertexID(loI + k), Dst: r.Nbr, Weight: r.Weight}]++
 					}
 				}
-				ib, err := ds.LoadInBlock(i, j)
+				ib, err := loadInBlock(ds, i, j)
 				if err != nil {
 					return false
 				}

@@ -31,23 +31,27 @@ func ExampleBuild() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	raw, err := ds.LoadOutRun(0, 1, idx[0], idx[1])
+	sc := blockstore.GetScratch()
+	defer blockstore.PutScratch(sc)
+	run, err := ds.LoadOutRunScratch(0, 1, idx[0], idx[1], sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs, err := ds.DecodeRecs(raw)
+	// Whatever codec stored the block, a section decodes to packed records.
+	sec, err := ds.DecodeSectionScratch(run, ds.OutCodec(0, 1), sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range recs {
-		fmt.Printf("0 -> %d\n", r.Nbr)
+	for off := 0; off < len(sec); off += blockstore.RawRecordBytes(ds.Weighted) {
+		nbr, _ := blockstore.RawRec(sec, off, ds.Weighted)
+		fmt.Printf("0 -> %d\n", nbr)
 	}
 	// Output:
 	// 0 -> 2
 	// 0 -> 3
 }
 
-// ExampleBuildOpts builds a compressed, unweighted store — the compact
+// ExampleBuildOpts builds a per-block compressed, unweighted store — the compact
 // layout for PageRank/BFS/WCC workloads.
 func ExampleBuildOpts() {
 	g := graph.New(3)
@@ -56,7 +60,7 @@ func ExampleBuildOpts() {
 	store := storage.NewMemStore(storage.NewDevice(storage.RAM))
 	ds, err := blockstore.BuildOpts(store, g, blockstore.Options{
 		P:        2,
-		Format:   blockstore.FormatCompressed,
+		Format:   blockstore.FormatMixed,
 		Weighted: false,
 	})
 	if err != nil {
@@ -65,6 +69,6 @@ func ExampleBuildOpts() {
 	fmt.Println("format:", ds.Format)
 	fmt.Println("edges:", ds.NumEdges())
 	// Output:
-	// format: compressed
+	// format: mixed
 	// edges: 2
 }

@@ -16,16 +16,10 @@ import (
 type Format int
 
 const (
-	// FormatRaw stores fixed 8-byte records (neighbor uint32 + weight
-	// float32): cheapest to decode, supports direct slicing.
-	FormatRaw Format = iota
-	// FormatCompressed delta-encodes neighbor IDs as varints (records
-	// within one vertex's range are sorted by neighbor, so deltas are
-	// small) followed by the raw float32 weight. Typical social/web
-	// blocks shrink to ~65–80% of raw size, trading decode CPU for I/O —
-	// the direction several of the paper's §5 systems (NXgraph, the
-	// WebGraph format) push further.
-	FormatCompressed
+	// FormatRaw stores fixed-size packed records (neighbor uint32, plus a
+	// float32 weight on weighted stores) in version-1 frames: nothing to
+	// decode, supports direct slicing.
+	FormatRaw Format = 0
 	// FormatMixed picks a codec (none | varint | rle) *per block* at build
 	// time, keeping whichever encoding is smallest and falling back to raw
 	// sections when compression does not pay. Per-vertex sections stay
@@ -35,8 +29,14 @@ const (
 	// indices are delta-varint compressed the same way. Every blob is
 	// written in a version-2 checksum frame carrying its codec tag; the
 	// CRC32C covers the *compressed* bytes (see frame.go). This is
-	// GraphMP's compressed-edge-block direction.
-	FormatMixed
+	// GraphMP's compressed-edge-block direction, and like there the codec
+	// is a property of storage only: every block decodes back into the
+	// packed records FormatRaw stores (appendSection).
+	//
+	// The value is pinned: meta blobs record it, and 1 was the uniform
+	// varint format (the same bytes as a mixed store restricted to one
+	// codec) that Open now rejects with a rebuild hint.
+	FormatMixed Format = 2
 )
 
 // String names the format for reports.
@@ -44,8 +44,6 @@ func (f Format) String() string {
 	switch f {
 	case FormatRaw:
 		return "raw"
-	case FormatCompressed:
-		return "compressed"
 	case FormatMixed:
 		return "mixed"
 	default:
@@ -53,35 +51,32 @@ func (f Format) String() string {
 	}
 }
 
-// ParseFormat parses "raw", "compressed" or "mixed".
+// ParseFormat parses "raw" or "mixed".
 func ParseFormat(s string) (Format, error) {
 	switch s {
 	case "raw":
 		return FormatRaw, nil
-	case "compressed":
-		return FormatCompressed, nil
 	case "mixed":
 		return FormatMixed, nil
 	default:
-		return FormatRaw, fmt.Errorf("blockstore: unknown format %q (want raw|compressed|mixed)", s)
+		return FormatRaw, fmt.Errorf("blockstore: unknown format %q (want raw|mixed)", s)
 	}
 }
 
 // Codec identifies the encoding of one block's (or index's) stored payload.
-// FormatRaw and FormatCompressed stores use one codec uniformly; FormatMixed
-// stores record a codec per block in the meta blob and in each blob's
-// version-2 frame tag.
+// FormatRaw stores use CodecNone throughout; FormatMixed stores record a
+// codec per block in the meta blob and in each blob's version-2 frame tag.
 type Codec uint8
 
 const (
 	// CodecNone stores sections as packed fixed-size raw records.
 	CodecNone Codec = iota
 	// CodecVarint delta-gap varint encodes each section's sorted neighbor
-	// IDs (FormatCompressed's section encoding).
+	// IDs; weights, when stored, follow each ID as raw float32 bits.
 	CodecVarint
 	// CodecRLE byte-RLE encodes each section's packed raw records
-	// (PackBits-style; see rle.go) — wins on the locality runs of web
-	// graphs where consecutive records share high bytes.
+	// (PackBits-style; see rle.go) — wins where whole records repeat
+	// bytes (zero weights, say); on ID-only records varint is smaller.
 	CodecRLE
 	numCodecs
 )
@@ -100,31 +95,14 @@ func (c Codec) String() string {
 	}
 }
 
-// formatCodec maps a uniform store format to its section codec. FormatMixed
-// has no single answer — callers must consult the per-block codec grids.
-func formatCodec(f Format) Codec {
-	if f == FormatCompressed {
-		return CodecVarint
-	}
-	return CodecNone
-}
-
-// encodeVertexRecs serializes one vertex's records (sorted by neighbor) in
-// the given uniform-store format, appending to dst. Unweighted encodings
+// encodeVertexRecsCodec serializes one vertex's records (sorted by
+// neighbor) with the given codec, appending to dst. Unweighted encodings
 // drop the weight field entirely — the compactness real systems exploit for
 // PageRank, BFS and WCC (§4.4 credits HUS-Graph's "more space-efficient"
-// storage). FormatMixed stores encode through encodeVertexRecsCodec with an
-// explicit per-block codec instead.
-func encodeVertexRecs(dst []byte, recs []Rec, f Format, weighted bool) []byte {
-	return encodeVertexRecsCodec(dst, recs, formatCodec(f), weighted, nil)
-}
-
-// encodeVertexRecsCodec serializes one vertex's records (sorted by
-// neighbor) with the given codec, appending to dst. Every section is
-// self-contained: the varint delta chain starts from -1 and RLE runs never
-// cross a section boundary, so a byte-range read of any subset of sections
-// decodes without context. rleScratch, when non-nil, is reused for the
-// intermediate raw packing of CodecRLE sections.
+// storage). Every section is self-contained: the varint delta chain starts
+// from -1 and RLE runs never cross a section boundary, so a byte-range read
+// of any subset of sections decodes without context. rleScratch, when
+// non-nil, is reused for the intermediate raw packing of CodecRLE sections.
 func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool, rleScratch *[]byte) []byte {
 	switch c {
 	case CodecNone:
@@ -168,42 +146,25 @@ func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool, rleSc
 	}
 }
 
-// decodeVertexRecsInto parses one vertex's self-contained record section in
-// the given uniform-store format, appending to recs.
-func decodeVertexRecsInto(recs []Rec, buf []byte, f Format, weighted bool) ([]Rec, error) {
-	return decodeVertexRecsCodecInto(recs, buf, formatCodec(f), weighted, nil)
-}
-
-// decodeVertexRecsCodecInto parses one vertex's self-contained record
-// section encoded with codec c, appending to recs. Unweighted records
-// decode with Weight = 1. Malformed input yields storage.ErrCorrupt-class
-// errors — never a panic or an out-of-bounds read — so corrupt-on-disk
-// sections surface through the same fault taxonomy as a bad frame CRC.
-// rleScratch, when non-nil, is reused for the expanded bytes of CodecRLE
-// sections.
-func decodeVertexRecsCodecInto(recs []Rec, buf []byte, c Codec, weighted bool, rleScratch *[]byte) ([]Rec, error) {
+// appendSection decodes one vertex's self-contained record section, stored
+// with codec c, into the packed raw records its CodecNone twin stores —
+// RawRecordBytes(weighted) bytes each — appending them to dst. It is the
+// only section decoder: whatever the codec, compute sees one layout.
+// Malformed input yields storage.ErrCorrupt-class errors — never a panic or
+// an out-of-bounds read — so corrupt-on-disk sections surface through the
+// same fault taxonomy as a bad frame CRC.
+func appendSection(dst, section []byte, c Codec, weighted bool) ([]byte, error) {
+	step := RawRecordBytes(weighted)
 	switch c {
 	case CodecNone:
-		step := 4
-		if weighted {
-			step = EdgeBytes
+		if len(section)%step != 0 {
+			return nil, fmt.Errorf("blockstore: raw payload length %d not a multiple of %d: %w", len(section), step, storage.ErrCorrupt)
 		}
-		if len(buf)%step != 0 {
-			return nil, fmt.Errorf("blockstore: raw payload length %d not a multiple of %d: %w", len(buf), step, storage.ErrCorrupt)
-		}
-		for off := 0; off < len(buf); off += step {
-			w := float32(1)
-			if weighted {
-				w = math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4:]))
-			}
-			recs = append(recs, Rec{Nbr: binary.LittleEndian.Uint32(buf[off:]), Weight: w})
-		}
-		return recs, nil
+		return append(dst, section...), nil
 	case CodecVarint:
 		prev := int64(-1)
-		off := 0
-		for off < len(buf) {
-			delta, n := binary.Uvarint(buf[off:])
+		for off := 0; off < len(section); {
+			delta, n := binary.Uvarint(section[off:])
 			if n <= 0 {
 				return nil, fmt.Errorf("blockstore: corrupt varint at offset %d: %w", off, storage.ErrCorrupt)
 			}
@@ -212,32 +173,28 @@ func decodeVertexRecsCodecInto(recs []Rec, buf []byte, c Codec, weighted bool, r
 			if nbr < 0 || nbr > math.MaxUint32 {
 				return nil, fmt.Errorf("blockstore: neighbor id %d out of range: %w", nbr, storage.ErrCorrupt)
 			}
-			w := float32(1)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(nbr))
 			if weighted {
-				if off+4 > len(buf) {
+				if off+4 > len(section) {
 					return nil, fmt.Errorf("blockstore: truncated weight at offset %d: %w", off, storage.ErrCorrupt)
 				}
-				w = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
+				dst = append(dst, section[off:off+4]...)
 				off += 4
 			}
-			recs = append(recs, Rec{Nbr: uint32(nbr), Weight: w})
 			prev = nbr
 		}
-		return recs, nil
-	default: // CodecRLE
-		if c != CodecRLE {
-			return nil, fmt.Errorf("blockstore: unknown codec %d: %w", c, storage.ErrCorrupt)
-		}
-		var local []byte
-		if rleScratch == nil {
-			rleScratch = &local
-		}
-		raw, err := appendUnRLE((*rleScratch)[:0], buf)
-		*rleScratch = raw
+		return dst, nil
+	case CodecRLE:
+		out, err := appendUnRLE(dst, section)
 		if err != nil {
 			return nil, err
 		}
-		return decodeVertexRecsCodecInto(recs, raw, CodecNone, weighted, nil)
+		if n := len(out) - len(dst); n%step != 0 {
+			return nil, fmt.Errorf("blockstore: rle section expands to %d bytes, not a multiple of %d: %w", n, step, storage.ErrCorrupt)
+		}
+		return out, nil
+	default:
+		return nil, fmt.Errorf("blockstore: unknown codec %d: %w", c, storage.ErrCorrupt)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 func TestFormatString(t *testing.T) {
-	if FormatRaw.String() != "raw" || FormatCompressed.String() != "compressed" {
+	if FormatRaw.String() != "raw" || FormatMixed.String() != "mixed" {
 		t.Fatal("format names")
 	}
 	if Format(9).String() == "" {
@@ -21,27 +21,34 @@ func TestFormatString(t *testing.T) {
 }
 
 func TestParseFormat(t *testing.T) {
-	for in, want := range map[string]Format{"raw": FormatRaw, "compressed": FormatCompressed} {
+	for in, want := range map[string]Format{"raw": FormatRaw, "mixed": FormatMixed} {
 		got, err := ParseFormat(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseFormat(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseFormat("zip"); err == nil {
-		t.Fatal("bad format accepted")
+	for _, in := range []string{"zip", "compressed"} {
+		if _, err := ParseFormat(in); err == nil {
+			t.Fatalf("bad format %q accepted", in)
+		}
+	}
+	if FormatMixed != 2 {
+		t.Fatalf("FormatMixed = %d: meta blobs of existing mixed stores record 2", FormatMixed)
 	}
 }
 
+var allCodecs = []Codec{CodecNone, CodecVarint, CodecRLE}
+
 func TestVertexRecsRoundTripBothFormats(t *testing.T) {
 	recs := []Rec{{Nbr: 3, Weight: 1.5}, {Nbr: 4, Weight: 0}, {Nbr: 1000000, Weight: -2.25}}
-	for _, f := range []Format{FormatRaw, FormatCompressed} {
-		buf := encodeVertexRecs(nil, recs, f, true)
-		got, err := decodeVertexRecsInto(nil, buf, f, true)
+	for _, c := range allCodecs {
+		buf := encodeVertexRecsCodec(nil, recs, c, true, nil)
+		got, err := appendSection(nil, buf, c, true)
 		if err != nil {
-			t.Fatalf("%v: %v", f, err)
+			t.Fatalf("%v: %v", c, err)
 		}
-		if !reflect.DeepEqual(got, recs) {
-			t.Fatalf("%v: round trip %v != %v", f, got, recs)
+		if !reflect.DeepEqual(rawRecs(got, true), recs) {
+			t.Fatalf("%v: round trip %v != %v", c, rawRecs(got, true), recs)
 		}
 	}
 }
@@ -52,7 +59,7 @@ func TestCompressedEncodingRejectsUnsorted(t *testing.T) {
 			t.Fatal("unsorted records accepted")
 		}
 	}()
-	encodeVertexRecs(nil, []Rec{{Nbr: 5}, {Nbr: 3}}, FormatCompressed, true)
+	encodeVertexRecsCodec(nil, []Rec{{Nbr: 5}, {Nbr: 3}}, CodecVarint, true, nil)
 }
 
 func TestCompressedSmallerOnRealBlocks(t *testing.T) {
@@ -61,7 +68,7 @@ func TestCompressedSmallerOnRealBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := BuildWithFormat(memStore(), g, 4, FormatCompressed)
+	comp, err := BuildWithFormat(memStore(), g, 4, FormatMixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +79,7 @@ func TestCompressedSmallerOnRealBlocks(t *testing.T) {
 	if ratio > 0.95 {
 		t.Fatalf("compression ratio %.2f too weak", ratio)
 	}
-	t.Logf("compression ratio: %.2f (out), %.2f (in)",
-		ratio, float64(comp.TotalInEdgeBytes())/float64(raw.TotalInEdgeBytes()))
+	t.Logf("compression ratio: %.2f", ratio)
 }
 
 func TestCompressedBlocksDecodeIdentically(t *testing.T) {
@@ -83,28 +89,28 @@ func TestCompressedBlocksDecodeIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := BuildWithFormat(memStore(), g, 3, FormatCompressed)
+	comp, err := BuildWithFormat(memStore(), g, 3, FormatMixed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			a, err := raw.LoadInBlock(i, j)
+			a, err := loadInBlock(raw, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := comp.LoadInBlock(i, j)
+			b, err := loadInBlock(comp, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("in-block (%d,%d) differs across formats", i, j)
 			}
-			ao, err := raw.LoadOutBlock(i, j)
+			ao, err := loadOutBlock(raw, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bo, err := comp.LoadOutBlock(i, j)
+			bo, err := loadOutBlock(comp, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +124,7 @@ func TestCompressedBlocksDecodeIdentically(t *testing.T) {
 func TestCompressedOpenRoundTrip(t *testing.T) {
 	g := gen.RMAT(64, 300, gen.Graph500, rand.New(rand.NewSource(14)))
 	st := memStore()
-	built, err := BuildWithFormat(st, g, 2, FormatCompressed)
+	built, err := BuildWithFormat(st, g, 2, FormatMixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestCompressedOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.Format != FormatCompressed {
+	if opened.Format != FormatMixed {
 		t.Fatalf("format = %v", opened.Format)
 	}
 	if !reflect.DeepEqual(opened.OutBlockBytes, built.OutBlockBytes) {
@@ -141,29 +147,29 @@ func TestBuildRejectsUnknownFormat(t *testing.T) {
 	}
 }
 
-// Property: per-vertex sections round-trip under both formats for sorted
-// random neighbor sets.
+// Property: whatever codec stored a section, it decodes to the bytes its
+// CodecNone twin stores, appended after whatever dst already held —
+// appendSection(prefix, encode(recs, c)) == prefix ‖ encode(recs, none) —
+// for sorted random neighbor sets, empty ones included, weighted and not.
 func TestQuickVertexRecsRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(50)
+		n := rng.Intn(50) // 0: an empty section
 		recs := make([]Rec, 0, n)
 		nbr := uint32(0)
 		for k := 0; k < n; k++ {
 			nbr += 1 + uint32(rng.Intn(1000))
 			recs = append(recs, Rec{Nbr: nbr, Weight: rng.Float32()})
 		}
-		for _, f := range []Format{FormatRaw, FormatCompressed} {
-			buf := encodeVertexRecs(nil, recs, f, true)
-			got, err := decodeVertexRecsInto(nil, buf, f, true)
-			if err != nil {
-				return false
-			}
-			if len(got) != len(recs) {
-				return false
-			}
-			for i := range recs {
-				if got[i] != recs[i] {
+		prefix := make([]byte, rng.Intn(9))
+		rng.Read(prefix)
+		for _, weighted := range []bool{false, true} {
+			want := encodeVertexRecsCodec(append([]byte(nil), prefix...), recs, CodecNone, weighted, nil)
+			for _, c := range allCodecs {
+				dst := append(make([]byte, 0, len(prefix)), prefix...)
+				got, err := appendSection(dst, encodeVertexRecsCodec(nil, recs, c, weighted, nil), c, weighted)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Logf("codec %v weighted %v: err %v, %d bytes, want %d", c, weighted, err, len(got), len(want))
 					return false
 				}
 			}
@@ -192,11 +198,11 @@ func TestUnweightedStoresSmallerAndDecodeWeightOne(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			w, err := weighted.LoadInBlock(i, j)
+			w, err := loadInBlock(weighted, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := unweighted.LoadInBlock(i, j)
+			u, err := loadInBlock(unweighted, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,11 +223,11 @@ func TestUnweightedStoresSmallerAndDecodeWeightOne(t *testing.T) {
 
 func TestRawRecAccessor(t *testing.T) {
 	recs := []Rec{{Nbr: 42, Weight: 2.5}, {Nbr: 99, Weight: 0.5}}
-	wbuf := encodeVertexRecs(nil, recs, FormatRaw, true)
+	wbuf := encodeVertexRecsCodec(nil, recs, CodecNone, true, nil)
 	if nbr, w := RawRec(wbuf, EdgeBytes, true); nbr != 99 || w != 0.5 {
 		t.Fatalf("weighted RawRec = %d, %v", nbr, w)
 	}
-	ubuf := encodeVertexRecs(nil, recs, FormatRaw, false)
+	ubuf := encodeVertexRecsCodec(nil, recs, CodecNone, false, nil)
 	if len(ubuf) != 2*RawRecordBytes(false) {
 		t.Fatalf("unweighted payload %d bytes", len(ubuf))
 	}
@@ -233,7 +239,7 @@ func TestRawRecAccessor(t *testing.T) {
 func TestStreamingUnweightedMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	g := gen.RMAT(120, 900, gen.Graph500, rng)
-	want, err := BuildOpts(memStore(), g, Options{P: 3, Format: FormatCompressed, Weighted: false})
+	want, err := BuildOpts(memStore(), g, Options{P: 3, Format: FormatRaw, Weighted: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +247,7 @@ func TestStreamingUnweightedMatchesDirect(t *testing.T) {
 	if err := graph.WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildStreamingOpts(memStore(), &buf, Options{P: 3, Format: FormatCompressed, Weighted: false}, 100)
+	got, err := BuildStreamingOpts(memStore(), &buf, Options{P: 3, Format: FormatRaw, Weighted: false}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

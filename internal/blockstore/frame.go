@@ -22,7 +22,8 @@ import (
 //	[9:17)  payload length in bytes
 //	[17:]   payload
 //
-// Version 2 (written by FormatMixed stores) appends one codec tag byte:
+// FormatRaw stores write version 1. Version 2 (written by FormatMixed
+// stores) appends one codec tag byte:
 //
 //	[0:17)  as version 1
 //	[17]    codec tag (CodecNone | CodecVarint | CodecRLE)
@@ -33,14 +34,15 @@ import (
 // unchanged: a bad frame and a bad varint stream both surface as
 // storage.ErrCorrupt. The header is versioned so layouts can coexist;
 // readers reject versions they do not understand as corrupt rather than
-// guessing. Stores written before framing existed carry no header: Open
-// detects the legacy meta blob and reads the whole store unframed, so old
-// data stays readable.
+// guessing. There is no unframed mode: Open refuses a store whose meta blob
+// carries no frame and says to rebuild it.
 //
 // Selective block reads (ROP's ReadAt range loads) shift their offsets past
 // the header but cannot verify the whole-frame checksum — integrity there
 // is only validated on full-blob loads, the same trade-off real block
-// stores make for sub-block reads.
+// stores make for sub-block reads. What a range read's consumer does check
+// is that the bytes decode and that every neighbour they name exists
+// (DESIGN.md §4b); a flip that survives both is not detected.
 const (
 	frameMagic       = "HUSF"
 	frameVersion     = 1
@@ -114,11 +116,4 @@ func unframeBlob(name string, buf []byte) ([]byte, Codec, error) {
 		return fail("CRC32C mismatch: computed %08x, frame declares %08x", got, wantCRC)
 	}
 	return payload, codec, nil
-}
-
-// isFramed reports whether buf begins with a frame header. Used only to
-// detect legacy (pre-framing) stores from their meta blob; framed stores
-// then read every blob strictly.
-func isFramed(buf []byte) bool {
-	return len(buf) >= frameHeaderLen && string(buf[:4]) == frameMagic
 }

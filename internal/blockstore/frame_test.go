@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -12,11 +13,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)} {
-		framed := frameBlob(payload)
-		if !isFramed(framed) {
-			t.Fatalf("frameBlob output not recognized as framed")
-		}
-		got, codec, err := unframeBlob("blob", framed)
+		got, codec, err := unframeBlob("blob", frameBlob(payload))
 		if err != nil {
 			t.Fatalf("unframe: %v", err)
 		}
@@ -32,11 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameV2RoundTrip(t *testing.T) {
 	for _, c := range []Codec{CodecNone, CodecVarint, CodecRLE} {
 		payload := bytes.Repeat([]byte{0x5A}, 257)
-		framed := frameBlobV2(payload, c)
-		if !isFramed(framed) {
-			t.Fatalf("frameBlobV2 output not recognized as framed")
-		}
-		got, codec, err := unframeBlob("blob", framed)
+		got, codec, err := unframeBlob("blob", frameBlobV2(payload, c))
 		if err != nil {
 			t.Fatalf("unframe v2: %v", err)
 		}
@@ -105,50 +98,87 @@ func TestBuildWritesFramedBlobsAndOpenVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !isFramed(b) {
-			t.Fatalf("blob %s written without a checksum frame", name)
+		if _, _, err := unframeBlob(name, b); err != nil {
+			t.Fatalf("blob %s written without a valid checksum frame: %v", name, err)
 		}
 	}
 	d, err := Open(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Framed() {
-		t.Fatal("Open did not detect framed store")
-	}
-	if _, err := d.LoadInBlock(0, 0); err != nil {
+	if _, err := loadInBlock(d, 0, 0); err != nil {
 		t.Fatalf("framed load: %v", err)
 	}
 }
 
-func TestOpenReadsLegacyUnframedStore(t *testing.T) {
-	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	built, err := BuildOpts(mem, chain(64), Options{P: 4, Weighted: true, NoChecksums: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built.Framed() {
-		t.Fatal("NoChecksums store claims to be framed")
-	}
-	for _, name := range mem.List() {
-		b, _ := mem.ReadAll(name)
-		if isFramed(b) {
-			t.Fatalf("legacy blob %s carries a frame", name)
+// TestOpenRejectsOlderStores: there is no unframed read path and no format
+// 1. A store whose meta blob carries no frame (written before framing
+// existed) is refused as corrupt, one whose meta records the uniform-varint
+// format FormatMixed subsumed is refused too, and each refusal is the
+// message that says how to rebuild.
+func TestOpenRejectsOlderStores(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		rewrite func(meta []byte) []byte // framed-and-verified meta payload → stored blob
+		want    error
+		corrupt bool
+	}{
+		{"unframed", func(meta []byte) []byte { return meta }, errUnframed, true},
+		{"format-1", func(meta []byte) []byte {
+			meta = append([]byte(nil), meta...)
+			binary.LittleEndian.PutUint64(meta[20:], 1)
+			return frameBlob(meta)
+		}, errFormatOne, false},
+	} {
+		mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
+		if _, err := Build(mem, chain(64), 4); err != nil {
+			t.Fatal(err)
+		}
+		framed, err := mem.ReadAll(metaName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, _, err := unframeBlob(metaName, framed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Put(metaName, c.rewrite(meta)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(mem)
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s: Open: err = %v, want the rebuild hint %q", c.name, err, c.want)
+		}
+		if errors.Is(err, storage.ErrCorrupt) != c.corrupt {
+			t.Fatalf("%s: Open: err = %v, storage.ErrCorrupt-class = %v, want %v", c.name, err, !c.corrupt, c.corrupt)
 		}
 	}
-	d, err := Open(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Framed() {
-		t.Fatal("Open mistook legacy store for framed")
-	}
-	blk, err := d.LoadInBlock(0, 1)
-	if err != nil {
-		t.Fatalf("legacy load: %v", err)
-	}
-	if len(blk.Recs) == 0 {
-		t.Fatal("legacy block decoded empty")
+}
+
+// Every structural mismatch the in-block loader can find is corruption by
+// class, not only a bad CRC: here an index and a payload that each verify
+// but come from two different builds.
+func TestInBlockFromTwoBuildsIsCorrupt(t *testing.T) {
+	for _, format := range []Format{FormatRaw, FormatMixed} {
+		mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
+		d, err := BuildWithFormat(mem, chain(64), 4, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := storage.NewMemStore(storage.NewDevice(storage.RAM))
+		if _, err := BuildWithFormat(other, mixedGraph(true), 4, format); err != nil {
+			t.Fatal(err)
+		}
+		foreign, err := other.ReadAll("ib/0.1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Put("ib/0.1", foreign); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadInBlock(d, 0, 1); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("%v: index and payload from two builds: err = %v, want storage.ErrCorrupt-class", format, err)
+		}
 	}
 }
 
@@ -168,7 +198,7 @@ func TestCorruptBlockSurfacesChecksumError(t *testing.T) {
 	if err := mem.Put(name, b); err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.LoadInBlock(0, 1)
+	_, err = loadInBlock(d, 0, 1)
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("corrupt block load: err = %v, want wrapped storage.ErrCorrupt", err)
 	}
@@ -220,7 +250,7 @@ func TestRetryRecoversTransientReads(t *testing.T) {
 	// Two consecutive transient failures on in-block reads: attempt,
 	// retry-fail, retry-succeed.
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", Count: 2})
-	blk, err := d.LoadInBlock(0, 1)
+	blk, err := loadInBlock(d, 0, 1)
 	if err != nil {
 		t.Fatalf("transient faults not retried: %v", err)
 	}
@@ -249,7 +279,7 @@ func TestRetryBudgetExhaustedSurfacesTransient(t *testing.T) {
 	}
 	d.SetRetryPolicy(RetryPolicy{MaxRetries: 2})
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/"})
-	if _, err := d.LoadInBlock(0, 1); !errors.Is(err, storage.ErrTransient) {
+	if _, err := loadInBlock(d, 0, 1); !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("exhausted retries: err = %v, want wrapped storage.ErrTransient", err)
 	}
 	if got := d.Retries(); got != 2 {
@@ -270,7 +300,7 @@ func TestRetryDoesNotRetryPermanentOrCorrupt(t *testing.T) {
 	d.SetRetryPolicy(RetryPolicy{MaxRetries: 5})
 
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultPermanent, Name: "ib/", Count: 1})
-	if _, err := d.LoadInBlock(0, 1); !errors.Is(err, storage.ErrPermanent) {
+	if _, err := loadInBlock(d, 0, 1); !errors.Is(err, storage.ErrPermanent) {
 		t.Fatalf("permanent fault: err = %v", err)
 	}
 	if got := d.Retries(); got != 0 {
@@ -279,7 +309,7 @@ func TestRetryDoesNotRetryPermanentOrCorrupt(t *testing.T) {
 
 	// Bit-flip corruption: detected by the checksum, not retried.
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultBitFlip, Name: "ib/0.1", Count: 1})
-	if _, err := d.LoadInBlock(0, 1); !errors.Is(err, storage.ErrCorrupt) {
+	if _, err := loadInBlock(d, 0, 1); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("bit-flip read: err = %v, want wrapped storage.ErrCorrupt", err)
 	}
 	if got := d.Retries(); got != 0 {

@@ -14,12 +14,39 @@ import (
 // failures surface as storage.ErrCorrupt-class errors the retry machinery
 // refuses to retry.
 
-// corruptOrErrCorrupt fails the test when err is non-nil but not
+// wantCorruptClass fails the test when err is non-nil but not
 // ErrCorrupt-class.
 func wantCorruptClass(t *testing.T, err error) {
 	t.Helper()
 	if err != nil && !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("decode error %v is not storage.ErrCorrupt-class", err)
+	}
+}
+
+// fuzzSection drives the one section decoder over arbitrary bytes: it may
+// only fail ErrCorrupt-class, and whatever it accepts is whole packed
+// records that — when their neighbors come out strictly sorted, as every
+// section Build writes does — re-encode under c and decode to the same
+// bytes again.
+func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
+	t.Helper()
+	out, err := appendSection(nil, data, c, weighted)
+	if err != nil {
+		wantCorruptClass(t, err)
+		return
+	}
+	if len(out)%RawRecordBytes(weighted) != 0 {
+		t.Fatalf("%v section decoded to %d bytes, not a multiple of %d", c, len(out), RawRecordBytes(weighted))
+	}
+	recs := rawRecs(out, weighted)
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Nbr <= recs[i-1].Nbr {
+			return // decodable but not canonical: the encoder refuses it
+		}
+	}
+	again, err := appendSection(nil, encodeVertexRecsCodec(nil, recs, c, weighted, nil), c, weighted)
+	if err != nil || !bytes.Equal(again, out) {
+		t.Fatalf("%v re-encode round trip broke: %v (%d vs %d bytes)", c, err, len(again), len(out))
 	}
 }
 
@@ -48,28 +75,7 @@ func FuzzDecodeVarint(f *testing.F) {
 	f.Add(flipped, true)
 
 	f.Fuzz(func(t *testing.T, data []byte, weighted bool) {
-		var sc Scratch
-		if recs, err := decodeVertexRecsCodecInto(nil, data, CodecVarint, weighted, &sc.rle); err == nil {
-			// Whatever decoded must re-encode and decode to the same thing
-			// (sections are canonical for sorted outputs; skip when the
-			// fuzzer found an unsorted-but-decodable stream).
-			sorted := true
-			for i := 1; i < len(recs); i++ {
-				if recs[i].Nbr <= recs[i-1].Nbr {
-					sorted = false
-					break
-				}
-			}
-			if sorted && len(recs) > 0 {
-				re := encodeVertexRecsCodec(nil, recs, CodecVarint, weighted, &sc.rle)
-				again, err := decodeVertexRecsCodecInto(nil, re, CodecVarint, weighted, &sc.rle)
-				if err != nil || len(again) != len(recs) {
-					t.Fatalf("re-encode round trip broke: %v (%d vs %d recs)", err, len(again), len(recs))
-				}
-			}
-		} else {
-			wantCorruptClass(t, err)
-		}
+		fuzzSection(t, data, CodecVarint, weighted)
 		// The same bytes as a varint index stream.
 		if _, err := decodeIndexCodecInto(nil, data, CodecVarint); err != nil {
 			wantCorruptClass(t, err)
@@ -125,12 +131,9 @@ func FuzzDecodeRLE(f *testing.F) {
 		} else {
 			wantCorruptClass(t, err)
 		}
-		// The same bytes as a full RLE section decode (expand + raw parse).
-		var sc Scratch
+		// The same bytes as a full RLE section decode (expand + length check).
 		for _, weighted := range []bool{false, true} {
-			if _, err := decodeVertexRecsCodecInto(nil, data, CodecRLE, weighted, &sc.rle); err != nil {
-				wantCorruptClass(t, err)
-			}
+			fuzzSection(t, data, CodecRLE, weighted)
 		}
 	})
 }

@@ -1,0 +1,91 @@
+package blockstore
+
+// Test-side views of loaded blocks. The package hands out one shape — packed
+// raw records behind a byte index — and these helpers regroup it into
+// per-vertex []Rec for assertions, reading records the way the engine does
+// (RawRec).
+
+// testBlock is a fully loaded block regrouped for assertions:
+// Index[k]..Index[k+1] delimits the records of the indexed interval's k-th
+// vertex (sources for out-blocks, destinations for in-blocks).
+type testBlock struct {
+	Index []uint32
+	Recs  []Rec
+}
+
+// EdgesOf returns the records of the indexed vertex with local index k.
+func (b testBlock) EdgesOf(k int) []Rec { return b.Recs[b.Index[k]:b.Index[k+1]] }
+
+// rawRecs parses a run of packed raw records.
+func rawRecs(payload []byte, weighted bool) []Rec {
+	var recs []Rec
+	for off := 0; off < len(payload); off += RawRecordBytes(weighted) {
+		nbr, w := RawRec(payload, off, weighted)
+		recs = append(recs, Rec{Nbr: nbr, Weight: w})
+	}
+	return recs
+}
+
+// regroup turns (packed records, byte index) into a testBlock.
+func regroup(payload []byte, byteIdx []uint32, weighted bool) testBlock {
+	b := testBlock{Index: make([]uint32, len(byteIdx)), Recs: rawRecs(payload, weighted)}
+	for k, off := range byteIdx {
+		b.Index[k] = off / uint32(RawRecordBytes(weighted))
+	}
+	return b
+}
+
+// loadInBlock loads in-block(i,j) through the one in-block loader.
+func loadInBlock(ds *DualStore, i, j int) (testBlock, error) {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	payload, byteIdx, err := ds.LoadInBlockBytesScratch(i, j, sc)
+	if err != nil {
+		return testBlock{}, err
+	}
+	return regroup(payload, byteIdx, ds.Weighted), nil
+}
+
+// loadOutBlock loads out-block(i,j) whole: the out-index, the stored payload
+// in one verified sequential read (the cache's promotion read), and every
+// section sliced out of it and decoded the way ROP decodes a range read.
+func loadOutBlock(ds *DualStore, i, j int) (testBlock, error) {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	idx, err := ds.LoadOutIndex(i, j)
+	if err != nil {
+		return testBlock{}, err
+	}
+	payload, err := ds.LoadOutPayload(i, j)
+	if err != nil {
+		return testBlock{}, err
+	}
+	b := testBlock{Index: make([]uint32, len(idx))}
+	for k := 0; k+1 < len(idx); k++ {
+		sec, err := ds.DecodeSectionScratch(payload[idx[k]:idx[k+1]], ds.OutCodec(i, j), sc)
+		if err != nil {
+			return testBlock{}, err
+		}
+		b.Recs = append(b.Recs, rawRecs(sec, ds.Weighted)...)
+		b.Index[k+1] = uint32(len(b.Recs))
+	}
+	return b, nil
+}
+
+// loadOutSection reads vertex k's section of out-block(i,j) the way ROP does
+// — one range read of [idx[k], idx[k+1]), decoded through
+// DecodeSectionScratch — and returns a copy of its packed records.
+func loadOutSection(ds *DualStore, i, j int, idx []uint32, k int, sc *Scratch) ([]byte, error) {
+	run, err := ds.LoadOutRunScratch(i, j, idx[k], idx[k+1], sc)
+	if err != nil {
+		return nil, err
+	}
+	sec, err := ds.DecodeSectionScratch(run, ds.OutCodec(i, j), sc)
+	return append([]byte(nil), sec...), err
+}
+
+// lruCache is an always-admit cache of the given byte budget, the policy
+// the cache tests' eviction arithmetic assumes.
+func lruCache(budget int64) *BlockCache {
+	return NewBlockCacheOpts(budget, CacheOptions{Admission: AdmitLRU})
+}

@@ -51,10 +51,10 @@ func TestRLERoundTrip(t *testing.T) {
 func TestRLECorruptInputsError(t *testing.T) {
 	enc := appendRLE(nil, bytes.Repeat([]byte{4}, 64))
 	for _, c := range [][]byte{
-		enc[:len(enc)-1],  // truncated run value / literal tail
-		{0x05},            // literal group promising 6 bytes, none present
-		{0x80},            // run control with no value byte
-		{0x7F, 1, 2, 3},   // literal group promising 128 bytes, 3 present
+		enc[:len(enc)-1], // truncated run value / literal tail
+		{0x05},           // literal group promising 6 bytes, none present
+		{0x80},           // run control with no value byte
+		{0x7F, 1, 2, 3},  // literal group promising 128 bytes, 3 present
 	} {
 		if _, err := appendUnRLE(nil, c); !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("corrupt RLE %v: err = %v, want wrapped storage.ErrCorrupt", c, err)
@@ -62,16 +62,101 @@ func TestRLECorruptInputsError(t *testing.T) {
 	}
 }
 
-// mixedGraph builds a graph whose blocks favor different codecs: dense
-// sequential neighborhoods (varint-friendly), empty stretches, and a
-// weighted variant whose repeated weights RLE can squeeze.
+// mixedGraph builds a graph whose blocks end up under different codecs.
+// Gap-coded neighbor IDs beat packed records wherever a block has edges, so
+// varint is the rule and CodecNone is left the empty blocks (P = 8 has
+// some). Byte-RLE only wins where whole records repeat bytes: the weighted
+// variant gives the edges among the first 32 vertices weight 0, whose
+// records are one ID byte and seven zeros.
 func mixedGraph(weighted bool) *graph.Graph {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.RMAT(256, 2400, gen.Graph500, rng)
 	if weighted {
 		gen.AssignUniformWeights(g, 1, 3, rand.New(rand.NewSource(22)))
+		for k, e := range g.Edges {
+			if e.Src < 32 && e.Dst < 32 {
+				g.Edges[k].Weight = 0
+			}
+		}
 	}
 	return g
+}
+
+// codecsOf counts the blocks of a store's in and out grids per codec.
+func codecsOf(ds *DualStore) (in, out [numCodecs]int) {
+	for i := 0; i < ds.Layout.P; i++ {
+		for j := 0; j < ds.Layout.P; j++ {
+			in[ds.InCodec(i, j)]++
+			out[ds.OutCodec(i, j)]++
+		}
+	}
+	return in, out
+}
+
+// TestMixedLoadsEqualRawLoads states the invariant compute rests on: the
+// codec is a property of storage only. One graph built raw and mixed hands
+// byte-identical (payload, idx) out of the in-block loader for every cell,
+// and every out-block section read and decoded the way ROP does equals the
+// raw store's bytes for that vertex.
+func TestMixedLoadsEqualRawLoads(t *testing.T) {
+	const p = 8
+	for _, weighted := range []bool{false, true} {
+		g := mixedGraph(weighted)
+		raw, err := BuildOpts(memStore(), g, Options{P: p, Format: FormatRaw, Weighted: weighted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed, err := BuildOpts(memStore(), g, Options{P: p, Format: FormatMixed, Weighted: weighted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, out := codecsOf(mixed)
+		for c := CodecNone; c < numCodecs; c++ {
+			if c == CodecRLE && !weighted {
+				continue // RLE never beats varint on 4-byte ID-only records
+			}
+			if in[c] == 0 || out[c] == 0 {
+				t.Fatalf("weighted=%v: mixed store has no %v block (in %v, out %v): the comparison would not cover that decoder", weighted, c, in, out)
+			}
+		}
+		rsc, msc := new(Scratch), new(Scratch)
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				wantP, wantIdx, err := raw.LoadInBlockBytesScratch(i, j, rsc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotP, gotIdx, err := mixed.LoadInBlockBytesScratch(i, j, msc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotP, wantP) || !eqU32(gotIdx, wantIdx) {
+					t.Fatalf("weighted=%v in-block (%d,%d) [%v]: loader output differs from the raw store's", weighted, i, j, mixed.InCodec(i, j))
+				}
+				rawIdx, err := raw.LoadOutIndex(i, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mixIdx, err := mixed.LoadOutIndex(i, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k+1 < len(rawIdx); k++ {
+					want, err := loadOutSection(raw, i, j, rawIdx, k, rsc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := loadOutSection(mixed, i, j, mixIdx, k, msc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("weighted=%v out-block (%d,%d) [%v] vertex %d: section decodes to %x, raw store holds %x", weighted, i, j, mixed.OutCodec(i, j), k, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestMixedBuildOpenRoundTrip(t *testing.T) {
@@ -106,22 +191,22 @@ func TestMixedBuildOpenRoundTrip(t *testing.T) {
 		}
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
-				a, err := raw.LoadOutBlock(i, j)
+				a, err := loadOutBlock(raw, i, j)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := opened.LoadOutBlock(i, j)
+				b, err := loadOutBlock(opened, i, j)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("out-block (%d,%d) differs raw vs mixed (weighted=%v)", i, j, weighted)
 				}
-				ai, err := raw.LoadInBlock(i, j)
+				ai, err := loadInBlock(raw, i, j)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bi, err := opened.LoadInBlock(i, j)
+				bi, err := loadInBlock(opened, i, j)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,12 +272,6 @@ func TestMixedStreamingMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestMixedRejectsNoChecksums(t *testing.T) {
-	if _, err := BuildOpts(memStore(), chain(16), Options{P: 2, Format: FormatMixed, NoChecksums: true}); err == nil {
-		t.Fatal("mixed + NoChecksums accepted: codec tags live in the frame")
-	}
-}
-
 func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 	// ROP-style consumption against a mixed store: load the out-index,
 	// range-read one vertex's section, decode with the block's codec, and
@@ -210,7 +289,7 @@ func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 			if ds.BlockEdgeCount[i][j] == 0 {
 				continue
 			}
-			whole, err := ds.LoadOutBlock(i, j)
+			whole, err := loadOutBlock(ds, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,21 +297,15 @@ func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			codec := ds.OutCodec(i, j)
 			for local := 0; local < l.Size(i); local++ {
-				s, e := idx[local], idx[local+1]
-				if s == e {
+				if idx[local] == idx[local+1] {
 					continue
 				}
-				raw, err := ds.LoadOutRun(i, j, s, e)
+				sec, err := loadOutSection(ds, i, j, idx, local, sc)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("section decode (%d,%d) v%d codec %v: %v", i, j, local, ds.OutCodec(i, j), err)
 				}
-				recs, err := ds.DecodeRecsCodecScratch(raw, codec, sc)
-				if err != nil {
-					t.Fatalf("section decode (%d,%d) v%d codec %v: %v", i, j, local, codec, err)
-				}
-				if want := whole.EdgesOf(local); !reflect.DeepEqual(append([]Rec(nil), recs...), append([]Rec(nil), want...)) {
+				if recs, want := rawRecs(sec, true), whole.EdgesOf(local); !reflect.DeepEqual(recs, append([]Rec(nil), want...)) {
 					t.Fatalf("section (%d,%d) v%d decodes %v, want %v", i, j, local, recs, want)
 				}
 			}
@@ -256,7 +329,7 @@ func TestMixedCorruptPayloadSurfacesChecksumError(t *testing.T) {
 	if err := st.Put(name, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.LoadInBlock(0, 1); !errors.Is(err, storage.ErrCorrupt) {
+	if _, err := loadInBlock(ds, 0, 1); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("corrupt mixed block: err = %v, want wrapped storage.ErrCorrupt", err)
 	}
 }
@@ -298,7 +371,7 @@ func TestHedgedCompressedReadDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanBefore := clean.DecodeStats()
-	if _, err := clean.LoadInBlock(ci, cj); err != nil {
+	if _, err := loadInBlock(clean, ci, cj); err != nil {
 		t.Fatal(err)
 	}
 	wantOps := clean.DecodeStats().Sub(cleanBefore).Ops
@@ -309,7 +382,7 @@ func TestHedgedCompressedReadDecodesOnce(t *testing.T) {
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, Name: inBlockName(ci, cj), Delay: 50 * time.Millisecond})
 
 	before := ds.DecodeStats()
-	blk, err := ds.LoadInBlock(ci, cj)
+	blk, err := loadInBlock(ds, ci, cj)
 	if err != nil {
 		t.Fatalf("hedged load: %v", err)
 	}

@@ -81,18 +81,16 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 	req.ready <- struct{}{}
 }
 
-// PrefetchResult is one delivered block. Exactly one of the view families
-// is populated, matching the key's kind and the store's format (see
-// CachedBlock). Views alias either a pooled Scratch (returned by Release)
-// or an immutable cache entry; they are read-only and valid until Release.
+// PrefetchResult is one delivered block: Payload and ByteIdx for an
+// in-block, ByteIdx alone for an out-index (see CachedBlock). Views alias
+// either a pooled Scratch (returned by Release) or an immutable cache
+// entry; they are read-only and valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error
 
 	Payload []byte
 	ByteIdx []uint32
-	Recs    []Rec
-	RecIdx  []uint32
 	// Cached reports the result was served from the block cache (no
 	// device I/O, no scratch to return).
 	Cached bool
@@ -126,7 +124,7 @@ func (r *PrefetchResult) dataBytes() int64 {
 	if r.Cached || r.Err != nil {
 		return 0
 	}
-	return (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx, Recs: r.Recs, RecIdx: r.RecIdx}).Bytes()
+	return (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
 }
 
 // NewPrefetcher starts a prefetch pipeline over schedule. depth is the
@@ -217,11 +215,7 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	key, res := req.key, &req.loaded
 	if p.cache != nil {
 		if blk, ok := p.cache.Get(key); ok {
-			*res = PrefetchResult{
-				Key: key, Cached: true, pf: p,
-				Payload: blk.Payload, ByteIdx: blk.ByteIdx,
-				Recs: blk.Recs, RecIdx: blk.RecIdx,
-			}
+			*res = PrefetchResult{Key: key, Cached: true, pf: p, Payload: blk.Payload, ByteIdx: blk.ByteIdx}
 			return res
 		}
 	}
@@ -233,17 +227,10 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	case KindOutIndex:
 		res.ByteIdx, err = p.ds.LoadOutIndexScratch(key.I, key.J, sc)
 	case KindInBlock:
-		// Decode happens here, in the worker, so it overlaps the I/O of
-		// the other in-flight blocks instead of serializing behind it.
-		// Raw-coded blocks (all of FormatRaw; per-block in FormatMixed)
-		// skip decoding entirely and are iterated in place downstream.
-		if p.ds.InCodec(key.I, key.J) == CodecNone {
-			res.Payload, res.ByteIdx, err = p.ds.LoadInBlockBytesScratch(key.I, key.J, sc)
-		} else {
-			var blk Block
-			blk, err = p.ds.LoadInBlockScratch(key.I, key.J, sc)
-			res.Recs, res.RecIdx = blk.Recs, blk.Index
-		}
+		// A compressed block is decoded here, in the worker, so the decode
+		// overlaps the I/O of the other in-flight blocks instead of
+		// serializing behind it.
+		res.Payload, res.ByteIdx, err = p.ds.LoadInBlockBytesScratch(key.I, key.J, sc)
 	default:
 		err = fmt.Errorf("blockstore: prefetch: unknown block kind %d", key.Kind)
 	}
@@ -256,13 +243,10 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		blk := &CachedBlock{
 			Payload: append([]byte(nil), res.Payload...),
 			ByteIdx: append([]uint32(nil), res.ByteIdx...),
-			Recs:    append([]Rec(nil), res.Recs...),
-			RecIdx:  append([]uint32(nil), res.RecIdx...),
 		}
 		if p.cache.Put(key, blk) {
 			// Serve the immutable cached copy; the scratch is free now.
 			res.Payload, res.ByteIdx = blk.Payload, blk.ByteIdx
-			res.Recs, res.RecIdx = blk.Recs, blk.RecIdx
 			PutScratch(sc)
 			res.sc = nil
 		}

@@ -9,8 +9,8 @@ import (
 	"husgraph/internal/storage"
 )
 
-// eqBytes/eqU32/eqRecs compare slice contents treating nil and empty as
-// equal (loaders and cache promotion legitimately differ there).
+// eqBytes/eqU32 compare slice contents treating nil and empty as equal
+// (loaders and cache promotion legitimately differ there).
 func eqBytes(a, b []byte) bool { return string(a) == string(b) }
 
 func eqU32(a, b []uint32) bool {
@@ -25,24 +25,17 @@ func eqU32(a, b []uint32) bool {
 	return true
 }
 
-func eqRecs(a, b []Rec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // prefetchStore materializes the paper example at P=2 in the given format.
+// The mixed build must hold a compressed in-block, or the tests built on it
+// would compare raw with raw.
 func prefetchStore(t *testing.T, f Format) *DualStore {
 	t.Helper()
 	ds, err := BuildWithFormat(memStore(), paperGraph(), 2, f)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f == FormatMixed && ds.InCodec(0, 0) == CodecNone {
+		t.Fatal("mixed paper-example store compressed nothing")
 	}
 	return ds
 }
@@ -70,7 +63,7 @@ func outIndexSchedule(ds *DualStore) []BlockKey {
 }
 
 func TestPrefetchMatchesSyncLoadsAllDepths(t *testing.T) {
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
+	for _, format := range []Format{FormatRaw, FormatMixed} {
 		ds := prefetchStore(t, format)
 		sc := new(Scratch)
 		for _, depth := range []int{0, 1, 2, 4} {
@@ -83,22 +76,12 @@ func TestPrefetchMatchesSyncLoadsAllDepths(t *testing.T) {
 				if res.Key != key {
 					t.Fatalf("depth=%d: got key %+v, want %+v", depth, res.Key, key)
 				}
-				if format == FormatRaw {
-					payload, byteIdx, err := ds.LoadInBlockBytesScratch(key.I, key.J, sc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
-						t.Fatalf("format=%v depth=%d (%d,%d): prefetched views differ from sync load", format, depth, key.I, key.J)
-					}
-				} else {
-					blk, err := ds.LoadInBlockScratch(key.I, key.J, sc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !eqRecs(res.Recs, blk.Recs) || !eqU32(res.RecIdx, blk.Index) {
-						t.Fatalf("format=%v depth=%d (%d,%d): prefetched records differ from sync load", format, depth, key.I, key.J)
-					}
+				payload, byteIdx, err := ds.LoadInBlockBytesScratch(key.I, key.J, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
+					t.Fatalf("format=%v depth=%d (%d,%d): prefetched views differ from sync load", format, depth, key.I, key.J)
 				}
 				res.Release()
 			}
@@ -284,10 +267,10 @@ func TestPrefetchCloseReclaimsUnconsumedReadAhead(t *testing.T) {
 func TestPrefetchCachePromotionServesRepeatsWithoutIO(t *testing.T) {
 	// First pass misses and promotes every block; a second pass over the
 	// same schedule must be all hits and charge the device nothing.
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
+	for _, format := range []Format{FormatRaw, FormatMixed} {
 		for _, depth := range []int{0, 2} {
 			ds := prefetchStore(t, format)
-			cache := NewBlockCache(64 << 20)
+			cache := lruCache(64 << 20)
 			sched := inBlockSchedule(ds)
 
 			run := func() {
@@ -327,9 +310,21 @@ func TestPrefetchCachePromotionServesRepeatsWithoutIO(t *testing.T) {
 func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 	// The promoted copies served on hits must be byte-identical to direct
 	// loads — a corrupted promotion would silently poison every later
-	// iteration.
-	ds := prefetchStore(t, FormatRaw)
-	cache := NewBlockCache(64 << 20)
+	// iteration. And a cached block is its decoded records whatever stored
+	// it, so the mixed store's cache is charged exactly what the raw one is.
+	var used [2]int64
+	for n, format := range []Format{FormatRaw, FormatMixed} {
+		ds := prefetchStore(t, format)
+		cache := lruCache(64 << 20)
+		cachedSweepMatchesDirectLoads(t, ds, cache)
+		used[n] = cache.Stats().BytesUsed
+	}
+	if used[0] != used[1] {
+		t.Fatalf("cache charged %d bytes for the raw store's blocks, %d for their mixed twins", used[0], used[1])
+	}
+}
+
+func cachedSweepMatchesDirectLoads(t *testing.T, ds *DualStore, cache *BlockCache) {
 	sched := inBlockSchedule(ds)
 	for pass := 0; pass < 2; pass++ {
 		pf := ds.NewPrefetcher(sched, 2, cache)

@@ -34,7 +34,7 @@ func TestHedgedReadCompletesAroundHungRead(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		blk, err := d.LoadInBlock(0, 1)
+		blk, err := loadInBlock(d, 0, 1)
 		if err == nil && len(blk.Recs) == 0 {
 			err = errors.New("hedged load decoded empty")
 		}
@@ -60,7 +60,7 @@ func TestNoHedgeWaitsOutSlowRead(t *testing.T) {
 	d, fs := openFaulty(t)
 	d.SetHedgePolicy(HedgePolicy{Deadline: time.Millisecond, NoHedge: true})
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, Name: "ib/", Count: 1, Delay: 10 * time.Millisecond})
-	if _, err := d.LoadInBlock(0, 1); err != nil {
+	if _, err := loadInBlock(d, 0, 1); err != nil {
 		t.Fatalf("slow read failed under NoHedge: %v", err)
 	}
 	if got := d.Hedges(); got != 0 {
@@ -82,7 +82,7 @@ func TestReadObserverSeesLatencyAndFaults(t *testing.T) {
 	})
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", Count: 1})
 	d.SetRetryPolicy(RetryPolicy{MaxRetries: 1})
-	if _, err := d.LoadInBlock(0, 1); err != nil {
+	if _, err := loadInBlock(d, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// One faulted attempt + one healthy retry, both observed.
@@ -102,7 +102,7 @@ func TestJitteredBackoffDeterministicWithInjectedRand(t *testing.T) {
 		Sleep:      func(dur time.Duration) { slept = append(slept, dur) },
 	})
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", Count: 2})
-	if _, err := d.LoadInBlock(0, 1); err != nil {
+	if _, err := loadInBlock(d, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Nominal 10ms then 20ms; jitter factor pinned to 1-0.5 = 0.5.
@@ -124,7 +124,7 @@ func TestAbortCutsBackoffShort(t *testing.T) {
 	})
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/"})
 	start := time.Now()
-	_, err := da.LoadInBlock(0, 1)
+	_, err := loadInBlock(da, 0, 1)
 	if !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("aborted retry: err = %v, want wrapped storage.ErrTransient", err)
 	}

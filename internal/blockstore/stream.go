@@ -38,11 +38,8 @@ func BuildStreaming(store storage.Store, r io.Reader, p int, format Format, spil
 // BuildStreamingOpts is BuildStreaming with full layout options.
 func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdges int) (*DualStore, error) {
 	format := opts.Format
-	if format != FormatRaw && format != FormatCompressed && format != FormatMixed {
+	if format != FormatRaw && format != FormatMixed {
 		return nil, fmt.Errorf("blockstore: streaming build: unknown format %d", format)
-	}
-	if format == FormatMixed && opts.NoChecksums {
-		return nil, fmt.Errorf("blockstore: streaming build: mixed format requires checksum frames (codec tags live in the v2 frame header)")
 	}
 	if spillEdges <= 0 {
 		spillEdges = 1 << 20
@@ -68,7 +65,7 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 
 	layout := NewLayout(numV, opts.P)
 	p := layout.P
-	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, framed: !opts.NoChecksums, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
+	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
 	d.OutDegrees = make([]int32, numV)
 	d.InDegrees = make([]int32, numV)
 	d.BlockEdgeCount = alloc2D(p)

@@ -45,22 +45,22 @@ func storesEquivalent(t *testing.T, a, b *DualStore) {
 	}
 	for i := 0; i < a.Layout.P; i++ {
 		for j := 0; j < a.Layout.P; j++ {
-			ao, err := a.LoadOutBlock(i, j)
+			ao, err := loadOutBlock(a, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bo, err := b.LoadOutBlock(i, j)
+			bo, err := loadOutBlock(b, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ao, bo) {
 				t.Fatalf("out-block (%d,%d) differs", i, j)
 			}
-			ai, err := a.LoadInBlock(i, j)
+			ai, err := loadInBlock(a, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bi, err := b.LoadInBlock(i, j)
+			bi, err := loadInBlock(b, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestBuildStreamingMatchesInMemoryBuild(t *testing.T) {
 	gen.AssignUniformWeights(g, 1, 5, rng)
 	// Build requires (src,dst)-sorted determinism; BuildStreaming sorts
 	// internally, so feed the same multiset.
-	for _, format := range []Format{FormatRaw, FormatCompressed} {
+	for _, format := range []Format{FormatRaw, FormatMixed} {
 		want, err := BuildWithFormat(memStore(), g, 4, format)
 		if err != nil {
 			t.Fatal(err)
@@ -112,12 +112,12 @@ func TestBuildStreamingCleansSpillBlobs(t *testing.T) {
 
 func TestBuildStreamingOpenable(t *testing.T) {
 	g := gen.Cycle(40)
-	_, st := streamFrom(t, g, 4, FormatCompressed, 8)
+	_, st := streamFrom(t, g, 4, FormatMixed, 8)
 	ds, err := Open(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.NumEdges() != 40 || ds.Format != FormatCompressed {
+	if ds.NumEdges() != 40 || ds.Format != FormatMixed {
 		t.Fatalf("opened: edges=%d format=%v", ds.NumEdges(), ds.Format)
 	}
 }

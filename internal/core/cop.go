@@ -55,18 +55,13 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			// Uncompressed in-blocks (FormatRaw, or a mixed-store block
-			// where no codec paid) are iterated in place as packed
-			// records — no decode pass; compressed ones arrive decoded
-			// from the window (the decode ran in the prefetch worker,
-			// overlapping I/O). Either way the edge kernel partitions the
-			// block's destinations across workers by edge count.
-			if e.ds.InCodec(j, i) == blockstore.CodecNone {
-				if len(res.Payload) > 0 {
-					k.rawBlock(d[lo:hi], res.Payload, res.ByteIdx)
-				}
-			} else if len(res.Recs) > 0 {
-				k.recBlock(d[lo:hi], res.Recs, res.RecIdx)
+			// The block arrives as packed records behind a byte index
+			// whatever stored it: a compressed one was decoded into that
+			// shape by the window (in the prefetch worker, overlapping
+			// I/O). The edge kernel partitions its destinations across
+			// workers by edge count.
+			if len(res.Payload) > 0 {
+				k.block(d[lo:hi], res.Payload, res.ByteIdx)
 			}
 			res.Release()
 		}

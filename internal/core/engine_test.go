@@ -461,25 +461,15 @@ func TestSemiExternalPredictorConsistent(t *testing.T) {
 
 func TestEngineOverCompressedStore(t *testing.T) {
 	// The engine must be format-agnostic: identical results, fewer edge
-	// bytes moved.
-	g := graph.New(400)
-	for i := 0; i < 400; i++ {
-		g.AddEdge(graph.VertexID(i), graph.VertexID((i*13+7)%400))
-		g.AddEdge(graph.VertexID(i), graph.VertexID((i*29+3)%400))
-	}
-	build := func(f blockstore.Format) *blockstore.DualStore {
-		ds, err := blockstore.BuildWithFormat(storage.NewMemStore(storage.NewDevice(storage.HDD)), g, 4, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds
-	}
+	// bytes moved — over a mixed store that holds every codec.
+	g := compressTestGraph()
+	build := func(f blockstore.Format) *blockstore.DualStore { return buildFormat(t, g, f, storage.HDD) }
 	for _, model := range []Model{ModelROP, ModelCOP, ModelHybrid} {
 		raw, err := New(build(blockstore.FormatRaw), Config{Model: model}).Run(testBFS{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := New(build(blockstore.FormatCompressed), Config{Model: model}).Run(testBFS{})
+		comp, err := New(build(blockstore.FormatMixed), Config{Model: model}).Run(testBFS{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,9 +25,13 @@ import (
 //
 // Values are bit-identical to the per-edge interface loops: the table holds
 // exactly what Message would have returned, combined in the same order.
-// Those loops (copCombine*, the ReduceCustom arm of ropPush*) remain the one
-// fallback — for programs that declare nothing and for weighted stores,
+// Those loops (copCombineRaw, the ReduceCustom arm of ropPushRaw) remain the
+// one fallback — for programs that declare nothing and for weighted stores,
 // where a message may depend on the edge.
+//
+// Every kernel iterates packed raw records behind a byte index — the shape
+// blockstore hands over whatever codec stored the block — so a block that
+// was decoded runs the same loop as one that was stored raw.
 
 // ReduceOp names the reduction a program's Combine performs.
 type ReduceOp uint8
@@ -139,13 +143,11 @@ type copKernel struct {
 	active []uint64
 
 	// The block in hand: d is the destination interval's accumulators,
-	// idx[k]..idx[k+1] delimits destination k's records — byte offsets into
-	// payload for a stored-raw block, record offsets into recs for a
-	// decoded one.
+	// payload its packed raw records, and idx[k]..idx[k+1] the byte range
+	// of destination k's.
 	d       []float64
 	idx     []uint32
 	payload []byte
-	recs    []blockstore.Rec
 
 	// bounds is the block's chunking (weightedChunks); wg joins the chunk
 	// workers. Both live here so a block costs one allocation per worker
@@ -173,7 +175,7 @@ func (k *copKernel) begin(e *Engine, prog Program, s []float64, frontier *bitset
 // end drops the sweep's references so an idle engine pins no run's arrays.
 func (k *copKernel) end() {
 	k.prog, k.s, k.m, k.active = nil, nil, nil, nil
-	k.d, k.idx, k.payload, k.recs = nil, nil, nil, nil
+	k.d, k.idx, k.payload = nil, nil, nil
 }
 
 // refresh recomputes the table over vertices [lo, hi) from the current S —
@@ -192,21 +194,12 @@ func (k *copKernel) refresh(lo, hi int) {
 	})
 }
 
-// rawBlock folds a stored-raw in-block into d; recBlock a decoded one.
-func (k *copKernel) rawBlock(d []float64, payload []byte, byteIdx []uint32) {
-	k.d, k.idx, k.payload, k.recs = d, byteIdx, payload, nil
-	k.run()
-}
-
-func (k *copKernel) recBlock(d []float64, recs []blockstore.Rec, recIdx []uint32) {
-	k.d, k.idx, k.payload, k.recs = d, recIdx, nil, recs
-	k.run()
-}
-
-// run partitions the block's destinations across workers by edge count and
-// runs the kernel on each chunk — the last on the calling goroutine, which
-// would otherwise only wait. It returns once every chunk is done.
-func (k *copKernel) run() {
+// block folds one in-block into d. It partitions the block's destinations
+// across workers by edge count and runs the kernel on each chunk — the last
+// on the calling goroutine, which would otherwise only wait — and returns
+// once every chunk is done.
+func (k *copKernel) block(d []float64, payload []byte, byteIdx []uint32) {
+	k.d, k.idx, k.payload = d, byteIdx, payload
 	k.bounds = weightedChunks(k.bounds[:0], k.idx, k.threads)
 	last := len(k.bounds) - 2
 	if last < 0 {
@@ -232,28 +225,18 @@ func isActive(active []uint64, v uint32) bool { return active[v>>6]&(1<<(v&63)) 
 // disjoint destinations, so workers never write the same accumulator
 // (§3.5).
 func (k *copKernel) runChunk(cl, ch int) {
-	raw, all, active := k.recs == nil, k.active == nil, k.active
+	all, active := k.active == nil, k.active
 	switch {
-	case k.op == ReduceSum && raw && all:
-		copSumRaw(k.m, k.d, k.payload, k.idx, cl, ch)
-	case k.op == ReduceSum && raw:
-		copSumRawProbe(k.m, k.d, k.payload, k.idx, cl, ch, active)
 	case k.op == ReduceSum && all:
-		copSumRecs(k.m, k.d, k.recs, k.idx, cl, ch)
+		copSumRaw(k.m, k.d, k.payload, k.idx, cl, ch)
 	case k.op == ReduceSum:
-		copSumRecsProbe(k.m, k.d, k.recs, k.idx, cl, ch, active)
-	case k.op == ReduceMin && raw && all:
-		copMinRaw(k.m, k.d, k.payload, k.idx, cl, ch)
-	case k.op == ReduceMin && raw:
-		copMinRawProbe(k.m, k.d, k.payload, k.idx, cl, ch, active)
+		copSumRawProbe(k.m, k.d, k.payload, k.idx, cl, ch, active)
 	case k.op == ReduceMin && all:
-		copMinRecs(k.m, k.d, k.recs, k.idx, cl, ch)
+		copMinRaw(k.m, k.d, k.payload, k.idx, cl, ch)
 	case k.op == ReduceMin:
-		copMinRecsProbe(k.m, k.d, k.recs, k.idx, cl, ch, active)
-	case raw:
-		copCombineRaw(k.prog, k.s, k.d, k.payload, k.idx, cl, ch, active, k.weighted)
+		copMinRawProbe(k.m, k.d, k.payload, k.idx, cl, ch, active)
 	default:
-		copCombineRecs(k.prog, k.s, k.d, k.recs, k.idx, cl, ch, active)
+		copCombineRaw(k.prog, k.s, k.d, k.payload, k.idx, cl, ch, active, k.weighted)
 	}
 }
 
@@ -262,8 +245,8 @@ func (k *copKernel) runChunk(cl, ch int) {
 // written back. The all-active loops carry no IsActive check (Alg. 3 line
 // 11 is vacuous) and no call, so the accumulator and cursors stay in
 // registers; the probing loops test the frontier's bitmap words in line for
-// the same reason. Raw kernels only ever see 4-byte unweighted records:
-// reduceOf keeps weighted stores on the fallback.
+// the same reason. They only ever see 4-byte unweighted records: reduceOf
+// keeps weighted stores on the fallback.
 
 func copSumRaw(m, d []float64, payload []byte, idx []uint32, cl, ch int) {
 	lo := int(idx[cl])
@@ -337,77 +320,7 @@ func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, cl, ch int, ac
 	}
 }
 
-func copSumRecs(m, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int) {
-	lo := idx[cl]
-	for local := cl; local < ch; local++ {
-		hi := idx[local+1]
-		if lo == hi {
-			continue
-		}
-		acc := d[local]
-		for _, r := range recs[lo:hi] {
-			acc += m[r.Nbr]
-		}
-		d[local] = acc
-		lo = hi
-	}
-}
-
-func copSumRecsProbe(m, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int, active []uint64) {
-	lo := idx[cl]
-	for local := cl; local < ch; local++ {
-		hi := idx[local+1]
-		if lo == hi {
-			continue
-		}
-		acc := d[local]
-		for _, r := range recs[lo:hi] {
-			if isActive(active, r.Nbr) {
-				acc += m[r.Nbr]
-			}
-		}
-		d[local] = acc
-		lo = hi
-	}
-}
-
-func copMinRecs(m, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int) {
-	lo := idx[cl]
-	for local := cl; local < ch; local++ {
-		hi := idx[local+1]
-		if lo == hi {
-			continue
-		}
-		acc := d[local]
-		for _, r := range recs[lo:hi] {
-			if v := m[r.Nbr]; v < acc {
-				acc = v
-			}
-		}
-		d[local] = acc
-		lo = hi
-	}
-}
-
-func copMinRecsProbe(m, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int, active []uint64) {
-	lo := idx[cl]
-	for local := cl; local < ch; local++ {
-		hi := idx[local+1]
-		if lo == hi {
-			continue
-		}
-		acc := d[local]
-		for _, r := range recs[lo:hi] {
-			if isActive(active, r.Nbr) && m[r.Nbr] < acc {
-				acc = m[r.Nbr]
-			}
-		}
-		d[local] = acc
-		lo = hi
-	}
-}
-
-// The fallback COP kernels: Message and Combine per edge (Alg. 3 lines
+// The fallback COP kernel: Message and Combine per edge (Alg. 3 lines
 // 11–14 as written).
 
 func copCombineRaw(prog Program, s, d []float64, payload []byte, idx []uint32, cl, ch int, active []uint64, weighted bool) {
@@ -435,40 +348,26 @@ func copCombineRaw(prog Program, s, d []float64, payload []byte, idx []uint32, c
 	}
 }
 
-func copCombineRecs(prog Program, s, d []float64, recs []blockstore.Rec, idx []uint32, cl, ch int, active []uint64) {
-	for local := cl; local < ch; local++ {
-		sec := recs[idx[local]:idx[local+1]]
-		if len(sec) == 0 {
-			continue
-		}
-		acc := d[local]
-		dirty := false
-		for _, r := range sec {
-			if active != nil && !isActive(active, r.Nbr) {
-				continue
-			}
-			if a, changed := prog.Combine(acc, prog.Message(r.Nbr, s[r.Nbr], r.Weight)); changed {
-				acc = a
-				dirty = true
-			}
-		}
-		if dirty {
-			d[local] = acc
-		}
-	}
-}
-
-// ropPushRaw pushes source src (current value srcVal) along the stored-raw
-// out-edge section sec; ropPushRecs along a decoded one. With a declared
-// reduction Message is called once for the source, not once per edge.
-// next, when non-nil, receives every destination whose accumulator changed
-// (monotone programs activate on combine-change).
-func ropPushRaw(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, sec []byte, weighted bool, d []float64, next *bitset.Frontier) {
+// ropPushRaw pushes source src (current value srcVal) along its out-edge
+// section sec — packed raw records, as stored or as decoded. With a
+// declared reduction Message is called once for the source, not once per
+// edge. next, when non-nil, receives every destination whose accumulator
+// changed (monotone programs activate on combine-change).
+//
+// sec may come from a range read, which no checksum covers (blockstore's
+// frame.go), so a neighbour is disk input here: the push stops and reports
+// false at the first one that names no vertex. The test sits directly
+// before the index so it stands in for the bounds check the compiler would
+// otherwise emit there.
+func ropPushRaw(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, sec []byte, weighted bool, d []float64, next *bitset.Frontier) bool {
 	switch op {
 	case ReduceSum:
 		msg := prog.Message(src, srcVal, 1)
 		for ; len(sec) >= 4; sec = sec[4:] {
 			nbr := binary.LittleEndian.Uint32(sec)
+			if int(nbr) >= len(d) {
+				return false
+			}
 			d[nbr] += msg
 			if next != nil {
 				next.AddAtomic(int(nbr))
@@ -478,6 +377,9 @@ func ropPushRaw(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, s
 		msg := prog.Message(src, srcVal, 1)
 		for ; len(sec) >= 4; sec = sec[4:] {
 			nbr := binary.LittleEndian.Uint32(sec)
+			if int(nbr) >= len(d) {
+				return false
+			}
 			if msg < d[nbr] {
 				d[nbr] = msg
 				if next != nil {
@@ -489,6 +391,9 @@ func ropPushRaw(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, s
 		step := blockstore.RawRecordBytes(weighted)
 		for off := 0; off < len(sec); off += step {
 			nbr, w := blockstore.RawRec(sec, off, weighted)
+			if int(nbr) >= len(d) {
+				return false
+			}
 			if acc, changed := prog.Combine(d[nbr], prog.Message(src, srcVal, w)); changed {
 				d[nbr] = acc
 				if next != nil {
@@ -497,36 +402,5 @@ func ropPushRaw(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, s
 			}
 		}
 	}
-}
-
-func ropPushRecs(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, recs []blockstore.Rec, d []float64, next *bitset.Frontier) {
-	switch op {
-	case ReduceSum:
-		msg := prog.Message(src, srcVal, 1)
-		for _, r := range recs {
-			d[r.Nbr] += msg
-			if next != nil {
-				next.AddAtomic(int(r.Nbr))
-			}
-		}
-	case ReduceMin:
-		msg := prog.Message(src, srcVal, 1)
-		for _, r := range recs {
-			if msg < d[r.Nbr] {
-				d[r.Nbr] = msg
-				if next != nil {
-					next.AddAtomic(int(r.Nbr))
-				}
-			}
-		}
-	default:
-		for _, r := range recs {
-			if acc, changed := prog.Combine(d[r.Nbr], prog.Message(src, srcVal, r.Weight)); changed {
-				d[r.Nbr] = acc
-				if next != nil {
-					next.AddAtomic(int(r.Nbr))
-				}
-			}
-		}
-	}
+	return true
 }

@@ -32,19 +32,33 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 // fallback against the sum and min kernels, each with every source active
 // and with one source short of that — the smallest frontier that still has
 // to probe. ns/edge is the layer-level number for the next kernel change.
+// The /decoded legs run the same kernels over the same block as a mixed
+// store hands it out (varint-stored, decoded by the loader): per edge a
+// decoded block must cost what the stored-raw one does.
 func BenchmarkEdgeKernel(b *testing.B) {
 	n := 1 << 18
 	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
-	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: 1})
-	if err != nil {
-		b.Fatal(err)
+	load := func(format blockstore.Format) (*blockstore.DualStore, []byte, []uint32) {
+		ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: 1, Format: format})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if (ds.InCodec(0, 0) == blockstore.CodecNone) != (format == blockstore.FormatRaw) {
+			b.Fatalf("%v store's in-block is %v-coded", format, ds.InCodec(0, 0))
+		}
+		payload, byteIdx, err := ds.LoadInBlockBytesScratch(0, 0, new(blockstore.Scratch)) // the views keep the scratch alive
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ds, payload, byteIdx
 	}
-	sc := blockstore.GetScratch()
-	defer blockstore.PutScratch(sc)
-	payload, byteIdx, err := ds.LoadInBlockBytesScratch(0, 0, sc)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds, payload, byteIdx := load(blockstore.FormatRaw)
+	_, decoded, decodedIdx := load(blockstore.FormatMixed)
+	blocks := []struct {
+		suffix  string
+		payload []byte
+		byteIdx []uint32
+	}{{"", payload, byteIdx}, {"/decoded", decoded, decodedIdx}}
 	edges := float64(len(payload) / blockstore.RawRecordBytes(false))
 
 	s := make([]float64, n)
@@ -68,17 +82,19 @@ func BenchmarkEdgeKernel(b *testing.B) {
 		op   ReduceOp
 	}{{"fallback", ReduceCustom}, {"sum", ReduceSum}, {"min", ReduceMin}} {
 		for _, fr := range frontiers {
-			b.Run(kern.name+"/"+fr.name, func(b *testing.B) {
-				e := New(ds, Config{Threads: 1})
-				k := &e.cop
-				k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: kern.op}, s, fr.f)
-				defer k.end()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k.rawBlock(d, payload, byteIdx)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
-			})
+			for _, blk := range blocks {
+				b.Run(kern.name+"/"+fr.name+blk.suffix, func(b *testing.B) {
+					e := New(ds, Config{Threads: 1})
+					k := &e.cop
+					k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: kern.op}, s, fr.f)
+					defer k.end()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						k.block(d, blk.payload, blk.byteIdx)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
+				})
+			}
 		}
 	}
 }

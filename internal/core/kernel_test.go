@@ -93,13 +93,10 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 			}
 			// One record per destination, all naming src.
 			payload := make([]byte, 4*n)
-			recs := make([]blockstore.Rec, n)
 			byteIdx := make([]uint32, n+1)
-			recIdx := make([]uint32, n+1)
 			for k := 0; k < n; k++ {
 				payload[4*k] = byte(src)
-				recs[k] = blockstore.Rec{Nbr: graph.VertexID(src), Weight: 1}
-				byteIdx[k+1], recIdx[k+1] = uint32(4*(k+1)), uint32(k+1)
+				byteIdx[k+1] = uint32(4 * (k + 1))
 			}
 			active := bitset.NewFrontier(n)
 			active.Add(src)
@@ -113,41 +110,59 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 				}
 			}
 			if op == ReduceSum {
-				run("raw", func(d []float64) { copSumRaw(m, d, payload, byteIdx, 0, n) })
-				run("raw/probe", func(d []float64) { copSumRawProbe(m, d, payload, byteIdx, 0, n, words) })
-				run("recs", func(d []float64) { copSumRecs(m, d, recs, recIdx, 0, n) })
-				run("recs/probe", func(d []float64) { copSumRecsProbe(m, d, recs, recIdx, 0, n, words) })
+				run("all-active", func(d []float64) { copSumRaw(m, d, payload, byteIdx, 0, n) })
+				run("probe", func(d []float64) { copSumRawProbe(m, d, payload, byteIdx, 0, n, words) })
 			} else {
-				run("raw", func(d []float64) { copMinRaw(m, d, payload, byteIdx, 0, n) })
-				run("raw/probe", func(d []float64) { copMinRawProbe(m, d, payload, byteIdx, 0, n, words) })
-				run("recs", func(d []float64) { copMinRecs(m, d, recs, recIdx, 0, n) })
-				run("recs/probe", func(d []float64) { copMinRecsProbe(m, d, recs, recIdx, 0, n, words) })
+				run("all-active", func(d []float64) { copMinRaw(m, d, payload, byteIdx, 0, n) })
+				run("probe", func(d []float64) { copMinRawProbe(m, d, payload, byteIdx, 0, n, words) })
 			}
 
 			// ROP: one source pushing msg to every destination.
 			prog := declared{constMessage{msg}, op}
-			for _, layout := range []string{"raw", "recs"} {
-				d := append([]float64(nil), vals...)
-				next := bitset.NewFrontier(n)
-				all := make([]byte, 4*n)
-				allRecs := make([]blockstore.Rec, n)
-				for k := 0; k < n; k++ {
-					all[4*k] = byte(k)
-					allRecs[k] = blockstore.Rec{Nbr: graph.VertexID(k), Weight: 1}
+			d := append([]float64(nil), vals...)
+			next := bitset.NewFrontier(n)
+			all := make([]byte, 4*n)
+			for k := 0; k < n; k++ {
+				all[4*k] = byte(k)
+			}
+			if !ropPushRaw(prog, op, 0, 0, all, false, d, next) {
+				t.Fatalf("%v rop, msg %v: in-range neighbours reported out of range", op, msg)
+			}
+			if !sameBits(d, want) {
+				t.Errorf("%v rop, msg %v: accumulators %v, want %v", op, msg, d, want)
+			}
+			for k := range changed {
+				if next.Contains(k) != changed[k] {
+					t.Errorf("%v rop, msg %v onto %v: activated=%v, Combine says changed=%v", op, msg, vals[k], next.Contains(k), changed[k])
 				}
-				if layout == "raw" {
-					ropPushRaw(prog, op, 0, 0, all, false, d, next)
-				} else {
-					ropPushRecs(prog, op, 0, 0, allRecs, d, next)
-				}
-				if !sameBits(d, want) {
-					t.Errorf("%v rop/%s, msg %v: accumulators %v, want %v", op, layout, msg, d, want)
-				}
-				for k := range changed {
-					if next.Contains(k) != changed[k] {
-						t.Errorf("%v rop/%s, msg %v onto %v: activated=%v, Combine says changed=%v", op, layout, msg, vals[k], next.Contains(k), changed[k])
-					}
-				}
+			}
+		}
+	}
+}
+
+// TestROPPushStopsAtNeighbourOutOfRange is the push loop's own contract: a
+// record naming no vertex ends the push with false, in every arm, having
+// touched nothing at or past the bad record.
+func TestROPPushStopsAtNeighbourOutOfRange(t *testing.T) {
+	const n = 8
+	for _, weighted := range []bool{false, true} {
+		step := blockstore.RawRecordBytes(weighted)
+		sec := make([]byte, 3*step)
+		sec[0], sec[2*step] = 1, 2 // records 0 and 2 name vertices 1 and 2
+		sec[step+3] = 0x80         // record 1: top bit set
+		for _, op := range []ReduceOp{ReduceSum, ReduceMin, ReduceCustom} {
+			if weighted && op != ReduceCustom {
+				continue // reduceOf keeps weighted stores on the custom arm
+			}
+			d := make([]float64, n)
+			for v := range d {
+				d[v] = 100
+			}
+			if ropPushRaw(declared{testLabel{}, op}, op, 0, 0, sec, weighted, d, nil) {
+				t.Fatalf("weighted=%v %v: neighbour %d of %d vertices accepted", weighted, op, uint32(0x80)<<24, n)
+			}
+			if d[2] != 100 {
+				t.Fatalf("weighted=%v %v: the push went on past the bad record", weighted, op)
 			}
 		}
 	}
@@ -179,8 +194,11 @@ func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
 			want[e.Dst]++
 		}
 	}
-	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatCompressed} {
+	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
 		ds := buildUnweighted(t, g, p, format)
+		if format == blockstore.FormatMixed {
+			wantCodecs(t, ds, blockstore.CodecVarint) // every block has edges, so none is left CodecNone
+		}
 		for _, prog := range []Program{testCount{}, declared{testCount{}, ReduceSum}} {
 			e := New(ds, Config{Threads: 2})
 			s := make([]float64, n)

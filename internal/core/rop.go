@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
+	"husgraph/internal/storage"
 )
 
 // ropAccumulate executes the accumulate phase of a Row-oriented Push
@@ -145,20 +147,17 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 					runStart = runs[ri].s
 					loaded = true
 				}
-				src, srcVal := graph.VertexID(sp.v), s[sp.v]
-				if codec == blockstore.CodecNone {
-					// Uncompressed sections (FormatRaw, or a mixed-store
-					// block where no codec paid) are pushed in place from
-					// their packed records.
-					ropPushRaw(prog, op, src, srcVal, runBytes[sp.s-runStart:sp.e-runStart], e.ds.Weighted, d, activate)
-					continue
-				}
-				recs, err := e.ds.DecodeRecsCodecScratch(runBytes[sp.s-runStart:sp.e-runStart], codec, sc)
+				// The section's packed records: in place when the block
+				// stores them so, decoded into sc otherwise.
+				sec, err := e.ds.DecodeSectionScratch(runBytes[sp.s-runStart:sp.e-runStart], codec, sc)
 				if err != nil {
-					setErr(err)
+					setErr(fmt.Errorf("core: out-block (%d,%d) vertex %d: %w", i, j, sp.v, err))
 					return
 				}
-				ropPushRecs(prog, op, src, srcVal, recs, d, activate)
+				if !ropPushRaw(prog, op, graph.VertexID(sp.v), s[sp.v], sec, e.ds.Weighted, d, activate) {
+					setErr(fmt.Errorf("core: out-block (%d,%d) vertex %d: neighbour out of range [0,%d): %w", i, j, sp.v, len(d), storage.ErrCorrupt))
+					return
+				}
 			}
 		})
 		if firstErr != nil {

@@ -105,7 +105,7 @@ func TestCOPKeysColumnMajorWithSkip(t *testing.T) {
 // resultBytes is the device-loaded size of one delivered block, as the
 // prefetcher's unused-read-ahead accounting sizes it.
 func resultBytes(r *blockstore.PrefetchResult) int64 {
-	return (&blockstore.CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx, Recs: r.Recs, RecIdx: r.RecIdx}).Bytes()
+	return (&blockstore.CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
 }
 
 // TestSchedulerWindows pins what the engine and the degradation ladder rely
@@ -235,7 +235,7 @@ func TestSchedulerWindows(t *testing.T) {
 	})
 
 	t.Run("set-bypass-cache-applies-at-next-begin", func(t *testing.T) {
-		cache := blockstore.NewBlockCache(1 << 20)
+		cache := blockstore.NewBlockCacheOpts(1<<20, blockstore.CacheOptions{})
 		s := NewScheduler(ds, cache, Options{Depth: 2})
 		open := s.Begin(plan)
 		s.SetBypassCache(true)
