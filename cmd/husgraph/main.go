@@ -57,7 +57,9 @@
 // corruption is caught by the per-block checksums and fails the run rather
 // than producing wrong values. -fault-delay slows reads past -read-deadline
 // so hedged duplicates (and the -degrade ladder) engage, and -fault-stall
-// hangs reads forever — only a hedge completes those.
+// hangs reads forever — only a hedge completes those, and when the hedge
+// hangs as well the attempt fails transient 100 deadlines later, into
+// -retries.
 //
 // -read-deadline bounds every block/index read attempt: one still pending
 // at the deadline gets a hedged duplicate read, first response wins
@@ -157,7 +159,7 @@ func run() (*core.Result, error) {
 	faultBitflip := flag.Int("fault-bitflip", 0, "inject N single-bit read corruptions (demonstrates checksum detection)")
 	faultDelay := flag.Int("fault-delay", 0, "inject N delayed reads (demonstrates -read-deadline hedging and the -degrade ladder)")
 	faultDelayBy := flag.Duration("fault-delay-by", 5*time.Millisecond, "latency added to each -fault-delay read")
-	faultStall := flag.Int("fault-stall", 0, "inject N reads hung forever (requires -read-deadline with hedging to complete)")
+	faultStall := flag.Int("fault-stall", 0, "inject N reads hung forever (requires -read-deadline with hedging to complete; a hung hedge costs one of -retries)")
 	faultAfter := flag.Int64("fault-after", 10, "number of healthy reads before injected faults begin")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
 	delta := flag.Float64("delta", 0, "bucket width for delta-stepping (-algo SSSP-Delta only; 0 keeps the registered width)")

@@ -1,13 +1,10 @@
 // Command huslint runs the project-invariant analyzer suite over the
-// repository. It enforces the contracts the test suite cannot: file data
-// flows through storage.Store (rawio), errors crossing the storage boundary
-// are classified and matched structurally (errclass), field atomicity is
-// all-or-nothing (atomicstats), pooled values do not outlive their Put
-// (poolescape), worker loops honor their abort signals (ctxloop), every
-// spawned goroutine has a join/quit path (spawnjoin), no mutex is held
-// across a may-block call and no mutex pair is taken in both orders
-// (lockhold), and barrier-published stats are written only on the
-// coordinator or atomically (barrierstats).
+// repository. It enforces the three contracts no test run can see: file
+// data flows through storage.Store (rawio), errors crossing the storage
+// boundary are classified and matched structurally (errclass), and no mutex
+// is held across a may-block call nor any mutex pair taken in both orders
+// (lockhold). Races, leaked goroutines and scratch used after its Put are
+// caught by `go test -race` and internal/leaktest, not here.
 //
 // Usage:
 //
@@ -17,14 +14,11 @@
 //
 //	-analyzers a,b   run only the named analyzers (default: all)
 //	-list            list available analyzers and exit
-//	-format f        output format: text (vet style), json, or sarif 2.1.0
-//	-o file          write the formatted findings to file instead of stdout
-//	                 (text findings still print to stdout so CI logs and
-//	                 problem matchers see them)
 //	-timing          print per-analyzer wall time to stderr
 //
 // Exit status: 0 clean, 1 findings, 2 load or internal failure. Findings
-// print in vet style: file:line:col: message [huslint/analyzer]. A finding
+// print in vet style: file:line:col: message [huslint/analyzer] — the form
+// .github/huslint-problem-matcher.json turns into PR annotations. A finding
 // is suppressed by a `//lint:ignore huslint/<name> <reason>` comment: a
 // trailing comment suppresses its own line, a standalone comment the line
 // below; the reason is mandatory.
@@ -33,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -43,8 +36,6 @@ import (
 func main() {
 	names := flag.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
-	outPath := flag.String("o", "", "write formatted findings to this file instead of stdout")
 	timing := flag.Bool("timing", false, "print per-analyzer timing to stderr")
 	flag.Parse()
 
@@ -53,10 +44,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "huslint: unknown -format %q (have text, json, sarif)\n", *format)
-		os.Exit(2)
 	}
 
 	analyzers := lint.Analyzers()
@@ -87,7 +74,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "huslint: %v\n", err)
 		os.Exit(2)
 	}
-	res, err := lint.RunFull(wd, patterns, analyzers)
+	res, err := lint.Run(wd, patterns, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "huslint: %v\n", err)
 		os.Exit(2)
@@ -100,40 +87,8 @@ func main() {
 		}
 	}
 
-	// Formatted output goes to -o (or stdout); vet-style lines always go
-	// to stdout when a file sink is in play, so CI problem matchers and
-	// humans both see the findings.
-	var sink io.Writer = os.Stdout
-	if *outPath != "" {
-		// huslint is a source-analysis tool: its report file is not graph
-		// data and does not belong behind storage.Store.
-		f, err := os.Create(*outPath) //lint:ignore huslint/rawio lint report artifact, not graph data; storage.Store checksums/fault-injection do not apply
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "huslint: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		sink = f
-	}
-
-	switch *format {
-	case "json":
-		err = lint.WriteJSON(sink, res.Diags, wd)
-	case "sarif":
-		err = lint.WriteSARIF(sink, res.Diags, wd)
-	default:
-		for _, d := range res.Diags {
-			fmt.Fprintln(sink, d.String())
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "huslint: %v\n", err)
-		os.Exit(2)
-	}
-	if *outPath != "" {
-		for _, d := range res.Diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range res.Diags {
+		fmt.Println(d)
 	}
 	if len(res.Diags) > 0 {
 		fmt.Fprintf(os.Stderr, "huslint: %d finding(s)\n", len(res.Diags))

@@ -51,10 +51,17 @@ type HedgePolicy struct {
 	Deadline time.Duration
 	// NoHedge keeps the deadline as an observation signal (feeding the
 	// read observer / resilience breaker) but suppresses the duplicate
-	// read — a genuinely hung operation then blocks until the store
-	// completes it.
+	// read — the attempt then waits for the one read, to the same bound.
 	NoHedge bool
 }
+
+// hungAfter is how many further Deadlines an attempt waits, once its
+// deadline has fired, before it gives the read up as hung. The deadline is
+// a latency threshold — where a read counts as slow, gets hedged and feeds
+// the breaker — and slow reads several times past it must still complete
+// (the degradation ladder exists for them); only a read that is two orders
+// of magnitude late is treated as never coming back.
+const hungAfter = 100
 
 // jitterRng is the fallback jitter source when RetryPolicy.Rand is nil,
 // locked because concurrent prefetch workers draw from it.
@@ -152,7 +159,7 @@ type decodeCounters struct {
 // The snapshot's fields are barrier-published: the live counters are
 // atomics the decode workers update, and a snapshot is materialized only
 // in serial sections (iteration barriers, run teardown) — a plain write
-// from a spawned goroutine is a race (huslint/barrierstats).
+// from a spawned goroutine is a race.
 type DecodeStats struct {
 	// Ops counts codec decode operations (non-none codecs only).
 	Ops int64
@@ -591,8 +598,11 @@ func (d *DualStore) sleepBackoff(dur time.Duration) (aborted bool) {
 // reads into a fresh buffer on its own goroutine so a late-arriving loser
 // can never scribble over a buffer the winner's caller now owns; on
 // deadline expiry a duplicate read races the original, first response
-// wins. Result channels are buffered for both attempts, so losers finish
-// their send and exit instead of leaking.
+// wins. A hedge can hang like any other read: when neither has answered
+// hungAfter deadlines later (likewise the lone read under NoHedge) the
+// attempt resolves with an ErrTransient-class error — a hung device costs
+// the retry budget, never the run. The result channel is buffered for both
+// reads, so late ones finish their send and exit instead of leaking.
 func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 	deadline := d.hedge.Deadline
 	if deadline <= 0 {
@@ -610,25 +620,26 @@ func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 		err error
 	}
 	ch := make(chan outcome, 2)
-	go func() {
+	try := func() {
 		b, err := d.issue(read, nil)
 		ch <- outcome{b, err}
-	}()
+	}
+	go try()
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
 	var o outcome
 	select {
 	case o = <-ch:
 	case <-timer.C:
-		if d.hedge.NoHedge {
-			o = <-ch
-		} else {
+		if !d.hedge.NoHedge {
 			d.hedges.Add(1)
-			go func() {
-				b, err := d.issue(read, nil)
-				ch <- outcome{b, err}
-			}()
-			o = <-ch
+			go try()
+		}
+		timer.Reset(hungAfter * deadline)
+		select {
+		case o = <-ch:
+		case <-timer.C:
+			o.err = fmt.Errorf("blockstore: read %s: no answer %v after the %v read deadline: %w", read.name, hungAfter*deadline, deadline, storage.ErrTransient)
 		}
 	}
 	if d.observe != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,42 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLoadOutIndexConcurrent: LoadOutIndex returns a private copy, so
+// concurrent callers never see each other's blocks. The copy is taken from
+// pooled scratch; were the scratch back in the pool before the copy is done,
+// another caller's decode would land in it — a race, and the wrong index.
+func TestLoadOutIndexConcurrent(t *testing.T) {
+	const p = 4
+	g := gen.RMAT(256, 2000, gen.Graph500, rand.New(rand.NewSource(3)))
+	ds, err := BuildWithFormat(memStore(), g, p, FormatMixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [p][p][]uint32
+	for i := range want {
+		for j := range want[i] {
+			if want[i][j], err = ds.LoadOutIndex(i, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < p; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 1000*p; n++ {
+				i, j := (w+n/p)%p, n%p
+				if got, err := ds.LoadOutIndex(i, j); err != nil || !reflect.DeepEqual(got, want[i][j]) {
+					t.Errorf("worker %d: out-index(%d,%d) = %v, %v; want %v", w, i, j, got, err, want[i][j])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestDegreesMatchGraph(t *testing.T) {

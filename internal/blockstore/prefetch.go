@@ -201,8 +201,8 @@ func (p *Prefetcher) worker() {
 			// no-op on them): hand the token back here so the pipeline
 			// keeps draining and every blocked consumer receives the root
 			// cause instead of deadlocking on a token a failed consumer
-			// never returned.
-			//lint:ignore huslint/ctxloop token conservation: sem has capacity depth and this send returns a token just taken, so it never blocks
+			// never returned. The send cannot block: sem has capacity depth
+			// and this returns a token just taken.
 			p.sem <- struct{}{}
 		}
 	}
@@ -220,7 +220,8 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		}
 	}
 	sc := GetScratch()
-	//lint:ignore huslint/poolescape ownership of sc transfers to the result; PrefetchResult.Release/Close return it to the pool exactly once
+	// Ownership of sc transfers to the result: PrefetchResult.Release/Close
+	// return it to the pool exactly once.
 	*res = PrefetchResult{Key: key, sc: sc, pf: p}
 	var err error
 	switch key.Kind {

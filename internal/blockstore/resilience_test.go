@@ -2,9 +2,11 @@ package blockstore
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"husgraph/internal/leaktest"
 	"husgraph/internal/storage"
 )
 
@@ -134,5 +136,60 @@ func TestAbortCutsBackoffShort(t *testing.T) {
 	// WithAbort shares counters with the parent.
 	if got := d.Retries(); got != 1 {
 		t.Fatalf("Retries() = %d, want 1 (abort fired during the first backoff)", got)
+	}
+}
+
+// TestHungHedgeIsBounded pins the interleaving that used to hang a run for
+// good: the first in-block read stalls and so does its hedge. The attempt
+// must give both up as hung and fail transient — into the retry budget when
+// there is one — and once the stalls are released no goroutine may be left.
+func TestHungHedgeIsBounded(t *testing.T) {
+	for _, retries := range []int{0, 1} {
+		before := len(leaktest.Live())
+		d, fs := openFaulty(t)
+		want, err := loadInBlock(d, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetHedgePolicy(HedgePolicy{Deadline: time.Millisecond})
+		d.SetRetryPolicy(RetryPolicy{MaxRetries: retries})
+		fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultStall, Name: "ib/", Count: 2})
+
+		type outcome struct {
+			blk testBlock
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			blk, err := loadInBlock(d, 0, 1)
+			done <- outcome{blk, err}
+		}()
+		var got outcome
+		select {
+		case got = <-done:
+		case <-time.After(10 * time.Second):
+			fs.ReleaseStalled()
+			t.Fatalf("retries=%d: load still waiting on a hung read and its hung hedge", retries)
+		}
+		if retries == 0 {
+			if !errors.Is(got.err, storage.ErrTransient) {
+				t.Fatalf("retries=0: err = %v, want wrapped storage.ErrTransient", got.err)
+			}
+		} else if got.err != nil || !reflect.DeepEqual(got.blk, want) {
+			t.Fatalf("retries=1: load = %+v, %v; want the clean block", got.blk, got.err)
+		}
+		// Two stalls are the hung read and its one hedge. Hedges() can read
+		// higher: on a loaded machine a clean read of the same load (the
+		// index, the retry) overruns a 1ms deadline and is hedged as well.
+		if c := fs.Counters(); c.Stalls != 2 {
+			t.Fatalf("retries=%d: injected %d stalls, want 2 (read and hedge)", retries, c.Stalls)
+		}
+		if h, r := d.Hedges(), d.Retries(); h < 1 || r != int64(retries) {
+			t.Fatalf("retries=%d: Hedges() = %d, Retries() = %d; want ≥ 1, %d", retries, h, r, retries)
+		}
+		fs.ReleaseStalled()
+		if err := leaktest.Check(before, 5*time.Second); err != nil {
+			t.Fatalf("retries=%d: %v", retries, err)
+		}
 	}
 }

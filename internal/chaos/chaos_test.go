@@ -23,7 +23,6 @@ func runBounded(t *testing.T, a Algo, tune Tuning, sched Schedule, limit time.Du
 		err error
 	}
 	ch := make(chan outcome, 1)
-	//lint:ignore huslint/barrierstats the goroutine runs a whole engine and is that run's coordinator; each engine instance is goroutine-confined, so its serial-section stats writes cannot race
 	go func() {
 		rep, err := Execute(a, tune, sched)
 		ch <- outcome{rep, err}

@@ -54,6 +54,10 @@ func ParseModel(s string) (Model, error) {
 // (§3.4); above it COP is selected unconditionally.
 const DefaultAlpha = 0.05
 
+// retryBackoffMax caps the exponential growth of the backoff between read
+// retries.
+const retryBackoffMax = 250 * time.Millisecond
+
 // Config controls an engine run.
 type Config struct {
 	// Threads is the worker-thread count (§3.5); 0 means GOMAXPROCS.
@@ -100,11 +104,8 @@ type Config struct {
 	// IterStats.Retries and Result.Recovery.
 	ReadRetries int
 	// RetryBackoff is the sleep before the first retry, doubled on each
-	// subsequent retry; 0 with ReadRetries > 0 defaults to 1ms.
+	// subsequent retry up to 250ms; 0 with ReadRetries > 0 defaults to 1ms.
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential backoff growth; 0 with
-	// ReadRetries > 0 defaults to 250ms.
-	RetryBackoffMax time.Duration
 	// RetryJitter scatters each backoff sleep uniformly over
 	// [1-j, 1+j) of its nominal value so concurrent prefetch workers
 	// don't retry a recovering device in lockstep. 0 with ReadRetries > 0
@@ -113,8 +114,9 @@ type Config struct {
 	// ReadDeadline is the soft deadline for every block/index/aux read
 	// attempt: an attempt still pending at the deadline gets a hedged
 	// duplicate read issued, first response wins (hedges are counted in
-	// IterStats.Hedges and Result.Recovery.Hedges). 0 disables deadlines
-	// and hedging — a hung read then blocks forever.
+	// IterStats.Hedges and Result.Recovery.Hedges), and one neither read
+	// has answered 100 deadlines later fails transient, into ReadRetries.
+	// 0 disables deadlines and hedging — a hung read then blocks forever.
 	ReadDeadline time.Duration
 	// NoHedge keeps ReadDeadline as a latency-pressure signal for the
 	// degradation breaker but suppresses the hedged duplicate read.
@@ -200,9 +202,6 @@ func (c Config) withDefaults() Config {
 	if c.ReadRetries > 0 {
 		if c.RetryBackoff == 0 {
 			c.RetryBackoff = time.Millisecond
-		}
-		if c.RetryBackoffMax == 0 {
-			c.RetryBackoffMax = 250 * time.Millisecond
 		}
 		if c.RetryJitter == 0 {
 			c.RetryJitter = 0.2

@@ -118,7 +118,7 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 		ds.SetRetryPolicy(blockstore.RetryPolicy{
 			MaxRetries: e.cfg.ReadRetries,
 			Backoff:    e.cfg.RetryBackoff,
-			MaxBackoff: e.cfg.RetryBackoffMax,
+			MaxBackoff: retryBackoffMax,
 			Jitter:     e.cfg.RetryJitter,
 		})
 	}

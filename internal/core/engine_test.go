@@ -880,7 +880,6 @@ func TestConcurrentEnginesShareOneStore(t *testing.T) {
 	var wg sync.WaitGroup
 	for k := 0; k < 2; k++ {
 		wg.Add(1)
-		//lint:ignore huslint/barrierstats each goroutine owns a private Engine and is that run's coordinator; IterStats writes are confined to it, only the store is shared
 		go func(k int) {
 			defer wg.Done()
 			e := New(ds, Config{Model: ModelHybrid, Threads: 2})

@@ -12,8 +12,8 @@ import (
 // which model ran, and what it cost. Its fields are barrier-published:
 // written only by the coordinator between iteration begin/finish (workers
 // report through atomics that the coordinator folds in at the barrier), so
-// any plain write reachable from a spawned goroutine is a race (enforced
-// by huslint/barrierstats).
+// any plain write reachable from a spawned goroutine is a race — one `go
+// test -race` reports, since every engine test drives these fields.
 type IterStats struct {
 	// Iter is the zero-based iteration number.
 	Iter int

@@ -3,13 +3,16 @@
 // whose Close/Stop/Finish waits for it — prefetch workers, hedged reads, the
 // breaker ticker — or is joined by the call that started it — row and
 // column workers, a shard's phase of an iteration — so once a package's
-// tests are done the goroutine count must return to where it started.
+// tests are done the goroutine count must return to where it started. No
+// static check stands behind this one: a goroutine with no join or quit
+// path is caught here, by the tests that start it, or not at all.
 package leaktest
 
 import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -19,34 +22,71 @@ import (
 // delay still sleeping).
 const settleTimeout = 5 * time.Second
 
+// runtimeOwned names the frames of goroutines the Go runtime starts on its
+// own behalf and never stops; no test can leak or join them, so they are
+// not counted.
+var runtimeOwned = []string{
+	// Started by the first signal.Notify of the process — `go test -fuzz`
+	// installs an interrupt handler before the tests run.
+	"os/signal.loop()",
+}
+
 // Main runs m's tests and exits with their status — or, when they passed
 // but more goroutines are alive afterwards than before, with status 1 and a
-// dump of every goroutine's stack. Call it from TestMain:
+// dump of every counted goroutine's stack. Call it from TestMain:
 //
 //	func TestMain(m *testing.M) { leaktest.Main(m) }
 func Main(m *testing.M) {
-	baseline := runtime.NumGoroutine()
+	baseline := len(Live())
 	code := m.Run()
 	if code == 0 {
-		if n := settle(baseline, settleTimeout); n > baseline {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			fmt.Fprintf(os.Stderr, "leaktest: goroutine leak: %d live, %d before the tests\n%s\n", n, baseline, buf)
+		if err := Check(baseline, settleTimeout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			code = 1
 		}
 	}
 	os.Exit(code)
 }
 
-// settle waits until at most baseline goroutines are alive or the timeout
-// passes, and returns the last count it saw.
-func settle(baseline int, timeout time.Duration) int {
+// Check waits until at most baseline goroutines (len(Live()) at an earlier
+// moment) are alive; when the timeout passes first it returns an error
+// carrying the stacks of those that are. A test calls it to pin a leak to
+// itself instead of to its package.
+func Check(baseline int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		n := runtime.NumGoroutine()
-		if n <= baseline || time.Now().After(deadline) {
-			return n
+		live := Live()
+		if len(live) <= baseline {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("leaktest: goroutine leak: %d live, %d before the tests\n%s", len(live), baseline, strings.Join(live, "\n\n"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// Live returns the stack of every goroutine alive now, runtimeOwned ones
+// excepted. Goroutines are counted from the stack dump rather than with
+// runtime.NumGoroutine so that what is counted is what is printed.
+func Live() []string {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var live []string
+next:
+	for _, g := range strings.Split(strings.TrimSpace(string(buf)), "\n\n") {
+		for _, frame := range runtimeOwned {
+			if strings.Contains(g, frame) {
+				continue next
+			}
+		}
+		live = append(live, g)
+	}
+	return live
 }

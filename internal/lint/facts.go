@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -11,31 +10,28 @@ import (
 	"strings"
 )
 
-// Cross-package fact system.
+// Call summaries for lockhold.
 //
-// The first analysis pass over each package computes a FuncFact for every
-// function (declarations and function literals alike): whether it spawns
-// goroutines, which ways it may block (channel operations, WaitGroup.Wait,
-// time.Sleep, I/O through storage.Store), which mutexes it acquires, which
-// of its parameters it retains, and whether it consults an abort signal or
-// signals completion over a channel. Facts are serialized per package
-// (JSON) and consumed transitively: when an analyzer meets a call into
-// another package, it looks the callee's fact up in the FactSet instead of
-// giving up at the package boundary — so spawnjoin, lockhold and
-// barrierstats reason through whole call chains, the way the chaos
-// harness's dynamic checks exercise them.
+// A pass over each package computes a FuncFact for every function
+// (declarations and function literals alike): which functions it calls,
+// which ways it may block (channel operations, WaitGroup.Wait, time.Sleep,
+// I/O through storage.Store) and which mutexes it acquires — its own and,
+// after propagation along the call edges, its callees'. When lockhold meets
+// a call with a mutex held it looks the callee's summary up in the FactSet
+// instead of giving up at the function or package boundary, so "storage I/O
+// five calls down, two packages away" is reported at the call that holds
+// the lock, with the chain that reaches it.
 //
-// Facts are computed in import-dependency order (a package's dependencies
-// are fully summarized before it is analyzed) with an intra-package
+// Packages are summarized in import-dependency order (a package's
+// dependencies are complete before it is analyzed) with an intra-package
 // fixpoint for mutual recursion. Calls through function values and
 // interface methods other than the storage.Store intrinsics are edges the
-// system cannot resolve; facts are therefore a sound-effort summary, not a
-// proof — the analyzers that consume them say so in their docs.
+// pass cannot resolve; a summary is therefore sound-effort, not a proof.
 
 // BlockKind classifies one way a function may block.
 type BlockKind string
 
-// The block kinds, ordered roughly by how indefinitely they block.
+// The block kinds.
 const (
 	// BlockRecv is a plain channel receive (including range-over-channel)
 	// outside any select.
@@ -53,133 +49,42 @@ const (
 	BlockIO BlockKind = "storage I/O"
 )
 
-// indefinite reports whether the kind can block forever (rather than for a
-// bounded operation like a sleep or a read).
-func (k BlockKind) indefinite() bool {
-	return k == BlockRecv || k == BlockSelect || k == BlockWait
-}
-
-// BlockFact records one way a function may block: the kind, the position
-// of the operation, and — when the block is reached through callees — the
-// call chain that reaches it.
+// BlockFact records one way a function may block: the kind and — when the
+// block is reached through callees — the call chain that reaches it.
 type BlockFact struct {
-	Kind BlockKind `json:"kind"`
-	At   string    `json:"at"`
-	Via  string    `json:"via,omitempty"`
-}
-
-func (b BlockFact) describe() string {
-	s := string(b.Kind)
-	if b.Via != "" {
-		s += " (via " + b.Via + ")"
-	}
-	return s + " at " + b.At
+	Kind BlockKind
+	Via  string
 }
 
 // MutexAcq records one mutex a function acquires: the mutex's program-wide
-// key (see mutexKey), where, and through which call chain.
+// key (see mutexKeyOf) and the call chain through which it is taken.
 type MutexAcq struct {
-	Mutex string `json:"mutex"`
-	At    string `json:"at"`
-	Via   string `json:"via,omitempty"`
+	Mutex string
+	Via   string
 }
 
-// MarkedWrite records one plain (non-atomic) write to a field of a
-// barrier-published struct (see the barrierstats analyzer).
-type MarkedWrite struct {
-	Field string `json:"field"` // "<pkg>.<Type>.<field>"
-	At    string `json:"at"`
-}
-
-// FuncFact is the serialized summary of one function.
+// FuncFact is the summary of one function.
 type FuncFact struct {
-	// Spawns lists the fact keys of functions this function launches with
-	// a go statement (function literals included, under synthetic $litN
-	// keys).
-	Spawns []string `json:"spawns,omitempty"`
 	// Calls lists the fact keys of statically-resolved callees (deferred
 	// calls and function literals passed to or invoked by this function
-	// included).
-	Calls []string `json:"calls,omitempty"`
-	// Unbounded reports a condition-less for loop or a range over a
-	// channel, here or transitively in a callee.
-	Unbounded   bool   `json:"unbounded,omitempty"`
-	UnboundedAt string `json:"unboundedAt,omitempty"`
-	// ConsultsAbort reports the function (transitively) receives from an
-	// abort-named channel, selects on one or on ctx.Done(), or checks
-	// ctx.Err() — a quit path shutdown can use.
-	ConsultsAbort bool `json:"consultsAbort,omitempty"`
-	// CallsWGDone reports the function (transitively) calls
-	// sync.WaitGroup.Done — a join path through a Wait elsewhere.
-	CallsWGDone bool `json:"callsWGDone,omitempty"`
-	// SignalsChan reports the function (transitively) closes a channel or
-	// sends on one — a completion signal a joiner can receive.
-	SignalsChan bool `json:"signalsChan,omitempty"`
-	// Blocks lists the ways the function may block, deduplicated by kind
-	// (the first position found wins).
-	Blocks []BlockFact `json:"blocks,omitempty"`
-	// Acquires lists the mutexes the function (transitively) locks,
+	// included; go statements excluded — the spawner does not wait).
+	Calls []string
+	// Blocks lists the ways the function may block, here or in a callee,
+	// deduplicated by kind (the first chain found wins).
+	Blocks []BlockFact
+	// Acquires lists the mutexes the function locks, here or in a callee,
 	// deduplicated by mutex key.
-	Acquires []MutexAcq `json:"acquires,omitempty"`
-	// Retains lists parameter indices the function retains beyond the
-	// call: stored into a field, global, element or dereference, captured
-	// by a spawned goroutine, or passed on to a callee that retains them.
-	Retains []int `json:"retains,omitempty"`
-	// WritesMarked lists plain writes to barrier-published struct fields
-	// in this function's own body.
-	WritesMarked []MarkedWrite `json:"writesMarked,omitempty"`
-
-	// argFlows records "param i flows into callee's param j" edges,
-	// resolved during the fixpoint; not serialized.
-	argFlows []argFlow
+	Acquires []MutexAcq
 }
 
-type argFlow struct {
-	param  int    // this function's parameter index
-	callee string // callee fact key
-	arg    int    // callee parameter index
-}
-
-// PkgFacts is the serializable fact summary of one package.
-type PkgFacts struct {
-	// Path is the package's import path (test-variant suffix stripped).
-	Path string `json:"path"`
-	// Funcs maps fact keys (types.Func FullName, or synthetic $litN keys
-	// for function literals) to their facts.
-	Funcs map[string]*FuncFact `json:"funcs"`
-	// Marked lists the package's barrier-published struct type keys
-	// ("<pkg>.<Type>", see barrierstats).
-	Marked []string `json:"marked,omitempty"`
-}
-
-// Encode serializes the package's facts.
-func (p *PkgFacts) Encode() ([]byte, error) { return json.Marshal(p) }
-
-// DecodePkgFacts is the inverse of Encode.
-func DecodePkgFacts(b []byte) (*PkgFacts, error) {
-	p := new(PkgFacts)
-	if err := json.Unmarshal(b, p); err != nil {
-		return nil, fmt.Errorf("lint: decoding package facts: %v", err)
-	}
-	return p, nil
-}
-
-// FactSet holds the serialized facts of every package analyzed so far and
-// answers transitive queries. Packages must be added in dependency order;
-// lookups decode lazily from the serialized form (the serialization is the
-// hand-off boundary, exactly as an on-disk fact cache would be).
+// FactSet holds the summaries of every package analyzed so far, plus the
+// program-wide mutex acquisition-order graph lockhold feeds as it walks the
+// packages in dependency order.
 type FactSet struct {
-	blobs   map[string][]byte // pkg path -> encoded PkgFacts
-	order   []string          // insertion (dependency) order
-	decoded map[string]*PkgFacts
-	index   map[string]*FuncFact // fact key -> fact, filled per decoded pkg
-	marked  map[string]bool      // marked type key -> true
+	// index maps fact keys (types.Func FullName, or "<enclosing>$litN" for
+	// function literals) to their facts.
+	index map[string]*FuncFact
 
-	concurrent map[string]bool // lazily built spawn-reachability closure
-
-	// The program-wide mutex acquisition-order graph, fed by lockhold as
-	// packages are analyzed in dependency order. Not serialized: it is
-	// analyzer working state derived from the serialized Acquires facts.
 	lockPairs    map[[2]string]string // (first, second) -> first site observed
 	pairReported map[[2]string]bool
 }
@@ -187,14 +92,15 @@ type FactSet struct {
 // NewFactSet returns an empty fact set.
 func NewFactSet() *FactSet {
 	return &FactSet{
-		blobs:        make(map[string][]byte),
-		decoded:      make(map[string]*PkgFacts),
 		index:        make(map[string]*FuncFact),
-		marked:       make(map[string]bool),
 		lockPairs:    make(map[[2]string]string),
 		pairReported: make(map[[2]string]bool),
 	}
 }
+
+// Fact returns the fact for key, or nil when the function was never
+// summarized (dynamic call target, or a package outside the analyzed set).
+func (fs *FactSet) Fact(key string) *FuncFact { return fs.index[key] }
 
 // recordLockPair adds the edge first→second (observed at site) to the
 // acquisition-order graph. When the reverse edge already exists, it
@@ -221,107 +127,6 @@ func (fs *FactSet) recordLockPair(first, second, at string) (prevSite string, in
 	return prev, true
 }
 
-// Add serializes pf and installs it. Adding a package invalidates the
-// cached reachability closure.
-func (fs *FactSet) Add(pf *PkgFacts) error {
-	b, err := pf.Encode()
-	if err != nil {
-		return err
-	}
-	if _, ok := fs.blobs[pf.Path]; !ok {
-		fs.order = append(fs.order, pf.Path)
-	}
-	fs.blobs[pf.Path] = b
-	delete(fs.decoded, pf.Path)
-	fs.concurrent = nil
-	fs.decodePkg(pf.Path)
-	return nil
-}
-
-// Encoded returns the serialized facts of one package (nil if absent) —
-// exposed so tests can assert the round-trip.
-func (fs *FactSet) Encoded(pkgPath string) []byte { return fs.blobs[pkgPath] }
-
-func (fs *FactSet) decodePkg(path string) *PkgFacts {
-	if p, ok := fs.decoded[path]; ok {
-		return p
-	}
-	b, ok := fs.blobs[path]
-	if !ok {
-		return nil
-	}
-	p, err := DecodePkgFacts(b)
-	if err != nil {
-		// Encode/Decode are inverses; a failure here is a programming
-		// error surfaced loudly by the round-trip test.
-		panic(err)
-	}
-	fs.decoded[path] = p
-	for k, f := range p.Funcs {
-		fs.index[k] = f
-	}
-	for _, m := range p.Marked {
-		fs.marked[m] = true
-	}
-	return p
-}
-
-// Fact returns the fact for key, or nil when the function was never
-// summarized (dynamic call target, or a package outside the analyzed set).
-func (fs *FactSet) Fact(key string) *FuncFact { return fs.index[key] }
-
-// MarkedType reports whether the struct type key is barrier-published.
-func (fs *FactSet) MarkedType(key string) bool { return fs.marked[key] }
-
-// Concurrent reports whether the function is reachable from any go
-// statement in the analyzed program — i.e. may run off the coordinator
-// goroutine.
-func (fs *FactSet) Concurrent(key string) bool {
-	if fs.concurrent == nil {
-		fs.buildConcurrent()
-	}
-	return fs.concurrent[key]
-}
-
-func (fs *FactSet) buildConcurrent() {
-	set := make(map[string]bool)
-	var queue []string
-	add := func(k string) {
-		if k != "" && !set[k] {
-			set[k] = true
-			queue = append(queue, k)
-		}
-	}
-	for _, path := range fs.order {
-		p := fs.decodePkg(path)
-		keys := make([]string, 0, len(p.Funcs))
-		for k := range p.Funcs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			for _, t := range p.Funcs[k].Spawns {
-				add(t)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		f := fs.index[k]
-		if f == nil {
-			continue
-		}
-		for _, c := range f.Calls {
-			add(c)
-		}
-		for _, s := range f.Spawns {
-			add(s)
-		}
-	}
-	fs.concurrent = set
-}
-
 // funcKey returns the program-wide fact key of a resolved function: its
 // types.Func FullName ("pkg.Fn" or "(*pkg.T).Method").
 func funcKey(f *types.Func) string {
@@ -339,154 +144,64 @@ var pathPrefixRE = regexp.MustCompile(`([A-Za-z0-9_.~-]+/)+`)
 // shortKey renders a fact key for diagnostics.
 func shortKey(k string) string { return pathPrefixRE.ReplaceAllString(k, "") }
 
-// factBuilder computes one package's facts.
-type factBuilder struct {
-	pkg   *Package
-	deps  *FactSet
-	facts map[string]*FuncFact
-
-	// litKeys maps function-literal nodes to their synthetic keys.
-	litKeys map[*ast.FuncLit]string
-	// markedFields maps field objects of barrier-published structs (this
-	// package's and its dependencies') to their "<pkg>.<Type>.<field>" key.
-	markedFields map[*types.Var]string
-	marked       []string
+// viaChain prefixes a callee's own chain with the callee: the Via of a fact
+// inherited through a call to key.
+func viaChain(key, via string) string {
+	if via == "" {
+		return shortKey(key)
+	}
+	return shortKey(key) + " → " + via
 }
 
-// ComputeFacts summarizes pkg, resolving calls into packages already
-// summarized in deps. It returns the package's facts (not yet added to
-// deps; callers add them) and the mapping from the package's function
-// literals to their synthetic fact keys, which the analyzers need to
-// resolve `go func() { ... }()` spawn targets.
-func ComputeFacts(pkg *Package, deps *FactSet) (*PkgFacts, map[*ast.FuncLit]string) {
-	b := &factBuilder{
-		pkg:     pkg,
-		deps:    deps,
-		facts:   make(map[string]*FuncFact),
-		litKeys: make(map[*ast.FuncLit]string),
-	}
-	b.collectMarked()
+// factBuilder computes one package's facts into fs.
+type factBuilder struct {
+	pkg  *Package
+	fs   *FactSet
+	keys []string // the package's own fact keys
+	// litKeys maps function-literal nodes to their synthetic keys, so a
+	// literal invoked or passed as an argument is a call edge like any other.
+	litKeys map[*ast.FuncLit]string
+}
+
+// Summarize computes pkg's facts and installs them in fs, which must already
+// hold those of pkg's dependencies: packages are summarized in dependency
+// order.
+func (fs *FactSet) Summarize(pkg *Package) {
+	b := &factBuilder{pkg: pkg, fs: fs, litKeys: make(map[*ast.FuncLit]string)}
 	for _, file := range pkg.Files {
 		b.collectFuncs(file)
 	}
 	b.fixpoint()
-	sort.Strings(b.marked)
-	return &PkgFacts{Path: pkg.Path, Funcs: b.facts, Marked: b.marked}, b.litKeys
-}
-
-// barrierMarker is the doc-comment marker declaring a struct's fields
-// barrier-published (see the barrierstats analyzer).
-const barrierMarker = "barrier-published"
-
-// collectMarked finds this package's barrier-published struct types (by
-// doc-comment marker) and indexes every marked field object — local and
-// from dependencies — for the write scan.
-func (b *factBuilder) collectMarked() {
-	b.markedFields = make(map[*types.Var]string)
-	for _, file := range b.pkg.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				doc := ts.Doc
-				if doc == nil {
-					doc = gd.Doc
-				}
-				if doc == nil || !strings.Contains(doc.Text(), barrierMarker) {
-					continue
-				}
-				obj, ok := objOf(b.pkg.Info, ts.Name).(*types.TypeName)
-				if !ok {
-					continue
-				}
-				st, ok := obj.Type().Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				key := b.pkg.Path + "." + obj.Name()
-				b.marked = append(b.marked, key)
-				for i := 0; i < st.NumFields(); i++ {
-					b.markedFields[st.Field(i)] = key + "." + st.Field(i).Name()
-				}
-			}
-		}
-	}
-}
-
-// markedFieldKey resolves a field object to its barrier-published key, in
-// this package or any summarized dependency.
-func (b *factBuilder) markedFieldKey(fld *types.Var) string {
-	if k, ok := b.markedFields[fld]; ok {
-		return k
-	}
-	if fld.Pkg() == nil {
-		return ""
-	}
-	owner := fieldOwner(fld)
-	if owner == "" {
-		return ""
-	}
-	if b.deps != nil && b.deps.MarkedType(owner) {
-		return owner + "." + fld.Name()
-	}
-	return ""
-}
-
-// fieldOwner returns "<pkg>.<Type>" for a struct field object, or "".
-func fieldOwner(fld *types.Var) string {
-	if !fld.IsField() || fld.Pkg() == nil {
-		return ""
-	}
-	// The field's originating named type is not directly reachable from
-	// the Var; scan the package scope for the struct that declares it.
-	scope := fld.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == fld {
-				return fld.Pkg().Path() + "." + tn.Name()
-			}
-		}
-	}
-	return ""
 }
 
 // collectFuncs walks one file, assigning keys to every function
 // declaration and literal and extracting their direct facts.
 func (b *factBuilder) collectFuncs(file *ast.File) {
 	// Literal keys are "<enclosing>$litN" in lexical order per enclosing
-	// function, so they are deterministic across loads.
+	// function, so they are deterministic across loads. Inner functions are
+	// keyed before the enclosing body is extracted, which is what lets
+	// extract resolve the literals it meets.
 	var stack []string // enclosing fact keys
 	litCount := make(map[string]int)
 	var walk func(n ast.Node) bool
+	visit := func(key string, body *ast.BlockStmt) {
+		stack = append(stack, key)
+		ast.Inspect(body, walk)
+		stack = stack[:len(stack)-1]
+		b.extract(key, body)
+	}
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
+			if n.Body == nil {
+				return false
+			}
 			f, _ := b.pkg.Info.Defs[n.Name].(*types.Func)
 			key := funcKey(f)
 			if key == "" {
 				key = b.pkg.Path + "." + n.Name.Name
 			}
-			if n.Body == nil {
-				return false
-			}
-			stack = append(stack, key)
-			ast.Inspect(n.Body, walk)
-			stack = stack[:len(stack)-1]
-			b.extract(key, n.Type, n.Body)
+			visit(key, n.Body)
 			return false
 		case *ast.FuncLit:
 			encl := b.pkg.Path
@@ -496,10 +211,7 @@ func (b *factBuilder) collectFuncs(file *ast.File) {
 			litCount[encl]++
 			key := fmt.Sprintf("%s$lit%d", encl, litCount[encl])
 			b.litKeys[n] = key
-			stack = append(stack, key)
-			ast.Inspect(n.Body, walk)
-			stack = stack[:len(stack)-1]
-			b.extract(key, n.Type, n.Body)
+			visit(key, n.Body)
 			return false
 		}
 		return true
@@ -509,40 +221,52 @@ func (b *factBuilder) collectFuncs(file *ast.File) {
 	}
 }
 
-func (b *factBuilder) fact(key string) *FuncFact {
-	f, ok := b.facts[key]
-	if !ok {
-		f = &FuncFact{}
-		b.facts[key] = f
-	}
-	return f
-}
-
-func (b *factBuilder) pos(p token.Pos) string {
-	return b.pkg.Fset.Position(p).String()
-}
-
-// lookup resolves a callee key against this package's facts first, then
-// the dependency set.
-func (b *factBuilder) lookup(key string) *FuncFact {
-	if f, ok := b.facts[key]; ok {
-		return f
-	}
-	if b.deps != nil {
-		return b.deps.Fact(key)
-	}
-	return nil
-}
-
 // extract computes the direct facts of one function body.
-func (b *factBuilder) extract(key string, ftype *ast.FuncType, body *ast.BlockStmt) {
-	f := b.fact(key)
-	params := paramObjects(b.pkg.Info, ftype)
-	cls := classifyOps(b.pkg.Info, body)
+func (b *factBuilder) extract(key string, body *ast.BlockStmt) {
+	f := &FuncFact{}
+	b.fs.index[key] = f
+	b.keys = append(b.keys, key)
+	info := b.pkg.Info
+	inSelect := selectComms(body)
 	// A go statement's call expression is the spawn target, not a call the
 	// spawner waits for — its facts must not propagate into the spawner.
 	goCalls := make(map[*ast.CallExpr]bool)
+	block := func(k BlockKind) { f.Blocks = addBlock(f.Blocks, BlockFact{Kind: k}) }
 
+	inspectShallow(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			goCalls[n.Call] = true // args may still contain calls; keep walking
+		case *ast.CallExpr:
+			if !goCalls[n] {
+				b.extractCall(key, f, n)
+			}
+		case *ast.SendStmt:
+			if !inSelect[n] {
+				block(BlockSend)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW && !inSelect[n] && !isAbortChan(info, n.X) {
+				block(BlockRecv)
+			}
+		case *ast.SelectStmt:
+			if hasDefault, hasAbort := classifySelect(info, n); !hasDefault && !hasAbort {
+				block(BlockSelect)
+			}
+		case *ast.RangeStmt:
+			// Ranging over a channel parks until the channel closes.
+			if tv, ok := info.Types[n.X]; ok && tv.Type != nil {
+				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+					block(BlockRecv)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// extractCall records the fact consequences of one call expression.
+func (b *factBuilder) extractCall(key string, f *FuncFact, call *ast.CallExpr) {
 	addCall := func(k string) {
 		if k == "" || k == key {
 			return
@@ -553,94 +277,6 @@ func (b *factBuilder) extract(key string, ftype *ast.FuncType, body *ast.BlockSt
 			}
 		}
 		f.Calls = append(f.Calls, k)
-	}
-
-	inspectShallow(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			goCalls[n.Call] = true
-			target := ""
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				target = b.litKeys[lit]
-			} else {
-				target = funcKey(calleeOf(b.pkg.Info, n.Call))
-			}
-			if target != "" {
-				f.Spawns = append(f.Spawns, target)
-			}
-			// Captured parameters passed into the goroutine are retained
-			// beyond this call's lifetime.
-			for _, arg := range n.Call.Args {
-				if i, ok := paramIn(b.pkg.Info, params, arg); ok {
-					f.Retains = addIndex(f.Retains, i)
-				}
-			}
-			return true // args may contain calls; keep walking
-		case *ast.CallExpr:
-			if !goCalls[n] {
-				b.extractCall(key, f, n, params, addCall)
-			}
-		case *ast.SendStmt:
-			f.SignalsChan = true
-			if !cls.inSelect[n] {
-				f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockSend, At: b.pos(n.Pos())})
-			}
-		case *ast.UnaryExpr:
-			if n.Op != token.ARROW {
-				return true
-			}
-			if isAbortChan(b.pkg.Info, n.X) {
-				f.ConsultsAbort = true
-			} else if !cls.inSelect[n] {
-				f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockRecv, At: b.pos(n.Pos())})
-			}
-		case *ast.SelectStmt:
-			hasDefault, hasAbort := classifySelect(b.pkg.Info, n)
-			if hasAbort {
-				f.ConsultsAbort = true
-			}
-			if !hasDefault && !hasAbort {
-				f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockSelect, At: b.pos(n.Pos())})
-			}
-		case *ast.RangeStmt:
-			// Ranging over a channel parks until the channel closes — a
-			// block, but not an unbounded loop: the close is a structural
-			// termination signal.
-			if tv, ok := b.pkg.Info.Types[n.X]; ok && tv.Type != nil {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockRecv, At: b.pos(n.Pos())})
-				}
-			}
-		case *ast.ForStmt:
-			// A condition-less loop is unbounded only when nothing escapes
-			// it — CAS retry loops (`for { if CompareAndSwap { return } }`)
-			// terminate on their own.
-			if n.Cond == nil && !f.Unbounded && !loopEscapes(n) {
-				f.Unbounded, f.UnboundedAt = true, b.pos(n.Pos())
-			}
-		case *ast.AssignStmt:
-			b.extractAssign(f, n, params)
-		case *ast.IncDecStmt:
-			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-				if fld := fieldOf(b.pkg.Info, sel); fld != nil {
-					if mk := b.markedFieldKey(fld); mk != "" {
-						f.WritesMarked = append(f.WritesMarked, MarkedWrite{Field: mk, At: b.pos(n.Pos())})
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// extractCall records the fact consequences of one call expression.
-func (b *factBuilder) extractCall(key string, f *FuncFact, call *ast.CallExpr, params map[types.Object]int, addCall func(string)) {
-	// close(ch) is a completion broadcast.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" {
-		if _, isBuiltin := b.pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-			f.SignalsChan = true
-			return
-		}
 	}
 	// A function literal invoked or passed anywhere is assumed to run.
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
@@ -657,131 +293,49 @@ func (b *factBuilder) extractCall(key string, f *FuncFact, call *ast.CallExpr, p
 	}
 	switch {
 	case isPkgFunc(callee, "time", "Sleep"):
-		f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockSleep, At: b.pos(call.Pos())})
+		f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockSleep})
 	case isMethodOn(callee, "sync", "WaitGroup", "Wait"), isMethodOn(callee, "sync", "Cond", "Wait"):
-		f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockWait, At: b.pos(call.Pos())})
-	case isMethodOn(callee, "sync", "WaitGroup", "Done"):
-		f.CallsWGDone = true
-	case isMethodOn(callee, "context", "Context", "Err"), isMethodOn(callee, "context", "Context", "Done"):
-		f.ConsultsAbort = true
+		f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockWait})
 	case isMutexAcquire(callee):
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if mk := mutexKeyOf(b.pkg.Info, sel.X); mk != "" {
-				f.Acquires = addAcq(f.Acquires, MutexAcq{Mutex: mk, At: b.pos(call.Pos())})
+				f.Acquires = addAcq(f.Acquires, MutexAcq{Mutex: mk})
 			}
 		}
 	case isStoreIntrinsic(callee):
-		f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockIO, At: b.pos(call.Pos())})
+		f.Blocks = addBlock(f.Blocks, BlockFact{Kind: BlockIO})
 	default:
-		ck := funcKey(callee)
-		addCall(ck)
-		for i, arg := range call.Args {
-			if pi, ok := paramIn(b.pkg.Info, params, arg); ok {
-				f.argFlows = append(f.argFlows, argFlow{param: pi, callee: ck, arg: i})
-			}
-		}
-	}
-}
-
-// extractAssign records retained parameters and marked-field writes.
-func (b *factBuilder) extractAssign(f *FuncFact, as *ast.AssignStmt, params map[types.Object]int) {
-	for _, lhs := range as.Lhs {
-		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-			if fld := fieldOf(b.pkg.Info, sel); fld != nil {
-				if mk := b.markedFieldKey(fld); mk != "" {
-					f.WritesMarked = append(f.WritesMarked, MarkedWrite{Field: mk, At: b.pos(as.Pos())})
-				}
-			}
-		}
-	}
-	// A parameter stored into a field, global, element or dereference
-	// outlives the call.
-	for i, lhs := range as.Lhs {
-		if !isRetainingTarget(b.pkg.Info, lhs) {
-			continue
-		}
-		if i < len(as.Rhs) {
-			if pi, ok := paramReferenced(b.pkg.Info, params, as.Rhs[i]); ok {
-				f.Retains = addIndex(f.Retains, pi)
-			}
-		} else if len(as.Rhs) == 1 { // x, y = f() or multi-target
-			if pi, ok := paramReferenced(b.pkg.Info, params, as.Rhs[0]); ok {
-				f.Retains = addIndex(f.Retains, pi)
-			}
-		}
+		addCall(funcKey(callee))
 	}
 }
 
 // fixpoint propagates facts along call edges until stable: dependency
 // facts are already complete, so only intra-package cycles iterate.
 func (b *factBuilder) fixpoint() {
-	keys := make([]string, 0, len(b.facts))
-	for k := range b.facts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	sort.Strings(b.keys)
 	for changed := true; changed; {
 		changed = false
-		for _, k := range keys {
-			f := b.facts[k]
+		for _, k := range b.keys {
+			f := b.fs.index[k]
 			for _, ck := range f.Calls {
-				cf := b.lookup(ck)
+				cf := b.fs.index[ck]
 				if cf == nil {
 					continue
 				}
-				short := shortKey(ck)
 				for _, bf := range cf.Blocks {
-					via := short
-					if bf.Via != "" {
-						via += " → " + bf.Via
-					}
-					if n := addBlock(f.Blocks, BlockFact{Kind: bf.Kind, At: bf.At, Via: via}); len(n) != len(f.Blocks) {
+					if n := addBlock(f.Blocks, BlockFact{Kind: bf.Kind, Via: viaChain(ck, bf.Via)}); len(n) != len(f.Blocks) {
 						f.Blocks, changed = n, true
 					}
 				}
 				for _, acq := range cf.Acquires {
-					via := short
-					if acq.Via != "" {
-						via += " → " + acq.Via
-					}
-					if n := addAcq(f.Acquires, MutexAcq{Mutex: acq.Mutex, At: acq.At, Via: via}); len(n) != len(f.Acquires) {
+					if n := addAcq(f.Acquires, MutexAcq{Mutex: acq.Mutex, Via: viaChain(ck, acq.Via)}); len(n) != len(f.Acquires) {
 						f.Acquires, changed = n, true
-					}
-				}
-				if cf.Unbounded && !f.Unbounded {
-					f.Unbounded, f.UnboundedAt, changed = true, cf.UnboundedAt, true
-				}
-				if cf.ConsultsAbort && !f.ConsultsAbort {
-					f.ConsultsAbort, changed = true, true
-				}
-				if cf.CallsWGDone && !f.CallsWGDone {
-					f.CallsWGDone, changed = true, true
-				}
-				if cf.SignalsChan && !f.SignalsChan {
-					f.SignalsChan, changed = true, true
-				}
-			}
-			for _, af := range f.argFlows {
-				cf := b.lookup(af.callee)
-				if cf == nil {
-					continue
-				}
-				for _, ri := range cf.Retains {
-					if ri == af.arg {
-						if n := addIndex(f.Retains, af.param); len(n) != len(f.Retains) {
-							f.Retains, changed = n, true
-						}
 					}
 				}
 			}
 		}
 	}
-	for _, f := range b.facts {
-		sort.Ints(f.Retains)
-	}
 }
-
-// --- small helpers ---
 
 func addBlock(list []BlockFact, b BlockFact) []BlockFact {
 	for _, e := range list {
@@ -799,15 +353,6 @@ func addAcq(list []MutexAcq, a MutexAcq) []MutexAcq {
 		}
 	}
 	return append(list, a)
-}
-
-func addIndex(list []int, i int) []int {
-	for _, e := range list {
-		if e == i {
-			return list
-		}
-	}
-	return append(list, i)
 }
 
 // isMutexAcquire reports a sync.Mutex.Lock / sync.RWMutex.Lock/RLock call.
@@ -839,8 +384,7 @@ func isStoreIntrinsic(f *types.Func) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	t := sig.Recv().Type()
-	named, ok := t.(*types.Named)
+	named, ok := sig.Recv().Type().(*types.Named)
 	if !ok {
 		return false
 	}
@@ -856,22 +400,49 @@ func isStoreIntrinsic(f *types.Func) bool {
 // variables, "" for anything whose identity cannot be named across
 // functions (locals, map elements).
 func mutexKeyOf(info *types.Info, e ast.Expr) string {
+	var id *ast.Ident
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		if fld := fieldOf(info, e); fld != nil {
 			if owner := fieldOwner(fld); owner != "" {
 				return owner + "." + fld.Name()
 			}
+			return ""
 		}
-		// Qualified package-level var: pkg.Mu.
-		if obj, ok := info.Uses[e.Sel].(*types.Var); ok && !obj.IsField() && obj.Pkg() != nil &&
-			obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name()
-		}
+		id = e.Sel // qualified package-level var: pkg.Mu
 	case *ast.Ident:
-		if obj, ok := objOf(info, e).(*types.Var); ok && obj.Pkg() != nil &&
-			obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name()
+		id = e
+	default:
+		return ""
+	}
+	if obj, ok := objOf(info, id).(*types.Var); ok && !obj.IsField() && obj.Pkg() != nil &&
+		obj.Parent() == obj.Pkg().Scope() {
+		return obj.Pkg().Path() + "." + obj.Name()
+	}
+	return ""
+}
+
+// fieldOwner returns "<pkg>.<Type>" for a struct field object, or "".
+func fieldOwner(fld *types.Var) string {
+	if !fld.IsField() || fld.Pkg() == nil {
+		return ""
+	}
+	// The field's originating named type is not directly reachable from
+	// the Var; scan the package scope for the struct that declares it.
+	scope := fld.Pkg().Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == fld {
+				return fld.Pkg().Path() + "." + tn.Name()
+			}
 		}
 	}
 	return ""
@@ -897,202 +468,62 @@ func isAbortChan(info *types.Info, e ast.Expr) bool {
 	return false
 }
 
+// commRecv returns the receive expression of a select comm clause's
+// statement (`<-ch`, `v := <-ch`, `v, ok = <-ch`), or nil for a send.
+func commRecv(comm ast.Stmt) *ast.UnaryExpr {
+	var x ast.Expr
+	switch c := comm.(type) {
+	case *ast.ExprStmt:
+		x = c.X
+	case *ast.AssignStmt:
+		if len(c.Rhs) == 1 {
+			x = c.Rhs[0]
+		}
+	}
+	if x == nil {
+		return nil
+	}
+	if u, ok := ast.Unparen(x).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+		return u
+	}
+	return nil
+}
+
 // classifySelect reports whether a select has a default clause, and
 // whether any case covers an abort signal.
 func classifySelect(info *types.Info, sel *ast.SelectStmt) (hasDefault, hasAbort bool) {
 	for _, cl := range sel.Body.List {
-		comm := cl.(*ast.CommClause)
-		if comm.Comm == nil {
+		comm := cl.(*ast.CommClause).Comm
+		if comm == nil {
 			hasDefault = true
-			continue
-		}
-		var rx ast.Expr
-		switch c := comm.Comm.(type) {
-		case *ast.ExprStmt:
-			if u, ok := ast.Unparen(c.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				rx = u.X
-			}
-		case *ast.AssignStmt:
-			if len(c.Rhs) == 1 {
-				if u, ok := ast.Unparen(c.Rhs[0]).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					rx = u.X
-				}
-			}
-		}
-		if rx != nil && isAbortChan(info, rx) {
+		} else if u := commRecv(comm); u != nil && isAbortChan(info, u.X) {
 			hasAbort = true
 		}
 	}
 	return
 }
 
-// opClassification marks channel operations that are comm clauses of a
-// select (they are classified with the select, not on their own).
-type opClassification struct {
-	inSelect map[ast.Node]bool
-}
-
-func classifyOps(info *types.Info, body ast.Node) *opClassification {
-	c := &opClassification{inSelect: make(map[ast.Node]bool)}
+// selectComms marks the channel operations of body that are comm clauses of
+// a select: they are classified with the select, not on their own.
+func selectComms(body ast.Node) map[ast.Node]bool {
+	inSelect := make(map[ast.Node]bool)
 	inspectShallow(body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectStmt)
 		if !ok {
 			return true
 		}
 		for _, cl := range sel.Body.List {
-			comm := cl.(*ast.CommClause)
-			switch cs := comm.Comm.(type) {
+			switch comm := cl.(*ast.CommClause).Comm.(type) {
+			case nil:
 			case *ast.SendStmt:
-				c.inSelect[cs] = true
-			case *ast.ExprStmt:
-				if u, ok := ast.Unparen(cs.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					c.inSelect[u] = true
-				}
-			case *ast.AssignStmt:
-				if len(cs.Rhs) == 1 {
-					if u, ok := ast.Unparen(cs.Rhs[0]).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-						c.inSelect[u] = true
-					}
+				inSelect[comm] = true
+			default:
+				if u := commRecv(comm); u != nil {
+					inSelect[u] = true
 				}
 			}
 		}
 		return true
 	})
-	return c
-}
-
-// paramObjects maps a function's parameter objects to their indices,
-// resolved through Defs so declarations and literals work alike.
-func paramObjects(info *types.Info, ftype *ast.FuncType) map[types.Object]int {
-	if ftype == nil || ftype.Params == nil {
-		return nil
-	}
-	params := make(map[types.Object]int)
-	i := 0
-	for _, field := range ftype.Params.List {
-		if len(field.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := info.Defs[name]; obj != nil {
-				params[obj] = i
-			}
-			i++
-		}
-	}
-	return params
-}
-
-// paramIn reports whether expr is (or takes the address of) a parameter of
-// the current function, returning its index. params may be nil, in which
-// case identification falls back to object kind: a *types.Var whose
-// declaration position precedes the body and whose parent is a function
-// scope. To stay precise, facts only track parameters registered in
-// params; with a nil map the heuristic matches any non-field, non-global
-// var used directly — which is how literals capture pooled values.
-func paramIn(info *types.Info, params map[types.Object]int, e ast.Expr) (int, bool) {
-	e = ast.Unparen(e)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = ast.Unparen(u.X)
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return 0, false
-	}
-	obj := objOf(info, id)
-	if obj == nil {
-		return 0, false
-	}
-	if params == nil {
-		return 0, false
-	}
-	i, ok := params[obj]
-	return i, ok
-}
-
-// paramReferenced reports whether any parameter appears anywhere in e
-// (calls included: deriving a value from a parameter still aliases it).
-func paramReferenced(info *types.Info, params map[types.Object]int, e ast.Expr) (int, bool) {
-	if params == nil {
-		return 0, false
-	}
-	found, idx := false, 0
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if i, ok := params[objOf(info, id)]; ok {
-				found, idx = true, i
-			}
-		}
-		return true
-	})
-	return idx, found
-}
-
-// loopEscapes reports whether a condition-less for loop has a structural
-// exit: a return, a goto, or a break that targets this loop (unlabeled at
-// the loop's own nesting level, or any labeled break).
-func loopEscapes(loop *ast.ForStmt) bool {
-	escapes := false
-	depth := 0 // nesting of break-absorbing statements below this loop
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		if escapes {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			escapes = true
-			return false
-		case *ast.BranchStmt:
-			switch {
-			case n.Tok == token.GOTO:
-				escapes = true
-			case n.Tok == token.BREAK && (n.Label != nil || depth == 0):
-				escapes = true
-			}
-			return false
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
-			depth++
-			switch n := n.(type) {
-			case *ast.ForStmt:
-				ast.Inspect(n.Body, walk)
-			case *ast.RangeStmt:
-				ast.Inspect(n.Body, walk)
-			case *ast.SelectStmt:
-				ast.Inspect(n.Body, walk)
-			case *ast.SwitchStmt:
-				ast.Inspect(n.Body, walk)
-			case *ast.TypeSwitchStmt:
-				ast.Inspect(n.Body, walk)
-			}
-			depth--
-			return false
-		}
-		return true
-	}
-	ast.Inspect(loop.Body, walk)
-	return escapes
-}
-
-// isRetainingTarget reports whether an assignment target lets the value
-// outlive the function: a field, element, dereference, or package-level
-// variable.
-func isRetainingTarget(info *types.Info, lhs ast.Expr) bool {
-	switch lhs := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		return fieldOf(info, lhs) != nil
-	case *ast.IndexExpr, *ast.StarExpr:
-		return true
-	case *ast.Ident:
-		if obj, ok := objOf(info, lhs).(*types.Var); ok && obj.Pkg() != nil {
-			return obj.Parent() == obj.Pkg().Scope()
-		}
-	}
-	return false
+	return inSelect
 }

@@ -1,100 +1,77 @@
 package lint
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
 
-const depPath = "husgraph/internal/lint/testdata/factchain/dep"
+const (
+	depPath      = "husgraph/internal/lint/testdata/factchain/dep"
+	consumerPath = "husgraph/internal/lint/testdata/factchain/consumer"
+)
 
-func depFacts(t *testing.T) *PkgFacts {
+// depFacts returns a fact set holding the dep fixture's summaries only.
+func depFacts(t *testing.T) *FactSet {
 	t.Helper()
-	pkg := loadFixture(t, "factchain/dep", depPath)
-	pf, _ := ComputeFacts(pkg, NewFactSet())
-	return pf
-}
-
-// TestFactSerializationRoundTrip proves Encode/Decode are inverses: the
-// decoded facts re-encode to byte-identical JSON (json.Marshal orders map
-// keys, so the comparison is stable).
-func TestFactSerializationRoundTrip(t *testing.T) {
-	pf := depFacts(t)
-	b, err := pf.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodePkgFacts(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := back.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, b2) {
-		t.Errorf("round-trip changed the encoding:\n first: %s\nsecond: %s", b, b2)
-	}
-	if back.Path != depPath {
-		t.Errorf("decoded path = %q, want %q", back.Path, depPath)
-	}
-}
-
-// TestDepFactContent pins the facts the consumer-side analyzers depend on.
-func TestDepFactContent(t *testing.T) {
-	pf := depFacts(t)
-	pump := pf.Funcs[depPath+".PumpForever"]
-	if pump == nil || !pump.Unbounded || pump.ConsultsAbort {
-		t.Errorf("PumpForever fact = %+v, want unbounded without abort", pump)
-	}
-	wait := pf.Funcs[depPath+".WaitForValue"]
-	if wait == nil || len(wait.Blocks) == 0 || wait.Blocks[0].Kind != BlockRecv {
-		t.Errorf("WaitForValue fact = %+v, want a chan-receive block", wait)
-	}
-	add := pf.Funcs["(*"+depPath+".Registry).Add"]
-	if add == nil || len(add.Acquires) != 1 || add.Acquires[0].Mutex != depPath+".Registry.Mu" {
-		t.Errorf("Registry.Add fact = %+v, want it to acquire Registry.Mu", add)
-	}
-	keep := pf.Funcs["(*"+depPath+".Sink).Keep"]
-	if keep == nil || len(keep.Retains) != 1 || keep.Retains[0] != 0 {
-		t.Errorf("Sink.Keep fact = %+v, want Retains=[0]", keep)
-	}
-}
-
-// TestTransitivePropagation summarizes the consumer against dep's
-// serialized facts and checks the fixpoint pulled dep's behavior across
-// the package boundary with a via chain.
-func TestTransitivePropagation(t *testing.T) {
 	fs := NewFactSet()
-	if err := fs.Add(depFacts(t)); err != nil {
-		t.Fatal(err)
-	}
-	const consumerPath = "husgraph/internal/lint/testdata/factchain/consumer"
-	pkg := loadFixture(t, "factchain/consumer", consumerPath)
-	pf, _ := ComputeFacts(pkg, fs)
+	fs.Summarize(loadFixture(t, "factchain/dep", depPath))
+	return fs
+}
 
-	blk := pf.Funcs["(*"+consumerPath+".cache).BlockUnderLock"]
-	found := false
-	for _, b := range blk.Blocks {
-		if b.Kind == BlockRecv && strings.Contains(b.Via, "WaitForValue") {
-			found = true
-		}
+// TestDepFactContent pins the three facts lockhold reads, and that the
+// intra-package fixpoint carries each one up its call chain.
+func TestDepFactContent(t *testing.T) {
+	fs := depFacts(t)
+	wait := fs.Fact(depPath + ".WaitForValue")
+	if wait == nil || len(wait.Blocks) != 1 || wait.Blocks[0] != (BlockFact{Kind: BlockRecv}) {
+		t.Errorf("WaitForValue fact = %+v, want one direct chan-receive block", wait)
 	}
-	if !found {
-		t.Errorf("BlockUnderLock fact = %+v, want a chan-receive block via WaitForValue", blk)
+	issue := fs.Fact("(*" + depPath + ".Loader).issue")
+	if issue == nil || len(issue.Blocks) != 1 || issue.Blocks[0] != (BlockFact{Kind: BlockIO}) {
+		t.Errorf("Loader.issue fact = %+v, want one direct storage I/O block", issue)
 	}
-	inv := pf.Funcs["(*"+consumerPath+".cache).InvertOrder"]
-	found = false
+	attempt := fs.Fact("(*" + depPath + ".Loader).attempt")
+	if attempt == nil || len(attempt.Calls) != 2 || !strings.HasSuffix(attempt.Calls[0], "attempt$lit1") {
+		t.Errorf("Loader.attempt fact = %+v, want calls to its literal and to observed", attempt)
+	}
+	load := fs.Fact("(*" + depPath + ".Loader).LoadIndex")
+	const chain = "(*dep.Loader).readTagged → (*dep.Loader).withRetry → (*dep.Loader).attempt → (*dep.Loader).attempt$lit1 → (*dep.Loader).issue"
+	if load == nil || len(load.Blocks) != 1 || load.Blocks[0] != (BlockFact{Kind: BlockIO, Via: chain}) {
+		t.Errorf("Loader.LoadIndex fact = %+v, want storage I/O via %s", load, chain)
+	}
+	add := fs.Fact("(*" + depPath + ".Registry).add")
+	if add == nil || len(add.Acquires) != 1 || add.Acquires[0] != (MutexAcq{Mutex: depPath + ".Registry.Mu"}) {
+		t.Errorf("Registry.add fact = %+v, want it to acquire Registry.Mu directly", add)
+	}
+	touch := fs.Fact("(*" + depPath + ".Registry).Touch")
+	if touch == nil || len(touch.Acquires) != 1 || touch.Acquires[0] != (MutexAcq{Mutex: depPath + ".Registry.Mu", Via: "(*dep.Registry).add"}) {
+		t.Errorf("Registry.Touch fact = %+v, want Registry.Mu acquired via add", touch)
+	}
+}
+
+// TestTransitivePropagation summarizes the consumer against dep's facts
+// and checks the fixpoint pulled dep's behavior across the package boundary
+// with a via chain.
+func TestTransitivePropagation(t *testing.T) {
+	fs := depFacts(t)
+	fs.Summarize(loadFixture(t, "factchain/consumer", consumerPath))
+
+	blk := fs.Fact("(*" + consumerPath + ".prefetcher).blockUnderLock")
+	if blk == nil || len(blk.Blocks) != 1 || blk.Blocks[0] != (BlockFact{Kind: BlockRecv, Via: "dep.WaitForValue"}) {
+		t.Errorf("blockUnderLock fact = %+v, want a chan-receive block via dep.WaitForValue", blk)
+	}
+	load := fs.Fact("(*" + consumerPath + ".prefetcher).loadUnderLock")
+	if load == nil || len(load.Blocks) != 1 || load.Blocks[0].Kind != BlockIO ||
+		!strings.HasPrefix(load.Blocks[0].Via, "(*dep.Loader).LoadIndex → ") || !strings.HasSuffix(load.Blocks[0].Via, " → (*dep.Loader).issue") {
+		t.Errorf("loadUnderLock fact = %+v, want storage I/O via LoadIndex … issue", load)
+	}
+	inv := fs.Fact("(*" + consumerPath + ".prefetcher).invertOrder")
+	var got []string
 	for _, a := range inv.Acquires {
-		if a.Mutex == depPath+".Registry.Mu" && strings.Contains(a.Via, "Add") {
-			found = true
-		}
+		got = append(got, shortKey(a.Mutex)+"|"+a.Via)
 	}
-	if !found {
-		t.Errorf("InvertOrder fact = %+v, want Registry.Mu acquired via Add", inv)
-	}
-	leak := pf.Funcs[consumerPath+".LeakToSink"]
-	if leak == nil || len(leak.Retains) != 0 {
-		t.Errorf("LeakToSink fact = %+v, want no retained params (b is local, not a param)", leak)
+	want := "consumer.prefetcher.errMu|, dep.Registry.Mu|(*dep.Registry).Touch → (*dep.Registry).add"
+	if strings.Join(got, ", ") != want {
+		t.Errorf("invertOrder acquires %q, want %q", got, want)
 	}
 }

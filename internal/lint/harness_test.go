@@ -92,53 +92,22 @@ func TestErrClassFixtures(t *testing.T) {
 	checkFixture(t, ErrClass, "errclass/ok", "husgraph/internal/engine")
 }
 
-func TestAtomicStatsFixtures(t *testing.T) {
-	checkFixture(t, AtomicStats, "atomicstats/bad", "husgraph/internal/engine")
-	checkFixture(t, AtomicStats, "atomicstats/ok", "husgraph/internal/engine")
-}
-
-func TestPoolEscapeFixtures(t *testing.T) {
-	checkFixture(t, PoolEscape, "poolescape/bad", "husgraph/internal/engine")
-	checkFixture(t, PoolEscape, "poolescape/ok", "husgraph/internal/engine")
-}
-
-func TestCtxLoopFixtures(t *testing.T) {
-	checkFixture(t, CtxLoop, "ctxloop/bad", "husgraph/internal/engine")
-	checkFixture(t, CtxLoop, "ctxloop/ok", "husgraph/internal/engine")
-}
-
-func TestSpawnJoinFixtures(t *testing.T) {
-	checkFixture(t, SpawnJoin, "spawnjoin/bad", "husgraph/internal/worker")
-	checkFixture(t, SpawnJoin, "spawnjoin/ok", "husgraph/internal/worker")
-}
-
 func TestLockHoldFixtures(t *testing.T) {
 	checkFixture(t, LockHold, "lockhold/bad", "husgraph/internal/locks")
 	checkFixture(t, LockHold, "lockhold/ok", "husgraph/internal/locks")
 }
 
-func TestBarrierStatsFixtures(t *testing.T) {
-	checkFixture(t, BarrierStats, "barrierstats/bad", "husgraph/internal/stats")
-	checkFixture(t, BarrierStats, "barrierstats/ok", "husgraph/internal/stats")
-}
-
-// TestFactChainTransitive is the cross-package gate: the dep fixture is
-// summarized first and only its *serialized* facts are handed to the
-// consumer's analysis, which must still see dep's blocking, looping,
-// locking and retention through the call chain.
+// TestFactChainTransitive is the cross-package gate, and the one property
+// that pays for the summary pass: the dep fixture is summarized first and
+// only its facts are handed to the consumer's analysis, which must report a
+// mutex held around a storage.Store read five calls down in dep, and a lock
+// order inversion whose second order exists only in a callee's Acquires —
+// each with its full via chain. The ok twin makes the same calls with the
+// mutex released first and must be silent.
 func TestFactChainTransitive(t *testing.T) {
-	const depPath = "husgraph/internal/lint/testdata/factchain/dep"
-	fs := NewFactSet()
-	depPkg := loadFixture(t, "factchain/dep", depPath)
-	pf, _ := ComputeFacts(depPkg, fs)
-	if err := fs.Add(pf); err != nil {
-		t.Fatal(err)
+	for _, sub := range []string{"consumer", "ok"} {
+		checkFixtureFull(t, Analyzers(), "factchain/"+sub, "husgraph/internal/lint/testdata/factchain/"+sub, depFacts(t))
 	}
-	if fs.Encoded(depPath) == nil {
-		t.Fatal("dep facts did not cross the serialization boundary")
-	}
-	checkFixtureFull(t, Analyzers(), "factchain/consumer",
-		"husgraph/internal/lint/testdata/factchain/consumer", fs)
 }
 
 func TestIgnoreDirectiveSuppresses(t *testing.T) {
@@ -194,11 +163,11 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	diags, err := Run("../..", []string{"./..."}, Analyzers())
+	res, err := Run("../..", []string{"./..."}, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
+	for _, d := range res.Diags {
 		t.Errorf("%s", d)
 	}
 }

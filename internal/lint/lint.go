@@ -1,26 +1,26 @@
 // Package lint implements huslint, the project-invariant analyzer suite.
 //
-// The HUS-Graph storage, error-taxonomy and concurrency contracts are held
-// together by conventions that go vet and -race cannot check: every byte of
-// graph/block data flows through storage.Store (so CRC verification and
-// fault injection are never bypassed), errors crossing the storage boundary
-// are classified with the ErrTransient/ErrPermanent/ErrCorrupt sentinels and
-// matched with errors.Is, shared counters are touched atomically everywhere
-// or nowhere, pooled scratch never outlives its Put, worker loops can
-// always be aborted, every spawned goroutine has a join or quit path, no
-// mutex is held across a may-block call (or taken in both orders), and
-// barrier-published stats are written only in the coordinator's serial
-// sections. Each analyzer in this package turns one of those conventions
-// into a machine-checked invariant.
+// Three of the project's contracts are conventions that go vet, -race and
+// the goroutine-leak check cannot see, because breaking them changes no
+// test's outcome: every byte of graph/block data flows through
+// storage.Store (so CRC verification and fault injection are never
+// bypassed — rawio), errors crossing the storage boundary are classified
+// with the ErrTransient/ErrPermanent/ErrCorrupt sentinels and matched with
+// errors.Is (errclass), and no mutex is held across a may-block call or
+// taken in both orders (lockhold). Each analyzer in this package turns one
+// of those conventions into a machine-checked invariant. The invariants a
+// test run does expose — data races on stats, goroutines that outlive
+// their owner, scratch used after its Put, loops that ignore their abort
+// signal — are held by `go test -race` and internal/leaktest instead
+// (DESIGN.md §5.3).
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Reportf) but is built entirely on the standard library: packages are
 // loaded via `go list -export -deps -test -json` and type-checked with
 // go/parser + go/types against the compiler export data in the build cache,
-// so the suite works with no module downloads (see load.go). The
-// concurrency analyzers see through calls — including cross-package calls —
-// via per-function facts summarized in dependency order and serialized per
-// package (see facts.go).
+// so the suite works with no module downloads (see load.go). lockhold sees
+// through calls — including cross-package calls — via per-function call
+// summaries computed in dependency order (see facts.go).
 //
 // Intentional exceptions are suppressed with a self-documenting comment:
 //
@@ -68,14 +68,10 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's facts about every expression.
 	Info *types.Info
-	// Facts is the cross-package fact set, with this package's own facts
-	// and those of every dependency already installed (see facts.go). Nil
-	// only when a caller runs an analyzer without the fact pipeline; the
-	// fact-consuming analyzers no-op then.
+	// Facts holds the call summaries of this package and of every
+	// dependency (see facts.go). Nil only when a caller runs an analyzer
+	// without the summary pass; lockhold no-ops then.
 	Facts *FactSet
-
-	// litKeys maps this package's function literals to their fact keys.
-	litKeys map[*ast.FuncLit]string
 
 	report func(Diagnostic)
 }
@@ -103,7 +99,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{RawIO, ErrClass, AtomicStats, PoolEscape, CtxLoop, SpawnJoin, LockHold, BarrierStats}
+	return []*Analyzer{RawIO, ErrClass, LockHold}
 }
 
 // AnalyzerNames returns the names of the full suite.

@@ -176,7 +176,7 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[string]lockSite) {
 	case isMutexAcquire(callee):
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if key := mutexKeyOf(w.pass.Info, sel.X); key != "" {
-				w.recordOrder(held, key, call.Pos())
+				w.recordOrder(held, key, "", call.Pos())
 				held[key] = lockSite{at: call.Pos()}
 			}
 		}
@@ -193,22 +193,18 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[string]lockSite) {
 	case isStoreIntrinsic(callee):
 		w.blockOp(call.Pos(), BlockIO, "", held)
 	default:
-		f := w.pass.Facts.Fact(funcKey(callee))
+		key := funcKey(callee)
+		f := w.pass.Facts.Fact(key)
 		if f == nil {
 			return
 		}
-		name := shortKey(funcKey(callee))
 		for _, b := range f.Blocks {
-			via := name
-			if b.Via != "" {
-				via += " → " + b.Via
-			}
-			w.blockOp(call.Pos(), b.Kind, via, held)
+			w.blockOp(call.Pos(), b.Kind, viaChain(key, b.Via), held)
 		}
 		// The callee's transitive acquisitions extend the order graph
 		// under every lock currently held.
 		for _, acq := range f.Acquires {
-			w.recordOrder(held, acq.Mutex, call.Pos())
+			w.recordOrder(held, acq.Mutex, viaChain(key, acq.Via), call.Pos())
 		}
 	}
 }
@@ -227,16 +223,20 @@ func (w *lockWalker) blockOp(pos token.Pos, kind BlockKind, via string, held map
 }
 
 // recordOrder adds held→next edges to the program-wide acquisition-order
-// graph and reports when the reverse edge already exists.
-func (w *lockWalker) recordOrder(held map[string]lockSite, next string, at token.Pos) {
+// graph and reports when the reverse edge already exists. via is the call
+// chain through which next is taken, "" for a Lock in this function.
+func (w *lockWalker) recordOrder(held map[string]lockSite, next, via string, at token.Pos) {
+	if via != "" {
+		via = " (via " + via + ")"
+	}
 	for h := range held {
 		if h == next {
 			continue // re-acquisition patterns are out of scope
 		}
 		if prev, inverted := w.pass.Facts.recordLockPair(h, next, w.pass.Fset.Position(at).String()); inverted {
 			w.pass.Reportf(at,
-				"lock order inversion: %s then %s here, but %s then %s at %s; two goroutines taking these in opposite orders deadlock",
-				shortKey(h), shortKey(next), shortKey(next), shortKey(h), prev)
+				"lock order inversion: %s then %s here%s, but %s then %s at %s; two goroutines taking these in opposite orders deadlock",
+				shortKey(h), shortKey(next), via, shortKey(next), shortKey(h), prev)
 		}
 	}
 }

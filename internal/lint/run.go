@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"sort"
 	"time"
 )
@@ -19,7 +18,7 @@ type AnalyzerTiming struct {
 type Result struct {
 	Diags []Diagnostic
 	// LoadTime covers go list + parse + type-check; FactTime covers the
-	// cross-package fact pass.
+	// call-summary pass.
 	LoadTime time.Duration
 	FactTime time.Duration
 	// Timings holds per-analyzer totals, in suite order.
@@ -32,22 +31,19 @@ type Result struct {
 //
 // facts must already contain the package's dependencies; when nil, a fresh
 // fact set is built from this package alone (the fixture-test convenience —
-// cross-package analyzers then see only intra-package facts).
+// lockhold then sees only intra-package facts).
 func RunPackage(pkg *Package, analyzers []*Analyzer, facts *FactSet) ([]Diagnostic, error) {
 	if facts == nil {
 		facts = NewFactSet()
 	}
-	pf, litKeys := ComputeFacts(pkg, facts)
-	if err := facts.Add(pf); err != nil {
-		return nil, fmt.Errorf("lint: facts for %s: %v", pkg.Path, err)
-	}
-	diags, _, err := runAnalyzers(pkg, analyzers, facts, litKeys)
+	facts.Summarize(pkg)
+	diags, _, err := runAnalyzers(pkg, analyzers, facts)
 	return diags, err
 }
 
 // runAnalyzers applies the analyzers to one package whose facts (and its
 // dependencies') are already installed in facts.
-func runAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactSet, litKeys map[*ast.FuncLit]string) ([]Diagnostic, []AnalyzerTiming, error) {
+func runAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactSet) ([]Diagnostic, []AnalyzerTiming, error) {
 	known := make(map[string]bool)
 	for _, a := range Analyzers() {
 		known[a.Name] = true
@@ -63,7 +59,6 @@ func runAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactSet, litKeys m
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
 			Facts:    facts,
-			litKeys:  litKeys,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
 		start := time.Now()
@@ -75,22 +70,11 @@ func runAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactSet, litKeys m
 	return applyDirectives(diags, parseDirectives(pkg, known)), timings, nil
 }
 
-// Run loads the packages matching patterns (test files included) and applies
-// the analyzers. See RunFull for the mechanics; Run keeps the historical
-// diagnostics-only signature.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := RunFull(dir, patterns, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diags, nil
-}
-
-// RunFull loads the packages matching patterns (test files included),
-// computes cross-package facts in dependency order, and applies the
+// Run loads the packages matching patterns (test files included),
+// computes call summaries in dependency order, and applies the
 // analyzers. Diagnostics are deduplicated — a file analyzed both in a
 // package and in its test variant reports once — and sorted by position.
-func RunFull(dir string, patterns []string, analyzers []*Analyzer) (*Result, error) {
+func Run(dir string, patterns []string, analyzers []*Analyzer) (*Result, error) {
 	loadStart := time.Now()
 	pkgs, err := Load(dir, patterns)
 	if err != nil {
@@ -106,20 +90,15 @@ func RunFull(dir string, patterns []string, analyzers []*Analyzer) (*Result, err
 
 	factStart := time.Now()
 	facts := NewFactSet()
-	lits := make(map[string]map[*ast.FuncLit]string, len(ordered))
 	for _, pkg := range ordered {
-		pf, litKeys := ComputeFacts(pkg, facts)
-		if err := facts.Add(pf); err != nil {
-			return nil, fmt.Errorf("lint: facts for %s: %v", pkg.Path, err)
-		}
-		lits[pkg.Path] = litKeys
+		facts.Summarize(pkg)
 	}
 	res.FactTime = time.Since(factStart)
 
 	totals := make(map[string]time.Duration)
 	seen := make(map[string]bool)
 	for _, pkg := range ordered {
-		diags, timings, err := runAnalyzers(pkg, analyzers, facts, lits[pkg.Path])
+		diags, timings, err := runAnalyzers(pkg, analyzers, facts)
 		if err != nil {
 			return nil, err
 		}

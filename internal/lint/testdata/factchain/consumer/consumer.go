@@ -1,7 +1,6 @@
 // Fixture: the consumer half of the cross-package fact test. Nothing in
-// this file blocks, loops, locks a second mutex, or stores a pooled value
-// — every violation is only diagnosable through the dep package's
-// serialized facts.
+// this file blocks, reads a store or locks a second mutex — every violation
+// is only diagnosable through the dep package's call summaries.
 package consumer
 
 import (
@@ -10,59 +9,45 @@ import (
 	"husgraph/internal/lint/testdata/factchain/dep"
 )
 
-// SpawnPump leaks: dep.PumpForever loops unboundedly without an abort
-// signal, which only dep's fact reveals.
-func SpawnPump(ticks chan int) {
-	go dep.PumpForever(ticks) // want "loops unboundedly"
-}
-
-// SpawnWait parks: dep.WaitForValue blocks on a receive and the goroutine
-// has no join path.
-func SpawnWait(ch chan int) {
-	go func() { // want "park indefinitely"
-		dep.WaitForValue(ch)
-	}()
-}
-
-type cache struct {
-	mu    sync.Mutex
+type prefetcher struct {
+	errMu sync.Mutex
+	err   error
 	last  int
+	ld    *dep.Loader
 	table *dep.Registry
 }
 
-// BlockUnderLock holds cache.mu across dep.WaitForValue, whose blocking
+// loadUnderLock has the shape of a Prefetcher.load that publishes its
+// error without first dropping the error mutex: errMu is held across a
+// storage.Store read five calls down in another package. No test or race
+// run notices; every Take stalls behind one slow read.
+func (p *prefetcher) loadUnderLock(name string) {
+	p.errMu.Lock()
+	_, p.err = p.ld.LoadIndex(name) // want "storage I/O via (*dep.Loader).LoadIndex → (*dep.Loader).readTagged → (*dep.Loader).withRetry → (*dep.Loader).attempt → (*dep.Loader).attempt$lit1 → (*dep.Loader).issue while consumer.prefetcher.errMu is held"
+	p.errMu.Unlock()
+}
+
+// blockUnderLock holds errMu across dep.WaitForValue, whose blocking
 // receive is one package away.
-func (c *cache) BlockUnderLock(ch chan int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.last = dep.WaitForValue(ch) // want "chan-receive via"
+func (p *prefetcher) blockUnderLock(ch chan int) {
+	p.errMu.Lock()
+	defer p.errMu.Unlock()
+	p.last = dep.WaitForValue(ch) // want "chan-receive via dep.WaitForValue while"
 }
 
-// InvertOrder completes a cross-package lock-order inversion: this path
-// takes cache.mu then (via dep.Add) Registry.Mu; UnderRegistry takes them
-// the other way around.
-func (c *cache) InvertOrder(k string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.table.Add(k)
+// underRegistry fixes one order: Registry.Mu, then errMu.
+func (p *prefetcher) underRegistry() {
+	p.table.Mu.Lock()
+	defer p.table.Mu.Unlock()
+	p.errMu.Lock()
+	p.last++
+	p.errMu.Unlock()
 }
 
-func (c *cache) UnderRegistry() {
-	c.table.Mu.Lock()
-	defer c.table.Mu.Unlock()
-	c.mu.Lock() // want "lock order inversion"
-	c.bump()
-	c.mu.Unlock()
-}
-
-func (c *cache) bump() { c.last++ }
-
-var scratch = sync.Pool{New: func() any { return make([]byte, 0, 64) }}
-
-// LeakToSink hands a pooled buffer to dep.Sink.Keep, which retains it —
-// visible only through the retention fact.
-func LeakToSink(s *dep.Sink) {
-	b := scratch.Get().([]byte)
-	s.Keep(b) // want "retains that argument"
-	scratch.Put(b)
+// invertOrder takes them the other way around, and the second lock is only
+// visible through Touch's summary: errMu here, Registry.Mu two calls down.
+func (p *prefetcher) invertOrder(k string) {
+	p.errMu.Lock()
+	defer p.errMu.Unlock()
+	p.table.Touch(k) // want "lock order inversion: consumer.prefetcher.errMu then dep.Registry.Mu here (via (*dep.Registry).Touch → (*dep.Registry).add)"
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"regexp"
 	"strings"
 )
 
@@ -66,6 +67,16 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 		return o
 	}
 	return info.Defs[id]
+}
+
+// abortNameRE matches the channel names this project (and Go at large) uses
+// for cancellation signals.
+var abortNameRE = regexp.MustCompile(`(?i)(quit|done|stop|abort|cancel|clos|shutdown|exit)`)
+
+// isRecvChan reports whether t is a channel that can be received from.
+func isRecvChan(t types.Type) bool {
+	ch, ok := t.Underlying().(*types.Chan)
+	return ok && ch.Dir() != types.SendOnly
 }
 
 // errorIface is the universe error interface.
