@@ -6,13 +6,12 @@
 //
 //	husgraph -dataset twitter-sim -algo BFS [-system hus|graphchi|gridgraph|xstream]
 //	         [-model hybrid|rop|cop] [-device hdd|ssd|nvme|ram] [-threads N] [-p P]
-//	         [-shards K] [-delta W] [-format raw|mixed] [-sem] [-sem-budget-mb MB]
-//	         [-trace] [-stats] [-input edges.txt] [-store DIR]
-//	         [-prefetch DEPTH] [-cache-mb MB] [-cache-admission POLICY]
+//	         [-membudget BYTES] [-shards K] [-delta W] [-format raw|mixed] [-sem]
+//	         [-sem-budget-mb MB] [-trace] [-stats] [-input edges.txt] [-store DIR]
+//	         [-valuesout FILE] [-prefetch DEPTH] [-cache-mb MB] [-cache-admission POLICY]
 //	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D] [-retry-jitter J]
-//	         [-read-deadline D] [-hedge] [-degrade] [-degrade-window D] [-degrade-rate R]
-//	         [-fault-transient N] [-fault-bitflip N] [-fault-delay N] [-fault-stall N]
-//	         [-fault-after N] [-fault-seed S]
+//	         [-read-deadline D] [-fault-transient N] [-fault-bitflip N] [-fault-delay N]
+//	         [-fault-delay-by D] [-fault-stall N] [-fault-after N] [-fault-seed S]
 //
 // -prefetch enables the asynchronous block-prefetch pipeline (DEPTH worker
 // goroutines reading ahead of the executor); -cache-mb retains decoded hot
@@ -56,23 +55,17 @@
 // -fault-transient faults are ridden out by -retries, while -fault-bitflip
 // corruption is caught by the per-block checksums and fails the run rather
 // than producing wrong values. -fault-delay slows reads past -read-deadline
-// so hedged duplicates (and the -degrade ladder) engage, and -fault-stall
-// hangs reads forever — only a hedge completes those, and when the hedge
-// hangs as well the attempt fails transient 100 deadlines later, into
-// -retries.
+// so hedged duplicates engage, and -fault-stall hangs reads forever — only a
+// hedge completes those, and when the hedge hangs as well the attempt fails
+// transient 100 deadlines later, into -retries.
 //
 // -read-deadline bounds every block/index read attempt: one still pending
-// at the deadline gets a hedged duplicate read, first response wins
-// (-hedge=false keeps the deadline as a latency signal without the
-// duplicate). -degrade arms the adaptive degradation ladder: under
-// sustained fault/latency pressure the run sheds prefetch, then cache
-// reads — and re-arms one rung per clear window, always with bit-identical
-// results.
+// at the deadline gets a hedged duplicate read, first response wins.
 //
 // Exit codes classify the outcome for wrappers: 0 success, 1 generic
 // failure, 2 transient-fault retry budget exhausted, 3 permanent device
-// error, 4 corrupt data (checksum mismatch), 5 completed correctly but
-// degraded along the way.
+// error, 4 corrupt data (checksum mismatch). 5 is retired — older builds
+// exited 5 after a degraded-but-correct run — and must not be reused.
 package main
 
 import (
@@ -95,15 +88,9 @@ import (
 )
 
 func main() {
-	res, err := run()
-	if err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "husgraph: %v\n", err)
 		os.Exit(exitCode(err))
-	}
-	if res != nil && len(res.Recovery.DegradeEvents) > 0 {
-		// Correct results, but the run shed optimism along the way —
-		// distinguishable for wrappers that watch fleet health.
-		os.Exit(5)
 	}
 }
 
@@ -124,7 +111,7 @@ func exitCode(err error) int {
 	}
 }
 
-func run() (*core.Result, error) {
+func run() error {
 	dataset := flag.String("dataset", "livejournal-sim", "registry dataset name (see husgen -list)")
 	input := flag.String("input", "", "edge-list file to load instead of a registry dataset")
 	algoName := flag.String("algo", "PageRank", "algorithm (case-insensitive): PageRank|BFS|WCC|SSSP|PageRank-Delta|KCore|PPR|SSSP-Delta|Coreness")
@@ -151,15 +138,11 @@ func run() (*core.Result, error) {
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")
 	retryJitter := flag.Float64("retry-jitter", 0, "multiplicative jitter fraction on retry backoff, factor drawn from [1-j, 1+j) (0 = 0.2 default; pass 0 explicitly to disable)")
 	readDeadline := flag.Duration("read-deadline", 0, "per-attempt read deadline; an attempt still pending at the deadline gets a hedged duplicate (0 = unbounded)")
-	hedge := flag.Bool("hedge", true, "issue hedged duplicate reads when -read-deadline expires (false keeps the deadline as a latency signal only)")
-	degrade := flag.Bool("degrade", false, "arm the adaptive degradation ladder: shed prefetch, then cache reads, under sustained fault/latency pressure, re-arming when it clears")
-	degradeWindow := flag.Duration("degrade-window", 0, "observation window for the degradation circuit breaker (0 = 100ms default)")
-	degradeRate := flag.Float64("degrade-rate", 0, "fault/slow-read fraction within the window that trips one ladder rung (0 = 0.5 default)")
 	faultTransient := flag.Int("fault-transient", 0, "inject N transient read faults (demonstrates -retries)")
 	faultBitflip := flag.Int("fault-bitflip", 0, "inject N single-bit read corruptions (demonstrates checksum detection)")
-	faultDelay := flag.Int("fault-delay", 0, "inject N delayed reads (demonstrates -read-deadline hedging and the -degrade ladder)")
+	faultDelay := flag.Int("fault-delay", 0, "inject N delayed reads (demonstrates -read-deadline hedging)")
 	faultDelayBy := flag.Duration("fault-delay-by", 5*time.Millisecond, "latency added to each -fault-delay read")
-	faultStall := flag.Int("fault-stall", 0, "inject N reads hung forever (requires -read-deadline with hedging to complete; a hung hedge costs one of -retries)")
+	faultStall := flag.Int("fault-stall", 0, "inject N reads hung forever (requires -read-deadline: only a hedge completes them; a hung hedge costs one of -retries)")
 	faultAfter := flag.Int64("fault-after", 10, "number of healthy reads before injected faults begin")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
 	delta := flag.Float64("delta", 0, "bucket width for delta-stepping (-algo SSSP-Delta only; 0 keeps the registered width)")
@@ -169,12 +152,12 @@ func run() (*core.Result, error) {
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	shardK, err := shardsConfig(*shards, *system, *p, explicit["membudget"] && *memBudget > 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if *faultStall > 0 && (*readDeadline <= 0 || !*hedge) {
+	if *faultStall > 0 && *readDeadline <= 0 {
 		// A stalled read never returns; without a deadline-armed hedge the
 		// run would hang rather than fail. Reject the combination up front.
-		return nil, fmt.Errorf("-fault-stall requires -read-deadline > 0 with hedging enabled, or the run will hang")
+		return fmt.Errorf("-fault-stall requires -read-deadline > 0, or the run will hang")
 	}
 	jitter := *retryJitter
 	if explicit["retry-jitter"] && jitter == 0 {
@@ -183,20 +166,20 @@ func run() (*core.Result, error) {
 
 	prof, err := storage.ProfileByName(*deviceName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	algo, err := experiments.AlgoByName(*algoName)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if explicit["delta"] {
 		// Same fail-at-startup spirit as -shards: a width that cannot
 		// apply is an error, not a silently ignored flag.
 		if algo.Name != "SSSP-Delta" {
-			return nil, fmt.Errorf("-delta applies only to -algo SSSP-Delta, not %s", algo.Name)
+			return fmt.Errorf("-delta applies only to -algo SSSP-Delta, not %s", algo.Name)
 		}
 		if *delta <= 0 {
-			return nil, fmt.Errorf("-delta %g: bucket width must be > 0", *delta)
+			return fmt.Errorf("-delta %g: bucket width must be > 0", *delta)
 		}
 		w := *delta
 		algo.New = func(g *graph.Graph) core.Program {
@@ -209,17 +192,17 @@ func run() (*core.Result, error) {
 		//lint:ignore huslint/rawio user-supplied edge-list input at the CLI boundary; ingested before any storage.Store exists
 		f, err := os.Open(*input)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer f.Close()
 		if g, err = graph.ReadEdgeList(f, 0); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Printf("loaded %s: %d vertices, %d edges\n", *input, g.NumVertices, g.NumEdges())
 	} else {
 		d, err := gen.ByName(*dataset)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		g = d.Build()
 		fmt.Printf("generated %s: %d vertices, %d edges\n", d.Name, g.NumVertices, g.NumEdges())
@@ -232,10 +215,10 @@ func run() (*core.Result, error) {
 	if sysName == "hus" {
 		model, err := core.ParseModel(*modelName)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := blockstore.ParseAdmission(*cacheAdmission); err != nil {
-			return nil, err
+			return err
 		}
 		input := g
 		if algo.Symmetric {
@@ -246,7 +229,7 @@ func run() (*core.Result, error) {
 		if *storeDir != "" {
 			fs, err := storage.NewFileStore(dev, *storeDir)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			defer fs.Close()
 			st = fs
@@ -255,7 +238,7 @@ func run() (*core.Result, error) {
 		}
 		format, err := blockstore.ParseFormat(*formatName)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		partitions := *p
 		if *memBudget > 0 {
@@ -264,7 +247,7 @@ func run() (*core.Result, error) {
 		}
 		ds, err := blockstore.BuildOpts(st, input, blockstore.Options{P: partitions, Format: format, Weighted: algo.Weighted})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if *faultTransient > 0 || *faultBitflip > 0 || *faultDelay > 0 || *faultStall > 0 {
 			// Wrap the built store so faults hit the run's reads, not the
@@ -286,7 +269,7 @@ func run() (*core.Result, error) {
 			// them on the way out so the process exits cleanly.
 			defer faults.ReleaseStalled()
 			if ds, err = blockstore.Open(faults); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		dev.Reset() // exclude preprocessing from the run accounting
@@ -310,20 +293,16 @@ func run() (*core.Result, error) {
 			RetryBackoff:     *retryBackoff,
 			RetryJitter:      jitter,
 			ReadDeadline:     *readDeadline,
-			NoHedge:          !*hedge,
-			Degrade:          *degrade,
-			DegradeWindow:    *degradeWindow,
-			DegradeRate:      *degradeRate,
 			PrefetchDepth:    *prefetch,
 			CacheBudgetBytes: *cacheMB << 20,
 			CacheAdmission:   *cacheAdmission,
 		}
 		co, err := shard.New(ds, shard.Config{Config: cfg, Shards: shardK})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if res, err = co.Run(algo.New(g)); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		r := experiments.NewRunner(experiments.Options{Threads: *threads, P: *p})
@@ -336,17 +315,17 @@ func run() (*core.Result, error) {
 		case "xstream":
 			full = "X-Stream"
 		default:
-			return nil, fmt.Errorf("unknown system %q (want hus|graphchi|gridgraph|xstream)", sysName)
+			return fmt.Errorf("unknown system %q (want hus|graphchi|gridgraph|xstream)", sysName)
 		}
 		if *input != "" {
-			return nil, fmt.Errorf("-input currently supports -system hus only")
+			return fmt.Errorf("-input currently supports -system hus only")
 		}
 		d, err := gen.ByName(*dataset)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if res, err = r.RunBaseline(full, d, algo, prof, *threads); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	wall := time.Since(start)
@@ -367,7 +346,7 @@ func run() (*core.Result, error) {
 			)
 		}
 		if err := t.Render(os.Stdout); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Println()
 	}
@@ -378,7 +357,7 @@ func run() (*core.Result, error) {
 		// and stalls actually line up with the iterations the predictor
 		// priced them into.
 		t := report.NewTable("per-iteration cache/prefetch stats",
-			"iter", "model", "cache hits", "misses", "hit %", "stall", "hedges", "level")
+			"iter", "model", "cache hits", "misses", "hit %", "stall", "hedges")
 		for _, it := range res.Iterations {
 			hitRate := 0.0
 			if total := it.CacheHits + it.CacheMisses; total > 0 {
@@ -392,11 +371,10 @@ func run() (*core.Result, error) {
 				fmt.Sprintf("%.1f", hitRate),
 				it.PrefetchStall.Round(time.Microsecond).String(),
 				fmt.Sprintf("%d", it.Hedges),
-				it.DegradeLevel.String(),
 			)
 		}
 		if err := t.Render(os.Stdout); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Println()
 	}
@@ -417,7 +395,7 @@ func run() (*core.Result, error) {
 			)
 		}
 		if err := t.Render(os.Stdout); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Println()
 	}
@@ -449,7 +427,7 @@ func run() (*core.Result, error) {
 			}
 		}
 		if err := t.Render(os.Stdout); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Println()
 	}
@@ -458,7 +436,7 @@ func run() (*core.Result, error) {
 		//lint:ignore huslint/rawio human-readable result export at the CLI boundary; not graph block data
 		f, err := os.Create(*valuesOut)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		w := bufio.NewWriter(f)
 		for v, val := range res.Values {
@@ -466,10 +444,10 @@ func run() (*core.Result, error) {
 		}
 		if err := w.Flush(); err != nil {
 			f.Close()
-			return nil, err
+			return err
 		}
 		if err := f.Close(); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Printf("wrote %d values to %s\n", len(res.Values), *valuesOut)
 	}
@@ -505,16 +483,10 @@ func run() (*core.Result, error) {
 		fmt.Printf("  recovery:       %d read retries, %d hedged read(s), %d checkpoint(s) written, resumed at iteration %d, %d corrupt generation(s) skipped\n",
 			rec.Retries, rec.Hedges, rec.CheckpointsWritten, rec.ResumedIter, rec.CheckpointFallbacks)
 	}
-	if evs := res.Recovery.DegradeEvents; len(evs) > 0 {
-		fmt.Printf("  degradation:    %d transition(s), worst rung %v\n", len(evs), res.MaxDegradeLevel())
-		for _, ev := range evs {
-			fmt.Printf("    %v\n", ev)
-		}
-	}
 	if faults != nil {
 		fmt.Printf("  injected:       %v\n", faults.Counters())
 	}
-	return res, nil
+	return nil
 }
 
 // shardsConfig validates the -shards flag against the rest of the command

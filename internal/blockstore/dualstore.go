@@ -49,18 +49,14 @@ type HedgePolicy struct {
 	// Deadline is the soft per-attempt deadline; 0 disables deadlines and
 	// hedging entirely (reads block until the store answers).
 	Deadline time.Duration
-	// NoHedge keeps the deadline as an observation signal (feeding the
-	// read observer / resilience breaker) but suppresses the duplicate
-	// read — the attempt then waits for the one read, to the same bound.
-	NoHedge bool
 }
 
 // hungAfter is how many further Deadlines an attempt waits, once its
 // deadline has fired, before it gives the read up as hung. The deadline is
-// a latency threshold — where a read counts as slow, gets hedged and feeds
-// the breaker — and slow reads several times past it must still complete
-// (the degradation ladder exists for them); only a read that is two orders
-// of magnitude late is treated as never coming back.
+// a latency threshold — where a read counts as slow and gets hedged — and
+// reads several times past it must still complete (a 3 ms device behind a
+// 1 ms deadline is a slow device, not a dead one); only a read that is two
+// orders of magnitude late is treated as never coming back.
 const hungAfter = 100
 
 // jitterRng is the fallback jitter source when RetryPolicy.Rand is nil,
@@ -90,12 +86,9 @@ type DualStore struct {
 	retries *atomic.Int64
 	// hedge is the soft read-deadline / hedged-duplicate policy; hedges
 	// counts duplicate reads actually issued, shared by pointer across
-	// Fork copies like retries. observe, when non-nil, is called once per
-	// resolved read attempt with its wall latency and outcome error — the
-	// resilience breaker's feed.
-	hedge   HedgePolicy
-	hedges  *atomic.Int64
-	observe func(time.Duration, error)
+	// Fork copies like retries.
+	hedge  HedgePolicy
+	hedges *atomic.Int64
 	// Format is the on-disk record encoding of every block.
 	Format Format
 	// Weighted records carry edge weights; unweighted drop them (decoded
@@ -475,12 +468,6 @@ func (d *DualStore) SetRetryPolicy(p RetryPolicy) { d.retry = p }
 // policy in force); it must not change while loads are in flight.
 func (d *DualStore) SetHedgePolicy(p HedgePolicy) { d.hedge = p }
 
-// SetReadObserver installs fn to be called once per resolved read attempt
-// with its wall latency and outcome error — the feed for a latency/fault
-// circuit breaker. Install before Fork so forked views report too; fn must
-// be safe for concurrent use.
-func (d *DualStore) SetReadObserver(fn func(time.Duration, error)) { d.observe = fn }
-
 // WithAbort returns a view of d whose retry-backoff sleeps end early once
 // ch is closed — the prefetcher hands its workers one of these wired to
 // its quit channel so Close isn't delayed by a full backoff ladder. The
@@ -599,22 +586,15 @@ func (d *DualStore) sleepBackoff(dur time.Duration) (aborted bool) {
 // can never scribble over a buffer the winner's caller now owns; on
 // deadline expiry a duplicate read races the original, first response
 // wins. A hedge can hang like any other read: when neither has answered
-// hungAfter deadlines later (likewise the lone read under NoHedge) the
-// attempt resolves with an ErrTransient-class error — a hung device costs
-// the retry budget, never the run. The result channel is buffered for both
-// reads, so late ones finish their send and exit instead of leaking.
+// hungAfter deadlines later the attempt resolves with an ErrTransient-class
+// error — a hung device costs the retry budget, never the run. The result
+// channel is buffered for both reads, so late ones finish their send and
+// exit instead of leaking.
 func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 	deadline := d.hedge.Deadline
 	if deadline <= 0 {
-		if d.observe == nil {
-			return d.issue(read, buf)
-		}
-		start := time.Now()
-		b, err := d.issue(read, buf)
-		d.observe(time.Since(start), err)
-		return b, err
+		return d.issue(read, buf)
 	}
-	start := time.Now()
 	type outcome struct {
 		b   []byte
 		err error
@@ -631,19 +611,14 @@ func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 	select {
 	case o = <-ch:
 	case <-timer.C:
-		if !d.hedge.NoHedge {
-			d.hedges.Add(1)
-			go try()
-		}
+		d.hedges.Add(1)
+		go try()
 		timer.Reset(hungAfter * deadline)
 		select {
 		case o = <-ch:
 		case <-timer.C:
 			o.err = fmt.Errorf("blockstore: read %s: no answer %v after the %v read deadline: %w", read.name, hungAfter*deadline, deadline, storage.ErrTransient)
 		}
-	}
-	if d.observe != nil {
-		d.observe(time.Since(start), o.err)
 	}
 	return o.b, o.err
 }

@@ -22,7 +22,6 @@ import (
 	"husgraph/internal/core"
 	"husgraph/internal/gen"
 	"husgraph/internal/graph"
-	"husgraph/internal/resilience"
 	"husgraph/internal/shard"
 	"husgraph/internal/storage"
 )
@@ -121,7 +120,6 @@ type Tuning struct {
 	PrefetchDepth int
 	ReadRetries   int
 	ReadDeadline  time.Duration
-	Degrade       bool
 	// Format is the chaotic store's block format (the clean oracle always
 	// runs raw, so compressed chaos runs are checked against an
 	// uncompressed reference). Zero value is FormatRaw.
@@ -129,9 +127,7 @@ type Tuning struct {
 	// Shards runs the chaotic side through the K-shard coordinator
 	// (internal/shard) while the clean oracle stays on the single engine,
 	// so bit-identity is checked across the sharding seam itself. K must
-	// divide P. With Degrade on, the K per-shard breakers interleave their
-	// ladder events in the merged run log; Verify replays the log against
-	// K chains (verifyLadderChains), so degradation is checked at any K.
+	// divide P.
 	Shards int
 	// Vertices and Edges scale the R-MAT test graph.
 	Vertices, Edges int
@@ -229,7 +225,6 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 		ReadRetries:     tune.ReadRetries,
 		RetryBackoff:    100 * time.Microsecond,
 		ReadDeadline:    tune.ReadDeadline,
-		Degrade:         tune.Degrade,
 		CheckpointEvery: 2,
 		Resume:          true,
 	}
@@ -289,9 +284,8 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 }
 
 // Verify checks the resilience contract on a completed report:
-// bit-identical values, hedge accounting that adds up, retry accounting
-// bounded by the injected faults, and a well-formed degradation event
-// chain. Returns the first violation found.
+// bit-identical values, hedge accounting that adds up, and retry accounting
+// bounded by the injected faults. Returns the first violation found.
 func Verify(rep *Report) error {
 	clean, chaotic := rep.Clean, rep.Chaotic
 	if chaotic == nil {
@@ -321,53 +315,8 @@ func Verify(rep *Report) error {
 			return fmt.Errorf("%s/%s: %d retries for %d injected transient faults", rep.Algo, rep.Sched.Name, chaotic.Recovery.Retries, rep.Counters.Transient)
 		}
 	}
-	// Degradation events must replay as K contiguous one-rung ladder
-	// chains (one per shard's breaker, K=1 being the plain single chain),
-	// stamped with non-decreasing iterations across the merged log.
-	evs := chaotic.Recovery.DegradeEvents
-	if err := verifyLadderChains(evs, rep.Tune.Shards); err != nil {
-		return fmt.Errorf("%s/%s: %w", rep.Algo, rep.Sched.Name, err)
-	}
-	if lvl := chaotic.MaxDegradeLevel(); lvl > resilience.LevelNormal && len(evs) == 0 && chaotic.Recovery.ResumedIter == 0 {
-		return fmt.Errorf("%s/%s: iterations report level %v but no transition was recorded", rep.Algo, rep.Sched.Name, lvl)
-	}
 	if rep.Killed && rep.Resumed && chaotic.Recovery.ResumedIter <= 0 {
 		return fmt.Errorf("%s/%s: killed run resumed from iteration 0", rep.Algo, rep.Sched.Name)
-	}
-	return nil
-}
-
-// verifyLadderChains replays a merged degradation log against K
-// independent ladder chains, each starting at LevelNormal. Every event
-// must move exactly one rung, iterations must be globally non-decreasing
-// (shards publish at the shared barrier, so the merged log is
-// iteration-ordered even though per-shard events interleave), and each
-// event must continue SOME chain currently sitting at its From level.
-// Greedy assignment is exact here: chains carry no identity beyond their
-// current level, so any chain at From is as good as any other.
-func verifyLadderChains(evs []resilience.DegradeEvent, k int) error {
-	if k < 1 {
-		k = 1
-	}
-	levels := make([]resilience.Level, k) // all start at LevelNormal
-	for i, ev := range evs {
-		if d := ev.To - ev.From; d != 1 && d != -1 {
-			return fmt.Errorf("degrade event %d skips rungs: %v", i, ev)
-		}
-		if i > 0 && ev.Iter < evs[i-1].Iter {
-			return fmt.Errorf("degrade events out of order: %v after %v", ev, evs[i-1])
-		}
-		assigned := false
-		for c := range levels {
-			if levels[c] == ev.From {
-				levels[c] = ev.To
-				assigned = true
-				break
-			}
-		}
-		if !assigned {
-			return fmt.Errorf("degrade event %d continues no chain: no breaker sits at level %v before %v (chains at %v)", i, ev.From, ev, levels)
-		}
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"husgraph/internal/blockstore"
 	"husgraph/internal/core"
-	"husgraph/internal/resilience"
 	"husgraph/internal/storage"
 )
 
@@ -50,7 +49,7 @@ func TestChaosMatrixSeeded(t *testing.T) {
 			a, model, seed := a, models[i%len(models)], seed
 			t.Run(fmt.Sprintf("%s/seed-%d", a.Name, seed), func(t *testing.T) {
 				sched := RandomSchedule(seed)
-				rep := runBounded(t, a, Tuning{Model: model, Degrade: true}, sched, 60*time.Second)
+				rep := runBounded(t, a, Tuning{Model: model}, sched, 60*time.Second)
 				if err := Verify(rep); err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +101,7 @@ func TestChaosKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := runBounded(t, a, Tuning{Model: core.ModelCOP, Degrade: true}, sched, 60*time.Second)
+	rep := runBounded(t, a, Tuning{Model: core.ModelCOP}, sched, 60*time.Second)
 	if err := Verify(rep); err != nil {
 		t.Fatal(err)
 	}
@@ -114,41 +113,17 @@ func TestChaosKillAndResume(t *testing.T) {
 	}
 }
 
-// TestChaosDegradeLadderUnderSustainedFaults checks the ladder engages
-// under a schedule of sustained latency pressure and that the run still
-// verifies.
-func TestChaosDegradeLadderUnderSustainedFaults(t *testing.T) {
-	sched := Schedule{
-		Name: "latency-storm",
-		Seed: 21,
-		Faults: []storage.Fault{
-			{Op: storage.OpRead, Kind: storage.FaultDelay, After: 20, Count: 400, Delay: 3 * time.Millisecond},
-		},
-	}
-	a, err := AlgoByName("PageRank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := runBounded(t, a, Tuning{Model: core.ModelCOP, Degrade: true, ReadDeadline: time.Millisecond}, sched, 120*time.Second)
-	if err := Verify(rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Chaotic.Recovery.DegradeEvents) == 0 {
-		t.Fatal("sustained latency storm never moved the degradation ladder")
-	}
-}
-
 // TestChaosCompressedStore runs the full matrix over mixed-format
 // (compressed) chaotic stores against uncompressed clean oracles: decode
-// must compose with retries, hedges, the degrade ladder and kill-and-resume
-// without perturbing a single bit of the result.
+// must compose with retries, hedges and kill-and-resume without perturbing
+// a single bit of the result.
 func TestChaosCompressedStore(t *testing.T) {
 	models := []core.Model{core.ModelHybrid, core.ModelROP, core.ModelCOP}
 	for i, a := range Matrix() {
 		a, model := a, models[i%len(models)]
 		t.Run(a.Name, func(t *testing.T) {
 			sched := RandomSchedule(31 + int64(i))
-			rep := runBounded(t, a, Tuning{Model: model, Degrade: true, Format: blockstore.FormatMixed}, sched, 60*time.Second)
+			rep := runBounded(t, a, Tuning{Model: model, Format: blockstore.FormatMixed}, sched, 60*time.Second)
 			if err := Verify(rep); err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +144,7 @@ func TestChaosCompressedKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := runBounded(t, a, Tuning{Model: core.ModelCOP, Degrade: true, Format: blockstore.FormatMixed}, sched, 60*time.Second)
+	rep := runBounded(t, a, Tuning{Model: core.ModelCOP, Format: blockstore.FormatMixed}, sched, 60*time.Second)
 	if err := Verify(rep); err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +162,7 @@ func TestChaosCompressedKillAndResume(t *testing.T) {
 // TestChaosShardedMatrix runs the whole algorithm matrix through the K=2
 // shard coordinator under seeded fault schedules, verified against the
 // unsharded clean oracle — bit-identity across the sharding seam with
-// retries and hedges landing inside individual shards' windows. Degrade
-// is on: Verify replays the merged event log against K ladder chains, so
-// the interleaved per-shard breakers are checked, not skipped.
+// retries and hedges landing inside individual shards' windows.
 func TestChaosShardedMatrix(t *testing.T) {
 	models := []core.Model{core.ModelHybrid, core.ModelROP, core.ModelCOP}
 	for i, a := range Matrix() {
@@ -197,7 +170,7 @@ func TestChaosShardedMatrix(t *testing.T) {
 		t.Run(a.Name, func(t *testing.T) {
 			sched := RandomSchedule(41 + int64(i))
 			sched.KillAtIter = 0 // the kill path gets its own dedicated test
-			rep := runBounded(t, a, Tuning{Model: model, Shards: 2, Degrade: true}, sched, 60*time.Second)
+			rep := runBounded(t, a, Tuning{Model: model, Shards: 2}, sched, 60*time.Second)
 			if err := Verify(rep); err != nil {
 				t.Fatal(err)
 			}
@@ -248,51 +221,11 @@ func TestChaosSoak(t *testing.T) {
 			a, seed := a, seed
 			t.Run(fmt.Sprintf("%s/seed-%d", a.Name, seed), func(t *testing.T) {
 				sched := RandomSchedule(seed)
-				rep := runBounded(t, a, Tuning{Model: models[seed%3], Degrade: true}, sched, 120*time.Second)
+				rep := runBounded(t, a, Tuning{Model: models[seed%3]}, sched, 120*time.Second)
 				if err := Verify(rep); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-	}
-}
-
-// TestVerifyLadderChains pins the K-chain replay on hand-built logs: an
-// interleaving only valid as two chains, a rung skip, an iteration
-// regression, and an event no chain can continue.
-func TestVerifyLadderChains(t *testing.T) {
-	ev := func(iter int, from, to resilience.Level) resilience.DegradeEvent {
-		return resilience.DegradeEvent{Iter: iter, From: from, To: to}
-	}
-	interleaved := []resilience.DegradeEvent{
-		// Two breakers each step down one rung, then recover — merged at
-		// the barrier this reads 0→1, 0→1, 1→0, 1→0: broken as ONE chain,
-		// valid as two.
-		ev(1, resilience.LevelNormal, resilience.LevelNormal+1),
-		ev(1, resilience.LevelNormal, resilience.LevelNormal+1),
-		ev(3, resilience.LevelNormal+1, resilience.LevelNormal),
-		ev(3, resilience.LevelNormal+1, resilience.LevelNormal),
-	}
-	if err := verifyLadderChains(interleaved, 2); err != nil {
-		t.Fatalf("valid 2-shard interleaving rejected: %v", err)
-	}
-	if err := verifyLadderChains(interleaved, 1); err == nil {
-		t.Fatal("2-shard interleaving verified as a single chain")
-	}
-	if err := verifyLadderChains([]resilience.DegradeEvent{
-		ev(1, resilience.LevelNormal, resilience.LevelNormal+2),
-	}, 2); err == nil {
-		t.Fatal("rung skip not rejected")
-	}
-	if err := verifyLadderChains([]resilience.DegradeEvent{
-		ev(3, resilience.LevelNormal, resilience.LevelNormal+1),
-		ev(1, resilience.LevelNormal, resilience.LevelNormal+1),
-	}, 2); err == nil {
-		t.Fatal("iteration regression not rejected")
-	}
-	if err := verifyLadderChains([]resilience.DegradeEvent{
-		ev(1, resilience.LevelNormal+1, resilience.LevelNormal),
-	}, 4); err == nil {
-		t.Fatal("event with no chain at its From level not rejected")
 	}
 }

@@ -320,24 +320,3 @@ func TestResumeRestoresProgramState(t *testing.T) {
 		t.Fatalf("stateful resume diverged:\n  got  %v\n  want %v", resumed.Values, full.Values)
 	}
 }
-
-func TestCOPBlockSkipCorrectAndCheaper(t *testing.T) {
-	g := pathGraph(4000)
-	run := func(skip bool) *Result {
-		ds := buildStore(t, g, 8, storage.HDD)
-		res, err := New(ds, Config{Model: ModelCOP, MaxIters: 3, COPBlockSkip: skip}).Run(testBFS{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain, skipping := run(false), run(true)
-	for v := range plain.Values {
-		if plain.Values[v] != skipping.Values[v] {
-			t.Fatalf("COPBlockSkip changed results at %d", v)
-		}
-	}
-	if skipping.TotalIO().ReadBytes() >= plain.TotalIO().ReadBytes() {
-		t.Fatalf("COPBlockSkip read %d, plain %d", skipping.TotalIO().ReadBytes(), plain.TotalIO().ReadBytes())
-	}
-}

@@ -103,21 +103,8 @@ func (e *Engine) iterationWork(model Model, frontier *bitset.Frontier, activeEdg
 		}
 		return activeEdges, blocks
 	}
-	// Source rows j skipped by COP's block-level selective scheduling
-	// contribute to no column; precompute the predicate once per row.
-	var skip []bool
-	if e.cfg.COPBlockSkip {
-		skip = make([]bool, l.P)
-		for j := 0; j < l.P; j++ {
-			jlo, jhi := l.Bounds(j)
-			skip[j] = frontier.CountIn(jlo, jhi) == 0
-		}
-	}
 	for _, i := range e.owned { // column i
 		for j := 0; j < l.P; j++ {
-			if skip != nil && skip[j] {
-				continue
-			}
 			edges += e.ds.BlockEdgeCount[j][i]
 			blocks++
 		}

@@ -118,24 +118,6 @@ type Config struct {
 	// has answered 100 deadlines later fails transient, into ReadRetries.
 	// 0 disables deadlines and hedging — a hung read then blocks forever.
 	ReadDeadline time.Duration
-	// NoHedge keeps ReadDeadline as a latency-pressure signal for the
-	// degradation breaker but suppresses the hedged duplicate read.
-	NoHedge bool
-	// Degrade enables the adaptive degradation ladder: a windowed
-	// fault-rate/latency circuit breaker that sheds optimism under
-	// sustained I/O pressure (prefetch off → synchronous cache-bypass
-	// reads) and re-arms one rung per clear window. Transitions are
-	// recorded in Result.Recovery as DegradeEvents; the per-iteration rung
-	// lands in IterStats.DegradeLevel. Results stay bit-identical at every
-	// rung.
-	Degrade bool
-	// DegradeWindow is the breaker's observation window; 0 with Degrade
-	// defaults to 100ms.
-	DegradeWindow time.Duration
-	// DegradeRate is the windowed (faults+slow-reads)/ops fraction at or
-	// above which the ladder steps down one rung; 0 with Degrade defaults
-	// to 0.5.
-	DegradeRate float64
 	// PrefetchDepth is the number of asynchronous block-prefetch workers
 	// overlapping I/O with compute: while the engine processes one block,
 	// up to this many further blocks of the planned traversal are read,
@@ -168,16 +150,6 @@ type Config struct {
 	// the same store; owners must list intervals ascending and span the
 	// layout's P (validated at New).
 	Owner IntervalOwner
-	// COPBlockSkip skips streaming in-block(j,i) when source interval j
-	// holds no active vertices — GridGraph's block-level selective
-	// scheduling grafted onto COP. The paper's Alg. 3 streams every
-	// block (off by default); enable to ablate the design gap between
-	// block-level and vertex-level selectivity.
-	COPBlockSkip bool
-
-	// degradeNow replaces time.Now inside the degradation breaker for
-	// deterministic ladder tests; nil uses time.Now.
-	degradeNow func() time.Time
 }
 
 // WithDefaults returns the config with zero fields resolved to their
@@ -205,14 +177,6 @@ func (c Config) withDefaults() Config {
 		}
 		if c.RetryJitter == 0 {
 			c.RetryJitter = 0.2
-		}
-	}
-	if c.Degrade {
-		if c.DegradeWindow <= 0 {
-			c.DegradeWindow = 100 * time.Millisecond
-		}
-		if c.DegradeRate <= 0 {
-			c.DegradeRate = 0.5
 		}
 	}
 	return c

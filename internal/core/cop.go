@@ -23,17 +23,16 @@ import (
 // The caller initializes D (InitAccumulators).
 //
 // Returns the largest per-vertex value change (non-Monotone only).
-func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher, copSkip func(int) bool) (float64, error) {
+func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher) (float64, error) {
 	l := e.ds.Layout
 	dev := e.ds.Device()
 	nv := int64(blockstore.VertexValueBytes)
 
 	// The column traversal order was handed to the scheduler as this
-	// window's plan (ioplan.COPKeys with the same copSkip closure): while
-	// this goroutine computes on in-block(j,i), the window's workers
-	// read, verify and decode the next blocks (or serve them from the
-	// cache). copSkip mirrors the plan exactly — every planned key is
-	// consumed by exactly one Next call.
+	// window's plan (ioplan.COPKeys): while this goroutine computes on
+	// in-block(j,i), the window's workers read, verify and decode the next
+	// blocks (or serve them from the cache). Every planned key is consumed
+	// by exactly one Next call.
 	k := &e.cop
 	k.begin(e, prog, s, frontier)
 	defer k.end()
@@ -45,9 +44,6 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 		}
 
 		for j := 0; j < l.P; j++ { // stream in-blocks top to bottom
-			if copSkip != nil && copSkip(j) {
-				continue // block-level selective scheduling (ablation)
-			}
 			if !e.cfg.SemiExternal {
 				dev.ReadSeq(int64(l.Size(j)) * nv) // load S_j (Alg. 3 line 3)
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/ioplan"
-	"husgraph/internal/resilience"
 	"husgraph/internal/storage"
 )
 
@@ -70,13 +68,6 @@ type Engine struct {
 	// loadCheckpoint points it away from the generation it resumed from.
 	ckptSlot int
 
-	// breaker drives the adaptive degradation ladder when Config.Degrade
-	// is set; degradeLevel mirrors its rung at the current iteration's
-	// start (written between iterations on the engine goroutine, read by
-	// that iteration's workers — never concurrently with the write).
-	breaker      *resilience.Breaker
-	degradeLevel resilience.Level
-
 	// Bucketed-execution hint, set between iterations (SetBucketHint, from
 	// Drive's router) before BeginIter: bucketed marks the coming iteration
 	// as bucket-driven, bucketPri/bucketPending describe its bucket.
@@ -87,6 +78,11 @@ type Engine struct {
 
 // New creates an engine over the given store.
 func New(ds *blockstore.DualStore, cfg Config) *Engine {
+	// The engine reads through its own view of the store, so the policies
+	// installed below are this engine's — the zero policy is "off" —
+	// whatever an engine before or beside it on the same DualStore asked
+	// for. Metadata and counters stay shared.
+	ds = ds.Fork(ds.Store())
 	e := &Engine{
 		ds:  ds,
 		cfg: cfg.withDefaults(),
@@ -114,35 +110,13 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 		adm, _ := blockstore.ParseAdmission(e.cfg.CacheAdmission)
 		e.cache = blockstore.NewBlockCacheOpts(e.cfg.CacheBudgetBytes, blockstore.CacheOptions{Admission: adm})
 	}
-	if e.cfg.ReadRetries > 0 {
-		ds.SetRetryPolicy(blockstore.RetryPolicy{
-			MaxRetries: e.cfg.ReadRetries,
-			Backoff:    e.cfg.RetryBackoff,
-			MaxBackoff: retryBackoffMax,
-			Jitter:     e.cfg.RetryJitter,
-		})
-	}
-	if e.cfg.ReadDeadline > 0 {
-		ds.SetHedgePolicy(blockstore.HedgePolicy{
-			Deadline: e.cfg.ReadDeadline,
-			NoHedge:  e.cfg.NoHedge,
-		})
-	}
-	if e.cfg.Degrade {
-		e.breaker = resilience.NewBreaker(resilience.Config{
-			Window:        e.cfg.DegradeWindow,
-			TripRate:      e.cfg.DegradeRate,
-			SlowThreshold: e.cfg.ReadDeadline,
-			Now:           e.cfg.degradeNow,
-		})
-		br := e.breaker
-		ds.SetReadObserver(func(lat time.Duration, err error) {
-			// Missing-blob probes (checkpoint-generation discovery) are
-			// answers, not failures — they must not pressure the breaker.
-			fault := err != nil && !errors.Is(err, storage.ErrNotFound)
-			br.Observe(lat, fault)
-		})
-	}
+	ds.SetRetryPolicy(blockstore.RetryPolicy{
+		MaxRetries: e.cfg.ReadRetries,
+		Backoff:    e.cfg.RetryBackoff,
+		MaxBackoff: retryBackoffMax,
+		Jitter:     e.cfg.RetryJitter,
+	})
+	ds.SetHedgePolicy(blockstore.HedgePolicy{Deadline: e.cfg.ReadDeadline})
 	e.sched = ioplan.NewScheduler(ds, e.cache, ioplan.Options{Depth: e.cfg.PrefetchDepth})
 	return e
 }
@@ -206,14 +180,14 @@ func (e *Engine) RunContext(ctx context.Context, prog Program) (*Result, error) 
 
 // RunIter implements Runner: one iteration through the Step lifecycle, the
 // engine choosing the model itself.
-func (e *Engine) RunIter(prog Program, iter int, frontier *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, []resilience.DegradeEvent, error) {
+func (e *Engine) RunIter(prog Program, iter int, frontier *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, error) {
 	next := bitset.NewFrontier(len(s))
 	step := e.BeginIter(prog, iter, ModelHybrid, frontier, next)
 	if step.Exec(s, d) == nil {
 		step.FinalizeOwned(s, d)
 	}
 	st, err := step.End()
-	return next, st, step.Events, err
+	return next, st, err
 }
 
 // Totals implements Runner. Retries and Hedges are the store's counters,
@@ -228,26 +202,6 @@ func (e *Engine) Totals() RunTotals {
 		t.Cache = e.cache.Stats()
 	}
 	return t
-}
-
-// applyDegradeLevel reads the breaker between iterations, applies the
-// current rung to the live scheduler knobs, and records it for this
-// iteration's read paths. Without a breaker the run is always at
-// LevelNormal.
-func (e *Engine) applyDegradeLevel() resilience.Level {
-	if e.breaker == nil {
-		return resilience.LevelNormal
-	}
-	e.breaker.Tick()
-	lvl := e.breaker.Level()
-	depth := e.cfg.PrefetchDepth
-	if lvl >= resilience.LevelNoPrefetch {
-		depth = 0
-	}
-	e.sched.SetDepth(depth)
-	e.sched.SetBypassCache(lvl >= resilience.LevelBypass)
-	e.degradeLevel = lvl
-	return lvl
 }
 
 // Cache returns the engine's block cache, or nil when caching is disabled.
@@ -310,21 +264,6 @@ func (e *Engine) pinSemResident() error {
 	return nil
 }
 
-// copSkipFunc returns COP's block-level selective-scheduling predicate for
-// this frontier, or nil when the ablation is off. The same closure builds
-// the read plan and drives the executor's skip decisions, so they can
-// never diverge.
-func (e *Engine) copSkipFunc(frontier *bitset.Frontier) func(int) bool {
-	if !e.cfg.COPBlockSkip {
-		return nil
-	}
-	l := e.ds.Layout
-	return func(j int) bool {
-		jlo, jhi := l.Bounds(j)
-		return frontier.CountIn(jlo, jhi) == 0
-	}
-}
-
 // SetBucketHint implements Runner: it installs the bucket state for the
 // coming iteration (see the bucketed fields on Engine). Drive calls it
 // between iterations; the shard coordinator passes it on to every shard's
@@ -342,7 +281,7 @@ func (e *Engine) SetBucketHint(h BucketHint) {
 // density, its whole payload is read once sequentially and cached under
 // KindOutBlock, making every later run a memory slice.
 func (e *Engine) loadOutRun(i, j int, s, end uint32, sc *blockstore.Scratch) ([]byte, error) {
-	if e.cache == nil || e.degradeLevel >= resilience.LevelBypass {
+	if e.cache == nil {
 		return e.ds.LoadOutRunScratch(i, j, s, end, sc)
 	}
 	if data, ok := e.cache.GetRun(i, j, s, end); ok {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"husgraph/internal/blockstore"
 	"husgraph/internal/storage"
@@ -108,6 +109,26 @@ func TestEngineRetriesTransientFaultsAndReportsCount(t *testing.T) {
 	}
 }
 
+// TestEngineConfigDoesNotLeakAcrossEngines: an engine's retry and deadline
+// policies are its own config's, not those of whichever engine configured
+// the shared store last. The second engine asks for no retries, so the one
+// injected transient fault must fail its run.
+func TestEngineConfigDoesNotLeakAcrossEngines(t *testing.T) {
+	ds, fs := faultyStore(t, 300, 4, 1)
+	New(ds, Config{ReadRetries: 3, ReadDeadline: time.Second})
+	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, After: 3, Count: 1})
+	_, err := New(ds, Config{Model: ModelCOP}).Run(testBFS{})
+	if !errors.Is(err, storage.ErrTransient) {
+		t.Fatalf("err = %v, want wrapped storage.ErrTransient: the first engine's ReadRetries leaked through the store", err)
+	}
+	if got := ds.Retries(); got != 0 {
+		t.Fatalf("store retried %d reads for an engine with ReadRetries 0", got)
+	}
+	if got := ds.Hedges(); got != 0 {
+		t.Fatalf("store hedged %d reads for an engine with ReadDeadline 0", got)
+	}
+}
+
 func TestEngineTransientBurstExceedingBudgetFails(t *testing.T) {
 	ds, fs := faultyStore(t, 300, 4, 1)
 	// A burst longer than the per-read retry budget must surface.
@@ -130,6 +151,38 @@ func TestEngineDetectsBitFlipCorruption(t *testing.T) {
 	}
 	if got := ds.Retries(); got != 0 {
 		t.Fatalf("corruption consumed %d retries", got)
+	}
+}
+
+// TestHedgesRescueHungReadsAndAreCounted runs an engine against a store
+// whose reads intermittently hang forever: only hedged duplicates let the
+// run finish, and every hedge is accounted in the iteration stats and the
+// recovery totals.
+func TestHedgesRescueHungReadsAndAreCounted(t *testing.T) {
+	clean, err := New(buildStore(t, pathGraph(40), 4, storage.HDD), Config{Model: ModelCOP, Threads: 2}).Run(testBFS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, fs := faultyStore(t, 40, 4, 1)
+	defer fs.ReleaseStalled()
+	// Three reads spread across the run hang forever.
+	for _, after := range []int64{3, 40, 90} {
+		fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultStall, After: after, Count: 1})
+	}
+	res, err := New(ds, Config{Model: ModelCOP, Threads: 2, PrefetchDepth: 2, ReadDeadline: 2 * time.Millisecond}).Run(testBFS{})
+	if err != nil {
+		t.Fatalf("hedging did not rescue the hung reads: %v", err)
+	}
+	for i := range res.Values {
+		if res.Values[i] != clean.Values[i] {
+			t.Fatalf("vertex %d: hedged run computed %v, clean %v", i, res.Values[i], clean.Values[i])
+		}
+	}
+	if res.Recovery.Hedges < 3 {
+		t.Fatalf("Recovery.Hedges = %d, want >= 3 (one per hung read)", res.Recovery.Hedges)
+	}
+	if got := res.TotalHedges(); got != res.Recovery.Hedges {
+		t.Fatalf("per-iteration hedge sum %d != recovery total %d", got, res.Recovery.Hedges)
 	}
 }
 

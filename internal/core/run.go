@@ -6,27 +6,22 @@ import (
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
-	"husgraph/internal/resilience"
 )
 
 // Runner is what Drive steps through a run: one Engine, or a shard
 // Coordinator over K of them. It knows how to execute an iteration; when
 // to, on what, and what to do between two of them is Drive's.
 type Runner interface {
-	// StartRun prepares for a sequence of RunIter calls. A nil return is
-	// answered by exactly one FinishRun; an error by none.
+	// StartRun prepares for a sequence of RunIter calls.
 	StartRun() error
-	// FinishRun ends the run and returns the degradation-ladder transitions
-	// recorded since the last iteration collected its own.
-	FinishRun() []resilience.DegradeEvent
 	// SetBucketHint describes the bucket the coming iteration processes
 	// (priority programs only).
 	SetBucketHint(BucketHint)
 	// RunIter executes iteration iter over frontier on the value arrays s
 	// and d — d already initialised (InitAccumulators) — and returns the
-	// frontier it activated, its statistics and the ladder transitions it
-	// saw. On an error the statistics still name the model that ran.
-	RunIter(prog Program, iter int, frontier *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, []resilience.DegradeEvent, error)
+	// frontier it activated and its statistics. On an error the statistics
+	// still name the model that ran.
+	RunIter(prog Program, iter int, frontier *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, error)
 	// Totals returns the runner's cumulative counters; Drive reads them
 	// around a run to attribute.
 	Totals() RunTotals
@@ -45,11 +40,11 @@ type RunTotals struct {
 // the only place the run-loop policy lives: program and frontier
 // validation, resume, bucket routing, cancellation with its best-effort
 // checkpoint, accumulator initialisation, OnIteration, the checkpoint
-// cadence, convergence, the final ladder events and the run totals. cfg is
-// the configuration the caller resolved for the whole run (a shard's own
-// copy has no OnIteration and a slice of the cache budget); lead is the
-// engine whose store holds the checkpoints and whose Context programs see —
-// the engine itself, or shard 0.
+// cadence, convergence and the run totals. cfg is the configuration the
+// caller resolved for the whole run (a shard's own copy has no OnIteration
+// and a slice of the cache budget); lead is the engine whose store holds
+// the checkpoints and whose Context programs see — the engine itself, or
+// shard 0.
 func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program) (*Result, error) {
 	n := lead.ds.Layout.NumVertices
 	s, frontier := prog.Init(lead.ctx) // S: previous-iteration values (paper §3.3)
@@ -106,7 +101,6 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 	// ckptIter is the iteration the newest checkpoint on the store resumes
 	// at: the resume point until the cadence writes a later one.
 	ckptIter := startIter
-	var runErr error
 	for iter := startIter; iter < cfg.MaxIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			// Best-effort final checkpoint: a cancelled job should resume
@@ -120,8 +114,7 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 					res.Recovery.CheckpointsWritten++
 				}
 			}
-			runErr = fmt.Errorf("core: %s cancelled before iteration %d: %w", prog.Name(), iter, err)
-			break
+			return nil, fmt.Errorf("core: %s cancelled before iteration %d: %w", prog.Name(), iter, err)
 		}
 		if frontier.Empty() {
 			break
@@ -131,12 +124,10 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 			// cop.go), so only the run's first one has to copy.
 			InitAccumulators(prog.Kind(), s, d)
 		}
-		next, st, events, err := r.RunIter(prog, iter, frontier, s, d)
+		next, st, err := r.RunIter(prog, iter, frontier, s, d)
 		if err != nil {
-			runErr = &IterError{Program: prog.Name(), Iter: iter, Model: st.Model, Err: err}
-			break
+			return nil, &IterError{Program: prog.Name(), Iter: iter, Model: st.Model, Err: err}
 		}
-		res.Recovery.DegradeEvents = append(res.Recovery.DegradeEvents, events...)
 		res.Iterations = append(res.Iterations, st)
 		if cfg.OnIteration != nil {
 			cfg.OnIteration(st)
@@ -145,8 +136,7 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 
 		if cfg.CheckpointEvery > 0 && (iter+1)%cfg.CheckpointEvery == 0 {
 			if err := lead.writeCheckpoint(prog, iter+1, s, frontier); err != nil {
-				runErr = fmt.Errorf("core: checkpoint at iteration %d: %w", iter+1, err)
-				break
+				return nil, fmt.Errorf("core: checkpoint at iteration %d: %w", iter+1, err)
 			}
 			ckptIter = iter + 1
 			res.Recovery.CheckpointsWritten++
@@ -160,22 +150,8 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 			break
 		}
 	}
-	events := r.FinishRun()
-	if runErr != nil {
-		return nil, runErr
-	}
 
 	res.Converged = res.Converged || frontier.Empty()
-	// Transitions evaluated after the last iteration's drain (e.g. the final
-	// re-arm steps) stamp as the last executed iteration.
-	lastIter := startIter
-	if n := len(res.Iterations); n > 0 {
-		lastIter = res.Iterations[n-1].Iter
-	}
-	for _, ev := range events {
-		ev.Iter = lastIter
-		res.Recovery.DegradeEvents = append(res.Recovery.DegradeEvents, ev)
-	}
 	after := r.Totals()
 	res.Values = s
 	res.Recovery.Retries = after.Retries - before.Retries

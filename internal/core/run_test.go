@@ -13,7 +13,6 @@ import (
 	"husgraph/internal/blockstore"
 	"husgraph/internal/bucket"
 	"husgraph/internal/graph"
-	"husgraph/internal/resilience"
 	"husgraph/internal/storage"
 )
 
@@ -28,12 +27,11 @@ type fakeRunner struct {
 	iters    int
 	startErr error
 	iterErr  map[int]error
-	final    []resilience.DegradeEvent
 	log      *[]string // shared with the test's other observers; may be nil
 
-	starts, finishes, hints int
-	ran                     []int     // iteration numbers, in call order
-	d1                      []float64 // d[1] as each iteration found it
+	starts, hints int
+	ran           []int     // iteration numbers, in call order
+	d1            []float64 // d[1] as each iteration found it
 }
 
 func (f *fakeRunner) note(format string, args ...any) {
@@ -47,27 +45,22 @@ func (f *fakeRunner) StartRun() error {
 	return f.startErr
 }
 
-func (f *fakeRunner) FinishRun() []resilience.DegradeEvent {
-	f.finishes++
-	return f.final
-}
-
 func (f *fakeRunner) SetBucketHint(BucketHint) { f.hints++ }
 
-func (f *fakeRunner) RunIter(_ Program, iter int, _ *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, []resilience.DegradeEvent, error) {
+func (f *fakeRunner) RunIter(_ Program, iter int, _ *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, error) {
 	f.note("iter %d", iter)
 	f.ran = append(f.ran, iter)
 	f.d1 = append(f.d1, d[1])
 	d[1] = dirty
 	st := IterStats{Iter: iter, Model: ModelCOP}
 	if err := f.iterErr[iter]; err != nil {
-		return nil, st, nil, err
+		return nil, st, err
 	}
 	next := bitset.NewFrontier(len(s))
 	if len(f.ran) < f.iters {
 		next = bitset.FullFrontier(len(s))
 	}
-	return next, st, nil, nil
+	return next, st, nil
 }
 
 func (f *fakeRunner) Totals() RunTotals { return RunTotals{} }
@@ -108,9 +101,9 @@ func leadOn(t *testing.T, n int, wrap func(storage.Store) storage.Store, cfg Con
 	return New(ds, cfg)
 }
 
-// TestDriveFinishRunExactlyOnce: every exit path after a successful
-// StartRun calls FinishRun once; a failed StartRun gets none.
-func TestDriveFinishRunExactlyOnce(t *testing.T) {
+// TestDriveExitPaths: each way out of Drive runs exactly the iterations it
+// should and returns the error of what stopped it.
+func TestDriveExitPaths(t *testing.T) {
 	errBoom := errors.New("boom")
 	noAuxWrites := func(s storage.Store) storage.Store {
 		fs := storage.NewFaultStore(s, 1)
@@ -118,17 +111,16 @@ func TestDriveFinishRunExactlyOnce(t *testing.T) {
 		return fs
 	}
 	cases := []struct {
-		name         string
-		cfg          Config
-		wrap         func(storage.Store) storage.Store
-		runner       fakeRunner
-		cancelAt     int // OnIteration cancels at this iteration; -1: never
-		check        func(t *testing.T, res *Result, err error)
-		wantFinishes int
-		wantRan      []int
+		name     string
+		cfg      Config
+		wrap     func(storage.Store) storage.Store
+		runner   fakeRunner
+		cancelAt int // OnIteration cancels at this iteration; -1: never
+		check    func(t *testing.T, res *Result, err error)
+		wantRan  []int
 	}{
 		{
-			name: "normal end", runner: fakeRunner{iters: 3}, cancelAt: -1, wantFinishes: 1, wantRan: []int{0, 1, 2},
+			name: "normal end", runner: fakeRunner{iters: 3}, cancelAt: -1, wantRan: []int{0, 1, 2},
 			check: func(t *testing.T, res *Result, err error) {
 				if err != nil || !res.Converged || len(res.Iterations) != 3 {
 					t.Fatalf("res = %+v, err = %v; want 3 iterations, converged", res, err)
@@ -136,7 +128,7 @@ func TestDriveFinishRunExactlyOnce(t *testing.T) {
 			},
 		},
 		{
-			name: "RunIter error", runner: fakeRunner{iters: 5, iterErr: map[int]error{1: errBoom}}, cancelAt: -1, wantFinishes: 1, wantRan: []int{0, 1},
+			name: "RunIter error", runner: fakeRunner{iters: 5, iterErr: map[int]error{1: errBoom}}, cancelAt: -1, wantRan: []int{0, 1},
 			check: func(t *testing.T, res *Result, err error) {
 				var ie *IterError
 				if res != nil || !errors.As(err, &ie) || !errors.Is(err, errBoom) || ie.Iter != 1 || ie.Model != ModelCOP {
@@ -145,7 +137,7 @@ func TestDriveFinishRunExactlyOnce(t *testing.T) {
 			},
 		},
 		{
-			name: "cancellation", runner: fakeRunner{iters: 5}, cancelAt: 1, wantFinishes: 1, wantRan: []int{0, 1},
+			name: "cancellation", runner: fakeRunner{iters: 5}, cancelAt: 1, wantRan: []int{0, 1},
 			check: func(t *testing.T, res *Result, err error) {
 				if res != nil || !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
@@ -154,7 +146,7 @@ func TestDriveFinishRunExactlyOnce(t *testing.T) {
 		},
 		{
 			name: "checkpoint write failure", cfg: Config{CheckpointEvery: 1}, wrap: noAuxWrites,
-			runner: fakeRunner{iters: 5}, cancelAt: -1, wantFinishes: 1, wantRan: []int{0},
+			runner: fakeRunner{iters: 5}, cancelAt: -1, wantRan: []int{0},
 			check: func(t *testing.T, res *Result, err error) {
 				if res != nil || !errors.Is(err, storage.ErrPermanent) {
 					t.Fatalf("err = %v, want the checkpoint's permanent write fault", err)
@@ -162,7 +154,7 @@ func TestDriveFinishRunExactlyOnce(t *testing.T) {
 			},
 		},
 		{
-			name: "StartRun fails", runner: fakeRunner{iters: 5, startErr: errBoom}, cancelAt: -1, wantFinishes: 0,
+			name: "StartRun fails", runner: fakeRunner{iters: 5, startErr: errBoom}, cancelAt: -1,
 			check: func(t *testing.T, res *Result, err error) {
 				if res != nil || !errors.Is(err, errBoom) {
 					t.Fatalf("err = %v, want boom", err)
@@ -184,8 +176,8 @@ func TestDriveFinishRunExactlyOnce(t *testing.T) {
 			r := tc.runner
 			res, err := Drive(ctx, &r, lead, lead.cfg, testBFS{})
 			tc.check(t, res, err)
-			if r.starts != 1 || r.finishes != tc.wantFinishes {
-				t.Fatalf("StartRun ×%d, FinishRun ×%d; want 1 and %d", r.starts, r.finishes, tc.wantFinishes)
+			if r.starts != 1 {
+				t.Fatalf("StartRun ×%d, want 1", r.starts)
 			}
 			if !reflect.DeepEqual(r.ran, tc.wantRan) {
 				t.Fatalf("ran iterations %v, want %v", r.ran, tc.wantRan)
@@ -329,26 +321,11 @@ func TestDriveCancelCheckpointsEachIterationOnce(t *testing.T) {
 	}
 }
 
-// TestDrivePostRunEventsStampLastIteration: ladder transitions FinishRun
-// returns are recorded as happening during the last executed iteration.
-func TestDrivePostRunEventsStampLastIteration(t *testing.T) {
-	lead := leadOn(t, 8, nil, Config{})
-	r := &fakeRunner{iters: 3, final: []resilience.DegradeEvent{{Iter: -1, From: resilience.LevelNoPrefetch, To: resilience.LevelNormal}}}
-	res, err := Drive(context.Background(), r, lead, lead.cfg, testBFS{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []resilience.DegradeEvent{{Iter: 2, From: resilience.LevelNoPrefetch, To: resilience.LevelNormal}}
-	if !reflect.DeepEqual(res.Recovery.DegradeEvents, want) {
-		t.Fatalf("events = %v, want %v", res.Recovery.DegradeEvents, want)
-	}
-}
-
 // TestWithDefaultsIdempotent: the shard coordinator resolves a config and
 // its engines resolve it again; the second pass must not undo the first
 // (a negative RetryJitter — "off" — used to come back as the default).
 func TestWithDefaultsIdempotent(t *testing.T) {
-	once := Config{ReadRetries: 3, RetryJitter: -1, Degrade: true}.WithDefaults()
+	once := Config{ReadRetries: 3, RetryJitter: -1}.WithDefaults()
 	twice := once.WithDefaults()
 	once.OnIteration, twice.OnIteration = nil, nil
 	if !reflect.DeepEqual(once, twice) {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"husgraph/internal/blockstore"
-	"husgraph/internal/resilience"
 	"husgraph/internal/storage"
 )
 
@@ -69,9 +68,6 @@ type IterStats struct {
 	// read attempts that blew Config.ReadDeadline and raced a second
 	// attempt to completion.
 	Hedges int64
-	// DegradeLevel is the degradation-ladder rung the iteration started
-	// on (resilience.LevelNormal when Config.Degrade is off).
-	DegradeLevel resilience.Level
 	// CacheHits, CacheMisses and CacheEvictions count block-cache
 	// activity during this iteration (zero when Config.CacheBudgetBytes
 	// is 0).
@@ -154,10 +150,6 @@ type RecoveryStats struct {
 	// Hedges is the total number of hedged duplicate reads issued across
 	// the run, including those spent loading checkpoints.
 	Hedges int64
-	// DegradeEvents records every degradation-ladder transition of the
-	// run in order, stamped with the iteration it happened during. Empty
-	// unless Config.Degrade is set.
-	DegradeEvents []resilience.DegradeEvent
 }
 
 // Result summarizes a completed run.
@@ -196,18 +188,6 @@ func (r *Result) TotalHedges() int64 {
 		t += it.Hedges
 	}
 	return t
-}
-
-// MaxDegradeLevel returns the deepest ladder rung any iteration started
-// on — LevelNormal for an undegraded run.
-func (r *Result) MaxDegradeLevel() resilience.Level {
-	var m resilience.Level
-	for _, it := range r.Iterations {
-		if it.DegradeLevel > m {
-			m = it.DegradeLevel
-		}
-	}
-	return m
 }
 
 // NumIterations returns the number of iterations executed.

@@ -6,7 +6,6 @@ import (
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/ioplan"
-	"husgraph/internal/resilience"
 	"husgraph/internal/storage"
 )
 
@@ -35,7 +34,6 @@ type Step struct {
 	frontier *bitset.Frontier
 	next     *bitset.Frontier
 	win      *blockstore.Prefetcher
-	copSkip  func(int) bool
 
 	start         time.Time
 	ioBefore      storage.Stats
@@ -48,10 +46,6 @@ type Step struct {
 	maxDelta float64
 	execErr  error
 	ended    bool
-
-	// Events holds the degradation-ladder transitions collected by End,
-	// stamped with this iteration (empty without Config.Degrade).
-	Events []resilience.DegradeEvent
 }
 
 // InitAccumulators prepares the D array for one iteration: monotone
@@ -74,9 +68,8 @@ func InitAccumulators(kind Kind, s, d []float64) {
 }
 
 // StartRun prepares the engine for a sequence of steps: semi-external
-// residency is pinned (charged once) and the degradation breaker's
-// wall-clock ticker starts. Drive calls it; a harness driving BeginIter
-// directly must call it first and pair it with FinishRun.
+// residency is pinned (charged once) and the bucket hint is reset. Drive
+// calls it; a harness driving BeginIter directly must call it first.
 func (e *Engine) StartRun() error {
 	if e.cfg.SemiExternal {
 		if err := e.pinSemResident(); err != nil {
@@ -84,23 +77,11 @@ func (e *Engine) StartRun() error {
 		}
 	}
 	e.bucketed, e.bucketPri, e.bucketPending = false, 0, 0
-	if e.breaker != nil {
-		// The wall-clock ticker ages pressure out even while the engine is
-		// stuck inside one long iteration (e.g. every read hedging).
-		e.breaker.Start()
-	}
 	return nil
 }
 
-// FinishRun stops the breaker and returns any final ladder transitions
-// (nil without Config.Degrade). Call exactly once per StartRun.
-func (e *Engine) FinishRun() []resilience.DegradeEvent {
-	if e.breaker == nil {
-		return nil
-	}
-	e.breaker.Stop()
-	return e.breaker.TakeEvents()
-}
+// FinishRun does nothing; perfbench/trace.go calls it.
+func (e *Engine) FinishRun() {}
 
 // PredictCosts exposes the §3.4 I/O cost prediction over this engine's
 // owned intervals: the modeled cost of running the coming iteration's ROP
@@ -128,7 +109,7 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 	}
 	s.start = time.Now()
 
-	s.st = IterStats{Iter: iter, ActiveVertices: e.ownedActive(frontier), DegradeLevel: e.applyDegradeLevel()}
+	s.st = IterStats{Iter: iter, ActiveVertices: e.ownedActive(frontier)}
 	s.st.ActiveEdges = e.activeOutEdges(frontier)
 	if e.bucketed {
 		s.st.Bucketed = true
@@ -150,8 +131,7 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 			plan = ioplan.ROPKeysFor(e.ds.Layout, e.ds.BlockEdgeCount, frontier, e.ownedOrNil())
 		}
 	} else {
-		s.copSkip = e.copSkipFunc(frontier)
-		plan = ioplan.COPKeysFor(e.ds.Layout, s.copSkip, e.ownedOrNil())
+		plan = ioplan.COPKeysFor(e.ds.Layout, nil, e.ownedOrNil())
 	}
 	s.win = e.sched.Begin(plan)
 	return s
@@ -173,7 +153,7 @@ func (s *Step) Exec(sv, d []float64) error {
 	if s.st.Model == ModelROP {
 		err = s.e.ropAccumulate(s.prog, sv, d, s.frontier, s.next, s.win)
 	} else {
-		md, err = s.e.runCOP(s.prog, sv, d, s.frontier, s.next, s.win, s.copSkip)
+		md, err = s.e.runCOP(s.prog, sv, d, s.frontier, s.next, s.win)
 	}
 	if md > s.maxDelta {
 		s.maxDelta = md
@@ -260,7 +240,7 @@ func (s *Step) End() (IterStats, error) {
 	// bottleneck and compression can only break even.
 	ioSide := st.IOTime
 	cpuSide := st.ComputeModeled
-	if e.cfg.PrefetchDepth > 0 && st.DegradeLevel < resilience.LevelNoPrefetch {
+	if e.cfg.PrefetchDepth > 0 {
 		cpuSide += st.DecodeModeled
 	} else {
 		ioSide += st.DecodeModeled
@@ -276,12 +256,6 @@ func (s *Step) End() (IterStats, error) {
 	if e.cache != nil {
 		delta := e.cache.Stats().Sub(s.cacheBefore)
 		st.CacheHits, st.CacheMisses, st.CacheEvictions = delta.Hits, delta.Misses, delta.Evictions
-	}
-	if e.breaker != nil {
-		for _, ev := range e.breaker.TakeEvents() {
-			ev.Iter = st.Iter
-			s.Events = append(s.Events, ev)
-		}
 	}
 	return s.st, nil
 }

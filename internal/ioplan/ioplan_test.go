@@ -108,22 +108,19 @@ func resultBytes(r *blockstore.PrefetchResult) int64 {
 	return (&blockstore.CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
 }
 
-// TestSchedulerWindows pins what the engine and the degradation ladder rely
-// on from the scheduler: a window delivers every planned key exactly once
-// (in plan order through Next, by key through concurrent Take), an early
-// Finish reports what was read ahead as unused, and the ladder's two
-// switches apply to the next Begin — never to the window already open.
+// TestSchedulerWindows pins what the engine relies on from the scheduler: a
+// window delivers every planned key exactly once (in plan order through
+// Next, by key through concurrent Take), and an early Finish reports what
+// was read ahead as unused.
 func TestSchedulerWindows(t *testing.T) {
 	ds := testStore(t)
 	plan := COPKeys(ds.Layout, nil)
 	last := plan[len(plan)-1]
-	// An inline pass sizes the plan: the bytes each window delivers, and
-	// the device reads the last key costs on its own.
-	var planBytes, lastBytes, lastRead int64
+	// An inline pass sizes the plan: the bytes each window delivers.
+	var planBytes, lastBytes int64
 	sizer := NewScheduler(ds, nil, Options{})
 	w := sizer.Begin(plan)
 	for range plan {
-		before := ds.Device().Stats()
 		res := w.Next()
 		if res.Err != nil {
 			t.Fatal(res.Err)
@@ -131,7 +128,6 @@ func TestSchedulerWindows(t *testing.T) {
 		planBytes += resultBytes(res)
 		if res.Key == last {
 			lastBytes = resultBytes(res)
-			lastRead = ds.Device().Stats().Sub(before).ReadBytes()
 		}
 		res.Release()
 	}
@@ -139,8 +135,7 @@ func TestSchedulerWindows(t *testing.T) {
 
 	// takeLast consumes only the plan's last key. Workers claim in plan
 	// order and Finish waits for every claimed load, so a window with a
-	// worker per key has read the whole plan by then; an inline window has
-	// read nothing else.
+	// worker per key has read the whole plan by then.
 	takeLast := func(t *testing.T, s *Scheduler, w *blockstore.Prefetcher) WindowStats {
 		t.Helper()
 		res := w.Take(last)
@@ -150,9 +145,8 @@ func TestSchedulerWindows(t *testing.T) {
 		res.Release()
 		return s.Finish(w)
 	}
-	// drain consumes the whole plan through Next and returns how many
-	// results came from the cache.
-	drain := func(t *testing.T, s *Scheduler, w *blockstore.Prefetcher) (cached int) {
+	// drain consumes the whole plan through Next.
+	drain := func(t *testing.T, s *Scheduler, w *blockstore.Prefetcher) {
 		t.Helper()
 		for i, key := range plan {
 			res := w.Next()
@@ -162,15 +156,11 @@ func TestSchedulerWindows(t *testing.T) {
 			if res.Key != key {
 				t.Fatalf("key %d = %+v, want plan order %+v", i, res.Key, key)
 			}
-			if res.Cached {
-				cached++
-			}
 			res.Release()
 		}
 		if st := s.Finish(w); st.UnusedBytes != 0 {
 			t.Fatalf("fully consumed window reports %d unused bytes", st.UnusedBytes)
 		}
-		return cached
 	}
 
 	for _, depth := range []int{0, 1, 2, len(plan) + 4} {
@@ -215,46 +205,6 @@ func TestSchedulerWindows(t *testing.T) {
 		s := NewScheduler(ds, nil, Options{Depth: len(plan)})
 		if st := takeLast(t, s, s.Begin(plan)); st.UnusedBytes != planBytes-lastBytes {
 			t.Fatalf("UnusedBytes = %d, want the %d bytes read ahead of the one consumed key", st.UnusedBytes, planBytes-lastBytes)
-		}
-	})
-
-	t.Run("set-depth-applies-at-next-begin", func(t *testing.T) {
-		s := NewScheduler(ds, nil, Options{Depth: len(plan)})
-		open := s.Begin(plan)
-		s.SetDepth(0)
-		if st := takeLast(t, s, open); st.UnusedBytes != planBytes-lastBytes {
-			t.Fatalf("open window lost its read-ahead to SetDepth(0): %d unused bytes, want %d", st.UnusedBytes, planBytes-lastBytes)
-		}
-		before := ds.Device().Stats()
-		if st := takeLast(t, s, s.Begin(plan)); st.UnusedBytes != 0 {
-			t.Fatalf("window opened after SetDepth(0) read ahead: %d unused bytes", st.UnusedBytes)
-		}
-		if read := ds.Device().Stats().Sub(before).ReadBytes(); read != lastRead {
-			t.Fatalf("inline window read %d bytes for one consumed key, want %d", read, lastRead)
-		}
-	})
-
-	t.Run("set-bypass-cache-applies-at-next-begin", func(t *testing.T) {
-		cache := blockstore.NewBlockCacheOpts(1<<20, blockstore.CacheOptions{})
-		s := NewScheduler(ds, cache, Options{Depth: 2})
-		open := s.Begin(plan)
-		s.SetBypassCache(true)
-		if cached := drain(t, s, open); cached != 0 {
-			t.Fatalf("cold cache served %d blocks", cached)
-		}
-		filled := cache.Stats()
-		if filled.Misses != int64(len(plan)) || !cache.Peek(last) {
-			t.Fatalf("open window stopped filling the cache at SetBypassCache(true): %+v", filled)
-		}
-		if cached := drain(t, s, s.Begin(plan)); cached != 0 {
-			t.Fatalf("bypassing window served %d blocks from the cache", cached)
-		}
-		if st := cache.Stats(); st != filled {
-			t.Fatalf("bypassing window touched the cache: %+v, was %+v", st, filled)
-		}
-		s.SetBypassCache(false)
-		if cached := drain(t, s, s.Begin(plan)); cached != len(plan) {
-			t.Fatalf("re-armed window served %d of %d blocks from the cache", cached, len(plan))
 		}
 	})
 }

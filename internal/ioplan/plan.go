@@ -4,11 +4,10 @@
 // The plan constructors (ROPKeys, COPKeys) turn a predictor decision plus a
 // frontier into the iteration's ordered read plan — the out-indices of
 // active rows for ROP, the in-block columns for COP — and the Scheduler
-// opens one blockstore.Prefetcher over that plan per iteration, at the
-// read-ahead depth and cache setting the degradation ladder currently
-// allows. An iteration is a barrier: nothing is read across it. GraphMP's
-// selective scheduling and PartitionedVC's planned sub-block reads both
-// argue for exactly this: one layer that owns the whole I/O plan.
+// opens one blockstore.Prefetcher over that plan per iteration. An
+// iteration is a barrier: nothing is read across it. GraphMP's selective
+// scheduling and PartitionedVC's planned sub-block reads both argue for
+// exactly this: one layer that owns the whole I/O plan.
 package ioplan
 
 import (

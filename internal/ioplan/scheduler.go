@@ -24,14 +24,12 @@ type WindowStats struct {
 }
 
 // Scheduler opens one prefetch window per iteration over that iteration's
-// read plan. It lives for the whole run and holds the two switches the
-// degradation ladder flips between iterations: the read-ahead depth and the
-// cache bypass. All methods run on the engine's goroutine.
+// read plan, at the run's read-ahead depth and over the run's cache. All
+// methods run on the engine's goroutine.
 type Scheduler struct {
-	ds     *blockstore.DualStore
-	cache  *blockstore.BlockCache
-	depth  int
-	bypass bool
+	ds    *blockstore.DualStore
+	cache *blockstore.BlockCache
+	depth int
 }
 
 // NewScheduler creates a scheduler over ds. cache may be nil.
@@ -39,29 +37,14 @@ func NewScheduler(ds *blockstore.DualStore, cache *blockstore.BlockCache, opts O
 	return &Scheduler{ds: ds, cache: cache, depth: opts.Depth}
 }
 
-// SetDepth sets the read-ahead bound of windows opened from now on (the
-// open window keeps its own); <= 0 loads inline. The degradation ladder
-// drops it to zero at LevelNoPrefetch and restores the configured depth on
-// re-arm.
-func (s *Scheduler) SetDepth(d int) { s.depth = d }
-
-// SetBypassCache toggles cache bypass for windows opened from now on: while
-// set they neither consult nor fill the block cache — LevelBypass's
-// synchronous uncached read mode.
-func (s *Scheduler) SetBypassCache(v bool) { s.bypass = v }
-
 // Begin opens the window for one iteration: a prefetch pipeline over plan,
-// the iteration's ordered read plan, at the depth and cache setting in
-// force now. Consume it with Next (plan order, single consumer) or Take (by
-// key, concurrent consumers) and hand it to Finish.
+// the iteration's ordered read plan. Consume it with Next (plan order,
+// single consumer) or Take (by key, concurrent consumers) and hand it to
+// Finish.
 //
 // The second parameter is ignored; perfbench/trace.go passes nil there.
 func (s *Scheduler) Begin(plan []blockstore.BlockKey, _ ...func()) *blockstore.Prefetcher {
-	cache := s.cache
-	if s.bypass {
-		cache = nil
-	}
-	return s.ds.NewPrefetcher(plan, s.depth, cache)
+	return s.ds.NewPrefetcher(plan, s.depth, s.cache)
 }
 
 // Finish closes the window — every device charge of its pipeline has landed

@@ -1,11 +1,11 @@
 // Package leaktest fails a package's tests when they leave goroutines
 // running. Every goroutine the engine starts either belongs to a value
-// whose Close/Stop/Finish waits for it — prefetch workers, hedged reads, the
-// breaker ticker — or is joined by the call that started it — row and
-// column workers, a shard's phase of an iteration — so once a package's
-// tests are done the goroutine count must return to where it started. No
-// static check stands behind this one: a goroutine with no join or quit
-// path is caught here, by the tests that start it, or not at all.
+// whose Close/Finish waits for it — prefetch workers, hedged reads — or is
+// joined by the call that started it — row and column workers, a shard's
+// phase of an iteration — so once a package's tests are done the goroutine
+// count must return to where it started. No static check stands behind this
+// one: a goroutine with no join or quit path is caught here, by the tests
+// that start it, or not at all.
 package leaktest
 
 import (

@@ -25,7 +25,6 @@ import (
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/core"
-	"husgraph/internal/resilience"
 	"husgraph/internal/storage"
 )
 
@@ -172,28 +171,14 @@ func (c *Coordinator) RunContext(ctx context.Context, prog core.Program) (*core.
 	return core.Drive(ctx, c, c.workers[0].eng, c.cfg, prog)
 }
 
-// StartRun implements core.Runner. A shard that fails to start leaves none
-// started.
+// StartRun implements core.Runner.
 func (c *Coordinator) StartRun() error {
-	for started, w := range c.workers {
+	for _, w := range c.workers {
 		if err := w.eng.StartRun(); err != nil {
-			for _, prev := range c.workers[:started] {
-				prev.eng.FinishRun()
-			}
 			return err
 		}
 	}
 	return nil
-}
-
-// FinishRun implements core.Runner: every shard's final ladder transitions,
-// in shard order.
-func (c *Coordinator) FinishRun() []resilience.DegradeEvent {
-	var events []resilience.DegradeEvent
-	for _, w := range c.workers {
-		events = append(events, w.eng.FinishRun()...)
-	}
-	return events
 }
 
 // SetBucketHint implements core.Runner. Priority programs route through
@@ -229,7 +214,7 @@ func (c *Coordinator) Totals() core.RunTotals {
 // state and run at once; the pieces are merged and the K reports combined.
 // A started iteration always runs every phase on every shard, so no window
 // is left open whichever shard failed.
-func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Frontier, s, d []float64) (*bitset.Frontier, core.IterStats, []resilience.DegradeEvent, error) {
+func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Frontier, s, d []float64) (*bitset.Frontier, core.IterStats, error) {
 	if c.k == 1 {
 		return c.workers[0].eng.RunIter(prog, iter, frontier, s, d)
 	}
@@ -254,16 +239,14 @@ func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Fron
 	})
 	for i, err := range c.errs { // deterministic: the lowest erring shard wins
 		if err != nil {
-			return nil, c.stats[i], nil, err
+			return nil, c.stats[i], err
 		}
 	}
 
 	next := bitset.NewFrontier(n)
-	var events []resilience.DegradeEvent
 	for i, p := range c.pieces {
 		c.counts[i] = p.Count()
 		next.MergeAtomic(p)
-		events = append(events, c.steps[i].Events...)
 	}
 	next.Reindex()
 	st := c.combine(iter, frontier, header, next.Count())
@@ -274,7 +257,7 @@ func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Fron
 	st.DecodedBytes = decDelta.DecodedBytes()
 	st.CompressedBytes = decDelta.CompressedBytes
 	st.DecodeModeled = core.ModeledDecodeTime(decDelta.VarintBytes, decDelta.RLEBytes, c.cfg.Threads)
-	return next, st, events, nil
+	return next, st, nil
 }
 
 // each runs fn for every shard and returns once all have: shard 0 on the
@@ -365,9 +348,6 @@ func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.I
 		}
 		if ss.MaxDelta > st.MaxDelta {
 			st.MaxDelta = ss.MaxDelta
-		}
-		if ss.DegradeLevel > st.DegradeLevel {
-			st.DegradeLevel = ss.DegradeLevel
 		}
 		st.CacheHits += ss.CacheHits
 		st.CacheMisses += ss.CacheMisses
