@@ -140,10 +140,14 @@ func run() error {
 }
 
 // buildSummary formats the dual-block build report: block population,
-// bytes written, and the per-interval logical-vs-stored compression
-// ratio. Interval i covers its out-row (ob/i.*, oi/i.*) and in-column
-// (ib/*.i, ii/*.i), so every block and index is counted exactly once.
-// Raw stores report ratio 1.00 throughout.
+// bytes written, the per-interval logical-vs-stored compression ratio, and
+// what the in-indices hold. Interval i covers its out-row (ob/i.*, oi/i.*)
+// and in-column (ib/*.i, ii/*.i), so every block and index is counted
+// exactly once. Logical bytes are the fixed-width form of everything: 4 or
+// 8 bytes a record, 4 an out-index offset, 8 an in-index entry — so raw
+// stores report ratio 1.00 throughout. In-block occupancy is the share of
+// (destination, in-block) pairs with an edge, which is what an in-index
+// stores an entry for.
 func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 	l := ds.Layout
 	step := int64(blockstore.RawRecordBytes(ds.Weighted))
@@ -159,7 +163,7 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 	fmt.Fprintf(&b, "build summary: %d blocks (%d nonempty), %d blobs, %d bytes written\n",
 		2*l.P*l.P, nonempty, blobs, written)
 	fmt.Fprintf(&b, "  %-8s %10s %12s %12s %7s\n", "interval", "edges", "logical B", "stored B", "ratio")
-	var totLogical, totStored, totEdges int64
+	var totLogical, totStored, totEdges, inEntries, inIdxStored int64
 	for i := 0; i < l.P; i++ {
 		var logical, stored, edges int64
 		idxRaw := int64(l.Size(i)+1) * blockstore.IndexEntryBytes
@@ -167,8 +171,10 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 			edges += ds.BlockEdgeCount[i][j]
 			logical += ds.BlockEdgeCount[i][j]*step + idxRaw
 			stored += ds.OutBlockBytes[i][j] + ds.OutIndexBytes(i, j)
-			logical += ds.BlockEdgeCount[j][i]*step + idxRaw
+			logical += ds.BlockEdgeCount[j][i]*step + ds.InIndexEntries[j][i]*blockstore.InIndexEntryBytes
 			stored += ds.InBlockBytes[j][i] + ds.InIndexBytes(j, i)
+			inEntries += ds.InIndexEntries[j][i]
+			inIdxStored += ds.InIndexBytes(j, i)
 		}
 		fmt.Fprintf(&b, "  %-8d %10d %12d %12d %6.2fx\n", i, edges, logical, stored, ratio(logical, stored))
 		totLogical += logical
@@ -176,6 +182,8 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 		totEdges += edges
 	}
 	fmt.Fprintf(&b, "  %-8s %10d %12d %12d %6.2fx\n", "total", totEdges, totLogical, totStored, ratio(totLogical, totStored))
+	fmt.Fprintf(&b, "  in-indices: %d entries in %d bytes, mean in-block occupancy %.1f%%\n",
+		inEntries, inIdxStored, 100*float64(inEntries)/float64(max(l.P*l.NumVertices, 1)))
 	return b.String()
 }
 

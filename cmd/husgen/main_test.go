@@ -48,13 +48,14 @@ func buildFor(t *testing.T, format blockstore.Format) (*blockstore.DualStore, in
 func TestBuildSummaryGolden(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatMixed)
 	got := buildSummary(ds, blobs, written)
-	want := `build summary: 32 blocks (18 nonempty), 65 blobs, 2882 bytes written
+	want := `build summary: 32 blocks (18 nonempty), 65 blobs, 2950 bytes written
   interval      edges    logical B     stored B   ratio
-  0                23          552          237   2.33x
-  1                 8          448          172   2.60x
-  2                 8          448          172   2.60x
-  3                 7          440          167   2.63x
-  total            46         1888          748   2.52x
+  0                23          464          215   2.16x
+  1                 8          392          158   2.48x
+  2                 8          400          160   2.50x
+  3                 7          392          155   2.53x
+  total            46         1648          688   2.40x
+  in-indices: 42 entries in 84 bytes, mean in-block occupancy 32.8%
 `
 	if got != want {
 		t.Errorf("mixed summary drifted:\ngot:\n%s\nwant:\n%s", got, want)
@@ -62,11 +63,16 @@ func TestBuildSummaryGolden(t *testing.T) {
 }
 
 // TestBuildSummaryRawRatioIsOne checks the raw-format report prices
-// logical == stored (ratio 1.00) on every interval line.
+// logical == stored (ratio 1.00) on every interval line — in-indices
+// included: their logical size is their entries', not the intervals'.
 func TestBuildSummaryRawRatioIsOne(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatRaw)
 	got := buildSummary(ds, blobs, written)
-	for _, line := range strings.Split(strings.TrimRight(got, "\n"), "\n")[2:] {
+	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
+	if last := lines[len(lines)-1]; !strings.Contains(last, "in-indices: 42 entries in 336 bytes") {
+		t.Fatalf("raw summary ends %q, want the in-index line at 8 bytes an entry:\n%s", last, got)
+	}
+	for _, line := range lines[2 : len(lines)-1] {
 		if !strings.HasSuffix(line, " 1.00x") {
 			t.Fatalf("raw summary line %q not at ratio 1.00:\n%s", line, got)
 		}

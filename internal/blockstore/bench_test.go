@@ -73,33 +73,66 @@ func BenchmarkDecodeInBlock(b *testing.B) {
 	for _, c := range []Codec{CodecVarint, CodecRLE} {
 		b.Run(c.String(), func(b *testing.B) {
 			var payload []byte
-			idx := make([]uint32, 0, len(perVertex)+1)
+			var entries []uint32
 			pos := 0
-			for _, cnt := range perVertex {
-				idx = append(idx, uint32(len(payload)))
+			for k, cnt := range perVertex {
+				if cnt == 0 {
+					continue
+				}
 				payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, false, nil)
+				entries = append(entries, uint32(k), uint32(len(payload)))
 				pos += int(cnt)
 			}
-			idx = append(idx, uint32(len(payload)))
 			dst := make([]byte, 0, len(recs)*RawRecordBytes(false))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out := dst[:0]
-				for k := 0; k+1 < len(idx); k++ {
-					if idx[k] == idx[k+1] {
-						continue
-					}
+				for e, lo := 0, uint32(0); e < len(entries); e += 2 {
+					hi := entries[e+1]
 					var err error
-					if out, err = appendSection(out, payload[idx[k]:idx[k+1]], c, false); err != nil {
+					if out, err = appendSection(out, payload[lo:hi], c, false); err != nil {
 						b.Fatal(err)
 					}
+					lo = hi
 				}
 				if len(out) != cap(dst) {
 					b.Fatalf("decoded %d bytes, want %d", len(out), cap(dst))
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cap(dst)), "ns/decoded-byte")
+		})
+	}
+}
+
+// BenchmarkInBlockSweep is what one COP iteration asks of the loader on the
+// measured benchmark's graph shape (perfbench: Chung–Lu α 2.2, 2¹⁸ vertices,
+// P = 16, unweighted): all P² in-blocks — read, verify, decode and validate
+// the in-index, decode the listed sections of a compressed block — through
+// one Scratch, off a MemStore. ms/sweep is the number to compare; the parent
+// of the sparse in-index read 11.3 (raw) and 60–67 (mixed) here.
+func BenchmarkInBlockSweep(b *testing.B) {
+	const n, p = 1 << 18, 16
+	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
+	for _, format := range []Format{FormatRaw, FormatMixed} {
+		b.Run(format.String(), func(b *testing.B) {
+			ds, err := BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, Options{P: p, Format: format})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc := &Scratch{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < p; j++ {
+					for i := 0; i < p; i++ {
+						if _, _, err := ds.LoadInBlockBytesScratch(i, j, sc); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/sweep")
 		})
 	}
 }

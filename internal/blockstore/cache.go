@@ -34,7 +34,7 @@ type BlockKind uint8
 
 const (
 	// KindInBlock is the fully-loaded in-block(i,j): its packed raw
-	// records plus the per-destination byte index into them.
+	// records plus the in-index entries into them.
 	KindInBlock BlockKind = iota
 	// KindOutIndex is the decoded out-index(i,j): per-source byte offsets
 	// into out-block(i,j).
@@ -69,8 +69,10 @@ type BlockKey struct {
 // engine's hot paths consume are retained:
 //
 //   - KindInBlock: Payload (packed raw records, decoded if the block is
-//     stored compressed) + ByteIdx (per-destination byte offsets into
-//     Payload) — the zero-copy RawRec iteration view.
+//     stored compressed) + ByteIdx (the in-index: a (local destination,
+//     end byte offset in Payload) pair per destination with records, as
+//     LoadInBlockBytesScratch returns it) — the zero-copy RawRec
+//     iteration view.
 //   - KindOutIndex: ByteIdx — the decoded per-source offset index.
 //   - KindOutBlock: Payload — the *stored* out-block bytes runs slice
 //     into; sections of a compressed block are decoded on touch.

@@ -20,6 +20,27 @@ func TestCachedBlockBytes(t *testing.T) {
 	if got := b.Bytes(); got != 10+3*4 {
 		t.Fatalf("Bytes = %d", got)
 	}
+	// A cached in-block is charged its decoded records plus 8 bytes per
+	// destination that has one — the paper example's in-block (0,0) holds
+	// 8 edges into 5 destinations — whatever the interval's size.
+	for _, format := range []Format{FormatRaw, FormatMixed} {
+		ds := prefetchStore(t, format)
+		cache := lruCache(1 << 20)
+		pf := ds.NewPrefetcher([]BlockKey{inKey(0, 0)}, 0, cache)
+		res := pf.Next()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		res.Release()
+		pf.Close()
+		blk, ok := cache.Get(inKey(0, 0))
+		if !ok {
+			t.Fatalf("%v: loaded in-block not cached", format)
+		}
+		if got, want := blk.Bytes(), int64(8*EdgeBytes+5*InIndexEntryBytes); got != want || ds.InIndexEntries[0][0] != 5 {
+			t.Fatalf("%v: cached in-block charged %d bytes for %d entries, want %d for 5", format, got, ds.InIndexEntries[0][0], want)
+		}
+	}
 }
 
 func TestCacheHoldsExactlyTheBudget(t *testing.T) {

@@ -120,6 +120,104 @@ func decodeIndexCodecInto(idx []uint32, buf []byte, c Codec) ([]uint32, error) {
 	}
 }
 
+// The offset indices above are out-indices: ROP looks a source up in O(1).
+// The in-index (DESIGN.md §4m) is one entry per destination that has a
+// record in the block, ascending — (local destination, end byte offset of
+// its section in the stored payload), a section starting where the previous
+// one ends. COP walks every listed destination and never looks one up, so
+// nothing is stored for the destinations a block has no edge for: most of
+// them, once P intervals split every destination's in-edges P ways.
+// In memory an index is a flat []uint32, two words per entry.
+
+// InIndexEntryBytes is one in-index entry in its fixed-width form.
+const InIndexEntryBytes = 2 * IndexEntryBytes
+
+// encodeInIndex serializes in-index entries. CodecNone is the fixed-width
+// form, two little-endian uint32 per entry; CodecVarint stores per entry
+// uvarint(local − previous local), the previous of the first being −1, and
+// uvarint(section byte length).
+func encodeInIndex(entries []uint32, c Codec) []byte {
+	if c == CodecNone {
+		return encodeIndex(entries)
+	}
+	buf := make([]byte, 0, len(entries)*2)
+	prevLocal, prevEnd := int64(-1), uint32(0)
+	for e := 0; e+1 < len(entries); e += 2 {
+		buf = binary.AppendUvarint(buf, uint64(int64(entries[e])-prevLocal))
+		buf = binary.AppendUvarint(buf, uint64(entries[e+1]-prevEnd))
+		prevLocal, prevEnd = int64(entries[e]), entries[e+1]
+	}
+	return buf
+}
+
+// decodeInIndex parses an in-index stored with codec c into dst, reusing its
+// capacity, and validates it against what the kernels will do with it: an
+// entry's local indexes the size accumulators of the destination interval
+// and its end bounds reads of the payloadLen stored payload bytes. So locals
+// are strictly ascending and below size; ends are strictly ascending (no
+// entry without a record), multiples of step — the record size when the
+// payload is stored raw, 1 when its sections are compressed; a power of two
+// either way — and the last is payloadLen exactly, zero entries going with
+// an empty payload. Anything else is a storage.ErrCorrupt-class error naming
+// the entry.
+func decodeInIndex(dst []uint32, buf []byte, c Codec, size, payloadLen, step int) ([]uint32, error) {
+	dst = dst[:0]
+	// nextLocal is the smallest destination the next entry may name, prevEnd
+	// where its section starts.
+	var nextLocal, prevEnd uint64
+	bad := func(local, end uint64) bool {
+		return local < nextLocal || local >= uint64(size) ||
+			end <= prevEnd || end > uint64(payloadLen) || end&uint64(step-1) != 0
+	}
+	fail := func(local, end uint64) ([]uint32, error) {
+		return nil, fmt.Errorf("in-index entry %d = (destination %d, section end %d) after (%d, %d), for an interval of %d and %d payload bytes cut at multiples of %d: %w",
+			len(dst)/2, local, end, int64(nextLocal)-1, prevEnd, size, payloadLen, step, storage.ErrCorrupt)
+	}
+	switch c {
+	case CodecNone:
+		if len(buf)%InIndexEntryBytes != 0 {
+			return nil, fmt.Errorf("in-index of %d bytes is not whole %d-byte entries: %w", len(buf), InIndexEntryBytes, storage.ErrCorrupt)
+		}
+		if n := len(buf) / IndexEntryBytes; cap(dst) < n {
+			dst = make([]uint32, 0, n)
+		}
+		for off := 0; off < len(buf); off += InIndexEntryBytes {
+			local, end := binary.LittleEndian.Uint32(buf[off:]), binary.LittleEndian.Uint32(buf[off+4:])
+			if bad(uint64(local), uint64(end)) {
+				return fail(uint64(local), uint64(end))
+			}
+			dst = append(dst, local, end)
+			nextLocal, prevEnd = uint64(local)+1, uint64(end)
+		}
+	case CodecVarint:
+		for off := 0; off < len(buf); {
+			gap, n := binary.Uvarint(buf[off:])
+			length, m := binary.Uvarint(buf[off+max(n, 0):]) // n ≤ 0: a bad gap, reported next
+			if n <= 0 || m <= 0 {
+				return nil, fmt.Errorf("in-index entry %d: truncated or overlong varint at offset %d: %w", len(dst)/2, off, storage.ErrCorrupt)
+			}
+			off += n + m
+			// A zero gap repeats the previous destination; and bounding both
+			// before the sums keeps them from wrapping.
+			if gap == 0 || gap > uint64(size) || length > uint64(payloadLen) {
+				return nil, fmt.Errorf("in-index entry %d: gap %d, section length %d for an interval of %d and %d payload bytes: %w", len(dst)/2, gap, length, size, payloadLen, storage.ErrCorrupt)
+			}
+			local, end := nextLocal+gap-1, prevEnd+length
+			if bad(local, end) {
+				return fail(local, end)
+			}
+			dst = append(dst, uint32(local), uint32(end))
+			nextLocal, prevEnd = local+1, end
+		}
+	default:
+		return nil, fmt.Errorf("in-index stored with codec %v: %w", c, storage.ErrCorrupt)
+	}
+	if prevEnd != uint64(payloadLen) {
+		return nil, fmt.Errorf("in-index covers %d of the %d payload bytes: %w", prevEnd, payloadLen, storage.ErrCorrupt)
+	}
+	return dst, nil
+}
+
 // Blob names. Block (i,j) always means "edges from interval i to interval
 // j"; the out-block is indexed by source (resident in i's out-shard), the
 // in-block by destination (resident in j's in-shard).
@@ -174,17 +272,27 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 	return blobNameFuncs[k](i, j)
 }
 
+// metaMagic marks the meta layout below. metaMagicDense marked the one
+// before it, whose stores carry a dense in-index of Size(j)+1 offsets per
+// block: Open refuses them (errDenseInIndex) rather than read offsets as
+// entries.
+const (
+	metaMagic      = "HUSC"
+	metaMagicDense = "HUSB"
+)
+
 // encodeMeta serializes the DualStore metadata: layout, format, per-vertex
-// degrees, per-block edge counts and per-block byte sizes, so a store
-// written by Build can be reopened. FormatMixed stores append the per-block
-// codec grids and the stored (compressed) index sizes — the predictor needs
-// real stored sizes, not the analytic (Size+1)*4, to price index I/O.
+// degrees, per-block edge counts and stored payload sizes, and per in-block
+// the entry count and stored size of its in-index, so a store written by
+// Build can be reopened. FormatMixed stores append the per-block codec grids
+// and the stored (compressed) out-index sizes — the predictor prices index
+// I/O from stored sizes.
 func encodeMeta(d *DualStore) []byte {
 	p := d.Layout.P
 	n := d.Layout.NumVertices
-	size := 4 + 8 + 8 + 8 + 8 + n*8 + 3*p*p*8
+	size := 4 + 8 + 8 + 8 + 8 + n*8 + 5*p*p*8
 	if d.Format == FormatMixed {
-		size += 2*p*p + 2*p*p*8
+		size += 2*p*p + p*p*8
 	}
 	buf := make([]byte, 0, size)
 	var scratch [8]byte
@@ -196,7 +304,7 @@ func encodeMeta(d *DualStore) []byte {
 		binary.LittleEndian.PutUint64(scratch[:8], v)
 		buf = append(buf, scratch[:8]...)
 	}
-	buf = append(buf, "HUSB"...)
+	buf = append(buf, metaMagic...)
 	put64(uint64(n))
 	put64(uint64(p))
 	put64(uint64(d.Format))
@@ -209,13 +317,16 @@ func encodeMeta(d *DualStore) []byte {
 		put32(uint32(d.OutDegrees[v]))
 		put32(uint32(d.InDegrees[v]))
 	}
-	for _, m := range [][][]int64{d.BlockEdgeCount, d.OutBlockBytes, d.InBlockBytes} {
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				put64(uint64(m[i][j]))
+	put2D := func(grids ...[][]int64) {
+		for _, m := range grids {
+			for i := 0; i < p; i++ {
+				for j := 0; j < p; j++ {
+					put64(uint64(m[i][j]))
+				}
 			}
 		}
 	}
+	put2D(d.BlockEdgeCount, d.OutBlockBytes, d.InBlockBytes, d.InIndexEntries, d.InIndexStoredBytes)
 	if d.Format == FormatMixed {
 		for _, m := range [][][]Codec{d.OutCodecs, d.InCodecs} {
 			for i := 0; i < p; i++ {
@@ -224,13 +335,7 @@ func encodeMeta(d *DualStore) []byte {
 				}
 			}
 		}
-		for _, m := range [][][]int64{d.OutIndexStoredBytes, d.InIndexStoredBytes} {
-			for i := 0; i < p; i++ {
-				for j := 0; j < p; j++ {
-					put64(uint64(m[i][j]))
-				}
-			}
-		}
+		put2D(d.OutIndexStoredBytes)
 	}
 	return buf
 }
@@ -241,7 +346,10 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	fail := func(msg string) (*DualStore, error) {
 		return nil, fmt.Errorf("blockstore: bad meta: %s", msg)
 	}
-	if len(buf) < 36 || string(buf[:4]) != "HUSB" {
+	if len(buf) >= 4 && string(buf[:4]) == metaMagicDense {
+		return nil, fmt.Errorf("blockstore: bad meta: %w: %w", errDenseInIndex, storage.ErrCorrupt)
+	}
+	if len(buf) < 36 || string(buf[:4]) != metaMagic {
 		return fail("magic")
 	}
 	n := int(binary.LittleEndian.Uint64(buf[4:]))
@@ -253,16 +361,13 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	if format != FormatRaw && format != FormatMixed {
 		return fail(fmt.Sprintf("unknown format %d", format))
 	}
-	if len(buf) < 36 {
-		return fail("truncated header")
-	}
 	weighted := binary.LittleEndian.Uint64(buf[28:])
 	if weighted > 1 {
 		return fail(fmt.Sprintf("bad weighted flag %d", weighted))
 	}
-	want := 36 + n*8 + 3*p*p*8
+	want := 36 + n*8 + 5*p*p*8
 	if format == FormatMixed {
-		want += 2*p*p + 2*p*p*8
+		want += 2*p*p + p*p*8
 	}
 	if len(buf) != want {
 		return fail(fmt.Sprintf("length %d, want %d", len(buf), want))
@@ -290,6 +395,8 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	d.BlockEdgeCount = read2D()
 	d.OutBlockBytes = read2D()
 	d.InBlockBytes = read2D()
+	d.InIndexEntries = read2D()
+	d.InIndexStoredBytes = read2D()
 	if format == FormatMixed {
 		readCodecs := func() ([][]Codec, error) {
 			m := make([][]Codec, p)
@@ -314,7 +421,6 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 			return nil, err
 		}
 		d.OutIndexStoredBytes = read2D()
-		d.InIndexStoredBytes = read2D()
 	}
 	return d, nil
 }

@@ -110,14 +110,19 @@ type DualStore struct {
 	// prices).
 	OutBlockBytes [][]int64
 	InBlockBytes  [][]int64
+	// InIndexEntries[i][j] is the number of destinations of interval j with
+	// an edge in in-block(i,j) — the entries of its in-index — and
+	// InIndexStoredBytes[i][j] that index's stored size: 8 bytes an entry
+	// on a FormatRaw store, often less on a FormatMixed one.
+	InIndexEntries     [][]int64
+	InIndexStoredBytes [][]int64
 	// OutCodecs/InCodecs are the per-block codec grids of a FormatMixed
 	// store (nil otherwise) — Build picks the smallest encoding per block.
-	// OutIndexStoredBytes/InIndexStoredBytes are the stored sizes of the
-	// (possibly varint-compressed) block indices of a FormatMixed store.
+	// OutIndexStoredBytes holds the stored sizes of its (possibly
+	// varint-compressed) out-indices.
 	OutCodecs           [][]Codec
 	InCodecs            [][]Codec
 	OutIndexStoredBytes [][]int64
-	InIndexStoredBytes  [][]int64
 	// names is the blob-name grid the read paths index (see blobNames).
 	names *blobNames
 	// dec aggregates decode-side accounting (section/index decodes, codec
@@ -266,11 +271,12 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 	d.BlockEdgeCount = alloc2D(p)
 	d.OutBlockBytes = alloc2D(p)
 	d.InBlockBytes = alloc2D(p)
+	d.InIndexEntries = alloc2D(p)
+	d.InIndexStoredBytes = alloc2D(p)
 	if format == FormatMixed {
 		d.OutCodecs = allocCodec2D(p)
 		d.InCodecs = allocCodec2D(p)
 		d.OutIndexStoredBytes = alloc2D(p)
-		d.InIndexStoredBytes = alloc2D(p)
 	}
 	for _, e := range g.Edges {
 		d.OutDegrees[e.Src]++
@@ -315,12 +321,12 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 	// the stored payload. FormatMixed picks the smallest codec per block.
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			payload, idx, c := encodeBlockPayload(outRecs[i][j], outPerVertex[i][j], format, d.Weighted)
+			payload, idx, c := encodeBlockPayload(outRecs[i][j], outPerVertex[i][j], format, d.Weighted, false)
 			d.OutBlockBytes[i][j] = int64(len(payload))
 			if err := d.putBlobCodec(outBlockName(i, j), payload, c); err != nil {
 				return nil, err
 			}
-			idxPayload, idxCodec := encodeBlockIndex(idx, format)
+			idxPayload, idxCodec := encodeBlockIndex(idx, format, encodeIndexCodec)
 			if err := d.putBlobCodec(outIndexName(i, j), idxPayload, idxCodec); err != nil {
 				return nil, err
 			}
@@ -328,18 +334,8 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 				d.OutCodecs[i][j] = c
 				d.OutIndexStoredBytes[i][j] = int64(len(idxPayload))
 			}
-			payload, idx, c = encodeBlockPayload(inRecs[i][j], inPerVertex[i][j], format, d.Weighted)
-			d.InBlockBytes[i][j] = int64(len(payload))
-			if err := d.putBlobCodec(inBlockName(i, j), payload, c); err != nil {
+			if err := d.putInBlock(i, j, inRecs[i][j], inPerVertex[i][j]); err != nil {
 				return nil, err
-			}
-			idxPayload, idxCodec = encodeBlockIndex(idx, format)
-			if err := d.putBlobCodec(inIndexName(i, j), idxPayload, idxCodec); err != nil {
-				return nil, err
-			}
-			if format == FormatMixed {
-				d.InCodecs[i][j] = c
-				d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
 			}
 		}
 	}
@@ -349,24 +345,55 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 	return d, nil
 }
 
+// putInBlock encodes and writes in-block(i,j) and its in-index from the
+// block's records in (destination, source) order and its per-destination
+// record counts, and records what the meta blob keeps of them. Both builders
+// end here, so they store the same bytes.
+func (d *DualStore) putInBlock(i, j int, recs []Rec, perVertex []uint32) error {
+	payload, entries, c := encodeBlockPayload(recs, perVertex, d.Format, d.Weighted, true)
+	d.InBlockBytes[i][j] = int64(len(payload))
+	if err := d.putBlobCodec(inBlockName(i, j), payload, c); err != nil {
+		return err
+	}
+	idxPayload, idxCodec := encodeBlockIndex(entries, d.Format, encodeInIndex)
+	d.InIndexEntries[i][j] = int64(len(entries) / 2)
+	d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
+	if d.Format == FormatMixed {
+		d.InCodecs[i][j] = c
+	}
+	return d.putBlobCodec(inIndexName(i, j), idxPayload, idxCodec)
+}
+
 // encodeBlockPayload encodes one block's per-vertex sections, returning the
-// stored payload, the byte-offset index into it, and the codec used:
-// CodecNone for FormatRaw; FormatMixed encodes the block under every codec
-// and keeps the smallest, falling back to CodecNone unless a compressed
-// encoding is strictly smaller (compression must pay for its decode cost
-// with real byte savings).
-func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted bool) ([]byte, []uint32, Codec) {
+// stored payload, the index into it, and the codec used: CodecNone for
+// FormatRaw; FormatMixed encodes the block under every codec and keeps the
+// smallest, falling back to CodecNone unless a compressed encoding is
+// strictly smaller (compression must pay for its decode cost with real byte
+// savings). The index is an out-block's len(perVertex)+1 byte offsets, or
+// with entries set an in-block's (local, end offset) pair per vertex that
+// has a record — written in the one pass over the counts either way.
+func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted, entries bool) ([]byte, []uint32, Codec) {
 	encode := func(c Codec) ([]byte, []uint32) {
-		idx := make([]uint32, len(perVertex)+1)
+		idx := make([]uint32, 0, len(perVertex)+1)
 		var payload []byte
 		var rleScratch []byte
 		pos := 0
 		for k, cnt := range perVertex {
-			idx[k] = uint32(len(payload))
+			if !entries {
+				idx = append(idx, uint32(len(payload)))
+			}
+			if cnt == 0 {
+				continue
+			}
 			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, weighted, &rleScratch)
 			pos += int(cnt)
+			if entries {
+				idx = append(idx, uint32(k), uint32(len(payload)))
+			}
 		}
-		idx[len(perVertex)] = uint32(len(payload))
+		if !entries {
+			idx = append(idx, uint32(len(payload)))
+		}
 		return payload, idx
 	}
 	bestPayload, bestIdx := encode(CodecNone)
@@ -383,15 +410,16 @@ func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted 
 	return bestPayload, bestIdx, best
 }
 
-// encodeBlockIndex encodes a block's byte-offset index. FormatMixed stores
-// compress the monotone offsets with varint deltas when that is strictly
-// smaller; FormatRaw keeps the fixed 4-byte layout.
-func encodeBlockIndex(idx []uint32, format Format) ([]byte, Codec) {
-	raw := encodeIndexCodec(idx, CodecNone)
+// encodeBlockIndex encodes a block's index with encode — encodeIndexCodec
+// for an out-index, encodeInIndex for an in-index. FormatMixed stores keep
+// the varint form when that is strictly smaller; FormatRaw keeps the fixed
+// 4-byte words.
+func encodeBlockIndex(idx []uint32, format Format, encode func([]uint32, Codec) []byte) ([]byte, Codec) {
+	raw := encode(idx, CodecNone)
 	if format != FormatMixed {
 		return raw, CodecNone
 	}
-	v := encodeIndexCodec(idx, CodecVarint)
+	v := encode(idx, CodecVarint)
 	if len(v) < len(raw) {
 		return v, CodecVarint
 	}
@@ -417,8 +445,9 @@ func allocCodec2D(p int) [][]Codec {
 // Open's refusals of stores older builds wrote. The message is the way out;
 // callers that need to tell them apart match the value.
 var (
-	errUnframed  = errors.New("not a framed HUS store — rebuild it with husgen")
-	errFormatOne = errors.New("format 1 (uniform varint) is no longer read — rebuild the store with -format mixed")
+	errUnframed     = errors.New("not a framed HUS store — rebuild it with husgen")
+	errFormatOne    = errors.New("format 1 (uniform varint) is no longer read — rebuild the store with -format mixed")
+	errDenseInIndex = errors.New("the store's in-indices hold an offset per destination, not an entry per destination with edges — rebuild it with husgen")
 )
 
 // Open attaches to a dual-block store previously written by Build. Every
@@ -694,10 +723,9 @@ type Scratch struct {
 	raw    []byte
 	idxRaw []byte
 	idx    []uint32
-	// dec holds what a compressed block or section decodes into — packed
-	// raw records — and decIdx the decoded block's byte index into it.
-	dec    []byte
-	decIdx []uint32
+	// dec holds what a compressed block or section decodes into: packed
+	// raw records.
+	dec []byte
 }
 
 // scratchPool recycles Scratch buffers across loads, package-wide: the
@@ -800,20 +828,23 @@ func (d *DualStore) DecodeSectionScratch(section []byte, c Codec, sc *Scratch) (
 // LoadInBlockBytesScratch streams in-block(i,j) with its index, charged as
 // sequential reads — COP's block scan (Alg. 3 line 5) — and returns it in
 // the one shape compute consumes: payload holds the block's packed raw
-// records (RawRecordBytes each, iterated in place via RawRec) and
-// idx[k]..idx[k+1] delimits, in bytes, those of the interval's k-th
-// destination. A stored-raw block (all of FormatRaw; per-block in
-// FormatMixed) is handed over as read; a compressed one is decoded section
-// by section into exactly the bytes its CodecNone twin stores. Both views
-// alias sc's buffers.
+// records (RawRecordBytes each, iterated in place via RawRec) and entries
+// one (local destination, end byte offset of its records in payload) pair
+// per destination of the interval that has any, ascending, each section
+// starting where the previous one ends. A stored-raw block (all of
+// FormatRaw; per-block in FormatMixed) is handed over as read; of a
+// compressed one exactly the listed sections are decoded, into the bytes its
+// CodecNone twin stores. Both views alias sc's buffers.
 //
-// The frame's codec tag must agree with the meta grid and the index with the
-// payload — a mismatch means one of them lied (or the blobs come from two
-// builds) and is reported as corruption.
+// The kernels index accumulators and payload by the entries unchecked, so
+// every rule they rely on is checked here (decodeInIndex), in the pass that
+// decodes them; and the frame's codec tag must agree with the meta grid. A
+// violation means a blob lied (or the blobs come from two builds) and is
+// reported as corruption.
 func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
-	name := d.names.name(blobInBlock, i, j)
+	name, idxName := d.names.name(blobInBlock, i, j), d.names.name(blobInIndex, i, j)
 	c := d.InCodec(i, j)
-	byteIdx, err := d.loadIndexScratch(d.names.name(blobInIndex, i, j), d.Layout.Size(j)+1, sc)
+	idxBuf, idxCodec, err := d.readBlobTagged(idxName, &sc.idxRaw)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -824,43 +855,42 @@ func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []ui
 	if tag != c {
 		return nil, nil, fmt.Errorf("blockstore: %s: frame codec %v disagrees with meta codec %v: %w", name, tag, c, storage.ErrCorrupt)
 	}
-	if n := len(byteIdx); n == 0 || byteIdx[n-1] != uint32(len(payload)) {
-		return nil, nil, fmt.Errorf("blockstore: %s: index/payload mismatch: %w", name, storage.ErrCorrupt)
+	step := 1
+	if c == CodecNone {
+		step = RawRecordBytes(d.Weighted)
+	}
+	start := time.Now()
+	entries, err := decodeInIndex(sc.idx, idxBuf, idxCodec, d.Layout.Size(j), len(payload), step)
+	if err != nil {
+		return nil, nil, fmt.Errorf("blockstore: %s over %s: %w", idxName, name, err)
+	}
+	sc.idx = entries
+	idxLogical := int64(len(entries)) * IndexEntryBytes
+	if idxCodec != CodecNone {
+		d.noteDecode(idxCodec, idxLogical, int64(len(idxBuf)), time.Since(start))
 	}
 	if c == CodecNone {
-		d.dec.logicalBytes.Add(int64(len(payload)))
-		return payload, byteIdx, nil
+		d.dec.logicalBytes.Add(idxLogical + int64(len(payload)))
+		return payload, entries, nil
 	}
 
-	// The decoded size is known up front, so the buffer is sized once; and
-	// most destinations of a block have no edge in it, so only non-empty
-	// sections reach the decoder.
+	// The decoded size is known up front, so the buffer is sized once.
 	if want := int(d.BlockEdgeCount[i][j]) * RawRecordBytes(d.Weighted); cap(sc.dec) < want {
 		sc.dec = make([]byte, 0, want)
 	}
-	if cap(sc.decIdx) < len(byteIdx) {
-		sc.decIdx = make([]uint32, len(byteIdx))
-	}
-	dec, decIdx := sc.dec[:0], sc.decIdx[:len(byteIdx)]
-	start := time.Now()
-	for k := 0; k+1 < len(byteIdx); k++ {
-		decIdx[k] = uint32(len(dec))
-		lo, hi := byteIdx[k], byteIdx[k+1]
-		if int(hi) > len(payload) || lo > hi {
-			return nil, nil, fmt.Errorf("blockstore: %s: corrupt index [%d,%d) for %d payload bytes: %w", name, lo, hi, len(payload), storage.ErrCorrupt)
-		}
-		if lo == hi {
-			continue
-		}
+	dec := sc.dec[:0]
+	start = time.Now()
+	for e, lo := 0, uint32(0); e < len(entries); e += 2 {
+		hi := entries[e+1]
 		if dec, err = appendSection(dec, payload[lo:hi], c, d.Weighted); err != nil {
-			return nil, nil, fmt.Errorf("blockstore: %s vertex %d: %w", name, k, err)
+			return nil, nil, fmt.Errorf("blockstore: %s vertex %d: %w", name, entries[e], err)
 		}
+		entries[e+1], lo = uint32(len(dec)), hi
 	}
-	decIdx[len(byteIdx)-1] = uint32(len(dec))
 	sc.dec = dec
 	d.noteDecode(c, int64(len(dec)), int64(len(payload)), time.Since(start))
-	d.dec.logicalBytes.Add(int64(len(dec)))
-	return dec, decIdx, nil
+	d.dec.logicalBytes.Add(idxLogical + int64(len(dec)))
+	return dec, entries, nil
 }
 
 // LoadInBlockScratch is LoadInBlockBytesScratch without the index.
@@ -899,13 +929,9 @@ func (d *DualStore) OutIndexBytes(i, j int) int64 {
 	return int64(d.Layout.Size(i)+1) * IndexEntryBytes
 }
 
-// InIndexBytes returns the stored size of in-index(i,j).
-func (d *DualStore) InIndexBytes(i, j int) int64 {
-	if d.InIndexStoredBytes != nil {
-		return d.InIndexStoredBytes[i][j]
-	}
-	return int64(d.Layout.Size(j)+1) * IndexEntryBytes
-}
+// InIndexBytes returns the stored size of in-index(i,j), as recorded when
+// it was written.
+func (d *DualStore) InIndexBytes(i, j int) int64 { return d.InIndexStoredBytes[i][j] }
 
 // TotalEdgeBytes returns the on-disk size of all out-blocks, excluding
 // indices.

@@ -244,8 +244,8 @@ func TestBuildOnFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blk.Index) != opened.Layout.Size(0)+1 {
-		t.Fatalf("in-block index len = %d", len(blk.Index))
+	if got, want := int64(len(blk.Entries)/2), opened.InIndexEntries[1][0]; got == 0 || got != want {
+		t.Fatalf("in-block (1,0) loaded %d entries, meta records %d", got, want)
 	}
 }
 
@@ -258,17 +258,24 @@ func TestSizeAccounting(t *testing.T) {
 	if got, want := ds.TotalEdgeBytes(), int64(g.NumEdges()*EdgeBytes); got != want {
 		t.Fatalf("TotalEdgeBytes = %d, want %d", got, want)
 	}
-	var colSum int64
+	// An in-index is 8 bytes per (destination, block) pair that has an
+	// edge, counted here from the graph; an out-index 4 bytes per source of
+	// the interval and a closing offset.
+	pairs := map[[2]int]bool{}
+	for _, e := range g.Edges {
+		pairs[[2]int{ds.Layout.IntervalOf(e.Src), int(e.Dst)}] = true
+	}
+	var colSum, entries int64
 	for j := 0; j < ds.Layout.P; j++ {
 		for i := 0; i < ds.Layout.P; i++ {
 			colSum += ds.InBlockBytes[i][j] + ds.InIndexBytes(i, j)
+			entries += ds.InIndexEntries[i][j]
 		}
 	}
-	wantIdx := int64(0)
-	for j := 0; j < ds.Layout.P; j++ {
-		wantIdx += int64(ds.Layout.P) * int64(ds.Layout.Size(j)+1) * IndexEntryBytes
+	if entries != int64(len(pairs)) {
+		t.Fatalf("in-indices hold %d entries, the graph has %d (source interval, destination) pairs", entries, len(pairs))
 	}
-	if colSum != ds.TotalEdgeBytes()+wantIdx {
+	if wantIdx := entries * InIndexEntryBytes; colSum != ds.TotalEdgeBytes()+wantIdx {
 		t.Fatalf("column bytes %d != edges %d + indices %d", colSum, ds.TotalEdgeBytes(), wantIdx)
 	}
 	if got := ds.OutIndexBytes(0, 1); got != int64(ds.Layout.Size(0)+1)*IndexEntryBytes {
@@ -407,7 +414,7 @@ func TestQuickDualBlockPartition(t *testing.T) {
 					return false
 				}
 				loJ, _ := l.Bounds(j)
-				for k := 0; k+1 < len(ib.Index); k++ {
+				for k := 0; k < l.Size(j); k++ {
 					for _, r := range ib.EdgesOf(k) {
 						if l.IntervalOf(r.Nbr) != i {
 							return false

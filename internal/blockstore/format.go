@@ -164,8 +164,17 @@ func appendSection(dst, section []byte, c Codec, weighted bool) ([]byte, error) 
 	case CodecVarint:
 		prev := int64(-1)
 		for off := 0; off < len(section); {
-			delta, n := binary.Uvarint(section[off:])
-			if n <= 0 {
+			// Gaps of one to three bytes — all but a handful — are read in
+			// line; binary.Uvarint takes the rest and every malformed one.
+			var delta uint64
+			n := 0
+			if b0 := section[off]; b0 < 0x80 {
+				delta, n = uint64(b0), 1
+			} else if off+1 < len(section) && section[off+1] < 0x80 {
+				delta, n = uint64(b0&0x7f)|uint64(section[off+1])<<7, 2
+			} else if off+2 < len(section) && section[off+2] < 0x80 {
+				delta, n = uint64(b0&0x7f)|uint64(section[off+1]&0x7f)<<7|uint64(section[off+2])<<14, 3
+			} else if delta, n = binary.Uvarint(section[off:]); n <= 0 {
 				return nil, fmt.Errorf("blockstore: corrupt varint at offset %d: %w", off, storage.ErrCorrupt)
 			}
 			off += n

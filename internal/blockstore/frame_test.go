@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -111,11 +112,24 @@ func TestBuildWritesFramedBlobsAndOpenVerifies(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsOlderStores: there is no unframed read path and no format
-// 1. A store whose meta blob carries no frame (written before framing
-// existed) is refused as corrupt, one whose meta records the uniform-varint
-// format FormatMixed subsumed is refused too, and each refusal is the
-// message that says how to rebuild.
+// denseMeta is the meta blob the commit before the sparse in-index wrote for
+// chain(4) at P = 2, FormatRaw — frame, "HUSB" header, degrees, and the edge
+// count, out-block and in-block size grids, no in-index grid: its ii/ blobs
+// hold Size(j)+1 offsets each.
+const denseMeta = "" +
+	"485553460192dd40dda400000000000000" +
+	"485553420400000000000000020000000000000000000000000000000100000000000000" +
+	"0100000000000000010000000100000001000000010000000000000001000000" +
+	"0100000000000000010000000000000000000000000000000100000000000000" +
+	"0800000000000000080000000000000000000000000000000800000000000000" +
+	"0800000000000000080000000000000000000000000000000800000000000000"
+
+// TestOpenRejectsOlderStores: there is no unframed read path, no format 1
+// and no dense in-index reader. A store whose meta blob carries no frame
+// (written before framing existed) is refused as corrupt, one whose meta
+// records the uniform-varint format FormatMixed subsumed is refused too, so
+// is one whose meta is laid out as before the in-index went sparse, and
+// each refusal is the message that says how to rebuild.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -129,6 +143,13 @@ func TestOpenRejectsOlderStores(t *testing.T) {
 			binary.LittleEndian.PutUint64(meta[20:], 1)
 			return frameBlob(meta)
 		}, errFormatOne, false},
+		{"dense-in-index", func([]byte) []byte {
+			old, err := hex.DecodeString(denseMeta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return old
+		}, errDenseInIndex, true},
 	} {
 		mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
 		if _, err := Build(mem, chain(64), 4); err != nil {

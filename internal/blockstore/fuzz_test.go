@@ -137,3 +137,57 @@ func FuzzDecodeRLE(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeInIndex: an in-index is the one thing the COP kernels trust
+// without a check of their own. Whatever bytes, codec tag, interval size and
+// payload length decodeInIndex is given, it either fails ErrCorrupt-class or
+// returns entries a kernel can follow blind: destinations strictly ascending
+// inside the interval, ends strictly ascending in whole records up to exactly
+// the payload's length.
+func FuzzDecodeInIndex(f *testing.F) {
+	// The last argument picks what ends must be multiples of: 1 (compressed
+	// payload), 4 or 8 (stored-raw records).
+	three := []uint32{0, 8, 5, 16, 9, 40}
+	f.Add([]byte(nil), uint8(CodecNone), uint16(4), uint16(0), uint8(1))                              // empty block
+	f.Add([]byte(nil), uint8(CodecVarint), uint16(4), uint16(8), uint8(0))                            // no entry, yet records
+	f.Add(encodeInIndex([]uint32{3, 4}, CodecNone), uint8(CodecNone), uint16(4), uint16(4), uint8(1)) // one entry
+	f.Add(encodeInIndex([]uint32{3, 4}, CodecVarint), uint8(CodecVarint), uint16(4), uint16(4), uint8(0))
+	f.Add(encodeInIndex(three, CodecNone), uint8(CodecNone), uint16(10), uint16(40), uint8(2))
+	f.Add(encodeInIndex(three, CodecVarint), uint8(CodecVarint), uint16(10), uint16(40), uint8(2))
+	f.Add(encodeInIndex(three, CodecVarint), uint8(CodecVarint), uint16(9), uint16(40), uint8(1))   // local == Size
+	f.Add(encodeInIndex(three, CodecNone), uint8(CodecNone), uint16(9), uint16(40), uint8(1))       // local == Size
+	f.Add(encodeInIndex(three, CodecNone)[:20], uint8(CodecNone), uint16(10), uint16(40), uint8(1)) // odd words
+	f.Add([]byte{1, 0x80}, uint8(CodecVarint), uint16(4), uint16(8), uint8(0))                      // truncated varint
+	f.Add([]byte{0, 4}, uint8(CodecVarint), uint16(4), uint16(4), uint8(0))                         // zero gap
+	f.Add(encodeInIndex(three, CodecNone), uint8(CodecRLE), uint16(10), uint16(40), uint8(1))       // no such index codec
+
+	f.Fuzz(func(t *testing.T, data []byte, codec uint8, size, payloadLen uint16, stepSel uint8) {
+		step := [...]int{1, 4, 8}[stepSel%3]
+		entries, err := decodeInIndex(nil, data, Codec(codec), int(size), int(payloadLen), step)
+		if err != nil {
+			wantCorruptClass(t, err)
+			return
+		}
+		if len(entries)%2 != 0 {
+			t.Fatalf("%d words accepted", len(entries))
+		}
+		nextLocal, prevEnd := uint32(0), uint32(0)
+		for e := 0; e < len(entries); e += 2 {
+			local, end := entries[e], entries[e+1]
+			if local < nextLocal || local >= uint32(size) || end <= prevEnd || end > uint32(payloadLen) || int(end)%step != 0 {
+				t.Fatalf("accepted entry %d = (%d, %d) after (%d, %d): size %d, payload %d, step %d", e/2, local, end, int64(nextLocal)-1, prevEnd, size, payloadLen, step)
+			}
+			nextLocal, prevEnd = local+1, end
+		}
+		if prevEnd != uint32(payloadLen) {
+			t.Fatalf("accepted entries cover %d of %d payload bytes", prevEnd, payloadLen)
+		}
+		// What it accepts it can have written: both forms decode back to it.
+		for _, c := range []Codec{CodecNone, CodecVarint} {
+			again, err := decodeInIndex(nil, encodeInIndex(entries, c), c, int(size), int(payloadLen), step)
+			if err != nil || !eqU32(again, entries) {
+				t.Fatalf("%v re-encode round trip broke: %v", c, err)
+			}
+		}
+	})
+}

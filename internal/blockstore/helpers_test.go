@@ -1,20 +1,34 @@
 package blockstore
 
 // Test-side views of loaded blocks. The package hands out one shape — packed
-// raw records behind a byte index — and these helpers regroup it into
-// per-vertex []Rec for assertions, reading records the way the engine does
-// (RawRec).
+// raw records behind an index — and these helpers regroup it into per-vertex
+// []Rec for assertions, reading records the way the engine does (RawRec).
 
-// testBlock is a fully loaded block regrouped for assertions:
-// Index[k]..Index[k+1] delimits the records of the indexed interval's k-th
-// vertex (sources for out-blocks, destinations for in-blocks).
+// testBlock is a fully loaded block regrouped for assertions. An out-block
+// carries Index: Index[k]..Index[k+1] delimits the records of the k-th
+// source. An in-block carries Entries, its in-index with ends counted in
+// records: (local destination, end) pairs, a destination's records starting
+// where the previous entry's end.
 type testBlock struct {
-	Index []uint32
-	Recs  []Rec
+	Index   []uint32
+	Entries []uint32
+	Recs    []Rec
 }
 
 // EdgesOf returns the records of the indexed vertex with local index k.
-func (b testBlock) EdgesOf(k int) []Rec { return b.Recs[b.Index[k]:b.Index[k+1]] }
+func (b testBlock) EdgesOf(k int) []Rec {
+	if b.Entries == nil {
+		return b.Recs[b.Index[k]:b.Index[k+1]]
+	}
+	lo := uint32(0)
+	for e := 0; e < len(b.Entries); e += 2 {
+		if b.Entries[e] == uint32(k) {
+			return b.Recs[lo:b.Entries[e+1]]
+		}
+		lo = b.Entries[e+1]
+	}
+	return nil
+}
 
 // rawRecs parses a run of packed raw records.
 func rawRecs(payload []byte, weighted bool) []Rec {
@@ -26,11 +40,11 @@ func rawRecs(payload []byte, weighted bool) []Rec {
 	return recs
 }
 
-// regroup turns (packed records, byte index) into a testBlock.
-func regroup(payload []byte, byteIdx []uint32, weighted bool) testBlock {
-	b := testBlock{Index: make([]uint32, len(byteIdx)), Recs: rawRecs(payload, weighted)}
-	for k, off := range byteIdx {
-		b.Index[k] = off / uint32(RawRecordBytes(weighted))
+// regroup turns (packed records, in-index entries) into a testBlock.
+func regroup(payload []byte, entries []uint32, weighted bool) testBlock {
+	b := testBlock{Entries: make([]uint32, len(entries)), Recs: rawRecs(payload, weighted)}
+	for e := 0; e < len(entries); e += 2 {
+		b.Entries[e], b.Entries[e+1] = entries[e], entries[e+1]/uint32(RawRecordBytes(weighted))
 	}
 	return b
 }
@@ -39,11 +53,11 @@ func regroup(payload []byte, byteIdx []uint32, weighted bool) testBlock {
 func loadInBlock(ds *DualStore, i, j int) (testBlock, error) {
 	sc := GetScratch()
 	defer PutScratch(sc)
-	payload, byteIdx, err := ds.LoadInBlockBytesScratch(i, j, sc)
+	payload, entries, err := ds.LoadInBlockBytesScratch(i, j, sc)
 	if err != nil {
 		return testBlock{}, err
 	}
-	return regroup(payload, byteIdx, ds.Weighted), nil
+	return regroup(payload, entries, ds.Weighted), nil
 }
 
 // loadOutBlock loads out-block(i,j) whole: the out-index, the stored payload
@@ -88,4 +102,14 @@ func loadOutSection(ds *DualStore, i, j int, idx []uint32, k int, sc *Scratch) (
 // the cache tests' eviction arithmetic assumes.
 func lruCache(budget int64) *BlockCache {
 	return NewBlockCacheOpts(budget, CacheOptions{Admission: AdmitLRU})
+}
+
+// FrameForTest frames payload the way a store of the given format frames a
+// blob tagged c, for the external tests (package blockstore_test, which may
+// import core) that hand-write lying blobs.
+func FrameForTest(payload []byte, format Format, c Codec) []byte {
+	if format == FormatMixed {
+		return frameBlobV2(payload, c)
+	}
+	return frameBlob(payload)
 }

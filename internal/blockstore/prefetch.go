@@ -81,10 +81,11 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 	req.ready <- struct{}{}
 }
 
-// PrefetchResult is one delivered block: Payload and ByteIdx for an
-// in-block, ByteIdx alone for an out-index (see CachedBlock). Views alias
-// either a pooled Scratch (returned by Release) or an immutable cache
-// entry; they are read-only and valid until Release.
+// PrefetchResult is one delivered block: Payload and ByteIdx (its in-index
+// entries) for an in-block, ByteIdx alone (Size(i)+1 offsets) for an
+// out-index (see CachedBlock). Views alias either a pooled Scratch
+// (returned by Release) or an immutable cache entry; they are read-only and
+// valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error

@@ -71,11 +71,12 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 	d.BlockEdgeCount = alloc2D(p)
 	d.OutBlockBytes = alloc2D(p)
 	d.InBlockBytes = alloc2D(p)
+	d.InIndexEntries = alloc2D(p)
+	d.InIndexStoredBytes = alloc2D(p)
 	if format == FormatMixed {
 		d.OutCodecs = allocCodec2D(p)
 		d.InCodecs = allocCodec2D(p)
 		d.OutIndexStoredBytes = alloc2D(p)
-		d.InIndexStoredBytes = alloc2D(p)
 	}
 
 	// Pass 1: spill into per-row and per-column buckets.
@@ -184,12 +185,12 @@ func (d *DualStore) encodeRow(i int, edges []graph.Edge) error {
 		return fmt.Errorf("blockstore: row %d: %d edges outside interval", i, len(edges)-pos)
 	}
 	for j := 0; j < l.P; j++ {
-		payload, idx, c := encodeBlockPayload(recs[j], perVertex[j], d.Format, d.Weighted)
+		payload, idx, c := encodeBlockPayload(recs[j], perVertex[j], d.Format, d.Weighted, false)
 		d.OutBlockBytes[i][j] = int64(len(payload))
 		if err := d.putBlobCodec(outBlockName(i, j), payload, c); err != nil {
 			return err
 		}
-		idxPayload, idxCodec := encodeBlockIndex(idx, d.Format)
+		idxPayload, idxCodec := encodeBlockIndex(idx, d.Format, encodeIndexCodec)
 		if err := d.putBlobCodec(outIndexName(i, j), idxPayload, idxCodec); err != nil {
 			return err
 		}
@@ -228,18 +229,8 @@ func (d *DualStore) encodeColumn(j int, edges []graph.Edge) error {
 		return fmt.Errorf("blockstore: column %d: %d edges outside interval", j, len(edges)-pos)
 	}
 	for i := 0; i < l.P; i++ {
-		payload, idx, c := encodeBlockPayload(recs[i], perVertex[i], d.Format, d.Weighted)
-		d.InBlockBytes[i][j] = int64(len(payload))
-		if err := d.putBlobCodec(inBlockName(i, j), payload, c); err != nil {
+		if err := d.putInBlock(i, j, recs[i], perVertex[i]); err != nil {
 			return err
-		}
-		idxPayload, idxCodec := encodeBlockIndex(idx, d.Format)
-		if err := d.putBlobCodec(inIndexName(i, j), idxPayload, idxCodec); err != nil {
-			return err
-		}
-		if d.Format == FormatMixed {
-			d.InCodecs[i][j] = c
-			d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
 		}
 	}
 	return nil

@@ -27,8 +27,8 @@ func streamFrom(t *testing.T, g *graph.Graph, p int, format Format, spill int) (
 	return ds, st
 }
 
-// storesEquivalent asserts two DualStores hold the same decoded blocks and
-// metadata.
+// storesEquivalent asserts two DualStores hold the same decoded blocks,
+// metadata and stored in-index blobs.
 func storesEquivalent(t *testing.T, a, b *DualStore) {
 	t.Helper()
 	if a.Layout != b.Layout || a.Format != b.Format {
@@ -43,8 +43,22 @@ func storesEquivalent(t *testing.T, a, b *DualStore) {
 	if !reflect.DeepEqual(a.OutBlockBytes, b.OutBlockBytes) || !reflect.DeepEqual(a.InBlockBytes, b.InBlockBytes) {
 		t.Fatal("block byte sizes differ")
 	}
+	if !reflect.DeepEqual(a.InIndexEntries, b.InIndexEntries) || !reflect.DeepEqual(a.InIndexStoredBytes, b.InIndexStoredBytes) {
+		t.Fatal("in-index entry counts or stored sizes differ")
+	}
 	for i := 0; i < a.Layout.P; i++ {
 		for j := 0; j < a.Layout.P; j++ {
+			aii, err := a.Store().ReadAll(inIndexName(i, j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bii, err := b.Store().ReadAll(inIndexName(i, j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(aii, bii) {
+				t.Fatalf("stored in-index (%d,%d) differs", i, j)
+			}
 			ao, err := loadOutBlock(a, i, j)
 			if err != nil {
 				t.Fatal(err)

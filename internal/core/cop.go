@@ -51,11 +51,11 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			// The block arrives as packed records behind a byte index
+			// The block arrives as packed records behind in-index entries
 			// whatever stored it: a compressed one was decoded into that
 			// shape by the window (in the prefetch worker, overlapping
-			// I/O). The edge kernel partitions its destinations across
-			// workers by edge count.
+			// I/O). The edge kernel partitions the listed destinations
+			// across workers by edge count.
 			if len(res.Payload) > 0 {
 				k.block(d[lo:hi], res.Payload, res.ByteIdx)
 			}

@@ -367,7 +367,7 @@ func (e *Engine) predict(f *bitset.Frontier) (crop, ccop time.Duration) {
 		decNs = defaultDecodeNsPerByte(e.cfg.Threads)
 	}
 	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
-	var ropDecBytes, copDecBytes float64
+	var ropDecBytes float64
 
 	var seqBytes int64
 	for _, i := range e.owned {
@@ -454,31 +454,39 @@ func (e *Engine) predict(f *bitset.Frontier) (crop, ccop time.Duration) {
 	}
 	crop += prof.SeqTime(seqBytes) + time.Duration(ropDecBytes*decNs)
 
-	// COP: stream every column's in-blocks and indices plus the same
-	// per-interval vertex working set. In-blocks resident in the block
-	// cache skip the device entirely, so they are priced at zero — this is
-	// what lets the predictor keep preferring COP once the hot columns
-	// have been cached.
-	var copBytes int64
+	copBytes, copDecBytes := e.copScanBytes()
+	ccop = prof.SeqTime(copBytes) + time.Duration(copDecBytes*decNs)
+	return crop, ccop
+}
+
+// copScanBytes is what predict prices a COP iteration at: the sequential
+// bytes streaming every owned column's in-blocks and in-indices moves, plus
+// the per-interval vertex working set, and the logical bytes those blobs
+// decompress into. In-blocks resident in the block cache skip the device
+// entirely, so they are priced at zero — this is what lets the predictor
+// keep preferring COP once the hot columns have been cached.
+func (e *Engine) copScanBytes() (seqBytes int64, decBytes float64) {
+	l := e.ds.Layout
+	n := int64(l.NumVertices)
+	nv := int64(blockstore.VertexValueBytes)
+	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
 	for _, j := range e.owned {
-		rawIdx := int64(l.Size(j)+1) * blockstore.IndexEntryBytes
 		for i := 0; i < l.P; i++ {
 			if e.cache != nil && e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindInBlock, I: i, J: j}) {
 				continue // cached blocks are already decoded, too
 			}
 			ib := e.ds.InIndexBytes(i, j)
-			copBytes += e.ds.InBlockBytes[i][j] + ib
+			seqBytes += e.ds.InBlockBytes[i][j] + ib
 			if e.ds.InCodec(i, j) != blockstore.CodecNone {
-				copDecBytes += float64(e.ds.BlockEdgeCount[i][j] * step)
+				decBytes += float64(e.ds.BlockEdgeCount[i][j] * step)
 			}
-			if ib < rawIdx {
-				copDecBytes += float64(rawIdx)
+			if rawIdx := e.ds.InIndexEntries[i][j] * blockstore.InIndexEntryBytes; ib < rawIdx {
+				decBytes += float64(rawIdx) // stored compressed: decodes to the fixed-width entries
 			}
 		}
 		if !e.cfg.SemiExternal {
-			copBytes += (2*int64(l.Size(j)) + n) * nv
+			seqBytes += (2*int64(l.Size(j)) + n) * nv
 		}
 	}
-	ccop = prof.SeqTime(copBytes) + time.Duration(copDecBytes*decNs)
-	return crop, ccop
+	return seqBytes, decBytes
 }

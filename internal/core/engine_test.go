@@ -787,6 +787,37 @@ func TestPredictorTracksActualCosts(t *testing.T) {
 	}
 }
 
+// TestPredictedCOPBytesMatchCharged: the predictor prices a COP iteration
+// from the sizes the meta blob recorded, the device charges what the
+// iteration actually reads — the two must be the same bytes, in-indices
+// included, whatever the format and however many blocks are sparse or
+// empty. The one difference is the checksum frame: every blob read carries a
+// fixed header the predictor does not price, read here off one blob.
+func TestPredictedCOPBytesMatchCharged(t *testing.T) {
+	g := randomGraph(600, 2500, 11)
+	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
+		for _, p := range []int{2, 8} {
+			ds := buildUnweighted(t, g, p, format)
+			e := New(ds, Config{Model: ModelCOP, MaxIters: 1})
+			priced, _ := e.copScanBytes()
+			res, err := e.Run(testLabel{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, err := ds.Store().Size("ii/0.0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := int64(2*p*p) * (stored - ds.InIndexBytes(0, 0))
+			io := res.Iterations[0].IO
+			if charged := io.SeqReadBytes + io.SeqWriteBytes - frames; priced != charged || io.RandReadBytes != 0 {
+				t.Fatalf("%v P=%d: predictor prices %d bytes, device charged %d sequential (+ %d of frames) and %d random",
+					format, p, priced, charged, frames, io.RandReadBytes)
+			}
+		}
+	}
+}
+
 // sparseStart is a monotone program whose initial frontier is a fixed
 // member list, used to align predictor probes with real iterations.
 type sparseStart struct {

@@ -29,9 +29,10 @@ import (
 // one fallback — for programs that declare nothing and for weighted stores,
 // where a message may depend on the edge.
 //
-// Every kernel iterates packed raw records behind a byte index — the shape
-// blockstore hands over whatever codec stored the block — so a block that
-// was decoded runs the same loop as one that was stored raw.
+// Every kernel iterates packed raw records behind in-index entries — the
+// shape blockstore hands over whatever codec stored the block — so a block
+// that was decoded runs the same loop as one that was stored raw, and a loop
+// visits the destinations that have an edge in the block and no other.
 
 // ReduceOp names the reduction a program's Combine performs.
 type ReduceOp uint8
@@ -143,13 +144,15 @@ type copKernel struct {
 	active []uint64
 
 	// The block in hand: d is the destination interval's accumulators,
-	// payload its packed raw records, and idx[k]..idx[k+1] the byte range
-	// of destination k's.
+	// payload its packed raw records, and idx its in-index — entry e is
+	// (idx[2e], idx[2e+1]): a destination's offset in d and the byte offset
+	// in payload its records end at, where entry e+1's begin. blockstore
+	// validated every entry against both (DESIGN.md §4m).
 	d       []float64
 	idx     []uint32
 	payload []byte
 
-	// bounds is the block's chunking (weightedChunks); wg joins the chunk
+	// bounds is the block's chunking (entryChunks); wg joins the chunk
 	// workers. Both live here so a block costs one allocation per worker
 	// spawned and none otherwise.
 	bounds []int
@@ -194,13 +197,13 @@ func (k *copKernel) refresh(lo, hi int) {
 	})
 }
 
-// block folds one in-block into d. It partitions the block's destinations
-// across workers by edge count and runs the kernel on each chunk — the last
-// on the calling goroutine, which would otherwise only wait — and returns
-// once every chunk is done.
-func (k *copKernel) block(d []float64, payload []byte, byteIdx []uint32) {
-	k.d, k.idx, k.payload = d, byteIdx, payload
-	k.bounds = weightedChunks(k.bounds[:0], k.idx, k.threads)
+// block folds one in-block into d. It partitions the block's entries across
+// workers by edge count and runs the kernel on each chunk — the last on the
+// calling goroutine, which would otherwise only wait — and returns once
+// every chunk is done.
+func (k *copKernel) block(d []float64, payload []byte, entries []uint32) {
+	k.d, k.idx, k.payload = d, entries, payload
+	k.bounds = entryChunks(k.bounds[:0], k.idx, k.threads)
 	last := len(k.bounds) - 2
 	if last < 0 {
 		return
@@ -221,40 +224,42 @@ func (k *copKernel) worker(cl, ch int) {
 // isActive tests vertex v in a frontier's bitmap words, in line.
 func isActive(active []uint64, v uint32) bool { return active[v>>6]&(1<<(v&63)) != 0 }
 
-// runChunk runs the block's kernel over destinations [cl, ch). Chunks own
+// runChunk runs the block's kernel over entries [cl, ch). Chunks own
 // disjoint destinations, so workers never write the same accumulator
 // (§3.5).
 func (k *copKernel) runChunk(cl, ch int) {
 	all, active := k.active == nil, k.active
+	// The chunk's entries, and where the first one's records begin.
+	idx, lo := k.idx[2*cl:2*ch], 0
+	if cl > 0 {
+		lo = int(k.idx[2*cl-1])
+	}
 	switch {
 	case k.op == ReduceSum && all:
-		copSumRaw(k.m, k.d, k.payload, k.idx, cl, ch)
+		copSumRaw(k.m, k.d, k.payload, idx, lo)
 	case k.op == ReduceSum:
-		copSumRawProbe(k.m, k.d, k.payload, k.idx, cl, ch, active)
+		copSumRawProbe(k.m, k.d, k.payload, idx, lo, active)
 	case k.op == ReduceMin && all:
-		copMinRaw(k.m, k.d, k.payload, k.idx, cl, ch)
+		copMinRaw(k.m, k.d, k.payload, idx, lo)
 	case k.op == ReduceMin:
-		copMinRawProbe(k.m, k.d, k.payload, k.idx, cl, ch, active)
+		copMinRawProbe(k.m, k.d, k.payload, idx, lo, active)
 	default:
-		copCombineRaw(k.prog, k.s, k.d, k.payload, k.idx, cl, ch, active, k.weighted)
+		copCombineRaw(k.prog, k.s, k.d, k.payload, idx, lo, active, k.weighted)
 	}
 }
 
-// The specialised COP kernels. Each destination's accumulator is read once,
-// folded over its in-neighbours in stored (ascending-source) order, and
-// written back. The all-active loops carry no IsActive check (Alg. 3 line
-// 11 is vacuous) and no call, so the accumulator and cursors stay in
+// The specialised COP kernels, over the entries idx whose first section
+// begins at payload byte lo. Each listed destination's accumulator is read
+// once, folded over its in-neighbours in stored (ascending-source) order,
+// and written back. The all-active loops carry no IsActive check (Alg. 3
+// line 11 is vacuous) and no call, so the accumulator and cursors stay in
 // registers; the probing loops test the frontier's bitmap words in line for
 // the same reason. They only ever see 4-byte unweighted records: reduceOf
 // keeps weighted stores on the fallback.
 
-func copSumRaw(m, d []float64, payload []byte, idx []uint32, cl, ch int) {
-	lo := int(idx[cl])
-	for local := cl; local < ch; local++ {
-		hi := int(idx[local+1])
-		if lo == hi {
-			continue
-		}
+func copSumRaw(m, d []float64, payload []byte, idx []uint32, lo int) {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
 		acc := d[local]
 		for off := lo; off < hi; off += 4 {
 			acc += m[binary.LittleEndian.Uint32(payload[off:])]
@@ -264,13 +269,9 @@ func copSumRaw(m, d []float64, payload []byte, idx []uint32, cl, ch int) {
 	}
 }
 
-func copSumRawProbe(m, d []float64, payload []byte, idx []uint32, cl, ch int, active []uint64) {
-	lo := int(idx[cl])
-	for local := cl; local < ch; local++ {
-		hi := int(idx[local+1])
-		if lo == hi {
-			continue
-		}
+func copSumRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
 		acc := d[local]
 		for off := lo; off < hi; off += 4 {
 			nbr := binary.LittleEndian.Uint32(payload[off:])
@@ -283,13 +284,9 @@ func copSumRawProbe(m, d []float64, payload []byte, idx []uint32, cl, ch int, ac
 	}
 }
 
-func copMinRaw(m, d []float64, payload []byte, idx []uint32, cl, ch int) {
-	lo := int(idx[cl])
-	for local := cl; local < ch; local++ {
-		hi := int(idx[local+1])
-		if lo == hi {
-			continue
-		}
+func copMinRaw(m, d []float64, payload []byte, idx []uint32, lo int) {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
 		acc := d[local]
 		for off := lo; off < hi; off += 4 {
 			if v := m[binary.LittleEndian.Uint32(payload[off:])]; v < acc {
@@ -301,13 +298,9 @@ func copMinRaw(m, d []float64, payload []byte, idx []uint32, cl, ch int) {
 	}
 }
 
-func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, cl, ch int, active []uint64) {
-	lo := int(idx[cl])
-	for local := cl; local < ch; local++ {
-		hi := int(idx[local+1])
-		if lo == hi {
-			continue
-		}
+func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
 		acc := d[local]
 		for off := lo; off < hi; off += 4 {
 			nbr := binary.LittleEndian.Uint32(payload[off:])
@@ -323,16 +316,13 @@ func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, cl, ch int, ac
 // The fallback COP kernel: Message and Combine per edge (Alg. 3 lines
 // 11–14 as written).
 
-func copCombineRaw(prog Program, s, d []float64, payload []byte, idx []uint32, cl, ch int, active []uint64, weighted bool) {
+func copCombineRaw(prog Program, s, d []float64, payload []byte, idx []uint32, lo int, active []uint64, weighted bool) {
 	step := blockstore.RawRecordBytes(weighted)
-	for local := cl; local < ch; local++ {
-		lo8, hi8 := int(idx[local]), int(idx[local+1])
-		if lo8 == hi8 {
-			continue
-		}
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
 		acc := d[local]
 		dirty := false
-		for off := lo8; off < hi8; off += step {
+		for off := lo; off < hi; off += step {
 			nbr, w := blockstore.RawRec(payload, off, weighted)
 			if active != nil && !isActive(active, nbr) {
 				continue
@@ -345,6 +335,7 @@ func copCombineRaw(prog Program, s, d []float64, payload []byte, idx []uint32, c
 		if dirty {
 			d[local] = acc
 		}
+		lo = hi
 	}
 }
 

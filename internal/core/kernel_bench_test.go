@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -34,7 +36,12 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 // to probe. ns/edge is the layer-level number for the next kernel change.
 // The /decoded legs run the same kernels over the same block as a mixed
 // store hands it out (varint-stored, decoded by the loader): per edge a
-// decoded block must cost what the stored-raw one does.
+// decoded block must cost what the stored-raw one does. The /occ legs hold
+// |E| = 2¹⁶ and the sum kernel fixed and vary how many of a P = 16
+// interval's 2¹⁴ destinations the edges land on — 5 %, 20 %, all of them —
+// which is what P does to a block: ns/edge should rise only with the
+// per-entry work (one accumulator load and store), not with the interval.
+// Read them at -cpu 1.
 func BenchmarkEdgeKernel(b *testing.B) {
 	n := 1 << 18
 	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
@@ -76,6 +83,31 @@ func BenchmarkEdgeKernel(b *testing.B) {
 		name string
 		f    *bitset.Frontier
 	}{{"allactive", bitset.FullFrontier(n)}, {"probe", probe}}
+
+	const size, occEdges = 1 << 14, 1 << 16
+	for _, pct := range []int{5, 20, 100} {
+		dsts := size * pct / 100
+		rng := rand.New(rand.NewSource(int64(pct)))
+		occPayload := make([]byte, 0, 4*occEdges)
+		var entries []uint32
+		for k := 0; k < dsts; k++ {
+			for e := k * occEdges / dsts; e < (k+1)*occEdges/dsts; e++ {
+				occPayload = binary.LittleEndian.AppendUint32(occPayload, uint32(rng.Intn(n)))
+			}
+			entries = append(entries, uint32(k*size/dsts), uint32(len(occPayload)))
+		}
+		b.Run(fmt.Sprintf("sum/allactive/occ=%d", pct), func(b *testing.B) {
+			e := New(ds, Config{Threads: 1})
+			k := &e.cop
+			k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: ReduceSum}, s, bitset.FullFrontier(n))
+			defer k.end()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.block(d[:size], occPayload, entries)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*occEdges), "ns/edge")
+		})
+	}
 
 	for _, kern := range []struct {
 		name string

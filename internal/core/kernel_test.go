@@ -54,6 +54,31 @@ func randomGraph(n, m int, seed int64) *graph.Graph {
 	return g
 }
 
+// shapedGraph is randomGraph with the two extreme in-index shapes forced in:
+// every destination of interval 0 has an in-edge from interval 0 (an entry
+// per destination, the largest index a block can have), and in-block (1,1)
+// holds the in-edges of one destination only (a single entry).
+func shapedGraph(t testing.TB, n, m, p int, seed int64) *graph.Graph {
+	size := (n + p - 1) / p
+	g := graph.New(n)
+	for _, e := range randomGraph(n, m, seed).Edges {
+		if int(e.Src)/size != 1 || int(e.Dst)/size != 1 {
+			g.AddEdge(e.Src, e.Dst)
+		}
+	}
+	for v := 0; v < size; v++ {
+		g.AddEdge(graph.VertexID((v+1)%size), graph.VertexID(v))
+	}
+	g.AddEdge(graph.VertexID(size), graph.VertexID(size+1))
+	g.AddEdge(graph.VertexID(size+2), graph.VertexID(size+1))
+	g.Dedup()
+	ds := buildUnweighted(t, g, p, blockstore.FormatRaw)
+	if full, one := ds.InIndexEntries[0][0], ds.InIndexEntries[1][1]; full != int64(size) || one != 1 {
+		t.Fatalf("in-index (0,0) has %d entries, (1,1) %d; want %d and 1", full, one, size)
+	}
+	return g
+}
+
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -76,7 +101,9 @@ var edgeCaseValues = []float64{
 // TestKernelsMatchDeclaredCombine folds every ordered pair of edge-case
 // values through each specialised COP kernel and through the ROP push, and
 // demands the accumulator the reduction's written-out Combine produces —
-// bit for bit, including which destinations a min activates.
+// bit for bit, including which destinations a min activates. The COP kernels
+// see it as the two extreme in-index shapes: an entry for every destination
+// of the interval, and a single entry in the middle of it.
 func TestKernelsMatchDeclaredCombine(t *testing.T) {
 	// Source u carries message vals[u]; destination k starts from vals[k]
 	// and has the single in-edge (pair index) → k.
@@ -91,30 +118,38 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 			for k, acc := range vals {
 				want[k], changed[k] = op.Combine(acc, msg)
 			}
-			// One record per destination, all naming src.
-			payload := make([]byte, 4*n)
-			byteIdx := make([]uint32, n+1)
-			for k := 0; k < n; k++ {
-				payload[4*k] = byte(src)
-				byteIdx[k+1] = uint32(4 * (k + 1))
-			}
 			active := bitset.NewFrontier(n)
 			active.Add(src)
 			words := active.Bitmap().Words()
 
-			run := func(name string, fn func(d []float64)) {
+			// One record per listed destination, all naming src.
+			run := func(name string, dsts []int, fn func(d []float64, payload []byte, idx []uint32)) {
+				payload := make([]byte, 4*len(dsts))
+				var idx []uint32
+				wantD := append([]float64(nil), vals...)
+				for e, k := range dsts {
+					payload[4*e] = byte(src)
+					idx = append(idx, uint32(k), uint32(4*(e+1)))
+					wantD[k] = want[k]
+				}
 				d := append([]float64(nil), vals...)
-				fn(d)
-				if !sameBits(d, want) {
-					t.Errorf("%v %s, msg %v: accumulators %v, want %v", op, name, msg, d, want)
+				fn(d, payload, idx)
+				if !sameBits(d, wantD) {
+					t.Errorf("%v %s, %d entries, msg %v: accumulators %v, want %v", op, name, len(dsts), msg, d, wantD)
 				}
 			}
-			if op == ReduceSum {
-				run("all-active", func(d []float64) { copSumRaw(m, d, payload, byteIdx, 0, n) })
-				run("probe", func(d []float64) { copSumRawProbe(m, d, payload, byteIdx, 0, n, words) })
-			} else {
-				run("all-active", func(d []float64) { copMinRaw(m, d, payload, byteIdx, 0, n) })
-				run("probe", func(d []float64) { copMinRawProbe(m, d, payload, byteIdx, 0, n, words) })
+			every := make([]int, n)
+			for k := range every {
+				every[k] = k
+			}
+			for _, dsts := range [][]int{every, {n / 2}} {
+				if op == ReduceSum {
+					run("all-active", dsts, func(d []float64, payload []byte, idx []uint32) { copSumRaw(m, d, payload, idx, 0) })
+					run("probe", dsts, func(d []float64, payload []byte, idx []uint32) { copSumRawProbe(m, d, payload, idx, 0, words) })
+				} else {
+					run("all-active", dsts, func(d []float64, payload []byte, idx []uint32) { copMinRaw(m, d, payload, idx, 0) })
+					run("probe", dsts, func(d []float64, payload []byte, idx []uint32) { copMinRawProbe(m, d, payload, idx, 0, words) })
+				}
 			}
 
 			// ROP: one source pushing msg to every destination.
@@ -183,10 +218,11 @@ func (constMessage) Apply(_ graph.VertexID, _, acc float64) (float64, bool) {
 
 // TestProbePathSkipsExactlyTheInactiveSource is the all-active boundary: a
 // frontier one vertex short of full must probe, and must leave out exactly
-// that vertex's edges.
+// that vertex's edges — in a block with an entry per destination and in a
+// block with one entry as in the ordinary ones between.
 func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
 	const n, p = 96, 4
-	g := randomGraph(n, 900, 3)
+	g := shapedGraph(t, n, 900, p, 3)
 	skip := 41
 	want := make([]float64, n) // in-edges from every source but skip
 	for _, e := range g.Edges {
@@ -335,7 +371,7 @@ func TestSharedMessageTableAcrossOwners(t *testing.T) {
 // prefetch hand-off — not the two dozen it once did.
 func TestCOPIterationAllocations(t *testing.T) {
 	const n, p = 4096, 8
-	ds := buildUnweighted(t, randomGraph(n, 40000, 5), p, blockstore.FormatRaw)
+	ds := buildUnweighted(t, shapedGraph(t, n, 40000, p, 5), p, blockstore.FormatRaw)
 	prog := declared{testCount{}, ReduceSum}
 	e := New(ds, Config{Threads: 2, PrefetchDepth: 2})
 	if err := e.StartRun(); err != nil {

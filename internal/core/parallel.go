@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // parallelFor runs fn(k) for every k in [0, n) on up to t goroutines,
 // distributing indices round-robin. It blocks until all calls return.
@@ -58,42 +61,38 @@ func parallelChunks(n, t int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// weightedChunks splits the local vertex range [0, n) into at most t
-// contiguous chunks of roughly equal *work*, where cum[k]..cum[k+1] bounds
-// vertex k's work (e.g. payload byte offsets), and appends the chunk
-// boundaries to dst: chunk c is [b[c], b[c+1]). Power-law graphs concentrate
-// most edges on few vertices, so equal-vertex chunks would leave one worker
-// with almost all of a block's edges; equal-work chunks keep the §3.5
-// intra-block parallelism effective. An empty range yields no chunk; a
-// range with no work, one.
-func weightedChunks(dst []int, cum []uint32, t int) []int {
-	n := len(cum) - 1
-	if n <= 0 {
+// entryChunks splits an in-block's entries — idx holds two words per entry,
+// a destination and the payload byte offset its records end at (blockstore's
+// in-index) — into at most t contiguous chunks of roughly equal payload
+// bytes, and appends the chunk boundaries to dst: chunk c is entries
+// [b[c], b[c+1]). Power-law graphs concentrate most edges on few vertices,
+// so equal-entry chunks would leave one worker with almost all of a block's
+// edges; equal-work chunks keep the §3.5 intra-block parallelism effective.
+// Each boundary is a binary search over the entry ends, so chunking costs
+// O(t log entries) whatever the block. No entry yields no chunk.
+func entryChunks(dst []int, idx []uint32, t int) []int {
+	n := len(idx) / 2
+	if n == 0 {
 		return dst
 	}
 	dst = append(dst, 0)
-	total := int64(cum[n]) - int64(cum[0])
 	if t > n {
 		t = n
 	}
-	if t > 1 && total > 0 {
-		target := total / int64(t)
-		if target < 1 {
-			target = 1
-		}
+	if t > 1 {
+		target := max(int64(idx[2*n-1])/int64(t), 1)
 		// The last chunk takes whatever the first t-1 left, so rounding
 		// never spawns a worker for a few trailing records.
-		for lo, c := 0, 1; c < t; c++ {
-			hi := lo + 1
-			chunkEnd := int64(cum[lo]) + target
-			for hi < n && int64(cum[hi]) < chunkEnd {
-				hi++
-			}
+		for lo, start, c := 0, int64(0), 1; c < t; c++ {
+			// hi is the first entry past lo whose records begin — where
+			// entry hi-1's end — at or after the chunk's byte target: entry
+			// lo is in its chunk regardless.
+			hi := lo + 1 + sort.Search(n-lo-1, func(k int) bool { return int64(idx[2*(lo+k)+1]) >= start+target })
 			if hi == n {
 				break
 			}
 			dst = append(dst, hi)
-			lo = hi
+			lo, start = hi, int64(idx[2*hi-1])
 		}
 	}
 	return append(dst, n)
