@@ -559,13 +559,15 @@ func BenchmarkExtensionPrefetchCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Generous enough to hold every dataset's in-block working set.
+	const cacheBudget = 256 << 20
 	cases := []struct {
 		name string
 		cfg  core.Config
 	}{
 		{"sync", core.Config{}},
 		{"prefetch", core.Config{PrefetchDepth: 2}},
-		{"prefetch+cache", core.Config{PrefetchDepth: 2, CacheBudgetBytes: experiments.BenchCacheBudget}},
+		{"prefetch+cache", core.Config{PrefetchDepth: 2, CacheBudgetBytes: cacheBudget}},
 	}
 	for _, c := range cases {
 		c := c

@@ -36,7 +36,7 @@ func run() error {
 	p := flag.Int("p", 8, "partition count for -blocks")
 	symmetric := flag.Bool("symmetric", false, "symmetrize before writing (WCC input)")
 	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed")
-	compress := flag.Bool("compress", false, "shorthand for -blockformat mixed: per-block pick the cheaper of delta-varint and byte-RLE, raw where neither pays")
+	compress := flag.Bool("compress", false, "shorthand for -blockformat mixed: delta-varint per block, raw where that does not pay")
 	stream := flag.Bool("stream", false, "build -blocks with the bounded-memory streaming builder")
 	stats := flag.Bool("stats", false, "print structural statistics of the generated graph")
 	flag.Parse()

@@ -42,9 +42,9 @@
 // processed instead of a registry dataset. With -store, the dual-block
 // representation is kept in real files under DIR instead of memory.
 //
-// -format mixed builds compressed edge blocks: each block independently
-// stores the smaller of delta-gap varint and byte-RLE (or stays raw when
-// neither pays), trading CPU decode for disk bandwidth. -sem enables
+// -format mixed builds compressed edge blocks, raw or varint per block:
+// a block is stored delta-gap varint coded where that is smaller and stays
+// raw where it is not, trading CPU decode for disk bandwidth. -sem enables
 // semi-external-memory mode (GraphMP's configuration): vertex arrays and
 // all out-indices are pinned in RAM — asserted to fit, failing fast with
 // a sizing message otherwise — so iterations charge only edge I/O. The
@@ -124,7 +124,7 @@ func run() error {
 	memBudget := flag.Int64("membudget", 0, "if > 0, choose P so one block's working set fits this many bytes (paper §3.2)")
 	trace := flag.Bool("trace", false, "print per-iteration statistics")
 	storeDir := flag.String("store", "", "keep the dual-block store in real files under this directory")
-	formatName := flag.String("format", "raw", "block record format: raw|mixed (mixed picks the cheaper of delta-varint and byte-RLE per block, falling back to raw where compression does not pay)")
+	formatName := flag.String("format", "raw", "block record format: raw|mixed (mixed is raw or varint per block: delta-varint where that is smaller, raw where compression does not pay)")
 	sem := flag.Bool("sem", false, "semi-external-memory mode: pin vertex arrays and all out-indices in RAM, charging only edge I/O; fails fast with a sizing message when the residency exceeds -sem-budget-mb (hus only)")
 	semBudgetMB := flag.Int64("sem-budget-mb", 0, "memory budget in MiB the semi-external residency must fit in (0 = autodetect total system RAM; hus only)")
 	valuesOut := flag.String("valuesout", "", "write final vertex values to this file (one 'vertex value' line each)")

@@ -110,19 +110,15 @@ func TestKernelsBitIdenticalToFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := gen.Web(n, 1600, gen.WebParams{Alpha: 2.2, JumpFrac: 0.05}, rng)
 	gen.AssignUniformWeights(g, 1, 5, rng)
-	// Shape the graph so its weighted mixed stores hold every codec (checked
-	// where they are built): random weights leave varint the smallest; the
-	// edges inside interval 0 weigh 0, so their records are one ID byte and
-	// seven zeros, which only byte-RLE squeezes; and no edge joins intervals
-	// 0 and 3, leaving those blocks empty — the one case CodecNone wins.
+	// Shape the graph so its mixed stores hold both codecs (checked where
+	// they are built): varint is the smallest wherever a block has edges, and
+	// no edge joins intervals 0 and 3, leaving those blocks empty — the one
+	// case CodecNone wins.
 	kept := g.Edges[:0]
 	for _, e := range g.Edges {
 		is, id := int(e.Src)/(n/p), int(e.Dst)/(n/p)
 		if (is == 0 && id == p-1) || (is == p-1 && id == 0) {
 			continue
-		}
-		if is == 0 && id == 0 {
-			e.Weight = 0
 		}
 		kept = append(kept, e)
 	}
@@ -150,9 +146,6 @@ func TestKernelsBitIdenticalToFallback(t *testing.T) {
 		}
 		if k.format == blockstore.FormatMixed {
 			want := []blockstore.Codec{blockstore.CodecNone, blockstore.CodecVarint}
-			if k.weighted { // on 4-byte ID-only records RLE never beats varint
-				want = append(want, blockstore.CodecRLE)
-			}
 			in, out := map[blockstore.Codec]int{}, map[blockstore.Codec]int{}
 			for i := 0; i < p; i++ {
 				for j := 0; j < p; j++ {

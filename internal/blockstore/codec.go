@@ -3,6 +3,7 @@ package blockstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"husgraph/internal/graph"
@@ -341,37 +342,47 @@ func encodeMeta(d *DualStore) []byte {
 }
 
 // decodeMeta parses metadata written by encodeMeta into a DualStore shell
-// (no store attached yet).
+// (no store attached yet). The payload passed its CRC, but that only says
+// the bytes are the ones some writer framed: every refusal is
+// storage.ErrCorrupt-class, and nothing is sized from a header field before
+// the payload's own length has vouched for it.
 func decodeMeta(buf []byte) (*DualStore, error) {
-	fail := func(msg string) (*DualStore, error) {
-		return nil, fmt.Errorf("blockstore: bad meta: %s", msg)
+	fail := func(format string, args ...any) (*DualStore, error) {
+		return nil, fmt.Errorf("blockstore: bad meta: %w: %w", fmt.Errorf(format, args...), storage.ErrCorrupt)
 	}
 	if len(buf) >= 4 && string(buf[:4]) == metaMagicDense {
-		return nil, fmt.Errorf("blockstore: bad meta: %w: %w", errDenseInIndex, storage.ErrCorrupt)
+		return fail("%w", errDenseInIndex)
 	}
 	if len(buf) < 36 || string(buf[:4]) != metaMagic {
 		return fail("magic")
 	}
-	n := int(binary.LittleEndian.Uint64(buf[4:]))
-	p := int(binary.LittleEndian.Uint64(buf[12:]))
+	nv := binary.LittleEndian.Uint64(buf[4:])
+	np := binary.LittleEndian.Uint64(buf[12:])
 	format := Format(binary.LittleEndian.Uint64(buf[20:]))
 	if format == 1 {
-		return nil, fmt.Errorf("blockstore: bad meta: %w", errFormatOne)
+		return fail("%w", errFormatOne)
 	}
 	if format != FormatRaw && format != FormatMixed {
-		return fail(fmt.Sprintf("unknown format %d", format))
+		return fail("unknown format %d", format)
 	}
 	weighted := binary.LittleEndian.Uint64(buf[28:])
 	if weighted > 1 {
-		return fail(fmt.Sprintf("bad weighted flag %d", weighted))
+		return fail("bad weighted flag %d", weighted)
 	}
-	want := 36 + n*8 + 5*p*p*8
+	// Vertex IDs are uint32 and NewLayout never keeps more intervals than
+	// vertices; an empty graph keeps the P it was given.
+	if nv > math.MaxUint32 || np < 1 || (nv > 0 && np > nv) {
+		return fail("%d vertices in %d intervals", nv, np)
+	}
+	cell := uint64(5 * 8) // the five int64 grids
 	if format == FormatMixed {
-		want += 2*p*p + p*p*8
+		cell += 2 + 8 // two codec grids, the out-index size grid
 	}
-	if len(buf) != want {
-		return fail(fmt.Sprintf("length %d, want %d", len(buf), want))
+	// np·np·cell is compared by division first, so the product cannot wrap.
+	if size := uint64(len(buf)); np > size/cell/np || 36+nv*8+np*np*cell != size {
+		return fail("length %d does not fit %d vertices in %d intervals", len(buf), nv, np)
 	}
+	n, p := int(nv), int(np)
 	d := &DualStore{Layout: Layout{NumVertices: n, P: p}, Format: format, Weighted: weighted == 1, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
 	d.OutDegrees = make([]int32, n)
 	d.InDegrees = make([]int32, n)
@@ -406,7 +417,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 					c := Codec(buf[off])
 					off++
 					if c >= numCodecs {
-						return nil, fmt.Errorf("blockstore: bad meta: unknown block codec %d", c)
+						return nil, fmt.Errorf("blockstore: bad meta: unknown block codec %d: %w", c, storage.ErrCorrupt)
 					}
 					m[i][j] = c
 				}

@@ -137,10 +137,9 @@ type decodeCounters struct {
 	// ops counts decode operations: one per block decode, index decode or
 	// run-section decode that ran a non-none codec.
 	ops atomic.Int64
-	// varintBytes/rleBytes are *decoded* (logical) bytes produced by each
-	// codec — the basis for modeled decode cost, which differs per codec.
+	// varintBytes are the *decoded* (logical) bytes varint decodes
+	// produced — the basis for modeled decode cost.
 	varintBytes atomic.Int64
-	rleBytes    atomic.Int64
 	// compressedBytes are the stored bytes those decodes consumed.
 	compressedBytes atomic.Int64
 	// nanos is wall time spent inside codec decode loops (diagnostic; the
@@ -161,10 +160,9 @@ type decodeCounters struct {
 type DecodeStats struct {
 	// Ops counts codec decode operations (non-none codecs only).
 	Ops int64
-	// VarintBytes/RLEBytes are decoded bytes produced per codec;
+	// VarintBytes are the decoded bytes varint decodes produced;
 	// CompressedBytes the stored bytes consumed producing them.
 	VarintBytes     int64
-	RLEBytes        int64
 	CompressedBytes int64
 	// LogicalBytes counts decoded-equivalent bytes of all full payload and
 	// index loads, for any codec including none.
@@ -174,14 +172,13 @@ type DecodeStats struct {
 }
 
 // DecodedBytes is the total decoded output of non-none codecs.
-func (s DecodeStats) DecodedBytes() int64 { return s.VarintBytes + s.RLEBytes }
+func (s DecodeStats) DecodedBytes() int64 { return s.VarintBytes }
 
 // Sub returns s - o field-wise (iteration deltas).
 func (s DecodeStats) Sub(o DecodeStats) DecodeStats {
 	return DecodeStats{
 		Ops:             s.Ops - o.Ops,
 		VarintBytes:     s.VarintBytes - o.VarintBytes,
-		RLEBytes:        s.RLEBytes - o.RLEBytes,
 		CompressedBytes: s.CompressedBytes - o.CompressedBytes,
 		LogicalBytes:    s.LogicalBytes - o.LogicalBytes,
 		Time:            s.Time - o.Time,
@@ -194,7 +191,6 @@ func (d *DualStore) DecodeStats() DecodeStats {
 	return DecodeStats{
 		Ops:             d.dec.ops.Load(),
 		VarintBytes:     d.dec.varintBytes.Load(),
-		RLEBytes:        d.dec.rleBytes.Load(),
 		CompressedBytes: d.dec.compressedBytes.Load(),
 		LogicalBytes:    d.dec.logicalBytes.Load(),
 		Time:            time.Duration(d.dec.nanos.Load()),
@@ -203,13 +199,9 @@ func (d *DualStore) DecodeStats() DecodeStats {
 
 // noteDecode records one codec decode op producing logical bytes out of
 // stored bytes in dur of wall time.
-func (d *DualStore) noteDecode(c Codec, logical, stored int64, dur time.Duration) {
+func (d *DualStore) noteDecode(logical, stored int64, dur time.Duration) {
 	d.dec.ops.Add(1)
-	if c == CodecRLE {
-		d.dec.rleBytes.Add(logical)
-	} else {
-		d.dec.varintBytes.Add(logical)
-	}
+	d.dec.varintBytes.Add(logical)
 	d.dec.compressedBytes.Add(stored)
 	d.dec.nanos.Add(int64(dur))
 }
@@ -366,17 +358,16 @@ func (d *DualStore) putInBlock(i, j int, recs []Rec, perVertex []uint32) error {
 
 // encodeBlockPayload encodes one block's per-vertex sections, returning the
 // stored payload, the index into it, and the codec used: CodecNone for
-// FormatRaw; FormatMixed encodes the block under every codec and keeps the
-// smallest, falling back to CodecNone unless a compressed encoding is
-// strictly smaller (compression must pay for its decode cost with real byte
-// savings). The index is an out-block's len(perVertex)+1 byte offsets, or
-// with entries set an in-block's (local, end offset) pair per vertex that
-// has a record — written in the one pass over the counts either way.
+// FormatRaw; FormatMixed also encodes the block as varint and keeps that
+// only where it is strictly smaller (compression must pay for its decode
+// cost with real byte savings). The index is an out-block's
+// len(perVertex)+1 byte offsets, or with entries set an in-block's (local,
+// end offset) pair per vertex that has a record — written in the one pass
+// over the counts either way.
 func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted, entries bool) ([]byte, []uint32, Codec) {
 	encode := func(c Codec) ([]byte, []uint32) {
 		idx := make([]uint32, 0, len(perVertex)+1)
 		var payload []byte
-		var rleScratch []byte
 		pos := 0
 		for k, cnt := range perVertex {
 			if !entries {
@@ -385,7 +376,7 @@ func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted,
 			if cnt == 0 {
 				continue
 			}
-			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, weighted, &rleScratch)
+			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, weighted)
 			pos += int(cnt)
 			if entries {
 				idx = append(idx, uint32(k), uint32(len(payload)))
@@ -396,18 +387,13 @@ func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted,
 		}
 		return payload, idx
 	}
-	bestPayload, bestIdx := encode(CodecNone)
-	best := CodecNone
-	if format != FormatMixed {
-		return bestPayload, bestIdx, best
-	}
-	for _, c := range []Codec{CodecVarint, CodecRLE} {
-		payload, idx := encode(c)
-		if len(payload) < len(bestPayload) {
-			bestPayload, bestIdx, best = payload, idx, c
+	raw, rawIdx := encode(CodecNone)
+	if format == FormatMixed {
+		if payload, idx := encode(CodecVarint); len(payload) < len(raw) {
+			return payload, idx, CodecVarint
 		}
 	}
-	return bestPayload, bestIdx, best
+	return raw, rawIdx, CodecNone
 }
 
 // encodeBlockIndex encodes a block's index with encode — encodeIndexCodec
@@ -757,7 +743,7 @@ func (d *DualStore) loadIndexScratch(name string, want int, sc *Scratch) ([]uint
 		start := time.Now()
 		idx, err = decodeIndexCodecInto(sc.idx, buf, codec)
 		if err == nil {
-			d.noteDecode(codec, int64(len(idx))*IndexEntryBytes, int64(len(buf)), time.Since(start))
+			d.noteDecode(int64(len(idx))*IndexEntryBytes, int64(len(buf)), time.Since(start))
 		}
 	}
 	if err != nil {
@@ -821,7 +807,7 @@ func (d *DualStore) DecodeSectionScratch(section []byte, c Codec, sc *Scratch) (
 		return nil, err
 	}
 	sc.dec = recs
-	d.noteDecode(c, int64(len(recs)), int64(len(section)), time.Since(start))
+	d.noteDecode(int64(len(recs)), int64(len(section)), time.Since(start))
 	return recs, nil
 }
 
@@ -867,7 +853,7 @@ func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []ui
 	sc.idx = entries
 	idxLogical := int64(len(entries)) * IndexEntryBytes
 	if idxCodec != CodecNone {
-		d.noteDecode(idxCodec, idxLogical, int64(len(idxBuf)), time.Since(start))
+		d.noteDecode(idxLogical, int64(len(idxBuf)), time.Since(start))
 	}
 	if c == CodecNone {
 		d.dec.logicalBytes.Add(idxLogical + int64(len(payload)))
@@ -888,7 +874,7 @@ func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []ui
 		entries[e+1], lo = uint32(len(dec)), hi
 	}
 	sc.dec = dec
-	d.noteDecode(c, int64(len(dec)), int64(len(payload)), time.Since(start))
+	d.noteDecode(int64(len(dec)), int64(len(payload)), time.Since(start))
 	d.dec.logicalBytes.Add(idxLogical + int64(len(dec)))
 	return dec, entries, nil
 }

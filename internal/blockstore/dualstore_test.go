@@ -335,6 +335,15 @@ func TestEmptyGraphBuild(t *testing.T) {
 	if len(blk.Recs) != 0 {
 		t.Fatal("empty block has records")
 	}
+	// No vertices at all: NewLayout keeps the P it was given, so decodeMeta's
+	// "no more intervals than vertices" bound must not apply.
+	mem := memStore()
+	if _, err := Build(mem, graph.New(0), 4); err != nil {
+		t.Fatal(err)
+	}
+	if re, err := Open(mem); err != nil || re.Layout.P != 4 {
+		t.Fatalf("reopening a zero-vertex store: %v, layout %+v", err, re)
+	}
 }
 
 func TestCodecRejectsCorruptPayloads(t *testing.T) {
@@ -348,8 +357,6 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 		{"varint whose weight is cut off", []byte{0x01, 0xAA}, CodecVarint, true},
 		{"unterminated varint", []byte{0xFF}, CodecVarint, true},
 		{"neighbor past uint32", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, CodecVarint, false},
-		{"rle group past the end", []byte{0x05, 1, 2}, CodecRLE, false},
-		{"rle expanding to a partial record", appendRLE(nil, make([]byte, 6)), CodecRLE, false},
 		{"unknown codec", nil, numCodecs, false},
 	} {
 		if _, err := appendSection(nil, c.section, c.codec, c.weighted); !errors.Is(err, storage.ErrCorrupt) {

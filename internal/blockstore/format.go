@@ -20,10 +20,9 @@ const (
 	// float32 weight on weighted stores) in version-1 frames: nothing to
 	// decode, supports direct slicing.
 	FormatRaw Format = 0
-	// FormatMixed picks a codec (none | varint | rle) *per block* at build
-	// time, keeping whichever encoding is smallest and falling back to raw
-	// sections when compression does not pay. Per-vertex sections stay
-	// self-contained (delta chains and RLE runs restart at every section
+	// FormatMixed picks a codec (none | varint) *per block* at build time,
+	// falling back to raw sections when compression does not pay. Per-vertex
+	// sections stay self-contained (delta chains restart at every section
 	// boundary), so the byte-offset index doubles as the gap-index side
 	// table that lets ROP read and decode only the touched ranges. Block
 	// indices are delta-varint compressed the same way. Every blob is
@@ -74,10 +73,6 @@ const (
 	// CodecVarint delta-gap varint encodes each section's sorted neighbor
 	// IDs; weights, when stored, follow each ID as raw float32 bits.
 	CodecVarint
-	// CodecRLE byte-RLE encodes each section's packed raw records
-	// (PackBits-style; see rle.go) — wins where whole records repeat
-	// bytes (zero weights, say); on ID-only records varint is smaller.
-	CodecRLE
 	numCodecs
 )
 
@@ -88,8 +83,6 @@ func (c Codec) String() string {
 		return "none"
 	case CodecVarint:
 		return "varint"
-	case CodecRLE:
-		return "rle"
 	default:
 		return fmt.Sprintf("Codec(%d)", int(c))
 	}
@@ -100,10 +93,9 @@ func (c Codec) String() string {
 // drop the weight field entirely — the compactness real systems exploit for
 // PageRank, BFS and WCC (§4.4 credits HUS-Graph's "more space-efficient"
 // storage). Every section is self-contained: the varint delta chain starts
-// from -1 and RLE runs never cross a section boundary, so a byte-range read
-// of any subset of sections decodes without context. rleScratch, when
-// non-nil, is reused for the intermediate raw packing of CodecRLE sections.
-func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool, rleScratch *[]byte) []byte {
+// from -1, so a byte-range read of any subset of sections decodes without
+// context.
+func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool) []byte {
 	switch c {
 	case CodecNone:
 		var scratch [EdgeBytes]byte
@@ -133,14 +125,6 @@ func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool, rleSc
 			prev = int64(r.Nbr)
 		}
 		return dst
-	case CodecRLE:
-		var local []byte
-		if rleScratch == nil {
-			rleScratch = &local
-		}
-		raw := encodeVertexRecsCodec((*rleScratch)[:0], recs, CodecNone, weighted, nil)
-		*rleScratch = raw
-		return appendRLE(dst, raw)
 	default:
 		panic("blockstore: unknown codec")
 	}
@@ -193,15 +177,6 @@ func appendSection(dst, section []byte, c Codec, weighted bool) ([]byte, error) 
 			prev = nbr
 		}
 		return dst, nil
-	case CodecRLE:
-		out, err := appendUnRLE(dst, section)
-		if err != nil {
-			return nil, err
-		}
-		if n := len(out) - len(dst); n%step != 0 {
-			return nil, fmt.Errorf("blockstore: rle section expands to %d bytes, not a multiple of %d: %w", n, step, storage.ErrCorrupt)
-		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("blockstore: unknown codec %d: %w", c, storage.ErrCorrupt)
 	}

@@ -37,12 +37,12 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
-var allCodecs = []Codec{CodecNone, CodecVarint, CodecRLE}
+var allCodecs = []Codec{CodecNone, CodecVarint}
 
 func TestVertexRecsRoundTripBothFormats(t *testing.T) {
 	recs := []Rec{{Nbr: 3, Weight: 1.5}, {Nbr: 4, Weight: 0}, {Nbr: 1000000, Weight: -2.25}}
 	for _, c := range allCodecs {
-		buf := encodeVertexRecsCodec(nil, recs, c, true, nil)
+		buf := encodeVertexRecsCodec(nil, recs, c, true)
 		got, err := appendSection(nil, buf, c, true)
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
@@ -59,7 +59,7 @@ func TestCompressedEncodingRejectsUnsorted(t *testing.T) {
 			t.Fatal("unsorted records accepted")
 		}
 	}()
-	encodeVertexRecsCodec(nil, []Rec{{Nbr: 5}, {Nbr: 3}}, CodecVarint, true, nil)
+	encodeVertexRecsCodec(nil, []Rec{{Nbr: 5}, {Nbr: 3}}, CodecVarint, true)
 }
 
 func TestCompressedSmallerOnRealBlocks(t *testing.T) {
@@ -164,10 +164,10 @@ func TestQuickVertexRecsRoundTrip(t *testing.T) {
 		prefix := make([]byte, rng.Intn(9))
 		rng.Read(prefix)
 		for _, weighted := range []bool{false, true} {
-			want := encodeVertexRecsCodec(append([]byte(nil), prefix...), recs, CodecNone, weighted, nil)
+			want := encodeVertexRecsCodec(append([]byte(nil), prefix...), recs, CodecNone, weighted)
 			for _, c := range allCodecs {
 				dst := append(make([]byte, 0, len(prefix)), prefix...)
-				got, err := appendSection(dst, encodeVertexRecsCodec(nil, recs, c, weighted, nil), c, weighted)
+				got, err := appendSection(dst, encodeVertexRecsCodec(nil, recs, c, weighted), c, weighted)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Logf("codec %v weighted %v: err %v, %d bytes, want %d", c, weighted, err, len(got), len(want))
 					return false
@@ -223,11 +223,11 @@ func TestUnweightedStoresSmallerAndDecodeWeightOne(t *testing.T) {
 
 func TestRawRecAccessor(t *testing.T) {
 	recs := []Rec{{Nbr: 42, Weight: 2.5}, {Nbr: 99, Weight: 0.5}}
-	wbuf := encodeVertexRecsCodec(nil, recs, CodecNone, true, nil)
+	wbuf := encodeVertexRecsCodec(nil, recs, CodecNone, true)
 	if nbr, w := RawRec(wbuf, EdgeBytes, true); nbr != 99 || w != 0.5 {
 		t.Fatalf("weighted RawRec = %d, %v", nbr, w)
 	}
-	ubuf := encodeVertexRecsCodec(nil, recs, CodecNone, false, nil)
+	ubuf := encodeVertexRecsCodec(nil, recs, CodecNone, false)
 	if len(ubuf) != 2*RawRecordBytes(false) {
 		t.Fatalf("unweighted payload %d bytes", len(ubuf))
 	}

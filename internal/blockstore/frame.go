@@ -26,7 +26,7 @@ import (
 // stores) appends one codec tag byte:
 //
 //	[0:17)  as version 1
-//	[17]    codec tag (CodecNone | CodecVarint | CodecRLE)
+//	[17]    codec tag (CodecNone | CodecVarint)
 //	[18:]   payload
 //
 // The CRC covers the payload as stored — i.e. the *compressed* bytes — so

@@ -28,7 +28,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameV2RoundTrip(t *testing.T) {
-	for _, c := range []Codec{CodecNone, CodecVarint, CodecRLE} {
+	for _, c := range []Codec{CodecNone, CodecVarint} {
 		payload := bytes.Repeat([]byte{0x5A}, 257)
 		got, codec, err := unframeBlob("blob", frameBlobV2(payload, c))
 		if err != nil {
@@ -49,6 +49,7 @@ func TestFrameV2DetectsCorruption(t *testing.T) {
 	cases := map[string]func([]byte) []byte{
 		"payload-bitflip": func(b []byte) []byte { b[frameHeaderLenV2+3] ^= 0x10; return b },
 		"bad-codec-tag":   func(b []byte) []byte { b[17] = 99; return b },
+		"rle-codec-tag":   func(b []byte) []byte { b[17] = 2; return b }, // byte-RLE until PR 25, no longer read
 		"truncated":       func(b []byte) []byte { return b[:len(b)-5] },
 		"header-only":     func(b []byte) []byte { return b[:frameHeaderLen] },
 	}
@@ -124,56 +125,93 @@ const denseMeta = "" +
 	"0800000000000000080000000000000000000000000000000800000000000000" +
 	"0800000000000000080000000000000000000000000000000800000000000000"
 
-// TestOpenRejectsOlderStores: there is no unframed read path, no format 1
-// and no dense in-index reader. A store whose meta blob carries no frame
-// (written before framing existed) is refused as corrupt, one whose meta
-// records the uniform-varint format FormatMixed subsumed is refused too, so
-// is one whose meta is laid out as before the in-index went sparse, and
-// each refusal is the message that says how to rebuild.
+// openWithMeta builds a small store, replaces its meta blob with what
+// rewrite makes of the verified meta payload, and returns Open's error.
+func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte) error {
+	t.Helper()
+	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
+	if _, err := BuildWithFormat(mem, chain(64), 4, format); err != nil {
+		t.Fatal(err)
+	}
+	framed, err := mem.ReadAll(metaName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := unframeBlob(metaName, framed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put(metaName, rewrite(append([]byte(nil), meta...))); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(mem)
+	return err
+}
+
+// TestOpenRejectsOlderStores: there is no unframed read path, no format 1,
+// no dense in-index reader and no RLE decoder. A store whose meta blob
+// carries no frame (written before framing existed) is refused as corrupt,
+// one whose meta records the uniform-varint format FormatMixed subsumed is
+// refused too, so is one whose meta is laid out as before the in-index went
+// sparse or whose codec grid names the retired byte-RLE codec (2), and the
+// first three refusals are the message that says how to rebuild.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
 		name    string
-		rewrite func(meta []byte) []byte // framed-and-verified meta payload → stored blob
+		format  Format
+		rewrite func(meta []byte) []byte // verified meta payload → stored blob
 		want    error
-		corrupt bool
 	}{
-		{"unframed", func(meta []byte) []byte { return meta }, errUnframed, true},
-		{"format-1", func(meta []byte) []byte {
-			meta = append([]byte(nil), meta...)
+		{"unframed", FormatRaw, func(meta []byte) []byte { return meta }, errUnframed},
+		{"format-1", FormatRaw, func(meta []byte) []byte {
 			binary.LittleEndian.PutUint64(meta[20:], 1)
 			return frameBlob(meta)
-		}, errFormatOne, false},
-		{"dense-in-index", func([]byte) []byte {
+		}, errFormatOne},
+		{"dense-in-index", FormatRaw, func([]byte) []byte {
 			old, err := hex.DecodeString(denseMeta)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return old
-		}, errDenseInIndex, true},
+		}, errDenseInIndex},
+		{"rle-block", FormatMixed, func(meta []byte) []byte {
+			meta[36+64*8+5*16*8] = 2 // OutCodecs[0][0], after the degrees and five grids
+			return frameBlob(meta)
+		}, storage.ErrCorrupt},
 	} {
-		mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-		if _, err := Build(mem, chain(64), 4); err != nil {
-			t.Fatal(err)
-		}
-		framed, err := mem.ReadAll(metaName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta, _, err := unframeBlob(metaName, framed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.Put(metaName, c.rewrite(meta)); err != nil {
-			t.Fatal(err)
-		}
-		_, err = Open(mem)
-		if !errors.Is(err, c.want) {
-			t.Fatalf("%s: Open: err = %v, want the rebuild hint %q", c.name, err, c.want)
-		}
-		if errors.Is(err, storage.ErrCorrupt) != c.corrupt {
-			t.Fatalf("%s: Open: err = %v, storage.ErrCorrupt-class = %v, want %v", c.name, err, !c.corrupt, c.corrupt)
+		err := openWithMeta(t, c.format, c.rewrite)
+		if !errors.Is(err, c.want) || !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("%s: Open: err = %v, want storage.ErrCorrupt-class %q", c.name, err, c.want)
 		}
 	}
+}
+
+// TestOpenRefusesMetaItCannotSize: n and P are read from the payload, so
+// they are bounded by the payload's length before anything is allocated
+// from them. In the first, 5·P²·8 wraps to 0 and the 36 bytes pass for a
+// complete meta of an empty graph; in the second n·8 wraps the same way.
+func TestOpenRefusesMetaItCannotSize(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n, p uint64
+	}{
+		{"p-squared-wraps", 0, 1 << 31},
+		{"n-wraps", 1 << 61, 0},
+	} {
+		err := openWithMeta(t, FormatRaw, func([]byte) []byte { return frameBlob(overflowMeta(c.n, c.p)) })
+		if !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("%s: Open: err = %v, want storage.ErrCorrupt-class", c.name, err)
+		}
+	}
+}
+
+// overflowMeta is a header-only raw, unweighted meta payload claiming n
+// vertices in p intervals.
+func overflowMeta(n, p uint64) []byte {
+	buf := append(make([]byte, 0, 36), metaMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, n)
+	buf = binary.LittleEndian.AppendUint64(buf, p)
+	return append(buf, make([]byte, 16)...)
 }
 
 // Every structural mismatch the in-block loader can find is corruption by

@@ -44,7 +44,7 @@ func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
 			return // decodable but not canonical: the encoder refuses it
 		}
 	}
-	again, err := appendSection(nil, encodeVertexRecsCodec(nil, recs, c, weighted, nil), c, weighted)
+	again, err := appendSection(nil, encodeVertexRecsCodec(nil, recs, c, weighted), c, weighted)
 	if err != nil || !bytes.Equal(again, out) {
 		t.Fatalf("%v re-encode round trip broke: %v (%d vs %d bytes)", c, err, len(again), len(out))
 	}
@@ -53,13 +53,12 @@ func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
 func FuzzDecodeVarint(f *testing.F) {
 	// Valid varint section encodings, weighted and not.
 	recs := []Rec{{Nbr: 1, Weight: 2}, {Nbr: 7, Weight: 0.5}, {Nbr: 1000000, Weight: -1}}
-	var rle []byte
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, true, &rle), true)
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, false, &rle), false)
+	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, true), true)
+	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, false), false)
 	// A valid varint index stream.
 	f.Add(encodeIndexCodec([]uint32{0, 8, 8, 24, 400}, CodecVarint), false)
 	// Truncated and corrupted variants.
-	full := encodeVertexRecsCodec(nil, recs, CodecVarint, true, &rle)
+	full := encodeVertexRecsCodec(nil, recs, CodecVarint, true)
 	f.Add(full[:len(full)-3], true)
 	mangled := append([]byte(nil), full...)
 	mangled[0] ^= 0xFF
@@ -93,47 +92,29 @@ func FuzzDecodeVarint(f *testing.F) {
 	})
 }
 
-func FuzzDecodeRLE(f *testing.F) {
-	// Valid RLE streams: runs, literals, boundaries at the group limits.
-	for _, src := range [][]byte{
-		nil,
-		{1, 2, 3},
-		bytes.Repeat([]byte{0}, 300),
-		append(bytes.Repeat([]byte{5}, 130), 1, 2, 3),
-		bytes.Repeat([]byte{1, 2}, 100),
-	} {
-		f.Add(appendRLE(nil, src))
+// FuzzDecodeMeta: the meta blob sizes every allocation Open makes. Whatever
+// the bytes, decodeMeta fails ErrCorrupt-class without panicking or
+// allocating beyond what the payload's length covers, and a meta it accepts
+// is one encodeMeta writes: it re-encodes to the same bytes.
+func FuzzDecodeMeta(f *testing.F) {
+	for _, format := range []Format{FormatRaw, FormatMixed} {
+		ds, err := BuildWithFormat(memStore(), mixedGraph(true), 4, format)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeMeta(ds))
 	}
-	// A full RLE-coded weighted section.
-	recs := []Rec{{Nbr: 2, Weight: 1}, {Nbr: 3, Weight: 1}, {Nbr: 9, Weight: 1}}
-	var rle []byte
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecRLE, true, &rle))
-	// Truncations and stray controls.
-	enc := appendRLE(nil, bytes.Repeat([]byte{8}, 64))
-	f.Add(enc[:len(enc)-1])
-	f.Add([]byte{0x7F})       // literal group header, no bytes
-	f.Add([]byte{0xFF})       // max run, missing value byte
-	f.Add([]byte{0x80, 0x00}) // minimal run of zeros
+	f.Add(overflowMeta(0, 1<<31))
+	f.Add(overflowMeta(1<<61, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if out, err := appendUnRLE(nil, data); err == nil {
-			// Expansion is bounded: each control byte yields at most
-			// rleMaxRun bytes, so over-reads would show as absurd growth.
-			if len(out) > len(data)*rleMaxRun {
-				t.Fatalf("unRLE expanded %d bytes to %d (> %dx bound)", len(data), len(out), rleMaxRun)
-			}
-			// Canonical round trip: encode(decode(data)) must decode back
-			// to the same bytes.
-			again, err := appendUnRLE(nil, appendRLE(nil, out))
-			if err != nil || !bytes.Equal(again, out) {
-				t.Fatalf("RLE re-encode round trip broke: %v", err)
-			}
-		} else {
+		d, err := decodeMeta(data)
+		if err != nil {
 			wantCorruptClass(t, err)
+			return
 		}
-		// The same bytes as a full RLE section decode (expand + length check).
-		for _, weighted := range []bool{false, true} {
-			fuzzSection(t, data, CodecRLE, weighted)
+		if again := encodeMeta(d); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d-byte meta re-encodes to %d different bytes", len(data), len(again))
 		}
 	})
 }
@@ -159,7 +140,7 @@ func FuzzDecodeInIndex(f *testing.F) {
 	f.Add(encodeInIndex(three, CodecNone)[:20], uint8(CodecNone), uint16(10), uint16(40), uint8(1)) // odd words
 	f.Add([]byte{1, 0x80}, uint8(CodecVarint), uint16(4), uint16(8), uint8(0))                      // truncated varint
 	f.Add([]byte{0, 4}, uint8(CodecVarint), uint16(4), uint16(4), uint8(0))                         // zero gap
-	f.Add(encodeInIndex(three, CodecNone), uint8(CodecRLE), uint16(10), uint16(40), uint8(1))       // no such index codec
+	f.Add(encodeInIndex(three, CodecNone), uint8(numCodecs), uint16(10), uint16(40), uint8(1))      // no such index codec
 
 	f.Fuzz(func(t *testing.T, data []byte, codec uint8, size, payloadLen uint16, stepSel uint8) {
 		step := [...]int{1, 4, 8}[stepSel%3]

@@ -108,7 +108,7 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 		{"varint: section past the payload", blockstore.CodecVarint, func(s uint32) []byte {
 			return varint(s, func(b []byte) []byte { b[29]++; return b })
 		}},
-		{"unknown index codec", blockstore.CodecRLE, func(s uint32) []byte {
+		{"unknown index codec", blockstore.Codec(2), func(s uint32) []byte {
 			return honest(s, same)
 		}},
 		{"fixed-width words under the varint tag", blockstore.CodecVarint, func(s uint32) []byte {

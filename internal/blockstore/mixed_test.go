@@ -13,71 +13,15 @@ import (
 	"husgraph/internal/storage"
 )
 
-func TestRLERoundTrip(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{},
-		{1},
-		{7, 7, 7},
-		bytes.Repeat([]byte{0}, 500),
-		append(bytes.Repeat([]byte{9}, 130), bytes.Repeat([]byte{3}, 131)...),
-		[]byte("no runs at all, literal bytes only — every byte distinct-ish"),
-		append(append([]byte("lit"), bytes.Repeat([]byte{0xFF}, 64)...), "tail"...),
-	}
-	rng := rand.New(rand.NewSource(5))
-	for k := 0; k < 30; k++ {
-		buf := make([]byte, rng.Intn(600))
-		for i := range buf {
-			if rng.Intn(3) == 0 {
-				buf[i] = 0 // seed runs
-			} else {
-				buf[i] = byte(rng.Intn(256))
-			}
-		}
-		cases = append(cases, buf)
-	}
-	for _, src := range cases {
-		enc := appendRLE(nil, src)
-		got, err := appendUnRLE(nil, enc)
-		if err != nil {
-			t.Fatalf("unRLE(%d bytes): %v", len(src), err)
-		}
-		if !bytes.Equal(got, src) {
-			t.Fatalf("RLE round trip mangled %d-byte input", len(src))
-		}
-	}
-}
-
-func TestRLECorruptInputsError(t *testing.T) {
-	enc := appendRLE(nil, bytes.Repeat([]byte{4}, 64))
-	for _, c := range [][]byte{
-		enc[:len(enc)-1], // truncated run value / literal tail
-		{0x05},           // literal group promising 6 bytes, none present
-		{0x80},           // run control with no value byte
-		{0x7F, 1, 2, 3},  // literal group promising 128 bytes, 3 present
-	} {
-		if _, err := appendUnRLE(nil, c); !errors.Is(err, storage.ErrCorrupt) {
-			t.Fatalf("corrupt RLE %v: err = %v, want wrapped storage.ErrCorrupt", c, err)
-		}
-	}
-}
-
 // mixedGraph builds a graph whose blocks end up under different codecs.
 // Gap-coded neighbor IDs beat packed records wherever a block has edges, so
 // varint is the rule and CodecNone is left the empty blocks (P = 8 has
-// some). Byte-RLE only wins where whole records repeat bytes: the weighted
-// variant gives the edges among the first 32 vertices weight 0, whose
-// records are one ID byte and seven zeros.
+// some).
 func mixedGraph(weighted bool) *graph.Graph {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.RMAT(256, 2400, gen.Graph500, rng)
 	if weighted {
 		gen.AssignUniformWeights(g, 1, 3, rand.New(rand.NewSource(22)))
-		for k, e := range g.Edges {
-			if e.Src < 32 && e.Dst < 32 {
-				g.Edges[k].Weight = 0
-			}
-		}
 	}
 	return g
 }
@@ -112,9 +56,6 @@ func TestMixedLoadsEqualRawLoads(t *testing.T) {
 		}
 		in, out := codecsOf(mixed)
 		for c := CodecNone; c < numCodecs; c++ {
-			if c == CodecRLE && !weighted {
-				continue // RLE never beats varint on 4-byte ID-only records
-			}
 			if in[c] == 0 || out[c] == 0 {
 				t.Fatalf("weighted=%v: mixed store has no %v block (in %v, out %v): the comparison would not cover that decoder", weighted, c, in, out)
 			}

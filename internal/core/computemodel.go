@@ -54,31 +54,25 @@ func ModeledComputeTime(edgeWork, vertexWork, blocks int64, threads int) time.Du
 }
 
 // Decode-cost model. Like compute, decode is priced for the modeled
-// testbed rather than measured by wall clock, so benchmark artifacts
-// replay deterministically on any host. The rates are per *decoded*
-// (logical) byte: delta-gap varint pays branchy per-record work, while
-// byte-RLE is a near-memcpy expansion.
-const (
-	// varintDecodeNsPerByte prices delta-gap varint decode per logical
-	// byte produced (~650 MB/s single-thread, the measured ballpark for
-	// binary.Uvarint chains on commodity hardware).
-	varintDecodeNsPerByte = 1.5
-	// rleDecodeNsPerByte prices byte-RLE expansion per logical byte
-	// produced (run expansion is memset-like, literals are copies).
-	rleDecodeNsPerByte = 0.6
-)
+// testbed rather than measured by wall clock, so modeled runs replay
+// deterministically on any host.
+//
+// varintDecodeNsPerByte prices delta-gap varint decode per *decoded*
+// (logical) byte produced (~650 MB/s single-thread, the measured ballpark
+// for binary.Uvarint chains on commodity hardware).
+const varintDecodeNsPerByte = 1.5
 
-// ModeledDecodeTime prices the decompression of varintBytes + rleBytes
-// logical bytes, divided across the modeled worker count (decode runs in
-// the prefetch workers and block-load workers, which parallelize).
-func ModeledDecodeTime(varintBytes, rleBytes int64, threads int) time.Duration {
-	ns := (float64(varintBytes)*varintDecodeNsPerByte + float64(rleBytes)*rleDecodeNsPerByte) / float64(effectiveThreads(threads))
+// ModeledDecodeTime prices the decompression of varintBytes logical bytes,
+// divided across the modeled worker count (decode runs in the prefetch
+// workers and block-load workers, which parallelize).
+func ModeledDecodeTime(varintBytes int64, threads int) time.Duration {
+	ns := float64(varintBytes) * varintDecodeNsPerByte / float64(effectiveThreads(threads))
 	return time.Duration(ns) * time.Nanosecond
 }
 
 // defaultDecodeNsPerByte seeds the predictor's decode-cost EWMA before
-// any decode has been observed: the conservative (varint) per-byte rate
-// at the configured parallelism.
+// any decode has been observed: the varint per-byte rate at the configured
+// parallelism.
 func defaultDecodeNsPerByte(threads int) float64 {
 	return varintDecodeNsPerByte / float64(effectiveThreads(threads))
 }

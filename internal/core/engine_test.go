@@ -285,7 +285,6 @@ func TestEngineIterStatsAccounting(t *testing.T) {
 	if res.TotalIOTime() > res.TotalRuntime() {
 		t.Fatal("io time exceeds runtime")
 	}
-	_ = res.TotalComputeTime()
 }
 
 func TestEngineActiveEdgeAccounting(t *testing.T) {

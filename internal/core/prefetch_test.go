@@ -69,7 +69,8 @@ func TestPrefetchAndCacheBitIdenticalValues(t *testing.T) {
 func TestPrefetchDepthDoesNotChangeIO(t *testing.T) {
 	// Without a cache, the pipeline reads exactly the blocks the
 	// synchronous path reads — read-ahead changes when I/O happens, never
-	// what is read. Totals must match byte for byte.
+	// what is read. Totals must match byte for byte, and so must the modeled
+	// runtime: it already assumes I/O and compute overlap.
 	g := prefetchTestGraph()
 	for _, model := range []Model{ModelROP, ModelCOP} {
 		run := func(depth int) *Result {
@@ -83,6 +84,9 @@ func TestPrefetchDepthDoesNotChangeIO(t *testing.T) {
 		sync, async := run(0), run(3)
 		if s, a := sync.TotalIO(), async.TotalIO(); s != a {
 			t.Fatalf("%v: prefetch changed device traffic: sync %+v async %+v", model, s, a)
+		}
+		if s, a := sync.TotalRuntime(), async.TotalRuntime(); s != a {
+			t.Fatalf("%v: prefetch changed the modeled runtime: sync %v async %v", model, s, a)
 		}
 		if async.PrefetchUnusedBytes != 0 {
 			t.Fatalf("%v: healthy run wasted %d prefetched bytes", model, async.PrefetchUnusedBytes)

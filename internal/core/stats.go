@@ -220,16 +220,6 @@ func (r *Result) TotalIOTime() time.Duration {
 	return t
 }
 
-// TotalComputeTime returns the summed measured (host wall-clock) compute
-// time.
-func (r *Result) TotalComputeTime() time.Duration {
-	var t time.Duration
-	for _, it := range r.Iterations {
-		t += it.ComputeTime
-	}
-	return t
-}
-
 // TotalComputeModeled returns the summed modeled compute time (the
 // quantity Runtime uses).
 func (r *Result) TotalComputeModeled() time.Duration {

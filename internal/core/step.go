@@ -216,7 +216,7 @@ func (s *Step) End() (IterStats, error) {
 	st.DecodeTime = decDelta.Time
 	st.DecodedBytes = decDelta.DecodedBytes()
 	st.CompressedBytes = decDelta.CompressedBytes
-	st.DecodeModeled = ModeledDecodeTime(decDelta.VarintBytes, decDelta.RLEBytes, e.cfg.Threads)
+	st.DecodeModeled = ModeledDecodeTime(decDelta.VarintBytes, e.cfg.Threads)
 	if db := st.DecodedBytes; db > 0 {
 		// Feed the predictor's decode-cost EWMA from what this iteration
 		// actually decoded (modeled rates, so replays are deterministic).

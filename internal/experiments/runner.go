@@ -158,21 +158,15 @@ func (r *Runner) Graph(d gen.Dataset, symmetric bool) *graph.Graph {
 // the given device profile, with the device statistics reset so the next
 // run starts clean.
 func (r *Runner) Store(d gen.Dataset, symmetric, weighted bool, prof storage.Profile) (*blockstore.DualStore, error) {
-	return r.StoreFormat(d, symmetric, weighted, prof, blockstore.FormatRaw)
-}
-
-// StoreFormat is Store with an explicit block format; the format is part
-// of the cache key, so raw and mixed builds of one dataset coexist.
-func (r *Runner) StoreFormat(d gen.Dataset, symmetric, weighted bool, prof storage.Profile, format blockstore.Format) (*blockstore.DualStore, error) {
 	g := r.Graph(d, symmetric)
-	key := fmt.Sprintf("%s|%v|%v|%s|%v|%v", d.Name, symmetric, weighted, prof.Name, r.opts.Quick, format)
+	key := fmt.Sprintf("%s|%v|%v|%s|%v", d.Name, symmetric, weighted, prof.Name, r.opts.Quick)
 	r.mu.Lock()
 	ds, ok := r.stores[key]
 	r.mu.Unlock()
 	if !ok {
 		var err error
 		ds, err = blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(prof)), g,
-			blockstore.Options{P: r.opts.P, Weighted: weighted, Format: format})
+			blockstore.Options{P: r.opts.P, Weighted: weighted})
 		if err != nil {
 			return nil, err
 		}

@@ -256,7 +256,7 @@ func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Fron
 	st.DecodeTime = decDelta.Time
 	st.DecodedBytes = decDelta.DecodedBytes()
 	st.CompressedBytes = decDelta.CompressedBytes
-	st.DecodeModeled = core.ModeledDecodeTime(decDelta.VarintBytes, decDelta.RLEBytes, c.cfg.Threads)
+	st.DecodeModeled = core.ModeledDecodeTime(decDelta.VarintBytes, c.cfg.Threads)
 	return next, st, nil
 }
 

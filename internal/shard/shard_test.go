@@ -65,10 +65,98 @@ func wantSameValues(t *testing.T, tag string, got, want []float64) {
 }
 
 // timeless returns st without its host wall-clock measurements — the only
-// fields of an IterStats that two runs of one configuration may differ in.
+// fields of an IterStats that two runs of one configuration may differ in —
+// down through the per-shard reports of a K > 1 iteration.
 func timeless(st core.IterStats) core.IterStats {
 	st.ComputeTime, st.DecodeTime, st.PrefetchStall = 0, 0, 0
+	if st.Shards != nil {
+		shards := make([]core.ShardIterStats, len(st.Shards))
+		for k, ss := range st.Shards {
+			shards[k] = core.ShardIterStats{Shard: ss.Shard, Stats: timeless(ss.Stats)}
+		}
+		st.Shards = shards
+	}
 	return st
+}
+
+// TestRunReplaysExactly is the check behind every "deterministic" claim made
+// about the modeled track (DESIGN.md §7, EXPERIMENTS.md) and the reason
+// perfbench can gate read_bytes, read_ops and modeled_s exactly: a run's
+// IterStats are a pure function of (store, config, program). Each cell runs
+// twice on a freshly built store and must agree on every field of every
+// iteration — model choice, predictor estimates, device traffic, modeled
+// times, cache, decode, bucket and exchange counters, per shard at K = 2 —
+// differing only in the three host-clock fields; and the cells of one
+// program agree on the values to the bit. PageRank covers COP and Coreness
+// the bucketed path, both under the predictor; BFS is held to ROP — on a
+// graph this size the predictor leaves it after an iteration — so its cached
+// cell covers the run cache. Every cell goes through shard.New, the one run
+// path.
+func TestRunReplaysExactly(t *testing.T) {
+	web := testGraphs(t)["web"]
+	sym := web.Symmetrize()
+	progs := []struct {
+		name  string
+		g     *graph.Graph
+		model core.Model
+		fresh func() core.Program
+	}{
+		{"PageRank", web, core.ModelHybrid, func() core.Program { return &algos.PageRank{} }},
+		{"BFS", web, core.ModelROP, func() core.Program { return algos.BFS{Source: gen.BFSSource(web)} }},
+		{"Coreness", sym, core.ModelHybrid, func() core.Program { return &algos.Coreness{} }},
+	}
+	cells := []struct {
+		name   string
+		format blockstore.Format
+		cfg    shard.Config
+	}{
+		{"sync", blockstore.FormatRaw, shard.Config{}},
+		// The budget holds every block, so nothing is evicted. What a full
+		// cache gives up depends on the order prefetch workers land: at 8 KiB
+		// CacheEvictions and PredictedCOP differ between runs at GOMAXPROCS
+		// 2 and 8 (63 against 64 evictions in one Coreness iteration).
+		{"prefetch+cache", blockstore.FormatRaw, shard.Config{Config: core.Config{PrefetchDepth: 2, CacheBudgetBytes: 64 << 20}}},
+		{"sem-mixed", blockstore.FormatMixed, shard.Config{Config: core.Config{SemiExternal: true}}},
+		{"K=2", blockstore.FormatRaw, shard.Config{Shards: 2}},
+	}
+	for _, p := range progs {
+		var ref []float64
+		for _, c := range cells {
+			run := func() *core.Result {
+				ds, err := blockstore.BuildWithFormat(storage.NewMemStore(storage.NewDevice(storage.HDD)), p.g, 8, c.format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := c.cfg
+				cfg.Model, cfg.Threads, cfg.MaxIters = p.model, 4, 30
+				co, err := shard.New(ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := co.Run(p.fresh())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			tag := p.name + "/" + c.name
+			first, second := run(), run()
+			if first.Converged != second.Converged || len(first.Iterations) != len(second.Iterations) {
+				t.Fatalf("%s: runs ended after %d (converged %v) and %d (converged %v) iterations", tag,
+					len(first.Iterations), first.Converged, len(second.Iterations), second.Converged)
+			}
+			for i := range first.Iterations {
+				if a, b := timeless(first.Iterations[i]), timeless(second.Iterations[i]); !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: iteration %d not reproducible:\n first  %+v\n second %+v", tag, i, a, b)
+				}
+			}
+			wantSameValues(t, tag+" second run", second.Values, first.Values)
+			if ref == nil {
+				ref = first.Values
+			}
+			wantSameValues(t, tag+" against "+cells[0].name, first.Values, ref)
+		}
+	}
 }
 
 // TestShardK1Identity pins the coordinator's identity configuration: K=1
