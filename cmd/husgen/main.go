@@ -6,6 +6,12 @@
 //	husgen -list
 //	husgen -dataset twitter-sim -out twitter.bin [-format binary|text]
 //	husgen -dataset twitter-sim -blocks DIR [-p 8] [-symmetric]
+//	       [-blockformat raw|mixed] [-compress] [-stats]
+//
+// -blocks builds the generated (resident) graph with blockstore.BuildOpts.
+// An edge file that does not fit in memory goes through the same build pass
+// under a spill budget: blockstore.BuildStreamingOpts, as examples/outofcore
+// does.
 package main
 
 import (
@@ -37,7 +43,6 @@ func run() error {
 	symmetric := flag.Bool("symmetric", false, "symmetrize before writing (WCC input)")
 	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed")
 	compress := flag.Bool("compress", false, "shorthand for -blockformat mixed: delta-varint per block, raw where that does not pay")
-	stream := flag.Bool("stream", false, "build -blocks with the bounded-memory streaming builder")
 	stats := flag.Bool("stats", false, "print structural statistics of the generated graph")
 	flag.Parse()
 
@@ -108,16 +113,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		var ds *blockstore.DualStore
-		if *stream {
-			var buf bytes.Buffer
-			if err := graph.WriteBinary(&buf, g); err != nil {
-				return err
-			}
-			ds, err = blockstore.BuildStreaming(st, &buf, *p, format, 0)
-		} else {
-			ds, err = blockstore.BuildWithFormat(st, g, *p, format)
-		}
+		ds, err := blockstore.BuildWithFormat(st, g, *p, format)
 		if err != nil {
 			return err
 		}

@@ -8,17 +8,17 @@
 //	         [-model hybrid|rop|cop] [-device hdd|ssd|nvme|ram] [-threads N] [-p P]
 //	         [-membudget BYTES] [-shards K] [-delta W] [-format raw|mixed] [-sem]
 //	         [-sem-budget-mb MB] [-trace] [-stats] [-input edges.txt] [-store DIR]
-//	         [-valuesout FILE] [-prefetch DEPTH] [-cache-mb MB] [-cache-admission POLICY]
+//	         [-valuesout FILE] [-prefetch DEPTH] [-cache-mb MB]
 //	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D] [-retry-jitter J]
 //	         [-read-deadline D] [-fault-transient N] [-fault-bitflip N] [-fault-delay N]
 //	         [-fault-delay-by D] [-fault-stall N] [-fault-after N] [-fault-seed S]
 //
 // -prefetch enables the asynchronous block-prefetch pipeline (DEPTH worker
 // goroutines reading ahead of the executor); -cache-mb retains decoded hot
-// blocks across iterations under a byte budget; -cache-admission selects
-// the cache insert policy under eviction pressure (tinylfu|lru). All of
-// them leave results bit-identical to the synchronous configuration; -stats
-// prints the per-iteration cache and prefetch numbers that validate them.
+// blocks across iterations under a byte budget (inserts that would evict
+// are TinyLFU-gated; DESIGN.md §4d). Both leave results bit-identical to
+// the synchronous configuration; -stats prints the per-iteration cache and
+// prefetch numbers that validate them.
 //
 // Algorithm names are case-insensitive. -algo sssp-delta and -algo coreness
 // run bucketed (priority-ordered) execution: activated vertices are parked
@@ -132,7 +132,6 @@ func run() error {
 	resume := flag.Bool("resume", false, "resume from a persisted checkpoint when one exists (hus only)")
 	prefetch := flag.Int("prefetch", 0, "asynchronous block-prefetch depth overlapping I/O with compute (0 = synchronous loads; hus only)")
 	cacheMB := flag.Int64("cache-mb", 0, "hot-block cache budget in MiB, retaining decoded blocks across iterations (0 = off; hus only)")
-	cacheAdmission := flag.String("cache-admission", "tinylfu", "block-cache admission policy under eviction pressure: tinylfu|lru (hus only)")
 	stats := flag.Bool("stats", false, "print per-iteration cache and prefetch statistics (hit ratio, stall; hus only)")
 	retries := flag.Int("retries", 0, "retry reads failing with a transient fault up to N times each, with exponential backoff")
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")
@@ -217,9 +216,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if _, err := blockstore.ParseAdmission(*cacheAdmission); err != nil {
-			return err
-		}
 		input := g
 		if algo.Symmetric {
 			input = g.Symmetrize()
@@ -295,7 +291,6 @@ func run() error {
 			ReadDeadline:     *readDeadline,
 			PrefetchDepth:    *prefetch,
 			CacheBudgetBytes: *cacheMB << 20,
-			CacheAdmission:   *cacheAdmission,
 		}
 		co, err := shard.New(ds, shard.Config{Config: cfg, Shards: shardK})
 		if err != nil {

@@ -56,32 +56,10 @@ func (b *Bitset) Set(i int) {
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear clears bit i.
-func (b *Bitset) Clear(i int) {
-	b.check(i)
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Test reports whether bit i is set.
 func (b *Bitset) Test(i int) bool {
 	b.check(i)
 	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// AtomicSet sets bit i; safe for concurrent use with other Atomic methods.
-func (b *Bitset) AtomicSet(i int) {
-	b.check(i)
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << (uint(i) % wordBits)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return
-		}
-	}
 }
 
 // AtomicTestAndSet sets bit i and reports whether this call changed it from
@@ -99,12 +77,6 @@ func (b *Bitset) AtomicTestAndSet(i int) bool {
 			return true
 		}
 	}
-}
-
-// AtomicTest reports whether bit i is set, using an atomic load.
-func (b *Bitset) AtomicTest(i int) bool {
-	b.check(i)
-	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<(uint(i)%wordBits)) != 0
 }
 
 // Count returns the number of set bits.
@@ -142,16 +114,6 @@ func (b *Bitset) CountRange(lo, hi int) int {
 	return c
 }
 
-// None reports whether no bits are set.
-func (b *Bitset) None() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset clears every bit.
 func (b *Bitset) Reset() {
 	for i := range b.words {
@@ -175,25 +137,6 @@ func (b *Bitset) Clone() *Bitset {
 	c := New(b.n)
 	copy(c.words, b.words)
 	return c
-}
-
-// CopyFrom overwrites the bitset with the contents of src, which must have
-// the same capacity.
-func (b *Bitset) CopyFrom(src *Bitset) {
-	if b.n != src.n {
-		panic("bitset: CopyFrom capacity mismatch")
-	}
-	copy(b.words, src.words)
-}
-
-// Or sets b to the union b ∪ other. Capacities must match.
-func (b *Bitset) Or(other *Bitset) {
-	if b.n != other.n {
-		panic("bitset: Or capacity mismatch")
-	}
-	for i := range b.words {
-		b.words[i] |= other.words[i]
-	}
 }
 
 // OrAtomic sets b to the union b ∪ other with per-word CAS loops, safe for
@@ -221,26 +164,6 @@ func (b *Bitset) OrAtomic(other *Bitset) {
 				break
 			}
 		}
-	}
-}
-
-// And sets b to the intersection b ∩ other. Capacities must match.
-func (b *Bitset) And(other *Bitset) {
-	if b.n != other.n {
-		panic("bitset: And capacity mismatch")
-	}
-	for i := range b.words {
-		b.words[i] &= other.words[i]
-	}
-}
-
-// AndNot sets b to the difference b \ other. Capacities must match.
-func (b *Bitset) AndNot(other *Bitset) {
-	if b.n != other.n {
-		panic("bitset: AndNot capacity mismatch")
-	}
-	for i := range b.words {
-		b.words[i] &^= other.words[i]
 	}
 }
 

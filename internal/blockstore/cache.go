@@ -2,7 +2,6 @@ package blockstore
 
 import (
 	"container/list"
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -177,19 +176,6 @@ func (a Admission) String() string {
 		return "tinylfu"
 	default:
 		return "Admission(?)"
-	}
-}
-
-// ParseAdmission parses an admission-policy name; "" selects AdmitTinyLFU,
-// the engine default.
-func ParseAdmission(s string) (Admission, error) {
-	switch s {
-	case "", "tinylfu", "TinyLFU":
-		return AdmitTinyLFU, nil
-	case "lru", "LRU":
-		return AdmitLRU, nil
-	default:
-		return AdmitTinyLFU, fmt.Errorf("blockstore: unknown cache admission %q (want lru|tinylfu)", s)
 	}
 }
 

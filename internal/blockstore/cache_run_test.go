@@ -159,24 +159,6 @@ func TestCacheTinyLFUAdmissionUnderPressure(t *testing.T) {
 	}
 }
 
-func TestParseAdmission(t *testing.T) {
-	for in, want := range map[string]Admission{
-		"": AdmitTinyLFU, "tinylfu": AdmitTinyLFU, "TinyLFU": AdmitTinyLFU,
-		"lru": AdmitLRU, "LRU": AdmitLRU,
-	} {
-		got, err := ParseAdmission(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseAdmission(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseAdmission("arc"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-	if AdmitLRU.String() != "lru" || AdmitTinyLFU.String() != "tinylfu" {
-		t.Fatal("admission names")
-	}
-}
-
 func TestRunCachePromotionNeverExceedsBudget(t *testing.T) {
 	// Regression: the promotion-claiming PutRun used to insert its own run
 	// entry too, transiently charging both the accumulated runs and (after

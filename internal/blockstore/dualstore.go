@@ -246,101 +246,34 @@ func BuildWithFormat(store storage.Store, g *graph.Graph, p int, format Format) 
 	return BuildOpts(store, g, Options{P: p, Format: format, Weighted: true})
 }
 
-// BuildOpts is Build with full control over the on-disk layout.
+// BuildOpts is Build with full control over the on-disk layout. It feeds
+// g.Edges to the one build pass (build) and never spills: the edge list is
+// already resident, and the pass' two bucketed copies of it are what any
+// builder of both views must hold.
 func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("blockstore: build: %w", err)
 	}
-	format := opts.Format
-	if format != FormatRaw && format != FormatMixed {
-		return nil, fmt.Errorf("blockstore: build: unknown format %d", format)
-	}
-	layout := NewLayout(g.NumVertices, opts.P)
-	p := layout.P
-	d := &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
-	d.OutDegrees = make([]int32, g.NumVertices)
-	d.InDegrees = make([]int32, g.NumVertices)
-	d.BlockEdgeCount = alloc2D(p)
-	d.OutBlockBytes = alloc2D(p)
-	d.InBlockBytes = alloc2D(p)
-	d.InIndexEntries = alloc2D(p)
-	d.InIndexStoredBytes = alloc2D(p)
-	if format == FormatMixed {
-		d.OutCodecs = allocCodec2D(p)
-		d.InCodecs = allocCodec2D(p)
-		d.OutIndexStoredBytes = alloc2D(p)
-	}
-	for _, e := range g.Edges {
-		d.OutDegrees[e.Src]++
-		d.InDegrees[e.Dst]++
-		d.BlockEdgeCount[layout.IntervalOf(e.Src)][layout.IntervalOf(e.Dst)]++
-	}
-
-	// Bucket edges per block in the required orders.
-	outRecs := make([][][]Rec, p) // outRecs[i][j]: edges i→j as (dst, w), sorted by (src, dst)
-	inRecs := make([][][]Rec, p)  // inRecs[i][j]: edges i→j as (src, w), sorted by (dst, src)
-	outPerVertex := make([][][]uint32, p)
-	inPerVertex := make([][][]uint32, p)
-	for i := 0; i < p; i++ {
-		outRecs[i] = make([][]Rec, p)
-		inRecs[i] = make([][]Rec, p)
-		outPerVertex[i] = make([][]uint32, p)
-		inPerVertex[i] = make([][]uint32, p)
-		for j := 0; j < p; j++ {
-			n := d.BlockEdgeCount[i][j]
-			outRecs[i][j] = make([]Rec, 0, n)
-			inRecs[i][j] = make([]Rec, 0, n)
-			outPerVertex[i][j] = make([]uint32, layout.Size(i))
-			inPerVertex[i][j] = make([]uint32, layout.Size(j))
+	d, err := build(store, opts, 0, func(start func(int) error, edge func(graph.Edge) error) error {
+		if err := start(g.NumVertices); err != nil {
+			return err
 		}
-	}
-
-	sorted := g.Clone()
-	sorted.SortBySrc()
-	for _, e := range sorted.Edges {
-		i, j := layout.IntervalOf(e.Src), layout.IntervalOf(e.Dst)
-		outRecs[i][j] = append(outRecs[i][j], Rec{Nbr: e.Dst, Weight: e.Weight})
-		outPerVertex[i][j][layout.Local(e.Src)]++
-	}
-	sorted.SortByDst()
-	for _, e := range sorted.Edges {
-		i, j := layout.IntervalOf(e.Src), layout.IntervalOf(e.Dst)
-		inRecs[i][j] = append(inRecs[i][j], Rec{Nbr: e.Src, Weight: e.Weight})
-		inPerVertex[i][j][layout.Local(e.Dst)]++
-	}
-
-	// Encode: per-vertex self-contained sections, byte-offset indices into
-	// the stored payload. FormatMixed picks the smallest codec per block.
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			payload, idx, c := encodeBlockPayload(outRecs[i][j], outPerVertex[i][j], format, d.Weighted, false)
-			d.OutBlockBytes[i][j] = int64(len(payload))
-			if err := d.putBlobCodec(outBlockName(i, j), payload, c); err != nil {
-				return nil, err
-			}
-			idxPayload, idxCodec := encodeBlockIndex(idx, format, encodeIndexCodec)
-			if err := d.putBlobCodec(outIndexName(i, j), idxPayload, idxCodec); err != nil {
-				return nil, err
-			}
-			if format == FormatMixed {
-				d.OutCodecs[i][j] = c
-				d.OutIndexStoredBytes[i][j] = int64(len(idxPayload))
-			}
-			if err := d.putInBlock(i, j, inRecs[i][j], inPerVertex[i][j]); err != nil {
-				return nil, err
+		for _, e := range g.Edges {
+			if err := edge(e); err != nil {
+				return err
 			}
 		}
-	}
-	if err := d.putBlob(metaName, encodeMeta(d)); err != nil {
-		return nil, err
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("blockstore: build: %w", err)
 	}
 	return d, nil
 }
 
 // putInBlock encodes and writes in-block(i,j) and its in-index from the
 // block's records in (destination, source) order and its per-destination
-// record counts, and records what the meta blob keeps of them. Both builders
-// end here, so they store the same bytes.
+// record counts, and records what the meta blob keeps of them.
 func (d *DualStore) putInBlock(i, j int, recs []Rec, perVertex []uint32) error {
 	payload, entries, c := encodeBlockPayload(recs, perVertex, d.Format, d.Weighted, true)
 	d.InBlockBytes[i][j] = int64(len(payload))

@@ -237,19 +237,5 @@ func TestRawRecAccessor(t *testing.T) {
 }
 
 func TestStreamingUnweightedMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	g := gen.RMAT(120, 900, gen.Graph500, rng)
-	want, err := BuildOpts(memStore(), g, Options{P: 3, Format: FormatRaw, Weighted: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := BuildStreamingOpts(memStore(), &buf, Options{P: 3, Format: FormatRaw, Weighted: false}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storesEquivalent(t, want, got)
+	streamingMatchesDirect(t, gen.RMAT(120, 900, gen.Graph500, rand.New(rand.NewSource(32))), 3)
 }

@@ -73,12 +73,6 @@ func (l Layout) IntervalOf(v uint32) int {
 	return int(v) / l.intervalSize()
 }
 
-// Local converts vertex v to its index within its interval.
-func (l Layout) Local(v uint32) int {
-	lo, _ := l.Bounds(l.IntervalOf(v))
-	return int(v) - lo
-}
-
 // ChooseP returns the smallest partition count such that one edge block
 // plus its working set of vertex values and index fit within the given
 // memory budget — the paper's §3.2 rule: "By selecting P such that each

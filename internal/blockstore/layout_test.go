@@ -62,8 +62,8 @@ func TestLayoutIntervalOfAndLocal(t *testing.T) {
 		if got := l.IntervalOf(c.v); got != c.interval {
 			t.Errorf("IntervalOf(%d) = %d, want %d", c.v, got, c.interval)
 		}
-		if got := l.Local(c.v); got != c.local {
-			t.Errorf("Local(%d) = %d, want %d", c.v, got, c.local)
+		if lo, _ := l.Bounds(c.interval); int(c.v)-lo != c.local {
+			t.Errorf("vertex %d is local %d of interval %d, want %d", c.v, int(c.v)-lo, c.interval, c.local)
 		}
 	}
 }
@@ -102,9 +102,6 @@ func TestQuickLayoutPartition(t *testing.T) {
 			covered = hi
 			for v := lo; v < hi; v++ {
 				if l.IntervalOf(uint32(v)) != i {
-					return false
-				}
-				if l.Local(uint32(v)) != v-lo {
 					return false
 				}
 			}

@@ -194,23 +194,7 @@ func TestMixedNeverLargerThanRawPerBlock(t *testing.T) {
 }
 
 func TestMixedStreamingMatchesDirect(t *testing.T) {
-	g := mixedGraph(false)
-	want, err := BuildOpts(memStore(), g, Options{P: 3, Format: FormatMixed, Weighted: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := BuildStreamingOpts(memStore(), &buf, Options{P: 3, Format: FormatMixed, Weighted: false}, 257)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storesEquivalent(t, want, got)
-	if !reflect.DeepEqual(want.OutCodecs, got.OutCodecs) || !reflect.DeepEqual(want.InCodecs, got.InCodecs) {
-		t.Fatal("streaming build chose different codecs than direct build")
-	}
+	streamingMatchesDirect(t, mixedGraph(false), 3)
 }
 
 func TestMixedRangeReadsAndSectionDecode(t *testing.T) {

@@ -2,6 +2,12 @@ package blockstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -27,59 +33,55 @@ func streamFrom(t *testing.T, g *graph.Graph, p int, format Format, spill int) (
 	return ds, st
 }
 
-// storesEquivalent asserts two DualStores hold the same decoded blocks,
-// metadata and stored in-index blobs.
+// storesEquivalent asserts two stores hold the same blobs, byte for byte:
+// the same names, and under each name — meta included — the same bytes.
 func storesEquivalent(t *testing.T, a, b *DualStore) {
 	t.Helper()
-	if a.Layout != b.Layout || a.Format != b.Format {
-		t.Fatalf("layout/format: %+v/%v vs %+v/%v", a.Layout, a.Format, b.Layout, b.Format)
+	names := a.Store().List()
+	if got := b.Store().List(); !reflect.DeepEqual(names, got) {
+		t.Fatalf("blob names differ:\n%v\n%v", names, got)
 	}
-	if !reflect.DeepEqual(a.OutDegrees, b.OutDegrees) || !reflect.DeepEqual(a.InDegrees, b.InDegrees) {
-		t.Fatal("degrees differ")
+	for _, name := range names {
+		ab, err := a.Store().ReadAll(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := b.Store().ReadAll(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ab, bb) {
+			t.Fatalf("blob %s differs (%d vs %d bytes)", name, len(ab), len(bb))
+		}
 	}
-	if !reflect.DeepEqual(a.BlockEdgeCount, b.BlockEdgeCount) {
-		t.Fatal("block counts differ")
+}
+
+// streamingMatchesDirect builds g with BuildOpts and with BuildStreamingOpts
+// at a budget that flushes on every edge, one that flushes mid-bucket and the
+// default, raw and mixed, weighted and not: every store must be the same
+// bytes.
+func streamingMatchesDirect(t *testing.T, g *graph.Graph, p int) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.OutBlockBytes, b.OutBlockBytes) || !reflect.DeepEqual(a.InBlockBytes, b.InBlockBytes) {
-		t.Fatal("block byte sizes differ")
-	}
-	if !reflect.DeepEqual(a.InIndexEntries, b.InIndexEntries) || !reflect.DeepEqual(a.InIndexStoredBytes, b.InIndexStoredBytes) {
-		t.Fatal("in-index entry counts or stored sizes differ")
-	}
-	for i := 0; i < a.Layout.P; i++ {
-		for j := 0; j < a.Layout.P; j++ {
-			aii, err := a.Store().ReadAll(inIndexName(i, j))
+	for _, format := range []Format{FormatRaw, FormatMixed} {
+		for _, weighted := range []bool{true, false} {
+			opts := Options{P: p, Format: format, Weighted: weighted}
+			want, err := BuildOpts(memStore(), g, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bii, err := b.Store().ReadAll(inIndexName(i, j))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(aii, bii) {
-				t.Fatalf("stored in-index (%d,%d) differs", i, j)
-			}
-			ao, err := loadOutBlock(a, i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bo, err := loadOutBlock(b, i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ao, bo) {
-				t.Fatalf("out-block (%d,%d) differs", i, j)
-			}
-			ai, err := loadInBlock(a, i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bi, err := loadInBlock(b, i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ai, bi) {
-				t.Fatalf("in-block (%d,%d) differs", i, j)
+			for _, spill := range []int{1, 257, 0} {
+				got, err := BuildStreamingOpts(memStore(), bytes.NewReader(buf.Bytes()), opts, spill)
+				if err != nil {
+					t.Fatalf("%v weighted=%v spill=%d: %v", format, weighted, spill, err)
+				}
+				storesEquivalent(t, want, got)
+				if !reflect.DeepEqual(want.OutCodecs, got.OutCodecs) || !reflect.DeepEqual(want.InCodecs, got.InCodecs) {
+					t.Fatalf("%v weighted=%v spill=%d: streaming build chose different codecs than direct build", format, weighted, spill)
+				}
 			}
 		}
 	}
@@ -89,16 +91,7 @@ func TestBuildStreamingMatchesInMemoryBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.RMAT(300, 2500, gen.Graph500, rng)
 	gen.AssignUniformWeights(g, 1, 5, rng)
-	// Build requires (src,dst)-sorted determinism; BuildStreaming sorts
-	// internally, so feed the same multiset.
-	for _, format := range []Format{FormatRaw, FormatMixed} {
-		want, err := BuildWithFormat(memStore(), g, 4, format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := streamFrom(t, g, 4, format, 0)
-		storesEquivalent(t, want, got)
-	}
+	streamingMatchesDirect(t, g, 4)
 }
 
 func TestBuildStreamingTinySpillBudget(t *testing.T) {
@@ -114,13 +107,117 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 	storesEquivalent(t, want, got)
 }
 
-func TestBuildStreamingCleansSpillBlobs(t *testing.T) {
-	g := gen.Path(50)
-	_, st := streamFrom(t, g, 2, FormatRaw, 16)
+// TestStoreBytesGolden pins the bytes a build stores: sha256 over the sorted
+// blob names and contents of a fixed small graph, computed at the commit
+// before the two builders became one. A change that moves a store byte —
+// a layout, codec, frame or meta change — fails here and says so by
+// updating the digest.
+func TestStoreBytesGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	g := gen.RMAT(300, 2500, gen.Graph500, rng)
+	gen.AssignUniformWeights(g, 1, 5, rng)
+	for _, tc := range []struct {
+		format Format
+		want   string
+	}{
+		{FormatRaw, "7a60da5a58e018187b28a5c81743955df5e002ae1e29279a6d638968ed93175c"},
+		{FormatMixed, "345269e8ca94262ecfe6dc7fbcf9e876726268edd681c5512a250c121f34e7cc"},
+	} {
+		st := memStore()
+		if _, err := BuildWithFormat(st, g, 4, tc.format); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, name := range st.List() {
+			blob, err := st.ReadAll(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s %d\n", name, len(blob))
+			h.Write(blob)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%v store digest %s, want %s", tc.format, got, tc.want)
+		}
+	}
+}
+
+// noSpillBlobs asserts the store holds no tmp/ name.
+func noSpillBlobs(t *testing.T, st storage.Store) {
+	t.Helper()
 	for _, name := range st.List() {
 		if strings.HasPrefix(name, "tmp/") {
 			t.Fatalf("spill blob %s left behind", name)
 		}
+	}
+}
+
+func TestBuildStreamingCleansSpillBlobs(t *testing.T) {
+	g := gen.Path(50)
+	_, st := streamFrom(t, g, 2, FormatRaw, 16)
+	noSpillBlobs(t, st)
+
+	// A build that fails after its first flush: on the last edge, which is
+	// out of range, with every earlier edge already spilled.
+	bad := gen.Path(50)
+	bad.AddEdge(0, 50)
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, bad); err != nil {
+		t.Fatal(err)
+	}
+	failed := memStore()
+	if _, err := BuildStreaming(failed, bytes.NewReader(buf.Bytes()), 2, FormatRaw, 1); err == nil {
+		t.Fatal("out-of-range last edge accepted")
+	}
+	noSpillBlobs(t, failed)
+
+	// And on the k-th Put failing for good, wherever it lands: in a flush,
+	// or in a block write while later buckets' parts are still in the store.
+	buf.Reset()
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{0, 3, 10, 14} {
+		fs := storage.NewFaultStore(memStore(), 1)
+		fs.Inject(storage.Fault{Op: storage.OpWrite, Kind: storage.FaultPermanent, After: k, Count: 1})
+		if _, err := BuildStreaming(fs, bytes.NewReader(buf.Bytes()), 2, FormatRaw, 16); !errors.Is(err, storage.ErrPermanent) {
+			t.Fatalf("Put %d failing: err = %v, want ErrPermanent", k, err)
+		}
+		noSpillBlobs(t, fs)
+	}
+}
+
+// TestHUSGHeaderBounds: a header is the input's word, not a size to
+// allocate. The first two headers made BuildStreaming and graph.ReadBinary
+// panic in makeslice; the third promises more records than follow.
+func TestHUSGHeaderBounds(t *testing.T) {
+	header := func(numV, numE uint64, records int) []byte {
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, graph.New(0)); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes() // magic, version, then the two counts
+		binary.LittleEndian.PutUint64(b[8:], numV)
+		binary.LittleEndian.PutUint64(b[16:], numE)
+		return append(b, make([]byte, records*graph.EdgeRecordBytes)...)
+	}
+	for _, tc := range []struct {
+		name  string
+		input []byte
+		eof   bool // the error is the stream running out, not the header refused
+	}{
+		{"numV 2^62", header(1<<62, 0, 0), false},
+		{"numE 2^62", header(4, 1<<62, 0), true},
+		{"numE past the records", header(4, 3, 2), true},
+	} {
+		if _, err := graph.ReadBinary(bytes.NewReader(tc.input)); err == nil || errors.Is(err, io.EOF) != tc.eof {
+			t.Errorf("%s: ReadBinary err = %v", tc.name, err)
+		}
+		st := memStore()
+		if _, err := BuildStreaming(st, bytes.NewReader(tc.input), 2, FormatRaw, 1); err == nil || errors.Is(err, io.EOF) != tc.eof {
+			t.Errorf("%s: BuildStreaming err = %v", tc.name, err)
+		}
+		noSpillBlobs(t, st)
 	}
 }
 

@@ -119,14 +119,9 @@ func decodeCheckpoint(buf []byte, n, maxIter int) (*checkpoint, error) {
 // write) while persisting the newest checkpoint can never destroy the
 // previous good one: the next Resume validates the newest generation's
 // checksum frame and decode, and falls back to the other generation when
-// it is truncated or corrupt. The pre-generation blob name ckpt-<prog> is
-// still read (never written) for stores checkpointed by older builds.
-func checkpointName(prog Program) string {
-	return "ckpt-" + prog.Name()
-}
-
+// it is truncated or corrupt.
 func checkpointGenName(prog Program, slot int) string {
-	return fmt.Sprintf("%s.g%d", checkpointName(prog), slot)
+	return fmt.Sprintf("ckpt-%s.g%d", prog.Name(), slot)
 }
 
 // writeCheckpoint persists the current run state into the engine's next
@@ -151,19 +146,11 @@ func (e *Engine) writeCheckpoint(prog Program, iter int, values []float64, front
 // Errors other than not-found/corruption (e.g. a permanent device failure)
 // still propagate.
 func (e *Engine) loadCheckpoint(prog Program) (*checkpoint, int, error) {
-	candidates := []struct {
-		name string
-		slot int // -1: legacy single-slot blob
-	}{
-		{checkpointGenName(prog, 0), 0},
-		{checkpointGenName(prog, 1), 1},
-		{checkpointName(prog), -1},
-	}
 	var best *checkpoint
-	bestSlot := -1
+	bestSlot := 0
 	fallbacks := 0
-	for _, cand := range candidates {
-		buf, err := e.ds.GetAux(cand.name)
+	for slot := 0; slot < 2; slot++ {
+		buf, err := e.ds.GetAux(checkpointGenName(prog, slot))
 		if errors.Is(err, storage.ErrNotFound) {
 			continue
 		}
@@ -180,7 +167,7 @@ func (e *Engine) loadCheckpoint(prog Program) (*checkpoint, int, error) {
 			continue
 		}
 		if best == nil || c.iter > best.iter {
-			best, bestSlot = c, cand.slot
+			best, bestSlot = c, slot
 		}
 	}
 	if best == nil {
@@ -200,24 +187,16 @@ func (e *Engine) loadCheckpoint(prog Program) (*checkpoint, int, error) {
 	}
 	// The next checkpoint must overwrite the *other* slot, preserving the
 	// generation we just resumed from until a newer one lands safely.
-	if bestSlot >= 0 {
-		e.ckptSlot = bestSlot ^ 1
-	} else {
-		e.ckptSlot = 0
-	}
+	e.ckptSlot = bestSlot ^ 1
 	return best, fallbacks, nil
 }
 
-// DeleteCheckpoint removes a program's persisted checkpoint generations
-// (and any legacy single-slot blob), if present.
+// DeleteCheckpoint removes a program's persisted checkpoint generations, if
+// present.
 func (e *Engine) DeleteCheckpoint(prog Program) error {
 	var firstErr error
-	for _, name := range []string{
-		checkpointGenName(prog, 0),
-		checkpointGenName(prog, 1),
-		checkpointName(prog),
-	} {
-		err := e.ds.DeleteAux(name)
+	for slot := 0; slot < 2; slot++ {
+		err := e.ds.DeleteAux(checkpointGenName(prog, slot))
 		if err != nil && !errors.Is(err, storage.ErrNotFound) && firstErr == nil {
 			firstErr = err
 		}

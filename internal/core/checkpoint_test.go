@@ -242,39 +242,6 @@ func TestResumeAllGenerationsCorruptStartsFresh(t *testing.T) {
 	}
 }
 
-func TestResumeReadsLegacySingleSlotCheckpoint(t *testing.T) {
-	g := pathGraph(40)
-	full, err := New(buildStore(t, g, 4, storage.HDD), Config{Model: ModelCOP}).Run(testBFS{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ds := buildStore(t, g, 4, storage.HDD)
-	// Run to iteration 3 and persist its state under the pre-generation
-	// blob name, as an older build would have.
-	partial, err := New(ds, Config{Model: ModelCOP, MaxIters: 3}).Run(testBFS{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := bitset.NewFrontier(40)
-	f.Add(3) // frontier entering iteration 3 on the path graph
-	legacy := &checkpoint{iter: 3, values: partial.Values, frontier: f}
-	if err := ds.PutAux("ckpt-testBFS", encodeCheckpoint(legacy)); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed, err := New(ds, Config{Model: ModelCOP, Resume: true, CheckpointEvery: 2}).Run(testBFS{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first := resumed.Iterations[0].Iter; first != 3 {
-		t.Fatalf("resumed at iteration %d, want 3 (legacy checkpoint)", first)
-	}
-	if !reflect.DeepEqual(resumed.Values, full.Values) {
-		t.Fatal("legacy resume diverged from uninterrupted run")
-	}
-}
-
 // statefulCounter is an Incremental program with internal state: it
 // counts, per vertex, the messages seen across the whole run; the count
 // lives outside the engine-managed values, so resume only works if the

@@ -134,10 +134,6 @@ type Config struct {
 	// least-recently-used blocks. Hit/miss/evict counts land in
 	// IterStats and Result.Cache.
 	CacheBudgetBytes int64
-	// CacheAdmission names the block-cache insert policy under eviction
-	// pressure: "tinylfu" (default — frequency-gated admission protecting
-	// hot blocks from one-pass scans) or "lru" (always admit).
-	CacheAdmission string
 	// OnIteration, if set, is called after each iteration completes with
 	// that iteration's statistics — for live progress reporting. It runs
 	// on the engine goroutine; keep it fast.

@@ -105,10 +105,7 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 	e.owned, e.ownsAll = owned, ownsAll
 	e.scratch.New = func() any { return new(blockstore.Scratch) }
 	if e.cfg.CacheBudgetBytes > 0 {
-		// The CLI validates the admission name; an invalid one reaching
-		// here silently gets the default, matching ParseAdmission("").
-		adm, _ := blockstore.ParseAdmission(e.cfg.CacheAdmission)
-		e.cache = blockstore.NewBlockCacheOpts(e.cfg.CacheBudgetBytes, blockstore.CacheOptions{Admission: adm})
+		e.cache = blockstore.NewBlockCacheOpts(e.cfg.CacheBudgetBytes, blockstore.CacheOptions{Admission: blockstore.AdmitTinyLFU})
 	}
 	ds.SetRetryPolicy(blockstore.RetryPolicy{
 		MaxRetries: e.cfg.ReadRetries,

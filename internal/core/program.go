@@ -91,9 +91,6 @@ type Context struct {
 	InDegrees   []int32
 }
 
-// OutDegree returns the out-degree of v.
-func (c *Context) OutDegree(v graph.VertexID) int32 { return c.OutDegrees[v] }
-
 // Program is a vertex program in the paper's user-defined-function style:
 // updates propagate from source to destination vertices through edges, with
 // the engine deciding whether to push (ROP) or pull (COP) them.

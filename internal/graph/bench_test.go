@@ -33,11 +33,3 @@ func BenchmarkSymmetrize(b *testing.B) {
 		g.Symmetrize()
 	}
 }
-
-func BenchmarkDegreeOrder(b *testing.B) {
-	g := benchGraph(b, 1<<16, 1<<20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DegreeOrder(g)
-	}
-}

@@ -51,45 +51,73 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses a graph from the binary format.
-func ReadBinary(r io.Reader) (*Graph, error) {
+// maxPresizedEdges caps what ReadBinary allocates on the header's word
+// alone; past it the edge list grows as records actually arrive.
+const maxPresizedEdges = 1 << 20
+
+// DecodeBinary is the one reader of the binary format. It checks the magic,
+// the version and that numV fits the 32-bit ID space, hands the header's
+// counts to start, then every record in file order to edge. It sizes nothing
+// from the counts and does not range-check endpoints: both are the caller's,
+// which knows what it allocates. A stream that ends before numE records is
+// an error naming the missing edge; an error from start or edge stops the
+// decode and is returned as is.
+func DecodeBinary(r io.Reader, start func(numV int, numE uint64) error, edge func(Edge) error) error {
 	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: read magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	hdr := make([]byte, 4+8+8)
+	hdr := make([]byte, len(binaryMagic)+4+8+8)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("graph: read header: %w", err)
+		return fmt.Errorf("graph: read header: %w", err)
 	}
+	if string(hdr[:len(binaryMagic)]) != binaryMagic {
+		return fmt.Errorf("graph: bad magic %q (want WriteBinary output)", hdr[:len(binaryMagic)])
+	}
+	hdr = hdr[len(binaryMagic):]
 	if v := binary.LittleEndian.Uint32(hdr[0:]); v != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", v)
+		return fmt.Errorf("graph: unsupported version %d", v)
 	}
 	numV := binary.LittleEndian.Uint64(hdr[4:])
 	numE := binary.LittleEndian.Uint64(hdr[12:])
 	if numV > math.MaxUint32 {
-		return nil, fmt.Errorf("graph: vertex count %d exceeds 32-bit ID space", numV)
+		return fmt.Errorf("graph: vertex count %d exceeds 32-bit ID space", numV)
 	}
-	g := New(int(numV))
-	if numE > 0 {
-		// An edgeless graph keeps Edges nil, as New and the builders leave
-		// it: a round trip must give back an equal value, not merely an
-		// equivalent one.
-		g.Edges = make([]Edge, 0, numE)
+	if err := start(int(numV), numE); err != nil {
+		return err
 	}
 	rec := make([]byte, EdgeRecordBytes)
 	for i := uint64(0); i < numE; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("graph: read edge %d: %w", i, err)
+			return fmt.Errorf("graph: read edge %d: %w", i, err)
 		}
-		g.Edges = append(g.Edges, Edge{
+		err := edge(Edge{
 			Src:    binary.LittleEndian.Uint32(rec[0:]),
 			Dst:    binary.LittleEndian.Uint32(rec[4:]),
 			Weight: math.Float32frombits(binary.LittleEndian.Uint32(rec[8:])),
 		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadBinary parses a graph from the binary format.
+func ReadBinary(r io.Reader) (*Graph, error) {
+	var g *Graph
+	err := DecodeBinary(r, func(numV int, numE uint64) error {
+		g = New(numV)
+		if numE > 0 {
+			// An edgeless graph keeps Edges nil, as New and the builders leave
+			// it: a round trip must give back an equal value, not merely an
+			// equivalent one.
+			g.Edges = make([]Edge, 0, min(numE, maxPresizedEdges))
+		}
+		return nil
+	}, func(e Edge) error {
+		g.Edges = append(g.Edges, e)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -89,7 +89,7 @@ func (g *Graph) Clone() *Graph {
 	return &Graph{NumVertices: g.NumVertices, Edges: append([]Edge(nil), g.Edges...)}
 }
 
-// SortBySrc sorts edges by (src, dst) — the order out-blocks want.
+// SortBySrc sorts edges by (src, dst).
 func (g *Graph) SortBySrc() {
 	sort.Slice(g.Edges, func(i, j int) bool {
 		a, b := g.Edges[i], g.Edges[j]
@@ -97,17 +97,6 @@ func (g *Graph) SortBySrc() {
 			return a.Src < b.Src
 		}
 		return a.Dst < b.Dst
-	})
-}
-
-// SortByDst sorts edges by (dst, src) — the order in-blocks want.
-func (g *Graph) SortByDst() {
-	sort.Slice(g.Edges, func(i, j int) bool {
-		a, b := g.Edges[i], g.Edges[j]
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Src < b.Src
 	})
 }
 
@@ -146,16 +135,6 @@ func (g *Graph) Symmetrize() *Graph {
 	}
 	s.Dedup()
 	return s
-}
-
-// Reverse returns a new graph with every edge direction flipped.
-func (g *Graph) Reverse() *Graph {
-	r := New(g.NumVertices)
-	r.Edges = make([]Edge, len(g.Edges))
-	for i, e := range g.Edges {
-		r.Edges[i] = Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
-	}
-	return r
 }
 
 // MaxOutDegree returns the largest out-degree, or 0 for an empty graph.

@@ -71,7 +71,7 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestSortBySrcAndDst(t *testing.T) {
+func TestSortBySrc(t *testing.T) {
 	g := New(4)
 	g.AddEdge(3, 0)
 	g.AddEdge(1, 2)
@@ -79,10 +79,6 @@ func TestSortBySrcAndDst(t *testing.T) {
 	g.SortBySrc()
 	if g.Edges[0].Src != 1 || g.Edges[0].Dst != 0 || g.Edges[2].Src != 3 {
 		t.Fatalf("SortBySrc: %v", g.Edges)
-	}
-	g.SortByDst()
-	if g.Edges[0].Dst != 0 || g.Edges[2].Dst != 2 {
-		t.Fatalf("SortByDst: %v", g.Edges)
 	}
 }
 
@@ -115,17 +111,6 @@ func TestSymmetrize(t *testing.T) {
 	indeg := s.InDegrees()
 	if !reflect.DeepEqual(deg, indeg) {
 		t.Fatalf("symmetric graph has out %v != in %v", deg, indeg)
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := triangle()
-	r := g.Reverse()
-	if !reflect.DeepEqual(g.OutDegrees(), r.InDegrees()) {
-		t.Fatal("Reverse degrees mismatch")
-	}
-	if r.Edges[0].Src != g.Edges[0].Dst {
-		t.Fatal("Reverse did not flip")
 	}
 }
 

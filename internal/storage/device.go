@@ -77,21 +77,6 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("storage: unknown device profile %q", name)
 }
 
-// TSequential returns the sequential throughput in bytes/second — the
-// paper's T_sequential.
-func (p Profile) TSequential() float64 { return p.SeqBytesPerSec }
-
-// TRandom returns the effective random throughput in bytes/second for
-// accesses of the given average size — the paper's T_random, which the
-// authors measure with fio. It accounts for per-access positioning.
-func (p Profile) TRandom(avgAccessBytes int64) float64 {
-	if avgAccessBytes <= 0 {
-		avgAccessBytes = 4096
-	}
-	perAccess := p.AccessLatency.Seconds() + float64(avgAccessBytes)/p.RandBytesPerSec
-	return float64(avgAccessBytes) / perAccess
-}
-
 // CoalesceBytes returns the largest gap (in bytes) worth reading through
 // rather than seeking over: gap/RandBytesPerSec ≤ AccessLatency. Selective
 // readers (ROP) merge accesses separated by at most this gap, which is
@@ -124,20 +109,19 @@ func (p Profile) RandTime(n, accesses int64) time.Duration {
 
 // Stats is a snapshot of the I/O a device has performed.
 type Stats struct {
-	SeqReadBytes   int64
-	RandReadBytes  int64
-	SeqWriteBytes  int64
-	RandWriteBytes int64
-	RandAccesses   int64
-	SeqOps         int64
-	SimIO          time.Duration
+	SeqReadBytes  int64
+	RandReadBytes int64
+	SeqWriteBytes int64
+	RandAccesses  int64
+	SeqOps        int64
+	SimIO         time.Duration
 }
 
 // ReadBytes returns the total bytes read.
 func (s Stats) ReadBytes() int64 { return s.SeqReadBytes + s.RandReadBytes }
 
 // WriteBytes returns the total bytes written.
-func (s Stats) WriteBytes() int64 { return s.SeqWriteBytes + s.RandWriteBytes }
+func (s Stats) WriteBytes() int64 { return s.SeqWriteBytes }
 
 // TotalBytes returns the total bytes moved in either direction — the
 // paper's "I/O amount".
@@ -146,26 +130,24 @@ func (s Stats) TotalBytes() int64 { return s.ReadBytes() + s.WriteBytes() }
 // Sub returns the difference s - earlier, useful for per-iteration deltas.
 func (s Stats) Sub(earlier Stats) Stats {
 	return Stats{
-		SeqReadBytes:   s.SeqReadBytes - earlier.SeqReadBytes,
-		RandReadBytes:  s.RandReadBytes - earlier.RandReadBytes,
-		SeqWriteBytes:  s.SeqWriteBytes - earlier.SeqWriteBytes,
-		RandWriteBytes: s.RandWriteBytes - earlier.RandWriteBytes,
-		RandAccesses:   s.RandAccesses - earlier.RandAccesses,
-		SeqOps:         s.SeqOps - earlier.SeqOps,
-		SimIO:          s.SimIO - earlier.SimIO,
+		SeqReadBytes:  s.SeqReadBytes - earlier.SeqReadBytes,
+		RandReadBytes: s.RandReadBytes - earlier.RandReadBytes,
+		SeqWriteBytes: s.SeqWriteBytes - earlier.SeqWriteBytes,
+		RandAccesses:  s.RandAccesses - earlier.RandAccesses,
+		SeqOps:        s.SeqOps - earlier.SeqOps,
+		SimIO:         s.SimIO - earlier.SimIO,
 	}
 }
 
 // Add returns the sum s + other.
 func (s Stats) Add(other Stats) Stats {
 	return Stats{
-		SeqReadBytes:   s.SeqReadBytes + other.SeqReadBytes,
-		RandReadBytes:  s.RandReadBytes + other.RandReadBytes,
-		SeqWriteBytes:  s.SeqWriteBytes + other.SeqWriteBytes,
-		RandWriteBytes: s.RandWriteBytes + other.RandWriteBytes,
-		RandAccesses:   s.RandAccesses + other.RandAccesses,
-		SeqOps:         s.SeqOps + other.SeqOps,
-		SimIO:          s.SimIO + other.SimIO,
+		SeqReadBytes:  s.SeqReadBytes + other.SeqReadBytes,
+		RandReadBytes: s.RandReadBytes + other.RandReadBytes,
+		SeqWriteBytes: s.SeqWriteBytes + other.SeqWriteBytes,
+		RandAccesses:  s.RandAccesses + other.RandAccesses,
+		SeqOps:        s.SeqOps + other.SeqOps,
+		SimIO:         s.SimIO + other.SimIO,
 	}
 }
 
@@ -182,13 +164,12 @@ func (s Stats) String() string {
 type Device struct {
 	prof Profile
 
-	seqReadBytes   atomic.Int64
-	randReadBytes  atomic.Int64
-	seqWriteBytes  atomic.Int64
-	randWriteBytes atomic.Int64
-	randAccesses   atomic.Int64
-	seqOps         atomic.Int64
-	simIONanos     atomic.Int64
+	seqReadBytes  atomic.Int64
+	randReadBytes atomic.Int64
+	seqWriteBytes atomic.Int64
+	randAccesses  atomic.Int64
+	seqOps        atomic.Int64
+	simIONanos    atomic.Int64
 }
 
 // NewDevice returns a device with the given profile and zeroed statistics.
@@ -246,33 +227,15 @@ func (d *Device) WriteSeq(n int64) time.Duration {
 	return t
 }
 
-// WriteRand charges `accesses` random writes totalling n bytes and returns
-// their simulated duration.
-func (d *Device) WriteRand(n, accesses int64) time.Duration {
-	if n <= 0 && accesses <= 0 {
-		return 0
-	}
-	if n > 0 {
-		d.randWriteBytes.Add(n)
-	}
-	if accesses > 0 {
-		d.randAccesses.Add(accesses)
-	}
-	t := d.prof.RandTime(n, accesses)
-	d.charge(t)
-	return t
-}
-
 // Stats returns a snapshot of the accumulated statistics.
 func (d *Device) Stats() Stats {
 	return Stats{
-		SeqReadBytes:   d.seqReadBytes.Load(),
-		RandReadBytes:  d.randReadBytes.Load(),
-		SeqWriteBytes:  d.seqWriteBytes.Load(),
-		RandWriteBytes: d.randWriteBytes.Load(),
-		RandAccesses:   d.randAccesses.Load(),
-		SeqOps:         d.seqOps.Load(),
-		SimIO:          time.Duration(d.simIONanos.Load()),
+		SeqReadBytes:  d.seqReadBytes.Load(),
+		RandReadBytes: d.randReadBytes.Load(),
+		SeqWriteBytes: d.seqWriteBytes.Load(),
+		RandAccesses:  d.randAccesses.Load(),
+		SeqOps:        d.seqOps.Load(),
+		SimIO:         time.Duration(d.simIONanos.Load()),
 	}
 }
 
@@ -282,7 +245,6 @@ func (d *Device) Reset() {
 	d.seqReadBytes.Store(0)
 	d.randReadBytes.Store(0)
 	d.seqWriteBytes.Store(0)
-	d.randWriteBytes.Store(0)
 	d.randAccesses.Store(0)
 	d.seqOps.Store(0)
 	d.simIONanos.Store(0)

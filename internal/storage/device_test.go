@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -43,31 +42,33 @@ func TestRandTimeIncludesLatency(t *testing.T) {
 	}
 }
 
-func TestTRandomDegradesWithSmallAccesses(t *testing.T) {
-	// The central premise of the paper: for HDD, random throughput on
-	// small accesses is orders of magnitude below sequential throughput.
+func TestRandomAccessesCostMoreWhenSmall(t *testing.T) {
+	// The central premise of the paper: for HDD, moving bytes in small
+	// random accesses is orders of magnitude slower than streaming them.
 	// ROP's selective loads move ~tens of bytes per access at our dataset
 	// scale, so probe at 64 bytes.
-	small := HDD.TRandom(64)
-	large := HDD.TRandom(64 << 20)
-	if small >= HDD.TSequential()/50 {
-		t.Fatalf("HDD 64B random throughput %.0f too close to sequential %.0f", small, HDD.TSequential())
+	const accesses = 1 << 20
+	small := HDD.RandTime(64*accesses, accesses)
+	if seq := HDD.SeqTime(64 * accesses); small <= 50*seq {
+		t.Fatalf("HDD: %d 64B random accesses take %v, too close to the %v of streaming the same bytes", accesses, small, seq)
 	}
-	if large <= small {
-		t.Fatal("larger random accesses should have higher effective throughput")
+	if large := HDD.RandTime(64*accesses, 1); large >= small {
+		t.Fatal("the same bytes in one access should cost less than in many")
 	}
-	if HDD.TRandom(0) <= 0 {
-		t.Fatal("TRandom(0) should default to a positive value")
-	}
+}
+
+// randomPenalty is how many times longer p takes to move n 8 KiB accesses
+// than to stream their bytes.
+func randomPenalty(p Profile) float64 {
+	const n = 1 << 16
+	return float64(p.RandTime(8192*n, n)) / float64(p.SeqTime(8192*n))
 }
 
 func TestSSDRandomPenaltySmallerThanHDD(t *testing.T) {
 	// Fig. 11's premise: HUS benefits more from SSD because selective
 	// (random) access is relatively cheaper there.
-	hddRatio := HDD.TSequential() / HDD.TRandom(8192)
-	ssdRatio := SSD.TSequential() / SSD.TRandom(8192)
-	if ssdRatio >= hddRatio {
-		t.Fatalf("SSD seq/rand ratio %.1f should be below HDD's %.1f", ssdRatio, hddRatio)
+	if hdd, ssd := randomPenalty(HDD), randomPenalty(SSD); ssd >= hdd {
+		t.Fatalf("SSD rand/seq time ratio %.1f should be below HDD's %.1f", ssd, hdd)
 	}
 }
 
@@ -76,21 +77,19 @@ func TestDeviceCharging(t *testing.T) {
 	d.ReadSeq(1e6)
 	d.ReadRand(500e3, 10)
 	d.WriteSeq(250e3)
-	d.WriteRand(100e3, 2)
 	s := d.Stats()
 	if s.SeqReadBytes != 1e6 || s.RandReadBytes != 500e3 {
 		t.Fatalf("read bytes: %+v", s)
 	}
-	if s.SeqWriteBytes != 250e3 || s.RandWriteBytes != 100e3 {
+	if s.SeqWriteBytes != 250e3 {
 		t.Fatalf("write bytes: %+v", s)
 	}
-	if s.RandAccesses != 12 {
-		t.Fatalf("rand accesses = %d, want 12", s.RandAccesses)
+	if s.RandAccesses != 10 {
+		t.Fatalf("rand accesses = %d, want 10", s.RandAccesses)
 	}
 	wantIO := time.Second + // seq read
 		500*time.Millisecond + 10*time.Millisecond + // rand read
-		250*time.Millisecond + // seq write
-		100*time.Millisecond + 2*time.Millisecond // rand write
+		250*time.Millisecond // seq write
 	if diff := s.SimIO - wantIO; diff < -time.Microsecond || diff > time.Microsecond {
 		t.Fatalf("SimIO = %v, want %v", s.SimIO, wantIO)
 	}
@@ -102,7 +101,6 @@ func TestDeviceZeroAndNegativeChargesIgnored(t *testing.T) {
 	d.ReadSeq(-10)
 	d.ReadRand(0, 0)
 	d.WriteSeq(0)
-	d.WriteRand(-1, -1)
 	if s := d.Stats(); s.TotalBytes() != 0 || s.SimIO != 0 {
 		t.Fatalf("stats after no-op charges: %+v", s)
 	}
@@ -118,8 +116,8 @@ func TestDeviceReset(t *testing.T) {
 }
 
 func TestStatsArithmetic(t *testing.T) {
-	a := Stats{SeqReadBytes: 10, RandReadBytes: 5, SeqWriteBytes: 3, RandWriteBytes: 2, RandAccesses: 7, SeqOps: 1, SimIO: time.Second}
-	b := Stats{SeqReadBytes: 4, RandReadBytes: 1, SeqWriteBytes: 1, RandWriteBytes: 1, RandAccesses: 2, SeqOps: 1, SimIO: 100 * time.Millisecond}
+	a := Stats{SeqReadBytes: 10, RandReadBytes: 5, SeqWriteBytes: 5, RandAccesses: 7, SeqOps: 1, SimIO: time.Second}
+	b := Stats{SeqReadBytes: 4, RandReadBytes: 1, SeqWriteBytes: 2, RandAccesses: 2, SeqOps: 1, SimIO: 100 * time.Millisecond}
 	sum := a.Add(b)
 	if sum.ReadBytes() != 20 || sum.WriteBytes() != 7 || sum.TotalBytes() != 27 {
 		t.Fatalf("Add: %+v", sum)
@@ -179,15 +177,13 @@ func TestQuickSeqTimeMonotone(t *testing.T) {
 	}
 }
 
-// Property: TRandom never exceeds the random transfer bandwidth.
-func TestQuickTRandomBounded(t *testing.T) {
-	f := func(sz uint32) bool {
+// Property: random accesses never move bytes faster than the random
+// transfer bandwidth, and every access adds its latency on top.
+func TestQuickRandTimeAtLeastTransfer(t *testing.T) {
+	f := func(sz uint32, accesses uint16) bool {
 		for _, p := range []Profile{HDD, SSD, NVMe} {
-			tr := p.TRandom(int64(sz))
-			if tr <= 0 || math.IsNaN(tr) {
-				return false
-			}
-			if tr > p.RandBytesPerSec*1.0001 {
+			transfer := time.Duration(float64(sz) / p.RandBytesPerSec * float64(time.Second))
+			if got := p.RandTime(int64(sz), int64(accesses)); got != transfer+time.Duration(accesses)*p.AccessLatency {
 				return false
 			}
 		}

@@ -25,12 +25,14 @@ func ExampleDevice() {
 	// random slower than sequential per byte: true
 }
 
-// ExampleProfile_TRandom evaluates the paper's T_random for a given access
-// size, the quantity its §3.4 predictor divides by.
-func ExampleProfile_TRandom() {
-	small := storage.HDD.TRandom(64)
-	seq := storage.HDD.TSequential()
-	fmt.Println("64B random accesses reach less than 1% of sequential bandwidth:", small < seq/100)
+// ExampleProfile_RandTime prices small random accesses against streaming
+// the same bytes — the two costs the paper's §3.4 predictor weighs (its
+// T_random and T_sequential).
+func ExampleProfile_RandTime() {
+	const accesses = 1000
+	random := storage.HDD.RandTime(64*accesses, accesses)
+	seq := storage.HDD.SeqTime(64 * accesses)
+	fmt.Println("64B random accesses take over 100x the time of streaming their bytes:", random > 100*seq)
 	// Output:
-	// 64B random accesses reach less than 1% of sequential bandwidth: true
+	// 64B random accesses take over 100x the time of streaming their bytes: true
 }

@@ -157,17 +157,6 @@ func (s *MemStore) List() []string {
 	return names
 }
 
-// TotalSize returns the sum of all blob sizes.
-func (s *MemStore) TotalSize() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var t int64
-	for _, b := range s.blobs {
-		t += int64(len(b))
-	}
-	return t
-}
-
 // FileStore is a Store backed by real files in a directory, for genuine
 // out-of-core runs from the CLI. Blob names map to file paths beneath the
 // root; path separators in names create subdirectories. Simulated costs are

@@ -204,15 +204,6 @@ func TestMemStoreIsolation(t *testing.T) {
 	}
 }
 
-func TestMemStoreTotalSize(t *testing.T) {
-	s := NewMemStore(NewDevice(RAM))
-	s.Put("a", make([]byte, 10))
-	s.Put("b", make([]byte, 32))
-	if got := s.TotalSize(); got != 42 {
-		t.Fatalf("TotalSize = %d", got)
-	}
-}
-
 func TestFileStoreRejectsEscapingNames(t *testing.T) {
 	fs := newTestFileStore(t)
 	for _, bad := range []string{"../evil", "/abs", "a/../../b"} {
