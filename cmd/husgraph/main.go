@@ -9,7 +9,7 @@
 //	         [-membudget BYTES] [-shards K] [-delta W] [-format raw|mixed] [-sem]
 //	         [-sem-budget-mb MB] [-trace] [-stats] [-input edges.txt] [-store DIR]
 //	         [-valuesout FILE] [-prefetch DEPTH] [-cache-mb MB]
-//	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D] [-retry-jitter J]
+//	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D]
 //	         [-read-deadline D] [-fault-transient N] [-fault-bitflip N] [-fault-delay N]
 //	         [-fault-delay-by D] [-fault-stall N] [-fault-after N] [-fault-seed S]
 //
@@ -32,11 +32,14 @@
 //
 // -shards K runs the hus engine as K worker shards, each owning P/K
 // contiguous intervals with its own store handle, cache-budget slice and
-// I/O scheduler, exchanging frontier pieces at the iteration barrier
-// (internal/shard). Results are bit-identical to -shards 1 at every K; K
-// must divide P, and K > 1 is hus-only — both contradictions are rejected
-// at startup, as is a -sem residency the whole shard fleet cannot fit in
-// -sem-budget-mb. -stats adds the per-shard and exchange columns.
+// I/O scheduler, over one pair of shared vertex arrays; their frontier
+// pieces are merged at the iteration barrier (internal/shard). Results are
+// bit-identical to -shards 1 at every K; K must divide P — rejected at
+// startup otherwise, as is a -sem residency the whole shard fleet cannot
+// fit in -sem-budget-mb. -stats adds the per-shard table.
+//
+// The flags only the hus engine reads (husOnlyFlags below) are startup
+// errors under any other -system, not silently ignored.
 //
 // With -input, a whitespace edge list ("src dst [weight]" per line) is
 // processed instead of a registry dataset. With -store, the dual-block
@@ -120,7 +123,7 @@ func run() error {
 	deviceName := flag.String("device", "hdd", "device profile: hdd|ssd|nvme|ram")
 	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	p := flag.Int("p", 8, "partition count")
-	shards := flag.Int("shards", 1, "worker-shard count K: run the engine as K interval-owning shards exchanging at the iteration barrier; must divide P, bit-identical results at every K (hus only)")
+	shards := flag.Int("shards", 1, "worker-shard count K: run the engine as K interval-owning shards merged at the iteration barrier; must divide P, bit-identical results at every K (hus only)")
 	memBudget := flag.Int64("membudget", 0, "if > 0, choose P so one block's working set fits this many bytes (paper §3.2)")
 	trace := flag.Bool("trace", false, "print per-iteration statistics")
 	storeDir := flag.String("store", "", "keep the dual-block store in real files under this directory")
@@ -135,7 +138,6 @@ func run() error {
 	stats := flag.Bool("stats", false, "print per-iteration cache and prefetch statistics (hit ratio, stall; hus only)")
 	retries := flag.Int("retries", 0, "retry reads failing with a transient fault up to N times each, with exponential backoff")
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")
-	retryJitter := flag.Float64("retry-jitter", 0, "multiplicative jitter fraction on retry backoff, factor drawn from [1-j, 1+j) (0 = 0.2 default; pass 0 explicitly to disable)")
 	readDeadline := flag.Duration("read-deadline", 0, "per-attempt read deadline; an attempt still pending at the deadline gets a hedged duplicate (0 = unbounded)")
 	faultTransient := flag.Int("fault-transient", 0, "inject N transient read faults (demonstrates -retries)")
 	faultBitflip := flag.Int("fault-bitflip", 0, "inject N single-bit read corruptions (demonstrates checksum detection)")
@@ -149,7 +151,10 @@ func run() error {
 
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	shardK, err := shardsConfig(*shards, *system, *p, explicit["membudget"] && *memBudget > 0)
+	if err := husOnly(*system, explicit); err != nil {
+		return err
+	}
+	shardK, err := shardsConfig(*shards, *p, explicit["membudget"] && *memBudget > 0)
 	if err != nil {
 		return err
 	}
@@ -157,10 +162,6 @@ func run() error {
 		// A stalled read never returns; without a deadline-armed hedge the
 		// run would hang rather than fail. Reject the combination up front.
 		return fmt.Errorf("-fault-stall requires -read-deadline > 0, or the run will hang")
-	}
-	jitter := *retryJitter
-	if explicit["retry-jitter"] && jitter == 0 {
-		jitter = -1 // engine treats 0 as "default"; negative disables
 	}
 
 	prof, err := storage.ProfileByName(*deviceName)
@@ -287,7 +288,6 @@ func run() error {
 			Resume:           *resume,
 			ReadRetries:      *retries,
 			RetryBackoff:     *retryBackoff,
-			RetryJitter:      jitter,
 			ReadDeadline:     *readDeadline,
 			PrefetchDepth:    *prefetch,
 			CacheBudgetBytes: *cacheMB << 20,
@@ -311,9 +311,6 @@ func run() error {
 			full = "X-Stream"
 		default:
 			return fmt.Errorf("unknown system %q (want hus|graphchi|gridgraph|xstream)", sysName)
-		}
-		if *input != "" {
-			return fmt.Errorf("-input currently supports -system hus only")
 		}
 		d, err := gen.ByName(*dataset)
 		if err != nil {
@@ -397,14 +394,10 @@ func run() error {
 
 	if *stats && shardK > 1 {
 		// The sharded view: one row per iteration per shard, plus the
-		// barrier exchange the coordinator priced for each iteration.
+		// barrier merge the coordinator priced for each iteration.
 		t := report.NewTable("per-shard execution stats",
-			"iter", "shard", "model", "active E", "I/O MB", "I/O time", "runtime", "exchange", "exch MB", "merge", "skew")
+			"iter", "shard", "model", "active E", "I/O MB", "I/O time", "runtime", "merge", "skew")
 		for _, it := range res.Iterations {
-			mode := "pull"
-			if it.ExchangePush {
-				mode = "push"
-			}
 			for _, ss := range it.Shards {
 				t.AddRow(
 					fmt.Sprintf("%d", it.Iter+1),
@@ -414,8 +407,6 @@ func run() error {
 					report.MB(ss.Stats.IO.TotalBytes()),
 					ss.Stats.IOTime.Round(time.Microsecond).String(),
 					ss.Stats.Runtime.Round(time.Microsecond).String(),
-					mode,
-					report.MB(it.ExchangeBytes),
 					it.MergeTime.Round(time.Microsecond).String(),
 					fmt.Sprintf("%.2f", it.ShardSkew),
 				)
@@ -448,7 +439,7 @@ func run() error {
 	}
 
 	rop, cop := res.ModelCounts()
-	fmt.Printf("%s / %s on %s (%s)\n", *algoName, sysName, *dataset, prof.Name)
+	fmt.Println(summaryLabel(algo.Name, sysName, *dataset, *input, prof.Name))
 	fmt.Printf("  iterations:     %d (converged: %v; %d ROP, %d COP)\n", res.NumIterations(), res.Converged, rop, cop)
 	fmt.Printf("  modeled runtime:  %v (I/O %v, compute %v)\n",
 		res.TotalRuntime().Round(time.Microsecond), res.TotalIOTime().Round(time.Microsecond), res.TotalComputeModeled().Round(time.Microsecond))
@@ -469,9 +460,8 @@ func run() error {
 		}
 	}
 	if shardK > 1 {
-		fmt.Printf("  sharding:       %d shards, %s MB exchanged (%v), merge %v, worst skew %.2f\n",
-			shardK, report.MB(res.TotalExchangeBytes()), res.TotalExchangeTime().Round(time.Microsecond),
-			res.TotalMergeTime().Round(time.Microsecond), res.MaxShardSkew())
+		fmt.Printf("  sharding:       %d shards, merge %v, worst skew %.2f\n",
+			shardK, res.TotalMergeTime().Round(time.Microsecond), res.MaxShardSkew())
 	}
 	if *retries > 0 || *checkpointEvery > 0 || *resume || *readDeadline > 0 {
 		rec := res.Recovery
@@ -484,24 +474,51 @@ func run() error {
 	return nil
 }
 
-// shardsConfig validates the -shards flag against the rest of the command
-// line: a shard count that cannot work is a startup error, not a silent
-// fallback. K > 1 is hus-only,
-// and K must divide the partition count — except under -membudget, where P
-// is chosen later from the working-set budget; the coordinator re-validates
-// divisibility against the resolved P either way.
-func shardsConfig(shards int, system string, p int, memBudgetP bool) (int, error) {
-	if shards <= 0 {
-		if shards < 0 {
-			return 0, fmt.Errorf("-shards %d: shard count must be >= 1", shards)
+// summaryLabel is the summary's first line: the canonical algorithm name,
+// the system, the graph that was actually processed — the -input path when
+// one was given, the registry dataset otherwise — and the device profile.
+func summaryLabel(algo, system, dataset, input, device string) string {
+	if input != "" {
+		dataset = input
+	}
+	return fmt.Sprintf("%s / %s on %s (%s)", algo, system, dataset, device)
+}
+
+// husOnlyFlags are the flags only the hus engine reads; the baseline
+// systems would ignore every one of them.
+var husOnlyFlags = []string{
+	"input", "model", "format", "store", "membudget", "shards", "sem", "sem-budget-mb",
+	"checkpoint", "resume", "prefetch", "cache-mb", "stats",
+	"retries", "retry-backoff", "read-deadline",
+	"fault-transient", "fault-bitflip", "fault-delay", "fault-delay-by", "fault-stall", "fault-after", "fault-seed",
+}
+
+// husOnly rejects a hus-only flag set on the command line under another
+// -system: a flag that cannot apply is a startup error, not a silently
+// ignored one.
+func husOnly(system string, explicit map[string]bool) error {
+	if system == "hus" {
+		return nil
+	}
+	for _, name := range husOnlyFlags {
+		if explicit[name] {
+			return fmt.Errorf("-%s is hus-only, but -system %s was selected; drop -%s or use -system hus", name, system, name)
 		}
-		return 1, nil
 	}
-	if shards == 1 {
-		return 1, nil
+	return nil
+}
+
+// shardsConfig validates the -shards value: a shard count that cannot work
+// is a startup error, not a silent fallback. K must divide the partition
+// count — except under -membudget, where P is chosen later from the
+// working-set budget; the coordinator re-validates divisibility against the
+// resolved P either way.
+func shardsConfig(shards, p int, memBudgetP bool) (int, error) {
+	if shards < 0 {
+		return 0, fmt.Errorf("-shards %d: shard count must be >= 1", shards)
 	}
-	if system != "hus" {
-		return 0, fmt.Errorf("-shards %d is hus-only, but -system %s was selected; drop -shards or use -system hus", shards, system)
+	if shards == 0 {
+		return 1, nil
 	}
 	if !memBudgetP && p%shards != 0 {
 		return 0, fmt.Errorf("-shards %d does not evenly divide -p %d; pick a divisor of P", shards, p)

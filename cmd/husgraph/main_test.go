@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"husgraph/internal/experiments"
 	"husgraph/internal/storage"
 )
 
@@ -34,6 +35,9 @@ func TestExitCode(t *testing.T) {
 	}
 }
 
+// TestShardsConfig drives -shards' two startup checks the way run() does:
+// husOnly over the flags that were typed (-shards 1 is the default, so it
+// is not), then shardsConfig over the value.
 func TestShardsConfig(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -55,22 +59,85 @@ func TestShardsConfig(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := shardsConfig(tc.shards, tc.system, tc.p, tc.memBudget)
-			if tc.errPart != "" {
-				if err == nil {
-					t.Fatalf("want error containing %q, got K=%d", tc.errPart, got)
-				}
-				//lint:ignore huslint/errclass the assertion is about the rendered flag-error text a user sees, not an error class the program branches on
-				if !strings.Contains(err.Error(), tc.errPart) {
-					t.Fatalf("error %q does not mention %q", err, tc.errPart)
-				}
-				return
+			got := 0
+			err := husOnly(tc.system, map[string]bool{"shards": tc.shards != 1})
+			if err == nil {
+				got, err = shardsConfig(tc.shards, tc.p, tc.memBudget)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
+			wantErr(t, err, tc.errPart)
+			if err == nil && got != tc.want {
 				t.Fatalf("resolved K=%d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// wantErr fails unless err is nil exactly when part is empty and mentions
+// part otherwise.
+func wantErr(t *testing.T, err error, part string) {
+	t.Helper()
+	if part == "" {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err == nil {
+		t.Fatalf("want error containing %q, got none", part)
+	}
+	//lint:ignore huslint/errclass the assertion is about the rendered flag-error text a user sees, not an error class the program branches on
+	if !strings.Contains(err.Error(), part) {
+		t.Fatalf("error %q does not mention %q", err, part)
+	}
+}
+
+// TestHusOnly: every flag only the hus engine reads is a startup error
+// naming itself when typed under another -system, and none is under hus;
+// flags every system reads pass anywhere.
+func TestHusOnly(t *testing.T) {
+	type husCase struct {
+		name    string
+		system  string
+		typed   []string
+		errPart string
+	}
+	cases := []husCase{
+		{name: "hus takes them all", system: "hus", typed: husOnlyFlags},
+		{name: "nothing typed", system: "gridgraph"},
+		{name: "shared flags pass", system: "xstream", typed: []string{"dataset", "algo", "device", "threads", "p", "trace", "valuesout", "delta"}},
+	}
+	for _, name := range husOnlyFlags {
+		cases = append(cases, husCase{name: name, system: "graphchi", typed: []string{"dataset", name}, errPart: "-" + name + " is hus-only"})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			explicit := map[string]bool{}
+			for _, name := range tc.typed {
+				explicit[name] = true
+			}
+			wantErr(t, husOnly(tc.system, explicit), tc.errPart)
+		})
+	}
+}
+
+// TestSummaryLabel: the summary names the graph that was processed — the
+// -input path, not the -dataset default — and the canonical algorithm name,
+// not the flag as typed.
+func TestSummaryLabel(t *testing.T) {
+	algo, err := experiments.AlgoByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, dataset, input, want string
+	}{
+		{"registry dataset", "uk-sim", "", "BFS / hus on uk-sim (ssd)"},
+		{"input file beats the dataset default", "livejournal-sim", "edges.txt", "BFS / hus on edges.txt (ssd)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := summaryLabel(algo.Name, "hus", tc.dataset, tc.input, "ssd"); got != tc.want {
+				t.Fatalf("summaryLabel = %q, want %q", got, tc.want)
 			}
 		})
 	}

@@ -179,18 +179,15 @@ func (a Admission) String() string {
 	}
 }
 
-// DefaultPromoteDensity is the run-read density (device-loaded run bytes /
+// promoteDensity is the run-read density (device-loaded run bytes /
 // out-block payload bytes) at which a block is promoted to a whole-payload
 // cache entry.
-const DefaultPromoteDensity = 0.5
+const promoteDensity = 0.5
 
 // CacheOptions configures NewBlockCacheOpts beyond the byte budget.
 type CacheOptions struct {
 	// Admission is the insert policy under eviction pressure.
 	Admission Admission
-	// PromoteDensity overrides DefaultPromoteDensity; 0 keeps the default,
-	// negative disables whole-block promotion.
-	PromoteDensity float64
 }
 
 // cacheKey addresses one cache entry: a whole block (s == e == 0) or a run
@@ -211,14 +208,13 @@ func freqKey(k cacheKey) cacheKey {
 // BlockCache is a byte-budgeted cache of decoded blocks and out-block runs,
 // safe for concurrent use by the engine and prefetch workers.
 type BlockCache struct {
-	mu             sync.Mutex
-	budget         int64
-	used           int64
-	ll             *list.List // front = most recently used
-	items          map[cacheKey]*list.Element
-	admission      Admission
-	promoteDensity float64
-	sketch         *freqSketch // nil under AdmitLRU
+	mu        sync.Mutex
+	budget    int64
+	used      int64
+	ll        *list.List // front = most recently used
+	items     map[cacheKey]*list.Element
+	admission Admission
+	sketch    *freqSketch // nil under AdmitLRU
 
 	// Per out-block run bookkeeping. runs holds each block's resident run
 	// entries sorted by start offset and containment-free (no run contains
@@ -242,8 +238,8 @@ type cacheEntry struct {
 }
 
 // NewBlockCacheOpts returns an empty cache bounded by budget bytes, with the
-// given admission policy and promotion threshold. A budget <= 0 yields a
-// cache that admits nothing (every Get misses).
+// given admission policy. A budget <= 0 yields a cache that admits nothing
+// (every Get misses).
 func NewBlockCacheOpts(budget int64, opts CacheOptions) *BlockCache {
 	c := &BlockCache{
 		budget:      budget,
@@ -254,14 +250,6 @@ func NewBlockCacheOpts(budget int64, opts CacheOptions) *BlockCache {
 		runLoaded:   make(map[BlockKey]int64),
 		runResident: make(map[BlockKey]int64),
 		promoting:   make(map[BlockKey]bool),
-	}
-	switch {
-	case opts.PromoteDensity > 0:
-		c.promoteDensity = opts.PromoteDensity
-	case opts.PromoteDensity < 0:
-		c.promoteDensity = 0 // disabled
-	default:
-		c.promoteDensity = DefaultPromoteDensity
 	}
 	if c.admission == AdmitTinyLFU {
 		c.sketch = newFreqSketch()
@@ -389,9 +377,9 @@ func (c *BlockCache) PutRun(i, j int, s, e uint32, data []byte, blockBytes int64
 	promote := false
 	if sz > 0 {
 		c.runLoaded[bk] += sz
-		if c.promoteDensity > 0 && blockBytes > 0 && !c.promoting[bk] {
+		if blockBytes > 0 && !c.promoting[bk] {
 			if _, whole := c.items[cacheKey{BlockKey: bk}]; !whole &&
-				float64(c.runLoaded[bk]) >= c.promoteDensity*float64(blockBytes) {
+				float64(c.runLoaded[bk]) >= promoteDensity*float64(blockBytes) {
 				c.promoting[bk] = true
 				c.promotions++
 				promote = true

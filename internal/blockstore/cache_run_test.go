@@ -119,16 +119,6 @@ func TestRunCachePromotionClaimedExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestRunCachePromotionDisabled(t *testing.T) {
-	c := NewBlockCacheOpts(1<<20, CacheOptions{PromoteDensity: -1})
-	if c.PutRun(0, 0, 0, 900, runBytes(0, 900), 1000) {
-		t.Fatal("disabled promotion still claimed")
-	}
-	if c.Stats().Promotions != 0 {
-		t.Fatal("promotion counted while disabled")
-	}
-}
-
 func TestCacheTinyLFUAdmissionUnderPressure(t *testing.T) {
 	c := NewBlockCacheOpts(100, CacheOptions{Admission: AdmitTinyLFU})
 	hot := inKey(0, 0)

@@ -14,15 +14,13 @@ import (
 
 // RetryPolicy bounds how DualStore read paths retry faults classified
 // transient (errors wrapping storage.ErrTransient). Backoff is exponential:
-// the k-th retry sleeps Backoff·2^(k-1), capped at MaxBackoff.
+// the k-th retry sleeps Backoff·2^(k-1), capped at retryBackoffMax.
 type RetryPolicy struct {
 	// MaxRetries is the number of re-attempts after the first failure;
 	// 0 disables retrying.
 	MaxRetries int
 	// Backoff is the sleep before the first retry; 0 retries immediately.
 	Backoff time.Duration
-	// MaxBackoff caps the exponential growth; 0 means uncapped.
-	MaxBackoff time.Duration
 	// Sleep replaces time.Sleep (tests); nil uses time.Sleep.
 	Sleep func(time.Duration)
 	// Jitter scatters each backoff sleep uniformly over
@@ -40,6 +38,10 @@ type RetryPolicy struct {
 	// injected.
 	Abort <-chan struct{}
 }
+
+// retryBackoffMax caps the exponential growth of the backoff between read
+// retries.
+const retryBackoffMax = 250 * time.Millisecond
 
 // HedgePolicy bounds read-attempt latency. With a Deadline set, every
 // blob/range read attempt that has not completed by the deadline gets a
@@ -482,8 +484,8 @@ func (d *DualStore) withRetry(buf []byte, read blobRead) ([]byte, error) {
 				return res, err
 			}
 			backoff *= 2
-			if d.retry.MaxBackoff > 0 && backoff > d.retry.MaxBackoff {
-				backoff = d.retry.MaxBackoff
+			if backoff > retryBackoffMax {
+				backoff = retryBackoffMax
 			}
 		}
 		res, err = d.attempt(buf, read)
@@ -877,9 +879,4 @@ func (d *DualStore) PutAux(name string, data []byte) error {
 // wraps frames that fail validation.
 func (d *DualStore) GetAux(name string) ([]byte, error) {
 	return d.readBlob("aux/" + name)
-}
-
-// DeleteAux removes an auxiliary blob; deleting a missing blob is an error.
-func (d *DualStore) DeleteAux(name string) error {
-	return d.store.Delete("aux/" + name)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -302,13 +303,12 @@ func TestRetryRecoversTransientReads(t *testing.T) {
 	var slept []time.Duration
 	d.SetRetryPolicy(RetryPolicy{
 		MaxRetries: 3,
-		Backoff:    time.Millisecond,
-		MaxBackoff: 2 * time.Millisecond,
+		Backoff:    100 * time.Millisecond,
 		Sleep:      func(dur time.Duration) { slept = append(slept, dur) },
 	})
-	// Two consecutive transient failures on in-block reads: attempt,
-	// retry-fail, retry-succeed.
-	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", Count: 2})
+	// Three consecutive transient failures on in-block reads: attempt,
+	// retry-fail, retry-fail, retry-succeed.
+	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", Count: 3})
 	blk, err := loadInBlock(d, 0, 1)
 	if err != nil {
 		t.Fatalf("transient faults not retried: %v", err)
@@ -316,12 +316,12 @@ func TestRetryRecoversTransientReads(t *testing.T) {
 	if len(blk.Recs) == 0 {
 		t.Fatal("retried load decoded empty")
 	}
-	if got := d.Retries(); got != 2 {
-		t.Fatalf("Retries() = %d, want 2", got)
+	if got := d.Retries(); got != 3 {
+		t.Fatalf("Retries() = %d, want 3", got)
 	}
-	// Exponential backoff: 1ms then 2ms (capped).
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	if len(slept) != len(want) || slept[0] != want[0] || slept[1] != want[1] {
+	// Exponential backoff: 100ms, 200ms, then the 250ms cap.
+	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, retryBackoffMax}
+	if !reflect.DeepEqual(slept, want) {
 		t.Fatalf("backoff sequence = %v, want %v", slept, want)
 	}
 }

@@ -171,7 +171,7 @@ func TestPrefetchWorkersRetryTransientFaults(t *testing.T) {
 	// out by the store's retry/backoff policy — same semantics as the
 	// synchronous path — and counted on the store.
 	ds, fs := faultyDual(t, 1)
-	ds.SetRetryPolicy(RetryPolicy{MaxRetries: 3, Backoff: time.Microsecond, MaxBackoff: time.Microsecond})
+	ds.SetRetryPolicy(RetryPolicy{MaxRetries: 3, Backoff: time.Microsecond})
 	fs.Inject(
 		storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", After: 1, Count: 2},
 	)
@@ -194,7 +194,7 @@ func TestPrefetchWorkersRetryTransientFaults(t *testing.T) {
 
 func TestPrefetchTransientBurstExceedingBudgetFails(t *testing.T) {
 	ds, fs := faultyDual(t, 1)
-	ds.SetRetryPolicy(RetryPolicy{MaxRetries: 2, Backoff: time.Microsecond, MaxBackoff: time.Microsecond})
+	ds.SetRetryPolicy(RetryPolicy{MaxRetries: 2, Backoff: time.Microsecond})
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", After: 0, Count: 10})
 	pf := ds.NewPrefetcher(inBlockSchedule(ds), 2, nil)
 	defer pf.Close()

@@ -191,19 +191,6 @@ func (e *Engine) loadCheckpoint(prog Program) (*checkpoint, int, error) {
 	return best, fallbacks, nil
 }
 
-// DeleteCheckpoint removes a program's persisted checkpoint generations, if
-// present.
-func (e *Engine) DeleteCheckpoint(prog Program) error {
-	var firstErr error
-	for slot := 0; slot < 2; slot++ {
-		err := e.ds.DeleteAux(checkpointGenName(prog, slot))
-		if err != nil && !errors.Is(err, storage.ErrNotFound) && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // SaveStateFloats is a helper for StatefulProgram implementations whose
 // state is a float64 slice (residuals, degrees, ...).
 func SaveStateFloats(vals []float64) []byte {

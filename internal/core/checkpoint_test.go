@@ -128,30 +128,6 @@ func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
 	}
 }
 
-func TestDeleteCheckpoint(t *testing.T) {
-	g := pathGraph(20)
-	ds := buildStore(t, g, 2, storage.HDD)
-	e := New(ds, Config{Model: ModelCOP, MaxIters: 3, CheckpointEvery: 1})
-	if _, err := e.Run(testBFS{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.DeleteCheckpoint(testBFS{}); err != nil {
-		t.Fatal(err)
-	}
-	// Deleting again is a no-op.
-	if err := e.DeleteCheckpoint(testBFS{}); err != nil {
-		t.Fatal(err)
-	}
-	// Resume now starts fresh.
-	res, err := New(ds, Config{Model: ModelCOP, Resume: true}).Run(testBFS{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations[0].Iter != 0 {
-		t.Fatal("checkpoint survived deletion")
-	}
-}
-
 // buildStoreOn materializes g on the given mem store so tests can corrupt
 // blobs behind the DualStore's back.
 func buildStoreOn(t *testing.T, mem *storage.MemStore, g *graph.Graph, p int) *blockstore.DualStore {

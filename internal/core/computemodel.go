@@ -70,9 +70,9 @@ func ModeledDecodeTime(varintBytes int64, threads int) time.Duration {
 	return time.Duration(ns) * time.Nanosecond
 }
 
-// defaultDecodeNsPerByte seeds the predictor's decode-cost EWMA before
-// any decode has been observed: the varint per-byte rate at the configured
-// parallelism.
+// defaultDecodeNsPerByte is the predictor's decode price per logical byte:
+// the varint rate at the configured parallelism, as ModeledDecodeTime
+// charges it.
 func defaultDecodeNsPerByte(threads int) float64 {
 	return varintDecodeNsPerByte / float64(effectiveThreads(threads))
 }

@@ -54,9 +54,10 @@ func ParseModel(s string) (Model, error) {
 // (§3.4); above it COP is selected unconditionally.
 const DefaultAlpha = 0.05
 
-// retryBackoffMax caps the exponential growth of the backoff between read
-// retries.
-const retryBackoffMax = 250 * time.Millisecond
+// retryJitter scatters each retry backoff over ±20 % of its nominal value,
+// so concurrent prefetch workers don't retry a recovering device in
+// lockstep.
+const retryJitter = 0.2
 
 // Config controls an engine run.
 type Config struct {
@@ -104,13 +105,10 @@ type Config struct {
 	// IterStats.Retries and Result.Recovery.
 	ReadRetries int
 	// RetryBackoff is the sleep before the first retry, doubled on each
-	// subsequent retry up to 250ms; 0 with ReadRetries > 0 defaults to 1ms.
+	// subsequent retry up to 250ms and scattered ±20 % so concurrent
+	// prefetch workers don't retry a recovering device in lockstep; 0 with
+	// ReadRetries > 0 defaults to 1ms.
 	RetryBackoff time.Duration
-	// RetryJitter scatters each backoff sleep uniformly over
-	// [1-j, 1+j) of its nominal value so concurrent prefetch workers
-	// don't retry a recovering device in lockstep. 0 with ReadRetries > 0
-	// defaults to 0.2; negative disables jitter (deterministic doubling).
-	RetryJitter float64
 	// ReadDeadline is the soft deadline for every block/index/aux read
 	// attempt: an attempt still pending at the deadline gets a hedged
 	// duplicate read issued, first response wins (hedges are counted in
@@ -143,9 +141,8 @@ type Config struct {
 	// COP columns and finalization sweeps. nil means all intervals — the
 	// classic single-engine configuration. The shard coordinator
 	// (internal/shard) runs K engines with disjoint contiguous owners over
-	// the same store; owners must list intervals ascending and span the
-	// layout's P (validated at New).
-	Owner IntervalOwner
+	// the same store; an owner must span the layout's P (validated at New).
+	Owner *IntervalRange
 }
 
 // WithDefaults returns the config with zero fields resolved to their
@@ -167,13 +164,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxIters <= 0 {
 		c.MaxIters = 100000
 	}
-	if c.ReadRetries > 0 {
-		if c.RetryBackoff == 0 {
-			c.RetryBackoff = time.Millisecond
-		}
-		if c.RetryJitter == 0 {
-			c.RetryJitter = 0.2
-		}
+	if c.ReadRetries > 0 && c.RetryBackoff == 0 {
+		c.RetryBackoff = time.Millisecond
 	}
 	return c
 }

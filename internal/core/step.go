@@ -192,7 +192,7 @@ func (s *Step) FinalizeOwned(sv, d []float64) {
 }
 
 // End tears down the scheduler window and computes the iteration's full
-// attribution (I/O, decode EWMA, modeled runtime, cache and resilience
+// attribution (I/O, decode, modeled runtime, cache and resilience
 // deltas). It must be called on every path — the window's pipeline has to
 // land its device charges — and returns the Exec error, if any, alongside
 // the partial stats.
@@ -217,16 +217,6 @@ func (s *Step) End() (IterStats, error) {
 	st.DecodedBytes = decDelta.DecodedBytes()
 	st.CompressedBytes = decDelta.CompressedBytes
 	st.DecodeModeled = ModeledDecodeTime(decDelta.VarintBytes, e.cfg.Threads)
-	if db := st.DecodedBytes; db > 0 {
-		// Feed the predictor's decode-cost EWMA from what this iteration
-		// actually decoded (modeled rates, so replays are deterministic).
-		rate := float64(st.DecodeModeled) / float64(db)
-		if e.decKnown {
-			e.decNsPerByte = 0.75*e.decNsPerByte + 0.25*rate
-		} else {
-			e.decNsPerByte, e.decKnown = rate, true
-		}
-	}
 	st.IO = e.ds.Device().Stats().Sub(s.ioBefore)
 	st.IOTime = st.IO.SimIO
 	st.PrefetchStall = ws.Stall

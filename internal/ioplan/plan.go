@@ -25,7 +25,7 @@ func ROPKeys(l blockstore.Layout, blockEdges [][]int64, frontier *bitset.Frontie
 
 // ROPKeysFor is ROPKeys restricted to the given source intervals (rows),
 // ascending — the read plan of an engine that owns only those intervals
-// (core.IntervalOwner). nil means every interval.
+// (core.Config.Owner). nil means every interval.
 func ROPKeysFor(l blockstore.Layout, blockEdges [][]int64, frontier *bitset.Frontier, intervals []int) []blockstore.BlockKey {
 	plan := make([]blockstore.BlockKey, 0, l.P*l.P)
 	eachInterval(l.P, intervals, func(i int) {
@@ -54,7 +54,7 @@ func COPKeys(l blockstore.Layout, skip func(j int) bool) []blockstore.BlockKey {
 
 // COPKeysFor is COPKeys restricted to the given destination intervals
 // (columns), ascending — the read plan of an engine that owns only those
-// intervals (core.IntervalOwner). nil means every interval.
+// intervals (core.Config.Owner). nil means every interval.
 func COPKeysFor(l blockstore.Layout, skip func(j int) bool, intervals []int) []blockstore.BlockKey {
 	plan := make([]blockstore.BlockKey, 0, l.P*l.P)
 	eachInterval(l.P, intervals, func(i int) {

@@ -61,7 +61,6 @@ type Coordinator struct {
 	cfg     core.Config // resolved WithDefaults: the run's, not a shard's
 	k       int
 	workers []*shardWorker
-	cost    *CostModel
 
 	// One iteration's per-shard scratch, indexed by shard and overwritten by
 	// the next; each phase's goroutines write only their own shard's slot.
@@ -71,7 +70,6 @@ type Coordinator struct {
 	pieces []*bitset.Frontier
 	stats  []core.IterStats
 	errs   []error
-	counts []int
 	joined sync.WaitGroup // zero between calls of each
 }
 
@@ -97,12 +95,10 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 		ds:     ds,
 		cfg:    resolved,
 		k:      k,
-		cost:   NewCostModel(DefaultNsPerByte, DefaultPerMsgNs),
 		steps:  make([]*core.Step, k),
 		pieces: make([]*bitset.Frontier, k),
 		stats:  make([]core.IterStats, k),
 		errs:   make([]error, k),
-		counts: make([]int, k),
 	}
 	if k == 1 {
 		// The identity configuration: the one engine runs unscoped over
@@ -244,12 +240,11 @@ func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Fron
 	}
 
 	next := bitset.NewFrontier(n)
-	for i, p := range c.pieces {
-		c.counts[i] = p.Count()
+	for _, p := range c.pieces {
 		next.MergeAtomic(p)
 	}
 	next.Reindex()
-	st := c.combine(iter, frontier, header, next.Count())
+	st := c.combine(iter, frontier, header)
 	st.Retries = c.ds.Retries() - retBefore
 	st.Hedges = c.ds.Hedges() - hedBefore
 	decDelta := c.ds.DecodeStats().Sub(decBefore)
@@ -279,9 +274,7 @@ func (c *Coordinator) each(fn func(i int, w *shardWorker)) {
 // the unsharded predictor's decision exactly: a forced model wins, the α
 // shortcut applies to the global frontier, and otherwise the per-shard §3.4
 // cost estimates are summed — C(rop) and C(cop) decompose over disjoint
-// owners — with the modeled exchange term added to both candidates (the
-// barrier ships the same activations either way, so the communication term
-// documents the cost without flipping the unsharded choice).
+// owners.
 func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) core.Model {
 	if c.cfg.Model != core.ModelHybrid {
 		return c.cfg.Model
@@ -296,9 +289,6 @@ func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) c
 		crop += r
 		ccop += p
 	}
-	exch := c.cost.PredictNext(frontier.Count(), n, c.k)
-	crop += exch
-	ccop += exch
 	st.PredictedROP, st.PredictedCOP = crop, ccop
 	if crop <= ccop {
 		return core.ModelROP
@@ -313,12 +303,11 @@ func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) c
 // modeling K devices serving disjoint ranges in parallel — so the combined
 // IOTime is deliberately max-of-shards rather than IO.SimIO, which carries
 // the summed traffic. Runtime is the slowest shard's wall plus the modeled
-// barrier merge and exchange. Retries/Hedges and the decode fields are
+// barrier merge. Retries/Hedges and the decode fields are
 // filled by the caller from coordinator-level snapshots of the fork-shared
 // counters (the per-shard deltas overlap while K windows run concurrently;
 // see core.ShardIterStats).
-func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.IterStats, mergedCount int) core.IterStats {
-	n := c.ds.Layout.NumVertices
+func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.IterStats) core.IterStats {
 	st := core.IterStats{
 		Iter:           iter,
 		ActiveVertices: frontier.Count(),
@@ -359,15 +348,26 @@ func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.I
 		sumRuntime += ss.Runtime
 		st.Shards = append(st.Shards, core.ShardIterStats{Shard: i, Stats: ss})
 	}
-	plan := c.cost.Choose(c.counts, mergedCount, n)
-	st.ExchangeBytes = plan.Bytes
-	st.ExchangeMsgs = plan.Msgs
-	st.ExchangePush = plan.Push
-	st.ExchangeTime = plan.Time
-	st.MergeTime = MergedFrontierCost(n, c.k)
-	st.Runtime = maxRuntime + st.ExchangeTime + st.MergeTime
+	st.MergeTime = MergedFrontierCost(c.ds.Layout.NumVertices, c.k)
+	st.Runtime = maxRuntime + st.MergeTime
 	if sumRuntime > 0 {
 		st.ShardSkew = float64(maxRuntime) * float64(c.k) / float64(sumRuntime)
 	}
 	return st
+}
+
+// mergeNsPerByte prices the barrier's OR-merge of frontier pieces — modeled
+// per byte of dense bitmap, not measured, so replayed runs stay
+// deterministic.
+const mergeNsPerByte = 0.2
+
+// MergedFrontierCost prices the barrier's OR-merge of K pieces into the
+// next frontier: K−1 OR passes priced per byte of the dense bitmap
+// ((n+7)/8 bytes over n vertices).
+func MergedFrontierCost(n, k int) time.Duration {
+	if k <= 1 {
+		return 0
+	}
+	bitmapBytes := int64((n + 7) / 8)
+	return time.Duration(float64(k-1) * float64(bitmapBytes) * mergeNsPerByte)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"husgraph/internal/algos"
+	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/core"
 	"husgraph/internal/gen"
@@ -85,7 +86,7 @@ func timeless(st core.IterStats) core.IterStats {
 // IterStats are a pure function of (store, config, program). Each cell runs
 // twice on a freshly built store and must agree on every field of every
 // iteration — model choice, predictor estimates, device traffic, modeled
-// times, cache, decode, bucket and exchange counters, per shard at K = 2 —
+// times, cache, decode, bucket and merge counters, per shard at K = 2 —
 // differing only in the three host-clock fields; and the cells of one
 // program agree on the values to the bit. PageRank covers COP and Coreness
 // the bucketed path, both under the predictor; BFS is held to ROP — on a
@@ -257,8 +258,8 @@ func TestShardBitIdenticalAcrossK(t *testing.T) {
 
 // TestShardModelSequenceMatchesK1 pins that in the cache-free, uncompressed
 // configuration — where the §3.4 cost estimates decompose exactly over
-// disjoint owners and the exchange term cancels between the candidates —
-// the K=2 arbiter replays K=1's per-iteration ROP/COP choices.
+// disjoint owners — the K=2 arbiter replays K=1's per-iteration ROP/COP
+// choices.
 func TestShardModelSequenceMatchesK1(t *testing.T) {
 	g := testGraphs(t)["web"]
 	runK := func(k int) *core.Result {
@@ -285,37 +286,71 @@ func TestShardModelSequenceMatchesK1(t *testing.T) {
 	}
 }
 
+// arbiterAudit is a core.Runner decorator that, before each iteration, sums
+// PredictCosts for the entering frontier over twins of the coordinator's
+// shard engines (same store, same owners, same config; no cache, so a
+// prediction is a pure function of the frontier) and holds the arbiter's
+// reported prediction to that sum.
+type arbiterAudit struct {
+	core.Runner
+	t       *testing.T
+	twins   []*core.Engine
+	audited int
+}
+
+func (a *arbiterAudit) RunIter(prog core.Program, iter int, f *bitset.Frontier, s, d []float64) (*bitset.Frontier, core.IterStats, error) {
+	var rop, cop time.Duration
+	for _, e := range a.twins {
+		r, c := e.PredictCosts(f)
+		rop += r
+		cop += c
+	}
+	next, st, err := a.Runner.RunIter(prog, iter, f, s, d)
+	if err == nil && (st.PredictedROP != 0 || st.PredictedCOP != 0) {
+		a.audited++
+		if st.PredictedROP != rop || st.PredictedCOP != cop {
+			a.t.Errorf("iter %d: arbiter predicted rop %v cop %v, shards' PredictCosts sum to rop %v cop %v",
+				iter, st.PredictedROP, st.PredictedCOP, rop, cop)
+		}
+	}
+	return next, st, err
+}
+
 // TestShardCombinedStats checks the K=2 combined iteration statistics:
-// per-shard reports attached and sorted, exchange priced and non-zero on
-// active iterations, skew ≥ 1, runtime = slowest shard + barrier terms.
+// per-shard reports attached and sorted, the arbiter's predictions the sums
+// of the shards', skew ≥ 1, runtime = slowest shard + barrier merge.
 func TestShardCombinedStats(t *testing.T) {
 	g := testGraphs(t)["web"]
-	co, err := shard.New(buildStore(t, g, 8), shard.Config{
-		Config: core.Config{Threads: 4, MaxIters: 30}, Shards: 2,
-	})
+	ds := buildStore(t, g, 8)
+	cfg := core.Config{Threads: 4, MaxIters: 30}
+	co, err := shard.New(ds, shard.Config{Config: cfg, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := co.Run(algos.BFS{})
+	audit := &arbiterAudit{Runner: co, t: t}
+	for k := 0; k < 2; k++ {
+		pc := cfg
+		if pc.Owner, err = core.NewIntervalRange(4*k, 4*(k+1), 8); err != nil {
+			t.Fatal(err)
+		}
+		audit.twins = append(audit.twins, core.New(ds, pc))
+	}
+	res, err := core.Drive(context.Background(), audit, audit.twins[0], cfg.WithDefaults(), algos.BFS{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if audit.audited == 0 {
+		t.Fatal("no iteration was arbitrated by prediction")
 	}
 	if co.NumShards() != 2 || len(co.ShardDevices()) != 2 {
 		t.Fatalf("NumShards/ShardDevices = %d/%d, want 2/2", co.NumShards(), len(co.ShardDevices()))
 	}
-	sawExchange := false
 	for i, st := range res.Iterations {
 		if len(st.Shards) != 2 {
 			t.Fatalf("iter %d: %d shard reports, want 2", i, len(st.Shards))
 		}
 		if st.Shards[0].Shard != 0 || st.Shards[1].Shard != 1 {
 			t.Fatalf("iter %d: shard reports out of order: %d,%d", i, st.Shards[0].Shard, st.Shards[1].Shard)
-		}
-		if st.ExchangeBytes > 0 {
-			sawExchange = true
-			if st.ExchangeTime <= 0 || st.ExchangeMsgs <= 0 {
-				t.Fatalf("iter %d: exchange bytes %d but time %v msgs %d", i, st.ExchangeBytes, st.ExchangeTime, st.ExchangeMsgs)
-			}
 		}
 		if st.MergeTime <= 0 {
 			t.Fatalf("iter %d: MergeTime = %v, want > 0 at K=2", i, st.MergeTime)
@@ -329,13 +364,10 @@ func TestShardCombinedStats(t *testing.T) {
 				maxRun = ss.Stats.Runtime
 			}
 		}
-		if want := maxRun + st.ExchangeTime + st.MergeTime; st.Runtime != want {
-			t.Fatalf("iter %d: Runtime = %v, want max shard %v + exchange %v + merge %v = %v",
-				i, st.Runtime, maxRun, st.ExchangeTime, st.MergeTime, want)
+		if want := maxRun + st.MergeTime; st.Runtime != want {
+			t.Fatalf("iter %d: Runtime = %v, want max shard %v + merge %v = %v",
+				i, st.Runtime, maxRun, st.MergeTime, want)
 		}
-	}
-	if !sawExchange {
-		t.Fatal("no iteration reported exchange bytes")
 	}
 	// Per-shard device accounting: both shards did I/O, and the base
 	// device's union view covers at least either alone.
@@ -441,42 +473,6 @@ func TestShardErrorThenReuse(t *testing.T) {
 			t.Fatalf("iter %d: reused ran %v io %+v runtime %v, fresh %v io %+v runtime %v",
 				i, gi.Model, gi.IO, gi.Runtime, wi.Model, wi.IO, wi.Runtime)
 		}
-	}
-}
-
-// TestCostModelVolumes pins the push/pull wire formulas.
-func TestCostModelVolumes(t *testing.T) {
-	m := shard.NewCostModel(1, 0) // 1 ns/B to read prices as byte counts
-	// K=2, pieces 10 and 30 activations, merged 40, n = 1000.
-	plan := m.Choose([]int{10, 30}, 40, 1000)
-	// push: (10+30)·12·1 = 480 B, 2 msgs; pull: (30+10)·12 + 2·min(160,125)
-	// = 480+250 = 730 B, 4 msgs. Push is cheaper on both axes.
-	if !plan.Push {
-		t.Fatalf("plan = %+v, want push", plan)
-	}
-	if plan.Bytes != 480 || plan.Msgs != 2 {
-		t.Fatalf("push plan = %+v, want 480 B / 2 msgs", plan)
-	}
-	// Skewed pieces flip it: one shard holds nearly everything, so
-	// broadcasting the merged state beats all-to-all push.
-	m2 := shard.NewCostModel(1, 1)
-	k := 8
-	counts := make([]int, k)
-	counts[0] = 10000
-	plan2 := m2.Choose(counts, 10000, 1<<20)
-	// push: 10000·12·7 = 840000 B; pull: 7·10000·12 + 8·min(40000,131072)
-	// = 840000+320000... actually pull is 1160000 B here — push wins.
-	if !plan2.Push {
-		t.Fatalf("skew-to-one plan = %+v, want push (pull re-ships to 7 shards)", plan2)
-	}
-	// The genuinely pull-favoring shape: every shard produced the SAME
-	// small set is impossible (pieces are disjoint), but near-empty pieces
-	// with a large K make pull's 2K msgs beat push's K(K-1) at high
-	// per-message cost.
-	m3 := shard.NewCostModel(1, 1000000)
-	plan3 := m3.Choose(make([]int, 8), 0, 1<<20)
-	if plan3.Push || plan3.Msgs != 16 {
-		t.Fatalf("empty-frontier plan = %+v, want pull with 2K=16 msgs", plan3)
 	}
 }
 
