@@ -6,7 +6,7 @@
 //	husgen -list
 //	husgen -dataset twitter-sim -out twitter.bin [-format binary|text]
 //	husgen -dataset twitter-sim -blocks DIR [-p 8] [-symmetric]
-//	       [-blockformat raw|mixed] [-compress] [-stats]
+//	       [-blockformat raw|mixed] [-stats]
 //
 // -blocks builds the generated (resident) graph with blockstore.BuildOpts.
 // An edge file that does not fit in memory goes through the same build pass
@@ -41,8 +41,7 @@ func run() error {
 	blocks := flag.String("blocks", "", "build the dual-block store under this directory")
 	p := flag.Int("p", 8, "partition count for -blocks")
 	symmetric := flag.Bool("symmetric", false, "symmetrize before writing (WCC input)")
-	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed")
-	compress := flag.Bool("compress", false, "shorthand for -blockformat mixed: delta-varint per block, raw where that does not pay")
+	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed (mixed: delta-varint per block, raw where that does not pay)")
 	stats := flag.Bool("stats", false, "print structural statistics of the generated graph")
 	flag.Parse()
 
@@ -102,14 +101,7 @@ func run() error {
 			return err
 		}
 		defer st.Close()
-		name := *blockFormat
-		if *compress {
-			if name != "raw" && name != "mixed" {
-				return fmt.Errorf("-compress means -blockformat mixed, which contradicts -blockformat %s", name)
-			}
-			name = "mixed"
-		}
-		format, err := blockstore.ParseFormat(name)
+		format, err := blockstore.ParseFormat(*blockFormat)
 		if err != nil {
 			return err
 		}

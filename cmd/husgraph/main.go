@@ -39,7 +39,8 @@
 // fit in -sem-budget-mb. -stats adds the per-shard table.
 //
 // The flags only the hus engine reads (husOnlyFlags below) are startup
-// errors under any other -system, not silently ignored.
+// errors under any other -system, not silently ignored; so are the flags
+// that only apply alongside another one (flagNeeds) typed without it.
 //
 // With -input, a whitespace edge list ("src dst [weight]" per line) is
 // processed instead of a registry dataset. With -store, the dual-block
@@ -77,6 +78,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"husgraph/internal/algos"
@@ -152,6 +155,13 @@ func run() error {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if err := husOnly(*system, explicit); err != nil {
+		return err
+	}
+	if err := needsMet(explicit, map[string]bool{
+		"store": *storeDir != "", "sem": *sem, "retries": *retries > 0,
+		"fault-transient": *faultTransient > 0, "fault-bitflip": *faultBitflip > 0,
+		"fault-delay": *faultDelay > 0, "fault-stall": *faultStall > 0,
+	}); err != nil {
 		return err
 	}
 	shardK, err := shardsConfig(*shards, *p, explicit["membudget"] && *memBudget > 0)
@@ -503,6 +513,38 @@ func husOnly(system string, explicit map[string]bool) error {
 	for _, name := range husOnlyFlags {
 		if explicit[name] {
 			return fmt.Errorf("-%s is hus-only, but -system %s was selected; drop -%s or use -system hus", name, system, name)
+		}
+	}
+	return nil
+}
+
+// faultCounts are the flags that arm the fault injector.
+var faultCounts = []string{"fault-transient", "fault-bitflip", "fault-delay", "fault-stall"}
+
+// flagNeeds lists the flags that can only take effect alongside another:
+// -resume reads a checkpoint, which only a -store directory can hold (the
+// in-memory store is built fresh by this process); -sem-budget-mb sizes
+// -sem; -retry-backoff paces -retries; -fault-delay-by is the -fault-delay
+// latency; -fault-after and -fault-seed schedule injected faults.
+var flagNeeds = []struct {
+	flag  string
+	needs []string // any one of them on will do
+}{
+	{"resume", []string{"store"}},
+	{"sem-budget-mb", []string{"sem"}},
+	{"retry-backoff", []string{"retries"}},
+	{"fault-delay-by", []string{"fault-delay"}},
+	{"fault-after", faultCounts},
+	{"fault-seed", faultCounts},
+}
+
+// needsMet rejects a flag typed on the command line without any flag it
+// needs being on — set to a value that takes effect: a flag that cannot
+// apply is a startup error, not a silently ignored one.
+func needsMet(explicit, on map[string]bool) error {
+	for _, f := range flagNeeds {
+		if explicit[f.flag] && !slices.ContainsFunc(f.needs, func(n string) bool { return on[n] }) {
+			return fmt.Errorf("-%s has no effect without -%s", f.flag, strings.Join(f.needs, " or -"))
 		}
 	}
 	return nil

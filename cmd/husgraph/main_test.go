@@ -120,6 +120,43 @@ func TestHusOnly(t *testing.T) {
 	}
 }
 
+// TestNeedsMet: a flag that only applies alongside another is a startup
+// error naming both when typed without it, and passes once it is on.
+func TestNeedsMet(t *testing.T) {
+	cases := []struct {
+		name    string
+		typed   []string
+		on      []string
+		errPart string
+	}{
+		{name: "nothing typed"},
+		{name: "resume without store", typed: []string{"resume"}, errPart: "-resume has no effect without -store"},
+		{name: "resume with store", typed: []string{"resume", "store"}, on: []string{"store"}},
+		{name: "sem budget without sem", typed: []string{"sem-budget-mb"}, errPart: "-sem-budget-mb has no effect without -sem"},
+		{name: "sem budget with sem off", typed: []string{"sem-budget-mb", "sem"}, errPart: "-sem-budget-mb has no effect without -sem"},
+		{name: "sem budget with sem", typed: []string{"sem-budget-mb", "sem"}, on: []string{"sem"}},
+		{name: "backoff without retries", typed: []string{"retry-backoff"}, errPart: "-retry-backoff has no effect without -retries"},
+		{name: "backoff with retries", typed: []string{"retry-backoff", "retries"}, on: []string{"retries"}},
+		{name: "delay-by without delay", typed: []string{"fault-delay-by", "fault-stall"}, on: []string{"fault-stall"}, errPart: "-fault-delay-by has no effect without -fault-delay"},
+		{name: "delay-by with delay", typed: []string{"fault-delay-by", "fault-delay"}, on: []string{"fault-delay"}},
+		{name: "after without a fault count", typed: []string{"fault-after"}, errPart: "-fault-after has no effect without -fault-transient or -fault-bitflip"},
+		{name: "seed without a fault count", typed: []string{"fault-seed"}, errPart: "-fault-seed has no effect without -fault-transient"},
+		{name: "after and seed with a fault count", typed: []string{"fault-after", "fault-seed", "fault-bitflip"}, on: []string{"fault-bitflip"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			explicit, on := map[string]bool{}, map[string]bool{}
+			for _, name := range tc.typed {
+				explicit[name] = true
+			}
+			for _, name := range tc.on {
+				on[name] = true
+			}
+			wantErr(t, needsMet(explicit, on), tc.errPart)
+		})
+	}
+}
+
 // TestSummaryLabel: the summary names the graph that was processed — the
 // -input path, not the -dataset default — and the canonical algorithm name,
 // not the flag as typed.

@@ -47,16 +47,14 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 // build is the one way a store is written, the paper's preprocessing pass
 // (§3.2): count degrees and per-block edges while copying every edge into
 // the bucket of its source interval and the bucket of its destination
-// interval; then, a bucket at a time, sort the row by (source, destination)
-// into its P out-blocks and the column by (destination, source) into its P
-// in-blocks — the orders Algorithms 2 and 3 require. feed supplies the
+// interval; then, a bucket at a time, encode the row into its P out-blocks
+// and the column into its P in-blocks (encodeBucket). feed supplies the
 // edges: it calls start once with the vertex count, then edge per edge.
 // With spillEdges > 0 the buckets are flushed to the store whenever they
 // hold that many edges; 0 never spills.
 func build(store storage.Store, opts Options, spillEdges int, feed func(start func(numV int) error, edge func(graph.Edge) error) error) (_ *DualStore, err error) {
-	format := opts.Format
-	if format != FormatRaw && format != FormatMixed {
-		return nil, fmt.Errorf("unknown format %d", format)
+	if opts.Format != FormatRaw && opts.Format != FormatMixed {
+		return nil, fmt.Errorf("unknown format %d", opts.Format)
 	}
 	var (
 		d     *DualStore
@@ -72,18 +70,11 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 	err = feed(func(numV int) error {
 		layout := NewLayout(numV, opts.P)
 		p = layout.P
-		d = &DualStore{store: store, Layout: layout, Format: format, Weighted: opts.Weighted, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
+		d = &DualStore{store: store, Layout: layout, Weighted: opts.Weighted, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
 		d.OutDegrees = make([]int32, numV)
 		d.InDegrees = make([]int32, numV)
-		d.BlockEdgeCount = alloc2D(p)
-		d.OutBlockBytes = alloc2D(p)
-		d.InBlockBytes = alloc2D(p)
-		d.InIndexEntries = alloc2D(p)
-		d.InIndexStoredBytes = alloc2D(p)
-		if format == FormatMixed {
-			d.OutCodecs = allocCodec2D(p)
-			d.InCodecs = allocCodec2D(p)
-			d.OutIndexStoredBytes = alloc2D(p)
+		for _, m := range metaGrids(d) {
+			*m = alloc2D(p)
 		}
 		spill = newSpiller(store, p, spillEdges)
 		return nil
@@ -107,18 +98,7 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 		if err != nil {
 			return nil, err
 		}
-		if b < p {
-			slices.SortFunc(edges, func(x, y graph.Edge) int {
-				return cmp.Compare(uint64(x.Src)<<32|uint64(x.Dst), uint64(y.Src)<<32|uint64(y.Dst))
-			})
-			err = d.encodeRow(b, edges)
-		} else {
-			slices.SortFunc(edges, func(x, y graph.Edge) int {
-				return cmp.Compare(uint64(x.Dst)<<32|uint64(x.Src), uint64(y.Dst)<<32|uint64(y.Src))
-			})
-			err = d.encodeColumn(b-p, edges)
-		}
-		if err != nil {
+		if err := d.encodeBucket(b%p, b >= p, opts.Format, edges); err != nil {
 			return nil, err
 		}
 	}
@@ -128,86 +108,122 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 	return d, nil
 }
 
-// encodeRow writes the P out-blocks of row i from its (src,dst)-sorted
-// edges.
-func (d *DualStore) encodeRow(i int, edges []graph.Edge) error {
+// encodeBucket writes the P blocks of one bucket — row b's out-blocks
+// (b, c), or with in set column b's in-blocks (c, b) — and their indices,
+// and records their sizes in the meta grids. Each edge of the bucket is an
+// (indexed vertex, neighbour) pair: a row's edges as they came, a column's
+// reversed (spiller.add). Sorted by (vertex, neighbour), that is the
+// (source, destination) order of an out-block and the (destination,
+// source) order of an in-block — the orders Algorithms 2 and 3 require —
+// and appending in order keeps each block's per-vertex slice
+// neighbour-sorted.
+func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Edge) error {
+	slices.SortFunc(edges, func(x, y graph.Edge) int {
+		return cmp.Compare(uint64(x.Src)<<32|uint64(x.Dst), uint64(y.Src)<<32|uint64(y.Dst))
+	})
 	l := d.Layout
-	lo, _ := l.Bounds(i)
-	size := l.Size(i)
+	lo, _ := l.Bounds(b)
+	size := l.Size(b)
+	cell := func(c int) (int, int) {
+		if in {
+			return c, b
+		}
+		return b, c
+	}
 	recs := make([][]Rec, l.P)
 	perVertex := make([][]uint32, l.P)
-	for j := 0; j < l.P; j++ {
-		recs[j] = make([]Rec, 0, d.BlockEdgeCount[i][j])
-		perVertex[j] = make([]uint32, size)
+	for c := 0; c < l.P; c++ {
+		i, j := cell(c)
+		recs[c] = make([]Rec, 0, d.BlockEdgeCount[i][j])
+		perVertex[c] = make([]uint32, size)
 	}
 	pos := 0
 	for local := 0; local < size; local++ {
-		src := uint32(lo + local)
-		end := pos
-		// Edges of one source are dst-sorted, so appending in order keeps
-		// each block's per-vertex slice neighbor-sorted.
-		for end < len(edges) && edges[end].Src == src {
-			j := l.IntervalOf(edges[end].Dst)
-			recs[j] = append(recs[j], Rec{Nbr: edges[end].Dst, Weight: edges[end].Weight})
-			perVertex[j][local]++
-			end++
+		v := uint32(lo + local)
+		for ; pos < len(edges) && edges[pos].Src == v; pos++ {
+			c := l.IntervalOf(edges[pos].Dst)
+			recs[c] = append(recs[c], Rec{Nbr: edges[pos].Dst, Weight: edges[pos].Weight})
+			perVertex[c][local]++
 		}
-		pos = end
+	}
+	view, blockKind, indexKind, blockBytes, indexBytes, encodeIndex := "row", blobOutBlock, blobOutIndex, d.OutBlockBytes, d.OutIndexStoredBytes, encodeIndexCodec
+	if in {
+		view, blockKind, indexKind, blockBytes, indexBytes, encodeIndex = "column", blobInBlock, blobInIndex, d.InBlockBytes, d.InIndexStoredBytes, encodeInIndex
 	}
 	if pos != len(edges) {
-		return fmt.Errorf("row %d: %d edges outside interval", i, len(edges)-pos)
+		return fmt.Errorf("%s %d: %d edges outside interval", view, b, len(edges)-pos)
 	}
-	for j := 0; j < l.P; j++ {
-		payload, idx, c := encodeBlockPayload(recs[j], perVertex[j], d.Format, d.Weighted, false)
-		d.OutBlockBytes[i][j] = int64(len(payload))
-		if err := d.putBlobCodec(outBlockName(i, j), payload, c); err != nil {
+	for c := 0; c < l.P; c++ {
+		i, j := cell(c)
+		payload, idx := encodeBlockPayload(recs[c], perVertex[c], format, d.Weighted, in)
+		blockBytes[i][j] = int64(len(payload))
+		if err := d.putBlob(d.names.name(blockKind, i, j), payload); err != nil {
 			return err
 		}
-		idxPayload, idxCodec := encodeBlockIndex(idx, d.Format, encodeIndexCodec)
-		if err := d.putBlobCodec(outIndexName(i, j), idxPayload, idxCodec); err != nil {
-			return err
+		idxPayload := encodeBlockIndex(idx, format, encodeIndex)
+		indexBytes[i][j] = int64(len(idxPayload))
+		if in {
+			d.InIndexEntries[i][j] = int64(len(idx) / 2)
 		}
-		if d.Format == FormatMixed {
-			d.OutCodecs[i][j] = c
-			d.OutIndexStoredBytes[i][j] = int64(len(idxPayload))
+		if err := d.putBlob(d.names.name(indexKind, i, j), idxPayload); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// encodeColumn writes the P in-blocks of column j from its
-// (dst,src)-sorted edges.
-func (d *DualStore) encodeColumn(j int, edges []graph.Edge) error {
-	l := d.Layout
-	lo, _ := l.Bounds(j)
-	size := l.Size(j)
-	recs := make([][]Rec, l.P)
-	perVertex := make([][]uint32, l.P)
-	for i := 0; i < l.P; i++ {
-		recs[i] = make([]Rec, 0, d.BlockEdgeCount[i][j])
-		perVertex[i] = make([]uint32, size)
-	}
-	pos := 0
-	for local := 0; local < size; local++ {
-		dst := uint32(lo + local)
-		end := pos
-		for end < len(edges) && edges[end].Dst == dst {
-			i := l.IntervalOf(edges[end].Src)
-			recs[i] = append(recs[i], Rec{Nbr: edges[end].Src, Weight: edges[end].Weight})
-			perVertex[i][local]++
-			end++
+// encodeBlockPayload encodes one block's per-vertex sections, returning the
+// stored payload and the index into it: raw records for FormatRaw;
+// FormatMixed also encodes the block as varint and keeps that only where it
+// is strictly smaller (compression must pay for its decode cost with real
+// byte savings — and codecOf reads the codec back off that inequality). The
+// index is an out-block's len(perVertex)+1 byte offsets, or with entries
+// set an in-block's (local, end offset) pair per vertex that has a record —
+// written in the one pass over the counts either way.
+func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted, entries bool) ([]byte, []uint32) {
+	encode := func(c Codec) ([]byte, []uint32) {
+		idx := make([]uint32, 0, len(perVertex)+1)
+		var payload []byte
+		pos := 0
+		for k, cnt := range perVertex {
+			if !entries {
+				idx = append(idx, uint32(len(payload)))
+			}
+			if cnt == 0 {
+				continue
+			}
+			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, weighted)
+			pos += int(cnt)
+			if entries {
+				idx = append(idx, uint32(k), uint32(len(payload)))
+			}
 		}
-		pos = end
+		if !entries {
+			idx = append(idx, uint32(len(payload)))
+		}
+		return payload, idx
 	}
-	if pos != len(edges) {
-		return fmt.Errorf("column %d: %d edges outside interval", j, len(edges)-pos)
-	}
-	for i := 0; i < l.P; i++ {
-		if err := d.putInBlock(i, j, recs[i], perVertex[i]); err != nil {
-			return err
+	raw, rawIdx := encode(CodecNone)
+	if format == FormatMixed {
+		if payload, idx := encode(CodecVarint); len(payload) < len(raw) {
+			return payload, idx
 		}
 	}
-	return nil
+	return raw, rawIdx
+}
+
+// encodeBlockIndex encodes a block's index with encode — encodeIndexCodec
+// for an out-index, encodeInIndex for an in-index. FormatMixed stores keep
+// the varint form when that is strictly smaller; FormatRaw keeps the fixed
+// 4-byte words.
+func encodeBlockIndex(idx []uint32, format Format, encode func([]uint32, Codec) []byte) []byte {
+	raw := encode(idx, CodecNone)
+	if format == FormatMixed {
+		if v := encode(idx, CodecVarint); len(v) < len(raw) {
+			return v
+		}
+	}
+	return raw
 }
 
 // spiller holds the pass' 2·P edge buckets — row i at index i, column j at
@@ -234,10 +250,11 @@ func (s *spiller) partName(b, k int) string {
 	return fmt.Sprintf("tmp/ic/%d.part%d", b-s.p, k)
 }
 
-// add files e under row i and column j.
+// add files e under row i, and reversed — keyed by its destination — under
+// column j.
 func (s *spiller) add(i, j int, e graph.Edge) error {
 	s.buckets[i] = append(s.buckets[i], e)
-	s.buckets[s.p+j] = append(s.buckets[s.p+j], e)
+	s.buckets[s.p+j] = append(s.buckets[s.p+j], graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
 	s.held++
 	if s.held == s.budget {
 		return s.flush()

@@ -273,70 +273,48 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 	return blobNameFuncs[k](i, j)
 }
 
-// metaMagic marks the meta layout below. metaMagicDense marked the one
-// before it, whose stores carry a dense in-index of Size(j)+1 offsets per
-// block: Open refuses them (errDenseInIndex) rather than read offsets as
-// entries.
-const (
-	metaMagic      = "HUSC"
-	metaMagicDense = "HUSB"
-)
+// metaMagic marks the meta layout below. A meta under any other magic was
+// written by an older build, and Open refuses it (errOlderStore).
+const metaMagic = "HUSD"
 
-// encodeMeta serializes the DualStore metadata: layout, format, per-vertex
-// degrees, per-block edge counts and stored payload sizes, and per in-block
-// the entry count and stored size of its in-index, so a store written by
-// Build can be reopened. FormatMixed stores append the per-block codec grids
-// and the stored (compressed) out-index sizes — the predictor prices index
-// I/O from stored sizes.
+// metaHeaderLen is the magic and the vertex count, interval count and
+// weighted flag that follow it.
+const metaHeaderLen = 4 + 3*8
+
+// metaGrids are the P×P int64 grids a meta records, in order.
+func metaGrids(d *DualStore) []*[][]int64 {
+	return []*[][]int64{&d.BlockEdgeCount, &d.OutBlockBytes, &d.InBlockBytes, &d.InIndexEntries, &d.InIndexStoredBytes, &d.OutIndexStoredBytes}
+}
+
+// encodeMeta serializes the DualStore metadata: layout, per-vertex degrees,
+// per-block edge counts and stored payload sizes, per in-block the entry
+// count and stored size of its in-index, and the stored size of every
+// out-index — so a store written by Build can be reopened, and every blob's
+// codec read off its stored size (codecOf). The predictor prices I/O from
+// the same stored sizes.
 func encodeMeta(d *DualStore) []byte {
 	p := d.Layout.P
 	n := d.Layout.NumVertices
-	size := 4 + 8 + 8 + 8 + 8 + n*8 + 5*p*p*8
-	if d.Format == FormatMixed {
-		size += 2*p*p + p*p*8
-	}
-	buf := make([]byte, 0, size)
-	var scratch [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		buf = append(buf, scratch[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		buf = append(buf, scratch[:8]...)
-	}
+	grids := metaGrids(d)
+	buf := make([]byte, 0, metaHeaderLen+n*8+len(grids)*p*p*8)
 	buf = append(buf, metaMagic...)
-	put64(uint64(n))
-	put64(uint64(p))
-	put64(uint64(d.Format))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
 	weighted := uint64(0)
 	if d.Weighted {
 		weighted = 1
 	}
-	put64(weighted)
+	buf = binary.LittleEndian.AppendUint64(buf, weighted)
 	for v := 0; v < n; v++ {
-		put32(uint32(d.OutDegrees[v]))
-		put32(uint32(d.InDegrees[v]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.OutDegrees[v]))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.InDegrees[v]))
 	}
-	put2D := func(grids ...[][]int64) {
-		for _, m := range grids {
-			for i := 0; i < p; i++ {
-				for j := 0; j < p; j++ {
-					put64(uint64(m[i][j]))
-				}
+	for _, m := range grids {
+		for _, row := range *m {
+			for _, v := range row {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 			}
 		}
-	}
-	put2D(d.BlockEdgeCount, d.OutBlockBytes, d.InBlockBytes, d.InIndexEntries, d.InIndexStoredBytes)
-	if d.Format == FormatMixed {
-		for _, m := range [][][]Codec{d.OutCodecs, d.InCodecs} {
-			for i := 0; i < p; i++ {
-				for j := 0; j < p; j++ {
-					buf = append(buf, byte(m[i][j]))
-				}
-			}
-		}
-		put2D(d.OutIndexStoredBytes)
 	}
 	return buf
 }
@@ -350,22 +328,15 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	fail := func(format string, args ...any) (*DualStore, error) {
 		return nil, fmt.Errorf("blockstore: bad meta: %w: %w", fmt.Errorf(format, args...), storage.ErrCorrupt)
 	}
-	if len(buf) >= 4 && string(buf[:4]) == metaMagicDense {
-		return fail("%w", errDenseInIndex)
+	if len(buf) < len(metaMagic) || string(buf[:len(metaMagic)]) != metaMagic {
+		return fail("%w", errOlderStore)
 	}
-	if len(buf) < 36 || string(buf[:4]) != metaMagic {
-		return fail("magic")
+	if len(buf) < metaHeaderLen {
+		return fail("header truncated at %d bytes", len(buf))
 	}
 	nv := binary.LittleEndian.Uint64(buf[4:])
 	np := binary.LittleEndian.Uint64(buf[12:])
-	format := Format(binary.LittleEndian.Uint64(buf[20:]))
-	if format == 1 {
-		return fail("%w", errFormatOne)
-	}
-	if format != FormatRaw && format != FormatMixed {
-		return fail("unknown format %d", format)
-	}
-	weighted := binary.LittleEndian.Uint64(buf[28:])
+	weighted := binary.LittleEndian.Uint64(buf[20:])
 	if weighted > 1 {
 		return fail("bad weighted flag %d", weighted)
 	}
@@ -374,64 +345,43 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	if nv > math.MaxUint32 || np < 1 || (nv > 0 && np > nv) {
 		return fail("%d vertices in %d intervals", nv, np)
 	}
-	cell := uint64(5 * 8) // the five int64 grids
-	if format == FormatMixed {
-		cell += 2 + 8 // two codec grids, the out-index size grid
-	}
+	d := &DualStore{Layout: Layout{NumVertices: int(nv), P: int(np)}, Weighted: weighted == 1, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters)}
+	grids := metaGrids(d)
+	cell := uint64(len(grids) * 8)
 	// np·np·cell is compared by division first, so the product cannot wrap.
-	if size := uint64(len(buf)); np > size/cell/np || 36+nv*8+np*np*cell != size {
+	if size := uint64(len(buf)); np > size/cell/np || metaHeaderLen+nv*8+np*np*cell != size {
 		return fail("length %d does not fit %d vertices in %d intervals", len(buf), nv, np)
 	}
 	n, p := int(nv), int(np)
-	d := &DualStore{Layout: Layout{NumVertices: n, P: p}, Format: format, Weighted: weighted == 1, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
+	d.names = newBlobNames(p)
 	d.OutDegrees = make([]int32, n)
 	d.InDegrees = make([]int32, n)
-	off := 36
+	off := metaHeaderLen
 	for v := 0; v < n; v++ {
 		d.OutDegrees[v] = int32(binary.LittleEndian.Uint32(buf[off:]))
 		d.InDegrees[v] = int32(binary.LittleEndian.Uint32(buf[off+4:]))
 		off += 8
 	}
-	read2D := func() [][]int64 {
-		m := make([][]int64, p)
-		for i := 0; i < p; i++ {
-			m[i] = make([]int64, p)
-			for j := 0; j < p; j++ {
-				m[i][j] = int64(binary.LittleEndian.Uint64(buf[off:]))
+	for _, m := range grids {
+		*m = alloc2D(p)
+		for _, row := range *m {
+			for j := range row {
+				row[j] = int64(binary.LittleEndian.Uint64(buf[off:]))
 				off += 8
 			}
 		}
-		return m
 	}
-	d.BlockEdgeCount = read2D()
-	d.OutBlockBytes = read2D()
-	d.InBlockBytes = read2D()
-	d.InIndexEntries = read2D()
-	d.InIndexStoredBytes = read2D()
-	if format == FormatMixed {
-		readCodecs := func() ([][]Codec, error) {
-			m := make([][]Codec, p)
-			for i := 0; i < p; i++ {
-				m[i] = make([]Codec, p)
-				for j := 0; j < p; j++ {
-					c := Codec(buf[off])
-					off++
-					if c >= numCodecs {
-						return nil, fmt.Errorf("blockstore: bad meta: unknown block codec %d: %w", c, storage.ErrCorrupt)
-					}
-					m[i][j] = c
-				}
+	// No builder stores a blob in more than its CodecNone bytes.
+	rec := int64(RawRecordBytes(d.Weighted))
+	for i := 0; i < p; i++ {
+		outIdx := int64(d.Layout.Size(i)+1) * IndexEntryBytes
+		for j := 0; j < p; j++ {
+			raw := d.BlockEdgeCount[i][j] * rec
+			if d.OutBlockBytes[i][j] > raw || d.InBlockBytes[i][j] > raw ||
+				d.InIndexStoredBytes[i][j] > d.InIndexEntries[i][j]*InIndexEntryBytes || d.OutIndexStoredBytes[i][j] > outIdx {
+				return fail("cell (%d,%d) stores more than its raw bytes", i, j)
 			}
-			return m, nil
 		}
-		var err error
-		if d.OutCodecs, err = readCodecs(); err != nil {
-			return nil, err
-		}
-		if d.InCodecs, err = readCodecs(); err != nil {
-			return nil, err
-		}
-		d.OutIndexStoredBytes = read2D()
 	}
 	return d, nil
 }

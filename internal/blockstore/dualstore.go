@@ -91,8 +91,6 @@ type DualStore struct {
 	// Fork copies like retries.
 	hedge  HedgePolicy
 	hedges *atomic.Int64
-	// Format is the on-disk record encoding of every block.
-	Format Format
 	// Weighted records carry edge weights; unweighted drop them (decoded
 	// Weight = 1), halving raw record size — build SSSP inputs weighted
 	// and PageRank/BFS/WCC inputs unweighted, as real deployments do.
@@ -106,24 +104,20 @@ type DualStore struct {
 	// interval j (identical for the out-block and in-block views).
 	BlockEdgeCount [][]int64
 	// OutBlockBytes[i][j] and InBlockBytes[i][j] are the *stored* sizes of
-	// out-block(i,j) and in-block(i,j) payloads; for FormatRaw both equal
-	// count·RawRecordBytes, for compressed blocks they are the compressed
-	// sizes (the bytes I/O actually moves, which is what the predictor
-	// prices).
+	// out-block(i,j) and in-block(i,j) payloads: count·RawRecordBytes for a
+	// block stored raw, less for a compressed one (the bytes I/O actually
+	// moves, which is what the predictor prices, and what the loaders hold
+	// every whole block read to).
 	OutBlockBytes [][]int64
 	InBlockBytes  [][]int64
 	// InIndexEntries[i][j] is the number of destinations of interval j with
 	// an edge in in-block(i,j) — the entries of its in-index — and
 	// InIndexStoredBytes[i][j] that index's stored size: 8 bytes an entry
-	// on a FormatRaw store, often less on a FormatMixed one.
-	InIndexEntries     [][]int64
-	InIndexStoredBytes [][]int64
-	// OutCodecs/InCodecs are the per-block codec grids of a FormatMixed
-	// store (nil otherwise) — Build picks the smallest encoding per block.
-	// OutIndexStoredBytes holds the stored sizes of its (possibly
-	// varint-compressed) out-indices.
-	OutCodecs           [][]Codec
-	InCodecs            [][]Codec
+	// stored raw, less compressed. OutIndexStoredBytes[i][j] is the stored
+	// size of out-index(i,j): (Size(i)+1)·4 raw, less compressed. Every
+	// blob's codec is read off these sizes (codecOf).
+	InIndexEntries      [][]int64
+	InIndexStoredBytes  [][]int64
 	OutIndexStoredBytes [][]int64
 	// names is the blob-name grid the read paths index (see blobNames).
 	names *blobNames
@@ -136,9 +130,6 @@ type DualStore struct {
 // decodeCounters aggregates codec decode work store-wide. All fields are
 // atomic: decodes run concurrently in prefetch workers and hedged readers.
 type decodeCounters struct {
-	// ops counts decode operations: one per block decode, index decode or
-	// run-section decode that ran a non-none codec.
-	ops atomic.Int64
 	// varintBytes are the *decoded* (logical) bytes varint decodes
 	// produced — the basis for modeled decode cost.
 	varintBytes atomic.Int64
@@ -148,10 +139,6 @@ type decodeCounters struct {
 	// deterministic cost model uses ModeledDecodeTime over the byte
 	// counters instead).
 	nanos atomic.Int64
-	// logicalBytes counts the logical (decoded-equivalent) bytes of every
-	// full payload and index load regardless of codec — the format-
-	// independent accounting the cross-format tests compare.
-	logicalBytes atomic.Int64
 }
 
 // DecodeStats is a snapshot of a store's cumulative decode accounting.
@@ -160,15 +147,10 @@ type decodeCounters struct {
 // in serial sections (iteration barriers, run teardown) — a plain write
 // from a spawned goroutine is a race.
 type DecodeStats struct {
-	// Ops counts codec decode operations (non-none codecs only).
-	Ops int64
 	// VarintBytes are the decoded bytes varint decodes produced;
 	// CompressedBytes the stored bytes consumed producing them.
 	VarintBytes     int64
 	CompressedBytes int64
-	// LogicalBytes counts decoded-equivalent bytes of all full payload and
-	// index loads, for any codec including none.
-	LogicalBytes int64
 	// Time is wall time inside decode loops (diagnostic only).
 	Time time.Duration
 }
@@ -179,10 +161,8 @@ func (s DecodeStats) DecodedBytes() int64 { return s.VarintBytes }
 // Sub returns s - o field-wise (iteration deltas).
 func (s DecodeStats) Sub(o DecodeStats) DecodeStats {
 	return DecodeStats{
-		Ops:             s.Ops - o.Ops,
 		VarintBytes:     s.VarintBytes - o.VarintBytes,
 		CompressedBytes: s.CompressedBytes - o.CompressedBytes,
-		LogicalBytes:    s.LogicalBytes - o.LogicalBytes,
 		Time:            s.Time - o.Time,
 	}
 }
@@ -191,45 +171,35 @@ func (s DecodeStats) Sub(o DecodeStats) DecodeStats {
 // created, shared across Fork copies like Retries.
 func (d *DualStore) DecodeStats() DecodeStats {
 	return DecodeStats{
-		Ops:             d.dec.ops.Load(),
 		VarintBytes:     d.dec.varintBytes.Load(),
 		CompressedBytes: d.dec.compressedBytes.Load(),
-		LogicalBytes:    d.dec.logicalBytes.Load(),
 		Time:            time.Duration(d.dec.nanos.Load()),
 	}
 }
 
-// noteDecode records one codec decode op producing logical bytes out of
-// stored bytes in dur of wall time.
+// noteDecode records one codec decode producing logical bytes out of stored
+// bytes in dur of wall time.
 func (d *DualStore) noteDecode(logical, stored int64, dur time.Duration) {
-	d.dec.ops.Add(1)
 	d.dec.varintBytes.Add(logical)
 	d.dec.compressedBytes.Add(stored)
 	d.dec.nanos.Add(int64(dur))
 }
 
-// OutCodec returns the codec of out-block(i,j)'s stored payload: the
-// block's entry in a FormatMixed store's grid, CodecNone on a FormatRaw one.
+// OutCodec returns the codec of out-block(i,j)'s stored payload.
 func (d *DualStore) OutCodec(i, j int) Codec {
-	if d.OutCodecs != nil {
-		return d.OutCodecs[i][j]
-	}
-	return CodecNone
+	return codecOf(d.OutBlockBytes[i][j], d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)))
 }
 
 // InCodec returns the codec of in-block(i,j)'s stored payload.
 func (d *DualStore) InCodec(i, j int) Codec {
-	if d.InCodecs != nil {
-		return d.InCodecs[i][j]
-	}
-	return CodecNone
+	return codecOf(d.InBlockBytes[i][j], d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)))
 }
 
 // Options configures Build.
 type Options struct {
 	// P is the interval count (clamped to the vertex count).
 	P int
-	// Format is the record encoding (default FormatRaw).
+	// Format is the compression policy (default FormatRaw).
 	Format Format
 	// Weighted stores edge weights with each record.
 	Weighted bool
@@ -273,80 +243,6 @@ func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, e
 	return d, nil
 }
 
-// putInBlock encodes and writes in-block(i,j) and its in-index from the
-// block's records in (destination, source) order and its per-destination
-// record counts, and records what the meta blob keeps of them.
-func (d *DualStore) putInBlock(i, j int, recs []Rec, perVertex []uint32) error {
-	payload, entries, c := encodeBlockPayload(recs, perVertex, d.Format, d.Weighted, true)
-	d.InBlockBytes[i][j] = int64(len(payload))
-	if err := d.putBlobCodec(inBlockName(i, j), payload, c); err != nil {
-		return err
-	}
-	idxPayload, idxCodec := encodeBlockIndex(entries, d.Format, encodeInIndex)
-	d.InIndexEntries[i][j] = int64(len(entries) / 2)
-	d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
-	if d.Format == FormatMixed {
-		d.InCodecs[i][j] = c
-	}
-	return d.putBlobCodec(inIndexName(i, j), idxPayload, idxCodec)
-}
-
-// encodeBlockPayload encodes one block's per-vertex sections, returning the
-// stored payload, the index into it, and the codec used: CodecNone for
-// FormatRaw; FormatMixed also encodes the block as varint and keeps that
-// only where it is strictly smaller (compression must pay for its decode
-// cost with real byte savings). The index is an out-block's
-// len(perVertex)+1 byte offsets, or with entries set an in-block's (local,
-// end offset) pair per vertex that has a record — written in the one pass
-// over the counts either way.
-func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted, entries bool) ([]byte, []uint32, Codec) {
-	encode := func(c Codec) ([]byte, []uint32) {
-		idx := make([]uint32, 0, len(perVertex)+1)
-		var payload []byte
-		pos := 0
-		for k, cnt := range perVertex {
-			if !entries {
-				idx = append(idx, uint32(len(payload)))
-			}
-			if cnt == 0 {
-				continue
-			}
-			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, weighted)
-			pos += int(cnt)
-			if entries {
-				idx = append(idx, uint32(k), uint32(len(payload)))
-			}
-		}
-		if !entries {
-			idx = append(idx, uint32(len(payload)))
-		}
-		return payload, idx
-	}
-	raw, rawIdx := encode(CodecNone)
-	if format == FormatMixed {
-		if payload, idx := encode(CodecVarint); len(payload) < len(raw) {
-			return payload, idx, CodecVarint
-		}
-	}
-	return raw, rawIdx, CodecNone
-}
-
-// encodeBlockIndex encodes a block's index with encode — encodeIndexCodec
-// for an out-index, encodeInIndex for an in-index. FormatMixed stores keep
-// the varint form when that is strictly smaller; FormatRaw keeps the fixed
-// 4-byte words.
-func encodeBlockIndex(idx []uint32, format Format, encode func([]uint32, Codec) []byte) ([]byte, Codec) {
-	raw := encode(idx, CodecNone)
-	if format != FormatMixed {
-		return raw, CodecNone
-	}
-	v := encode(idx, CodecVarint)
-	if len(v) < len(raw) {
-		return v, CodecVarint
-	}
-	return raw, CodecNone
-}
-
 func alloc2D(p int) [][]int64 {
 	m := make([][]int64, p)
 	for i := range m {
@@ -355,21 +251,14 @@ func alloc2D(p int) [][]int64 {
 	return m
 }
 
-func allocCodec2D(p int) [][]Codec {
-	m := make([][]Codec, p)
-	for i := range m {
-		m[i] = make([]Codec, p)
-	}
-	return m
-}
+// errOlderStore is Open's one refusal of a store an older build wrote: a
+// meta blob without this build's checksum frame, or under a magic other
+// than metaMagic. The message is the way out.
+var errOlderStore = errors.New("written by an older build — rebuild it with husgen")
 
-// Open's refusals of stores older builds wrote. The message is the way out;
-// callers that need to tell them apart match the value.
-var (
-	errUnframed     = errors.New("not a framed HUS store — rebuild it with husgen")
-	errFormatOne    = errors.New("format 1 (uniform varint) is no longer read — rebuild the store with -format mixed")
-	errDenseInIndex = errors.New("the store's in-indices hold an offset per destination, not an entry per destination with edges — rebuild it with husgen")
-)
+// errStoredSize reports a whole block read whose length is not the stored
+// size the meta records for it: a blob of another build or another codec.
+var errStoredSize = errors.New("length differs from the stored size the meta records")
 
 // Open attaches to a dual-block store previously written by Build. Every
 // blob of a store is checksum-framed and every full blob read verifies its
@@ -379,10 +268,10 @@ func Open(store storage.Store) (*DualStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: open: %w", err)
 	}
-	if len(buf) < len(frameMagic) || string(buf[:len(frameMagic)]) != frameMagic {
-		return nil, fmt.Errorf("blockstore: open: %s: %w: %w", metaName, errUnframed, storage.ErrCorrupt)
+	if len(buf) <= len(frameMagic) || string(buf[:len(frameMagic)]) != frameMagic || buf[len(frameMagic)] != frameVersion {
+		return nil, fmt.Errorf("blockstore: open: %s: %w: %w", metaName, errOlderStore, storage.ErrCorrupt)
 	}
-	if buf, _, err = unframeBlob(metaName, buf); err != nil {
+	if buf, err = unframeBlob(metaName, buf); err != nil {
 		return nil, fmt.Errorf("blockstore: open: %w", err)
 	}
 	d, err := decodeMeta(buf)
@@ -439,16 +328,6 @@ func (d *DualStore) Hedges() int64 { return d.hedges.Load() }
 
 // putBlob writes a durable checksum-framed blob.
 func (d *DualStore) putBlob(name string, payload []byte) error {
-	return d.putBlobCodec(name, payload, CodecNone)
-}
-
-// putBlobCodec writes a durable blob whose payload is encoded with codec c.
-// FormatMixed stores write version-2 frames carrying the codec tag;
-// FormatRaw stores write version-1 frames (every blob is CodecNone).
-func (d *DualStore) putBlobCodec(name string, payload []byte, c Codec) error {
-	if d.Format == FormatMixed {
-		return d.store.Put(name, frameBlobV2(payload, c))
-	}
 	return d.store.Put(name, frameBlob(payload))
 }
 
@@ -575,14 +454,6 @@ func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 
 // readBlob loads a whole blob with transient-fault retries, and validates
 // and strips its checksum frame.
-func (d *DualStore) readBlob(name string) ([]byte, error) {
-	payload, _, err := d.readBlobTagged(name, nil)
-	return payload, err
-}
-
-// readBlobTagged is readBlob also returning the frame's codec tag —
-// CodecNone for version-1 frames. Index loads dispatch their decode on it;
-// block loads report a tag disagreeing with the meta grid as corruption.
 //
 // buf, when non-nil, is the caller's reusable read buffer: the blob is read
 // into *buf if it fits, and the buffer actually read into (a larger fresh
@@ -591,14 +462,14 @@ func (d *DualStore) readBlob(name string) ([]byte, error) {
 // why the whole buffer, not the payload, is what has to be kept: a payload
 // slice has lost the header's bytes of capacity and would never fit the
 // next blob of the same size.
-func (d *DualStore) readBlobTagged(name string, buf *[]byte) ([]byte, Codec, error) {
+func (d *DualStore) readBlob(name string, buf *[]byte) ([]byte, error) {
 	var into []byte
 	if buf != nil {
 		into = *buf
 	}
 	raw, err := d.withRetry(into, blobRead{name: name})
 	if err != nil {
-		return nil, CodecNone, err
+		return nil, err
 	}
 	if buf != nil {
 		*buf = raw
@@ -607,17 +478,11 @@ func (d *DualStore) readBlobTagged(name string, buf *[]byte) ([]byte, Codec, err
 }
 
 // readRange loads payload bytes [off, off+n) of a blob with transient-
-// fault retries, shifting past the frame header (18 bytes for a FormatMixed
-// store's version-2 frames, 17 otherwise). Range reads cannot validate the
-// whole-blob checksum; integrity of selectively loaded runs is only
-// protected by the surrounding decode checks.
+// fault retries, shifting past the frame header. Range reads cannot
+// validate the whole-blob checksum; integrity of selectively loaded runs is
+// only protected by the surrounding decode checks.
 func (d *DualStore) readRange(name string, off, n int64, buf []byte) ([]byte, error) {
-	if d.Format == FormatMixed {
-		off += frameHeaderLenV2
-	} else {
-		off += frameHeaderLen
-	}
-	return d.withRetry(buf, blobRead{name: name, off: off, n: n, ranged: true})
+	return d.withRetry(buf, blobRead{name: name, off: off + frameHeaderLen, n: n, ranged: true})
 }
 
 // Device returns the simulated device charged by this store.
@@ -661,53 +526,42 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // afterwards.
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
-// loadIndexScratch reads and decodes one block-index blob into sc,
-// dispatching on the frame's codec tag (varint-compressed indices only
-// exist in FormatMixed stores, whose frames are version 2). want, when
-// >= 0, is the expected entry count — a compressed index cannot imply it
-// from its stored length, so a short decode is reported as corruption.
-func (d *DualStore) loadIndexScratch(name string, want int, sc *Scratch) ([]uint32, error) {
-	buf, codec, err := d.readBlobTagged(name, &sc.idxRaw)
-	if err != nil {
-		return nil, err
-	}
-	var idx []uint32
-	if codec == CodecNone {
-		idx, err = decodeIndexInto(sc.idx, buf)
-	} else {
-		start := time.Now()
-		idx, err = decodeIndexCodecInto(sc.idx, buf, codec)
-		if err == nil {
-			d.noteDecode(int64(len(idx))*IndexEntryBytes, int64(len(buf)), time.Since(start))
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("blockstore: %s: %w", name, err)
-	}
-	if want >= 0 && len(idx) != want {
-		return nil, fmt.Errorf("blockstore: %s: index has %d entries, want %d: %w", name, len(idx), want, storage.ErrCorrupt)
-	}
-	sc.idx = idx
-	d.dec.logicalBytes.Add(int64(len(idx)) * IndexEntryBytes)
-	return idx, nil
-}
-
 // LoadOutIndex reads out-index(i,j): per-source *byte* offsets into
 // out-block(i,j)'s stored payload (Size(i)+1 entries). Charged as a
 // sequential read.
 func (d *DualStore) LoadOutIndex(i, j int) ([]uint32, error) {
 	sc := GetScratch()
 	defer PutScratch(sc)
-	idx, err := d.loadIndexScratch(d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1, sc)
+	idx, err := d.LoadOutIndexScratch(i, j, sc)
 	if err != nil {
 		return nil, err
 	}
 	return append([]uint32(nil), idx...), nil
 }
 
-// LoadOutIndexScratch is LoadOutIndex reusing sc's buffers.
+// LoadOutIndexScratch is LoadOutIndex reusing sc's buffers. A compressed
+// index cannot imply its entry count from its stored length, so a decode
+// short of Size(i)+1 entries is reported as corruption.
 func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]uint32, error) {
-	return d.loadIndexScratch(d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1, sc)
+	name, want := d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1
+	buf, err := d.readBlob(name, &sc.idxRaw)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	c := codecOf(d.OutIndexStoredBytes[i][j], int64(want)*IndexEntryBytes)
+	idx, err := decodeIndexCodecInto(sc.idx, buf, c)
+	if err != nil {
+		return nil, fmt.Errorf("blockstore: %s: %w", name, err)
+	}
+	if c != CodecNone {
+		d.noteDecode(int64(len(idx))*IndexEntryBytes, int64(len(buf)), time.Since(start))
+	}
+	if len(idx) != want {
+		return nil, fmt.Errorf("blockstore: %s: index has %d entries, want %d: %w", name, len(idx), want, storage.ErrCorrupt)
+	}
+	sc.idx = idx
+	return idx, nil
 }
 
 // LoadOutRunScratch reads the stored byte range [startByte, endByte) of
@@ -759,39 +613,38 @@ func (d *DualStore) DecodeSectionScratch(section []byte, c Codec, sc *Scratch) (
 //
 // The kernels index accumulators and payload by the entries unchecked, so
 // every rule they rely on is checked here (decodeInIndex), in the pass that
-// decodes them; and the frame's codec tag must agree with the meta grid. A
-// violation means a blob lied (or the blobs come from two builds) and is
+// decodes them; and the payload must be the stored size the meta records.
+// A violation means a blob lied (or the blobs come from two builds) and is
 // reported as corruption.
 func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
 	name, idxName := d.names.name(blobInBlock, i, j), d.names.name(blobInIndex, i, j)
+	idxBuf, err := d.readBlob(idxName, &sc.idxRaw)
+	if err != nil {
+		return nil, nil, err
+	}
+	payload, err := d.readBlob(name, &sc.raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkStoredSize(name, payload, d.InBlockBytes[i][j]); err != nil {
+		return nil, nil, err
+	}
 	c := d.InCodec(i, j)
-	idxBuf, idxCodec, err := d.readBlobTagged(idxName, &sc.idxRaw)
-	if err != nil {
-		return nil, nil, err
-	}
-	payload, tag, err := d.readBlobTagged(name, &sc.raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	if tag != c {
-		return nil, nil, fmt.Errorf("blockstore: %s: frame codec %v disagrees with meta codec %v: %w", name, tag, c, storage.ErrCorrupt)
-	}
 	step := 1
 	if c == CodecNone {
 		step = RawRecordBytes(d.Weighted)
 	}
 	start := time.Now()
+	idxCodec := codecOf(d.InIndexStoredBytes[i][j], d.InIndexEntries[i][j]*InIndexEntryBytes)
 	entries, err := decodeInIndex(sc.idx, idxBuf, idxCodec, d.Layout.Size(j), len(payload), step)
 	if err != nil {
 		return nil, nil, fmt.Errorf("blockstore: %s over %s: %w", idxName, name, err)
 	}
 	sc.idx = entries
-	idxLogical := int64(len(entries)) * IndexEntryBytes
 	if idxCodec != CodecNone {
-		d.noteDecode(idxLogical, int64(len(idxBuf)), time.Since(start))
+		d.noteDecode(int64(len(entries))*IndexEntryBytes, int64(len(idxBuf)), time.Since(start))
 	}
 	if c == CodecNone {
-		d.dec.logicalBytes.Add(idxLogical + int64(len(payload)))
 		return payload, entries, nil
 	}
 
@@ -810,8 +663,18 @@ func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []ui
 	}
 	sc.dec = dec
 	d.noteDecode(int64(len(dec)), int64(len(payload)), time.Since(start))
-	d.dec.logicalBytes.Add(idxLogical + int64(len(dec)))
 	return dec, entries, nil
+}
+
+// checkStoredSize holds a whole block read to the stored size the meta
+// records for it. The codec is read off that size, so a blob of another
+// length — a raw twin of a compressed block, a block of another build —
+// would be decoded as what it is not.
+func checkStoredSize(name string, payload []byte, stored int64) error {
+	if int64(len(payload)) != stored {
+		return fmt.Errorf("blockstore: %s: %d bytes, meta records %d: %w: %w", name, len(payload), stored, errStoredSize, storage.ErrCorrupt)
+	}
+	return nil
 }
 
 // LoadInBlockScratch is LoadInBlockBytesScratch without the index.
@@ -830,25 +693,19 @@ func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) ([]byte, error) {
 // through the byte-offset index on touch). The returned buffer is freshly
 // allocated and owned by the caller.
 func (d *DualStore) LoadOutPayload(i, j int) ([]byte, error) {
-	payload, tag, err := d.readBlobTagged(d.names.name(blobOutBlock, i, j), nil)
+	name := d.names.name(blobOutBlock, i, j)
+	payload, err := d.readBlob(name, nil)
 	if err != nil {
 		return nil, err
 	}
-	if c := d.OutCodec(i, j); tag != c {
-		return nil, fmt.Errorf("blockstore: out-block (%d,%d): frame codec %v disagrees with meta codec %v: %w", i, j, tag, c, storage.ErrCorrupt)
+	if err := checkStoredSize(name, payload, d.OutBlockBytes[i][j]); err != nil {
+		return nil, err
 	}
 	return payload, nil
 }
 
-// OutIndexBytes returns the stored size of out-index(i,j) — the actual
-// compressed size on FormatMixed stores, the analytic (Size(i)+1)·4
-// otherwise.
-func (d *DualStore) OutIndexBytes(i, j int) int64 {
-	if d.OutIndexStoredBytes != nil {
-		return d.OutIndexStoredBytes[i][j]
-	}
-	return int64(d.Layout.Size(i)+1) * IndexEntryBytes
-}
+// OutIndexBytes returns the stored size of out-index(i,j).
+func (d *DualStore) OutIndexBytes(i, j int) int64 { return d.OutIndexStoredBytes[i][j] }
 
 // InIndexBytes returns the stored size of in-index(i,j), as recorded when
 // it was written.
@@ -878,5 +735,5 @@ func (d *DualStore) PutAux(name string, data []byte) error {
 // verification; storage.ErrNotFound wraps missing names, storage.ErrCorrupt
 // wraps frames that fail validation.
 func (d *DualStore) GetAux(name string) ([]byte, error) {
-	return d.readBlob("aux/" + name)
+	return d.readBlob("aux/"+name, nil)
 }

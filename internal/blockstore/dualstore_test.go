@@ -204,15 +204,16 @@ func TestOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.Layout != built.Layout || opened.Format != built.Format {
-		t.Fatalf("layout/format %+v/%v != %+v/%v", opened.Layout, opened.Format, built.Layout, built.Format)
+	if opened.Layout != built.Layout || opened.Weighted != built.Weighted {
+		t.Fatalf("layout %+v weighted %v != %+v %v", opened.Layout, opened.Weighted, built.Layout, built.Weighted)
 	}
-	if !reflect.DeepEqual(opened.OutDegrees, built.OutDegrees) ||
-		!reflect.DeepEqual(opened.InDegrees, built.InDegrees) ||
-		!reflect.DeepEqual(opened.BlockEdgeCount, built.BlockEdgeCount) ||
-		!reflect.DeepEqual(opened.OutBlockBytes, built.OutBlockBytes) ||
-		!reflect.DeepEqual(opened.InBlockBytes, built.InBlockBytes) {
-		t.Fatal("metadata round trip mismatch")
+	if !reflect.DeepEqual(opened.OutDegrees, built.OutDegrees) || !reflect.DeepEqual(opened.InDegrees, built.InDegrees) {
+		t.Fatal("degrees round trip mismatch")
+	}
+	for k, m := range metaGrids(opened) {
+		if !reflect.DeepEqual(*m, *metaGrids(built)[k]) {
+			t.Fatalf("meta grid %d round trip mismatch", k)
+		}
 	}
 }
 
@@ -357,7 +358,7 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 		{"varint whose weight is cut off", []byte{0x01, 0xAA}, CodecVarint, true},
 		{"unterminated varint", []byte{0xFF}, CodecVarint, true},
 		{"neighbor past uint32", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, CodecVarint, false},
-		{"unknown codec", nil, numCodecs, false},
+		{"unknown codec", nil, Codec(2), false},
 	} {
 		if _, err := appendSection(nil, c.section, c.codec, c.weighted); !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
@@ -371,6 +372,16 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 	}
 	if _, err := decodeMeta([]byte("HUSBxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")); err == nil {
 		t.Fatal("truncated meta accepted")
+	}
+	// No builder stores a blob in more than its raw bytes; the codec rule
+	// (codecOf) could not name such a blob's encoding.
+	ds, err := Build(memStore(), chain(16), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.OutIndexStoredBytes[1][0]++
+	if _, err := decodeMeta(encodeMeta(ds)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("out-index stored past its raw size: err = %v, want storage.ErrCorrupt-class", err)
 	}
 }
 

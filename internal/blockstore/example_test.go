@@ -66,9 +66,9 @@ func ExampleBuildOpts() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("format:", ds.Format)
+	fmt.Println("out-block (0,1):", ds.OutCodec(0, 1))
 	fmt.Println("edges:", ds.NumEdges())
 	// Output:
-	// format: mixed
+	// out-block (0,1): varint
 	// edges: 2
 }

@@ -8,34 +8,32 @@ import (
 	"husgraph/internal/storage"
 )
 
-// Format selects the on-disk encoding of block edge records.
+// Format is a build's compression policy: which encodings Build may store
+// a block's records and indices in. It is not recorded anywhere — a store
+// is one format on disk, and a blob's codec follows from its stored size
+// (codecOf).
 //
 // Indices always hold *byte* offsets into the block blob (the stored
-// payload), so selective loading works identically for every format; what
+// payload), so selective loading works identically for every codec; what
 // changes is the bytes per record.
 type Format int
 
 const (
 	// FormatRaw stores fixed-size packed records (neighbor uint32, plus a
-	// float32 weight on weighted stores) in version-1 frames: nothing to
-	// decode, supports direct slicing.
-	FormatRaw Format = 0
+	// float32 weight on weighted stores): nothing to decode, supports
+	// direct slicing.
+	FormatRaw Format = iota
 	// FormatMixed picks a codec (none | varint) *per block* at build time,
-	// falling back to raw sections when compression does not pay. Per-vertex
-	// sections stay self-contained (delta chains restart at every section
-	// boundary), so the byte-offset index doubles as the gap-index side
-	// table that lets ROP read and decode only the touched ranges. Block
-	// indices are delta-varint compressed the same way. Every blob is
-	// written in a version-2 checksum frame carrying its codec tag; the
-	// CRC32C covers the *compressed* bytes (see frame.go). This is
-	// GraphMP's compressed-edge-block direction, and like there the codec
-	// is a property of storage only: every block decodes back into the
-	// packed records FormatRaw stores (appendSection).
-	//
-	// The value is pinned: meta blobs record it, and 1 was the uniform
-	// varint format (the same bytes as a mixed store restricted to one
-	// codec) that Open now rejects with a rebuild hint.
-	FormatMixed Format = 2
+	// keeping varint only where it is strictly smaller. Per-vertex sections
+	// stay self-contained (delta chains restart at every section boundary),
+	// so the byte-offset index doubles as the gap-index side table that lets
+	// ROP read and decode only the touched ranges. Block indices are
+	// delta-varint compressed the same way. The CRC32C of every frame covers
+	// the *compressed* bytes (see frame.go). This is GraphMP's
+	// compressed-edge-block direction, and like there the codec is a
+	// property of storage only: every block decodes back into the packed
+	// records FormatRaw stores (appendSection).
+	FormatMixed
 )
 
 // String names the format for reports.
@@ -63,8 +61,9 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // Codec identifies the encoding of one block's (or index's) stored payload.
-// FormatRaw stores use CodecNone throughout; FormatMixed stores record a
-// codec per block in the meta blob and in each blob's version-2 frame tag.
+// FormatRaw stores use CodecNone throughout; in a FormatMixed store a blob
+// is CodecVarint exactly when its stored size is below its raw size
+// (codecOf).
 type Codec uint8
 
 const (
@@ -73,8 +72,18 @@ const (
 	// CodecVarint delta-gap varint encodes each section's sorted neighbor
 	// IDs; weights, when stored, follow each ID as raw float32 bits.
 	CodecVarint
-	numCodecs
 )
+
+// codecOf is the codec of a blob stored in stored bytes whose CodecNone
+// encoding takes raw. The builder keeps varint only where it is strictly
+// smaller (encodeBlockPayload, encodeBlockIndex), so the stored size the
+// meta records is the codec: nothing else on disk names it.
+func codecOf(stored, raw int64) Codec {
+	if stored < raw {
+		return CodecVarint
+	}
+	return CodecNone
+}
 
 // String names the codec for reports and frame errors.
 func (c Codec) String() string {

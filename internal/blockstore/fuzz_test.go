@@ -67,10 +67,10 @@ func FuzzDecodeVarint(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false)
 	f.Add([]byte{0x80}, true) // varint cut mid-continuation
 	// Truncated/corrupt checksum frames, decoded through unframeBlob.
-	framed := frameBlobV2(full, CodecVarint)
+	framed := frameBlob(full)
 	f.Add(framed[:len(framed)-2], true)
 	flipped := append([]byte(nil), framed...)
-	flipped[frameHeaderLenV2] ^= 0x01
+	flipped[frameHeaderLen] ^= 0x01
 	f.Add(flipped, true)
 
 	f.Fuzz(func(t *testing.T, data []byte, weighted bool) {
@@ -81,27 +81,26 @@ func FuzzDecodeVarint(f *testing.F) {
 		}
 		// And as a framed blob: unframe must never panic and must reject
 		// anything whose CRC does not match.
-		if payload, codec, err := unframeBlob("fuzz", data); err == nil {
-			if codec >= numCodecs {
-				t.Fatalf("unframeBlob accepted codec %d", codec)
-			}
-			_ = payload
-		} else {
+		if _, err := unframeBlob("fuzz", data); err != nil {
 			wantCorruptClass(t, err)
 		}
 	})
 }
 
-// FuzzDecodeMeta: the meta blob sizes every allocation Open makes. Whatever
-// the bytes, decodeMeta fails ErrCorrupt-class without panicking or
-// allocating beyond what the payload's length covers, and a meta it accepts
-// is one encodeMeta writes: it re-encodes to the same bytes.
+// FuzzDecodeMeta: the meta blob sizes every allocation Open makes, and
+// every blob's codec is read off it. Whatever the bytes, decodeMeta fails
+// ErrCorrupt-class without panicking or allocating beyond what the
+// payload's length covers — nor accepting a blob stored in more than its
+// raw bytes, which no builder writes — and a meta it accepts is one
+// encodeMeta writes: it re-encodes to the same bytes.
 func FuzzDecodeMeta(f *testing.F) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		ds, err := BuildWithFormat(memStore(), mixedGraph(true), 4, format)
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(encodeMeta(ds))
+		ds.InBlockBytes[1][2] = ds.BlockEdgeCount[1][2]*EdgeBytes + 1 // one byte past raw
 		f.Add(encodeMeta(ds))
 	}
 	f.Add(overflowMeta(0, 1<<31))
@@ -140,7 +139,7 @@ func FuzzDecodeInIndex(f *testing.F) {
 	f.Add(encodeInIndex(three, CodecNone)[:20], uint8(CodecNone), uint16(10), uint16(40), uint8(1)) // odd words
 	f.Add([]byte{1, 0x80}, uint8(CodecVarint), uint16(4), uint16(8), uint8(0))                      // truncated varint
 	f.Add([]byte{0, 4}, uint8(CodecVarint), uint16(4), uint16(4), uint8(0))                         // zero gap
-	f.Add(encodeInIndex(three, CodecNone), uint8(numCodecs), uint16(10), uint16(40), uint8(1))      // no such index codec
+	f.Add(encodeInIndex(three, CodecNone), uint8(2), uint16(10), uint16(40), uint8(1))              // no such index codec
 
 	f.Fuzz(func(t *testing.T, data []byte, codec uint8, size, payloadLen uint16, stepSel uint8) {
 		step := [...]int{1, 4, 8}[stepSel%3]

@@ -104,12 +104,10 @@ func lruCache(budget int64) *BlockCache {
 	return NewBlockCacheOpts(budget, CacheOptions{Admission: AdmitLRU})
 }
 
-// FrameForTest frames payload the way a store of the given format frames a
-// blob tagged c, for the external tests (package blockstore_test, which may
-// import core) that hand-write lying blobs.
-func FrameForTest(payload []byte, format Format, c Codec) []byte {
-	if format == FormatMixed {
-		return frameBlobV2(payload, c)
-	}
-	return frameBlob(payload)
-}
+// FrameForTest frames payload the way a store frames every blob, and
+// ErrStoredSizeForTest is the loaders' refusal of a block whose length is
+// not its recorded stored size — for the external tests (package
+// blockstore_test, which may import core) that hand-write lying blobs.
+func FrameForTest(payload []byte) []byte { return frameBlob(payload) }
+
+var ErrStoredSizeForTest = errStoredSize

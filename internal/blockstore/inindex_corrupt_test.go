@@ -16,11 +16,12 @@ import (
 // TestCorruptInIndexIsAnError: the COP kernels index the accumulators and
 // the payload by in-index entries without a check of their own, so an index
 // that lies — correctly framed, CRC intact — has to be stopped by the loader.
-// Every rule of DESIGN.md §4m is broken here once, in the fixed-width form
-// and in the varint form, over a stored-raw and over a compressed payload:
-// the loader must answer storage.ErrCorrupt-class, and a COP run over the
-// store must end in a *core.IterError carrying it — never a panic, never a
-// value.
+// Every rule of DESIGN.md §4m is broken here once in each index form: the
+// fixed-width form over a raw store's stored-raw payload, the varint form
+// over a mixed store's compressed one — the form the meta's recorded index
+// size names (codecOf) is the form the loader decodes. The loader must
+// answer storage.ErrCorrupt-class, and a COP run over the store must end in
+// a *core.IterError carrying it — never a panic, never a value.
 func TestCorruptInIndexIsAnError(t *testing.T) {
 	// 0→1→…→63 at P = 4, unweighted: in-block (0,0) holds 15 records, one for
 	// each of destinations 1..15. Stored raw that is 4 bytes a record, so the
@@ -108,17 +109,14 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 		{"varint: section past the payload", blockstore.CodecVarint, func(s uint32) []byte {
 			return varint(s, func(b []byte) []byte { b[29]++; return b })
 		}},
-		{"unknown index codec", blockstore.Codec(2), func(s uint32) []byte {
+		{"fixed-width words where the meta names varint", blockstore.CodecVarint, func(s uint32) []byte {
 			return honest(s, same)
 		}},
-		{"fixed-width words under the varint tag", blockstore.CodecVarint, func(s uint32) []byte {
-			return honest(s, same)
+		// The one rule only a stored-raw payload has: an end inside a record.
+		{"end inside a record", blockstore.CodecNone, func(s uint32) []byte {
+			return honest(s, func(e []uint32) []uint32 { e[3]--; return e })
 		}},
 	}
-	// The one rule only a stored-raw payload has: an end inside a record.
-	splitRecord := lie{"end inside a record", blockstore.CodecNone, func(s uint32) []byte {
-		return honest(s, func(e []uint32) []uint32 { e[3]--; return e })
-	}}
 
 	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
 		mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
@@ -129,36 +127,30 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 		if got := built.InCodec(0, 0); (got == blockstore.CodecNone) != (format == blockstore.FormatRaw) {
 			t.Fatalf("%v store's in-block (0,0) is %v-coded", format, got)
 		}
-		step, cases := uint32(4), append(lies[:len(lies):len(lies)], splitRecord)
+		step, form := uint32(4), func(s uint32) []byte { return honest(s, same) }
 		if format == blockstore.FormatMixed {
-			step, cases = 1, lies
+			step, form = 1, func(s uint32) []byte { return varint(s, func(b []byte) []byte { return b }) }
 		}
-		// The honest index loads as built and as hand-framed here, in both
-		// forms: what the loader refuses below is the lie, not the framing.
+		// The honest index loads as built and as hand-framed here: what the
+		// loader refuses below is the lie, not the framing.
 		honestLoads := func(how string) {
 			if _, entries, err := built.LoadInBlockBytesScratch(0, 0, new(blockstore.Scratch)); err != nil || len(entries) != 30 {
 				t.Fatalf("%v: honest in-index, %s: %d words, err %v", format, how, len(entries), err)
 			}
 		}
 		honestLoads("as built")
-		if err := mem.Put(name, blockstore.FrameForTest(honest(step, same), format, blockstore.CodecNone)); err != nil {
+		if err := mem.Put(name, blockstore.FrameForTest(form(step))); err != nil {
 			t.Fatal(err)
 		}
-		honestLoads("fixed-width")
-		if format == blockstore.FormatMixed {
-			if err := mem.Put(name, blockstore.FrameForTest(varint(step, func(b []byte) []byte { return b }), format, blockstore.CodecVarint)); err != nil {
+		honestLoads("hand-framed")
+		for _, c := range lies {
+			if (c.codec == blockstore.CodecNone) != (format == blockstore.FormatRaw) {
+				continue // the meta names the other form for this store's index
+			}
+			if err := mem.Put(name, blockstore.FrameForTest(c.index(step))); err != nil {
 				t.Fatal(err)
 			}
-			honestLoads("varint")
-		}
-		for _, c := range cases {
-			if c.codec != blockstore.CodecNone && format == blockstore.FormatRaw {
-				continue // a raw store's frames carry no codec tag
-			}
-			if err := mem.Put(name, blockstore.FrameForTest(c.index(step), format, c.codec)); err != nil {
-				t.Fatal(err)
-			}
-			wantCorruptLoadAndRun(t, format.String()+": "+c.what, mem)
+			wantCorruptLoadAndRun(t, format.String()+": "+c.what, mem, storage.ErrCorrupt)
 		}
 
 		// And the lie nobody wrote: an ii/ blob from another build of the
@@ -179,26 +171,66 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 		if err := mem.Put(name, foreign); err != nil {
 			t.Fatal(err)
 		}
-		wantCorruptLoadAndRun(t, format.String()+": ii/ blob from a second build", mem)
+		wantCorruptLoadAndRun(t, format.String()+": ii/ blob from a second build", mem, storage.ErrCorrupt)
 	}
 }
 
-// wantCorruptLoadAndRun opens the store in mem, whose in-index (0,0) lies,
-// and demands corruption from the loader and from a forced-COP run.
-func wantCorruptLoadAndRun(t *testing.T, what string, mem *storage.MemStore) {
+// TestRawTwinOfCompressedBlockIsCorrupt: no frame says how its payload is
+// encoded — the stored size the meta records does (DESIGN.md §4f). So a
+// compressed block swapped for its raw twin, the same cell of a raw build
+// of the same graph, must be refused for its length before anything decodes
+// raw records as varint gaps: in-block (0,0) by the COP loader and by a
+// forced-COP run, out-block (0,0) by the cache's whole-payload read.
+func TestRawTwinOfCompressedBlockIsCorrupt(t *testing.T) {
+	g := graph.New(64)
+	for v := 0; v+1 < 64; v++ {
+		g.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
+	}
+	mixed, raw := storage.NewMemStore(storage.NewDevice(storage.RAM)), storage.NewMemStore(storage.NewDevice(storage.RAM))
+	built, err := blockstore.BuildOpts(mixed, g, blockstore.Options{P: 4, Format: blockstore.FormatMixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := blockstore.BuildOpts(raw, g, blockstore.Options{P: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if built.InCodec(0, 0) != blockstore.CodecVarint || built.OutCodec(0, 0) != blockstore.CodecVarint {
+		t.Fatalf("mixed store's block (0,0) is stored %v in, %v out", built.InCodec(0, 0), built.OutCodec(0, 0))
+	}
+	for _, name := range []string{"ib/0.0", "ob/0.0"} {
+		twin, err := raw.ReadAll(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mixed.Put(name, twin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := wantCorruptLoadAndRun(t, "raw twin of in-block (0,0)", mixed, blockstore.ErrStoredSizeForTest)
+	if _, err := ds.LoadOutPayload(0, 0); !errors.Is(err, blockstore.ErrStoredSizeForTest) || !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("raw twin of out-block (0,0): err = %v, want a storage.ErrCorrupt-class length refusal", err)
+	}
+}
+
+// wantCorruptLoadAndRun opens the store in mem, whose in-block (0,0) or its
+// index lies, and demands an error that is want — storage.ErrCorrupt-class
+// either way — from the loader and from a forced-COP run. It returns the
+// opened store.
+func wantCorruptLoadAndRun(t *testing.T, what string, mem *storage.MemStore, want error) *blockstore.DualStore {
 	t.Helper()
 	ds, err := blockstore.Open(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ds.LoadInBlockBytesScratch(0, 0, new(blockstore.Scratch)); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("%s: loader: err = %v, want storage.ErrCorrupt-class", what, err)
+	if _, _, err := ds.LoadInBlockBytesScratch(0, 0, new(blockstore.Scratch)); !errors.Is(err, want) || !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("%s: loader: err = %v, want storage.ErrCorrupt-class %v", what, err, want)
 	}
 	for _, threads := range []int{1, 4} {
 		_, err := core.New(ds, core.Config{Model: core.ModelCOP, Threads: threads, PrefetchDepth: 2}).Run(algos.BFS{})
 		var ie *core.IterError
-		if !errors.As(err, &ie) || !errors.Is(err, storage.ErrCorrupt) {
-			t.Fatalf("%s: COP run, %d threads: err = %v, want a *core.IterError wrapping storage.ErrCorrupt", what, threads, err)
+		if !errors.As(err, &ie) || !errors.Is(err, want) || !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("%s: COP run, %d threads: err = %v, want a *core.IterError wrapping storage.ErrCorrupt-class %v", what, threads, err, want)
 		}
 	}
+	return ds
 }
