@@ -233,12 +233,18 @@ func (b *Bitset) RangeIn(lo, hi int, fn func(i int) bool) {
 
 // Members returns the set bits in ascending order.
 func (b *Bitset) Members() []int {
-	out := make([]int, 0, b.Count())
-	b.Range(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
+	return b.appendMembers(make([]int, 0, b.Count()))
+}
+
+// appendMembers appends the set bits to s in ascending order: one pass over
+// the words, no call per bit.
+func (b *Bitset) appendMembers(s []int) []int {
+	for w, word := range b.words {
+		for ; word != 0; word &= word - 1 {
+			s = append(s, w*wordBits+bits.TrailingZeros64(word))
+		}
+	}
+	return s
 }
 
 // String renders the set in {1, 5, 9} form; useful in tests and debugging.

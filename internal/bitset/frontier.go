@@ -1,6 +1,8 @@
 package bitset
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -33,7 +35,7 @@ const sparseThresholdDenom = 16
 type Frontier struct {
 	dense *Bitset
 	// mu guards count, sparse, sparseOK and unsorted between concurrent
-	// AddAtomic calls, and serializes the in-place sort among readers.
+	// AddAtomic calls, and serializes the in-place ordering among readers.
 	mu     sync.Mutex
 	sparse []int
 	// sparseOK records whether the sparse list still mirrors the dense set.
@@ -126,20 +128,36 @@ func (f *Frontier) sparseCap() int {
 	return c
 }
 
-// ordered returns the sparse member list in ascending order, sorting it in
-// place first if a member arrived out of order since it was last sorted.
+// ordered returns the sparse member list in ascending order, putting it in
+// order first if a member arrived out of order since it was last ordered.
 // Every ordered read of a sparse frontier goes through here, so concurrent
-// readers either perform the one sort or wait for it; the returned slice is
-// the frontier's own and stays valid until the next write.
+// readers either perform the one ordering or wait for it; the returned
+// slice is the frontier's own and stays valid until the next write.
+//
+// The list holds exactly the bitmap's members (readers never overlap a
+// writer), so it is ordered whichever way is cheaper for its size: sorted
+// in place, or rewritten from one pass over the bitmap's words
+// (rebuildFromBitmap). Both give the same list.
 func (f *Frontier) ordered() []int {
 	f.mu.Lock()
 	if f.unsorted {
-		sort.Ints(f.sparse)
+		if rebuildFromBitmap(len(f.sparse), len(f.dense.words)) {
+			f.sparse = f.dense.appendMembers(f.sparse[:0])
+		} else {
+			slices.Sort(f.sparse)
+		}
 		f.unsorted = false
 	}
 	s := f.sparse
 	f.mu.Unlock()
 	return s
+}
+
+// rebuildFromBitmap reports whether m out-of-order members are put in order
+// more cheaply by one pass over a bitmap of the given word count than by a
+// comparison sort: m·log₂m > words. The choice depends on the sizes alone.
+func rebuildFromBitmap(m, words int) bool {
+	return m*bits.Len(uint(m)) > words
 }
 
 // Members returns the active vertices in ascending order. The returned slice
@@ -213,10 +231,7 @@ func (f *Frontier) Reindex() {
 	f.unsorted = false
 	f.sparseOK = int(f.count) <= f.sparseCap()
 	if f.sparseOK {
-		f.dense.Range(func(v int) bool {
-			f.sparse = append(f.sparse, v)
-			return true
-		})
+		f.sparse = f.dense.appendMembers(f.sparse)
 	}
 }
 

@@ -419,3 +419,53 @@ func TestFrontierSparseReadsDoNotAllocate(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestFrontierOrderingPathsAgree: an out-of-order sparse list is put in
+// order by sorting it or by rewriting it from the bitmap, whichever its size
+// makes cheaper (rebuildFromBitmap). Both must give the bitmap's ascending
+// members, so they are checked against each other on the list as it
+// arrived, and every ordered read against the bitmap — at member counts
+// either side of the crossover, at it, and up to the sparse capacity, each
+// built by concurrent AddAtomic calls.
+func TestFrontierOrderingPathsAgree(t *testing.T) {
+	const n, adders = 1 << 18, 4
+	rng := rand.New(rand.NewSource(30))
+	words := (n + wordBits - 1) / wordBits
+	crossover := 1
+	for !rebuildFromBitmap(crossover, words) {
+		crossover++
+	}
+	if rebuildFromBitmap(crossover-1, words) || !rebuildFromBitmap(crossover+1, words) {
+		t.Fatalf("the choice is not monotone in m around %d", crossover)
+	}
+	limit := NewFrontier(n).sparseCap()
+	for _, m := range []int{0, 1, 63, crossover - 1, crossover, crossover + 1, limit} {
+		f := NewFrontier(n)
+		order := rng.Perm(n)[:m]
+		var wg sync.WaitGroup
+		for g := 0; g < adders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < m; i += adders {
+					f.AddAtomic(order[i])
+				}
+			}(g)
+		}
+		wg.Wait()
+		label := fmt.Sprintf("m=%d (crossover %d, bitmap path %v)", m, crossover, rebuildFromBitmap(m, words))
+		if f.IsDense() || len(f.sparse) != m || f.unsorted != (m > 1) {
+			t.Fatalf("%s: IsDense %v, %d listed, unsorted %v", label, f.IsDense(), len(f.sparse), f.unsorted)
+		}
+		want := f.Bitmap().Members()
+		sorted := slices.Clone(f.sparse)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, want) {
+			t.Fatalf("%s: the sorted list differs from the bitmap's members", label)
+		}
+		if rebuilt := f.dense.appendMembers(nil); !slices.Equal(rebuilt, want) {
+			t.Fatalf("%s: the list rebuilt from the bitmap differs from its members", label)
+		}
+		checkOrderedReads(t, rng, f, label)
+	}
+}

@@ -70,6 +70,26 @@ func BenchmarkLoadInBlockBytesScratch(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadOutIndexScratch is ROP's per-block index load over a raw
+// store and over its mixed twin: read and verify, and for the mixed store
+// decode into the stored-raw form, through a reused Scratch, cycling over
+// all P² out-indices. A raw index is the verified read buffer itself.
+func BenchmarkLoadOutIndexScratch(b *testing.B) {
+	for _, format := range []Format{FormatRaw, FormatMixed} {
+		b.Run(format.String(), func(b *testing.B) {
+			ds := benchGraphStore(b, format, false)
+			sc := &Scratch{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ds.LoadOutIndexScratch(i%8, (i/8)%8, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDecodeInBlock times the decode alone — every non-empty section
 // of one in-block's stored payload through appendSection into a presized
 // buffer, no read and no CRC — and reports ns per decoded byte: the measured

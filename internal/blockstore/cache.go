@@ -35,8 +35,8 @@ const (
 	// KindInBlock is the fully-loaded in-block(i,j): its packed raw
 	// records plus the in-index entries into them.
 	KindInBlock BlockKind = iota
-	// KindOutIndex is the decoded out-index(i,j): per-source byte offsets
-	// into out-block(i,j).
+	// KindOutIndex is out-index(i,j): per-source byte offsets into
+	// out-block(i,j), as the bytes of its stored-raw form.
 	KindOutIndex
 	// KindOutBlock is the whole raw payload of out-block(i,j), promoted
 	// into the cache once run-granular reads crossed the density
@@ -72,7 +72,7 @@ type BlockKey struct {
 //     end byte offset in Payload) pair per destination with records, as
 //     LoadInBlockBytesScratch returns it) — the zero-copy RawRec
 //     iteration view.
-//   - KindOutIndex: ByteIdx — the decoded per-source offset index.
+//   - KindOutIndex: Payload — the offset index LoadOutIndexScratch returns.
 //   - KindOutBlock: Payload — the *stored* out-block bytes runs slice
 //     into; sections of a compressed block are decoded on touch.
 //
@@ -84,7 +84,7 @@ type CachedBlock struct {
 }
 
 // Bytes returns the entry's budget charge: the memory its retained slices
-// hold (4 bytes per index entry).
+// hold (4 bytes per index word, in-index or out-index alike).
 func (b *CachedBlock) Bytes() int64 {
 	return int64(len(b.Payload)) + 4*int64(len(b.ByteIdx))
 }

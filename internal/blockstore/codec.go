@@ -42,22 +42,6 @@ func encodeIndex(idx []uint32) []byte {
 	return buf
 }
 
-// decodeIndexInto parses an offset index into idx, reusing its capacity.
-func decodeIndexInto(idx []uint32, buf []byte) ([]uint32, error) {
-	if len(buf)%IndexEntryBytes != 0 {
-		return nil, fmt.Errorf("blockstore: index payload length %d not a multiple of %d: %w", len(buf), IndexEntryBytes, storage.ErrCorrupt)
-	}
-	n := len(buf) / IndexEntryBytes
-	if cap(idx) < n {
-		idx = make([]uint32, n)
-	}
-	idx = idx[:n]
-	for i := range idx {
-		idx[i] = binary.LittleEndian.Uint32(buf[i*IndexEntryBytes:])
-	}
-	return idx, nil
-}
-
 // encodeIndexCodec serializes a per-vertex offset index with the given
 // codec. Index entries are non-decreasing byte offsets, so CodecVarint
 // stores the first entry absolute followed by uvarint deltas — typically
@@ -88,37 +72,49 @@ func encodeIndexCodec(idx []uint32, c Codec) []byte {
 	}
 }
 
-// decodeIndexCodecInto parses an offset index encoded with codec c into
-// idx, reusing its capacity. Malformed varint streams and offset overflow
-// yield storage.ErrCorrupt-class errors.
-func decodeIndexCodecInto(idx []uint32, buf []byte, c Codec) ([]uint32, error) {
-	switch c {
-	case CodecNone:
-		return decodeIndexInto(idx, buf)
-	case CodecVarint:
-		idx = idx[:0]
-		prev := uint64(0)
-		off := 0
-		for off < len(buf) {
-			delta, n := binary.Uvarint(buf[off:])
-			if n <= 0 {
-				return nil, fmt.Errorf("blockstore: corrupt index varint at offset %d: %w", off, storage.ErrCorrupt)
-			}
-			off += n
-			v := delta
-			if len(idx) > 0 {
-				v = prev + delta
-			}
-			if v > uint64(^uint32(0)) {
-				return nil, fmt.Errorf("blockstore: index offset %d overflows uint32: %w", v, storage.ErrCorrupt)
-			}
-			idx = append(idx, uint32(v))
-			prev = v
+// decodeOutIndex returns an out-index of entries offsets in the one shape ROP
+// reads it: the bytes of its CodecNone form, offset k the little-endian
+// uint32 at 4k. A CodecNone index is that already and is handed back in
+// place; a varint one is decoded into dst, reusing its capacity. Anything
+// but exactly entries offsets — a wrong length, a truncated, overlong or
+// padded varint, an offset past uint32 — is storage.ErrCorrupt-class. The
+// offsets are not checked against each other or the block: ROP checks the
+// few it reads (core/rop.go), so a lookup stays O(1), not O(interval).
+func decodeOutIndex(dst, buf []byte, c Codec, entries int) ([]byte, error) {
+	want := entries * IndexEntryBytes
+	if c == CodecNone {
+		if len(buf) != want {
+			return nil, fmt.Errorf("out-index of %d bytes, want %d entries of %d: %w", len(buf), entries, IndexEntryBytes, storage.ErrCorrupt)
 		}
-		return idx, nil
-	default:
-		return nil, fmt.Errorf("blockstore: unknown index codec %d: %w", c, storage.ErrCorrupt)
+		return buf, nil
 	}
+	if cap(dst) < want {
+		dst = make([]byte, want)
+	}
+	dst = dst[:want]
+	var prev uint64 // the first entry is stored absolute: a delta from 0
+	k := 0
+	for off := 0; off < len(buf); k++ {
+		if k == entries {
+			return nil, fmt.Errorf("out-index: bytes left at offset %d after %d entries: %w", off, entries, storage.ErrCorrupt)
+		}
+		delta, n := uint64(buf[off]), 1 // most deltas are one byte
+		if delta >= 0x80 {
+			if delta, n = binary.Uvarint(buf[off:]); n <= 0 || buf[off+n-1] == 0 {
+				return nil, fmt.Errorf("out-index: truncated, overlong or padded varint at offset %d: %w", off, storage.ErrCorrupt)
+			}
+		}
+		if delta > math.MaxUint32-prev {
+			return nil, fmt.Errorf("out-index: entry %d overflows uint32: %w", k, storage.ErrCorrupt)
+		}
+		off += n
+		prev += delta
+		binary.LittleEndian.PutUint32(dst[k*IndexEntryBytes:], uint32(prev))
+	}
+	if k != entries {
+		return nil, fmt.Errorf("out-index has %d entries, want %d: %w", k, entries, storage.ErrCorrupt)
+	}
+	return dst, nil
 }
 
 // The offset indices above are out-indices: ROP looks a source up in O(1).
@@ -128,7 +124,7 @@ func decodeIndexCodecInto(idx []uint32, buf []byte, c Codec) ([]uint32, error) {
 // one ends. COP walks every listed destination and never looks one up, so
 // nothing is stored for the destinations a block has no edge for: most of
 // them, once P intervals split every destination's in-edges P ways.
-// In memory an index is a flat []uint32, two words per entry.
+// In memory an in-index is a flat []uint32, two words per entry.
 
 // InIndexEntryBytes is one in-index entry in its fixed-width form.
 const InIndexEntryBytes = 2 * IndexEntryBytes

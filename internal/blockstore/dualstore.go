@@ -505,12 +505,12 @@ func (d *DualStore) NumEdges() int64 {
 // buffers and are invalidated by the next load into the same Scratch.
 type Scratch struct {
 	// raw and idxRaw hold a block's and an index's blob as read; idx the
-	// index parsed out of idxRaw.
+	// in-index entries parsed out of idxRaw.
 	raw    []byte
 	idxRaw []byte
 	idx    []uint32
-	// dec holds what a compressed block or section decodes into: packed
-	// raw records.
+	// dec holds what a compressed block, section or out-index decodes
+	// into: the bytes of its CodecNone twin.
 	dec []byte
 }
 
@@ -526,41 +526,40 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // afterwards.
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
-// LoadOutIndex reads out-index(i,j): per-source *byte* offsets into
-// out-block(i,j)'s stored payload (Size(i)+1 entries). Charged as a
-// sequential read.
-func (d *DualStore) LoadOutIndex(i, j int) ([]uint32, error) {
+// LoadOutIndex reads out-index(i,j) into a private buffer: per-source
+// *byte* offsets into out-block(i,j)'s stored payload, Size(i)+1 of them.
+// Charged as a sequential read.
+func (d *DualStore) LoadOutIndex(i, j int) ([]byte, error) {
 	sc := GetScratch()
 	defer PutScratch(sc)
 	idx, err := d.LoadOutIndexScratch(i, j, sc)
 	if err != nil {
 		return nil, err
 	}
-	return append([]uint32(nil), idx...), nil
+	return append([]byte(nil), idx...), nil
 }
 
-// LoadOutIndexScratch is LoadOutIndex reusing sc's buffers. A compressed
-// index cannot imply its entry count from its stored length, so a decode
-// short of Size(i)+1 entries is reported as corruption.
-func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]uint32, error) {
-	name, want := d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1
+// LoadOutIndexScratch is LoadOutIndex through sc's buffers, returning the
+// (Size(i)+1)·4 bytes of the index's stored-raw form: offset k is the
+// little-endian uint32 at 4k. A stored-raw index is the CRC-verified read
+// buffer itself, a compressed one is decoded into sc; either way the view
+// is invalidated by the next load into sc.
+func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]byte, error) {
+	name, entries := d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1
 	buf, err := d.readBlob(name, &sc.idxRaw)
 	if err != nil {
 		return nil, err
 	}
+	c := codecOf(d.OutIndexStoredBytes[i][j], int64(entries)*IndexEntryBytes)
 	start := time.Now()
-	c := codecOf(d.OutIndexStoredBytes[i][j], int64(want)*IndexEntryBytes)
-	idx, err := decodeIndexCodecInto(sc.idx, buf, c)
+	idx, err := decodeOutIndex(sc.dec, buf, c, entries)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: %s: %w", name, err)
 	}
 	if c != CodecNone {
-		d.noteDecode(int64(len(idx))*IndexEntryBytes, int64(len(buf)), time.Since(start))
+		sc.dec = idx
+		d.noteDecode(int64(len(idx)), int64(len(buf)), time.Since(start))
 	}
-	if len(idx) != want {
-		return nil, fmt.Errorf("blockstore: %s: index has %d entries, want %d: %w", name, len(idx), want, storage.ErrCorrupt)
-	}
-	sc.idx = idx
 	return idx, nil
 }
 

@@ -117,7 +117,7 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				idx, err := ds.LoadOutIndex(i, j) // byte offsets
+				idx, err := loadOutIndexWords(ds, i, j) // byte offsets
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +154,7 @@ func TestLoadOutIndexConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [p][p][]uint32
+	var want [p][p][]byte
 	for i := range want {
 		for j := range want[i] {
 			if want[i][j], err = ds.LoadOutIndex(i, j); err != nil {
@@ -293,7 +293,7 @@ func TestRandomAccessCharged(t *testing.T) {
 	}
 	dev := st.Device()
 	dev.Reset()
-	idx, _ := ds.LoadOutIndex(0, 0)
+	idx, _ := loadOutIndexWords(ds, 0, 0)
 	// Find a vertex with edges.
 	for k := 0; k+1 < len(idx); k++ {
 		if idx[k+1] > idx[k] {
@@ -364,8 +364,20 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
 		}
 	}
-	if _, err := decodeIndexInto(nil, make([]byte, 6)); err == nil {
-		t.Fatal("bad index payload accepted")
+	for _, c := range []struct {
+		what  string
+		index []byte
+		codec Codec
+	}{
+		{"raw out-index of 6 bytes for 2 entries", make([]byte, 6), CodecNone},
+		{"varint out-index one entry short", encodeIndexCodec([]uint32{0}, CodecVarint), CodecVarint},
+		{"varint out-index one entry long", encodeIndexCodec([]uint32{0, 4, 8}, CodecVarint), CodecVarint},
+		{"varint out-index padded with a zero byte", []byte{0x00, 0x84, 0x00}, CodecVarint},
+		{"varint out-index past uint32", []byte{0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, CodecVarint},
+	} {
+		if _, err := decodeOutIndex(nil, c.index, c.codec, 2); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
+		}
 	}
 	if _, err := decodeMeta([]byte("JUNK")); err == nil {
 		t.Fatal("bad meta accepted")

@@ -1,6 +1,7 @@
 package blockstore_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 
@@ -26,14 +27,15 @@ func ExampleBuild() {
 	}
 
 	// Vertex 0 lives in interval 0; its out-edges into interval 1
-	// (vertices 2, 3) sit in out-block (0, 1).
+	// (vertices 2, 3) sit in out-block (0, 1); the out-index holds local
+	// vertex k's byte offset into it as the little-endian uint32 at 4k.
 	idx, err := ds.LoadOutIndex(0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	sc := blockstore.GetScratch()
 	defer blockstore.PutScratch(sc)
-	run, err := ds.LoadOutRunScratch(0, 1, idx[0], idx[1], sc)
+	run, err := ds.LoadOutRunScratch(0, 1, binary.LittleEndian.Uint32(idx[0:]), binary.LittleEndian.Uint32(idx[4:]), sc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,34 +50,47 @@ func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
 	}
 }
 
+// FuzzDecodeVarint drives the two varint decoders over the same bytes: as a
+// section, and as an out-index of entries offsets — which decodeOutIndex
+// either refuses ErrCorrupt-class or turns into exactly entries·4 bytes
+// that re-encode to the input (so every varint it accepts is minimal) — and
+// unframes them as a blob.
 func FuzzDecodeVarint(f *testing.F) {
 	// Valid varint section encodings, weighted and not.
 	recs := []Rec{{Nbr: 1, Weight: 2}, {Nbr: 7, Weight: 0.5}, {Nbr: 1000000, Weight: -1}}
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, true), true)
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, false), false)
-	// A valid varint index stream.
-	f.Add(encodeIndexCodec([]uint32{0, 8, 8, 24, 400}, CodecVarint), false)
+	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, true), true, uint16(0))
+	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, false), false, uint16(3))
+	// A valid varint out-index, with its entry count, one too few and one
+	// too many.
+	index := encodeIndexCodec([]uint32{0, 8, 8, 24, 400}, CodecVarint)
+	f.Add(index, false, uint16(5))
+	f.Add(index, false, uint16(4))
+	f.Add(index, false, uint16(6))
+	f.Add([]byte{0x00, 0x88, 0x00}, false, uint16(2)) // second entry padded to two bytes
 	// Truncated and corrupted variants.
 	full := encodeVertexRecsCodec(nil, recs, CodecVarint, true)
-	f.Add(full[:len(full)-3], true)
+	f.Add(full[:len(full)-3], true, uint16(1))
 	mangled := append([]byte(nil), full...)
 	mangled[0] ^= 0xFF
-	f.Add(mangled, true)
+	f.Add(mangled, true, uint16(2))
 	// Overlong/overflowing varints.
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false)
-	f.Add([]byte{0x80}, true) // varint cut mid-continuation
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false, uint16(1))
+	f.Add([]byte{0x80}, true, uint16(1)) // varint cut mid-continuation
 	// Truncated/corrupt checksum frames, decoded through unframeBlob.
 	framed := frameBlob(full)
-	f.Add(framed[:len(framed)-2], true)
+	f.Add(framed[:len(framed)-2], true, uint16(0))
 	flipped := append([]byte(nil), framed...)
 	flipped[frameHeaderLen] ^= 0x01
-	f.Add(flipped, true)
+	f.Add(flipped, true, uint16(0))
 
-	f.Fuzz(func(t *testing.T, data []byte, weighted bool) {
+	f.Fuzz(func(t *testing.T, data []byte, weighted bool, entries uint16) {
 		fuzzSection(t, data, CodecVarint, weighted)
-		// The same bytes as a varint index stream.
-		if _, err := decodeIndexCodecInto(nil, data, CodecVarint); err != nil {
+		if idx, err := decodeOutIndex(nil, data, CodecVarint, int(entries)); err != nil {
 			wantCorruptClass(t, err)
+		} else if len(idx) != int(entries)*IndexEntryBytes {
+			t.Fatalf("out-index of %d entries decoded to %d bytes", entries, len(idx))
+		} else if again := encodeIndexCodec(outIndexWords(idx), CodecVarint); !bytes.Equal(again, data) {
+			t.Fatalf("out-index re-encodes to % x, not the % x it was decoded from", again, data)
 		}
 		// And as a framed blob: unframe must never panic and must reject
 		// anything whose CRC does not match.

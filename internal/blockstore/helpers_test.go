@@ -1,5 +1,7 @@
 package blockstore
 
+import "encoding/binary"
+
 // Test-side views of loaded blocks. The package hands out one shape — packed
 // raw records behind an index — and these helpers regroup it into per-vertex
 // []Rec for assertions, reading records the way the engine does (RawRec).
@@ -66,7 +68,7 @@ func loadInBlock(ds *DualStore, i, j int) (testBlock, error) {
 func loadOutBlock(ds *DualStore, i, j int) (testBlock, error) {
 	sc := GetScratch()
 	defer PutScratch(sc)
-	idx, err := ds.LoadOutIndex(i, j)
+	idx, err := loadOutIndexWords(ds, i, j)
 	if err != nil {
 		return testBlock{}, err
 	}
@@ -84,6 +86,25 @@ func loadOutBlock(ds *DualStore, i, j int) (testBlock, error) {
 		b.Index[k+1] = uint32(len(b.Recs))
 	}
 	return b, nil
+}
+
+// loadOutIndexWords loads out-index(i,j) and reads its Size(i)+1 offsets
+// out of the bytes the loader hands over.
+func loadOutIndexWords(ds *DualStore, i, j int) ([]uint32, error) {
+	b, err := ds.LoadOutIndex(i, j)
+	if err != nil {
+		return nil, err
+	}
+	return outIndexWords(b), nil
+}
+
+// outIndexWords reads an out-index's offsets out of its bytes.
+func outIndexWords(b []byte) []uint32 {
+	idx := make([]uint32, len(b)/IndexEntryBytes)
+	for k := range idx {
+		idx[k] = binary.LittleEndian.Uint32(b[k*IndexEntryBytes:])
+	}
+	return idx
 }
 
 // loadOutSection reads vertex k's section of out-block(i,j) the way ROP does

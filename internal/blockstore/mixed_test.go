@@ -74,11 +74,11 @@ func TestMixedLoadsEqualRawLoads(t *testing.T) {
 				if !bytes.Equal(gotP, wantP) || !eqU32(gotIdx, wantIdx) {
 					t.Fatalf("weighted=%v in-block (%d,%d) [%v]: loader output differs from the raw store's", weighted, i, j, mixed.InCodec(i, j))
 				}
-				rawIdx, err := raw.LoadOutIndex(i, j)
+				rawIdx, err := loadOutIndexWords(raw, i, j)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mixIdx, err := mixed.LoadOutIndex(i, j)
+				mixIdx, err := loadOutIndexWords(mixed, i, j)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +213,7 @@ func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := ds.LoadOutIndex(i, j)
+			idx, err := loadOutIndexWords(ds, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -82,10 +82,10 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 }
 
 // PrefetchResult is one delivered block: Payload and ByteIdx (its in-index
-// entries) for an in-block, ByteIdx alone (Size(i)+1 offsets) for an
-// out-index (see CachedBlock). Views alias either a pooled Scratch
-// (returned by Release) or an immutable cache entry; they are read-only and
-// valid until Release.
+// entries) for an in-block, Payload alone (the (Size(i)+1)·4 bytes of its
+// offsets) for an out-index (see CachedBlock). Views alias either a pooled
+// Scratch (returned by Release) or an immutable cache entry; they are
+// read-only and valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error
@@ -227,7 +227,7 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	var err error
 	switch key.Kind {
 	case KindOutIndex:
-		res.ByteIdx, err = p.ds.LoadOutIndexScratch(key.I, key.J, sc)
+		res.Payload, err = p.ds.LoadOutIndexScratch(key.I, key.J, sc)
 	case KindInBlock:
 		// A compressed block is decoded here, in the worker, so the decode
 		// overlaps the I/O of the other in-flight blocks instead of

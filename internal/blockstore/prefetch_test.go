@@ -115,7 +115,7 @@ func TestPrefetchTakeConcurrentConsumers(t *testing.T) {
 				}
 				sc := new(Scratch)
 				want, err := ds.LoadOutIndexScratch(key.I, key.J, sc)
-				if err == nil && !eqU32(res.ByteIdx, want) {
+				if err == nil && !eqBytes(res.Payload, want) {
 					err = errors.New("prefetched out-index differs from sync load")
 				}
 				errs[k] = err

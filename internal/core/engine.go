@@ -50,12 +50,12 @@ type Engine struct {
 	// sched opens each iteration's prefetch window over its read plan.
 	sched *ioplan.Scheduler
 
-	// semIdx pins every nonempty block's decoded out-index resident under
+	// semIdx pins every nonempty block's out-index resident under
 	// Config.SemiExternal: read (and charged to the device) exactly once
 	// at the first Run, after which ROP iterations plan no KindOutIndex
 	// reads at all — only the selectively-loaded edge payload ranges touch
 	// the device. nil when semi-external mode is off.
-	semIdx [][][]uint32
+	semIdx [][][]byte
 
 	// ckptSlot is the next checkpoint generation slot (0 or 1) to write;
 	// loadCheckpoint points it away from the generation it resumed from.
@@ -233,9 +233,9 @@ func (e *Engine) pinSemResident() error {
 			ErrSemBudget, vb+ib, vb, ib, b, (vb+ib+(1<<20)-1)>>20)
 	}
 	l := e.ds.Layout
-	idx := make([][][]uint32, l.P)
+	idx := make([][][]byte, l.P)
 	for i := range idx {
-		idx[i] = make([][]uint32, l.P)
+		idx[i] = make([][]byte, l.P)
 	}
 	for _, i := range e.owned {
 		for j := 0; j < l.P; j++ {

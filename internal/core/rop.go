@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -84,7 +85,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 			}
 			sc := e.scratch.Get().(*blockstore.Scratch)
 			defer e.scratch.Put(sc)
-			var idx []uint32
+			var idx []byte
 			var release func()
 			if e.semIdx != nil {
 				// Semi-external mode: the out-index was pinned resident at
@@ -96,26 +97,37 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 					setErr(res.Err)
 					return
 				}
-				idx = res.ByteIdx
+				idx = res.Payload
 				release = res.Release
 			}
 
 			// Collect each active vertex's record range; coalesce close
-			// ranges into runs. The index is only needed while building
-			// them, so its buffers go back to the pipeline right after.
+			// ranges into runs. The index is read in place, two entries per
+			// active vertex, and only while building them, so its buffers go
+			// back to the pipeline right after. The loader checked only its
+			// length: the spans used must each start where the previous one
+			// ended or later, and end inside the block, or the runs below
+			// would slice out of bounds.
 			spans := e.spanBuf(j)
 			runs := e.runBuf(j)
+			blockBytes := e.ds.OutBlockBytes[i][j]
+			var prevEnd uint32
+			var badSpan error
 			frontier.RangeIn(lo, hi, func(v int) bool {
 				local := v - lo
-				rs, re := idx[local], idx[local+1]
+				rs := binary.LittleEndian.Uint32(idx[4*local:])
+				re := binary.LittleEndian.Uint32(idx[4*local+4:])
+				if rs < prevEnd || re < rs || int64(re) > blockBytes {
+					badSpan = fmt.Errorf("core: out-index (%d,%d) vertex %d: section [%d, %d) after byte %d of a %d-byte block: %w", i, j, v, rs, re, prevEnd, blockBytes, storage.ErrCorrupt)
+					return false
+				}
 				if rs == re {
 					return true
 				}
+				prevEnd = re
 				spans = append(spans, span{v: int32(v), s: rs, e: re})
 				if n := len(runs); n > 0 && int64(rs-runs[n-1].e) <= coalesce {
-					if re > runs[n-1].e {
-						runs[n-1].e = re
-					}
+					runs[n-1].e = re
 				} else {
 					runs = append(runs, run{s: rs, e: re})
 				}
@@ -125,6 +137,10 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 			touched[j] = len(spans) > 0
 			if release != nil {
 				release()
+			}
+			if badSpan != nil {
+				setErr(badSpan)
+				return
 			}
 
 			codec := e.ds.OutCodec(i, j)

@@ -50,7 +50,9 @@ func newFDEntry(key string, f *os.File) *fdEntry {
 
 // size returns the blob's current length. It asks the descriptor on every
 // call, so a blob truncated in place behind the store reads as what it is
-// now, not as what it was when first opened.
+// now, not as what it was when first opened. FileStore.read calls it before
+// a whole read, before growing a buffer, and after a range read that came
+// back short — not on a range read that fits its buffer and succeeds.
 func (e *fdEntry) size() (int64, error) {
 	var st syscall.Stat_t
 	for {

@@ -295,7 +295,8 @@ func TestFileStoreDescriptorBound(t *testing.T) {
 }
 
 // TestFileStoreHitAllocatesNothing: a read of a cached blob into a buffer
-// that is already big enough is a map lookup, an fstat and a pread.
+// that is already big enough is a map lookup and a pread — plus an fstat
+// for a whole read, which must size the blob first.
 func TestFileStoreHitAllocatesNothing(t *testing.T) {
 	fs := newTestFileStore(t)
 	if err := fs.Put("ob/3.7", make([]byte, 64<<10)); err != nil {

@@ -171,7 +171,9 @@ func (s *MemStore) List() []string {
 //     state. A blob replaced (renamed over) by another process or another
 //     FileStore keeps being served from the old inode until Close or
 //     eviction reopens it; one truncated or rewritten in place is seen as
-//     it is, since length and bytes are asked of the file on every read.
+//     it is, since every read asks the file: a whole read sizes it first,
+//     and a range read past its current end comes back short and is
+//     refused as out of range.
 //   - At most a fixed number of descriptors stay open (a quarter of
 //     RLIMIT_NOFILE, see openBlobLimit), least recently read evicted
 //     first; a read in flight keeps its own open if evicted meanwhile, and
@@ -285,28 +287,39 @@ func (s *FileStore) open(name string) (*fdEntry, error) {
 }
 
 // read is the store's one read path: the whole blob when whole is set,
-// otherwise the range [off, off+n), which must lie inside the blob. The
-// range is checked against the file's length before buf grows to hold it.
+// otherwise the range [off, off+n), which must lie inside the blob.
+//
+// A whole read, an empty range and a range buf has no room for size the
+// file first, so nothing is allocated from an unchecked n. A range of n > 0
+// bytes that buf has room for is read straight away; a pread that comes back
+// short (past the end, or a blob truncated behind the store) or fails is
+// judged against the file's length only then, so its refusal is the same
+// errOutOfRange an unread range gets.
 func (s *FileStore) read(name string, off, n int64, whole bool, buf []byte) ([]byte, error) {
 	e, err := s.open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer e.release()
-	size, err := e.size()
-	if err != nil {
-		return nil, fmt.Errorf("storage: stat %s: %w", name, err)
-	}
-	if whole {
-		off, n = 0, size
-	} else if !inRange(off, n, size) {
-		return nil, rangeError(name, off, n, size)
-	}
-	if int64(cap(buf)) < n {
-		buf = make([]byte, n)
+	if whole || n <= 0 || int64(cap(buf)) < n {
+		size, err := e.size()
+		if err != nil {
+			return nil, fmt.Errorf("storage: stat %s: %w", name, err)
+		}
+		if whole {
+			off, n = 0, size
+		} else if !inRange(off, n, size) {
+			return nil, rangeError(name, off, n, size)
+		}
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
 	}
 	buf = buf[:n]
 	if _, err := e.f.ReadAt(buf, off); err != nil {
+		if size, serr := e.size(); serr == nil && !inRange(off, n, size) {
+			return nil, rangeError(name, off, n, size)
+		}
 		return nil, fmt.Errorf("storage: read %s at %d+%d: %w", name, off, n, err)
 	}
 	if whole {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -76,10 +78,11 @@ func TestStoreReadAt(t *testing.T) {
 	}
 }
 
-// TestStoreReadAtOutOfRange: both stores judge a range against the blob's
-// size before they do anything else with it — the same verdict, the same
-// error, and no buffer sized by a bad length (a corrupt index entry on an
-// unframed store can ask for terabytes).
+// TestStoreReadAtOutOfRange: both stores give a range the same verdict and
+// the same error, and no buffer is sized by a bad length (a corrupt index
+// entry can ask for terabytes). Each range is read into no buffer and into
+// one with room for it, which FileStore reads before it sizes the file and
+// judges only once the read comes back short — the same verdict either way.
 func TestStoreReadAtOutOfRange(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -91,8 +94,12 @@ func TestStoreReadAtOutOfRange(t *testing.T) {
 		{name: "whole", off: 0, n: 4, ok: true, want: "0123"},
 		{name: "empty", off: 2, n: 0, ok: true},
 		{name: "empty at end", off: 4, n: 0, ok: true},
+		{name: "tail", off: 3, n: 1, ok: true, want: "3"},
 		{name: "past end", off: 2, n: 10},
+		{name: "straddles end", off: 3, n: 2},
+		{name: "starts at end", off: 4, n: 1},
 		{name: "starts past end", off: 5, n: 0},
+		{name: "starts past end, nonempty", off: 5, n: 2},
 		{name: "negative off", off: -1, n: 2},
 		{name: "negative n", off: 2, n: -1},
 		{name: "huge n", off: 0, n: 1 << 42},
@@ -107,6 +114,9 @@ func TestStoreReadAtOutOfRange(t *testing.T) {
 				reads := map[string]func() ([]byte, error){
 					"ReadAt":     func() ([]byte, error) { return s.ReadAt("x", c.off, c.n) },
 					"ReadAtInto": func() ([]byte, error) { return s.ReadAtInto("x", c.off, c.n, nil) },
+					"ReadAtInto with room": func() ([]byte, error) {
+						return s.ReadAtInto("x", c.off, c.n, make([]byte, 0, 16))
+					},
 				}
 				for op, read := range reads {
 					got, err := read()
@@ -119,6 +129,51 @@ func TestStoreReadAtOutOfRange(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFileStoreRangeReadsSeeTruncation: a blob truncated in place behind
+// the store, after its descriptor was cached, is read as what it is now. A
+// range read into a buffer with room issues its pread before asking the
+// file's length, so what catches a range the blob no longer holds is the
+// short read — and its refusal is the out-of-range error, like any range
+// outside the blob.
+func TestFileStoreRangeReadsSeeTruncation(t *testing.T) {
+	fs := newTestFileStore(t)
+	data := make([]byte, 4096)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	if err := fs.Put("ob/0.1", data); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, len(data))
+	if _, err := fs.ReadAtInto("ob/0.1", 1000, 100, buf); err != nil { // caches the descriptor
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(fs.root, "ob/0.1"), 100); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		off, n int64
+		ok     bool
+	}{
+		{off: 0, n: 100, ok: true},
+		{off: 99, n: 1, ok: true},
+		{off: 50, n: 100},   // straddles the new end
+		{off: 1000, n: 100}, // read fine before the truncation
+		{off: 100, n: 1},
+	} {
+		got, err := fs.ReadAtInto("ob/0.1", c.off, c.n, buf)
+		switch {
+		case c.ok && (err != nil || !bytes.Equal(got, data[c.off:c.off+c.n])):
+			t.Errorf("ReadAtInto(%d, %d) after truncation to 100: %d bytes, %v; want the bytes", c.off, c.n, len(got), err)
+		case !c.ok && !errors.Is(err, errOutOfRange):
+			t.Errorf("ReadAtInto(%d, %d) after truncation to 100: %d bytes, %v; want an out-of-range error", c.off, c.n, len(got), err)
+		}
+	}
+	if got, err := fs.ReadAllInto("ob/0.1", buf); err != nil || len(got) != 100 {
+		t.Errorf("ReadAllInto after truncation to 100: %d bytes, %v", len(got), err)
 	}
 }
 
