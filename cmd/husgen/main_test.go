@@ -48,7 +48,7 @@ func buildFor(t *testing.T, format blockstore.Format) (*blockstore.DualStore, in
 func TestBuildSummaryGolden(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatMixed)
 	got := buildSummary(ds, blobs, written)
-	want := `build summary: 32 blocks (18 nonempty), 65 blobs, 2845 bytes written
+	want := `build summary: 32 blocks (18 nonempty), 65 blobs, 2917 bytes written
   interval      edges    logical B     stored B   ratio
   0                23          464          215   2.16x
   1                 8          392          158   2.48x

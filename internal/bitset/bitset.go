@@ -231,6 +231,35 @@ func (b *Bitset) RangeIn(lo, hi int, fn func(i int) bool) {
 	}
 }
 
+// at returns the 64 bits of b from bit pos on — bit k of the result is bit
+// pos+k of b — reading bits past the end as zero.
+func (b *Bitset) at(pos int) uint64 {
+	w, s := pos/wordBits, uint(pos%wordBits)
+	if w >= len(b.words) {
+		return 0
+	}
+	x := b.words[w] >> s
+	if s != 0 && w+1 < len(b.words) {
+		x |= b.words[w+1] << (wordBits - s)
+	}
+	return x
+}
+
+// RangeMasked calls fn, in ascending order, for every set bit i ≥ lo of b
+// whose bit i−lo is set in mask — a bitmap of the bits from lo on, bit k in
+// word k/64 — one word of each at a time. If fn returns false the iteration
+// stops.
+func (b *Bitset) RangeMasked(lo int, mask []uint64, fn func(i int) bool) {
+	for k, m := range mask {
+		base := lo + k*wordBits
+		for w := m & b.at(base); w != 0; w &= w - 1 {
+			if !fn(base + bits.TrailingZeros64(w)) {
+				return
+			}
+		}
+	}
+}
+
 // Members returns the set bits in ascending order.
 func (b *Bitset) Members() []int {
 	return b.appendMembers(make([]int, 0, b.Count()))

@@ -198,6 +198,39 @@ func (f *Frontier) RangeIn(lo, hi int, fn func(v int) bool) {
 	f.dense.RangeIn(lo, hi, fn)
 }
 
+// RangeMasked calls fn, in ascending order, for each active vertex v ≥ lo
+// whose bit v−lo is set in mask (bit k in word k/64): the frontier ∧ mask.
+// It costs the fewer of the members in the mask's span and the mask's
+// words: while a sparse frontier has no more members there than the mask
+// has words, each member's mask bit is tested; otherwise the bitmap is
+// ANDed with the mask a word at a time. Stops when fn returns false; fn
+// must not add to f.
+func (f *Frontier) RangeMasked(lo int, mask []uint64, fn func(v int) bool) {
+	if f.sparseOK {
+		s := f.ordered()
+		s = s[sort.SearchInts(s, lo):]
+		if s = s[:sort.SearchInts(s, lo+len(mask)*wordBits)]; len(s) <= len(mask) {
+			for _, v := range s {
+				if k := v - lo; mask[k/wordBits]&(1<<(k%wordBits)) != 0 && !fn(v) {
+					return
+				}
+			}
+			return
+		}
+	}
+	f.dense.RangeMasked(lo, mask, fn)
+}
+
+// Meets reports whether some active vertex v ≥ lo has bit v−lo set in mask.
+func (f *Frontier) Meets(lo int, mask []uint64) bool {
+	met := false
+	f.RangeMasked(lo, mask, func(int) bool {
+		met = true
+		return false
+	})
+	return met
+}
+
 // CountIn returns the number of active vertices in [lo, hi).
 func (f *Frontier) CountIn(lo, hi int) int {
 	if f.sparseOK {

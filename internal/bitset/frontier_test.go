@@ -469,3 +469,58 @@ func TestFrontierOrderingPathsAgree(t *testing.T) {
 		checkOrderedReads(t, rng, f, label)
 	}
 }
+
+// TestFrontierRangeMaskedPathsAgree: the frontier ∧ mask walk ROP visits a
+// block with has two paths — a sparse frontier tests the mask bit of each
+// member, a dense one ANDs bitmap words shifted to the mask's origin — and
+// both must yield exactly the members v ≥ lo with mask bit v−lo set,
+// ascending, stop when told to, and agree with Meets: at origins on and off
+// a word boundary, masks that end inside, at and past the universe, and
+// frontiers on either side of the sparse capacity.
+func TestFrontierRangeMaskedPathsAgree(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(5))
+	for _, members := range []int{0, 1, 40, n / 16, 400} {
+		f := NewFrontier(n)
+		for f.Count() < members {
+			f.Add(rng.Intn(n))
+		}
+		for _, lo := range []int{0, 1, 63, 64, 130, 937, n - 1} {
+			for _, words := range []int{0, 1, 2, 4, 16} {
+				mask := make([]uint64, words)
+				for k := range mask {
+					mask[k] = rng.Uint64()
+				}
+				var want []int
+				for v := lo; v < n && v < lo+64*words; v++ {
+					if k := v - lo; f.Contains(v) && mask[k/64]>>(k%64)&1 == 1 {
+						want = append(want, v)
+					}
+				}
+				what := fmt.Sprintf("%d members (dense %v), lo %d, %d mask words", members, f.IsDense(), lo, words)
+				collect := func(rangeMasked func(int, []uint64, func(int) bool)) []int {
+					var got []int
+					rangeMasked(lo, mask, func(v int) bool {
+						got = append(got, v)
+						return true
+					})
+					return got
+				}
+				if got := collect(f.RangeMasked); !slices.Equal(got, want) {
+					t.Fatalf("%s: Frontier.RangeMasked = %v, want %v", what, got, want)
+				}
+				if got := collect(f.Bitmap().RangeMasked); !slices.Equal(got, want) {
+					t.Fatalf("%s: Bitset.RangeMasked = %v, want %v", what, got, want)
+				}
+				if f.Meets(lo, mask) != (len(want) > 0) {
+					t.Fatalf("%s: Meets = %v with %d members in the mask", what, !(len(want) > 0), len(want))
+				}
+				calls := 0
+				f.RangeMasked(lo, mask, func(int) bool { calls++; return false })
+				if calls > 1 {
+					t.Fatalf("%s: %d calls after the first returned false", what, calls)
+				}
+			}
+		}
+	}
+}

@@ -76,6 +76,10 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 		for _, m := range metaGrids(d) {
 			*m = alloc2D(p)
 		}
+		d.SourceMasks = make([][][]uint64, p)
+		for i := range d.SourceMasks {
+			d.SourceMasks[i] = make([][]uint64, p)
+		}
 		spill = newSpiller(store, p, spillEdges)
 		return nil
 	}, func(e graph.Edge) error {
@@ -110,9 +114,10 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 
 // encodeBucket writes the P blocks of one bucket — row b's out-blocks
 // (b, c), or with in set column b's in-blocks (c, b) — and their indices,
-// and records their sizes in the meta grids. Each edge of the bucket is an
-// (indexed vertex, neighbour) pair: a row's edges as they came, a column's
-// reversed (spiller.add). Sorted by (vertex, neighbour), that is the
+// and records their sizes in the meta grids and, for a row, each
+// out-block's source mask, read off the out-index it lays out. Each edge of
+// the bucket is an (indexed vertex, neighbour) pair: a row's edges as they
+// came, a column's reversed (spiller.add). Sorted by (vertex, neighbour), that is the
 // (source, destination) order of an out-block and the (destination,
 // source) order of an in-block — the orders Algorithms 2 and 3 require —
 // and appending in order keeps each block's per-vertex slice
@@ -164,6 +169,8 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 		indexBytes[i][j] = int64(len(idxPayload))
 		if in {
 			d.InIndexEntries[i][j] = int64(len(idx) / 2)
+		} else {
+			d.SourceMasks[i][j] = sourceMask(idx)
 		}
 		if err := d.putBlob(d.names.name(indexKind, i, j), idxPayload); err != nil {
 			return err
@@ -210,6 +217,22 @@ func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted,
 		}
 	}
 	return raw, rawIdx
+}
+
+// sourceMask is the source bitset of an out-block whose out-index is idx: bit
+// k set iff source k's section is nonempty, idx[k+1] > idx[k]. A block with no
+// edges (its last offset is 0) has none.
+func sourceMask(idx []uint32) []uint64 {
+	if idx[len(idx)-1] == 0 {
+		return nil
+	}
+	m := make([]uint64, maskWords(len(idx)-1))
+	for k := 0; k+1 < len(idx); k++ {
+		if idx[k+1] > idx[k] {
+			m[k/64] |= 1 << (k % 64)
+		}
+	}
+	return m
 }
 
 // encodeBlockIndex encodes a block's index with encode — encodeIndexCodec

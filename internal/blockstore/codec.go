@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"husgraph/internal/graph"
@@ -270,8 +271,9 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 }
 
 // metaMagic marks the meta layout below. A meta under any other magic was
-// written by an older build, and Open refuses it (errOlderStore).
-const metaMagic = "HUSD"
+// written by an older build, and Open refuses it (errOlderStore): "HUSD" is
+// this layout without the source masks.
+const metaMagic = "HUSE"
 
 // metaHeaderLen is the magic and the vertex count, interval count and
 // weighted flag that follow it.
@@ -284,15 +286,17 @@ func metaGrids(d *DualStore) []*[][]int64 {
 
 // encodeMeta serializes the DualStore metadata: layout, per-vertex degrees,
 // per-block edge counts and stored payload sizes, per in-block the entry
-// count and stored size of its in-index, and the stored size of every
-// out-index — so a store written by Build can be reopened, and every blob's
-// codec read off its stored size (codecOf). The predictor prices I/O from
-// the same stored sizes.
+// count and stored size of its in-index, the stored size of every
+// out-index, and — row-major, nonempty blocks only — every out-block's
+// source mask, ⌈Size(i)/64⌉ little-endian words. So a store written by
+// Build can be reopened, every blob's codec read off its stored size
+// (codecOf), and ROP told which blocks an active source has an edge in. The
+// predictor prices I/O from the same sizes and masks.
 func encodeMeta(d *DualStore) []byte {
 	p := d.Layout.P
 	n := d.Layout.NumVertices
 	grids := metaGrids(d)
-	buf := make([]byte, 0, metaHeaderLen+n*8+len(grids)*p*p*8)
+	buf := make([]byte, 0, metaHeaderLen+n*8+len(grids)*p*p*8+p*n/8)
 	buf = append(buf, metaMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
@@ -312,6 +316,13 @@ func encodeMeta(d *DualStore) []byte {
 			}
 		}
 	}
+	for _, row := range d.SourceMasks {
+		for _, mask := range row {
+			for _, w := range mask {
+				buf = binary.LittleEndian.AppendUint64(buf, w)
+			}
+		}
+	}
 	return buf
 }
 
@@ -319,7 +330,13 @@ func encodeMeta(d *DualStore) []byte {
 // (no store attached yet). The payload passed its CRC, but that only says
 // the bytes are the ones some writer framed: every refusal is
 // storage.ErrCorrupt-class, and nothing is sized from a header field before
-// the payload's own length has vouched for it.
+// the payload's own length has vouched for it. The source masks are held to
+// what a build makes of an out-index: one per nonempty block, no bit past
+// the interval, at least one live source and no more than the block has
+// edges. Whether each bit matches its out-index is not checked here — that
+// would read every index at Open; ROP refuses a live bit over an empty
+// section where it reads one (core/rop.go), and otherwise a mask is trusted
+// as far as the CRC it shares with BlockEdgeCount (DESIGN.md §4o).
 func decodeMeta(buf []byte) (*DualStore, error) {
 	fail := func(format string, args ...any) (*DualStore, error) {
 		return nil, fmt.Errorf("blockstore: bad meta: %w: %w", fmt.Errorf(format, args...), storage.ErrCorrupt)
@@ -345,7 +362,9 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	grids := metaGrids(d)
 	cell := uint64(len(grids) * 8)
 	// np·np·cell is compared by division first, so the product cannot wrap.
-	if size := uint64(len(buf)); np > size/cell/np || metaHeaderLen+nv*8+np*np*cell != size {
+	// The masks follow the grids; their length is checked once the grids
+	// that size them are read.
+	if size := uint64(len(buf)); np > size/cell/np || metaHeaderLen+nv*8+np*np*cell > size {
 		return fail("length %d does not fit %d vertices in %d intervals", len(buf), nv, np)
 	}
 	n, p := int(nv), int(np)
@@ -367,17 +386,68 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 			}
 		}
 	}
-	// No builder stores a blob in more than its CodecNone bytes.
+	// No builder stores a blob in more than its CodecNone bytes, nor a
+	// count or size below zero.
 	rec := int64(RawRecordBytes(d.Weighted))
+	words := 0 // of the masks: ⌈Size(i)/64⌉ per nonempty block
 	for i := 0; i < p; i++ {
 		outIdx := int64(d.Layout.Size(i)+1) * IndexEntryBytes
 		for j := 0; j < p; j++ {
+			for _, m := range grids {
+				if (*m)[i][j] < 0 {
+					return fail("cell (%d,%d) records a negative count or size", i, j)
+				}
+			}
 			raw := d.BlockEdgeCount[i][j] * rec
 			if d.OutBlockBytes[i][j] > raw || d.InBlockBytes[i][j] > raw ||
 				d.InIndexStoredBytes[i][j] > d.InIndexEntries[i][j]*InIndexEntryBytes || d.OutIndexStoredBytes[i][j] > outIdx {
 				return fail("cell (%d,%d) stores more than its raw bytes", i, j)
 			}
+			if d.BlockEdgeCount[i][j] > 0 {
+				words += maskWords(d.Layout.Size(i))
+			}
+		}
+	}
+	// The section's size follows from the grids just validated: a byte more
+	// is a mask for a block that has no edges, a byte less a nonempty block
+	// without one. Only then is anything allocated for it.
+	if rest := len(buf) - off; rest != words*8 {
+		return fail("%d bytes of source masks, want %d for the nonempty blocks", rest, words*8)
+	}
+	flat := make([]uint64, words)
+	for k := range flat {
+		flat[k] = binary.LittleEndian.Uint64(buf[off+8*k:])
+	}
+	d.SourceMasks = make([][][]uint64, p)
+	for i := range d.SourceMasks {
+		d.SourceMasks[i] = make([][]uint64, p)
+		size, w := d.Layout.Size(i), maskWords(d.Layout.Size(i))
+		for j := 0; j < p; j++ {
+			if d.BlockEdgeCount[i][j] == 0 {
+				continue
+			}
+			mask := flat[:w:w]
+			flat = flat[w:]
+			// Every live source has at least one edge in the block, and no
+			// bit names a vertex outside the interval.
+			live := 0
+			for _, x := range mask {
+				live += bits.OnesCount64(x)
+			}
+			switch {
+			case size%64 != 0 && mask[w-1]>>(size%64) != 0:
+				return fail("block (%d,%d): source mask sets bits past the interval's %d vertices", i, j, size)
+			case live == 0:
+				return fail("block (%d,%d): %d edges and no live source", i, j, d.BlockEdgeCount[i][j])
+			case int64(live) > d.BlockEdgeCount[i][j]:
+				return fail("block (%d,%d): %d live sources for %d edges", i, j, live, d.BlockEdgeCount[i][j])
+			}
+			d.SourceMasks[i][j] = mask
 		}
 	}
 	return d, nil
 }
+
+// maskWords is the length of a source mask over an interval of size
+// vertices.
+func maskWords(size int) int { return (size + 63) / 64 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"husgraph/internal/bitset"
 	"husgraph/internal/graph"
 	"husgraph/internal/storage"
 )
@@ -119,6 +120,12 @@ type DualStore struct {
 	InIndexEntries      [][]int64
 	InIndexStoredBytes  [][]int64
 	OutIndexStoredBytes [][]int64
+	// SourceMasks[i][j] is the bitset of interval i's sources that have an
+	// edge in block (i,j) — bit k, in word k/64, for source lo_i+k: the
+	// sources whose out-index(i,j) section is nonempty — ⌈Size(i)/64⌉ words
+	// for a nonempty block and nil for an empty one. ROP visits block (i,j)
+	// only when its mask meets the frontier (Live).
+	SourceMasks [][][]uint64
 	// names is the blob-name grid the read paths index (see blobNames).
 	names *blobNames
 	// dec aggregates decode-side accounting (section/index decodes, codec
@@ -193,6 +200,13 @@ func (d *DualStore) OutCodec(i, j int) Codec {
 // InCodec returns the codec of in-block(i,j)'s stored payload.
 func (d *DualStore) InCodec(i, j int) Codec {
 	return codecOf(d.InBlockBytes[i][j], d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)))
+}
+
+// Live reports whether block (i,j) holds an out-edge of a vertex active in
+// f: whether its source mask meets f. An empty block never does.
+func (d *DualStore) Live(i, j int, f *bitset.Frontier) bool {
+	lo, _ := d.Layout.Bounds(i)
+	return f.Meets(lo, d.SourceMasks[i][j])
 }
 
 // Options configures Build.

@@ -149,8 +149,9 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 // carries no frame (written before framing existed) or a version-2 one (a
 // mixed store before PR 29), or whose meta is laid out under an older magic
 // — "HUSB" before the in-index went sparse, "HUSC" while the meta recorded
-// a format and codec grids — is refused with the one message that says how
-// to rebuild it.
+// a format and codec grids, "HUSD" before it recorded the out-blocks'
+// source masks — is refused with the one message that says how to rebuild
+// it.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -173,6 +174,12 @@ func TestOpenRejectsOlderStores(t *testing.T) {
 		{"format-and-codec-grids", FormatMixed, func(meta []byte) []byte {
 			copy(meta, "HUSC")
 			return frameBlob(meta)
+		}},
+		{"no-source-masks", FormatRaw, func(meta []byte) []byte {
+			// chain(64) at P = 4: the header, 64 degree pairs and six 4×4
+			// grids, which is all a "HUSD" meta held.
+			copy(meta, "HUSD")
+			return frameBlob(meta[:metaHeaderLen+64*8+len(metaGrids(&DualStore{}))*4*4*8])
 		}},
 	} {
 		err := openWithMeta(t, c.format, c.rewrite)

@@ -100,11 +100,12 @@ func FuzzDecodeVarint(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMeta: the meta blob sizes every allocation Open makes, and
-// every blob's codec is read off it. Whatever the bytes, decodeMeta fails
-// ErrCorrupt-class without panicking or allocating beyond what the
-// payload's length covers — nor accepting a blob stored in more than its
-// raw bytes, which no builder writes — and a meta it accepts is one
+// FuzzDecodeMeta: the meta blob sizes every allocation Open makes, every
+// blob's codec is read off it, and its source masks decide which blocks ROP
+// reads. Whatever the bytes, decodeMeta fails ErrCorrupt-class without
+// panicking or allocating beyond what the payload's length covers — nor
+// accepting a blob stored in more than its raw bytes, which no builder
+// writes, or a mask no build could have made — and a meta it accepts is one
 // encodeMeta writes: it re-encodes to the same bytes.
 func FuzzDecodeMeta(f *testing.F) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
@@ -115,6 +116,16 @@ func FuzzDecodeMeta(f *testing.F) {
 		f.Add(encodeMeta(ds))
 		ds.InBlockBytes[1][2] = ds.BlockEdgeCount[1][2]*EdgeBytes + 1 // one byte past raw
 		f.Add(encodeMeta(ds))
+	}
+	// Multi-word masks with a partial last word, empty blocks among them,
+	// and each way of lying about them.
+	ds, err := Build(memStore(), chain(300), 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeMeta(ds))
+	for _, meta := range badMaskMetas(f) {
+		f.Add(meta)
 	}
 	f.Add(overflowMeta(0, 1<<31))
 	f.Add(overflowMeta(1<<61, 0))

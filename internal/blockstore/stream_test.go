@@ -107,9 +107,10 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 // TestStoreBytesGolden pins the bytes a build stores: sha256 over the sorted
 // blob names and contents of a fixed small graph, re-recorded when the
 // meta dropped its format field and codec grids and mixed stores their
-// frames' codec tags (PR 29). A change that moves a store byte —
-// a layout, codec, frame or meta change — fails here and says so by
-// updating the digest.
+// frames' codec tags (PR 29), and when the meta gained the out-blocks'
+// source masks (magic HUSE; every other blob kept its bytes). A change that
+// moves a store byte — a layout, codec, frame or meta change — fails here
+// and says so by updating the digest.
 func TestStoreBytesGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	g := gen.RMAT(300, 2500, gen.Graph500, rng)
@@ -118,8 +119,8 @@ func TestStoreBytesGolden(t *testing.T) {
 		format Format
 		want   string
 	}{
-		{FormatRaw, "5f558a3524b8f5879a3f412dfacb03aea9d43bbfef2c904410f76d084447741a"},
-		{FormatMixed, "0ede9a504514626a73dd8338298777995db0ff5299fdd32e6ae21949629ead78"},
+		{FormatRaw, "d634edc891c252368300cbc28e9454dc69593161f9d6ac861a540b847c0901bc"},
+		{FormatMixed, "01a76838af950e08762c0aac84af003c1826504e2190f1ef0b9c385efef99471"},
 	} {
 		st := memStore()
 		if _, err := BuildWithFormat(st, g, 4, tc.format); err != nil {

@@ -28,7 +28,10 @@ func frameByHand(payload []byte) []byte {
 // TestCraftedOutIndexIsAnError: ROP reads an out-index in place and the
 // loader checks only its length, so the offsets ROP uses are checked where
 // it uses them — each active span must start at or after the previous one's
-// end and end inside its block. A correctly framed out-index that lies must
+// end and end inside its block, and be nonempty, since ROP walks only the
+// sources the meta's mask marks as having an edge in the block (the mask
+// carries the meta's CRC; the index is what is checked against it). A
+// correctly framed out-index that lies must
 // end the run with a storage.ErrCorrupt-class *core.IterError: before the
 // check, decreasing entries panicked in ropAccumulate (inside a
 // parallelFor goroutine at Threads > 1, killing the process), an entry
@@ -108,6 +111,13 @@ func TestCraftedOutIndexIsAnError(t *testing.T) {
 		// own — the malformed ones are 3's or 4's, read an iteration later.
 		swapped := append([]uint32(nil), words...)
 		swapped[2], swapped[3], swapped[4], swapped[5], swapped[6] = words[5], words[6], words[6], words[2], words[3]
+		// Mask live, span empty: vertex 2's section shrunk to nothing and
+		// handed to vertex 3, which the meta's mask marks dead in the block.
+		// Skipping 2 and never visiting 3 would drop the edge 2 → 20 without
+		// a word; the mask and the index disagree, and iteration 1 — the
+		// first with 2 active — must say so.
+		emptied := append([]uint32(nil), words...)
+		emptied[3] = words[2]
 		pastEndForm := fixed
 		if format == blockstore.FormatMixed {
 			pastEndForm = varint
@@ -121,6 +131,7 @@ func TestCraftedOutIndexIsAnError(t *testing.T) {
 			{"decreasing", fixed(decreasing), true, 0},
 			{"past the block's end", pastEndForm(pastEnd), format == blockstore.FormatRaw, 0},
 			{"sections out of order", fixed(swapped), true, 1},
+			{"a live source's section empty", fixed(emptied), true, 1},
 		} {
 			if err := mem.Put(name, frameByHand(c.index)); err != nil {
 				t.Fatal(err)
