@@ -2,6 +2,7 @@ package ioplan
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,6 +42,12 @@ func frontierOf(n int, members ...int) *bitset.Frontier {
 	return f
 }
 
+// TestROPKeysSkipsInactiveRowsAndEmptyBlocks: the executor's plan,
+// ROPKeysFor over LiveBlocks, holds the out-index of every block an active
+// source of a listed row has an edge in, row-major, and nothing else —
+// neither an inactive row, nor an empty block, nor a nonempty block none of
+// the row's active sources has an edge in. ROPKeys, which knows no masks,
+// keeps every nonempty block of an active row.
 func TestROPKeysSkipsInactiveRowsAndEmptyBlocks(t *testing.T) {
 	ds := testStore(t)
 	l, be := ds.Layout, ds.BlockEdgeCount
@@ -49,25 +56,37 @@ func TestROPKeysSkipsInactiveRowsAndEmptyBlocks(t *testing.T) {
 		return blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j}
 	}
 	cases := []struct {
-		name    string
-		members []int
-		want    []blockstore.BlockKey
+		name      string
+		members   []int
+		intervals []int
+		want      []blockstore.BlockKey // ROPKeysFor
+		wantAll   []blockstore.BlockKey // ROPKeys
 	}{
-		{"empty frontier", nil, nil},
-		{"row 0 only", []int{0, 3}, []blockstore.BlockKey{key(0, 0)}}, // (0,1) empty
-		{"row 1 only", []int{7}, []blockstore.BlockKey{key(1, 0), key(1, 1)}},
-		{"both rows, row-major", []int{4, 5}, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}},
+		{"empty frontier", nil, nil, nil, nil},
+		{"row 0 only", []int{0, 3}, nil, []blockstore.BlockKey{key(0, 0)}, []blockstore.BlockKey{key(0, 0)}}, // (0,1) empty
+		{"active source without edges", []int{3}, nil, nil, []blockstore.BlockKey{key(0, 0)}},
+		{"row 1, one dead block", []int{7}, nil, []blockstore.BlockKey{key(1, 1)}, []blockstore.BlockKey{key(1, 0), key(1, 1)}},
+		{"both rows, row-major", []int{2, 5}, nil, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}},
+		{"both rows, row 0 dead", []int{4, 5}, nil, []blockstore.BlockKey{key(1, 0), key(1, 1)}, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}},
+		{"owner of row 1 only", []int{0, 9}, []int{1}, []blockstore.BlockKey{key(1, 0), key(1, 1)}, nil},
 	}
 	for _, tc := range cases {
-		got := ROPKeys(l, be, frontierOf(10, tc.members...))
-		if len(got) != len(tc.want) {
-			t.Fatalf("%s: plan %v, want %v", tc.name, got, tc.want)
+		f := frontierOf(10, tc.members...)
+		if got := ROPKeysFor(l, LiveBlocks(ds, f, tc.intervals, nil), tc.intervals); !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: ROPKeysFor plan %v, want %v", tc.name, got, tc.want)
 		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("%s: plan %v, want %v", tc.name, got, tc.want)
-			}
+		if tc.intervals != nil {
+			continue // ROPKeys plans every row
 		}
+		if got := ROPKeys(l, be, f); !slices.Equal(got, tc.wantAll) {
+			t.Fatalf("%s: ROPKeys plan %v, want %v", tc.name, got, tc.wantAll)
+		}
+	}
+	// A marked buffer is reused and cleared: nothing of a previous frontier
+	// survives into the next one's marks.
+	live := LiveBlocks(ds, frontierOf(10, 0, 9), nil, nil)
+	if again := LiveBlocks(ds, frontierOf(10, 7), nil, live); &again[0] != &live[0] || !slices.Equal(again, []bool{false, false, false, true}) {
+		t.Fatalf("re-marked buffer %v (reused: %v), want only (1,1) live", again, &again[0] == &live[0])
 	}
 }
 
