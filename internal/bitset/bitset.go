@@ -260,6 +260,27 @@ func (b *Bitset) RangeMasked(lo int, mask []uint64, fn func(i int) bool) {
 	}
 }
 
+// maskedExtent returns the first and last set bit i ≥ lo of b whose bit i−lo
+// is set in mask, each found by walking the words from its own end; ok is
+// false when there is none.
+func (b *Bitset) maskedExtent(lo int, mask []uint64) (first, last int, ok bool) {
+	k := 0
+	for ; k < len(mask); k++ {
+		if w := mask[k] & b.at(lo+k*wordBits); w != 0 {
+			first = lo + k*wordBits + bits.TrailingZeros64(w)
+			break
+		}
+	}
+	if k == len(mask) {
+		return 0, 0, false
+	}
+	for h := len(mask) - 1; ; h-- {
+		if w := mask[h] & b.at(lo+h*wordBits); w != 0 {
+			return first, lo + h*wordBits + wordBits - 1 - bits.LeadingZeros64(w), true
+		}
+	}
+}
+
 // Members returns the set bits in ascending order.
 func (b *Bitset) Members() []int {
 	return b.appendMembers(make([]int, 0, b.Count()))

@@ -221,14 +221,31 @@ func (f *Frontier) RangeMasked(lo int, mask []uint64, fn func(v int) bool) {
 	f.dense.RangeMasked(lo, mask, fn)
 }
 
-// Meets reports whether some active vertex v ≥ lo has bit v−lo set in mask.
-func (f *Frontier) Meets(lo int, mask []uint64) bool {
-	met := false
-	f.RangeMasked(lo, mask, func(int) bool {
-		met = true
-		return false
-	})
-	return met
+// MaskedExtent returns the first and last active vertex v ≥ lo whose bit
+// v−lo is set in mask — the two ends of frontier ∧ mask — with ok false when
+// there is none. It chooses its path as RangeMasked does and finds each end
+// from its own side, so it stops at the first hit either way.
+func (f *Frontier) MaskedExtent(lo int, mask []uint64) (first, last int, ok bool) {
+	if f.sparseOK {
+		s := f.ordered()
+		s = s[sort.SearchInts(s, lo):]
+		if s = s[:sort.SearchInts(s, lo+len(mask)*wordBits)]; len(s) <= len(mask) {
+			in := func(v int) bool { k := v - lo; return mask[k/wordBits]&(1<<(k%wordBits)) != 0 }
+			a := 0
+			for a < len(s) && !in(s[a]) {
+				a++
+			}
+			if a == len(s) {
+				return 0, 0, false
+			}
+			z := len(s) - 1
+			for !in(s[z]) {
+				z--
+			}
+			return s[a], s[z], true
+		}
+	}
+	return f.dense.maskedExtent(lo, mask)
 }
 
 // CountIn returns the number of active vertices in [lo, hi).

@@ -474,9 +474,9 @@ func TestFrontierOrderingPathsAgree(t *testing.T) {
 // block with has two paths — a sparse frontier tests the mask bit of each
 // member, a dense one ANDs bitmap words shifted to the mask's origin — and
 // both must yield exactly the members v ≥ lo with mask bit v−lo set,
-// ascending, stop when told to, and agree with Meets: at origins on and off
-// a word boundary, masks that end inside, at and past the universe, and
-// frontiers on either side of the sparse capacity.
+// ascending, stop when told to, and agree with MaskedExtent's two ends: at
+// origins on and off a word boundary, masks that end inside, at and past the
+// universe, and frontiers on either side of the sparse capacity.
 func TestFrontierRangeMaskedPathsAgree(t *testing.T) {
 	const n = 1000
 	rng := rand.New(rand.NewSource(5))
@@ -512,8 +512,12 @@ func TestFrontierRangeMaskedPathsAgree(t *testing.T) {
 				if got := collect(f.Bitmap().RangeMasked); !slices.Equal(got, want) {
 					t.Fatalf("%s: Bitset.RangeMasked = %v, want %v", what, got, want)
 				}
-				if f.Meets(lo, mask) != (len(want) > 0) {
-					t.Fatalf("%s: Meets = %v with %d members in the mask", what, !(len(want) > 0), len(want))
+				first, last, ok := f.MaskedExtent(lo, mask)
+				if ok != (len(want) > 0) || ok && (first != want[0] || last != want[len(want)-1]) {
+					t.Fatalf("%s: MaskedExtent = (%d, %d, %v), want the ends of %v", what, first, last, ok, want)
+				}
+				if df, dl, dok := f.Bitmap().maskedExtent(lo, mask); df != first || dl != last || dok != ok {
+					t.Fatalf("%s: Bitset.maskedExtent = (%d, %d, %v), Frontier's (%d, %d, %v)", what, df, dl, dok, first, last, ok)
 				}
 				calls := 0
 				f.RangeMasked(lo, mask, func(int) bool { calls++; return false })

@@ -74,6 +74,11 @@ func BenchmarkLoadInBlockBytesScratch(b *testing.B) {
 // store and over its mixed twin: read and verify, and for the mixed store
 // decode into the stored-raw form, through a reused Scratch, cycling over
 // all P² out-indices. A raw index is the verified read buffer itself.
+//
+// The pages legs load a raw index of 17 pages — 2¹⁶ vertices at P = 4,
+// the shape of perfbench's 2¹⁸-vertex, P = 16 stores — whole (blob: the
+// framed read and one CRC over 65 540 bytes) and as the page span of an
+// extent over 1, 4 and all 17 pages (one range read, a CRC per page).
 func BenchmarkLoadOutIndexScratch(b *testing.B) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		b.Run(format.String(), func(b *testing.B) {
@@ -83,6 +88,40 @@ func BenchmarkLoadOutIndexScratch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ds.LoadOutIndexScratch(i%8, (i/8)%8, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	rng := rand.New(rand.NewSource(3))
+	g := graph.New(1 << 16)
+	for k := 0; k < 1<<19; k++ {
+		g.AddEdge(graph.VertexID(rng.Intn(1<<16)), graph.VertexID(rng.Intn(1<<16)))
+	}
+	ds, err := BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, Options{P: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name string
+		x    Extent // the zero Extent loads the blob
+	}{
+		{"pages/blob", Extent{}},
+		{"pages/span=1", Extent{First: 100, End: 101}},
+		{"pages/span=4", Extent{First: 1000, End: 4000}},
+		{"pages/span=17", Extent{First: 0, End: 1 << 14}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			sc := &Scratch{}
+			b.ReportAllocs()
+			var err error
+			for i := 0; i < b.N; i++ {
+				if leg.x.Live() {
+					_, _, err = ds.LoadOutIndexSpanScratch(i%4, (i/4)%4, leg.x, sc)
+				} else {
+					_, err = ds.LoadOutIndexScratch(i%4, (i/4)%4, sc)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -190,7 +229,7 @@ func BenchmarkPrefetchColumnSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pf := ds.NewPrefetcher(sched, depth, nil)
+				pf := ds.NewPrefetcher(sched, nil, depth, nil)
 				for range sched {
 					res := pf.Next()
 					if res.Err != nil {
@@ -211,7 +250,7 @@ func BenchmarkBlockCacheSweep(b *testing.B) {
 	ds := benchGraphStore(b, FormatRaw, true)
 	sched := inBlockSchedule(ds)
 	cache := lruCache(256 << 20)
-	warm := ds.NewPrefetcher(sched, 2, cache)
+	warm := ds.NewPrefetcher(sched, nil, 2, cache)
 	for range sched {
 		res := warm.Next()
 		if res.Err != nil {
@@ -223,7 +262,7 @@ func BenchmarkBlockCacheSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pf := ds.NewPrefetcher(sched, 2, cache)
+		pf := ds.NewPrefetcher(sched, nil, 2, cache)
 		for range sched {
 			res := pf.Next()
 			if res.Err != nil {

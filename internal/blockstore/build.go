@@ -77,8 +77,10 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 			*m = alloc2D(p)
 		}
 		d.SourceMasks = make([][][]uint64, p)
+		d.OutIndexPageCRCs = make([][][]uint32, p)
 		for i := range d.SourceMasks {
 			d.SourceMasks[i] = make([][]uint64, p)
+			d.OutIndexPageCRCs[i] = make([][]uint32, p)
 		}
 		spill = newSpiller(store, p, spillEdges)
 		return nil
@@ -115,7 +117,8 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 // encodeBucket writes the P blocks of one bucket — row b's out-blocks
 // (b, c), or with in set column b's in-blocks (c, b) — and their indices,
 // and records their sizes in the meta grids and, for a row, each
-// out-block's source mask, read off the out-index it lays out. Each edge of
+// out-block's source mask, read off the out-index it lays out, and the page
+// CRCs of each out-index stored raw. Each edge of
 // the bucket is an (indexed vertex, neighbour) pair: a row's edges as they
 // came, a column's reversed (spiller.add). Sorted by (vertex, neighbour), that is the
 // (source, destination) order of an out-block and the (destination,
@@ -171,6 +174,9 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 			d.InIndexEntries[i][j] = int64(len(idx) / 2)
 		} else {
 			d.SourceMasks[i][j] = sourceMask(idx)
+			if len(idxPayload) == len(idx)*IndexEntryBytes { // stored raw
+				d.OutIndexPageCRCs[i][j] = pageCRCs(idxPayload)
+			}
 		}
 		if err := d.putBlob(d.names.name(indexKind, i, j), idxPayload); err != nil {
 			return err

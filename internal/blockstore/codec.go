@@ -3,6 +3,7 @@ package blockstore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -46,9 +47,10 @@ func encodeIndex(idx []uint32) []byte {
 // encodeIndexCodec serializes a per-vertex offset index with the given
 // codec. Index entries are non-decreasing byte offsets, so CodecVarint
 // stores the first entry absolute followed by uvarint deltas — typically
-// one or two bytes per entry against four raw. Indices are only ever read
-// whole (never range-read), so unlike block payloads they need no
-// self-contained sections.
+// one or two bytes per entry against four raw. A varint index is only ever
+// read whole (never range-read, unlike a stored-raw one: DualStore.
+// OutIndexSpan), so unlike block payloads it needs no self-contained
+// sections.
 func encodeIndexCodec(idx []uint32, c Codec) []byte {
 	switch c {
 	case CodecNone:
@@ -271,9 +273,10 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 }
 
 // metaMagic marks the meta layout below. A meta under any other magic was
-// written by an older build, and Open refuses it (errOlderStore): "HUSD" is
-// this layout without the source masks.
-const metaMagic = "HUSE"
+// written by an older build, and Open refuses it (errOlderStore): "HUSE" is
+// this layout without the out-index page CRCs, "HUSD" without the source
+// masks either.
+const metaMagic = "HUSF"
 
 // metaHeaderLen is the magic and the vertex count, interval count and
 // weighted flag that follow it.
@@ -287,16 +290,19 @@ func metaGrids(d *DualStore) []*[][]int64 {
 // encodeMeta serializes the DualStore metadata: layout, per-vertex degrees,
 // per-block edge counts and stored payload sizes, per in-block the entry
 // count and stored size of its in-index, the stored size of every
-// out-index, and — row-major, nonempty blocks only — every out-block's
-// source mask, ⌈Size(i)/64⌉ little-endian words. So a store written by
+// out-index, then — row-major, nonempty blocks only — every out-block's
+// source mask, ⌈Size(i)/64⌉ little-endian words, and last — row-major,
+// stored-raw out-indices only — the CRC32C of each PageBytes page of every
+// out-index, ⌈stored/PageBytes⌉ little-endian words. So a store written by
 // Build can be reopened, every blob's codec read off its stored size
-// (codecOf), and ROP told which blocks an active source has an edge in. The
-// predictor prices I/O from the same sizes and masks.
+// (codecOf), ROP told which blocks an active source has an edge in, and a
+// page of an out-index checked on its own. The predictor prices I/O from the
+// same sizes and masks.
 func encodeMeta(d *DualStore) []byte {
 	p := d.Layout.P
 	n := d.Layout.NumVertices
 	grids := metaGrids(d)
-	buf := make([]byte, 0, metaHeaderLen+n*8+len(grids)*p*p*8+p*n/8)
+	buf := make([]byte, 0, metaHeaderLen+n*8+len(grids)*p*p*8+p*n/8+4*p*((n+p)*IndexEntryBytes/PageBytes+p))
 	buf = append(buf, metaMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
@@ -323,6 +329,13 @@ func encodeMeta(d *DualStore) []byte {
 			}
 		}
 	}
+	for _, row := range d.OutIndexPageCRCs {
+		for _, crcs := range row {
+			for _, c := range crcs {
+				buf = binary.LittleEndian.AppendUint32(buf, c)
+			}
+		}
+	}
 	return buf
 }
 
@@ -336,7 +349,10 @@ func encodeMeta(d *DualStore) []byte {
 // edges. Whether each bit matches its out-index is not checked here — that
 // would read every index at Open; ROP refuses a live bit over an empty
 // section where it reads one (core/rop.go), and otherwise a mask is trusted
-// as far as the CRC it shares with BlockEdgeCount (DESIGN.md §4o).
+// as far as the CRC it shares with BlockEdgeCount (DESIGN.md §4o). The page
+// CRCs are held to their count, one per page of each stored-raw out-index and
+// none for a compressed one; a wrong value shows where the page it covers is
+// read (DESIGN.md §4p).
 func decodeMeta(buf []byte) (*DualStore, error) {
 	fail := func(format string, args ...any) (*DualStore, error) {
 		return nil, fmt.Errorf("blockstore: bad meta: %w: %w", fmt.Errorf(format, args...), storage.ErrCorrupt)
@@ -362,8 +378,8 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	grids := metaGrids(d)
 	cell := uint64(len(grids) * 8)
 	// np·np·cell is compared by division first, so the product cannot wrap.
-	// The masks follow the grids; their length is checked once the grids
-	// that size them are read.
+	// The masks and page CRCs follow the grids; their length is checked once
+	// the grids that size them are read.
 	if size := uint64(len(buf)); np > size/cell/np || metaHeaderLen+nv*8+np*np*cell > size {
 		return fail("length %d does not fit %d vertices in %d intervals", len(buf), nv, np)
 	}
@@ -390,6 +406,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	// count or size below zero.
 	rec := int64(RawRecordBytes(d.Weighted))
 	words := 0 // of the masks: ⌈Size(i)/64⌉ per nonempty block
+	pages := 0 // of the page CRCs: ⌈stored/PageBytes⌉ per stored-raw out-index
 	for i := 0; i < p; i++ {
 		outIdx := int64(d.Layout.Size(i)+1) * IndexEntryBytes
 		for j := 0; j < p; j++ {
@@ -406,13 +423,18 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 			if d.BlockEdgeCount[i][j] > 0 {
 				words += maskWords(d.Layout.Size(i))
 			}
+			if d.OutIndexStoredBytes[i][j] == outIdx {
+				pages += indexPages(outIdx)
+			}
 		}
 	}
-	// The section's size follows from the grids just validated: a byte more
-	// is a mask for a block that has no edges, a byte less a nonempty block
-	// without one. Only then is anything allocated for it.
-	if rest := len(buf) - off; rest != words*8 {
-		return fail("%d bytes of source masks, want %d for the nonempty blocks", rest, words*8)
+	// The two sections' sizes follow from the grids just validated: a byte
+	// more is a mask for a block that has no edges or a CRC for an index
+	// stored compressed, a byte less a nonempty block without a mask or a
+	// stored-raw index page without a CRC. Only then is anything allocated
+	// for them.
+	if rest := len(buf) - off; rest != words*8+pages*4 {
+		return fail("%d bytes of source masks and page CRCs, want %d for the nonempty blocks and %d for the stored-raw out-index pages", rest, words*8, pages*4)
 	}
 	flat := make([]uint64, words)
 	for k := range flat {
@@ -445,9 +467,44 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 			d.SourceMasks[i][j] = mask
 		}
 	}
+	off += words * 8
+	crcs := make([]uint32, pages)
+	for k := range crcs {
+		crcs[k] = binary.LittleEndian.Uint32(buf[off+4*k:])
+	}
+	d.OutIndexPageCRCs = make([][][]uint32, p)
+	for i := range d.OutIndexPageCRCs {
+		d.OutIndexPageCRCs[i] = make([][]uint32, p)
+		outIdx := int64(d.Layout.Size(i)+1) * IndexEntryBytes
+		for j := 0; j < p; j++ {
+			if d.OutIndexStoredBytes[i][j] == outIdx {
+				n := indexPages(outIdx)
+				d.OutIndexPageCRCs[i][j], crcs = crcs[:n:n], crcs[n:]
+			}
+		}
+	}
 	return d, nil
 }
 
 // maskWords is the length of a source mask over an interval of size
 // vertices.
 func maskWords(size int) int { return (size + 63) / 64 }
+
+// PageBytes is the unit a stored-raw out-index is checked and range-read in:
+// the meta records a CRC32C per page of its payload, and ROP reads only the
+// pages holding the entries its active sources use (DualStore.OutIndexSpan).
+const PageBytes = 4096
+
+// indexPages is the number of PageBytes pages a payload of stored bytes
+// spans.
+func indexPages(stored int64) int { return int((stored + PageBytes - 1) / PageBytes) }
+
+// pageCRCs returns the CRC32C of each PageBytes page of payload, the last
+// one partial.
+func pageCRCs(payload []byte) []uint32 {
+	crcs := make([]uint32, 0, indexPages(int64(len(payload))))
+	for off := 0; off < len(payload); off += PageBytes {
+		crcs = append(crcs, crc32.Checksum(payload[off:min(off+PageBytes, len(payload))], crc32cTable))
+	}
+	return crcs
+}

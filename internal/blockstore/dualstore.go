@@ -3,6 +3,7 @@ package blockstore
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -124,8 +125,13 @@ type DualStore struct {
 	// edge in block (i,j) — bit k, in word k/64, for source lo_i+k: the
 	// sources whose out-index(i,j) section is nonempty — ⌈Size(i)/64⌉ words
 	// for a nonempty block and nil for an empty one. ROP visits block (i,j)
-	// only when its mask meets the frontier (Live).
+	// only when its mask meets the frontier (Extent).
 	SourceMasks [][][]uint64
+	// OutIndexPageCRCs[i][j] is the CRC32C of each PageBytes page of
+	// out-index(i,j)'s stored payload when that index is stored raw, the last
+	// page partial, and nil for one stored compressed. A page-span load
+	// (LoadOutIndexSpanScratch) checks every page it reads against it.
+	OutIndexPageCRCs [][][]uint32
 	// names is the blob-name grid the read paths index (see blobNames).
 	names *blobNames
 	// dec aggregates decode-side accounting (section/index decodes, codec
@@ -202,11 +208,40 @@ func (d *DualStore) InCodec(i, j int) Codec {
 	return codecOf(d.InBlockBytes[i][j], d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)))
 }
 
-// Live reports whether block (i,j) holds an out-edge of a vertex active in
-// f: whether its source mask meets f. An empty block never does.
-func (d *DualStore) Live(i, j int, f *bitset.Frontier) bool {
+// Extent is the span of the sources a ROP push reads from one out-block:
+// interval-local First is the first source active with an edge in the block
+// and End one past the last. The zero Extent is a dead block, one no active
+// source has an edge in.
+type Extent struct{ First, End int32 }
+
+// Live reports whether x holds a source: whether its block is visited.
+func (x Extent) Live() bool { return x.End > 0 }
+
+// Extent returns the extent of block (i,j) for the vertices active in f: the
+// ends of f ∧ its source mask. An empty block's is always dead.
+func (d *DualStore) Extent(i, j int, f *bitset.Frontier) Extent {
 	lo, _ := d.Layout.Bounds(i)
-	return f.Meets(lo, d.SourceMasks[i][j])
+	first, last, ok := f.MaskedExtent(lo, d.SourceMasks[i][j])
+	if !ok {
+		return Extent{}
+	}
+	return Extent{First: int32(first - lo), End: int32(last - lo + 1)}
+}
+
+// OutIndexSpan returns the bytes [off, end) of out-index(i,j)'s stored
+// payload a push over the sources of x reads, and whether it reads them so:
+// a stored-raw index is read as the PageBytes pages holding its entries
+// x.First through x.End — offset[End] closes the last source's section — and
+// paged is true; a compressed one cannot be addressed by entry and is read
+// and decoded whole, [0, stored).
+func (d *DualStore) OutIndexSpan(i, j int, x Extent) (off, end int64, paged bool) {
+	stored := d.OutIndexStoredBytes[i][j]
+	if stored < int64(d.Layout.Size(i)+1)*IndexEntryBytes {
+		return 0, stored, false
+	}
+	off = int64(x.First) * IndexEntryBytes / PageBytes * PageBytes
+	end = min((int64(x.End)*IndexEntryBytes/PageBytes+1)*PageBytes, stored)
+	return off, end, true
 }
 
 // Options configures Build.
@@ -493,8 +528,9 @@ func (d *DualStore) readBlob(name string, buf *[]byte) ([]byte, error) {
 
 // readRange loads payload bytes [off, off+n) of a blob with transient-
 // fault retries, shifting past the frame header. Range reads cannot
-// validate the whole-blob checksum; integrity of selectively loaded runs is
-// only protected by the surrounding decode checks.
+// validate the whole-blob checksum: an out-index page span is checked page
+// by page against the meta (LoadOutIndexSpanScratch), and selectively loaded
+// record runs only by the surrounding decode checks.
 func (d *DualStore) readRange(name string, off, n int64, buf []byte) ([]byte, error) {
 	return d.withRetry(buf, blobRead{name: name, off: off + frameHeaderLen, n: n, ranged: true})
 }
@@ -575,6 +611,40 @@ func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]byte, error) {
 		d.noteDecode(int64(len(idx)), int64(len(buf)), time.Since(start))
 	}
 	return idx, nil
+}
+
+// LoadOutIndexSpanScratch loads what a ROP push over the sources of x needs
+// of out-index(i,j), through sc's buffers: of a stored-raw index the pages
+// OutIndexSpan names, with one range read that skips the frame header, each
+// page checked against the CRC the meta records for it; of a compressed one
+// the whole index, as LoadOutIndexScratch loads it. It returns the bytes and
+// the payload offset base they start at: offset k is the little-endian uint32
+// at 4k−base, for First ≤ k ≤ End. A page whose CRC does not match is
+// storage.ErrCorrupt-class, and never retried.
+func (d *DualStore) LoadOutIndexSpanScratch(i, j int, x Extent, sc *Scratch) (idx []byte, base int, err error) {
+	off, end, paged := d.OutIndexSpan(i, j, x)
+	if !paged {
+		idx, err = d.LoadOutIndexScratch(i, j, sc)
+		return idx, 0, err
+	}
+	name := d.names.name(blobOutIndex, i, j)
+	buf, err := d.readRange(name, off, end-off, sc.idxRaw)
+	if err != nil {
+		return nil, 0, err
+	}
+	sc.idxRaw = buf
+	crcs := d.OutIndexPageCRCs[i][j]
+	first := int(off / PageBytes)
+	if int64(len(buf)) != end-off || first+indexPages(end-off) > len(crcs) {
+		return nil, 0, fmt.Errorf("blockstore: %s: %d bytes from page %d, want %d of %d recorded pages: %w", name, len(buf), first, end-off, len(crcs), storage.ErrCorrupt)
+	}
+	for k, p := 0, first; k < len(buf); k, p = k+PageBytes, p+1 {
+		page := buf[k:min(k+PageBytes, len(buf))]
+		if got := crc32.Checksum(page, crc32cTable); got != crcs[p] {
+			return nil, 0, fmt.Errorf("blockstore: %s page %d: CRC32C mismatch: computed %08x, meta records %08x: %w", name, p, got, crcs[p], storage.ErrCorrupt)
+		}
+	}
+	return buf, int(off), nil
 }
 
 // LoadOutRunScratch reads the stored byte range [startByte, endByte) of

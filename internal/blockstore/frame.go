@@ -32,12 +32,13 @@ import (
 // is no unframed mode: Open refuses a store whose meta blob carries no frame
 // and says to rebuild it.
 //
-// Selective block reads (ROP's ReadAt range loads) shift their offsets past
-// the header but cannot verify the whole-frame checksum — integrity there
-// is only validated on full-blob loads, the same trade-off real block
-// stores make for sub-block reads. What a range read's consumer does check
-// is that the bytes decode and that every neighbour they name exists
-// (DESIGN.md §4b); a flip that survives both is not detected.
+// Selective reads (ROP's ReadAt range loads) shift their offsets past the
+// header but cannot verify the whole-frame checksum. A stored-raw
+// out-index's page span is checked instead against the CRC32C the meta
+// records per PageBytes page (DESIGN.md §4p). A record run is not: what its
+// consumer checks is that the bytes decode and that every neighbour they
+// name exists (DESIGN.md §4b), and a flip that survives both is not
+// detected.
 const (
 	frameMagic     = "HUSF"
 	frameVersion   = 1

@@ -150,8 +150,8 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 // mixed store before PR 29), or whose meta is laid out under an older magic
 // — "HUSB" before the in-index went sparse, "HUSC" while the meta recorded
 // a format and codec grids, "HUSD" before it recorded the out-blocks'
-// source masks — is refused with the one message that says how to rebuild
-// it.
+// source masks, "HUSE" before it recorded the out-indices' page CRCs — is
+// refused with the one message that says how to rebuild it.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -180,6 +180,12 @@ func TestOpenRejectsOlderStores(t *testing.T) {
 			// grids, which is all a "HUSD" meta held.
 			copy(meta, "HUSD")
 			return frameBlob(meta[:metaHeaderLen+64*8+len(metaGrids(&DualStore{}))*4*4*8])
+		}},
+		{"no-page-crcs", FormatRaw, func(meta []byte) []byte {
+			// The same store's 16 out-indices are one page each: without
+			// their CRCs, this is the "HUSE" meta.
+			copy(meta, "HUSE")
+			return frameBlob(meta[:len(meta)-16*4])
 		}},
 	} {
 		err := openWithMeta(t, c.format, c.rewrite)

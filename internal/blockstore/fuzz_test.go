@@ -101,12 +101,14 @@ func FuzzDecodeVarint(f *testing.F) {
 }
 
 // FuzzDecodeMeta: the meta blob sizes every allocation Open makes, every
-// blob's codec is read off it, and its source masks decide which blocks ROP
-// reads. Whatever the bytes, decodeMeta fails ErrCorrupt-class without
-// panicking or allocating beyond what the payload's length covers — nor
-// accepting a blob stored in more than its raw bytes, which no builder
-// writes, or a mask no build could have made — and a meta it accepts is one
-// encodeMeta writes: it re-encodes to the same bytes.
+// blob's codec is read off it, its source masks decide which blocks ROP
+// reads and its page CRCs check the out-index pages ROP reads. Whatever the
+// bytes, decodeMeta fails ErrCorrupt-class without panicking or allocating
+// beyond what the payload's length covers — nor accepting a blob stored in
+// more than its raw bytes, which no builder writes, a mask no build could
+// have made, or a page-CRC section of another size than the stored-raw
+// out-indices' pages — and a meta it accepts is one encodeMeta writes: it
+// re-encodes to the same bytes.
 func FuzzDecodeMeta(f *testing.F) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		ds, err := BuildWithFormat(memStore(), mixedGraph(true), 4, format)
@@ -125,6 +127,9 @@ func FuzzDecodeMeta(f *testing.F) {
 	}
 	f.Add(encodeMeta(ds))
 	for _, meta := range badMaskMetas(f) {
+		f.Add(meta)
+	}
+	for _, meta := range badPageCRCMetas(f) {
 		f.Add(meta)
 	}
 	f.Add(overflowMeta(0, 1<<31))

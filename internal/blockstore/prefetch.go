@@ -39,6 +39,10 @@ import (
 type Prefetcher struct {
 	ds    *DualStore
 	cache *BlockCache
+	// extents, when non-nil, holds each block's Extent at i·P+j: an
+	// out-index is then loaded as the page span of its extent
+	// (LoadOutIndexSpanScratch), and whole otherwise.
+	extents []Extent
 
 	// reqs is the schedule's request slab — one allocation for every
 	// entry's bookkeeping and result storage; byKey points into it.
@@ -82,16 +86,20 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 }
 
 // PrefetchResult is one delivered block: Payload and ByteIdx (its in-index
-// entries) for an in-block, Payload alone (the (Size(i)+1)·4 bytes of its
-// offsets) for an out-index (see CachedBlock). Views alias either a pooled
-// Scratch (returned by Release) or an immutable cache entry; they are
-// read-only and valid until Release.
+// entries) for an in-block, Payload alone for an out-index — the
+// (Size(i)+1)·4 bytes of its offsets (see CachedBlock), or of a page-span
+// load the bytes from offset Base on. Views alias either a pooled Scratch
+// (returned by Release) or an immutable cache entry; they are read-only and
+// valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error
 
 	Payload []byte
 	ByteIdx []uint32
+	// Base is the stored payload offset Payload starts at: nonzero only for
+	// an out-index loaded as a page span that does not start at page 0.
+	Base int
 	// Cached reports the result was served from the block cache (no
 	// device I/O, no scratch to return).
 	Cached bool
@@ -128,19 +136,23 @@ func (r *PrefetchResult) dataBytes() int64 {
 	return (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
 }
 
-// NewPrefetcher starts a prefetch pipeline over schedule. depth is the
-// worker count and read-ahead bound; depth <= 0 runs inline — Next/Take
-// perform the load synchronously on the calling goroutine (the cache, when
-// non-nil, is still consulted), which is the prefetch-disabled configuration
-// sharing one code path with the async one. cache may be nil.
+// NewPrefetcher starts a prefetch pipeline over schedule. extents, when
+// non-nil, is the P·P grid of block extents a ROP iteration pushes over
+// (ioplan.LiveBlocks): each scheduled out-index is loaded as the page span of
+// its block's extent, not whole. depth is the worker count and read-ahead
+// bound; depth <= 0 runs inline — Next/Take perform the load synchronously on
+// the calling goroutine (the cache, when non-nil, is still consulted), which
+// is the prefetch-disabled configuration sharing one code path with the
+// async one. cache may be nil.
 //
 // Close must be called when done (normally deferred), even after an error.
-func (d *DualStore) NewPrefetcher(schedule []BlockKey, depth int, cache *BlockCache) *Prefetcher {
+func (d *DualStore) NewPrefetcher(schedule []BlockKey, extents []Extent, depth int, cache *BlockCache) *Prefetcher {
 	p := &Prefetcher{
-		cache: cache,
-		reqs:  make([]prefetchReq, len(schedule)),
-		byKey: make(map[BlockKey]*prefetchReq, len(schedule)),
-		quit:  make(chan struct{}),
+		cache:   cache,
+		extents: extents,
+		reqs:    make([]prefetchReq, len(schedule)),
+		byKey:   make(map[BlockKey]*prefetchReq, len(schedule)),
+		quit:    make(chan struct{}),
 	}
 	// Workers read through a view whose retry backoff aborts when quit
 	// closes, so Close is never delayed by a worker mid-backoff-ladder.
@@ -211,7 +223,9 @@ func (p *Prefetcher) worker() {
 
 // load performs one block load: cache lookup, then the store's verified,
 // retried read path, then (on a miss) promotion into the cache so the
-// scratch can be recycled immediately and later iterations hit.
+// scratch can be recycled immediately and later iterations hit. A cached
+// out-index is always whole, so it serves any extent; a page-span load is
+// cached only when its span is the whole index.
 func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	key, res := req.key, &req.loaded
 	if p.cache != nil {
@@ -225,9 +239,16 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	// return it to the pool exactly once.
 	*res = PrefetchResult{Key: key, sc: sc, pf: p}
 	var err error
+	whole := true
 	switch key.Kind {
 	case KindOutIndex:
-		res.Payload, err = p.ds.LoadOutIndexScratch(key.I, key.J, sc)
+		if p.extents == nil {
+			res.Payload, err = p.ds.LoadOutIndexScratch(key.I, key.J, sc)
+			break
+		}
+		x := p.extents[key.I*p.ds.Layout.P+key.J]
+		res.Payload, res.Base, err = p.ds.LoadOutIndexSpanScratch(key.I, key.J, x, sc)
+		whole = res.Base == 0 && len(res.Payload) == (p.ds.Layout.Size(key.I)+1)*IndexEntryBytes
 	case KindInBlock:
 		// A compressed block is decoded here, in the worker, so the decode
 		// overlaps the I/O of the other in-flight blocks instead of
@@ -241,7 +262,7 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		*res = PrefetchResult{Key: key, Err: err}
 		return res
 	}
-	if p.cache != nil {
+	if p.cache != nil && whole {
 		blk := &CachedBlock{
 			Payload: append([]byte(nil), res.Payload...),
 			ByteIdx: append([]uint32(nil), res.ByteIdx...),

@@ -118,6 +118,9 @@ func badMaskMetas(tb testing.TB) map[string][]byte {
 		return encodeMeta(d)
 	}
 	honest := build(func(*DualStore) {})
+	// The page-CRC section follows the masks: one CRC for each of the 16
+	// one-page out-indices.
+	masksEnd := len(honest) - 16*4
 	return map[string][]byte{
 		// Source 0's bit moved to 75, one past the interval: as many live
 		// sources as before, so only the bound refuses it.
@@ -131,7 +134,7 @@ func badMaskMetas(tb testing.TB) map[string][]byte {
 		"no live source": build(func(d *DualStore) { d.SourceMasks[2][3] = []uint64{0, 0} }),
 		// (2,3) has one edge, 224 → 225.
 		"more live sources than edges": build(func(d *DualStore) { d.SourceMasks[2][3][0] |= 0b11 }),
-		"mask section cut short":       honest[:len(honest)-8],
+		"mask section cut short":       append(honest[:masksEnd-8:masksEnd-8], honest[masksEnd:]...),
 	}
 }
 

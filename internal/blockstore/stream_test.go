@@ -107,8 +107,9 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 // TestStoreBytesGolden pins the bytes a build stores: sha256 over the sorted
 // blob names and contents of a fixed small graph, re-recorded when the
 // meta dropped its format field and codec grids and mixed stores their
-// frames' codec tags (PR 29), and when the meta gained the out-blocks'
-// source masks (magic HUSE; every other blob kept its bytes). A change that
+// frames' codec tags (PR 29), when the meta gained the out-blocks' source
+// masks (magic HUSE) and when it gained the out-index page CRCs (magic
+// HUSF; both times every other blob kept its bytes). A change that
 // moves a store byte — a layout, codec, frame or meta change — fails here
 // and says so by updating the digest.
 func TestStoreBytesGolden(t *testing.T) {
@@ -119,8 +120,8 @@ func TestStoreBytesGolden(t *testing.T) {
 		format Format
 		want   string
 	}{
-		{FormatRaw, "d634edc891c252368300cbc28e9454dc69593161f9d6ac861a540b847c0901bc"},
-		{FormatMixed, "01a76838af950e08762c0aac84af003c1826504e2190f1ef0b9c385efef99471"},
+		{FormatRaw, "5fba8d4aec2524e3da3b409e8d0a8d8c5015275d86bab9fce62bc095d174fb12"},
+		{FormatMixed, "902a452e56fb1c065817ee224da2e982b604608f2ef57771c22afac0ac9b6e62"},
 	} {
 		st := memStore()
 		if _, err := BuildWithFormat(st, g, 4, tc.format); err != nil {

@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"husgraph/internal/blockstore"
+)
 
 // Compute-time model.
 //
@@ -76,13 +80,13 @@ func defaultDecodeNsPerByte(threads int) float64 {
 // iterationWork returns the edge and block work of the coming iteration
 // under the chosen model, scoped to the engine's owned intervals: ROP
 // touches the active out-edges in the live blocks of owned rows, those
-// marked in live (Engine.live); COP scans every in-edge of every block
-// streamed into an owned column.
-func (e *Engine) iterationWork(model Model, live []bool, activeEdges int64) (edges, blocks int64) {
+// whose extent in live is (Engine.live); COP scans every in-edge of every
+// block streamed into an owned column.
+func (e *Engine) iterationWork(model Model, live []blockstore.Extent, activeEdges int64) (edges, blocks int64) {
 	l := e.ds.Layout
 	if model == ModelROP {
-		for _, isLive := range live {
-			if isLive {
+		for _, x := range live {
+			if x.Live() {
 				blocks++
 			}
 		}

@@ -50,12 +50,13 @@ type Engine struct {
 	// sched opens each iteration's prefetch window over its read plan.
 	sched *ioplan.Scheduler
 
-	// live marks the live out-blocks of the owned rows (ioplan.LiveBlocks)
-	// for liveOf, the frontier they were marked for. The predictor marks
-	// the frontier it prices; BeginIter reuses that mark for the same
-	// frontier, or makes it, and the step's plan, executor and compute model
-	// read it; End forgets liveOf, so a mark never outlives its iteration.
-	live   []bool
+	// live holds the extents of the out-blocks of the owned rows
+	// (ioplan.LiveBlocks) for liveOf, the frontier they were recorded for.
+	// The predictor records the frontier it prices; BeginIter reuses that
+	// record for the same frontier, or makes it, and the step's plan,
+	// prefetcher, executor and compute model read it; End forgets liveOf, so
+	// a record never outlives its iteration.
+	live   []blockstore.Extent
 	liveOf *bitset.Frontier
 
 	// semIdx pins every nonempty block's out-index resident under
@@ -355,7 +356,7 @@ func (e *Engine) predict(f *bitset.Frontier) (crop, ccop time.Duration) {
 	// bytes each plan would decompress, priced at the rate DecodeModeled
 	// charges them. Zero for stores with no compressed blobs.
 	decNs := defaultDecodeNsPerByte(e.cfg.Threads)
-	random, seqBytes, ropDecBytes := e.ropCost(f)
+	random, seqBytes, _, ropDecBytes := e.ropCost(f)
 	crop = random + prof.SeqTime(seqBytes) + time.Duration(ropDecBytes*decNs)
 
 	copBytes, copDecBytes := e.copScanBytes()
@@ -363,16 +364,17 @@ func (e *Engine) predict(f *bitset.Frontier) (crop, ccop time.Duration) {
 	return crop, ccop
 }
 
-// markLive marks the live out-blocks of the owned rows for f in e.live.
-func (e *Engine) markLive(f *bitset.Frontier) []bool {
+// markLive records the extents of the owned rows' out-blocks for f in
+// e.live.
+func (e *Engine) markLive(f *bitset.Frontier) []blockstore.Extent {
 	e.live = ioplan.LiveBlocks(e.ds, f, e.ownedOrNil(), e.live)
 	e.liveOf = f
 	return e.live
 }
 
-// liveFor returns the live out-blocks of the owned rows for f: the mark
-// this iteration's prediction made for f, or a new one.
-func (e *Engine) liveFor(f *bitset.Frontier) []bool {
+// liveFor returns the extents of the owned rows' out-blocks for f: the
+// record this iteration's prediction made for f, or a new one.
+func (e *Engine) liveFor(f *bitset.Frontier) []blockstore.Extent {
 	if e.liveOf == f {
 		return e.live
 	}
@@ -380,15 +382,18 @@ func (e *Engine) liveFor(f *bitset.Frontier) []bool {
 }
 
 // ropCost is what predict prices a ROP iteration at, over the live blocks
-// of the owned rows only (markLive), the ones the executor visits:
-// the random reads of the active sections, the sequential bytes — each
-// active row's S_i read and D_i written, and per live block its out-index
-// and D_j read (Alg. 2 lines 1, 3 and the per-interval write) — and the
-// logical bytes compressed blocks and indices decode into. Out-indices
-// resident in the block cache are served from memory and priced at zero;
-// under semi-external mode every index and the vertex working set are
-// pinned, so no sequential byte touches the device at all.
-func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes int64, decBytes float64) {
+// of the owned rows only (markLive), the ones the executor visits: the
+// random reads — of the active sections, and per live block the one range
+// read of the out-index pages its extent spans when the index is stored raw
+// (OutIndexSpan) — the sequential bytes — each active row's S_i read and D_i
+// written, per live block its D_j read (Alg. 2 lines 1, 3 and the
+// per-interval write) and its out-index when that is stored compressed and
+// read whole — and the logical bytes compressed blocks and indices decode
+// into. pageBytes are the out-index page spans among the random reads, one
+// read each. Out-indices resident in the block cache are served from memory
+// and priced at zero; under semi-external mode every index and the vertex
+// working set are pinned, so no sequential byte touches the device at all.
+func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes, pageBytes int64, decBytes float64) {
 	l := e.ds.Layout
 	prof := e.ds.Device().Profile()
 	coalesce := prof.CoalesceBytes()
@@ -396,6 +401,7 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes int
 	nv := int64(blockstore.VertexValueBytes)
 	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
 	live := e.markLive(f)
+	var pageReads int64
 	for _, i := range e.owned {
 		lo, hi := l.Bounds(i)
 		k := int64(f.CountIn(lo, hi))
@@ -417,16 +423,19 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes int
 			seqBytes += 2 * int64(l.Size(i)) * nv
 		}
 		for j := 0; j < l.P; j++ {
-			if !live[i*l.P+j] {
+			x := live[i*l.P+j]
+			if !x.Live() {
 				continue
 			}
 			if !e.cfg.SemiExternal {
 				seqBytes += int64(l.Size(j)) * nv
 				if e.cache == nil || !e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j}) {
-					ib := e.ds.OutIndexBytes(i, j)
-					seqBytes += ib
-					if ib < rawIdx {
-						decBytes += float64(rawIdx) // stored compressed: decodes to the raw entries
+					if off, end, paged := e.ds.OutIndexSpan(i, j, x); paged {
+						pageBytes += end - off
+						pageReads++
+					} else {
+						seqBytes += end             // stored compressed: read whole,
+						decBytes += float64(rawIdx) // and decoded to the raw entries
 					}
 				}
 			}
@@ -472,7 +481,8 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes int
 			}
 		}
 	}
-	return random, seqBytes, decBytes
+	random += prof.RandTime(pageBytes, pageReads)
+	return random, seqBytes, pageBytes, decBytes
 }
 
 // copScanBytes is what predict prices a COP iteration at: the sequential

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -817,58 +820,118 @@ func TestPredictedCOPBytesMatchCharged(t *testing.T) {
 	}
 }
 
+// indexReads counts the out-index reads made through it: whole blobs, and
+// the bytes of range reads.
+type indexReads struct {
+	storage.Store
+	whole, rangeBytes atomic.Int64
+}
+
+func (s *indexReads) ReadAllInto(name string, buf []byte) ([]byte, error) {
+	if strings.HasPrefix(name, "oi/") {
+		s.whole.Add(1)
+	}
+	return s.Store.ReadAllInto(name, buf)
+}
+
+func (s *indexReads) ReadAtInto(name string, off, n int64, buf []byte) ([]byte, error) {
+	if strings.HasPrefix(name, "oi/") {
+		s.rangeBytes.Add(n)
+	}
+	return s.Store.ReadAtInto(name, off, n, buf)
+}
+
 // TestPredictedROPIndexBytesMatchCharged is the ROP twin of
 // TestPredictedCOPBytesMatchCharged: for a sync, uncached ROP iteration the
 // sequential bytes the predictor prices — each active row's S_i and D_i, and
-// per live block its out-index and D_j — are the bytes the device is
-// charged, frames aside, whatever the format; and the compute model counts
-// the same live blocks. The frontier leaves some nonempty blocks of its rows
-// dead, which are priced at nothing and read not at all.
+// per live block its D_j and, stored compressed, its whole out-index — are
+// the bytes the device is charged, frames of whole reads aside; the
+// out-index page spans it prices as random reads are the bytes read, with no
+// frame term, since a page read skips the header; and the compute model
+// counts the same live blocks. On the first graph the frontier leaves some
+// nonempty blocks of its rows dead, which are priced at nothing and read not
+// at all; on the second an interval spans three index pages, and the
+// frontier's extents only part of them.
 func TestPredictedROPIndexBytesMatchCharged(t *testing.T) {
-	g := randomGraph(600, 2500, 11)
-	members := []int{7, 8, 300, 599}
-	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
-		for _, p := range []int{2, 8} {
-			ds := buildUnweighted(t, g, p, format)
-			e := New(ds, Config{Model: ModelROP, MaxIters: 1})
-			f := frontierWith(600, members...)
-			_, priced, _ := e.ropCost(f)
-			live := int64(0)
-			for i := 0; i < p; i++ {
-				for j := 0; j < p; j++ {
-					if ds.Live(i, j, f) {
-						live++
-					}
+	for _, c := range []struct {
+		g       *graph.Graph
+		ps      []int
+		members []int
+	}{
+		{randomGraph(600, 2500, 11), []int{2, 8}, []int{7, 8, 300, 599}},
+		// 2100-vertex intervals: 8404-byte indices, pages [0, 4096),
+		// [4096, 8192) and [8192, 8404). 7 and 8 need page 0 of row 0's,
+		// 4199 page 2 of row 1's.
+		{randomGraph(4200, 20000, 11), []int{2}, []int{7, 8, 4199}},
+	} {
+		n := c.g.NumVertices
+		for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
+			for _, p := range c.ps {
+				what := fmt.Sprintf("%d vertices, %v, P=%d", n, format, p)
+				mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
+				if _, err := blockstore.BuildOpts(mem, c.g, blockstore.Options{P: p, Format: format}); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if _, blocks := e.iterationWork(ModelROP, e.liveFor(f), 0); blocks != live {
-				t.Fatalf("%v P=%d: compute model counts %d blocks, %d are live", format, p, blocks, live)
-			}
-			nonempty := int64(0)
-			for i := 0; i < p; i++ {
-				if lo, hi := ds.Layout.Bounds(i); f.CountIn(lo, hi) > 0 {
+				rec := &indexReads{Store: mem}
+				ds, err := blockstore.Open(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := New(ds, Config{Model: ModelROP, MaxIters: 1})
+				f := frontierWith(n, c.members...)
+				_, priced, pricedPages, _ := e.ropCost(f)
+				live, paged := int64(0), int64(0)
+				for i := 0; i < p; i++ {
 					for j := 0; j < p; j++ {
-						if ds.BlockEdgeCount[i][j] != 0 {
-							nonempty++
+						if x := ds.Extent(i, j, f); x.Live() {
+							live++
+							if _, _, ok := ds.OutIndexSpan(i, j, x); ok {
+								paged++
+							}
 						}
 					}
 				}
-			}
-			if p == 8 && live >= nonempty {
-				t.Fatalf("%v P=%d: all %d nonempty blocks of the active rows are live; nothing is skipped", format, p, nonempty)
-			}
-			res, err := e.Run(sparseStart{members: members})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stored, err := ds.Store().Size("oi/0.0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames := live * (stored - ds.OutIndexBytes(0, 0))
-			io := res.Iterations[0].IO
-			if charged := io.SeqReadBytes + io.SeqWriteBytes - frames; priced != charged {
-				t.Fatalf("%v P=%d: predictor prices %d sequential bytes, device charged %d (+ %d of frames)", format, p, priced, charged, frames)
+				if _, blocks := e.iterationWork(ModelROP, e.liveFor(f), 0); blocks != live {
+					t.Fatalf("%s: compute model counts %d blocks, %d are live", what, blocks, live)
+				}
+				nonempty := int64(0)
+				for i := 0; i < p; i++ {
+					if lo, hi := ds.Layout.Bounds(i); f.CountIn(lo, hi) > 0 {
+						for j := 0; j < p; j++ {
+							if ds.BlockEdgeCount[i][j] != 0 {
+								nonempty++
+							}
+						}
+					}
+				}
+				if p == 8 && live >= nonempty {
+					t.Fatalf("%s: all %d nonempty blocks of the active rows are live; nothing is skipped", what, nonempty)
+				}
+				if format == blockstore.FormatRaw && (paged != live || pricedPages == 0) {
+					t.Fatalf("%s: %d of %d live raw out-indices read as page spans, %d bytes priced", what, paged, live, pricedPages)
+				}
+				if idx := int64(ds.Layout.Size(0)+1) * blockstore.IndexEntryBytes; n > 600 && format == blockstore.FormatRaw && pricedPages >= live*idx {
+					t.Fatalf("%s: page spans of %d bytes for %d live %d-byte indices; none is a strict part", what, pricedPages, live, idx)
+				}
+				res, err := e.Run(sparseStart{members: c.members})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.rangeBytes.Load() != pricedPages {
+					t.Fatalf("%s: predictor prices %d bytes of out-index pages, %d read", what, pricedPages, rec.rangeBytes.Load())
+				}
+				if rec.whole.Load() != live-paged {
+					t.Fatalf("%s: %d whole out-index reads, want the %d compressed live ones", what, rec.whole.Load(), live-paged)
+				}
+				stored, err := mem.Size("oi/0.0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames := rec.whole.Load() * (stored - ds.OutIndexBytes(0, 0))
+				io := res.Iterations[0].IO
+				if charged := io.SeqReadBytes + io.SeqWriteBytes - frames; priced != charged {
+					t.Fatalf("%s: predictor prices %d sequential bytes, device charged %d (+ %d of frames)", what, priced, charged, frames)
+				}
 			}
 		}
 	}

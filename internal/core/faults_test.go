@@ -152,6 +152,27 @@ func TestEngineDetectsBitFlipCorruption(t *testing.T) {
 	if got := ds.Retries(); got != 0 {
 		t.Fatalf("corruption consumed %d retries", got)
 	}
+
+	// Forced ROP reads each out-index as the pages its active sources'
+	// entries sit on, and checks them against the meta's page CRCs: on a
+	// path of 2050-vertex intervals (8204-byte indices, three pages),
+	// iteration k reads out-index (0,0) for vertex k alone, so the flip in
+	// the 1024th read — iteration 1023, entries 1023 and 1024, the pages
+	// [0, 8192) either side of byte 4096 — must end the run in that
+	// iteration, ErrCorrupt-class, without a retry.
+	ds, fs = faultyStore(t, 4*2050, 4, 7)
+	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultBitFlip, Name: "oi/", After: 1023, Count: 1})
+	_, err = New(ds, Config{Model: ModelROP, ReadRetries: 3, RetryBackoff: 1}).Run(testBFS{})
+	var ie *IterError
+	if !errors.As(err, &ie) || !errors.Is(err, storage.ErrCorrupt) || ie.Iter != 1023 {
+		t.Fatalf("ROP: err = %v, want a *IterError of iteration 1023 wrapping storage.ErrCorrupt", err)
+	}
+	if got := fs.Counters().BitFlips; got != 1 {
+		t.Fatalf("ROP: %d bits flipped, want 1", got)
+	}
+	if got := ds.Retries(); got != 0 {
+		t.Fatalf("ROP: corruption consumed %d retries", got)
+	}
 }
 
 // TestHedgesRescueHungReadsAndAreCounted runs an engine against a store

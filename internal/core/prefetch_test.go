@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"husgraph/internal/bitset"
+	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
 	"husgraph/internal/storage"
 )
@@ -280,6 +281,56 @@ func TestEnginePrefetchSurfacesPermanentFaults(t *testing.T) {
 			}
 			if !errors.Is(err, storage.ErrPermanent) {
 				t.Fatalf("%v depth=%d: error chain lost the cause: %v", model, depth, err)
+			}
+		}
+	}
+}
+
+// TestCacheHoldsOnlyWholeOutIndices: a page-span load of an out-index is
+// cached only when its span is the whole index, and a cached index serves
+// any extent. A path through four 2050-vertex intervals (8204-byte indices,
+// three pages), with vertex 0 also pointing at all of interval 0: iteration 1
+// pushes all of interval 0, whose span of out-index (0,0) is every page, and
+// the rest walk the path one vertex an iteration, each reading one or two
+// pages at a moving extent. Forced ROP through a cache, synchronous and
+// through a read-ahead window, must give the uncached run's values in as
+// many iterations, and leave in the cache out-index (0,0), whole, and no
+// other.
+func TestCacheHoldsOnlyWholeOutIndices(t *testing.T) {
+	const size = 2050
+	g := pathGraph(4 * size)
+	for v := 2; v < size; v++ {
+		g.AddEdge(0, graph.VertexID(v))
+	}
+	ref, err := New(buildStore(t, g, 4, storage.HDD), Config{Model: ModelROP}).Run(testBFS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{0, 2} {
+		ds := buildStore(t, g, 4, storage.HDD)
+		e := New(ds, Config{Model: ModelROP, PrefetchDepth: depth, CacheBudgetBytes: 64 << 20})
+		res, err := e.Run(testBFS{})
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if res.NumIterations() != ref.NumIterations() {
+			t.Fatalf("depth %d: %d iterations, want %d", depth, res.NumIterations(), ref.NumIterations())
+		}
+		for v := range ref.Values {
+			if res.Values[v] != ref.Values[v] {
+				t.Fatalf("depth %d: vertex %d = %v, want %v", depth, v, res.Values[v], ref.Values[v])
+			}
+		}
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				blk, ok := e.Cache().Get(blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
+				n := 0
+				if ok {
+					n = len(blk.Payload)
+				}
+				if ok != (i == 0 && j == 0) || ok && n != (size+1)*blockstore.IndexEntryBytes {
+					t.Fatalf("depth %d: out-index (%d,%d) cached %v (%d bytes); want only (0,0), whole", depth, i, j, ok, n)
+				}
 			}
 		}
 	}

@@ -35,7 +35,7 @@ import (
 // the iteration (see the package comment for why), and the caller zeroes D
 // before every iteration — once, even when K owner-scoped engines push into
 // it in turn.
-func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher, live []bool) error {
+func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher, live []blockstore.Extent) error {
 	l := e.ds.Layout
 	dev := e.ds.Device()
 	monotone := prog.Kind() == Monotone
@@ -57,14 +57,15 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 	}
 
 	// The window's plan (ioplan.ROPKeysFor) mirrors this traversal exactly:
-	// every block marked in live, one whose source mask meets the frontier,
-	// of every active row, row-major. The window reads ahead across block —
-	// and row — boundaries while the workers compute; each row's workers claim
-	// their indices by key (Take), which is safe because together they
-	// drain the row's contiguous schedule window before the next row
-	// starts. The selective random record loads stay on the consume path:
-	// their ranges depend on the out-index just delivered, and go through
-	// the run-granular cache.
+	// every block live in live, one whose source mask meets the frontier, of
+	// every active row, row-major; and it loads of each stored-raw out-index
+	// only the pages the block's extent spans. The window reads ahead across
+	// block — and row — boundaries while the workers compute; each row's
+	// workers claim their indices by key (Take), which is safe because
+	// together they drain the row's contiguous schedule window before the
+	// next row starts. The selective random record loads stay on the consume
+	// path: their ranges depend on the out-index just delivered, and go
+	// through the run-granular cache.
 	coalesce := dev.Profile().CoalesceBytes()
 	touched := e.touched
 	for _, i := range e.owned {
@@ -78,13 +79,16 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 		clear(touched)
 
 		parallelFor(l.P, e.cfg.Threads, func(j int) {
-			if !live[i*l.P+j] {
+			x := live[i*l.P+j]
+			if !x.Live() {
 				return // a dead block: no index to load, no D_j to charge, nothing to push
 			}
 			// The active sources with an edge in this block: frontier ∧
-			// mask, ascending, at least one.
+			// mask, ascending, at least one, all inside the extent — so only
+			// the mask words the extent spans are walked.
 			spans := e.spanBuf(j)
-			frontier.RangeMasked(lo, e.ds.SourceMasks[i][j], func(v int) bool {
+			w0, w1 := int(x.First)/64, (int(x.End)+63)/64
+			frontier.RangeMasked(lo+64*w0, e.ds.SourceMasks[i][j][w0:w1], func(v int) bool {
 				spans = append(spans, span{v: int32(v)})
 				return true
 			})
@@ -94,7 +98,10 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 			}
 			sc := e.scratch.Get().(*blockstore.Scratch)
 			defer e.scratch.Put(sc)
+			// idx holds the index's stored bytes from offset base on: the
+			// whole index when pinned or cached, else the pages x spans.
 			var idx []byte
+			var base int
 			var release func()
 			if e.semIdx != nil {
 				// Semi-external mode: the out-index was pinned resident at
@@ -106,26 +113,26 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 					setErr(res.Err)
 					return
 				}
-				idx = res.Payload
+				idx, base = res.Payload, res.Base
 				release = res.Release
 			}
 
 			// Look up each live source's record range; coalesce close ranges
 			// into runs. The index is read in place, two entries per live
 			// source, and only while building them, so its buffers go back to
-			// the pipeline right after. The loader checked only its length:
-			// the spans used must each start where the previous one ended or
-			// later, and end inside the block, or the runs below would slice
-			// out of bounds; and the mask said each has a record, so an
-			// empty one means mask and index disagree.
+			// the pipeline right after. The loader checked only its length,
+			// or its pages' CRCs: the spans used must each start where the
+			// previous one ended or later, and end inside the block, or the
+			// runs below would slice out of bounds; and the mask said each
+			// has a record, so an empty one means mask and index disagree.
 			runs := e.runBuf(j)
 			blockBytes := e.ds.OutBlockBytes[i][j]
 			var prevEnd uint32
 			var badSpan error
 			for k := range spans {
-				local := int(spans[k].v) - lo
-				rs := binary.LittleEndian.Uint32(idx[4*local:])
-				re := binary.LittleEndian.Uint32(idx[4*local+4:])
+				at := 4*(int(spans[k].v)-lo) - base
+				rs := binary.LittleEndian.Uint32(idx[at:])
+				re := binary.LittleEndian.Uint32(idx[at+4:])
 				if rs < prevEnd || re <= rs || int64(re) > blockBytes {
 					badSpan = fmt.Errorf("core: out-index (%d,%d) vertex %d: section [%d, %d) after byte %d of a %d-byte block, for a source the meta's mask marks live: %w", i, j, spans[k].v, rs, re, prevEnd, blockBytes, storage.ErrCorrupt)
 					break

@@ -34,7 +34,7 @@ type Step struct {
 	frontier *bitset.Frontier
 	next     *bitset.Frontier
 	win      *blockstore.Prefetcher
-	live     []bool // a ROP step's live out-blocks (Engine.live)
+	live     []blockstore.Extent // a ROP step's out-block extents (Engine.live)
 
 	start         time.Time
 	ioBefore      storage.Stats
@@ -135,7 +135,7 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 	} else {
 		plan = ioplan.COPKeysFor(e.ds.Layout, nil, e.ownedOrNil())
 	}
-	s.win = e.sched.Begin(plan)
+	s.win = e.sched.Begin(plan, s.live)
 	return s
 }
 

@@ -85,8 +85,14 @@ func TestROPKeysSkipsInactiveRowsAndEmptyBlocks(t *testing.T) {
 	// A marked buffer is reused and cleared: nothing of a previous frontier
 	// survives into the next one's marks.
 	live := LiveBlocks(ds, frontierOf(10, 0, 9), nil, nil)
-	if again := LiveBlocks(ds, frontierOf(10, 7), nil, live); &again[0] != &live[0] || !slices.Equal(again, []bool{false, false, false, true}) {
-		t.Fatalf("re-marked buffer %v (reused: %v), want only (1,1) live", again, &again[0] == &live[0])
+	if again := LiveBlocks(ds, frontierOf(10, 7), nil, live); &again[0] != &live[0] || !slices.Equal(again, []blockstore.Extent{{}, {}, {}, {First: 2, End: 3}}) {
+		t.Fatalf("re-marked buffer %v (reused: %v), want only (1,1) live, over local source 2", again, &again[0] == &live[0])
+	}
+	// An extent runs from the first to one past the last active source with
+	// an edge in the block: of 5, 6 and 7 (locals 0–2 of row 1), 5 and 6
+	// have one in (1,0) and 5 and 7 in (1,1).
+	if got := LiveBlocks(ds, frontierOf(10, 5, 6, 7), nil, nil); got[2] != (blockstore.Extent{First: 0, End: 2}) || got[3] != (blockstore.Extent{First: 0, End: 3}) {
+		t.Fatalf("extents of row 1 = %v, %v; want [0, 2) and [0, 3)", got[2], got[3])
 	}
 }
 
@@ -138,7 +144,7 @@ func TestSchedulerWindows(t *testing.T) {
 	// An inline pass sizes the plan: the bytes each window delivers.
 	var planBytes, lastBytes int64
 	sizer := NewScheduler(ds, nil, Options{})
-	w := sizer.Begin(plan)
+	w := sizer.Begin(plan, nil)
 	for range plan {
 		res := w.Next()
 		if res.Err != nil {
@@ -185,14 +191,14 @@ func TestSchedulerWindows(t *testing.T) {
 	for _, depth := range []int{0, 1, 2, len(plan) + 4} {
 		s := NewScheduler(ds, nil, Options{Depth: depth})
 		t.Run(fmt.Sprintf("depth-%d/next-delivers-plan-order", depth), func(t *testing.T) {
-			w := s.Begin(plan)
+			w := s.Begin(plan, nil)
 			drain(t, s, w)
 			if res := w.Next(); res.Err == nil {
 				t.Fatal("Next past the end of the plan delivered a block")
 			}
 		})
 		t.Run(fmt.Sprintf("depth-%d/concurrent-take-delivers-each-key-once", depth), func(t *testing.T) {
-			w := s.Begin(plan)
+			w := s.Begin(plan, nil)
 			got := make([]blockstore.BlockKey, len(plan))
 			var wg sync.WaitGroup
 			for i, key := range plan {
@@ -222,7 +228,7 @@ func TestSchedulerWindows(t *testing.T) {
 
 	t.Run("early-finish-reports-read-ahead-as-unused", func(t *testing.T) {
 		s := NewScheduler(ds, nil, Options{Depth: len(plan)})
-		if st := takeLast(t, s, s.Begin(plan)); st.UnusedBytes != planBytes-lastBytes {
+		if st := takeLast(t, s, s.Begin(plan, nil)); st.UnusedBytes != planBytes-lastBytes {
 			t.Fatalf("UnusedBytes = %d, want the %d bytes read ahead of the one consumed key", st.UnusedBytes, planBytes-lastBytes)
 		}
 	})

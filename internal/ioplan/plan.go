@@ -23,34 +23,37 @@ import (
 // perfbench/trace.go times and counts it — so that probe's plan-key count
 // includes the dead blocks ROPKeysFor leaves out.
 func ROPKeys(l blockstore.Layout, blockEdges [][]int64, frontier *bitset.Frontier) []blockstore.BlockKey {
-	visit := make([]bool, l.P*l.P)
+	visit := make([]blockstore.Extent, l.P*l.P)
 	for i := 0; i < l.P; i++ {
 		if lo, hi := l.Bounds(i); frontier.CountIn(lo, hi) > 0 {
 			for j := 0; j < l.P; j++ {
-				visit[i*l.P+j] = blockEdges[i][j] != 0
+				if blockEdges[i][j] != 0 {
+					visit[i*l.P+j] = blockstore.Extent{End: int32(l.Size(i))}
+				}
 			}
 		}
 	}
 	return ROPKeysFor(l, visit, nil)
 }
 
-// LiveBlocks marks which out-blocks of the given source intervals (rows) are
-// live for frontier — whose source mask meets it (DualStore.Live) — in live,
-// block (i, j) at i·P+j, reusing live's array when it holds P·P entries.
-// nil intervals means every interval; the rows not listed, and the rows
-// without an active vertex, are all dead. It is a ROP iteration's one walk
-// of the masks: the plan (ROPKeysFor), the predictor and the compute model
-// all read what it marks.
-func LiveBlocks(d *blockstore.DualStore, frontier *bitset.Frontier, intervals []int, live []bool) []bool {
+// LiveBlocks records the extent of each out-block of the given source
+// intervals (rows) for frontier — the ends of frontier ∧ its source mask
+// (DualStore.Extent) — in live, block (i, j) at i·P+j, reusing live's array
+// when it holds P·P entries. nil intervals means every interval; the blocks
+// of the rows not listed, and of the rows without an active vertex, are all
+// dead. It is a ROP iteration's one walk of the masks: the plan (ROPKeysFor),
+// the prefetcher's page spans, the executor, the predictor and the compute
+// model all read what it records.
+func LiveBlocks(d *blockstore.DualStore, frontier *bitset.Frontier, intervals []int, live []blockstore.Extent) []blockstore.Extent {
 	l := d.Layout
 	if len(live) != l.P*l.P {
-		live = make([]bool, l.P*l.P)
+		live = make([]blockstore.Extent, l.P*l.P)
 	}
 	clear(live)
 	eachInterval(l.P, intervals, func(i int) {
 		if lo, hi := l.Bounds(i); frontier.CountIn(lo, hi) > 0 {
 			for j := 0; j < l.P; j++ {
-				live[i*l.P+j] = d.Live(i, j, frontier)
+				live[i*l.P+j] = d.Extent(i, j, frontier)
 			}
 		}
 	})
@@ -60,14 +63,14 @@ func LiveBlocks(d *blockstore.DualStore, frontier *bitset.Frontier, intervals []
 // ROPKeysFor returns the ordered read plan of a Row-oriented Push iteration
 // over the given source intervals (rows), ascending — nil means every
 // interval, a list the rows of an engine that owns only those
-// (core.Config.Owner): the out-index of every block marked in live
+// (core.Config.Owner): the out-index of every block live in live
 // (LiveBlocks), row-major — exactly the blocks, in exactly the order, the
 // ROP executor visits.
-func ROPKeysFor(l blockstore.Layout, live []bool, intervals []int) []blockstore.BlockKey {
+func ROPKeysFor(l blockstore.Layout, live []blockstore.Extent, intervals []int) []blockstore.BlockKey {
 	plan := make([]blockstore.BlockKey, 0, l.P*l.P)
 	eachInterval(l.P, intervals, func(i int) {
 		for j := 0; j < l.P; j++ {
-			if live[i*l.P+j] {
+			if live[i*l.P+j].Live() {
 				plan = append(plan, blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
 			}
 		}

@@ -25,9 +25,22 @@ func frameByHand(payload []byte) []byte {
 	return append(b, payload...)
 }
 
+// pageCRCsByHand is the CRC32C of each blockstore.PageBytes page of payload,
+// the last one partial: what a store's meta records for a stored-raw
+// out-index.
+func pageCRCsByHand(payload []byte) []uint32 {
+	var crcs []uint32
+	for off := 0; off < len(payload); off += blockstore.PageBytes {
+		crcs = append(crcs, crc32.Checksum(payload[off:min(off+blockstore.PageBytes, len(payload))], crc32.MakeTable(crc32.Castagnoli)))
+	}
+	return crcs
+}
+
 // TestCraftedOutIndexIsAnError: ROP reads an out-index in place and the
-// loader checks only its length, so the offsets ROP uses are checked where
-// it uses them — each active span must start at or after the previous one's
+// loader checks only its length or, read as pages, that they carry the CRCs
+// the meta records — re-recorded here for each crafted blob, so that what is
+// tested is what ROP checks. The offsets ROP uses are checked where it uses
+// them — each active span must start at or after the previous one's
 // end and end inside its block, and be nonempty, since ROP walks only the
 // sources the meta's mask marks as having an edge in the block (the mask
 // carries the meta's CRC; the index is what is checked against it). A
@@ -145,6 +158,7 @@ func TestCraftedOutIndexIsAnError(t *testing.T) {
 					}
 					if c.storedRaw {
 						ds.OutIndexStoredBytes[0][1] = int64(len(c.index))
+						ds.OutIndexPageCRCs[0][1] = pageCRCsByHand(c.index)
 					}
 					if _, err := ds.LoadOutIndex(0, 1); err != nil {
 						t.Fatalf("%s: the loader refused the crafted index (%v); the lie must reach ROP", what, err)

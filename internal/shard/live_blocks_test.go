@@ -18,11 +18,14 @@ import (
 	"husgraph/internal/storage"
 )
 
-// indexReads records the out-index blobs read through it.
+// indexReads records the out-index blobs read through it, whole or as a
+// range, and the bytes of every range read: of out-indices and of
+// out-blocks.
 type indexReads struct {
 	storage.Store
-	mu    sync.Mutex
-	names []string
+	mu                  sync.Mutex
+	names               []string
+	pageBytes, runBytes int64
 }
 
 func (s *indexReads) ReadAllInto(name string, buf []byte) ([]byte, error) {
@@ -34,14 +37,27 @@ func (s *indexReads) ReadAllInto(name string, buf []byte) ([]byte, error) {
 	return s.Store.ReadAllInto(name, buf)
 }
 
-// take returns the names read since the last take, sorted.
-func (s *indexReads) take() []string {
+func (s *indexReads) ReadAtInto(name string, off, n int64, buf []byte) ([]byte, error) {
+	s.mu.Lock()
+	if strings.HasPrefix(name, "oi/") {
+		s.names = append(s.names, name)
+		s.pageBytes += n
+	} else {
+		s.runBytes += n
+	}
+	s.mu.Unlock()
+	return s.Store.ReadAtInto(name, off, n, buf)
+}
+
+// take returns the names read since the last take, sorted, and the bytes of
+// the out-index and out-block range reads among them.
+func (s *indexReads) take() (names []string, pageBytes, runBytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := s.names
-	s.names = nil
+	names, pageBytes, runBytes = s.names, s.pageBytes, s.runBytes
+	s.names, s.pageBytes, s.runBytes = nil, 0, 0
 	slices.Sort(names)
-	return names
+	return names, pageBytes, runBytes
 }
 
 // TestROPVisitsOnlyLiveBlocks: a ROP iteration visits block (i,j) only when
@@ -51,8 +67,10 @@ func (s *indexReads) take() []string {
 // ROPKeysFor over ioplan.LiveBlocks, row-major), read exactly their
 // out-indices — synchronously,
 // where a read is a Take, and through a read-ahead window that must end
-// with nothing read and left unconsumed — and be charged for exactly their
-// out-index blobs and D_j plus each active row's S_i. Some nonempty block of
+// with nothing read and left unconsumed — and be charged for exactly the
+// page spans of their out-indices — the PageBytes pages holding the entries
+// of their first through one past their last live source — and their D_j
+// plus each active row's S_i. Some nonempty block of
 // an active row must be dead along the way, or nothing was skipped. The
 // values are the oracle's, and forced COP's, bit for bit, at threads {1, 4}
 // × K {1, 2}.
@@ -84,9 +102,9 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 	}
 	rec.take()
 	// live lists the blocks an active source of f has a nonempty section
-	// in, row-major, and counts the nonempty blocks of active rows that are
-	// not.
-	live := func(f *bitset.Frontier) (keys []blockstore.BlockKey, dead int) {
+	// in, row-major, sums the page spans of their out-indices, and counts
+	// the nonempty blocks of active rows that are not live.
+	live := func(f *bitset.Frontier) (keys []blockstore.BlockKey, pageBytes int64, dead int) {
 		for i := 0; i < p; i++ {
 			lo, hi := l.Bounds(i)
 			if f.CountIn(lo, hi) == 0 {
@@ -96,20 +114,27 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 				if idx[i][j] == nil {
 					continue
 				}
-				in := false
+				first, last := -1, -1 // byte offsets of the first and last live source's entries
 				f.RangeIn(lo, hi, func(v int) bool {
-					k := 4 * (v - lo)
-					in = string(idx[i][j][k:k+4]) != string(idx[i][j][k+4:k+8])
-					return !in
+					if k := 4 * (v - lo); string(idx[i][j][k:k+4]) != string(idx[i][j][k+4:k+8]) {
+						if first < 0 {
+							first = k
+						}
+						last = k
+					}
+					return true
 				})
-				if in {
-					keys = append(keys, blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
-				} else {
+				if first < 0 {
 					dead++
+					continue
 				}
+				keys = append(keys, blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
+				off := first / blockstore.PageBytes * blockstore.PageBytes
+				end := min((last+4)/blockstore.PageBytes*blockstore.PageBytes+blockstore.PageBytes, len(idx[i][j]))
+				pageBytes += int64(end - off)
 			}
 		}
-		return keys, dead
+		return keys, pageBytes, dead
 	}
 
 	for _, depth := range []int{0, 2} {
@@ -123,7 +148,7 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 		skipped := 0
 		for iter := 0; !frontier.Empty(); iter++ {
 			what := fmt.Sprintf("depth %d iteration %d", depth, iter)
-			want, dead := live(frontier)
+			want, wantPages, dead := live(frontier)
 			skipped += dead
 			if plan := ioplan.ROPKeysFor(l, ioplan.LiveBlocks(ds, frontier, nil, nil), nil); !slices.Equal(plan, want) {
 				t.Fatalf("%s: planned %v, live blocks %v", what, plan, want)
@@ -136,13 +161,8 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 				}
 			}
 			for _, k := range want {
-				name := fmt.Sprintf("oi/%d.%d", k.I, k.J)
-				size, err := mem.Size(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantNames = append(wantNames, name)
-				wantSeq += size + int64(l.Size(k.J))*blockstore.VertexValueBytes
+				wantNames = append(wantNames, fmt.Sprintf("oi/%d.%d", k.I, k.J))
+				wantSeq += int64(l.Size(k.J)) * blockstore.VertexValueBytes
 			}
 			slices.Sort(wantNames)
 
@@ -156,14 +176,15 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if got := rec.take(); !slices.Equal(got, wantNames) {
+			got, pageBytes, runBytes := rec.take()
+			if !slices.Equal(got, wantNames) {
 				t.Fatalf("%s: read out-indices %v, want %v", what, got, wantNames)
 			}
 			if st.PrefetchUnusedBytes != 0 {
 				t.Fatalf("%s: %d bytes read ahead and never taken", what, st.PrefetchUnusedBytes)
 			}
-			if st.IO.SeqReadBytes != wantSeq {
-				t.Fatalf("%s: charged %d sequential bytes, want %d for S_i, the live out-indices and their D_j", what, st.IO.SeqReadBytes, wantSeq)
+			if st.IO.SeqReadBytes != wantSeq || pageBytes != wantPages || st.IO.RandReadBytes != wantPages+runBytes {
+				t.Fatalf("%s: charged %d sequential bytes and read %d of out-index pages (%d random with %d of runs), want %d for S_i and the live blocks' D_j and their page spans' %d", what, st.IO.SeqReadBytes, pageBytes, st.IO.RandReadBytes, runBytes, wantSeq, wantPages)
 			}
 			frontier = next
 		}
