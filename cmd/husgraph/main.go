@@ -15,10 +15,10 @@
 //
 // -prefetch enables the asynchronous block-prefetch pipeline (DEPTH worker
 // goroutines reading ahead of the executor); -cache-mb retains decoded hot
-// blocks across iterations under a byte budget (inserts that would evict
-// are TinyLFU-gated; DESIGN.md §4d). Both leave results bit-identical to
-// the synchronous configuration; -stats prints the per-iteration cache and
-// prefetch numbers that validate them.
+// blocks across iterations under a byte budget (an insert evicts only blocks
+// unused for two iterations, so a scan keeps what fits; DESIGN.md §4d).
+// Both leave results bit-identical to the synchronous configuration; -stats
+// prints the per-iteration cache and prefetch numbers that validate them.
 //
 // Algorithm names are case-insensitive. -algo sssp-delta and -algo coreness
 // run bucketed (priority-ordered) execution: activated vertices are parked

@@ -244,37 +244,52 @@ func BenchmarkPrefetchColumnSweep(b *testing.B) {
 }
 
 // BenchmarkBlockCacheSweep measures the hot-block cache on a repeated
-// column sweep: the first pass misses and promotes, later passes are served
-// from memory.
+// column sweep, once with room for the whole sweep — the first pass misses
+// and copies, later passes are served from memory — and once with room for
+// half its bytes, where the admission rule keeps the blocks it took first:
+// hit-rate is ≈ 0.5 there, where LRU's would be 0.
 func BenchmarkBlockCacheSweep(b *testing.B) {
 	ds := benchGraphStore(b, FormatRaw, true)
 	sched := inBlockSchedule(ds)
-	cache := lruCache(256 << 20)
-	warm := ds.NewPrefetcher(sched, nil, 2, cache)
-	for range sched {
-		res := warm.Next()
-		if res.Err != nil {
-			b.Fatal(res.Err)
-		}
-		res.Release()
+	sizer := ds.NewPrefetcher(nil, nil, 0, nil)
+	var sweep int64
+	for _, key := range sched {
+		sweep += sizer.entryBytes(key)
 	}
-	warm.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pf := ds.NewPrefetcher(sched, nil, 2, cache)
-		for range sched {
-			res := pf.Next()
-			if res.Err != nil {
-				b.Fatal(res.Err)
+	for _, leg := range []struct {
+		name   string
+		budget int64
+	}{{"fits", 256 << 20}, {"half", sweep / 2}} {
+		b.Run(leg.name, func(b *testing.B) {
+			var hitBytes int64
+			cache := NewBlockCache(leg.budget)
+			sweepOnce := func() {
+				pf := ds.NewPrefetcher(sched, nil, 2, cache)
+				for range sched {
+					res := pf.Next()
+					if res.Err != nil {
+						b.Fatal(res.Err)
+					}
+					if res.Cached {
+						hitBytes += (&CachedBlock{Payload: res.Payload, ByteIdx: res.ByteIdx}).Bytes()
+					}
+					res.Release()
+				}
+				pf.Close()
 			}
-			res.Release()
-		}
-		pf.Close()
+			sweepOnce()
+			hitBytes = 0
+			warm := cache.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweepOnce()
+			}
+			b.StopTimer()
+			b.ReportMetric(cache.Stats().Sub(warm).HitRate(), "hit-rate")
+			b.ReportMetric(float64(hitBytes)/float64(sweep)/float64(b.N), "hit-bytes-share")
+		})
 	}
-	b.StopTimer()
-	st := cache.Stats()
-	b.ReportMetric(st.HitRate(), "hit-rate")
 }
 
 func itoaBench(v int) string {

@@ -1,7 +1,8 @@
 package blockstore
 
 import (
-	"container/list"
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -23,9 +24,19 @@ import (
 // out-edge runs are cached as byte-range entries of their out-block. Once
 // the device-loaded run bytes of one out-block cross a density threshold,
 // the block is promoted: the whole payload is read once sequentially and
-// every later run is served as an in-memory slice. Under eviction pressure
-// the cache can gate admission with a TinyLFU-style frequency sketch so hot
-// resident blocks are not displaced by one-pass scans.
+// every later run is served as an in-memory slice.
+//
+// Admission is scan-resistant. Time is counted in windows: every prefetcher
+// opened over the cache (one per engine iteration) starts the next one, and
+// each entry remembers the window it was last used in. An insert may evict
+// only entries used in neither the current window nor the one before —
+// oldest window first, ties in key order — and is refused when those do not
+// free enough room. A COP sweep over more columns than fit therefore keeps
+// the blocks it admitted first, iteration after iteration, where LRU would
+// evict each block just before its reuse and hit nothing. The prefetcher
+// asks for its plan's admissions up front, in plan order (admitPlan), so
+// what is resident is a function of the store, the budget and the plans,
+// never of the order in which workers finish.
 
 // BlockKind identifies which view of the dual-block layout a cache or
 // prefetch key refers to.
@@ -103,7 +114,8 @@ type CacheStats struct {
 	BytesEvicted int64
 	// Promotions counts out-blocks whose run-read density crossed the
 	// threshold and were loaded whole; AdmissionRejected counts inserts
-	// the frequency-admission policy refused under eviction pressure.
+	// (and planned misses) refused because too little of the cache was
+	// stale enough to evict.
 	Promotions        int64
 	AdmissionRejected int64
 	// Entries and BytesUsed describe current residency; Budget is the
@@ -153,42 +165,24 @@ func (s CacheStats) Add(o CacheStats) CacheStats {
 	return s
 }
 
-// Admission selects the cache's insert policy under eviction pressure.
-type Admission uint8
-
-const (
-	// AdmitLRU always admits and evicts least-recently-used entries — the
-	// classic promote-on-miss policy.
-	AdmitLRU Admission = iota
-	// AdmitTinyLFU gates inserts that would force an eviction: the
-	// candidate must estimate at least as frequent as the LRU victim in a
-	// count-min sketch of recent lookups, protecting hot resident blocks
-	// from one-pass scans. Inserts that fit without evicting are free.
-	AdmitTinyLFU
-)
-
-// String names the admission policy for flags and reports.
-func (a Admission) String() string {
-	switch a {
-	case AdmitLRU:
-		return "lru"
-	case AdmitTinyLFU:
-		return "tinylfu"
-	default:
-		return "Admission(?)"
-	}
-}
-
 // promoteDensity is the run-read density (device-loaded run bytes /
 // out-block payload bytes) at which a block is promoted to a whole-payload
 // cache entry.
 const promoteDensity = 0.5
 
-// CacheOptions configures NewBlockCacheOpts beyond the byte budget.
-type CacheOptions struct {
-	// Admission is the insert policy under eviction pressure.
-	Admission Admission
-}
+// CacheOptions, Admission and AdmitTinyLFU are retired names, kept only so
+// perfbench/trace.go compiles: the cache has one admission rule (see the
+// file comment) and NewBlockCacheOpts ignores its options.
+type CacheOptions struct{ Admission Admission }
+
+// Admission is a retired policy selector; see CacheOptions.
+type Admission uint8
+
+// AdmitTinyLFU is the one Admission value; it selects nothing.
+const AdmitTinyLFU Admission = 0
+
+// NewBlockCacheOpts is NewBlockCache; the options are ignored.
+func NewBlockCacheOpts(budget int64, _ CacheOptions) *BlockCache { return NewBlockCache(budget) }
 
 // cacheKey addresses one cache entry: a whole block (s == e == 0) or a run
 // byte range [s, e) of out-block (I, J) keyed under KindOutBlock.
@@ -197,30 +191,34 @@ type cacheKey struct {
 	s, e uint32
 }
 
-// freqKey maps an entry key to the key its lookup frequency is tracked
-// under: run entries share their block's frequency (block heat is what
-// admission should compare, not individual coalesced ranges).
-func freqKey(k cacheKey) cacheKey {
-	k.s, k.e = 0, 0
-	return k
-}
-
 // BlockCache is a byte-budgeted cache of decoded blocks and out-block runs,
 // safe for concurrent use by the engine and prefetch workers.
 type BlockCache struct {
-	mu        sync.Mutex
-	budget    int64
-	used      int64
-	ll        *list.List // front = most recently used
-	items     map[cacheKey]*list.Element
-	admission Admission
-	sketch    *freqSketch // nil under AdmitLRU
+	mu     sync.Mutex
+	budget int64
+	used   int64 // resident entry bytes
+	items  map[cacheKey]*cacheEntry
+
+	// window is the current window; winBytes[w] the resident bytes last used
+	// in window w, so an insert knows in O(1) how many bytes it may evict.
+	window   int64
+	winBytes map[int64]int64
+	// victims is the current window's evictable entries in eviction order,
+	// built on the window's first eviction (nil until then). Within a window
+	// entries only leave that set, so those touched or removed since are
+	// skipped as they come up.
+	victims []*cacheEntry
+	// reserved holds the bytes admitPlan set aside for each admitted planned
+	// miss until its Put fills them or its prefetcher closes; held is their
+	// sum. used + held never exceeds budget.
+	reserved map[cacheKey]reservation
+	held     int64
 
 	// Per out-block run bookkeeping. runs holds each block's resident run
 	// entries sorted by start offset and containment-free (no run contains
 	// another, so end offsets are strictly increasing too and the greatest
 	// start ≤ a query start is the only candidate that can cover it).
-	runs        map[BlockKey][]*list.Element
+	runs        map[BlockKey][]*cacheEntry
 	runLoaded   map[BlockKey]int64 // cumulative device-loaded run bytes (density)
 	runResident map[BlockKey]int64 // currently resident run bytes
 	promoting   map[BlockKey]bool  // promotion claimed (at most once per block)
@@ -235,51 +233,43 @@ type cacheEntry struct {
 	blk *CachedBlock // whole entries
 	run []byte       // run entries (key.e > key.s)
 	sz  int64
+	win int64 // the window the entry was last used in
 }
 
-// NewBlockCacheOpts returns an empty cache bounded by budget bytes, with the
-// given admission policy. A budget <= 0 yields a cache that admits nothing
-// (every Get misses).
-func NewBlockCacheOpts(budget int64, opts CacheOptions) *BlockCache {
-	c := &BlockCache{
+// reservation is the room admitPlan set aside for one planned miss, in the
+// window of the plan that asked.
+type reservation struct{ bytes, win int64 }
+
+// NewBlockCache returns an empty cache bounded by budget bytes. A budget
+// <= 0 yields a cache that admits nothing (every Get misses).
+func NewBlockCache(budget int64) *BlockCache {
+	return &BlockCache{
 		budget:      budget,
-		ll:          list.New(),
-		items:       make(map[cacheKey]*list.Element),
-		admission:   opts.Admission,
-		runs:        make(map[BlockKey][]*list.Element),
+		items:       make(map[cacheKey]*cacheEntry),
+		winBytes:    make(map[int64]int64),
+		reserved:    make(map[cacheKey]reservation),
+		runs:        make(map[BlockKey][]*cacheEntry),
 		runLoaded:   make(map[BlockKey]int64),
 		runResident: make(map[BlockKey]int64),
 		promoting:   make(map[BlockKey]bool),
 	}
-	if c.admission == AdmitTinyLFU {
-		c.sketch = newFreqSketch()
-	}
-	return c
 }
 
-func (c *BlockCache) note(k cacheKey) {
-	if c.sketch != nil {
-		c.sketch.increment(freqKey(k))
-	}
-}
-
-// Get returns the cached block for k, bumping it to most-recently-used.
+// Get returns the cached block for k, marking it used in this window.
 func (c *BlockCache) Get(k BlockKey) (*CachedBlock, bool) {
-	ck := cacheKey{BlockKey: k}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.note(ck)
-	el, ok := c.items[ck]
+	ent, ok := c.items[cacheKey{BlockKey: k}]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).blk, true
+	c.touchLocked(ent)
+	return ent.blk, true
 }
 
-// Peek reports residency without touching counters or LRU order — the
+// Peek reports residency without touching counters or windows — the
 // predictor uses it to price the coming iteration without distorting the
 // hit statistics it is trying to stay honest about.
 func (c *BlockCache) Peek(k BlockKey) bool {
@@ -297,26 +287,36 @@ func (c *BlockCache) RunBytesResident(i, j int) int64 {
 	return c.runResident[BlockKey{Kind: KindOutBlock, I: i, J: j}]
 }
 
-// Put inserts (or replaces) k's whole-block entry, evicting under the
-// configured admission policy until the cache is back within budget.
-// Entries larger than the whole budget — and entries the admission policy
-// refuses — are rejected, reported by the false return so loaders can skip
-// the copy next time. Inserting a KindOutBlock payload supersedes that
-// block's run entries.
+// Put inserts (or replaces) k's whole-block entry, filling the room
+// admitPlan reserved for it if there is any and otherwise evicting under the
+// admission rule. Entries larger than the whole budget, and entries the rule
+// refuses, are rejected, reported by the false return; a rejected
+// replacement leaves the entry it would have replaced. Inserting a
+// KindOutBlock payload supersedes that block's run entries.
 func (c *BlockCache) Put(k BlockKey, blk *CachedBlock) bool {
 	ck := cacheKey{BlockKey: k}
-	sz := blk.Bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if r, ok := c.reserved[ck]; ok {
+		delete(c.reserved, ck)
+		c.held -= r.bytes
+	}
 	if k.Kind == KindOutBlock {
 		// The whole payload covers every run; drop them first so the
 		// budget does not hold both copies.
 		c.dropRunsLocked(k)
 	}
-	if el, ok := c.items[ck]; ok {
-		c.removeLocked(el)
+	old := c.items[ck]
+	if old != nil {
+		c.removeLocked(old)
 	}
-	return c.insertLocked(&cacheEntry{key: ck, blk: blk, sz: sz})
+	if c.insertLocked(&cacheEntry{key: ck, blk: blk, sz: blk.Bytes()}) {
+		return true
+	}
+	if old != nil {
+		c.addLocked(old)
+	}
+	return false
 }
 
 // GetRun returns the bytes of run [s, e) of out-block (i,j) when the cache
@@ -324,39 +324,39 @@ func (c *BlockCache) Put(k BlockKey, blk *CachedBlock) bool {
 // entry. The returned slice is immutable shared cache memory.
 func (c *BlockCache) GetRun(i, j int, s, e uint32) ([]byte, bool) {
 	bk := BlockKey{Kind: KindOutBlock, I: i, J: j}
-	ck := cacheKey{BlockKey: bk, s: s, e: e}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.note(ck)
 	// Promoted whole payload first.
-	if el, ok := c.items[cacheKey{BlockKey: bk}]; ok {
-		ent := el.Value.(*cacheEntry)
+	if ent, ok := c.items[cacheKey{BlockKey: bk}]; ok {
 		if int(e) <= len(ent.blk.Payload) && s <= e {
 			c.hits++
 			c.runHits++
-			c.ll.MoveToFront(el)
+			c.touchLocked(ent)
 			return ent.blk.Payload[s:e], true
 		}
 	}
 	// Containment-free sorted runs: the greatest start ≤ s has the
 	// greatest end among candidates, so it is the only one to check.
-	els := c.runs[bk]
-	idx := sort.Search(len(els), func(n int) bool {
-		return els[n].Value.(*cacheEntry).key.s > s
-	}) - 1
-	if idx >= 0 {
-		el := els[idx]
-		ent := el.Value.(*cacheEntry)
-		if ent.key.e >= e {
-			c.hits++
-			c.runHits++
-			c.ll.MoveToFront(el)
-			return ent.run[s-ent.key.s : e-ent.key.s], true
-		}
+	if ent := c.runCoveringLocked(bk, s); ent != nil && ent.key.e >= e {
+		c.hits++
+		c.runHits++
+		c.touchLocked(ent)
+		return ent.run[s-ent.key.s : e-ent.key.s], true
 	}
 	c.misses++
 	c.runMisses++
 	return nil, false
+}
+
+// runCoveringLocked returns the resident run of bk with the greatest start
+// ≤ s, or nil.
+func (c *BlockCache) runCoveringLocked(bk BlockKey, s uint32) *cacheEntry {
+	ents := c.runs[bk]
+	idx := sort.Search(len(ents), func(n int) bool { return ents[n].key.s > s }) - 1
+	if idx < 0 {
+		return nil
+	}
+	return ents[idx]
 }
 
 // PutRun caches the device-loaded bytes of run [s, e) of out-block (i,j),
@@ -370,123 +370,195 @@ func (c *BlockCache) GetRun(i, j int, s, e uint32) ([]byte, bool) {
 // unrelated entries to make room for bytes dropped moments later.
 func (c *BlockCache) PutRun(i, j int, s, e uint32, data []byte, blockBytes int64) bool {
 	bk := BlockKey{Kind: KindOutBlock, I: i, J: j}
-	ck := cacheKey{BlockKey: bk, s: s, e: e}
 	sz := int64(len(data))
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	_, whole := c.items[cacheKey{BlockKey: bk}]
 	promote := false
 	if sz > 0 {
 		c.runLoaded[bk] += sz
-		if blockBytes > 0 && !c.promoting[bk] {
-			if _, whole := c.items[cacheKey{BlockKey: bk}]; !whole &&
-				float64(c.runLoaded[bk]) >= promoteDensity*float64(blockBytes) {
-				c.promoting[bk] = true
-				c.promotions++
-				promote = true
-			}
+		if blockBytes > 0 && !c.promoting[bk] && !whole &&
+			float64(c.runLoaded[bk]) >= promoteDensity*float64(blockBytes) {
+			c.promoting[bk] = true
+			c.promotions++
+			promote = true
 		}
 	}
-	if e <= s || sz == 0 || promote {
-		return promote
-	}
 	// Skip the insert when existing entries already cover the range.
-	if _, whole := c.items[cacheKey{BlockKey: bk}]; whole {
+	if e <= s || sz == 0 || promote || whole {
 		return promote
 	}
-	els := c.runs[bk]
-	idx := sort.Search(len(els), func(n int) bool {
-		return els[n].Value.(*cacheEntry).key.s > s
-	}) - 1
-	if idx >= 0 && els[idx].Value.(*cacheEntry).key.e >= e {
+	if ent := c.runCoveringLocked(bk, s); ent != nil && ent.key.e >= e {
 		return promote
 	}
 	// Drop resident runs the new one fully contains, keeping the slice
 	// containment-free (starts and ends both strictly increasing).
-	for n := idx + 1; n < len(els); {
-		ent := els[n].Value.(*cacheEntry)
-		if ent.key.s >= s && ent.key.e <= e {
-			c.removeLocked(els[n])
-			els = c.runs[bk]
-			continue
-		}
-		break
+	ents := c.runs[bk]
+	idx := sort.Search(len(ents), func(n int) bool { return ents[n].key.s >= s })
+	for idx < len(ents) && ents[idx].key.e <= e {
+		c.removeLocked(ents[idx])
+		ents = c.runs[bk]
 	}
-	c.insertLocked(&cacheEntry{key: ck, run: data, sz: sz})
+	c.insertLocked(&cacheEntry{key: cacheKey{BlockKey: bk, s: s, e: e}, run: data, sz: sz})
 	return promote
 }
 
-// insertLocked admits ent under the configured policy and evicts back to
-// budget. Caller holds c.mu and has removed any entry with the same key.
+// admitPlan opens the next window and decides, once and in plan order, which
+// of plan's misses the cache will take. sizes[n] is the bytes plan[n]'s entry
+// will be charged, negative for a key whose load is not cacheable. A
+// resident key is marked used in the new window, so no admission of the
+// same plan evicts it; an admitted key has its bytes reserved until Put
+// fills them or release returns them. A key another open plan has reserved
+// is left to that plan. It returns the new window and the admitted keys.
+func (c *BlockCache) admitPlan(plan []BlockKey, sizes []int64) (win int64, admitted []BlockKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.window++
+	c.victims = nil
+	for n, k := range plan {
+		ck := cacheKey{BlockKey: k}
+		if ent, ok := c.items[ck]; ok {
+			c.touchLocked(ent)
+			continue
+		}
+		sz := sizes[n]
+		if _, taken := c.reserved[ck]; sz < 0 || taken || sz > c.budget {
+			continue
+		}
+		if !c.makeRoomLocked(sz) {
+			c.admissionRejected++
+			continue
+		}
+		c.reserved[ck] = reservation{bytes: sz, win: c.window}
+		c.held += sz
+		admitted = append(admitted, k)
+	}
+	return c.window, admitted
+}
+
+// release returns the reservations window win made for keys that Put has
+// not filled.
+func (c *BlockCache) release(win int64, keys []BlockKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		ck := cacheKey{BlockKey: k}
+		if r, ok := c.reserved[ck]; ok && r.win == win {
+			delete(c.reserved, ck)
+			c.held -= r.bytes
+		}
+	}
+}
+
+// insertLocked admits ent under the admission rule. Caller holds c.mu and
+// has removed any entry with the same key.
 func (c *BlockCache) insertLocked(ent *cacheEntry) bool {
 	if ent.sz > c.budget {
 		return false
 	}
-	if c.admission == AdmitTinyLFU {
-		// Frequency gate, applied only under pressure: an insert that
-		// would displace a more frequently seen victim is refused.
-		for c.used+ent.sz > c.budget {
-			back := c.ll.Back()
-			if back == nil {
-				break
-			}
-			victim := back.Value.(*cacheEntry)
-			if c.sketch.estimate(freqKey(ent.key)) < c.sketch.estimate(freqKey(victim.key)) {
-				c.admissionRejected++
-				return false
-			}
-			c.evictLocked(back)
-		}
+	if !c.makeRoomLocked(ent.sz) {
+		c.admissionRejected++
+		return false
 	}
-	el := c.ll.PushFront(ent)
-	c.items[ent.key] = el
+	ent.win = c.window
+	c.addLocked(ent)
+	return true
+}
+
+// addLocked makes ent resident as last used in ent.win.
+func (c *BlockCache) addLocked(ent *cacheEntry) {
+	c.items[ent.key] = ent
 	c.used += ent.sz
+	c.winBytes[ent.win] += ent.sz
 	if ent.key.e > ent.key.s {
-		c.insertRunIndexLocked(el)
+		c.insertRunIndexLocked(ent)
 	}
-	for c.used > c.budget {
-		back := c.ll.Back()
-		if back == nil {
-			break
+}
+
+// makeRoomLocked evicts until sz more bytes fit the budget, taking only
+// entries last used before the previous window, oldest window first and in
+// key order within one. It evicts nothing and reports false when those
+// entries together are too few.
+func (c *BlockCache) makeRoomLocked(sz int64) bool {
+	over := c.used + c.held + sz - c.budget
+	if over <= 0 {
+		return true
+	}
+	if c.used-c.winBytes[c.window]-c.winBytes[c.window-1] < over {
+		return false
+	}
+	if c.victims == nil {
+		c.victims = make([]*cacheEntry, 0, len(c.items))
+		for _, ent := range c.items {
+			if c.evictable(ent) {
+				c.victims = append(c.victims, ent)
+			}
 		}
-		c.evictLocked(back)
+		slices.SortFunc(c.victims, func(a, b *cacheEntry) int {
+			return cmp.Or(cmp.Compare(a.win, b.win), cmp.Compare(a.key.Kind, b.key.Kind), cmp.Compare(a.key.I, b.key.I),
+				cmp.Compare(a.key.J, b.key.J), cmp.Compare(a.key.s, b.key.s), cmp.Compare(a.key.e, b.key.e))
+		})
+	}
+	for over > 0 && len(c.victims) > 0 {
+		v := c.victims[0]
+		c.victims = c.victims[1:]
+		if c.items[v.key] == v && c.evictable(v) {
+			c.evictLocked(v)
+			over -= v.sz
+		}
 	}
 	return true
 }
 
-// insertRunIndexLocked places el into its block's sorted run slice.
-func (c *BlockCache) insertRunIndexLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	bk := ent.key.BlockKey
-	els := c.runs[bk]
-	idx := sort.Search(len(els), func(n int) bool {
-		return els[n].Value.(*cacheEntry).key.s > ent.key.s
-	})
-	els = append(els, nil)
-	copy(els[idx+1:], els[idx:])
-	els[idx] = el
-	c.runs[bk] = els
-	c.runResident[bk] += ent.sz
+// evictable reports whether ent was last used before the previous window.
+func (c *BlockCache) evictable(ent *cacheEntry) bool { return ent.win < c.window-1 }
+
+// touchLocked marks ent used in the current window.
+func (c *BlockCache) touchLocked(ent *cacheEntry) {
+	if ent.win == c.window {
+		return
+	}
+	c.forgetWinLocked(ent)
+	ent.win = c.window
+	c.winBytes[ent.win] += ent.sz
 }
 
-// removeLocked detaches el from the list, map and run index without
-// counting an eviction (replacements and supersessions).
-func (c *BlockCache) removeLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
-	delete(c.items, ent.key)
-	c.used -= ent.sz
-	if ent.key.e > ent.key.s {
-		c.removeRunIndexLocked(el)
+// forgetWinLocked takes ent's bytes off its window's total.
+func (c *BlockCache) forgetWinLocked(ent *cacheEntry) {
+	if c.winBytes[ent.win] -= ent.sz; c.winBytes[ent.win] == 0 {
+		delete(c.winBytes, ent.win)
 	}
 }
 
-func (c *BlockCache) removeRunIndexLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
+// insertRunIndexLocked places ent into its block's sorted run slice.
+func (c *BlockCache) insertRunIndexLocked(ent *cacheEntry) {
 	bk := ent.key.BlockKey
-	els := c.runs[bk]
-	for n, cand := range els {
-		if cand == el {
-			c.runs[bk] = append(els[:n], els[n+1:]...)
+	ents := c.runs[bk]
+	idx := sort.Search(len(ents), func(n int) bool { return ents[n].key.s > ent.key.s })
+	ents = append(ents, nil)
+	copy(ents[idx+1:], ents[idx:])
+	ents[idx] = ent
+	c.runs[bk] = ents
+	c.runResident[bk] += ent.sz
+}
+
+// removeLocked detaches ent from the map, its window total and the run
+// index without counting an eviction (replacements and supersessions).
+func (c *BlockCache) removeLocked(ent *cacheEntry) {
+	delete(c.items, ent.key)
+	c.used -= ent.sz
+	c.forgetWinLocked(ent)
+	if ent.key.e > ent.key.s {
+		c.removeRunIndexLocked(ent)
+	}
+}
+
+func (c *BlockCache) removeRunIndexLocked(ent *cacheEntry) {
+	bk := ent.key.BlockKey
+	ents := c.runs[bk]
+	for n, cand := range ents {
+		if cand == ent {
+			c.runs[bk] = append(ents[:n], ents[n+1:]...)
 			break
 		}
 	}
@@ -507,10 +579,9 @@ func (c *BlockCache) dropRunsLocked(k BlockKey) {
 	}
 }
 
-// evictLocked drops the entry at el to relieve budget pressure.
-func (c *BlockCache) evictLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	c.removeLocked(el)
+// evictLocked drops ent to relieve budget pressure.
+func (c *BlockCache) evictLocked(ent *cacheEntry) {
+	c.removeLocked(ent)
 	c.evictions++
 	c.bytesEvicted += ent.sz
 }
@@ -532,71 +603,4 @@ func (c *BlockCache) Stats() CacheStats {
 		BytesUsed:         c.used,
 		Budget:            c.budget,
 	}
-}
-
-// freqSketch is a small count-min sketch over recent cache lookups with
-// periodic halving, the TinyLFU aging scheme: estimates recent popularity
-// in O(1) space without per-entry metadata.
-type freqSketch struct {
-	rows    [4][]uint8
-	samples int
-}
-
-const freqSketchWidth = 8192
-
-func newFreqSketch() *freqSketch {
-	s := &freqSketch{}
-	for r := range s.rows {
-		s.rows[r] = make([]uint8, freqSketchWidth)
-	}
-	return s
-}
-
-// sketchHash is FNV-1a over the key fields, seeded per row.
-func sketchHash(k cacheKey, row int) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ (uint64(row+1) * 0x9e3779b97f4a7c15)
-	for _, v := range [...]uint64{uint64(k.Kind), uint64(k.I), uint64(k.J), uint64(k.s), uint64(k.e)} {
-		for b := 0; b < 8; b++ {
-			h ^= (v >> (8 * b)) & 0xff
-			h *= prime
-		}
-	}
-	return h
-}
-
-func (s *freqSketch) increment(k cacheKey) {
-	for r := range s.rows {
-		idx := sketchHash(k, r) % freqSketchWidth
-		if s.rows[r][idx] < 255 {
-			s.rows[r][idx]++
-		}
-	}
-	s.samples++
-	if s.samples >= 10*freqSketchWidth {
-		s.age()
-	}
-}
-
-// age halves every counter so stale popularity decays.
-func (s *freqSketch) age() {
-	for r := range s.rows {
-		for i := range s.rows[r] {
-			s.rows[r][i] >>= 1
-		}
-	}
-	s.samples = 0
-}
-
-func (s *freqSketch) estimate(k cacheKey) uint8 {
-	est := uint8(255)
-	for r := range s.rows {
-		if v := s.rows[r][sketchHash(k, r)%freqSketchWidth]; v < est {
-			est = v
-		}
-	}
-	return est
 }

@@ -2,7 +2,7 @@ package blockstore
 
 import "testing"
 
-// Run-granular caching, whole-block promotion and TinyLFU admission tests.
+// Run-granular caching and whole-block promotion tests.
 
 func outBlockKey(i, j int) BlockKey { return BlockKey{Kind: KindOutBlock, I: i, J: j} }
 
@@ -15,7 +15,7 @@ func runBytes(s, e uint32) []byte {
 }
 
 func TestRunCacheServesContainedRanges(t *testing.T) {
-	c := lruCache(1 << 20)
+	c := NewBlockCache(1 << 20)
 	if c.PutRun(0, 0, 100, 200, runBytes(100, 200), 1<<20) {
 		t.Fatal("1%% density promoted")
 	}
@@ -55,7 +55,7 @@ func TestRunCacheServesContainedRanges(t *testing.T) {
 }
 
 func TestRunCacheStaysContainmentFree(t *testing.T) {
-	c := lruCache(1 << 20)
+	c := NewBlockCache(1 << 20)
 	c.PutRun(0, 0, 100, 200, runBytes(100, 200), 1<<30)
 	c.PutRun(0, 0, 300, 400, runBytes(300, 400), 1<<30)
 	entries := c.Stats().Entries
@@ -78,7 +78,7 @@ func TestRunCacheStaysContainmentFree(t *testing.T) {
 }
 
 func TestRunCachePromotionClaimedExactlyOnce(t *testing.T) {
-	c := lruCache(1 << 20)
+	c := NewBlockCache(1 << 20)
 	const blockBytes = 1000
 	if c.PutRun(2, 3, 0, 300, runBytes(0, 300), blockBytes) {
 		t.Fatal("30% density promoted early")
@@ -119,42 +119,12 @@ func TestRunCachePromotionClaimedExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestCacheTinyLFUAdmissionUnderPressure(t *testing.T) {
-	c := NewBlockCacheOpts(100, CacheOptions{Admission: AdmitTinyLFU})
-	hot := inKey(0, 0)
-	if !c.Put(hot, payloadBlock(60)) {
-		t.Fatal("insert without pressure must always admit")
-	}
-	for n := 0; n < 3; n++ { // heat the resident entry's frequency
-		c.Get(hot)
-	}
-	// A cold candidate that would displace the hot entry is refused.
-	cold := inKey(5, 5)
-	if c.Put(cold, payloadBlock(60)) {
-		t.Fatal("cold candidate displaced a hot entry")
-	}
-	st := c.Stats()
-	if st.AdmissionRejected != 1 || st.Evictions != 0 || !c.Peek(hot) {
-		t.Fatalf("after rejection: %+v", st)
-	}
-	// Once the candidate has been asked for at least as often, it wins.
-	for n := 0; n < 4; n++ {
-		c.Get(cold) // misses, but feeds the frequency sketch
-	}
-	if !c.Put(cold, payloadBlock(60)) {
-		t.Fatal("now-hot candidate still refused")
-	}
-	if c.Peek(hot) || !c.Peek(cold) {
-		t.Fatal("admission did not displace the colder entry")
-	}
-}
-
 func TestRunCachePromotionNeverExceedsBudget(t *testing.T) {
 	// Regression: the promotion-claiming PutRun used to insert its own run
 	// entry too, transiently charging both the accumulated runs and (after
 	// the caller's Put) the whole payload — overshooting the budget and
 	// evicting unrelated hot entries for bytes dropped moments later.
-	c := lruCache(100)
+	c := NewBlockCache(100)
 	hot := BlockKey{Kind: KindInBlock, I: 5, J: 5}
 	if !c.Put(hot, &CachedBlock{Payload: make([]byte, 10)}) {
 		t.Fatal("hot entry rejected")

@@ -119,12 +119,6 @@ func loadOutSection(ds *DualStore, i, j int, idx []uint32, k int, sc *Scratch) (
 	return append([]byte(nil), sec...), err
 }
 
-// lruCache is an always-admit cache of the given byte budget, the policy
-// the cache tests' eviction arithmetic assumes.
-func lruCache(budget int64) *BlockCache {
-	return NewBlockCacheOpts(budget, CacheOptions{Admission: AdmitLRU})
-}
-
 // FrameForTest frames payload the way a store frames every blob, and
 // ErrStoredSizeForTest is the loaders' refusal of a block whose length is
 // not its recorded stored size — for the external tests (package

@@ -43,6 +43,10 @@ type Prefetcher struct {
 	// out-index is then loaded as the page span of its extent
 	// (LoadOutIndexSpanScratch), and whole otherwise.
 	extents []Extent
+	// window is the cache window admitPlan opened for this plan, and
+	// admitted the keys it reserved room for.
+	window   int64
+	admitted []BlockKey
 
 	// reqs is the schedule's request slab — one allocation for every
 	// entry's bookkeeping and result storage; byKey points into it.
@@ -75,6 +79,9 @@ type prefetchReq struct {
 	// long as the slab, which the consumer's pointer keeps reachable.
 	loaded   PrefetchResult
 	consumed atomic.Bool
+	// admit marks a planned miss the cache admitted: its load is copied
+	// into the cache, filling the room reserved for it.
+	admit bool
 }
 
 // deliver publishes res as req's outcome. Only the goroutine holding the
@@ -143,7 +150,9 @@ func (r *PrefetchResult) dataBytes() int64 {
 // bound; depth <= 0 runs inline — Next/Take perform the load synchronously on
 // the calling goroutine (the cache, when non-nil, is still consulted), which
 // is the prefetch-disabled configuration sharing one code path with the
-// async one. cache may be nil.
+// async one. cache may be nil; when it is not, the pipeline opens the cache's
+// next window and asks it, in schedule order, which of the schedule's misses
+// to keep — only those are copied into it.
 //
 // Close must be called when done (normally deferred), even after an error.
 func (d *DualStore) NewPrefetcher(schedule []BlockKey, extents []Extent, depth int, cache *BlockCache) *Prefetcher {
@@ -164,6 +173,16 @@ func (d *DualStore) NewPrefetcher(schedule []BlockKey, extents []Extent, depth i
 			req.ready = make(chan struct{}, 1) // one delivery per request
 		}
 		p.byKey[key] = req
+	}
+	if cache != nil {
+		sizes := make([]int64, len(schedule))
+		for n, key := range schedule {
+			sizes[n] = p.entryBytes(key)
+		}
+		p.window, p.admitted = cache.admitPlan(schedule, sizes)
+		for _, key := range p.admitted {
+			p.byKey[key].admit = true
+		}
 	}
 	if depth > 0 && len(schedule) > 0 {
 		p.sem = make(chan struct{}, depth)
@@ -221,11 +240,31 @@ func (p *Prefetcher) worker() {
 	}
 }
 
+// entryBytes is what the cache will be charged for key's entry, read off the
+// meta: an in-block's decoded records plus its in-index entries, or a whole
+// out-index. It is -1 for a page-span load of part of an out-index, which is
+// not cacheable; a cached out-index is always whole, so it serves any extent.
+func (p *Prefetcher) entryBytes(key BlockKey) int64 {
+	d := p.ds
+	switch key.Kind {
+	case KindInBlock:
+		return d.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(d.Weighted)) +
+			d.InIndexEntries[key.I][key.J]*InIndexEntryBytes
+	case KindOutIndex:
+		whole := int64(d.Layout.Size(key.I)+1) * IndexEntryBytes
+		if p.extents != nil {
+			if off, end, paged := d.OutIndexSpan(key.I, key.J, p.extents[key.I*d.Layout.P+key.J]); paged && (off != 0 || end != whole) {
+				return -1
+			}
+		}
+		return whole
+	}
+	return -1
+}
+
 // load performs one block load: cache lookup, then the store's verified,
-// retried read path, then (on a miss) promotion into the cache so the
-// scratch can be recycled immediately and later iterations hit. A cached
-// out-index is always whole, so it serves any extent; a page-span load is
-// cached only when its span is the whole index.
+// retried read path, then — for a miss the cache admitted — a copy into the
+// cache, so the scratch can be recycled immediately and later iterations hit.
 func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	key, res := req.key, &req.loaded
 	if p.cache != nil {
@@ -239,7 +278,6 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	// return it to the pool exactly once.
 	*res = PrefetchResult{Key: key, sc: sc, pf: p}
 	var err error
-	whole := true
 	switch key.Kind {
 	case KindOutIndex:
 		if p.extents == nil {
@@ -248,7 +286,6 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		}
 		x := p.extents[key.I*p.ds.Layout.P+key.J]
 		res.Payload, res.Base, err = p.ds.LoadOutIndexSpanScratch(key.I, key.J, x, sc)
-		whole = res.Base == 0 && len(res.Payload) == (p.ds.Layout.Size(key.I)+1)*IndexEntryBytes
 	case KindInBlock:
 		// A compressed block is decoded here, in the worker, so the decode
 		// overlaps the I/O of the other in-flight blocks instead of
@@ -262,7 +299,7 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		*res = PrefetchResult{Key: key, Err: err}
 		return res
 	}
-	if p.cache != nil && whole {
+	if req.admit {
 		blk := &CachedBlock{
 			Payload: append([]byte(nil), res.Payload...),
 			ByteIdx: append([]uint32(nil), res.ByteIdx...),
@@ -326,11 +363,16 @@ func (p *Prefetcher) StallTime() time.Duration {
 // every worker has exited, so all device charges of this pipeline land
 // before the caller snapshots I/O statistics. Requests no worker claimed are
 // failed, so a consumer arriving after Close gets an error, never a hang.
+// The cache room reserved for admitted blocks that were never loaded is
+// returned.
 func (p *Prefetcher) Close() {
 	if p.closed {
 		return
 	}
 	p.closed = true
+	if p.admitted != nil {
+		defer p.cache.release(p.window, p.admitted)
+	}
 	if p.sem == nil {
 		return
 	}

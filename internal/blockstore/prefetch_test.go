@@ -270,7 +270,7 @@ func TestPrefetchCachePromotionServesRepeatsWithoutIO(t *testing.T) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		for _, depth := range []int{0, 2} {
 			ds := prefetchStore(t, format)
-			cache := lruCache(64 << 20)
+			cache := NewBlockCache(64 << 20)
 			sched := inBlockSchedule(ds)
 
 			run := func() {
@@ -315,7 +315,7 @@ func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 	var used [2]int64
 	for n, format := range []Format{FormatRaw, FormatMixed} {
 		ds := prefetchStore(t, format)
-		cache := lruCache(64 << 20)
+		cache := NewBlockCache(64 << 20)
 		cachedSweepMatchesDirectLoads(t, ds, cache)
 		used[n] = cache.Stats().BytesUsed
 	}
@@ -347,5 +347,56 @@ func cachedSweepMatchesDirectLoads(t *testing.T, ds *DualStore, cache *BlockCach
 			res.Release()
 		}
 		pf.Close()
+	}
+}
+
+func TestPrefetchCopiesNoRefusedBlock(t *testing.T) {
+	// Admission is decided once, when the pipeline opens: a refused block is
+	// served from its scratch with no copy and no Put, and an admitted one
+	// is cached at exactly the charge the meta predicted.
+	for _, format := range []Format{FormatRaw, FormatMixed} {
+		for _, depth := range []int{0, 2} {
+			ds := prefetchStore(t, format)
+			sched := inBlockSchedule(ds)
+			sizer := ds.NewPrefetcher(nil, nil, 0, nil)
+			sizes := make([]int64, len(sched))
+			var total int64
+			for n, key := range sched {
+				sizes[n] = sizer.entryBytes(key)
+				total += sizes[n]
+			}
+			cache := NewBlockCache(total / 2)
+			pf := ds.NewPrefetcher(sched, nil, depth, cache)
+			var admitted, refused int
+			for n, key := range sched {
+				res := pf.Next()
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				switch {
+				case pf.reqs[n].admit:
+					admitted++
+					if res.sc != nil || !cache.Peek(key) {
+						t.Fatalf("%v depth=%d: admitted %+v not served from the cache", format, depth, key)
+					}
+					if got := (&CachedBlock{Payload: res.Payload, ByteIdx: res.ByteIdx}).Bytes(); got != sizes[n] {
+						t.Fatalf("%v depth=%d: %+v charged %d bytes, the meta predicted %d", format, depth, key, got, sizes[n])
+					}
+				case res.sc == nil || cache.Peek(key):
+					t.Fatalf("%v depth=%d: refused %+v was copied into the cache", format, depth, key)
+				case sizes[n] <= total/2:
+					refused++
+				}
+				res.Release()
+			}
+			pf.Close()
+			st := cache.Stats()
+			if admitted == 0 || admitted == len(sched) {
+				t.Fatalf("%v depth=%d: %d of %d blocks admitted at half the sweep's bytes", format, depth, admitted, len(sched))
+			}
+			if st.Entries != admitted || st.AdmissionRejected != int64(refused) || cache.held != 0 {
+				t.Fatalf("%v depth=%d: %d admitted, %d refused; cache %+v holding %d reserved bytes", format, depth, admitted, refused, st, cache.held)
+			}
+		}
 	}
 }

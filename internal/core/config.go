@@ -124,13 +124,15 @@ type Config struct {
 	// configured cache is still consulted), which is byte- and
 	// result-identical to the pipelined configuration.
 	PrefetchDepth int
-	// CacheBudgetBytes bounds the decoded-block LRU cache retained across
+	// CacheBudgetBytes bounds the decoded-block cache retained across
 	// iterations: in-blocks and out-indices that fit are served from
 	// memory on re-read, charging no device I/O (GraphMP-style
 	// semi-external caching at block granularity). 0 disables caching;
-	// working sets over the budget degrade gracefully by evicting
-	// least-recently-used blocks. Hit/miss/evict counts land in
-	// IterStats and Result.Cache.
+	// a working set over the budget keeps the part each iteration's plan
+	// admitted first, evicting only blocks unused for two iterations
+	// (blockstore.BlockCache). Hit/miss/evict counts land in IterStats and
+	// Result.Cache. A sharded run splits it in proportion to the in-column
+	// bytes each shard owns.
 	CacheBudgetBytes int64
 	// OnIteration, if set, is called after each iteration completes with
 	// that iteration's statistics — for live progress reporting. It runs

@@ -107,7 +107,7 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 	e.owned, e.ownsAll = owned, ownsAll
 	e.scratch.New = func() any { return new(blockstore.Scratch) }
 	if e.cfg.CacheBudgetBytes > 0 {
-		e.cache = blockstore.NewBlockCacheOpts(e.cfg.CacheBudgetBytes, blockstore.CacheOptions{Admission: blockstore.AdmitTinyLFU})
+		e.cache = blockstore.NewBlockCache(e.cfg.CacheBudgetBytes)
 	}
 	ds.SetRetryPolicy(blockstore.RetryPolicy{
 		MaxRetries: e.cfg.ReadRetries,

@@ -19,6 +19,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -108,8 +109,8 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 	}
 	per := resolved
 	per.OnIteration = nil
-	per.CacheBudgetBytes = resolved.CacheBudgetBytes / int64(k)
 	span := p / k
+	slices := cacheSlices(ds, resolved.CacheBudgetBytes, k)
 	// One message table beside the shared S/D arrays, not one per engine:
 	// RunIter runs the Execs one after another, and each engine leaves the
 	// entries of the intervals it synchronised current.
@@ -122,6 +123,7 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("shard: shard %d owner: %w", s, err)
 		}
 		pc.Owner = owner
+		pc.CacheBudgetBytes = slices[s]
 		dev := storage.NewDevice(ds.Device().Profile())
 		eng := core.New(ds.Fork(storage.NewDeviceStore(ds.Store(), dev)), pc)
 		eng.ShareMessageTable(msgs)
@@ -139,6 +141,36 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 		}
 	}
 	return c, nil
+}
+
+// cacheSlices splits budget between k shards in proportion to the in-column
+// bytes each owns — the stored in-blocks and in-indices of its destination
+// intervals, which is what a COP sweep of its columns reads — rounding each
+// slice down. With no budget or no edges the split is even. A slice sized to
+// what its shard sweeps keeps one shard's slice from idling while the
+// other's falls short.
+func cacheSlices(ds *blockstore.DualStore, budget int64, k int) []int64 {
+	l := ds.Layout
+	owned := make([]int64, k)
+	var total int64
+	for j := 0; j < l.P; j++ { // column j: in-blocks (i, j)
+		for i := 0; i < l.P; i++ {
+			b := ds.InBlockBytes[i][j] + ds.InIndexBytes(i, j)
+			owned[j*k/l.P] += b
+			total += b
+		}
+	}
+	slices := make([]int64, k)
+	for s := range slices {
+		if total == 0 || budget <= 0 {
+			slices[s] = budget / int64(k)
+			continue
+		}
+		hi, lo := bits.Mul64(uint64(budget), uint64(owned[s]))
+		q, _ := bits.Div64(hi, lo, uint64(total))
+		slices[s] = int64(q)
+	}
+	return slices
 }
 
 // NumShards returns K.

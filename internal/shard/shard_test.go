@@ -91,8 +91,10 @@ func timeless(st core.IterStats) core.IterStats {
 // program agree on the values to the bit. PageRank covers COP and Coreness
 // the bucketed path, both under the predictor; BFS is held to ROP — on a
 // graph this size the predictor leaves it after an iteration — so its cached
-// cell covers the run cache. Every cell goes through shard.New, the one run
-// path.
+// cell covers the run cache. The two cells under eviction leave BFS out: ROP
+// workers insert runs concurrently, so which runs a full cache keeps still
+// depends on scheduling (DESIGN.md §7). Every cell goes through shard.New,
+// the one run path.
 func TestRunReplaysExactly(t *testing.T) {
 	web := testGraphs(t)["web"]
 	sym := web.Symmetrize()
@@ -110,19 +112,25 @@ func TestRunReplaysExactly(t *testing.T) {
 		name   string
 		format blockstore.Format
 		cfg    shard.Config
+		noROP  bool // leave out the program held to ROP
 	}{
-		{"sync", blockstore.FormatRaw, shard.Config{}},
-		// The budget holds every block, so nothing is evicted. What a full
-		// cache gives up depends on the order prefetch workers land: at 8 KiB
-		// CacheEvictions and PredictedCOP differ between runs at GOMAXPROCS
-		// 2 and 8 (63 against 64 evictions in one Coreness iteration).
-		{"prefetch+cache", blockstore.FormatRaw, shard.Config{Config: core.Config{PrefetchDepth: 2, CacheBudgetBytes: 64 << 20}}},
-		{"sem-mixed", blockstore.FormatMixed, shard.Config{Config: core.Config{SemiExternal: true}}},
-		{"K=2", blockstore.FormatRaw, shard.Config{Shards: 2}},
+		{"sync", blockstore.FormatRaw, shard.Config{}, false},
+		// The budget holds every block, so nothing is evicted.
+		{"prefetch+cache", blockstore.FormatRaw, shard.Config{Config: core.Config{PrefetchDepth: 2, CacheBudgetBytes: 64 << 20}}, false},
+		// These budgets hold part of the blocks. Which ones is decided when
+		// each iteration's plan is admitted, in plan order, not by the order
+		// the prefetch workers land in.
+		{"prefetch+cache16k", blockstore.FormatRaw, shard.Config{Config: core.Config{PrefetchDepth: 2, CacheBudgetBytes: 16 << 10}}, true},
+		{"K=2+cache8k", blockstore.FormatRaw, shard.Config{Config: core.Config{PrefetchDepth: 2, CacheBudgetBytes: 8 << 10}, Shards: 2}, true},
+		{"sem-mixed", blockstore.FormatMixed, shard.Config{Config: core.Config{SemiExternal: true}}, false},
+		{"K=2", blockstore.FormatRaw, shard.Config{Shards: 2}, false},
 	}
 	for _, p := range progs {
 		var ref []float64
 		for _, c := range cells {
+			if c.noROP && p.model == core.ModelROP {
+				continue
+			}
 			run := func() *core.Result {
 				ds, err := blockstore.BuildWithFormat(storage.NewMemStore(storage.NewDevice(storage.HDD)), p.g, 8, c.format)
 				if err != nil {
@@ -142,6 +150,9 @@ func TestRunReplaysExactly(t *testing.T) {
 			}
 			tag := p.name + "/" + c.name
 			first, second := run(), run()
+			if c.noROP && first.Cache.AdmissionRejected == 0 {
+				t.Fatalf("%s: the cache refused nothing, so the cell tests no pressure: %+v", tag, first.Cache)
+			}
 			if first.Converged != second.Converged || len(first.Iterations) != len(second.Iterations) {
 				t.Fatalf("%s: runs ended after %d (converged %v) and %d (converged %v) iterations", tag,
 					len(first.Iterations), first.Converged, len(second.Iterations), second.Converged)
@@ -252,6 +263,47 @@ func TestShardBitIdenticalAcrossK(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestShardCacheSlicesFollowOwnedBytes pins how the coordinator splits the
+// cache budget: each shard's slice is its share of the in-column bytes (the
+// stored in-blocks and in-indices of the columns it owns) rounded down, the
+// slices sum to at most the budget, and K = 1 gets all of it.
+func TestShardCacheSlicesFollowOwnedBytes(t *testing.T) {
+	const budget = 100_003
+	ds := buildStore(t, testGraphs(t)["web"], 8)
+	l := ds.Layout
+	for _, k := range []int{1, 2, 4} {
+		co, err := shard.New(ds, shard.Config{Config: core.Config{CacheBudgetBytes: budget}, Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices := shard.CacheBudgetsForTest(co)
+		owned := make([]int64, k)
+		var total, sum int64
+		for j := 0; j < l.P; j++ {
+			for i := 0; i < l.P; i++ {
+				b := ds.InBlockBytes[i][j] + ds.InIndexBytes(i, j)
+				owned[j/(l.P/k)] += b
+				total += b
+			}
+		}
+		for s, slice := range slices {
+			sum += slice
+			if k == 1 && slice != budget {
+				t.Fatalf("K=1: slice %d, want the whole budget %d", slice, budget)
+			}
+			if want := budget * owned[s] / total; slice != want {
+				t.Fatalf("K=%d shard %d owns %d of %d in-column bytes: slice %d, want %d", k, s, owned[s], total, slice, want)
+			}
+		}
+		if sum > budget {
+			t.Fatalf("K=%d: slices %v sum to %d over a budget of %d", k, slices, sum, budget)
+		}
+		if k == 2 && owned[0] == owned[1] {
+			t.Fatal("the two shards own equal in-column bytes: an even split would pass too")
 		}
 	}
 }
