@@ -3,7 +3,8 @@ package bitset
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -61,16 +62,11 @@ func BenchmarkFrontierContains(b *testing.B) {
 }
 
 // benchFrontier builds a frontier over 2²⁰ vertices with the given member
-// count, drawn from a seeded permutation and added in ascending or in drawn
-// order.
-func benchFrontier(members int, shuffled bool) *Frontier {
+// count, drawn from a seeded permutation and added in drawn order.
+func benchFrontier(members int) *Frontier {
 	const n = 1 << 20
 	f := NewFrontier(n)
-	picked := rand.New(rand.NewSource(1)).Perm(n)[:members]
-	if !shuffled {
-		sort.Ints(picked)
-	}
-	for _, v := range picked {
+	for _, v := range rand.New(rand.NewSource(1)).Perm(n)[:members] {
 		f.Add(v)
 	}
 	return f
@@ -78,30 +74,18 @@ func benchFrontier(members int, shuffled bool) *Frontier {
 
 // BenchmarkFrontierRangeIn walks the frontier interval by interval, as the
 // predictor and every ROP row do: one op is P = 16 RangeIn windows covering
-// the universe. The sparse cases hold |V|/32 members (in the list); the
-// dense case holds |V|/8, past the sparse capacity (bitmap scan). One
-// untimed pass comes first, so sparse_shuffled is the steady state after
-// the list was put in order, not the one sort that does it.
+// the universe, at |V|/4096, |V|/32 and |V|/8 members, after one untimed
+// pass.
 func BenchmarkFrontierRangeIn(b *testing.B) {
 	const n, p = 1 << 20, 16
-	for _, c := range []struct {
-		name  string
-		f     *Frontier
-		dense bool
-	}{
-		{"sparse_inorder", benchFrontier(n/32, false), false},
-		{"sparse_shuffled", benchFrontier(n/32, true), false},
-		{"dense", benchFrontier(n/8, true), true},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			if c.f.IsDense() != c.dense {
-				b.Fatalf("setup: IsDense = %v", c.f.IsDense())
-			}
+	for _, den := range []int{4096, 32, 8} {
+		f := benchFrontier(n / den)
+		b.Run(fmt.Sprintf("members=n/%d", den), func(b *testing.B) {
 			b.ReportAllocs()
 			sum := 0
 			pass := func() {
 				for w := 0; w < p; w++ {
-					c.f.RangeIn(w*n/p, (w+1)*n/p, func(v int) bool { sum += v; return true })
+					f.RangeIn(w*n/p, (w+1)*n/p, func(v int) bool { sum += v; return true })
 				}
 			}
 			pass()
@@ -115,11 +99,11 @@ func BenchmarkFrontierRangeIn(b *testing.B) {
 }
 
 // BenchmarkFrontierCountIn is the selective-scheduling test ("does this
-// interval hold an active vertex") on a sparse frontier built out of order:
-// one op is P = 16 windows, after one untimed pass.
+// interval hold an active vertex") at |V|/32 members added out of order: one
+// op is P = 16 windows, after one untimed pass.
 func BenchmarkFrontierCountIn(b *testing.B) {
 	const n, p = 1 << 20, 16
-	f := benchFrontier(n/32, true)
+	f := benchFrontier(n / 32)
 	b.ReportAllocs()
 	sum := 0
 	pass := func() {
@@ -137,33 +121,30 @@ func BenchmarkFrontierCountIn(b *testing.B) {
 
 var benchSink int
 
-// BenchmarkFrontierOrdered times the one ordering an out-of-order sparse
-// frontier owes per iteration, over 2¹⁸ vertices: m members, added in a
-// seeded random order, are put back in arrival order and ordered again.
-// The sub-benchmark names the path rebuildFromBitmap picks for m; the op
-// includes copying the m arrivals back.
-func BenchmarkFrontierOrdered(b *testing.B) {
-	const n = 1 << 18
-	for _, m := range []int{8, 1024, 16384} {
-		f := NewFrontier(n)
-		for _, v := range rand.New(rand.NewSource(1)).Perm(n)[:m] {
-			f.Add(v)
-		}
-		if f.IsDense() {
-			b.Fatalf("m=%d: expected a sparse frontier", m)
-		}
-		arrival := append([]int(nil), f.sparse...)
-		path := "sort"
-		if rebuildFromBitmap(m, len(f.dense.words)) {
-			path = "bitmap"
-		}
-		b.Run(fmt.Sprintf("m=%d/%s", m, path), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(f.sparse, arrival)
-				f.unsorted = true
-				benchSink += len(f.ordered())
-			}
-		})
+// BenchmarkFrontierAddAtomic times concurrent activation as ROP's push
+// workers make it: one op is one AddAtomic of a vertex not yet active. The
+// workers claim op numbers 1 024 at a time; op k activates vertex
+// perm[k mod 2¹⁸] of frontier k / 2¹⁸, so every frontier fills from empty to
+// full under all the workers at once.
+func BenchmarkFrontierAddAtomic(b *testing.B) {
+	const n, chunk = 1 << 18, 1024
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	fs := make([]*Frontier, (b.N+runtime.GOMAXPROCS(0)*chunk)/n+1)
+	for i := range fs {
+		fs[i] = NewFrontier(n)
 	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var k, end int64
+		for pb.Next() {
+			if k == end {
+				end = next.Add(chunk)
+				k = end - chunk
+			}
+			fs[k/n].AddAtomic(perm[k%n])
+			k++
+		}
+	})
 }

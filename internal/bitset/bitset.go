@@ -1,11 +1,13 @@
-// Package bitset provides dense and sparse vertex-set representations used
-// by the HUS-Graph engine to track active vertices.
+// Package bitset provides the dense bitmap the HUS-Graph engine tracks
+// active vertices with.
 //
-// The engine switches between a push model (ROP), which iterates a usually
+// The engine switches between a push model (ROP), which enumerates a usually
 // small set of active vertices, and a pull model (COP), which tests
-// membership for every in-neighbor it scans. Frontier supports both access
-// patterns efficiently by keeping a dense bitmap and, while the set is
-// small, a sparse list of members.
+// membership for every in-neighbor it scans. Frontier serves both from one
+// bitmap and a member count: COP tests a bit, ROP walks the bitmap's words
+// ANDed with a block's source mask. AddAtomic runs concurrently with other
+// AddAtomic and MergeAtomic calls; readers may run concurrently with each
+// other, but never with a writer.
 package bitset
 
 import (
@@ -93,23 +95,18 @@ func (b *Bitset) CountRange(lo, hi int) int {
 	if lo < 0 || hi > b.n || lo > hi {
 		panic(fmt.Sprintf("bitset: bad range [%d,%d) for capacity %d", lo, hi, b.n))
 	}
-	c := 0
-	for i := lo; i < hi && i%wordBits != 0; i++ {
-		if b.Test(i) {
-			c++
-		}
+	if lo == hi {
+		return 0
 	}
-	start := (lo + wordBits - 1) / wordBits * wordBits
-	if start > hi {
-		return c
+	first, last := lo/wordBits, (hi-1)/wordBits
+	head := b.words[first] &^ (1<<(uint(lo)%wordBits) - 1)            // bits ≥ lo
+	tail := ^uint64(0) >> ((wordBits - uint(hi)%wordBits) % wordBits) // bits < hi
+	if first == last {
+		return bits.OnesCount64(head & tail)
 	}
-	for w := start / wordBits; (w+1)*wordBits <= hi; w++ {
-		c += bits.OnesCount64(b.words[w])
-	}
-	for i := hi / wordBits * wordBits; i < hi; i++ {
-		if i >= start && b.Test(i) {
-			c++
-		}
+	c := bits.OnesCount64(head) + bits.OnesCount64(b.words[last]&tail)
+	for _, w := range b.words[first+1 : last] {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -281,14 +278,10 @@ func (b *Bitset) maskedExtent(lo int, mask []uint64) (first, last int, ok bool) 
 	}
 }
 
-// Members returns the set bits in ascending order.
+// Members returns the set bits in ascending order: one pass over the words,
+// no call per bit.
 func (b *Bitset) Members() []int {
-	return b.appendMembers(make([]int, 0, b.Count()))
-}
-
-// appendMembers appends the set bits to s in ascending order: one pass over
-// the words, no call per bit.
-func (b *Bitset) appendMembers(s []int) []int {
+	s := make([]int, 0, b.Count())
 	for w, word := range b.words {
 		for ; word != 0; word &= word - 1 {
 			s = append(s, w*wordBits+bits.TrailingZeros64(word))

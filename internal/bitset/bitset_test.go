@@ -78,17 +78,18 @@ func TestCountRange(t *testing.T) {
 		b.Set(v)
 		ref[v] = true
 	}
-	for trial := 0; trial < 100; trial++ {
-		lo := rng.Intn(518)
-		hi := lo + rng.Intn(518-lo)
-		want := 0
-		for i := lo; i < hi; i++ {
-			if ref[i] {
-				want++
-			}
+	prefix := make([]int, 518) // prefix[i] = set bits below i
+	for i, set := range ref {
+		prefix[i+1] = prefix[i]
+		if set {
+			prefix[i+1]++
 		}
-		if got := b.CountRange(lo, hi); got != want {
-			t.Fatalf("CountRange(%d,%d) = %d, want %d", lo, hi, got, want)
+	}
+	for lo := 0; lo <= 517; lo++ {
+		for hi := lo; hi <= 517; hi++ {
+			if got, want := b.CountRange(lo, hi), prefix[hi]-prefix[lo]; got != want {
+				t.Fatalf("CountRange(%d,%d) = %d, want %d", lo, hi, got, want)
+			}
 		}
 	}
 }

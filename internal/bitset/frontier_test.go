@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -13,9 +14,6 @@ func TestFrontierEmpty(t *testing.T) {
 	f := NewFrontier(100)
 	if !f.Empty() || f.Count() != 0 || f.Len() != 100 {
 		t.Fatalf("fresh frontier: empty=%v count=%d len=%d", f.Empty(), f.Count(), f.Len())
-	}
-	if f.IsDense() {
-		t.Fatal("fresh frontier should start sparse")
 	}
 }
 
@@ -37,8 +35,8 @@ func TestFrontierAdd(t *testing.T) {
 
 func TestFullFrontier(t *testing.T) {
 	f := FullFrontier(37)
-	if f.Count() != 37 || !f.IsDense() {
-		t.Fatalf("FullFrontier: count=%d dense=%v", f.Count(), f.IsDense())
+	if f.Count() != 37 {
+		t.Fatalf("FullFrontier: count=%d", f.Count())
 	}
 	for i := 0; i < 37; i++ {
 		if !f.Contains(i) {
@@ -47,30 +45,8 @@ func TestFullFrontier(t *testing.T) {
 	}
 }
 
-func TestFrontierDensification(t *testing.T) {
-	// Capacity 4096 → sparse cap = max(4096/16, 64) = 256.
-	f := NewFrontier(4096)
-	for i := 0; i < 256; i++ {
-		f.Add(i)
-	}
-	if f.IsDense() {
-		t.Fatal("frontier densified too early")
-	}
-	f.Add(999)
-	if !f.IsDense() {
-		t.Fatal("frontier did not densify past threshold")
-	}
-	// Membership must survive densification.
-	if !f.Contains(0) || !f.Contains(255) || !f.Contains(999) {
-		t.Fatal("membership lost after densification")
-	}
-	if f.Count() != 257 {
-		t.Fatalf("Count = %d, want 257", f.Count())
-	}
-}
-
 func TestFrontierMembersSortedBothModes(t *testing.T) {
-	// Sparse mode: unordered adds.
+	// A few members, added out of order.
 	f := NewFrontier(1000)
 	for _, v := range []int{50, 3, 700, 20} {
 		f.Add(v)
@@ -78,7 +54,7 @@ func TestFrontierMembersSortedBothModes(t *testing.T) {
 	if got := f.Members(); !reflect.DeepEqual(got, []int{3, 20, 50, 700}) {
 		t.Fatalf("sparse Members = %v", got)
 	}
-	// Dense mode.
+	// Every vertex.
 	d := FullFrontier(5)
 	if got := d.Members(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("dense Members = %v", got)
@@ -92,12 +68,8 @@ func TestFrontierRangeIn(t *testing.T) {
 			f.Add(i)
 		}
 		if dense {
-			// Force densification by exceeding the sparse cap.
 			for i := 1; i <= 70; i++ {
 				f.Add(i)
-			}
-			if !f.IsDense() {
-				t.Fatal("setup: expected dense")
 			}
 		}
 		var seen []int
@@ -189,27 +161,26 @@ func TestFrontierRangeStop(t *testing.T) {
 }
 
 func TestFrontierSparseEqualsDenseSemantics(t *testing.T) {
-	// The same logical set built in both regimes must agree on all queries.
+	// The same set built one vertex at a time and merged in as a whole must
+	// agree on every query.
 	rng := rand.New(rand.NewSource(42))
 	vals := map[int]bool{}
 	for i := 0; i < 40; i++ {
 		vals[rng.Intn(2000)] = true
 	}
-	sparse := NewFrontier(2000)
-	dense := NewFrontier(2000)
+	added := NewFrontier(2000)
 	for v := range vals {
-		sparse.Add(v)
-		dense.Add(v)
+		added.Add(v)
 	}
-	// Densify one copy by flooding then comparing only common members is
-	// wrong; instead force density via direct adds of the same set using a
-	// tiny universe where the threshold is minimal.
-	if !reflect.DeepEqual(sparse.Members(), dense.Members()) {
-		t.Fatal("two identical frontiers disagree")
+	merged := NewFrontier(2000)
+	merged.MergeAtomic(added)
+	merged.Reindex()
+	if merged.Count() != added.Count() || !reflect.DeepEqual(added.Members(), merged.Members()) {
+		t.Fatal("two frontiers holding one set disagree")
 	}
 	for v := 0; v < 2000; v++ {
-		if sparse.Contains(v) != vals[v] {
-			t.Fatalf("Contains(%d) = %v, want %v", v, sparse.Contains(v), vals[v])
+		if added.Contains(v) != vals[v] || merged.Contains(v) != vals[v] {
+			t.Fatalf("Contains(%d) = %v / %v, want %v", v, added.Contains(v), merged.Contains(v), vals[v])
 		}
 	}
 }
@@ -272,17 +243,17 @@ func checkOrderedReads(t *testing.T, rng *rand.Rand, f *Frontier, label string) 
 	}
 }
 
-// TestFrontierOrderedReadsMatchBitmap is the property behind the
-// ordered-once sparse list: whatever order members arrive in — through Add
-// or through concurrent AddAtomic, below, at and past the sparse capacity —
-// and whether the frontier was built, merged and reindexed, or cloned,
-// every ordered read answers exactly as the dense bitmap does.
+// TestFrontierOrderedReadsMatchBitmap: whatever order members arrive in —
+// through Add or through concurrent AddAtomic, at densities from a few
+// members to most of the universe — and whether the frontier was built,
+// merged and reindexed, or cloned, every ordered read answers exactly as the
+// bitmap does.
 func TestFrontierOrderedReadsMatchBitmap(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 64; trial++ {
 		n := 64 + rng.Intn(1<<16-64+1)
 		f := NewFrontier(n)
-		limit := f.sparseCap()
+		limit := max(n/16, 64) // the densities straddle |V|/16
 		var k int
 		switch trial % 4 {
 		case 0:
@@ -316,16 +287,13 @@ func TestFrontierOrderedReadsMatchBitmap(t *testing.T) {
 				f.Add(v)
 			}
 		}
-		label := fmt.Sprintf("trial %d (n=%d k=%d cap=%d atomic=%v)", trial, n, k, limit, atomicAdds)
-		if f.IsDense() != (k > limit) {
-			t.Fatalf("%s: IsDense = %v", label, f.IsDense())
-		}
+		label := fmt.Sprintf("trial %d (n=%d k=%d atomic=%v)", trial, n, k, atomicAdds)
 
-		clone := f.Clone() // taken before f's first ordered read
+		clone := f.Clone()
 		checkOrderedReads(t, rng, f, label)
 		checkOrderedReads(t, rng, clone, label+" clone")
 
-		// Two more out-of-order members after the list was ordered once.
+		// Two more members, below and above the others, after the first reads.
 		for _, v := range []int{n - 1, 0} {
 			f.Add(v)
 		}
@@ -333,7 +301,7 @@ func TestFrontierOrderedReadsMatchBitmap(t *testing.T) {
 
 		merged := NewFrontier(n)
 		merged.Add(n / 2)
-		merged.Add(n / 3) // an unordered list of its own, discarded by Reindex
+		merged.Add(n / 3)
 		merged.MergeAtomic(f)
 		merged.MergeAtomic(clone)
 		merged.Reindex()
@@ -341,142 +309,100 @@ func TestFrontierOrderedReadsMatchBitmap(t *testing.T) {
 	}
 }
 
-// TestFrontierFirstOrderedReadsConcurrent has many readers race for the one
-// sort an out-of-order frontier owes (run under -race): a shard run's K
-// workers all open their iteration on the same frontier.
-func TestFrontierFirstOrderedReadsConcurrent(t *testing.T) {
-	const n, k, readers = 1 << 14, 900, 16
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 20; round++ {
-		f := NewFrontier(n)
-		for _, v := range rng.Perm(n)[:k] {
-			f.Add(v)
-		}
-		want := f.Bitmap().Members()
-		var wg sync.WaitGroup
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				lo, hi := r*n/readers, (r+1)*n/readers
-				in := 0
-				for _, v := range want {
-					if v >= lo && v < hi {
-						in++
-					}
+// TestFrontierCountExact: the member count is the frontier's only state
+// beside the bitmap. Four goroutines activate vertices with AddAtomic, many
+// of them twice, while a fifth merges in a quiescent piece whose members
+// share the adders' words but none of their bits (run under -race). Before
+// Reindex the count is exactly the number of AddAtomic calls that returned
+// true; after it, the bitmap's popcount, which is that number plus the
+// piece's members.
+func TestFrontierCountExact(t *testing.T) {
+	const adders = 4
+	rng := rand.New(rand.NewSource(34))
+	for _, n := range []int{1, 64, 1000, 1 << 16} {
+		for _, draws := range []int{1, n / 64, n / 8, 2 * n} {
+			f := NewFrontier(n)
+			piece := NewFrontier(n)
+			for v := 1; v < n; v += 2 {
+				if rng.Intn(4) == 0 {
+					piece.Add(v)
 				}
-				switch r % 3 {
-				case 0:
-					if got := f.CountIn(lo, hi); got != in {
-						t.Errorf("reader %d: CountIn(%d, %d) = %d, want %d", r, lo, hi, got, in)
-					}
-				case 1:
-					prev, seen := -1, 0
-					f.RangeIn(lo, hi, func(v int) bool {
-						if v <= prev {
-							t.Errorf("reader %d: RangeIn visited %d after %d", r, v, prev)
+			}
+			picks := make([][]int, adders)
+			for g := range picks {
+				for i := 0; i < draws; i++ {
+					picks[g] = append(picks[g], rng.Intn(n)&^1) // even vertices only
+				}
+			}
+			var wg sync.WaitGroup
+			var added atomic.Int64
+			for g := range picks {
+				wg.Add(1)
+				go func(vs []int) {
+					defer wg.Done()
+					for _, v := range vs {
+						if f.AddAtomic(v) {
+							added.Add(1)
 						}
-						prev = v
-						seen++
-						return true
-					})
-					if seen != in {
-						t.Errorf("reader %d: RangeIn(%d, %d) visited %d, want %d", r, lo, hi, seen, in)
 					}
-				default:
-					if got := f.Members(); !slices.Equal(got, want) {
-						t.Errorf("reader %d: Members out of order or incomplete", r)
-					}
-				}
-			}(r)
+				}(picks[g])
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f.MergeAtomic(piece)
+			}()
+			wg.Wait()
+			label := fmt.Sprintf("n=%d, %d draws per adder", n, draws)
+			if got, want := f.Count(), int(added.Load()); got != want {
+				t.Fatalf("%s: Count before Reindex = %d, %d AddAtomic calls returned true", label, got, want)
+			}
+			f.Reindex()
+			popcount := f.Bitmap().Count()
+			if f.Count() != popcount || popcount != int(added.Load())+piece.Count() {
+				t.Fatalf("%s: Count after Reindex = %d, popcount %d, %d added + %d merged",
+					label, f.Count(), popcount, added.Load(), piece.Count())
+			}
 		}
-		wg.Wait()
 	}
 }
 
-// TestFrontierSparseReadsDoNotAllocate guards the point of the ordered-once
-// list: a sparse frontier answers Range, RangeIn and CountIn from the list
-// it already holds. Copying and sorting it per call — one allocation and
-// O(k log k) per window — is what made sparse iterations cost O(|V|).
+// TestFrontierSparseReadsDoNotAllocate guards the reads ROP and the
+// planners make every iteration: Range, RangeIn, CountIn, RangeMasked and
+// MaskedExtent walk the bitmap in place, at a sparse and at a dense frontier.
 func TestFrontierSparseReadsDoNotAllocate(t *testing.T) {
 	const n = 1 << 16
-	f := NewFrontier(n)
-	for _, v := range rand.New(rand.NewSource(3)).Perm(n)[:n/32] {
-		f.Add(v)
+	mask := make([]uint64, n/4/wordBits)
+	for k := range mask {
+		mask[k] = 0x5555_5555_5555_5555
 	}
-	if f.IsDense() {
-		t.Fatal("setup: expected a sparse frontier")
-	}
-	sink := 0
-	for name, read := range map[string]func(){
-		"Range":   func() { f.Range(func(v int) bool { sink += v; return true }) },
-		"RangeIn": func() { f.RangeIn(n/4, n/2, func(v int) bool { sink += v; return true }) },
-		"CountIn": func() { sink += f.CountIn(n/4, n/2) },
-	} {
-		if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
-			t.Errorf("%s on a sparse frontier allocates %.0f times per call", name, allocs)
-		}
-	}
-	_ = sink
-}
-
-// TestFrontierOrderingPathsAgree: an out-of-order sparse list is put in
-// order by sorting it or by rewriting it from the bitmap, whichever its size
-// makes cheaper (rebuildFromBitmap). Both must give the bitmap's ascending
-// members, so they are checked against each other on the list as it
-// arrived, and every ordered read against the bitmap — at member counts
-// either side of the crossover, at it, and up to the sparse capacity, each
-// built by concurrent AddAtomic calls.
-func TestFrontierOrderingPathsAgree(t *testing.T) {
-	const n, adders = 1 << 18, 4
-	rng := rand.New(rand.NewSource(30))
-	words := (n + wordBits - 1) / wordBits
-	crossover := 1
-	for !rebuildFromBitmap(crossover, words) {
-		crossover++
-	}
-	if rebuildFromBitmap(crossover-1, words) || !rebuildFromBitmap(crossover+1, words) {
-		t.Fatalf("the choice is not monotone in m around %d", crossover)
-	}
-	limit := NewFrontier(n).sparseCap()
-	for _, m := range []int{0, 1, 63, crossover - 1, crossover, crossover + 1, limit} {
+	for _, members := range []int{n / 4096, n / 8} {
 		f := NewFrontier(n)
-		order := rng.Perm(n)[:m]
-		var wg sync.WaitGroup
-		for g := 0; g < adders; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; i < m; i += adders {
-					f.AddAtomic(order[i])
-				}
-			}(g)
+		for _, v := range rand.New(rand.NewSource(3)).Perm(n)[:members] {
+			f.Add(v)
 		}
-		wg.Wait()
-		label := fmt.Sprintf("m=%d (crossover %d, bitmap path %v)", m, crossover, rebuildFromBitmap(m, words))
-		if f.IsDense() || len(f.sparse) != m || f.unsorted != (m > 1) {
-			t.Fatalf("%s: IsDense %v, %d listed, unsorted %v", label, f.IsDense(), len(f.sparse), f.unsorted)
+		sink := 0
+		for name, read := range map[string]func(){
+			"Range":        func() { f.Range(func(v int) bool { sink += v; return true }) },
+			"RangeIn":      func() { f.RangeIn(n/4, n/2, func(v int) bool { sink += v; return true }) },
+			"CountIn":      func() { sink += f.CountIn(n/4, n/2) },
+			"RangeMasked":  func() { f.RangeMasked(n/4, mask, func(v int) bool { sink += v; return true }) },
+			"MaskedExtent": func() { first, last, _ := f.MaskedExtent(n/4, mask); sink += first + last },
+		} {
+			if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+				t.Errorf("%s at %d members allocates %.0f times per call", name, members, allocs)
+			}
 		}
-		want := f.Bitmap().Members()
-		sorted := slices.Clone(f.sparse)
-		slices.Sort(sorted)
-		if !slices.Equal(sorted, want) {
-			t.Fatalf("%s: the sorted list differs from the bitmap's members", label)
-		}
-		if rebuilt := f.dense.appendMembers(nil); !slices.Equal(rebuilt, want) {
-			t.Fatalf("%s: the list rebuilt from the bitmap differs from its members", label)
-		}
-		checkOrderedReads(t, rng, f, label)
+		_ = sink
 	}
 }
 
 // TestFrontierRangeMaskedPathsAgree: the frontier ∧ mask walk ROP visits a
-// block with has two paths — a sparse frontier tests the mask bit of each
-// member, a dense one ANDs bitmap words shifted to the mask's origin — and
-// both must yield exactly the members v ≥ lo with mask bit v−lo set,
-// ascending, stop when told to, and agree with MaskedExtent's two ends: at
-// origins on and off a word boundary, masks that end inside, at and past the
-// universe, and frontiers on either side of the sparse capacity.
+// block with ANDs bitmap words shifted to the mask's origin. It must yield
+// exactly the members v ≥ lo with mask bit v−lo set, ascending, stop when
+// told to, and agree with MaskedExtent's two ends: at origins on and off a
+// word boundary, masks that end inside, at and past the universe, and
+// frontiers from empty to dense.
 func TestFrontierRangeMaskedPathsAgree(t *testing.T) {
 	const n = 1000
 	rng := rand.New(rand.NewSource(5))
@@ -497,7 +423,7 @@ func TestFrontierRangeMaskedPathsAgree(t *testing.T) {
 						want = append(want, v)
 					}
 				}
-				what := fmt.Sprintf("%d members (dense %v), lo %d, %d mask words", members, f.IsDense(), lo, words)
+				what := fmt.Sprintf("%d members, lo %d, %d mask words", members, lo, words)
 				collect := func(rangeMasked func(int, []uint64, func(int) bool)) []int {
 					var got []int
 					rangeMasked(lo, mask, func(v int) bool {

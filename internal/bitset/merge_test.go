@@ -9,8 +9,8 @@ import (
 // TestMergeDisjointPiecesEqualsUnsharded is the shard-boundary merge
 // property: splitting a frontier's universe into K disjoint interval
 // ranges, building one piece frontier per range, and OR-merging the pieces
-// reproduces the unsharded frontier exactly — members, count, sparse/dense
-// state, and every range count.
+// reproduces the unsharded frontier exactly — members, count and every range
+// count.
 func TestMergeDisjointPiecesEqualsUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -41,10 +41,6 @@ func TestMergeDisjointPiecesEqualsUnsharded(t *testing.T) {
 		}
 		if merged.Count() != whole.Count() {
 			t.Fatalf("trial %d: merged count %d, unsharded %d", trial, merged.Count(), whole.Count())
-		}
-		if merged.IsDense() != whole.IsDense() {
-			t.Fatalf("trial %d (n=%d count=%d): merged IsDense=%v, unsharded %v",
-				trial, n, whole.Count(), merged.IsDense(), whole.IsDense())
 		}
 		wm, mm := whole.Members(), merged.Members()
 		if len(wm) != len(mm) {

@@ -17,7 +17,6 @@ var testOnlyExports = map[string]string{
 	"graph.ReadBinary":               "WriteBinary's inverse, which is how a library user loads what husgen -out writes; the codec round-trip tests are its callers",
 	"blockstore.BuildStreaming":      "BuildStreamingOpts with the weighted default, the streaming twin of Build/BuildWithFormat; its signature is frozen",
 	"bitset.Bitset.Equal":            "assertion helper: the merge tests compare a merged frontier's bitmap against the unsharded one",
-	"bitset.Frontier.IsDense":        "assertion helper: the frontier tests and benchmarks pin which representation a density yields",
 	"storage.FaultCounters.Injected": "assertion helper: the chaos matrix checks that a scenario's faults actually fired",
 	"shard.Coordinator.NumShards":    "assertion helper: TestShardCombinedStats checks the K the coordinator resolved",
 	"shard.Coordinator.ShardDevices": "assertion helper: the shard tests check that every shard's own device was charged",

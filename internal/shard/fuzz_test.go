@@ -118,9 +118,10 @@ func wantBits(t *testing.T, what string, c engineCase, got, want []float64) {
 // one answer. Over a small graph — up to 64 vertices and 256 edges, edgeless,
 // with self-loops or a hub — and any P, K, storage format, model, thread
 // count, prefetch depth, cache budget and semi-external setting, BFS, WCC,
-// SSSP and SSSP-Delta equal the serial oracles to the bit, and five PageRank
-// iterations equal the same model's run at K = 1, one thread, no prefetch,
-// no cache, raw storage.
+// SSSP, SSSP-Delta and Coreness equal the serial oracles to the bit, and five
+// PageRank iterations and a converged PageRank-Delta equal the same model's
+// run at K = 1, one thread, no prefetch, no cache, raw storage. Coreness and
+// PageRank-Delta start from a full frontier that shrinks to a sparse one.
 func FuzzEngineConfig(f *testing.F) {
 	// seed lays a case out the way decodeEngineCase reads it: the eleven
 	// header bytes, then the edge triples.
@@ -151,13 +152,17 @@ func FuzzEngineConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, g, src := decodeEngineCase(data)
 		wantBits(t, "BFS", c, c.run(t, g, false, algos.BFS{Source: src}, 0), algos.OracleBFS(g, src))
-		wantBits(t, "WCC", c, c.run(t, g.Symmetrize(), false, algos.WCC{}, 0), algos.OracleWCC(g))
+		sym := g.Symmetrize()
+		wantBits(t, "WCC", c, c.run(t, sym, false, algos.WCC{}, 0), algos.OracleWCC(g))
 		dist := algos.OracleSSSP(g, src)
 		wantBits(t, "SSSP", c, c.run(t, g, true, algos.SSSP{Source: src}, 0), dist)
 		wantBits(t, "SSSP-Delta", c, c.run(t, g, true, algos.DeltaSSSP{Source: src}, 0), dist)
+		wantBits(t, "Coreness", c, c.run(t, sym, false, &algos.Coreness{}, 0), algos.OracleCoreness(sym))
 
 		ref := engineCase{p: c.p, k: 1, format: blockstore.FormatRaw, model: c.model, threads: 1}
 		wantBits(t, fmt.Sprintf("PageRank against %+v", ref), c,
 			c.run(t, g, false, &algos.PageRank{}, 5), ref.run(t, g, false, &algos.PageRank{}, 5))
+		wantBits(t, fmt.Sprintf("PageRank-Delta against %+v", ref), c,
+			c.run(t, g, false, &algos.PageRankDelta{}, 0), ref.run(t, g, false, &algos.PageRankDelta{}, 0))
 	})
 }
