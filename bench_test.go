@@ -485,39 +485,6 @@ func TestBenchDatasetsSane(t *testing.T) {
 	}
 }
 
-// BenchmarkExtensionSemiExternal quantifies the semi-external mode
-// (vertex values pinned in memory, FlashGraph-style — DESIGN.md §4a):
-// identical results, edge/index I/O only.
-func BenchmarkExtensionSemiExternal(b *testing.B) {
-	r := runner()
-	d, err := r.Dataset("uk-sim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := r.Graph(d, false)
-	for _, semi := range []bool{false, true} {
-		semi := semi
-		name := "external"
-		if semi {
-			name = "semi-external"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ds, err := r.Store(d, false, false, storage.HDD)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng := core.New(ds, core.Config{Model: core.ModelHybrid, SemiExternal: semi})
-				res, err := eng.Run(algos.BFS{Source: gen.BFSSource(g)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportResult(b, res)
-			}
-		})
-	}
-}
-
 // BenchmarkExtensionCompression measures the per-block compressed (mixed) format's
 // I/O-vs-CPU trade on a full PageRank run (DESIGN.md §4a).
 func BenchmarkExtensionCompression(b *testing.B) {

@@ -6,8 +6,8 @@
 //
 //	husgraph -dataset twitter-sim -algo BFS [-system hus|graphchi|gridgraph|xstream]
 //	         [-model hybrid|rop|cop] [-device hdd|ssd|nvme|ram] [-threads N] [-p P]
-//	         [-membudget BYTES] [-shards K] [-delta W] [-format raw|mixed] [-sem]
-//	         [-sem-budget-mb MB] [-trace] [-stats] [-input edges.txt] [-store DIR]
+//	         [-membudget BYTES] [-shards K] [-delta W] [-format raw|mixed]
+//	         [-trace] [-stats] [-input edges.txt] [-store DIR]
 //	         [-valuesout FILE] [-prefetch DEPTH] [-cache-mb MB]
 //	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D]
 //	         [-read-deadline D] [-fault-transient N] [-fault-bitflip N] [-fault-delay N]
@@ -35,8 +35,7 @@
 // I/O scheduler, over one pair of shared vertex arrays; their frontier
 // pieces are merged at the iteration barrier (internal/shard). Results are
 // bit-identical to -shards 1 at every K; K must divide P — rejected at
-// startup otherwise, as is a -sem residency the whole shard fleet cannot
-// fit in -sem-budget-mb. -stats adds the per-shard table.
+// startup otherwise. -stats adds the per-shard table.
 //
 // The flags only the hus engine reads (husOnlyFlags below) are startup
 // errors under any other -system, not silently ignored; so are the flags
@@ -48,11 +47,12 @@
 //
 // -format mixed builds compressed edge blocks, raw or varint per block:
 // a block is stored delta-gap varint coded where that is smaller and stays
-// raw where it is not, trading CPU decode for disk bandwidth. -sem enables
-// semi-external-memory mode (GraphMP's configuration): vertex arrays and
-// all out-indices are pinned in RAM — asserted to fit, failing fast with
-// a sizing message otherwise — so iterations charge only edge I/O. The
-// two compose: compression shrinks the remaining edge reads further.
+// raw where it is not, trading CPU decode for disk bandwidth.
+//
+// Vertex values, degrees and frontiers always live in memory and only
+// edges and their indices are read from the store (GraphMP's
+// semi-external design), so every run charges the device for edge I/O
+// alone.
 //
 // The fault flags wrap the store in a deterministic fault injector (reads
 // only, after the store is built) to demonstrate the durability machinery:
@@ -131,8 +131,6 @@ func run() error {
 	trace := flag.Bool("trace", false, "print per-iteration statistics")
 	storeDir := flag.String("store", "", "keep the dual-block store in real files under this directory")
 	formatName := flag.String("format", "raw", "block record format: raw|mixed (mixed is raw or varint per block: delta-varint where that is smaller, raw where compression does not pay)")
-	sem := flag.Bool("sem", false, "semi-external-memory mode: pin vertex arrays and all out-indices in RAM, charging only edge I/O; fails fast with a sizing message when the residency exceeds -sem-budget-mb (hus only)")
-	semBudgetMB := flag.Int64("sem-budget-mb", 0, "memory budget in MiB the semi-external residency must fit in (0 = autodetect total system RAM; hus only)")
 	valuesOut := flag.String("valuesout", "", "write final vertex values to this file (one 'vertex value' line each)")
 	checkpointEvery := flag.Int("checkpoint", 0, "persist a resumable checkpoint every N iterations (0 = off; hus only)")
 	resume := flag.Bool("resume", false, "resume from a persisted checkpoint when one exists (hus only)")
@@ -158,7 +156,7 @@ func run() error {
 		return err
 	}
 	if err := needsMet(explicit, map[string]bool{
-		"store": *storeDir != "", "sem": *sem, "retries": *retries > 0,
+		"store": *storeDir != "", "retries": *retries > 0,
 		"fault-transient": *faultTransient > 0, "fault-bitflip": *faultBitflip > 0,
 		"fault-delay": *faultDelay > 0, "fault-stall": *faultStall > 0,
 	}); err != nil {
@@ -280,18 +278,8 @@ func run() error {
 			}
 		}
 		dev.Reset() // exclude preprocessing from the run accounting
-		semBudget := int64(0)
-		if *sem {
-			semBudget = *semBudgetMB << 20
-			if semBudget == 0 {
-				// 0 leaves the check off on platforms without a RAM probe.
-				semBudget = core.SystemRAMBytes()
-			}
-		}
 		cfg := core.Config{
 			Model:            model,
-			SemiExternal:     *sem,
-			SemBudgetBytes:   semBudget,
 			Threads:          *threads,
 			MaxIters:         algo.MaxIters,
 			CheckpointEvery:  *checkpointEvery,
@@ -497,7 +485,7 @@ func summaryLabel(algo, system, dataset, input, device string) string {
 // husOnlyFlags are the flags only the hus engine reads; the baseline
 // systems would ignore every one of them.
 var husOnlyFlags = []string{
-	"input", "model", "format", "store", "membudget", "shards", "sem", "sem-budget-mb",
+	"input", "model", "format", "store", "membudget", "shards",
 	"checkpoint", "resume", "prefetch", "cache-mb", "stats",
 	"retries", "retry-backoff", "read-deadline",
 	"fault-transient", "fault-bitflip", "fault-delay", "fault-delay-by", "fault-stall", "fault-after", "fault-seed",
@@ -523,15 +511,14 @@ var faultCounts = []string{"fault-transient", "fault-bitflip", "fault-delay", "f
 
 // flagNeeds lists the flags that can only take effect alongside another:
 // -resume reads a checkpoint, which only a -store directory can hold (the
-// in-memory store is built fresh by this process); -sem-budget-mb sizes
-// -sem; -retry-backoff paces -retries; -fault-delay-by is the -fault-delay
-// latency; -fault-after and -fault-seed schedule injected faults.
+// in-memory store is built fresh by this process); -retry-backoff paces
+// -retries; -fault-delay-by is the -fault-delay latency; -fault-after and
+// -fault-seed schedule injected faults.
 var flagNeeds = []struct {
 	flag  string
 	needs []string // any one of them on will do
 }{
 	{"resume", []string{"store"}},
-	{"sem-budget-mb", []string{"sem"}},
 	{"retry-backoff", []string{"retries"}},
 	{"fault-delay-by", []string{"fault-delay"}},
 	{"fault-after", faultCounts},

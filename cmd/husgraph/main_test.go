@@ -132,9 +132,6 @@ func TestNeedsMet(t *testing.T) {
 		{name: "nothing typed"},
 		{name: "resume without store", typed: []string{"resume"}, errPart: "-resume has no effect without -store"},
 		{name: "resume with store", typed: []string{"resume", "store"}, on: []string{"store"}},
-		{name: "sem budget without sem", typed: []string{"sem-budget-mb"}, errPart: "-sem-budget-mb has no effect without -sem"},
-		{name: "sem budget with sem off", typed: []string{"sem-budget-mb", "sem"}, errPart: "-sem-budget-mb has no effect without -sem"},
-		{name: "sem budget with sem", typed: []string{"sem-budget-mb", "sem"}, on: []string{"sem"}},
 		{name: "backoff without retries", typed: []string{"retry-backoff"}, errPart: "-retry-backoff has no effect without -retries"},
 		{name: "backoff with retries", typed: []string{"retry-backoff", "retries"}, on: []string{"retries"}},
 		{name: "delay-by without delay", typed: []string{"fault-delay-by", "fault-stall"}, on: []string{"fault-stall"}, errPart: "-fault-delay-by has no effect without -fault-delay"},

@@ -6,7 +6,9 @@
 //
 // Each baseline executes the computation for real (so results are
 // verifiable against the oracles) while charging the simulated device with
-// the I/O pattern of the original system's on-disk layout:
+// the I/O pattern of the original system's on-disk layout. Like the
+// HUS-Graph engine, none of them charges vertex state, which stays
+// resident, so Table 3 and Fig. 9 compare like with like:
 //
 //   - GraphChi reads every shard twice per iteration (once as the memory
 //     shard, once through the sliding windows) and writes the mutable edge
@@ -17,7 +19,7 @@
 //     format (12 bytes per edge vs HUS-Graph's 8-byte indexed records —
 //     the storage-compactness gap §4.4 calls out), skips blocks whose
 //     source chunk has no active vertices (block-level selective
-//     scheduling), and writes only vertex chunks.
+//     scheduling), and writes nothing: its vertex chunks are resident.
 //   - X-Stream streams the full unordered edge list every iteration
 //     (no selective scheduling at all), writes one update record per
 //     active edge in the scatter phase and re-reads those updates in the

@@ -162,12 +162,13 @@ func TestGridGraphSelectiveScheduling(t *testing.T) {
 	}
 	it := res.Iterations[0]
 	// Source chunk 0 (vertices 0..511) is the only active chunk; its row
-	// holds blocks (0,0) with 511 edges and (0,1) with 1 edge. Expected
-	// reads: 8 destination chunks + 2 source chunks (once per streamed
-	// block) + 512 edges. The other 4095-512 edges are skipped.
-	wantRead := int64(8*512*8 + 2*512*8 + 512*gridEdgeBytes)
-	if it.IO.ReadBytes() != wantRead {
-		t.Fatalf("read %d, want %d", it.IO.ReadBytes(), wantRead)
+	// holds blocks (0,0) with 511 edges and (0,1) with 1 edge, both
+	// streamed whole. Vertex state is resident, so those 512 edges are the
+	// whole read and nothing is written. The other 4095-512 edges are
+	// skipped.
+	wantRead := int64(512 * gridEdgeBytes)
+	if it.IO.ReadBytes() != wantRead || it.IO.WriteBytes() != 0 {
+		t.Fatalf("read %d and wrote %d, want %d and 0", it.IO.ReadBytes(), it.IO.WriteBytes(), wantRead)
 	}
 	fullEdges := int64(g.NumEdges()) * gridEdgeBytes
 	edgeRead := int64(512 * gridEdgeBytes)

@@ -24,8 +24,6 @@ const (
 	// xstreamUpdateBytes is one scatter-phase update record (target +
 	// value).
 	xstreamUpdateBytes = 8
-	// vertexValueBytes matches the engine's N.
-	vertexValueBytes = blockstore.VertexValueBytes
 )
 
 // GraphChi models the parallel-sliding-windows engine of Kyrola et al.
@@ -131,10 +129,9 @@ func (g *GridGraph) Device() *storage.Device { return g.dev }
 // Run implements System.
 //
 // Per iteration, the streaming-apply pass walks the grid column by column:
-// the destination chunk is read, every block of the column whose source
-// chunk contains at least one active vertex is streamed in edge-list
-// format together with its source chunk, and the destination chunk is
-// written back. Blocks with fully-inactive source chunks are skipped —
+// every block of the column whose source chunk contains at least one
+// active vertex is streamed in edge-list format. Blocks with
+// fully-inactive source chunks are skipped —
 // GridGraph's selective scheduling, which operates at block granularity
 // only (it still loads every edge of a block containing a single active
 // vertex, the gap HUS-Graph's ROP exploits).
@@ -148,15 +145,11 @@ func (g *GridGraph) Run() (*core.Result, error) {
 			activeChunk[i] = ex.frontier.CountIn(lo, hi) > 0
 		}
 		for j := 0; j < l.P; j++ {
-			dev.ReadSeq(int64(l.Size(j)) * vertexValueBytes) // destination chunk
 			for i := 0; i < l.P; i++ {
-				if !activeChunk[i] || g.counts[i][j] == 0 {
-					continue
+				if activeChunk[i] && g.counts[i][j] != 0 {
+					dev.ReadSeq(g.counts[i][j] * edgeBytes(gridEdgeBytes, g.cfg)) // edge block
 				}
-				dev.ReadSeq(int64(l.Size(i)) * vertexValueBytes)              // source chunk
-				dev.ReadSeq(g.counts[i][j] * edgeBytes(gridEdgeBytes, g.cfg)) // edge block
 			}
-			dev.WriteSeq(int64(l.Size(j)) * vertexValueBytes) // write back
 		}
 	}, func(ex *executor) int64 {
 		return int64(ex.in.NumEdges())
@@ -191,24 +184,21 @@ func (x *XStream) Device() *storage.Device { return x.dev }
 // Run implements System.
 //
 // Per iteration, the scatter phase streams the entire unordered edge list
-// (X-Stream has no selective scheduling whatsoever) with the source vertex
-// state, appending one update record per edge whose source is active; the
-// gather phase streams those updates back and applies them to the vertex
-// state, which is written out. Update traffic therefore scales with the
-// active edge count while edge traffic never shrinks.
+// (X-Stream has no selective scheduling whatsoever), appending one update
+// record per edge whose source is active; the gather phase streams those
+// updates back and applies them to the vertex state. Update traffic
+// therefore scales with the active edge count while edge traffic never
+// shrinks.
 func (x *XStream) Run() (*core.Result, error) {
 	cfg := x.cfg.withDefaults()
 	e := int64(x.ex.in.NumEdges())
-	n := int64(x.ex.ctx.NumVertices)
 	return runLoop(x.ex, x.dev, x.cfg, cfg.Threads, func(ex *executor, dev *storage.Device) {
 		updates := ex.activeOutEdges()
-		// Scatter: all edges + source vertex state in; updates out.
+		// Scatter: all edges in; updates out.
 		dev.ReadSeq(e * edgeBytes(xstreamEdgeBytes, x.cfg))
-		dev.ReadSeq(n * vertexValueBytes)
 		dev.WriteSeq(updates * xstreamUpdateBytes)
-		// Gather: updates in, vertex state out.
+		// Gather: updates in.
 		dev.ReadSeq(updates * xstreamUpdateBytes)
-		dev.WriteSeq(n * vertexValueBytes)
 	}, func(ex *executor) int64 {
 		return e + ex.activeOutEdges()
 	})

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"husgraph/internal/blockstore"
@@ -124,87 +122,5 @@ func TestEngineMixedStoreDecodesAndReadsLess(t *testing.T) {
 		if raw.TotalDecodedBytes() != 0 || raw.TotalDecodeModeled() != 0 {
 			t.Fatalf("%v: raw run metered decode work (%d bytes)", model, raw.TotalDecodedBytes())
 		}
-	}
-}
-
-// TestSemiExternalPinsOutIndices pins the -sem contract on the ROP path:
-// out-indices load once at pin time, so per-iteration reads shrink and
-// values stay bit-identical — on raw and on mixed stores (compression and
-// semi-external compose).
-func TestSemiExternalPinsOutIndices(t *testing.T) {
-	g := compressTestGraph()
-	for _, f := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
-		run := func(sem bool) *Result {
-			ds := buildFormat(t, g, f, storage.HDD)
-			res, err := New(ds, Config{Model: ModelROP, MaxIters: 4, SemiExternal: sem}).Run(testBFS{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		full, semi := run(false), run(true)
-		for v := range full.Values {
-			if full.Values[v] != semi.Values[v] {
-				t.Fatalf("%v: semi-external changed value[%d]", f, v)
-			}
-		}
-		// Per-iteration reads must shrink: the same ROP iterations without
-		// the out-index (or vertex) traffic. Pin-time loads are charged to
-		// the device before iteration 0, not to any iteration.
-		fullIter, semiIter := full.TotalIO().ReadBytes(), semi.TotalIO().ReadBytes()
-		if semiIter >= fullIter {
-			t.Fatalf("%v: semi-external per-iteration reads %d not below full %d", f, semiIter, fullIter)
-		}
-	}
-}
-
-// TestSemiExternalBudgetFailFast checks sizing is checked up front with an
-// actionable error, and that a budget of exactly the resident footprint is
-// accepted.
-func TestSemiExternalBudgetFailFast(t *testing.T) {
-	g := compressTestGraph()
-	ds := buildFormat(t, g, blockstore.FormatMixed, storage.HDD)
-	e := New(ds, Config{Model: ModelROP, MaxIters: 1, SemiExternal: true, SemBudgetBytes: 1})
-	_, err := e.Run(testBFS{})
-	if err == nil {
-		t.Fatal("1-byte budget accepted")
-	}
-	if !errors.Is(err, ErrSemBudget) {
-		t.Fatalf("budget error not classified as ErrSemBudget: %v", err)
-	}
-	//lint:ignore huslint/errclass asserting the rendered message stays actionable; classification above uses ErrSemBudget
-	if !strings.Contains(err.Error(), "raise -sem-budget-mb") {
-		t.Fatalf("budget error not actionable: %v", err)
-	}
-
-	vb, ib := e.SemResidentBytes()
-	if vb <= 0 || ib <= 0 {
-		t.Fatalf("SemResidentBytes = (%d, %d), want both positive", vb, ib)
-	}
-	e2 := New(buildFormat(t, g, blockstore.FormatMixed, storage.HDD), Config{Model: ModelROP, MaxIters: 1, SemiExternal: true, SemBudgetBytes: vb + ib})
-	if _, err := e2.Run(testBFS{}); err != nil {
-		t.Fatalf("exact-footprint budget rejected: %v", err)
-	}
-}
-
-// TestSemiExternalPinIdempotent checks pinning survives engine reuse (the
-// kill-and-resume path re-runs RunContext on a pinned engine): the second
-// pin reads nothing.
-func TestSemiExternalPinIdempotent(t *testing.T) {
-	g := compressTestGraph()
-	ds := buildFormat(t, g, blockstore.FormatMixed, storage.HDD)
-	e := New(ds, Config{Model: ModelROP, MaxIters: 1, SemiExternal: true})
-	if err := e.pinSemResident(); err != nil {
-		t.Fatal(err)
-	}
-	before := ds.Device().Stats().ReadBytes()
-	if err := e.pinSemResident(); err != nil {
-		t.Fatal(err)
-	}
-	if read := ds.Device().Stats().ReadBytes() - before; read != 0 {
-		t.Fatalf("second pin re-read %d bytes", read)
-	}
-	if e.semIdx == nil {
-		t.Fatal("pin left no resident indices")
 	}
 }

@@ -74,21 +74,6 @@ type Config struct {
 	// Tolerance, if positive, stops Additive programs once the largest
 	// per-vertex value change in an iteration falls below it.
 	Tolerance float64
-	// SemiExternal caches all vertex values in memory, charging only edge
-	// I/O — the FlashGraph/Graphene configuration the paper's §5
-	// discusses ("stores the vertex values in memory and adjacency lists
-	// on SSDs"). The engine additionally pins every out-index resident at
-	// run start (read and charged once), so ROP iterations pay only for
-	// the edge payload ranges they touch. An extension beyond the paper's
-	// evaluated system; composes with compressed stores, which shrink the
-	// remaining edge I/O further.
-	SemiExternal bool
-	// SemBudgetBytes, when positive, is the memory budget the
-	// semi-external residency must fit in: vertex value/degree arrays
-	// plus all pinned out-indices. Run fails fast with a sizing message
-	// when the graph needs more; 0 skips the check (assume it fits).
-	// Ignored unless SemiExternal is set.
-	SemBudgetBytes int64
 	// CheckpointEvery persists a resumable checkpoint (vertex values,
 	// frontier, program state) to the store every N iterations; 0
 	// disables. Use with Resume for long out-of-core jobs.

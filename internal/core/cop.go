@@ -25,8 +25,6 @@ import (
 // Returns the largest per-vertex value change (non-Monotone only).
 func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher) (float64, error) {
 	l := e.ds.Layout
-	dev := e.ds.Device()
-	nv := int64(blockstore.VertexValueBytes)
 
 	// The column traversal order was handed to the scheduler as this
 	// window's plan (ioplan.COPKeys): while this goroutine computes on
@@ -39,14 +37,7 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 	var maxDelta float64
 	for _, i := range e.owned { // column i updates interval i
 		lo, hi := l.Bounds(i)
-		if !e.cfg.SemiExternal {
-			dev.ReadSeq(int64(l.Size(i)) * nv) // load D_i (Alg. 3 line 1)
-		}
-
 		for j := 0; j < l.P; j++ { // stream in-blocks top to bottom
-			if !e.cfg.SemiExternal {
-				dev.ReadSeq(int64(l.Size(j)) * nv) // load S_j (Alg. 3 line 3)
-			}
 			res := win.Next()
 			if res.Err != nil {
 				return 0, res.Err
@@ -99,9 +90,6 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 		}
 		if prog.Kind() != Incremental {
 			k.refresh(lo, hi) // later columns pull S_i's new messages
-		}
-		if !e.cfg.SemiExternal {
-			dev.WriteSeq(int64(l.Size(i)) * nv) // write back D_i
 		}
 	}
 	return maxDelta, nil

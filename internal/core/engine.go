@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,13 +57,6 @@ type Engine struct {
 	// a record never outlives its iteration.
 	live   []blockstore.Extent
 	liveOf *bitset.Frontier
-
-	// semIdx pins every nonempty block's out-index resident under
-	// Config.SemiExternal: read (and charged to the device) exactly once
-	// at the first Run, after which ROP iterations plan no KindOutIndex
-	// reads at all — only the selectively-loaded edge payload ranges touch
-	// the device. nil when semi-external mode is off.
-	semIdx [][][]byte
 
 	// ckptSlot is the next checkpoint generation slot (0 or 1) to write;
 	// loadCheckpoint points it away from the generation it resumed from.
@@ -205,63 +197,6 @@ func (e *Engine) Totals() RunTotals {
 // Cache returns the engine's block cache, or nil when caching is disabled.
 func (e *Engine) Cache() *blockstore.BlockCache { return e.cache }
 
-// SemResidentBytes sizes semi-external mode's in-memory footprint for
-// this engine: the vertex working arrays (S, D, both degree arrays, two
-// frontier bitmaps) plus the decoded out-index of every nonempty block in
-// an owned row. This is the quantity checked against
-// Config.SemBudgetBytes; an engine scoped by Config.Owner pins (and
-// budgets) only its own rows.
-func (e *Engine) SemResidentBytes() (vertexBytes, indexBytes int64) {
-	l := e.ds.Layout
-	n := int64(l.NumVertices)
-	vertexBytes = 2*n*int64(blockstore.VertexValueBytes) + 2*n*4 + 2*(n+7)/8
-	for _, i := range e.owned {
-		rowIdx := int64(l.Size(i)+1) * blockstore.IndexEntryBytes
-		for j := 0; j < l.P; j++ {
-			if e.ds.BlockEdgeCount[i][j] != 0 {
-				indexBytes += rowIdx
-			}
-		}
-	}
-	return vertexBytes, indexBytes
-}
-
-// pinSemResident asserts the semi-external residency fits the configured
-// budget, then loads every nonempty block's out-index into memory — the
-// one-time sequential read semi-external mode charges instead of
-// re-reading indices every ROP iteration. Idempotent: a reused engine
-// (kill → Resume) keeps its pins.
-func (e *Engine) pinSemResident() error {
-	if e.semIdx != nil {
-		return nil
-	}
-	vb, ib := e.SemResidentBytes()
-	if b := e.cfg.SemBudgetBytes; b > 0 && vb+ib > b {
-		return fmt.Errorf(
-			"%w: needs %d bytes resident (%d vertex arrays + %d out-indices) but the budget is %d bytes; raise -sem-budget-mb to at least %d MB or drop -sem",
-			ErrSemBudget, vb+ib, vb, ib, b, (vb+ib+(1<<20)-1)>>20)
-	}
-	l := e.ds.Layout
-	idx := make([][][]byte, l.P)
-	for i := range idx {
-		idx[i] = make([][]byte, l.P)
-	}
-	for _, i := range e.owned {
-		for j := 0; j < l.P; j++ {
-			if e.ds.BlockEdgeCount[i][j] == 0 {
-				continue
-			}
-			one, err := e.ds.LoadOutIndex(i, j)
-			if err != nil {
-				return fmt.Errorf("core: pinning out-index (%d,%d) for semi-external mode: %w", i, j, err)
-			}
-			idx[i][j] = one
-		}
-	}
-	e.semIdx = idx
-	return nil
-}
-
 // SetBucketHint implements Runner: it installs the bucket state for the
 // coming iteration (see the bucketed fields on Engine). Drive calls it
 // between iterations; the shard coordinator passes it on to every shard's
@@ -385,20 +320,17 @@ func (e *Engine) liveFor(f *bitset.Frontier) []blockstore.Extent {
 // of the owned rows only (markLive), the ones the executor visits: the
 // random reads — of the active sections, and per live block the one range
 // read of the out-index pages its extent spans when the index is stored raw
-// (OutIndexSpan) — the sequential bytes — each active row's S_i read and D_i
-// written, per live block its D_j read (Alg. 2 lines 1, 3 and the
-// per-interval write) and its out-index when that is stored compressed and
-// read whole — and the logical bytes compressed blocks and indices decode
-// into. pageBytes are the out-index page spans among the random reads, one
-// read each. Out-indices resident in the block cache are served from memory
-// and priced at zero; under semi-external mode every index and the vertex
-// working set are pinned, so no sequential byte touches the device at all.
+// (OutIndexSpan) — the sequential bytes — per live block its out-index when
+// that is stored compressed and read whole — and the logical bytes
+// compressed blocks and indices decode into. pageBytes are the out-index
+// page spans among the random reads, one read each. Out-indices resident in
+// the block cache are served from memory and priced at zero. The vertex
+// arrays are resident, so no vertex byte is priced (DESIGN.md §2a).
 func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes, pageBytes int64, decBytes float64) {
 	l := e.ds.Layout
 	prof := e.ds.Device().Profile()
 	coalesce := prof.CoalesceBytes()
 	deg := e.ds.OutDegrees
-	nv := int64(blockstore.VertexValueBytes)
 	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
 	live := e.markLive(f)
 	var pageReads int64
@@ -419,24 +351,18 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes, pa
 			rowEdges += e.ds.BlockEdgeCount[i][j]
 		}
 		rawIdx := int64(l.Size(i)+1) * blockstore.IndexEntryBytes
-		if !e.cfg.SemiExternal {
-			seqBytes += 2 * int64(l.Size(i)) * nv
-		}
 		for j := 0; j < l.P; j++ {
 			x := live[i*l.P+j]
 			if !x.Live() {
 				continue
 			}
-			if !e.cfg.SemiExternal {
-				seqBytes += int64(l.Size(j)) * nv
-				if e.cache == nil || !e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j}) {
-					if off, end, paged := e.ds.OutIndexSpan(i, j, x); paged {
-						pageBytes += end - off
-						pageReads++
-					} else {
-						seqBytes += end             // stored compressed: read whole,
-						decBytes += float64(rawIdx) // and decoded to the raw entries
-					}
+			if e.cache == nil || !e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j}) {
+				if off, end, paged := e.ds.OutIndexSpan(i, j, x); paged {
+					pageBytes += end - off
+					pageReads++
+				} else {
+					seqBytes += end             // stored compressed: read whole,
+					decBytes += float64(rawIdx) // and decoded to the raw entries
 				}
 			}
 			cnt := e.ds.BlockEdgeCount[i][j]
@@ -486,15 +412,13 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes, pa
 }
 
 // copScanBytes is what predict prices a COP iteration at: the sequential
-// bytes streaming every owned column's in-blocks and in-indices moves, plus
-// the per-interval vertex working set, and the logical bytes those blobs
-// decompress into. In-blocks resident in the block cache skip the device
-// entirely, so they are priced at zero — this is what lets the predictor
-// keep preferring COP once the hot columns have been cached.
+// bytes streaming every owned column's in-blocks and in-indices moves, and
+// the logical bytes those blobs decompress into. In-blocks resident in the
+// block cache skip the device entirely, so they are priced at zero — this
+// is what lets the predictor keep preferring COP once the hot columns have
+// been cached.
 func (e *Engine) copScanBytes() (seqBytes int64, decBytes float64) {
 	l := e.ds.Layout
-	n := int64(l.NumVertices)
-	nv := int64(blockstore.VertexValueBytes)
 	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
 	for _, j := range e.owned {
 		for i := 0; i < l.P; i++ {
@@ -509,9 +433,6 @@ func (e *Engine) copScanBytes() (seqBytes int64, decBytes float64) {
 			if rawIdx := e.ds.InIndexEntries[i][j] * blockstore.InIndexEntryBytes; ib < rawIdx {
 				decBytes += float64(rawIdx) // stored compressed: decodes to the fixed-width entries
 			}
-		}
-		if !e.cfg.SemiExternal {
-			seqBytes += (2*int64(l.Size(j)) + n) * nv
 		}
 	}
 	return seqBytes, decBytes

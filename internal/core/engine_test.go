@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -410,57 +411,6 @@ func (badInitProgram) Init(ctx *Context) ([]float64, *bitset.Frontier) {
 	return make([]float64, 1), bitset.NewFrontier(ctx.NumVertices)
 }
 
-func TestSemiExternalSkipsVertexIO(t *testing.T) {
-	g := pathGraph(2000)
-	for _, model := range []Model{ModelROP, ModelCOP} {
-		full := func() *Result {
-			ds := buildStore(t, g, 4, storage.HDD)
-			res, err := New(ds, Config{Model: model, MaxIters: 3}).Run(testBFS{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}()
-		semi := func() *Result {
-			ds := buildStore(t, g, 4, storage.HDD)
-			res, err := New(ds, Config{Model: model, MaxIters: 3, SemiExternal: true}).Run(testBFS{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}()
-		if semi.TotalIO().TotalBytes() >= full.TotalIO().TotalBytes() {
-			t.Fatalf("%v: semi-external I/O %d not below full %d", model, semi.TotalIO().TotalBytes(), full.TotalIO().TotalBytes())
-		}
-		if semi.TotalIO().WriteBytes() != 0 {
-			t.Fatalf("%v: semi-external should write nothing, wrote %d", model, semi.TotalIO().WriteBytes())
-		}
-		for v := range full.Values {
-			if full.Values[v] != semi.Values[v] {
-				t.Fatalf("%v: semi-external changed results at %d", model, v)
-			}
-		}
-	}
-}
-
-func TestSemiExternalPredictorConsistent(t *testing.T) {
-	// With vertex I/O free, the predictor should favor ROP at least as
-	// often as in the full-external configuration.
-	g := pathGraph(4000)
-	frontier := bitset.NewFrontier(4000)
-	for v := 0; v < 30; v++ {
-		frontier.Add(v * 131 % 4000)
-	}
-	ds := buildStore(t, g, 4, storage.HDD)
-	full := New(ds, Config{})
-	cropF, ccopF := full.predict(frontier)
-	semi := New(ds, Config{SemiExternal: true})
-	cropS, ccopS := semi.predict(frontier)
-	if cropS > cropF || ccopS > ccopF {
-		t.Fatalf("semi-external predictions should not exceed full: rop %v/%v cop %v/%v", cropS, cropF, ccopS, ccopF)
-	}
-}
-
 func TestEngineOverCompressedStore(t *testing.T) {
 	// The engine must be format-agnostic: identical results, fewer edge
 	// bytes moved — over a mixed store that holds every codec.
@@ -522,18 +472,33 @@ func TestConfigDefaults(t *testing.T) {
 	if neg.Alpha != -1 {
 		t.Fatal("negative alpha overridden")
 	}
+	// WithDefaults documents that applying it twice changes nothing: the
+	// shard coordinator's engines resolve the resolved config again.
+	for _, c := range []Config{{}, {Alpha: -1, ReadRetries: 2}, {Threads: 3, MaxIters: 7, RetryBackoff: time.Second, PrefetchDepth: 2}} {
+		once := c.withDefaults()
+		if twice := once.withDefaults(); !reflect.DeepEqual(twice, once) {
+			t.Fatalf("withDefaults not idempotent on %+v:\n once  %+v\n twice %+v", c, once, twice)
+		}
+	}
 }
 
 func TestPredictorROPGrowsWithFrontier(t *testing.T) {
-	g := pathGraph(1000)
+	// One active vertex of a path costs ROP two positioned reads: its
+	// record and the out-index page holding its entries. A COP scan streams
+	// at least one 4-byte record per edge, so a path this long makes the
+	// scan dearer than those two reads at the HDD profile's rates, whatever
+	// the in-indices add.
+	twoReads := storage.HDD.RandTime(blockstore.PageBytes+4, 2)
+	n := int(twoReads.Seconds()*storage.HDD.SeqBytesPerSec/4) + 2
+	g := pathGraph(n)
 	ds := buildStore(t, g, 4, storage.HDD)
 	e := New(ds, Config{})
 
-	small := bitset.NewFrontier(1000)
+	small := bitset.NewFrontier(n)
 	small.Add(5)
 	cropSmall, ccopSmall := e.predict(small)
 
-	big := bitset.NewFrontier(1000)
+	big := bitset.NewFrontier(n)
 	for v := 0; v < 500; v++ {
 		big.Add(v)
 	}

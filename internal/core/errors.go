@@ -1,15 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrSemBudget classifies semi-external-mode sizing failures: the resident
-// footprint (vertex arrays + out-indices) exceeds Config.SemBudgetBytes.
-// Callers branch with errors.Is(err, ErrSemBudget); the rendered message
-// carries the actionable numbers.
-var ErrSemBudget = errors.New("core: semi-external resident footprint exceeds budget")
+import "fmt"
 
 // IterError wraps a failure inside one engine iteration with the context a
 // caller needs to diagnose or branch on it structurally: which program,

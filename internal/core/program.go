@@ -19,9 +19,10 @@
 //
 // The engine selects between ROP and COP per iteration with the paper's
 // I/O-based cost comparison (§3.4): C_rop, the predicted cost of loading
-// the active out-edges randomly plus the vertex working set, against
-// C_cop, the predicted cost of streaming all in-edges plus the same vertex
-// working set. The comparison is only evaluated while the active-vertex
+// the active out-edges randomly, against C_cop, the predicted cost of
+// streaming all in-edges. The paper's vertex term is left out: vertex
+// state is resident, so no store reads it and no iteration is charged for
+// it. The comparison is only evaluated while the active-vertex
 // count is below α·|V| (default α = 5%); above that COP is chosen outright.
 //
 // The paper's Algorithm 1 nominally selects per interval, but a mixed

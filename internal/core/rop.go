@@ -37,9 +37,7 @@ import (
 // it in turn.
 func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher, live []blockstore.Extent) error {
 	l := e.ds.Layout
-	dev := e.ds.Device()
 	monotone := prog.Kind() == Monotone
-	nv := int64(blockstore.VertexValueBytes)
 	op := e.reduceOf(prog)
 	var activate *bitset.Frontier // monotone programs activate on combine-change
 	if monotone {
@@ -66,22 +64,19 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 	// next row starts. The selective random record loads stay on the consume
 	// path: their ranges depend on the out-index just delivered, and go
 	// through the run-granular cache.
-	coalesce := dev.Profile().CoalesceBytes()
+	coalesce := e.ds.Device().Profile().CoalesceBytes()
 	touched := e.touched
 	for _, i := range e.owned {
 		lo, hi := l.Bounds(i)
 		if frontier.CountIn(lo, hi) == 0 {
 			continue // selective scheduling: no active sources in this row
 		}
-		if !e.cfg.SemiExternal {
-			dev.ReadSeq(int64(l.Size(i)) * nv) // load S_i (Alg. 2 line 1)
-		}
 		clear(touched)
 
 		parallelFor(l.P, e.cfg.Threads, func(j int) {
 			x := live[i*l.P+j]
 			if !x.Live() {
-				return // a dead block: no index to load, no D_j to charge, nothing to push
+				return // a dead block: no index to load, nothing to push
 			}
 			// The active sources with an edge in this block: frontier ∧
 			// mask, ascending, at least one, all inside the extent — so only
@@ -93,29 +88,16 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 				return true
 			})
 			e.spans[j] = spans // retain grown capacity
-			if !e.cfg.SemiExternal {
-				dev.ReadSeq(int64(l.Size(j)) * nv) // load D_j (Alg. 2 line 3)
-			}
 			sc := e.scratch.Get().(*blockstore.Scratch)
 			defer e.scratch.Put(sc)
-			// idx holds the index's stored bytes from offset base on: the
-			// whole index when pinned or cached, else the pages x spans.
-			var idx []byte
-			var base int
-			var release func()
-			if e.semIdx != nil {
-				// Semi-external mode: the out-index was pinned resident at
-				// run start — no window key was ever planned for it.
-				idx = e.semIdx[i][j]
-			} else {
-				res := win.Take(blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
-				if res.Err != nil {
-					setErr(res.Err)
-					return
-				}
-				idx, base = res.Payload, res.Base
-				release = res.Release
+			// The index's stored bytes from offset base on: the whole index
+			// when cached, else the pages x spans.
+			res := win.Take(blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
+			if res.Err != nil {
+				setErr(res.Err)
+				return
 			}
+			idx, base := res.Payload, res.Base
 
 			// Look up each live source's record range; coalesce close ranges
 			// into runs. The index is read in place, two entries per live
@@ -147,9 +129,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 			}
 			e.runs[j] = runs // retain grown capacity
 			touched[j] = true
-			if release != nil {
-				release()
-			}
+			res.Release()
 			if badSpan != nil {
 				setErr(badSpan)
 				return
@@ -200,9 +180,6 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 					jlo, jhi := l.Bounds(j)
 					copy(s[jlo:jhi], d[jlo:jhi])
 				}
-			}
-			if !e.cfg.SemiExternal {
-				dev.WriteSeq(int64(l.Size(i)) * nv) // write back D_i (paper's per-interval write term)
 			}
 		}
 	}

@@ -68,15 +68,10 @@ func InitAccumulators(kind Kind, s, d []float64) {
 	}
 }
 
-// StartRun prepares the engine for a sequence of steps: semi-external
-// residency is pinned (charged once) and the bucket hint is reset. Drive
-// calls it; a harness driving BeginIter directly must call it first.
+// StartRun prepares the engine for a sequence of steps: it resets the
+// bucket hint. Drive calls it; a harness driving BeginIter directly must
+// call it first.
 func (e *Engine) StartRun() error {
-	if e.cfg.SemiExternal {
-		if err := e.pinSemResident(); err != nil {
-			return err
-		}
-	}
 	e.bucketed, e.bucketPri, e.bucketPending = false, 0, 0
 	return nil
 }
@@ -126,12 +121,7 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 	var plan []blockstore.BlockKey
 	if s.st.Model == ModelROP {
 		s.live = e.liveFor(frontier)
-		// With pinned out-indices (semi-external mode) a ROP iteration
-		// has nothing to plan: the selective edge-range loads stay on
-		// the consume path, and the indices they need are in memory.
-		if e.semIdx == nil {
-			plan = ioplan.ROPKeysFor(e.ds.Layout, s.live, e.ownedOrNil())
-		}
+		plan = ioplan.ROPKeysFor(e.ds.Layout, s.live, e.ownedOrNil())
 	} else {
 		plan = ioplan.COPKeysFor(e.ds.Layout, nil, e.ownedOrNil())
 	}
@@ -180,14 +170,6 @@ func (s *Step) FinalizeOwned(sv, d []float64) {
 		return
 	}
 	md := s.e.applyOwned(s.prog, sv, d, s.next)
-	if s.st.Model == ModelROP && !s.e.cfg.SemiExternal {
-		l := s.e.ds.Layout
-		dev := s.e.ds.Device()
-		nv := int64(blockstore.VertexValueBytes)
-		for _, i := range s.e.owned {
-			dev.WriteSeq(int64(l.Size(i)) * nv)
-		}
-	}
 	if md > s.maxDelta {
 		s.maxDelta = md
 	}

@@ -22,12 +22,15 @@ type engineCase struct {
 	model             core.Model
 	threads, prefetch int
 	cache             int64
-	sem               bool
+	alpha             float64
+	device            storage.Profile
 }
 
 // decodeEngineCase reads a case, a graph and a source vertex out of fuzz
-// bytes: eight selectors — P, K, format, model, threads, prefetch, cache
-// budget, semi-external — each taken modulo its number of choices, then the
+// bytes: nine selectors — P, K, format, model, threads, prefetch, cache
+// budget, α (the default, or −1: the predictor decides every iteration) and
+// device profile (SSD or HDD, which the predictor prices reads with) — each
+// taken modulo its number of choices, then the
 // vertex count less one, a hub byte and the source, then (source,
 // destination, weight) triples. An odd hub byte gives vertex hub/2 an edge
 // to every vertex, itself included. Weights are the integers 1–4, so every
@@ -51,7 +54,8 @@ func decodeEngineCase(data []byte) (engineCase, *graph.Graph, graph.VertexID) {
 		threads:  1 + next()%3,
 		prefetch: next() % 3,
 		cache:    [...]int64{0, 512, 1 << 20}[next()%3],
-		sem:      next()%2 == 1,
+		alpha:    [...]float64{0, -1}[next()%2],
+		device:   [...]storage.Profile{storage.SSD, storage.HDD}[next()%2],
 	}
 	n := 1 + next()%64
 	hub := next()
@@ -79,7 +83,7 @@ func decodeEngineCase(data []byte) (engineCase, *graph.Graph, graph.VertexID) {
 // configuration, returning the final values.
 func (c engineCase) run(t *testing.T, g *graph.Graph, weighted bool, prog core.Program, maxIters int) []float64 {
 	t.Helper()
-	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.SSD)), g, blockstore.Options{P: c.p, Format: c.format, Weighted: weighted})
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(c.device)), g, blockstore.Options{P: c.p, Format: c.format, Weighted: weighted})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func (c engineCase) run(t *testing.T, g *graph.Graph, weighted bool, prog core.P
 	}
 	co, err := shard.New(ds, shard.Config{Config: core.Config{
 		Model: c.model, Threads: c.threads, PrefetchDepth: c.prefetch,
-		CacheBudgetBytes: c.cache, SemiExternal: c.sem, MaxIters: maxIters,
+		CacheBudgetBytes: c.cache, Alpha: c.alpha, MaxIters: maxIters,
 	}, Shards: k})
 	if err != nil {
 		t.Fatal(err)
@@ -117,15 +121,17 @@ func wantBits(t *testing.T, what string, c engineCase, got, want []float64) {
 // FuzzEngineConfig (ROADMAP 5a) holds every configuration of the run path to
 // one answer. Over a small graph — up to 64 vertices and 256 edges, edgeless,
 // with self-loops or a hub — and any P, K, storage format, model, thread
-// count, prefetch depth, cache budget and semi-external setting, BFS, WCC,
-// SSSP, SSSP-Delta and Coreness equal the serial oracles to the bit, and five
+// count, prefetch depth, cache budget, α and device profile, BFS, WCC, SSSP,
+// SSSP-Delta and Coreness equal the serial oracles to the bit, and five
 // PageRank iterations and a converged PageRank-Delta equal the same model's
-// run at K = 1, one thread, no prefetch, no cache, raw storage. Coreness and
-// PageRank-Delta start from a full frontier that shrinks to a sparse one.
+// run at the same α and device with K = 1, one thread, no prefetch, no
+// cache, raw storage. Coreness and PageRank-Delta start from a full frontier
+// that shrinks to a sparse one; under the hybrid model the predictor decides
+// each of their iterations at α = −1.
 func FuzzEngineConfig(f *testing.F) {
-	// seed lays a case out the way decodeEngineCase reads it: the eleven
+	// seed lays a case out the way decodeEngineCase reads it: the twelve
 	// header bytes, then the edge triples.
-	seed := func(header [11]byte, edges ...[3]byte) []byte {
+	seed := func(header [12]byte, edges ...[3]byte) []byte {
 		b := header[:]
 		for _, e := range edges {
 			b = append(b, e[:]...)
@@ -141,13 +147,14 @@ func FuzzEngineConfig(f *testing.F) {
 	for len(random) < 300 {
 		random = append(random, [3]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
 	}
-	f.Add(seed([11]byte{2, 2, 0, 2, 0, 0, 0, 0, 9, 0, 0}))                                                           // ten isolated vertices, P = K = 4
-	f.Add(seed([11]byte{2, 2, 1, 2, 0, 0, 0, 0, 0, 1, 0}))                                                           // one vertex, its self-loop; P and K clamp to 1
-	f.Add(seed([11]byte{2, 1, 1, 0, 1, 1, 2, 0, 63, 0, 0}, chain...))                                                // mixed: varint block (0,0), the other fifteen CodecNone
-	f.Add(seed([11]byte{2, 1, 1, 1, 2, 2, 1, 1, 31, 7, 3}, [3]byte{5, 5, 0}, [3]byte{5, 6, 1}, [3]byte{9, 9, 2}))    // hub 3, self-loops; COP, 512 B cache, sem
-	f.Add(seed([11]byte{1, 1, 0, 0, 2, 1, 1, 1, 40, 0, 2}, [3]byte{2, 30, 3}, [3]byte{30, 2, 0}, [3]byte{2, 17, 1})) // raw ROP over two shards
-	f.Add(seed([11]byte{2, 1, 1, 2, 1, 1, 2, 0, 63, 21, 0}, random...))                                              // 256 edges and a hub: hybrid switches models
-	f.Add(seed([11]byte{2, 2, 1, 0, 2, 2, 1, 1, 63, 0, 7}, random...))                                               // the same graph under ROP, K = 4
+	f.Add(seed([12]byte{2, 2, 0, 2, 0, 0, 0, 0, 0, 9, 0, 0}))                                                           // ten isolated vertices, P = K = 4
+	f.Add(seed([12]byte{2, 2, 1, 2, 0, 0, 0, 1, 1, 0, 1, 0}))                                                           // one vertex, its self-loop; P and K clamp to 1; α −1 on HDD
+	f.Add(seed([12]byte{2, 1, 1, 0, 1, 1, 2, 0, 1, 63, 0, 0}, chain...))                                                // mixed: varint block (0,0), the other fifteen CodecNone; HDD
+	f.Add(seed([12]byte{2, 1, 1, 1, 2, 2, 1, 1, 0, 31, 7, 3}, [3]byte{5, 5, 0}, [3]byte{5, 6, 1}, [3]byte{9, 9, 2}))    // hub 3, self-loops; COP, 512 B cache
+	f.Add(seed([12]byte{1, 1, 0, 0, 2, 1, 1, 1, 1, 40, 0, 2}, [3]byte{2, 30, 3}, [3]byte{30, 2, 0}, [3]byte{2, 17, 1})) // raw ROP over two shards
+	f.Add(seed([12]byte{2, 1, 1, 2, 1, 1, 2, 0, 0, 63, 21, 0}, random...))                                              // 256 edges and a hub: hybrid switches models
+	f.Add(seed([12]byte{2, 2, 1, 0, 2, 2, 1, 1, 1, 63, 0, 7}, random...))                                               // the same graph under ROP, K = 4
+	f.Add(seed([12]byte{2, 1, 0, 2, 1, 0, 0, 1, 1, 63, 21, 0}, random...))                                              // hybrid, α −1 on HDD: the predictor decides every iteration
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, g, src := decodeEngineCase(data)
@@ -159,7 +166,7 @@ func FuzzEngineConfig(f *testing.F) {
 		wantBits(t, "SSSP-Delta", c, c.run(t, g, true, algos.DeltaSSSP{Source: src}, 0), dist)
 		wantBits(t, "Coreness", c, c.run(t, sym, false, &algos.Coreness{}, 0), algos.OracleCoreness(sym))
 
-		ref := engineCase{p: c.p, k: 1, format: blockstore.FormatRaw, model: c.model, threads: 1}
+		ref := engineCase{p: c.p, k: 1, format: blockstore.FormatRaw, model: c.model, threads: 1, alpha: c.alpha, device: c.device}
 		wantBits(t, fmt.Sprintf("PageRank against %+v", ref), c,
 			c.run(t, g, false, &algos.PageRank{}, 5), ref.run(t, g, false, &algos.PageRank{}, 5))
 		wantBits(t, fmt.Sprintf("PageRank-Delta against %+v", ref), c,

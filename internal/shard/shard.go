@@ -75,10 +75,8 @@ type Coordinator struct {
 }
 
 // New builds a coordinator over the store. It validates the shard count
-// against the layout (K must divide P), rejects a pre-set Config.Owner
-// (owners are the coordinator's to assign), and — for sharded
-// semi-external runs — checks the whole fleet's pinned residency against
-// SemBudgetBytes, since each engine alone would only check its own slice.
+// against the layout (K must divide P) and rejects a pre-set Config.Owner
+// (owners are the coordinator's to assign).
 func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 	k := cfg.Shards
 	if k <= 0 {
@@ -115,7 +113,6 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 	// RunIter runs the Execs one after another, and each engine leaves the
 	// entries of the intervals it synchronised current.
 	msgs := new(core.MessageTable)
-	var vertexBytes, indexBytes int64
 	for s := 0; s < k; s++ {
 		pc := per
 		owner, err := core.NewIntervalRange(s*span, (s+1)*span, p)
@@ -127,18 +124,7 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 		dev := storage.NewDevice(ds.Device().Profile())
 		eng := core.New(ds.Fork(storage.NewDeviceStore(ds.Store(), dev)), pc)
 		eng.ShareMessageTable(msgs)
-		vb, ib := eng.SemResidentBytes()
-		vertexBytes = vb // shared arrays: resident once, not once per shard
-		indexBytes += ib
 		c.workers = append(c.workers, &shardWorker{eng: eng, dev: dev})
-	}
-	if resolved.SemiExternal {
-		if b := resolved.SemBudgetBytes; b > 0 && vertexBytes+indexBytes > b {
-			return nil, fmt.Errorf(
-				"%w: %d shards pin %d bytes resident (%d vertex arrays + %d out-indices) but the budget is %d bytes; raise -sem-budget-mb to at least %d MB or lower -shards",
-				core.ErrSemBudget, k, vertexBytes+indexBytes, vertexBytes, indexBytes, b,
-				(vertexBytes+indexBytes+(1<<20)-1)>>20)
-		}
 	}
 	return c, nil
 }

@@ -122,7 +122,7 @@ func TestRunReplaysExactly(t *testing.T) {
 		// the prefetch workers land in.
 		{"prefetch+cache16k", blockstore.FormatRaw, shard.Config{Config: core.Config{PrefetchDepth: 2, CacheBudgetBytes: 16 << 10}}, true},
 		{"K=2+cache8k", blockstore.FormatRaw, shard.Config{Config: core.Config{PrefetchDepth: 2, CacheBudgetBytes: 8 << 10}, Shards: 2}, true},
-		{"sem-mixed", blockstore.FormatMixed, shard.Config{Config: core.Config{SemiExternal: true}}, false},
+		{"mixed", blockstore.FormatMixed, shard.Config{}, false},
 		{"K=2", blockstore.FormatRaw, shard.Config{Shards: 2}, false},
 	}
 	for _, p := range progs {
@@ -217,14 +217,12 @@ func TestShardK1Identity(t *testing.T) {
 
 // TestShardBitIdenticalAcrossK is the core acceptance property: K∈{2,4}
 // produces bit-identical values, convergence and iteration counts to K=1
-// for every program, across plain, cached, semi-external and pipelined
-// configurations. Run under -race this also exercises RunIter's two
+// for every program, across plain, cached and pipelined configurations. Run under -race this also exercises RunIter's two
 // fork-joined phases.
 func TestShardBitIdenticalAcrossK(t *testing.T) {
 	configs := map[string]func(*shard.Config){
 		"plain": func(c *shard.Config) {},
 		"cache": func(c *shard.Config) { c.CacheBudgetBytes = 1 << 16 },
-		"sem":   func(c *shard.Config) { c.SemiExternal = true },
 		"pipe":  func(c *shard.Config) { c.PrefetchDepth = 2 },
 	}
 	for gname, g0 := range testGraphs(t) {
@@ -439,20 +437,6 @@ func TestShardValidation(t *testing.T) {
 	}
 	if _, err := shard.New(ds, shard.Config{Config: core.Config{Owner: core.AllIntervals(8)}, Shards: 2}); !errors.Is(err, shard.ErrOwnerSet) {
 		t.Fatalf("pre-set Owner: err = %v, want ErrOwnerSet", err)
-	}
-	_, err := shard.New(ds, shard.Config{
-		Config: core.Config{SemiExternal: true, SemBudgetBytes: 16},
-		Shards: 2,
-	})
-	if !errors.Is(err, core.ErrSemBudget) {
-		t.Fatalf("tiny sem budget at K=2: err = %v, want ErrSemBudget", err)
-	}
-	// A budget that fits must construct fine.
-	if _, err := shard.New(ds, shard.Config{
-		Config: core.Config{SemiExternal: true, SemBudgetBytes: 1 << 30},
-		Shards: 2,
-	}); err != nil {
-		t.Fatalf("ample sem budget at K=2: %v", err)
 	}
 }
 
