@@ -130,7 +130,7 @@ func BenchmarkLoadOutIndexScratch(b *testing.B) {
 }
 
 // BenchmarkDecodeInBlock times the decode alone — every non-empty section
-// of one in-block's stored payload through appendSection into a presized
+// of one in-block's stored payload through AppendSection into a presized
 // buffer, no read and no CRC — and reports ns per decoded byte: the measured
 // counterpart of core's varintDecodeNsPerByte = 1.5 (ROADMAP 2c calibrates
 // against it).
@@ -173,7 +173,7 @@ func BenchmarkDecodeInBlock(b *testing.B) {
 			for e, lo := 0, uint32(0); e < len(entries); e += 2 {
 				hi := entries[e+1]
 				var err error
-				if out, err = appendSection(out, payload[lo:hi], c, false); err != nil {
+				if out, err = AppendSection(out, payload[lo:hi], c, false); err != nil {
 					b.Fatal(err)
 				}
 				lo = hi
@@ -216,6 +216,50 @@ func BenchmarkInBlockSweep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/sweep")
 		})
 	}
+}
+
+// BenchmarkDecodeInIndex times the one decode left on COP's load path: the
+// varint in-indices of a mixed store of the measured benchmark's graph
+// shape (perfbench: Chung–Lu α 2.2, 2¹⁸ vertices, P = 16), every one of the
+// P² blobs parsed and validated by decodeInIndex as the loader calls it,
+// with no read and no CRC. ns/entry is the number to compare.
+func BenchmarkDecodeInIndex(b *testing.B) {
+	const n, p = 1 << 18, 16
+	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
+	ds, err := BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, Options{P: p, Format: FormatMixed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type blob struct {
+		buf              []byte
+		size, payloadLen int
+	}
+	var blobs []blob
+	entries := 0
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			if codecOf(ds.InIndexStoredBytes[i][j], ds.InIndexEntries[i][j]*InIndexEntryBytes) != CodecVarint || ds.InCodec(i, j) != CodecVarint {
+				b.Fatalf("in-block (%d,%d) or its index is not varint-coded", i, j)
+			}
+			buf, err := ds.readBlob(inIndexName(i, j), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blobs = append(blobs, blob{buf, ds.Layout.Size(j), int(ds.InBlockBytes[i][j])})
+			entries += int(ds.InIndexEntries[i][j])
+		}
+	}
+	var dst []uint32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x := range blobs {
+			if dst, err = decodeInIndex(dst, x.buf, CodecVarint, x.size, x.payloadLen, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
 }
 
 // BenchmarkPrefetchColumnSweep measures a full column-major in-block sweep

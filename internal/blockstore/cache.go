@@ -78,11 +78,10 @@ type BlockKey struct {
 // CachedBlock is one immutable decoded cache entry. Exactly the fields the
 // engine's hot paths consume are retained:
 //
-//   - KindInBlock: Payload (packed raw records, decoded if the block is
-//     stored compressed) + ByteIdx (the in-index: a (local destination,
-//     end byte offset in Payload) pair per destination with records, as
-//     LoadInBlockBytesScratch returns it) — the zero-copy RawRec
-//     iteration view.
+//   - KindInBlock: Payload (packed raw records, decoded by DecodeInBlock if
+//     the block is stored compressed) + ByteIdx (the in-index: a (local
+//     destination, end byte offset in Payload) pair per destination with
+//     records) — the zero-copy RawRec iteration view.
 //   - KindOutIndex: Payload — the offset index LoadOutIndexScratch returns.
 //   - KindOutBlock: Payload — the *stored* out-block bytes runs slice
 //     into; sections of a compressed block are decoded on touch.

@@ -160,19 +160,17 @@ func encodeInIndex(entries []uint32, c Codec) []byte {
 // either way — and the last is payloadLen exactly, zero entries going with
 // an empty payload. Anything else is a storage.ErrCorrupt-class error naming
 // the entry.
+//
+// It is the one decode left on COP's load path (a compressed block's
+// sections are folded as stored, core/kernel.go), so the varint arm reads
+// one-byte gaps and lengths — all but a few on a real graph — in line, and
+// tests each entry without a call.
 func decodeInIndex(dst []uint32, buf []byte, c Codec, size, payloadLen, step int) ([]uint32, error) {
 	dst = dst[:0]
 	// nextLocal is the smallest destination the next entry may name, prevEnd
 	// where its section starts.
 	var nextLocal, prevEnd uint64
-	bad := func(local, end uint64) bool {
-		return local < nextLocal || local >= uint64(size) ||
-			end <= prevEnd || end > uint64(payloadLen) || end&uint64(step-1) != 0
-	}
-	fail := func(local, end uint64) ([]uint32, error) {
-		return nil, fmt.Errorf("in-index entry %d = (destination %d, section end %d) after (%d, %d), for an interval of %d and %d payload bytes cut at multiples of %d: %w",
-			len(dst)/2, local, end, int64(nextLocal)-1, prevEnd, size, payloadLen, step, storage.ErrCorrupt)
-	}
+	mask := uint64(step - 1)
 	switch c {
 	case CodecNone:
 		if len(buf)%InIndexEntryBytes != 0 {
@@ -182,29 +180,44 @@ func decodeInIndex(dst []uint32, buf []byte, c Codec, size, payloadLen, step int
 			dst = make([]uint32, 0, n)
 		}
 		for off := 0; off < len(buf); off += InIndexEntryBytes {
-			local, end := binary.LittleEndian.Uint32(buf[off:]), binary.LittleEndian.Uint32(buf[off+4:])
-			if bad(uint64(local), uint64(end)) {
-				return fail(uint64(local), uint64(end))
+			local, end := uint64(binary.LittleEndian.Uint32(buf[off:])), uint64(binary.LittleEndian.Uint32(buf[off+4:]))
+			if local < nextLocal || local >= uint64(size) || end <= prevEnd || end > uint64(payloadLen) || end&mask != 0 {
+				return nil, inIndexEntryError(len(dst)/2, local, end, nextLocal, prevEnd, size, payloadLen, step)
 			}
-			dst = append(dst, local, end)
-			nextLocal, prevEnd = uint64(local)+1, uint64(end)
+			dst = append(dst, uint32(local), uint32(end))
+			nextLocal, prevEnd = local+1, end
 		}
 	case CodecVarint:
 		for off := 0; off < len(buf); {
-			gap, n := binary.Uvarint(buf[off:])
-			length, m := binary.Uvarint(buf[off+max(n, 0):]) // n ≤ 0: a bad gap, reported next
-			if n <= 0 || m <= 0 {
-				return nil, fmt.Errorf("in-index entry %d: truncated or overlong varint at offset %d: %w", len(dst)/2, off, storage.ErrCorrupt)
+			// gap = local − previous local and length = the section's bytes,
+			// each a uvarint; binary.Uvarint takes the longer ones and every
+			// malformed one.
+			gap, length := uint64(buf[off]), uint64(0)
+			if off++; gap >= 0x80 {
+				n := 0
+				if gap, n = binary.Uvarint(buf[off-1:]); n <= 0 {
+					return nil, fmt.Errorf("in-index entry %d: truncated or overlong varint at offset %d: %w", len(dst)/2, off-1, storage.ErrCorrupt)
+				}
+				off += n - 1
 			}
-			off += n + m
+			if off < len(buf) && buf[off] < 0x80 {
+				length = uint64(buf[off])
+				off++
+			} else {
+				n := 0
+				if length, n = binary.Uvarint(buf[off:]); n <= 0 {
+					return nil, fmt.Errorf("in-index entry %d: truncated or overlong varint at offset %d: %w", len(dst)/2, off, storage.ErrCorrupt)
+				}
+				off += n
+			}
 			// A zero gap repeats the previous destination; and bounding both
 			// before the sums keeps them from wrapping.
 			if gap == 0 || gap > uint64(size) || length > uint64(payloadLen) {
 				return nil, fmt.Errorf("in-index entry %d: gap %d, section length %d for an interval of %d and %d payload bytes: %w", len(dst)/2, gap, length, size, payloadLen, storage.ErrCorrupt)
 			}
 			local, end := nextLocal+gap-1, prevEnd+length
-			if bad(local, end) {
-				return fail(local, end)
+			if local >= uint64(size) || end <= prevEnd || end > uint64(payloadLen) || end&mask != 0 {
+				return nil, inIndexEntryError(len(dst)/2, local, end, nextLocal, prevEnd, size, payloadLen, step)
 			}
 			dst = append(dst, uint32(local), uint32(end))
 			nextLocal, prevEnd = local+1, end
@@ -216,6 +229,13 @@ func decodeInIndex(dst []uint32, buf []byte, c Codec, size, payloadLen, step int
 		return nil, fmt.Errorf("in-index covers %d of the %d payload bytes: %w", prevEnd, payloadLen, storage.ErrCorrupt)
 	}
 	return dst, nil
+}
+
+// inIndexEntryError is decodeInIndex's refusal of entry e = (local, end),
+// read after an entry that left nextLocal and prevEnd.
+func inIndexEntryError(e int, local, end, nextLocal, prevEnd uint64, size, payloadLen, step int) error {
+	return fmt.Errorf("in-index entry %d = (destination %d, section end %d) after (%d, %d), for an interval of %d and %d payload bytes cut at multiples of %d: %w",
+		e, local, end, int64(nextLocal)-1, prevEnd, size, payloadLen, step, storage.ErrCorrupt)
 }
 
 // Blob names. Block (i,j) always means "edges from interval i to interval

@@ -134,14 +134,16 @@ type DualStore struct {
 	OutIndexPageCRCs [][][]uint32
 	// names is the blob-name grid the read paths index (see blobNames).
 	names *blobNames
-	// dec aggregates decode-side accounting (section/index decodes, codec
-	// bytes in and out, wall time), shared by pointer across Fork copies
-	// like retries so prefetch-worker decodes land in the same totals.
+	// dec aggregates decode-side accounting (codec bytes in and out, wall
+	// time). The views WithAbort hands the prefetch workers share it by
+	// pointer, so their decodes land in the same totals; a Fork gets its own
+	// (see Fork).
 	dec *decodeCounters
 }
 
-// decodeCounters aggregates codec decode work store-wide. All fields are
-// atomic: decodes run concurrently in prefetch workers and hedged readers.
+// decodeCounters aggregates codec decode work per store handle. All fields
+// are atomic: decodes run concurrently in prefetch workers and hedged
+// readers.
 type decodeCounters struct {
 	// varintBytes are the *decoded* (logical) bytes varint decodes
 	// produced — the basis for modeled decode cost.
@@ -150,7 +152,9 @@ type decodeCounters struct {
 	compressedBytes atomic.Int64
 	// nanos is wall time spent inside codec decode loops (diagnostic; the
 	// deterministic cost model uses ModeledDecodeTime over the byte
-	// counters instead).
+	// counters instead). A compressed in-block's sections are decoded by
+	// the COP kernel as it folds them, so their time is the kernel's and is
+	// not in here.
 	nanos atomic.Int64
 }
 
@@ -180,8 +184,8 @@ func (s DecodeStats) Sub(o DecodeStats) DecodeStats {
 	}
 }
 
-// DecodeStats returns the cumulative decode accounting since the store was
-// created, shared across Fork copies like Retries.
+// DecodeStats returns the cumulative decode accounting of this store handle
+// since it was created or forked.
 func (d *DualStore) DecodeStats() DecodeStats {
 	return DecodeStats{
 		VarintBytes:     d.dec.varintBytes.Load(),
@@ -339,10 +343,14 @@ func (d *DualStore) Store() storage.Store { return d.store }
 // storage.DeviceStore over d's store, so every shard charges its own
 // simulated device. The fork shares the immutable metadata
 // slices and the retry counter with d; it inherits the retry policy in
-// force at fork time, so install policies with SetRetryPolicy first.
+// force at fork time, so install policies with SetRetryPolicy first. Its
+// decode counters start at zero and are its own, like its device: K forks
+// prefetch at once, and each counts only what it decoded, so a coordinator
+// sums the K reports instead of reading one total the others move under it.
 func (d *DualStore) Fork(store storage.Store) *DualStore {
 	f := *d
 	f.store = store
+	f.dec = new(decodeCounters)
 	return &f
 }
 
@@ -559,8 +567,8 @@ type Scratch struct {
 	raw    []byte
 	idxRaw []byte
 	idx    []uint32
-	// dec holds what a compressed block, section or out-index decodes
-	// into: the bytes of its CodecNone twin.
+	// dec holds what a compressed section or out-index decodes into: the
+	// bytes of its CodecNone twin.
 	dec []byte
 }
 
@@ -674,7 +682,7 @@ func (d *DualStore) DecodeSectionScratch(section []byte, c Codec, sc *Scratch) (
 		return section, nil
 	}
 	start := time.Now()
-	recs, err := appendSection(sc.dec[:0], section, c, d.Weighted)
+	recs, err := AppendSection(sc.dec[:0], section, c, d.Weighted)
 	if err != nil {
 		return nil, err
 	}
@@ -684,21 +692,28 @@ func (d *DualStore) DecodeSectionScratch(section []byte, c Codec, sc *Scratch) (
 }
 
 // LoadInBlockBytesScratch streams in-block(i,j) with its index, charged as
-// sequential reads — COP's block scan (Alg. 3 line 5) — and returns it in
-// the one shape compute consumes: payload holds the block's packed raw
-// records (RawRecordBytes each, iterated in place via RawRec) and entries
-// one (local destination, end byte offset of its records in payload) pair
-// per destination of the interval that has any, ascending, each section
-// starting where the previous one ends. A stored-raw block (all of
-// FormatRaw; per-block in FormatMixed) is handed over as read; of a
-// compressed one exactly the listed sections are decoded, into the bytes its
-// CodecNone twin stores. Both views alias sc's buffers.
+// sequential reads — COP's block scan (Alg. 3 line 5) — and returns it as
+// stored: payload is the CRC-checked payload, InCodec(i,j) its layout, and
+// entries one (local destination, end byte offset of its section in payload)
+// pair per destination of the interval that has a record, ascending, each
+// section starting where the previous one ends. A stored-raw block (all of
+// FormatRaw; per-block in FormatMixed) holds packed raw records
+// (RawRecordBytes each, iterated in place via RawRec); a compressed one
+// holds self-contained varint sections, which the COP kernels fold as they
+// decode them (core/kernel.go) and DecodeInBlock turns into the records of
+// its CodecNone twin for whoever needs those. Both views alias sc's buffers.
 //
 // The kernels index accumulators and payload by the entries unchecked, so
-// every rule they rely on is checked here (decodeInIndex), in the pass that
-// decodes them; and the payload must be the stored size the meta records.
-// A violation means a blob lied (or the blobs come from two builds) and is
-// reported as corruption.
+// every rule they rely on is checked here (decodeInIndex); and the payload
+// must be the stored size the meta records. A violation means a blob lied
+// (or the blobs come from two builds) and is reported as corruption. What a
+// section says is checked by whoever decodes it: a malformed varint or a
+// neighbour that names no vertex stops the kernel's fold.
+//
+// A compressed block's decode is counted in DecodeStats here, when it is
+// handed over — its logical bytes are BlockEdgeCount·RawRecordBytes
+// whoever decodes it — so an iteration's counts do not depend on where the
+// decode runs.
 func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
 	name, idxName := d.names.name(blobInBlock, i, j), d.names.name(blobInIndex, i, j)
 	idxBuf, err := d.readBlob(idxName, &sc.idxRaw)
@@ -727,26 +742,31 @@ func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []ui
 	if idxCodec != CodecNone {
 		d.noteDecode(int64(len(entries))*IndexEntryBytes, int64(len(idxBuf)), time.Since(start))
 	}
-	if c == CodecNone {
-		return payload, entries, nil
+	if c != CodecNone {
+		d.noteDecode(d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)), int64(len(payload)), 0)
 	}
+	return payload, entries, nil
+}
 
-	// The decoded size is known up front, so the buffer is sized once.
-	if want := int(d.BlockEdgeCount[i][j]) * RawRecordBytes(d.Weighted); cap(sc.dec) < want {
-		sc.dec = make([]byte, 0, want)
-	}
-	dec := sc.dec[:0]
-	start = time.Now()
-	for e, lo := 0, uint32(0); e < len(entries); e += 2 {
+// DecodeInBlock returns the CodecNone twin of a compressed in-block handed
+// over as LoadInBlockBytesScratch hands it: every listed section decoded by
+// AppendSection, the only section decoder, one after another and appended to
+// dst[:0], and the entries with each end offset moved to the decoded one, in
+// a new slice. It is for whoever needs raw records — the prefetcher keeps an
+// admitted block in the cache decoded, and tests compare the two layouts —
+// and counts nothing: the loader counted the block. A malformed section is
+// storage.ErrCorrupt-class, naming its destination.
+func DecodeInBlock(dst, payload []byte, entries []uint32, weighted bool) ([]byte, []uint32, error) {
+	recs, out := dst[:0], make([]uint32, len(entries))
+	var err error
+	for e, lo := 0, uint32(0); e+1 < len(entries); e += 2 {
 		hi := entries[e+1]
-		if dec, err = appendSection(dec, payload[lo:hi], c, d.Weighted); err != nil {
-			return nil, nil, fmt.Errorf("blockstore: %s vertex %d: %w", name, entries[e], err)
+		if recs, err = AppendSection(recs, payload[lo:hi], CodecVarint, weighted); err != nil {
+			return nil, nil, fmt.Errorf("blockstore: in-block destination %d: %w", entries[e], err)
 		}
-		entries[e+1], lo = uint32(len(dec)), hi
+		out[e], out[e+1], lo = entries[e], uint32(len(recs)), hi
 	}
-	sc.dec = dec
-	d.noteDecode(int64(len(dec)), int64(len(payload)), time.Since(start))
-	return dec, entries, nil
+	return recs, out, nil
 }
 
 // checkStoredSize holds a whole block read to the stored size the meta
@@ -760,8 +780,9 @@ func checkStoredSize(name string, payload []byte, stored int64) error {
 	return nil
 }
 
-// LoadInBlockScratch is LoadInBlockBytesScratch without the index.
-// perfbench/trace.go calls it for compressed blocks; it goes when a
+// LoadInBlockScratch is LoadInBlockBytesScratch without the index: of a
+// compressed block the stored payload, as the prefetch workers hand it
+// over. perfbench/trace.go calls it for compressed blocks; it goes when a
 // benchmark PR drops that call (ROADMAP 7d).
 func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) ([]byte, error) {
 	payload, _, err := d.LoadInBlockBytesScratch(i, j, sc)

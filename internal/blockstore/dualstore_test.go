@@ -360,7 +360,7 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 		{"neighbor past uint32", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, CodecVarint, false},
 		{"unknown codec", nil, Codec(2), false},
 	} {
-		if _, err := appendSection(nil, c.section, c.codec, c.weighted); !errors.Is(err, storage.ErrCorrupt) {
+		if _, err := AppendSection(nil, c.section, c.codec, c.weighted); !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
 		}
 	}

@@ -32,7 +32,7 @@ const (
 	// the *compressed* bytes (see frame.go). This is GraphMP's
 	// compressed-edge-block direction, and like there the codec is a
 	// property of storage only: every block decodes back into the packed
-	// records FormatRaw stores (appendSection).
+	// records FormatRaw stores (AppendSection).
 	FormatMixed
 )
 
@@ -139,14 +139,16 @@ func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool) []byt
 	}
 }
 
-// appendSection decodes one vertex's self-contained record section, stored
+// AppendSection decodes one vertex's self-contained record section, stored
 // with codec c, into the packed raw records its CodecNone twin stores —
 // RawRecordBytes(weighted) bytes each — appending them to dst. It is the
-// only section decoder: whatever the codec, compute sees one layout.
-// Malformed input yields storage.ErrCorrupt-class errors — never a panic or
+// only section decoder: ROP's sections, the blocks the cache keeps decoded
+// (DecodeInBlock) and the COP fallback kernel's sections go through it; the
+// specialised COP kernels fold a varint section as stored and must accept
+// and produce exactly what it does (core's FuzzFoldVarint). Malformed input yields storage.ErrCorrupt-class errors — never a panic or
 // an out-of-bounds read — so corrupt-on-disk sections surface through the
 // same fault taxonomy as a bad frame CRC.
-func appendSection(dst, section []byte, c Codec, weighted bool) ([]byte, error) {
+func AppendSection(dst, section []byte, c Codec, weighted bool) ([]byte, error) {
 	step := RawRecordBytes(weighted)
 	switch c {
 	case CodecNone:

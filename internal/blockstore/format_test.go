@@ -40,7 +40,7 @@ func TestVertexRecsRoundTripBothFormats(t *testing.T) {
 	recs := []Rec{{Nbr: 3, Weight: 1.5}, {Nbr: 4, Weight: 0}, {Nbr: 1000000, Weight: -2.25}}
 	for _, c := range allCodecs {
 		buf := encodeVertexRecsCodec(nil, recs, c, true)
-		got, err := appendSection(nil, buf, c, true)
+		got, err := AppendSection(nil, buf, c, true)
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
@@ -143,7 +143,7 @@ func TestBuildRejectsUnknownFormat(t *testing.T) {
 
 // Property: whatever codec stored a section, it decodes to the bytes its
 // CodecNone twin stores, appended after whatever dst already held —
-// appendSection(prefix, encode(recs, c)) == prefix ‖ encode(recs, none) —
+// AppendSection(prefix, encode(recs, c)) == prefix ‖ encode(recs, none) —
 // for sorted random neighbor sets, empty ones included, weighted and not.
 func TestQuickVertexRecsRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
@@ -161,7 +161,7 @@ func TestQuickVertexRecsRoundTrip(t *testing.T) {
 			want := encodeVertexRecsCodec(append([]byte(nil), prefix...), recs, CodecNone, weighted)
 			for _, c := range allCodecs {
 				dst := append(make([]byte, 0, len(prefix)), prefix...)
-				got, err := appendSection(dst, encodeVertexRecsCodec(nil, recs, c, weighted), c, weighted)
+				got, err := AppendSection(dst, encodeVertexRecsCodec(nil, recs, c, weighted), c, weighted)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Logf("codec %v weighted %v: err %v, %d bytes, want %d", c, weighted, err, len(got), len(want))
 					return false

@@ -30,7 +30,7 @@ func wantCorruptClass(t *testing.T, err error) {
 // bytes again.
 func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
 	t.Helper()
-	out, err := appendSection(nil, data, c, weighted)
+	out, err := AppendSection(nil, data, c, weighted)
 	if err != nil {
 		wantCorruptClass(t, err)
 		return
@@ -44,7 +44,7 @@ func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
 			return // decodable but not canonical: the encoder refuses it
 		}
 	}
-	again, err := appendSection(nil, encodeVertexRecsCodec(nil, recs, c, weighted), c, weighted)
+	again, err := AppendSection(nil, encodeVertexRecsCodec(nil, recs, c, weighted), c, weighted)
 	if err != nil || !bytes.Equal(again, out) {
 		t.Fatalf("%v re-encode round trip broke: %v (%d vs %d bytes)", c, err, len(again), len(out))
 	}

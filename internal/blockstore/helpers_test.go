@@ -51,15 +51,27 @@ func regroup(payload []byte, entries []uint32, weighted bool) testBlock {
 	return b
 }
 
-// loadInBlock loads in-block(i,j) through the one in-block loader.
+// loadInBlock loads in-block(i,j) through the one in-block loader and, when
+// it is stored compressed, decodes it with the one decode helper.
 func loadInBlock(ds *DualStore, i, j int) (testBlock, error) {
 	sc := GetScratch()
 	defer PutScratch(sc)
-	payload, entries, err := ds.LoadInBlockBytesScratch(i, j, sc)
+	payload, entries, err := loadInBlockRecords(ds, i, j, sc)
 	if err != nil {
 		return testBlock{}, err
 	}
 	return regroup(payload, entries, ds.Weighted), nil
+}
+
+// loadInBlockRecords is in-block(i,j) as packed raw records behind its
+// in-index entries, whatever stored it: the loader's stored form, decoded by
+// DecodeInBlock when the block is compressed.
+func loadInBlockRecords(ds *DualStore, i, j int, sc *Scratch) ([]byte, []uint32, error) {
+	payload, entries, err := ds.LoadInBlockBytesScratch(i, j, sc)
+	if err != nil || ds.InCodec(i, j) == CodecNone {
+		return payload, entries, err
+	}
+	return DecodeInBlock(nil, payload, entries, ds.Weighted)
 }
 
 // loadOutBlock loads out-block(i,j) whole: the out-index, the stored payload

@@ -39,9 +39,10 @@ func codecsOf(ds *DualStore) (in, out [2]int) {
 
 // TestMixedLoadsEqualRawLoads states the invariant compute rests on: the
 // codec is a property of storage only. One graph built raw and mixed hands
-// byte-identical (payload, idx) out of the in-block loader for every cell,
-// and every out-block section read and decoded the way ROP does equals the
-// raw store's bytes for that vertex.
+// byte-identical (payload, idx) out of the in-block loader for every cell —
+// a compressed block once DecodeInBlock has decoded it — and every out-block
+// section read and decoded the way ROP does equals the raw store's bytes for
+// that vertex.
 func TestMixedLoadsEqualRawLoads(t *testing.T) {
 	const p = 8
 	for _, weighted := range []bool{false, true} {
@@ -67,7 +68,7 @@ func TestMixedLoadsEqualRawLoads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotP, gotIdx, err := mixed.LoadInBlockBytesScratch(i, j, msc)
+				gotP, gotIdx, err := loadInBlockRecords(mixed, i, j, msc)
 				if err != nil {
 					t.Fatal(err)
 				}

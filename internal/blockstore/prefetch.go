@@ -13,9 +13,12 @@ import (
 // frontier is fixed: COP streams in-blocks column-major, ROP touches the
 // out-indices of active rows row-major. A Prefetcher takes that schedule up
 // front and overlaps I/O with compute: while the engine processes block k, a
-// small worker pool (PartitionedVC-style) reads, checksum-verifies and
-// decodes blocks k+1.. into pooled Scratch buffers — or serves them straight
-// from the BlockCache — and delivers each result on its own channel.
+// small worker pool (PartitionedVC-style) reads and checksum-verifies blocks
+// k+1.. into pooled Scratch buffers, and decodes their indices — or serves
+// them straight from the BlockCache — and delivers each result on its own
+// channel. A compressed in-block is delivered as stored, for the COP
+// kernel to fold as it decodes it; only one the cache admits is decoded
+// here, into the cache.
 //
 // Read-ahead is bounded by a token semaphore: at most `depth` results exist
 // between load-start and Release, so memory stays at O(depth) blocks no
@@ -93,17 +96,22 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 }
 
 // PrefetchResult is one delivered block: Payload and ByteIdx (its in-index
-// entries) for an in-block, Payload alone for an out-index — the
-// (Size(i)+1)·4 bytes of its offsets (see CachedBlock), or of a page-span
-// load the bytes from offset Base on. Views alias either a pooled Scratch
-// (returned by Release) or an immutable cache entry; they are read-only and
-// valid until Release.
+// entries) for an in-block, in the layout Codec names, Payload alone for an
+// out-index — the (Size(i)+1)·4 bytes of its offsets (see CachedBlock), or
+// of a page-span load the bytes from offset Base on. Views alias either a
+// pooled Scratch (returned by Release) or an immutable cache entry; they are
+// read-only and valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error
 
 	Payload []byte
 	ByteIdx []uint32
+	// Codec is the layout of an in-block's Payload: CodecNone for packed raw
+	// records — a block stored raw, or one served decoded from the cache —
+	// and CodecVarint for a compressed block as stored, its ByteIdx ends
+	// then being offsets into the varint sections.
+	Codec Codec
 	// Base is the stored payload offset Payload starts at: nonzero only for
 	// an out-index loaded as a page span that does not start at page 0.
 	Base int
@@ -287,10 +295,11 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		x := p.extents[key.I*p.ds.Layout.P+key.J]
 		res.Payload, res.Base, err = p.ds.LoadOutIndexSpanScratch(key.I, key.J, x, sc)
 	case KindInBlock:
-		// A compressed block is decoded here, in the worker, so the decode
-		// overlaps the I/O of the other in-flight blocks instead of
-		// serializing behind it.
+		// A compressed block stays as stored: the COP kernel decodes its
+		// sections as it folds them, which costs less than decoding here
+		// into a copy the kernel then reads a second time.
 		res.Payload, res.ByteIdx, err = p.ds.LoadInBlockBytesScratch(key.I, key.J, sc)
+		res.Codec = p.ds.InCodec(key.I, key.J)
 	default:
 		err = fmt.Errorf("blockstore: prefetch: unknown block kind %d", key.Kind)
 	}
@@ -300,13 +309,23 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		return res
 	}
 	if req.admit {
-		blk := &CachedBlock{
-			Payload: append([]byte(nil), res.Payload...),
-			ByteIdx: append([]uint32(nil), res.ByteIdx...),
+		blk := &CachedBlock{}
+		if res.Codec == CodecNone {
+			blk.Payload = append([]byte(nil), res.Payload...)
+			blk.ByteIdx = append([]uint32(nil), res.ByteIdx...)
+		} else {
+			// The cache holds blocks decoded, at what the meta charged for
+			// them (entryBytes), so a hit costs no decode.
+			recs := make([]byte, 0, p.ds.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(p.ds.Weighted)))
+			if blk.Payload, blk.ByteIdx, err = DecodeInBlock(recs, res.Payload, res.ByteIdx, p.ds.Weighted); err != nil {
+				PutScratch(sc)
+				*res = PrefetchResult{Key: key, Err: fmt.Errorf("blockstore: in-block (%d,%d): %w", key.I, key.J, err)}
+				return res
+			}
 		}
 		if p.cache.Put(key, blk) {
 			// Serve the immutable cached copy; the scratch is free now.
-			res.Payload, res.ByteIdx = blk.Payload, blk.ByteIdx
+			res.Payload, res.ByteIdx, res.Codec = blk.Payload, blk.ByteIdx, CodecNone
 			PutScratch(sc)
 			res.sc = nil
 		}

@@ -80,7 +80,7 @@ func TestPrefetchMatchesSyncLoadsAllDepths(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
+				if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) || res.Codec != ds.InCodec(key.I, key.J) {
 					t.Fatalf("format=%v depth=%d (%d,%d): prefetched views differ from sync load", format, depth, key.I, key.J)
 				}
 				res.Release()
@@ -337,11 +337,12 @@ func cachedSweepMatchesDirectLoads(t *testing.T, ds *DualStore, cache *BlockCach
 			if pass == 1 && !res.Cached {
 				t.Fatalf("pass 2 (%d,%d): expected a cache hit", key.I, key.J)
 			}
-			payload, byteIdx, err := ds.LoadInBlockBytesScratch(key.I, key.J, sc)
+			// The cache holds every block decoded.
+			payload, byteIdx, err := loadInBlockRecords(ds, key.I, key.J, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
+			if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) || res.Codec != CodecNone {
 				t.Fatalf("pass %d (%d,%d): cached views differ from direct load", pass+1, key.I, key.J)
 			}
 			res.Release()

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
+	"husgraph/internal/storage"
 )
 
 // runCOP executes one Column-oriented Pull iteration (paper Alg. 3) over
@@ -42,13 +44,17 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			// The block arrives as packed records behind in-index entries
-			// whatever stored it: a compressed one was decoded into that
-			// shape by the window (in the prefetch worker, overlapping
-			// I/O). The edge kernel partitions the listed destinations
-			// across workers by edge count.
+			// The block arrives behind its in-index entries as stored —
+			// packed records, or the varint sections of a compressed block,
+			// which the kernel decodes as it folds them — or decoded from
+			// the cache; res.Codec says which. The edge kernel partitions
+			// the listed destinations across workers by payload bytes.
 			if len(res.Payload) > 0 {
-				k.block(d[lo:hi], res.Payload, res.ByteIdx)
+				if bad := k.block(d[lo:hi], res.Payload, res.ByteIdx, res.Codec); bad >= 0 {
+					dst := lo + int(res.ByteIdx[2*bad])
+					res.Release()
+					return 0, fmt.Errorf("core: in-block (%d,%d) destination %d: %v section holds a malformed varint or a neighbour outside [0,%d): %w", j, i, dst, res.Codec, len(s), storage.ErrCorrupt)
+				}
 			}
 			res.Release()
 		}

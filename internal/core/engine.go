@@ -259,18 +259,22 @@ func (e *Engine) activeOutEdges(f *bitset.Frontier) int64 {
 	return t
 }
 
-// chooseModel implements the I/O-based performance prediction (§3.4) at
-// iteration granularity. It fills the prediction fields of st.
-func (e *Engine) chooseModel(f *bitset.Frontier, st *IterStats) Model {
-	if e.cfg.Model != ModelHybrid {
-		return e.cfg.Model
+// ChooseModel is the I/O-based performance prediction (§3.4) at iteration
+// granularity — the one copy of it, which an engine and the shard
+// coordinator both run. A forced model (cfg.Model) wins. Under ModelHybrid a
+// frontier of more than cfg.Alpha·|V| vertices takes COP without predicting
+// (the α shortcut), unless cfg.Alpha is negative, which switches the
+// shortcut off; otherwise predict prices both models for f, their costs go
+// into st's prediction fields, and the cheaper one runs — ROP on a tie. cfg
+// is resolved (WithDefaults), so an Alpha of 0 has become DefaultAlpha.
+func ChooseModel(cfg Config, f *bitset.Frontier, st *IterStats, predict func(*bitset.Frontier) (crop, ccop time.Duration)) Model {
+	if cfg.Model != ModelHybrid {
+		return cfg.Model
 	}
-	n := e.ds.Layout.NumVertices
-	if float64(f.Count()) > e.cfg.Alpha*float64(n) {
-		// α shortcut: dense frontiers choose COP without predicting.
+	if cfg.Alpha >= 0 && float64(f.Count()) > cfg.Alpha*float64(f.Len()) {
 		return ModelCOP
 	}
-	crop, ccop := e.predict(f)
+	crop, ccop := predict(f)
 	st.PredictedROP, st.PredictedCOP = crop, ccop
 	if crop <= ccop {
 		return ModelROP

@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
@@ -25,14 +27,24 @@ import (
 //
 // Values are bit-identical to the per-edge interface loops: the table holds
 // exactly what Message would have returned, combined in the same order.
-// Those loops (copCombineRaw, the ReduceCustom arm of ropPushRaw) remain the
-// one fallback — for programs that declare nothing and for weighted stores,
-// where a message may depend on the edge.
+// Those loops (copKernel.combine, the ReduceCustom arm of ropPushRaw)
+// remain the one fallback — for programs that declare nothing and for
+// weighted stores, where a message may depend on the edge.
 //
-// Every kernel iterates packed raw records behind in-index entries — the
-// shape blockstore hands over whatever codec stored the block — so a block
-// that was decoded runs the same loop as one that was stored raw, and a loop
-// visits the destinations that have an edge in the block and no other.
+// Every kernel walks in-index entries, so a loop visits the destinations
+// that have an edge in the block and no other, and reads the block in the
+// layout blockstore hands it over in: packed raw records, or — for a block
+// stored compressed — the varint sections as stored, each gap parsed and
+// folded in the same loop with no intermediate record. A section's
+// neighbours come out in the same ascending order either way, so the two
+// layouts fold to the same bits.
+//
+// A neighbour is disk input: a crafted record, or a varint the CRC could
+// not tell from a valid one, may name no vertex. Every loop tests it against
+// the arrays it indexes directly before the load — the test stands in for
+// the bounds check the compiler would emit there — and stops at the first
+// one that fails, or at a malformed varint; the sweep then ends the
+// iteration with an ErrCorrupt-class error (runCOP).
 
 // ReduceOp names the reduction a program's Combine performs.
 type ReduceOp uint8
@@ -144,20 +156,28 @@ type copKernel struct {
 	active []uint64
 
 	// The block in hand: d is the destination interval's accumulators,
-	// payload its packed raw records, and idx its in-index — entry e is
-	// (idx[2e], idx[2e+1]): a destination's offset in d and the byte offset
-	// in payload its records end at, where entry e+1's begin. blockstore
-	// validated every entry against both (DESIGN.md §4m).
+	// payload its sections in the layout codec names, and idx its in-index —
+	// entry e is (idx[2e], idx[2e+1]): a destination's offset in d and the
+	// byte offset in payload its section ends at, where entry e+1's begins.
+	// blockstore validated every entry against both (DESIGN.md §4m).
 	d       []float64
 	idx     []uint32
 	payload []byte
+	codec   blockstore.Codec
 
 	// bounds is the block's chunking (entryChunks); wg joins the chunk
-	// workers. Both live here so a block costs one allocation per worker
-	// spawned and none otherwise.
+	// workers; bad is the first entry a fold stopped at, or noBad; and
+	// bufs[c] is chunk c's buffer for the fallback's decoded sections. All
+	// live here so a block costs one allocation per worker spawned and none
+	// otherwise.
 	bounds []int
 	wg     sync.WaitGroup
+	bad    atomic.Int64
+	bufs   [][]byte
 }
+
+// noBad is copKernel.bad while every fold has run to its end.
+const noBad = math.MaxInt64
 
 // begin readies the kernel for one sweep over frontier and, when prog
 // declared a reduction, fills the message table from the current S.
@@ -197,54 +217,83 @@ func (k *copKernel) refresh(lo, hi int) {
 	})
 }
 
-// block folds one in-block into d. It partitions the block's entries across
-// workers by edge count and runs the kernel on each chunk — the last on the
-// calling goroutine, which would otherwise only wait — and returns once
-// every chunk is done.
-func (k *copKernel) block(d []float64, payload []byte, entries []uint32) {
-	k.d, k.idx, k.payload = d, entries, payload
+// block folds one in-block, its sections in the layout codec, into d. It
+// partitions the block's entries across workers by payload bytes and runs
+// the kernel on each chunk — the last on the calling goroutine, which would
+// otherwise only wait — and returns once every chunk is done: -1 when every
+// section folded, else the first entry whose section holds a malformed
+// varint or names a neighbour outside the vertex set. The fold stops there;
+// what it wrote before is left for the caller to discard.
+func (k *copKernel) block(d []float64, payload []byte, entries []uint32, codec blockstore.Codec) int {
+	k.d, k.idx, k.payload, k.codec = d, entries, payload, codec
 	k.bounds = entryChunks(k.bounds[:0], k.idx, k.threads)
 	last := len(k.bounds) - 2
 	if last < 0 {
-		return
+		return -1
 	}
+	if k.op == ReduceCustom && codec != blockstore.CodecNone {
+		for len(k.bufs) <= last {
+			k.bufs = append(k.bufs, nil)
+		}
+	}
+	k.bad.Store(noBad)
 	k.wg.Add(last)
 	for c := 0; c < last; c++ {
-		go k.worker(k.bounds[c], k.bounds[c+1])
+		go k.worker(c)
 	}
-	k.runChunk(k.bounds[last], k.bounds[last+1])
+	k.runChunk(last)
 	k.wg.Wait()
+	if bad := k.bad.Load(); bad != noBad {
+		return int(bad)
+	}
+	return -1
 }
 
-func (k *copKernel) worker(cl, ch int) {
+func (k *copKernel) worker(c int) {
 	defer k.wg.Done()
-	k.runChunk(cl, ch)
+	k.runChunk(c)
 }
 
 // isActive tests vertex v in a frontier's bitmap words, in line.
 func isActive(active []uint64, v uint32) bool { return active[v>>6]&(1<<(v&63)) != 0 }
 
-// runChunk runs the block's kernel over entries [cl, ch). Chunks own
-// disjoint destinations, so workers never write the same accumulator
-// (§3.5).
-func (k *copKernel) runChunk(cl, ch int) {
+// runChunk runs the block's kernel over chunk c's entries and, if it
+// stopped, lowers bad to the entry it stopped at. Chunks own disjoint
+// destinations, so workers never write the same accumulator (§3.5).
+func (k *copKernel) runChunk(c int) {
+	cl, ch := k.bounds[c], k.bounds[c+1]
 	all, active := k.active == nil, k.active
-	// The chunk's entries, and where the first one's records begin.
+	// The chunk's entries, and where the first one's section begins.
 	idx, lo := k.idx[2*cl:2*ch], 0
 	if cl > 0 {
 		lo = int(k.idx[2*cl-1])
 	}
-	switch {
+	var bad int
+	switch raw := k.codec == blockstore.CodecNone; {
+	case k.op == ReduceSum && all && raw:
+		bad = copSumRaw(k.m, k.d, k.payload, idx, lo)
 	case k.op == ReduceSum && all:
-		copSumRaw(k.m, k.d, k.payload, idx, lo)
+		bad = copSumVarint(k.m, k.d, k.payload, idx, lo)
+	case k.op == ReduceSum && raw:
+		bad = copSumRawProbe(k.m, k.d, k.payload, idx, lo, active)
 	case k.op == ReduceSum:
-		copSumRawProbe(k.m, k.d, k.payload, idx, lo, active)
+		bad = copSumVarintProbe(k.m, k.d, k.payload, idx, lo, active)
+	case k.op == ReduceMin && all && raw:
+		bad = copMinRaw(k.m, k.d, k.payload, idx, lo)
 	case k.op == ReduceMin && all:
-		copMinRaw(k.m, k.d, k.payload, idx, lo)
+		bad = copMinVarint(k.m, k.d, k.payload, idx, lo)
+	case k.op == ReduceMin && raw:
+		bad = copMinRawProbe(k.m, k.d, k.payload, idx, lo, active)
 	case k.op == ReduceMin:
-		copMinRawProbe(k.m, k.d, k.payload, idx, lo, active)
+		bad = copMinVarintProbe(k.m, k.d, k.payload, idx, lo, active)
 	default:
-		copCombineRaw(k.prog, k.s, k.d, k.payload, idx, lo, active, k.weighted)
+		bad = k.combine(c, idx, lo)
+	}
+	if bad < 0 {
+		return
+	}
+	// The lowest entry wins whichever chunk gets here first.
+	for at, cur := int64(cl+bad/2), k.bad.Load(); at < cur && !k.bad.CompareAndSwap(cur, at); cur = k.bad.Load() {
 	}
 }
 
@@ -254,27 +303,37 @@ func (k *copKernel) runChunk(cl, ch int) {
 // and written back. The all-active loops carry no IsActive check (Alg. 3
 // line 11 is vacuous) and no call, so the accumulator and cursors stay in
 // registers; the probing loops test the frontier's bitmap words in line for
-// the same reason. They only ever see 4-byte unweighted records: reduceOf
-// keeps weighted stores on the fallback.
+// the same reason. They only ever see unweighted sections — 4-byte records,
+// or one uvarint gap per neighbour: reduceOf keeps weighted stores on the
+// fallback. Each returns -1, or the position in idx of the entry whose
+// section it stopped in.
 
-func copSumRaw(m, d []float64, payload []byte, idx []uint32, lo int) {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		acc := d[local]
-		for off := lo; off < hi; off += 4 {
-			acc += m[binary.LittleEndian.Uint32(payload[off:])]
-		}
-		d[local] = acc
-		lo = hi
-	}
-}
-
-func copSumRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) {
+func copSumRaw(m, d []float64, payload []byte, idx []uint32, lo int) int {
 	for e := 0; e+1 < len(idx); e += 2 {
 		local, hi := idx[e], int(idx[e+1])
 		acc := d[local]
 		for off := lo; off < hi; off += 4 {
 			nbr := binary.LittleEndian.Uint32(payload[off:])
+			if int(nbr) >= len(m) {
+				return e
+			}
+			acc += m[nbr]
+		}
+		d[local] = acc
+		lo = hi
+	}
+	return -1
+}
+
+func copSumRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) int {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
+		acc := d[local]
+		for off := lo; off < hi; off += 4 {
+			nbr := binary.LittleEndian.Uint32(payload[off:])
+			if int(nbr) >= len(m) {
+				return e
+			}
 			if isActive(active, nbr) {
 				acc += m[nbr]
 			}
@@ -282,28 +341,37 @@ func copSumRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active
 		d[local] = acc
 		lo = hi
 	}
+	return -1
 }
 
-func copMinRaw(m, d []float64, payload []byte, idx []uint32, lo int) {
+func copMinRaw(m, d []float64, payload []byte, idx []uint32, lo int) int {
 	for e := 0; e+1 < len(idx); e += 2 {
 		local, hi := idx[e], int(idx[e+1])
 		acc := d[local]
 		for off := lo; off < hi; off += 4 {
-			if v := m[binary.LittleEndian.Uint32(payload[off:])]; v < acc {
+			nbr := binary.LittleEndian.Uint32(payload[off:])
+			if int(nbr) >= len(m) {
+				return e
+			}
+			if v := m[nbr]; v < acc {
 				acc = v
 			}
 		}
 		d[local] = acc
 		lo = hi
 	}
+	return -1
 }
 
-func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) {
+func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) int {
 	for e := 0; e+1 < len(idx); e += 2 {
 		local, hi := idx[e], int(idx[e+1])
 		acc := d[local]
 		for off := lo; off < hi; off += 4 {
 			nbr := binary.LittleEndian.Uint32(payload[off:])
+			if int(nbr) >= len(m) {
+				return e
+			}
 			if isActive(active, nbr) && m[nbr] < acc {
 				acc = m[nbr]
 			}
@@ -311,32 +379,206 @@ func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active
 		d[local] = acc
 		lo = hi
 	}
+	return -1
+}
+
+// The varint twins read a section as blockstore's encoder writes it: per
+// neighbour uvarint(neighbour − previous), the previous of the first being
+// −1, so nbr starts at ^0 and the first gap wraps it onto the neighbour.
+// Gaps of one to three bytes — all but a few on a real graph — are read in
+// line, each loop its own copy: a shared helper is past the inlining budget,
+// and the call per gap cost the fold half its speed. What they accept and
+// the values they fold are exactly what blockstore's section decoder makes
+// of the sections for the raw twins (FuzzFoldVarint).
+
+func copSumVarint(m, d []float64, payload []byte, idx []uint32, lo int) int {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
+		sec := payload[lo:hi]
+		acc := d[local]
+		nbr := ^uint64(0)
+		for off := 0; off < len(sec); {
+			gap := uint64(sec[off])
+			if off++; gap >= 0x80 {
+				if off < len(sec) && sec[off] < 0x80 {
+					gap = gap&0x7f | uint64(sec[off])<<7
+					off++
+				} else if off+1 < len(sec) && sec[off+1] < 0x80 {
+					gap = gap&0x7f | uint64(sec[off]&0x7f)<<7 | uint64(sec[off+1])<<14
+					off += 2
+				} else if gap, off = longGap(sec, off-1); off < 0 {
+					return e
+				}
+			}
+			if nbr += gap; nbr >= uint64(len(m)) {
+				return e
+			}
+			acc += m[nbr]
+		}
+		d[local] = acc
+		lo = hi
+	}
+	return -1
+}
+
+func copSumVarintProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) int {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
+		sec := payload[lo:hi]
+		acc := d[local]
+		nbr := ^uint64(0)
+		for off := 0; off < len(sec); {
+			gap := uint64(sec[off])
+			if off++; gap >= 0x80 {
+				if off < len(sec) && sec[off] < 0x80 {
+					gap = gap&0x7f | uint64(sec[off])<<7
+					off++
+				} else if off+1 < len(sec) && sec[off+1] < 0x80 {
+					gap = gap&0x7f | uint64(sec[off]&0x7f)<<7 | uint64(sec[off+1])<<14
+					off += 2
+				} else if gap, off = longGap(sec, off-1); off < 0 {
+					return e
+				}
+			}
+			if nbr += gap; nbr >= uint64(len(m)) {
+				return e
+			}
+			if isActive(active, uint32(nbr)) {
+				acc += m[nbr]
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+	return -1
+}
+
+func copMinVarint(m, d []float64, payload []byte, idx []uint32, lo int) int {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
+		sec := payload[lo:hi]
+		acc := d[local]
+		nbr := ^uint64(0)
+		for off := 0; off < len(sec); {
+			gap := uint64(sec[off])
+			if off++; gap >= 0x80 {
+				if off < len(sec) && sec[off] < 0x80 {
+					gap = gap&0x7f | uint64(sec[off])<<7
+					off++
+				} else if off+1 < len(sec) && sec[off+1] < 0x80 {
+					gap = gap&0x7f | uint64(sec[off]&0x7f)<<7 | uint64(sec[off+1])<<14
+					off += 2
+				} else if gap, off = longGap(sec, off-1); off < 0 {
+					return e
+				}
+			}
+			if nbr += gap; nbr >= uint64(len(m)) {
+				return e
+			}
+			if v := m[nbr]; v < acc {
+				acc = v
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+	return -1
+}
+
+func copMinVarintProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) int {
+	for e := 0; e+1 < len(idx); e += 2 {
+		local, hi := idx[e], int(idx[e+1])
+		sec := payload[lo:hi]
+		acc := d[local]
+		nbr := ^uint64(0)
+		for off := 0; off < len(sec); {
+			gap := uint64(sec[off])
+			if off++; gap >= 0x80 {
+				if off < len(sec) && sec[off] < 0x80 {
+					gap = gap&0x7f | uint64(sec[off])<<7
+					off++
+				} else if off+1 < len(sec) && sec[off+1] < 0x80 {
+					gap = gap&0x7f | uint64(sec[off]&0x7f)<<7 | uint64(sec[off+1])<<14
+					off += 2
+				} else if gap, off = longGap(sec, off-1); off < 0 {
+					return e
+				}
+			}
+			if nbr += gap; nbr >= uint64(len(m)) {
+				return e
+			}
+			if isActive(active, uint32(nbr)) && m[nbr] < acc {
+				acc = m[nbr]
+			}
+		}
+		d[local] = acc
+		lo = hi
+	}
+	return -1
+}
+
+// longGap reads the uvarint of four or more bytes, or the malformed one,
+// at sec[off] and returns it with the offset past it, or off = -1 for a
+// truncated or overlong one. A gap above 2³² is refused here too: from any
+// neighbour it names no vertex, and refusing it keeps the caller's sum from
+// wrapping back into range.
+func longGap(sec []byte, off int) (uint64, int) {
+	gap, n := binary.Uvarint(sec[off:])
+	if n <= 0 || gap > 1<<32 {
+		return 0, -1
+	}
+	return gap, off + n
 }
 
 // The fallback COP kernel: Message and Combine per edge (Alg. 3 lines
-// 11–14 as written).
+// 11–14 as written), over raw records — a varint section is first decoded
+// into the chunk's buffer, one section at a time, by blockstore's section
+// decoder.
 
-func copCombineRaw(prog Program, s, d []float64, payload []byte, idx []uint32, lo int, active []uint64, weighted bool) {
-	step := blockstore.RawRecordBytes(weighted)
+// combine folds chunk c's entries idx, whose first section begins at
+// payload byte lo, through Message and Combine.
+func (k *copKernel) combine(c int, idx []uint32, lo int) int {
 	for e := 0; e+1 < len(idx); e += 2 {
 		local, hi := idx[e], int(idx[e+1])
-		acc := d[local]
-		dirty := false
-		for off := lo; off < hi; off += step {
-			nbr, w := blockstore.RawRec(payload, off, weighted)
-			if active != nil && !isActive(active, nbr) {
-				continue
+		sec := k.payload[lo:hi]
+		if k.codec != blockstore.CodecNone {
+			var err error
+			if k.bufs[c], err = blockstore.AppendSection(k.bufs[c][:0], sec, k.codec, k.weighted); err != nil {
+				return e
 			}
-			if a, changed := prog.Combine(acc, prog.Message(nbr, s[nbr], w)); changed {
-				acc = a
-				dirty = true
-			}
+			sec = k.bufs[c]
+		}
+		acc, dirty, ok := combineSection(k.prog, k.s, k.d[local], sec, k.active, k.weighted)
+		if !ok {
+			return e
 		}
 		if dirty {
-			d[local] = acc
+			k.d[local] = acc
 		}
 		lo = hi
 	}
+	return -1
+}
+
+// combineSection folds one destination's packed raw records into acc and
+// reports whether any Combine changed it, or ok = false at a neighbour that
+// names no vertex.
+func combineSection(prog Program, s []float64, acc float64, sec []byte, active []uint64, weighted bool) (_ float64, dirty, ok bool) {
+	step := blockstore.RawRecordBytes(weighted)
+	for off := 0; off < len(sec); off += step {
+		nbr, w := blockstore.RawRec(sec, off, weighted)
+		if int(nbr) >= len(s) {
+			return acc, dirty, false
+		}
+		if active != nil && !isActive(active, nbr) {
+			continue
+		}
+		if a, changed := prog.Combine(acc, prog.Message(nbr, s[nbr], w)); changed {
+			acc = a
+			dirty = true
+		}
+	}
+	return acc, dirty, true
 }
 
 // ropPushRaw pushes source src (current value srcVal) along its out-edge

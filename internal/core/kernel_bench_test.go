@@ -34,9 +34,12 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 // fallback against the sum and min kernels, each with every source active
 // and with one source short of that — the smallest frontier that still has
 // to probe. ns/edge is the layer-level number for the next kernel change.
-// The /decoded legs run the same kernels over the same block as a mixed
-// store hands it out (varint-stored, decoded by the loader): per edge a
-// decoded block must cost what the stored-raw one does. The /occ legs hold
+// The /varint legs fold the same block as a mixed store hands it over —
+// its varint sections as stored, decoded by the kernel as it folds them —
+// and the /decoded legs the raw records blockstore.DecodeInBlock makes of
+// those sections, as the cache keeps them: per edge a decoded block must
+// cost what the stored-raw one does, and a stored-varint one what the
+// decode saves on I/O is weighed against. The /occ legs hold
 // |E| = 2¹⁶ and the sum kernel fixed and vary how many of a P = 16
 // interval's 2¹⁴ destinations the edges land on — 5 %, 20 %, all of them —
 // which is what P does to a block: ns/edge should rise only with the
@@ -45,7 +48,7 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 func BenchmarkEdgeKernel(b *testing.B) {
 	n := 1 << 18
 	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
-	load := func(format blockstore.Format) (*blockstore.DualStore, []byte, []uint32) {
+	load := func(format blockstore.Format) (*blockstore.DualStore, []byte, []uint32) { // the block as the loader hands it over
 		ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: 1, Format: format})
 		if err != nil {
 			b.Fatal(err)
@@ -60,12 +63,17 @@ func BenchmarkEdgeKernel(b *testing.B) {
 		return ds, payload, byteIdx
 	}
 	ds, payload, byteIdx := load(blockstore.FormatRaw)
-	_, decoded, decodedIdx := load(blockstore.FormatMixed)
+	_, stored, storedIdx := load(blockstore.FormatMixed)
+	decoded, decodedIdx, err := blockstore.DecodeInBlock(nil, stored, storedIdx, false)
+	if err != nil {
+		b.Fatal(err)
+	}
 	blocks := []struct {
 		suffix  string
 		payload []byte
 		byteIdx []uint32
-	}{{"", payload, byteIdx}, {"/decoded", decoded, decodedIdx}}
+		codec   blockstore.Codec
+	}{{"", payload, byteIdx, blockstore.CodecNone}, {"/decoded", decoded, decodedIdx, blockstore.CodecNone}, {"/varint", stored, storedIdx, blockstore.CodecVarint}}
 	edges := float64(len(payload) / blockstore.RawRecordBytes(false))
 
 	s := make([]float64, n)
@@ -103,7 +111,7 @@ func BenchmarkEdgeKernel(b *testing.B) {
 			defer k.end()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.block(d[:size], occPayload, entries)
+				k.block(d[:size], occPayload, entries, blockstore.CodecNone)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*occEdges), "ns/edge")
 		})
@@ -122,7 +130,9 @@ func BenchmarkEdgeKernel(b *testing.B) {
 					defer k.end()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						k.block(d, blk.payload, blk.byteIdx)
+						if k.block(d, blk.payload, blk.byteIdx, blk.codec) >= 0 {
+							b.Fatal("the fold refused a block the store built")
+						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
 				})

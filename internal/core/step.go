@@ -113,7 +113,7 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 		s.st.BucketPending = e.bucketPending
 	}
 	if model == ModelHybrid {
-		s.st.Model = e.chooseModel(frontier, &s.st)
+		s.st.Model = ChooseModel(e.cfg, frontier, &s.st, e.predict)
 	} else {
 		s.st.Model = model
 	}

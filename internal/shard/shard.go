@@ -236,7 +236,6 @@ func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Fron
 	var header core.IterStats
 	model := c.arbitrate(frontier, &header)
 	retBefore, hedBefore := c.ds.Retries(), c.ds.Hedges()
-	decBefore := c.ds.DecodeStats()
 
 	c.each(func(i int, w *shardWorker) {
 		c.pieces[i] = bitset.NewFrontier(n)
@@ -265,11 +264,6 @@ func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Fron
 	st := c.combine(iter, frontier, header)
 	st.Retries = c.ds.Retries() - retBefore
 	st.Hedges = c.ds.Hedges() - hedBefore
-	decDelta := c.ds.DecodeStats().Sub(decBefore)
-	st.DecodeTime = decDelta.Time
-	st.DecodedBytes = decDelta.DecodedBytes()
-	st.CompressedBytes = decDelta.CompressedBytes
-	st.DecodeModeled = core.ModeledDecodeTime(decDelta.VarintBytes, c.cfg.Threads)
 	return next, st, nil
 }
 
@@ -288,30 +282,19 @@ func (c *Coordinator) each(fn func(i int, w *shardWorker)) {
 	c.joined.Wait()
 }
 
-// arbitrate chooses one global model for the coming iteration, mirroring
-// the unsharded predictor's decision exactly: a forced model wins, the α
-// shortcut applies to the global frontier, and otherwise the per-shard §3.4
-// cost estimates are summed — C(rop) and C(cop) decompose over disjoint
-// owners.
+// arbitrate chooses one global model for the coming iteration with the
+// unsharded engine's chooser (core.ChooseModel) over the global frontier,
+// the per-shard §3.4 cost estimates summed — C(rop) and C(cop) decompose
+// over disjoint owners.
 func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) core.Model {
-	if c.cfg.Model != core.ModelHybrid {
-		return c.cfg.Model
-	}
-	n := c.ds.Layout.NumVertices
-	if float64(frontier.Count()) > c.cfg.Alpha*float64(n) {
-		return core.ModelCOP
-	}
-	var crop, ccop time.Duration
-	for _, w := range c.workers {
-		r, p := w.eng.PredictCosts(frontier)
-		crop += r
-		ccop += p
-	}
-	st.PredictedROP, st.PredictedCOP = crop, ccop
-	if crop <= ccop {
-		return core.ModelROP
-	}
-	return core.ModelCOP
+	return core.ChooseModel(c.cfg, frontier, st, func(f *bitset.Frontier) (crop, ccop time.Duration) {
+		for _, w := range c.workers {
+			r, p := w.eng.PredictCosts(f)
+			crop += r
+			ccop += p
+		}
+		return crop, ccop
+	})
 }
 
 // combine folds the K per-shard iteration reports in c.stats into the run's
@@ -321,10 +304,13 @@ func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) c
 // modeling K devices serving disjoint ranges in parallel — so the combined
 // IOTime is deliberately max-of-shards rather than IO.SimIO, which carries
 // the summed traffic. Runtime is the slowest shard's wall plus the modeled
-// barrier merge. Retries/Hedges and the decode fields are
-// filled by the caller from coordinator-level snapshots of the fork-shared
-// counters (the per-shard deltas overlap while K windows run concurrently;
-// see core.ShardIterStats).
+// barrier merge. Each shard's store fork counts its own decodes, so the
+// decode fields sum — DecodeTime, like one engine's, is time summed over the
+// workers that decoded — and the run's DecodeModeled prices the summed
+// bytes, as one engine's would. Retries/Hedges are filled by the caller
+// from coordinator-level snapshots of the fork-shared counters (the
+// per-shard deltas overlap while K windows run concurrently; see
+// core.ShardIterStats).
 func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.IterStats) core.IterStats {
 	st := core.IterStats{
 		Iter:           iter,
@@ -350,6 +336,9 @@ func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.I
 			st.ComputeTime = ss.ComputeTime
 		}
 		st.ComputeModeled += ss.ComputeModeled
+		st.DecodeTime += ss.DecodeTime
+		st.DecodedBytes += ss.DecodedBytes
+		st.CompressedBytes += ss.CompressedBytes
 		if ss.PrefetchStall > st.PrefetchStall {
 			st.PrefetchStall = ss.PrefetchStall
 		}
@@ -366,6 +355,7 @@ func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.I
 		sumRuntime += ss.Runtime
 		st.Shards = append(st.Shards, core.ShardIterStats{Shard: i, Stats: ss})
 	}
+	st.DecodeModeled = core.ModeledDecodeTime(st.DecodedBytes, c.cfg.Threads)
 	st.MergeTime = MergedFrontierCost(c.ds.Layout.NumVertices, c.k)
 	st.Runtime = maxRuntime + st.MergeTime
 	if sumRuntime > 0 {

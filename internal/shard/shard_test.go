@@ -124,6 +124,9 @@ func TestRunReplaysExactly(t *testing.T) {
 		{"K=2+cache8k", blockstore.FormatRaw, shard.Config{Config: core.Config{PrefetchDepth: 2, CacheBudgetBytes: 8 << 10}, Shards: 2}, true},
 		{"mixed", blockstore.FormatMixed, shard.Config{}, false},
 		{"K=2", blockstore.FormatRaw, shard.Config{Shards: 2}, false},
+		// Each shard's store fork counts its own decodes while the other
+		// shard's window decodes too.
+		{"K=2+mixed+prefetch", blockstore.FormatMixed, shard.Config{Config: core.Config{PrefetchDepth: 2}, Shards: 2}, false},
 	}
 	for _, p := range progs {
 		var ref []float64
@@ -520,5 +523,35 @@ func TestMergedFrontierCost(t *testing.T) {
 	}
 	if shard.MergedFrontierCost(1000, 3) <= shard.MergedFrontierCost(1000, 2) {
 		t.Fatal("MergedFrontierCost must grow with K")
+	}
+}
+
+// TestNegativeAlphaAlwaysPredicts: Config.Alpha < 0 switches the α shortcut
+// off, so even a full frontier — which the default α sends to COP unpriced —
+// is priced both ways, through one engine and through the coordinator's
+// arbiter alike (they run the one chooser, core.ChooseModel). Before the
+// chooser tested α's sign, Count > α·|V| held for every frontier and a
+// negative α forced COP with both predictions zero.
+func TestNegativeAlphaAlwaysPredicts(t *testing.T) {
+	g := testGraphs(t)["web"]
+	for _, k := range []int{1, 2} {
+		for _, alpha := range []float64{0, -1} {
+			co, err := shard.New(buildStore(t, g, 8), shard.Config{Config: core.Config{Alpha: alpha, Threads: 2, MaxIters: 1}, Shards: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := co.Run(&algos.PageRank{}) // every vertex active
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Iterations[0]
+			if st.ActiveVertices != g.NumVertices {
+				t.Fatalf("K=%d α=%v: %d of %d vertices active; the test needs a full frontier", k, alpha, st.ActiveVertices, g.NumVertices)
+			}
+			predicted := st.PredictedROP > 0 && st.PredictedCOP > 0
+			if want := alpha < 0; predicted != want {
+				t.Fatalf("K=%d α=%v: predictions rop %v cop %v on a full frontier; want both priced: %v", k, alpha, st.PredictedROP, st.PredictedCOP, want)
+			}
+		}
 	}
 }
