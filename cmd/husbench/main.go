@@ -2,14 +2,15 @@
 //
 // Usage:
 //
-//	husbench [-exp all|table2|fig1|fig7|fig8|table3|fig9|fig10|fig11[,...]]
-//	         [-threads N] [-p P] [-quick] [-csv|-md]
+//	husbench [-exp all|NAME[,NAME...]] [-threads N] [-p P] [-quick] [-csv|-md]
 //
-// Each experiment prints one or more tables; -csv switches to CSV output
-// for plotting, -md to markdown. Every number is modeled (simulated device
-// time; compute is work ÷ threads), so a run is reproducible at a fixed
-// -threads: docs/husbench_all_output.txt is `-exp all -threads 4`, and CI
-// diffs a fresh run against it.
+// NAME is one of the experiments -h lists: the paper's tables and figures,
+// then the devices and ablations extensions; all runs every one of them, in
+// that order. Each experiment prints one or more tables; -csv
+// switches to CSV output for plotting, -md to markdown. Every number is
+// modeled (simulated device time; compute is work ÷ threads), so a run is
+// reproducible at a fixed -threads: docs/husbench_all_output.txt is
+// `-exp all -threads 4`, and CI diffs a fresh run against it.
 package main
 
 import (

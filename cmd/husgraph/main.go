@@ -39,7 +39,8 @@
 //
 // The flags only the hus engine reads (husOnlyFlags below) are startup
 // errors under any other -system, not silently ignored; so are the flags
-// that only apply alongside another one (flagNeeds) typed without it.
+// that only apply alongside another one (flagNeeds) typed without it, and a
+// negative value for any numeric flag but -fault-seed (negativeFlag).
 //
 // With -input, a whitespace edge list ("src dst [weight]" per line) is
 // processed instead of a registry dataset. With -store, the dual-block
@@ -94,7 +95,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "husgraph: %v\n", err)
 		os.Exit(exitCode(err))
 	}
@@ -117,41 +118,47 @@ func exitCode(err error) int {
 	}
 }
 
-func run() error {
-	dataset := flag.String("dataset", "livejournal-sim", "registry dataset name (see husgen -list)")
-	input := flag.String("input", "", "edge-list file to load instead of a registry dataset")
-	algoName := flag.String("algo", "PageRank", "algorithm (case-insensitive): PageRank|BFS|WCC|SSSP|PageRank-Delta|KCore|PPR|SSSP-Delta|Coreness")
-	system := flag.String("system", "hus", "engine: hus|graphchi|gridgraph|xstream")
-	modelName := flag.String("model", "hybrid", "update model for hus: hybrid|rop|cop")
-	deviceName := flag.String("device", "hdd", "device profile: hdd|ssd|nvme|ram")
-	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-	p := flag.Int("p", 8, "partition count")
-	shards := flag.Int("shards", 1, "worker-shard count K: run the engine as K interval-owning shards merged at the iteration barrier; must divide P, bit-identical results at every K (hus only)")
-	memBudget := flag.Int64("membudget", 0, "if > 0, choose P so one block's working set fits this many bytes (paper §3.2)")
-	trace := flag.Bool("trace", false, "print per-iteration statistics")
-	storeDir := flag.String("store", "", "keep the dual-block store in real files under this directory")
-	formatName := flag.String("format", "raw", "block record format: raw|mixed (mixed is raw or varint per block: delta-varint where that is smaller, raw where compression does not pay)")
-	valuesOut := flag.String("valuesout", "", "write final vertex values to this file (one 'vertex value' line each)")
-	checkpointEvery := flag.Int("checkpoint", 0, "persist a resumable checkpoint every N iterations (0 = off; hus only)")
-	resume := flag.Bool("resume", false, "resume from a persisted checkpoint when one exists (hus only)")
-	prefetch := flag.Int("prefetch", 0, "asynchronous block-prefetch depth overlapping I/O with compute (0 = synchronous loads; hus only)")
-	cacheMB := flag.Int64("cache-mb", 0, "hot-block cache budget in MiB, retaining decoded blocks across iterations (0 = off; hus only)")
-	stats := flag.Bool("stats", false, "print per-iteration cache and prefetch statistics (hit ratio, stall; hus only)")
-	retries := flag.Int("retries", 0, "retry reads failing with a transient fault up to N times each, with exponential backoff")
-	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")
-	readDeadline := flag.Duration("read-deadline", 0, "per-attempt read deadline; an attempt still pending at the deadline gets a hedged duplicate (0 = unbounded)")
-	faultTransient := flag.Int("fault-transient", 0, "inject N transient read faults (demonstrates -retries)")
-	faultBitflip := flag.Int("fault-bitflip", 0, "inject N single-bit read corruptions (demonstrates checksum detection)")
-	faultDelay := flag.Int("fault-delay", 0, "inject N delayed reads (demonstrates -read-deadline hedging)")
-	faultDelayBy := flag.Duration("fault-delay-by", 5*time.Millisecond, "latency added to each -fault-delay read")
-	faultStall := flag.Int("fault-stall", 0, "inject N reads hung forever (requires -read-deadline: only a hedge completes them; a hung hedge costs one of -retries)")
-	faultAfter := flag.Int64("fault-after", 10, "number of healthy reads before injected faults begin")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
-	delta := flag.Float64("delta", 0, "bucket width for delta-stepping (-algo SSSP-Delta only; 0 keeps the registered width)")
-	flag.Parse()
+func run(args []string) error {
+	flags := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	dataset := flags.String("dataset", "livejournal-sim", "registry dataset name (see husgen -list)")
+	input := flags.String("input", "", "edge-list file to load instead of a registry dataset")
+	algoName := flags.String("algo", "PageRank", "algorithm (case-insensitive): PageRank|BFS|WCC|SSSP|PageRank-Delta|KCore|PPR|SSSP-Delta|Coreness")
+	system := flags.String("system", "hus", "engine: hus|graphchi|gridgraph|xstream")
+	modelName := flags.String("model", "hybrid", "update model for hus: hybrid|rop|cop")
+	deviceName := flags.String("device", "hdd", "device profile: hdd|ssd|nvme|ram")
+	threads := flags.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
+	p := flags.Int("p", 8, "partition count")
+	shards := flags.Int("shards", 1, "worker-shard count K: run the engine as K interval-owning shards merged at the iteration barrier; must divide P, bit-identical results at every K (hus only)")
+	memBudget := flags.Int64("membudget", 0, "if > 0, choose P so one block's working set fits this many bytes (paper §3.2)")
+	trace := flags.Bool("trace", false, "print per-iteration statistics")
+	storeDir := flags.String("store", "", "keep the dual-block store in real files under this directory")
+	formatName := flags.String("format", "raw", "block record format: raw|mixed (mixed is raw or varint per block: delta-varint where that is smaller, raw where compression does not pay)")
+	valuesOut := flags.String("valuesout", "", "write final vertex values to this file (one 'vertex value' line each)")
+	checkpointEvery := flags.Int("checkpoint", 0, "persist a resumable checkpoint every N iterations (0 = off; hus only)")
+	resume := flags.Bool("resume", false, "resume from a persisted checkpoint when one exists (hus only)")
+	prefetch := flags.Int("prefetch", 0, "asynchronous block-prefetch depth overlapping I/O with compute (0 = synchronous loads; hus only)")
+	cacheMB := flags.Int64("cache-mb", 0, "hot-block cache budget in MiB, retaining decoded blocks across iterations (0 = off; hus only)")
+	stats := flags.Bool("stats", false, "print per-iteration cache and prefetch statistics (hit ratio, stall; hus only)")
+	retries := flags.Int("retries", 0, "retry reads failing with a transient fault up to N times each, with exponential backoff")
+	retryBackoff := flags.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")
+	readDeadline := flags.Duration("read-deadline", 0, "per-attempt read deadline; an attempt still pending at the deadline gets a hedged duplicate (0 = unbounded)")
+	faultTransient := flags.Int("fault-transient", 0, "inject N transient read faults (demonstrates -retries)")
+	faultBitflip := flags.Int("fault-bitflip", 0, "inject N single-bit read corruptions (demonstrates checksum detection)")
+	faultDelay := flags.Int("fault-delay", 0, "inject N delayed reads (demonstrates -read-deadline hedging)")
+	faultDelayBy := flags.Duration("fault-delay-by", 5*time.Millisecond, "latency added to each -fault-delay read")
+	faultStall := flags.Int("fault-stall", 0, "inject N reads hung forever (requires -read-deadline: only a hedge completes them; a hung hedge costs one of -retries)")
+	faultAfter := flags.Int64("fault-after", 10, "number of healthy reads before injected faults begin")
+	faultSeed := flags.Int64("fault-seed", 1, "seed for the deterministic fault injector")
+	delta := flags.Float64("delta", 0, "bucket width for delta-stepping (-algo SSSP-Delta only; 0 keeps the registered width)")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
+	if err := negativeFlag(flags); err != nil {
+		return err
+	}
 
 	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	flags.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if err := husOnly(*system, explicit); err != nil {
 		return err
 	}
@@ -504,6 +511,35 @@ func husOnly(system string, explicit map[string]bool) error {
 		}
 	}
 	return nil
+}
+
+// negativeFlag rejects a negative value typed for a numeric flag. Every one
+// of them counts, sizes or times something, and 0 is its "off" or its
+// default, so a negative value is a typo to report, not a request to treat
+// as off. The fault seed is the exception: it names a schedule, and any
+// int64 names one.
+func negativeFlag(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil || f.Name == "fault-seed" {
+			return
+		}
+		neg := false
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case int64:
+			neg = v < 0
+		case float64:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg {
+			err = fmt.Errorf("-%s %s: a negative value has no meaning; 0 or leaving it out is the default", f.Name, f.Value)
+		}
+	})
+	return err
 }
 
 // faultCounts are the flags that arm the fault injector.

@@ -154,6 +154,37 @@ func TestNeedsMet(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadNumbers drives run itself: a negative value for any
+// numeric flag is a startup error naming the flag, before a graph is
+// generated, and -p 0 fails at the store build with an error, not a panic.
+// -fault-seed takes any int64, so a negative seed gets as far as the check
+// that it needs a fault count.
+func TestRunRejectsBadNumbers(t *testing.T) {
+	cases := []struct {
+		args    []string
+		errPart string
+	}{
+		{[]string{"-cache-mb", "-5"}, "-cache-mb -5: a negative value"},
+		{[]string{"-prefetch", "-2"}, "-prefetch -2: a negative value"},
+		{[]string{"-retries", "-1"}, "-retries -1: a negative value"},
+		{[]string{"-checkpoint", "-2"}, "-checkpoint -2: a negative value"},
+		{[]string{"-membudget", "-10"}, "-membudget -10: a negative value"},
+		{[]string{"-threads", "-4"}, "-threads -4: a negative value"},
+		{[]string{"-p", "-3"}, "-p -3: a negative value"},
+		{[]string{"-shards", "-2"}, "-shards -2: a negative value"},
+		{[]string{"-read-deadline", "-1ms"}, "-read-deadline -1ms: a negative value"},
+		{[]string{"-delta", "-0.5", "-algo", "sssp-delta"}, "-delta -0.5: a negative value"},
+		{[]string{"-system", "gridgraph", "-threads", "-1"}, "-threads -1: a negative value"},
+		{[]string{"-fault-seed", "-7"}, "-fault-seed has no effect without"},
+		{[]string{"-algo", "BFS", "-p", "0"}, "need at least one interval, got P = 0"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			wantErr(t, run(tc.args), tc.errPart)
+		})
+	}
+}
+
 // TestSummaryLabel: the summary names the graph that was processed — the
 // -input path, not the -dataset default — and the canonical algorithm name,
 // not the flag as typed.

@@ -17,10 +17,11 @@
 //     comparison systems.
 //   - internal/gen — deterministic synthetic analogues of the paper's
 //     datasets.
-//   - internal/experiments — drivers regenerating every table and figure.
+//   - internal/experiments — drivers regenerating every table and figure,
+//     plus the device extrapolation and the design-choice ablations.
 //
-// The benchmarks in this directory (bench_test.go) expose one benchmark
-// per paper artifact plus ablations; `cmd/husbench` prints the full
-// tables. See README.md for a walkthrough and EXPERIMENTS.md for measured
-// results against the paper's.
+// `cmd/husbench` prints every modeled number those drivers produce; its
+// `-exp all -threads 4` output is archived in docs/husbench_all_output.txt.
+// See README.md for a walkthrough and EXPERIMENTS.md for measured results
+// against the paper's.
 package husgraph

@@ -56,6 +56,9 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 	if opts.Format != FormatRaw && opts.Format != FormatMixed {
 		return nil, fmt.Errorf("unknown format %d", opts.Format)
 	}
+	if opts.P < 1 {
+		return nil, fmt.Errorf("need at least one interval, got P = %d", opts.P)
+	}
 	var (
 		d     *DualStore
 		spill *spiller

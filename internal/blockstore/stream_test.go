@@ -266,3 +266,22 @@ func TestBuildStreamingRejectsBadFormat(t *testing.T) {
 		t.Fatal("bad format accepted")
 	}
 }
+
+// TestBuildRejectsNoIntervals: a P below one is an error from both build
+// entry points, not a panic out of NewLayout (husgraph -p 0 and husgen
+// -blocks DIR -p 0 reach build with it).
+func TestBuildRejectsNoIntervals(t *testing.T) {
+	g := gen.Cycle(16)
+	var bin bytes.Buffer
+	if err := graph.WriteBinary(&bin, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, -3} {
+		if _, err := BuildOpts(memStore(), g, Options{P: p}); err == nil {
+			t.Fatalf("BuildOpts accepted P = %d", p)
+		}
+		if _, err := BuildStreamingOpts(memStore(), bytes.NewReader(bin.Bytes()), Options{P: p}, 0); err == nil {
+			t.Fatalf("BuildStreamingOpts accepted P = %d", p)
+		}
+	}
+}

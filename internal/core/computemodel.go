@@ -63,8 +63,10 @@ func ModeledComputeTime(edgeWork, vertexWork, blocks int64, threads int) time.Du
 const varintDecodeNsPerByte = 1.5
 
 // ModeledDecodeTime prices the decompression of varintBytes logical bytes,
-// divided across the modeled worker count (decode runs in the prefetch
-// workers and block-load workers, which parallelize).
+// divided across the modeled worker count. Where the price lands (Step.End:
+// CPU side with prefetch, I/O side without) is a kept convention from when
+// the block loads decoded; COP now folds varint in-blocks in the edge loop,
+// a known deviation until the decode rate is calibrated (DESIGN.md §4f).
 func ModeledDecodeTime(varintBytes int64, threads int) time.Duration {
 	ns := float64(varintBytes) * varintDecodeNsPerByte / float64(effectiveThreads(threads))
 	return time.Duration(ns) * time.Nanosecond

@@ -205,14 +205,13 @@ func (s *Step) End() (IterStats, error) {
 	st.IO = e.ds.Device().Stats().Sub(s.ioBefore)
 	st.IOTime = st.IO.SimIO
 	st.PrefetchStall = ws.Stall
-	// Decode placement mirrors where the decompression actually runs:
-	// asynchronous pipelines decode in their prefetch workers, so the
-	// work overlaps the device and lands on the CPU side of the
-	// max(); synchronous loads decode inline after each read returns,
-	// extending the I/O path. This is what makes compression pay most
-	// on slow devices — on an HDD the shrunk reads dominate and the
-	// decode hides behind them; on RAM-class storage the decode is the
-	// bottleneck and compression can only break even.
+	// Decode placement is a kept convention, not where decode runs: with
+	// prefetch it lands on the CPU side of the max(), at depth 0 on the
+	// I/O side, as when the loads decoded. A COP in-block is now folded
+	// as stored, in the edge loop, so at depth 0 the model charges the
+	// I/O path with work the CPU does — a known deviation, kept so
+	// modeled numbers replay, until the decode rate is calibrated
+	// (DESIGN.md §4f).
 	ioSide := st.IOTime
 	cpuSide := st.ComputeModeled
 	if e.cfg.PrefetchDepth > 0 {

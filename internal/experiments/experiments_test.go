@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"husgraph/internal/blockstore"
 	"husgraph/internal/core"
 	"husgraph/internal/storage"
 )
@@ -40,16 +41,26 @@ func TestRunnerCaching(t *testing.T) {
 	if g1 != g2 {
 		t.Fatal("graph not cached")
 	}
-	s1, err := r.Store(d, false, false, storage.HDD)
+	s1, err := r.Store(d, false, storage.HDD, blockstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := r.Store(d, false, false, storage.HDD)
+	// P 0 is the runner's P, so this is the same layout.
+	s2, err := r.Store(d, false, storage.HDD, blockstore.Options{P: r.Options().P})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1 != s2 {
 		t.Fatal("store not cached")
+	}
+	for _, layout := range []blockstore.Options{{P: 2}, {Format: blockstore.FormatMixed}, {Weighted: true}} {
+		s3, err := r.Store(d, false, storage.HDD, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s3 == s1 {
+			t.Fatalf("layout %+v shares the default layout's store", layout)
+		}
 	}
 	// Stats are reset on reuse.
 	if s2.Device().Stats().TotalBytes() != 0 {
@@ -302,7 +313,7 @@ func TestByNameDispatch(t *testing.T) {
 	if _, err := r.ByName("fig99"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if len(ExperimentNames()) != 9 {
+	if len(ExperimentNames()) != 10 {
 		t.Fatalf("ExperimentNames = %v", ExperimentNames())
 	}
 }
@@ -341,8 +352,9 @@ func TestAllExperimentDriversQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	// table2 + fig1 + fig7(4) + fig8(2) + table3 + fig9(3) + fig10(2) + fig11(2)
-	if len(tables) != 16 {
-		t.Fatalf("tables = %d, want 16", len(tables))
+	// + devices + ablations(6)
+	if len(tables) != 23 {
+		t.Fatalf("tables = %d, want 23", len(tables))
 	}
 	for _, tb := range tables {
 		if tb.Title == "" || len(tb.Rows) == 0 {

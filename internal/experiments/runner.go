@@ -2,7 +2,10 @@
 // evaluation (§4) on the synthetic dataset analogues: Fig. 1 (active-edge
 // densities), Fig. 7 (update-strategy comparison), Fig. 8 (per-iteration
 // prediction traces), Table 2 (datasets), Table 3 (system runtimes), Fig. 9
-// (I/O amounts), Fig. 10 (thread scalability) and Fig. 11 (HDD vs SSD).
+// (I/O amounts), Fig. 10 (thread scalability) and Fig. 11 (HDD vs SSD) —
+// plus two extensions beyond the paper: the device extrapolation and the
+// design-choice ablations. It is the only producer of modeled evaluation
+// numbers; husbench prints them.
 package experiments
 
 import (
@@ -154,19 +157,21 @@ func (r *Runner) Graph(d gen.Dataset, symmetric bool) *graph.Graph {
 	return g
 }
 
-// Store returns the (cached) raw-format dual-block store of a dataset on
-// the given device profile, with the device statistics reset so the next
-// run starts clean.
-func (r *Runner) Store(d gen.Dataset, symmetric, weighted bool, prof storage.Profile) (*blockstore.DualStore, error) {
+// Store returns the (cached) dual-block store of a dataset on the given
+// device profile, laid out as layout says (a P of 0 means the runner's P),
+// with the device statistics reset so the next run starts clean.
+func (r *Runner) Store(d gen.Dataset, symmetric bool, prof storage.Profile, layout blockstore.Options) (*blockstore.DualStore, error) {
+	if layout.P <= 0 {
+		layout.P = r.opts.P
+	}
 	g := r.Graph(d, symmetric)
-	key := fmt.Sprintf("%s|%v|%v|%s|%v", d.Name, symmetric, weighted, prof.Name, r.opts.Quick)
+	key := fmt.Sprintf("%s|%v|%+v|%s|%v", d.Name, symmetric, layout, prof.Name, r.opts.Quick)
 	r.mu.Lock()
 	ds, ok := r.stores[key]
 	r.mu.Unlock()
 	if !ok {
 		var err error
-		ds, err = blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(prof)), g,
-			blockstore.Options{P: r.opts.P, Weighted: weighted})
+		ds, err = blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(prof)), g, layout)
 		if err != nil {
 			return nil, err
 		}
@@ -178,17 +183,27 @@ func (r *Runner) Store(d gen.Dataset, symmetric, weighted bool, prof storage.Pro
 	return ds, nil
 }
 
-// RunHUS executes one algorithm on the HUS engine.
+// RunHUS executes one algorithm on the HUS engine over the runner's raw
+// store; threads 0 means the runner's.
 func (r *Runner) RunHUS(d gen.Dataset, a Algo, model core.Model, prof storage.Profile, threads int) (*core.Result, error) {
-	ds, err := r.Store(d, a.Symmetric, a.Weighted, prof)
+	return r.runHUS(d, a, prof, blockstore.Options{Weighted: a.Weighted}, core.Config{Model: model, Threads: threads})
+}
+
+// runHUS executes one algorithm on the HUS engine under cfg, over a store
+// laid out as layout says. A cfg.Threads of 0 means the runner's threads
+// and a cfg.MaxIters of 0 means a's bound.
+func (r *Runner) runHUS(d gen.Dataset, a Algo, prof storage.Profile, layout blockstore.Options, cfg core.Config) (*core.Result, error) {
+	ds, err := r.Store(d, a.Symmetric, prof, layout)
 	if err != nil {
 		return nil, err
 	}
-	if threads <= 0 {
-		threads = r.opts.Threads
+	if cfg.Threads <= 0 {
+		cfg.Threads = r.opts.Threads
 	}
-	eng := core.New(ds, core.Config{Model: model, Threads: threads, MaxIters: a.MaxIters})
-	return eng.Run(a.New(r.Graph(d, false)))
+	if cfg.MaxIters == 0 {
+		cfg.MaxIters = a.MaxIters
+	}
+	return core.New(ds, cfg).Run(a.New(r.Graph(d, false)))
 }
 
 // RunBaseline executes one algorithm on a named baseline system

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"husgraph/internal/core"
 	"husgraph/internal/gen"
@@ -59,13 +60,31 @@ func (r *Runner) Table3() ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// All runs every experiment in paper order.
+// registry is the one ordered list of experiments: ExperimentNames, ByName
+// and All all read it, so a driver added here is in husbench's -exp list
+// and in -exp all (which CI diffs) at once.
+var registry = []struct {
+	name string
+	run  func(*Runner) ([]*report.Table, error)
+}{
+	{"table2", (*Runner).Table2},
+	{"fig1", (*Runner).Fig1},
+	{"fig7", (*Runner).Fig7},
+	{"fig8", (*Runner).Fig8},
+	{"table3", (*Runner).Table3},
+	{"fig9", (*Runner).Fig9},
+	{"fig10", (*Runner).Fig10},
+	{"fig11", (*Runner).Fig11},
+	{"devices", (*Runner).Devices},
+	{"ablations", (*Runner).Ablations},
+}
+
+// All runs every experiment in registry order: the paper's, then the
+// extensions.
 func (r *Runner) All() ([]*report.Table, error) {
 	var out []*report.Table
-	for _, f := range []func() ([]*report.Table, error){
-		r.Table2, r.Fig1, r.Fig7, r.Fig8, r.Table3, r.Fig9, r.Fig10, r.Fig11,
-	} {
-		ts, err := f()
+	for _, e := range registry {
+		ts, err := e.run(r)
 		if err != nil {
 			return nil, err
 		}
@@ -74,36 +93,25 @@ func (r *Runner) All() ([]*report.Table, error) {
 	return out, nil
 }
 
-// ByName dispatches an experiment by its identifier ("table2", "fig1",
-// "fig7", "fig8", "table3", "fig9", "fig10", "fig11" or "all").
+// ByName dispatches an experiment by its identifier: one of
+// ExperimentNames, or "all".
 func (r *Runner) ByName(name string) ([]*report.Table, error) {
-	switch name {
-	case "table2":
-		return r.Table2()
-	case "fig1":
-		return r.Fig1()
-	case "fig7":
-		return r.Fig7()
-	case "fig8":
-		return r.Fig8()
-	case "table3":
-		return r.Table3()
-	case "fig9":
-		return r.Fig9()
-	case "fig10":
-		return r.Fig10()
-	case "fig11":
-		return r.Fig11()
-	case "devices":
-		return r.Devices()
-	case "all":
+	if name == "all" {
 		return r.All()
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (want table2|fig1|fig7|fig8|table3|fig9|fig10|fig11|devices|all)", name)
 	}
+	for _, e := range registry {
+		if e.name == name {
+			return e.run(r)
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (want %s|all)", name, strings.Join(ExperimentNames(), "|"))
 }
 
-// ExperimentNames lists the valid ByName identifiers in paper order.
+// ExperimentNames lists the valid ByName identifiers in registry order.
 func ExperimentNames() []string {
-	return []string{"table2", "fig1", "fig7", "fig8", "table3", "fig9", "fig10", "fig11", "devices"}
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
 }

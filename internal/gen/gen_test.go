@@ -282,25 +282,37 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestDatasetBuildDeterministicAndValid holds every registry dataset, the
+// graphs every paper figure runs on, to a valid graph of its declared size
+// with SSSP weights. Determinism is checked on each dataset's generator
+// at a sixteenth of its edges (the scale husbench -quick runs): two
+// builds must agree edge for edge. Full-scale determinism is what CI's
+// byte-for-byte diff of husbench -exp all checks.
 func TestDatasetBuildDeterministicAndValid(t *testing.T) {
-	d, _ := ByName("livejournal-sim")
-	g1 := d.Build()
-	g2 := d.Build()
-	if !reflect.DeepEqual(g1.Edges[:100], g2.Edges[:100]) || g1.NumEdges() != g2.NumEdges() {
-		t.Fatal("Build not deterministic")
-	}
-	if err := g1.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g1.NumVertices != d.Vertices {
-		t.Fatalf("V = %d, want %d", g1.NumVertices, d.Vertices)
-	}
-	if g1.NumEdges() < d.TargetEdges*9/10 {
-		t.Fatalf("E = %d, want >= 90%% of %d", g1.NumEdges(), d.TargetEdges)
-	}
-	// Weights assigned for SSSP.
-	if g1.Edges[0].Weight < 1 || g1.Edges[0].Weight >= 10 {
-		t.Fatalf("weight %v", g1.Edges[0].Weight)
+	for _, d := range Registry() {
+		t.Run(d.Name, func(t *testing.T) {
+			g := d.BuildCached()
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if g.NumVertices != d.Vertices {
+				t.Fatalf("V = %d, want %d", g.NumVertices, d.Vertices)
+			}
+			if g.NumEdges() < d.TargetEdges*9/10 {
+				t.Fatalf("E = %d, want >= 90%% of %d", g.NumEdges(), d.TargetEdges)
+			}
+			for _, e := range g.Edges {
+				if e.Weight < 1 || e.Weight >= 10 {
+					t.Fatalf("edge %d→%d weight %v, want [1, 10)", e.Src, e.Dst, e.Weight)
+				}
+			}
+			small := d
+			small.Vertices /= 8
+			small.TargetEdges /= 16
+			if g1, g2 := small.Build(), small.Build(); !reflect.DeepEqual(g1.Edges, g2.Edges) || g1.NumEdges() == 0 {
+				t.Fatalf("Build not deterministic: %d then %d edges", g1.NumEdges(), g2.NumEdges())
+			}
+		})
 	}
 }
 

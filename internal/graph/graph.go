@@ -8,8 +8,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex. 32 bits matches the out-of-core systems the
@@ -91,12 +92,8 @@ func (g *Graph) Clone() *Graph {
 
 // SortBySrc sorts edges by (src, dst).
 func (g *Graph) SortBySrc() {
-	sort.Slice(g.Edges, func(i, j int) bool {
-		a, b := g.Edges[i], g.Edges[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
+	slices.SortFunc(g.Edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
 }
 

@@ -155,6 +155,7 @@ func FuzzEngineConfig(f *testing.F) {
 	f.Add(seed([12]byte{2, 1, 1, 2, 1, 1, 2, 0, 0, 63, 21, 0}, random...))                                              // 256 edges and a hub: hybrid switches models
 	f.Add(seed([12]byte{2, 2, 1, 0, 2, 2, 1, 1, 1, 63, 0, 7}, random...))                                               // the same graph under ROP, K = 4
 	f.Add(seed([12]byte{2, 1, 0, 2, 1, 0, 0, 1, 1, 63, 21, 0}, random...))                                              // hybrid, α −1 on HDD: the predictor decides every iteration
+	f.Add(seed([12]byte{2, 1, 0, 2, 1, 0, 0, 1, 0, 63, 0, 0}, random...))                                               // hybrid, α −1 on SSD, no hub: a one-vertex frontier the predictor sends to ROP
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, g, src := decodeEngineCase(data)

@@ -531,7 +531,9 @@ func TestMergedFrontierCost(t *testing.T) {
 // is priced both ways, through one engine and through the coordinator's
 // arbiter alike (they run the one chooser, core.ChooseModel). Before the
 // chooser tested α's sign, Count > α·|V| held for every frontier and a
-// negative α forced COP with both predictions zero.
+// negative α forced COP with both predictions zero. A BFS's sparse
+// frontiers on SSD must then reach ROP through the predictor, both sides
+// priced, so α −1 is not a COP-only configuration either.
 func TestNegativeAlphaAlwaysPredicts(t *testing.T) {
 	g := testGraphs(t)["web"]
 	for _, k := range []int{1, 2} {
@@ -552,6 +554,29 @@ func TestNegativeAlphaAlwaysPredicts(t *testing.T) {
 			if want := alpha < 0; predicted != want {
 				t.Fatalf("K=%d α=%v: predictions rop %v cop %v on a full frontier; want both priced: %v", k, alpha, st.PredictedROP, st.PredictedCOP, want)
 			}
+		}
+		// The other side: on the sparse frontiers of a BFS over SSD, where
+		// random reads are cheap, the predictor at α −1 prices every
+		// iteration and picks ROP for at least one of them.
+		co, err := shard.New(buildStore(t, g, 8), shard.Config{Config: core.Config{Alpha: -1, Threads: 2}, Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := co.Run(algos.BFS{Source: gen.BFSSource(g)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rop := 0
+		for i, st := range res.Iterations {
+			if st.PredictedROP <= 0 || st.PredictedCOP <= 0 {
+				t.Fatalf("K=%d BFS iteration %d: predictions rop %v cop %v; α −1 prices every iteration", k, i+1, st.PredictedROP, st.PredictedCOP)
+			}
+			if st.Model == core.ModelROP {
+				rop++
+			}
+		}
+		if rop == 0 {
+			t.Fatalf("K=%d BFS: no iteration of %d chose ROP at α −1 on SSD", k, len(res.Iterations))
 		}
 	}
 }
