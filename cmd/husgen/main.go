@@ -41,7 +41,7 @@ func run() error {
 	blocks := flag.String("blocks", "", "build the dual-block store under this directory")
 	p := flag.Int("p", 8, "partition count for -blocks")
 	symmetric := flag.Bool("symmetric", false, "symmetrize before writing (WCC input)")
-	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed (mixed: delta-varint per block, raw where that does not pay)")
+	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed (mixed: delta-varint per in-block and in-index, raw where that does not pay; out-blocks and out-indices stay raw)")
 	stats := flag.Bool("stats", false, "print structural statistics of the generated graph")
 	flag.Parse()
 
@@ -158,7 +158,7 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 		for j := 0; j < l.P; j++ {
 			edges += ds.BlockEdgeCount[i][j]
 			logical += ds.BlockEdgeCount[i][j]*step + idxRaw
-			stored += ds.OutBlockBytes[i][j] + ds.OutIndexBytes(i, j)
+			stored += ds.OutBlockBytes(i, j) + ds.OutIndexBytes(i, j)
 			logical += ds.BlockEdgeCount[j][i]*step + ds.InIndexEntries[j][i]*blockstore.InIndexEntryBytes
 			stored += ds.InBlockBytes[j][i] + ds.InIndexBytes(j, i)
 			inEntries += ds.InIndexEntries[j][i]

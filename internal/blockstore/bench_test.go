@@ -70,29 +70,14 @@ func BenchmarkLoadInBlockBytesScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadOutIndexScratch is ROP's per-block index load over a raw
-// store and over its mixed twin: read and verify, and for the mixed store
-// decode into the stored-raw form, through a reused Scratch, cycling over
-// all P² out-indices. A raw index is the verified read buffer itself.
-//
-// The pages legs load a raw index of 17 pages — 2¹⁶ vertices at P = 4,
-// the shape of perfbench's 2¹⁸-vertex, P = 16 stores — whole (blob: the
-// framed read and one CRC over 65 540 bytes) and as the page span of an
-// extent over 1, 4 and all 17 pages (one range read, a CRC per page).
+// BenchmarkLoadOutIndexScratch is ROP's per-block index load, through a
+// reused Scratch, cycling over all P² out-indices of a 17-page index each —
+// 2¹⁶ vertices at P = 4, the shape of perfbench's 2¹⁸-vertex, P = 16 stores:
+// whole (blob: the framed read and one CRC over 65 540 bytes; the index is
+// the verified read buffer itself) and as the page span of an extent over
+// 1, 4 and all 17 pages (one range read, a CRC per page). Every format
+// stores out-indices raw, so one store covers them all.
 func BenchmarkLoadOutIndexScratch(b *testing.B) {
-	for _, format := range []Format{FormatRaw, FormatMixed} {
-		b.Run(format.String(), func(b *testing.B) {
-			ds := benchGraphStore(b, format, false)
-			sc := &Scratch{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ds.LoadOutIndexScratch(i%8, (i/8)%8, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 	rng := rand.New(rand.NewSource(3))
 	g := graph.New(1 << 16)
 	for k := 0; k < 1<<19; k++ {

@@ -119,9 +119,10 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 
 // encodeBucket writes the P blocks of one bucket — row b's out-blocks
 // (b, c), or with in set column b's in-blocks (c, b) — and their indices,
-// and records their sizes in the meta grids and, for a row, each
-// out-block's source mask, read off the out-index it lays out, and the page
-// CRCs of each out-index stored raw. Each edge of
+// and records their sizes and, for a row, each out-block's source mask, read
+// off the out-index it lays out, and the page CRCs of each out-index. format
+// applies to a column only, which COP streams whole; a row, which ROP reads
+// by offset, is stored raw whatever the format. Each edge of
 // the bucket is an (indexed vertex, neighbour) pair: a row's edges as they
 // came, a column's reversed (spiller.add). Sorted by (vertex, neighbour), that is the
 // (source, destination) order of an out-block and the (destination,
@@ -157,9 +158,11 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 			perVertex[c][local]++
 		}
 	}
-	view, blockKind, indexKind, blockBytes, indexBytes, encodeIndex := "row", blobOutBlock, blobOutIndex, d.OutBlockBytes, d.OutIndexStoredBytes, encodeIndexCodec
+	view, blockKind, indexKind := "row", blobOutBlock, blobOutIndex
 	if in {
-		view, blockKind, indexKind, blockBytes, indexBytes, encodeIndex = "column", blobInBlock, blobInIndex, d.InBlockBytes, d.InIndexStoredBytes, encodeInIndex
+		view, blockKind, indexKind = "column", blobInBlock, blobInIndex
+	} else {
+		format = FormatRaw
 	}
 	if pos != len(edges) {
 		return fmt.Errorf("%s %d: %d edges outside interval", view, b, len(edges)-pos)
@@ -167,19 +170,24 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	for c := 0; c < l.P; c++ {
 		i, j := cell(c)
 		payload, idx := encodeBlockPayload(recs[c], perVertex[c], format, d.Weighted, in)
-		blockBytes[i][j] = int64(len(payload))
 		if err := d.putBlob(d.names.name(blockKind, i, j), payload); err != nil {
 			return err
 		}
-		idxPayload := encodeBlockIndex(idx, format, encodeIndex)
-		indexBytes[i][j] = int64(len(idxPayload))
+		var idxPayload []byte
 		if in {
-			d.InIndexEntries[i][j] = int64(len(idx) / 2)
-		} else {
-			d.SourceMasks[i][j] = sourceMask(idx)
-			if len(idxPayload) == len(idx)*IndexEntryBytes { // stored raw
-				d.OutIndexPageCRCs[i][j] = pageCRCs(idxPayload)
+			d.InBlockBytes[i][j] = int64(len(payload))
+			idxPayload = encodeInIndex(idx, CodecNone)
+			if format == FormatMixed {
+				if v := encodeInIndex(idx, CodecVarint); len(v) < len(idxPayload) {
+					idxPayload = v // kept only where strictly smaller, as codecOf reads it
+				}
 			}
+			d.InIndexEntries[i][j] = int64(len(idx) / 2)
+			d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
+		} else {
+			idxPayload = encodeIndex(idx)
+			d.SourceMasks[i][j] = sourceMask(idx)
+			d.OutIndexPageCRCs[i][j] = pageCRCs(idxPayload)
 		}
 		if err := d.putBlob(d.names.name(indexKind, i, j), idxPayload); err != nil {
 			return err
@@ -242,20 +250,6 @@ func sourceMask(idx []uint32) []uint64 {
 		}
 	}
 	return m
-}
-
-// encodeBlockIndex encodes a block's index with encode — encodeIndexCodec
-// for an out-index, encodeInIndex for an in-index. FormatMixed stores keep
-// the varint form when that is strictly smaller; FormatRaw keeps the fixed
-// 4-byte words.
-func encodeBlockIndex(idx []uint32, format Format, encode func([]uint32, Codec) []byte) []byte {
-	raw := encode(idx, CodecNone)
-	if format == FormatMixed {
-		if v := encode(idx, CodecVarint); len(v) < len(raw) {
-			return v
-		}
-	}
-	return raw
 }
 
 // spiller holds the pass' 2·P edge buckets — row i at index i, column j at

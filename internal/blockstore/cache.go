@@ -47,7 +47,7 @@ const (
 	// records plus the in-index entries into them.
 	KindInBlock BlockKind = iota
 	// KindOutIndex is out-index(i,j): per-source byte offsets into
-	// out-block(i,j), as the bytes of its stored-raw form.
+	// out-block(i,j), as stored: (Size(i)+1) little-endian uint32.
 	KindOutIndex
 	// KindOutBlock is the whole raw payload of out-block(i,j), promoted
 	// into the cache once run-granular reads crossed the density
@@ -83,8 +83,8 @@ type BlockKey struct {
 //     destination, end byte offset in Payload) pair per destination with
 //     records) — the zero-copy RawRec iteration view.
 //   - KindOutIndex: Payload — the offset index LoadOutIndexScratch returns.
-//   - KindOutBlock: Payload — the *stored* out-block bytes runs slice
-//     into; sections of a compressed block are decoded on touch.
+//   - KindOutBlock: Payload — the out-block's packed raw records, which
+//     runs slice into.
 //
 // Entries must never be mutated after insertion: they are shared by every
 // reader that hits them, concurrently.

@@ -44,80 +44,16 @@ func encodeIndex(idx []uint32) []byte {
 	return buf
 }
 
-// encodeIndexCodec serializes a per-vertex offset index with the given
-// codec. Index entries are non-decreasing byte offsets, so CodecVarint
-// stores the first entry absolute followed by uvarint deltas — typically
-// one or two bytes per entry against four raw. A varint index is only ever
-// read whole (never range-read, unlike a stored-raw one: DualStore.
-// OutIndexSpan), so unlike block payloads it needs no self-contained
-// sections.
-func encodeIndexCodec(idx []uint32, c Codec) []byte {
-	switch c {
-	case CodecNone:
-		return encodeIndex(idx)
-	case CodecVarint:
-		buf := make([]byte, 0, len(idx)*2)
-		prev := uint32(0)
-		for i, v := range idx {
-			if i == 0 {
-				buf = binary.AppendUvarint(buf, uint64(v))
-			} else {
-				if v < prev {
-					panic(fmt.Sprintf("blockstore: index offsets not monotone (%d after %d)", v, prev))
-				}
-				buf = binary.AppendUvarint(buf, uint64(v-prev))
-			}
-			prev = v
-		}
-		return buf
-	default:
-		panic("blockstore: unsupported index codec")
+// checkOutIndex holds an out-index read whole to its one shape, entries
+// offsets of IndexEntryBytes each: offset k is the little-endian uint32 at
+// 4k. Any other length is storage.ErrCorrupt-class. The offsets are not
+// checked against each other or the block: ROP checks the few it reads
+// (core/rop.go), so a lookup stays O(1), not O(interval).
+func checkOutIndex(buf []byte, entries int) error {
+	if want := entries * IndexEntryBytes; len(buf) != want {
+		return fmt.Errorf("out-index of %d bytes, want %d entries of %d: %w", len(buf), entries, IndexEntryBytes, storage.ErrCorrupt)
 	}
-}
-
-// decodeOutIndex returns an out-index of entries offsets in the one shape ROP
-// reads it: the bytes of its CodecNone form, offset k the little-endian
-// uint32 at 4k. A CodecNone index is that already and is handed back in
-// place; a varint one is decoded into dst, reusing its capacity. Anything
-// but exactly entries offsets — a wrong length, a truncated, overlong or
-// padded varint, an offset past uint32 — is storage.ErrCorrupt-class. The
-// offsets are not checked against each other or the block: ROP checks the
-// few it reads (core/rop.go), so a lookup stays O(1), not O(interval).
-func decodeOutIndex(dst, buf []byte, c Codec, entries int) ([]byte, error) {
-	want := entries * IndexEntryBytes
-	if c == CodecNone {
-		if len(buf) != want {
-			return nil, fmt.Errorf("out-index of %d bytes, want %d entries of %d: %w", len(buf), entries, IndexEntryBytes, storage.ErrCorrupt)
-		}
-		return buf, nil
-	}
-	if cap(dst) < want {
-		dst = make([]byte, want)
-	}
-	dst = dst[:want]
-	var prev uint64 // the first entry is stored absolute: a delta from 0
-	k := 0
-	for off := 0; off < len(buf); k++ {
-		if k == entries {
-			return nil, fmt.Errorf("out-index: bytes left at offset %d after %d entries: %w", off, entries, storage.ErrCorrupt)
-		}
-		delta, n := uint64(buf[off]), 1 // most deltas are one byte
-		if delta >= 0x80 {
-			if delta, n = binary.Uvarint(buf[off:]); n <= 0 || buf[off+n-1] == 0 {
-				return nil, fmt.Errorf("out-index: truncated, overlong or padded varint at offset %d: %w", off, storage.ErrCorrupt)
-			}
-		}
-		if delta > math.MaxUint32-prev {
-			return nil, fmt.Errorf("out-index: entry %d overflows uint32: %w", k, storage.ErrCorrupt)
-		}
-		off += n
-		prev += delta
-		binary.LittleEndian.PutUint32(dst[k*IndexEntryBytes:], uint32(prev))
-	}
-	if k != entries {
-		return nil, fmt.Errorf("out-index has %d entries, want %d: %w", k, entries, storage.ErrCorrupt)
-	}
-	return dst, nil
+	return nil
 }
 
 // The offset indices above are out-indices: ROP looks a source up in O(1).
@@ -293,10 +229,11 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 }
 
 // metaMagic marks the meta layout below. A meta under any other magic was
-// written by an older build, and Open refuses it (errOlderStore): "HUSE" is
-// this layout without the out-index page CRCs, "HUSD" without the source
-// masks either.
-const metaMagic = "HUSF"
+// written by an older build, and Open refuses it (errOlderStore): "HUSF" is
+// this layout with stored-size grids for the out-blocks and out-indices,
+// which a mixed store could then compress, "HUSE" without the out-index page
+// CRCs, "HUSD" without the source masks either.
+const metaMagic = "HUSG"
 
 // metaHeaderLen is the magic and the vertex count, interval count and
 // weighted flag that follow it.
@@ -304,20 +241,21 @@ const metaHeaderLen = 4 + 3*8
 
 // metaGrids are the P×P int64 grids a meta records, in order.
 func metaGrids(d *DualStore) []*[][]int64 {
-	return []*[][]int64{&d.BlockEdgeCount, &d.OutBlockBytes, &d.InBlockBytes, &d.InIndexEntries, &d.InIndexStoredBytes, &d.OutIndexStoredBytes}
+	return []*[][]int64{&d.BlockEdgeCount, &d.InBlockBytes, &d.InIndexEntries, &d.InIndexStoredBytes}
 }
 
 // encodeMeta serializes the DualStore metadata: layout, per-vertex degrees,
-// per-block edge counts and stored payload sizes, per in-block the entry
-// count and stored size of its in-index, the stored size of every
-// out-index, then — row-major, nonempty blocks only — every out-block's
-// source mask, ⌈Size(i)/64⌉ little-endian words, and last — row-major,
-// stored-raw out-indices only — the CRC32C of each PageBytes page of every
-// out-index, ⌈stored/PageBytes⌉ little-endian words. So a store written by
-// Build can be reopened, every blob's codec read off its stored size
-// (codecOf), ROP told which blocks an active source has an edge in, and a
-// page of an out-index checked on its own. The predictor prices I/O from the
-// same sizes and masks.
+// per-block edge counts, per in-block its stored payload size and the entry
+// count and stored size of its in-index, then — row-major, nonempty blocks
+// only — every out-block's source mask, ⌈Size(i)/64⌉ little-endian words,
+// and last — row-major — the CRC32C of each PageBytes page of every
+// out-index, ⌈(Size(i)+1)·4/PageBytes⌉ little-endian words. The row view is
+// stored raw, so its sizes follow from the edge counts and the layout and
+// are not recorded. So a store written by Build can be reopened, every
+// in-block's and in-index's codec read off its stored size (codecOf), ROP
+// told which blocks an active source has an edge in, and a page of an
+// out-index checked on its own. The predictor prices I/O from the same
+// sizes and masks.
 func encodeMeta(d *DualStore) []byte {
 	p := d.Layout.P
 	n := d.Layout.NumVertices
@@ -370,9 +308,8 @@ func encodeMeta(d *DualStore) []byte {
 // would read every index at Open; ROP refuses a live bit over an empty
 // section where it reads one (core/rop.go), and otherwise a mask is trusted
 // as far as the CRC it shares with BlockEdgeCount (DESIGN.md §4o). The page
-// CRCs are held to their count, one per page of each stored-raw out-index and
-// none for a compressed one; a wrong value shows where the page it covers is
-// read (DESIGN.md §4p).
+// CRCs are held to their count, one per page of each out-index; a wrong value
+// shows where the page it covers is read (DESIGN.md §4p).
 func decodeMeta(buf []byte) (*DualStore, error) {
 	fail := func(format string, args ...any) (*DualStore, error) {
 		return nil, fmt.Errorf("blockstore: bad meta: %w: %w", fmt.Errorf(format, args...), storage.ErrCorrupt)
@@ -423,38 +360,31 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 		}
 	}
 	// No builder stores a blob in more than its CodecNone bytes, nor a
-	// count or size below zero.
-	rec := int64(RawRecordBytes(d.Weighted))
+	// count or size below zero. The row view is raw: its sizes are derived.
 	words := 0 // of the masks: ⌈Size(i)/64⌉ per nonempty block
-	pages := 0 // of the page CRCs: ⌈stored/PageBytes⌉ per stored-raw out-index
+	pages := 0 // of the page CRCs: ⌈(Size(i)+1)·4/PageBytes⌉ per out-index
 	for i := 0; i < p; i++ {
-		outIdx := int64(d.Layout.Size(i)+1) * IndexEntryBytes
 		for j := 0; j < p; j++ {
 			for _, m := range grids {
 				if (*m)[i][j] < 0 {
 					return fail("cell (%d,%d) records a negative count or size", i, j)
 				}
 			}
-			raw := d.BlockEdgeCount[i][j] * rec
-			if d.OutBlockBytes[i][j] > raw || d.InBlockBytes[i][j] > raw ||
-				d.InIndexStoredBytes[i][j] > d.InIndexEntries[i][j]*InIndexEntryBytes || d.OutIndexStoredBytes[i][j] > outIdx {
+			if d.InBlockBytes[i][j] > d.OutBlockBytes(i, j) || d.InIndexStoredBytes[i][j] > d.InIndexEntries[i][j]*InIndexEntryBytes {
 				return fail("cell (%d,%d) stores more than its raw bytes", i, j)
 			}
 			if d.BlockEdgeCount[i][j] > 0 {
 				words += maskWords(d.Layout.Size(i))
 			}
-			if d.OutIndexStoredBytes[i][j] == outIdx {
-				pages += indexPages(outIdx)
-			}
 		}
+		pages += p * indexPages(d.OutIndexBytes(i, 0))
 	}
 	// The two sections' sizes follow from the grids just validated: a byte
-	// more is a mask for a block that has no edges or a CRC for an index
-	// stored compressed, a byte less a nonempty block without a mask or a
-	// stored-raw index page without a CRC. Only then is anything allocated
-	// for them.
+	// more is a mask for a block that has no edges, a byte less a nonempty
+	// block without a mask or an out-index page without a CRC. Only then is
+	// anything allocated for them.
 	if rest := len(buf) - off; rest != words*8+pages*4 {
-		return fail("%d bytes of source masks and page CRCs, want %d for the nonempty blocks and %d for the stored-raw out-index pages", rest, words*8, pages*4)
+		return fail("%d bytes of source masks and page CRCs, want %d for the nonempty blocks and %d for the out-index pages", rest, words*8, pages*4)
 	}
 	flat := make([]uint64, words)
 	for k := range flat {
@@ -495,12 +425,9 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	d.OutIndexPageCRCs = make([][][]uint32, p)
 	for i := range d.OutIndexPageCRCs {
 		d.OutIndexPageCRCs[i] = make([][]uint32, p)
-		outIdx := int64(d.Layout.Size(i)+1) * IndexEntryBytes
+		n := indexPages(d.OutIndexBytes(i, 0))
 		for j := 0; j < p; j++ {
-			if d.OutIndexStoredBytes[i][j] == outIdx {
-				n := indexPages(outIdx)
-				d.OutIndexPageCRCs[i][j], crcs = crcs[:n:n], crcs[n:]
-			}
+			d.OutIndexPageCRCs[i][j], crcs = crcs[:n:n], crcs[n:]
 		}
 	}
 	return d, nil
@@ -510,7 +437,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 // vertices.
 func maskWords(size int) int { return (size + 63) / 64 }
 
-// PageBytes is the unit a stored-raw out-index is checked and range-read in:
+// PageBytes is the unit an out-index is checked and range-read in:
 // the meta records a CRC32C per page of its payload, and ROP reads only the
 // pages holding the entries its active sources use (DualStore.OutIndexSpan).
 const PageBytes = 4096

@@ -105,22 +105,19 @@ type DualStore struct {
 	// BlockEdgeCount[i][j] is the number of edges from interval i to
 	// interval j (identical for the out-block and in-block views).
 	BlockEdgeCount [][]int64
-	// OutBlockBytes[i][j] and InBlockBytes[i][j] are the *stored* sizes of
-	// out-block(i,j) and in-block(i,j) payloads: count·RawRecordBytes for a
-	// block stored raw, less for a compressed one (the bytes I/O actually
-	// moves, which is what the predictor prices, and what the loaders hold
-	// every whole block read to).
-	OutBlockBytes [][]int64
-	InBlockBytes  [][]int64
+	// InBlockBytes[i][j] is the *stored* size of in-block(i,j)'s payload
+	// (the bytes I/O actually moves, which is what the predictor prices, and
+	// what the loaders hold every whole block read to):
+	// BlockEdgeCount·RawRecordBytes stored raw, less compressed. An
+	// out-block's is always the raw size (OutBlockBytes).
+	InBlockBytes [][]int64
 	// InIndexEntries[i][j] is the number of destinations of interval j with
 	// an edge in in-block(i,j) — the entries of its in-index — and
 	// InIndexStoredBytes[i][j] that index's stored size: 8 bytes an entry
-	// stored raw, less compressed. OutIndexStoredBytes[i][j] is the stored
-	// size of out-index(i,j): (Size(i)+1)·4 raw, less compressed. Every
-	// blob's codec is read off these sizes (codecOf).
-	InIndexEntries      [][]int64
-	InIndexStoredBytes  [][]int64
-	OutIndexStoredBytes [][]int64
+	// stored raw, less compressed. An in-block's and an in-index's codec is
+	// read off these sizes (codecOf).
+	InIndexEntries     [][]int64
+	InIndexStoredBytes [][]int64
 	// SourceMasks[i][j] is the bitset of interval i's sources that have an
 	// edge in block (i,j) — bit k, in word k/64, for source lo_i+k: the
 	// sources whose out-index(i,j) section is nonempty — ⌈Size(i)/64⌉ words
@@ -128,8 +125,7 @@ type DualStore struct {
 	// only when its mask meets the frontier (Extent).
 	SourceMasks [][][]uint64
 	// OutIndexPageCRCs[i][j] is the CRC32C of each PageBytes page of
-	// out-index(i,j)'s stored payload when that index is stored raw, the last
-	// page partial, and nil for one stored compressed. A page-span load
+	// out-index(i,j)'s payload, the last page partial. A page-span load
 	// (LoadOutIndexSpanScratch) checks every page it reads against it.
 	OutIndexPageCRCs [][][]uint32
 	// names is the blob-name grid the read paths index (see blobNames).
@@ -172,9 +168,6 @@ type DecodeStats struct {
 	Time time.Duration
 }
 
-// DecodedBytes is the total decoded output of non-none codecs.
-func (s DecodeStats) DecodedBytes() int64 { return s.VarintBytes }
-
 // Sub returns s - o field-wise (iteration deltas).
 func (s DecodeStats) Sub(o DecodeStats) DecodeStats {
 	return DecodeStats{
@@ -202,11 +195,6 @@ func (d *DualStore) noteDecode(logical, stored int64, dur time.Duration) {
 	d.dec.nanos.Add(int64(dur))
 }
 
-// OutCodec returns the codec of out-block(i,j)'s stored payload.
-func (d *DualStore) OutCodec(i, j int) Codec {
-	return codecOf(d.OutBlockBytes[i][j], d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)))
-}
-
 // InCodec returns the codec of in-block(i,j)'s stored payload.
 func (d *DualStore) InCodec(i, j int) Codec {
 	return codecOf(d.InBlockBytes[i][j], d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)))
@@ -232,20 +220,13 @@ func (d *DualStore) Extent(i, j int, f *bitset.Frontier) Extent {
 	return Extent{First: int32(first - lo), End: int32(last - lo + 1)}
 }
 
-// OutIndexSpan returns the bytes [off, end) of out-index(i,j)'s stored
-// payload a push over the sources of x reads, and whether it reads them so:
-// a stored-raw index is read as the PageBytes pages holding its entries
-// x.First through x.End — offset[End] closes the last source's section — and
-// paged is true; a compressed one cannot be addressed by entry and is read
-// and decoded whole, [0, stored).
-func (d *DualStore) OutIndexSpan(i, j int, x Extent) (off, end int64, paged bool) {
-	stored := d.OutIndexStoredBytes[i][j]
-	if stored < int64(d.Layout.Size(i)+1)*IndexEntryBytes {
-		return 0, stored, false
-	}
+// OutIndexSpan returns the bytes [off, end) of out-index(i,j)'s payload a
+// push over the sources of x reads: the PageBytes pages holding its entries
+// x.First through x.End — offset[End] closes the last source's section.
+func (d *DualStore) OutIndexSpan(i, j int, x Extent) (off, end int64) {
 	off = int64(x.First) * IndexEntryBytes / PageBytes * PageBytes
-	end = min((int64(x.End)*IndexEntryBytes/PageBytes+1)*PageBytes, stored)
-	return off, end, true
+	end = min((int64(x.End)*IndexEntryBytes/PageBytes+1)*PageBytes, d.OutIndexBytes(i, j))
+	return off, end
 }
 
 // Options configures Build.
@@ -538,7 +519,7 @@ func (d *DualStore) readBlob(name string, buf *[]byte) ([]byte, error) {
 // fault retries, shifting past the frame header. Range reads cannot
 // validate the whole-blob checksum: an out-index page span is checked page
 // by page against the meta (LoadOutIndexSpanScratch), and selectively loaded
-// record runs only by the surrounding decode checks.
+// record runs only by ROP's span and neighbour checks (core/rop.go).
 func (d *DualStore) readRange(name string, off, n int64, buf []byte) ([]byte, error) {
 	return d.withRetry(buf, blobRead{name: name, off: off + frameHeaderLen, n: n, ranged: true})
 }
@@ -567,9 +548,6 @@ type Scratch struct {
 	raw    []byte
 	idxRaw []byte
 	idx    []uint32
-	// dec holds what a compressed section or out-index decodes into: the
-	// bytes of its CodecNone twin.
-	dec []byte
 }
 
 // scratchPool recycles Scratch buffers across loads, package-wide: the
@@ -584,57 +562,32 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // afterwards.
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
-// LoadOutIndex reads out-index(i,j) into a private buffer: per-source
-// *byte* offsets into out-block(i,j)'s stored payload, Size(i)+1 of them.
-// Charged as a sequential read.
-func (d *DualStore) LoadOutIndex(i, j int) ([]byte, error) {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	idx, err := d.LoadOutIndexScratch(i, j, sc)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), idx...), nil
-}
-
-// LoadOutIndexScratch is LoadOutIndex through sc's buffers, returning the
-// (Size(i)+1)·4 bytes of the index's stored-raw form: offset k is the
-// little-endian uint32 at 4k. A stored-raw index is the CRC-verified read
-// buffer itself, a compressed one is decoded into sc; either way the view
-// is invalidated by the next load into sc.
+// LoadOutIndexScratch reads out-index(i,j) whole, charged as a sequential
+// read, through sc's buffers: per-source *byte* offsets into out-block(i,j)'s
+// payload, Size(i)+1 of them, offset k the little-endian uint32 at 4k. The
+// view is the CRC-verified read buffer itself, invalidated by the next load
+// into sc.
 func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]byte, error) {
-	name, entries := d.names.name(blobOutIndex, i, j), d.Layout.Size(i)+1
-	buf, err := d.readBlob(name, &sc.idxRaw)
+	name := d.names.name(blobOutIndex, i, j)
+	idx, err := d.readBlob(name, &sc.idxRaw)
 	if err != nil {
 		return nil, err
 	}
-	c := codecOf(d.OutIndexStoredBytes[i][j], int64(entries)*IndexEntryBytes)
-	start := time.Now()
-	idx, err := decodeOutIndex(sc.dec, buf, c, entries)
-	if err != nil {
+	if err := checkOutIndex(idx, d.Layout.Size(i)+1); err != nil {
 		return nil, fmt.Errorf("blockstore: %s: %w", name, err)
-	}
-	if c != CodecNone {
-		sc.dec = idx
-		d.noteDecode(int64(len(idx)), int64(len(buf)), time.Since(start))
 	}
 	return idx, nil
 }
 
 // LoadOutIndexSpanScratch loads what a ROP push over the sources of x needs
-// of out-index(i,j), through sc's buffers: of a stored-raw index the pages
-// OutIndexSpan names, with one range read that skips the frame header, each
-// page checked against the CRC the meta records for it; of a compressed one
-// the whole index, as LoadOutIndexScratch loads it. It returns the bytes and
-// the payload offset base they start at: offset k is the little-endian uint32
-// at 4k−base, for First ≤ k ≤ End. A page whose CRC does not match is
+// of out-index(i,j), through sc's buffers: the pages OutIndexSpan names,
+// with one range read that skips the frame header, each page checked against
+// the CRC the meta records for it. It returns the bytes and the payload
+// offset base they start at: offset k is the little-endian uint32 at 4k−base,
+// for First ≤ k ≤ End. A page whose CRC does not match is
 // storage.ErrCorrupt-class, and never retried.
 func (d *DualStore) LoadOutIndexSpanScratch(i, j int, x Extent, sc *Scratch) (idx []byte, base int, err error) {
-	off, end, paged := d.OutIndexSpan(i, j, x)
-	if !paged {
-		idx, err = d.LoadOutIndexScratch(i, j, sc)
-		return idx, 0, err
-	}
+	off, end := d.OutIndexSpan(i, j, x)
 	name := d.names.name(blobOutIndex, i, j)
 	buf, err := d.readRange(name, off, end-off, sc.idxRaw)
 	if err != nil {
@@ -655,10 +608,10 @@ func (d *DualStore) LoadOutIndexSpanScratch(i, j int, x Extent, sc *Scratch) (id
 	return buf, int(off), nil
 }
 
-// LoadOutRunScratch reads the stored byte range [startByte, endByte) of
+// LoadOutRunScratch reads the byte range [startByte, endByte) of
 // out-block(i,j) with one random access into sc — ROP's selective load of
-// one or more coalesced per-vertex sections (Alg. 2 line 7). Hand each
-// section to DecodeSectionScratch.
+// one or more coalesced per-vertex sections (Alg. 2 line 7), each of them
+// packed raw records (RawRec).
 func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, sc *Scratch) ([]byte, error) {
 	if startByte >= endByte {
 		return nil, nil
@@ -669,26 +622,6 @@ func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, sc *S
 	}
 	sc.raw = buf
 	return buf, nil
-}
-
-// DecodeSectionScratch returns the packed raw records of one vertex's
-// self-contained section (a slice of a loaded run delimited by consecutive
-// index entries) stored with codec c — OutCodec(i,j) for a section of
-// out-block(i,j). A CodecNone section already is its records and is handed
-// back in place; any other is decoded into sc, the result invalidated by
-// the next decode into the same sc, and counted in the store's DecodeStats.
-func (d *DualStore) DecodeSectionScratch(section []byte, c Codec, sc *Scratch) ([]byte, error) {
-	if c == CodecNone {
-		return section, nil
-	}
-	start := time.Now()
-	recs, err := AppendSection(sc.dec[:0], section, c, d.Weighted)
-	if err != nil {
-		return nil, err
-	}
-	sc.dec = recs
-	d.noteDecode(int64(len(recs)), int64(len(section)), time.Since(start))
-	return recs, nil
 }
 
 // LoadInBlockBytesScratch streams in-block(i,j) with its index, charged as
@@ -789,27 +722,34 @@ func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) ([]byte, error) {
 	return payload, err
 }
 
-// LoadOutPayload streams the stored payload of out-block(i,j) in one
-// sequential read, without touching its index — the whole-block promotion
-// path of the run-granular cache: once enough of a block has been read
-// piecemeal, one cheap sequential pass caches the payload that every
-// later run slices into (and, for compressed blocks, decodes section-wise
-// through the byte-offset index on touch). The returned buffer is freshly
-// allocated and owned by the caller.
+// LoadOutPayload streams the payload of out-block(i,j) in one sequential
+// read, without touching its index — the whole-block promotion path of the
+// run-granular cache: once enough of a block has been read piecemeal, one
+// cheap sequential pass caches the payload that every later run slices
+// into. The returned buffer is freshly allocated and owned by the caller.
 func (d *DualStore) LoadOutPayload(i, j int) ([]byte, error) {
 	name := d.names.name(blobOutBlock, i, j)
 	payload, err := d.readBlob(name, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkStoredSize(name, payload, d.OutBlockBytes[i][j]); err != nil {
+	if err := checkStoredSize(name, payload, d.OutBlockBytes(i, j)); err != nil {
 		return nil, err
 	}
 	return payload, nil
 }
 
-// OutIndexBytes returns the stored size of out-index(i,j).
-func (d *DualStore) OutIndexBytes(i, j int) int64 { return d.OutIndexStoredBytes[i][j] }
+// OutBlockBytes returns the size of out-block(i,j)'s payload:
+// BlockEdgeCount·RawRecordBytes, stored raw in every format.
+func (d *DualStore) OutBlockBytes(i, j int) int64 {
+	return d.BlockEdgeCount[i][j] * int64(RawRecordBytes(d.Weighted))
+}
+
+// OutIndexBytes returns the size of out-index(i,j): (Size(i)+1)·4, stored
+// raw in every format.
+func (d *DualStore) OutIndexBytes(i, j int) int64 {
+	return int64(d.Layout.Size(i)+1) * IndexEntryBytes
+}
 
 // InIndexBytes returns the stored size of in-index(i,j), as recorded when
 // it was written.
@@ -819,12 +759,12 @@ func (d *DualStore) InIndexBytes(i, j int) int64 { return d.InIndexStoredBytes[i
 // indices.
 func (d *DualStore) TotalEdgeBytes() int64 {
 	var t int64
-	for _, row := range d.OutBlockBytes {
-		for _, b := range row {
-			t += b
+	for _, row := range d.BlockEdgeCount {
+		for _, n := range row {
+			t += n
 		}
 	}
-	return t
+	return t * int64(RawRecordBytes(d.Weighted))
 }
 
 // Aux blob support: small named blobs (checkpoints, run metadata) stored

@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -143,10 +144,10 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 	}
 }
 
-// TestLoadOutIndexConcurrent: LoadOutIndex returns a private copy, so
-// concurrent callers never see each other's blocks. The copy is taken from
-// pooled scratch; were the scratch back in the pool before the copy is done,
-// another caller's decode would land in it — a race, and the wrong index.
+// TestLoadOutIndexConcurrent: LoadOutIndexScratch hands out a view of the
+// scratch it loaded into, so concurrent callers each drawing their own from
+// the pool never see each other's indices; were one scratch shared, another
+// caller's read would land in it — a race, and the wrong index.
 func TestLoadOutIndexConcurrent(t *testing.T) {
 	const p = 4
 	g := gen.RMAT(256, 2000, gen.Graph500, rand.New(rand.NewSource(3)))
@@ -157,7 +158,7 @@ func TestLoadOutIndexConcurrent(t *testing.T) {
 	var want [p][p][]byte
 	for i := range want {
 		for j := range want[i] {
-			if want[i][j], err = ds.LoadOutIndex(i, j); err != nil {
+			if want[i][j], err = ds.LoadOutIndexScratch(i, j, &Scratch{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -169,8 +170,12 @@ func TestLoadOutIndexConcurrent(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 1000*p; n++ {
 				i, j := (w+n/p)%p, n%p
-				if got, err := ds.LoadOutIndex(i, j); err != nil || !reflect.DeepEqual(got, want[i][j]) {
-					t.Errorf("worker %d: out-index(%d,%d) = %v, %v; want %v", w, i, j, got, err, want[i][j])
+				sc := GetScratch()
+				got, err := ds.LoadOutIndexScratch(i, j, sc)
+				ok := err == nil && bytes.Equal(got, want[i][j])
+				PutScratch(sc)
+				if !ok {
+					t.Errorf("worker %d: out-index(%d,%d): %v, or not the %d bytes loaded alone", w, i, j, err, len(want[i][j]))
 					return
 				}
 			}
@@ -364,19 +369,9 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
 		}
 	}
-	for _, c := range []struct {
-		what  string
-		index []byte
-		codec Codec
-	}{
-		{"raw out-index of 6 bytes for 2 entries", make([]byte, 6), CodecNone},
-		{"varint out-index one entry short", encodeIndexCodec([]uint32{0}, CodecVarint), CodecVarint},
-		{"varint out-index one entry long", encodeIndexCodec([]uint32{0, 4, 8}, CodecVarint), CodecVarint},
-		{"varint out-index padded with a zero byte", []byte{0x00, 0x84, 0x00}, CodecVarint},
-		{"varint out-index past uint32", []byte{0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, CodecVarint},
-	} {
-		if _, err := decodeOutIndex(nil, c.index, c.codec, 2); !errors.Is(err, storage.ErrCorrupt) {
-			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
+	for _, n := range []int{6, 12} {
+		if err := checkOutIndex(make([]byte, n), 2); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("out-index of %d bytes for 2 entries: err = %v, want storage.ErrCorrupt-class", n, err)
 		}
 	}
 	if _, err := decodeMeta([]byte("JUNK")); err == nil {
@@ -391,9 +386,9 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.OutIndexStoredBytes[1][0]++
+	ds.InIndexStoredBytes[1][0]++
 	if _, err := decodeMeta(encodeMeta(ds)); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("out-index stored past its raw size: err = %v, want storage.ErrCorrupt-class", err)
+		t.Fatalf("in-index stored past its raw size: err = %v, want storage.ErrCorrupt-class", err)
 	}
 }
 

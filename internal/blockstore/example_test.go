@@ -29,18 +29,14 @@ func ExampleBuild() {
 	// Vertex 0 lives in interval 0; its out-edges into interval 1
 	// (vertices 2, 3) sit in out-block (0, 1); the out-index holds local
 	// vertex k's byte offset into it as the little-endian uint32 at 4k.
-	idx, err := ds.LoadOutIndex(0, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
 	sc := blockstore.GetScratch()
 	defer blockstore.PutScratch(sc)
-	run, err := ds.LoadOutRunScratch(0, 1, binary.LittleEndian.Uint32(idx[0:]), binary.LittleEndian.Uint32(idx[4:]), sc)
+	idx, err := ds.LoadOutIndexScratch(0, 1, sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Whatever codec stored the block, a section decodes to packed records.
-	sec, err := ds.DecodeSectionScratch(run, ds.OutCodec(0, 1), sc)
+	// An out-block holds packed raw records in every format.
+	sec, err := ds.LoadOutRunScratch(0, 1, binary.LittleEndian.Uint32(idx[0:]), binary.LittleEndian.Uint32(idx[4:]), sc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,8 +49,8 @@ func ExampleBuild() {
 	// 0 -> 3
 }
 
-// ExampleBuildOpts builds a per-block compressed, unweighted store — the compact
-// layout for PageRank/BFS/WCC workloads.
+// ExampleBuildOpts builds an unweighted store whose in-blocks are compressed
+// where that pays — the compact layout for PageRank/BFS/WCC workloads.
 func ExampleBuildOpts() {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
@@ -68,9 +64,9 @@ func ExampleBuildOpts() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("out-block (0,1):", ds.OutCodec(0, 1))
+	fmt.Println("in-block (0,1):", ds.InCodec(0, 1))
 	fmt.Println("edges:", ds.NumEdges())
 	// Output:
-	// out-block (0,1): varint
+	// in-block (0,1): varint
 	// edges: 2
 }

@@ -14,14 +14,13 @@ import (
 // testOnlyExports are the exported names of the guarded packages that no
 // non-test file mentions and that stay anyway, each with the reason.
 var testOnlyExports = map[string]string{
-	"graph.ReadBinary":                  "WriteBinary's inverse, which is how a library user loads what husgen -out writes; the codec round-trip tests are its callers",
-	"blockstore.BuildStreaming":         "BuildStreamingOpts with the weighted default, the streaming twin of Build/BuildWithFormat; its signature is frozen",
-	"blockstore.DualStore.LoadOutIndex": "the whole out-index as a private copy: the reference the page-span, crafted-index and liveness tests compare the engine's reads against",
-	"bitset.Bitset.Equal":               "assertion helper: the merge tests compare a merged frontier's bitmap against the unsharded one",
-	"storage.FaultCounters.Injected":    "assertion helper: the chaos matrix checks that a scenario's faults actually fired",
-	"shard.Coordinator.NumShards":       "assertion helper: TestShardCombinedStats checks the K the coordinator resolved",
-	"shard.Coordinator.ShardDevices":    "assertion helper: the shard tests check that every shard's own device was charged",
-	"core.IterError.Unwrap":             "reached through errors.Is/errors.As, which is how every caller classifies an iteration's failure; never called by name",
+	"graph.ReadBinary":               "WriteBinary's inverse, which is how a library user loads what husgen -out writes; the codec round-trip tests are its callers",
+	"blockstore.BuildStreaming":      "BuildStreamingOpts with the weighted default, the streaming twin of Build/BuildWithFormat; its signature is frozen",
+	"bitset.Bitset.Equal":            "assertion helper: the merge tests compare a merged frontier's bitmap against the unsharded one",
+	"storage.FaultCounters.Injected": "assertion helper: the chaos matrix checks that a scenario's faults actually fired",
+	"shard.Coordinator.NumShards":    "assertion helper: TestShardCombinedStats checks the K the coordinator resolved",
+	"shard.Coordinator.ShardDevices": "assertion helper: the shard tests check that every shard's own device was charged",
+	"core.IterError.Unwrap":          "reached through errors.Is/errors.As, which is how every caller classifies an iteration's failure; never called by name",
 }
 
 // TestExportsHaveCallers keeps the engine packages' surface honest: every

@@ -9,13 +9,11 @@ import (
 )
 
 // Format is a build's compression policy: which encodings Build may store
-// a block's records and indices in. It is not recorded anywhere — a store
+// the column view — in-blocks and in-indices, which COP streams whole — in.
+// The row view — out-blocks and out-indices, which ROP reads by offset — is
+// stored raw in every format. The format is not recorded anywhere — a store
 // is one format on disk, and a blob's codec follows from its stored size
 // (codecOf).
-//
-// Indices always hold *byte* offsets into the block blob (the stored
-// payload), so selective loading works identically for every codec; what
-// changes is the bytes per record.
 type Format int
 
 const (
@@ -23,16 +21,15 @@ const (
 	// float32 weight on weighted stores): nothing to decode, supports
 	// direct slicing.
 	FormatRaw Format = iota
-	// FormatMixed picks a codec (none | varint) *per block* at build time,
-	// keeping varint only where it is strictly smaller. Per-vertex sections
-	// stay self-contained (delta chains restart at every section boundary),
-	// so the byte-offset index doubles as the gap-index side table that lets
-	// ROP read and decode only the touched ranges. Block indices are
-	// delta-varint compressed the same way. The CRC32C of every frame covers
-	// the *compressed* bytes (see frame.go). This is GraphMP's
-	// compressed-edge-block direction, and like there the codec is a
-	// property of storage only: every block decodes back into the packed
-	// records FormatRaw stores (AppendSection).
+	// FormatMixed picks a codec (none | varint) *per in-block and per
+	// in-index* at build time, keeping varint only where it is strictly
+	// smaller. Per-destination sections stay self-contained (delta chains
+	// restart at every section boundary), so COP folds each as stored. The
+	// CRC32C of every frame covers the *compressed* bytes (see frame.go).
+	// This is GraphMP's compressed streamed shards, and like there the codec
+	// is a property of storage only: every in-block decodes back into the
+	// packed records FormatRaw stores (AppendSection). The out-blocks and
+	// out-indices are byte for byte a raw store's.
 	FormatMixed
 )
 
@@ -60,10 +57,10 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// Codec identifies the encoding of one block's (or index's) stored payload.
-// FormatRaw stores use CodecNone throughout; in a FormatMixed store a blob
-// is CodecVarint exactly when its stored size is below its raw size
-// (codecOf).
+// Codec identifies the encoding of one in-block's (or in-index's) stored
+// payload. FormatRaw stores, and the row view of every store, use CodecNone
+// throughout; in a FormatMixed store an in-block or in-index is CodecVarint
+// exactly when its stored size is below its raw size (codecOf).
 type Codec uint8
 
 const (
@@ -76,8 +73,8 @@ const (
 
 // codecOf is the codec of a blob stored in stored bytes whose CodecNone
 // encoding takes raw. The builder keeps varint only where it is strictly
-// smaller (encodeBlockPayload, encodeBlockIndex), so the stored size the
-// meta records is the codec: nothing else on disk names it.
+// smaller (encodeBlockPayload, encodeBucket), so the stored size the meta
+// records is the codec: nothing else on disk names it.
 func codecOf(stored, raw int64) Codec {
 	if stored < raw {
 		return CodecVarint
@@ -142,7 +139,7 @@ func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool) []byt
 // AppendSection decodes one vertex's self-contained record section, stored
 // with codec c, into the packed raw records its CodecNone twin stores —
 // RawRecordBytes(weighted) bytes each — appending them to dst. It is the
-// only section decoder: ROP's sections, the blocks the cache keeps decoded
+// only section decoder: the in-blocks the cache keeps decoded
 // (DecodeInBlock) and the COP fallback kernel's sections go through it; the
 // specialised COP kernels fold a varint section as stored and must accept
 // and produce exactly what it does (core's FuzzFoldVarint). Malformed input yields storage.ErrCorrupt-class errors — never a panic or

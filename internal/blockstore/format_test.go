@@ -69,10 +69,10 @@ func TestCompressedSmallerOnRealBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.TotalEdgeBytes() >= raw.TotalEdgeBytes() {
-		t.Fatalf("compressed %d not below raw %d", comp.TotalEdgeBytes(), raw.TotalEdgeBytes())
+	if inEdgeBytes(comp) >= inEdgeBytes(raw) {
+		t.Fatalf("compressed in-blocks %d not below raw %d", inEdgeBytes(comp), inEdgeBytes(raw))
 	}
-	ratio := float64(comp.TotalEdgeBytes()) / float64(raw.TotalEdgeBytes())
+	ratio := float64(inEdgeBytes(comp)) / float64(inEdgeBytes(raw))
 	if ratio > 0.95 {
 		t.Fatalf("compression ratio %.2f too weak", ratio)
 	}
@@ -129,7 +129,7 @@ func TestCompressedOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(opened.OutBlockBytes, built.OutBlockBytes) || !reflect.DeepEqual(opened.OutIndexStoredBytes, built.OutIndexStoredBytes) {
+	if !reflect.DeepEqual(opened.BlockEdgeCount, built.BlockEdgeCount) || !reflect.DeepEqual(opened.InBlockBytes, built.InBlockBytes) || !reflect.DeepEqual(opened.InIndexStoredBytes, built.InIndexStoredBytes) {
 		t.Fatal("byte sizes lost")
 	}
 }

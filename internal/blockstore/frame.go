@@ -33,10 +33,10 @@ import (
 // and says to rebuild it.
 //
 // Selective reads (ROP's ReadAt range loads) shift their offsets past the
-// header but cannot verify the whole-frame checksum. A stored-raw
-// out-index's page span is checked instead against the CRC32C the meta
-// records per PageBytes page (DESIGN.md §4p). A record run is not: what its
-// consumer checks is that the bytes decode and that every neighbour they
+// header but cannot verify the whole-frame checksum. An out-index's page
+// span is checked instead against the CRC32C the meta records per PageBytes
+// page (DESIGN.md §4p). A record run is not: what its consumer checks is
+// that its sections cut it at whole records and that every neighbour they
 // name exists (DESIGN.md §4b), and a flip that survives both is not
 // detected.
 const (

@@ -150,8 +150,10 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 // mixed store before PR 29), or whose meta is laid out under an older magic
 // — "HUSB" before the in-index went sparse, "HUSC" while the meta recorded
 // a format and codec grids, "HUSD" before it recorded the out-blocks'
-// source masks, "HUSE" before it recorded the out-indices' page CRCs — is
-// refused with the one message that says how to rebuild it.
+// source masks, "HUSE" before it recorded the out-indices' page CRCs,
+// "HUSF" while it recorded the stored sizes of a row view a mixed store
+// could compress — is refused with the one message that says how to
+// rebuild it. The magic alone decides: past it, nothing is read.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -179,13 +181,18 @@ func TestOpenRejectsOlderStores(t *testing.T) {
 			// chain(64) at P = 4: the header, 64 degree pairs and six 4×4
 			// grids, which is all a "HUSD" meta held.
 			copy(meta, "HUSD")
-			return frameBlob(meta[:metaHeaderLen+64*8+len(metaGrids(&DualStore{}))*4*4*8])
+			return frameBlob(append(meta[:metaHeaderLen+64*8], make([]byte, 6*4*4*8)...))
 		}},
 		{"no-page-crcs", FormatRaw, func(meta []byte) []byte {
 			// The same store's 16 out-indices are one page each: without
-			// their CRCs, this is the "HUSE" meta.
+			// their CRCs, this is the "HUSE" meta but for its two grids of
+			// row-view sizes.
 			copy(meta, "HUSE")
 			return frameBlob(meta[:len(meta)-16*4])
+		}},
+		{"row-view-size-grids", FormatMixed, func(meta []byte) []byte {
+			copy(meta, "HUSF")
+			return frameBlob(meta)
 		}},
 	} {
 		err := openWithMeta(t, c.format, c.rewrite)

@@ -50,48 +50,38 @@ func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
 	}
 }
 
-// FuzzDecodeVarint drives the two varint decoders over the same bytes: as a
-// section, and as an out-index of entries offsets — which decodeOutIndex
-// either refuses ErrCorrupt-class or turns into exactly entries·4 bytes
-// that re-encode to the input (so every varint it accepts is minimal) — and
-// unframes them as a blob.
+// FuzzDecodeVarint drives the one varint section decoder over bytes, and
+// unframes the same bytes as a blob.
 func FuzzDecodeVarint(f *testing.F) {
-	// Valid varint section encodings, weighted and not.
+	// Valid varint section encodings, weighted and not, and the empty one.
 	recs := []Rec{{Nbr: 1, Weight: 2}, {Nbr: 7, Weight: 0.5}, {Nbr: 1000000, Weight: -1}}
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, true), true, uint16(0))
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, false), false, uint16(3))
-	// A valid varint out-index, with its entry count, one too few and one
-	// too many.
-	index := encodeIndexCodec([]uint32{0, 8, 8, 24, 400}, CodecVarint)
-	f.Add(index, false, uint16(5))
-	f.Add(index, false, uint16(4))
-	f.Add(index, false, uint16(6))
-	f.Add([]byte{0x00, 0x88, 0x00}, false, uint16(2)) // second entry padded to two bytes
+	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, true), true)
+	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, false), false)
+	f.Add([]byte(nil), true)
+	// Gaps of one to five bytes, each an arm of the decoder's fast path or
+	// its fallback.
+	f.Add(encodeVertexRecsCodec(nil, []Rec{{Nbr: 0}, {Nbr: 200}, {Nbr: 40000}, {Nbr: 1 << 22}, {Nbr: 1<<32 - 1}}, CodecVarint, false), false)
 	// Truncated and corrupted variants.
 	full := encodeVertexRecsCodec(nil, recs, CodecVarint, true)
-	f.Add(full[:len(full)-3], true, uint16(1))
+	f.Add(full[:len(full)-3], true)
 	mangled := append([]byte(nil), full...)
 	mangled[0] ^= 0xFF
-	f.Add(mangled, true, uint16(2))
+	f.Add(mangled, true)
 	// Overlong/overflowing varints.
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false, uint16(1))
-	f.Add([]byte{0x80}, true, uint16(1)) // varint cut mid-continuation
-	// Truncated/corrupt checksum frames, decoded through unframeBlob.
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false)
+	f.Add([]byte{0x80}, true)        // varint cut mid-continuation
+	f.Add([]byte{0x80, 0x80}, false) // cut after the second byte
+	// Checksum frames, whole, truncated and corrupt, decoded through
+	// unframeBlob.
 	framed := frameBlob(full)
-	f.Add(framed[:len(framed)-2], true, uint16(0))
+	f.Add(framed, true)
+	f.Add(framed[:len(framed)-2], true)
 	flipped := append([]byte(nil), framed...)
 	flipped[frameHeaderLen] ^= 0x01
-	f.Add(flipped, true, uint16(0))
+	f.Add(flipped, true)
 
-	f.Fuzz(func(t *testing.T, data []byte, weighted bool, entries uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, weighted bool) {
 		fuzzSection(t, data, CodecVarint, weighted)
-		if idx, err := decodeOutIndex(nil, data, CodecVarint, int(entries)); err != nil {
-			wantCorruptClass(t, err)
-		} else if len(idx) != int(entries)*IndexEntryBytes {
-			t.Fatalf("out-index of %d entries decoded to %d bytes", entries, len(idx))
-		} else if again := encodeIndexCodec(outIndexWords(idx), CodecVarint); !bytes.Equal(again, data) {
-			t.Fatalf("out-index re-encodes to % x, not the % x it was decoded from", again, data)
-		}
 		// And as a framed blob: unframe must never panic and must reject
 		// anything whose CRC does not match.
 		if _, err := unframeBlob("fuzz", data); err != nil {
@@ -106,8 +96,8 @@ func FuzzDecodeVarint(f *testing.F) {
 // bytes, decodeMeta fails ErrCorrupt-class without panicking or allocating
 // beyond what the payload's length covers — nor accepting a blob stored in
 // more than its raw bytes, which no builder writes, a mask no build could
-// have made, or a page-CRC section of another size than the stored-raw
-// out-indices' pages — and a meta it accepts is one encodeMeta writes: it
+// have made, or a page-CRC section of another size than the out-indices'
+// pages — and a meta it accepts is one encodeMeta writes: it
 // re-encodes to the same bytes.
 func FuzzDecodeMeta(f *testing.F) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {

@@ -74,12 +74,10 @@ func loadInBlockRecords(ds *DualStore, i, j int, sc *Scratch) ([]byte, []uint32,
 	return DecodeInBlock(nil, payload, entries, ds.Weighted)
 }
 
-// loadOutBlock loads out-block(i,j) whole: the out-index, the stored payload
-// in one verified sequential read (the cache's promotion read), and every
-// section sliced out of it and decoded the way ROP decodes a range read.
+// loadOutBlock loads out-block(i,j) whole: the out-index, and the payload in
+// one verified sequential read (the cache's promotion read), its records
+// counted by the offsets.
 func loadOutBlock(ds *DualStore, i, j int) (testBlock, error) {
-	sc := GetScratch()
-	defer PutScratch(sc)
 	idx, err := loadOutIndexWords(ds, i, j)
 	if err != nil {
 		return testBlock{}, err
@@ -88,22 +86,19 @@ func loadOutBlock(ds *DualStore, i, j int) (testBlock, error) {
 	if err != nil {
 		return testBlock{}, err
 	}
-	b := testBlock{Index: make([]uint32, len(idx))}
-	for k := 0; k+1 < len(idx); k++ {
-		sec, err := ds.DecodeSectionScratch(payload[idx[k]:idx[k+1]], ds.OutCodec(i, j), sc)
-		if err != nil {
-			return testBlock{}, err
-		}
-		b.Recs = append(b.Recs, rawRecs(sec, ds.Weighted)...)
-		b.Index[k+1] = uint32(len(b.Recs))
+	b := testBlock{Index: idx, Recs: rawRecs(payload, ds.Weighted)}
+	for k := range b.Index {
+		b.Index[k] /= uint32(RawRecordBytes(ds.Weighted))
 	}
 	return b, nil
 }
 
-// loadOutIndexWords loads out-index(i,j) and reads its Size(i)+1 offsets
-// out of the bytes the loader hands over.
+// loadOutIndexWords loads out-index(i,j) whole and reads its Size(i)+1
+// offsets out of the bytes the loader hands over.
 func loadOutIndexWords(ds *DualStore, i, j int) ([]uint32, error) {
-	b, err := ds.LoadOutIndex(i, j)
+	sc := GetScratch()
+	defer PutScratch(sc)
+	b, err := ds.LoadOutIndexScratch(i, j, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -120,15 +115,23 @@ func outIndexWords(b []byte) []uint32 {
 }
 
 // loadOutSection reads vertex k's section of out-block(i,j) the way ROP does
-// — one range read of [idx[k], idx[k+1]), decoded through
-// DecodeSectionScratch — and returns a copy of its packed records.
+// — one range read of [idx[k], idx[k+1]) — and returns a copy of its packed
+// records.
 func loadOutSection(ds *DualStore, i, j int, idx []uint32, k int, sc *Scratch) ([]byte, error) {
-	run, err := ds.LoadOutRunScratch(i, j, idx[k], idx[k+1], sc)
-	if err != nil {
-		return nil, err
-	}
-	sec, err := ds.DecodeSectionScratch(run, ds.OutCodec(i, j), sc)
+	sec, err := ds.LoadOutRunScratch(i, j, idx[k], idx[k+1], sc)
 	return append([]byte(nil), sec...), err
+}
+
+// inEdgeBytes sums a store's stored in-block bytes: the edge bytes a mixed
+// store may compress.
+func inEdgeBytes(ds *DualStore) int64 {
+	var t int64
+	for _, row := range ds.InBlockBytes {
+		for _, b := range row {
+			t += b
+		}
+	}
+	return t
 }
 
 // FrameForTest frames payload the way a store frames every blob, and

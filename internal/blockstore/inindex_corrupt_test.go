@@ -180,13 +180,17 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 // compressed block swapped for its raw twin, the same cell of a raw build
 // of the same graph, must be refused for its length before anything decodes
 // raw records as varint gaps: in-block (0,0) by the COP loader and by a
-// forced-COP run, out-block (0,0) by the cache's whole-payload read.
+// forced-COP run. Out-blocks are raw in every format, so the out-block lie
+// is one of another record size: out-block (0,0) of a weighted build, twice
+// as long, must be refused for its length by the cache's whole-payload read.
 func TestRawTwinOfCompressedBlockIsCorrupt(t *testing.T) {
 	g := graph.New(64)
 	for v := 0; v+1 < 64; v++ {
 		g.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
 	}
-	mixed, raw := storage.NewMemStore(storage.NewDevice(storage.RAM)), storage.NewMemStore(storage.NewDevice(storage.RAM))
+	mixed := storage.NewMemStore(storage.NewDevice(storage.RAM))
+	raw := storage.NewMemStore(storage.NewDevice(storage.RAM))
+	weighted := storage.NewMemStore(storage.NewDevice(storage.RAM))
 	built, err := blockstore.BuildOpts(mixed, g, blockstore.Options{P: 4, Format: blockstore.FormatMixed})
 	if err != nil {
 		t.Fatal(err)
@@ -194,21 +198,27 @@ func TestRawTwinOfCompressedBlockIsCorrupt(t *testing.T) {
 	if _, err := blockstore.BuildOpts(raw, g, blockstore.Options{P: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if built.InCodec(0, 0) != blockstore.CodecVarint || built.OutCodec(0, 0) != blockstore.CodecVarint {
-		t.Fatalf("mixed store's block (0,0) is stored %v in, %v out", built.InCodec(0, 0), built.OutCodec(0, 0))
+	if _, err := blockstore.BuildOpts(weighted, g, blockstore.Options{P: 4, Weighted: true}); err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{"ib/0.0", "ob/0.0"} {
-		twin, err := raw.ReadAll(name)
+	if built.InCodec(0, 0) != blockstore.CodecVarint {
+		t.Fatalf("mixed store's in-block (0,0) is stored %v", built.InCodec(0, 0))
+	}
+	for _, swap := range []struct {
+		name string
+		from *storage.MemStore
+	}{{"ib/0.0", raw}, {"ob/0.0", weighted}} {
+		twin, err := swap.from.ReadAll(swap.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mixed.Put(name, twin); err != nil {
+		if err := mixed.Put(swap.name, twin); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ds := wantCorruptLoadAndRun(t, "raw twin of in-block (0,0)", mixed, blockstore.ErrStoredSizeForTest)
 	if _, err := ds.LoadOutPayload(0, 0); !errors.Is(err, blockstore.ErrStoredSizeForTest) || !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("raw twin of out-block (0,0): err = %v, want a storage.ErrCorrupt-class length refusal", err)
+		t.Fatalf("weighted out-block (0,0) in an unweighted store: err = %v, want a storage.ErrCorrupt-class length refusal", err)
 	}
 }
 

@@ -26,39 +26,40 @@ func mixedGraph(weighted bool) *graph.Graph {
 	return g
 }
 
-// codecsOf counts the blocks of a store's in and out grids per codec.
-func codecsOf(ds *DualStore) (in, out [2]int) {
+// codecsOf counts a store's in-blocks and in-indices per codec: the blobs a
+// mixed store may compress.
+func codecsOf(ds *DualStore) (in, inIdx [2]int) {
 	for i := 0; i < ds.Layout.P; i++ {
 		for j := 0; j < ds.Layout.P; j++ {
 			in[ds.InCodec(i, j)]++
-			out[ds.OutCodec(i, j)]++
+			inIdx[codecOf(ds.InIndexStoredBytes[i][j], ds.InIndexEntries[i][j]*InIndexEntryBytes)]++
 		}
 	}
-	return in, out
+	return in, inIdx
 }
 
 // TestMixedLoadsEqualRawLoads states the invariant compute rests on: the
 // codec is a property of storage only. One graph built raw and mixed hands
 // byte-identical (payload, idx) out of the in-block loader for every cell —
-// a compressed block once DecodeInBlock has decoded it — and every out-block
-// section read and decoded the way ROP does equals the raw store's bytes for
-// that vertex.
+// a compressed block once DecodeInBlock has decoded it — and the row view,
+// which every format stores raw, is the raw store's blob for blob.
 func TestMixedLoadsEqualRawLoads(t *testing.T) {
 	const p = 8
 	for _, weighted := range []bool{false, true} {
 		g := mixedGraph(weighted)
-		raw, err := BuildOpts(memStore(), g, Options{P: p, Format: FormatRaw, Weighted: weighted})
+		rawStore, mixedStore := memStore(), memStore()
+		raw, err := BuildOpts(rawStore, g, Options{P: p, Format: FormatRaw, Weighted: weighted})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixed, err := BuildOpts(memStore(), g, Options{P: p, Format: FormatMixed, Weighted: weighted})
+		mixed, err := BuildOpts(mixedStore, g, Options{P: p, Format: FormatMixed, Weighted: weighted})
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, out := codecsOf(mixed)
+		in, _ := codecsOf(mixed)
 		for _, c := range allCodecs {
-			if in[c] == 0 || out[c] == 0 {
-				t.Fatalf("weighted=%v: mixed store has no %v block (in %v, out %v): the comparison would not cover that decoder", weighted, c, in, out)
+			if in[c] == 0 {
+				t.Fatalf("weighted=%v: mixed store has no %v in-block (%v): the comparison would not cover that decoder", weighted, c, in)
 			}
 		}
 		rsc, msc := new(Scratch), new(Scratch)
@@ -75,25 +76,17 @@ func TestMixedLoadsEqualRawLoads(t *testing.T) {
 				if !bytes.Equal(gotP, wantP) || !eqU32(gotIdx, wantIdx) {
 					t.Fatalf("weighted=%v in-block (%d,%d) [%v]: loader output differs from the raw store's", weighted, i, j, mixed.InCodec(i, j))
 				}
-				rawIdx, err := loadOutIndexWords(raw, i, j)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mixIdx, err := loadOutIndexWords(mixed, i, j)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := 0; k+1 < len(rawIdx); k++ {
-					want, err := loadOutSection(raw, i, j, rawIdx, k, rsc)
+				for _, name := range []string{outBlockName(i, j), outIndexName(i, j)} {
+					want, err := rawStore.ReadAll(name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := loadOutSection(mixed, i, j, mixIdx, k, msc)
+					got, err := mixedStore.ReadAll(name)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(got, want) {
-						t.Fatalf("weighted=%v out-block (%d,%d) [%v] vertex %d: section decodes to %x, raw store holds %x", weighted, i, j, mixed.OutCodec(i, j), k, got, want)
+						t.Fatalf("weighted=%v: mixed %s differs from the raw store's", weighted, name)
 					}
 				}
 			}
@@ -113,12 +106,12 @@ func TestMixedBuildOpenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		builtIn, builtOut := codecsOf(built)
-		if in, out := codecsOf(opened); in != builtIn || out != builtOut || out[CodecVarint] == 0 {
-			t.Fatalf("codecs across Open: in %v, out %v; built in %v, out %v", in, out, builtIn, builtOut)
+		builtIn, builtIdx := codecsOf(built)
+		if in, idx := codecsOf(opened); in != builtIn || idx != builtIdx || in[CodecVarint] == 0 || idx[CodecVarint] == 0 {
+			t.Fatalf("codecs across Open: in-blocks %v, in-indices %v; built %v, %v", in, idx, builtIn, builtIdx)
 		}
-		if !reflect.DeepEqual(opened.OutIndexStoredBytes, built.OutIndexStoredBytes) {
-			t.Fatal("index stored sizes lost across Open")
+		if !reflect.DeepEqual(opened.InIndexStoredBytes, built.InIndexStoredBytes) || !reflect.DeepEqual(opened.BlockEdgeCount, built.BlockEdgeCount) {
+			t.Fatal("stored sizes lost across Open")
 		}
 		// Decoded blocks must be bit-identical to a raw build of the
 		// same graph.
@@ -168,25 +161,27 @@ func TestMixedNeverLargerThanRawPerBlock(t *testing.T) {
 	anySmaller := false
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			if mixed.OutBlockBytes[i][j] > raw.OutBlockBytes[i][j] {
-				t.Fatalf("mixed out-block (%d,%d) %d bytes > raw %d", i, j, mixed.OutBlockBytes[i][j], raw.OutBlockBytes[i][j])
+			if mixed.InBlockBytes[i][j] > raw.InBlockBytes[i][j] {
+				t.Fatalf("mixed in-block (%d,%d) %d bytes > raw %d", i, j, mixed.InBlockBytes[i][j], raw.InBlockBytes[i][j])
 			}
-			if mixed.OutBlockBytes[i][j] == raw.OutBlockBytes[i][j] && mixed.OutCodec(i, j) != CodecNone {
-				t.Fatalf("out-block (%d,%d): codec %v chosen without strictly paying", i, j, mixed.OutCodec(i, j))
+			if mixed.InBlockBytes[i][j] == raw.InBlockBytes[i][j] && mixed.InCodec(i, j) != CodecNone {
+				t.Fatalf("in-block (%d,%d): codec %v chosen without strictly paying", i, j, mixed.InCodec(i, j))
 			}
-			if mixed.OutBlockBytes[i][j] < raw.OutBlockBytes[i][j] {
+			if mixed.InBlockBytes[i][j] < raw.InBlockBytes[i][j] {
 				anySmaller = true
 			}
-			if got, limit := mixed.OutIndexBytes(i, j), raw.OutIndexBytes(i, j); got > limit {
-				t.Fatalf("mixed out-index (%d,%d) %d bytes > raw %d", i, j, got, limit)
+			if got, limit := mixed.InIndexBytes(i, j), raw.InIndexBytes(i, j); got > limit {
+				t.Fatalf("mixed in-index (%d,%d) %d bytes > raw %d", i, j, got, limit)
+			}
+			if mixed.OutBlockBytes(i, j) != raw.OutBlockBytes(i, j) || mixed.OutIndexBytes(i, j) != raw.OutIndexBytes(i, j) {
+				t.Fatalf("mixed row view (%d,%d) is not stored raw", i, j)
 			}
 		}
 	}
 	if !anySmaller {
 		t.Fatal("no block compressed at all on a compressible graph")
 	}
-	t.Logf("edge bytes: raw %d, mixed %d (%.2fx)", raw.TotalEdgeBytes(), mixed.TotalEdgeBytes(),
-		float64(raw.TotalEdgeBytes())/float64(mixed.TotalEdgeBytes()))
+	t.Logf("in-block bytes: raw %d, mixed %d (%.2fx)", inEdgeBytes(raw), inEdgeBytes(mixed), float64(inEdgeBytes(raw))/float64(inEdgeBytes(mixed)))
 }
 
 func TestMixedStreamingMatchesDirect(t *testing.T) {
@@ -195,8 +190,8 @@ func TestMixedStreamingMatchesDirect(t *testing.T) {
 
 func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 	// ROP-style consumption against a mixed store: load the out-index,
-	// range-read one vertex's section, decode with the block's codec, and
-	// compare against the whole decoded block.
+	// range-read one vertex's section — raw records in every format — and
+	// compare against the whole block.
 	g := mixedGraph(true)
 	ds, err := BuildOpts(memStore(), g, Options{P: 4, Format: FormatMixed, Weighted: true})
 	if err != nil {
@@ -224,7 +219,7 @@ func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 				}
 				sec, err := loadOutSection(ds, i, j, idx, local, sc)
 				if err != nil {
-					t.Fatalf("section decode (%d,%d) v%d codec %v: %v", i, j, local, ds.OutCodec(i, j), err)
+					t.Fatalf("section read (%d,%d) v%d: %v", i, j, local, err)
 				}
 				if recs, want := rawRecs(sec, true), whole.EdgesOf(local); !reflect.DeepEqual(recs, append([]Rec(nil), want...)) {
 					t.Fatalf("section (%d,%d) v%d decodes %v, want %v", i, j, local, recs, want)

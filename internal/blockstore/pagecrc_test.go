@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"husgraph/internal/graph"
@@ -23,19 +24,19 @@ func pagedGraph() *graph.Graph {
 	return g
 }
 
-// TestOutIndexSpanReadsVerifiedPages: a page-span load of a stored-raw
-// out-index is one random read of exactly the pages holding the extent's
-// entries First through End — no frame header, nothing sequential — and
-// hands back those bytes of the index with their offset; a page whose CRC
-// the meta records otherwise is ErrCorrupt-class, wherever in the span it
-// sits, and a span that does not touch it still loads. A compressed index
-// is read and decoded whole.
+// TestOutIndexSpanReadsVerifiedPages: a page-span load of an out-index is
+// one random read of exactly the pages holding the extent's entries First
+// through End — no frame header, nothing sequential — and hands back those
+// bytes of the index with their offset; a page whose CRC the meta records
+// otherwise is ErrCorrupt-class, wherever in the span it sits, and a span
+// that does not touch it still loads. A mixed store's out-index is the same
+// raw index, with the same page CRCs.
 func TestOutIndexSpanReadsVerifiedPages(t *testing.T) {
 	ds, err := BuildOpts(memStore(), pagedGraph(), Options{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := ds.LoadOutIndex(0, 1)
+	whole, err := ds.LoadOutIndexScratch(0, 1, &Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +56,8 @@ func TestOutIndexSpanReadsVerifiedPages(t *testing.T) {
 		{Extent{2000, 2001}, 4096, 8192},   // one page inside
 	} {
 		what := fmt.Sprintf("extent %+v", c.x)
-		if off, end, paged := ds.OutIndexSpan(0, 1, c.x); !paged || off != c.off || end != c.end {
-			t.Fatalf("%s: span [%d, %d) paged %v, want [%d, %d)", what, off, end, paged, c.off, c.end)
+		if off, end := ds.OutIndexSpan(0, 1, c.x); off != c.off || end != c.end {
+			t.Fatalf("%s: span [%d, %d), want [%d, %d)", what, off, end, c.off, c.end)
 		}
 		before := ds.Device().Stats()
 		got, base, err := ds.LoadOutIndexSpanScratch(0, 1, c.x, sc)
@@ -93,18 +94,13 @@ func TestOutIndexSpanReadsVerifiedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mixed.OutIndexPageCRCs[0][1] != nil {
-		t.Fatal("a varint out-index has page CRCs")
+	ds.OutIndexPageCRCs[0][1][1] ^= 1
+	if !reflect.DeepEqual(mixed.OutIndexPageCRCs, ds.OutIndexPageCRCs) {
+		t.Fatal("the mixed store's out-index page CRCs differ from the raw store's")
 	}
-	if _, end, paged := mixed.OutIndexSpan(0, 1, Extent{0, 1}); paged || end != mixed.OutIndexBytes(0, 1) {
-		t.Fatalf("varint out-index: span to %d paged %v, want the whole %d bytes unpaged", end, paged, mixed.OutIndexBytes(0, 1))
-	}
-	if whole, err = mixed.LoadOutIndex(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, base, err := mixed.LoadOutIndexSpanScratch(0, 1, Extent{0, 1}, sc)
-	if err != nil || base != 0 || !bytes.Equal(got, whole) {
-		t.Fatalf("varint out-index: %d bytes from %d (%v), want the whole decoded index", len(got), base, err)
+	got, base, err := mixed.LoadOutIndexSpanScratch(0, 1, Extent{1024, 4095}, sc)
+	if err != nil || base != 4096 || !bytes.Equal(got, whole[4096:16384]) {
+		t.Fatalf("mixed out-index: %d bytes from %d (%v), want pages 1–3 of the raw index", len(got), base, err)
 	}
 }
 
@@ -123,7 +119,8 @@ func TestOpenRefusesFlippedPageCRC(t *testing.T) {
 
 // badPageCRCMetas are meta payloads whose page-CRC section holds one CRC too
 // few or too many — for the raw chain(300) store at P = 4, one page per
-// index — or a CRC for a varint index of a mixed store, which has none.
+// index — or, of a mixed store whose out-indices span five pages each, a
+// whole index's CRCs too few.
 func badPageCRCMetas(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	d, err := Build(memStore(), chain(300), 4)
@@ -131,33 +128,21 @@ func badPageCRCMetas(tb testing.TB) map[string][]byte {
 		tb.Fatal(err)
 	}
 	honest := encodeMeta(d)
-	m, err := BuildWithFormat(memStore(), mixedGraph(true), 4, FormatMixed)
+	m, err := BuildOpts(memStore(), pagedGraph(), Options{P: 2, Format: FormatMixed})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	found := false
-crc:
-	for _, row := range m.OutIndexPageCRCs {
-		for j, crcs := range row {
-			if crcs == nil { // stored varint
-				row[j], found = []uint32{0}, true
-				break crc
-			}
-		}
-	}
-	if !found {
-		tb.Fatal("the mixed store has no varint out-index")
-	}
+	m.OutIndexPageCRCs[1][1] = nil
 	return map[string][]byte{
-		"one word short":             honest[:len(honest)-4],
-		"one word long":              append(honest[:len(honest):len(honest)], 0, 0, 0, 0),
-		"present for a varint index": encodeMeta(m),
+		"one word short":                     honest[:len(honest)-4],
+		"one word long":                      append(honest[:len(honest):len(honest)], 0, 0, 0, 0),
+		"a mixed store's out-index left out": encodeMeta(m),
 	}
 }
 
 // TestDecodeMetaRefusesBadPageCRCs: the page-CRC section is sized from the
-// grids, one CRC per page of each stored-raw out-index, so a section a word
-// short or long, or one with a CRC for a varint index, is refused
+// layout, one CRC per page of every out-index in every format, so a section
+// a word short or long, or one without a mixed store's out-index, is refused
 // storage.ErrCorrupt-class.
 func TestDecodeMetaRefusesBadPageCRCs(t *testing.T) {
 	for what, meta := range badPageCRCMetas(t) {
@@ -202,7 +187,7 @@ func FuzzOutIndexPages(f *testing.F) {
 		}
 		x := Extent{First: int32(first) % size}
 		x.End = x.First + 1 + int32(length)%(size-x.First)
-		off, end, _ := ds.OutIndexSpan(i, j, x)
+		off, end := ds.OutIndexSpan(i, j, x)
 		got, base, err := ds.LoadOutIndexSpanScratch(i, j, x, &Scratch{})
 		if err != nil {
 			wantCorruptClass(t, err)

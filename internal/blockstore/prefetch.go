@@ -259,9 +259,9 @@ func (p *Prefetcher) entryBytes(key BlockKey) int64 {
 		return d.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(d.Weighted)) +
 			d.InIndexEntries[key.I][key.J]*InIndexEntryBytes
 	case KindOutIndex:
-		whole := int64(d.Layout.Size(key.I)+1) * IndexEntryBytes
+		whole := d.OutIndexBytes(key.I, key.J)
 		if p.extents != nil {
-			if off, end, paged := d.OutIndexSpan(key.I, key.J, p.extents[key.I*d.Layout.P+key.J]); paged && (off != 0 || end != whole) {
+			if off, end := d.OutIndexSpan(key.I, key.J, p.extents[key.I*d.Layout.P+key.J]); off != 0 || end != whole {
 				return -1
 			}
 		}

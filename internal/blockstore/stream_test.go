@@ -108,8 +108,12 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 // blob names and contents of a fixed small graph, re-recorded when the
 // meta dropped its format field and codec grids and mixed stores their
 // frames' codec tags (PR 29), when the meta gained the out-blocks' source
-// masks (magic HUSE) and when it gained the out-index page CRCs (magic
-// HUSF; both times every other blob kept its bytes). A change that
+// masks (magic HUSE), when it gained the out-index page CRCs (magic
+// HUSF; both times every other blob kept its bytes), and when the row view
+// went raw in every format (magic HUSG: the meta dropped the out-block and
+// out-index size grids, a raw store kept every other blob, a mixed store
+// every in-block and in-index, and its out-blocks and out-indices became
+// the raw store's). A change that
 // moves a store byte — a layout, codec, frame or meta change — fails here
 // and says so by updating the digest.
 func TestStoreBytesGolden(t *testing.T) {
@@ -120,8 +124,8 @@ func TestStoreBytesGolden(t *testing.T) {
 		format Format
 		want   string
 	}{
-		{FormatRaw, "5fba8d4aec2524e3da3b409e8d0a8d8c5015275d86bab9fce62bc095d174fb12"},
-		{FormatMixed, "902a452e56fb1c065817ee224da2e982b604608f2ef57771c22afac0ac9b6e62"},
+		{FormatRaw, "04686f3df5de98eef31a2959120d99d7717ee624d9b8ff63506868aed03d3078"},
+		{FormatMixed, "17e7f71d84cb41cea641d56bb91f79a92fd0d020500c6bcb665541b9315dcc9c"},
 	} {
 		st := memStore()
 		if _, err := BuildWithFormat(st, g, 4, tc.format); err != nil {

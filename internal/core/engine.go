@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,11 +24,9 @@ type Engine struct {
 	owned   []int
 	ownsAll bool
 
-	// scratch pools decode buffers across block loads; spans/runs hold
-	// ROP's per-destination-block range buffers and touched whether the
-	// current row pushed into destination interval j (worker j owns index j
-	// during a row, so no locking is needed).
-	scratch sync.Pool
+	// spans/runs hold ROP's per-destination-block range buffers and touched
+	// whether the current row pushed into destination interval j (worker j
+	// owns index j during a row, so no locking is needed).
 	spans   [][]span
 	runs    [][]run
 	touched []bool
@@ -97,7 +94,6 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 		panic(err)
 	}
 	e.owned, e.ownsAll = owned, ownsAll
-	e.scratch.New = func() any { return new(blockstore.Scratch) }
 	if e.cfg.CacheBudgetBytes > 0 {
 		e.cache = blockstore.NewBlockCache(e.cfg.CacheBudgetBytes)
 	}
@@ -224,7 +220,7 @@ func (e *Engine) loadOutRun(i, j int, s, end uint32, sc *blockstore.Scratch) ([]
 	if err != nil {
 		return nil, err
 	}
-	if promote := e.cache.PutRun(i, j, s, end, append([]byte(nil), buf...), e.ds.OutBlockBytes[i][j]); promote {
+	if promote := e.cache.PutRun(i, j, s, end, append([]byte(nil), buf...), e.ds.OutBlockBytes(i, j)); promote {
 		// Promotion is an optimization read: a failure here just leaves
 		// runs being served from the device (the claim is one-shot, so a
 		// faulty block is not re-attempted every run).
@@ -290,16 +286,13 @@ func ChooseModel(cfg Config, f *bitset.Frontier, st *IterStats, predict func(*bi
 // sit closer together than the device's coalesce gap, loading it
 // degenerates into one scan instead of per-vertex seeks.
 func (e *Engine) predict(f *bitset.Frontier) (crop, ccop time.Duration) {
-	prof := e.ds.Device().Profile()
-	// Decode-cost term (third beside T_random and T_sequential): logical
-	// bytes each plan would decompress, priced at the rate DecodeModeled
-	// charges them. Zero for stores with no compressed blobs.
-	decNs := defaultDecodeNsPerByte(e.cfg.Threads)
-	random, seqBytes, _, ropDecBytes := e.ropCost(f)
-	crop = random + prof.SeqTime(seqBytes) + time.Duration(ropDecBytes*decNs)
-
+	// C_cop has a decode-cost term beside T_sequential: the logical bytes
+	// the column scan would decompress, priced at the rate DecodeModeled
+	// charges them. Zero for stores with no compressed blobs; ROP reads the
+	// row view, which is stored raw, so C_rop has none.
+	crop, _ = e.ropCost(f)
 	copBytes, copDecBytes := e.copScanBytes()
-	ccop = prof.SeqTime(copBytes) + time.Duration(copDecBytes*decNs)
+	ccop = e.ds.Device().Profile().SeqTime(copBytes) + time.Duration(copDecBytes*defaultDecodeNsPerByte(e.cfg.Threads))
 	return crop, ccop
 }
 
@@ -322,20 +315,17 @@ func (e *Engine) liveFor(f *bitset.Frontier) []blockstore.Extent {
 
 // ropCost is what predict prices a ROP iteration at, over the live blocks
 // of the owned rows only (markLive), the ones the executor visits: the
-// random reads — of the active sections, and per live block the one range
-// read of the out-index pages its extent spans when the index is stored raw
-// (OutIndexSpan) — the sequential bytes — per live block its out-index when
-// that is stored compressed and read whole — and the logical bytes
-// compressed blocks and indices decode into. pageBytes are the out-index
-// page spans among the random reads, one read each. Out-indices resident in
-// the block cache are served from memory and priced at zero. The vertex
-// arrays are resident, so no vertex byte is priced (DESIGN.md §2a).
-func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes, pageBytes int64, decBytes float64) {
+// random reads of the active sections and, per live block, the one range
+// read of the out-index pages its extent spans (OutIndexSpan). pageBytes
+// are those page spans, one read each. Out-indices resident in the block
+// cache are served from memory and priced at zero. The row view is stored
+// raw, so nothing is read whole or decoded; and the vertex arrays are
+// resident, so no vertex byte is priced (DESIGN.md §2a).
+func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes int64) {
 	l := e.ds.Layout
 	prof := e.ds.Device().Profile()
 	coalesce := prof.CoalesceBytes()
 	deg := e.ds.OutDegrees
-	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
 	live := e.markLive(f)
 	var pageReads int64
 	for _, i := range e.owned {
@@ -354,23 +344,18 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes, pa
 		for j := 0; j < l.P; j++ {
 			rowEdges += e.ds.BlockEdgeCount[i][j]
 		}
-		rawIdx := int64(l.Size(i)+1) * blockstore.IndexEntryBytes
 		for j := 0; j < l.P; j++ {
 			x := live[i*l.P+j]
 			if !x.Live() {
 				continue
 			}
 			if e.cache == nil || !e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j}) {
-				if off, end, paged := e.ds.OutIndexSpan(i, j, x); paged {
-					pageBytes += end - off
-					pageReads++
-				} else {
-					seqBytes += end             // stored compressed: read whole,
-					decBytes += float64(rawIdx) // and decoded to the raw entries
-				}
+				off, end := e.ds.OutIndexSpan(i, j, x)
+				pageBytes += end - off
+				pageReads++
 			}
 			cnt := e.ds.BlockEdgeCount[i][j]
-			b := e.ds.OutBlockBytes[i][j]
+			b := e.ds.OutBlockBytes(i, j)
 			// Run-granular cache residency: a promoted out-block serves
 			// every run from memory; partial run residency discounts the
 			// block's cost proportionally (resident runs are re-read
@@ -391,12 +376,6 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes, pa
 			// Useful bytes in this block, assuming the row's active
 			// edges spread proportionally to block sizes.
 			useful := float64(rowActive) * float64(b) / float64(rowEdges)
-			if e.ds.OutCodec(i, j) != blockstore.CodecNone {
-				// The touched stored ranges decode into the active edges'
-				// logical records (run-cached ranges still decode per use,
-				// so no residency discount here).
-				decBytes += float64(rowActive) * float64(cnt*step) / float64(rowEdges)
-			}
 			kEff := k
 			if kEff > cnt {
 				kEff = cnt
@@ -412,7 +391,7 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, seqBytes, pa
 		}
 	}
 	random += prof.RandTime(pageBytes, pageReads)
-	return random, seqBytes, pageBytes, decBytes
+	return random, pageBytes
 }
 
 // copScanBytes is what predict prices a COP iteration at: the sequential

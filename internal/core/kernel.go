@@ -582,7 +582,7 @@ func combineSection(prog Program, s []float64, acc float64, sec []byte, active [
 }
 
 // ropPushRaw pushes source src (current value srcVal) along its out-edge
-// section sec — packed raw records, as stored or as decoded. With a
+// section sec — packed raw records, pushed where they were read. With a
 // declared reduction Message is called once for the source, not once per
 // edge. next, when non-nil, receives every destination whose accumulator
 // changed (monotone programs activate on combine-change).

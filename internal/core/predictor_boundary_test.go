@@ -103,7 +103,7 @@ func TestPredictDiscountsResidentRunsAndPromotedBlocks(t *testing.T) {
 	cropCold, ccopCold := e.predict(f)
 
 	// Half of out-block (0,0) resident as runs.
-	half := uint32(e.ds.OutBlockBytes[0][0] / 2)
+	half := uint32(e.ds.OutBlockBytes(0, 0) / 2)
 	e.cache.PutRun(0, 0, 0, half, make([]byte, half), 1<<40)
 	cropRuns, ccopRuns := e.predict(f)
 	if cropRuns >= cropCold {
@@ -112,7 +112,7 @@ func TestPredictDiscountsResidentRunsAndPromotedBlocks(t *testing.T) {
 
 	// The whole block promoted: strictly cheaper again.
 	e.cache.Put(blockstore.BlockKey{Kind: blockstore.KindOutBlock, I: 0, J: 0},
-		&blockstore.CachedBlock{Payload: make([]byte, e.ds.OutBlockBytes[0][0])})
+		&blockstore.CachedBlock{Payload: make([]byte, e.ds.OutBlockBytes(0, 0))})
 	cropPromoted, ccopPromoted := e.predict(f)
 	if cropPromoted >= cropRuns {
 		t.Fatalf("promoted block did not discount past runs: %v vs %v", cropPromoted, cropRuns)

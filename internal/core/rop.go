@@ -56,8 +56,8 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 
 	// The window's plan (ioplan.ROPKeysFor) mirrors this traversal exactly:
 	// every block live in live, one whose source mask meets the frontier, of
-	// every active row, row-major; and it loads of each stored-raw out-index
-	// only the pages the block's extent spans. The window reads ahead across
+	// every active row, row-major; and it loads of each out-index only the
+	// pages the block's extent spans. The window reads ahead across
 	// block — and row — boundaries while the workers compute; each row's
 	// workers claim their indices by key (Take), which is safe because
 	// together they drain the row's contiguous schedule window before the
@@ -65,6 +65,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 	// path: their ranges depend on the out-index just delivered, and go
 	// through the run-granular cache.
 	coalesce := e.ds.Device().Profile().CoalesceBytes()
+	step := uint32(blockstore.RawRecordBytes(e.ds.Weighted))
 	touched := e.touched
 	for _, i := range e.owned {
 		lo, hi := l.Bounds(i)
@@ -88,8 +89,8 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 				return true
 			})
 			e.spans[j] = spans // retain grown capacity
-			sc := e.scratch.Get().(*blockstore.Scratch)
-			defer e.scratch.Put(sc)
+			sc := blockstore.GetScratch()
+			defer blockstore.PutScratch(sc)
 			// The index's stored bytes from offset base on: the whole index
 			// when cached, else the pages x spans.
 			res := win.Take(blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
@@ -104,19 +105,20 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 			// source, and only while building them, so its buffers go back to
 			// the pipeline right after. The loader checked only its length,
 			// or its pages' CRCs: the spans used must each start where the
-			// previous one ended or later, and end inside the block, or the
-			// runs below would slice out of bounds; and the mask said each
-			// has a record, so an empty one means mask and index disagree.
+			// previous one ended or later, end inside the block and cut it at
+			// whole records, or the runs below would slice out of bounds or
+			// the push read past a section; and the mask said each has a
+			// record, so an empty one means mask and index disagree.
 			runs := e.runBuf(j)
-			blockBytes := e.ds.OutBlockBytes[i][j]
+			blockBytes := e.ds.OutBlockBytes(i, j)
 			var prevEnd uint32
 			var badSpan error
 			for k := range spans {
 				at := 4*(int(spans[k].v)-lo) - base
 				rs := binary.LittleEndian.Uint32(idx[at:])
 				re := binary.LittleEndian.Uint32(idx[at+4:])
-				if rs < prevEnd || re <= rs || int64(re) > blockBytes {
-					badSpan = fmt.Errorf("core: out-index (%d,%d) vertex %d: section [%d, %d) after byte %d of a %d-byte block, for a source the meta's mask marks live: %w", i, j, spans[k].v, rs, re, prevEnd, blockBytes, storage.ErrCorrupt)
+				if rs < prevEnd || re <= rs || int64(re) > blockBytes || rs%step != 0 || re%step != 0 {
+					badSpan = fmt.Errorf("core: out-index (%d,%d) vertex %d: section [%d, %d) after byte %d of a %d-byte block of %d-byte records, for a source the meta's mask marks live: %w", i, j, spans[k].v, rs, re, prevEnd, blockBytes, step, storage.ErrCorrupt)
 					break
 				}
 				prevEnd = re
@@ -135,7 +137,6 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 				return
 			}
 
-			codec := e.ds.OutCodec(i, j)
 			ri := 0
 			var err error
 			var runBytes []byte
@@ -155,13 +156,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 					runStart = runs[ri].s
 					loaded = true
 				}
-				// The section's packed records: in place when the block
-				// stores them so, decoded into sc otherwise.
-				sec, err := e.ds.DecodeSectionScratch(runBytes[sp.s-runStart:sp.e-runStart], codec, sc)
-				if err != nil {
-					setErr(fmt.Errorf("core: out-block (%d,%d) vertex %d: %w", i, j, sp.v, err))
-					return
-				}
+				sec := runBytes[sp.s-runStart : sp.e-runStart]
 				if !ropPushRaw(prog, op, graph.VertexID(sp.v), s[sp.v], sec, e.ds.Weighted, d, activate) {
 					setErr(fmt.Errorf("core: out-block (%d,%d) vertex %d: neighbour out of range [0,%d): %w", i, j, sp.v, len(d), storage.ErrCorrupt))
 					return

@@ -199,7 +199,7 @@ func (s *Step) End() (IterStats, error) {
 	st.ComputeModeled = ModeledComputeTime(edgeWork, e.ownedVertexWork(), blockWork, e.cfg.Threads)
 	decDelta := e.ds.DecodeStats().Sub(s.decBefore)
 	st.DecodeTime = decDelta.Time
-	st.DecodedBytes = decDelta.DecodedBytes()
+	st.DecodedBytes = decDelta.VarintBytes
 	st.CompressedBytes = decDelta.CompressedBytes
 	st.DecodeModeled = ModeledDecodeTime(decDelta.VarintBytes, e.cfg.Threads)
 	st.IO = e.ds.Device().Stats().Sub(s.ioBefore)

@@ -117,7 +117,8 @@ func (r *Runner) ablationOverlap() (*report.Table, error) {
 
 // ablationFormat measures §4.4's storage-compactness gap as five PageRank
 // iterations on twitter-sim (forced COP, HDD): indexed raw blocks, the
-// per-block compressed (mixed) format, and GridGraph's edge lists.
+// mixed format (in-blocks compressed where that pays), and GridGraph's edge
+// lists.
 func (r *Runner) ablationFormat() (*report.Table, error) {
 	d, a, err := r.workload("twitter-sim", "PageRank")
 	if err != nil {

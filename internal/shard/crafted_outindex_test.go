@@ -26,8 +26,7 @@ func frameByHand(payload []byte) []byte {
 }
 
 // pageCRCsByHand is the CRC32C of each blockstore.PageBytes page of payload,
-// the last one partial: what a store's meta records for a stored-raw
-// out-index.
+// the last one partial: what a store's meta records for an out-index.
 func pageCRCsByHand(payload []byte) []uint32 {
 	var crcs []uint32
 	for off := 0; off < len(payload); off += blockstore.PageBytes {
@@ -40,21 +39,23 @@ func pageCRCsByHand(payload []byte) []uint32 {
 // loader checks only its length or, read as pages, that they carry the CRCs
 // the meta records — re-recorded here for each crafted blob, so that what is
 // tested is what ROP checks. The offsets ROP uses are checked where it uses
-// them — each active span must start at or after the previous one's
-// end and end inside its block, and be nonempty, since ROP walks only the
-// sources the meta's mask marks as having an edge in the block (the mask
-// carries the meta's CRC; the index is what is checked against it). A
-// correctly framed out-index that lies must
+// them — each active span must start at or after the previous one's end,
+// end inside its block, start and end on a record boundary, and be
+// nonempty, since ROP walks only the sources the meta's mask marks as
+// having an edge in the block (the mask carries the meta's CRC; the index is
+// what is checked against it). A correctly framed out-index that lies must
 // end the run with a storage.ErrCorrupt-class *core.IterError: before the
-// check, decreasing entries panicked in ropAccumulate (inside a
+// checks, decreasing entries panicked in ropAccumulate (inside a
 // parallelFor goroutine at Threads > 1, killing the process), an entry
 // past the block's end came back as the store's plain out-of-range error,
-// and two sections out of order across inactive vertices pushed one
-// vertex's value along another's edges without a word. Each lie must be
-// refused in the iteration that first reads it. Every lie, over a
-// raw store (sections read in place) and a mixed one (sections decoded),
-// at 1 and 4 threads, through one engine and two shards; and every
-// goroutine must be gone afterwards (leaktest.Main).
+// two sections out of order across inactive vertices pushed one vertex's
+// value along another's edges without a word, and a section cut mid-record
+// on a weighted store panicked reading the weight past its end. Each lie
+// must be refused in the iteration that first reads it. Every lie, over an
+// unweighted raw store, a mixed one (whose out-indices and out-blocks are
+// the raw store's) and a weighted raw one, at 1 and 4 threads, through one
+// engine and two shards; and every goroutine must be gone afterwards
+// (leaktest.Main).
 func TestCraftedOutIndexIsAnError(t *testing.T) {
 	// 64 vertices, P = 4, BFS from vertex 0. Iteration 0 pushes vertex 0's
 	// section of each out-block (0, j) — entries 0 and 1 of out-index
@@ -80,22 +81,17 @@ func TestCraftedOutIndexIsAnError(t *testing.T) {
 		}
 		return b
 	}
-	varint := func(words []uint32) []byte {
-		var b []byte
-		prev := uint32(0)
-		for _, w := range words {
-			b = binary.AppendUvarint(b, uint64(w-prev))
-			prev = w
-		}
-		return b
-	}
-	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
+	for _, store := range []blockstore.Options{
+		{P: p, Format: blockstore.FormatRaw},
+		{P: p, Format: blockstore.FormatMixed},
+		{P: p, Format: blockstore.FormatRaw, Weighted: true},
+	} {
 		mem := storage.NewMemStore(storage.NewDevice(storage.SSD))
-		built, err := blockstore.BuildOpts(mem, g, blockstore.Options{P: p, Format: format})
+		built, err := blockstore.BuildOpts(mem, g, store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		honest, err := built.LoadOutIndex(0, 1)
+		honest, err := built.LoadOutIndexScratch(0, 1, &blockstore.Scratch{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,18 +99,15 @@ func TestCraftedOutIndexIsAnError(t *testing.T) {
 		for k := range words {
 			words[k] = binary.LittleEndian.Uint32(honest[4*k:])
 		}
-		blockBytes := uint32(built.OutBlockBytes[0][1])
-		if words[0] != 0 || words[1] == 0 || words[2] == words[3] || words[5] == words[6] {
-			t.Fatalf("%v: out-index (0,1) is %v; want vertices 0, 2 and 5 to have sections", format, words)
+		blockBytes := uint32(built.OutBlockBytes(0, 1))
+		if words[0] != 0 || words[1] == 0 || words[2] == words[3] || words[3] != words[5] || words[5] == words[6] {
+			t.Fatalf("%+v: out-index (0,1) is %v; want vertices 0, 2 and 5 to have sections, 3 and 4 none", store, words)
 		}
-		// Decreasing: vertex 0's section ends before it starts. Varint
-		// deltas cannot say that (nor the order below), so the mixed store
-		// holds these indices fixed-width — any blob of a mixed store may
-		// be stored raw, and the stored size its meta records then says so.
+		// Decreasing: vertex 0's section ends before it starts.
 		decreasing := append([]uint32(nil), words...)
 		decreasing[0], decreasing[1] = words[1], 0
 		// Past the end: every offset from vertex 0's end on moved past the
-		// block, stored in the form the store's meta names.
+		// block.
 		pastEnd := append([]uint32(nil), words...)
 		for k := 1; k < len(pastEnd); k++ {
 			pastEnd[k] += blockBytes
@@ -131,36 +124,39 @@ func TestCraftedOutIndexIsAnError(t *testing.T) {
 		// first with 2 active — must say so.
 		emptied := append([]uint32(nil), words...)
 		emptied[3] = words[2]
-		pastEndForm := fixed
-		if format == blockstore.FormatMixed {
-			pastEndForm = varint
-		}
+		// Mid-record: vertex 15's section, the block's last, ends two bytes
+		// early; vertex 5's starts two bytes late, the spare bytes going to
+		// vertex 4, which is never active. Either span is ordered, nonempty
+		// and inside the block — only its record boundaries are wrong.
+		endsMid := append([]uint32(nil), words...)
+		endsMid[len(endsMid)-1] -= 2
+		startsMid := append([]uint32(nil), words...)
+		startsMid[5] += 2
 		for _, c := range []struct {
-			what      string
-			index     []byte
-			storedRaw bool
-			iter      int // the first iteration that reads the lie
+			what  string
+			index []uint32
+			iter  int // the first iteration that reads the lie
 		}{
-			{"decreasing", fixed(decreasing), true, 0},
-			{"past the block's end", pastEndForm(pastEnd), format == blockstore.FormatRaw, 0},
-			{"sections out of order", fixed(swapped), true, 1},
-			{"a live source's section empty", fixed(emptied), true, 1},
+			{"decreasing", decreasing, 0},
+			{"past the block's end", pastEnd, 0},
+			{"sections out of order", swapped, 1},
+			{"a live source's section empty", emptied, 1},
+			{"a section ending mid-record", endsMid, 1},
+			{"a section starting mid-record", startsMid, 1},
 		} {
-			if err := mem.Put(name, frameByHand(c.index)); err != nil {
+			index := fixed(c.index)
+			if err := mem.Put(name, frameByHand(index)); err != nil {
 				t.Fatal(err)
 			}
 			for _, threads := range []int{1, 4} {
 				for _, k := range []int{1, 2} {
-					what := fmt.Sprintf("%v/%s/threads=%d/K=%d", format, c.what, threads, k)
+					what := fmt.Sprintf("%v/weighted=%v/%s/threads=%d/K=%d", store.Format, store.Weighted, c.what, threads, k)
 					ds, err := blockstore.Open(mem)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if c.storedRaw {
-						ds.OutIndexStoredBytes[0][1] = int64(len(c.index))
-						ds.OutIndexPageCRCs[0][1] = pageCRCsByHand(c.index)
-					}
-					if _, err := ds.LoadOutIndex(0, 1); err != nil {
+					ds.OutIndexPageCRCs[0][1] = pageCRCsByHand(index)
+					if _, err := ds.LoadOutIndexScratch(0, 1, &blockstore.Scratch{}); err != nil {
 						t.Fatalf("%s: the loader refused the crafted index (%v); the lie must reach ROP", what, err)
 					}
 					co, err := shard.New(ds, shard.Config{Config: core.Config{Model: core.ModelROP, Threads: threads}, Shards: k})

@@ -94,7 +94,7 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 		idx[i] = make([][]byte, p)
 		for j := range idx[i] {
 			if ds.BlockEdgeCount[i][j] != 0 {
-				if idx[i][j], err = ds.LoadOutIndex(i, j); err != nil {
+				if idx[i][j], err = ds.LoadOutIndexScratch(i, j, &blockstore.Scratch{}); err != nil {
 					t.Fatal(err)
 				}
 			}
