@@ -17,47 +17,36 @@ import (
 	"math/rand"
 	"time"
 
-	"husgraph/internal/algos"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/core"
+	"husgraph/internal/experiments"
 	"husgraph/internal/gen"
-	"husgraph/internal/graph"
 	"husgraph/internal/shard"
 	"husgraph/internal/storage"
 )
 
-// Algo is one benchmark program of the chaos matrix.
-type Algo struct {
-	// Name labels reports ("BFS", "WCC", "PageRank").
-	Name string
-	// MaxIters bounds the run; 0 means to convergence.
-	MaxIters int
-	// Symmetric runs the program on the symmetrized graph (WCC).
-	Symmetric bool
-	// New builds a fresh program over the (possibly symmetrized) graph.
-	New func(g *graph.Graph) core.Program
-}
+// Algo is one benchmark program of the chaos matrix: the experiments
+// registry's entry, run as the paper's evaluation runs it.
+type Algo = experiments.Algo
 
-// Matrix returns the algorithms the chaos suite exercises: one monotone
-// traversal (BFS), one monotone label propagation on the symmetrized graph
-// (WCC), and one additive fixed-iteration program (PageRank).
+// Matrix returns the algorithms the chaos suite exercises, in this order:
+// one monotone traversal (BFS), one monotone label propagation on the
+// symmetrized graph (WCC), and one additive fixed-iteration program
+// (PageRank).
 func Matrix() []Algo {
-	return []Algo{
-		{Name: "BFS", New: func(g *graph.Graph) core.Program { return algos.BFS{Source: gen.BFSSource(g)} }},
-		{Name: "WCC", Symmetric: true, New: func(*graph.Graph) core.Program { return algos.WCC{} }},
-		{Name: "PageRank", MaxIters: 5, New: func(*graph.Graph) core.Program { return &algos.PageRank{} }},
+	var m []Algo
+	for _, name := range []string{"BFS", "WCC", "PageRank"} {
+		a, err := AlgoByName(name)
+		if err != nil {
+			panic(err) // all three are registered
+		}
+		m = append(m, a)
 	}
+	return m
 }
 
-// AlgoByName resolves a matrix algorithm.
-func AlgoByName(name string) (Algo, error) {
-	for _, a := range Matrix() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return Algo{}, fmt.Errorf("chaos: unknown algorithm %q", name)
-}
+// AlgoByName resolves a registered algorithm (experiments.AlgoByName).
+func AlgoByName(name string) (Algo, error) { return experiments.AlgoByName(name) }
 
 // Schedule is one seeded chaos scenario: an ordered fault-injection plan
 // plus an optional mid-run kill.
@@ -183,7 +172,9 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 	rep := &Report{Algo: a.Name, Sched: sched, Tune: tune}
 	start := time.Now()
 
-	g := gen.RMAT(tune.Vertices, tune.Edges, gen.Graph500, rand.New(rand.NewSource(sched.Seed)))
+	// a.New takes the unsymmetrized graph; the stores hold g.
+	orig := gen.RMAT(tune.Vertices, tune.Edges, gen.Graph500, rand.New(rand.NewSource(sched.Seed)))
+	g := orig
 	if a.Symmetric {
 		g = g.Symmetrize()
 	}
@@ -196,7 +187,7 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 	}
 	rep.Clean, err = core.New(cleanDS, core.Config{
 		Model: tune.Model, Threads: tune.Threads, MaxIters: a.MaxIters,
-	}).Run(a.New(g))
+	}).Run(a.New(orig))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: clean oracle run: %w", err)
 	}
@@ -246,7 +237,7 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return co.RunContext(ctx, a.New(g))
+		return co.RunContext(ctx, a.New(orig))
 	}
 	res, err := runChaotic(ctx, ds, cfg)
 	if err != nil {

@@ -51,10 +51,6 @@ type barrierRun struct {
 func driveSteps(t *testing.T, ds *blockstore.DualStore, prog core.Program, model core.Model, initEvery bool) barrierRun {
 	t.Helper()
 	e := core.New(ds, core.Config{Model: model, Threads: 2})
-	if err := e.StartRun(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.FinishRun()
 	n := ds.Layout.NumVertices
 	s, frontier := prog.Init(e.Context())
 	d := make([]float64, n)

@@ -28,11 +28,10 @@ import (
 func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher) (float64, error) {
 	l := e.ds.Layout
 
-	// The column traversal order was handed to the scheduler as this
-	// window's plan (ioplan.COPKeys): while this goroutine computes on
-	// in-block(j,i), the window's workers read, verify and decode the next
-	// blocks (or serve them from the cache). Every planned key is consumed
-	// by exactly one Next call.
+	// The column traversal order is this window's plan (ioplan.COPKeys):
+	// while this goroutine computes on in-block(j,i), the window's workers
+	// read, verify and decode the next blocks (or serve them from the
+	// cache). Every planned key is consumed by exactly one Next call.
 	k := &e.cop
 	k.begin(e, prog, s, frontier)
 	defer k.end()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"husgraph/internal/bitset"
@@ -39,12 +38,7 @@ type Engine struct {
 
 	// cache is the budgeted hot-block cache shared by ROP and COP
 	// pipelines across iterations; nil when Config.CacheBudgetBytes is 0.
-	// prefetchUnused accumulates bytes read ahead but never consumed.
-	cache          *blockstore.BlockCache
-	prefetchUnused atomic.Int64
-
-	// sched opens each iteration's prefetch window over its read plan.
-	sched *ioplan.Scheduler
+	cache *blockstore.BlockCache
 
 	// live holds the extents of the out-blocks of the owned rows
 	// (ioplan.LiveBlocks) for liveOf, the frontier they were recorded for.
@@ -58,13 +52,6 @@ type Engine struct {
 	// ckptSlot is the next checkpoint generation slot (0 or 1) to write;
 	// loadCheckpoint points it away from the generation it resumed from.
 	ckptSlot int
-
-	// Bucketed-execution hint, set between iterations (SetBucketHint, from
-	// Drive's router) before BeginIter: bucketed marks the coming iteration
-	// as bucket-driven, bucketPri/bucketPending describe its bucket.
-	bucketed      bool
-	bucketPri     int64
-	bucketPending int
 }
 
 // New creates an engine over the given store.
@@ -103,7 +90,6 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 		Jitter:     retryJitter,
 	})
 	ds.SetHedgePolicy(blockstore.HedgePolicy{Deadline: e.cfg.ReadDeadline})
-	e.sched = ioplan.NewScheduler(ds, e.cache, ioplan.Options{Depth: e.cfg.PrefetchDepth})
 	return e
 }
 
@@ -176,33 +162,16 @@ func (e *Engine) RunIter(prog Program, iter int, frontier *bitset.Frontier, s, d
 	return next, st, err
 }
 
-// Totals implements Runner. Retries and Hedges are the store's counters,
-// shared across forks of the same DualStore lineage.
-func (e *Engine) Totals() RunTotals {
-	t := RunTotals{
-		Retries:             e.ds.Retries(),
-		Hedges:              e.ds.Hedges(),
-		PrefetchUnusedBytes: e.prefetchUnused.Load(),
+// CacheStats implements Runner.
+func (e *Engine) CacheStats() blockstore.CacheStats {
+	if e.cache == nil {
+		return blockstore.CacheStats{}
 	}
-	if e.cache != nil {
-		t.Cache = e.cache.Stats()
-	}
-	return t
+	return e.cache.Stats()
 }
 
 // Cache returns the engine's block cache, or nil when caching is disabled.
 func (e *Engine) Cache() *blockstore.BlockCache { return e.cache }
-
-// SetBucketHint implements Runner: it installs the bucket state for the
-// coming iteration (see the bucketed fields on Engine). Drive calls it
-// between iterations; the shard coordinator passes it on to every shard's
-// engine, and the go statement that starts a shard's BeginIter publishes
-// the fields to it.
-func (e *Engine) SetBucketHint(h BucketHint) {
-	e.bucketed = true
-	e.bucketPri = h.Pri
-	e.bucketPending = h.Pending
-}
 
 // loadOutRun loads byte range [s, end) of out-block(i,j), serving it from
 // the run-granular cache when possible. Device-loaded runs are copied into

@@ -204,10 +204,6 @@ func TestMonotoneCOPKeepsSBitsWhereValuesCompareEqual(t *testing.T) {
 	const n = 16
 	ds := buildStore(t, pathGraph(n), 4, storage.HDD)
 	e := New(ds, Config{Threads: 1})
-	if err := e.StartRun(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.FinishRun()
 	prog := zeroSum{}
 	s, frontier := prog.Init(e.Context())
 	d := make([]float64, n)

@@ -256,9 +256,6 @@ func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
 			}
 			k.end()
 
-			if err := e.StartRun(); err != nil {
-				t.Fatal(err)
-			}
 			d := make([]float64, n)
 			step := e.BeginIter(prog, 0, ModelCOP, frontier, bitset.NewFrontier(n))
 			InitAccumulators(prog.Kind(), s, d)
@@ -268,7 +265,6 @@ func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
 			if _, err := step.End(); err != nil {
 				t.Fatal(err)
 			}
-			e.FinishRun()
 			if !sameBits(s, want) { // testCount applies acc as the new value
 				t.Fatalf("%v %T: counts %v, want %v", format, prog, s, want)
 			}
@@ -336,10 +332,6 @@ func TestSharedMessageTableAcrossOwners(t *testing.T) {
 		}
 		e := New(ds, Config{Threads: 1, Owner: owner})
 		e.ShareMessageTable(tbl)
-		if err := e.StartRun(); err != nil {
-			t.Fatal(err)
-		}
-		defer e.FinishRun()
 		engines = append(engines, e)
 	}
 	s, frontier := prog.Init(engines[0].Context())
@@ -374,10 +366,6 @@ func TestCOPIterationAllocations(t *testing.T) {
 	ds := buildUnweighted(t, shapedGraph(t, n, 40000, p, 5), p, blockstore.FormatRaw)
 	prog := declared{testCount{}, ReduceSum}
 	e := New(ds, Config{Threads: 2, PrefetchDepth: 2})
-	if err := e.StartRun(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.FinishRun()
 	s, frontier := prog.Init(e.Context())
 	d := make([]float64, n)
 	next := bitset.NewFrontier(n)

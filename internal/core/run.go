@@ -10,41 +10,29 @@ import (
 
 // Runner is what Drive steps through a run: one Engine, or a shard
 // Coordinator over K of them. It knows how to execute an iteration; when
-// to, on what, and what to do between two of them is Drive's.
+// to, on what, and what to do between two of them is Drive's, and so is
+// every run-level counter: the bucket an iteration processes, the store
+// lineage's retries and hedges, the read-ahead a run wasted.
 type Runner interface {
-	// StartRun prepares for a sequence of RunIter calls.
-	StartRun() error
-	// SetBucketHint describes the bucket the coming iteration processes
-	// (priority programs only).
-	SetBucketHint(BucketHint)
 	// RunIter executes iteration iter over frontier on the value arrays s
 	// and d — d already initialised (InitAccumulators) — and returns the
 	// frontier it activated and its statistics. On an error the statistics
 	// still name the model that ran.
 	RunIter(prog Program, iter int, frontier *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, error)
-	// Totals returns the runner's cumulative counters; Drive reads them
-	// around a run to attribute.
-	Totals() RunTotals
-}
-
-// RunTotals are a Runner's cumulative counters: the store lineage's
-// retried and hedged reads, the bytes read ahead and never consumed, and
-// the block-cache snapshot (zero without a cache).
-type RunTotals struct {
-	Retries, Hedges     int64
-	PrefetchUnusedBytes int64
-	Cache               blockstore.CacheStats
+	// CacheStats returns the block-cache snapshot, summed over the
+	// runner's engines (zero without a cache).
+	CacheStats() blockstore.CacheStats
 }
 
 // Drive runs prog on r to convergence, cfg.MaxIters or cancellation, and is
 // the only place the run-loop policy lives: program and frontier
 // validation, resume, bucket routing, cancellation with its best-effort
-// checkpoint, accumulator initialisation, OnIteration, the checkpoint
-// cadence, convergence and the run totals. cfg is the configuration the
-// caller resolved for the whole run (a shard's own copy has no OnIteration
-// and a slice of the cache budget); lead is the engine whose store holds
-// the checkpoints and whose Context programs see — the engine itself, or
-// shard 0.
+// checkpoint, accumulator initialisation, the bucket and fault counters of
+// each iteration's stats, OnIteration, the checkpoint cadence, convergence
+// and the run totals. cfg is the configuration the caller resolved for the
+// whole run (a shard's own copy has no OnIteration and a slice of the cache
+// budget); lead is the engine whose store holds the checkpoints and whose
+// Context programs see — the engine itself, or shard 0.
 func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program) (*Result, error) {
 	n := lead.ds.Layout.NumVertices
 	s, frontier := prog.Init(lead.ctx) // S: previous-iteration values (paper §3.3)
@@ -63,21 +51,26 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 	}
 	// route turns the activations Init or an iteration produced into the
 	// next frontier to run: themselves, or — for a priority program — the
-	// next bucket once they are parked, with the runner told which.
+	// next bucket once they are parked, whose hint the iteration that runs
+	// it is stamped with.
+	var hint BucketHint
 	route := func(activated *bitset.Frontier) *bitset.Frontier {
 		if router == nil {
 			return activated
 		}
-		f, hint := router.Route(activated, s)
-		r.SetBucketHint(hint)
+		var f *bitset.Frontier
+		f, hint = router.Route(activated, s)
 		return f
 	}
 
 	res := &Result{}
-	// Read before the resume, so the run's totals include what loading the
+	// Retries and hedges are counted by the store lineage every engine's
+	// store is a Fork of, so lead's counters are the run's at any K. Read
+	// before the resume, so the run's totals include what loading the
 	// checkpoint cost; a difference, so a reused runner (kill → resume on
 	// the same instance) reports only this run.
-	before := r.Totals()
+	ds := lead.ds
+	retries, hedges := ds.Retries(), ds.Hedges()
 	startIter := 0
 	if cfg.Resume {
 		ck, fallbacks, err := lead.loadCheckpoint(prog)
@@ -93,11 +86,8 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 		}
 	}
 
-	if err := r.StartRun(); err != nil {
-		return nil, err
-	}
-	frontier = route(frontier) // after StartRun, which resets the bucket hint
-	d := make([]float64, n)    // D: current-iteration values / accumulators
+	frontier = route(frontier)
+	d := make([]float64, n) // D: current-iteration values / accumulators
 	// ckptIter is the iteration the newest checkpoint on the store resumes
 	// at: the resume point until the cadence writes a later one.
 	ckptIter := startIter
@@ -124,10 +114,17 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 			// cop.go), so only the run's first one has to copy.
 			InitAccumulators(prog.Kind(), s, d)
 		}
+		iterRetries, iterHedges := ds.Retries(), ds.Hedges()
 		next, st, err := r.RunIter(prog, iter, frontier, s, d)
 		if err != nil {
 			return nil, &IterError{Program: prog.Name(), Iter: iter, Model: st.Model, Err: err}
 		}
+		st.Retries = ds.Retries() - iterRetries
+		st.Hedges = ds.Hedges() - iterHedges
+		if router != nil {
+			st.Bucketed, st.BucketPri, st.BucketPending = true, hint.Pri, hint.Pending
+		}
+		res.PrefetchUnusedBytes += st.PrefetchUnusedBytes
 		res.Iterations = append(res.Iterations, st)
 		if cfg.OnIteration != nil {
 			cfg.OnIteration(st)
@@ -152,11 +149,9 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 	}
 
 	res.Converged = res.Converged || frontier.Empty()
-	after := r.Totals()
 	res.Values = s
-	res.Recovery.Retries = after.Retries - before.Retries
-	res.Recovery.Hedges = after.Hedges - before.Hedges
-	res.PrefetchUnusedBytes = after.PrefetchUnusedBytes - before.PrefetchUnusedBytes
-	res.Cache = after.Cache
+	res.Recovery.Retries = ds.Retries() - retries
+	res.Recovery.Hedges = ds.Hedges() - hedges
+	res.Cache = r.CacheStats()
 	return res, nil
 }

@@ -24,14 +24,12 @@ const dirty = -12345
 // all vertices until `iters` have run, then none. It records what Drive
 // asked of it.
 type fakeRunner struct {
-	iters    int
-	startErr error
-	iterErr  map[int]error
-	log      *[]string // shared with the test's other observers; may be nil
+	iters   int
+	iterErr map[int]error
+	log     *[]string // shared with the test's other observers; may be nil
 
-	starts, hints int
-	ran           []int     // iteration numbers, in call order
-	d1            []float64 // d[1] as each iteration found it
+	ran []int     // iteration numbers, in call order
+	d1  []float64 // d[1] as each iteration found it
 }
 
 func (f *fakeRunner) note(format string, args ...any) {
@@ -39,13 +37,6 @@ func (f *fakeRunner) note(format string, args ...any) {
 		*f.log = append(*f.log, fmt.Sprintf(format, args...))
 	}
 }
-
-func (f *fakeRunner) StartRun() error {
-	f.starts++
-	return f.startErr
-}
-
-func (f *fakeRunner) SetBucketHint(BucketHint) { f.hints++ }
 
 func (f *fakeRunner) RunIter(_ Program, iter int, _ *bitset.Frontier, s, d []float64) (*bitset.Frontier, IterStats, error) {
 	f.note("iter %d", iter)
@@ -63,7 +54,7 @@ func (f *fakeRunner) RunIter(_ Program, iter int, _ *bitset.Frontier, s, d []flo
 	return next, st, nil
 }
 
-func (f *fakeRunner) Totals() RunTotals { return RunTotals{} }
+func (f *fakeRunner) CacheStats() blockstore.CacheStats { return blockstore.CacheStats{} }
 
 // putLog counts Puts per blob and notes each in a shared log.
 type putLog struct {
@@ -153,14 +144,6 @@ func TestDriveExitPaths(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "StartRun fails", runner: fakeRunner{iters: 5, startErr: errBoom}, cancelAt: -1,
-			check: func(t *testing.T, res *Result, err error) {
-				if res != nil || !errors.Is(err, errBoom) {
-					t.Fatalf("err = %v, want boom", err)
-				}
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,9 +159,6 @@ func TestDriveExitPaths(t *testing.T) {
 			r := tc.runner
 			res, err := Drive(ctx, &r, lead, lead.cfg, testBFS{})
 			tc.check(t, res, err)
-			if r.starts != 1 {
-				t.Fatalf("StartRun ×%d, want 1", r.starts)
-			}
 			if !reflect.DeepEqual(r.ran, tc.wantRan) {
 				t.Fatalf("ran iterations %v, want %v", r.ran, tc.wantRan)
 			}
@@ -257,7 +237,8 @@ func (perVertexBuckets) PriorityOrder() bucket.Order                { return buc
 func (perVertexBuckets) EnterBucket(int64)                          {}
 
 // TestDriveToleranceNeverEndsBucketedRun: a quiet iteration converges a
-// plain Additive run, but only settles one bucket of a bucketed one.
+// plain Additive run, but only settles one bucket of a bucketed one. Drive
+// stamps each bucketed iteration with the bucket its router popped for it.
 func TestDriveToleranceNeverEndsBucketedRun(t *testing.T) {
 	const n = 6
 	lead := leadOn(t, n, nil, Config{Tolerance: 1}) // the fake reports MaxDelta 0
@@ -271,8 +252,10 @@ func TestDriveToleranceNeverEndsBucketedRun(t *testing.T) {
 	if err != nil || !res.Converged || len(r.ran) != n {
 		t.Fatalf("bucketed: ran %v, res %+v, err %v; want %d iterations (one per bucket), converged", r.ran, res, err, n)
 	}
-	if r.hints != n+1 { // the seed, then one per iteration: the last finds no bucket
-		t.Fatalf("SetBucketHint ×%d, want %d", r.hints, n+1)
+	for k, st := range res.Iterations { // vertex k is bucket k; later ones stay parked
+		if !st.Bucketed || st.BucketPri != int64(k) || st.BucketPending != n-1-k {
+			t.Fatalf("iteration %d: bucketed %v, priority %d, pending %d; want true, %d, %d", k, st.Bucketed, st.BucketPri, st.BucketPending, k, n-1-k)
+		}
 	}
 }
 

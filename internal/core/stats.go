@@ -62,11 +62,13 @@ type IterStats struct {
 	// only; used for Tolerance convergence).
 	MaxDelta float64
 	// Retries counts transient read faults retried by the store during
-	// this iteration (see Config.ReadRetries).
+	// this iteration (see Config.ReadRetries). Drive reads it off the store
+	// lineage's counter around the iteration, so it is exact at any shard
+	// count.
 	Retries int64
 	// Hedges counts hedged duplicate reads issued during this iteration —
 	// read attempts that blew Config.ReadDeadline and raced a second
-	// attempt to completion.
+	// attempt to completion. Drive counts it like Retries.
 	Hedges int64
 	// CacheHits, CacheMisses and CacheEvictions count block-cache
 	// activity during this iteration (zero when Config.CacheBudgetBytes
@@ -82,8 +84,8 @@ type IterStats struct {
 	// the pipeline failed to hide.
 	PrefetchStall time.Duration
 
-	// Bucketed-execution fields, filled only when the program implements
-	// PriorityProgram (zero otherwise). Bucketed marks the iteration as
+	// Bucketed-execution fields, filled by Drive from its bucket router
+	// only when the program implements PriorityProgram (zero otherwise). Bucketed marks the iteration as
 	// bucket-driven; BucketPri is the priority of the bucket processed as
 	// this iteration's frontier; BucketPending counts the vertices still
 	// parked in later buckets at the iteration's start — work the run
@@ -111,10 +113,9 @@ type IterStats struct {
 
 // ShardIterStats is one shard's view of one iteration of a sharded run:
 // the shard index plus the IterStats its owner-scoped engine produced.
-// Retries/Hedges deltas are measured against the fork-shared store
-// counters while K windows overlap, so a shard's count may include a
-// concurrent shard's faults; the combined IterStats' totals are measured
-// once at the barrier and are exact.
+// Run-level fields — Retries, Hedges and the bucket fields — stay zero
+// here: the shards share one store lineage and one bucket router, and Drive
+// fills them on the combined IterStats only.
 type ShardIterStats struct {
 	Shard int
 	Stats IterStats

@@ -24,8 +24,9 @@ import (
 // happen-before the next: a coordinator that runs a phase of its K steps
 // concurrently joins them before it starts the following phase. No two
 // phases of one engine ever overlap, so everything a Step touches on its
-// engine (scheduler window, counters) is still confined to one goroutine at
-// a time, and the IterStats End returns is a value.
+// engine (prefetch window, counters) is still confined to one goroutine at
+// a time, and the IterStats End returns is a value. Run-level fields —
+// retries, hedges, the bucket — are Drive's to fill: End leaves them zero.
 type Step struct {
 	e    *Engine
 	prog Program
@@ -36,13 +37,10 @@ type Step struct {
 	win      *blockstore.Prefetcher
 	live     []blockstore.Extent // a ROP step's out-block extents (Engine.live)
 
-	start         time.Time
-	ioBefore      storage.Stats
-	retriesBefore int64
-	hedgesBefore  int64
-	unusedBefore  int64
-	decBefore     blockstore.DecodeStats
-	cacheBefore   blockstore.CacheStats
+	start       time.Time
+	ioBefore    storage.Stats
+	decBefore   blockstore.DecodeStats
+	cacheBefore blockstore.CacheStats
 
 	maxDelta float64
 	execErr  error
@@ -68,13 +66,9 @@ func InitAccumulators(kind Kind, s, d []float64) {
 	}
 }
 
-// StartRun prepares the engine for a sequence of steps: it resets the
-// bucket hint. Drive calls it; a harness driving BeginIter directly must
-// call it first.
-func (e *Engine) StartRun() error {
-	e.bucketed, e.bucketPri, e.bucketPending = false, 0, 0
-	return nil
-}
+// StartRun does nothing: an engine holds no run state. perfbench/trace.go
+// calls it.
+func (e *Engine) StartRun() error { return nil }
 
 // FinishRun does nothing; perfbench/trace.go calls it.
 func (e *Engine) FinishRun() {}
@@ -88,7 +82,7 @@ func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
 }
 
 // BeginIter opens iteration iter over frontier, building the read plan and
-// starting the scheduler window over it. Activations land in next. model
+// opening the prefetch window over it. Activations land in next. model
 // selects the update model to execute; pass ModelHybrid to let the engine
 // choose (RunIter's path — the α shortcut and §3.4 predictor decide), or a
 // concrete model when an external arbiter (the shard coordinator) already
@@ -96,9 +90,6 @@ func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
 func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *bitset.Frontier) *Step {
 	s := &Step{e: e, prog: prog, frontier: frontier, next: next}
 	s.ioBefore = e.ds.Device().Stats()
-	s.retriesBefore = e.ds.Retries()
-	s.hedgesBefore = e.ds.Hedges()
-	s.unusedBefore = e.prefetchUnused.Load()
 	s.decBefore = e.ds.DecodeStats()
 	if e.cache != nil {
 		s.cacheBefore = e.cache.Stats()
@@ -107,11 +98,6 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 
 	s.st = IterStats{Iter: iter, ActiveVertices: e.ownedActive(frontier)}
 	s.st.ActiveEdges = e.activeOutEdges(frontier)
-	if e.bucketed {
-		s.st.Bucketed = true
-		s.st.BucketPri = e.bucketPri
-		s.st.BucketPending = e.bucketPending
-	}
 	if model == ModelHybrid {
 		s.st.Model = ChooseModel(e.cfg, frontier, &s.st, e.predict)
 	} else {
@@ -125,7 +111,7 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 	} else {
 		plan = ioplan.COPKeysFor(e.ds.Layout, nil, e.ownedOrNil())
 	}
-	s.win = e.sched.Begin(plan, s.live)
+	s.win = e.ds.NewPrefetcher(plan, s.live, e.cfg.PrefetchDepth, e.cache)
 	return s
 }
 
@@ -175,9 +161,8 @@ func (s *Step) FinalizeOwned(sv, d []float64) {
 	}
 }
 
-// End tears down the scheduler window and computes the iteration's full
-// attribution (I/O, decode, modeled runtime, cache and resilience
-// deltas). It must be called on every path — the window's pipeline has to
+// End closes the prefetch window and computes the iteration's attribution
+// (I/O, decode, modeled runtime, cache deltas, read-ahead waste). It must be called on every path — the window's pipeline has to
 // land its device charges — and returns the Exec error, if any, alongside
 // the partial stats.
 func (s *Step) End() (IterStats, error) {
@@ -188,8 +173,7 @@ func (s *Step) End() (IterStats, error) {
 	e := s.e
 	e.liveOf = nil
 	st := &s.st
-	ws := e.sched.Finish(s.win)
-	e.prefetchUnused.Add(ws.UnusedBytes)
+	s.win.Close()
 	if s.execErr != nil {
 		return s.st, s.execErr
 	}
@@ -204,7 +188,8 @@ func (s *Step) End() (IterStats, error) {
 	st.DecodeModeled = ModeledDecodeTime(decDelta.VarintBytes, e.cfg.Threads)
 	st.IO = e.ds.Device().Stats().Sub(s.ioBefore)
 	st.IOTime = st.IO.SimIO
-	st.PrefetchStall = ws.Stall
+	st.PrefetchStall = s.win.StallTime()
+	st.PrefetchUnusedBytes = s.win.UnusedBytes()
 	// Decode placement is a kept convention, not where decode runs: with
 	// prefetch it lands on the CPU side of the max(), at depth 0 on the
 	// I/O side, as when the loads decoded. A COP in-block is now folded
@@ -224,9 +209,6 @@ func (s *Step) End() (IterStats, error) {
 		st.Runtime = cpuSide
 	}
 	st.MaxDelta = s.maxDelta
-	st.Retries = e.ds.Retries() - s.retriesBefore
-	st.Hedges = e.ds.Hedges() - s.hedgesBefore
-	st.PrefetchUnusedBytes = e.prefetchUnused.Load() - s.unusedBefore
 	if e.cache != nil {
 		delta := e.cache.Stats().Sub(s.cacheBefore)
 		st.CacheHits, st.CacheMisses, st.CacheEvictions = delta.Hits, delta.Misses, delta.Evictions

@@ -4,11 +4,13 @@
 // The plan constructors (ROPKeysFor, COPKeys) turn a predictor decision
 // plus a frontier into the iteration's ordered read plan — the out-indices
 // of the blocks an active source has an edge in for ROP, the in-block
-// columns for COP — and the Scheduler opens one blockstore.Prefetcher over
-// that plan per iteration. An iteration is a barrier: nothing is read
-// across it. GraphMP's selective scheduling and PartitionedVC's planned
-// sub-block reads both argue for exactly this: one layer that owns the
-// whole I/O plan.
+// columns for COP — and the engine opens one blockstore.Prefetcher over
+// that plan per iteration (DualStore.NewPrefetcher). An iteration is a
+// barrier: nothing is read across it. GraphMP's selective scheduling and
+// PartitionedVC's planned sub-block reads both argue for exactly this: one
+// layer that owns the whole I/O plan. Scheduler, with its Options and
+// WindowStats, is a pass-through to NewPrefetcher that only perfbench's
+// probe still calls.
 package ioplan
 
 import (

@@ -24,8 +24,9 @@ type WindowStats struct {
 }
 
 // Scheduler opens one prefetch window per iteration over that iteration's
-// read plan, at the run's read-ahead depth and over the run's cache. All
-// methods run on the engine's goroutine.
+// read plan, at the run's read-ahead depth and over the run's cache. The
+// engine calls DualStore.NewPrefetcher itself; perfbench/trace.go's probe
+// is the one caller left.
 type Scheduler struct {
 	ds    *blockstore.DualStore
 	cache *blockstore.BlockCache

@@ -142,9 +142,6 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 		prog := algos.BFS{Source: src}
 		s, frontier := prog.Init(e.Context())
 		d := make([]float64, l.NumVertices)
-		if err := e.StartRun(); err != nil {
-			t.Fatal(err)
-		}
 		skipped := 0
 		for iter := 0; !frontier.Empty(); iter++ {
 			what := fmt.Sprintf("depth %d iteration %d", depth, iter)

@@ -1,7 +1,7 @@
 // Package shard runs a HUS-Graph program on K worker shards, each an
 // owner-scoped core.Engine over a contiguous P/K-interval slice of the
 // dual-block layout with its own store handle, accounting device, cache
-// budget slice and I/O scheduler, all over one pair of shared S/D arrays —
+// budget slice and prefetch windows, all over one pair of shared S/D arrays —
 // the paper's §3.5 threads-over-shared-arrays parallelism with the unit
 // grown from an interval to a shard. There are no messages and no
 // long-lived goroutines: Coordinator.RunIter is the whole schedule.
@@ -185,34 +185,11 @@ func (c *Coordinator) RunContext(ctx context.Context, prog core.Program) (*core.
 	return core.Drive(ctx, c, c.workers[0].eng, c.cfg, prog)
 }
 
-// StartRun implements core.Runner.
-func (c *Coordinator) StartRun() error {
+// CacheStats implements core.Runner: every shard's cache, summed.
+func (c *Coordinator) CacheStats() blockstore.CacheStats {
+	var t blockstore.CacheStats
 	for _, w := range c.workers {
-		if err := w.eng.StartRun(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetBucketHint implements core.Runner. Priority programs route through
-// Drive's one bucket router — the merged frontier is parked and popped
-// between iterations exactly as an unsharded run's would be, which keeps
-// every K bit-identical — and every shard's engine gets the same hint.
-func (c *Coordinator) SetBucketHint(h core.BucketHint) {
-	for _, w := range c.workers {
-		w.eng.SetBucketHint(h)
-	}
-}
-
-// Totals implements core.Runner: shard 0's view of the fork-shared retry
-// and hedge counters, every shard's unused read-ahead and cache summed.
-func (c *Coordinator) Totals() core.RunTotals {
-	t := c.workers[0].eng.Totals()
-	for _, w := range c.workers[1:] {
-		o := w.eng.Totals()
-		t.PrefetchUnusedBytes += o.PrefetchUnusedBytes
-		t.Cache = t.Cache.Add(o.Cache)
+		t = t.Add(w.eng.CacheStats())
 	}
 	return t
 }
@@ -235,7 +212,6 @@ func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Fron
 	n := c.ds.Layout.NumVertices
 	var header core.IterStats
 	model := c.arbitrate(frontier, &header)
-	retBefore, hedBefore := c.ds.Retries(), c.ds.Hedges()
 
 	c.each(func(i int, w *shardWorker) {
 		c.pieces[i] = bitset.NewFrontier(n)
@@ -261,10 +237,7 @@ func (c *Coordinator) RunIter(prog core.Program, iter int, frontier *bitset.Fron
 		next.MergeAtomic(p)
 	}
 	next.Reindex()
-	st := c.combine(iter, frontier, header)
-	st.Retries = c.ds.Retries() - retBefore
-	st.Hedges = c.ds.Hedges() - hedBefore
-	return next, st, nil
+	return next, c.combine(iter, frontier, header), nil
 }
 
 // each runs fn for every shard and returns once all have: shard 0 on the
@@ -307,10 +280,8 @@ func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) c
 // barrier merge. Each shard's store fork counts its own decodes, so the
 // decode fields sum — DecodeTime, like one engine's, is time summed over the
 // workers that decoded — and the run's DecodeModeled prices the summed
-// bytes, as one engine's would. Retries/Hedges are filled by the caller
-// from coordinator-level snapshots of the fork-shared counters (the
-// per-shard deltas overlap while K windows run concurrently; see
-// core.ShardIterStats).
+// bytes, as one engine's would. Retries, Hedges and the bucket fields are
+// run-level: core.Drive fills them (see core.ShardIterStats).
 func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.IterStats) core.IterStats {
 	st := core.IterStats{
 		Iter:           iter,
@@ -318,12 +289,7 @@ func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.I
 		Model:          c.stats[0].Model,
 		PredictedROP:   header.PredictedROP,
 		PredictedCOP:   header.PredictedCOP,
-		// Every shard engine got the same bucket hint, so shard 0's bucket
-		// fields are the run's.
-		Bucketed:      c.stats[0].Bucketed,
-		BucketPri:     c.stats[0].BucketPri,
-		BucketPending: c.stats[0].BucketPending,
-		Shards:        make([]core.ShardIterStats, 0, c.k),
+		Shards:         make([]core.ShardIterStats, 0, c.k),
 	}
 	var maxRuntime, sumRuntime time.Duration
 	for i, ss := range c.stats {
