@@ -4,10 +4,11 @@
 //
 // Usage:
 //
-//	husgraph -dataset twitter-sim -algo BFS [-system hus|graphchi|gridgraph|xstream]
-//	         [-model hybrid|rop|cop] [-device hdd|ssd|nvme|ram] [-threads N] [-p P]
-//	         [-membudget BYTES] [-shards K] [-delta W] [-format raw|mixed]
-//	         [-trace] [-stats] [-input edges.txt] [-store DIR]
+//	husgraph [-dataset twitter-sim | -input edges.txt] -algo BFS
+//	         [-system hus|graphchi|gridgraph|xstream]
+//	         [-model hybrid|rop|cop] [-device hdd|ssd|nvme|ram] [-threads N]
+//	         [-p P | -membudget BYTES] [-shards K] [-delta W] [-format raw|mixed]
+//	         [-trace] [-stats] [-store DIR]
 //	         [-valuesout FILE] [-prefetch DEPTH] [-cache-mb MB]
 //	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D]
 //	         [-read-deadline D] [-fault-transient N] [-fault-bitflip N] [-fault-delay N]
@@ -39,12 +40,16 @@
 //
 // The flags only the hus engine reads (husOnlyFlags below) are startup
 // errors under any other -system, not silently ignored; so are the flags
-// that only apply alongside another one (flagNeeds) typed without it, and a
-// negative value for any numeric flag but -fault-seed (negativeFlag).
+// that only apply alongside another one (flagNeeds) typed without it, a flag
+// typed beside one that overrides it (flagOverrides: -p beside -membudget
+// B > 0, which chooses P itself, and -dataset beside -input, which replaces
+// it), and a negative value for any numeric flag but -fault-seed
+// (negativeFlag).
 //
 // With -input, a whitespace edge list ("src dst [weight]" per line) is
-// processed instead of a registry dataset. With -store, the dual-block
-// representation is kept in real files under DIR instead of memory.
+// processed instead of a registry dataset (-dataset is then an error). With
+// -store, the dual-block representation is kept in real files under DIR
+// instead of memory.
 //
 // -format mixed compresses the in-blocks and in-indices COP streams, raw or
 // varint per blob: one is stored delta-gap varint coded where that is
@@ -164,11 +169,16 @@ func run(args []string) error {
 	if err := husOnly(*system, explicit); err != nil {
 		return err
 	}
-	if err := needsMet(explicit, map[string]bool{
+	on := map[string]bool{
 		"store": *storeDir != "", "retries": *retries > 0,
 		"fault-transient": *faultTransient > 0, "fault-bitflip": *faultBitflip > 0,
 		"fault-delay": *faultDelay > 0, "fault-stall": *faultStall > 0,
-	}); err != nil {
+		"membudget": *memBudget > 0, "input": *input != "",
+	}
+	if err := needsMet(explicit, on); err != nil {
+		return err
+	}
+	if err := overridden(explicit, on); err != nil {
 		return err
 	}
 	shardK, err := shardsConfig(*shards, *p, explicit["membudget"] && *memBudget > 0)
@@ -570,6 +580,26 @@ func needsMet(explicit, on map[string]bool) error {
 	for _, f := range flagNeeds {
 		if explicit[f.flag] && !slices.ContainsFunc(f.needs, func(n string) bool { return on[n] }) {
 			return fmt.Errorf("-%s has no effect without -%s", f.flag, strings.Join(f.needs, " or -"))
+		}
+	}
+	return nil
+}
+
+// flagOverrides lists the flags another one makes moot when it is on:
+// -membudget chooses P from the working-set budget, so a typed -p would be
+// dropped, and -input replaces the registry dataset -dataset names.
+var flagOverrides = []struct{ flag, by string }{
+	{"p", "membudget"},
+	{"dataset", "input"},
+}
+
+// overridden rejects a flag typed on the command line alongside one that is
+// on and overrides it: a flag that cannot apply is a startup error, not a
+// silently ignored one.
+func overridden(explicit, on map[string]bool) error {
+	for _, f := range flagOverrides {
+		if explicit[f.flag] && on[f.by] {
+			return fmt.Errorf("-%s has no effect with -%s, which overrides it; drop one of them", f.flag, f.by)
 		}
 	}
 	return nil

@@ -154,6 +154,30 @@ func TestNeedsMet(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOverriddenFlags drives run itself: a flag typed beside one
+// that overrides it — -p beside a -membudget that chooses P, -dataset beside
+// the -input that replaces it — is a startup error naming both, before a
+// graph is built. A -membudget of 0 chooses nothing, so -p stands.
+func TestRunRejectsOverriddenFlags(t *testing.T) {
+	cases := []struct {
+		args    []string
+		errPart string
+	}{
+		{[]string{"-p", "4", "-membudget", "65536"}, "-p has no effect with -membudget"},
+		{[]string{"-dataset", "uk-sim", "-input", "edges.txt"}, "-dataset has no effect with -input"},
+		{[]string{"-p", "0", "-membudget", "0"}, "need at least one interval, got P = 0"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			err := run(tc.args)
+			wantErr(t, err, tc.errPart)
+			if code := exitCode(err); code != 1 {
+				t.Fatalf("exit code %d, want 1", code)
+			}
+		})
+	}
+}
+
 // TestRunRejectsBadNumbers drives run itself: a negative value for any
 // numeric flag is a startup error naming the flag, before a graph is
 // generated, and -p 0 fails at the store build with an error, not a panic.

@@ -98,6 +98,36 @@ func BenchmarkFrontierRangeIn(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontierSumIn sums the out-degrees of a frontier over 2¹⁸ bits,
+// as the predictor's active-edge count does, at densities 1e-4, 1e-2, 0.3
+// and 1: the SumIn leg through the one closure-free word walk, the Range leg,
+// the baseline, through Range and a summing callback.
+func BenchmarkFrontierSumIn(b *testing.B) {
+	const n = 1 << 18
+	w := make([]int32, n)
+	for v := range w {
+		w[v] = int32(v % 97)
+	}
+	for _, density := range []float64{1e-4, 1e-2, 0.3, 1} {
+		f := NewFrontier(n)
+		for _, v := range rand.New(rand.NewSource(1)).Perm(n)[:int(density*n)] {
+			f.Add(v)
+		}
+		var sum int64
+		b.Run(fmt.Sprintf("density=%g/SumIn", density), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sum += f.SumIn(0, n, w)
+			}
+		})
+		b.Run(fmt.Sprintf("density=%g/Range", density), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.Range(func(v int) bool { sum += int64(w[v]); return true })
+			}
+		})
+		benchSink = int(sum)
+	}
+}
+
 // BenchmarkFrontierCountIn is the selective-scheduling test ("does this
 // interval hold an active vertex") at |V|/32 members added out of order: one
 // op is P = 16 windows, after one untimed pass.

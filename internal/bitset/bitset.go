@@ -228,6 +228,58 @@ func (b *Bitset) RangeIn(lo, hi int, fn func(i int) bool) {
 	}
 }
 
+// sumIn returns the sum of w[i] over the set bits i in [lo, hi): a word at a
+// time, skipping zero words, with no call per bit. w must cover [lo, hi).
+func (b *Bitset) sumIn(lo, hi int, w []int32) int64 {
+	if lo < 0 || hi > b.n || lo > hi {
+		panic(fmt.Sprintf("bitset: bad range [%d,%d) for capacity %d", lo, hi, b.n))
+	}
+	if lo == hi {
+		return 0
+	}
+	first, last := lo/wordBits, (hi-1)/wordBits
+	head := b.words[first] &^ (1<<(uint(lo)%wordBits) - 1)            // bits ≥ lo
+	tail := ^uint64(0) >> ((wordBits - uint(hi)%wordBits) % wordBits) // bits < hi
+	if first == last {
+		return sumBits(head&tail, w[first*wordBits:])
+	}
+	t := sumBits(head, w[first*wordBits:]) + sumBits(b.words[last]&tail, w[last*wordBits:])
+	// The words between are skipped in a loop of their own while zero. A
+	// set one has all 64 of its weights in w, so its walk indexes an array,
+	// with no bounds check per bit, and takes the bits alternately into two
+	// sums, so that one bit's scan does not wait on the load of the bit
+	// before it.
+	var t1 int64
+	words := b.words[:last]
+	for k := first + 1; ; k++ {
+		for k < last && words[k] == 0 {
+			k++
+		}
+		if k == last {
+			break
+		}
+		word := words[k]
+		ws := (*[wordBits]int32)(w[k*wordBits:])
+		for word != 0 {
+			t += int64(ws[bits.TrailingZeros64(word)&(wordBits-1)])
+			if word &= word - 1; word == 0 {
+				break
+			}
+			t1 += int64(ws[bits.TrailingZeros64(word)&(wordBits-1)])
+			word &= word - 1
+		}
+	}
+	return t + t1
+}
+
+// sumBits returns the sum of w[k] over the set bits k of word.
+func sumBits(word uint64, w []int32) (t int64) {
+	for ; word != 0; word &= word - 1 {
+		t += int64(w[bits.TrailingZeros64(word)])
+	}
+	return t
+}
+
 // at returns the 64 bits of b from bit pos on — bit k of the result is bit
 // pos+k of b — reading bits past the end as zero.
 func (b *Bitset) at(pos int) uint64 {

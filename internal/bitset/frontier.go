@@ -94,6 +94,13 @@ func (f *Frontier) MaskedExtent(lo int, mask []uint64) (first, last int, ok bool
 	return f.dense.maskedExtent(lo, mask)
 }
 
+// SumIn returns the sum of w[v] over the active vertices v in [lo, hi) —
+// the frontier's total out-degree when w holds the out-degrees. It walks the
+// bitmap a word at a time and calls nothing per member, so it is no slower
+// than Range with an inlined summing callback, and far faster than RangeIn
+// with one, which steps member to member through NextSet.
+func (f *Frontier) SumIn(lo, hi int, w []int32) int64 { return f.dense.sumIn(lo, hi, w) }
+
 // CountIn returns the number of active vertices in [lo, hi).
 func (f *Frontier) CountIn(lo, hi int) int { return f.dense.CountRange(lo, hi) }
 

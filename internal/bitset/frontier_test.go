@@ -368,10 +368,12 @@ func TestFrontierCountExact(t *testing.T) {
 }
 
 // TestFrontierSparseReadsDoNotAllocate guards the reads ROP and the
-// planners make every iteration: Range, RangeIn, CountIn, RangeMasked and
-// MaskedExtent walk the bitmap in place, at a sparse and at a dense frontier.
+// planners make every iteration: Range, RangeIn, CountIn, SumIn, RangeMasked
+// and MaskedExtent walk the bitmap in place, at a sparse and at a dense
+// frontier.
 func TestFrontierSparseReadsDoNotAllocate(t *testing.T) {
 	const n = 1 << 16
+	weights := make([]int32, n)
 	mask := make([]uint64, n/4/wordBits)
 	for k := range mask {
 		mask[k] = 0x5555_5555_5555_5555
@@ -386,6 +388,7 @@ func TestFrontierSparseReadsDoNotAllocate(t *testing.T) {
 			"Range":        func() { f.Range(func(v int) bool { sink += v; return true }) },
 			"RangeIn":      func() { f.RangeIn(n/4, n/2, func(v int) bool { sink += v; return true }) },
 			"CountIn":      func() { sink += f.CountIn(n/4, n/2) },
+			"SumIn":        func() { sink += int(f.SumIn(n/4, n/2, weights)) },
 			"RangeMasked":  func() { f.RangeMasked(n/4, mask, func(v int) bool { sink += v; return true }) },
 			"MaskedExtent": func() { first, last, _ := f.MaskedExtent(n/4, mask); sink += first + last },
 		} {
@@ -450,6 +453,41 @@ func TestFrontierRangeMaskedPathsAgree(t *testing.T) {
 				if calls > 1 {
 					t.Fatalf("%s: %d calls after the first returned false", what, calls)
 				}
+			}
+		}
+	}
+}
+
+// TestFrontierSumInMatchesRangeIn: SumIn's word walk sums exactly the
+// weights RangeIn's member walk visits — over random universes up to 700
+// bits and frontiers from empty to full, for random ranges and for the empty,
+// single-word and word-boundary ones.
+func TestFrontierSumInMatchesRangeIn(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(701)
+		f := NewFrontier(n)
+		density := []float64{0, 0.01, 0.2, 0.7, 1}[trial%5]
+		w := make([]int32, n)
+		for v := range w {
+			w[v] = rng.Int31n(1000) - 100
+			if rng.Float64() < density {
+				f.Add(v)
+			}
+		}
+		ranges := [][2]int{{0, n}, {n, n}, {0, 0}}
+		for k := 0; k < 20; k++ {
+			lo := rng.Intn(n + 1)
+			ranges = append(ranges, [2]int{lo, lo + rng.Intn(n-lo+1)})
+		}
+		for b := 0; b+64 <= n; b += 64 {
+			ranges = append(ranges, [2]int{b, b + 64}, [2]int{b + 1, b + 63}, [2]int{0, b + 64}, [2]int{b, b})
+		}
+		for _, r := range ranges {
+			var want int64
+			f.RangeIn(r[0], r[1], func(v int) bool { want += int64(w[v]); return true })
+			if got := f.SumIn(r[0], r[1], w); got != want {
+				t.Fatalf("n=%d, %d members: SumIn(%d, %d) = %d, RangeIn sums %d", n, f.Count(), r[0], r[1], got, want)
 			}
 		}
 	}

@@ -94,7 +94,7 @@ func (e *Engine) iterationWork(model Model, live []blockstore.Extent, activeEdge
 		}
 		return activeEdges, blocks
 	}
-	for _, i := range e.owned { // column i
+	for i := e.lo; i < e.hi; i++ { // column i
 		for j := 0; j < l.P; j++ {
 			edges += e.ds.BlockEdgeCount[j][i]
 			blocks++

@@ -123,12 +123,13 @@ type Config struct {
 	// that iteration's statistics — for live progress reporting. It runs
 	// on the engine goroutine; keep it fast.
 	OnIteration func(IterStats)
-	// Owner scopes the engine to a subset of the layout's intervals: its
-	// planners, predictors and executors then cover only owned ROP rows,
-	// COP columns and finalization sweeps. nil means all intervals — the
-	// classic single-engine configuration. The shard coordinator
-	// (internal/shard) runs K engines with disjoint contiguous owners over
-	// the same store; an owner must span the layout's P (validated at New).
+	// Owner scopes the engine to the contiguous intervals [Lo, Hi): its
+	// planners, predictors and executors then cover only those ROP rows,
+	// COP columns and finalization sweeps. nil means [0, P) — the classic
+	// single-engine configuration. The shard coordinator (internal/shard)
+	// runs K engines with disjoint owners over the same store; an owner
+	// must be nonempty, inside [0, P) and of the layout's P (validated at
+	// New).
 	Owner *IntervalRange
 }
 
@@ -138,10 +139,7 @@ type Config struct {
 // bound, tolerance, checkpoint cadence) agrees with its engines'. Applying
 // it twice changes nothing: the coordinator's engines resolve the resolved
 // config again.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-// withDefaults resolves zero fields.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}

@@ -28,7 +28,7 @@ import (
 func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Frontier, win *blockstore.Prefetcher) (float64, error) {
 	l := e.ds.Layout
 
-	// The column traversal order is this window's plan (ioplan.COPKeys):
+	// The column traversal order is this window's plan (copPlan):
 	// while this goroutine computes on in-block(j,i), the window's workers
 	// read, verify and decode the next blocks (or serve them from the
 	// cache). Every planned key is consumed by exactly one Next call.
@@ -36,7 +36,7 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 	k.begin(e, prog, s, frontier)
 	defer k.end()
 	var maxDelta float64
-	for _, i := range e.owned { // column i updates interval i
+	for i := e.lo; i < e.hi; i++ { // column i updates interval i
 		lo, hi := l.Bounds(i)
 		for j := 0; j < l.P; j++ { // stream in-blocks top to bottom
 			res := win.Next()

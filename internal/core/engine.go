@@ -6,7 +6,6 @@ import (
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
-	"husgraph/internal/ioplan"
 	"husgraph/internal/storage"
 )
 
@@ -17,11 +16,10 @@ type Engine struct {
 	cfg Config
 	ctx *Context
 
-	// owned lists the intervals this engine plans, predicts and executes
-	// (ascending); ownsAll short-circuits the scoping for the classic
-	// single-engine configuration. Resolved from Config.Owner at New.
-	owned   []int
-	ownsAll bool
+	// lo, hi are the intervals this engine plans, predicts and executes,
+	// and vlo, vhi their vertices. Resolved from Config.Owner at New.
+	lo, hi   int
+	vlo, vhi int
 
 	// spans/runs hold ROP's per-destination-block range buffers and touched
 	// whether the current row pushed into destination interval j (worker j
@@ -41,7 +39,7 @@ type Engine struct {
 	cache *blockstore.BlockCache
 
 	// live holds the extents of the out-blocks of the owned rows
-	// (ioplan.LiveBlocks) for liveOf, the frontier they were recorded for.
+	// (markLive) for liveOf, the frontier they were recorded for.
 	// The predictor records the frontier it prices; BeginIter reuses that
 	// record for the same frontier, or makes it, and the step's plan,
 	// prefetcher, executor and compute model read it; End forgets liveOf, so
@@ -63,7 +61,7 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 	ds = ds.Fork(ds.Store())
 	e := &Engine{
 		ds:  ds,
-		cfg: cfg.withDefaults(),
+		cfg: cfg.WithDefaults(),
 		ctx: &Context{
 			NumVertices: ds.Layout.NumVertices,
 			OutDegrees:  ds.OutDegrees,
@@ -74,13 +72,15 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 		touched: make([]bool, ds.Layout.P),
 		msgs:    new(MessageTable),
 	}
-	owned, ownsAll, err := resolveOwner(e.cfg.Owner, ds.Layout.P)
+	lo, hi, err := resolveOwner(e.cfg.Owner, ds.Layout.P)
 	if err != nil {
 		// An invalid owner is a programmer error on the sharding layer's
 		// side (the CLI validates -shards before any engine exists).
 		panic(err)
 	}
-	e.owned, e.ownsAll = owned, ownsAll
+	e.lo, e.hi = lo, hi
+	e.vlo, _ = ds.Layout.Bounds(lo)
+	_, e.vhi = ds.Layout.Bounds(hi - 1)
 	if e.cfg.CacheBudgetBytes > 0 {
 		e.cache = blockstore.NewBlockCache(e.cfg.CacheBudgetBytes)
 	}
@@ -91,43 +91,6 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 	})
 	ds.SetHedgePolicy(blockstore.HedgePolicy{Deadline: e.cfg.ReadDeadline})
 	return e
-}
-
-// ownedOrNil returns nil for the all-intervals owner — letting planners
-// take their unscoped path — and the owned interval list otherwise.
-func (e *Engine) ownedOrNil() []int {
-	if e.ownsAll {
-		return nil
-	}
-	return e.owned
-}
-
-// ownedActive counts the active vertices in owned intervals.
-func (e *Engine) ownedActive(f *bitset.Frontier) int {
-	if e.ownsAll {
-		return f.Count()
-	}
-	l := e.ds.Layout
-	c := 0
-	for _, i := range e.owned {
-		lo, hi := l.Bounds(i)
-		c += f.CountIn(lo, hi)
-	}
-	return c
-}
-
-// ownedVertexWork returns the per-vertex serial work term of one iteration
-// for this engine: every vertex of every owned interval (the full vertex
-// count for the unscoped engine — finalization sweeps all of them).
-func (e *Engine) ownedVertexWork() int64 {
-	if e.ownsAll {
-		return int64(e.ds.Layout.NumVertices)
-	}
-	var t int64
-	for _, i := range e.owned {
-		t += int64(e.ds.Layout.Size(i))
-	}
-	return t
 }
 
 // Context returns the graph context handed to programs.
@@ -204,24 +167,7 @@ func (e *Engine) loadOutRun(i, j int, s, end uint32, sc *blockstore.Scratch) ([]
 // intervals: the paper's "active edges" metric (Fig. 1) and the Σ d_v term
 // of C_rop, scoped to what this engine will actually push.
 func (e *Engine) activeOutEdges(f *bitset.Frontier) int64 {
-	var t int64
-	deg := e.ds.OutDegrees
-	if e.ownsAll {
-		f.Range(func(v int) bool {
-			t += int64(deg[v])
-			return true
-		})
-		return t
-	}
-	l := e.ds.Layout
-	for _, i := range e.owned {
-		lo, hi := l.Bounds(i)
-		f.RangeIn(lo, hi, func(v int) bool {
-			t += int64(deg[v])
-			return true
-		})
-	}
-	return t
+	return f.SumIn(e.vlo, e.vhi, e.ds.OutDegrees)
 }
 
 // ChooseModel is the I/O-based performance prediction (§3.4) at iteration
@@ -247,14 +193,17 @@ func ChooseModel(cfg Config, f *bitset.Frontier, st *IterStats, predict func(*bi
 	return ModelCOP
 }
 
-// predict estimates C_rop and C_cop for the current frontier using the
-// device profile's two parameters. It is the paper's §3.4 model with the
-// single T_random divisor expanded into the device's per-access latency
-// plus transfer bandwidth (the quantity fio would have measured), and with
-// the executor's access coalescing mirrored: when a block's active ranges
-// sit closer together than the device's coalesce gap, loading it
-// degenerates into one scan instead of per-vertex seeks.
-func (e *Engine) predict(f *bitset.Frontier) (crop, ccop time.Duration) {
+// PredictCosts estimates C_rop and C_cop for the current frontier over this
+// engine's owned intervals — the modeled cost of running the coming
+// iteration's ROP rows (resp. COP columns) this engine owns; the shard
+// coordinator collects these per shard and arbitrates one global model per
+// iteration. It is the paper's §3.4 model with the single T_random divisor
+// expanded into the device's per-access latency plus transfer bandwidth
+// (the quantity fio would have measured), and with the executor's access
+// coalescing mirrored: when a block's active ranges sit closer together
+// than the device's coalesce gap, loading it degenerates into one scan
+// instead of per-vertex seeks.
+func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
 	// C_cop has a decode-cost term beside T_sequential: the logical bytes
 	// the column scan would decompress, priced at the rate DecodeModeled
 	// charges them. Zero for stores with no compressed blobs; ROP reads the
@@ -265,10 +214,26 @@ func (e *Engine) predict(f *bitset.Frontier) (crop, ccop time.Duration) {
 	return crop, ccop
 }
 
-// markLive records the extents of the owned rows' out-blocks for f in
-// e.live.
+// markLive records in e.live, reusing its array, the extent of each
+// out-block of the owned rows for f — the ends of f ∧ the block's source
+// mask (DualStore.Extent) — block (i, j) at i·P+j. The blocks of the rows
+// not owned, and of the rows without an active vertex, are all dead. It is a
+// ROP iteration's one walk of the masks: the plan (ropPlan), the
+// prefetcher's page spans, the executor, the predictor and the compute model
+// all read what it records.
 func (e *Engine) markLive(f *bitset.Frontier) []blockstore.Extent {
-	e.live = ioplan.LiveBlocks(e.ds, f, e.ownedOrNil(), e.live)
+	l := e.ds.Layout
+	if len(e.live) != l.P*l.P {
+		e.live = make([]blockstore.Extent, l.P*l.P)
+	}
+	clear(e.live)
+	for i := e.lo; i < e.hi; i++ {
+		if lo, hi := l.Bounds(i); f.CountIn(lo, hi) > 0 {
+			for j := 0; j < l.P; j++ {
+				e.live[i*l.P+j] = e.ds.Extent(i, j, f)
+			}
+		}
+	}
 	e.liveOf = f
 	return e.live
 }
@@ -282,8 +247,39 @@ func (e *Engine) liveFor(f *bitset.Frontier) []blockstore.Extent {
 	return e.markLive(f)
 }
 
-// ropCost is what predict prices a ROP iteration at, over the live blocks
-// of the owned rows only (markLive), the ones the executor visits: the
+// ropPlan returns the ordered read plan of a ROP iteration over the owned
+// rows: the out-index of every block live in live (markLive), row-major —
+// exactly the blocks, in exactly the order, ropAccumulate visits.
+func (e *Engine) ropPlan(live []blockstore.Extent) []blockstore.BlockKey {
+	p := e.ds.Layout.P
+	plan := make([]blockstore.BlockKey, 0, (e.hi-e.lo)*p)
+	for i := e.lo; i < e.hi; i++ {
+		for j := 0; j < p; j++ {
+			if live[i*p+j].Live() {
+				plan = append(plan, blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
+			}
+		}
+	}
+	return plan
+}
+
+// copPlan returns the ordered read plan of a COP iteration over the owned
+// columns: column by column, each column's in-blocks top to bottom —
+// in-block (j, i) keyed {KindInBlock, I: j, J: i} — the order runCOP
+// consumes them in.
+func (e *Engine) copPlan() []blockstore.BlockKey {
+	p := e.ds.Layout.P
+	plan := make([]blockstore.BlockKey, 0, (e.hi-e.lo)*p)
+	for i := e.lo; i < e.hi; i++ {
+		for j := 0; j < p; j++ {
+			plan = append(plan, blockstore.BlockKey{Kind: blockstore.KindInBlock, I: j, J: i})
+		}
+	}
+	return plan
+}
+
+// ropCost is what PredictCosts prices a ROP iteration at, over the live
+// blocks of the owned rows only (markLive), the ones the executor visits: the
 // random reads of the active sections and, per live block, the one range
 // read of the out-index pages its extent spans (OutIndexSpan). pageBytes
 // are those page spans, one read each. Out-indices resident in the block
@@ -297,18 +293,14 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes in
 	deg := e.ds.OutDegrees
 	live := e.markLive(f)
 	var pageReads int64
-	for _, i := range e.owned {
+	for i := e.lo; i < e.hi; i++ {
 		lo, hi := l.Bounds(i)
 		k := int64(f.CountIn(lo, hi))
 		if k == 0 {
 			continue
 		}
 		// Active out-edge bytes of this row (exact).
-		var rowActive int64
-		f.RangeIn(lo, hi, func(v int) bool {
-			rowActive += int64(deg[v])
-			return true
-		})
+		rowActive := f.SumIn(lo, hi, deg)
 		var rowEdges int64
 		for j := 0; j < l.P; j++ {
 			rowEdges += e.ds.BlockEdgeCount[i][j]
@@ -363,7 +355,7 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes in
 	return random, pageBytes
 }
 
-// copScanBytes is what predict prices a COP iteration at: the sequential
+// copScanBytes is what PredictCosts prices a COP iteration at: the sequential
 // bytes streaming every owned column's in-blocks and in-indices moves, and
 // the logical bytes those blobs decompress into. In-blocks resident in the
 // block cache skip the device entirely, so they are priced at zero — this
@@ -372,7 +364,7 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes in
 func (e *Engine) copScanBytes() (seqBytes int64, decBytes float64) {
 	l := e.ds.Layout
 	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
-	for _, j := range e.owned {
+	for j := e.lo; j < e.hi; j++ {
 		for i := 0; i < l.P; i++ {
 			if e.cache != nil && e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindInBlock, I: i, J: j}) {
 				continue // cached blocks are already decoded, too

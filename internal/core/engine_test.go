@@ -462,20 +462,20 @@ func TestModelAndKindStrings(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.WithDefaults()
 	if c.Threads <= 0 || c.Alpha != DefaultAlpha || c.MaxIters <= 0 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	neg := Config{Alpha: -1}.withDefaults()
+	neg := Config{Alpha: -1}.WithDefaults()
 	if neg.Alpha != -1 {
 		t.Fatal("negative alpha overridden")
 	}
 	// WithDefaults documents that applying it twice changes nothing: the
 	// shard coordinator's engines resolve the resolved config again.
 	for _, c := range []Config{{}, {Alpha: -1, ReadRetries: 2}, {Threads: 3, MaxIters: 7, RetryBackoff: time.Second, PrefetchDepth: 2}} {
-		once := c.withDefaults()
-		if twice := once.withDefaults(); !reflect.DeepEqual(twice, once) {
-			t.Fatalf("withDefaults not idempotent on %+v:\n once  %+v\n twice %+v", c, once, twice)
+		once := c.WithDefaults()
+		if twice := once.WithDefaults(); !reflect.DeepEqual(twice, once) {
+			t.Fatalf("WithDefaults not idempotent on %+v:\n once  %+v\n twice %+v", c, once, twice)
 		}
 	}
 }
@@ -494,13 +494,13 @@ func TestPredictorROPGrowsWithFrontier(t *testing.T) {
 
 	small := bitset.NewFrontier(n)
 	small.Add(5)
-	cropSmall, ccopSmall := e.predict(small)
+	cropSmall, ccopSmall := e.PredictCosts(small)
 
 	big := bitset.NewFrontier(n)
 	for v := 0; v < 500; v++ {
 		big.Add(v)
 	}
-	cropBig, ccopBig := e.predict(big)
+	cropBig, ccopBig := e.PredictCosts(big)
 
 	if cropSmall >= cropBig {
 		t.Fatalf("C_rop not increasing: %v >= %v", cropSmall, cropBig)
@@ -524,7 +524,7 @@ func TestPredictorRespectsDeviceProfile(t *testing.T) {
 	ratio := func(prof storage.Profile) float64 {
 		ds := buildStore(t, g, 4, prof)
 		e := New(ds, Config{})
-		crop, ccop := e.predict(frontier)
+		crop, ccop := e.PredictCosts(frontier)
 		return float64(crop) / float64(ccop)
 	}
 	if rSSD, rHDD := ratio(storage.SSD), ratio(storage.HDD); rSSD >= rHDD {
@@ -733,7 +733,7 @@ func TestPredictorTracksActualCosts(t *testing.T) {
 		for v := 0; v < 60; v++ {
 			frontier.Add(v * 61 % 4000)
 		}
-		crop, ccop := e.predict(frontier)
+		crop, ccop := e.PredictCosts(frontier)
 
 		prog := sparseStart{members: frontier.Members()}
 		res, err := e.Run(prog)

@@ -10,53 +10,42 @@ import "fmt"
 // placement: a shard that owns interval i executes ROP row i (pushing out of
 // its sources), COP column i (pulling into its destinations), and the
 // finalization of vertices in i. The engine's planners, predictors and
-// executors all iterate owned intervals only, so K engines with disjoint
-// owners over the same store partition an iteration's I/O exactly.
+// executors all walk [Lo, Hi) only, so K engines with disjoint owners over
+// the same store partition an iteration's I/O exactly.
 //
-// An owner is static for the life of the engine. The nil owner means "all
-// intervals" — the classic single-engine configuration, and the identity
-// case the sharded runtime is verified against.
+// An owner is static for the life of the engine. The nil owner means
+// [0, P) — the classic single-engine configuration, and the identity case
+// the sharded runtime is verified against.
 type IntervalRange struct {
 	Lo, Hi, P int
-	ivs       []int // Lo..Hi-1, what the engine's sweeps iterate
 }
 
 // NewIntervalRange returns the owner of intervals [lo, hi) out of p.
 func NewIntervalRange(lo, hi, p int) (*IntervalRange, error) {
-	if lo < 0 || hi > p || lo >= hi {
-		return nil, fmt.Errorf("core: interval range [%d,%d) invalid for P=%d", lo, hi, p)
-	}
-	r := &IntervalRange{Lo: lo, Hi: hi, P: p, ivs: make([]int, 0, hi-lo)}
-	for i := lo; i < hi; i++ {
-		r.ivs = append(r.ivs, i)
+	r := &IntervalRange{Lo: lo, Hi: hi, P: p}
+	if err := r.check(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// AllIntervals returns the owner of every interval of a P-interval layout.
-func AllIntervals(p int) *IntervalRange {
-	r, _ := NewIntervalRange(0, p, p)
-	return r
+// check reports a range that is empty or reaches outside [0, P).
+func (r *IntervalRange) check() error {
+	if r.Lo < 0 || r.Hi > r.P || r.Lo >= r.Hi {
+		return fmt.Errorf("core: interval range [%d,%d) invalid for P=%d", r.Lo, r.Hi, r.P)
+	}
+	return nil
 }
 
-// resolveOwner normalizes cfg.Owner for a layout with p intervals: nil
-// means all intervals. It validates that the owner agrees with the layout.
-func resolveOwner(o *IntervalRange, p int) (owned []int, ownsAll bool, err error) {
+// resolveOwner returns the intervals [lo, hi) o owns of a layout with p
+// intervals: nil owns [0, p). An owner of another P, or one whose range is
+// empty or reaches outside [0, P), is an error naming its Lo, Hi and P.
+func resolveOwner(o *IntervalRange, p int) (lo, hi int, err error) {
 	if o == nil {
-		o = AllIntervals(p)
+		return 0, p, nil
 	}
 	if o.P != p {
-		return nil, false, fmt.Errorf("core: owner spans %d intervals, layout has %d", o.P, p)
+		return 0, 0, fmt.Errorf("core: owner [%d,%d) spans P=%d intervals, layout has %d", o.Lo, o.Hi, o.P, p)
 	}
-	if len(o.ivs) == 0 {
-		return nil, false, fmt.Errorf("core: owner owns no intervals")
-	}
-	prev := -1
-	for _, i := range o.ivs {
-		if i <= prev || i >= p {
-			return nil, false, fmt.Errorf("core: owner intervals not ascending in [0,%d): %v", p, o.ivs)
-		}
-		prev = i
-	}
-	return o.ivs, len(o.ivs) == p, nil
+	return o.Lo, o.Hi, o.check()
 }

@@ -14,7 +14,7 @@ import (
 func TestPredictEmptyFrontierCostsNothingForROP(t *testing.T) {
 	ds := buildStore(t, prefetchTestGraph(), 4, storage.HDD)
 	e := New(ds, Config{})
-	crop, ccop := e.predict(bitset.NewFrontier(600))
+	crop, ccop := e.PredictCosts(bitset.NewFrontier(600))
 	if crop != 0 {
 		t.Fatalf("C_rop = %v for an empty frontier, want 0", crop)
 	}
@@ -38,7 +38,7 @@ func TestPredictMonotoneInFrontierWithInvariantCOP(t *testing.T) {
 	}
 	var lastCrop, refCcop int64
 	for fi, f := range frontiers {
-		crop, ccop := e.predict(f)
+		crop, ccop := e.PredictCosts(f)
 		if int64(crop) < lastCrop {
 			t.Fatalf("frontier %d: C_rop %v below the smaller frontier's %v", fi, crop, lastCrop)
 		}
@@ -64,7 +64,7 @@ func TestPredictRanksModelsAsTheSimulatorCharges(t *testing.T) {
 		measure := func(model Model) (predicted [2]int64, actual int64) {
 			ds := buildStore(t, prefetchTestGraph(), 4, storage.HDD)
 			e := New(ds, Config{Model: model, Threads: 4, MaxIters: 1})
-			crop, ccop := e.predict(frontierWith(600, members...))
+			crop, ccop := e.PredictCosts(frontierWith(600, members...))
 			res, err := e.Run(sparseStart{members: members})
 			if err != nil {
 				t.Fatal(err)
@@ -100,12 +100,12 @@ func TestPredictDiscountsResidentRunsAndPromotedBlocks(t *testing.T) {
 	ds := buildStore(t, prefetchTestGraph(), 4, storage.HDD)
 	e := New(ds, Config{CacheBudgetBytes: 64 << 20})
 	f := bitset.FullFrontier(600)
-	cropCold, ccopCold := e.predict(f)
+	cropCold, ccopCold := e.PredictCosts(f)
 
 	// Half of out-block (0,0) resident as runs.
 	half := uint32(e.ds.OutBlockBytes(0, 0) / 2)
 	e.cache.PutRun(0, 0, 0, half, make([]byte, half), 1<<40)
-	cropRuns, ccopRuns := e.predict(f)
+	cropRuns, ccopRuns := e.PredictCosts(f)
 	if cropRuns >= cropCold {
 		t.Fatalf("resident runs did not discount C_rop: %v vs cold %v", cropRuns, cropCold)
 	}
@@ -113,7 +113,7 @@ func TestPredictDiscountsResidentRunsAndPromotedBlocks(t *testing.T) {
 	// The whole block promoted: strictly cheaper again.
 	e.cache.Put(blockstore.BlockKey{Kind: blockstore.KindOutBlock, I: 0, J: 0},
 		&blockstore.CachedBlock{Payload: make([]byte, e.ds.OutBlockBytes(0, 0))})
-	cropPromoted, ccopPromoted := e.predict(f)
+	cropPromoted, ccopPromoted := e.PredictCosts(f)
 	if cropPromoted >= cropRuns {
 		t.Fatalf("promoted block did not discount past runs: %v vs %v", cropPromoted, cropRuns)
 	}

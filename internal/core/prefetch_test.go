@@ -225,8 +225,8 @@ func TestCacheAwarePredictorPricesResidentBlocksFree(t *testing.T) {
 	}
 	cold := New(ds, Config{})
 	frontier := bitset.FullFrontier(600)
-	cropCold, ccopCold := cold.predict(frontier)
-	cropWarm, ccopWarm := warm.predict(frontier)
+	cropCold, ccopCold := cold.PredictCosts(frontier)
+	cropWarm, ccopWarm := warm.PredictCosts(frontier)
 	if ccopWarm >= ccopCold {
 		t.Fatalf("warm C_cop %v not below cold %v", ccopWarm, ccopCold)
 	}

@@ -54,7 +54,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 		errMu.Unlock()
 	}
 
-	// The window's plan (ioplan.ROPKeysFor) mirrors this traversal exactly:
+	// The window's plan (ropPlan) mirrors this traversal exactly:
 	// every block live in live, one whose source mask meets the frontier, of
 	// every active row, row-major; and it loads of each out-index only the
 	// pages the block's extent spans. The window reads ahead across
@@ -67,7 +67,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 	coalesce := e.ds.Device().Profile().CoalesceBytes()
 	step := uint32(blockstore.RawRecordBytes(e.ds.Weighted))
 	touched := e.touched
-	for _, i := range e.owned {
+	for i := e.lo; i < e.hi; i++ {
 		lo, hi := l.Bounds(i)
 		if frontier.CountIn(lo, hi) == 0 {
 			continue // selective scheduling: no active sources in this row
@@ -190,20 +190,16 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 // concurrently after every shard's accumulate phase completed. Returns the
 // largest per-vertex value change.
 func (e *Engine) applyOwned(prog Program, s, d []float64, next *bitset.Frontier) float64 {
-	l := e.ds.Layout
 	var maxDelta float64
-	for _, i := range e.owned {
-		lo, hi := l.Bounds(i)
-		for v := lo; v < hi; v++ {
-			newVal, activate := prog.Apply(graph.VertexID(v), s[v], d[v])
-			delta := math.Abs(newVal - s[v])
-			if delta > maxDelta {
-				maxDelta = delta
-			}
-			s[v] = newVal
-			if activate {
-				next.Add(v)
-			}
+	for v := e.vlo; v < e.vhi; v++ {
+		newVal, activate := prog.Apply(graph.VertexID(v), s[v], d[v])
+		delta := math.Abs(newVal - s[v])
+		if delta > maxDelta {
+			maxDelta = delta
+		}
+		s[v] = newVal
+		if activate {
+			next.Add(v)
 		}
 	}
 	return maxDelta

@@ -5,7 +5,6 @@ import (
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
-	"husgraph/internal/ioplan"
 	"husgraph/internal/storage"
 )
 
@@ -73,14 +72,6 @@ func (e *Engine) StartRun() error { return nil }
 // FinishRun does nothing; perfbench/trace.go calls it.
 func (e *Engine) FinishRun() {}
 
-// PredictCosts exposes the §3.4 I/O cost prediction over this engine's
-// owned intervals: the modeled cost of running the coming iteration's ROP
-// rows (resp. COP columns) that this engine owns. The shard coordinator
-// collects these per shard and arbitrates one global model per iteration.
-func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
-	return e.predict(f)
-}
-
 // BeginIter opens iteration iter over frontier, building the read plan and
 // opening the prefetch window over it. Activations land in next. model
 // selects the update model to execute; pass ModelHybrid to let the engine
@@ -96,10 +87,10 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 	}
 	s.start = time.Now()
 
-	s.st = IterStats{Iter: iter, ActiveVertices: e.ownedActive(frontier)}
+	s.st = IterStats{Iter: iter, ActiveVertices: frontier.CountIn(e.vlo, e.vhi)}
 	s.st.ActiveEdges = e.activeOutEdges(frontier)
 	if model == ModelHybrid {
-		s.st.Model = ChooseModel(e.cfg, frontier, &s.st, e.predict)
+		s.st.Model = ChooseModel(e.cfg, frontier, &s.st, e.PredictCosts)
 	} else {
 		s.st.Model = model
 	}
@@ -107,9 +98,9 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 	var plan []blockstore.BlockKey
 	if s.st.Model == ModelROP {
 		s.live = e.liveFor(frontier)
-		plan = ioplan.ROPKeysFor(e.ds.Layout, s.live, e.ownedOrNil())
+		plan = e.ropPlan(s.live)
 	} else {
-		plan = ioplan.COPKeysFor(e.ds.Layout, nil, e.ownedOrNil())
+		plan = e.copPlan()
 	}
 	s.win = e.ds.NewPrefetcher(plan, s.live, e.cfg.PrefetchDepth, e.cache)
 	return s
@@ -180,7 +171,7 @@ func (s *Step) End() (IterStats, error) {
 
 	st.ComputeTime = time.Since(s.start)
 	edgeWork, blockWork := e.iterationWork(st.Model, s.live, st.ActiveEdges)
-	st.ComputeModeled = ModeledComputeTime(edgeWork, e.ownedVertexWork(), blockWork, e.cfg.Threads)
+	st.ComputeModeled = ModeledComputeTime(edgeWork, int64(e.vhi-e.vlo), blockWork, e.cfg.Threads)
 	decDelta := e.ds.DecodeStats().Sub(s.decBefore)
 	st.DecodeTime = decDelta.Time
 	st.DecodedBytes = decDelta.VarintBytes

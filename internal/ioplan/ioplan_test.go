@@ -42,12 +42,11 @@ func frontierOf(n int, members ...int) *bitset.Frontier {
 	return f
 }
 
-// TestROPKeysSkipsInactiveRowsAndEmptyBlocks: the executor's plan,
-// ROPKeysFor over LiveBlocks, holds the out-index of every block an active
-// source of a listed row has an edge in, row-major, and nothing else —
-// neither an inactive row, nor an empty block, nor a nonempty block none of
-// the row's active sources has an edge in. ROPKeys, which knows no masks,
-// keeps every nonempty block of an active row.
+// TestROPKeysSkipsInactiveRowsAndEmptyBlocks: ROPKeys, which knows no
+// masks, plans the out-index of every nonempty block of every active row,
+// row-major — neither an inactive row nor an empty block. (The engine's own
+// plan, which also leaves out the blocks none of a row's active sources has
+// an edge in, is tested in internal/core.)
 func TestROPKeysSkipsInactiveRowsAndEmptyBlocks(t *testing.T) {
 	ds := testStore(t)
 	l, be := ds.Layout, ds.BlockEdgeCount
@@ -56,43 +55,21 @@ func TestROPKeysSkipsInactiveRowsAndEmptyBlocks(t *testing.T) {
 		return blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j}
 	}
 	cases := []struct {
-		name      string
-		members   []int
-		intervals []int
-		want      []blockstore.BlockKey // ROPKeysFor
-		wantAll   []blockstore.BlockKey // ROPKeys
+		name    string
+		members []int
+		want    []blockstore.BlockKey
 	}{
-		{"empty frontier", nil, nil, nil, nil},
-		{"row 0 only", []int{0, 3}, nil, []blockstore.BlockKey{key(0, 0)}, []blockstore.BlockKey{key(0, 0)}}, // (0,1) empty
-		{"active source without edges", []int{3}, nil, nil, []blockstore.BlockKey{key(0, 0)}},
-		{"row 1, one dead block", []int{7}, nil, []blockstore.BlockKey{key(1, 1)}, []blockstore.BlockKey{key(1, 0), key(1, 1)}},
-		{"both rows, row-major", []int{2, 5}, nil, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}},
-		{"both rows, row 0 dead", []int{4, 5}, nil, []blockstore.BlockKey{key(1, 0), key(1, 1)}, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}},
-		{"owner of row 1 only", []int{0, 9}, []int{1}, []blockstore.BlockKey{key(1, 0), key(1, 1)}, nil},
+		{"empty frontier", nil, nil},
+		{"row 0 only", []int{0, 3}, []blockstore.BlockKey{key(0, 0)}}, // (0,1) empty
+		{"active source without edges", []int{3}, []blockstore.BlockKey{key(0, 0)}},
+		{"row 1", []int{7}, []blockstore.BlockKey{key(1, 0), key(1, 1)}},
+		{"both rows, row-major", []int{2, 5}, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}},
+		{"both rows, row 0 without edges", []int{4, 5}, []blockstore.BlockKey{key(0, 0), key(1, 0), key(1, 1)}},
 	}
 	for _, tc := range cases {
-		f := frontierOf(10, tc.members...)
-		if got := ROPKeysFor(l, LiveBlocks(ds, f, tc.intervals, nil), tc.intervals); !slices.Equal(got, tc.want) {
-			t.Fatalf("%s: ROPKeysFor plan %v, want %v", tc.name, got, tc.want)
+		if got := ROPKeys(l, be, frontierOf(10, tc.members...)); !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: ROPKeys plan %v, want %v", tc.name, got, tc.want)
 		}
-		if tc.intervals != nil {
-			continue // ROPKeys plans every row
-		}
-		if got := ROPKeys(l, be, f); !slices.Equal(got, tc.wantAll) {
-			t.Fatalf("%s: ROPKeys plan %v, want %v", tc.name, got, tc.wantAll)
-		}
-	}
-	// A marked buffer is reused and cleared: nothing of a previous frontier
-	// survives into the next one's marks.
-	live := LiveBlocks(ds, frontierOf(10, 0, 9), nil, nil)
-	if again := LiveBlocks(ds, frontierOf(10, 7), nil, live); &again[0] != &live[0] || !slices.Equal(again, []blockstore.Extent{{}, {}, {}, {First: 2, End: 3}}) {
-		t.Fatalf("re-marked buffer %v (reused: %v), want only (1,1) live, over local source 2", again, &again[0] == &live[0])
-	}
-	// An extent runs from the first to one past the last active source with
-	// an edge in the block: of 5, 6 and 7 (locals 0–2 of row 1), 5 and 6
-	// have one in (1,0) and 5 and 7 in (1,1).
-	if got := LiveBlocks(ds, frontierOf(10, 5, 6, 7), nil, nil); got[2] != (blockstore.Extent{First: 0, End: 2}) || got[3] != (blockstore.Extent{First: 0, End: 3}) {
-		t.Fatalf("extents of row 1 = %v, %v; want [0, 2) and [0, 3)", got[2], got[3])
 	}
 }
 

@@ -40,8 +40,8 @@ func NewScheduler(ds *blockstore.DualStore, cache *blockstore.BlockCache, opts O
 
 // Begin opens the window for one iteration: a prefetch pipeline over plan,
 // the iteration's ordered read plan. live is a ROP plan's block extents
-// (LiveBlocks), which load each out-index as the page span they name; nil
-// loads whole blobs. Consume the window with Next (plan order, single
+// (DualStore.Extent per block, at i·P+j), which load each out-index as the
+// page span they name; nil loads whole blobs. Consume the window with Next (plan order, single
 // consumer) or Take (by key, concurrent consumers) and hand it to Finish.
 func (s *Scheduler) Begin(plan []blockstore.BlockKey, live []blockstore.Extent) *blockstore.Prefetcher {
 	return s.ds.NewPrefetcher(plan, live, s.depth, s.cache)

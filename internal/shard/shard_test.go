@@ -438,7 +438,7 @@ func TestShardValidation(t *testing.T) {
 	if _, err := shard.New(ds, shard.Config{Shards: 3}); !errors.Is(err, shard.ErrShardCount) {
 		t.Fatalf("K=3 over P=8: err = %v, want ErrShardCount", err)
 	}
-	if _, err := shard.New(ds, shard.Config{Config: core.Config{Owner: core.AllIntervals(8)}, Shards: 2}); !errors.Is(err, shard.ErrOwnerSet) {
+	if _, err := shard.New(ds, shard.Config{Config: core.Config{Owner: &core.IntervalRange{Lo: 0, Hi: 8, P: 8}}, Shards: 2}); !errors.Is(err, shard.ErrOwnerSet) {
 		t.Fatalf("pre-set Owner: err = %v, want ErrOwnerSet", err)
 	}
 }
