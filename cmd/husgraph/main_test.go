@@ -3,6 +3,8 @@ package main
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -229,5 +231,22 @@ func TestSummaryLabel(t *testing.T) {
 				t.Fatalf("summaryLabel = %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunMixedMultigraph drives run over an edge file with a repeated edge:
+// a mixed store keeps the parallel edge as a zero gap, so the run returns
+// no error — main exits 0 — where the varint encoder once panicked (exit 2
+// with a Go stack); so does the raw store's.
+func TestRunMixedMultigraph(t *testing.T) {
+	input := filepath.Join(t.TempDir(), "e.txt")
+	//lint:ignore huslint/rawio the test writes the user's -input edge-list text file, which no store holds
+	if err := os.WriteFile(input, []byte("0 1\n0 1\n1 2\n2 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"mixed", "raw"} {
+		if err := run([]string{"-input", input, "-algo", "BFS", "-format", format, "-p", "2"}); err != nil {
+			t.Fatalf("-format %s: %v", format, err)
+		}
 	}
 }

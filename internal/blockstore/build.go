@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"husgraph/internal/graph"
@@ -22,10 +23,12 @@ const defaultSpillEdges = 1 << 20
 // fed from the reader under a budget: once spillEdges edges are held, every
 // bucket is flushed to a numbered spill blob under "tmp/" in the store.
 //
-// Peak memory is O(max(spillEdges, largest interval's edge count)) edges per
-// view; choose P so intervals fit. Spill blobs are deleted as their bucket
-// is encoded, and on every error return. spillEdges <= 0 selects a default
-// of 1<<20.
+// Peak memory is O(max(spillEdges, the two largest buckets' edge counts))
+// edges: the budget while edges are read, then the two buckets in flight
+// (encodeBuckets), each held with its ordered records and the blocks being
+// written; choose P so two intervals' edges fit. Spill blobs are deleted as
+// their bucket is encoded, and on every error return. spillEdges <= 0
+// selects a default of 1<<20.
 func BuildStreaming(store storage.Store, r io.Reader, p int, format Format, spillEdges int) (*DualStore, error) {
 	return BuildStreamingOpts(store, r, Options{P: p, Format: format, Weighted: true}, spillEdges)
 }
@@ -47,11 +50,11 @@ func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdg
 // build is the one way a store is written, the paper's preprocessing pass
 // (§3.2): count degrees and per-block edges while copying every edge into
 // the bucket of its source interval and the bucket of its destination
-// interval; then, a bucket at a time, encode the row into its P out-blocks
-// and the column into its P in-blocks (encodeBucket). feed supplies the
-// edges: it calls start once with the vertex count, then edge per edge.
-// With spillEdges > 0 the buckets are flushed to the store whenever they
-// hold that many edges; 0 never spills.
+// interval; then, two buckets at a time (encodeBuckets), encode the row into
+// its P out-blocks and the column into its P in-blocks (encodeBucket), and
+// last write the meta. feed supplies the edges: it calls start once with the
+// vertex count, then edge per edge. With spillEdges > 0 the buckets are
+// flushed to the store whenever they hold that many edges; 0 never spills.
 func build(store storage.Store, opts Options, spillEdges int, feed func(start func(numV int) error, edge func(graph.Edge) error) error) (_ *DualStore, err error) {
 	if opts.Format != FormatRaw && opts.Format != FormatMixed {
 		return nil, fmt.Errorf("unknown format %d", opts.Format)
@@ -102,14 +105,8 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 		return nil, err
 	}
 
-	for b := 0; b < 2*p; b++ {
-		edges, err := spill.take(b)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.encodeBucket(b%p, b >= p, opts.Format, edges); err != nil {
-			return nil, err
-		}
+	if err := d.encodeBuckets(spill, opts.Format); err != nil {
+		return nil, err
 	}
 	if err := d.putBlob(metaName, encodeMeta(d)); err != nil {
 		return nil, err
@@ -117,70 +114,153 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 	return d, nil
 }
 
+// bucketsInFlight is how many buckets encodeBuckets takes, orders, encodes
+// and writes at once: one bucket is ordered and encoded while the other's
+// blocks are being written.
+const bucketsInFlight = 2
+
+// encodeBuckets takes the pass' 2·P buckets off spill and encodes each
+// (encodeBucket), bucketsInFlight at a time, rows and columns alternating —
+// row 0, column 0, row 1, column 1, … — so the two in flight put their
+// blobs under different prefixes (ob/ and oi/, ib/ and ii/): on a
+// FileStore, into different directories, whose file creations the kernel
+// does not serialize against each other. Concurrent buckets share no state:
+// row b writes only cells (b, c) of the masks and page CRCs, column b only
+// cells (c, b) of the size grids, and each worker reuses its own scratch.
+// After the first failure no further bucket is started; the error returned
+// is that of the failing bucket taken first, and every bucket in flight has
+// ended by the time it returns, so the caller may drop the spill parts.
+func (d *DualStore) encodeBuckets(spill *spiller, format Format) error {
+	p := d.Layout.P
+	errs := make([]error, 2*p)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < bucketsInFlight; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s bucketScratch
+			for !failed.Load() {
+				k := int(next.Add(1) - 1)
+				if k >= 2*p {
+					return
+				}
+				b := k/2 + k%2*p
+				edges, err := spill.take(b)
+				if err == nil {
+					err = d.encodeBucket(b%p, b >= p, format, edges, &s)
+				}
+				if err != nil {
+					errs[k] = err
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bucketScratch is what encodeBucket orders a bucket in, kept across the
+// buckets one worker encodes: the bucket's records and the bounds of their
+// (block, vertex) runs.
+type bucketScratch struct {
+	recs   []Rec
+	bounds []uint32
+}
+
 // encodeBucket writes the P blocks of one bucket — row b's out-blocks
 // (b, c), or with in set column b's in-blocks (c, b) — and their indices,
 // and records their sizes and, for a row, each out-block's source mask, read
 // off the out-index it lays out, and the page CRCs of each out-index. format
 // applies to a column only, which COP streams whole; a row, which ROP reads
-// by offset, is stored raw whatever the format. Each edge of
-// the bucket is an (indexed vertex, neighbour) pair: a row's edges as they
-// came, a column's reversed (spiller.add). Sorted by (vertex, neighbour), that is the
-// (source, destination) order of an out-block and the (destination,
-// source) order of an in-block — the orders Algorithms 2 and 3 require —
-// and appending in order keeps each block's per-vertex slice
-// neighbour-sorted.
-func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Edge) error {
-	slices.SortFunc(edges, func(x, y graph.Edge) int {
-		return cmp.Compare(uint64(x.Src)<<32|uint64(x.Dst), uint64(y.Src)<<32|uint64(y.Dst))
-	})
+// by offset, is stored raw whatever the format.
+//
+// Each edge of the bucket is an (indexed vertex, neighbour) pair: a row's
+// edges as they came, a column's reversed (spiller.add). A block wants its
+// records by (vertex, neighbour) — the (source, destination) order of an
+// out-block and the (destination, source) order of an in-block, the orders
+// Algorithms 2 and 3 require — so the bucket is ordered in linear time: one
+// stable counting pass keyed by (neighbour's interval, vertex) places every
+// record in its block's run for its vertex, and only a run whose neighbours
+// arrived out of order is then sorted, stably. graph.Dedup's (source,
+// destination) order leaves no run out of order in either view. A repeated
+// (vertex, neighbour) pair keeps its input order.
+func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Edge, s *bucketScratch) error {
 	l := d.Layout
 	lo, _ := l.Bounds(b)
-	size := l.Size(b)
-	cell := func(c int) (int, int) {
-		if in {
-			return c, b
-		}
-		return b, c
-	}
-	recs := make([][]Rec, l.P)
-	perVertex := make([][]uint32, l.P)
-	for c := 0; c < l.P; c++ {
-		i, j := cell(c)
-		recs[c] = make([]Rec, 0, d.BlockEdgeCount[i][j])
-		perVertex[c] = make([]uint32, size)
-	}
-	pos := 0
-	for local := 0; local < size; local++ {
-		v := uint32(lo + local)
-		for ; pos < len(edges) && edges[pos].Src == v; pos++ {
-			c := l.IntervalOf(edges[pos].Dst)
-			recs[c] = append(recs[c], Rec{Nbr: edges[pos].Dst, Weight: edges[pos].Weight})
-			perVertex[c][local]++
-		}
-	}
+	size, numV, isz := uint32(l.Size(b)), uint32(l.NumVertices), uint32(l.intervalSize())
 	view, blockKind, indexKind := "row", blobOutBlock, blobOutIndex
 	if in {
 		view, blockKind, indexKind = "column", blobInBlock, blobInIndex
 	} else {
 		format = FormatRaw
 	}
-	if pos != len(edges) {
-		return fmt.Errorf("%s %d: %d edges outside interval", view, b, len(edges)-pos)
+	// Run (c, k) — vertex lo+k's records in block c — is key c·size+k. Count
+	// each key's records, checking the edge before its key indexes anything.
+	keys := l.P * int(size)
+	s.bounds = slices.Grow(s.bounds[:0], keys+1)[:keys+1]
+	bounds := s.bounds
+	clear(bounds)
+	outside := 0
+	for _, e := range edges {
+		if k := e.Src - uint32(lo); k < size && e.Dst < numV {
+			bounds[int(e.Dst/isz)*int(size)+int(k)]++
+		} else {
+			outside++
+		}
+	}
+	if outside > 0 {
+		return fmt.Errorf("%s %d: %d edges outside interval", view, b, outside)
+	}
+	// Exclusive prefix sums make each count its run's start; placing the
+	// records moves it to the run's end, and a shift by one makes bounds[key]
+	// the start and bounds[key+1] the end of every run.
+	sum := uint32(0)
+	for key, n := range bounds[:keys] {
+		bounds[key] = sum
+		sum += n
+	}
+	s.recs = slices.Grow(s.recs[:0], len(edges))[:len(edges)]
+	recs := s.recs
+	for _, e := range edges {
+		key := int(e.Dst/isz)*int(size) + int(e.Src-uint32(lo))
+		recs[bounds[key]] = Rec{Nbr: e.Dst, Weight: e.Weight}
+		bounds[key]++
+	}
+	copy(bounds[1:], bounds[:keys])
+	bounds[0] = 0
+	for key := 0; key < keys; key++ {
+		sortRun(recs[bounds[key]:bounds[key+1]])
 	}
 	for c := 0; c < l.P; c++ {
-		i, j := cell(c)
-		payload, idx := encodeBlockPayload(recs[c], perVertex[c], format, d.Weighted, in)
+		i, j := c, b
+		if !in {
+			i, j = b, c
+		}
+		payload, idx := encodeBlockPayload(recs, bounds[c*int(size):(c+1)*int(size)+1], format, d.Weighted, in)
 		if err := d.putBlob(d.names.name(blockKind, i, j), payload); err != nil {
 			return err
 		}
 		var idxPayload []byte
 		if in {
 			d.InBlockBytes[i][j] = int64(len(payload))
-			idxPayload = encodeInIndex(idx, CodecNone)
 			if format == FormatMixed {
-				if v := encodeInIndex(idx, CodecVarint); len(v) < len(idxPayload) {
+				if v := encodeInIndex(idx, CodecVarint); len(v) < len(idx)*IndexEntryBytes {
 					idxPayload = v // kept only where strictly smaller, as codecOf reads it
 				}
+			}
+			if idxPayload == nil {
+				idxPayload = encodeInIndex(idx, CodecNone)
 			}
 			d.InIndexEntries[i][j] = int64(len(idx) / 2)
 			d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
@@ -196,28 +276,40 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	return nil
 }
 
-// encodeBlockPayload encodes one block's per-vertex sections, returning the
-// stored payload and the index into it: raw records for FormatRaw;
-// FormatMixed also encodes the block as varint and keeps that only where it
-// is strictly smaller (compression must pay for its decode cost with real
-// byte savings — and codecOf reads the codec back off that inequality). The
-// index is an out-block's len(perVertex)+1 byte offsets, or with entries
-// set an in-block's (local, end offset) pair per vertex that has a record —
-// written in the one pass over the counts either way.
-func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted, entries bool) ([]byte, []uint32) {
+// sortRun puts one vertex's records in neighbour order, keeping repeated
+// neighbours in the order they came; a run already in order is left as is.
+func sortRun(run []Rec) {
+	for k := 1; k < len(run); k++ {
+		if run[k].Nbr < run[k-1].Nbr {
+			slices.SortStableFunc(run, func(x, y Rec) int { return cmp.Compare(x.Nbr, y.Nbr) })
+			return
+		}
+	}
+}
+
+// encodeBlockPayload encodes one block's per-vertex sections — vertex k's
+// records are recs[bounds[k]:bounds[k+1]] — returning the stored payload and
+// the index into it: raw records for FormatRaw; FormatMixed encodes the
+// block as varint and keeps that only where it is strictly smaller than the
+// raw records would be (compression must pay for its decode cost with real
+// byte savings — and codecOf reads the codec back off that inequality),
+// encoding it raw otherwise. The index is an out-block's len(bounds) byte
+// offsets, or with entries set an in-block's (local, end offset) pair per
+// vertex that has a record — written in the one pass over the runs either
+// way.
+func encodeBlockPayload(recs []Rec, bounds []uint32, format Format, weighted, entries bool) ([]byte, []uint32) {
+	raw := int(bounds[len(bounds)-1]-bounds[0]) * RawRecordBytes(weighted)
 	encode := func(c Codec) ([]byte, []uint32) {
-		idx := make([]uint32, 0, len(perVertex)+1)
-		var payload []byte
-		pos := 0
-		for k, cnt := range perVertex {
+		idx := make([]uint32, 0, len(bounds))
+		payload := make([]byte, 0, raw)
+		for k := 0; k+1 < len(bounds); k++ {
 			if !entries {
 				idx = append(idx, uint32(len(payload)))
 			}
-			if cnt == 0 {
+			if bounds[k] == bounds[k+1] {
 				continue
 			}
-			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, weighted)
-			pos += int(cnt)
+			payload = encodeVertexRecsCodec(payload, recs[bounds[k]:bounds[k+1]], c, weighted)
 			if entries {
 				idx = append(idx, uint32(k), uint32(len(payload)))
 			}
@@ -227,13 +319,12 @@ func encodeBlockPayload(recs []Rec, perVertex []uint32, format Format, weighted,
 		}
 		return payload, idx
 	}
-	raw, rawIdx := encode(CodecNone)
 	if format == FormatMixed {
-		if payload, idx := encode(CodecVarint); len(payload) < len(raw) {
+		if payload, idx := encode(CodecVarint); len(payload) < raw {
 			return payload, idx
 		}
 	}
-	return raw, rawIdx
+	return encode(CodecNone)
 }
 
 // sourceMask is the source bitset of an out-block whose out-index is idx: bit

@@ -95,12 +95,12 @@ func (c Codec) String() string {
 }
 
 // encodeVertexRecsCodec serializes one vertex's records (sorted by
-// neighbor) with the given codec, appending to dst. Unweighted encodings
-// drop the weight field entirely — the compactness real systems exploit for
-// PageRank, BFS and WCC (§4.4 credits HUS-Graph's "more space-efficient"
-// storage). Every section is self-contained: the varint delta chain starts
-// from -1, so a byte-range read of any subset of sections decodes without
-// context.
+// neighbor, repeats allowed) with the given codec, appending to dst.
+// Unweighted encodings drop the weight field entirely — the compactness real
+// systems exploit for PageRank, BFS and WCC (§4.4 credits HUS-Graph's "more
+// space-efficient" storage). Every section is self-contained: the varint
+// delta chain starts from -1, so a byte-range read of any subset of sections
+// decodes without context.
 func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool) []byte {
 	switch c {
 	case CodecNone:
@@ -119,9 +119,12 @@ func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool) []byt
 		prev := int64(-1)
 		var scratch [4]byte
 		for _, r := range recs {
+			// A repeated neighbour — a multigraph's parallel edge — is a zero
+			// gap, which AppendSection and the COP kernels read back as the
+			// same neighbour; only the first gap, from −1, cannot be zero.
 			delta := int64(r.Nbr) - prev
-			if delta <= 0 {
-				panic(fmt.Sprintf("blockstore: records not strictly sorted by neighbor (%d after %d)", r.Nbr, prev))
+			if delta < 0 {
+				panic(fmt.Sprintf("blockstore: records not sorted by neighbor (%d after %d)", r.Nbr, prev))
 			}
 			dst = binary.AppendUvarint(dst, uint64(delta))
 			if weighted {
