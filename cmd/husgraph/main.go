@@ -11,8 +11,8 @@
 //	         [-trace] [-stats] [-store DIR]
 //	         [-valuesout FILE] [-prefetch DEPTH] [-cache-mb MB]
 //	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D]
-//	         [-read-deadline D] [-fault-transient N] [-fault-bitflip N] [-fault-delay N]
-//	         [-fault-delay-by D] [-fault-stall N] [-fault-after N] [-fault-seed S]
+//	         [-read-deadline D] [-fault-transient N] [-fault-bitflip N]
+//	         [-fault-stall N] [-fault-after N] [-fault-seed S]
 //
 // -prefetch enables the asynchronous block-prefetch pipeline (DEPTH worker
 // goroutines reading ahead of the executor); -cache-mb retains decoded hot
@@ -66,13 +66,11 @@
 // only, after the store is built) to demonstrate the durability machinery:
 // -fault-transient faults are ridden out by -retries, while -fault-bitflip
 // corruption is caught by the per-block checksums and fails the run rather
-// than producing wrong values. -fault-delay slows reads past -read-deadline
-// so hedged duplicates engage, and -fault-stall hangs reads forever — only a
-// hedge completes those, and when the hedge hangs as well the attempt fails
-// transient 100 deadlines later, into -retries.
+// than producing wrong values. -fault-stall hangs reads forever: each such
+// attempt fails transient at -read-deadline and costs one of -retries.
 //
-// -read-deadline bounds every block/index read attempt: one still pending
-// at the deadline gets a hedged duplicate read, first response wins.
+// -read-deadline bounds every block/index read attempt: one still
+// unanswered at the deadline fails transient and is retried under -retries.
 //
 // Exit codes classify the outcome for wrappers: 0 success, 1 generic
 // failure, 2 transient-fault retry budget exhausted, 3 permanent device
@@ -148,12 +146,10 @@ func run(args []string) error {
 	stats := flags.Bool("stats", false, "print per-iteration cache and prefetch statistics (hit ratio, stall; hus only)")
 	retries := flags.Int("retries", 0, "retry reads failing with a transient fault up to N times each, with exponential backoff")
 	retryBackoff := flags.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")
-	readDeadline := flags.Duration("read-deadline", 0, "per-attempt read deadline; an attempt still pending at the deadline gets a hedged duplicate (0 = unbounded)")
+	readDeadline := flags.Duration("read-deadline", 0, "per-attempt read timeout; an attempt still unanswered at the deadline fails transient, into -retries (0 = unbounded)")
 	faultTransient := flags.Int("fault-transient", 0, "inject N transient read faults (demonstrates -retries)")
 	faultBitflip := flags.Int("fault-bitflip", 0, "inject N single-bit read corruptions (demonstrates checksum detection)")
-	faultDelay := flags.Int("fault-delay", 0, "inject N delayed reads (demonstrates -read-deadline hedging)")
-	faultDelayBy := flags.Duration("fault-delay-by", 5*time.Millisecond, "latency added to each -fault-delay read")
-	faultStall := flags.Int("fault-stall", 0, "inject N reads hung forever (requires -read-deadline: only a hedge completes them; a hung hedge costs one of -retries)")
+	faultStall := flags.Int("fault-stall", 0, "inject N reads hung forever (requires -read-deadline: each hung attempt times out and costs one of -retries)")
 	faultAfter := flags.Int64("fault-after", 10, "number of healthy reads before injected faults begin")
 	faultSeed := flags.Int64("fault-seed", 1, "seed for the deterministic fault injector")
 	delta := flags.Float64("delta", 0, "bucket width for delta-stepping (-algo SSSP-Delta only; 0 keeps the registered width)")
@@ -172,8 +168,7 @@ func run(args []string) error {
 	on := map[string]bool{
 		"store": *storeDir != "", "retries": *retries > 0,
 		"fault-transient": *faultTransient > 0, "fault-bitflip": *faultBitflip > 0,
-		"fault-delay": *faultDelay > 0, "fault-stall": *faultStall > 0,
-		"membudget": *memBudget > 0, "input": *input != "",
+		"fault-stall": *faultStall > 0, "membudget": *memBudget > 0, "input": *input != "",
 	}
 	if err := needsMet(explicit, on); err != nil {
 		return err
@@ -186,8 +181,8 @@ func run(args []string) error {
 		return err
 	}
 	if *faultStall > 0 && *readDeadline <= 0 {
-		// A stalled read never returns; without a deadline-armed hedge the
-		// run would hang rather than fail. Reject the combination up front.
+		// A stalled read never returns; without a deadline to time it out
+		// the run would hang rather than fail. Reject the combination up front.
 		return fmt.Errorf("-fault-stall requires -read-deadline > 0, or the run will hang")
 	}
 
@@ -273,7 +268,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *faultTransient > 0 || *faultBitflip > 0 || *faultDelay > 0 || *faultStall > 0 {
+		if *faultTransient > 0 || *faultBitflip > 0 || *faultStall > 0 {
 			// Wrap the built store so faults hit the run's reads, not the
 			// preprocessing writes.
 			faults = storage.NewFaultStore(st, *faultSeed)
@@ -283,14 +278,11 @@ func run(args []string) error {
 			if *faultBitflip > 0 {
 				faults.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultBitFlip, After: *faultAfter, Count: int64(*faultBitflip)})
 			}
-			if *faultDelay > 0 {
-				faults.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, After: *faultAfter, Count: int64(*faultDelay), Delay: *faultDelayBy})
-			}
 			if *faultStall > 0 {
 				faults.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultStall, After: *faultAfter, Count: int64(*faultStall)})
 			}
-			// Losing hedge attempts stay parked on the stall gate; unpark
-			// them on the way out so the process exits cleanly.
+			// Timed-out attempts stay parked on the stall gate; unpark them
+			// on the way out so the process exits cleanly.
 			defer faults.ReleaseStalled()
 			if ds, err = blockstore.Open(faults); err != nil {
 				return err
@@ -366,7 +358,7 @@ func run(args []string) error {
 		// and stalls actually line up with the iterations the predictor
 		// priced them into.
 		t := report.NewTable("per-iteration cache/prefetch stats",
-			"iter", "model", "cache hits", "misses", "hit %", "stall", "hedges")
+			"iter", "model", "cache hits", "misses", "hit %", "stall")
 		for _, it := range res.Iterations {
 			hitRate := 0.0
 			if total := it.CacheHits + it.CacheMisses; total > 0 {
@@ -379,7 +371,6 @@ func run(args []string) error {
 				fmt.Sprintf("%d", it.CacheMisses),
 				fmt.Sprintf("%.1f", hitRate),
 				it.PrefetchStall.Round(time.Microsecond).String(),
-				fmt.Sprintf("%d", it.Hedges),
 			)
 		}
 		if err := t.Render(os.Stdout); err != nil {
@@ -482,8 +473,8 @@ func run(args []string) error {
 	}
 	if *retries > 0 || *checkpointEvery > 0 || *resume || *readDeadline > 0 {
 		rec := res.Recovery
-		fmt.Printf("  recovery:       %d read retries, %d hedged read(s), %d checkpoint(s) written, resumed at iteration %d, %d corrupt generation(s) skipped\n",
-			rec.Retries, rec.Hedges, rec.CheckpointsWritten, rec.ResumedIter, rec.CheckpointFallbacks)
+		fmt.Printf("  recovery:       %d read retries, %d checkpoint(s) written, resumed at iteration %d, %d corrupt generation(s) skipped\n",
+			rec.Retries, rec.CheckpointsWritten, rec.ResumedIter, rec.CheckpointFallbacks)
 	}
 	if faults != nil {
 		fmt.Printf("  injected:       %v\n", faults.Counters())
@@ -507,7 +498,7 @@ var husOnlyFlags = []string{
 	"input", "model", "format", "store", "membudget", "shards",
 	"checkpoint", "resume", "prefetch", "cache-mb", "stats",
 	"retries", "retry-backoff", "read-deadline",
-	"fault-transient", "fault-bitflip", "fault-delay", "fault-delay-by", "fault-stall", "fault-after", "fault-seed",
+	"fault-transient", "fault-bitflip", "fault-stall", "fault-after", "fault-seed",
 }
 
 // husOnly rejects a hus-only flag set on the command line under another
@@ -555,20 +546,18 @@ func negativeFlag(fs *flag.FlagSet) error {
 }
 
 // faultCounts are the flags that arm the fault injector.
-var faultCounts = []string{"fault-transient", "fault-bitflip", "fault-delay", "fault-stall"}
+var faultCounts = []string{"fault-transient", "fault-bitflip", "fault-stall"}
 
 // flagNeeds lists the flags that can only take effect alongside another:
 // -resume reads a checkpoint, which only a -store directory can hold (the
 // in-memory store is built fresh by this process); -retry-backoff paces
-// -retries; -fault-delay-by is the -fault-delay latency; -fault-after and
-// -fault-seed schedule injected faults.
+// -retries; -fault-after and -fault-seed schedule injected faults.
 var flagNeeds = []struct {
 	flag  string
 	needs []string // any one of them on will do
 }{
 	{"resume", []string{"store"}},
 	{"retry-backoff", []string{"retries"}},
-	{"fault-delay-by", []string{"fault-delay"}},
 	{"fault-after", faultCounts},
 	{"fault-seed", faultCounts},
 }

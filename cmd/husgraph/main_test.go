@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -136,8 +137,6 @@ func TestNeedsMet(t *testing.T) {
 		{name: "resume with store", typed: []string{"resume", "store"}, on: []string{"store"}},
 		{name: "backoff without retries", typed: []string{"retry-backoff"}, errPart: "-retry-backoff has no effect without -retries"},
 		{name: "backoff with retries", typed: []string{"retry-backoff", "retries"}, on: []string{"retries"}},
-		{name: "delay-by without delay", typed: []string{"fault-delay-by", "fault-stall"}, on: []string{"fault-stall"}, errPart: "-fault-delay-by has no effect without -fault-delay"},
-		{name: "delay-by with delay", typed: []string{"fault-delay-by", "fault-delay"}, on: []string{"fault-delay"}},
 		{name: "after without a fault count", typed: []string{"fault-after"}, errPart: "-fault-after has no effect without -fault-transient or -fault-bitflip"},
 		{name: "seed without a fault count", typed: []string{"fault-seed"}, errPart: "-fault-seed has no effect without -fault-transient"},
 		{name: "after and seed with a fault count", typed: []string{"fault-after", "fault-seed", "fault-bitflip"}, on: []string{"fault-bitflip"}},
@@ -207,6 +206,36 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			wantErr(t, run(tc.args), tc.errPart)
+		})
+	}
+}
+
+// retiredFlagArgs, set in a child of TestRetiredFaultDelayFlags, holds the
+// command line the child hands run.
+const retiredFlagArgs = "HUSGRAPH_TEST_RETIRED_FLAG_ARGS"
+
+// TestRetiredFaultDelayFlags: -fault-delay and -fault-delay-by are gone (a
+// slow read is bounded by the -read-deadline timeout and retried; nothing
+// duplicates it), so typing either fails flag parsing — exit 2 naming the
+// flag — before a graph is generated. The flag set exits the process on a
+// parse error, so each command line runs in a child of the test binary.
+func TestRetiredFaultDelayFlags(t *testing.T) {
+	if args := os.Getenv(retiredFlagArgs); args != "" {
+		run(strings.Fields(args))
+		os.Exit(0)
+	}
+	for _, args := range []string{"-fault-delay 5", "-fault-delay-by 1ms"} {
+		t.Run(args, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestRetiredFaultDelayFlags$")
+			cmd.Env = append(os.Environ(), retiredFlagArgs+"="+args)
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("husgraph %s: %v, want exit 2\n%s", args, err, out)
+			}
+			if want := "flag provided but not defined: " + strings.Fields(args)[0]; !strings.Contains(string(out), want) {
+				t.Fatalf("husgraph %s printed\n%s\nwant %q", args, out, want)
+			}
 		})
 	}
 }

@@ -331,7 +331,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	if nv > math.MaxUint32 || np < 1 || (nv > 0 && np > nv) {
 		return fail("%d vertices in %d intervals", nv, np)
 	}
-	d := &DualStore{Layout: Layout{NumVertices: int(nv), P: int(np)}, Weighted: weighted == 1, retries: new(atomic.Int64), hedges: new(atomic.Int64), dec: new(decodeCounters)}
+	d := &DualStore{Layout: Layout{NumVertices: int(nv), P: int(np)}, Weighted: weighted == 1, retries: new(atomic.Int64), dec: new(decodeCounters)}
 	grids := metaGrids(d)
 	cell := uint64(len(grids) * 8)
 	// np·np·cell is compared by division first, so the product cannot wrap.

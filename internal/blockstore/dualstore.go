@@ -15,14 +15,19 @@ import (
 )
 
 // RetryPolicy bounds how DualStore read paths retry faults classified
-// transient (errors wrapping storage.ErrTransient). Backoff is exponential:
-// the k-th retry sleeps Backoff·2^(k-1), capped at retryBackoffMax.
+// transient (errors wrapping storage.ErrTransient), a read attempt that
+// outlives Deadline among them. Backoff is exponential and never shrinks:
+// the k-th retry sleeps min(Backoff·2^(k-1), max(Backoff, retryBackoffMax)).
 type RetryPolicy struct {
 	// MaxRetries is the number of re-attempts after the first failure;
 	// 0 disables retrying.
 	MaxRetries int
 	// Backoff is the sleep before the first retry; 0 retries immediately.
 	Backoff time.Duration
+	// Deadline bounds every read attempt: one still unanswered at the
+	// deadline fails ErrTransient-class and is retried like any transient
+	// fault. 0 reads inline with no deadline (a hung read then blocks).
+	Deadline time.Duration
 	// Sleep replaces time.Sleep (tests); nil uses time.Sleep.
 	Sleep func(time.Duration)
 	// Jitter scatters each backoff sleep uniformly over
@@ -42,26 +47,8 @@ type RetryPolicy struct {
 }
 
 // retryBackoffMax caps the exponential growth of the backoff between read
-// retries.
+// retries; a Backoff above it is its own cap.
 const retryBackoffMax = 250 * time.Millisecond
-
-// HedgePolicy bounds read-attempt latency. With a Deadline set, every
-// blob/range read attempt that has not completed by the deadline gets a
-// hedged duplicate issued against the same store; the first response wins
-// and the loser's buffer is discarded when it eventually arrives.
-type HedgePolicy struct {
-	// Deadline is the soft per-attempt deadline; 0 disables deadlines and
-	// hedging entirely (reads block until the store answers).
-	Deadline time.Duration
-}
-
-// hungAfter is how many further Deadlines an attempt waits, once its
-// deadline has fired, before it gives the read up as hung. The deadline is
-// a latency threshold — where a read counts as slow and gets hedged — and
-// reads several times past it must still complete (a 3 ms device behind a
-// 1 ms deadline is a slow device, not a dead one); only a read that is two
-// orders of magnitude late is treated as never coming back.
-const hungAfter = 100
 
 // jitterRng is the fallback jitter source when RetryPolicy.Rand is nil,
 // locked because concurrent prefetch workers draw from it.
@@ -88,11 +75,6 @@ type DualStore struct {
 	// covers every view of the store.
 	retry   RetryPolicy
 	retries *atomic.Int64
-	// hedge is the soft read-deadline / hedged-duplicate policy; hedges
-	// counts duplicate reads actually issued, shared by pointer across
-	// Fork copies like retries.
-	hedge  HedgePolicy
-	hedges *atomic.Int64
 	// Weighted records carry edge weights; unweighted drop them (decoded
 	// Weight = 1), halving raw record size — build SSSP inputs weighted
 	// and PageRank/BFS/WCC inputs unweighted, as real deployments do.
@@ -138,8 +120,7 @@ type DualStore struct {
 }
 
 // decodeCounters aggregates codec decode work per store handle. All fields
-// are atomic: decodes run concurrently in prefetch workers and hedged
-// readers.
+// are atomic: decodes run concurrently in prefetch workers.
 type decodeCounters struct {
 	// varintBytes are the *decoded* (logical) bytes varint decodes
 	// produced — the basis for modeled decode cost.
@@ -340,11 +321,6 @@ func (d *DualStore) Fork(store storage.Store) *DualStore {
 // are in flight.
 func (d *DualStore) SetRetryPolicy(p RetryPolicy) { d.retry = p }
 
-// SetHedgePolicy installs the read-deadline/hedging policy used by every
-// read path. Call before running (and before Fork, which inherits the
-// policy in force); it must not change while loads are in flight.
-func (d *DualStore) SetHedgePolicy(p HedgePolicy) { d.hedge = p }
-
 // WithAbort returns a view of d whose retry-backoff sleeps end early once
 // ch is closed — the prefetcher hands its workers one of these wired to
 // its quit channel so Close isn't delayed by a full backoff ladder. The
@@ -360,17 +336,13 @@ func (d *DualStore) WithAbort(ch <-chan struct{}) *DualStore {
 // iterations to attribute retries in IterStats.
 func (d *DualStore) Retries() int64 { return d.retries.Load() }
 
-// Hedges returns the cumulative number of hedged duplicate reads issued
-// since the store was created, shared across Fork copies like Retries.
-func (d *DualStore) Hedges() int64 { return d.hedges.Load() }
-
 // putBlob writes a durable checksum-framed blob.
 func (d *DualStore) putBlob(name string, payload []byte) error {
 	return d.store.Put(name, frameBlob(payload))
 }
 
 // blobRead names one store read — a whole blob, or with ranged set the
-// bytes [off, off+n) of one — so the retry and hedge layers can reissue it
+// bytes [off, off+n) of one — so the retry layer can reissue it
 // without a closure per load.
 type blobRead struct {
 	name   string
@@ -390,20 +362,18 @@ func (d *DualStore) issue(r blobRead, b []byte) ([]byte, error) {
 // non-transiently, or the retry budget is exhausted. Each retry sleeps
 // the exponentially grown (optionally jittered) backoff first; a closed
 // Abort channel ends the ladder with the last error. Each attempt is
-// deadline-bounded and hedged per the hedge policy.
+// bounded by the policy's Deadline.
 func (d *DualStore) withRetry(buf []byte, read blobRead) ([]byte, error) {
 	res, err := d.attempt(buf, read)
 	backoff := d.retry.Backoff
+	ceiling := max(backoff, retryBackoffMax)
 	for attempt := 0; attempt < d.retry.MaxRetries && errors.Is(err, storage.ErrTransient); attempt++ {
 		d.retries.Add(1)
 		if backoff > 0 {
 			if aborted := d.sleepBackoff(d.jittered(backoff)); aborted {
 				return res, err
 			}
-			backoff *= 2
-			if backoff > retryBackoffMax {
-				backoff = retryBackoffMax
-			}
+			backoff = min(2*backoff, ceiling)
 		}
 		res, err = d.attempt(buf, read)
 	}
@@ -447,18 +417,14 @@ func (d *DualStore) sleepBackoff(dur time.Duration) (aborted bool) {
 	}
 }
 
-// attempt performs one read attempt, applying the hedge policy. Without a
-// deadline the read runs inline into buf. With a deadline, every attempt
-// reads into a fresh buffer on its own goroutine so a late-arriving loser
-// can never scribble over a buffer the winner's caller now owns; on
-// deadline expiry a duplicate read races the original, first response
-// wins. A hedge can hang like any other read: when neither has answered
-// hungAfter deadlines later the attempt resolves with an ErrTransient-class
-// error — a hung device costs the retry budget, never the run. The result
-// channel is buffered for both reads, so late ones finish their send and
-// exit instead of leaking.
+// attempt performs one read attempt. Without a deadline the read runs
+// inline into buf. With one, it reads into a fresh buffer on its own
+// goroutine, so a late answer can never scribble over a buffer the caller
+// owns by then; an attempt unanswered at the deadline fails with an
+// ErrTransient-class error, into the retry ladder. The result channel is
+// buffered, so a late read finishes its send and exits instead of leaking.
 func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
-	deadline := d.hedge.Deadline
+	deadline := d.retry.Deadline
 	if deadline <= 0 {
 		return d.issue(read, buf)
 	}
@@ -466,28 +432,19 @@ func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 		b   []byte
 		err error
 	}
-	ch := make(chan outcome, 2)
-	try := func() {
+	ch := make(chan outcome, 1)
+	go func() {
 		b, err := d.issue(read, nil)
 		ch <- outcome{b, err}
-	}
-	go try()
+	}()
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
-	var o outcome
 	select {
-	case o = <-ch:
+	case o := <-ch:
+		return o.b, o.err
 	case <-timer.C:
-		d.hedges.Add(1)
-		go try()
-		timer.Reset(hungAfter * deadline)
-		select {
-		case o = <-ch:
-		case <-timer.C:
-			o.err = fmt.Errorf("blockstore: read %s: no answer %v after the %v read deadline: %w", read.name, hungAfter*deadline, deadline, storage.ErrTransient)
-		}
+		return nil, fmt.Errorf("blockstore: read %s: no answer within the %v read deadline: %w", read.name, deadline, storage.ErrTransient)
 	}
-	return o.b, o.err
 }
 
 // readBlob loads a whole blob with transient-fault retries, and validates

@@ -10,6 +10,7 @@ import (
 
 	"husgraph/internal/gen"
 	"husgraph/internal/graph"
+	"husgraph/internal/leaktest"
 	"husgraph/internal/storage"
 )
 
@@ -250,11 +251,11 @@ func TestMixedCorruptPayloadSurfacesChecksumError(t *testing.T) {
 	}
 }
 
-// TestHedgedCompressedReadDecodesOnce is the hedging/compression
+// TestHedgedCompressedReadDecodesOnce is the deadline/compression
 // interaction check: a FaultDelayed read on a compressed block that blows
-// the deadline races a hedged duplicate, but only the winning bytes are
-// decoded — the load decodes exactly the bytes one clean load does, never
-// twice them.
+// the deadline is retried, and only the retry's bytes are decoded — the load
+// decodes exactly the bytes one clean load does, and the timed-out
+// attempt's late answer is never decoded, not even once it lands.
 func TestHedgedCompressedReadDecodesOnce(t *testing.T) {
 	g := mixedGraph(false)
 	st := memStore()
@@ -266,7 +267,7 @@ func TestHedgedCompressedReadDecodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.SetHedgePolicy(HedgePolicy{Deadline: time.Millisecond})
+	ds.SetRetryPolicy(RetryPolicy{MaxRetries: 3, Deadline: 10 * time.Millisecond})
 
 	// Find a compressed in-block to target.
 	ci, cj := -1, -1
@@ -296,21 +297,26 @@ func TestHedgedCompressedReadDecodesOnce(t *testing.T) {
 		t.Fatal("baseline load of a compressed block decoded nothing")
 	}
 
-	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, Name: inBlockName(ci, cj), Delay: 50 * time.Millisecond})
+	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, Name: inBlockName(ci, cj), Count: 1, Delay: 100 * time.Millisecond})
 
+	live := len(leaktest.Live())
 	before := ds.DecodeStats()
 	blk, err := loadInBlock(ds, ci, cj)
 	if err != nil {
-		t.Fatalf("hedged load: %v", err)
+		t.Fatalf("retried load: %v", err)
 	}
 	if len(blk.Recs) == 0 {
-		t.Fatal("hedged load decoded empty")
+		t.Fatal("retried load decoded empty")
 	}
-	if got := ds.Hedges(); got == 0 {
-		t.Fatal("delayed read did not hedge")
+	if got := ds.Retries(); got == 0 {
+		t.Fatal("delayed read did not time out")
+	}
+	// Wait for the delayed attempt to answer and exit before counting.
+	if err := leaktest.Check(live, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	delta := ds.DecodeStats().Sub(before)
 	if delta.VarintBytes != want {
-		t.Fatalf("hedged compressed load decoded %d bytes, want %d (the losing read attempt must not decode)", delta.VarintBytes, want)
+		t.Fatalf("retried compressed load decoded %d bytes, want %d (the timed-out attempt must not decode)", delta.VarintBytes, want)
 	}
 }

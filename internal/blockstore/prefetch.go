@@ -153,8 +153,8 @@ func (r *PrefetchResult) dataBytes() int64 {
 
 // NewPrefetcher starts a prefetch pipeline over schedule. extents, when
 // non-nil, is the P·P grid of block extents a ROP iteration pushes over
-// (ioplan.LiveBlocks): each scheduled out-index is loaded as the page span of
-// its block's extent, not whole. depth is the worker count and read-ahead
+// (core.Engine.markLive): each scheduled out-index is loaded as the page span
+// of its block's extent, not whole. depth is the worker count and read-ahead
 // bound; depth <= 0 runs inline — Next/Take perform the load synchronously on
 // the calling goroutine (the cache, when non-nil, is still consulted), which
 // is the prefetch-disabled configuration sharing one code path with the

@@ -13,7 +13,7 @@ import (
 )
 
 // runBounded executes one chaos scenario with a wall-clock watchdog: a
-// hung run (hedging failing to route around a stall) fails the test
+// hung run (a stalled read the deadline failed to time out) fails the test
 // instead of hanging the suite.
 func runBounded(t *testing.T, a Algo, tune Tuning, sched Schedule, limit time.Duration) *Report {
 	t.Helper()
@@ -33,7 +33,7 @@ func runBounded(t *testing.T, a Algo, tune Tuning, sched Schedule, limit time.Du
 		}
 		return o.rep
 	case <-time.After(limit):
-		t.Fatalf("%s/%s: wall-clock bound %v exceeded — a read hung past the hedges", a.Name, sched.Name, limit)
+		t.Fatalf("%s/%s: wall-clock bound %v exceeded — a read hung past its deadline", a.Name, sched.Name, limit)
 		return nil
 	}
 }
@@ -61,10 +61,10 @@ func TestChaosMatrixSeeded(t *testing.T) {
 	}
 }
 
-// TestChaosHungReadsCompleteViaHedging pins the tentpole liveness claim: a
-// schedule whose only faults are reads hung forever completes — within the
-// wall-clock bound — because every hung attempt is hedged, and each hedge
-// is accounted.
+// TestChaosHungReadsCompleteViaHedging pins the liveness claim: a schedule
+// whose only faults are reads hung forever completes — within the
+// wall-clock bound — because every hung attempt times out at the read
+// deadline and is retried, and each retry is accounted.
 func TestChaosHungReadsCompleteViaHedging(t *testing.T) {
 	sched := Schedule{
 		Name: "stalls-only",
@@ -86,8 +86,8 @@ func TestChaosHungReadsCompleteViaHedging(t *testing.T) {
 	if rep.Counters.Stalls != 3 {
 		t.Fatalf("injected %d stalls, want 3", rep.Counters.Stalls)
 	}
-	if rep.Chaotic.Recovery.Hedges < 3 {
-		t.Fatalf("Recovery.Hedges = %d, want >= 3 (one per hung read)", rep.Chaotic.Recovery.Hedges)
+	if rep.Chaotic.Recovery.Retries < 3 {
+		t.Fatalf("Recovery.Retries = %d, want >= 3 (one per hung read)", rep.Chaotic.Recovery.Retries)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestChaosKillAndResume(t *testing.T) {
 
 // TestChaosCompressedStore runs the full matrix over mixed-format
 // (compressed) chaotic stores against uncompressed clean oracles: decode
-// must compose with retries, hedges and kill-and-resume without perturbing
+// must compose with retries, timeouts and kill-and-resume without perturbing
 // a single bit of the result.
 func TestChaosCompressedStore(t *testing.T) {
 	models := []core.Model{core.ModelHybrid, core.ModelROP, core.ModelCOP}
@@ -162,7 +162,7 @@ func TestChaosCompressedKillAndResume(t *testing.T) {
 // TestChaosShardedMatrix runs the whole algorithm matrix through the K=2
 // shard coordinator under seeded fault schedules, verified against the
 // unsharded clean oracle — bit-identity across the sharding seam with
-// retries and hedges landing inside individual shards' windows.
+// retries and timeouts landing inside individual shards' windows.
 func TestChaosShardedMatrix(t *testing.T) {
 	models := []core.Model{core.ModelHybrid, core.ModelROP, core.ModelCOP}
 	for i, a := range Matrix() {

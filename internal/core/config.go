@@ -90,16 +90,16 @@ type Config struct {
 	// IterStats.Retries and Result.Recovery.
 	ReadRetries int
 	// RetryBackoff is the sleep before the first retry, doubled on each
-	// subsequent retry up to 250ms and scattered ±20 % so concurrent
+	// subsequent retry up to 250ms (or up to RetryBackoff itself when it is
+	// larger: the ladder never shrinks) and scattered ±20 % so concurrent
 	// prefetch workers don't retry a recovering device in lockstep; 0 with
 	// ReadRetries > 0 defaults to 1ms.
 	RetryBackoff time.Duration
-	// ReadDeadline is the soft deadline for every block/index/aux read
-	// attempt: an attempt still pending at the deadline gets a hedged
-	// duplicate read issued, first response wins (hedges are counted in
-	// IterStats.Hedges and Result.Recovery.Hedges), and one neither read
-	// has answered 100 deadlines later fails transient, into ReadRetries.
-	// 0 disables deadlines and hedging — a hung read then blocks forever.
+	// ReadDeadline is a hard timeout on every block/index/aux read attempt:
+	// an attempt still unanswered at the deadline fails transient, naming
+	// the blob and the deadline, and ReadRetries reissues it like any
+	// transient fault. No duplicate read is issued. 0 is off — a hung read
+	// then blocks forever.
 	ReadDeadline time.Duration
 	// PrefetchDepth is the number of asynchronous block-prefetch workers
 	// overlapping I/O with compute: while the engine processes one block,

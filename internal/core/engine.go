@@ -87,9 +87,9 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 	ds.SetRetryPolicy(blockstore.RetryPolicy{
 		MaxRetries: e.cfg.ReadRetries,
 		Backoff:    e.cfg.RetryBackoff,
+		Deadline:   e.cfg.ReadDeadline,
 		Jitter:     retryJitter,
 	})
-	ds.SetHedgePolicy(blockstore.HedgePolicy{Deadline: e.cfg.ReadDeadline})
 	return e
 }
 

@@ -111,21 +111,31 @@ func TestEngineRetriesTransientFaultsAndReportsCount(t *testing.T) {
 
 // TestEngineConfigDoesNotLeakAcrossEngines: an engine's retry and deadline
 // policies are its own config's, not those of whichever engine configured
-// the shared store last. The second engine asks for no retries, so the one
-// injected transient fault must fail its run.
+// the shared store last. The second engine has no deadline, so a read 20 ms
+// late — twenty of the first engine's deadlines — costs it no retry; and it
+// asks for no retries, so the one injected transient fault must fail its
+// next run.
 func TestEngineConfigDoesNotLeakAcrossEngines(t *testing.T) {
 	ds, fs := faultyStore(t, 300, 4, 1)
-	New(ds, Config{ReadRetries: 3, ReadDeadline: time.Second})
+	New(ds, Config{ReadRetries: 3, ReadDeadline: time.Millisecond})
+	second := New(ds, Config{Model: ModelCOP})
+	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, After: 3, Count: 1, Delay: 20 * time.Millisecond})
+	if _, err := second.Run(testBFS{}); err != nil {
+		t.Fatalf("slow read failed an engine with ReadDeadline 0: %v", err)
+	}
+	if c := fs.Counters(); c.Delays != 1 {
+		t.Fatalf("injected %d delays, want 1", c.Delays)
+	}
+	if got := ds.Retries(); got != 0 {
+		t.Fatalf("store retried %d reads for an engine with ReadDeadline 0: the first engine's deadline leaked through the store", got)
+	}
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, After: 3, Count: 1})
-	_, err := New(ds, Config{Model: ModelCOP}).Run(testBFS{})
+	_, err := second.Run(testBFS{})
 	if !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("err = %v, want wrapped storage.ErrTransient: the first engine's ReadRetries leaked through the store", err)
 	}
 	if got := ds.Retries(); got != 0 {
 		t.Fatalf("store retried %d reads for an engine with ReadRetries 0", got)
-	}
-	if got := ds.Hedges(); got != 0 {
-		t.Fatalf("store hedged %d reads for an engine with ReadDeadline 0", got)
 	}
 }
 
@@ -176,9 +186,10 @@ func TestEngineDetectsBitFlipCorruption(t *testing.T) {
 }
 
 // TestHedgesRescueHungReadsAndAreCounted runs an engine against a store
-// whose reads intermittently hang forever: only hedged duplicates let the
-// run finish, and every hedge is accounted in the iteration stats and the
-// recovery totals.
+// whose reads intermittently hang forever: each hung attempt times out at
+// the read deadline and is retried, the run finishes bit-equal to a clean
+// one, and every retry is accounted in the iteration stats and the recovery
+// totals.
 func TestHedgesRescueHungReadsAndAreCounted(t *testing.T) {
 	clean, err := New(buildStore(t, pathGraph(40), 4, storage.HDD), Config{Model: ModelCOP, Threads: 2}).Run(testBFS{})
 	if err != nil {
@@ -190,20 +201,20 @@ func TestHedgesRescueHungReadsAndAreCounted(t *testing.T) {
 	for _, after := range []int64{3, 40, 90} {
 		fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultStall, After: after, Count: 1})
 	}
-	res, err := New(ds, Config{Model: ModelCOP, Threads: 2, PrefetchDepth: 2, ReadDeadline: 2 * time.Millisecond}).Run(testBFS{})
+	res, err := New(ds, Config{Model: ModelCOP, Threads: 2, PrefetchDepth: 2, ReadRetries: 3, ReadDeadline: 20 * time.Millisecond}).Run(testBFS{})
 	if err != nil {
-		t.Fatalf("hedging did not rescue the hung reads: %v", err)
+		t.Fatalf("retries did not rescue the hung reads: %v", err)
 	}
 	for i := range res.Values {
 		if res.Values[i] != clean.Values[i] {
-			t.Fatalf("vertex %d: hedged run computed %v, clean %v", i, res.Values[i], clean.Values[i])
+			t.Fatalf("vertex %d: retried run computed %v, clean %v", i, res.Values[i], clean.Values[i])
 		}
 	}
-	if res.Recovery.Hedges < 3 {
-		t.Fatalf("Recovery.Hedges = %d, want >= 3 (one per hung read)", res.Recovery.Hedges)
+	if res.Recovery.Retries < 3 {
+		t.Fatalf("Recovery.Retries = %d, want >= 3 (one per hung read)", res.Recovery.Retries)
 	}
-	if got := res.TotalHedges(); got != res.Recovery.Hedges {
-		t.Fatalf("per-iteration hedge sum %d != recovery total %d", got, res.Recovery.Hedges)
+	if got := res.TotalRetries(); got != res.Recovery.Retries {
+		t.Fatalf("per-iteration retry sum %d != recovery total %d", got, res.Recovery.Retries)
 	}
 }
 

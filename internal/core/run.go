@@ -12,7 +12,7 @@ import (
 // Coordinator over K of them. It knows how to execute an iteration; when
 // to, on what, and what to do between two of them is Drive's, and so is
 // every run-level counter: the bucket an iteration processes, the store
-// lineage's retries and hedges, the read-ahead a run wasted.
+// lineage's retries, the read-ahead a run wasted.
 type Runner interface {
 	// RunIter executes iteration iter over frontier on the value arrays s
 	// and d — d already initialised (InitAccumulators) — and returns the
@@ -64,13 +64,13 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 	}
 
 	res := &Result{}
-	// Retries and hedges are counted by the store lineage every engine's
-	// store is a Fork of, so lead's counters are the run's at any K. Read
+	// Retries are counted by the store lineage every engine's store is a
+	// Fork of, so lead's counter is the run's at any K. Read
 	// before the resume, so the run's totals include what loading the
 	// checkpoint cost; a difference, so a reused runner (kill → resume on
 	// the same instance) reports only this run.
 	ds := lead.ds
-	retries, hedges := ds.Retries(), ds.Hedges()
+	retries := ds.Retries()
 	startIter := 0
 	if cfg.Resume {
 		ck, fallbacks, err := lead.loadCheckpoint(prog)
@@ -114,13 +114,12 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 			// cop.go), so only the run's first one has to copy.
 			InitAccumulators(prog.Kind(), s, d)
 		}
-		iterRetries, iterHedges := ds.Retries(), ds.Hedges()
+		iterRetries := ds.Retries()
 		next, st, err := r.RunIter(prog, iter, frontier, s, d)
 		if err != nil {
 			return nil, &IterError{Program: prog.Name(), Iter: iter, Model: st.Model, Err: err}
 		}
 		st.Retries = ds.Retries() - iterRetries
-		st.Hedges = ds.Hedges() - iterHedges
 		if router != nil {
 			st.Bucketed, st.BucketPri, st.BucketPending = true, hint.Pri, hint.Pending
 		}
@@ -151,7 +150,6 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 	res.Converged = res.Converged || frontier.Empty()
 	res.Values = s
 	res.Recovery.Retries = ds.Retries() - retries
-	res.Recovery.Hedges = ds.Hedges() - hedges
 	res.Cache = r.CacheStats()
 	return res, nil
 }

@@ -66,10 +66,6 @@ type IterStats struct {
 	// lineage's counter around the iteration, so it is exact at any shard
 	// count.
 	Retries int64
-	// Hedges counts hedged duplicate reads issued during this iteration —
-	// read attempts that blew Config.ReadDeadline and raced a second
-	// attempt to completion. Drive counts it like Retries.
-	Hedges int64
 	// CacheHits, CacheMisses and CacheEvictions count block-cache
 	// activity during this iteration (zero when Config.CacheBudgetBytes
 	// is 0).
@@ -113,7 +109,7 @@ type IterStats struct {
 
 // ShardIterStats is one shard's view of one iteration of a sharded run:
 // the shard index plus the IterStats its owner-scoped engine produced.
-// Run-level fields — Retries, Hedges and the bucket fields — stay zero
+// Run-level fields — Retries and the bucket fields — stay zero
 // here: the shards share one store lineage and one bucket router, and Drive
 // fills them on the combined IterStats only.
 type ShardIterStats struct {
@@ -137,9 +133,6 @@ type RecoveryStats struct {
 	// CheckpointsWritten counts checkpoints persisted during the run,
 	// including a best-effort final checkpoint on cancellation.
 	CheckpointsWritten int
-	// Hedges is the total number of hedged duplicate reads issued across
-	// the run, including those spent loading checkpoints.
-	Hedges int64
 }
 
 // Result summarizes a completed run.
@@ -167,15 +160,6 @@ func (r *Result) TotalRetries() int64 {
 	var t int64
 	for _, it := range r.Iterations {
 		t += it.Retries
-	}
-	return t
-}
-
-// TotalHedges returns the summed per-iteration hedged duplicate reads.
-func (r *Result) TotalHedges() int64 {
-	var t int64
-	for _, it := range r.Iterations {
-		t += it.Hedges
 	}
 	return t
 }

@@ -25,7 +25,7 @@ import (
 // phases of one engine ever overlap, so everything a Step touches on its
 // engine (prefetch window, counters) is still confined to one goroutine at
 // a time, and the IterStats End returns is a value. Run-level fields —
-// retries, hedges, the bucket — are Drive's to fill: End leaves them zero.
+// retries, the bucket — are Drive's to fill: End leaves them zero.
 type Step struct {
 	e    *Engine
 	prog Program

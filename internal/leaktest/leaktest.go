@@ -1,8 +1,9 @@
 // Package leaktest fails a package's tests when they leave goroutines
 // running. Every goroutine the engine starts either belongs to a value
-// whose Close/Finish waits for it — prefetch workers, hedged reads — or is
-// joined by the call that started it — row and column workers, a shard's
-// phase of an iteration — so once a package's tests are done the goroutine
+// whose Close/Finish waits for it — prefetch workers — is joined by the
+// call that started it — row and column workers, a shard's phase of an
+// iteration — or exits once the store answers the read it issued — a read
+// attempt its deadline gave up on — so once a package's tests are done the goroutine
 // count must return to where it started. No static check stands behind this
 // one: a goroutine with no join or quit path is caught here, by the tests
 // that start it, or not at all.
@@ -18,8 +19,8 @@ import (
 )
 
 // settleTimeout bounds the wait for goroutines that are on their way out
-// when the last test returns (a hedged read's losing attempt, an injected
-// delay still sleeping).
+// when the last test returns (a timed-out read attempt, an injected delay
+// still sleeping).
 const settleTimeout = 5 * time.Second
 
 // runtimeOwned names the frames of goroutines the Go runtime starts on its

@@ -14,8 +14,8 @@ import (
 //	    storage.Store I/O, time.Sleep, WaitGroup.Wait, or a call whose
 //	    fact says it does any of those. Blocking under a lock turns an
 //	    I/O stall into a pile-up of every goroutine that touches the
-//	    mutex: one slow read wedges the run, and no deadline, hedge or
-//	    retry reaches the goroutines waiting on the lock.
+//	    mutex: one slow read wedges the run, and no deadline or retry
+//	    reaches the goroutines waiting on the lock.
 //	R2: two mutexes observed nested in both orders (A then B here, B then
 //	    A elsewhere — in any package, through any summarized call chain)
 //	    are a deadlock waiting for the right schedule; the analyzer keeps

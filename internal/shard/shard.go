@@ -280,7 +280,7 @@ func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) c
 // barrier merge. Each shard's store fork counts its own decodes, so the
 // decode fields sum — DecodeTime, like one engine's, is time summed over the
 // workers that decoded — and the run's DecodeModeled prices the summed
-// bytes, as one engine's would. Retries, Hedges and the bucket fields are
+// bytes, as one engine's would. Retries and the bucket fields are
 // run-level: core.Drive fills them (see core.ShardIterStats).
 func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.IterStats) core.IterStats {
 	st := core.IterStats{

@@ -79,7 +79,7 @@ const (
 	// will never complete on its own. Stalled operations park until
 	// ReleaseStalled is called (after which they complete healthily, like
 	// a request finally drained from a wedged queue); deadline-bounded
-	// readers are expected to hedge around them instead of waiting.
+	// readers are expected to time out and retry instead of waiting.
 	FaultStall
 )
 
@@ -272,7 +272,7 @@ func (f *FaultStore) stallGate() chan struct{} {
 
 // ReleaseStalled unblocks every operation parked by a FaultStall
 // injection and turns any future stall injections into pass-throughs.
-// Harnesses call it at teardown so hedged-around losers can drain
+// Harnesses call it at teardown so timed-out read attempts can drain
 // instead of leaking goroutines. It is idempotent.
 func (f *FaultStore) ReleaseStalled() {
 	f.stallMu.Lock()
