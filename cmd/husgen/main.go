@@ -105,7 +105,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		ds, err := blockstore.BuildWithFormat(st, g, *p, format)
+		ds, err := blockstore.BuildOpts(st, g, blockstore.Options{P: *p, Format: format, Weighted: true})
 		if err != nil {
 			return err
 		}

@@ -26,7 +26,7 @@ func summaryGraph() *graph.Graph {
 func buildFor(t *testing.T, format blockstore.Format) (*blockstore.DualStore, int, int64) {
 	t.Helper()
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	ds, err := blockstore.BuildWithFormat(mem, summaryGraph(), 4, format)
+	ds, err := blockstore.BuildOpts(mem, summaryGraph(), blockstore.Options{P: 4, Format: format, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,6 +159,9 @@ func run(args []string) error {
 	if err := negativeFlag(flags); err != nil {
 		return err
 	}
+	if *p == 0 { // every -system partitions; a baseline would take 0 for its default of 8
+		return fmt.Errorf("-p 0: need at least one interval, got P = 0")
+	}
 
 	explicit := map[string]bool{}
 	flags.Visit(func(f *flag.Flag) { explicit[f.Name] = true })

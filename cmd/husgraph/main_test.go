@@ -181,7 +181,8 @@ func TestRunRejectsOverriddenFlags(t *testing.T) {
 
 // TestRunRejectsBadNumbers drives run itself: a negative value for any
 // numeric flag is a startup error naming the flag, before a graph is
-// generated, and -p 0 fails at the store build with an error, not a panic.
+// generated, and so is -p 0 under every -system (a baseline once ran it at
+// P = 8).
 // -fault-seed takes any int64, so a negative seed gets as far as the check
 // that it needs a fault count.
 func TestRunRejectsBadNumbers(t *testing.T) {
@@ -202,6 +203,7 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 		{[]string{"-system", "gridgraph", "-threads", "-1"}, "-threads -1: a negative value"},
 		{[]string{"-fault-seed", "-7"}, "-fault-seed has no effect without"},
 		{[]string{"-algo", "BFS", "-p", "0"}, "need at least one interval, got P = 0"},
+		{[]string{"-system", "gridgraph", "-algo", "BFS", "-p", "0"}, "need at least one interval, got P = 0"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

@@ -32,7 +32,7 @@ func main() {
 		d.Name, g.NumVertices, g.NumEdges(), sym.NumEdges())
 
 	dev := storage.NewDevice(storage.HDD)
-	ds, err := blockstore.Build(storage.NewMemStore(dev), sym, 8)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(dev), sym, blockstore.Options{P: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

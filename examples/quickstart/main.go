@@ -29,7 +29,7 @@ func main() {
 
 	// 3. The dual-block representation: P vertex intervals, P×P in-blocks
 	//    and P×P out-blocks with per-vertex indices (paper §3.2).
-	ds, err := blockstore.Build(store, g, 8)
+	ds, err := blockstore.BuildOpts(store, g, blockstore.Options{P: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

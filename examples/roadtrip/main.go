@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("\n%-8s %10s %12s %12s %6s\n", "model", "iters", "I/O (MB)", "runtime", "ROP%")
 	for _, model := range []core.Model{core.ModelROP, core.ModelCOP, core.ModelHybrid} {
 		dev := storage.NewDevice(storage.HDD)
-		ds, err := blockstore.Build(storage.NewMemStore(dev), g, 8)
+		ds, err := blockstore.BuildOpts(storage.NewMemStore(dev), g, blockstore.Options{P: 8, Weighted: true})
 		if err != nil {
 			log.Fatal(err)
 		}

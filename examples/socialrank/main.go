@@ -30,7 +30,7 @@ func main() {
 
 	build := func() (*core.Engine, *storage.Device) {
 		dev := storage.NewDevice(storage.HDD)
-		ds, err := blockstore.Build(storage.NewMemStore(dev), g, 8)
+		ds, err := blockstore.BuildOpts(storage.NewMemStore(dev), g, blockstore.Options{P: 8})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func cycleStore() *blockstore.DualStore {
 	for i := 0; i < 4; i++ {
 		g.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%4))
 	}
-	ds, err := blockstore.Build(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, 2)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: 2, Weighted: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func ExampleWCC() {
 	g := graph.New(5)
 	g.AddEdge(0, 1) // component {0, 1}
 	g.AddEdge(3, 4) // component {3, 4}; vertex 2 is alone
-	ds, err := blockstore.Build(storage.NewMemStore(storage.NewDevice(storage.RAM)), g.Symmetrize(), 2)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g.Symmetrize(), blockstore.Options{P: 2, Weighted: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func ExampleKCore() {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 0)
 	g.AddEdge(0, 3) // pendant
-	ds, err := blockstore.Build(storage.NewMemStore(storage.NewDevice(storage.RAM)), g.Symmetrize(), 2)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g.Symmetrize(), blockstore.Options{P: 2, Weighted: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,28 +38,6 @@ func TestKCoreCascade(t *testing.T) {
 	}
 }
 
-func TestKCoreEngineMatchesOracleAllModels(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.RMAT(256, 2000, gen.Graph500, rng)
-		for _, k := range []int{2, 3, 5} {
-			sym := g.Symmetrize()
-			want := OracleKCore(sym, k)
-			for _, model := range []core.Model{core.ModelROP, core.ModelCOP, core.ModelHybrid} {
-				res := run(t, g, KCore{K: k}, 4, model)
-				if !res.Converged {
-					t.Fatalf("k=%d %v: not converged", k, model)
-				}
-				for v := range want {
-					if res.Values[v] != want[v] {
-						t.Fatalf("seed %d k=%d %v: deg[%d] = %v, want %v", seed, k, model, v, res.Values[v], want[v])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestKCoreFrontierDrains(t *testing.T) {
 	g := gen.RMAT(512, 3000, gen.Graph500, rand.New(rand.NewSource(5)))
 	res := run(t, g, KCore{K: 4}, 4, core.ModelHybrid)

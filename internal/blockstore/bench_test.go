@@ -25,7 +25,7 @@ func benchGraphStore(b *testing.B, format Format, weighted bool) *DualStore {
 }
 
 // BenchmarkBuildRaw runs the one build pass from its two edge sources over
-// the same graph: BuildOpts from the resident edge list, BuildStreaming from
+// the same graph: BuildOpts from the resident edge list, BuildStreamingOpts from
 // its WriteBinary bytes at the default spill budget, and BuildOpts from the
 // edge list shuffled, whose vertex runs arrive out of neighbour order and are
 // sorted. ns/edge is the time per input edge.
@@ -51,15 +51,15 @@ func BenchmarkBuildRaw(b *testing.B) {
 		})
 	}
 	leg("resident", func() error {
-		_, err := Build(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, 8)
+		_, err := BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, Options{P: 8, Weighted: true})
 		return err
 	})
 	leg("streaming", func() error {
-		_, err := BuildStreaming(storage.NewMemStore(storage.NewDevice(storage.RAM)), bytes.NewReader(bin.Bytes()), 8, FormatRaw, 0)
+		_, err := BuildStreamingOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), bytes.NewReader(bin.Bytes()), Options{P: 8, Format: FormatRaw, Weighted: true}, 0)
 		return err
 	})
 	leg("shuffled", func() error {
-		_, err := Build(storage.NewMemStore(storage.NewDevice(storage.RAM)), shuffled, 8)
+		_, err := BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), shuffled, Options{P: 8, Weighted: true})
 		return err
 	})
 }

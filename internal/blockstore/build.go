@@ -13,10 +13,10 @@ import (
 	"husgraph/internal/storage"
 )
 
-// defaultSpillEdges is BuildStreaming's budget when the caller gives none.
+// defaultSpillEdges is BuildStreamingOpts' budget when the caller gives none.
 const defaultSpillEdges = 1 << 20
 
-// BuildStreaming materializes the dual-block representation from a binary
+// BuildStreamingOpts materializes the dual-block representation from a binary
 // graph stream (graph.WriteBinary format) without ever holding the whole
 // edge list in memory — the preprocessing path for an edge file that does
 // not fit in RAM. It is the build pass every store goes through (see build),
@@ -29,11 +29,6 @@ const defaultSpillEdges = 1 << 20
 // written; choose P so two intervals' edges fit. Spill blobs are deleted as
 // their bucket is encoded, and on every error return. spillEdges <= 0
 // selects a default of 1<<20.
-func BuildStreaming(store storage.Store, r io.Reader, p int, format Format, spillEdges int) (*DualStore, error) {
-	return BuildStreamingOpts(store, r, Options{P: p, Format: format, Weighted: true}, spillEdges)
-}
-
-// BuildStreamingOpts is BuildStreaming with full layout options.
 func BuildStreamingOpts(store storage.Store, r io.Reader, opts Options, spillEdges int) (*DualStore, error) {
 	if spillEdges <= 0 {
 		spillEdges = defaultSpillEdges

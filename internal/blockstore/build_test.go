@@ -65,7 +65,7 @@ func TestRepeatedPairsKeepInputOrder(t *testing.T) {
 		return ws
 	}
 	for _, format := range []Format{FormatRaw, FormatMixed} {
-		ds, err := BuildWithFormat(memStore(), g, p, format)
+		ds, err := BuildOpts(memStore(), g, Options{P: p, Format: format, Weighted: true})
 		if err != nil {
 			t.Fatalf("%v: %v", format, err)
 		}
@@ -106,11 +106,11 @@ func TestShuffledInputStoresGoldenBytes(t *testing.T) {
 		shuffled.Edges[a], shuffled.Edges[b] = shuffled.Edges[b], shuffled.Edges[a]
 	})
 	for _, format := range []Format{FormatRaw, FormatMixed} {
-		want, err := BuildWithFormat(memStore(), g, 4, format)
+		want, err := BuildOpts(memStore(), g, Options{P: 4, Format: format, Weighted: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := BuildWithFormat(memStore(), shuffled, 4, format)
+		got, err := BuildOpts(memStore(), shuffled, Options{P: 4, Format: format, Weighted: true})
 		if err != nil {
 			t.Fatal(err)
 		}

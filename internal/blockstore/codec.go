@@ -25,7 +25,7 @@ const (
 	VertexValueBytes = 8
 )
 
-// Rec is one block edge record as Build buckets it before encoding: the
+// Rec is one block edge record as a build buckets it before encoding: the
 // neighbor on the other side of the block's indexed vertex, plus the edge
 // weight. Nothing loaded from a store is a Rec — loaders hand out packed
 // records (RawRec).
@@ -251,7 +251,7 @@ func metaGrids(d *DualStore) []*[][]int64 {
 // and last — row-major — the CRC32C of each PageBytes page of every
 // out-index, ⌈(Size(i)+1)·4/PageBytes⌉ little-endian words. The row view is
 // stored raw, so its sizes follow from the edge counts and the layout and
-// are not recorded. So a store written by Build can be reopened, every
+// are not recorded. So a store written by a build can be reopened, every
 // in-block's and in-index's codec read off its stored size (codecOf), ROP
 // told which blocks an active source has an edge in, and a page of an
 // out-index checked on its own. The predictor prices I/O from the same

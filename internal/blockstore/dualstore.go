@@ -210,33 +210,23 @@ func (d *DualStore) OutIndexSpan(i, j int, x Extent) (off, end int64) {
 	return off, end
 }
 
-// Options configures Build.
+// Options configures a build (BuildOpts, BuildStreamingOpts).
 type Options struct {
 	// P is the interval count (clamped to the vertex count).
 	P int
 	// Format is the compression policy (default FormatRaw).
 	Format Format
-	// Weighted stores edge weights with each record.
+	// Weighted stores edge weights with each record; without it every edge
+	// reads back with weight 1.
 	Weighted bool
 }
 
-// Build materializes g's dual-block representation with p intervals in the
-// raw, weighted record format. Edges inside each out-block are sorted by
-// (source, destination); inside each in-block by (destination, source) —
-// the orders Algorithms 2 and 3 of the paper require.
-func Build(store storage.Store, g *graph.Graph, p int) (*DualStore, error) {
-	return BuildOpts(store, g, Options{P: p, Weighted: true})
-}
-
-// BuildWithFormat is Build with an explicit record encoding (weighted).
-func BuildWithFormat(store storage.Store, g *graph.Graph, p int, format Format) (*DualStore, error) {
-	return BuildOpts(store, g, Options{P: p, Format: format, Weighted: true})
-}
-
-// BuildOpts is Build with full control over the on-disk layout. It feeds
-// g.Edges to the one build pass (build) and never spills: the edge list is
-// already resident, and the pass' two bucketed copies of it are what any
-// builder of both views must hold.
+// BuildOpts materializes g's dual-block representation under opts. Edges
+// inside each out-block are sorted by (source, destination); inside each
+// in-block by (destination, source) — the orders Algorithms 2 and 3 of the
+// paper require. It feeds g.Edges to the one build pass (build) and never
+// spills: the edge list is already resident, and the pass' two bucketed
+// copies of it are what any builder of both views must hold.
 func BuildOpts(store storage.Store, g *graph.Graph, opts Options) (*DualStore, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("blockstore: build: %w", err)
@@ -275,7 +265,7 @@ var errOlderStore = errors.New("written by an older build — rebuild it with hu
 // size the meta records for it: a blob of another build or another codec.
 var errStoredSize = errors.New("length differs from the stored size the meta records")
 
-// Open attaches to a dual-block store previously written by Build. Every
+// Open attaches to a dual-block store previously written by a build. Every
 // blob of a store is checksum-framed and every full blob read verifies its
 // CRC32C; a meta blob without a frame is not a store this code wrote.
 func Open(store storage.Store) (*DualStore, error) {

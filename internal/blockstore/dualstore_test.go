@@ -43,7 +43,7 @@ func paperGraph() *graph.Graph {
 
 func TestBuildPaperExample(t *testing.T) {
 	g := paperGraph()
-	ds, err := Build(memStore(), g, 2)
+	ds, err := BuildOpts(memStore(), g, Options{P: 2, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 	sc := new(Scratch)
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		g := gen.RMAT(256, 2000, gen.Graph500, rand.New(rand.NewSource(3)))
-		ds, err := BuildWithFormat(memStore(), g, 4, format)
+		ds, err := BuildOpts(memStore(), g, Options{P: 4, Format: format, Weighted: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 func TestLoadOutIndexConcurrent(t *testing.T) {
 	const p = 4
 	g := gen.RMAT(256, 2000, gen.Graph500, rand.New(rand.NewSource(3)))
-	ds, err := BuildWithFormat(memStore(), g, p, FormatMixed)
+	ds, err := BuildOpts(memStore(), g, Options{P: p, Format: FormatMixed, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestLoadOutIndexConcurrent(t *testing.T) {
 
 func TestDegreesMatchGraph(t *testing.T) {
 	g := gen.RMAT(128, 1000, gen.Graph500, rand.New(rand.NewSource(4)))
-	ds, err := Build(memStore(), g, 3)
+	ds, err := BuildOpts(memStore(), g, Options{P: 3, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestDegreesMatchGraph(t *testing.T) {
 func TestOpenRoundTrip(t *testing.T) {
 	g := gen.RMAT(128, 800, gen.Graph500, rand.New(rand.NewSource(5)))
 	st := memStore()
-	built, err := Build(st, g, 4)
+	built, err := BuildOpts(st, g, Options{P: 4, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestBuildOnFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
-	built, err := Build(fs, g, 2)
+	built, err := BuildOpts(fs, g, Options{P: 2, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestBuildOnFileStore(t *testing.T) {
 
 func TestSizeAccounting(t *testing.T) {
 	g := gen.RMAT(100, 600, gen.Graph500, rand.New(rand.NewSource(7)))
-	ds, err := Build(memStore(), g, 4)
+	ds, err := BuildOpts(memStore(), g, Options{P: 4, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestSizeAccounting(t *testing.T) {
 func TestRandomAccessCharged(t *testing.T) {
 	g := gen.RMAT(64, 400, gen.Graph500, rand.New(rand.NewSource(8)))
 	st := memStore()
-	ds, err := Build(st, g, 2)
+	ds, err := BuildOpts(st, g, Options{P: 2, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +320,14 @@ func TestRandomAccessCharged(t *testing.T) {
 func TestBuildRejectsInvalidGraph(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 5)
-	if _, err := Build(memStore(), g, 2); err == nil {
+	if _, err := BuildOpts(memStore(), g, Options{P: 2, Weighted: true}); err == nil {
 		t.Fatal("invalid graph accepted")
 	}
 }
 
 func TestEmptyGraphBuild(t *testing.T) {
 	g := graph.New(10)
-	ds, err := Build(memStore(), g, 3)
+	ds, err := BuildOpts(memStore(), g, Options{P: 3, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestEmptyGraphBuild(t *testing.T) {
 	// No vertices at all: NewLayout keeps the P it was given, so decodeMeta's
 	// "no more intervals than vertices" bound must not apply.
 	mem := memStore()
-	if _, err := Build(mem, graph.New(0), 4); err != nil {
+	if _, err := BuildOpts(mem, graph.New(0), Options{P: 4, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	if re, err := Open(mem); err != nil || re.Layout.P != 4 {
@@ -382,7 +382,7 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 	}
 	// No builder stores a blob in more than its raw bytes; the codec rule
 	// (codecOf) could not name such a blob's encoding.
-	ds, err := Build(memStore(), chain(16), 2)
+	ds, err := BuildOpts(memStore(), chain(16), Options{P: 2, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestQuickDualBlockPartition(t *testing.T) {
 		for k := 0; k < rng.Intn(300); k++ {
 			g.AddWeightedEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), rng.Float32())
 		}
-		ds, err := Build(memStore(), g, p)
+		ds, err := BuildOpts(memStore(), g, Options{P: p, Weighted: true})
 		if err != nil {
 			return false
 		}

@@ -10,10 +10,10 @@ import (
 	"husgraph/internal/storage"
 )
 
-// ExampleBuild materializes the dual-block representation of a small graph
-// and reads one vertex's out-edges selectively — the access pattern ROP
-// uses.
-func ExampleBuild() {
+// ExampleDualStore_LoadOutRunScratch materializes the dual-block
+// representation of a small graph and reads one vertex's out-edges
+// selectively — the access pattern ROP uses.
+func ExampleDualStore_LoadOutRunScratch() {
 	g := graph.New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
@@ -21,7 +21,7 @@ func ExampleBuild() {
 	g.AddEdge(2, 3)
 
 	store := storage.NewMemStore(storage.NewDevice(storage.HDD))
-	ds, err := blockstore.Build(store, g, 2)
+	ds, err := blockstore.BuildOpts(store, g, blockstore.Options{P: 2, Weighted: true})
 	if err != nil {
 		log.Fatal(err)
 	}

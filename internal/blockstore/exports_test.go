@@ -15,7 +15,6 @@ import (
 // non-test file mentions and that stay anyway, each with the reason.
 var testOnlyExports = map[string]string{
 	"graph.ReadBinary":               "WriteBinary's inverse, which is how a library user loads what husgen -out writes; the codec round-trip tests are its callers",
-	"blockstore.BuildStreaming":      "BuildStreamingOpts with the weighted default, the streaming twin of Build/BuildWithFormat; its signature is frozen",
 	"bitset.Bitset.Equal":            "assertion helper: the merge tests compare a merged frontier's bitmap against the unsharded one",
 	"storage.FaultCounters.Injected": "assertion helper: the chaos matrix checks that a scenario's faults actually fired",
 	"shard.Coordinator.NumShards":    "assertion helper: TestShardCombinedStats checks the K the coordinator resolved",

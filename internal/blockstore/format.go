@@ -8,7 +8,7 @@ import (
 	"husgraph/internal/storage"
 )
 
-// Format is a build's compression policy: which encodings Build may store
+// Format is a build's compression policy: which encodings a build may store
 // the column view — in-blocks and in-indices, which COP streams whole — in.
 // The row view — out-blocks and out-indices, which ROP reads by offset — is
 // stored raw in every format. The format is not recorded anywhere — a store

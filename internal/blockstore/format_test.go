@@ -61,11 +61,11 @@ func TestCompressedEncodingRejectsUnsorted(t *testing.T) {
 
 func TestCompressedSmallerOnRealBlocks(t *testing.T) {
 	g := gen.Web(4096, 40000, gen.DefaultWeb, rand.New(rand.NewSource(11)))
-	raw, err := BuildWithFormat(memStore(), g, 4, FormatRaw)
+	raw, err := BuildOpts(memStore(), g, Options{P: 4, Format: FormatRaw, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := BuildWithFormat(memStore(), g, 4, FormatMixed)
+	comp, err := BuildOpts(memStore(), g, Options{P: 4, Format: FormatMixed, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestCompressedSmallerOnRealBlocks(t *testing.T) {
 func TestCompressedBlocksDecodeIdentically(t *testing.T) {
 	g := gen.RMAT(128, 1200, gen.Graph500, rand.New(rand.NewSource(12)))
 	gen.AssignUniformWeights(g, 1, 5, rand.New(rand.NewSource(13)))
-	raw, err := BuildWithFormat(memStore(), g, 3, FormatRaw)
+	raw, err := BuildOpts(memStore(), g, Options{P: 3, Format: FormatRaw, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := BuildWithFormat(memStore(), g, 3, FormatMixed)
+	comp, err := BuildOpts(memStore(), g, Options{P: 3, Format: FormatMixed, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCompressedBlocksDecodeIdentically(t *testing.T) {
 func TestCompressedOpenRoundTrip(t *testing.T) {
 	g := gen.RMAT(64, 300, gen.Graph500, rand.New(rand.NewSource(14)))
 	st := memStore()
-	built, err := BuildWithFormat(st, g, 2, FormatMixed)
+	built, err := BuildOpts(st, g, Options{P: 2, Format: FormatMixed, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCompressedOpenRoundTrip(t *testing.T) {
 
 func TestBuildRejectsUnknownFormat(t *testing.T) {
 	g := graph.New(2)
-	if _, err := BuildWithFormat(memStore(), g, 1, Format(7)); err == nil {
+	if _, err := BuildOpts(memStore(), g, Options{P: 1, Format: Format(7), Weighted: true}); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }

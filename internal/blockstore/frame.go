@@ -8,7 +8,7 @@ import (
 	"husgraph/internal/storage"
 )
 
-// Checksum frames. Every blob Build (and PutAux) writes is wrapped in a
+// Checksum frames. Every blob a build (and PutAux) writes is wrapped in a
 // fixed header carrying a CRC32C of the payload, so silent corruption — a
 // flipped bit on the platter, a torn write that survived a crash — is
 // *detected* at read time instead of decoded into garbage values that

@@ -88,7 +88,7 @@ func chain(n int) *graph.Graph {
 
 func TestBuildWritesFramedBlobsAndOpenVerifies(t *testing.T) {
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	if _, err := Build(mem, chain(64), 4); err != nil {
+	if _, err := BuildOpts(mem, chain(64), Options{P: 4, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range mem.List() {
@@ -126,7 +126,7 @@ const denseMeta = "" +
 func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte) error {
 	t.Helper()
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	if _, err := BuildWithFormat(mem, chain(64), 4, format); err != nil {
+	if _, err := BuildOpts(mem, chain(64), Options{P: 4, Format: format, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	framed, err := mem.ReadAll(metaName)
@@ -236,12 +236,12 @@ func overflowMeta(n, p uint64) []byte {
 func TestInBlockFromTwoBuildsIsCorrupt(t *testing.T) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-		d, err := BuildWithFormat(mem, chain(64), 4, format)
+		d, err := BuildOpts(mem, chain(64), Options{P: 4, Format: format, Weighted: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		other := storage.NewMemStore(storage.NewDevice(storage.RAM))
-		if _, err := BuildWithFormat(other, mixedGraph(true), 4, format); err != nil {
+		if _, err := BuildOpts(other, mixedGraph(true), Options{P: 4, Format: format, Weighted: true}); err != nil {
 			t.Fatal(err)
 		}
 		foreign, err := other.ReadAll("ib/0.1")
@@ -259,7 +259,7 @@ func TestInBlockFromTwoBuildsIsCorrupt(t *testing.T) {
 
 func TestCorruptBlockSurfacesChecksumError(t *testing.T) {
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	d, err := Build(mem, chain(64), 4)
+	d, err := BuildOpts(mem, chain(64), Options{P: 4, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestCorruptBlockSurfacesChecksumError(t *testing.T) {
 
 func TestAuxBlobsFramedAndVerified(t *testing.T) {
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	d, err := Build(mem, chain(16), 2)
+	d, err := BuildOpts(mem, chain(16), Options{P: 2, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestAuxBlobsFramedAndVerified(t *testing.T) {
 
 func TestRetryRecoversTransientReads(t *testing.T) {
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	if _, err := Build(mem, chain(64), 4); err != nil {
+	if _, err := BuildOpts(mem, chain(64), Options{P: 4, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	fs := storage.NewFaultStore(mem, 1)
@@ -343,7 +343,7 @@ func TestRetryRecoversTransientReads(t *testing.T) {
 
 func TestRetryBudgetExhaustedSurfacesTransient(t *testing.T) {
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	if _, err := Build(mem, chain(64), 4); err != nil {
+	if _, err := BuildOpts(mem, chain(64), Options{P: 4, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	fs := storage.NewFaultStore(mem, 1)
@@ -363,7 +363,7 @@ func TestRetryBudgetExhaustedSurfacesTransient(t *testing.T) {
 
 func TestRetryDoesNotRetryPermanentOrCorrupt(t *testing.T) {
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	if _, err := Build(mem, chain(64), 4); err != nil {
+	if _, err := BuildOpts(mem, chain(64), Options{P: 4, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	fs := storage.NewFaultStore(mem, 1)

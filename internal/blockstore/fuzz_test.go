@@ -101,7 +101,7 @@ func FuzzDecodeVarint(f *testing.F) {
 // re-encodes to the same bytes.
 func FuzzDecodeMeta(f *testing.F) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
-		ds, err := BuildWithFormat(memStore(), mixedGraph(true), 4, format)
+		ds, err := BuildOpts(memStore(), mixedGraph(true), Options{P: 4, Format: format, Weighted: true})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func FuzzDecodeMeta(f *testing.F) {
 	}
 	// Multi-word masks with a partial last word, empty blocks among them,
 	// and each way of lying about them.
-	ds, err := Build(memStore(), chain(300), 4)
+	ds, err := BuildOpts(memStore(), chain(300), Options{P: 4, Weighted: true})
 	if err != nil {
 		f.Fatal(err)
 	}

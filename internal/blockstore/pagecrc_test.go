@@ -123,7 +123,7 @@ func TestOpenRefusesFlippedPageCRC(t *testing.T) {
 // whole index's CRCs too few.
 func badPageCRCMetas(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	d, err := Build(memStore(), chain(300), 4)
+	d, err := BuildOpts(memStore(), chain(300), Options{P: 4, Weighted: true})
 	if err != nil {
 		tb.Fatal(err)
 	}

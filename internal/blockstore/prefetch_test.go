@@ -30,7 +30,7 @@ func eqU32(a, b []uint32) bool {
 // would compare raw with raw.
 func prefetchStore(t *testing.T, f Format) *DualStore {
 	t.Helper()
-	ds, err := BuildWithFormat(memStore(), paperGraph(), 2, f)
+	ds, err := BuildOpts(memStore(), paperGraph(), Options{P: 2, Format: f, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPrefetchRejectsOffScheduleConsumption(t *testing.T) {
 func faultyDual(t *testing.T, seed int64) (*DualStore, *storage.FaultStore) {
 	t.Helper()
 	mem := memStore()
-	if _, err := Build(mem, paperGraph(), 2); err != nil {
+	if _, err := BuildOpts(mem, paperGraph(), Options{P: 2, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	fs := storage.NewFaultStore(mem, seed)

@@ -17,7 +17,7 @@ import (
 func openFaulty(t *testing.T) (*DualStore, *storage.FaultStore) {
 	t.Helper()
 	mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-	if _, err := Build(mem, chain(64), 4); err != nil {
+	if _, err := BuildOpts(mem, chain(64), Options{P: 4, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	fs := storage.NewFaultStore(mem, 1)

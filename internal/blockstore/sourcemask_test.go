@@ -110,7 +110,7 @@ func sourceMasksMatch(t *testing.T, what string, ds *DualStore) {
 func badMaskMetas(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	build := func(lie func(d *DualStore)) []byte {
-		d, err := Build(memStore(), chain(300), 4)
+		d, err := BuildOpts(memStore(), chain(300), Options{P: 4, Weighted: true})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func badMaskMetas(tb testing.TB) map[string][]byte {
 // whose mask names no source or more sources than it has edges, and a
 // section that does not hold one mask per nonempty block.
 func TestDecodeMetaRefusesBadMasks(t *testing.T) {
-	honest, err := Build(memStore(), chain(300), 4)
+	honest, err := BuildOpts(memStore(), chain(300), Options{P: 4, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}

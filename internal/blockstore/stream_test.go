@@ -26,7 +26,7 @@ func streamFrom(t *testing.T, g *graph.Graph, p int, format Format, spill int) (
 		t.Fatal(err)
 	}
 	st := memStore()
-	ds, err := BuildStreaming(st, &buf, p, format, spill)
+	ds, err := BuildStreamingOpts(st, &buf, Options{P: p, Format: format, Weighted: true}, spill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 	// identical.
 	rng := rand.New(rand.NewSource(22))
 	g := gen.RMAT(100, 900, gen.Graph500, rng)
-	want, err := Build(memStore(), g, 3)
+	want, err := BuildOpts(memStore(), g, Options{P: 3, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestStoreBytesGolden(t *testing.T) {
 		{FormatMixed, "17e7f71d84cb41cea641d56bb91f79a92fd0d020500c6bcb665541b9315dcc9c"},
 	} {
 		st := memStore()
-		if _, err := BuildWithFormat(st, g, 4, tc.format); err != nil {
+		if _, err := BuildOpts(st, g, Options{P: 4, Format: tc.format, Weighted: true}); err != nil {
 			t.Fatal(err)
 		}
 		h := sha256.New()
@@ -170,7 +170,7 @@ func TestBuildStreamingCleansSpillBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := memStore()
-	if _, err := BuildStreaming(failed, bytes.NewReader(buf.Bytes()), 2, FormatRaw, 1); err == nil {
+	if _, err := BuildStreamingOpts(failed, bytes.NewReader(buf.Bytes()), Options{P: 2, Format: FormatRaw, Weighted: true}, 1); err == nil {
 		t.Fatal("out-of-range last edge accepted")
 	}
 	noSpillBlobs(t, failed)
@@ -184,7 +184,7 @@ func TestBuildStreamingCleansSpillBlobs(t *testing.T) {
 	for _, k := range []int64{0, 3, 10, 14} {
 		fs := storage.NewFaultStore(memStore(), 1)
 		fs.Inject(storage.Fault{Op: storage.OpWrite, Kind: storage.FaultPermanent, After: k, Count: 1})
-		if _, err := BuildStreaming(fs, bytes.NewReader(buf.Bytes()), 2, FormatRaw, 16); !errors.Is(err, storage.ErrPermanent) {
+		if _, err := BuildStreamingOpts(fs, bytes.NewReader(buf.Bytes()), Options{P: 2, Format: FormatRaw, Weighted: true}, 16); !errors.Is(err, storage.ErrPermanent) {
 			t.Fatalf("Put %d failing: err = %v, want ErrPermanent", k, err)
 		}
 		noSpillBlobs(t, fs)
@@ -192,7 +192,7 @@ func TestBuildStreamingCleansSpillBlobs(t *testing.T) {
 }
 
 // TestHUSGHeaderBounds: a header is the input's word, not a size to
-// allocate. The first two headers made BuildStreaming and graph.ReadBinary
+// allocate. The first two headers made BuildStreamingOpts and graph.ReadBinary
 // panic in makeslice; the third promises more records than follow.
 func TestHUSGHeaderBounds(t *testing.T) {
 	header := func(numV, numE uint64, records int) []byte {
@@ -218,8 +218,8 @@ func TestHUSGHeaderBounds(t *testing.T) {
 			t.Errorf("%s: ReadBinary err = %v", tc.name, err)
 		}
 		st := memStore()
-		if _, err := BuildStreaming(st, bytes.NewReader(tc.input), 2, FormatRaw, 1); err == nil || errors.Is(err, io.EOF) != tc.eof {
-			t.Errorf("%s: BuildStreaming err = %v", tc.name, err)
+		if _, err := BuildStreamingOpts(st, bytes.NewReader(tc.input), Options{P: 2, Format: FormatRaw, Weighted: true}, 1); err == nil || errors.Is(err, io.EOF) != tc.eof {
+			t.Errorf("%s: BuildStreamingOpts err = %v", tc.name, err)
 		}
 		noSpillBlobs(t, st)
 	}
@@ -238,10 +238,10 @@ func TestBuildStreamingOpenable(t *testing.T) {
 }
 
 func TestBuildStreamingRejectsGarbage(t *testing.T) {
-	if _, err := BuildStreaming(memStore(), strings.NewReader("not a graph"), 2, FormatRaw, 0); err == nil {
+	if _, err := BuildStreamingOpts(memStore(), strings.NewReader("not a graph"), Options{P: 2, Format: FormatRaw, Weighted: true}, 0); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := BuildStreaming(memStore(), strings.NewReader(""), 2, FormatRaw, 0); err == nil {
+	if _, err := BuildStreamingOpts(memStore(), strings.NewReader(""), Options{P: 2, Format: FormatRaw, Weighted: true}, 0); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
@@ -260,13 +260,13 @@ func TestBuildStreamingRejectsOutOfRangeEdge(t *testing.T) {
 		b[8+k] = 0
 	}
 	b[8] = 2
-	if _, err := BuildStreaming(memStore(), bytes.NewReader(b), 2, FormatRaw, 0); err == nil {
+	if _, err := BuildStreamingOpts(memStore(), bytes.NewReader(b), Options{P: 2, Format: FormatRaw, Weighted: true}, 0); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
 }
 
 func TestBuildStreamingRejectsBadFormat(t *testing.T) {
-	if _, err := BuildStreaming(memStore(), strings.NewReader(""), 2, Format(9), 0); err == nil {
+	if _, err := BuildStreamingOpts(memStore(), strings.NewReader(""), Options{P: 2, Format: Format(9), Weighted: true}, 0); err == nil {
 		t.Fatal("bad format accepted")
 	}
 }

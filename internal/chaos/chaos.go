@@ -183,7 +183,7 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 
 	// Clean oracle: no faults, no resilience machinery — the reference
 	// values chaos must reproduce bit-for-bit.
-	cleanDS, err := blockstore.Build(storage.NewMemStore(storage.NewDevice(storage.SSD)), g, tune.P)
+	cleanDS, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.SSD)), g, blockstore.Options{P: tune.P, Weighted: a.Weighted})
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ func Execute(a Algo, tune Tuning, sched Schedule) (*Report, error) {
 	// Chaotic run: same graph on a fresh store, every read gated by the
 	// seeded fault plan.
 	mem := storage.NewMemStore(storage.NewDevice(storage.SSD))
-	if _, err := blockstore.BuildWithFormat(mem, g, tune.P, tune.Format); err != nil {
+	if _, err := blockstore.BuildOpts(mem, g, blockstore.Options{P: tune.P, Format: tune.Format, Weighted: a.Weighted}); err != nil {
 		return nil, err
 	}
 	fs := storage.NewFaultStore(mem, sched.Seed)

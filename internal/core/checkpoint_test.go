@@ -132,7 +132,7 @@ func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
 // blobs behind the DualStore's back.
 func buildStoreOn(t *testing.T, mem *storage.MemStore, g *graph.Graph, p int) *blockstore.DualStore {
 	t.Helper()
-	ds, err := blockstore.Build(mem, g, p)
+	ds, err := blockstore.BuildOpts(mem, g, blockstore.Options{P: p, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,44 +74,6 @@ func (testSSSP) Message(_ graph.VertexID, srcVal float64, w float32) float64 {
 	return srcVal + float64(w)
 }
 
-// TestEngineCrossFormatBitIdentical pins the compatibility contract: the
-// same program over raw and mixed builds of one graph produces
-// bit-identical values under every update model, for both a monotone and
-// an additive program.
-func TestEngineCrossFormatBitIdentical(t *testing.T) {
-	g := compressTestGraph()
-	formats := []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed}
-	progs := []struct {
-		name string
-		prog Program
-		max  int
-	}{
-		{"monotone", testBFS{}, 0},
-		{"additive", testCount{}, 2},
-	}
-	for _, model := range []Model{ModelROP, ModelCOP, ModelHybrid} {
-		for _, p := range progs {
-			var ref []float64
-			for _, f := range formats {
-				ds := buildFormat(t, g, f, storage.HDD)
-				res, err := New(ds, Config{Model: model, MaxIters: p.max, Threads: 2}).Run(p.prog)
-				if err != nil {
-					t.Fatalf("%v/%s/%v: %v", model, p.name, f, err)
-				}
-				if ref == nil {
-					ref = res.Values
-					continue
-				}
-				for v := range ref {
-					if res.Values[v] != ref[v] {
-						t.Fatalf("%v/%s/%v: value[%d] = %v, raw oracle %v", model, p.name, f, v, res.Values[v], ref[v])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEngineMixedStoreDecodesAndReadsLess checks what a mixed store changes
 // and what it does not. COP streams the column view, which a mixed store
 // compresses: it moves fewer stored bytes than raw, and the iteration stats

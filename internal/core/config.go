@@ -99,7 +99,8 @@ type Config struct {
 	// an attempt still unanswered at the deadline fails transient, naming
 	// the blob and the deadline, and ReadRetries reissues it like any
 	// transient fault. No duplicate read is issued. 0 is off — a hung read
-	// then blocks forever.
+	// then blocks forever. Each attempt under a deadline costs a goroutine, a
+	// channel, a timer and a fresh buffer, never the caller's scratch (DESIGN.md §4e).
 	ReadDeadline time.Duration
 	// PrefetchDepth is the number of asynchronous block-prefetch workers
 	// overlapping I/O with compute: while the engine processes one block,

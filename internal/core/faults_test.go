@@ -16,7 +16,7 @@ func faultyStore(t *testing.T, n, p int, seed int64) (*blockstore.DualStore, *st
 	t.Helper()
 	g := pathGraph(n)
 	mem := storage.NewMemStore(storage.NewDevice(storage.HDD))
-	if _, err := blockstore.Build(mem, g, p); err != nil {
+	if _, err := blockstore.BuildOpts(mem, g, blockstore.Options{P: p, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	fs := storage.NewFaultStore(mem, seed)

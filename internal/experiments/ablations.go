@@ -77,7 +77,7 @@ func (r *Runner) ablationAlpha() (*report.Table, error) {
 
 // ablationPartitions sweeps the interval count P for BFS on twitter-sim
 // (HDD): fewer intervals mean coarser blocks, more mean more index
-// overhead. The store carries weights, as blockstore.Build writes it.
+// overhead. The store carries weights (Options.Weighted).
 func (r *Runner) ablationPartitions() (*report.Table, error) {
 	d, a, err := r.workload("twitter-sim", "BFS")
 	if err != nil {

@@ -27,7 +27,7 @@ func testStore(t *testing.T) *blockstore.DualStore {
 	} {
 		g.AddEdge(graph.VertexID(e[0]), graph.VertexID(e[1]))
 	}
-	ds, err := blockstore.Build(storage.NewMemStore(storage.NewDevice(storage.HDD)), g, 2)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.HDD)), g, blockstore.Options{P: 2, Weighted: true})
 	if err != nil {
 		t.Fatal(err)
 	}

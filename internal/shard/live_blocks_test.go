@@ -176,7 +176,7 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 		if skipped == 0 {
 			t.Fatalf("depth %d: no nonempty block of an active row was ever dead; nothing was skipped", depth)
 		}
-		wantSameValues(t, fmt.Sprintf("depth %d step loop", depth), s, algos.OracleBFS(g, src))
+		wantBits(t, fmt.Sprintf("depth %d step loop", depth), s, algos.OracleBFS(g, src))
 	}
 
 	oracle := algos.OracleBFS(g, src)
@@ -188,7 +188,7 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSameValues(t, "forced COP", copRes.Values, oracle)
+	wantBits(t, "forced COP", copRes.Values, oracle)
 	for _, threads := range []int{1, 4} {
 		for _, k := range []int{1, 2} {
 			co, err := shard.New(ds, shard.Config{Config: core.Config{Model: core.ModelROP, Threads: threads}, Shards: k})
@@ -199,7 +199,7 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSameValues(t, fmt.Sprintf("ROP threads=%d K=%d", threads, k), res.Values, copRes.Values)
+			wantBits(t, fmt.Sprintf("ROP threads=%d K=%d", threads, k), res.Values, copRes.Values)
 		}
 	}
 }

@@ -62,6 +62,7 @@ type Coordinator struct {
 	cfg     core.Config // resolved WithDefaults: the run's, not a shard's
 	k       int
 	workers []*shardWorker
+	engines []*core.Engine // the workers' engines, which arbitrate prices together
 
 	// One iteration's per-shard scratch, indexed by shard and overwritten by
 	// the next; each phase's goroutines write only their own shard's slot.
@@ -125,6 +126,7 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 		eng := core.New(ds.Fork(storage.NewDeviceStore(ds.Store(), dev)), pc)
 		eng.ShareMessageTable(msgs)
 		c.workers = append(c.workers, &shardWorker{eng: eng, dev: dev})
+		c.engines = append(c.engines, eng)
 	}
 	return c, nil
 }
@@ -257,16 +259,12 @@ func (c *Coordinator) each(fn func(i int, w *shardWorker)) {
 
 // arbitrate chooses one global model for the coming iteration with the
 // unsharded engine's chooser (core.ChooseModel) over the global frontier,
-// the per-shard §3.4 cost estimates summed — C(rop) and C(cop) decompose
-// over disjoint owners.
+// the shards' §3.4 cost shares priced together (core.PredictCostsOver): the
+// shares decompose over disjoint owners, so without a cache the arbiter
+// prices every frontier exactly as K = 1 does.
 func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) core.Model {
 	return core.ChooseModel(c.cfg, frontier, st, func(f *bitset.Frontier) (crop, ccop time.Duration) {
-		for _, w := range c.workers {
-			r, p := w.eng.PredictCosts(f)
-			crop += r
-			ccop += p
-		}
-		return crop, ccop
+		return core.PredictCostsOver(f, c.engines...)
 	})
 }
 

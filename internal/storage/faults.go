@@ -318,26 +318,28 @@ func (f *FaultStore) hold(inj injection) {
 	}
 }
 
-// readFault post-processes a completed read according to the decided
-// fault. The returned buffer is owned by the caller in every Store
+// read runs one read subject to read-fault plans. The fault is decided
+// before the inner store is reached: a failing fault (transient, permanent)
+// returns its error there, so the inner store never serves — nor charges
+// its device for — a read that fails, and a faulted read costs the device
+// nothing whether the engine reads the substrate directly or through a
+// shard's DeviceStore. A bit flip, delay or stall acts on the completed
+// read; the returned buffer is owned by the caller in every Store
 // implementation, so flipping in place is safe.
-func (f *FaultStore) readFault(name string, data []byte, err error) ([]byte, error) {
+func (f *FaultStore) read(name string, do func() ([]byte, error)) ([]byte, error) {
 	inj, ok := f.decide(OpRead, name)
-	if !ok {
-		return data, err
-	}
-	switch inj.kind {
-	case FaultBitFlip:
-		if err == nil {
-			flipBit(data, inj.r)
-		}
-		return data, err
-	case FaultDelay, FaultStall:
-		f.hold(inj)
-		return data, err
-	default:
+	if ok && (inj.kind == FaultTransient || inj.kind == FaultPermanent) {
 		return nil, faultErr(inj.kind, OpRead, name)
 	}
+	data, err := do()
+	switch {
+	case !ok:
+	case inj.kind == FaultBitFlip && err == nil:
+		flipBit(data, inj.r)
+	case inj.kind == FaultDelay || inj.kind == FaultStall:
+		f.hold(inj)
+	}
+	return data, err
 }
 
 // Put implements Store, subject to write-fault plans.
@@ -371,26 +373,22 @@ func (f *FaultStore) Put(name string, data []byte) error {
 
 // ReadAll implements Store, subject to read-fault plans.
 func (f *FaultStore) ReadAll(name string) ([]byte, error) {
-	b, err := f.Store.ReadAll(name)
-	return f.readFault(name, b, err)
+	return f.read(name, func() ([]byte, error) { return f.Store.ReadAll(name) })
 }
 
 // ReadAllInto implements Store, subject to read-fault plans.
 func (f *FaultStore) ReadAllInto(name string, buf []byte) ([]byte, error) {
-	b, err := f.Store.ReadAllInto(name, buf)
-	return f.readFault(name, b, err)
+	return f.read(name, func() ([]byte, error) { return f.Store.ReadAllInto(name, buf) })
 }
 
 // ReadAt implements Store, subject to read-fault plans.
 func (f *FaultStore) ReadAt(name string, off, n int64) ([]byte, error) {
-	b, err := f.Store.ReadAt(name, off, n)
-	return f.readFault(name, b, err)
+	return f.read(name, func() ([]byte, error) { return f.Store.ReadAt(name, off, n) })
 }
 
 // ReadAtInto implements Store, subject to read-fault plans.
 func (f *FaultStore) ReadAtInto(name string, off, n int64, buf []byte) ([]byte, error) {
-	b, err := f.Store.ReadAtInto(name, off, n, buf)
-	return f.readFault(name, b, err)
+	return f.read(name, func() ([]byte, error) { return f.Store.ReadAtInto(name, off, n, buf) })
 }
 
 var _ Store = (*FaultStore)(nil)
