@@ -43,8 +43,9 @@
 // that only apply alongside another one (flagNeeds) typed without it, a flag
 // typed beside one that overrides it (flagOverrides: -p beside -membudget
 // B > 0, which chooses P itself, and -dataset beside -input, which replaces
-// it), and a negative value for any numeric flag but -fault-seed
-// (negativeFlag).
+// it), a negative value for any numeric flag but -fault-seed
+// (negativeFlag), a -cache-mb whose budget in bytes overflows int64, and a
+// -delta that is not > 0 (NaN included).
 //
 // With -input, a whitespace edge list ("src dst [weight]" per line) is
 // processed instead of a registry dataset (-dataset is then an error). With
@@ -83,6 +84,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -159,6 +161,9 @@ func run(args []string) error {
 	if err := negativeFlag(flags); err != nil {
 		return err
 	}
+	if *cacheMB > math.MaxInt64>>20 { // its budget in bytes would overflow int64
+		return fmt.Errorf("-cache-mb %d: above %d, the most MiB a budget in bytes can hold", *cacheMB, int64(math.MaxInt64>>20))
+	}
 	if *p == 0 { // every -system partitions; a baseline would take 0 for its default of 8
 		return fmt.Errorf("-p 0: need at least one interval, got P = 0")
 	}
@@ -203,7 +208,7 @@ func run(args []string) error {
 		if algo.Name != "SSSP-Delta" {
 			return fmt.Errorf("-delta applies only to -algo SSSP-Delta, not %s", algo.Name)
 		}
-		if *delta <= 0 {
+		if !(*delta > 0) { // NaN too, which no comparison holds for
 			return fmt.Errorf("-delta %g: bucket width must be > 0", *delta)
 		}
 		w := *delta

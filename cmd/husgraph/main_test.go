@@ -182,7 +182,9 @@ func TestRunRejectsOverriddenFlags(t *testing.T) {
 // TestRunRejectsBadNumbers drives run itself: a negative value for any
 // numeric flag is a startup error naming the flag, before a graph is
 // generated, and so is -p 0 under every -system (a baseline once ran it at
-// P = 8).
+// P = 8), a -delta of NaN (which once ran delta-stepping to a wrong answer
+// it called converged), and a -cache-mb past 2⁴³ − 1 (whose budget in bytes
+// once wrapped and switched the cache off).
 // -fault-seed takes any int64, so a negative seed gets as far as the check
 // that it needs a fault count.
 func TestRunRejectsBadNumbers(t *testing.T) {
@@ -200,6 +202,8 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 		{[]string{"-shards", "-2"}, "-shards -2: a negative value"},
 		{[]string{"-read-deadline", "-1ms"}, "-read-deadline -1ms: a negative value"},
 		{[]string{"-delta", "-0.5", "-algo", "sssp-delta"}, "-delta -0.5: a negative value"},
+		{[]string{"-delta", "NaN", "-algo", "sssp-delta"}, "-delta NaN: bucket width must be > 0"},
+		{[]string{"-cache-mb", "17592186044416"}, "-cache-mb 17592186044416: above 8796093022207"},
 		{[]string{"-system", "gridgraph", "-threads", "-1"}, "-threads -1: a negative value"},
 		{[]string{"-fault-seed", "-7"}, "-fault-seed has no effect without"},
 		{[]string{"-algo", "BFS", "-p", "0"}, "need at least one interval, got P = 0"},

@@ -23,7 +23,8 @@ import (
 // the final values are identical.
 type DeltaSSSP struct {
 	Source graph.VertexID
-	// Delta is the bucket width in distance units (0 defaults to 1).
+	// Delta is the bucket width in distance units (one not > 0, NaN
+	// included, defaults to 1).
 	Delta float64
 }
 
@@ -70,7 +71,7 @@ func (DeltaSSSP) Apply(_ graph.VertexID, prev, acc float64) (float64, bool) {
 }
 
 func (s DeltaSSSP) width() float64 {
-	if s.Delta <= 0 {
+	if !(s.Delta > 0) {
 		return 1
 	}
 	return s.Delta
@@ -78,12 +79,14 @@ func (s DeltaSSSP) width() float64 {
 
 // Priority implements core.PriorityProgram: the distance bucket index.
 // Activated vertices always carry a finite tentative distance, but an
-// unreached value is mapped defensively to the last bucket.
+// unreached value is mapped defensively to the last bucket, and so is any
+// quotient int64 cannot hold (converted, it would wrap to the first): the
+// index stays monotone in the distance however narrow the width.
 func (s DeltaSSSP) Priority(_ graph.VertexID, val float64) int64 {
-	if math.IsInf(val, 1) {
-		return math.MaxInt64
+	if q := val / s.width(); q < math.MaxInt64 {
+		return int64(q)
 	}
-	return int64(val / s.width())
+	return math.MaxInt64
 }
 
 // PriorityOrder implements core.PriorityProgram: nearest bucket first.

@@ -1,6 +1,7 @@
 package algos
 
 import (
+	"math"
 	"testing"
 
 	"husgraph/internal/blockstore"
@@ -36,6 +37,29 @@ func TestDeltaSSSPBucketStatsMonotone(t *testing.T) {
 	}
 	if !sawPending {
 		t.Fatal("no iteration reported parked vertices — the run was never actually bucketed")
+	}
+}
+
+// TestDeltaSSSPAnyWidthMatchesBellmanFord holds delta-stepping to the
+// Bellman–Ford oracle, bit for bit, at widths that stress the bucket index:
+// one so narrow that a distance divides past 2⁶³, one far narrower than any
+// edge, one wider than every distance, and NaN, which the program reads as
+// the default width. A width the bucket index cannot represent must cost
+// buckets, never a distance.
+func TestDeltaSSSPAnyWidthMatchesBellmanFord(t *testing.T) {
+	g := testGraphs(t)["rmat"]
+	src := gen.BFSSource(g)
+	want := OracleBellmanFord(g, src)
+	for _, delta := range []float64{1e-300, 1e-9, math.Inf(1), math.NaN()} {
+		res := run(t, g, DeltaSSSP{Source: src, Delta: delta}, 4, core.ModelHybrid)
+		if !res.Converged {
+			t.Fatalf("Δ = %g: no convergence in %d iterations", delta, res.NumIterations())
+		}
+		for v := range want {
+			if math.Float64bits(res.Values[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("Δ = %g: dist[%d] = %v, Bellman–Ford %v", delta, v, res.Values[v], want[v])
+			}
+		}
 	}
 }
 

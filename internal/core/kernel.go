@@ -21,12 +21,15 @@ import (
 //
 //   - COP reads a per-source message table m[u], computed once per vertex
 //     and refreshed wherever S changes during the sweep, and its edge loop
-//     is acc += m[nbr] (sum) or if m[nbr] < acc { acc = m[nbr] } (min).
+//     is acc += m[nbr] (sum) or if m[nbr] < acc { acc = m[nbr] } (min). An
+//     inactive source's entry is the reduction's identity, so one loop
+//     serves every frontier.
 //   - ROP calls Message once per active source and pushes the value along
 //     its edges with the reduction inlined.
 //
 // Values are bit-identical to the per-edge interface loops: the table holds
-// exactly what Message would have returned, combined in the same order.
+// exactly what Message would have returned, or that identity, combined in
+// the same order.
 // Those loops (copKernel.combine, the ReduceCustom arm of ropPushRaw)
 // remain the one fallback — for programs that declare nothing and for
 // weighted stores, where a message may depend on the edge.
@@ -88,6 +91,16 @@ func (op ReduceOp) Combine(acc, msg float64) (float64, bool) {
 	return acc, false
 }
 
+// identity is the message that leaves every accumulator's bits as they are:
+// −0 for a sum, since x + (−0) is x for every x, +0 and −0 included, and
+// +Inf for a min, which the strict < never finds below an accumulator.
+func (op ReduceOp) identity() float64 {
+	if op == ReduceMin {
+		return math.Inf(1)
+	}
+	return math.Copysign(0, -1)
+}
+
 // Reducer is the optional interface a Program implements to take the
 // engine's specialised edge kernels. Declaring a reduction is a promise
 // about two methods:
@@ -147,12 +160,12 @@ type copKernel struct {
 	weighted bool
 	threads  int
 	s        []float64
-	// m is the message table (nil under ReduceCustom). Entries of inactive
-	// sources are stale and never read: the active test guards them.
+	// m is the message table (nil under ReduceCustom): an active source's
+	// message, and the reduction's identity for an inactive one.
 	m []float64
-	// active is the frontier's bitmap, which the loops test each source
-	// against — nil when every vertex is active, and then the test is
-	// dropped altogether.
+	// active is the frontier's bitmap — nil when every vertex is active.
+	// refresh reads it to fill m, and the Combine fallback, which has no
+	// identity to fold, tests each source against it.
 	active []uint64
 
 	// The block in hand: d is the destination interval's accumulators,
@@ -203,15 +216,19 @@ func (k *copKernel) end() {
 
 // refresh recomputes the table over vertices [lo, hi) from the current S —
 // at sweep start for every vertex, and for an interval right after its
-// column synchronised S_i ← D_i. No-op under ReduceCustom.
+// column synchronised S_i ← D_i: an active source's message, or for an
+// inactive one the reduction's identity. No-op under ReduceCustom.
 func (k *copKernel) refresh(lo, hi int) {
 	if k.m == nil {
 		return
 	}
+	none := k.op.identity()
 	parallelChunks(hi-lo, k.threads, func(cl, ch int) {
 		for v := lo + cl; v < lo+ch; v++ {
 			if k.active == nil || isActive(k.active, uint32(v)) {
 				k.m[v] = k.prog.Message(graph.VertexID(v), k.s[v], 1)
+			} else {
+				k.m[v] = none
 			}
 		}
 	})
@@ -262,7 +279,6 @@ func isActive(active []uint64, v uint32) bool { return active[v>>6]&(1<<(v&63)) 
 // destinations, so workers never write the same accumulator (§3.5).
 func (k *copKernel) runChunk(c int) {
 	cl, ch := k.bounds[c], k.bounds[c+1]
-	all, active := k.active == nil, k.active
 	// The chunk's entries, and where the first one's section begins.
 	idx, lo := k.idx[2*cl:2*ch], 0
 	if cl > 0 {
@@ -270,22 +286,14 @@ func (k *copKernel) runChunk(c int) {
 	}
 	var bad int
 	switch raw := k.codec == blockstore.CodecNone; {
-	case k.op == ReduceSum && all && raw:
-		bad = copSumRaw(k.m, k.d, k.payload, idx, lo)
-	case k.op == ReduceSum && all:
-		bad = copSumVarint(k.m, k.d, k.payload, idx, lo)
 	case k.op == ReduceSum && raw:
-		bad = copSumRawProbe(k.m, k.d, k.payload, idx, lo, active)
+		bad = copSumRaw(k.m, k.d, k.payload, idx, lo)
 	case k.op == ReduceSum:
-		bad = copSumVarintProbe(k.m, k.d, k.payload, idx, lo, active)
-	case k.op == ReduceMin && all && raw:
-		bad = copMinRaw(k.m, k.d, k.payload, idx, lo)
-	case k.op == ReduceMin && all:
-		bad = copMinVarint(k.m, k.d, k.payload, idx, lo)
+		bad = copSumVarint(k.m, k.d, k.payload, idx, lo)
 	case k.op == ReduceMin && raw:
-		bad = copMinRawProbe(k.m, k.d, k.payload, idx, lo, active)
+		bad = copMinRaw(k.m, k.d, k.payload, idx, lo)
 	case k.op == ReduceMin:
-		bad = copMinVarintProbe(k.m, k.d, k.payload, idx, lo, active)
+		bad = copMinVarint(k.m, k.d, k.payload, idx, lo)
 	default:
 		bad = k.combine(c, idx, lo)
 	}
@@ -300,10 +308,10 @@ func (k *copKernel) runChunk(c int) {
 // The specialised COP kernels, over the entries idx whose first section
 // begins at payload byte lo. Each listed destination's accumulator is read
 // once, folded over its in-neighbours in stored (ascending-source) order,
-// and written back. The all-active loops carry no IsActive check (Alg. 3
-// line 11 is vacuous) and no call, so the accumulator and cursors stay in
-// registers; the probing loops test the frontier's bitmap words in line for
-// the same reason. They only ever see unweighted sections — 4-byte records,
+// and written back. They carry no IsActive check — an inactive source's
+// table entry is the reduction's identity (refresh), so folding it is
+// folding nothing — and no call, so the accumulator and cursors stay in
+// registers. They only ever see unweighted sections — 4-byte records,
 // or one uvarint gap per neighbour: reduceOf keeps weighted stores on the
 // fallback. Each returns -1, or the position in idx of the entry whose
 // section it stopped in.
@@ -325,25 +333,6 @@ func copSumRaw(m, d []float64, payload []byte, idx []uint32, lo int) int {
 	return -1
 }
 
-func copSumRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		acc := d[local]
-		for off := lo; off < hi; off += 4 {
-			nbr := binary.LittleEndian.Uint32(payload[off:])
-			if int(nbr) >= len(m) {
-				return e
-			}
-			if isActive(active, nbr) {
-				acc += m[nbr]
-			}
-		}
-		d[local] = acc
-		lo = hi
-	}
-	return -1
-}
-
 func copMinRaw(m, d []float64, payload []byte, idx []uint32, lo int) int {
 	for e := 0; e+1 < len(idx); e += 2 {
 		local, hi := idx[e], int(idx[e+1])
@@ -355,25 +344,6 @@ func copMinRaw(m, d []float64, payload []byte, idx []uint32, lo int) int {
 			}
 			if v := m[nbr]; v < acc {
 				acc = v
-			}
-		}
-		d[local] = acc
-		lo = hi
-	}
-	return -1
-}
-
-func copMinRawProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		acc := d[local]
-		for off := lo; off < hi; off += 4 {
-			nbr := binary.LittleEndian.Uint32(payload[off:])
-			if int(nbr) >= len(m) {
-				return e
-			}
-			if isActive(active, nbr) && m[nbr] < acc {
-				acc = m[nbr]
 			}
 		}
 		d[local] = acc
@@ -421,38 +391,6 @@ func copSumVarint(m, d []float64, payload []byte, idx []uint32, lo int) int {
 	return -1
 }
 
-func copSumVarintProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		sec := payload[lo:hi]
-		acc := d[local]
-		nbr := ^uint64(0)
-		for off := 0; off < len(sec); {
-			gap := uint64(sec[off])
-			if off++; gap >= 0x80 {
-				if off < len(sec) && sec[off] < 0x80 {
-					gap = gap&0x7f | uint64(sec[off])<<7
-					off++
-				} else if off+1 < len(sec) && sec[off+1] < 0x80 {
-					gap = gap&0x7f | uint64(sec[off]&0x7f)<<7 | uint64(sec[off+1])<<14
-					off += 2
-				} else if gap, off = longGap(sec, off-1); off < 0 {
-					return e
-				}
-			}
-			if nbr += gap; nbr >= uint64(len(m)) {
-				return e
-			}
-			if isActive(active, uint32(nbr)) {
-				acc += m[nbr]
-			}
-		}
-		d[local] = acc
-		lo = hi
-	}
-	return -1
-}
-
 func copMinVarint(m, d []float64, payload []byte, idx []uint32, lo int) int {
 	for e := 0; e+1 < len(idx); e += 2 {
 		local, hi := idx[e], int(idx[e+1])
@@ -477,38 +415,6 @@ func copMinVarint(m, d []float64, payload []byte, idx []uint32, lo int) int {
 			}
 			if v := m[nbr]; v < acc {
 				acc = v
-			}
-		}
-		d[local] = acc
-		lo = hi
-	}
-	return -1
-}
-
-func copMinVarintProbe(m, d []float64, payload []byte, idx []uint32, lo int, active []uint64) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		sec := payload[lo:hi]
-		acc := d[local]
-		nbr := ^uint64(0)
-		for off := 0; off < len(sec); {
-			gap := uint64(sec[off])
-			if off++; gap >= 0x80 {
-				if off < len(sec) && sec[off] < 0x80 {
-					gap = gap&0x7f | uint64(sec[off])<<7
-					off++
-				} else if off+1 < len(sec) && sec[off+1] < 0x80 {
-					gap = gap&0x7f | uint64(sec[off]&0x7f)<<7 | uint64(sec[off+1])<<14
-					off += 2
-				} else if gap, off = longGap(sec, off-1); off < 0 {
-					return e
-				}
-			}
-			if nbr += gap; nbr >= uint64(len(m)) {
-				return e
-			}
-			if isActive(active, uint32(nbr)) && m[nbr] < acc {
-				acc = m[nbr]
 			}
 		}
 		d[local] = acc

@@ -31,9 +31,14 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 
 // BenchmarkEdgeKernel times the COP edge kernels alone on one Chung–Lu
 // in-block (2¹⁸ sources, ~2.4 M edges, one thread, no I/O): the interface
-// fallback against the sum and min kernels, each with every source active
-// and with one source short of that — the smallest frontier that still has
-// to probe. ns/edge is the layer-level number for the next kernel change.
+// fallback against the sum and min kernels, each with every source active,
+// with one source short of that (/probe: the largest frontier that still
+// holds an inactive source), and with a seeded 1 %, 20 % or 50 % of the
+// sources active (/active=…). The sum and min kernels run one loop for
+// every frontier — an inactive source's table entry is the reduction's
+// identity — so their legs differ only in which messages they fold; the
+// fallback tests the frontier per edge. ns/edge is the layer-level number
+// for the next kernel change.
 // The /varint legs fold the same block as a mixed store hands it over —
 // its varint sections as stored, decoded by the kernel as it folds them —
 // and the /decoded legs the raw records blockstore.DecodeInBlock makes of
@@ -87,10 +92,21 @@ func BenchmarkEdgeKernel(b *testing.B) {
 			probe.Add(v)
 		}
 	}
-	frontiers := []struct {
+	type namedFrontier struct {
 		name string
 		f    *bitset.Frontier
-	}{{"allactive", bitset.FullFrontier(n)}, {"probe", probe}}
+	}
+	frontiers := []namedFrontier{{"allactive", bitset.FullFrontier(n)}, {"probe", probe}}
+	for _, pct := range []int{1, 20, 50} {
+		f := bitset.NewFrontier(n)
+		rng := rand.New(rand.NewSource(int64(pct)))
+		for v := 0; v < n; v++ {
+			if rng.Intn(100) < pct {
+				f.Add(v)
+			}
+		}
+		frontiers = append(frontiers, namedFrontier{fmt.Sprintf("active=%d", pct), f})
+	}
 
 	const size, occEdges = 1 << 14, 1 << 16
 	for _, pct := range []int{5, 20, 100} {

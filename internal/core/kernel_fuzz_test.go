@@ -40,8 +40,9 @@ type foldCase struct {
 // rest of the payload) and names a destination 1 + (c>>4)%3 past the
 // previous, so the entries are what blockstore validates before a kernel
 // sees them; the selector picks the reduction (sum, min or none — the
-// Combine fallback, the only one a weighted store takes), all-active or
-// probing, the weights and 1–3 threads; the vertex count is 1 + nsel².
+// Combine fallback, the only one a weighted store takes), a full frontier
+// or the one the mask spells, the weights and 1–3 threads; the vertex
+// count is 1 + nsel².
 func decodeFoldCase(payload, cuts, mask []byte, sel uint8, nsel uint8) foldCase {
 	c := foldCase{payload: payload, n: 1 + int(nsel)*int(nsel), threads: 1 + int(sel>>4)%3}
 	c.op = [...]ReduceOp{ReduceSum, ReduceMin, ReduceCustom}[sel%3]
@@ -89,7 +90,10 @@ func (c foldCase) fold(payload []byte, entries []uint32, codec blockstore.Codec)
 	}
 	k := &copKernel{prog: c.prog, op: c.op, weighted: c.weighted, threads: c.threads, s: s, active: c.active}
 	if c.op != ReduceCustom {
-		k.m = s // Message(u, S[u], 1) is S[u] for testLabel
+		// As a sweep fills it: S[u] for an active u (testLabel's message),
+		// the reduction's identity for an inactive one.
+		k.m = make([]float64, c.n)
+		k.refresh(0, c.n)
 	}
 	bad := k.block(d, payload, entries, codec)
 	return d, bad
@@ -110,7 +114,7 @@ func FuzzFoldVarint(f *testing.F) {
 		}
 	}
 	f.Add(valid, []byte{3, 0x10}, []byte{0xff}, uint8(0), uint8(20))                                      // sum, all active
-	f.Add(valid, []byte{3, 0x10}, []byte{0x0f}, uint8(1|4|16), uint8(20))                                 // min, probing, 2 threads
+	f.Add(valid, []byte{3, 0x10}, []byte{0x0f}, uint8(1|4|16), uint8(20))                                 // min, a partial frontier, 2 threads
 	f.Add(valid, []byte{3, 0x10}, []byte{0xff}, uint8(0), uint8(10))                                      // 300 ≥ |V| = 101
 	f.Add([]byte{1, 0x80}, []byte{}, []byte{}, uint8(1), uint8(3))                                        // unterminated gap
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, []byte{}, []byte{}, uint8(0), uint8(9))                   // 2³⁵ − 1: past uint32

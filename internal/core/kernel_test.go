@@ -103,7 +103,10 @@ var edgeCaseValues = []float64{
 // demands the accumulator the reduction's written-out Combine produces —
 // bit for bit, including which destinations a min activates. The COP kernels
 // see it as the two extreme in-index shapes: an entry for every destination
-// of the interval, and a single entry in the middle of it.
+// of the interval, and a single entry in the middle of it — over a bare
+// table, and over one refresh filled for a one-source frontier. Over that
+// table an inactive source's edges into every destination must change no
+// accumulator's bits.
 func TestKernelsMatchDeclaredCombine(t *testing.T) {
 	// Source u carries message vals[u]; destination k starts from vals[k]
 	// and has the single in-edge (pair index) → k.
@@ -118,19 +121,24 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 			for k, acc := range vals {
 				want[k], changed[k] = op.Combine(acc, msg)
 			}
+			// The table as a sweep whose frontier is {src} fills it: msg for
+			// src, the reduction's identity for every other source.
 			active := bitset.NewFrontier(n)
 			active.Add(src)
-			words := active.Bitmap().Words()
+			fill := &copKernel{prog: declared{constMessage{msg}, op}, op: op, threads: 1, s: vals, m: make([]float64, n), active: active.Bitmap().Words()}
+			fill.refresh(0, n)
 
-			// One record per listed destination, all naming src.
-			run := func(name string, dsts []int, fn func(d []float64, payload []byte, idx []uint32)) {
+			// One record per listed destination, all naming from.
+			run := func(name string, from int, dsts []int, fn func(d []float64, payload []byte, idx []uint32)) {
 				payload := make([]byte, 4*len(dsts))
 				var idx []uint32
 				wantD := append([]float64(nil), vals...)
 				for e, k := range dsts {
-					payload[4*e] = byte(src)
+					payload[4*e] = byte(from)
 					idx = append(idx, uint32(k), uint32(4*(e+1)))
-					wantD[k] = want[k]
+					if from == src {
+						wantD[k] = want[k]
+					}
 				}
 				d := append([]float64(nil), vals...)
 				fn(d, payload, idx)
@@ -142,15 +150,17 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 			for k := range every {
 				every[k] = k
 			}
-			for _, dsts := range [][]int{every, {n / 2}} {
-				if op == ReduceSum {
-					run("all-active", dsts, func(d []float64, payload []byte, idx []uint32) { copSumRaw(m, d, payload, idx, 0) })
-					run("probe", dsts, func(d []float64, payload []byte, idx []uint32) { copSumRawProbe(m, d, payload, idx, 0, words) })
-				} else {
-					run("all-active", dsts, func(d []float64, payload []byte, idx []uint32) { copMinRaw(m, d, payload, idx, 0) })
-					run("probe", dsts, func(d []float64, payload []byte, idx []uint32) { copMinRawProbe(m, d, payload, idx, 0, words) })
-				}
+			kernel := copSumRaw
+			if op == ReduceMin {
+				kernel = copMinRaw
 			}
+			for _, dsts := range [][]int{every, {n / 2}} {
+				run("all-active", src, dsts, func(d []float64, payload []byte, idx []uint32) { kernel(m, d, payload, idx, 0) })
+				run("probe", src, dsts, func(d []float64, payload []byte, idx []uint32) { kernel(fill.m, d, payload, idx, 0) })
+			}
+			// An inactive source's identity, folded into every edge-case
+			// accumulator, must leave each one's bits as they are.
+			run("inactive source", (src+1)%n, every, func(d []float64, payload []byte, idx []uint32) { kernel(fill.m, d, payload, idx, 0) })
 
 			// ROP: one source pushing msg to every destination.
 			prog := declared{constMessage{msg}, op}
@@ -217,9 +227,10 @@ func (constMessage) Apply(_ graph.VertexID, _, acc float64) (float64, bool) {
 }
 
 // TestProbePathSkipsExactlyTheInactiveSource is the all-active boundary: a
-// frontier one vertex short of full must probe, and must leave out exactly
-// that vertex's edges — in a block with an entry per destination and in a
-// block with one entry as in the ordinary ones between.
+// frontier one vertex short of full must keep its bitmap (refresh and the
+// Combine fallback read it), and must leave out exactly that vertex's
+// edges — in a block with an entry per destination and in a block with one
+// entry as in the ordinary ones between, stored raw and varint.
 func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
 	const n, p = 96, 4
 	g := shapedGraph(t, n, 900, p, 3)
@@ -247,12 +258,12 @@ func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
 			k := &e.cop
 			k.begin(e, prog, s, frontier)
 			if k.active == nil {
-				t.Fatalf("%v: |V|-1 active vertices took the all-active path", format)
+				t.Fatalf("%v: |V|-1 active vertices dropped the frontier's bitmap", format)
 			}
 			k.end()
 			k.begin(e, prog, s, bitset.FullFrontier(n))
 			if k.active != nil {
-				t.Fatalf("%v: a full frontier still probes", format)
+				t.Fatalf("%v: a full frontier kept a bitmap to test", format)
 			}
 			k.end()
 

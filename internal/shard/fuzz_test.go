@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ type engineCase struct {
 	device            storage.Profile
 	faults            int
 	weighted          bool // every store carries weights, so every program takes the per-edge fallback kernels
-	file              bool // the store is a FileStore under t.TempDir(), not a MemStore
+	file              bool // the store is a FileStore under t.TempDir() (storeDir), not a MemStore
 }
 
 // maxEdges bounds a decoded graph; the seeds carrying the matrices' graphs
@@ -176,19 +177,66 @@ type outcome struct {
 	k int // the shard count the run resolved (0: one core.Engine)
 }
 
-// run builds g under c's storage options and runs prog through c's
-// configuration. A read counter sits on the substrate, under the fault
-// injector, which fails a faulted read before the substrate serves it.
-// With faults, the first reads after the build fail transient and are
-// retried. Every run must charge each iteration exactly the bytes the
-// substrate returned and no write, and count every injected fault as one
-// retry, once in the iterations' stats and once in the run's.
+// fileStores holds, per test, the directory of each FileStore store the
+// test has built, by storage options and graph. An input's ~45 runs then
+// open a handful of stores instead of building one each: a P = 4 store is
+// 65 files.
+var fileStores = struct {
+	sync.Mutex
+	dirs map[*testing.T]map[string]string
+}{dirs: map[*testing.T]map[string]string{}}
+
+// storeDir returns a directory holding g's store under opts, built the
+// first time t asks for it. A run opens it through a FileStore of its own,
+// so runs share the bytes on disk and nothing else. The lock guards the
+// map alone; the build runs outside it.
+func storeDir(t *testing.T, g *graph.Graph, opts blockstore.Options) string {
+	t.Helper()
+	key := fmt.Sprint(opts, g.NumVertices, g.Edges)
+	fileStores.Lock()
+	dir, ok := fileStores.dirs[t][key]
+	fileStores.Unlock()
+	if ok {
+		return dir
+	}
+	dir = t.TempDir()
+	fs, err := storage.NewFileStore(storage.NewDevice(storage.RAM), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if _, err := blockstore.BuildOpts(fs, g, opts); err != nil {
+		t.Fatal(err)
+	}
+	fileStores.Lock()
+	defer fileStores.Unlock()
+	if fileStores.dirs[t] == nil {
+		fileStores.dirs[t] = map[string]string{}
+		t.Cleanup(func() {
+			fileStores.Lock()
+			delete(fileStores.dirs, t)
+			fileStores.Unlock()
+		})
+	}
+	fileStores.dirs[t][key] = dir
+	return dir
+}
+
+// run builds g under c's storage options — or, on a FileStore, opens the
+// store storeDir built — and runs prog through c's configuration. A read
+// counter sits on the substrate, under the fault injector, which fails a
+// faulted read before the substrate serves it. With faults, the first reads
+// after the build or open fail transient and are retried. Every run must
+// charge each iteration exactly the bytes the substrate returned and no
+// write, and count every injected fault as one retry, once in the
+// iterations' stats and once in the run's.
 func (c engineCase) run(t *testing.T, g *graph.Graph, fp fuzzProgram, prog core.Program) outcome {
 	t.Helper()
 	dev := storage.NewDevice(c.device)
+	opts := blockstore.Options{P: c.p, Format: c.format, Weighted: c.weighted || fp.weighted}
 	var sub storage.Store = storage.NewMemStore(dev)
 	if c.file {
-		fs, err := storage.NewFileStore(dev, t.TempDir())
+		fs, err := storage.NewFileStore(dev, storeDir(t, g, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +245,13 @@ func (c engineCase) run(t *testing.T, g *graph.Graph, fp fuzzProgram, prog core.
 	}
 	counted := &countingStore{Store: sub}
 	faulty := storage.NewFaultStore(counted, 1)
-	ds, err := blockstore.BuildOpts(faulty, g, blockstore.Options{P: c.p, Format: c.format, Weighted: c.weighted || fp.weighted})
+	var ds *blockstore.DualStore
+	var err error
+	if c.file {
+		ds, err = blockstore.Open(faulty)
+	} else {
+		ds, err = blockstore.BuildOpts(faulty, g, opts)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
