@@ -271,7 +271,7 @@ func BenchmarkPrefetchColumnSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pf := ds.NewPrefetcher(sched, nil, depth, nil)
+				pf := ds.NewPrefetcher(sched, nil, nil, depth, nil)
 				for range sched {
 					res := pf.Next()
 					if res.Err != nil {
@@ -293,7 +293,7 @@ func BenchmarkPrefetchColumnSweep(b *testing.B) {
 func BenchmarkBlockCacheSweep(b *testing.B) {
 	ds := benchGraphStore(b, FormatRaw, true)
 	sched := inBlockSchedule(ds)
-	sizer := ds.NewPrefetcher(nil, nil, 0, nil)
+	sizer := ds.NewPrefetcher(nil, nil, nil, 0, nil)
 	var sweep int64
 	for _, key := range sched {
 		sweep += sizer.entryBytes(key)
@@ -306,7 +306,7 @@ func BenchmarkBlockCacheSweep(b *testing.B) {
 			var hitBytes int64
 			cache := NewBlockCache(leg.budget)
 			sweepOnce := func() {
-				pf := ds.NewPrefetcher(sched, nil, 2, cache)
+				pf := ds.NewPrefetcher(sched, nil, nil, 2, cache)
 				for range sched {
 					res := pf.Next()
 					if res.Err != nil {

@@ -27,7 +27,7 @@ func TestCachedBlockBytes(t *testing.T) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		ds := prefetchStore(t, format)
 		cache := NewBlockCache(1 << 20)
-		pf := ds.NewPrefetcher([]BlockKey{inKey(0, 0)}, nil, 0, cache)
+		pf := ds.NewPrefetcher([]BlockKey{inKey(0, 0)}, nil, nil, 0, cache)
 		res := pf.Next()
 		if res.Err != nil {
 			t.Fatal(res.Err)

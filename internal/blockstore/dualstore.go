@@ -466,7 +466,7 @@ func (d *DualStore) readBlob(name string, buf *[]byte) ([]byte, error) {
 // fault retries, shifting past the frame header. Range reads cannot
 // validate the whole-blob checksum: an out-index page span is checked page
 // by page against the meta (LoadOutIndexSpanScratch), and selectively loaded
-// record runs only by ROP's span and neighbour checks (core/rop.go).
+// record runs only by the window's section checks and ROP's neighbour check.
 func (d *DualStore) readRange(name string, off, n int64, buf []byte) ([]byte, error) {
 	return d.withRetry(buf, blobRead{name: name, off: off + frameHeaderLen, n: n, ranged: true})
 }
@@ -491,10 +491,12 @@ func (d *DualStore) NumEdges() int64 {
 // buffers and are invalidated by the next load into the same Scratch.
 type Scratch struct {
 	// raw and idxRaw hold a block's and an index's blob as read; idx the
-	// in-index entries parsed out of idxRaw.
+	// in-index entries parsed out of idxRaw; secs and runs a ROP entry's.
 	raw    []byte
 	idxRaw []byte
 	idx    []uint32
+	secs   []Section
+	runs   []run
 }
 
 // scratchPool recycles Scratch buffers across loads, package-wide: the
@@ -556,19 +558,14 @@ func (d *DualStore) LoadOutIndexSpanScratch(i, j int, x Extent, sc *Scratch) (id
 }
 
 // LoadOutRunScratch reads the byte range [startByte, endByte) of
-// out-block(i,j) with one random access into sc — ROP's selective load of
-// one or more coalesced per-vertex sections (Alg. 2 line 7), each of them
-// packed raw records (RawRec).
-func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, sc *Scratch) ([]byte, error) {
+// out-block(i,j) with one random access, into buf's storage when it has
+// room — ROP's selective load of one or more coalesced per-vertex sections
+// (Alg. 2 line 7), each of them packed raw records (RawRec).
+func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, buf []byte) ([]byte, error) {
 	if startByte >= endByte {
 		return nil, nil
 	}
-	buf, err := d.readRange(d.names.name(blobOutBlock, i, j), int64(startByte), int64(endByte-startByte), sc.raw)
-	if err != nil {
-		return nil, err
-	}
-	sc.raw = buf
-	return buf, nil
+	return d.readRange(d.names.name(blobOutBlock, i, j), int64(startByte), int64(endByte-startByte), buf)
 }
 
 // LoadInBlockBytesScratch streams in-block(i,j) with its index, charged as

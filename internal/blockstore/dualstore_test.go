@@ -105,7 +105,6 @@ func TestBuildPaperExample(t *testing.T) {
 }
 
 func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
-	sc := new(Scratch)
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		g := gen.RMAT(256, 2000, gen.Graph500, rand.New(rand.NewSource(3)))
 		ds, err := BuildOpts(memStore(), g, Options{P: 4, Format: format, Weighted: true})
@@ -127,7 +126,7 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 				}
 				for k := 0; k+1 < len(idx); k++ {
 					want := full.EdgesOf(k)
-					sec, err := loadOutSection(ds, i, j, idx, k, sc)
+					sec, err := loadOutSection(ds, i, j, idx, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -302,7 +301,7 @@ func TestRandomAccessCharged(t *testing.T) {
 	// Find a vertex with edges.
 	for k := 0; k+1 < len(idx); k++ {
 		if idx[k+1] > idx[k] {
-			if _, err := ds.LoadOutRunScratch(0, 0, idx[k], idx[k+1], new(Scratch)); err != nil {
+			if _, err := ds.LoadOutRunScratch(0, 0, idx[k], idx[k+1], nil); err != nil {
 				t.Fatal(err)
 			}
 			break

@@ -36,7 +36,7 @@ func ExampleDualStore_LoadOutRunScratch() {
 		log.Fatal(err)
 	}
 	// An out-block holds packed raw records in every format.
-	sec, err := ds.LoadOutRunScratch(0, 1, binary.LittleEndian.Uint32(idx[0:]), binary.LittleEndian.Uint32(idx[4:]), sc)
+	sec, err := ds.LoadOutRunScratch(0, 1, binary.LittleEndian.Uint32(idx[0:]), binary.LittleEndian.Uint32(idx[4:]), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

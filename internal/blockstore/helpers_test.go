@@ -115,11 +115,9 @@ func outIndexWords(b []byte) []uint32 {
 }
 
 // loadOutSection reads vertex k's section of out-block(i,j) the way ROP does
-// — one range read of [idx[k], idx[k+1]) — and returns a copy of its packed
-// records.
-func loadOutSection(ds *DualStore, i, j int, idx []uint32, k int, sc *Scratch) ([]byte, error) {
-	sec, err := ds.LoadOutRunScratch(i, j, idx[k], idx[k+1], sc)
-	return append([]byte(nil), sec...), err
+// — one range read of [idx[k], idx[k+1]) — and returns its packed records.
+func loadOutSection(ds *DualStore, i, j int, idx []uint32, k int) ([]byte, error) {
+	return ds.LoadOutRunScratch(i, j, idx[k], idx[k+1], nil)
 }
 
 // inEdgeBytes sums a store's stored in-block bytes: the edge bytes a mixed

@@ -199,8 +199,6 @@ func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := ds.Layout
-	sc := GetScratch()
-	defer PutScratch(sc)
 	for i := 0; i < l.P; i++ {
 		for j := 0; j < l.P; j++ {
 			if ds.BlockEdgeCount[i][j] == 0 {
@@ -218,7 +216,7 @@ func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 				if idx[local] == idx[local+1] {
 					continue
 				}
-				sec, err := loadOutSection(ds, i, j, idx, local, sc)
+				sec, err := loadOutSection(ds, i, j, idx, local)
 				if err != nil {
 					t.Fatalf("section read (%d,%d) v%d: %v", i, j, local, err)
 				}

@@ -1,39 +1,45 @@
 package blockstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"husgraph/internal/bitset"
+	"husgraph/internal/storage"
 )
 
 // Async block prefetch pipeline.
 //
 // The engine's traversal order is statically known once an iteration's
 // frontier is fixed: COP streams in-blocks column-major, ROP touches the
-// out-indices of active rows row-major. A Prefetcher takes that schedule up
-// front and overlaps I/O with compute: while the engine processes block k, a
-// small worker pool (PartitionedVC-style) reads and checksum-verifies blocks
-// k+1.. into pooled Scratch buffers, and decodes their indices — or serves
-// them straight from the BlockCache — and delivers each result on its own
-// channel. A compressed in-block is delivered as stored, for the COP
-// kernel to fold as it decodes it; only one the cache admits is decoded
-// here, into the cache.
+// live out-blocks of active rows row-major. A Prefetcher takes that schedule
+// up front and overlaps I/O with compute: while the engine processes block
+// k, a small worker pool (PartitionedVC-style) loads blocks k+1.. into
+// pooled Scratch buffers — or serves them from the BlockCache — and
+// delivers each result on its own channel: a COP in-block with its decoded
+// in-index (a compressed in-block as stored, for the COP kernel to fold as
+// it decodes it; only one the cache admits is decoded here), or a ROP
+// out-block's active sections (loadSections) — every read of an iteration.
 //
 // Read-ahead is bounded by a token semaphore: at most `depth` results exist
-// between load-start and Release, so memory stays at O(depth) blocks no
-// matter how long the schedule is. Transient-fault retry/backoff runs inside
-// the workers (they call the DualStore read paths, which own the retry
-// policy), preserving the fault-injection semantics of the synchronous path.
+// between load-start and Take or Release, so memory stays at O(depth) blocks,
+// plus one per consumer, however long the schedule. Transient-fault
+// retry/backoff runs inside the workers (they call the DualStore read paths,
+// which own the retry policy), as on the synchronous path.
 //
 // Consumption modes:
 //
 //   - Next() — strict schedule order, single consumer (COP's column scan).
-//   - Take(key) — by key, from concurrent consumers (ROP's row workers).
-//     Safe whenever the consumers collectively drain a contiguous window of
-//     the schedule (e.g. all blocks of the current row): workers claim
-//     requests in schedule order, so a Take far ahead of the oldest
-//     unconsumed entry can only complete once earlier results are released.
+//   - Take(key) — by key, from concurrent consumers (ROP's row workers, who
+//     push a block's sections while the workers read ahead: Take hands the
+//     token back as it delivers). Safe whenever the consumers collectively
+//     drain a contiguous window of the schedule (e.g. all blocks of the
+//     current row): workers claim requests in schedule order, so a Take far
+//     ahead of the oldest untaken entry completes once earlier ones are.
 //
 // On a load error the prefetcher aborts: the failing result carries the
 // error, and every request not yet claimed is failed with the same root
@@ -42,10 +48,11 @@ import (
 type Prefetcher struct {
 	ds    *DualStore
 	cache *BlockCache
-	// extents, when non-nil, holds each block's Extent at i·P+j: an
-	// out-index is then loaded as the page span of its extent
-	// (LoadOutIndexSpanScratch), and whole otherwise.
-	extents []Extent
+	// extents, when non-nil, holds each block's Extent at i·P+j for frontier:
+	// an out-index is then loaded as its extent's page span and delivers its
+	// block's active sections (loadSections); without extents, whole.
+	extents  []Extent
+	frontier *bitset.Frontier
 	// window is the cache window admitPlan opened for this plan, and
 	// admitted the keys it reserved room for.
 	window   int64
@@ -98,9 +105,9 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 // PrefetchResult is one delivered block: Payload and ByteIdx (its in-index
 // entries) for an in-block, in the layout Codec names, Payload alone for an
 // out-index — the (Size(i)+1)·4 bytes of its offsets (see CachedBlock), or
-// of a page-span load the bytes from offset Base on. Views alias either a
-// pooled Scratch (returned by Release) or an immutable cache entry; they are
-// read-only and valid until Release.
+// of a page-span load the bytes from offset Base on — with the block's
+// active Sections. Views alias either a pooled Scratch (returned by Release)
+// or an immutable cache entry; they are read-only and valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error
@@ -115,18 +122,32 @@ type PrefetchResult struct {
 	// Base is the stored payload offset Payload starts at: nonzero only for
 	// an out-index loaded as a page span that does not start at page 0.
 	Base int
-	// Cached reports the result was served from the block cache (no
-	// device I/O, no scratch to return).
+	// Cached reports the block's own blob was served from the block cache.
 	Cached bool
+	// Sections are an out-block's active sections, in source order.
+	Sections []Section
 
-	sc *Scratch
-	pf *Prefetcher
+	runBytes int64 // record-run bytes read from the device
+	sc       *Scratch
+	pf       *Prefetcher
+	token    bool // holds a read-ahead token, handed back by Take or Release
 }
 
+// Section is one active source's out-edges in a ROP result: V the source
+// and Recs its packed raw records (RawRec), sliced from a record run.
+type Section struct {
+	V    int32
+	Recs []byte
+	s, e uint32 // the section's byte range in the out-block's payload
+}
+
+// run is a coalesced byte range of an out-block, read with one access.
+type run struct{ s, e uint32 }
+
 // Release returns the result's buffers to the scratch pool and hands its
-// read-ahead token back to the workers. Call it once the block's data is no
-// longer needed; the views are invalid afterwards. Safe to call more than
-// once.
+// read-ahead token, unless Take already did, back to the workers. Call it
+// once the block's data is no longer needed; the views are invalid
+// afterwards. Safe to call more than once.
 func (r *PrefetchResult) Release() {
 	pf := r.pf
 	if pf == nil {
@@ -137,40 +158,45 @@ func (r *PrefetchResult) Release() {
 		PutScratch(r.sc)
 		r.sc = nil
 	}
-	if pf.sem != nil {
+	if r.token {
 		pf.sem <- struct{}{}
 	}
 }
 
-// dataBytes estimates the loaded payload size, for unused-prefetch
+// dataBytes estimates the bytes the load read, for unused-prefetch
 // accounting. Cache hits cost no I/O and count zero.
 func (r *PrefetchResult) dataBytes() int64 {
 	if r.Cached || r.Err != nil {
-		return 0
+		return r.runBytes
 	}
-	return (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
+	return r.runBytes + (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
 }
 
 // NewPrefetcher starts a prefetch pipeline over schedule. extents, when
 // non-nil, is the P·P grid of block extents a ROP iteration pushes over
-// (core.Engine.markLive): each scheduled out-index is loaded as the page span
-// of its block's extent, not whole. depth is the worker count and read-ahead
-// bound; depth <= 0 runs inline — Next/Take perform the load synchronously on
-// the calling goroutine (the cache, when non-nil, is still consulted), which
-// is the prefetch-disabled configuration sharing one code path with the
-// async one. cache may be nil; when it is not, the pipeline opens the cache's
-// next window and asks it, in schedule order, which of the schedule's misses
-// to keep — only those are copied into it.
+// (core.Engine.markLive), taken for frontier, which must then be non-nil:
+// each scheduled out-index is loaded as the page span of its block's extent
+// and delivers its block's active Sections. depth is the worker count and
+// read-ahead bound, capped at the schedule's length; depth <= 0
+// runs inline — Next/Take perform the load synchronously on the calling
+// goroutine (the cache, when non-nil, is still consulted), which is the
+// prefetch-disabled configuration sharing one code path with the async one.
+// cache may be nil; when it is not, the pipeline opens the cache's next
+// window and asks it, in schedule order, which of the schedule's misses to
+// keep — only those are copied into it.
 //
 // Close must be called when done (normally deferred), even after an error.
-func (d *DualStore) NewPrefetcher(schedule []BlockKey, extents []Extent, depth int, cache *BlockCache) *Prefetcher {
+func (d *DualStore) NewPrefetcher(schedule []BlockKey, extents []Extent, frontier *bitset.Frontier, depth int, cache *BlockCache) *Prefetcher {
 	p := &Prefetcher{
-		cache:   cache,
-		extents: extents,
-		reqs:    make([]prefetchReq, len(schedule)),
-		byKey:   make(map[BlockKey]*prefetchReq, len(schedule)),
-		quit:    make(chan struct{}),
+		cache:    cache,
+		extents:  extents,
+		frontier: frontier,
+		reqs:     make([]prefetchReq, len(schedule)),
+		byKey:    make(map[BlockKey]*prefetchReq, len(schedule)),
+		quit:     make(chan struct{}),
 	}
+	// More workers than entries would only wait for tokens no entry needs.
+	depth = min(depth, len(schedule))
 	// Workers read through a view whose retry backoff aborts when quit
 	// closes, so Close is never delayed by a worker mid-backoff-ladder.
 	p.ds = d.WithAbort(p.quit)
@@ -192,12 +218,10 @@ func (d *DualStore) NewPrefetcher(schedule []BlockKey, extents []Extent, depth i
 			p.byKey[key].admit = true
 		}
 	}
-	if depth > 0 && len(schedule) > 0 {
+	if depth > 0 {
 		p.sem = make(chan struct{}, depth)
-		for i := 0; i < depth; i++ {
+		for w := 0; w < depth; w++ { // a token and a worker per unit of depth
 			p.sem <- struct{}{}
-		}
-		for w := 0; w < depth; w++ {
 			p.wg.Add(1)
 			go p.worker()
 		}
@@ -272,19 +296,42 @@ func (p *Prefetcher) entryBytes(key BlockKey) int64 {
 
 // load performs one block load: cache lookup, then the store's verified,
 // retried read path, then — for a miss the cache admitted — a copy into the
-// cache, so the scratch can be recycled immediately and later iterations hit.
+// cache, so the scratch can be recycled immediately and later iterations
+// hit; and, in a window over extents, an out-index's active sections.
 func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	key, res := req.key, &req.loaded
+	*res = PrefetchResult{Key: key, pf: p, token: p.sem != nil}
 	if p.cache != nil {
 		if blk, ok := p.cache.Get(key); ok {
-			*res = PrefetchResult{Key: key, Cached: true, pf: p, Payload: blk.Payload, ByteIdx: blk.ByteIdx}
-			return res
+			res.Cached, res.Payload, res.ByteIdx = true, blk.Payload, blk.ByteIdx
 		}
 	}
-	sc := GetScratch()
-	// Ownership of sc transfers to the result: PrefetchResult.Release/Close
+	// Ownership of the scratch transfers to the result: Release or Close
 	// return it to the pool exactly once.
-	*res = PrefetchResult{Key: key, sc: sc, pf: p}
+	var err error
+	if !res.Cached {
+		res.sc = GetScratch()
+		err = p.read(req, res)
+	}
+	if err == nil && key.Kind == KindOutIndex && p.extents != nil {
+		if res.sc == nil {
+			res.sc = GetScratch()
+		}
+		err = p.loadSections(res)
+	}
+	if err != nil {
+		if res.sc != nil {
+			PutScratch(res.sc)
+		}
+		*res = PrefetchResult{Key: key, Err: err}
+	}
+	return res
+}
+
+// read loads req's blob into res.sc, and copies an admitted miss into the
+// cache, serving the cached copy.
+func (p *Prefetcher) read(req *prefetchReq, res *PrefetchResult) error {
+	key, sc := req.key, res.sc
 	var err error
 	switch key.Kind {
 	case KindOutIndex:
@@ -303,34 +350,119 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	default:
 		err = fmt.Errorf("blockstore: prefetch: unknown block kind %d", key.Kind)
 	}
-	if err != nil {
+	if err != nil || !req.admit {
+		return err
+	}
+	blk := &CachedBlock{}
+	if res.Codec == CodecNone {
+		blk.Payload = append([]byte(nil), res.Payload...)
+		blk.ByteIdx = append([]uint32(nil), res.ByteIdx...)
+	} else {
+		// The cache holds blocks decoded, at what the meta charged for
+		// them (entryBytes), so a hit costs no decode.
+		recs := make([]byte, 0, p.ds.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(p.ds.Weighted)))
+		if blk.Payload, blk.ByteIdx, err = DecodeInBlock(recs, res.Payload, res.ByteIdx, p.ds.Weighted); err != nil {
+			return fmt.Errorf("blockstore: in-block (%d,%d): %w", key.I, key.J, err)
+		}
+	}
+	if p.cache.Put(key, blk) {
+		// Serve the immutable cached copy; the scratch is free now.
+		res.Payload, res.ByteIdx, res.Codec = blk.Payload, blk.ByteIdx, CodecNone
 		PutScratch(sc)
-		*res = PrefetchResult{Key: key, Err: err}
-		return res
+		res.sc = nil
 	}
-	if req.admit {
-		blk := &CachedBlock{}
-		if res.Codec == CodecNone {
-			blk.Payload = append([]byte(nil), res.Payload...)
-			blk.ByteIdx = append([]uint32(nil), res.ByteIdx...)
+	return nil
+}
+
+// loadSections fills res.Sections from the out-index in res.Payload (from
+// byte res.Base on): one section per source of frontier ∧ the block's source
+// mask, ascending. The loaders checked only the index's length or its pages'
+// CRCs, so every section is checked before any is read: it starts at or
+// after the previous one's end, ends inside the block and cuts it at whole
+// records, or a run would slice out of bounds and the push read past a
+// section; and it is nonempty, or mask and index disagree. Sections closer
+// than the device's coalesce gap share a run, and each run is one read into
+// res.sc.raw or a slice of the run cache (loadRun).
+func (p *Prefetcher) loadSections(res *PrefetchResult) error {
+	d, sc := p.ds, res.sc
+	i, j := res.Key.I, res.Key.J
+	lo, _ := d.Layout.Bounds(i)
+	x := p.extents[i*d.Layout.P+j]
+	secs := sc.secs[:0]
+	w0, w1 := int(x.First)/64, (int(x.End)+63)/64
+	p.frontier.RangeMasked(lo+64*w0, d.SourceMasks[i][j][w0:w1], func(v int) bool {
+		secs = append(secs, Section{V: int32(v)})
+		return true
+	})
+
+	coalesce := d.Device().Profile().CoalesceBytes()
+	step := uint32(RawRecordBytes(d.Weighted))
+	blockBytes := d.OutBlockBytes(i, j)
+	runs := sc.runs[:0]
+	var prevEnd, total uint32
+	for k := range secs {
+		at := 4*(int(secs[k].V)-lo) - res.Base
+		rs := binary.LittleEndian.Uint32(res.Payload[at:])
+		re := binary.LittleEndian.Uint32(res.Payload[at+4:])
+		if rs < prevEnd || re <= rs || int64(re) > blockBytes || rs%step != 0 || re%step != 0 {
+			return fmt.Errorf("blockstore: out-index (%d,%d) vertex %d: section [%d, %d) after byte %d of a %d-byte block of %d-byte records, for a source the meta's mask marks live: %w", i, j, secs[k].V, rs, re, prevEnd, blockBytes, step, storage.ErrCorrupt)
+		}
+		prevEnd = re
+		secs[k].s, secs[k].e = rs, re
+		if n := len(runs); n > 0 && int64(rs-runs[n-1].e) <= coalesce {
+			total += re - runs[n-1].e
+			runs[n-1].e = re
 		} else {
-			// The cache holds blocks decoded, at what the meta charged for
-			// them (entryBytes), so a hit costs no decode.
-			recs := make([]byte, 0, p.ds.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(p.ds.Weighted)))
-			if blk.Payload, blk.ByteIdx, err = DecodeInBlock(recs, res.Payload, res.ByteIdx, p.ds.Weighted); err != nil {
-				PutScratch(sc)
-				*res = PrefetchResult{Key: key, Err: fmt.Errorf("blockstore: in-block (%d,%d): %w", key.I, key.J, err)}
-				return res
-			}
-		}
-		if p.cache.Put(key, blk) {
-			// Serve the immutable cached copy; the scratch is free now.
-			res.Payload, res.ByteIdx, res.Codec = blk.Payload, blk.ByteIdx, CodecNone
-			PutScratch(sc)
-			res.sc = nil
+			total += re - rs
+			runs = append(runs, run{s: rs, e: re})
 		}
 	}
-	return res
+
+	// Every run gets its own stretch of one buffer, so the sections of the
+	// runs read before it stay valid.
+	sc.raw = slices.Grow(sc.raw[:0], int(total))
+	buf, k := sc.raw[:total], 0
+	for _, r := range runs {
+		n := int(r.e - r.s)
+		data, err := p.loadRun(res, r, buf[:0:n])
+		if err != nil {
+			return err
+		}
+		buf = buf[n:]
+		for ; k < len(secs) && secs[k].e <= r.e; k++ {
+			secs[k].Recs = data[secs[k].s-r.s : secs[k].e-r.s]
+		}
+	}
+	res.Sections, sc.secs, sc.runs = secs, secs, runs // retain grown capacity
+	return nil
+}
+
+// loadRun returns run r of out-block res.Key from the run cache, or reads it
+// into buf. Without a cache it is one device read. With one, a device-loaded
+// run is copied into the cache; when a block's cumulative run reads cross
+// the promotion density, its whole payload is read once sequentially and
+// cached under KindOutBlock, making every later run a memory slice.
+func (p *Prefetcher) loadRun(res *PrefetchResult, r run, buf []byte) ([]byte, error) {
+	i, j := res.Key.I, res.Key.J
+	if p.cache != nil {
+		if data, ok := p.cache.GetRun(i, j, r.s, r.e); ok {
+			return data, nil
+		}
+	}
+	data, err := p.ds.LoadOutRunScratch(i, j, r.s, r.e, buf)
+	if err != nil {
+		return nil, err
+	}
+	res.runBytes += int64(len(data))
+	if p.cache != nil && p.cache.PutRun(i, j, r.s, r.e, append([]byte(nil), data...), p.ds.OutBlockBytes(i, j)) {
+		// Promotion is an optimization read: a failure here just leaves
+		// runs being served from the device (the claim is one-shot, so a
+		// faulty block is not re-attempted every run).
+		if payload, perr := p.ds.LoadOutPayload(i, j); perr == nil {
+			p.cache.Put(BlockKey{Kind: KindOutBlock, I: i, J: j}, &CachedBlock{Payload: payload})
+		}
+	}
+	return data, nil
 }
 
 // Next returns the next result in schedule order. Single consumer only.
@@ -343,14 +475,20 @@ func (p *Prefetcher) Next() *PrefetchResult {
 	return p.consume(req)
 }
 
-// Take returns the result for key; see the type comment for the ordering
-// contract concurrent consumers must follow.
+// Take returns the result for key and hands its read-ahead token back; see
+// the type comment for the ordering contract concurrent consumers must
+// follow.
 func (p *Prefetcher) Take(key BlockKey) *PrefetchResult {
 	req, ok := p.byKey[key]
 	if !ok {
 		return &PrefetchResult{Key: key, Err: fmt.Errorf("blockstore: prefetch: %s (%d,%d) not in schedule", key.Kind, key.I, key.J)}
 	}
-	return p.consume(req)
+	res := p.consume(req)
+	if res.token {
+		res.token = false
+		p.sem <- struct{}{}
+	}
+	return res
 }
 
 func (p *Prefetcher) consume(req *prefetchReq) *PrefetchResult {

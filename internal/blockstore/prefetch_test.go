@@ -67,7 +67,7 @@ func TestPrefetchMatchesSyncLoadsAllDepths(t *testing.T) {
 		ds := prefetchStore(t, format)
 		sc := new(Scratch)
 		for _, depth := range []int{0, 1, 2, 4} {
-			pf := ds.NewPrefetcher(inBlockSchedule(ds), nil, depth, nil)
+			pf := ds.NewPrefetcher(inBlockSchedule(ds), nil, nil, depth, nil)
 			for _, key := range inBlockSchedule(ds) {
 				res := pf.Next()
 				if res.Err != nil {
@@ -101,7 +101,7 @@ func TestPrefetchTakeConcurrentConsumers(t *testing.T) {
 	ds := prefetchStore(t, FormatRaw)
 	sched := outIndexSchedule(ds)
 	for _, depth := range []int{0, 1, 2, 8} {
-		pf := ds.NewPrefetcher(sched, nil, depth, nil)
+		pf := ds.NewPrefetcher(sched, nil, nil, depth, nil)
 		var wg sync.WaitGroup
 		errs := make([]error, len(sched))
 		for k, key := range sched {
@@ -135,7 +135,7 @@ func TestPrefetchTakeConcurrentConsumers(t *testing.T) {
 func TestPrefetchRejectsOffScheduleConsumption(t *testing.T) {
 	ds := prefetchStore(t, FormatRaw)
 	sched := inBlockSchedule(ds)[:1]
-	pf := ds.NewPrefetcher(sched, nil, 1, nil)
+	pf := ds.NewPrefetcher(sched, nil, nil, 1, nil)
 	defer pf.Close()
 	if res := pf.Take(BlockKey{Kind: KindOutIndex, I: 0, J: 0}); res.Err == nil {
 		t.Fatal("Take of unscheduled key succeeded")
@@ -175,7 +175,7 @@ func TestPrefetchWorkersRetryTransientFaults(t *testing.T) {
 	fs.Inject(
 		storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", After: 1, Count: 2},
 	)
-	pf := ds.NewPrefetcher(inBlockSchedule(ds), nil, 2, nil)
+	pf := ds.NewPrefetcher(inBlockSchedule(ds), nil, nil, 2, nil)
 	defer pf.Close()
 	for range inBlockSchedule(ds) {
 		res := pf.Next()
@@ -196,7 +196,7 @@ func TestPrefetchTransientBurstExceedingBudgetFails(t *testing.T) {
 	ds, fs := faultyDual(t, 1)
 	ds.SetRetryPolicy(RetryPolicy{MaxRetries: 2, Backoff: time.Microsecond})
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", After: 0, Count: 10})
-	pf := ds.NewPrefetcher(inBlockSchedule(ds), nil, 2, nil)
+	pf := ds.NewPrefetcher(inBlockSchedule(ds), nil, nil, 2, nil)
 	defer pf.Close()
 	var firstErr error
 	for range inBlockSchedule(ds) {
@@ -220,7 +220,7 @@ func TestPrefetchPermanentFaultSurfacesEverywhere(t *testing.T) {
 		ds, fs := faultyDual(t, 1)
 		fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultPermanent, Name: "ib/", After: 1})
 		sched := inBlockSchedule(ds)
-		pf := ds.NewPrefetcher(sched, nil, depth, nil)
+		pf := ds.NewPrefetcher(sched, nil, nil, depth, nil)
 		var failed int
 		for range sched {
 			res := pf.Next()
@@ -247,7 +247,7 @@ func TestPrefetchCloseReclaimsUnconsumedReadAhead(t *testing.T) {
 	sched := inBlockSchedule(ds)
 	dev := ds.Device()
 	before := dev.Stats().ReadBytes()
-	pf := ds.NewPrefetcher(sched, nil, 2, nil)
+	pf := ds.NewPrefetcher(sched, nil, nil, 2, nil)
 	// Wait until the workers have demonstrably read ahead (device charges
 	// land before delivery, and Close joins the workers, so every claimed
 	// block is drained as unused).
@@ -274,7 +274,7 @@ func TestPrefetchCachePromotionServesRepeatsWithoutIO(t *testing.T) {
 			sched := inBlockSchedule(ds)
 
 			run := func() {
-				pf := ds.NewPrefetcher(sched, nil, depth, cache)
+				pf := ds.NewPrefetcher(sched, nil, nil, depth, cache)
 				defer pf.Close()
 				for _, key := range sched {
 					res := pf.Next()
@@ -327,7 +327,7 @@ func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 func cachedSweepMatchesDirectLoads(t *testing.T, ds *DualStore, cache *BlockCache) {
 	sched := inBlockSchedule(ds)
 	for pass := 0; pass < 2; pass++ {
-		pf := ds.NewPrefetcher(sched, nil, 2, cache)
+		pf := ds.NewPrefetcher(sched, nil, nil, 2, cache)
 		sc := new(Scratch)
 		for _, key := range sched {
 			res := pf.Next()
@@ -359,7 +359,7 @@ func TestPrefetchCopiesNoRefusedBlock(t *testing.T) {
 		for _, depth := range []int{0, 2} {
 			ds := prefetchStore(t, format)
 			sched := inBlockSchedule(ds)
-			sizer := ds.NewPrefetcher(nil, nil, 0, nil)
+			sizer := ds.NewPrefetcher(nil, nil, nil, 0, nil)
 			sizes := make([]int64, len(sched))
 			var total int64
 			for n, key := range sched {
@@ -367,7 +367,7 @@ func TestPrefetchCopiesNoRefusedBlock(t *testing.T) {
 				total += sizes[n]
 			}
 			cache := NewBlockCache(total / 2)
-			pf := ds.NewPrefetcher(sched, nil, depth, cache)
+			pf := ds.NewPrefetcher(sched, nil, nil, depth, cache)
 			var admitted, refused int
 			for n, key := range sched {
 				res := pf.Next()

@@ -103,12 +103,12 @@ type Config struct {
 	// channel, a timer and a fresh buffer, never the caller's scratch (DESIGN.md §4e).
 	ReadDeadline time.Duration
 	// PrefetchDepth is the number of asynchronous block-prefetch workers
-	// overlapping I/O with compute: while the engine processes one block,
-	// up to this many further blocks of the planned traversal are read,
-	// verified and decoded ahead of time. 0 disables asynchronous
-	// prefetching — block loads run inline on the consume path (a
-	// configured cache is still consulted), which is byte- and
-	// result-identical to the pipelined configuration.
+	// overlapping I/O with compute: while the engine processes a block, up to
+	// this many further blocks of the plan are read and verified ahead — a
+	// ROP block with its record runs, so this is ROP's record reads in
+	// flight. 0 disables asynchronous prefetching — block loads run inline on
+	// the consuming worker (a configured cache is still consulted), which is
+	// byte- and result-identical to the pipelined configuration.
 	PrefetchDepth int
 	// CacheBudgetBytes bounds the decoded-block cache retained across
 	// iterations: in-blocks and out-indices that fit are served from

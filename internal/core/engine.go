@@ -21,13 +21,6 @@ type Engine struct {
 	lo, hi   int
 	vlo, vhi int
 
-	// spans/runs hold ROP's per-destination-block range buffers and touched
-	// whether the current row pushed into destination interval j (worker j
-	// owns index j during a row, so no locking is needed).
-	spans   [][]span
-	runs    [][]run
-	touched []bool
-
 	// cop is the COP sweep's edge-kernel state, reused block after block;
 	// msgs is the per-source message table its fast path reads — the
 	// engine's own unless a coordinator shared one (kernel.go).
@@ -67,10 +60,7 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 			OutDegrees:  ds.OutDegrees,
 			InDegrees:   ds.InDegrees,
 		},
-		spans:   make([][]span, ds.Layout.P),
-		runs:    make([][]run, ds.Layout.P),
-		touched: make([]bool, ds.Layout.P),
-		msgs:    new(MessageTable),
+		msgs: new(MessageTable),
 	}
 	lo, hi, err := resolveOwner(e.cfg.Owner, ds.Layout.P)
 	if err != nil {
@@ -135,33 +125,6 @@ func (e *Engine) CacheStats() blockstore.CacheStats {
 
 // Cache returns the engine's block cache, or nil when caching is disabled.
 func (e *Engine) Cache() *blockstore.BlockCache { return e.cache }
-
-// loadOutRun loads byte range [s, end) of out-block(i,j), serving it from
-// the run-granular cache when possible. Device-loaded runs are copied into
-// the cache; when a block's cumulative run reads cross the promotion
-// density, its whole payload is read once sequentially and cached under
-// KindOutBlock, making every later run a memory slice.
-func (e *Engine) loadOutRun(i, j int, s, end uint32, sc *blockstore.Scratch) ([]byte, error) {
-	if e.cache == nil {
-		return e.ds.LoadOutRunScratch(i, j, s, end, sc)
-	}
-	if data, ok := e.cache.GetRun(i, j, s, end); ok {
-		return data, nil
-	}
-	buf, err := e.ds.LoadOutRunScratch(i, j, s, end, sc)
-	if err != nil {
-		return nil, err
-	}
-	if promote := e.cache.PutRun(i, j, s, end, append([]byte(nil), buf...), e.ds.OutBlockBytes(i, j)); promote {
-		// Promotion is an optimization read: a failure here just leaves
-		// runs being served from the device (the claim is one-shot, so a
-		// faulty block is not re-attempted every run).
-		if payload, perr := e.ds.LoadOutPayload(i, j); perr == nil {
-			e.cache.Put(blockstore.BlockKey{Kind: blockstore.KindOutBlock, I: i, J: j}, &blockstore.CachedBlock{Payload: payload})
-		}
-	}
-	return buf, nil
-}
 
 // activeOutEdges sums the out-degrees of the frontier's vertices in owned
 // intervals: the paper's "active edges" metric (Fig. 1) and the Σ d_v term
@@ -234,9 +197,9 @@ func PredictCostsOver(f *bitset.Frontier, engines ...*Engine) (crop, ccop time.D
 // out-block of the owned rows for f — the ends of f ∧ the block's source
 // mask (DualStore.Extent) — block (i, j) at i·P+j. The blocks of the rows
 // not owned, and of the rows without an active vertex, are all dead. It is a
-// ROP iteration's one walk of the masks: the plan (ropPlan), the
-// prefetcher's page spans, the executor, the predictor and the compute model
-// all read what it records.
+// ROP iteration's one walk of the masks for extents: the plan (ropPlan),
+// the window's page spans and section walks, the executor, the predictor and
+// the compute model all read what it records.
 func (e *Engine) markLive(f *bitset.Frontier) []blockstore.Extent {
 	l := e.ds.Layout
 	if len(e.live) != l.P*l.P {

@@ -166,6 +166,8 @@ func BenchmarkEdgeKernel(b *testing.B) {
 // nothing that grows with |V|. Run drives it, so the run loop's own
 // per-iteration work (initializing D) is in the number; one MemStore run is
 // 251 iterations, and its Init (two |V|-sized arrays) is spread over them.
+// Each leg runs at one prefetch depth: inline (0), and read ahead by two
+// workers, which then issue every read of the iteration.
 func BenchmarkROPSparseTail(b *testing.B) {
 	const n, p, paths, length = 1 << 18, 16, 4, 250
 	root := n - paths*length - 1
@@ -187,26 +189,30 @@ func BenchmarkROPSparseTail(b *testing.B) {
 		b.Fatal(err)
 	}
 	prog := declared{sparseStart{members: []int{root}}, ReduceMin} // hop-count BFS from root, as algos.BFS declares it
-	run := func() int {
-		res, err := New(ds, Config{Model: ModelROP, Threads: 1}).Run(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Converged || res.Values[n-1] != length {
-			b.Fatalf("converged=%v, dist[%d] = %v, want %d", res.Converged, n-1, res.Values[n-1], length)
-		}
-		return res.NumIterations()
+	for _, depth := range []int{0, 2} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			run := func() int {
+				res, err := New(ds, Config{Model: ModelROP, Threads: 1, PrefetchDepth: depth}).Run(prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Converged || res.Values[n-1] != length {
+					b.Fatalf("converged=%v, dist[%d] = %v, want %d", res.Converged, n-1, res.Values[n-1], length)
+				}
+				return res.NumIterations()
+			}
+			run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			iters := 0
+			for i := 0; i < b.N; i++ {
+				iters += run()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(iters), "allocs/iter")
+		})
 	}
-	run()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	iters := 0
-	for i := 0; i < b.N; i++ {
-		iters += run()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(iters), "allocs/iter")
 }

@@ -102,7 +102,7 @@ func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *
 	} else {
 		plan = e.copPlan()
 	}
-	s.win = e.ds.NewPrefetcher(plan, s.live, e.cfg.PrefetchDepth, e.cache)
+	s.win = e.ds.NewPrefetcher(plan, s.live, frontier, e.cfg.PrefetchDepth, e.cache)
 	return s
 }
 

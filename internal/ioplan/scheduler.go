@@ -39,12 +39,12 @@ func NewScheduler(ds *blockstore.DualStore, cache *blockstore.BlockCache, opts O
 }
 
 // Begin opens the window for one iteration: a prefetch pipeline over plan,
-// the iteration's ordered read plan. live is a ROP plan's block extents
-// (DualStore.Extent per block, at i·P+j), which load each out-index as the
-// page span they name; nil loads whole blobs. Consume the window with Next (plan order, single
-// consumer) or Take (by key, concurrent consumers) and hand it to Finish.
-func (s *Scheduler) Begin(plan []blockstore.BlockKey, live []blockstore.Extent) *blockstore.Prefetcher {
-	return s.ds.NewPrefetcher(plan, live, s.depth, s.cache)
+// the iteration's ordered read plan, every blob loaded whole; pass no
+// extents (only the engine, which has the frontier, opens a ROP window).
+// Consume it with Next (plan order, single consumer) or Take (by key,
+// concurrent consumers) and hand it to Finish.
+func (s *Scheduler) Begin(plan []blockstore.BlockKey, _ []blockstore.Extent) *blockstore.Prefetcher {
+	return s.ds.NewPrefetcher(plan, nil, nil, s.depth, s.cache)
 }
 
 // Finish closes the window — every device charge of its pipeline has landed
