@@ -1,6 +1,9 @@
 package bitset
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Frontier is a set of active vertices: a dense bitmap and its member count,
 // one representation whatever the density. COP tests membership in O(1);
@@ -9,16 +12,16 @@ import "sync/atomic"
 // choice of traversal, not of representation.
 //
 // Concurrency: AddAtomic may run concurrently with other AddAtomic calls and
-// with MergeAtomic; Add, Reindex and every other writer need exclusive
-// access. Readers may run concurrently with each other, but never with a
+// with MergeAtomic, and AddWord with adds to other words; Add, Reindex and
+// every other writer need exclusive access. Readers may run concurrently with each other, but never with a
 // writer. A Range, RangeIn or RangeMasked callback must not add to the
 // frontier it is ranging; Members returns a private copy that the caller may
 // keep across later writes.
 type Frontier struct {
 	dense *Bitset
-	// count is the number of set bits: an atomic increment under AddAtomic,
-	// recounted by Reindex, and a plain one under Add, which COP's serial
-	// column finalisation calls once per changed vertex.
+	// count is the number of set bits: an atomic increment under AddAtomic
+	// and AddWord, recounted by Reindex, and a plain one under Add. COP's
+	// column pass adds a word at a time from one worker per chunk of words.
 	count int64
 }
 
@@ -65,6 +68,17 @@ func (f *Frontier) AddAtomic(v int) bool {
 	}
 	atomic.AddInt64(&f.count, 1)
 	return true
+}
+
+// AddWord activates the vertices of bitmap word w — vertex 64w+b for every
+// set bit b of word, each below Len. The word is written plainly and the
+// count atomically, so goroutines that each own whole words may add at once,
+// and beside AddAtomic calls on other words.
+func (f *Frontier) AddWord(w int, word uint64) {
+	if added := word &^ f.dense.words[w]; added != 0 {
+		f.dense.words[w] |= added
+		atomic.AddInt64(&f.count, int64(bits.OnesCount64(added)))
+	}
 }
 
 // Members returns the active vertices in ascending order. The returned slice

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
-	"husgraph/internal/graph"
 	"husgraph/internal/storage"
 )
 
@@ -58,44 +56,19 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			res.Release()
 		}
 
-		// Column finalization: activate changed vertices, synchronize
-		// S_i ← D_i (Alg. 3 line 20). Incremental programs defer both to
-		// iteration end.
-		switch prog.Kind() {
-		case Monotone:
-			for v := lo; v < hi; v++ {
-				if d[v] != s[v] {
-					next.Add(v)
-					s[v] = d[v]
-				} else {
-					// Equal values can still differ in bits (±0): keep
-					// S's, so D == S bit for bit at the barrier and the
-					// run never has to re-copy one into the other.
-					d[v] = s[v]
-				}
-			}
-		case Additive:
-			var maxD float64
-			for v := lo; v < hi; v++ {
-				newVal, activate := prog.Apply(graph.VertexID(v), s[v], d[v])
-				delta := math.Abs(newVal - s[v])
-				if delta > maxD {
-					maxD = delta
-				}
-				s[v] = newVal
-				if activate {
-					next.Add(v)
-				}
-			}
-			if maxD > maxDelta {
-				maxDelta = maxD
-			}
-		case Incremental:
-			// Values synchronized after all columns.
-		}
+		// Column finalization, one pass over the interval once every block
+		// of the column is folded: apply, activate, synchronize S_i ← D_i
+		// (Alg. 3 line 20) and rewrite the interval's messages, which later
+		// columns pull. Incremental programs defer all of it to iteration
+		// end.
 		if prog.Kind() != Incremental {
-			k.refresh(lo, hi) // later columns pull S_i's new messages
+			if md := k.pass(lo, hi, d, next); md > maxDelta {
+				maxDelta = md
+			}
 		}
 	}
+	// Every entry is now the message of the S the sweep leaves behind, if
+	// every source was active and the column passes rewrote the entries.
+	e.msgs.current = e.msgs.driven && k.m != nil && k.active == nil && prog.Kind() != Incremental
 	return maxDelta, nil
 }

@@ -19,11 +19,12 @@ import (
 // that declares its reduction (Reducer) lets the engine replace both on
 // unweighted stores, where Message(u, S[u], 1) depends on the source alone:
 //
-//   - COP reads a per-source message table m[u], computed once per vertex
-//     and refreshed wherever S changes during the sweep, and its edge loop
-//     is acc += m[nbr] (sum) or if m[nbr] < acc { acc = m[nbr] } (min). An
-//     inactive source's entry is the reduction's identity, so one loop
-//     serves every frontier.
+//   - COP reads a per-source message table m[u], filled from S when a
+//     sweep starts unless it is already current (MessageTable), and
+//     rewritten by the column pass wherever S changes during the sweep; its
+//     edge loop is acc += m[nbr] (sum) or if m[nbr] < acc { acc = m[nbr] }
+//     (min). An inactive source's entry is the reduction's identity, so one
+//     loop serves every frontier.
 //   - ROP calls Message once per active source and pushes the value along
 //     its edges with the reduction inlined.
 //
@@ -135,19 +136,32 @@ func (e *Engine) reduceOf(prog Program) ReduceOp {
 // running K owner-scoped engines over shared S/D arrays hands all of them
 // one table (Engine.ShareMessageTable) so a run holds a single copy. Every
 // access happens inside Step.Exec, which such a coordinator serialises.
+//
+// A sweep refills the table when it starts unless the table is current —
+// every entry Message(v, S[v], 1) — which only a Drive run can know, since
+// it sees every write its runner's engines make to S: so they must share
+// one table. There, a sweep that completes over a dense frontier and
+// synchronises per column leaves it current (runCOP); any other Exec, and
+// the run's start and end, leave it stale.
 type MessageTable struct {
-	m []float64
+	m       []float64
+	driven  bool // a Drive run holds the table
+	current bool // only ever true while driven
 }
 
 func (t *MessageTable) values(n int) []float64 {
 	if len(t.m) != n {
-		t.m = make([]float64, n)
+		t.m, t.current = make([]float64, n), false
 	}
 	return t.m
 }
 
+// drive starts (on) or ends a Drive run's hold on the table, stale either way.
+func (t *MessageTable) drive(on bool) { t.driven, t.current = on, false }
+
 // ShareMessageTable makes the engine use t in place of its own table. Call
-// it between runs, never while a Step is open.
+// it between runs, never while a Step is open. The engines one Drive run
+// steps must share one table (MessageTable).
 func (e *Engine) ShareMessageTable(t *MessageTable) { e.msgs = t }
 
 // copKernel is one COP sweep's edge-kernel state: what the program declared,
@@ -164,7 +178,7 @@ type copKernel struct {
 	// message, and the reduction's identity for an inactive one.
 	m []float64
 	// active is the frontier's bitmap — nil when every vertex is active.
-	// refresh reads it to fill m, and the Combine fallback, which has no
+	// The pass reads it to fill m, and the Combine fallback, which has no
 	// identity to fold, tests each source against it.
 	active []uint64
 
@@ -179,21 +193,28 @@ type copKernel struct {
 	codec   blockstore.Codec
 
 	// bounds is the block's chunking (entryChunks); wg joins the chunk
-	// workers; bad is the first entry a fold stopped at, or noBad; and
-	// bufs[c] is chunk c's buffer for the fallback's decoded sections. All
-	// live here so a block costs one allocation per worker spawned and none
+	// workers; bad is the first entry a fold stopped at, or noBad; bufs[c]
+	// is chunk c's buffer for the fallback's decoded sections; and next,
+	// words and deltas[c] are the column pass's frontier, chunking
+	// (wordChunks) and chunk c's largest value change. All live here so a
+	// block or a pass costs one allocation per worker spawned and none
 	// otherwise.
 	bounds []int
 	wg     sync.WaitGroup
 	bad    atomic.Int64
 	bufs   [][]byte
+	next   *bitset.Frontier
+	words  []int
+	deltas []float64
 }
 
 // noBad is copKernel.bad while every fold has run to its end.
 const noBad = math.MaxInt64
 
 // begin readies the kernel for one sweep over frontier and, when prog
-// declared a reduction, fills the message table from the current S.
+// declared a reduction, fills the message table from the current S unless
+// it is current and every source active. The table is stale from here until
+// the sweep completes (runCOP).
 func (k *copKernel) begin(e *Engine, prog Program, s []float64, frontier *bitset.Frontier) {
 	k.prog, k.op, k.s = prog, e.reduceOf(prog), s
 	k.weighted, k.threads = e.ds.Weighted, e.cfg.Threads
@@ -204,34 +225,114 @@ func (k *copKernel) begin(e *Engine, prog Program, s []float64, frontier *bitset
 	k.m = nil
 	if k.op != ReduceCustom {
 		k.m = e.msgs.values(len(s))
-		k.refresh(0, len(s))
+		if !e.msgs.current || k.active != nil {
+			k.pass(0, len(s), nil, nil)
+		}
+		e.msgs.current = false
 	}
 }
 
 // end drops the sweep's references so an idle engine pins no run's arrays.
 func (k *copKernel) end() {
 	k.prog, k.s, k.m, k.active = nil, nil, nil, nil
-	k.d, k.idx, k.payload = nil, nil, nil
+	k.d, k.idx, k.payload, k.next = nil, nil, nil, nil
 }
 
-// refresh recomputes the table over vertices [lo, hi) from the current S —
-// at sweep start for every vertex, and for an interval right after its
-// column synchronised S_i ← D_i: an active source's message, or for an
-// inactive one the reduction's identity. No-op under ReduceCustom.
-func (k *copKernel) refresh(lo, hi int) {
-	if k.m == nil {
-		return
+// passMinChunk is the fewest vertices a pass worker takes: below it a spawn
+// costs more than the vertices it takes over.
+const passMinChunk = 1024
+
+// wordChunks appends to dst the bounds of at most t contiguous chunks of
+// [lo, hi), at least passMinChunk vertices each: chunk c is [b[c], b[c+1]).
+// Every inner bound is a multiple of 64, so a chunk owns whole words of a
+// frontier's bitmap.
+func wordChunks(dst []int, lo, hi, t int) []int {
+	dst = append(dst, lo)
+	t = min(t, (hi-lo)/passMinChunk)
+	for c := 1; c < t; c++ {
+		dst = append(dst, (lo+c*(hi-lo)/t)&^63)
 	}
-	none := k.op.identity()
-	parallelChunks(hi-lo, k.threads, func(cl, ch int) {
-		for v := lo + cl; v < lo+ch; v++ {
-			if k.active == nil || isActive(k.active, uint32(v)) {
-				k.m[v] = k.prog.Message(graph.VertexID(v), k.s[v], 1)
-			} else {
-				k.m[v] = none
+	return append(dst, hi)
+}
+
+// pass is the one loop over vertices [lo, hi) once their accumulators are
+// final. Per vertex it applies D to S — Apply(v, S[v], D[v]), or for a
+// Monotone program D[v] != S[v] — writes S[v] and activates v in next, and,
+// while a sweep's table is in hand, writes v's entry from the new S[v] for
+// later columns to pull: an active source's message, an inactive one's the
+// reduction's identity. With d nil it writes the entries alone (the sweep
+// start's fill). Vertices are conflict-free (§3.5), so the pass splits
+// across the kernel's threads (wordChunks) and gives the same bits in any
+// order. Returns the largest value change (0 for a Monotone program).
+func (k *copKernel) pass(lo, hi int, d []float64, next *bitset.Frontier) float64 {
+	k.d, k.next = d, next
+	k.words = wordChunks(k.words[:0], lo, hi, k.threads)
+	last := len(k.words) - 2
+	for len(k.deltas) <= last {
+		k.deltas = append(k.deltas, 0)
+	}
+	k.wg.Add(last)
+	for c := 0; c < last; c++ {
+		go k.passWorker(c)
+	}
+	k.passChunk(last)
+	k.wg.Wait()
+	var maxDelta float64
+	for _, delta := range k.deltas[:last+1] {
+		if delta > maxDelta {
+			maxDelta = delta
+		}
+	}
+	return maxDelta
+}
+
+func (k *copKernel) passWorker(c int) {
+	defer k.wg.Done()
+	k.passChunk(c)
+}
+
+// passChunk runs the pass over chunk c, adding a word's activations at once.
+func (k *copKernel) passChunk(c int) {
+	prog, s, d, m, active := k.prog, k.s, k.d, k.m, k.active
+	monotone, none := prog.Kind() == Monotone, k.op.identity()
+	var maxDelta float64
+	for v, hi := k.words[c], k.words[c+1]; v < hi; {
+		var word uint64
+		for end := min((v|63)+1, hi); v < end; v++ {
+			switch {
+			case d == nil: // the fill: entries only
+			case monotone:
+				// Equal values can still differ in bits (±0): keep S's, so
+				// D == S bit for bit at the barrier and the run never has
+				// to re-copy one into the other.
+				if d[v] == s[v] {
+					d[v] = s[v]
+				} else {
+					s[v] = d[v]
+					word |= 1 << (v & 63)
+				}
+			default:
+				newVal, activate := prog.Apply(graph.VertexID(v), s[v], d[v])
+				if delta := math.Abs(newVal - s[v]); delta > maxDelta {
+					maxDelta = delta
+				}
+				if s[v] = newVal; activate {
+					word |= 1 << (v & 63)
+				}
+			}
+			if m != nil {
+				if active == nil || isActive(active, uint32(v)) {
+					m[v] = prog.Message(graph.VertexID(v), s[v], 1)
+				} else {
+					m[v] = none
+				}
 			}
 		}
-	})
+		if word != 0 {
+			k.next.AddWord((v-1)>>6, word)
+		}
+	}
+	k.deltas[c] = maxDelta
 }
 
 // block folds one in-block, its sections in the layout codec, into d. It
@@ -309,7 +410,7 @@ func (k *copKernel) runChunk(c int) {
 // begins at payload byte lo. Each listed destination's accumulator is read
 // once, folded over its in-neighbours in stored (ascending-source) order,
 // and written back. They carry no IsActive check — an inactive source's
-// table entry is the reduction's identity (refresh), so folding it is
+// table entry is the reduction's identity (copKernel.pass), so folding it is
 // folding nothing — and no call, so the accumulator and cursors stay in
 // registers. They only ever see unweighted sections — 4-byte records,
 // or one uvarint gap per neighbour: reduceOf keeps weighted stores on the

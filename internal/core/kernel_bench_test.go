@@ -216,3 +216,32 @@ func BenchmarkROPSparseTail(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkColumnPass times COP's column pass alone over one 2¹⁴-vertex
+// interval — a P = 16 interval of the perfbench graphs — for a
+// PageRank-shaped program with every source active: per vertex an Apply, the
+// write of S, the activation and the table entry's Message (two loads and a
+// divide). The pass splits across -cpu threads in chunks of whole frontier
+// words. ns/vertex is the layer-level number; DESIGN.md §4i has it at -cpu
+// 1,2 against the two loops it replaced.
+func BenchmarkColumnPass(b *testing.B) {
+	const n = 1 << 14
+	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(ds, Config{Threads: runtime.GOMAXPROCS(0)})
+	s, d := make([]float64, n), make([]float64, n)
+	for v := range s {
+		s[v], d[v] = 1/float64(n), 1/float64(n)
+	}
+	k := &e.cop
+	k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: ReduceSum}, s, bitset.FullFrontier(n))
+	defer k.end()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.pass(0, n, d, bitset.NewFrontier(n))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n), "ns/vertex")
+}

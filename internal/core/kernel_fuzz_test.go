@@ -93,7 +93,7 @@ func (c foldCase) fold(payload []byte, entries []uint32, codec blockstore.Codec)
 		// As a sweep fills it: S[u] for an active u (testLabel's message),
 		// the reduction's identity for an inactive one.
 		k.m = make([]float64, c.n)
-		k.refresh(0, c.n)
+		k.pass(0, c.n, nil, nil)
 	}
 	bad := k.block(d, payload, entries, codec)
 	return d, bad

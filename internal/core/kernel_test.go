@@ -104,7 +104,7 @@ var edgeCaseValues = []float64{
 // bit for bit, including which destinations a min activates. The COP kernels
 // see it as the two extreme in-index shapes: an entry for every destination
 // of the interval, and a single entry in the middle of it — over a bare
-// table, and over one refresh filled for a one-source frontier. Over that
+// table, and over one the pass filled for a one-source frontier. Over that
 // table an inactive source's edges into every destination must change no
 // accumulator's bits.
 func TestKernelsMatchDeclaredCombine(t *testing.T) {
@@ -126,7 +126,7 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 			active := bitset.NewFrontier(n)
 			active.Add(src)
 			fill := &copKernel{prog: declared{constMessage{msg}, op}, op: op, threads: 1, s: vals, m: make([]float64, n), active: active.Bitmap().Words()}
-			fill.refresh(0, n)
+			fill.pass(0, n, nil, nil)
 
 			// One record per listed destination, all naming from.
 			run := func(name string, from int, dsts []int, fn func(d []float64, payload []byte, idx []uint32)) {
@@ -227,7 +227,7 @@ func (constMessage) Apply(_ graph.VertexID, _, acc float64) (float64, bool) {
 }
 
 // TestProbePathSkipsExactlyTheInactiveSource is the all-active boundary: a
-// frontier one vertex short of full must keep its bitmap (refresh and the
+// frontier one vertex short of full must keep its bitmap (the table fill and the
 // Combine fallback read it), and must leave out exactly that vertex's
 // edges — in a block with an entry per destination and in a block with one
 // entry as in the ordinary ones between, stored raw and varint.

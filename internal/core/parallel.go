@@ -33,34 +33,6 @@ func parallelFor(n, t int, fn func(k int)) {
 	wg.Wait()
 }
 
-// parallelChunks splits [0, n) into up to t contiguous chunks and runs
-// fn(lo, hi) for each, the last on the calling goroutine and the others on
-// their own. It blocks until all return.
-func parallelChunks(n, t int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if t > n {
-		t = n
-	}
-	if t <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + t - 1) / t
-	var wg sync.WaitGroup
-	lo := 0
-	for ; lo+chunk < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, lo+chunk)
-	}
-	fn(lo, n)
-	wg.Wait()
-}
-
 // entryChunks splits an in-block's entries — idx holds two words per entry,
 // a destination and the payload byte offset its records end at (blockstore's
 // in-index) — into at most t contiguous chunks of roughly equal payload

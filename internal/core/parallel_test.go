@@ -21,21 +21,20 @@ func TestParallelForCoversAll(t *testing.T) {
 	}
 }
 
-func TestParallelChunksCoversAllContiguously(t *testing.T) {
+// TestWordChunksCoverAllContiguously: the column pass's chunks tile the
+// range in order, every inner bound on a bitmap word, none below
+// passMinChunk vertices, and no more of them than threads.
+func TestWordChunksCoverAllContiguously(t *testing.T) {
 	for _, threads := range []int{1, 3, 16} {
-		for _, n := range []int{0, 1, 10, 101} {
-			hits := make([]int32, n)
-			parallelChunks(n, threads, func(lo, hi int) {
-				if lo >= hi {
-					t.Errorf("empty chunk [%d,%d)", lo, hi)
-				}
-				for k := lo; k < hi; k++ {
-					atomic.AddInt32(&hits[k], 1)
-				}
-			})
-			for k, h := range hits {
-				if h != 1 {
-					t.Fatalf("threads=%d n=%d: index %d hit %d times", threads, n, k, h)
+		for _, r := range [][2]int{{0, 0}, {5, 6}, {100, 100 + passMinChunk}, {4096, 8192}, {777, 777 + 5*passMinChunk + 13}, {0, 1 << 16}} {
+			lo, hi := r[0], r[1]
+			b := wordChunks(nil, lo, hi, threads)
+			if b[0] != lo || b[len(b)-1] != hi || len(b)-1 > max(threads, 1) {
+				t.Fatalf("threads=%d [%d,%d): bounds %v", threads, lo, hi, b)
+			}
+			for c := 1; c < len(b)-1; c++ {
+				if b[c]%64 != 0 || b[c]-b[c-1] < passMinChunk-63 || hi-b[c] < passMinChunk-63 {
+					t.Fatalf("threads=%d [%d,%d): bounds %v", threads, lo, hi, b)
 				}
 			}
 		}

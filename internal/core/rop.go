@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"husgraph/internal/bitset"
@@ -97,22 +96,14 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 // applyOwned runs the end-of-iteration apply/activate/synchronize sweep
 // over the engine's owned intervals — Additive/Incremental ROP
 // finalization (COP applies per column during the streaming sweep) and
-// Incremental COP's deferred deltas. Writes are owner-disjoint (owned
-// vertex values, this engine's own frontier adds), so K shards may run it
-// concurrently after every shard's accumulate phase completed. Returns the
-// largest per-vertex value change.
+// Incremental COP's deferred deltas. It is COP's column pass with no table
+// in hand. Writes are owner-disjoint (owned vertex values, this engine's
+// own frontier adds), so K shards may run it concurrently after every
+// shard's accumulate phase completed. Returns the largest per-vertex value
+// change.
 func (e *Engine) applyOwned(prog Program, s, d []float64, next *bitset.Frontier) float64 {
-	var maxDelta float64
-	for v := e.vlo; v < e.vhi; v++ {
-		newVal, activate := prog.Apply(graph.VertexID(v), s[v], d[v])
-		delta := math.Abs(newVal - s[v])
-		if delta > maxDelta {
-			maxDelta = delta
-		}
-		s[v] = newVal
-		if activate {
-			next.Add(v)
-		}
-	}
-	return maxDelta
+	k := &e.cop
+	k.prog, k.s, k.threads = prog, s, e.cfg.Threads
+	defer k.end()
+	return k.pass(e.vlo, e.vhi, d, next)
 }

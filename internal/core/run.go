@@ -9,7 +9,8 @@ import (
 )
 
 // Runner is what Drive steps through a run: one Engine, or a shard
-// Coordinator over K of them. It knows how to execute an iteration; when
+// Coordinator over K of them, sharing one message table and writing S only
+// through their Steps. It knows how to execute an iteration; when
 // to, on what, and what to do between two of them is Drive's, and so is
 // every run-level counter: the bucket an iteration processes, the store
 // lineage's retries, the read-ahead a run wasted.
@@ -62,6 +63,12 @@ func Drive(ctx context.Context, r Runner, lead *Engine, cfg Config, prog Program
 		f, hint = router.Route(activated, s)
 		return f
 	}
+
+	// The message table's sweep-start refill may be skipped only inside
+	// this run, which sees every write to s (MessageTable) — and never for a
+	// bucketed program, whose EnterBucket may change what Message returns.
+	lead.msgs.drive(router == nil)
+	defer lead.msgs.drive(false)
 
 	res := &Result{}
 	// Retries are counted by the store lineage every engine's store is a

@@ -120,6 +120,7 @@ func (s *Step) Exec(sv, d []float64) error {
 	var err error
 	var md float64
 	if s.st.Model == ModelROP {
+		s.e.msgs.current = false // ROP writes S, and never the table
 		err = s.e.ropAccumulate(s.prog, sv, d, s.frontier, s.next, s.win, s.live)
 	} else {
 		md, err = s.e.runCOP(s.prog, sv, d, s.frontier, s.next, s.win)
