@@ -65,14 +65,17 @@ func TestBuildSummaryGolden(t *testing.T) {
 }
 
 // TestBuildSummaryRawRatioIsOne checks the raw-format report prices
-// logical == stored (ratio 1.00) on every interval line — in-indices
-// included: their logical size is their entries', not the intervals'.
+// logical == stored (ratio 1.00) on every interval line. The raw store's
+// intervals fit 16 bits, so its in-blocks are one record per edge: no
+// in-index is stored or priced, and the last line says so instead of
+// printing index bytes, with the occupancy the mixed store's 42 entries
+// give.
 func TestBuildSummaryRawRatioIsOne(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatRaw)
 	got := buildSummary(ds, blobs, written)
 	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if last := lines[len(lines)-1]; !strings.Contains(last, "in-indices: 42 entries in 336 bytes") {
-		t.Fatalf("raw summary ends %q, want the in-index line at 8 bytes an entry:\n%s", last, got)
+	if last := lines[len(lines)-1]; last != "  in-indices: none (one record per edge), mean in-block occupancy 32.8%" {
+		t.Fatalf("raw summary ends %q, want the line of a store without in-indices:\n%s", last, got)
 	}
 	for _, line := range lines[2 : len(lines)-1] {
 		if !strings.HasSuffix(line, " 1.00x") {

@@ -72,6 +72,7 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 		layout := NewLayout(numV, opts.P)
 		p = layout.P
 		d = &DualStore{store: store, Layout: layout, Weighted: opts.Weighted, retries: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
+		d.coo = opts.Format == FormatRaw && layout.intervalSize() <= MaxCOOInterval
 		d.OutDegrees = make([]int32, numV)
 		d.InDegrees = make([]int32, numV)
 		for _, m := range metaGrids(d) {
@@ -178,7 +179,8 @@ type bucketScratch struct {
 // and records their sizes and, for a row, each out-block's source mask, read
 // off the out-index it lays out, and the page CRCs of each out-index. format
 // applies to a column only, which COP streams whole; a row, which ROP reads
-// by offset, is stored raw whatever the format.
+// by offset, is stored raw whatever the format. A raw column whose intervals
+// fit 16 bits is stored CodecCOO, with no in-index blob.
 //
 // Each edge of the bucket is an (indexed vertex, neighbour) pair: a row's
 // edges as they came, a column's reversed (spiller.add). A block wants its
@@ -194,11 +196,14 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	l := d.Layout
 	lo, _ := l.Bounds(b)
 	size, numV, isz := uint32(l.Size(b)), uint32(l.NumVertices), uint32(l.intervalSize())
-	view, blockKind, indexKind := "row", blobOutBlock, blobOutIndex
+	view, blockKind, indexKind, codec := "row", blobOutBlock, blobOutIndex, CodecNone
 	if in {
 		view, blockKind, indexKind = "column", blobInBlock, blobInIndex
-	} else {
-		format = FormatRaw
+		if d.coo {
+			codec = CodecCOO
+		} else if format == FormatMixed {
+			codec = CodecVarint
+		}
 	}
 	// Run (c, k) — vertex lo+k's records in block c — is key c·size+k. Count
 	// each key's records, checking the edge before its key indexes anything.
@@ -236,20 +241,29 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	bounds[0] = 0
 	for key := 0; key < keys; key++ {
 		sortRun(recs[bounds[key]:bounds[key+1]])
+		if codec == CodecCOO { // a record's neighbour becomes its key
+			for r := bounds[key]; r < bounds[key+1]; r++ {
+				recs[r].Nbr = uint32(key%int(size))<<16 | recs[r].Nbr%isz
+			}
+		}
 	}
 	for c := 0; c < l.P; c++ {
 		i, j := c, b
 		if !in {
 			i, j = b, c
 		}
-		payload, idx := encodeBlockPayload(recs, bounds[c*int(size):(c+1)*int(size)+1], format, d.Weighted, in)
+		payload, idx := encodeBlockPayload(recs, bounds[c*int(size):(c+1)*int(size)+1], codec, d.Weighted, in)
 		if err := d.putBlob(d.names.name(blockKind, i, j), payload); err != nil {
 			return err
 		}
 		var idxPayload []byte
 		if in {
 			d.InBlockBytes[i][j] = int64(len(payload))
-			if format == FormatMixed {
+			d.InIndexEntries[i][j] = int64(len(idx) / 2)
+			if codec == CodecCOO {
+				continue
+			}
+			if codec == CodecVarint {
 				if v := encodeInIndex(idx, CodecVarint); len(v) < len(idx)*IndexEntryBytes {
 					idxPayload = v // kept only where strictly smaller, as codecOf reads it
 				}
@@ -257,7 +271,6 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 			if idxPayload == nil {
 				idxPayload = encodeInIndex(idx, CodecNone)
 			}
-			d.InIndexEntries[i][j] = int64(len(idx) / 2)
 			d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
 		} else {
 			idxPayload = encodeIndex(idx)
@@ -283,16 +296,16 @@ func sortRun(run []Rec) {
 }
 
 // encodeBlockPayload encodes one block's per-vertex sections — vertex k's
-// records are recs[bounds[k]:bounds[k+1]] — returning the stored payload and
-// the index into it: raw records for FormatRaw; FormatMixed encodes the
-// block as varint and keeps that only where it is strictly smaller than the
-// raw records would be (compression must pay for its decode cost with real
-// byte savings — and codecOf reads the codec back off that inequality),
-// encoding it raw otherwise. The index is an out-block's len(bounds) byte
-// offsets, or with entries set an in-block's (local, end offset) pair per
-// vertex that has a record — written in the one pass over the runs either
-// way.
-func encodeBlockPayload(recs []Rec, bounds []uint32, format Format, weighted, entries bool) ([]byte, []uint32) {
+// records are recs[bounds[k]:bounds[k+1]] — in codec c, returning the stored
+// payload and the index into it. CodecVarint is kept only where it is
+// strictly smaller than the raw records would be (compression must pay for
+// its decode cost with real byte savings — and codecOf reads the codec back
+// off that inequality), the block encoded CodecNone otherwise; CodecCOO
+// records are CodecNone ones whose neighbours are their keys. The index is
+// an out-block's len(bounds) byte offsets, or with entries set an in-block's
+// (local, end offset) pair per vertex that has a record — written in the
+// one pass over the runs either way.
+func encodeBlockPayload(recs []Rec, bounds []uint32, c Codec, weighted, entries bool) ([]byte, []uint32) {
 	raw := int(bounds[len(bounds)-1]-bounds[0]) * RawRecordBytes(weighted)
 	encode := func(c Codec) ([]byte, []uint32) {
 		idx := make([]uint32, 0, len(bounds))
@@ -314,7 +327,7 @@ func encodeBlockPayload(recs []Rec, bounds []uint32, format Format, weighted, en
 		}
 		return payload, idx
 	}
-	if format == FormatMixed {
+	if c == CodecVarint {
 		if payload, idx := encode(CodecVarint); len(payload) < raw {
 			return payload, idx
 		}

@@ -81,7 +81,8 @@ type BlockKey struct {
 //   - KindInBlock: Payload (packed raw records, decoded by DecodeInBlock if
 //     the block is stored compressed) + ByteIdx (the in-index: a (local
 //     destination, end byte offset in Payload) pair per destination with
-//     records) — the zero-copy RawRec iteration view.
+//     records) — the zero-copy RawRec iteration view; or a CodecCOO block's
+//     records as stored, with a nil ByteIdx.
 //   - KindOutIndex: Payload — the offset index LoadOutIndexScratch returns.
 //   - KindOutBlock: Payload — the out-block's packed raw records, which
 //     runs slice into.

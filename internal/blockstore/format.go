@@ -17,7 +17,8 @@ import (
 type Format int
 
 const (
-	// FormatRaw stores fixed-size packed records (neighbor uint32, plus a
+	// FormatRaw stores fixed-size packed records (neighbor uint32 behind an
+	// index, or in-blocks CodecCOO where intervals fit 16 bits; plus a
 	// float32 weight on weighted stores): nothing to decode, supports
 	// direct slicing.
 	FormatRaw Format = iota
@@ -58,8 +59,9 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // Codec identifies the encoding of one in-block's (or in-index's) stored
-// payload. FormatRaw stores, and the row view of every store, use CodecNone
-// throughout; in a FormatMixed store an in-block or in-index is CodecVarint
+// payload. The row view of every store is CodecNone; a FormatRaw store's
+// in-blocks are CodecCOO where intervals fit 16 bits, else CodecNone; in a
+// FormatMixed store an in-block or in-index is CodecVarint
 // exactly when its stored size is below its raw size (codecOf).
 type Codec uint8
 
@@ -69,7 +71,16 @@ const (
 	// CodecVarint delta-gap varint encodes each section's sorted neighbor
 	// IDs; weights, when stored, follow each ID as raw float32 bits.
 	CodecVarint
+	// CodecCOO stores an in-block as one record per edge and no in-index:
+	// a little-endian uint32 key — local destination high, local source
+	// low — plus the weight on weighted stores. Keys are non-decreasing:
+	// (destination, source) order, repeated pairs in input order.
+	CodecCOO
 )
+
+// MaxCOOInterval is the widest interval a 16-bit local ID addresses: a
+// FormatRaw store whose intervals are no wider stores in-blocks CodecCOO.
+const MaxCOOInterval = 1 << 16
 
 // codecOf is the codec of a blob stored in stored bytes whose CodecNone
 // encoding takes raw. The builder keeps varint only where it is strictly
@@ -89,6 +100,8 @@ func (c Codec) String() string {
 		return "none"
 	case CodecVarint:
 		return "varint"
+	case CodecCOO:
+		return "coo"
 	default:
 		return fmt.Sprintf("Codec(%d)", int(c))
 	}

@@ -152,8 +152,9 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 // a format and codec grids, "HUSD" before it recorded the out-blocks'
 // source masks, "HUSE" before it recorded the out-indices' page CRCs,
 // "HUSF" while it recorded the stored sizes of a row view a mixed store
-// could compress — is refused with the one message that says how to
-// rebuild it. The magic alone decides: past it, nothing is read.
+// could compress, "HUSG" before a raw store's in-blocks became CodecCOO
+// records — is refused with the one message that says how to rebuild it.
+// The magic alone decides: past it, nothing is read.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -194,6 +195,10 @@ func TestOpenRejectsOlderStores(t *testing.T) {
 			copy(meta, "HUSF")
 			return frameBlob(meta)
 		}},
+		{"raw-in-indices", FormatRaw, func(meta []byte) []byte {
+			copy(meta, "HUSG")
+			return frameBlob(meta)
+		}},
 	} {
 		err := openWithMeta(t, c.format, c.rewrite)
 		if !errors.Is(err, errOlderStore) || !errors.Is(err, storage.ErrCorrupt) {
@@ -217,6 +222,60 @@ func TestOpenRefusesMetaItCannotSize(t *testing.T) {
 		err := openWithMeta(t, FormatRaw, func([]byte) []byte { return frameBlob(overflowMeta(c.n, c.p)) })
 		if !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("%s: Open: err = %v, want storage.ErrCorrupt-class", c.name, err)
+		}
+	}
+}
+
+// TestDecodeMetaRefusesBadCOOFlags: the flags word says how every in-block
+// is laid out, so a meta is refused, storage.ErrCorrupt-class, when it sets
+// a bit no build sets, marks CodecCOO in-blocks over intervals wider than a
+// record addresses, or records for a CodecCOO block in-index bytes or a
+// payload that is not its records.
+func TestDecodeMetaRefusesBadCOOFlags(t *testing.T) {
+	coo, err := BuildOpts(memStore(), chain(300), Options{P: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideGraph := graph.New(MaxCOOInterval + 1)
+	wideGraph.AddEdge(0, MaxCOOInterval)
+	wide, err := BuildOpts(memStore(), wideGraph, Options{P: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !coo.coo || wide.coo {
+		t.Fatalf("CodecCOO: %v over intervals of %d, %v over %d", coo.coo, coo.Layout.Size(0), wide.coo, wide.Layout.Size(0))
+	}
+	for _, d := range []*DualStore{coo, wide} {
+		if _, err := decodeMeta(encodeMeta(d)); err != nil {
+			t.Fatalf("honest meta refused: %v", err)
+		}
+	}
+	lies := map[string]func() []byte{
+		"an unknown flag": func() []byte {
+			meta := encodeMeta(coo)
+			meta[20] |= 4
+			return meta
+		},
+		"CodecCOO over intervals of MaxCOOInterval+1": func() []byte {
+			lie := *wide
+			lie.coo = true
+			return encodeMeta(&lie)
+		},
+		"in-index bytes for a CodecCOO block": func() []byte {
+			lie := *coo
+			lie.InIndexStoredBytes = alloc2D(4)
+			lie.InIndexStoredBytes[0][0] = InIndexEntryBytes
+			return encodeMeta(&lie)
+		},
+		"a CodecCOO payload short of its records": func() []byte {
+			lie := *coo
+			lie.InBlockBytes = alloc2D(4)
+			return encodeMeta(&lie)
+		},
+	}
+	for what, meta := range lies {
+		if _, err := decodeMeta(meta()); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("%s: decodeMeta err = %v, want storage.ErrCorrupt-class", what, err)
 		}
 	}
 }

@@ -65,13 +65,41 @@ func loadInBlock(ds *DualStore, i, j int) (testBlock, error) {
 
 // loadInBlockRecords is in-block(i,j) as packed raw records behind its
 // in-index entries, whatever stored it: the loader's stored form, decoded by
-// DecodeInBlock when the block is compressed.
+// DecodeInBlock when the block is compressed, and regrouped by cooTwin when
+// it is one record per edge.
 func loadInBlockRecords(ds *DualStore, i, j int, sc *Scratch) ([]byte, []uint32, error) {
 	payload, entries, err := ds.LoadInBlockBytesScratch(i, j, sc)
-	if err != nil || ds.InCodec(i, j) == CodecNone {
-		return payload, entries, err
+	if err != nil {
+		return nil, nil, err
 	}
-	return DecodeInBlock(nil, payload, entries, ds.Weighted)
+	switch ds.InCodec(i, j) {
+	case CodecVarint:
+		return DecodeInBlock(nil, payload, entries, ds.Weighted)
+	case CodecCOO:
+		lo, _ := ds.Layout.Bounds(i)
+		recs, entries := cooTwin(payload, lo, ds.Weighted)
+		return recs, entries, nil
+	}
+	return payload, entries, nil
+}
+
+// cooTwin returns the packed raw records and in-index entries a CodecNone
+// block would store for the CodecCOO records in payload, whose sources are
+// local to the interval starting at srcLo.
+func cooTwin(payload []byte, srcLo int, weighted bool) ([]byte, []uint32) {
+	step := RawRecordBytes(weighted)
+	var recs []byte
+	var entries []uint32
+	for off := 0; off+step <= len(payload); off += step {
+		key := binary.LittleEndian.Uint32(payload[off:])
+		if n := len(entries); n == 0 || entries[n-2] != key>>16 {
+			entries = append(entries, key>>16, 0)
+		}
+		recs = binary.LittleEndian.AppendUint32(recs, uint32(srcLo)+key&0xffff)
+		recs = append(recs, payload[off+4:off+step]...)
+		entries[len(entries)-1] = uint32(len(recs))
+	}
+	return recs, entries
 }
 
 // loadOutBlock loads out-block(i,j) whole: the out-index, and the payload in

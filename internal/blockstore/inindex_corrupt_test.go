@@ -19,18 +19,31 @@ import (
 // Every rule of DESIGN.md §4m is broken here once in each index form: the
 // fixed-width form over a raw store's stored-raw payload, the varint form
 // over a mixed store's compressed one — the form the meta's recorded index
-// size names (codecOf) is the form the loader decodes. The loader must
-// answer storage.ErrCorrupt-class, and a COP run over the store must end in
-// a *core.IterError carrying it — never a panic, never a value.
+// size names (codecOf) is the form the loader decodes. The raw store's
+// intervals are one vertex wider than a CodecCOO record addresses, so its
+// in-blocks keep their in-index. The loader must answer
+// storage.ErrCorrupt-class, and a COP run over the store must end in a
+// *core.IterError carrying it — never a panic, never a value.
 func TestCorruptInIndexIsAnError(t *testing.T) {
-	// 0→1→…→63 at P = 4, unweighted: in-block (0,0) holds 15 records, one for
-	// each of destinations 1..15. Stored raw that is 4 bytes a record, so the
-	// honest entries are (k, 4k); the mixed store gap-codes each one-record
-	// section into one byte, so there they are (k, k).
-	const n, p, name = 64, 4, "ii/0.0"
-	g := graph.New(n)
-	for v := 0; v+1 < n; v++ {
-		g.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
+	// A chain 0→1→… at P = 4, unweighted, with in-block (0,0) holding 15
+	// records, one for each of destinations 1..15: 0→…→63 over 64 vertices
+	// for the mixed store, 0→…→15 over intervals of MaxCOOInterval+1 for the
+	// raw one. Stored raw that is 4 bytes a record, so the honest entries are
+	// (k, 4k); the mixed store gap-codes each one-record section into one
+	// byte, so there they are (k, k).
+	const p, name = 4, "ii/0.0"
+	chain := func(format blockstore.Format, hops int) *graph.Graph {
+		n, last := 64, 64
+		if format == blockstore.FormatRaw {
+			n, last = p*(blockstore.MaxCOOInterval+1), 16
+		}
+		g := graph.New(n)
+		for v := 0; v+1 < last; v++ {
+			for h := 1; h <= hops && v+h < last; h++ {
+				g.AddEdge(graph.VertexID(v), graph.VertexID(v+h))
+			}
+		}
+		return g
 	}
 	fixed := func(words ...uint32) []byte {
 		var b []byte
@@ -42,7 +55,7 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 	type lie struct {
 		what  string
 		codec blockstore.Codec
-		index func(step uint32) []byte // step: stored bytes per record
+		index func(step, size uint32) []byte // step: stored bytes per record; size: Size(j)
 	}
 	// honest returns the true entries with edit applied, fixed-width.
 	honest := func(step uint32, edit func(e []uint32) []uint32) []byte {
@@ -63,62 +76,63 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 	}
 	same := func(e []uint32) []uint32 { return e }
 	lies := []lie{
-		{"odd number of fixed-width words", blockstore.CodecNone, func(s uint32) []byte {
+		{"odd number of fixed-width words", blockstore.CodecNone, func(s, _ uint32) []byte {
 			return honest(s, func(e []uint32) []uint32 { return append(e, 16) })
 		}},
-		{"destination repeated", blockstore.CodecNone, func(s uint32) []byte {
+		{"destination repeated", blockstore.CodecNone, func(s, _ uint32) []byte {
 			return honest(s, func(e []uint32) []uint32 { e[4] = e[2]; return e })
 		}},
-		{"destinations descending", blockstore.CodecNone, func(s uint32) []byte {
+		{"destinations descending", blockstore.CodecNone, func(s, _ uint32) []byte {
 			return honest(s, func(e []uint32) []uint32 { e[2], e[4] = e[4], e[2]; return e })
 		}},
-		{"destination == Size(j)", blockstore.CodecNone, func(s uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { e[28] = n / p; return e })
+		{"destination == Size(j)", blockstore.CodecNone, func(s, size uint32) []byte {
+			return honest(s, func(e []uint32) []uint32 { e[28] = size; return e })
 		}},
-		{"end below its predecessor", blockstore.CodecNone, func(s uint32) []byte {
+		{"end below its predecessor", blockstore.CodecNone, func(s, _ uint32) []byte {
 			return honest(s, func(e []uint32) []uint32 { e[5] = e[3] - s; return e })
 		}},
-		{"end equal to its predecessor", blockstore.CodecNone, func(s uint32) []byte {
+		{"end equal to its predecessor", blockstore.CodecNone, func(s, _ uint32) []byte {
 			return honest(s, func(e []uint32) []uint32 { e[5] = e[3]; return e })
 		}},
-		{"end past the payload", blockstore.CodecNone, func(s uint32) []byte {
+		{"end past the payload", blockstore.CodecNone, func(s, _ uint32) []byte {
 			return honest(s, func(e []uint32) []uint32 { e[29] += s; return e })
 		}},
-		{"last end short of the payload", blockstore.CodecNone, func(s uint32) []byte {
+		{"last end short of the payload", blockstore.CodecNone, func(s, _ uint32) []byte {
 			return honest(s, func(e []uint32) []uint32 { return e[:28] })
 		}},
-		{"no entry over a payload with records", blockstore.CodecNone, func(uint32) []byte { return nil }},
-		{"varint: zero gap", blockstore.CodecVarint, func(s uint32) []byte {
+		{"no entry over a payload with records", blockstore.CodecNone, func(_, _ uint32) []byte { return nil }},
+		{"varint: zero gap", blockstore.CodecVarint, func(s, _ uint32) []byte {
 			return varint(s, func(b []byte) []byte { b[4] = 0; return b })
 		}},
-		{"varint: zero section length", blockstore.CodecVarint, func(s uint32) []byte {
+		{"varint: zero section length", blockstore.CodecVarint, func(s, _ uint32) []byte {
 			return varint(s, func(b []byte) []byte { b[5] = 0; return b })
 		}},
-		{"varint: truncated", blockstore.CodecVarint, func(s uint32) []byte {
+		{"varint: truncated", blockstore.CodecVarint, func(s, _ uint32) []byte {
 			return varint(s, func(b []byte) []byte { return append(b[:len(b)-1], 0x80) })
 		}},
-		{"varint: entry without its length", blockstore.CodecVarint, func(s uint32) []byte {
+		{"varint: entry without its length", blockstore.CodecVarint, func(s, _ uint32) []byte {
 			return varint(s, func(b []byte) []byte { return b[:len(b)-1] })
 		}},
-		{"varint: overlong", blockstore.CodecVarint, func(s uint32) []byte {
+		{"varint: overlong", blockstore.CodecVarint, func(s, _ uint32) []byte {
 			return varint(s, func(b []byte) []byte { return append(bytes.Repeat([]byte{0xFF}, 10), b...) })
 		}},
-		{"varint: destination past the interval", blockstore.CodecVarint, func(s uint32) []byte {
+		{"varint: destination past the interval", blockstore.CodecVarint, func(s, _ uint32) []byte {
 			return varint(s, func(b []byte) []byte { b[28] = 2; return b })
 		}},
-		{"varint: section past the payload", blockstore.CodecVarint, func(s uint32) []byte {
+		{"varint: section past the payload", blockstore.CodecVarint, func(s, _ uint32) []byte {
 			return varint(s, func(b []byte) []byte { b[29]++; return b })
 		}},
-		{"fixed-width words where the meta names varint", blockstore.CodecVarint, func(s uint32) []byte {
+		{"fixed-width words where the meta names varint", blockstore.CodecVarint, func(s, _ uint32) []byte {
 			return honest(s, same)
 		}},
 		// The one rule only a stored-raw payload has: an end inside a record.
-		{"end inside a record", blockstore.CodecNone, func(s uint32) []byte {
+		{"end inside a record", blockstore.CodecNone, func(s, _ uint32) []byte {
 			return honest(s, func(e []uint32) []uint32 { e[3]--; return e })
 		}},
 	}
 
 	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
+		g := chain(format, 1)
 		mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
 		built, err := blockstore.BuildOpts(mem, g, blockstore.Options{P: p, Format: format})
 		if err != nil {
@@ -127,10 +141,11 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 		if got := built.InCodec(0, 0); (got == blockstore.CodecNone) != (format == blockstore.FormatRaw) {
 			t.Fatalf("%v store's in-block (0,0) is %v-coded", format, got)
 		}
-		step, form := uint32(4), func(s uint32) []byte { return honest(s, same) }
+		step, form := uint32(4), func(s, _ uint32) []byte { return honest(s, same) }
 		if format == blockstore.FormatMixed {
-			step, form = 1, func(s uint32) []byte { return varint(s, func(b []byte) []byte { return b }) }
+			step, form = 1, func(s, _ uint32) []byte { return varint(s, func(b []byte) []byte { return b }) }
 		}
+		size := uint32(built.Layout.Size(0))
 		// The honest index loads as built and as hand-framed here: what the
 		// loader refuses below is the lie, not the framing.
 		honestLoads := func(how string) {
@@ -139,7 +154,7 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 			}
 		}
 		honestLoads("as built")
-		if err := mem.Put(name, blockstore.FrameForTest(form(step))); err != nil {
+		if err := mem.Put(name, blockstore.FrameForTest(form(step, size))); err != nil {
 			t.Fatal(err)
 		}
 		honestLoads("hand-framed")
@@ -147,7 +162,7 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 			if (c.codec == blockstore.CodecNone) != (format == blockstore.FormatRaw) {
 				continue // the meta names the other form for this store's index
 			}
-			if err := mem.Put(name, blockstore.FrameForTest(c.index(step))); err != nil {
+			if err := mem.Put(name, blockstore.FrameForTest(c.index(step, size))); err != nil {
 				t.Fatal(err)
 			}
 			wantCorruptLoadAndRun(t, format.String()+": "+c.what, mem, storage.ErrCorrupt)
@@ -155,13 +170,8 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 
 		// And the lie nobody wrote: an ii/ blob from another build of the
 		// same shape, whose payload has a different length.
-		g2 := graph.New(n)
-		for v := 0; v+2 < n; v++ {
-			g2.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
-			g2.AddEdge(graph.VertexID(v), graph.VertexID(v+2))
-		}
 		other := storage.NewMemStore(storage.NewDevice(storage.RAM))
-		if _, err := blockstore.BuildOpts(other, g2, blockstore.Options{P: p, Format: format}); err != nil {
+		if _, err := blockstore.BuildOpts(other, chain(format, 2), blockstore.Options{P: p, Format: format}); err != nil {
 			t.Fatal(err)
 		}
 		foreign, err := other.ReadAll(name)

@@ -310,17 +310,27 @@ func TestPrefetchCachePromotionServesRepeatsWithoutIO(t *testing.T) {
 func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 	// The promoted copies served on hits must be byte-identical to direct
 	// loads — a corrupted promotion would silently poison every later
-	// iteration. And a cached block is its decoded records whatever stored
-	// it, so the mixed store's cache is charged exactly what the raw one is.
+	// iteration. And a cached block is its records whatever stored it — a
+	// compressed one decoded — so the mixed store's cache is charged what
+	// the raw one is plus the in-indices the raw store's CodecCOO blocks do
+	// without.
 	var used [2]int64
+	var entries int64
 	for n, format := range []Format{FormatRaw, FormatMixed} {
 		ds := prefetchStore(t, format)
 		cache := NewBlockCache(64 << 20)
 		cachedSweepMatchesDirectLoads(t, ds, cache)
 		used[n] = cache.Stats().BytesUsed
+		if format == FormatMixed {
+			for _, row := range ds.InIndexEntries {
+				for _, e := range row {
+					entries += e
+				}
+			}
+		}
 	}
-	if used[0] != used[1] {
-		t.Fatalf("cache charged %d bytes for the raw store's blocks, %d for their mixed twins", used[0], used[1])
+	if used[1] != used[0]+entries*InIndexEntryBytes {
+		t.Fatalf("cache charged %d bytes for the raw store's blocks, %d for their mixed twins with %d in-index entries", used[0], used[1], entries)
 	}
 }
 
@@ -337,12 +347,18 @@ func cachedSweepMatchesDirectLoads(t *testing.T, ds *DualStore, cache *BlockCach
 			if pass == 1 && !res.Cached {
 				t.Fatalf("pass 2 (%d,%d): expected a cache hit", key.I, key.J)
 			}
-			// The cache holds every block decoded.
+			// The cache holds every block decoded, a CodecCOO one as
+			// stored.
 			payload, byteIdx, err := loadInBlockRecords(ds, key.I, key.J, sc)
+			codec := CodecNone
+			if ds.InCodec(key.I, key.J) == CodecCOO {
+				payload, byteIdx, err = ds.LoadInBlockBytesScratch(key.I, key.J, sc)
+				codec = CodecCOO
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) || res.Codec != CodecNone {
+			if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) || res.Codec != codec {
 				t.Fatalf("pass %d (%d,%d): cached views differ from direct load", pass+1, key.I, key.J)
 			}
 			res.Release()

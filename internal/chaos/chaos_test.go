@@ -64,15 +64,17 @@ func TestChaosMatrixSeeded(t *testing.T) {
 // TestChaosHungReadsCompleteViaHedging pins the liveness claim: a schedule
 // whose only faults are reads hung forever completes — within the
 // wall-clock bound — because every hung attempt times out at the read
-// deadline and is retried, and each retry is accounted.
+// deadline and is retried, and each retry is accounted. The fault-free run
+// makes 83 reads (an in-block is one read: the raw store's in-blocks carry
+// no in-index), so all three stalls land.
 func TestChaosHungReadsCompleteViaHedging(t *testing.T) {
 	sched := Schedule{
 		Name: "stalls-only",
 		Seed: 11,
 		Faults: []storage.Fault{
 			{Op: storage.OpRead, Kind: storage.FaultStall, After: 5, Count: 1},
+			{Op: storage.OpRead, Kind: storage.FaultStall, After: 30, Count: 1},
 			{Op: storage.OpRead, Kind: storage.FaultStall, After: 60, Count: 1},
-			{Op: storage.OpRead, Kind: storage.FaultStall, After: 120, Count: 1},
 		},
 	}
 	a, err := AlgoByName("BFS")

@@ -295,3 +295,69 @@ func TestMessageTableCurrency(t *testing.T) {
 		sameValues(t, "two engines with a table each", s, want)
 	})
 }
+
+// TestCOOLayoutBoundary builds raw stores on both sides of the widest
+// interval a CodecCOO record addresses — two intervals of
+// MaxCOOInterval vertices, whose in-blocks are one record per edge, and two
+// of one vertex more, whose in-blocks keep their in-index — with edges
+// into and out of each interval's last vertex, whose local ID is the
+// widest a record holds. On both, forced-COP runs at 1 and 3 threads must
+// give PageRank (the sum kernel) the serial Gauss–Seidel sweep's values,
+// WCC (the min kernel) its oracle's and weighted SSSP (the Combine
+// fallback) its oracle's, bit for bit.
+func TestCOOLayoutBoundary(t *testing.T) {
+	const p = 2
+	for _, size := range []int{blockstore.MaxCOOInterval, blockstore.MaxCOOInterval + 1} {
+		n := p * size
+		rng := rand.New(rand.NewSource(int64(size)))
+		g := graph.New(n)
+		for e := 0; e < n; e++ {
+			g.AddWeightedEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), float32(1+rng.Intn(4)))
+			// Vertex 0 reaches every vertex, so WCC and SSSP converge in a
+			// few sweeps.
+			g.AddWeightedEdge(0, graph.VertexID(e), float32(1+rng.Intn(4)))
+		}
+		for _, last := range []int{size - 1, n - 1} { // each interval's last vertex
+			for _, other := range []int{0, size, last} {
+				g.AddWeightedEdge(graph.VertexID(last), graph.VertexID(other), 1)
+				g.AddWeightedEdge(graph.VertexID(other), graph.VertexID(last), 2)
+			}
+		}
+		g.Dedup()
+		sym := g.Symmetrize()
+		want := blockstore.CodecCOO
+		if size > blockstore.MaxCOOInterval {
+			want = blockstore.CodecNone
+		}
+		build := func(g *graph.Graph, weighted bool) *blockstore.DualStore {
+			ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.SSD)), g, blockstore.Options{P: p, Weighted: weighted})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ds.InCodec(p-1, p-1); got != want {
+				t.Fatalf("intervals of %d: in-block (%d,%d) is %v, want %v", size, p-1, p-1, got, want)
+			}
+			return ds
+		}
+		cases := []struct {
+			name     string
+			ds       *blockstore.DualStore
+			prog     core.Program
+			maxIters int
+			want     []float64
+		}{
+			{"pagerank", build(g, false), &algos.PageRank{}, 5, gaussSeidelPageRank(g, p, 5)},
+			{"wcc", build(sym, false), algos.WCC{}, 0, algos.OracleWCC(sym)},
+			{"sssp", build(g, true), algos.SSSP{Source: graph.VertexID(size - 1)}, 0, algos.OracleSSSP(g, graph.VertexID(size-1))},
+		}
+		for _, c := range cases {
+			for _, threads := range []int{1, 3} {
+				res, err := core.New(c.ds, core.Config{Model: core.ModelCOP, Threads: threads, MaxIters: c.maxIters}).Run(c.prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameValues(t, fmt.Sprintf("%s over intervals of %d, threads=%d", c.name, size, threads), res.Values, c.want)
+			}
+		}
+	}
+}

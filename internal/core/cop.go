@@ -41,19 +41,28 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			// The block arrives behind its in-index entries as stored —
-			// packed records, or the varint sections of a compressed block,
-			// which the kernel decodes as it folds them — or decoded from
-			// the cache; res.Codec says which. The edge kernel partitions
-			// the listed destinations across workers by payload bytes.
-			if len(res.Payload) > 0 {
-				if bad := k.block(d[lo:hi], res.Payload, res.ByteIdx, res.Codec); bad >= 0 {
-					dst := lo + int(res.ByteIdx[2*bad])
-					res.Release()
-					return 0, fmt.Errorf("core: in-block (%d,%d) destination %d: %v section holds a malformed varint or a neighbour outside [0,%d): %w", j, i, dst, res.Codec, len(s), storage.ErrCorrupt)
+			// The block arrives as stored — one record per edge, or behind
+			// its in-index entries packed records or the varint sections of
+			// a compressed block, which the kernel decodes as it folds them
+			// — or decoded from the cache; res.Codec says which. The edge
+			// kernel splits the block across workers by destination.
+			if len(res.Payload) == 0 {
+				res.Release()
+				continue
+			}
+			var err error
+			if res.Codec == blockstore.CodecCOO {
+				jlo, jhi := l.Bounds(j)
+				if bad := k.records(d[lo:hi], jlo, jhi, res.Payload); bad >= 0 {
+					err = fmt.Errorf("core: in-block (%d,%d) record %d: out of (destination, source) order, or naming a destination outside [0,%d) or a source outside [0,%d): %w", j, i, bad, hi-lo, jhi-jlo, storage.ErrCorrupt)
 				}
+			} else if bad := k.block(d[lo:hi], res.Payload, res.ByteIdx, res.Codec); bad >= 0 {
+				err = fmt.Errorf("core: in-block (%d,%d) destination %d: %v section holds a malformed varint or a neighbour outside [0,%d): %w", j, i, lo+int(res.ByteIdx[2*bad]), res.Codec, len(s), storage.ErrCorrupt)
 			}
 			res.Release()
+			if err != nil {
+				return 0, err
+			}
 		}
 
 		// Column finalization, one pass over the interval once every block

@@ -157,6 +157,128 @@ func BenchmarkEdgeKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkCOPScan folds every in-block of perfbench's PageRank graph —
+// Chung–Lu α 2.2, 2¹⁸ vertices, P = 16 — on one thread, column by column
+// as a COP sweep does, with the blocks already in memory: the edge loop of
+// a scan and nothing else. Each leg reports ns/edge and B/edge, the bytes a
+// scan reads per edge (payload and in-index, frames excluded). /coo folds
+// the blocks as a raw store keeps them at this P, one 4-byte (destination,
+// source) record per edge; /raw the same records regrouped behind an
+// in-index, the layout of a raw store whose intervals are wider than 2¹⁶
+// (and of every raw store before CodecCOO); each with the sum and the min
+// kernel. /floor is a flat gather-sum over the same sources, no
+// destination at all: what reading the messages costs. DESIGN.md §4m has
+// the numbers; read them at -cpu 1.
+func BenchmarkCOPScan(b *testing.B) {
+	const n, p = 1 << 18, 16
+	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: p})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type block struct {
+		d, src   [2]int // destination and source interval bounds
+		coo, raw []byte
+		entries  []uint32
+		srcs     []uint32 // global sources, for the floor
+	}
+	var blocks []block
+	var edges, rawBytes float64
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			payload, _, err := ds.LoadInBlockBytesScratch(j, i, new(blockstore.Scratch))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ds.InCodec(j, i) != blockstore.CodecCOO {
+				b.Fatalf("in-block (%d,%d) of a raw store at P = %d is %v", j, i, p, ds.InCodec(j, i))
+			}
+			var blk block
+			blk.d[0], blk.d[1] = ds.Layout.Bounds(i)
+			blk.src[0], blk.src[1] = ds.Layout.Bounds(j)
+			blk.coo = payload
+			blk.raw, blk.entries = cooTwin(payload, blk.src[0])
+			for off := 0; off < len(blk.raw); off += 4 {
+				blk.srcs = append(blk.srcs, binary.LittleEndian.Uint32(blk.raw[off:]))
+			}
+			edges += float64(len(payload) / 4)
+			rawBytes += float64(len(blk.raw) + 4*len(blk.entries))
+			blocks = append(blocks, blk)
+		}
+	}
+	s := make([]float64, n)
+	for v := range s {
+		s[v] = 1 / float64(n)
+	}
+	d := make([]float64, n)
+	for _, kern := range []struct {
+		name string
+		op   ReduceOp
+	}{{"sum", ReduceSum}, {"min", ReduceMin}} {
+		for _, layout := range []string{"coo", "raw"} {
+			b.Run(layout+"/"+kern.name, func(b *testing.B) {
+				e := New(ds, Config{Threads: 1})
+				k := &e.cop
+				k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: kern.op}, s, bitset.FullFrontier(n))
+				defer k.end()
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					for _, blk := range blocks {
+						dst := d[blk.d[0]:blk.d[1]]
+						bad := 0
+						if layout == "coo" {
+							bad = k.records(dst, blk.src[0], blk.src[1], blk.coo)
+						} else {
+							bad = k.block(dst, blk.raw, blk.entries, blockstore.CodecNone)
+						}
+						if bad >= 0 {
+							b.Fatal("the fold refused a block the store built")
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
+				perEdge := 4.0
+				if layout == "raw" {
+					perEdge = rawBytes / edges
+				}
+				b.ReportMetric(perEdge, "B/edge")
+			})
+		}
+	}
+	b.Run("floor", func(b *testing.B) {
+		var sum float64
+		for it := 0; it < b.N; it++ {
+			for _, blk := range blocks {
+				for _, u := range blk.srcs {
+					sum += s[u]
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
+		b.ReportMetric(4, "B/edge")
+		if sum < 0 {
+			b.Fatal(sum)
+		}
+	})
+}
+
+// cooTwin regroups CodecCOO records whose sources are local to the
+// interval starting at srcLo, unweighted, into the packed raw records and
+// in-index entries a CodecNone block stores for them.
+func cooTwin(payload []byte, srcLo int) ([]byte, []uint32) {
+	var recs []byte
+	var entries []uint32
+	for off := 0; off+4 <= len(payload); off += 4 {
+		key := binary.LittleEndian.Uint32(payload[off:])
+		if n := len(entries); n == 0 || entries[n-2] != key>>16 {
+			entries = append(entries, key>>16, 0)
+		}
+		recs = binary.LittleEndian.AppendUint32(recs, uint32(srcLo)+key&0xffff)
+		entries[len(entries)-1] = uint32(len(recs))
+	}
+	return recs, entries
+}
+
 // BenchmarkROPSparseTail times the fixed cost of a sparse ROP iteration:
 // BFS down four 250-vertex paths that share one interval of a 2¹⁸-vertex,
 // P = 16 graph, so after the root every iteration has a 4-vertex frontier
