@@ -16,7 +16,7 @@ import (
 var testOnlyExports = map[string]string{
 	"graph.ReadBinary":               "WriteBinary's inverse, which is how a library user loads what husgen -out writes; the codec round-trip tests are its callers",
 	"bitset.Bitset.Equal":            "assertion helper: the merge tests compare a merged frontier's bitmap against the unsharded one",
-	"storage.FaultCounters.Injected": "assertion helper: the chaos matrix checks that a scenario's faults actually fired",
+	"core.Result.TotalRetries":       "assertion helper: FuzzEngineConfig holds the iterations' retries to the run's (Result.Recovery.Retries)",
 	"shard.Coordinator.NumShards":    "assertion helper: TestShardCombinedStats checks the K the coordinator resolved",
 	"shard.Coordinator.ShardDevices": "assertion helper: the shard tests check that every shard's own device was charged",
 	"core.IterError.Unwrap":          "reached through errors.Is/errors.As, which is how every caller classifies an iteration's failure; never called by name",

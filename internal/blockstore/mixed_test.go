@@ -251,12 +251,12 @@ func TestMixedCorruptPayloadSurfacesChecksumError(t *testing.T) {
 	}
 }
 
-// TestHedgedCompressedReadDecodesOnce is the deadline/compression
+// TestTimedOutCompressedReadDecodesOnce is the deadline/compression
 // interaction check: a FaultDelayed read on a compressed block that blows
 // the deadline is retried, and only the retry's bytes are decoded — the load
 // decodes exactly the bytes one clean load does, and the timed-out
 // attempt's late answer is never decoded, not even once it lands.
-func TestHedgedCompressedReadDecodesOnce(t *testing.T) {
+func TestTimedOutCompressedReadDecodesOnce(t *testing.T) {
 	g := mixedGraph(false)
 	st := memStore()
 	if _, err := BuildOpts(st, g, Options{P: 2, Format: FormatMixed}); err != nil {

@@ -174,12 +174,12 @@ func TestAbortCutsBackoffShort(t *testing.T) {
 	}
 }
 
-// TestHungHedgeIsBounded pins the interleaving that used to hang a run for
+// TestStalledReadsEndAtTheDeadline pins the interleaving that used to hang a run for
 // good: two consecutive in-block reads stall. Each attempt fails transient
 // at the deadline, so with no retry budget the load ends ErrTransient naming
 // the deadline, and with two retries the third attempt returns the clean
 // block. Once the stalls are released no goroutine may be left.
-func TestHungHedgeIsBounded(t *testing.T) {
+func TestStalledReadsEndAtTheDeadline(t *testing.T) {
 	for _, retries := range []int{0, 2} {
 		before := len(leaktest.Live())
 		d, fs := openFaulty(t)

@@ -185,12 +185,12 @@ func TestEngineDetectsBitFlipCorruption(t *testing.T) {
 	}
 }
 
-// TestHedgesRescueHungReadsAndAreCounted runs an engine against a store
+// TestHungReadsAreRetriedAndCounted runs an engine against a store
 // whose reads intermittently hang forever: each hung attempt times out at
 // the read deadline and is retried, the run finishes bit-equal to a clean
 // one, and every retry is accounted in the iteration stats and the recovery
 // totals.
-func TestHedgesRescueHungReadsAndAreCounted(t *testing.T) {
+func TestHungReadsAreRetriedAndCounted(t *testing.T) {
 	clean, err := New(buildStore(t, pathGraph(40), 4, storage.HDD), Config{Model: ModelCOP, Threads: 2}).Run(testBFS{})
 	if err != nil {
 		t.Fatal(err)

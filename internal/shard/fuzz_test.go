@@ -1,10 +1,13 @@
 package shard_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,9 +32,40 @@ type engineCase struct {
 	cache             int64
 	alpha             float64
 	device            storage.Profile
-	faults            int
+	faults            ioFaults
 	weighted          bool // every store carries weights, so every program takes the per-edge fallback kernels
 	file              bool // the store is a FileStore under t.TempDir() (storeDir), not a MemStore
+}
+
+// faultKind is the read fault a case injects.
+type faultKind int
+
+const (
+	noFaults   faultKind = iota
+	transients           // the first three reads fail transient, ridden out by as many retries
+	delays               // the first eight block reads answer 200 µs late
+	stalls               // the first block read hangs until the run ends: the read deadline times it out, and it is retried
+)
+
+// ioFaults is what the faults selector chooses: a fault kind, and a kill.
+type ioFaults struct {
+	kind faultKind
+	kill int // the run is cancelled after this many iterations, then resumed on a cold reopen (0: never)
+}
+
+// faultsOf reads the faults selector: the kind is the byte modulo 4 and the
+// kill the quotient modulo 3, so the bytes 0 and 1 still choose no fault and
+// three transient faults.
+func faultsOf(b int) ioFaults { return ioFaults{kind: faultKind(b % 4), kill: b / 4 % 3} }
+
+// steady returns c without its delays, stall and kill: the configuration
+// every run of the harness but the scheduled one uses (check).
+func (c engineCase) steady() engineCase {
+	if c.faults.kind != transients {
+		c.faults.kind = noFaults
+	}
+	c.faults.kill = 0
+	return c
 }
 
 // maxEdges bounds a decoded graph; the seeds carrying the matrices' graphs
@@ -42,12 +76,13 @@ const maxEdges = 1024
 // bytes: twelve selectors — P, K, format, model, threads, prefetch, cache
 // budget, α (the default, or −1: the predictor decides every iteration),
 // device profile (SSD or HDD, which the predictor prices reads with),
-// transient read faults (none, or three, ridden out by as many retries),
-// weighting (the program's own, or always weighted) and substrate (MemStore
-// or FileStore) — each taken modulo its number of choices, then the vertex
-// count less one, a hub byte and the source, then (source, destination,
-// weight) triples. An odd hub byte gives vertex hub/2 an edge to every
-// vertex, itself included. Weights are the integers 1–4, so every path
+// read faults (none, three transient ones, delays or a stall, each with or
+// without a kill after one or two iterations; faultsOf), weighting (the
+// program's own, or always weighted) and substrate (MemStore or FileStore)
+// — each taken modulo its number of choices, then the vertex count less
+// one, a hub byte and the source, then (source, destination, weight)
+// triples. An odd hub byte gives vertex hub/2 an edge to every vertex,
+// itself included. Weights are the integers 1–4, so every path
 // length is exact in float64; a repeated (source, destination) pair keeps
 // its first weight, since a block section lists a neighbour once. Missing
 // bytes read as 0: an empty input is one isolated vertex.
@@ -70,7 +105,7 @@ func decodeEngineCase(data []byte) (engineCase, *graph.Graph, graph.VertexID) {
 		cache:    [...]int64{0, 512, 1 << 20}[next()%3],
 		alpha:    [...]float64{0, -1}[next()%2],
 		device:   [...]storage.Profile{storage.SSD, storage.HDD}[next()%2],
-		faults:   [...]int{0, 3}[next()%2],
+		faults:   faultsOf(next()),
 		weighted: next()%2 == 1,
 		file:     next()%2 == 1,
 	}
@@ -141,40 +176,45 @@ func hideReduce(p core.Program) core.Program {
 }
 
 // countingStore counts the bytes every read returns, whole or ranged: what
-// the substrate actually hands the engine.
+// the substrate actually hands the engine. It skips checkpoints (aux/),
+// which a resumed run loads before its first iteration.
 type countingStore struct {
 	storage.Store
 	read atomic.Int64
 }
 
+func (s *countingStore) count(name string, b []byte, err error) ([]byte, error) {
+	if !strings.HasPrefix(name, "aux/") {
+		s.read.Add(int64(len(b)))
+	}
+	return b, err
+}
+
 func (s *countingStore) ReadAll(name string) ([]byte, error) {
 	b, err := s.Store.ReadAll(name)
-	s.read.Add(int64(len(b)))
-	return b, err
+	return s.count(name, b, err)
 }
 
 func (s *countingStore) ReadAllInto(name string, buf []byte) ([]byte, error) {
 	b, err := s.Store.ReadAllInto(name, buf)
-	s.read.Add(int64(len(b)))
-	return b, err
+	return s.count(name, b, err)
 }
 
 func (s *countingStore) ReadAt(name string, off, n int64) ([]byte, error) {
 	b, err := s.Store.ReadAt(name, off, n)
-	s.read.Add(int64(len(b)))
-	return b, err
+	return s.count(name, b, err)
 }
 
 func (s *countingStore) ReadAtInto(name string, off, n int64, buf []byte) ([]byte, error) {
 	b, err := s.Store.ReadAtInto(name, off, n, buf)
-	s.read.Add(int64(len(b)))
-	return b, err
+	return s.count(name, b, err)
 }
 
 // outcome is one run of a case.
 type outcome struct {
 	*core.Result
-	k int // the shard count the run resolved (0: one core.Engine)
+	k        int                   // the shard count the run resolved (0: one core.Engine)
+	injected storage.FaultCounters // what the fault injector did
 }
 
 // fileStores holds, per test, the directory of each FileStore store the
@@ -199,15 +239,7 @@ func storeDir(t *testing.T, g *graph.Graph, opts blockstore.Options) string {
 	if ok {
 		return dir
 	}
-	dir = t.TempDir()
-	fs, err := storage.NewFileStore(storage.NewDevice(storage.RAM), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	if _, err := blockstore.BuildOpts(fs, g, opts); err != nil {
-		t.Fatal(err)
-	}
+	dir = buildDir(t, g, opts)
 	fileStores.Lock()
 	defer fileStores.Unlock()
 	if fileStores.dirs[t] == nil {
@@ -222,21 +254,57 @@ func storeDir(t *testing.T, g *graph.Graph, opts blockstore.Options) string {
 	return dir
 }
 
+// buildDir builds g's store under opts in a new directory.
+func buildDir(t *testing.T, g *graph.Graph, opts blockstore.Options) string {
+	t.Helper()
+	dir := t.TempDir()
+	fs, err := storage.NewFileStore(storage.NewDevice(storage.RAM), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if _, err := blockstore.BuildOpts(fs, g, opts); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// runWatchdog bounds a run's wall clock: a read hung past its deadline
+// fails the test instead of hanging the suite.
+const runWatchdog = 20 * time.Second
+
+// stallDeadline is the read deadline of a case with a stall; each stall
+// costs its run one.
+const stallDeadline = 50 * time.Millisecond
+
 // run builds g under c's storage options — or, on a FileStore, opens the
 // store storeDir built — and runs prog through c's configuration. A read
 // counter sits on the substrate, under the fault injector, which fails a
 // faulted read before the substrate serves it. With faults, the first reads
-// after the build or open fail transient and are retried. Every run must
-// charge each iteration exactly the bytes the substrate returned and no
-// write, and count every injected fault as one retry, once in the
-// iterations' stats and once in the run's.
+// after the build or open fail transient and are retried, answer late, or
+// hang until the read deadline. A killed run is reopened cold, as a
+// restarted process would be, and resumes from the checkpoint it wrote to a
+// store of its own; its outcome holds the iterations of both halves. Every
+// run must finish within runWatchdog, resume where it was killed, charge no
+// write, and count every retry once in the iterations' stats and once in the
+// run's — a resumed run's total also holds what reopening and loading the
+// checkpoint retried. Without a read deadline each iteration is charged
+// exactly the bytes the substrate returned, and the retries equal the
+// injected transient faults. Under one, which a healthy read may outlive
+// too, the retries are at least the injected stalls, and the run is charged
+// at most what the substrate returned: at K > 1 a shard's device charges an
+// attempt when its answer lands, and a stalled one's lands after the run.
 func (c engineCase) run(t *testing.T, g *graph.Graph, fp fuzzProgram, prog core.Program) outcome {
 	t.Helper()
 	dev := storage.NewDevice(c.device)
 	opts := blockstore.Options{P: c.p, Format: c.format, Weighted: c.weighted || fp.weighted}
 	var sub storage.Store = storage.NewMemStore(dev)
 	if c.file {
-		fs, err := storage.NewFileStore(dev, storeDir(t, g, opts))
+		dir := storeDir(t, g, opts)
+		if c.faults.kill > 0 {
+			dir = buildDir(t, g, opts) // its checkpoints stay its own
+		}
+		fs, err := storage.NewFileStore(dev, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,6 +313,7 @@ func (c engineCase) run(t *testing.T, g *graph.Graph, fp fuzzProgram, prog core.
 	}
 	counted := &countingStore{Store: sub}
 	faulty := storage.NewFaultStore(counted, 1)
+	defer faulty.ReleaseStalled()
 	var ds *blockstore.DualStore
 	var err error
 	if c.file {
@@ -255,46 +324,107 @@ func (c engineCase) run(t *testing.T, g *graph.Graph, fp fuzzProgram, prog core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.faults > 0 {
-		faulty.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Count: int64(c.faults)})
-	}
 	out := outcome{k: c.k}
 	for out.k > 0 && ds.Layout.P%out.k != 0 { // a graph smaller than P keeps fewer intervals
 		out.k /= 2
 	}
 	var read []int64 // the bytes the substrate returned during each iteration
 	var last int64
+	var seen []core.IterStats // every iteration, a killed run's included
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	cfg := core.Config{
 		Model: c.model, Threads: c.threads, PrefetchDepth: c.prefetch,
 		CacheBudgetBytes: c.cache, Alpha: c.alpha, MaxIters: fp.maxIters,
-		ReadRetries: c.faults, RetryBackoff: time.Nanosecond,
-		OnIteration: func(core.IterStats) {
+		RetryBackoff: time.Nanosecond,
+		OnIteration: func(st core.IterStats) {
 			n := counted.read.Load()
 			read = append(read, n-last)
 			last = n
+			if seen = append(seen, st); len(seen) == c.faults.kill {
+				cancel()
+			}
 		},
 	}
-	var runner interface {
-		Run(core.Program) (*core.Result, error)
+	switch c.faults.kind {
+	case transients:
+		cfg.ReadRetries = 3
+		faulty.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Count: 3})
+	case delays:
+		faulty.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, Name: "b/", Count: 8, Delay: 200 * time.Microsecond})
+	case stalls:
+		cfg.ReadRetries, cfg.ReadDeadline = 4, stallDeadline
+		faulty.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultStall, Name: "b/", Count: 1})
 	}
-	if out.k == 0 {
-		runner = core.New(ds, cfg)
-	} else if runner, err = shard.New(ds, shard.Config{Config: cfg, Shards: out.k}); err != nil {
-		t.Fatal(err)
+	if c.faults.kill > 0 {
+		cfg.CheckpointEvery = 2
 	}
+	start := func(ctx context.Context, ds *blockstore.DualStore) (*core.Result, error) {
+		if out.k == 0 {
+			return core.New(ds, cfg).RunContext(ctx, prog)
+		}
+		co, err := shard.New(ds, shard.Config{Config: cfg, Shards: out.k})
+		if err != nil {
+			return nil, err
+		}
+		return co.RunContext(ctx, prog)
+	}
+	var killed bool
+	var reopens int64 // transient faults the killed run left for the reopen's meta read
+	done := make(chan error, 1)
 	counted.read.Store(0)
-	if out.Result, err = runner.Run(prog); err != nil {
+	go func() {
+		res, err := start(ctx, ds)
+		if killed = errors.Is(err, context.Canceled); killed {
+			for ds, err = blockstore.Open(faulty); errors.Is(err, storage.ErrTransient); ds, err = blockstore.Open(faulty) {
+				reopens++
+			}
+			if err == nil {
+				last = counted.read.Load()
+				cfg.Resume, cfg.CheckpointEvery = true, 0
+				res, err = start(context.Background(), ds)
+			}
+		}
+		out.Result = res
+		done <- err
+	}()
+	watchdog := time.NewTimer(runWatchdog)
+	defer watchdog.Stop()
+	select {
+	case err = <-done:
+	case <-watchdog.C:
+		faulty.ReleaseStalled()
+		t.Fatalf("%s under %+v: still running after %v: a read hung past its deadline", fp.name, c, runWatchdog)
+	}
+	if err != nil {
 		t.Fatalf("%s under %+v: %v", fp.name, c, err)
 	}
+	if killed {
+		if out.Recovery.ResumedIter != c.faults.kill {
+			t.Fatalf("%s under %+v: killed after %d iterations, resumed at iteration %d", fp.name, c, c.faults.kill, out.Recovery.ResumedIter)
+		}
+		for _, st := range seen[:c.faults.kill] {
+			out.Recovery.Retries += st.Retries
+		}
+		out.Recovery.Retries += reopens
+		out.Iterations = seen
+	}
+	var charged, served int64
 	for i, st := range out.Iterations {
-		if st.IO.ReadBytes() != read[i] || st.IO.WriteBytes() != 0 {
+		charged, served = charged+st.IO.ReadBytes(), served+read[i]
+		if (st.IO.ReadBytes() != read[i] && cfg.ReadDeadline == 0) || st.IO.WriteBytes() != 0 {
 			t.Fatalf("%s under %+v, iteration %d (%v): charged %d bytes read and %d written; the store read %d",
 				fp.name, c, i, st.Model, st.IO.ReadBytes(), st.IO.WriteBytes(), read[i])
 		}
 	}
-	injected := faulty.Counters().Transient
-	if sum, run := out.TotalRetries(), out.Recovery.Retries; sum != run || run != injected {
-		t.Fatalf("%s under %+v: %d retries over the iterations, %d over the run, %d faults injected", fp.name, c, sum, run, injected)
+	if charged > served {
+		t.Fatalf("%s under %+v: charged %d bytes read; the store read %d", fp.name, c, charged, served)
+	}
+	out.injected = faulty.Counters()
+	injected := out.injected.Transient + out.injected.Stalls
+	sum, total := out.TotalRetries(), out.Recovery.Retries
+	if sum > total || (sum < total && !killed) || total < injected || (total > injected && cfg.ReadDeadline == 0) {
+		t.Fatalf("%s under %+v: %d retries over the iterations, %d over the run, %d faults injected", fp.name, c, sum, total, injected)
 	}
 	return out
 }
@@ -374,12 +504,21 @@ func wantSameRun(t *testing.T, what string, got, want outcome) {
 }
 
 // check runs one program under c and holds it to every property of the
-// harness.
+// harness. The runs it compares are c's steady twin; c's delays, stall and
+// kill reach one more run.
 func (c engineCase) check(t *testing.T, g *graph.Graph, src graph.VertexID, fp fuzzProgram) {
 	fresh := func() core.Program { return fp.new(g.NumVertices, src) }
 	if fresh().NeedsSymmetric() {
 		g = g.Symmetrize()
 	}
+	scheduled := c
+	if _, ok := fresh().(core.PriorityProgram); ok {
+		scheduled.faults.kill = 0 // core.Drive refuses to checkpoint a priority program (ROADMAP 7e)
+	}
+	if fp.name != fuzzPrograms[0].name && c.faults.kind == stalls {
+		scheduled.faults.kind = noFaults // a stalled run waits out a read deadline: BFS's alone stalls
+	}
+	c = c.steady()
 	what := fmt.Sprintf("%s under %+v", fp.name, c)
 	got := c.run(t, g, fp, fresh())
 
@@ -412,6 +551,12 @@ func (c engineCase) check(t *testing.T, g *graph.Graph, src graph.VertexID, fp f
 	}
 
 	c.wantSameAtK1(t, g, fp, fresh, what, got)
+
+	// One run under the case's delays, stall or kill: the values of the
+	// steady run above, to the bit.
+	if scheduled != c {
+		wantBits(t, fmt.Sprintf("%s under %+v", fp.name, scheduled), scheduled.run(t, g, fp, fresh()).Values, got.Values)
+	}
 }
 
 // wantSameAtK1 holds got, a run of fp under c, to the shard properties: at
@@ -463,6 +608,11 @@ const (
 	fourShards                     // K = 4 over four intervals
 	onFile                         // the store is a FileStore
 	allWeighted                    // every store carries weights
+	stalledCOP                     // a COP BFS run's stall timed out and was retried
+	stalledROP                     // a ROP BFS run's stall timed out and was retried
+	delayed                        // a BFS run's reads answered late
+	resumed                        // a killed PageRank run resumed from its checkpoint
+	twoShards                      // K = 2
 )
 
 // seedTriples lays g's edges out as the triples decodeEngineCase reads,
@@ -477,7 +627,8 @@ func seedTriples(g *graph.Graph) [][3]byte {
 
 // engineSeeds are FuzzEngineConfig's seed corpus, which plain go test runs.
 // The first eleven are the harness's own; the rest carry the cells of the
-// hand-built matrices it replaced (CHANGES.md maps each).
+// hand-built matrices and of the chaos harness it replaced (CHANGES.md maps
+// each).
 func engineSeeds() []engineSeed {
 	// seed lays a case out the way decodeEngineCase reads it: the fifteen
 	// header bytes, then the edge triples.
@@ -530,6 +681,15 @@ func engineSeeds() []engineSeed {
 		{"grid, K = 2, hybrid on SSD, three threads, prefetch 1", seed([15]byte{2, 1, 0, 2, 2, 1, 0, 0, 0, 0, 0, 0, 203, 0, 100}, grid...), nil},
 		{"web, weighted, hybrid, prefetch 2, 512 B cache: replayed under refused admissions", seed([15]byte{2, 0, 0, 2, 1, 2, 1, 0, 1, 0, 1, 0, 255, 0, 0}, web...), []seedMeaning{refuses}},
 		{"web, weighted, K = 2, prefetch 2, 512 B cache", seed([15]byte{2, 1, 0, 2, 1, 2, 1, 0, 1, 0, 1, 0, 255, 0, 0}, web...), []seedMeaning{refuses}},
+
+		{"rmat, COP, prefetch 2: a hung block read times out at the read deadline and is retried", seed([15]byte{2, 0, 0, 1, 1, 2, 0, 0, 0, 3, 0, 0, 255, 0, 0}, rmat...), []seedMeaning{stalledCOP}},
+		{"rmat, ROP, K = 2, prefetch 1: a stall", seed([15]byte{2, 1, 0, 0, 2, 1, 0, 0, 0, 3, 0, 0, 255, 0, 0}, rmat...), []seedMeaning{stalledROP, twoShards}},
+		{"web, mixed, hybrid, prefetch 2: a stall", seed([15]byte{2, 0, 1, 2, 1, 2, 0, 0, 0, 3, 0, 0, 255, 0, 0}, web...), []seedMeaning{bothCodecs}},
+		{"rmat, hybrid, prefetch 2: block reads answer late", seed([15]byte{2, 0, 0, 2, 1, 2, 0, 0, 0, 2, 0, 0, 255, 0, 0}, rmat...), []seedMeaning{delayed}},
+		{"rmat, COP, three transient faults, killed after two iterations and resumed", seed([15]byte{2, 0, 0, 1, 1, 2, 0, 0, 0, 9, 0, 0, 255, 0, 0}, rmat...), []seedMeaning{resumed}},
+		{"web, mixed, COP, delays, killed after two iterations and resumed", seed([15]byte{2, 0, 1, 1, 1, 2, 0, 0, 0, 10, 0, 0, 255, 0, 0}, web...), []seedMeaning{resumed, bothCodecs, delayed}},
+		{"rmat, K = 2, COP, killed after one iteration and resumed", seed([15]byte{2, 1, 0, 1, 1, 2, 0, 0, 0, 4, 0, 0, 255, 0, 0}, rmat...), []seedMeaning{resumed, twoShards}},
+		{"tree on a FileStore, hybrid, killed after two iterations: its checkpoints in a store of its own", seed([15]byte{1, 0, 0, 2, 1, 0, 0, 0, 0, 8, 0, 1, 199, 0, 0}, tree...), []seedMeaning{resumed, onFile}},
 	}
 }
 
@@ -537,7 +697,7 @@ func engineSeeds() []engineSeed {
 // and checks every property of the harness on it (DESIGN.md §7, ROADMAP
 // 16). Over a graph of up to 256 vertices and 1024 edges — edgeless, with
 // self-loops or a hub — and any P, K, storage format, model, thread count,
-// prefetch depth, cache budget, α, device profile, transient read faults,
+// prefetch depth, cache budget, α, device profile, read faults and kill,
 // weighting and substrate, every internal/algos program
 //   - equals its serial oracle to the bit (BFS, SSSP, SSSP-Delta, WCC,
 //     KCore, Coreness), or the same model's run at the same α, device and
@@ -551,7 +711,12 @@ func engineSeeds() []engineSeed {
 //     cache; at K = 1, shard.New equals core.New but for the host clock;
 //   - charges each iteration exactly the bytes the substrate returned, and
 //     no write; and counts each injected fault as one retry, per iteration
-//     and per run.
+//     and per run;
+//   - with reads that answer late, a read hung past the read deadline, or
+//     a kill resumed from its checkpoint on a cold reopen, gives the
+//     values of the run without them to the bit, within a watchdog, with
+//     every stall retried and the retries and a resumed run's iterations
+//     accounted across both of its halves (run).
 //
 // Replays and comparisons of statistics are skipped, and values compared
 // alone, for a run in which ROP ran while the cache refused an admission.
@@ -634,6 +799,23 @@ func TestEngineSeedsKeepTheirMeaning(t *testing.T) {
 			case allWeighted:
 				if !c.weighted {
 					t.Errorf("%s: only the weighted programs' stores carry weights", s.name)
+				}
+			case stalledCOP, stalledROP:
+				want := map[seedMeaning]core.Model{stalledCOP: core.ModelCOP, stalledROP: core.ModelROP}[m]
+				if o := run("BFS"); c.model != want || o.injected.Stalls == 0 || o.Recovery.Retries < o.injected.Stalls {
+					t.Errorf("%s: %v, %d stalls, %d retries; want a stall retried under %v", s.name, c.model, o.injected.Stalls, o.Recovery.Retries, want)
+				}
+			case delayed:
+				if o := run("BFS"); o.injected.Delays == 0 {
+					t.Errorf("%s: no read answered late (%v)", s.name, o.injected)
+				}
+			case resumed:
+				if o := run("PageRank"); o.Recovery.ResumedIter == 0 {
+					t.Errorf("%s: the run was not killed and resumed (%+v)", s.name, o.Recovery)
+				}
+			case twoShards:
+				if o := run("BFS"); o.k != 2 {
+					t.Errorf("%s: ran at K = %d, want 2", s.name, o.k)
 				}
 			}
 		}

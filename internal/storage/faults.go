@@ -71,9 +71,8 @@ const (
 	// the torn write a crash mid-os.WriteFile produces.
 	FaultTorn
 	// FaultDelay completes the operation successfully but only after
-	// sleeping the plan's Delay plus a seeded-random extra in
-	// [0, DelayJitter) — a congested controller or a device in thermal
-	// throttle. The injected latency is the only observable effect.
+	// sleeping the plan's Delay — a congested controller or a device in
+	// thermal throttle. The injected latency is the only observable effect.
 	FaultDelay
 	// FaultStall blocks the operation indefinitely — a hung request that
 	// will never complete on its own. Stalled operations park until
@@ -120,11 +119,8 @@ type Fault struct {
 	After int64
 	// Count bounds the number of injections; 0 means unlimited.
 	Count int64
-	// Delay is the base latency added by FaultDelay injections.
+	// Delay is the latency added by FaultDelay injections.
 	Delay time.Duration
-	// DelayJitter widens FaultDelay injections by a seeded-random extra
-	// in [0, DelayJitter).
-	DelayJitter time.Duration
 }
 
 // FaultCounters reports what a FaultStore observed and injected.
@@ -139,11 +135,6 @@ type FaultCounters struct {
 	// performed. Both operations ultimately complete healthily, so these
 	// never correlate with error counters.
 	Delays, Stalls int64
-}
-
-// Injected returns the total number of injected faults of any kind.
-func (c FaultCounters) Injected() int64 {
-	return c.Transient + c.Permanent + c.BitFlips + c.TornWrites + c.Delays + c.Stalls
 }
 
 // String summarizes the counters for logs.
@@ -209,7 +200,7 @@ func (f *FaultStore) Counters() FaultCounters {
 }
 
 // injection is one decided fault: the kind, a seeded random value for
-// bit/tear positions, and the resolved sleep for FaultDelay.
+// bit/tear positions, and the sleep for FaultDelay.
 type injection struct {
 	kind  FaultKind
 	r     int64
@@ -217,7 +208,7 @@ type injection struct {
 }
 
 // decide records one matching operation and returns the fault to inject,
-// if any. Random draws (bit position, tear point, delay jitter) happen
+// if any. Random draws (bit position, tear point) happen
 // under the lock so the seeded sequence is stable per injection order.
 func (f *FaultStore) decide(op FaultOp, name string) (injection, bool) {
 	f.mu.Lock()
@@ -249,9 +240,6 @@ func (f *FaultStore) decide(op FaultOp, name string) (injection, bool) {
 		case FaultDelay:
 			f.c.Delays++
 			inj.delay = p.Delay
-			if p.DelayJitter > 0 {
-				inj.delay += time.Duration(uint64(inj.r) % uint64(p.DelayJitter))
-			}
 		case FaultStall:
 			f.c.Stalls++
 		}

@@ -26,7 +26,7 @@ func TestFaultStorePassThrough(t *testing.T) {
 		t.Fatalf("ReadAll = %q, %v", b, err)
 	}
 	c := fs.Counters()
-	if c.Reads != 1 || c.Writes != 1 || c.Injected() != 0 {
+	if c != (FaultCounters{Reads: 1, Writes: 1}) {
 		t.Fatalf("counters: %v", c)
 	}
 }
@@ -270,24 +270,6 @@ func TestFaultStoreDelayCompletesHealthy(t *testing.T) {
 	}
 	if c := fs.Counters(); c.Delays != 2 || c.Stalls != 0 {
 		t.Fatalf("counters: %v", c)
-	}
-}
-
-func TestFaultStoreDelayJitterDeterministic(t *testing.T) {
-	// Same seed, same schedule → same resolved sleeps (observable only via
-	// determinism of the whole run; here we just assert both runs inject).
-	for _, seed := range []int64{7, 7} {
-		fs, _ := newFaultMem(t, seed)
-		if err := fs.Put("a", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		fs.Inject(Fault{Op: OpRead, Kind: FaultDelay, Count: 1, Delay: time.Millisecond, DelayJitter: time.Millisecond})
-		if _, err := fs.ReadAll("a"); err != nil {
-			t.Fatal(err)
-		}
-		if c := fs.Counters(); c.Delays != 1 {
-			t.Fatalf("seed %d counters: %v", seed, c)
-		}
 	}
 }
 
