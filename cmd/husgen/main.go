@@ -132,11 +132,13 @@ func run() error {
 // what the in-indices hold. Interval i covers its out-row (ob/i.*, oi/i.*)
 // and in-column (ib/*.i, ii/*.i), so every block and index is counted
 // exactly once. Logical bytes are the fixed-width form of everything: 4 or
-// 8 bytes a record, 4 an out-index offset, 8 an in-index entry — so raw
-// stores report ratio 1.00 throughout. In-block occupancy is the share of
-// (destination, in-block) pairs with an edge, which is what an in-index
-// stores an entry for; a raw store over intervals of at most
-// blockstore.MaxCOOInterval stores one record per edge and no in-index.
+// 8 bytes a record, 4 an out-index offset, 8 an in-index entry — so a raw
+// store reports ratio 1.00 but where its out-block records hold 2-byte
+// local destinations (blockstore.OutRecordBytes), whose intervals fit 16
+// bits. In-block occupancy is the share of (destination, in-block) pairs
+// with an edge, which is what an in-index stores an entry for; a raw store
+// over intervals of at most blockstore.MaxCOOInterval stores one record per
+// edge and no in-index.
 func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 	l := ds.Layout
 	step := int64(blockstore.RawRecordBytes(ds.Weighted))

@@ -159,7 +159,7 @@ func BenchmarkDecodeInBlock(b *testing.B) {
 			if cnt == 0 {
 				continue
 			}
-			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, false)
+			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, 4, false)
 			entries = append(entries, uint32(k), uint32(len(payload)))
 			pos += int(cnt)
 		}

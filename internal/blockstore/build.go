@@ -179,8 +179,9 @@ type bucketScratch struct {
 // and records their sizes and, for a row, each out-block's source mask, read
 // off the out-index it lays out, and the page CRCs of each out-index. format
 // applies to a column only, which COP streams whole; a row, which ROP reads
-// by offset, is stored raw whatever the format. A raw column whose intervals
-// fit 16 bits is stored CodecCOO, with no in-index blob.
+// by offset, is stored raw whatever the format, each record holding its
+// local destination (OutRecordBytes). A raw column whose intervals fit 16
+// bits is stored CodecCOO, with no in-index blob.
 //
 // Each edge of the bucket is an (indexed vertex, neighbour) pair: a row's
 // edges as they came, a column's reversed (spiller.add). A block wants its
@@ -196,9 +197,9 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	l := d.Layout
 	lo, _ := l.Bounds(b)
 	size, numV, isz := uint32(l.Size(b)), uint32(l.NumVertices), uint32(l.intervalSize())
-	view, blockKind, indexKind, codec := "row", blobOutBlock, blobOutIndex, CodecNone
+	view, blockKind, indexKind, codec, idBytes := "row", blobOutBlock, blobOutIndex, CodecNone, l.localIDBytes()
 	if in {
-		view, blockKind, indexKind = "column", blobInBlock, blobInIndex
+		view, blockKind, indexKind, idBytes = "column", blobInBlock, blobInIndex, 4
 		if d.coo {
 			codec = CodecCOO
 		} else if format == FormatMixed {
@@ -240,11 +241,19 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	copy(bounds[1:], bounds[:keys])
 	bounds[0] = 0
 	for key := 0; key < keys; key++ {
-		sortRun(recs[bounds[key]:bounds[key+1]])
-		if codec == CodecCOO { // a record's neighbour becomes its key
-			for r := bounds[key]; r < bounds[key+1]; r++ {
-				recs[r].Nbr = uint32(key%int(size))<<16 | recs[r].Nbr%isz
-			}
+		sec := recs[bounds[key]:bounds[key+1]]
+		sortRun(sec)
+		if in && codec != CodecCOO {
+			continue // a column behind an in-index keeps global neighbours
+		}
+		// A row's neighbour becomes its local destination, a CodecCOO
+		// record's its key: the local source under the local destination.
+		base, high := uint32(key/int(size))*isz, uint32(0)
+		if in {
+			high = uint32(key%int(size)) << 16
+		}
+		for r := range sec {
+			sec[r].Nbr = sec[r].Nbr - base | high
 		}
 	}
 	for c := 0; c < l.P; c++ {
@@ -252,7 +261,7 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 		if !in {
 			i, j = b, c
 		}
-		payload, idx := encodeBlockPayload(recs, bounds[c*int(size):(c+1)*int(size)+1], codec, d.Weighted, in)
+		payload, idx := encodeBlockPayload(recs, bounds[c*int(size):(c+1)*int(size)+1], codec, idBytes, d.Weighted, in)
 		if err := d.putBlob(d.names.name(blockKind, i, j), payload); err != nil {
 			return err
 		}
@@ -301,12 +310,13 @@ func sortRun(run []Rec) {
 // strictly smaller than the raw records would be (compression must pay for
 // its decode cost with real byte savings — and codecOf reads the codec back
 // off that inequality), the block encoded CodecNone otherwise; CodecCOO
-// records are CodecNone ones whose neighbours are their keys. The index is
-// an out-block's len(bounds) byte offsets, or with entries set an in-block's
+// records are CodecNone ones whose neighbours are their keys. A raw
+// record's neighbour takes idBytes (encodeVertexRecsCodec). The index is an
+// out-block's len(bounds) byte offsets, or with entries set an in-block's
 // (local, end offset) pair per vertex that has a record — written in the
 // one pass over the runs either way.
-func encodeBlockPayload(recs []Rec, bounds []uint32, c Codec, weighted, entries bool) ([]byte, []uint32) {
-	raw := int(bounds[len(bounds)-1]-bounds[0]) * RawRecordBytes(weighted)
+func encodeBlockPayload(recs []Rec, bounds []uint32, c Codec, idBytes int, weighted, entries bool) ([]byte, []uint32) {
+	raw := int(bounds[len(bounds)-1]-bounds[0]) * (idBytes + RawRecordBytes(weighted) - 4)
 	encode := func(c Codec) ([]byte, []uint32) {
 		idx := make([]uint32, 0, len(bounds))
 		payload := make([]byte, 0, raw)
@@ -317,7 +327,7 @@ func encodeBlockPayload(recs []Rec, bounds []uint32, c Codec, weighted, entries 
 			if bounds[k] == bounds[k+1] {
 				continue
 			}
-			payload = encodeVertexRecsCodec(payload, recs[bounds[k]:bounds[k+1]], c, weighted)
+			payload = encodeVertexRecsCodec(payload, recs[bounds[k]:bounds[k+1]], c, idBytes, weighted)
 			if entries {
 				idx = append(idx, uint32(k), uint32(len(payload)))
 			}

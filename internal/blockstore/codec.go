@@ -229,11 +229,12 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 }
 
 // metaMagic marks the meta layout below. A meta under any other magic was
-// written by an older build, and Open refuses it (errOlderStore): "HUSG" is
-// this layout from before CodecCOO, "HUSF" that with stored-size grids for
-// the out-blocks and out-indices, which a mixed store could then compress,
-// "HUSE" without the out-index page CRCs, "HUSD" without the source masks.
-const metaMagic = "HUSH"
+// written by an older build, and Open refuses it (errOlderStore): "HUSH" is
+// this layout over out-blocks of global destinations, "HUSG" that from
+// before CodecCOO, "HUSF" that with stored-size grids for the out-blocks and
+// out-indices, which a mixed store could then compress, "HUSE" without the
+// out-index page CRCs, "HUSD" without the source masks.
+const metaMagic = "HUSI"
 
 // metaHeaderLen is the magic and the vertex count, interval count and flags
 // word that follow it, whose bits say the records carry weights and the
@@ -383,11 +384,11 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 					return fail("cell (%d,%d) records a negative count or size", i, j)
 				}
 			}
-			if d.InBlockBytes[i][j] > d.OutBlockBytes(i, j) || d.InIndexStoredBytes[i][j] > d.InIndexRawBytes(i, j) {
+			if d.InBlockBytes[i][j] > d.inRawBytes(i, j) || d.InIndexStoredBytes[i][j] > d.InIndexRawBytes(i, j) {
 				return fail("cell (%d,%d) stores more than its raw bytes", i, j)
 			}
 			// A CodecCOO in-block is one record per edge and nothing else.
-			if d.coo && d.InBlockBytes[i][j] != d.OutBlockBytes(i, j) {
+			if d.coo && d.InBlockBytes[i][j] != d.inRawBytes(i, j) {
 				return fail("cell (%d,%d) records %d in-block bytes for %d CodecCOO records", i, j, d.InBlockBytes[i][j], d.BlockEdgeCount[i][j])
 			}
 			if d.BlockEdgeCount[i][j] > 0 {

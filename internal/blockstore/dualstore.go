@@ -90,8 +90,8 @@ type DualStore struct {
 	// InBlockBytes[i][j] is the *stored* size of in-block(i,j)'s payload
 	// (the bytes I/O actually moves, which is what the predictor prices, and
 	// what the loaders hold every whole block read to):
-	// BlockEdgeCount·RawRecordBytes stored raw, less compressed. An
-	// out-block's is always the raw size (OutBlockBytes).
+	// inRawBytes stored raw, less compressed. An out-block's is always
+	// OutBlockBytes.
 	InBlockBytes [][]int64
 	// InIndexEntries[i][j] is the number of destinations of interval j with
 	// an edge in in-block(i,j) — the entries of its in-index — and
@@ -185,7 +185,14 @@ func (d *DualStore) InCodec(i, j int) Codec {
 	if d.coo {
 		return CodecCOO
 	}
-	return codecOf(d.InBlockBytes[i][j], d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)))
+	return codecOf(d.InBlockBytes[i][j], d.inRawBytes(i, j))
+}
+
+// inRawBytes is the size of in-block(i,j)'s records stored raw,
+// RawRecordBytes each: the most any in-block stores, and what a compressed
+// one decodes into.
+func (d *DualStore) inRawBytes(i, j int) int64 {
+	return d.BlockEdgeCount[i][j] * int64(RawRecordBytes(d.Weighted))
 }
 
 // Extent is the span of the sources a ROP push reads from one out-block:
@@ -597,9 +604,8 @@ func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, buf [
 // order stops the kernel's fold.
 //
 // A compressed block's decode is counted in DecodeStats here, when it is
-// handed over — its logical bytes are BlockEdgeCount·RawRecordBytes
-// whoever decodes it — so an iteration's counts do not depend on where the
-// decode runs.
+// handed over — its logical bytes are inRawBytes whoever decodes it — so an
+// iteration's counts do not depend on where the decode runs.
 func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
 	name, idxName := d.names.name(blobInBlock, i, j), d.names.name(blobInIndex, i, j)
 	c := d.InCodec(i, j)
@@ -635,7 +641,7 @@ func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []ui
 		d.noteDecode(int64(len(entries))*IndexEntryBytes, int64(len(idxBuf)), time.Since(start))
 	}
 	if c == CodecVarint {
-		d.noteDecode(d.BlockEdgeCount[i][j]*int64(RawRecordBytes(d.Weighted)), int64(len(payload)), 0)
+		d.noteDecode(d.inRawBytes(i, j), int64(len(payload)), 0)
 	}
 	return payload, entries, nil
 }
@@ -698,10 +704,12 @@ func (d *DualStore) LoadOutPayload(i, j int) ([]byte, error) {
 	return payload, nil
 }
 
-// OutBlockBytes returns the size of out-block(i,j)'s payload:
-// BlockEdgeCount·RawRecordBytes, stored raw in every format.
+// OutBlockBytes returns the size of out-block(i,j)'s payload in the row
+// view, stored raw in every format: BlockEdgeCount records of
+// OutRecordBytes, so half an in-block's raw size (inRawBytes) or less where
+// intervals fit 16 bits.
 func (d *DualStore) OutBlockBytes(i, j int) int64 {
-	return d.BlockEdgeCount[i][j] * int64(RawRecordBytes(d.Weighted))
+	return d.BlockEdgeCount[i][j] * int64(d.OutRecordBytes())
 }
 
 // OutIndexBytes returns the size of out-index(i,j): (Size(i)+1)·4, stored
@@ -723,8 +731,10 @@ func (d *DualStore) InIndexRawBytes(i, j int) int64 {
 	return d.InIndexEntries[i][j] * InIndexEntryBytes
 }
 
-// TotalEdgeBytes returns the on-disk size of all out-blocks, excluding
-// indices.
+// TotalEdgeBytes returns the size of every edge as a raw record of the
+// column view, RawRecordBytes each: the in-blocks of a FormatRaw store,
+// excluding indices. The row view stores less where intervals fit 16 bits
+// (OutBlockBytes).
 func (d *DualStore) TotalEdgeBytes() int64 {
 	var t int64
 	for _, row := range d.BlockEdgeCount {

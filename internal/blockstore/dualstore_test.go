@@ -126,11 +126,10 @@ func TestSelectiveRangeMatchesFullBlock(t *testing.T) {
 				}
 				for k := 0; k+1 < len(idx); k++ {
 					want := full.EdgesOf(k)
-					sec, err := loadOutSection(ds, i, j, idx, k)
+					got, err := loadOutSection(ds, i, j, idx, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := rawRecs(sec, ds.Weighted)
 					if len(want) == 0 && len(got) == 0 {
 						continue
 					}

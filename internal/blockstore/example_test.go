@@ -35,14 +35,16 @@ func ExampleDualStore_LoadOutRunScratch() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// An out-block holds packed raw records in every format.
+	// An out-block holds packed records in every format, each naming its
+	// destination local to interval 1, which starts at vertex 2.
 	sec, err := ds.LoadOutRunScratch(0, 1, binary.LittleEndian.Uint32(idx[0:]), binary.LittleEndian.Uint32(idx[4:]), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for off := 0; off < len(sec); off += blockstore.RawRecordBytes(ds.Weighted) {
-		nbr, _ := blockstore.RawRec(sec, off, ds.Weighted)
-		fmt.Printf("0 -> %d\n", nbr)
+	lo, _ := ds.Layout.Bounds(1)
+	for off := 0; off < len(sec); off += ds.OutRecordBytes() {
+		local, _ := blockstore.OutRec(sec, off, ds.OutRecordBytes(), ds.Weighted)
+		fmt.Printf("0 -> %d\n", lo+int(local))
 	}
 	// Output:
 	// 0 -> 2

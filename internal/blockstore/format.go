@@ -11,9 +11,10 @@ import (
 // Format is a build's compression policy: which encodings a build may store
 // the column view — in-blocks and in-indices, which COP streams whole — in.
 // The row view — out-blocks and out-indices, which ROP reads by offset — is
-// stored raw in every format. The format is not recorded anywhere — a store
-// is one format on disk, and a blob's codec follows from its stored size
-// (codecOf).
+// stored raw in every format, an out-block as one record per edge holding
+// its interval-local destination (OutRecordBytes). The format is not
+// recorded anywhere — a store is one format on disk, and a blob's codec
+// follows from its stored size (codecOf).
 type Format int
 
 const (
@@ -59,9 +60,9 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // Codec identifies the encoding of one in-block's (or in-index's) stored
-// payload. The row view of every store is CodecNone; a FormatRaw store's
-// in-blocks are CodecCOO where intervals fit 16 bits, else CodecNone; in a
-// FormatMixed store an in-block or in-index is CodecVarint
+// payload. The row view of every store is raw (OutRecordBytes); a FormatRaw
+// store's in-blocks are CodecCOO where intervals fit 16 bits, else
+// CodecNone; in a FormatMixed store an in-block or in-index is CodecVarint
 // exactly when its stored size is below its raw size (codecOf).
 type Codec uint8
 
@@ -108,23 +109,25 @@ func (c Codec) String() string {
 }
 
 // encodeVertexRecsCodec serializes one vertex's records (sorted by
-// neighbor, repeats allowed) with the given codec, appending to dst.
+// neighbor, repeats allowed) with the given codec, appending to dst. A
+// CodecNone record's neighbour takes idBytes bytes: 4, or 2 in the
+// out-blocks of a store whose intervals fit 16 bits (OutRecordBytes).
 // Unweighted encodings drop the weight field entirely — the compactness real
 // systems exploit for PageRank, BFS and WCC (§4.4 credits HUS-Graph's "more
 // space-efficient" storage). Every section is self-contained: the varint
 // delta chain starts from -1, so a byte-range read of any subset of sections
 // decodes without context.
-func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, weighted bool) []byte {
+func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, idBytes int, weighted bool) []byte {
 	switch c {
 	case CodecNone:
-		var scratch [EdgeBytes]byte
 		for _, r := range recs {
-			binary.LittleEndian.PutUint32(scratch[0:], r.Nbr)
-			if weighted {
-				binary.LittleEndian.PutUint32(scratch[4:], math.Float32bits(r.Weight))
-				dst = append(dst, scratch[:EdgeBytes]...)
+			if idBytes == 2 {
+				dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Nbr))
 			} else {
-				dst = append(dst, scratch[:4]...)
+				dst = binary.LittleEndian.AppendUint32(dst, r.Nbr)
+			}
+			if weighted {
+				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(r.Weight))
 			}
 		}
 		return dst
@@ -206,12 +209,47 @@ func AppendSection(dst, section []byte, c Codec, weighted bool) ([]byte, error) 
 	}
 }
 
-// RawRecordBytes returns the byte size of one FormatRaw record.
+// RawRecordBytes returns the byte size of one record of a column view
+// stored raw: a CodecNone neighbour or a CodecCOO key, plus the weight.
 func RawRecordBytes(weighted bool) int {
 	if weighted {
 		return EdgeBytes
 	}
 	return 4
+}
+
+// localIDBytes is the width of an out-block record's destination over l,
+// which is local to the block's destination interval: 2 where intervals fit
+// 16 bits (MaxCOOInterval), else 4.
+func (l Layout) localIDBytes() int {
+	if l.intervalSize() <= MaxCOOInterval {
+		return 2
+	}
+	return 4
+}
+
+// OutRecordBytes returns the byte size of one out-block record: the
+// destination, local to the block's destination interval — a little-endian
+// uint16 where intervals fit 16 bits, a uint32 otherwise — then, on a
+// weighted store, the float32 weight (OutRec). So 2 or 6 bytes, and 4 or 8
+// over wider intervals.
+func (d *DualStore) OutRecordBytes() int {
+	return d.Layout.localIDBytes() + RawRecordBytes(d.Weighted) - 4
+}
+
+// OutRec decodes the out-block record at byte offset off of recs, whose
+// records take step bytes (OutRecordBytes): its local destination, and its
+// weight, 1 on an unweighted store.
+func OutRec(recs []byte, off, step int, weighted bool) (local uint32, weight float32) {
+	weight = 1
+	if weighted {
+		step -= 4
+		weight = math.Float32frombits(binary.LittleEndian.Uint32(recs[off+step:]))
+	}
+	if step == 2 {
+		return uint32(binary.LittleEndian.Uint16(recs[off:])), weight
+	}
+	return binary.LittleEndian.Uint32(recs[off:]), weight
 }
 
 // RawRec decodes the FormatRaw record at byte offset off of a block

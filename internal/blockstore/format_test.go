@@ -39,7 +39,7 @@ var allCodecs = []Codec{CodecNone, CodecVarint}
 func TestVertexRecsRoundTripBothFormats(t *testing.T) {
 	recs := []Rec{{Nbr: 3, Weight: 1.5}, {Nbr: 4, Weight: 0}, {Nbr: 1000000, Weight: -2.25}}
 	for _, c := range allCodecs {
-		buf := encodeVertexRecsCodec(nil, recs, c, true)
+		buf := encodeVertexRecsCodec(nil, recs, c, 4, true)
 		got, err := AppendSection(nil, buf, c, true)
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
@@ -56,7 +56,7 @@ func TestCompressedEncodingRejectsUnsorted(t *testing.T) {
 			t.Fatal("unsorted records accepted")
 		}
 	}()
-	encodeVertexRecsCodec(nil, []Rec{{Nbr: 5}, {Nbr: 3}}, CodecVarint, true)
+	encodeVertexRecsCodec(nil, []Rec{{Nbr: 5}, {Nbr: 3}}, CodecVarint, 4, true)
 }
 
 func TestCompressedSmallerOnRealBlocks(t *testing.T) {
@@ -158,10 +158,10 @@ func TestQuickVertexRecsRoundTrip(t *testing.T) {
 		prefix := make([]byte, rng.Intn(9))
 		rng.Read(prefix)
 		for _, weighted := range []bool{false, true} {
-			want := encodeVertexRecsCodec(append([]byte(nil), prefix...), recs, CodecNone, weighted)
+			want := encodeVertexRecsCodec(append([]byte(nil), prefix...), recs, CodecNone, 4, weighted)
 			for _, c := range allCodecs {
 				dst := append(make([]byte, 0, len(prefix)), prefix...)
-				got, err := AppendSection(dst, encodeVertexRecsCodec(nil, recs, c, weighted), c, weighted)
+				got, err := AppendSection(dst, encodeVertexRecsCodec(nil, recs, c, 4, weighted), c, weighted)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Logf("codec %v weighted %v: err %v, %d bytes, want %d", c, weighted, err, len(got), len(want))
 					return false
@@ -217,11 +217,11 @@ func TestUnweightedStoresSmallerAndDecodeWeightOne(t *testing.T) {
 
 func TestRawRecAccessor(t *testing.T) {
 	recs := []Rec{{Nbr: 42, Weight: 2.5}, {Nbr: 99, Weight: 0.5}}
-	wbuf := encodeVertexRecsCodec(nil, recs, CodecNone, true)
+	wbuf := encodeVertexRecsCodec(nil, recs, CodecNone, 4, true)
 	if nbr, w := RawRec(wbuf, EdgeBytes, true); nbr != 99 || w != 0.5 {
 		t.Fatalf("weighted RawRec = %d, %v", nbr, w)
 	}
-	ubuf := encodeVertexRecsCodec(nil, recs, CodecNone, false)
+	ubuf := encodeVertexRecsCodec(nil, recs, CodecNone, 4, false)
 	if len(ubuf) != 2*RawRecordBytes(false) {
 		t.Fatalf("unweighted payload %d bytes", len(ubuf))
 	}

@@ -153,7 +153,8 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 // source masks, "HUSE" before it recorded the out-indices' page CRCs,
 // "HUSF" while it recorded the stored sizes of a row view a mixed store
 // could compress, "HUSG" before a raw store's in-blocks became CodecCOO
-// records — is refused with the one message that says how to rebuild it.
+// records, "HUSH" while out-block records held global destinations — is
+// refused with the one message that says how to rebuild it.
 // The magic alone decides: past it, nothing is read.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
@@ -197,6 +198,10 @@ func TestOpenRejectsOlderStores(t *testing.T) {
 		}},
 		{"raw-in-indices", FormatRaw, func(meta []byte) []byte {
 			copy(meta, "HUSG")
+			return frameBlob(meta)
+		}},
+		{"global-out-records", FormatMixed, func(meta []byte) []byte {
+			copy(meta, "HUSH")
 			return frameBlob(meta)
 		}},
 	} {

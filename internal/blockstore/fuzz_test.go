@@ -44,7 +44,7 @@ func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
 			return // decodable but not canonical: the encoder refuses it
 		}
 	}
-	again, err := AppendSection(nil, encodeVertexRecsCodec(nil, recs, c, weighted), c, weighted)
+	again, err := AppendSection(nil, encodeVertexRecsCodec(nil, recs, c, 4, weighted), c, weighted)
 	if err != nil || !bytes.Equal(again, out) {
 		t.Fatalf("%v re-encode round trip broke: %v (%d vs %d bytes)", c, err, len(again), len(out))
 	}
@@ -55,14 +55,14 @@ func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
 func FuzzDecodeVarint(f *testing.F) {
 	// Valid varint section encodings, weighted and not, and the empty one.
 	recs := []Rec{{Nbr: 1, Weight: 2}, {Nbr: 7, Weight: 0.5}, {Nbr: 1000000, Weight: -1}}
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, true), true)
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, false), false)
+	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, 4, true), true)
+	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, 4, false), false)
 	f.Add([]byte(nil), true)
 	// Gaps of one to five bytes, each an arm of the decoder's fast path or
 	// its fallback.
-	f.Add(encodeVertexRecsCodec(nil, []Rec{{Nbr: 0}, {Nbr: 200}, {Nbr: 40000}, {Nbr: 1 << 22}, {Nbr: 1<<32 - 1}}, CodecVarint, false), false)
+	f.Add(encodeVertexRecsCodec(nil, []Rec{{Nbr: 0}, {Nbr: 200}, {Nbr: 40000}, {Nbr: 1 << 22}, {Nbr: 1<<32 - 1}}, CodecVarint, 4, false), false)
 	// Truncated and corrupted variants.
-	full := encodeVertexRecsCodec(nil, recs, CodecVarint, true)
+	full := encodeVertexRecsCodec(nil, recs, CodecVarint, 4, true)
 	f.Add(full[:len(full)-3], true)
 	mangled := append([]byte(nil), full...)
 	mangled[0] ^= 0xFF

@@ -2,9 +2,10 @@ package blockstore
 
 import "encoding/binary"
 
-// Test-side views of loaded blocks. The package hands out one shape — packed
-// raw records behind an index — and these helpers regroup it into per-vertex
-// []Rec for assertions, reading records the way the engine does (RawRec).
+// Test-side views of loaded blocks. The package hands out packed records
+// behind an index, and these helpers regroup them into per-vertex []Rec of
+// global neighbours for assertions, reading records the way the engine does
+// (RawRec, OutRec).
 
 // testBlock is a fully loaded block regrouped for assertions. An out-block
 // carries Index: Index[k]..Index[k+1] delimits the records of the k-th
@@ -38,6 +39,19 @@ func rawRecs(payload []byte, weighted bool) []Rec {
 	for off := 0; off < len(payload); off += RawRecordBytes(weighted) {
 		nbr, w := RawRec(payload, off, weighted)
 		recs = append(recs, Rec{Nbr: nbr, Weight: w})
+	}
+	return recs
+}
+
+// outRecs parses a run of out-block(·,j) records, each destination made
+// global again.
+func outRecs(ds *DualStore, j int, payload []byte) []Rec {
+	jlo, _ := ds.Layout.Bounds(j)
+	step := ds.OutRecordBytes()
+	var recs []Rec
+	for off := 0; off < len(payload); off += step {
+		local, w := OutRec(payload, off, step, ds.Weighted)
+		recs = append(recs, Rec{Nbr: uint32(jlo) + local, Weight: w})
 	}
 	return recs
 }
@@ -114,9 +128,9 @@ func loadOutBlock(ds *DualStore, i, j int) (testBlock, error) {
 	if err != nil {
 		return testBlock{}, err
 	}
-	b := testBlock{Index: idx, Recs: rawRecs(payload, ds.Weighted)}
+	b := testBlock{Index: idx, Recs: outRecs(ds, j, payload)}
 	for k := range b.Index {
-		b.Index[k] /= uint32(RawRecordBytes(ds.Weighted))
+		b.Index[k] /= uint32(ds.OutRecordBytes())
 	}
 	return b, nil
 }
@@ -143,9 +157,10 @@ func outIndexWords(b []byte) []uint32 {
 }
 
 // loadOutSection reads vertex k's section of out-block(i,j) the way ROP does
-// — one range read of [idx[k], idx[k+1]) — and returns its packed records.
-func loadOutSection(ds *DualStore, i, j int, idx []uint32, k int) ([]byte, error) {
-	return ds.LoadOutRunScratch(i, j, idx[k], idx[k+1], nil)
+// — one range read of [idx[k], idx[k+1]) — and returns its records.
+func loadOutSection(ds *DualStore, i, j int, idx []uint32, k int) ([]Rec, error) {
+	sec, err := ds.LoadOutRunScratch(i, j, idx[k], idx[k+1], nil)
+	return outRecs(ds, j, sec), err
 }
 
 // inEdgeBytes sums a store's stored in-block bytes: the edge bytes a mixed

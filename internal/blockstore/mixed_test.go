@@ -218,11 +218,11 @@ func TestMixedRangeReadsAndSectionDecode(t *testing.T) {
 				if idx[local] == idx[local+1] {
 					continue
 				}
-				sec, err := loadOutSection(ds, i, j, idx, local)
+				recs, err := loadOutSection(ds, i, j, idx, local)
 				if err != nil {
 					t.Fatalf("section read (%d,%d) v%d: %v", i, j, local, err)
 				}
-				if recs, want := rawRecs(sec, true), whole.EdgesOf(local); !reflect.DeepEqual(recs, append([]Rec(nil), want...)) {
+				if want := whole.EdgesOf(local); !reflect.DeepEqual(recs, append([]Rec(nil), want...)) {
 					t.Fatalf("section (%d,%d) v%d decodes %v, want %v", i, j, local, recs, want)
 				}
 			}

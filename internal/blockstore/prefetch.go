@@ -135,7 +135,8 @@ type PrefetchResult struct {
 }
 
 // Section is one active source's out-edges in a ROP result: V the source
-// and Recs its packed raw records (RawRec), sliced from a record run.
+// and Recs its out-block records (OutRec), each naming a destination local
+// to the block's destination interval, sliced from a record run.
 type Section struct {
 	V    int32
 	Recs []byte
@@ -281,7 +282,7 @@ func (p *Prefetcher) entryBytes(key BlockKey) int64 {
 	d := p.ds
 	switch key.Kind {
 	case KindInBlock:
-		return d.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(d.Weighted)) + d.InIndexRawBytes(key.I, key.J)
+		return d.inRawBytes(key.I, key.J) + d.InIndexRawBytes(key.I, key.J)
 	case KindOutIndex:
 		whole := d.OutIndexBytes(key.I, key.J)
 		if p.extents != nil {
@@ -363,7 +364,7 @@ func (p *Prefetcher) read(req *prefetchReq, res *PrefetchResult) error {
 	} else {
 		// The cache holds blocks decoded, at what the meta charged for
 		// them (entryBytes), so a hit costs no decode.
-		recs := make([]byte, 0, p.ds.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(p.ds.Weighted)))
+		recs := make([]byte, 0, p.ds.inRawBytes(key.I, key.J))
 		if blk.Payload, blk.ByteIdx, err = DecodeInBlock(recs, res.Payload, res.ByteIdx, p.ds.Weighted); err != nil {
 			return fmt.Errorf("blockstore: in-block (%d,%d): %w", key.I, key.J, err)
 		}
@@ -402,7 +403,7 @@ func (p *Prefetcher) loadSections(res *PrefetchResult) error {
 	})
 
 	coalesce := d.Device().Profile().CoalesceBytes()
-	step := uint32(RawRecordBytes(d.Weighted))
+	step := uint32(d.OutRecordBytes())
 	blockBytes := d.OutBlockBytes(i, j)
 	runs := sc.runs[:0]
 	var prevEnd, total uint32

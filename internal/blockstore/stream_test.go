@@ -116,7 +116,10 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 // the raw store's), and when a raw store over intervals that fit 16 bits
 // stored its in-blocks CodecCOO (magic HUSH and a flags word: the raw
 // store's ib/ blobs became records and its ii/ blobs went; a mixed store
-// kept every blob but its meta). A change that
+// kept every blob but its meta), and when out-block records took
+// interval-local destinations (magic HUSI: in both formats the ob/ blobs
+// hold 16-bit destinations, the oi/ blobs offsets into them, and the meta
+// their page CRCs; every column-view blob kept its bytes). A change that
 // moves a store byte — a layout, codec, frame or meta change — fails here
 // and says so by updating the digest.
 func TestStoreBytesGolden(t *testing.T) {
@@ -127,8 +130,8 @@ func TestStoreBytesGolden(t *testing.T) {
 		format Format
 		want   string
 	}{
-		{FormatRaw, "dbd1cc755a21d11ada2ff696adee8d7ffa1db4833fe1958d63b250126f4cd044"},
-		{FormatMixed, "ae098a3ad01b63c1925b2b23b188a56db7ff50df43bea84a9ae4c6f8ec7e3b4a"},
+		{FormatRaw, "a19beee129d0c22f2a41c3a46d609d646cbb0d3c7dd94a5b1377fd590f977f53"},
+		{FormatMixed, "d5d31c8d7f1a2d00fbe309f5b473448206c0027e5bbf85aa3052166a1646ff77"},
 	} {
 		st := memStore()
 		if _, err := BuildOpts(st, g, Options{P: 4, Format: tc.format, Weighted: true}); err != nil {

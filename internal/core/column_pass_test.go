@@ -296,34 +296,40 @@ func TestMessageTableCurrency(t *testing.T) {
 	})
 }
 
+// boundaryGraph is a weighted graph over p intervals of size vertices,
+// with edges into and out of each interval's last vertex, whose local ID is
+// the widest a record holds. Vertex 0 reaches every vertex, so WCC and SSSP
+// converge in a few sweeps.
+func boundaryGraph(p, size int) *graph.Graph {
+	n := p * size
+	rng := rand.New(rand.NewSource(int64(size)))
+	g := graph.New(n)
+	for e := 0; e < n; e++ {
+		g.AddWeightedEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), float32(1+rng.Intn(4)))
+		g.AddWeightedEdge(0, graph.VertexID(e), float32(1+rng.Intn(4)))
+	}
+	for _, last := range []int{size - 1, n - 1} { // each interval's last vertex
+		for _, other := range []int{0, size, last} {
+			g.AddWeightedEdge(graph.VertexID(last), graph.VertexID(other), 1)
+			g.AddWeightedEdge(graph.VertexID(other), graph.VertexID(last), 2)
+		}
+	}
+	g.Dedup()
+	return g
+}
+
 // TestCOOLayoutBoundary builds raw stores on both sides of the widest
 // interval a CodecCOO record addresses — two intervals of
 // MaxCOOInterval vertices, whose in-blocks are one record per edge, and two
-// of one vertex more, whose in-blocks keep their in-index — with edges
-// into and out of each interval's last vertex, whose local ID is the
-// widest a record holds. On both, forced-COP runs at 1 and 3 threads must
-// give PageRank (the sum kernel) the serial Gauss–Seidel sweep's values,
-// WCC (the min kernel) its oracle's and weighted SSSP (the Combine
-// fallback) its oracle's, bit for bit.
+// of one vertex more, whose in-blocks keep their in-index (boundaryGraph).
+// On both, forced-COP runs at 1 and 3 threads must give PageRank (the sum
+// kernel) the serial Gauss–Seidel sweep's values, WCC (the min kernel) its
+// oracle's and weighted SSSP (the Combine fallback) its oracle's, bit for
+// bit.
 func TestCOOLayoutBoundary(t *testing.T) {
 	const p = 2
 	for _, size := range []int{blockstore.MaxCOOInterval, blockstore.MaxCOOInterval + 1} {
-		n := p * size
-		rng := rand.New(rand.NewSource(int64(size)))
-		g := graph.New(n)
-		for e := 0; e < n; e++ {
-			g.AddWeightedEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), float32(1+rng.Intn(4)))
-			// Vertex 0 reaches every vertex, so WCC and SSSP converge in a
-			// few sweeps.
-			g.AddWeightedEdge(0, graph.VertexID(e), float32(1+rng.Intn(4)))
-		}
-		for _, last := range []int{size - 1, n - 1} { // each interval's last vertex
-			for _, other := range []int{0, size, last} {
-				g.AddWeightedEdge(graph.VertexID(last), graph.VertexID(other), 1)
-				g.AddWeightedEdge(graph.VertexID(other), graph.VertexID(last), 2)
-			}
-		}
-		g.Dedup()
+		g := boundaryGraph(p, size)
 		sym := g.Symmetrize()
 		want := blockstore.CodecCOO
 		if size > blockstore.MaxCOOInterval {
@@ -357,6 +363,63 @@ func TestCOOLayoutBoundary(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameValues(t, fmt.Sprintf("%s over intervals of %d, threads=%d", c.name, size, threads), res.Values, c.want)
+			}
+		}
+	}
+}
+
+// TestOutRecordBoundary is TestCOOLayoutBoundary's sibling for the row view:
+// over two intervals of MaxCOOInterval vertices an out-block record holds a
+// 16-bit local destination, over two of one vertex more a 32-bit one, and
+// the last vertex of each interval is the widest local ID either holds. On
+// both, forced-ROP and hybrid runs at 1 and 3 threads, in FormatRaw and
+// FormatMixed stores, must give BFS (the min push) and WCC their oracles'
+// values and weighted SSSP (the Combine fallback) its oracle's, bit for bit.
+func TestOutRecordBoundary(t *testing.T) {
+	const p = 2
+	for _, size := range []int{blockstore.MaxCOOInterval, blockstore.MaxCOOInterval + 1} {
+		g := boundaryGraph(p, size)
+		sym := g.Symmetrize()
+		src := graph.VertexID(size - 1)
+		want := 2
+		if size > blockstore.MaxCOOInterval {
+			want = 4
+		}
+		for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
+			build := func(g *graph.Graph, weighted bool) *blockstore.DualStore {
+				ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.SSD)), g, blockstore.Options{P: p, Format: format, Weighted: weighted})
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := 0
+				if weighted {
+					w = 4
+				}
+				if got := ds.OutRecordBytes() - w; got != want {
+					t.Fatalf("intervals of %d: %d-byte destinations, want %d", size, got, want)
+				}
+				return ds
+			}
+			cases := []struct {
+				name string
+				ds   *blockstore.DualStore
+				prog core.Program
+				want []float64
+			}{
+				{"bfs", build(g, false), algos.BFS{Source: src}, algos.OracleBFS(g, src)},
+				{"wcc", build(sym, false), algos.WCC{}, algos.OracleWCC(sym)},
+				{"sssp", build(g, true), algos.SSSP{Source: src}, algos.OracleSSSP(g, src)},
+			}
+			for _, c := range cases {
+				for _, model := range []core.Model{core.ModelROP, core.ModelHybrid} {
+					for _, threads := range []int{1, 3} {
+						res, err := core.New(c.ds, core.Config{Model: model, Threads: threads}).Run(c.prog)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameValues(t, fmt.Sprintf("%s over %v intervals of %d, %v, threads=%d", c.name, format, size, model, threads), res.Values, c.want)
+					}
+				}
 			}
 		}
 	}

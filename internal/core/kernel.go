@@ -31,7 +31,7 @@ import (
 // Values are bit-identical to the per-edge interface loops: the table holds
 // exactly what Message would have returned, or that identity, combined in
 // the same order.
-// Those loops (copKernel.combine, the ReduceCustom arm of ropPushRaw)
+// Those loops (copKernel.combine, the ReduceCustom arm of ropPush)
 // remain the one fallback — for programs that declare nothing and for
 // weighted stores, where a message may depend on the edge.
 //
@@ -704,59 +704,66 @@ func combineSection(prog Program, s []float64, acc float64, sec []byte, active [
 	return acc, dirty, true
 }
 
-// ropPushRaw pushes source src (current value srcVal) along its out-edge
-// section sec — packed raw records, pushed where they were read. With a
-// declared reduction Message is called once for the source, not once per
-// edge. next, when non-nil, receives every destination whose accumulator
-// changed (monotone programs activate on combine-change).
+// ropPush pushes source src (current value srcVal) along its out-edge
+// section sec, pushed where it was read: records of step bytes
+// (blockstore.OutRec), each naming a destination local to the block's
+// destination interval, whose accumulators are d and whose first vertex is
+// jlo. With a declared reduction Message is called once for the source, not
+// once per edge. next, when non-nil, receives every destination whose
+// accumulator changed (monotone programs activate on combine-change).
 //
 // sec may come from a range read, which no checksum covers (blockstore's
-// frame.go), so a neighbour is disk input here: the push stops and reports
-// false at the first one that names no vertex. The test sits directly
-// before the index so it stands in for the bounds check the compiler would
-// otherwise emit there.
-func ropPushRaw(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, sec []byte, weighted bool, d []float64, next *bitset.Frontier) bool {
-	switch op {
+// frame.go), so a record is disk input here: the push stops at the first
+// one whose destination is not in d, or falls below the one before it — a
+// section lists its destinations ascending — and returns its position, or
+// -1 when every record was pushed. The bounds test sits directly before the
+// index so it stands in for the bounds check the compiler would otherwise
+// emit there.
+func ropPush(prog Program, op ReduceOp, src graph.VertexID, srcVal float64, sec []byte, step int, weighted bool, d []float64, jlo int, next *bitset.Frontier) int {
+	prev := uint32(0)
+	switch op { // reduceOf keeps weighted stores on the Combine arm
 	case ReduceSum:
 		msg := prog.Message(src, srcVal, 1)
-		for ; len(sec) >= 4; sec = sec[4:] {
-			nbr := binary.LittleEndian.Uint32(sec)
-			if int(nbr) >= len(d) {
-				return false
+		for r := 0; (r+1)*step <= len(sec); r++ {
+			local, _ := blockstore.OutRec(sec, r*step, step, false)
+			if local < prev || int(local) >= len(d) {
+				return r
 			}
-			d[nbr] += msg
+			prev = local
+			d[local] += msg
 			if next != nil {
-				next.AddAtomic(int(nbr))
+				next.AddAtomic(jlo + int(local))
 			}
 		}
 	case ReduceMin:
 		msg := prog.Message(src, srcVal, 1)
-		for ; len(sec) >= 4; sec = sec[4:] {
-			nbr := binary.LittleEndian.Uint32(sec)
-			if int(nbr) >= len(d) {
-				return false
+		for r := 0; (r+1)*step <= len(sec); r++ {
+			local, _ := blockstore.OutRec(sec, r*step, step, false)
+			if local < prev || int(local) >= len(d) {
+				return r
 			}
-			if msg < d[nbr] {
-				d[nbr] = msg
+			prev = local
+			if msg < d[local] {
+				d[local] = msg
 				if next != nil {
-					next.AddAtomic(int(nbr))
+					next.AddAtomic(jlo + int(local))
 				}
 			}
 		}
 	default:
-		step := blockstore.RawRecordBytes(weighted)
-		for off := 0; off < len(sec); off += step {
-			nbr, w := blockstore.RawRec(sec, off, weighted)
-			if int(nbr) >= len(d) {
-				return false
+		for r := 0; (r+1)*step <= len(sec); r++ {
+			local, w := blockstore.OutRec(sec, r*step, step, weighted)
+			if local < prev || int(local) >= len(d) {
+				return r
 			}
-			if acc, changed := prog.Combine(d[nbr], prog.Message(src, srcVal, w)); changed {
-				d[nbr] = acc
+			prev = local
+			if acc, changed := prog.Combine(d[local], prog.Message(src, srcVal, w)); changed {
+				d[local] = acc
 				if next != nil {
-					next.AddAtomic(int(nbr))
+					next.AddAtomic(jlo + int(local))
 				}
 			}
 		}
 	}
-	return true
+	return -1
 }

@@ -289,9 +289,11 @@ func cooTwin(payload []byte, srcLo int) ([]byte, []uint32) {
 // per-iteration work (initializing D) is in the number; one MemStore run is
 // 251 iterations, and its Init (two |V|-sized arrays) is spread over them.
 // Each leg runs at one prefetch depth: inline (0), and read ahead by two
-// workers, which then issue every read of the iteration.
+// workers, which then issue every read of the iteration. The wide legs run
+// the same graph at P = 2, whose intervals of 2¹⁷ vertices take 32-bit
+// out-block records and two out-index loads a row.
 func BenchmarkROPSparseTail(b *testing.B) {
-	const n, p, paths, length = 1 << 18, 16, 4, 250
+	const n, paths, length = 1 << 18, 4, 250
 	root := n - paths*length - 1
 	rng := rand.New(rand.NewSource(1))
 	g := graph.New(n)
@@ -306,36 +308,41 @@ func BenchmarkROPSparseTail(b *testing.B) {
 		}
 	}
 	g.Dedup()
-	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: p})
-	if err != nil {
-		b.Fatal(err)
-	}
 	prog := declared{sparseStart{members: []int{root}}, ReduceMin} // hop-count BFS from root, as algos.BFS declares it
-	for _, depth := range []int{0, 2} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			run := func() int {
-				res, err := New(ds, Config{Model: ModelROP, Threads: 1, PrefetchDepth: depth}).Run(prog)
-				if err != nil {
-					b.Fatal(err)
+	for _, leg := range []struct {
+		name string
+		p    int
+	}{{"", 16}, {"wide/", 2}} {
+		ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: leg.p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, depth := range []int{0, 2} {
+			b.Run(fmt.Sprintf("%sdepth=%d", leg.name, depth), func(b *testing.B) {
+				run := func() int {
+					res, err := New(ds, Config{Model: ModelROP, Threads: 1, PrefetchDepth: depth}).Run(prog)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !res.Converged || res.Values[n-1] != length {
+						b.Fatalf("converged=%v, dist[%d] = %v, want %d", res.Converged, n-1, res.Values[n-1], length)
+					}
+					return res.NumIterations()
 				}
-				if !res.Converged || res.Values[n-1] != length {
-					b.Fatalf("converged=%v, dist[%d] = %v, want %d", res.Converged, n-1, res.Values[n-1], length)
+				run()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				iters := 0
+				for i := 0; i < b.N; i++ {
+					iters += run()
 				}
-				return res.NumIterations()
-			}
-			run()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			iters := 0
-			for i := 0; i < b.N; i++ {
-				iters += run()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(iters), "allocs/iter")
-		})
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(iters), "allocs/iter")
+			})
+		}
 	}
 }
 

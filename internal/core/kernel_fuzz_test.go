@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
 )
@@ -301,6 +302,102 @@ func FuzzFoldCOO(f *testing.F) {
 		for v := range got {
 			if math.Float64bits(got[v]) != math.Float64bits(d[v]) {
 				t.Fatalf("%+v: accumulator %d folded to %v, the reference %v", c, v, got[v], d[v])
+			}
+		}
+	})
+}
+
+// FuzzPushLocal holds ROP's push — sum, min and the Combine fallback, over
+// records of either width, weighted or not — to a push of one record at a
+// time. Over arbitrary section bytes, destination intervals and source
+// values, a record is pushed when its local destination lies in the
+// interval and does not fall below the record's before it; the first that
+// breaks a rule stops the reference, and a partial record at the end is no
+// record (the window cuts sections at whole records). The push must stop at
+// that record — or at none — with the accumulators bit for bit where the
+// reference leaves them and exactly the vertices whose accumulator changed
+// activated, at the interval's offset. It never panics.
+func FuzzPushLocal(f *testing.F) {
+	recs := func(idBytes int, locals ...uint32) []byte {
+		var b []byte
+		for _, l := range locals {
+			b = binary.LittleEndian.AppendUint32(b, l)[:len(b)+idBytes]
+		}
+		return b
+	}
+	f.Add(recs(2, 0, 1, 1, 4, 9), uint32(9), uint8(0), uint8(3))                    // sum, 16-bit records
+	f.Add(recs(2, 0, 1, 1, 4, 9), uint32(9), uint8(1), uint8(10))                   // min
+	f.Add(recs(4, 0, 3, 70000), uint32(70000), uint8(2|4), uint8(0))                // the Combine fallback, 32-bit records
+	f.Add(recs(2, 2, 1), uint32(9), uint8(0), uint8(3))                             // a destination that falls
+	f.Add(recs(2, 0, 10), uint32(9), uint8(1), uint8(3))                            // destination == size
+	f.Add(recs(4, 1, 1<<31), uint32(9), uint8(1|4), uint8(3))                       // a 32-bit record's top bit
+	f.Add(append(recs(2, 1), 0, 0, 0x80, 0x3f, 7), uint32(3), uint8(2|8), uint8(0)) // weighted, a partial record after
+	f.Fuzz(func(t *testing.T, sec []byte, dsel uint32, sel, vsel uint8) {
+		size := 1 + int(dsel%(2*blockstore.MaxCOOInterval)) // an interval of up to 2¹⁷
+		op := [...]ReduceOp{ReduceSum, ReduceMin, ReduceCustom}[sel%3]
+		idBytes := 2 << (sel >> 2 & 1)
+		weighted := sel&8 != 0 && op == ReduceCustom
+		jlo := int(sel>>4) * 7
+		step := idBytes
+		if weighted {
+			step += 4
+		}
+		var prog Program = declared{testLabel{}, op}
+		if op == ReduceCustom {
+			prog = weightedMessage{}
+		}
+		const src = 3
+		srcVal := edgeCaseValues[int(vsel)%len(edgeCaseValues)]
+		values := func() []float64 {
+			d := make([]float64, size)
+			for k := range d {
+				d[k] = edgeCaseValues[(k+int(vsel>>4))%len(edgeCaseValues)]
+			}
+			return d
+		}
+
+		// The reference: one record at a time, the destination read byte by
+		// byte, Message and the declared reduction (or Combine) written out.
+		d, activated := values(), map[int]bool{}
+		want := -1
+		prev := uint64(0)
+		for r := 0; (r+1)*step <= len(sec); r++ {
+			local := uint64(0)
+			for b := idBytes - 1; b >= 0; b-- {
+				local = local<<8 | uint64(sec[r*step+b])
+			}
+			if local < prev || local >= uint64(size) {
+				want = r
+				break
+			}
+			prev = local
+			w := float32(1)
+			if weighted {
+				w = math.Float32frombits(binary.LittleEndian.Uint32(sec[r*step+idBytes:]))
+			}
+			msg := prog.Message(src, srcVal, w)
+			acc, changed := op.Combine(d[local], msg)
+			if op == ReduceCustom {
+				acc, changed = prog.Combine(d[local], msg)
+			}
+			if changed {
+				d[local] = acc
+				activated[jlo+int(local)] = true
+			}
+		}
+
+		got, next := values(), bitset.NewFrontier(jlo+size)
+		if bad := ropPush(prog, op, src, srcVal, sec, step, weighted, got, jlo, next); bad != want {
+			t.Fatalf("op %v, %d-byte records, weighted=%v, interval of %d: the push stopped at record %d, the reference at %d", op, step, weighted, size, bad, want)
+		}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(d[k]) {
+				t.Fatalf("op %v, %d-byte records: accumulator %d pushed to %v, the reference %v", op, step, k, got[k], d[k])
+			}
+		}
+		for v := 0; v < jlo+size; v++ {
+			if next.Contains(v) != activated[v] {
+				t.Fatalf("op %v, %d-byte records: vertex %d activated=%v, the reference %v", op, step, v, next.Contains(v), activated[v])
 			}
 		}
 	})

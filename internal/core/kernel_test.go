@@ -162,23 +162,27 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 			// accumulator, must leave each one's bits as they are.
 			run("inactive source", (src+1)%n, every, func(d []float64, payload []byte, idx []uint32) { kernel(fill.m, d, payload, idx, 0) })
 
-			// ROP: one source pushing msg to every destination.
+			// ROP: one source pushing msg to every destination of an
+			// interval starting at jlo, in records of either width.
 			prog := declared{constMessage{msg}, op}
-			d := append([]float64(nil), vals...)
-			next := bitset.NewFrontier(n)
-			all := make([]byte, 4*n)
-			for k := 0; k < n; k++ {
-				all[4*k] = byte(k)
-			}
-			if !ropPushRaw(prog, op, 0, 0, all, false, d, next) {
-				t.Fatalf("%v rop, msg %v: in-range neighbours reported out of range", op, msg)
-			}
-			if !sameBits(d, want) {
-				t.Errorf("%v rop, msg %v: accumulators %v, want %v", op, msg, d, want)
-			}
-			for k := range changed {
-				if next.Contains(k) != changed[k] {
-					t.Errorf("%v rop, msg %v onto %v: activated=%v, Combine says changed=%v", op, msg, vals[k], next.Contains(k), changed[k])
+			const jlo = 5
+			for _, step := range []int{2, 4} {
+				d := append([]float64(nil), vals...)
+				next := bitset.NewFrontier(jlo + n)
+				all := make([]byte, step*n)
+				for k := 0; k < n; k++ {
+					all[step*k] = byte(k)
+				}
+				if r := ropPush(prog, op, 0, 0, all, step, false, d, jlo, next); r >= 0 {
+					t.Fatalf("%v rop, %d-byte records, msg %v: stopped at in-range record %d", op, step, msg, r)
+				}
+				if !sameBits(d, want) {
+					t.Errorf("%v rop, %d-byte records, msg %v: accumulators %v, want %v", op, step, msg, d, want)
+				}
+				for k := range changed {
+					if next.Contains(jlo+k) != changed[k] {
+						t.Errorf("%v rop, msg %v onto %v: activated=%v, Combine says changed=%v", op, msg, vals[k], next.Contains(jlo+k), changed[k])
+					}
 				}
 			}
 		}
@@ -186,28 +190,44 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 }
 
 // TestROPPushStopsAtNeighbourOutOfRange is the push loop's own contract: a
-// record naming no vertex ends the push with false, in every arm, having
-// touched nothing at or past the bad record.
+// record whose local destination is not in the destination interval — far
+// past it, or its size exactly — or falls below the record's before it ends
+// the push at that record, in every arm and at either record width, having
+// touched nothing at or past it.
 func TestROPPushStopsAtNeighbourOutOfRange(t *testing.T) {
 	const n = 8
-	for _, weighted := range []bool{false, true} {
-		step := blockstore.RawRecordBytes(weighted)
-		sec := make([]byte, 3*step)
-		sec[0], sec[2*step] = 1, 2 // records 0 and 2 name vertices 1 and 2
-		sec[step+3] = 0x80         // record 1: top bit set
-		for _, op := range []ReduceOp{ReduceSum, ReduceMin, ReduceCustom} {
-			if weighted && op != ReduceCustom {
-				continue // reduceOf keeps weighted stores on the custom arm
+	for _, idBytes := range []int{2, 4} {
+		for _, weighted := range []bool{false, true} {
+			step := idBytes
+			if weighted {
+				step += 4
 			}
-			d := make([]float64, n)
-			for v := range d {
-				d[v] = 100
-			}
-			if ropPushRaw(declared{testLabel{}, op}, op, 0, 0, sec, weighted, d, nil) {
-				t.Fatalf("weighted=%v %v: neighbour %d of %d vertices accepted", weighted, op, uint32(0x80)<<24, n)
-			}
-			if d[2] != 100 {
-				t.Fatalf("weighted=%v %v: the push went on past the bad record", weighted, op)
+			for _, bad := range []struct {
+				name   string
+				local  byte // record 1's low byte
+				topBit bool // record 1's highest destination bit
+			}{{"top bit set", 1, true}, {"size of the interval", n, false}, {"falling", 0, false}} {
+				sec := make([]byte, 3*step)
+				sec[0], sec[2*step] = 1, 2 // records 0 and 2 name local destinations 1 and 2
+				sec[step] = bad.local
+				if bad.topBit {
+					sec[step+idBytes-1] = 0x80
+				}
+				for _, op := range []ReduceOp{ReduceSum, ReduceMin, ReduceCustom} {
+					if weighted && op != ReduceCustom {
+						continue // reduceOf keeps weighted stores on the custom arm
+					}
+					d := make([]float64, n)
+					for v := range d {
+						d[v] = 100
+					}
+					if r := ropPush(declared{testLabel{}, op}, op, 0, 0, sec, step, weighted, d, 0, nil); r != 1 {
+						t.Fatalf("%d-byte destinations, weighted=%v, %v, %s: the push stopped at record %d, want 1", idBytes, weighted, op, bad.name, r)
+					}
+					if d[2] != 100 {
+						t.Fatalf("%d-byte destinations, weighted=%v, %v, %s: the push went on past the bad record", idBytes, weighted, op, bad.name)
+					}
+				}
 			}
 		}
 	}

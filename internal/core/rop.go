@@ -37,6 +37,7 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 	l := e.ds.Layout
 	monotone := prog.Kind() == Monotone
 	op := e.reduceOf(prog)
+	step := e.ds.OutRecordBytes()
 	var activate *bitset.Frontier // monotone programs activate on combine-change
 	if monotone {
 		activate = next
@@ -67,9 +68,11 @@ func (e *Engine) ropAccumulate(prog Program, s, d []float64, frontier, next *bit
 				setErr(res.Err)
 				return
 			}
+			jlo, jhi := l.Bounds(j)
 			for _, sec := range res.Sections {
-				if !ropPushRaw(prog, op, graph.VertexID(sec.V), s[sec.V], sec.Recs, e.ds.Weighted, d, activate) {
-					setErr(fmt.Errorf("core: out-block (%d,%d) vertex %d: neighbour out of range [0,%d): %w", i, j, sec.V, len(d), storage.ErrCorrupt))
+				if r := ropPush(prog, op, graph.VertexID(sec.V), s[sec.V], sec.Recs, step, e.ds.Weighted, d[jlo:jhi], jlo, activate); r >= 0 {
+					local, _ := blockstore.OutRec(sec.Recs, r*step, step, e.ds.Weighted)
+					setErr(fmt.Errorf("core: out-block (%d,%d) vertex %d: record %d: local destination %d not in [0,%d) or below the record's before it: %w", i, j, sec.V, r, local, jhi-jlo, storage.ErrCorrupt))
 					return
 				}
 			}
