@@ -15,9 +15,10 @@
 //	         [-fault-stall N] [-fault-after N] [-fault-seed S]
 //
 // -prefetch enables the asynchronous block-prefetch pipeline (DEPTH worker
-// goroutines reading ahead of the executor); -cache-mb retains decoded hot
-// blocks across iterations under a byte budget (an insert evicts only blocks
-// unused for two iterations, so a scan keeps what fits; DESIGN.md §4d).
+// goroutines reading ahead of the executor); -cache-mb retains hot blocks,
+// as stored, across iterations under a byte budget (an insert evicts only
+// blocks unused for two iterations, so a scan keeps what fits; DESIGN.md
+// §4c, §4d).
 // Both leave results bit-identical to the synchronous configuration; -stats
 // prints the per-iteration cache and prefetch numbers that validate them.
 //
@@ -144,7 +145,7 @@ func run(args []string) error {
 	checkpointEvery := flags.Int("checkpoint", 0, "persist a resumable checkpoint every N iterations (0 = off; hus only)")
 	resume := flags.Bool("resume", false, "resume from a persisted checkpoint when one exists (hus only)")
 	prefetch := flags.Int("prefetch", 0, "asynchronous block-prefetch depth overlapping I/O with compute (0 = synchronous loads; hus only)")
-	cacheMB := flags.Int64("cache-mb", 0, "hot-block cache budget in MiB, retaining decoded blocks across iterations (0 = off; hus only)")
+	cacheMB := flags.Int64("cache-mb", 0, "hot-block cache budget in MiB, retaining blocks as stored across iterations (0 = off; hus only)")
 	stats := flags.Bool("stats", false, "print per-iteration cache and prefetch statistics (hit ratio, stall; hus only)")
 	retries := flags.Int("retries", 0, "retry reads failing with a transient fault up to N times each, with exponential backoff")
 	retryBackoff := flags.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")

@@ -313,7 +313,7 @@ func BenchmarkBlockCacheSweep(b *testing.B) {
 						b.Fatal(res.Err)
 					}
 					if res.Cached {
-						hitBytes += (&CachedBlock{Payload: res.Payload, ByteIdx: res.ByteIdx}).Bytes()
+						hitBytes += ds.InBlockStoredBytes(res.Key.I, res.Key.J)
 					}
 					res.Release()
 				}

@@ -71,7 +71,7 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 	err = feed(func(numV int) error {
 		layout := NewLayout(numV, opts.P)
 		p = layout.P
-		d = &DualStore{store: store, Layout: layout, Weighted: opts.Weighted, retries: new(atomic.Int64), dec: new(decodeCounters), names: newBlobNames(p)}
+		d = &DualStore{store: store, Layout: layout, Weighted: opts.Weighted, retries: new(atomic.Int64), names: newBlobNames(p)}
 		d.coo = opts.Format == FormatRaw && layout.intervalSize() <= MaxCOOInterval
 		d.OutDegrees = make([]int32, numV)
 		d.InDegrees = make([]int32, numV)

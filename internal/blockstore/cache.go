@@ -14,10 +14,12 @@ import (
 // core for many rounds. GraphMP's semi-external caching showed that keeping
 // that working set resident turns steady-state iterations from disk-bound to
 // memory-bound — so the engine threads every block load through a BlockCache
-// holding *decoded* blocks (no re-read, no re-verify, no re-decode on a hit)
-// under a strict byte budget. A decoded block is its packed raw records,
-// whatever codec stored it, so a compressed block and its stored-raw twin
-// are the same entry at the same charge.
+// under a strict byte budget. It holds a block exactly as stored — the
+// CRC-checked payload and, for an in-block, its stored in-index bytes —
+// charged its stored size, so a compressed block takes the room it takes on
+// disk and the cache holds more of the graph. A hit costs no read and no
+// CRC; the window still validates the in-index of every in-block it hands
+// over, hit or miss, and the kernels fold a compressed one as they decode it.
 //
 // The cache is access-granularity-aware (PartitionedVC-style): COP's
 // in-blocks and ROP's out-indices are cached whole, while ROP's selective
@@ -43,8 +45,8 @@ import (
 type BlockKind uint8
 
 const (
-	// KindInBlock is the fully-loaded in-block(i,j): its packed raw
-	// records plus the in-index entries into them.
+	// KindInBlock is the fully-loaded in-block(i,j): its payload and its
+	// in-index, as stored.
 	KindInBlock BlockKind = iota
 	// KindOutIndex is out-index(i,j): per-source byte offsets into
 	// out-block(i,j), as stored: (Size(i)+1) little-endian uint32.
@@ -75,14 +77,11 @@ type BlockKey struct {
 	I, J int
 }
 
-// CachedBlock is one immutable decoded cache entry. Exactly the fields the
-// engine's hot paths consume are retained:
+// CachedBlock is one immutable cache entry, as stored:
 //
-//   - KindInBlock: Payload (packed raw records, decoded by DecodeInBlock if
-//     the block is stored compressed) + ByteIdx (the in-index: a (local
-//     destination, end byte offset in Payload) pair per destination with
-//     records) — the zero-copy RawRec iteration view; or a CodecCOO block's
-//     records as stored, with a nil ByteIdx.
+//   - KindInBlock: Payload, the CRC-checked in-block payload in the codec
+//     the meta records (InCodec), and Index, its stored in-index bytes —
+//     nil for a CodecCOO block, which has none.
 //   - KindOutIndex: Payload — the offset index LoadOutIndexScratch returns.
 //   - KindOutBlock: Payload — the out-block's packed raw records, which
 //     runs slice into.
@@ -91,13 +90,13 @@ type BlockKey struct {
 // reader that hits them, concurrently.
 type CachedBlock struct {
 	Payload []byte
-	ByteIdx []uint32
+	Index   []byte
 }
 
-// Bytes returns the entry's budget charge: the memory its retained slices
-// hold (4 bytes per index word, in-index or out-index alike).
+// Bytes returns the entry's budget charge: the bytes it holds, which for an
+// in-block is InBlockStoredBytes.
 func (b *CachedBlock) Bytes() int64 {
-	return int64(len(b.Payload)) + 4*int64(len(b.ByteIdx))
+	return int64(len(b.Payload)) + int64(len(b.Index))
 }
 
 // CacheStats is a snapshot of a BlockCache's counters.
@@ -191,7 +190,7 @@ type cacheKey struct {
 	s, e uint32
 }
 
-// BlockCache is a byte-budgeted cache of decoded blocks and out-block runs,
+// BlockCache is a byte-budgeted cache of stored blocks and out-block runs,
 // safe for concurrent use by the engine and prefetch workers.
 type BlockCache struct {
 	mu     sync.Mutex

@@ -16,37 +16,56 @@ func inKey(i, j int) BlockKey { return BlockKey{Kind: KindInBlock, I: i, J: j} }
 func TestCachedBlockBytes(t *testing.T) {
 	b := &CachedBlock{
 		Payload: make([]byte, 10),
-		ByteIdx: make([]uint32, 3),
+		Index:   make([]byte, 3),
 	}
-	if got := b.Bytes(); got != 10+3*4 {
+	if got := b.Bytes(); got != 10+3 {
 		t.Fatalf("Bytes = %d", got)
 	}
-	// A cached in-block is charged its decoded records plus 8 bytes per
-	// destination that has one — the paper example's in-block (0,0) holds
-	// 8 edges into 5 destinations — whatever the interval's size; a raw
-	// store's, one CodecCOO record per edge, its records alone.
+	// A cached in-block is held as stored and charged its stored size, the
+	// one size InBlockStoredBytes names: InBlockBytes + InIndexBytes, which
+	// is also the per-block term shard.cacheSlices splits a budget by. The
+	// paper example's in-block (0,0) holds 8 edges into 5 destinations: a
+	// raw store's, one CodecCOO record per edge, is its records alone; a
+	// mixed store's, compressed, less than its 8 raw records and 5 raw
+	// in-index entries.
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		ds := prefetchStore(t, format)
 		cache := NewBlockCache(1 << 20)
-		pf := ds.NewPrefetcher([]BlockKey{inKey(0, 0)}, nil, nil, 0, cache)
-		res := pf.Next()
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		sched := inBlockSchedule(ds)
+		pf := ds.NewPrefetcher(sched, nil, nil, 0, cache)
+		for range sched {
+			res := pf.Next()
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			res.Release()
 		}
-		res.Release()
 		pf.Close()
-		blk, ok := cache.Get(inKey(0, 0))
-		if !ok {
-			t.Fatalf("%v: loaded in-block not cached", format)
+		for _, key := range sched {
+			blk, ok := cache.Get(key)
+			if !ok {
+				t.Fatalf("%v: loaded in-block %+v not cached", format, key)
+			}
+			want := ds.InBlockBytes[key.I][key.J] + ds.InIndexBytes(key.I, key.J)
+			if got := blk.Bytes(); got != want || ds.InBlockStoredBytes(key.I, key.J) != want {
+				t.Fatalf("%v: cached in-block %+v charged %d bytes, stored size %d, want %d", format, key, got, ds.InBlockStoredBytes(key.I, key.J), want)
+			}
 		}
-		want := int64(8*EdgeBytes + 5*InIndexEntryBytes)
-		if format == FormatRaw {
-			want = 8 * EdgeBytes
-		}
-		if got := blk.Bytes(); got != want || ds.InIndexEntries[0][0] != 5 {
-			t.Fatalf("%v: cached in-block charged %d bytes for %d entries, want %d for 5", format, got, ds.InIndexEntries[0][0], want)
+		got, raw := ds.InBlockStoredBytes(0, 0), int64(8*EdgeBytes+5*InIndexEntryBytes)
+		if format == FormatRaw && got != 8*EdgeBytes || format == FormatMixed && got >= raw || ds.InIndexEntries[0][0] != 5 {
+			t.Fatalf("%v: in-block (0,0) with %d entries charged %d bytes; raw, with 5 entries, it takes %d", format, ds.InIndexEntries[0][0], got, raw)
 		}
 	}
+}
+
+// resident returns k's whole-block entry in c, or nil, touching no counter.
+func resident(c *BlockCache, k BlockKey) *CachedBlock {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ent, ok := c.items[cacheKey{BlockKey: k}]; ok {
+		return ent.blk
+	}
+	return nil
 }
 
 // nextWindow opens the cache's next window with an empty plan, as a

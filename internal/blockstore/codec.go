@@ -342,7 +342,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	if nv > math.MaxUint32 || np < 1 || (nv > 0 && np > nv) {
 		return fail("%d vertices in %d intervals", nv, np)
 	}
-	d := &DualStore{Layout: Layout{NumVertices: int(nv), P: int(np)}, Weighted: flags&metaWeighted != 0, coo: flags&metaCOO != 0, retries: new(atomic.Int64), dec: new(decodeCounters)}
+	d := &DualStore{Layout: Layout{NumVertices: int(nv), P: int(np)}, Weighted: flags&metaWeighted != 0, coo: flags&metaCOO != 0, retries: new(atomic.Int64)}
 	if d.coo && d.Layout.intervalSize() > MaxCOOInterval {
 		return fail("CodecCOO in-blocks over intervals of %d vertices", d.Layout.intervalSize())
 	}

@@ -116,68 +116,6 @@ type DualStore struct {
 	OutIndexPageCRCs [][][]uint32
 	// names is the blob-name grid the read paths index (see blobNames).
 	names *blobNames
-	// dec aggregates decode-side accounting (codec bytes in and out, wall
-	// time). The views WithAbort hands the prefetch workers share it by
-	// pointer, so their decodes land in the same totals; a Fork gets its own
-	// (see Fork).
-	dec *decodeCounters
-}
-
-// decodeCounters aggregates codec decode work per store handle. All fields
-// are atomic: decodes run concurrently in prefetch workers.
-type decodeCounters struct {
-	// varintBytes are the *decoded* (logical) bytes varint decodes
-	// produced — the basis for modeled decode cost.
-	varintBytes atomic.Int64
-	// compressedBytes are the stored bytes those decodes consumed.
-	compressedBytes atomic.Int64
-	// nanos is wall time spent inside codec decode loops (diagnostic; the
-	// deterministic cost model uses ModeledDecodeTime over the byte
-	// counters instead). A compressed in-block's sections are decoded by
-	// the COP kernel as it folds them, so their time is the kernel's and is
-	// not in here.
-	nanos atomic.Int64
-}
-
-// DecodeStats is a snapshot of a store's cumulative decode accounting.
-// The snapshot's fields are barrier-published: the live counters are
-// atomics the decode workers update, and a snapshot is materialized only
-// in serial sections (iteration barriers, run teardown) — a plain write
-// from a spawned goroutine is a race.
-type DecodeStats struct {
-	// VarintBytes are the decoded bytes varint decodes produced;
-	// CompressedBytes the stored bytes consumed producing them.
-	VarintBytes     int64
-	CompressedBytes int64
-	// Time is wall time inside decode loops (diagnostic only).
-	Time time.Duration
-}
-
-// Sub returns s - o field-wise (iteration deltas).
-func (s DecodeStats) Sub(o DecodeStats) DecodeStats {
-	return DecodeStats{
-		VarintBytes:     s.VarintBytes - o.VarintBytes,
-		CompressedBytes: s.CompressedBytes - o.CompressedBytes,
-		Time:            s.Time - o.Time,
-	}
-}
-
-// DecodeStats returns the cumulative decode accounting of this store handle
-// since it was created or forked.
-func (d *DualStore) DecodeStats() DecodeStats {
-	return DecodeStats{
-		VarintBytes:     d.dec.varintBytes.Load(),
-		CompressedBytes: d.dec.compressedBytes.Load(),
-		Time:            time.Duration(d.dec.nanos.Load()),
-	}
-}
-
-// noteDecode records one codec decode producing logical bytes out of stored
-// bytes in dur of wall time.
-func (d *DualStore) noteDecode(logical, stored int64, dur time.Duration) {
-	d.dec.varintBytes.Add(logical)
-	d.dec.compressedBytes.Add(stored)
-	d.dec.nanos.Add(int64(dur))
 }
 
 // InCodec returns the codec of in-block(i,j)'s stored payload.
@@ -193,6 +131,36 @@ func (d *DualStore) InCodec(i, j int) Codec {
 // one decodes into.
 func (d *DualStore) inRawBytes(i, j int) int64 {
 	return d.BlockEdgeCount[i][j] * int64(RawRecordBytes(d.Weighted))
+}
+
+// inIndexCodec returns the codec of in-index(i,j) as stored: CodecNone for
+// a CodecCOO block too, which has none.
+func (d *DualStore) inIndexCodec(i, j int) Codec {
+	return codecOf(d.InIndexStoredBytes[i][j], d.InIndexRawBytes(i, j))
+}
+
+// InBlockStoredBytes returns the stored bytes of in-block(i,j) with its
+// in-index: what a COP scan reads of the block, and what the block cache
+// charges for it, since it holds the block as stored.
+func (d *DualStore) InBlockStoredBytes(i, j int) int64 {
+	return d.InBlockBytes[i][j] + d.InIndexStoredBytes[i][j]
+}
+
+// InDecodeBytes returns what folding in-block(i,j) decodes: the logical
+// bytes — its raw records if the block is stored varint, plus its entries'
+// raw bytes if its in-index is — and the stored bytes they come from. It is
+// a function of the meta alone, so the predictor prices and an iteration
+// counts the same decode, whether the block came from the device or the
+// cache: the kernels fold a block as stored either way.
+func (d *DualStore) InDecodeBytes(i, j int) (logical, stored int64) {
+	if d.InCodec(i, j) == CodecVarint {
+		logical, stored = d.inRawBytes(i, j), d.InBlockBytes[i][j]
+	}
+	if d.inIndexCodec(i, j) == CodecVarint {
+		logical += d.InIndexRawBytes(i, j)
+		stored += d.InIndexStoredBytes[i][j]
+	}
+	return logical, stored
 }
 
 // Extent is the span of the sources a ROP push reads from one out-block:
@@ -309,14 +277,10 @@ func (d *DualStore) Store() storage.Store { return d.store }
 // storage.DeviceStore over d's store, so every shard charges its own
 // simulated device. The fork shares the immutable metadata
 // slices and the retry counter with d; it inherits the retry policy in
-// force at fork time, so install policies with SetRetryPolicy first. Its
-// decode counters start at zero and are its own, like its device: K forks
-// prefetch at once, and each counts only what it decoded, so a coordinator
-// sums the K reports instead of reading one total the others move under it.
+// force at fork time, so install policies with SetRetryPolicy first.
 func (d *DualStore) Fork(store storage.Store) *DualStore {
 	f := *d
 	f.store = store
-	f.dec = new(decodeCounters)
 	return &f
 }
 
@@ -505,7 +469,8 @@ func (d *DualStore) NumEdges() int64 {
 // buffers and are invalidated by the next load into the same Scratch.
 type Scratch struct {
 	// raw and idxRaw hold a block's and an index's blob as read; idx the
-	// in-index entries parsed out of idxRaw; secs and runs a ROP entry's.
+	// in-index entries parsed out of a stored in-index, read or cached; secs
+	// and runs a ROP entry's.
 	raw    []byte
 	idxRaw []byte
 	idx    []uint32
@@ -591,80 +556,66 @@ func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, buf [
 // which has no index and is one read. A stored-raw block holds packed raw
 // records (RawRecordBytes each, iterated in place via RawRec); a compressed
 // one holds self-contained varint sections, which the COP kernels fold as
-// they decode them (core/kernel.go) and DecodeInBlock turns into the records
-// of its CodecNone twin for whoever needs those. Both views alias sc's
-// buffers.
-//
-// The kernels index accumulators and payload by the entries unchecked, so
-// every rule they rely on is checked here (decodeInIndex); and the payload
-// must be the stored size the meta records. A violation means a blob lied
-// (or the blobs come from two builds) and is reported as corruption. What a
-// section or a CodecCOO record says is checked by whoever folds it: a
-// malformed varint, a neighbour that names no vertex or a record out of
-// order stops the kernel's fold.
-//
-// A compressed block's decode is counted in DecodeStats here, when it is
-// handed over — its logical bytes are inRawBytes whoever decodes it — so an
-// iteration's counts do not depend on where the decode runs.
+// they decode them (core/kernel.go). Both views alias sc's buffers. It is
+// the two steps of the prefetch window's hand-over, without the cache: the
+// read (readInBlock), then the in-index validated into entries
+// (inBlockEntries).
 func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
-	name, idxName := d.names.name(blobInBlock, i, j), d.names.name(blobInIndex, i, j)
-	c := d.InCodec(i, j)
-	var idxBuf []byte
-	var err error
-	if c != CodecCOO {
-		if idxBuf, err = d.readBlob(idxName, &sc.idxRaw); err != nil {
+	payload, idx, err := d.readInBlock(i, j, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	entries, err := d.inBlockEntries(i, j, payload, idx, sc.idx)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc.idx = entries
+	return payload, entries, nil
+}
+
+// readInBlock reads in-block(i,j) and its in-index as stored, each blob
+// CRC-checked, into sc's buffers: the payload, which must be the stored size
+// the meta records, and the stored in-index bytes, nil for a CodecCOO block.
+func (d *DualStore) readInBlock(i, j int, sc *Scratch) (payload, idx []byte, err error) {
+	if d.InCodec(i, j) != CodecCOO {
+		if idx, err = d.readBlob(d.names.name(blobInIndex, i, j), &sc.idxRaw); err != nil {
 			return nil, nil, err
 		}
 	}
-	payload, err := d.readBlob(name, &sc.raw)
-	if err != nil {
+	name := d.names.name(blobInBlock, i, j)
+	if payload, err = d.readBlob(name, &sc.raw); err != nil {
 		return nil, nil, err
 	}
 	if err := checkStoredSize(name, payload, d.InBlockBytes[i][j]); err != nil {
 		return nil, nil, err
 	}
+	return payload, idx, nil
+}
+
+// inBlockEntries parses in-block(i,j)'s stored in-index idx into dst,
+// reusing its capacity, and checks it against the payload it indexes — nil
+// for a CodecCOO block. The kernels index accumulators and payload by the
+// entries unchecked, so every rule they rely on is checked here
+// (decodeInIndex), on every hand-over, whether the bytes came from the
+// device or the cache. A violation means a blob lied (or the blobs come from
+// two builds) and is reported as corruption. What a section or a CodecCOO
+// record says is checked by whoever folds it: a malformed varint, a
+// neighbour that names no vertex or a record out of order stops the
+// kernel's fold.
+func (d *DualStore) inBlockEntries(i, j int, payload, idx []byte, dst []uint32) ([]uint32, error) {
+	c := d.InCodec(i, j)
 	if c == CodecCOO {
-		return payload, nil, nil
+		return nil, nil
 	}
 	step := 1
 	if c == CodecNone {
 		step = RawRecordBytes(d.Weighted)
 	}
-	start := time.Now()
-	idxCodec := codecOf(d.InIndexStoredBytes[i][j], d.InIndexEntries[i][j]*InIndexEntryBytes)
-	entries, err := decodeInIndex(sc.idx, idxBuf, idxCodec, d.Layout.Size(j), len(payload), step)
+	entries, err := decodeInIndex(dst, idx, d.inIndexCodec(i, j), d.Layout.Size(j), len(payload), step)
 	if err != nil {
-		return nil, nil, fmt.Errorf("blockstore: %s over %s: %w", idxName, name, err)
+		return nil, fmt.Errorf("blockstore: %s over %s: %w", d.names.name(blobInIndex, i, j), d.names.name(blobInBlock, i, j), err)
 	}
-	sc.idx = entries
-	if idxCodec != CodecNone {
-		d.noteDecode(int64(len(entries))*IndexEntryBytes, int64(len(idxBuf)), time.Since(start))
-	}
-	if c == CodecVarint {
-		d.noteDecode(d.inRawBytes(i, j), int64(len(payload)), 0)
-	}
-	return payload, entries, nil
-}
-
-// DecodeInBlock returns the CodecNone twin of a compressed in-block handed
-// over as LoadInBlockBytesScratch hands it: every listed section decoded by
-// AppendSection, the only section decoder, one after another and appended to
-// dst[:0], and the entries with each end offset moved to the decoded one, in
-// a new slice. It is for whoever needs raw records — the prefetcher keeps an
-// admitted block in the cache decoded, and tests compare the two layouts —
-// and counts nothing: the loader counted the block. A malformed section is
-// storage.ErrCorrupt-class, naming its destination.
-func DecodeInBlock(dst, payload []byte, entries []uint32, weighted bool) ([]byte, []uint32, error) {
-	recs, out := dst[:0], make([]uint32, len(entries))
-	var err error
-	for e, lo := 0, uint32(0); e+1 < len(entries); e += 2 {
-		hi := entries[e+1]
-		if recs, err = AppendSection(recs, payload[lo:hi], CodecVarint, weighted); err != nil {
-			return nil, nil, fmt.Errorf("blockstore: in-block destination %d: %w", entries[e], err)
-		}
-		out[e], out[e+1], lo = entries[e], uint32(len(recs)), hi
-	}
-	return recs, out, nil
+	return entries, nil
 }
 
 // checkStoredSize holds a whole block read to the stored size the meta

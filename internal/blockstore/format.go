@@ -158,10 +158,10 @@ func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, idBytes int, weighte
 // AppendSection decodes one vertex's self-contained record section, stored
 // with codec c, into the packed raw records its CodecNone twin stores —
 // RawRecordBytes(weighted) bytes each — appending them to dst. It is the
-// only section decoder: the in-blocks the cache keeps decoded
-// (DecodeInBlock) and the COP fallback kernel's sections go through it; the
-// specialised COP kernels fold a varint section as stored and must accept
-// and produce exactly what it does (core's FuzzFoldVarint). Malformed input yields storage.ErrCorrupt-class errors — never a panic or
+// only section decoder: the COP fallback kernel's sections go through it;
+// the specialised COP kernels fold a varint section as stored and must
+// accept and produce exactly what it does (core's FuzzFoldVarint).
+// Malformed input yields storage.ErrCorrupt-class errors — never a panic or
 // an out-of-bounds read — so corrupt-on-disk sections surface through the
 // same fault taxonomy as a bad frame CRC.
 func AppendSection(dst, section []byte, c Codec, weighted bool) ([]byte, error) {

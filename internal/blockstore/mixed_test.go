@@ -42,7 +42,7 @@ func codecsOf(ds *DualStore) (in, inIdx [2]int) {
 // TestMixedLoadsEqualRawLoads states the invariant compute rests on: the
 // codec is a property of storage only. One graph built raw and mixed hands
 // byte-identical (payload, idx) out of the in-block loader for every cell —
-// a compressed block once DecodeInBlock has decoded it — and the row view,
+// a compressed block once decodeSections has decoded it — and the row view,
 // which every format stores raw, is the raw store's blob for blob.
 func TestMixedLoadsEqualRawLoads(t *testing.T) {
 	const p = 8
@@ -253,9 +253,10 @@ func TestMixedCorruptPayloadSurfacesChecksumError(t *testing.T) {
 
 // TestTimedOutCompressedReadDecodesOnce is the deadline/compression
 // interaction check: a FaultDelayed read on a compressed block that blows
-// the deadline is retried, and only the retry's bytes are decoded — the load
-// decodes exactly the bytes one clean load does, and the timed-out
-// attempt's late answer is never decoded, not even once it lands.
+// the deadline is retried, and only the retry's bytes are handed over — the
+// load returns exactly the payload and in-index entries one clean load does,
+// and the timed-out attempt's late answer never reaches them, not even once
+// it lands.
 func TestTimedOutCompressedReadDecodesOnce(t *testing.T) {
 	g := mixedGraph(false)
 	st := memStore()
@@ -282,41 +283,38 @@ func TestTimedOutCompressedReadDecodesOnce(t *testing.T) {
 	if ci < 0 {
 		t.Skip("no compressed in-block in this build")
 	}
-	// Baseline: decoded bytes of one clean load of the same block (payload
-	// decode plus the index decode when that is compressed too).
+	// Baseline: one clean load of the same block, as stored.
 	clean, err := Open(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanBefore := clean.DecodeStats()
-	if _, err := loadInBlock(clean, ci, cj); err != nil {
+	wantPayload, wantEntries, err := clean.LoadInBlockBytesScratch(ci, cj, new(Scratch))
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := clean.DecodeStats().Sub(cleanBefore).VarintBytes
-	if want == 0 {
-		t.Fatal("baseline load of a compressed block decoded nothing")
+	if len(wantEntries) == 0 {
+		t.Fatal("baseline load of a compressed block handed over no entries")
 	}
 
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, Name: inBlockName(ci, cj), Count: 1, Delay: 100 * time.Millisecond})
 
 	live := len(leaktest.Live())
-	before := ds.DecodeStats()
-	blk, err := loadInBlock(ds, ci, cj)
+	payload, entries, err := ds.LoadInBlockBytesScratch(ci, cj, new(Scratch))
 	if err != nil {
 		t.Fatalf("retried load: %v", err)
-	}
-	if len(blk.Recs) == 0 {
-		t.Fatal("retried load decoded empty")
 	}
 	if got := ds.Retries(); got == 0 {
 		t.Fatal("delayed read did not time out")
 	}
-	// Wait for the delayed attempt to answer and exit before counting.
+	// Wait for the delayed attempt to answer and exit before comparing: its
+	// late answer must not land in the views the retry handed over.
 	if err := leaktest.Check(live, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	delta := ds.DecodeStats().Sub(before)
-	if delta.VarintBytes != want {
-		t.Fatalf("retried compressed load decoded %d bytes, want %d (the timed-out attempt must not decode)", delta.VarintBytes, want)
+	if !eqBytes(payload, wantPayload) || !eqU32(entries, wantEntries) {
+		t.Fatal("retried compressed load handed over other bytes than a clean load")
+	}
+	if _, _, err := decodeSections(payload, entries, ds.Weighted); err != nil {
+		t.Fatalf("retried compressed load does not decode: %v", err)
 	}
 }

@@ -20,9 +20,9 @@ import (
 // up front and overlaps I/O with compute: while the engine processes block
 // k, a small worker pool (PartitionedVC-style) loads blocks k+1.. into
 // pooled Scratch buffers — or serves them from the BlockCache — and
-// delivers each result on its own channel: a COP in-block as stored, with
-// its decoded in-index if it has one (a compressed one for the COP kernel
-// to fold as it decodes it; only one the cache admits is decoded here), or a ROP
+// delivers each result on its own channel: a COP in-block as stored, from
+// the device or the cache, with its in-index validated into entries (a
+// compressed block for the COP kernel to fold as it decodes it), or a ROP
 // out-block's active sections (loadSections) — every read of an iteration.
 //
 // Read-ahead is bounded by a token semaphore: at most `depth` results exist
@@ -74,6 +74,7 @@ type Prefetcher struct {
 	nextConsume int // Next() cursor (single consumer)
 	unused      atomic.Int64
 	stallNanos  atomic.Int64
+	decodeNanos atomic.Int64
 	closed      bool
 }
 
@@ -102,24 +103,19 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 	req.ready <- struct{}{}
 }
 
-// PrefetchResult is one delivered block: Payload and ByteIdx (its in-index
-// entries) for an in-block, in the layout Codec names, Payload alone for an
-// out-index — the (Size(i)+1)·4 bytes of its offsets (see CachedBlock), or
-// of a page-span load the bytes from offset Base on — with the block's
-// active Sections. Views alias either a pooled Scratch (returned by Release)
-// or an immutable cache entry; they are read-only and valid until Release.
+// PrefetchResult is one delivered block: for an in-block its Payload as
+// stored, in the codec the meta records (DualStore.InCodec), and ByteIdx,
+// its in-index entries — nil for a CodecCOO block; for an out-index Payload
+// alone — the (Size(i)+1)·4 bytes of its offsets (see CachedBlock), or of a
+// page-span load the bytes from offset Base on — with the block's active
+// Sections. Views alias either a pooled Scratch (returned by Release) or an
+// immutable cache entry; they are read-only and valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error
 
 	Payload []byte
 	ByteIdx []uint32
-	// Codec is the layout of an in-block's Payload: CodecNone for packed raw
-	// records — a block stored raw, or one served decoded from the cache —
-	// CodecVarint for a compressed block as stored, its ByteIdx ends then
-	// being offsets into the varint sections, and CodecCOO for a block of
-	// one record per edge, stored or cached, whose ByteIdx is nil.
-	Codec Codec
 	// Base is the stored payload offset Payload starts at: nonzero only for
 	// an out-index loaded as a page span that does not start at page 0.
 	Base int
@@ -128,7 +124,8 @@ type PrefetchResult struct {
 	// Sections are an out-block's active sections, in source order.
 	Sections []Section
 
-	runBytes int64 // record-run bytes read from the device
+	idx      []byte // an in-block's stored in-index, as read or cached
+	runBytes int64  // record-run bytes read from the device
 	sc       *Scratch
 	pf       *Prefetcher
 	token    bool // holds a read-ahead token, handed back by Take or Release
@@ -165,13 +162,13 @@ func (r *PrefetchResult) Release() {
 	}
 }
 
-// dataBytes estimates the bytes the load read, for unused-prefetch
-// accounting. Cache hits cost no I/O and count zero.
+// dataBytes is the stored bytes the load read, for unused-prefetch
+// accounting. A cache hit read no blob, only its runs.
 func (r *PrefetchResult) dataBytes() int64 {
 	if r.Cached || r.Err != nil {
 		return r.runBytes
 	}
-	return r.runBytes + (&CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
+	return r.runBytes + int64(len(r.Payload)) + int64(len(r.idx))
 }
 
 // NewPrefetcher starts a prefetch pipeline over schedule. extents, when
@@ -275,14 +272,14 @@ func (p *Prefetcher) worker() {
 }
 
 // entryBytes is what the cache will be charged for key's entry, read off the
-// meta: an in-block's decoded records plus its in-index entries, or a whole
+// meta: an in-block's stored bytes (InBlockStoredBytes), or a whole
 // out-index. It is -1 for a page-span load of part of an out-index, which is
 // not cacheable; a cached out-index is always whole, so it serves any extent.
 func (p *Prefetcher) entryBytes(key BlockKey) int64 {
 	d := p.ds
 	switch key.Kind {
 	case KindInBlock:
-		return d.inRawBytes(key.I, key.J) + d.InIndexRawBytes(key.I, key.J)
+		return d.InBlockStoredBytes(key.I, key.J)
 	case KindOutIndex:
 		whole := d.OutIndexBytes(key.I, key.J)
 		if p.extents != nil {
@@ -297,17 +294,14 @@ func (p *Prefetcher) entryBytes(key BlockKey) int64 {
 
 // load performs one block load: cache lookup, then the store's verified,
 // retried read path, then — for a miss the cache admitted — a copy into the
-// cache, so the scratch can be recycled immediately and later iterations
-// hit; and, in a window over extents, an out-index's active sections.
+// cache, so later iterations hit; then the hand-over, the same for bytes read
+// or cached (handOver).
 func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	key, res := req.key, &req.loaded
 	*res = PrefetchResult{Key: key, pf: p, token: p.sem != nil}
 	if p.cache != nil {
 		if blk, ok := p.cache.Get(key); ok {
-			res.Cached, res.Payload, res.ByteIdx = true, blk.Payload, blk.ByteIdx
-			if key.Kind == KindInBlock && p.ds.coo {
-				res.Codec = CodecCOO // cached as stored; a compressed block decoded
-			}
+			res.Cached, res.Payload, res.idx = true, blk.Payload, blk.Index
 		}
 	}
 	// Ownership of the scratch transfers to the result: Release or Close
@@ -317,11 +311,8 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 		res.sc = GetScratch()
 		err = p.read(req, res)
 	}
-	if err == nil && key.Kind == KindOutIndex && p.extents != nil {
-		if res.sc == nil {
-			res.sc = GetScratch()
-		}
-		err = p.loadSections(res)
+	if err == nil {
+		err = p.handOver(res)
 	}
 	if err != nil {
 		if res.sc != nil {
@@ -332,8 +323,8 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	return res
 }
 
-// read loads req's blob into res.sc, and copies an admitted miss into the
-// cache, serving the cached copy.
+// read loads req's blob as stored into res.sc, and copies an admitted miss
+// into the cache, serving the cached copy.
 func (p *Prefetcher) read(req *prefetchReq, res *PrefetchResult) error {
 	key, sc := req.key, res.sc
 	var err error
@@ -346,37 +337,48 @@ func (p *Prefetcher) read(req *prefetchReq, res *PrefetchResult) error {
 		x := p.extents[key.I*p.ds.Layout.P+key.J]
 		res.Payload, res.Base, err = p.ds.LoadOutIndexSpanScratch(key.I, key.J, x, sc)
 	case KindInBlock:
-		// A compressed block stays as stored: the COP kernel decodes its
-		// sections as it folds them, which costs less than decoding here
-		// into a copy the kernel then reads a second time.
-		res.Payload, res.ByteIdx, err = p.ds.LoadInBlockBytesScratch(key.I, key.J, sc)
-		res.Codec = p.ds.InCodec(key.I, key.J)
+		res.Payload, res.idx, err = p.ds.readInBlock(key.I, key.J, sc)
 	default:
 		err = fmt.Errorf("blockstore: prefetch: unknown block kind %d", key.Kind)
 	}
 	if err != nil || !req.admit {
 		return err
 	}
-	blk := &CachedBlock{}
-	if res.Codec != CodecVarint {
-		blk.Payload = append([]byte(nil), res.Payload...)
-		blk.ByteIdx = append([]uint32(nil), res.ByteIdx...)
-	} else {
-		// The cache holds blocks decoded, at what the meta charged for
-		// them (entryBytes), so a hit costs no decode.
-		recs := make([]byte, 0, p.ds.inRawBytes(key.I, key.J))
-		if blk.Payload, blk.ByteIdx, err = DecodeInBlock(recs, res.Payload, res.ByteIdx, p.ds.Weighted); err != nil {
-			return fmt.Errorf("blockstore: in-block (%d,%d): %w", key.I, key.J, err)
-		}
-	}
+	blk := &CachedBlock{Payload: append([]byte(nil), res.Payload...), Index: append([]byte(nil), res.idx...)}
 	if p.cache.Put(key, blk) {
 		// Serve the immutable cached copy; the scratch is free now.
-		res.Payload, res.ByteIdx = blk.Payload, blk.ByteIdx
-		if res.Codec == CodecVarint {
-			res.Codec = CodecNone
-		}
+		res.Payload, res.idx = blk.Payload, blk.Index
 		PutScratch(sc)
 		res.sc = nil
+	}
+	return nil
+}
+
+// handOver turns res's bytes, read or cached, into what the kernels
+// consume: an in-block's in-index validated into entries (ByteIdx), timed
+// for DecodeTime when it is stored compressed, or, in a window over
+// extents, an out-index's active sections.
+func (p *Prefetcher) handOver(res *PrefetchResult) error {
+	i, j := res.Key.I, res.Key.J
+	switch {
+	case res.Key.Kind == KindInBlock && p.ds.InCodec(i, j) != CodecCOO:
+		if res.sc == nil {
+			res.sc = GetScratch()
+		}
+		start := time.Now()
+		entries, err := p.ds.inBlockEntries(i, j, res.Payload, res.idx, res.sc.idx)
+		if err != nil {
+			return err
+		}
+		if p.ds.inIndexCodec(i, j) == CodecVarint {
+			p.decodeNanos.Add(int64(time.Since(start)))
+		}
+		res.ByteIdx, res.sc.idx = entries, entries
+	case res.Key.Kind == KindOutIndex && p.extents != nil:
+		if res.sc == nil {
+			res.sc = GetScratch()
+		}
+		return p.loadSections(res)
 	}
 	return nil
 }
@@ -513,6 +515,12 @@ func (p *Prefetcher) consume(req *prefetchReq) *PrefetchResult {
 	<-req.ready
 	p.stallNanos.Add(int64(time.Since(t0)))
 	return req.res
+}
+
+// DecodeTime returns the cumulative wall time the hand-over spent decoding
+// compressed in-indices into entries.
+func (p *Prefetcher) DecodeTime() time.Duration {
+	return time.Duration(p.decodeNanos.Load())
 }
 
 // StallTime returns the cumulative wall time consumers spent blocked

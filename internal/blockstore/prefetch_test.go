@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"husgraph/internal/storage"
 )
@@ -80,7 +81,7 @@ func TestPrefetchMatchesSyncLoadsAllDepths(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) || res.Codec != ds.InCodec(key.I, key.J) {
+				if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
 					t.Fatalf("format=%v depth=%d (%d,%d): prefetched views differ from sync load", format, depth, key.I, key.J)
 				}
 				res.Release()
@@ -310,27 +311,21 @@ func TestPrefetchCachePromotionServesRepeatsWithoutIO(t *testing.T) {
 func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 	// The promoted copies served on hits must be byte-identical to direct
 	// loads — a corrupted promotion would silently poison every later
-	// iteration. And a cached block is its records whatever stored it — a
-	// compressed one decoded — so the mixed store's cache is charged what
-	// the raw one is plus the in-indices the raw store's CodecCOO blocks do
-	// without.
-	var used [2]int64
-	var entries int64
-	for n, format := range []Format{FormatRaw, FormatMixed} {
+	// iteration. And a cached block is held as stored, so each store's cache
+	// is charged its stored in-blocks and in-indices, a mixed store's less
+	// than their raw records and entries.
+	for _, format := range []Format{FormatRaw, FormatMixed} {
 		ds := prefetchStore(t, format)
 		cache := NewBlockCache(64 << 20)
 		cachedSweepMatchesDirectLoads(t, ds, cache)
-		used[n] = cache.Stats().BytesUsed
-		if format == FormatMixed {
-			for _, row := range ds.InIndexEntries {
-				for _, e := range row {
-					entries += e
-				}
-			}
+		var stored, raw int64
+		for _, key := range inBlockSchedule(ds) {
+			stored += ds.InBlockStoredBytes(key.I, key.J)
+			raw += ds.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(ds.Weighted)) + ds.InIndexRawBytes(key.I, key.J)
 		}
-	}
-	if used[1] != used[0]+entries*InIndexEntryBytes {
-		t.Fatalf("cache charged %d bytes for the raw store's blocks, %d for their mixed twins with %d in-index entries", used[0], used[1], entries)
+		if used := cache.Stats().BytesUsed; used != stored || format == FormatMixed && stored >= raw {
+			t.Fatalf("%v: cache charged %d bytes for blocks stored in %d, %d raw", format, used, stored, raw)
+		}
 	}
 }
 
@@ -347,23 +342,52 @@ func cachedSweepMatchesDirectLoads(t *testing.T, ds *DualStore, cache *BlockCach
 			if pass == 1 && !res.Cached {
 				t.Fatalf("pass 2 (%d,%d): expected a cache hit", key.I, key.J)
 			}
-			// The cache holds every block decoded, a CodecCOO one as
-			// stored.
-			payload, byteIdx, err := loadInBlockRecords(ds, key.I, key.J, sc)
-			codec := CodecNone
-			if ds.InCodec(key.I, key.J) == CodecCOO {
-				payload, byteIdx, err = ds.LoadInBlockBytesScratch(key.I, key.J, sc)
-				codec = CodecCOO
-			}
+			// The cache holds every block as stored.
+			payload, byteIdx, err := ds.LoadInBlockBytesScratch(key.I, key.J, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) || res.Codec != codec {
+			if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
 				t.Fatalf("pass %d (%d,%d): cached views differ from direct load", pass+1, key.I, key.J)
 			}
 			res.Release()
 		}
 		pf.Close()
+	}
+}
+
+// TestPrefetchValidatesCachedInIndex: a hit is handed over as a device read
+// is, its stored in-index validated against its payload, so a cached index
+// that no longer describes the payload is refused as corruption rather than
+// folded.
+func TestPrefetchValidatesCachedInIndex(t *testing.T) {
+	for _, format := range []Format{FormatRaw, FormatMixed} {
+		ds := prefetchStore(t, format)
+		cache := NewBlockCache(1 << 20)
+		key := inKey(0, 0)
+		for pass := 0; pass < 2; pass++ {
+			pf := ds.NewPrefetcher([]BlockKey{key}, nil, nil, 0, cache)
+			res := pf.Next()
+			if pass == 1 {
+				if format == FormatRaw {
+					if res.Err != nil || !res.Cached {
+						t.Fatalf("raw: a CodecCOO hit, which has no in-index: %v, cached %v", res.Err, res.Cached)
+					}
+				} else if !errors.Is(res.Err, storage.ErrCorrupt) {
+					t.Fatalf("mixed: a hit whose cached in-index lost its last byte was handed over: %v", res.Err)
+				}
+			} else if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			res.Release()
+			pf.Close()
+			// Replace the entry with one whose index lost its last byte.
+			cache.mu.Lock()
+			if ent := cache.items[cacheKey{BlockKey: key}]; ent != nil && len(ent.blk.Index) > 0 {
+				ent.blk = &CachedBlock{Payload: ent.blk.Payload, Index: ent.blk.Index[:len(ent.blk.Index)-1]}
+			}
+			cache.mu.Unlock()
+		}
 	}
 }
 
@@ -393,10 +417,11 @@ func TestPrefetchCopiesNoRefusedBlock(t *testing.T) {
 				switch {
 				case pf.reqs[n].admit:
 					admitted++
-					if res.sc != nil || !cache.Peek(key) {
+					blk := resident(cache, key)
+					if blk == nil || unsafe.SliceData(res.Payload) != unsafe.SliceData(blk.Payload) || unsafe.SliceData(res.idx) != unsafe.SliceData(blk.Index) {
 						t.Fatalf("%v depth=%d: admitted %+v not served from the cache", format, depth, key)
 					}
-					if got := (&CachedBlock{Payload: res.Payload, ByteIdx: res.ByteIdx}).Bytes(); got != sizes[n] {
+					if got := blk.Bytes(); got != sizes[n] {
 						t.Fatalf("%v depth=%d: %+v charged %d bytes, the meta predicted %d", format, depth, key, got, sizes[n])
 					}
 				case res.sc == nil || cache.Peek(key):

@@ -110,10 +110,12 @@ type Config struct {
 	// the consuming worker (a configured cache is still consulted), which is
 	// byte- and result-identical to the pipelined configuration.
 	PrefetchDepth int
-	// CacheBudgetBytes bounds the decoded-block cache retained across
-	// iterations: in-blocks and out-indices that fit are served from
-	// memory on re-read, charging no device I/O (GraphMP-style
-	// semi-external caching at block granularity). 0 disables caching;
+	// CacheBudgetBytes bounds the block cache retained across iterations:
+	// in-blocks and out-indices that fit are held as stored, each charged
+	// its stored size, and served from memory on re-read, charging no
+	// device I/O (GraphMP-style semi-external caching at block
+	// granularity); a compressed in-block is decoded as it is folded, hit
+	// or miss, and counted so. 0 disables caching;
 	// a working set over the budget keeps the part each iteration's plan
 	// admitted first, evicting only blocks unused for two iterations
 	// (blockstore.BlockCache). Hit/miss/evict counts land in IterStats and

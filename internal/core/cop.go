@@ -28,8 +28,9 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 
 	// The column traversal order is this window's plan (copPlan):
 	// while this goroutine computes on in-block(j,i), the window's workers
-	// read, verify and decode the next blocks (or serve them from the
-	// cache). Every planned key is consumed by exactly one Next call.
+	// read and verify the next blocks (or serve them from the cache) and
+	// validate their in-indices. Every planned key is consumed by exactly
+	// one Next call.
 	k := &e.cop
 	k.begin(e, prog, s, frontier)
 	defer k.end()
@@ -41,23 +42,24 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			// The block arrives as stored — one record per edge, or behind
-			// its in-index entries packed records or the varint sections of
-			// a compressed block, which the kernel decodes as it folds them
-			// — or decoded from the cache; res.Codec says which. The edge
-			// kernel splits the block across workers by destination.
+			// The block arrives as stored, from the device or the cache —
+			// one record per edge, or behind its in-index entries packed
+			// records or the varint sections of a compressed block, which
+			// the kernel decodes as it folds them; the meta's codec says
+			// which. The edge kernel splits the block across workers by
+			// destination.
 			if len(res.Payload) == 0 {
 				res.Release()
 				continue
 			}
 			var err error
-			if res.Codec == blockstore.CodecCOO {
+			if codec := e.ds.InCodec(j, i); codec == blockstore.CodecCOO {
 				jlo, jhi := l.Bounds(j)
 				if bad := k.records(d[lo:hi], jlo, jhi, res.Payload); bad >= 0 {
 					err = fmt.Errorf("core: in-block (%d,%d) record %d: out of (destination, source) order, or naming a destination outside [0,%d) or a source outside [0,%d): %w", j, i, bad, hi-lo, jhi-jlo, storage.ErrCorrupt)
 				}
-			} else if bad := k.block(d[lo:hi], res.Payload, res.ByteIdx, res.Codec); bad >= 0 {
-				err = fmt.Errorf("core: in-block (%d,%d) destination %d: %v section holds a malformed varint or a neighbour outside [0,%d): %w", j, i, lo+int(res.ByteIdx[2*bad]), res.Codec, len(s), storage.ErrCorrupt)
+			} else if bad := k.block(d[lo:hi], res.Payload, res.ByteIdx, codec); bad >= 0 {
+				err = fmt.Errorf("core: in-block (%d,%d) destination %d: %v section holds a malformed varint or a neighbour outside [0,%d): %w", j, i, lo+int(res.ByteIdx[2*bad]), codec, len(s), storage.ErrCorrupt)
 			}
 			res.Release()
 			if err != nil {

@@ -179,8 +179,7 @@ func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
 // interval: summing each engine's PredictCosts rounds once per engine,
 // which can tip a near tie the other way.
 func PredictCostsOver(f *bitset.Frontier, engines ...*Engine) (crop, ccop time.Duration) {
-	var pageBytes, pageReads, copBytes int64
-	var decBytes float64
+	var pageBytes, pageReads, copBytes, decBytes int64
 	for _, e := range engines {
 		random, pb, pr := e.ropCost(f)
 		cb, db := e.copScanBytes()
@@ -189,7 +188,7 @@ func PredictCostsOver(f *bitset.Frontier, engines ...*Engine) (crop, ccop time.D
 	}
 	prof, threads := engines[0].ds.Device().Profile(), engines[0].cfg.Threads
 	crop += prof.RandTime(pageBytes, pageReads)
-	ccop = prof.SeqTime(copBytes) + time.Duration(decBytes*defaultDecodeNsPerByte(threads))
+	ccop = prof.SeqTime(copBytes) + time.Duration(float64(decBytes)*defaultDecodeNsPerByte(threads))
 	return crop, ccop
 }
 
@@ -335,27 +334,32 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes, p
 
 // copScanBytes is what PredictCosts prices a COP iteration at: the sequential
 // bytes streaming every owned column's in-blocks and in-indices moves, and
-// the logical bytes those blobs decompress into. In-blocks resident in the
-// block cache skip the device entirely, so they are priced at zero — this
-// is what lets the predictor keep preferring COP once the hot columns have
-// been cached.
-func (e *Engine) copScanBytes() (seqBytes int64, decBytes float64) {
-	l := e.ds.Layout
-	step := int64(blockstore.RawRecordBytes(e.ds.Weighted))
+// the logical bytes folding them decodes (copDecodeBytes). In-blocks
+// resident in the block cache skip the device, so their reads are priced at
+// zero — this is what lets the predictor keep preferring COP once the hot
+// columns have been cached — but the cache holds them as stored, so their
+// decode is priced like any other's.
+func (e *Engine) copScanBytes() (seqBytes, decBytes int64) {
 	for j := e.lo; j < e.hi; j++ {
-		for i := 0; i < l.P; i++ {
-			if e.cache != nil && e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindInBlock, I: i, J: j}) {
-				continue // cached blocks are already decoded, too
-			}
-			ib := e.ds.InIndexBytes(i, j)
-			seqBytes += e.ds.InBlockBytes[i][j] + ib
-			if e.ds.InCodec(i, j) == blockstore.CodecVarint {
-				decBytes += float64(e.ds.BlockEdgeCount[i][j] * step)
-			}
-			if rawIdx := e.ds.InIndexRawBytes(i, j); ib < rawIdx {
-				decBytes += float64(rawIdx) // stored compressed: decodes to the fixed-width entries
+		for i := 0; i < e.ds.Layout.P; i++ {
+			if e.cache == nil || !e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindInBlock, I: i, J: j}) {
+				seqBytes += e.ds.InBlockStoredBytes(i, j)
 			}
 		}
 	}
+	decBytes, _ = e.copDecodeBytes()
 	return seqBytes, decBytes
+}
+
+// copDecodeBytes sums DualStore.InDecodeBytes over the COP plan: the
+// logical and stored bytes folding every owned column decodes, which is
+// what a COP iteration counts, cached blocks included.
+func (e *Engine) copDecodeBytes() (logical, stored int64) {
+	for j := e.lo; j < e.hi; j++ {
+		for i := 0; i < e.ds.Layout.P; i++ {
+			l, s := e.ds.InDecodeBytes(i, j)
+			logical, stored = logical+l, stored+s
+		}
+	}
+	return logical, stored
 }

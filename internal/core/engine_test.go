@@ -748,18 +748,16 @@ func TestPredictorTracksActualCosts(t *testing.T) {
 // empty. The one difference is the checksum frame: every blob read carries a
 // fixed header the predictor does not price, read here off one blob — two
 // blobs a block, or one where the in-blocks are CodecCOO and have no
-// in-index.
+// in-index. The decode it prices is the decode the iteration counts. Each
+// store runs two iterations without a cache, and two through a cache that
+// holds every block: its second iteration hits every block, is priced and
+// charged no byte, and — the cache holding blocks as stored — decodes what
+// the first did.
 func TestPredictedCOPBytesMatchCharged(t *testing.T) {
 	g := randomGraph(600, 2500, 11)
 	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
 		for _, p := range []int{2, 8} {
 			ds := buildUnweighted(t, g, p, format)
-			e := New(ds, Config{Model: ModelCOP, MaxIters: 1})
-			priced, _ := e.copScanBytes()
-			res, err := e.Run(testLabel{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			stored, err := ds.Store().Size("ib/0.0")
 			if err != nil {
 				t.Fatal(err)
@@ -769,10 +767,44 @@ func TestPredictedCOPBytesMatchCharged(t *testing.T) {
 				blobs = int64(p * p)
 			}
 			frames := blobs * (stored - ds.InBlockBytes[0][0])
-			io := res.Iterations[0].IO
-			if charged := io.SeqReadBytes + io.SeqWriteBytes - frames; priced != charged || io.RandReadBytes != 0 {
-				t.Fatalf("%v P=%d: predictor prices %d bytes, device charged %d sequential (+ %d of frames) and %d random",
-					format, p, priced, charged, frames, io.RandReadBytes)
+			for _, budget := range []int64{0, 64 << 20} {
+				var e *Engine
+				var seq, dec []int64 // what the predictor prices each iteration at, before it runs
+				price := func(IterStats) {
+					s, d := e.copScanBytes()
+					seq, dec = append(seq, s), append(dec, d)
+				}
+				e = New(ds, Config{Model: ModelCOP, MaxIters: 2, CacheBudgetBytes: budget, OnIteration: price})
+				price(IterStats{})
+				res, err := e.Run(testLabel{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Iterations) != 2 {
+					t.Fatalf("%v P=%d cache %d: %d iterations, want 2", format, p, budget, len(res.Iterations))
+				}
+				first := res.Iterations[0]
+				for it, st := range res.Iterations {
+					hits := budget > 0 && it == 1
+					io, f := st.IO, frames
+					if hits {
+						f = 0
+					}
+					if charged := io.SeqReadBytes + io.SeqWriteBytes - f; seq[it] != charged || io.RandReadBytes != 0 {
+						t.Fatalf("%v P=%d cache %d iteration %d: predictor prices %d bytes, device charged %d sequential (+ %d of frames) and %d random",
+							format, p, budget, it, seq[it], charged, f, io.RandReadBytes)
+					}
+					if dec[it] != st.DecodedBytes {
+						t.Fatalf("%v P=%d cache %d iteration %d: predictor prices %d decoded bytes, the iteration counts %d", format, p, budget, it, dec[it], st.DecodedBytes)
+					}
+					if hits && (st.CacheMisses != 0 || st.CacheHits == 0 || st.DecodedBytes != first.DecodedBytes || st.CompressedBytes != first.CompressedBytes) {
+						t.Fatalf("%v P=%d: cached iteration %d hits, %d misses, decodes %d of %d bytes; the first decoded %d of %d",
+							format, p, st.CacheHits, st.CacheMisses, st.DecodedBytes, st.CompressedBytes, first.DecodedBytes, first.CompressedBytes)
+					}
+				}
+				if (first.DecodedBytes > 0) != (format == blockstore.FormatMixed) {
+					t.Fatalf("%v P=%d: the first iteration decoded %d bytes", format, p, first.DecodedBytes)
+				}
 			}
 		}
 	}

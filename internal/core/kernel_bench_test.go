@@ -41,10 +41,10 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 // for the next kernel change.
 // The /varint legs fold the same block as a mixed store hands it over —
 // its varint sections as stored, decoded by the kernel as it folds them —
-// and the /decoded legs the raw records blockstore.DecodeInBlock makes of
-// those sections, as the cache keeps them: per edge a decoded block must
-// cost what the stored-raw one does, and a stored-varint one what the
-// decode saves on I/O is weighed against. The /occ legs hold
+// and the /decoded legs the raw records decodeSections makes of those
+// sections: per edge a decoded block must cost what the stored-raw one
+// does, and a stored-varint one what the decode saves on I/O is weighed
+// against. The /occ legs hold
 // |E| = 2¹⁶ and the sum kernel fixed and vary how many of a P = 16
 // interval's 2¹⁴ destinations the edges land on — 5 %, 20 %, all of them —
 // which is what P does to a block: ns/edge should rise only with the
@@ -69,7 +69,7 @@ func BenchmarkEdgeKernel(b *testing.B) {
 	}
 	ds, payload, byteIdx := load(blockstore.FormatRaw)
 	_, stored, storedIdx := load(blockstore.FormatMixed)
-	decoded, decodedIdx, err := blockstore.DecodeInBlock(nil, stored, storedIdx, false)
+	decoded, decodedIdx, err := decodeSections(stored, storedIdx, false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func (c foldCase) fold(payload []byte, entries []uint32, codec blockstore.Codec)
 // stop at exactly the entry where decoding them with blockstore's section
 // decoder fails or the decoded records first name a neighbour outside the
 // vertex set, and otherwise leave the accumulators bit for bit where folding
-// the decoded raw twin (blockstore.DecodeInBlock) does. It never panics.
+// the decoded raw twin (decodeSections) does. It never panics.
 func FuzzFoldVarint(f *testing.F) {
 	var valid []byte // three sections: {0, 5, 300}, {7}, {2, 3}
 	for _, sec := range [][]uint64{{1, 5, 295}, {8}, {3, 1}} {
@@ -148,9 +148,9 @@ func FuzzFoldVarint(f *testing.F) {
 		if want >= 0 {
 			return
 		}
-		recs, rawEntries, err := blockstore.DecodeInBlock(nil, payload, c.entries, c.weighted)
+		recs, rawEntries, err := decodeSections(payload, c.entries, c.weighted)
 		if err != nil {
-			t.Fatalf("%+v: DecodeInBlock refused sections each decoded alone: %v", c, err)
+			t.Fatalf("%+v: decodeSections refused sections each decoded alone: %v", c, err)
 		}
 		wantD, rawBad := c.fold(recs, rawEntries, blockstore.CodecNone)
 		if rawBad >= 0 {
@@ -166,6 +166,24 @@ func FuzzFoldVarint(f *testing.F) {
 
 // errNeighbour marks a decoded record whose neighbour names no vertex.
 var errNeighbour = errors.New("neighbour outside the vertex set")
+
+// decodeSections returns the CodecNone twin of a compressed in-block as the
+// loader hands it over: every listed section decoded by
+// blockstore.AppendSection, the only section decoder, one after another,
+// and the entries with each end offset moved to the decoded one.
+func decodeSections(payload []byte, entries []uint32, weighted bool) ([]byte, []uint32, error) {
+	var recs []byte
+	out := make([]uint32, len(entries))
+	var err error
+	for e, lo := 0, uint32(0); e+1 < len(entries); e += 2 {
+		hi := entries[e+1]
+		if recs, err = blockstore.AppendSection(recs, payload[lo:hi], blockstore.CodecVarint, weighted); err != nil {
+			return nil, nil, err
+		}
+		out[e], out[e+1], lo = entries[e], uint32(len(recs)), hi
+	}
+	return recs, out, nil
+}
 
 // FuzzFoldCOO holds the CodecCOO kernels — sum, min and the Combine
 // fallback, weighted or not, over 1–3 threads — to a fold of one record at a

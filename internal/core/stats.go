@@ -56,8 +56,10 @@ type IterStats struct {
 	DecodeModeled time.Duration
 	// DecodedBytes and CompressedBytes describe the decompression volume
 	// of this iteration: logical bytes produced by non-trivial codecs and
-	// the stored bytes they came from. Their ratio is the realized
-	// compression ratio of the touched working set.
+	// the stored bytes they came from — DualStore.InDecodeBytes summed
+	// over a COP iteration's plan, cached blocks included, since the cache
+	// holds them as stored. Their ratio is the realized compression ratio
+	// of the touched working set.
 	DecodedBytes    int64
 	CompressedBytes int64
 	// MaxDelta is the largest per-vertex value change (Additive programs

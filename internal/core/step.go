@@ -38,7 +38,6 @@ type Step struct {
 
 	start       time.Time
 	ioBefore    storage.Stats
-	decBefore   blockstore.DecodeStats
 	cacheBefore blockstore.CacheStats
 
 	maxDelta float64
@@ -81,7 +80,6 @@ func (e *Engine) FinishRun() {}
 func (e *Engine) BeginIter(prog Program, iter int, model Model, frontier, next *bitset.Frontier) *Step {
 	s := &Step{e: e, prog: prog, frontier: frontier, next: next}
 	s.ioBefore = e.ds.Device().Stats()
-	s.decBefore = e.ds.DecodeStats()
 	if e.cache != nil {
 		s.cacheBefore = e.cache.Stats()
 	}
@@ -173,11 +171,11 @@ func (s *Step) End() (IterStats, error) {
 	st.ComputeTime = time.Since(s.start)
 	edgeWork, blockWork := e.iterationWork(st.Model, s.live, st.ActiveEdges)
 	st.ComputeModeled = ModeledComputeTime(edgeWork, int64(e.vhi-e.vlo), blockWork, e.cfg.Threads)
-	decDelta := e.ds.DecodeStats().Sub(s.decBefore)
-	st.DecodeTime = decDelta.Time
-	st.DecodedBytes = decDelta.VarintBytes
-	st.CompressedBytes = decDelta.CompressedBytes
-	st.DecodeModeled = ModeledDecodeTime(decDelta.VarintBytes, e.cfg.Threads)
+	if st.Model == ModelCOP {
+		st.DecodedBytes, st.CompressedBytes = e.copDecodeBytes()
+	}
+	st.DecodeTime = s.win.DecodeTime()
+	st.DecodeModeled = ModeledDecodeTime(st.DecodedBytes, e.cfg.Threads)
 	st.IO = e.ds.Device().Stats().Sub(s.ioBefore)
 	st.IOTime = st.IO.SimIO
 	st.PrefetchStall = s.win.StallTime()

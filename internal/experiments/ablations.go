@@ -162,7 +162,7 @@ func (r *Runner) extensionCompression() (*report.Table, error) {
 
 // extensionPrefetchCache runs PageRank on ukunion-sim (hybrid, HDD)
 // synchronously, with the prefetch pipeline, and with prefetch plus a
-// decoded-block cache large enough for the whole in-block working set.
+// block cache large enough for the whole in-block working set.
 // Prefetch overlaps I/O on the host clock only (the modeled runtime already
 // assumes overlap); the cache removes repeat reads, so I/O falls.
 func (r *Runner) extensionPrefetchCache() (*report.Table, error) {

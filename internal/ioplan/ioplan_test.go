@@ -104,10 +104,11 @@ func TestCOPKeysColumnMajorWithSkip(t *testing.T) {
 	}
 }
 
-// resultBytes is the device-loaded size of one delivered block, as the
-// prefetcher's unused-read-ahead accounting sizes it.
-func resultBytes(r *blockstore.PrefetchResult) int64 {
-	return (&blockstore.CachedBlock{Payload: r.Payload, ByteIdx: r.ByteIdx}).Bytes()
+// resultBytes is the device-loaded size of one delivered in-block, as the
+// prefetcher's unused-read-ahead accounting sizes it: its stored payload and
+// in-index.
+func resultBytes(ds *blockstore.DualStore, r *blockstore.PrefetchResult) int64 {
+	return int64(len(r.Payload)) + ds.InIndexBytes(r.Key.I, r.Key.J)
 }
 
 // TestSchedulerWindows pins what the engine relies on from the scheduler: a
@@ -127,9 +128,9 @@ func TestSchedulerWindows(t *testing.T) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		planBytes += resultBytes(res)
+		planBytes += resultBytes(ds, res)
 		if res.Key == last {
-			lastBytes = resultBytes(res)
+			lastBytes = resultBytes(ds, res)
 		}
 		res.Release()
 	}

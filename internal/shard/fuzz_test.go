@@ -292,8 +292,9 @@ const stallDeadline = 50 * time.Millisecond
 // exactly the bytes the substrate returned, and the retries equal the
 // injected transient faults. Under one, which a healthy read may outlive
 // too, the retries are at least the injected stalls, and the run is charged
-// at most what the substrate returned: at K > 1 a shard's device charges an
-// attempt when its answer lands, and a stalled one's lands after the run.
+// at most what the substrate returned: a healthy read that outlives the
+// deadline is charged when it lands, which may be after its iteration, or
+// after the run.
 func (c engineCase) run(t *testing.T, g *graph.Graph, fp fuzzProgram, prog core.Program) outcome {
 	t.Helper()
 	dev := storage.NewDevice(c.device)
@@ -613,6 +614,7 @@ const (
 	delayed                        // a BFS run's reads answered late
 	resumed                        // a killed PageRank run resumed from its checkpoint
 	twoShards                      // K = 2
+	cachedFold                     // a PageRank COP iteration hits every block and folds varint ones
 )
 
 // seedTriples lays g's edges out as the triples decodeEngineCase reads,
@@ -690,6 +692,7 @@ func engineSeeds() []engineSeed {
 		{"web, mixed, COP, delays, killed after two iterations and resumed", seed([15]byte{2, 0, 1, 1, 1, 2, 0, 0, 0, 10, 0, 0, 255, 0, 0}, web...), []seedMeaning{resumed, bothCodecs, delayed}},
 		{"rmat, K = 2, COP, killed after one iteration and resumed", seed([15]byte{2, 1, 0, 1, 1, 2, 0, 0, 0, 4, 0, 0, 255, 0, 0}, rmat...), []seedMeaning{resumed, twoShards}},
 		{"tree on a FileStore, hybrid, killed after two iterations: its checkpoints in a store of its own", seed([15]byte{1, 0, 0, 2, 1, 0, 0, 0, 0, 8, 0, 1, 199, 0, 0}, tree...), []seedMeaning{resumed, onFile}},
+		{"web, mixed, COP, prefetch 2, a cache that holds every block: hits fold varint blocks as stored", seed([15]byte{2, 0, 1, 1, 1, 2, 2, 0, 0, 0, 0, 0, 255, 0, 0}, web...), []seedMeaning{cachedFold, bothCodecs}},
 	}
 }
 
@@ -816,6 +819,14 @@ func TestEngineSeedsKeepTheirMeaning(t *testing.T) {
 			case twoShards:
 				if o := run("BFS"); o.k != 2 {
 					t.Errorf("%s: ran at K = %d, want 2", s.name, o.k)
+				}
+			case cachedFold:
+				folded := false
+				for _, st := range run("PageRank").Iterations {
+					folded = folded || st.Model == core.ModelCOP && st.CacheHits > 0 && st.CacheMisses == 0 && st.DecodedBytes > 0
+				}
+				if !folded {
+					t.Errorf("%s: no COP iteration hit every block and decoded", s.name)
 				}
 			}
 		}

@@ -307,25 +307,27 @@ func (f *FaultStore) hold(inj injection) {
 }
 
 // read runs one read subject to read-fault plans. The fault is decided
-// before the inner store is reached: a failing fault (transient, permanent)
-// returns its error there, so the inner store never serves — nor charges
-// its device for — a read that fails, and a faulted read costs the device
-// nothing whether the engine reads the substrate directly or through a
-// shard's DeviceStore. A bit flip, delay or stall acts on the completed
-// read; the returned buffer is owned by the caller in every Store
+// and acted on before the inner store is reached: a failing fault
+// (transient, permanent) returns its error there, so the inner store never
+// serves — nor charges its device for — a read that fails; and a delay or
+// stall holds the read first, so the inner store serves and charges it only
+// once it is released. A faulted read is therefore charged alike whether the
+// engine reads the substrate directly or through a shard's DeviceStore,
+// which charges a read as its answer returns. A bit flip acts on the
+// completed read; the returned buffer is owned by the caller in every Store
 // implementation, so flipping in place is safe.
 func (f *FaultStore) read(name string, do func() ([]byte, error)) ([]byte, error) {
 	inj, ok := f.decide(OpRead, name)
-	if ok && (inj.kind == FaultTransient || inj.kind == FaultPermanent) {
-		return nil, faultErr(inj.kind, OpRead, name)
-	}
-	data, err := do()
 	switch {
 	case !ok:
-	case inj.kind == FaultBitFlip && err == nil:
-		flipBit(data, inj.r)
+	case inj.kind == FaultTransient || inj.kind == FaultPermanent:
+		return nil, faultErr(inj.kind, OpRead, name)
 	case inj.kind == FaultDelay || inj.kind == FaultStall:
 		f.hold(inj)
+	}
+	data, err := do()
+	if ok && inj.kind == FaultBitFlip && err == nil {
+		flipBit(data, inj.r)
 	}
 	return data, err
 }

@@ -312,3 +312,37 @@ func TestFaultStoreStallParksUntilReleased(t *testing.T) {
 		t.Fatalf("counters: %v", c)
 	}
 }
+
+// TestFaultStoreStalledReadChargedOnRelease: a stalled read is held before
+// the inner store is reached, so its device is charged nothing while it is
+// parked and the read once it is released — as a shard's DeviceStore, which
+// charges a read when its answer returns, would charge it.
+func TestFaultStoreStalledReadChargedOnRelease(t *testing.T) {
+	fs, mem := newFaultMem(t, 1)
+	if err := fs.Put("a", []byte("stuck bytes")); err != nil {
+		t.Fatal(err)
+	}
+	dev := mem.Device()
+	dev.Reset()
+	fs.Inject(Fault{Op: OpRead, Kind: FaultStall, Count: 1})
+	done := make(chan error, 1)
+	go func() {
+		_, err := fs.ReadAt("a", 6, 5)
+		done <- err
+	}()
+	for fs.Counters().Stalls == 0 { // the read has decided its stall
+		time.Sleep(time.Millisecond)
+	}
+	for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if st := dev.Stats(); st.ReadBytes() != 0 || st.RandAccesses != 0 {
+			t.Fatalf("a parked read charged its device: %v", st)
+		}
+	}
+	fs.ReleaseStalled()
+	if err := <-done; err != nil {
+		t.Fatalf("released read failed: %v", err)
+	}
+	if st := dev.Stats(); st.RandReadBytes != 5 || st.RandAccesses != 1 || st.SeqReadBytes != 0 {
+		t.Fatalf("the released read charged %v, want 5 bytes in one random access", st)
+	}
+}
