@@ -41,7 +41,7 @@ func run() error {
 	blocks := flag.String("blocks", "", "build the dual-block store under this directory")
 	p := flag.Int("p", 8, "partition count for -blocks")
 	symmetric := flag.Bool("symmetric", false, "symmetrize before writing (WCC input)")
-	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed (mixed: delta-varint per in-block and in-index, raw where that does not pay; out-blocks and out-indices stay raw)")
+	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed (mixed: where intervals fit 16 bits, each in-block as group-varint (destination, source) key deltas, plain key records where that does not pay; wider intervals, out-blocks and out-indices stay raw)")
 	stats := flag.Bool("stats", false, "print structural statistics of the generated graph")
 	flag.Parse()
 
@@ -136,9 +136,10 @@ func run() error {
 // store reports ratio 1.00 but where its out-block records hold 2-byte
 // local destinations (blockstore.OutRecordBytes), whose intervals fit 16
 // bits. In-block occupancy is the share of (destination, in-block) pairs
-// with an edge, which is what an in-index stores an entry for; a raw store
-// over intervals of at most blockstore.MaxCOOInterval stores one record per
-// edge and no in-index.
+// with an edge, which is what an in-index stores an entry for; a store over
+// intervals of at most blockstore.MaxCOOInterval stores one key per edge —
+// a record, or in a mixed store a group-varint delta where that is smaller
+// — and no in-index.
 func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 	l := ds.Layout
 	step := int64(blockstore.RawRecordBytes(ds.Weighted))
@@ -155,7 +156,7 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 		2*l.P*l.P, nonempty, blobs, written)
 	fmt.Fprintf(&b, "  %-8s %10s %12s %12s %7s\n", "interval", "edges", "logical B", "stored B", "ratio")
 	var totLogical, totStored, totEdges, inEntries, inIdxStored int64
-	coo := ds.InCodec(0, 0) == blockstore.CodecCOO
+	keyed := ds.InCodec(0, 0) != blockstore.CodecNone
 	for i := 0; i < l.P; i++ {
 		var logical, stored, edges int64
 		idxRaw := int64(l.Size(i)+1) * blockstore.IndexEntryBytes
@@ -163,7 +164,7 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 			edges += ds.BlockEdgeCount[i][j]
 			logical += ds.BlockEdgeCount[i][j]*step + idxRaw
 			stored += ds.OutBlockBytes(i, j) + ds.OutIndexBytes(i, j)
-			logical += ds.BlockEdgeCount[j][i]*step + ds.InIndexRawBytes(j, i)
+			logical += ds.BlockEdgeCount[j][i]*step + ds.InIndexBytes(j, i)
 			stored += ds.InBlockBytes[j][i] + ds.InIndexBytes(j, i)
 			inEntries += ds.InIndexEntries[j][i]
 			inIdxStored += ds.InIndexBytes(j, i)
@@ -175,8 +176,8 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 	}
 	fmt.Fprintf(&b, "  %-8s %10d %12d %12d %6.2fx\n", "total", totEdges, totLogical, totStored, ratio(totLogical, totStored))
 	occupancy := 100 * float64(inEntries) / float64(max(l.P*l.NumVertices, 1))
-	if coo {
-		fmt.Fprintf(&b, "  in-indices: none (one record per edge), mean in-block occupancy %.1f%%\n", occupancy)
+	if keyed {
+		fmt.Fprintf(&b, "  in-indices: none (one key per edge), mean in-block occupancy %.1f%%\n", occupancy)
 	} else {
 		fmt.Fprintf(&b, "  in-indices: %d entries in %d bytes, mean in-block occupancy %.1f%%\n", inEntries, inIdxStored, occupancy)
 	}

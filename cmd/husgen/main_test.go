@@ -45,22 +45,23 @@ func buildFor(t *testing.T, format blockstore.Format) (*blockstore.DualStore, in
 // TestBuildSummaryGolden pins the -blocks build report: husgen used to
 // print no summary at all, and this output (block population, bytes
 // written, per-interval compression ratio) is what operators size
-// datasets with. A mixed store compresses only the column view (in-blocks
-// and in-indices); its row view is stored raw, each out-block record a
+// datasets with. A mixed store compresses only the column view — at this
+// P its in-blocks, group-varint key deltas where that is smaller, with no
+// in-index; its row view is stored raw, each out-block record a
 // 16-bit local destination and its weight — 6 bytes against the 8 logical
 // ones — so an interval's stored bytes hold its out-row at three quarters
 // of their logical size.
 func TestBuildSummaryGolden(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatMixed)
 	got := buildSummary(ds, blobs, written)
-	want := `build summary: 32 blocks (18 nonempty), 65 blobs, 3203 bytes written
+	want := `build summary: 32 blocks (18 nonempty), 49 blobs, 2824 bytes written
   interval      edges    logical B     stored B   ratio
-  0                23          464          346   1.34x
-  1                 8          392          274   1.43x
-  2                 8          400          276   1.45x
-  3                 7          392          270   1.45x
-  total            46         1648         1166   1.41x
-  in-indices: 42 entries in 84 bytes, mean in-block occupancy 32.8%
+  0                23          408          349   1.17x
+  1                 8          304          280   1.09x
+  2                 8          304          282   1.08x
+  3                 7          296          276   1.07x
+  total            46         1312         1187   1.11x
+  in-indices: none (one key per edge), mean in-block occupancy 32.8%
 `
 	if got != want {
 		t.Errorf("mixed summary drifted:\ngot:\n%s\nwant:\n%s", got, want)
@@ -74,13 +75,13 @@ func TestBuildSummaryGolden(t *testing.T) {
 // and an interval's line stores exactly 2 bytes per out-edge less than its
 // logical bytes (the total line too). Its in-blocks are one record per edge,
 // at their logical size: no in-index is stored or priced, and the last line
-// says so instead of printing index bytes, with the occupancy the mixed
-// store's 42 entries give.
+// says so instead of printing index bytes, with the occupancy the blocks'
+// 42 destinations give.
 func TestBuildSummaryRawRatioIsOne(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatRaw)
 	got := buildSummary(ds, blobs, written)
 	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if last := lines[len(lines)-1]; last != "  in-indices: none (one record per edge), mean in-block occupancy 32.8%" {
+	if last := lines[len(lines)-1]; last != "  in-indices: none (one key per edge), mean in-block occupancy 32.8%" {
 		t.Fatalf("raw summary ends %q, want the line of a store without in-indices:\n%s", last, got)
 	}
 	for _, line := range lines[2 : len(lines)-1] {

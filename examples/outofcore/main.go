@@ -70,15 +70,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The in-blocks are what the mixed format compresses; TotalEdgeBytes is
-	// every edge as a raw record of the column view.
+	// The in-blocks are what the mixed format compresses: a COP scan reads
+	// each one as stored, with its in-index where it has one
+	// (InBlockStoredBytes). TotalEdgeBytes is every edge as a raw record of
+	// the column view.
 	var inBytes int64
-	for _, row := range ds.InBlockBytes {
-		for _, b := range row {
-			inBytes += b
+	for i := 0; i < ds.Layout.P; i++ {
+		for j := 0; j < ds.Layout.P; j++ {
+			inBytes += ds.InBlockStoredBytes(i, j)
 		}
 	}
-	fmt.Printf("dual-block store: %d blobs, %.1f MB in-block payload (%.0f%% of raw)\n",
+	fmt.Printf("dual-block store: %d blobs, %.1f MB of in-blocks as a scan reads them (%.0f%% of raw)\n",
 		len(store.List()), float64(inBytes)/1e6,
 		100*float64(inBytes)/float64(ds.TotalEdgeBytes()))
 

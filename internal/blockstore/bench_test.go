@@ -28,7 +28,8 @@ func benchGraphStore(b *testing.B, format Format, weighted bool) *DualStore {
 // the same graph: BuildOpts from the resident edge list, BuildStreamingOpts from
 // its WriteBinary bytes at the default spill budget, and BuildOpts from the
 // edge list shuffled, whose vertex runs arrive out of neighbour order and are
-// sorted. ns/edge is the time per input edge.
+// sorted; and BuildOpts of a mixed store, whose in-blocks are also encoded
+// as group-varint key deltas (appendGV). ns/edge is the time per input edge.
 func BenchmarkBuildRaw(b *testing.B) {
 	g := gen.RMAT(1<<14, 200000, gen.Graph500, rand.New(rand.NewSource(1)))
 	var bin bytes.Buffer
@@ -60,6 +61,10 @@ func BenchmarkBuildRaw(b *testing.B) {
 	})
 	leg("shuffled", func() error {
 		_, err := BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), shuffled, Options{P: 8, Weighted: true})
+		return err
+	})
+	leg("mixed", func() error {
+		_, err := BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, Options{P: 8, Format: FormatMixed, Weighted: true})
 		return err
 	})
 }
@@ -127,54 +132,35 @@ func BenchmarkLoadOutIndexScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeInBlock times the decode alone — every non-empty section
-// of one in-block's stored payload through AppendSection into a presized
-// buffer, no read and no CRC — and reports ns per decoded byte: the measured
-// counterpart of core's varintDecodeNsPerByte = 1.5 (ROADMAP 2c calibrates
-// against it).
+// BenchmarkDecodeInBlock times the decode alone — one CodecVarint in-block
+// through AppendGV into a presized buffer, no read and no CRC — and reports
+// ns per decoded byte: the measured counterpart of core's
+// varintDecodeNsPerByte = 1.5 (ROADMAP 2c calibrates against it). The COP
+// kernels fold the same layout without the records (core's BenchmarkCOPScan
+// /gv legs).
 func BenchmarkDecodeInBlock(b *testing.B) {
 	g := gen.RMAT(1<<14, 200000, gen.Graph500, rand.New(rand.NewSource(1)))
 	const p = 8
 	layout := NewLayout(g.NumVertices, p)
-	// In-block (0,0) — R-MAT's densest — in the (destination, source) order
-	// the build pass gives a column.
-	sorted := slices.Clone(g.Edges)
-	slices.SortFunc(sorted, func(x, y graph.Edge) int {
-		return cmp.Or(cmp.Compare(x.Dst, y.Dst), cmp.Compare(x.Src, y.Src))
-	})
+	// In-block (0,0) — R-MAT's densest — as the keys the build pass gives a
+	// column, in (destination, source) order; interval 0 starts at vertex 0.
 	var recs []Rec
-	perVertex := make([]uint32, layout.Size(0))
-	for _, e := range sorted {
+	for _, e := range g.Edges {
 		if layout.IntervalOf(e.Src) == 0 && layout.IntervalOf(e.Dst) == 0 {
-			recs = append(recs, Rec{Nbr: e.Src, Weight: 1})
-			perVertex[e.Dst]++ // interval 0 starts at vertex 0
+			recs = append(recs, Rec{Nbr: e.Dst<<16 | e.Src})
 		}
 	}
+	slices.SortFunc(recs, func(x, y Rec) int { return cmp.Compare(x.Nbr, y.Nbr) })
 	const c = CodecVarint // the sub-benchmark keeps the name the docs cite
 	b.Run(c.String(), func(b *testing.B) {
-		var payload []byte
-		var entries []uint32
-		pos := 0
-		for k, cnt := range perVertex {
-			if cnt == 0 {
-				continue
-			}
-			payload = encodeVertexRecsCodec(payload, recs[pos:pos+int(cnt)], c, 4, false)
-			entries = append(entries, uint32(k), uint32(len(payload)))
-			pos += int(cnt)
-		}
+		payload := appendGV(nil, recs, false)
 		dst := make([]byte, 0, len(recs)*RawRecordBytes(false))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out := dst[:0]
-			for e, lo := 0, uint32(0); e < len(entries); e += 2 {
-				hi := entries[e+1]
-				var err error
-				if out, err = AppendSection(out, payload[lo:hi], c, false); err != nil {
-					b.Fatal(err)
-				}
-				lo = hi
+			out, err := AppendGV(dst[:0], payload, false)
+			if err != nil {
+				b.Fatal(err)
 			}
 			if len(out) != cap(dst) {
 				b.Fatalf("decoded %d bytes, want %d", len(out), cap(dst))
@@ -186,10 +172,10 @@ func BenchmarkDecodeInBlock(b *testing.B) {
 
 // BenchmarkInBlockSweep is what one COP iteration asks of the loader on the
 // measured benchmark's graph shape (perfbench: Chung–Lu α 2.2, 2¹⁸ vertices,
-// P = 16, unweighted): all P² in-blocks — read, verify, decode and validate
-// the in-index, decode the listed sections of a compressed block — through
-// one Scratch, off a MemStore. ms/sweep is the number to compare; the parent
-// of the sparse in-index read 11.3 (raw) and 60–67 (mixed) here.
+// P = 16, unweighted): all P² in-blocks — read and verify, with no index to
+// validate at this P — through one Scratch, off a MemStore. ms/sweep is the
+// number to compare; the parent of the sparse in-index read 11.3 (raw) and
+// 60–67 (mixed) here.
 func BenchmarkInBlockSweep(b *testing.B) {
 	const n, p = 1 << 18, 16
 	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
@@ -214,50 +200,6 @@ func BenchmarkInBlockSweep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/sweep")
 		})
 	}
-}
-
-// BenchmarkDecodeInIndex times the one decode left on COP's load path: the
-// varint in-indices of a mixed store of the measured benchmark's graph
-// shape (perfbench: Chung–Lu α 2.2, 2¹⁸ vertices, P = 16), every one of the
-// P² blobs parsed and validated by decodeInIndex as the loader calls it,
-// with no read and no CRC. ns/entry is the number to compare.
-func BenchmarkDecodeInIndex(b *testing.B) {
-	const n, p = 1 << 18, 16
-	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
-	ds, err := BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, Options{P: p, Format: FormatMixed})
-	if err != nil {
-		b.Fatal(err)
-	}
-	type blob struct {
-		buf              []byte
-		size, payloadLen int
-	}
-	var blobs []blob
-	entries := 0
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if codecOf(ds.InIndexStoredBytes[i][j], ds.InIndexEntries[i][j]*InIndexEntryBytes) != CodecVarint || ds.InCodec(i, j) != CodecVarint {
-				b.Fatalf("in-block (%d,%d) or its index is not varint-coded", i, j)
-			}
-			buf, err := ds.readBlob(inIndexName(i, j), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			blobs = append(blobs, blob{buf, ds.Layout.Size(j), int(ds.InBlockBytes[i][j])})
-			entries += int(ds.InIndexEntries[i][j])
-		}
-	}
-	var dst []uint32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, x := range blobs {
-			if dst, err = decodeInIndex(dst, x.buf, CodecVarint, x.size, x.payloadLen, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
 }
 
 // BenchmarkPrefetchColumnSweep measures a full column-major in-block sweep

@@ -72,7 +72,6 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 		layout := NewLayout(numV, opts.P)
 		p = layout.P
 		d = &DualStore{store: store, Layout: layout, Weighted: opts.Weighted, retries: new(atomic.Int64), names: newBlobNames(p)}
-		d.coo = opts.Format == FormatRaw && layout.intervalSize() <= MaxCOOInterval
 		d.OutDegrees = make([]int32, numV)
 		d.InDegrees = make([]int32, numV)
 		for _, m := range metaGrids(d) {
@@ -180,8 +179,9 @@ type bucketScratch struct {
 // off the out-index it lays out, and the page CRCs of each out-index. format
 // applies to a column only, which COP streams whole; a row, which ROP reads
 // by offset, is stored raw whatever the format, each record holding its
-// local destination (OutRecordBytes). A raw column whose intervals fit 16
-// bits is stored CodecCOO, with no in-index blob.
+// local destination (OutRecordBytes). A column whose intervals fit 16 bits
+// is stored as keys with no in-index blob: CodecCOO records, or in a mixed
+// store CodecVarint where that is strictly smaller.
 //
 // Each edge of the bucket is an (indexed vertex, neighbour) pair: a row's
 // edges as they came, a column's reversed (spiller.add). A block wants its
@@ -197,14 +197,10 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	l := d.Layout
 	lo, _ := l.Bounds(b)
 	size, numV, isz := uint32(l.Size(b)), uint32(l.NumVertices), uint32(l.intervalSize())
-	view, blockKind, indexKind, codec, idBytes := "row", blobOutBlock, blobOutIndex, CodecNone, l.localIDBytes()
+	view, blockKind, indexKind, idBytes := "row", blobOutBlock, blobOutIndex, l.localIDBytes()
+	keyed := in && l.narrow() // a column of CodecCOO or CodecVarint blocks
 	if in {
 		view, blockKind, indexKind, idBytes = "column", blobInBlock, blobInIndex, 4
-		if d.coo {
-			codec = CodecCOO
-		} else if format == FormatMixed {
-			codec = CodecVarint
-		}
 	}
 	// Run (c, k) — vertex lo+k's records in block c — is key c·size+k. Count
 	// each key's records, checking the edge before its key indexes anything.
@@ -243,11 +239,11 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	for key := 0; key < keys; key++ {
 		sec := recs[bounds[key]:bounds[key+1]]
 		sortRun(sec)
-		if in && codec != CodecCOO {
+		if in && !keyed {
 			continue // a column behind an in-index keeps global neighbours
 		}
-		// A row's neighbour becomes its local destination, a CodecCOO
-		// record's its key: the local source under the local destination.
+		// A row's neighbour becomes its local destination, a keyed column's
+		// its key: the local source under the local destination.
 		base, high := uint32(key/int(size))*isz, uint32(0)
 		if in {
 			high = uint32(key%int(size)) << 16
@@ -261,28 +257,26 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 		if !in {
 			i, j = b, c
 		}
-		payload, idx := encodeBlockPayload(recs, bounds[c*int(size):(c+1)*int(size)+1], codec, idBytes, d.Weighted, in)
+		runs := bounds[c*int(size) : (c+1)*int(size)+1]
+		payload, idx := encodeBlockPayload(recs, runs, idBytes, d.Weighted, in)
+		if keyed && format == FormatMixed {
+			// Kept only where strictly smaller, as codecOf reads it.
+			if v := appendGV(make([]byte, 0, len(payload)), recs[runs[0]:runs[len(runs)-1]], d.Weighted); len(v) < len(payload) {
+				payload = v
+			}
+		}
 		if err := d.putBlob(d.names.name(blockKind, i, j), payload); err != nil {
 			return err
 		}
-		var idxPayload []byte
 		if in {
 			d.InBlockBytes[i][j] = int64(len(payload))
 			d.InIndexEntries[i][j] = int64(len(idx) / 2)
-			if codec == CodecCOO {
+			if keyed {
 				continue
 			}
-			if codec == CodecVarint {
-				if v := encodeInIndex(idx, CodecVarint); len(v) < len(idx)*IndexEntryBytes {
-					idxPayload = v // kept only where strictly smaller, as codecOf reads it
-				}
-			}
-			if idxPayload == nil {
-				idxPayload = encodeInIndex(idx, CodecNone)
-			}
-			d.InIndexStoredBytes[i][j] = int64(len(idxPayload))
-		} else {
-			idxPayload = encodeIndex(idx)
+		}
+		idxPayload := encodeIndex(idx)
+		if !in {
 			d.SourceMasks[i][j] = sourceMask(idx)
 			d.OutIndexPageCRCs[i][j] = pageCRCs(idxPayload)
 		}
@@ -305,44 +299,31 @@ func sortRun(run []Rec) {
 }
 
 // encodeBlockPayload encodes one block's per-vertex sections — vertex k's
-// records are recs[bounds[k]:bounds[k+1]] — in codec c, returning the stored
-// payload and the index into it. CodecVarint is kept only where it is
-// strictly smaller than the raw records would be (compression must pay for
-// its decode cost with real byte savings — and codecOf reads the codec back
-// off that inequality), the block encoded CodecNone otherwise; CodecCOO
-// records are CodecNone ones whose neighbours are their keys. A raw
-// record's neighbour takes idBytes (encodeVertexRecsCodec). The index is an
-// out-block's len(bounds) byte offsets, or with entries set an in-block's
-// (local, end offset) pair per vertex that has a record — written in the
-// one pass over the runs either way.
-func encodeBlockPayload(recs []Rec, bounds []uint32, c Codec, idBytes int, weighted, entries bool) ([]byte, []uint32) {
-	raw := int(bounds[len(bounds)-1]-bounds[0]) * (idBytes + RawRecordBytes(weighted) - 4)
-	encode := func(c Codec) ([]byte, []uint32) {
-		idx := make([]uint32, 0, len(bounds))
-		payload := make([]byte, 0, raw)
-		for k := 0; k+1 < len(bounds); k++ {
-			if !entries {
-				idx = append(idx, uint32(len(payload)))
-			}
-			if bounds[k] == bounds[k+1] {
-				continue
-			}
-			payload = encodeVertexRecsCodec(payload, recs[bounds[k]:bounds[k+1]], c, idBytes, weighted)
-			if entries {
-				idx = append(idx, uint32(k), uint32(len(payload)))
-			}
-		}
+// records are recs[bounds[k]:bounds[k+1]] — as packed records, returning
+// the stored payload and the index into it. A record's neighbour takes
+// idBytes (encodeVertexRecs); a keyed column's neighbours are its keys. The
+// index is an out-block's len(bounds) byte offsets, or with entries set an
+// in-block's (local, end offset) pair per vertex that has a record —
+// written in the one pass over the runs either way.
+func encodeBlockPayload(recs []Rec, bounds []uint32, idBytes int, weighted, entries bool) ([]byte, []uint32) {
+	idx := make([]uint32, 0, len(bounds))
+	payload := make([]byte, 0, int(bounds[len(bounds)-1]-bounds[0])*(idBytes+RawRecordBytes(weighted)-4))
+	for k := 0; k+1 < len(bounds); k++ {
 		if !entries {
 			idx = append(idx, uint32(len(payload)))
 		}
-		return payload, idx
-	}
-	if c == CodecVarint {
-		if payload, idx := encode(CodecVarint); len(payload) < raw {
-			return payload, idx
+		if bounds[k] == bounds[k+1] {
+			continue
+		}
+		payload = encodeVertexRecs(payload, recs[bounds[k]:bounds[k+1]], idBytes, weighted)
+		if entries {
+			idx = append(idx, uint32(k), uint32(len(payload)))
 		}
 	}
-	return encode(CodecNone)
+	if !entries {
+		idx = append(idx, uint32(len(payload)))
+	}
+	return payload, idx
 }
 
 // sourceMask is the source bitset of an out-block whose out-index is idx: bit

@@ -15,11 +15,12 @@ import (
 // that working set resident turns steady-state iterations from disk-bound to
 // memory-bound — so the engine threads every block load through a BlockCache
 // under a strict byte budget. It holds a block exactly as stored — the
-// CRC-checked payload and, for an in-block, its stored in-index bytes —
-// charged its stored size, so a compressed block takes the room it takes on
-// disk and the cache holds more of the graph. A hit costs no read and no
-// CRC; the window still validates the in-index of every in-block it hands
-// over, hit or miss, and the kernels fold a compressed one as they decode it.
+// CRC-checked payload and, for an in-block that has one, its stored
+// in-index bytes — charged its stored size, so a compressed block takes the
+// room it takes on disk and the cache holds more of the graph. A hit costs
+// no read and no CRC; the window still validates the in-index of every
+// in-block it hands over, hit or miss, and the kernels fold a compressed one
+// as they decode it.
 //
 // The cache is access-granularity-aware (PartitionedVC-style): COP's
 // in-blocks and ROP's out-indices are cached whole, while ROP's selective
@@ -81,7 +82,7 @@ type BlockKey struct {
 //
 //   - KindInBlock: Payload, the CRC-checked in-block payload in the codec
 //     the meta records (InCodec), and Index, its stored in-index bytes —
-//     nil for a CodecCOO block, which has none.
+//     nil for a CodecCOO or CodecVarint block, which has none.
 //   - KindOutIndex: Payload — the offset index LoadOutIndexScratch returns.
 //   - KindOutBlock: Payload — the out-block's packed raw records, which
 //     runs slice into.

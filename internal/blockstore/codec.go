@@ -57,109 +57,46 @@ func checkOutIndex(buf []byte, entries int) error {
 }
 
 // The offset indices above are out-indices: ROP looks a source up in O(1).
-// The in-index (DESIGN.md §4m) is one entry per destination that has a
-// record in the block, ascending — (local destination, end byte offset of
-// its section in the stored payload), a section starting where the previous
-// one ends. COP walks every listed destination and never looks one up, so
-// nothing is stored for the destinations a block has no edge for: most of
-// them, once P intervals split every destination's in-edges P ways.
-// In memory an in-index is a flat []uint32, two words per entry.
+// The in-index (DESIGN.md §4m) is kept only by the in-blocks of a store
+// whose intervals are wider than MaxCOOInterval, CodecNone: one entry per
+// destination that has a record in the block, ascending — (local
+// destination, end byte offset of its section in the stored payload), a
+// section starting where the previous one ends. COP walks every listed
+// destination and never looks one up, so nothing is stored for the
+// destinations a block has no edge for: most of them, once P intervals
+// split every destination's in-edges P ways. In memory an in-index is a
+// flat []uint32, two words per entry.
 
-// InIndexEntryBytes is one in-index entry in its fixed-width form.
+// InIndexEntryBytes is one in-index entry: two little-endian uint32, its
+// local destination and its section's end offset.
 const InIndexEntryBytes = 2 * IndexEntryBytes
 
-// encodeInIndex serializes in-index entries. CodecNone is the fixed-width
-// form, two little-endian uint32 per entry; CodecVarint stores per entry
-// uvarint(local − previous local), the previous of the first being −1, and
-// uvarint(section byte length).
-func encodeInIndex(entries []uint32, c Codec) []byte {
-	if c == CodecNone {
-		return encodeIndex(entries)
+// decodeInIndex parses an in-index into dst, reusing its capacity, and
+// validates it against what the kernels will do with it: an entry's local
+// indexes the size accumulators of the destination interval and its end
+// bounds reads of the payloadLen stored payload bytes. So locals are
+// strictly ascending and below size; ends are strictly ascending (no entry
+// without a record), multiples of step, the record size, and the last is
+// payloadLen exactly, zero entries going with an empty payload. Anything
+// else is a storage.ErrCorrupt-class error naming the entry.
+func decodeInIndex(dst []uint32, buf []byte, size, payloadLen, step int) ([]uint32, error) {
+	if len(buf)%InIndexEntryBytes != 0 {
+		return nil, fmt.Errorf("in-index of %d bytes is not whole %d-byte entries: %w", len(buf), InIndexEntryBytes, storage.ErrCorrupt)
 	}
-	buf := make([]byte, 0, len(entries)*2)
-	prevLocal, prevEnd := int64(-1), uint32(0)
-	for e := 0; e+1 < len(entries); e += 2 {
-		buf = binary.AppendUvarint(buf, uint64(int64(entries[e])-prevLocal))
-		buf = binary.AppendUvarint(buf, uint64(entries[e+1]-prevEnd))
-		prevLocal, prevEnd = int64(entries[e]), entries[e+1]
-	}
-	return buf
-}
-
-// decodeInIndex parses an in-index stored with codec c into dst, reusing its
-// capacity, and validates it against what the kernels will do with it: an
-// entry's local indexes the size accumulators of the destination interval
-// and its end bounds reads of the payloadLen stored payload bytes. So locals
-// are strictly ascending and below size; ends are strictly ascending (no
-// entry without a record), multiples of step — the record size when the
-// payload is stored raw, 1 when its sections are compressed; a power of two
-// either way — and the last is payloadLen exactly, zero entries going with
-// an empty payload. Anything else is a storage.ErrCorrupt-class error naming
-// the entry.
-//
-// It is the one decode left on COP's load path (a compressed block's
-// sections are folded as stored, core/kernel.go), so the varint arm reads
-// one-byte gaps and lengths — all but a few on a real graph — in line, and
-// tests each entry without a call.
-func decodeInIndex(dst []uint32, buf []byte, c Codec, size, payloadLen, step int) ([]uint32, error) {
 	dst = dst[:0]
+	if n := len(buf) / IndexEntryBytes; cap(dst) < n {
+		dst = make([]uint32, 0, n)
+	}
 	// nextLocal is the smallest destination the next entry may name, prevEnd
 	// where its section starts.
 	var nextLocal, prevEnd uint64
-	mask := uint64(step - 1)
-	switch c {
-	case CodecNone:
-		if len(buf)%InIndexEntryBytes != 0 {
-			return nil, fmt.Errorf("in-index of %d bytes is not whole %d-byte entries: %w", len(buf), InIndexEntryBytes, storage.ErrCorrupt)
+	for off := 0; off < len(buf); off += InIndexEntryBytes {
+		local, end := uint64(binary.LittleEndian.Uint32(buf[off:])), uint64(binary.LittleEndian.Uint32(buf[off+4:]))
+		if local < nextLocal || local >= uint64(size) || end <= prevEnd || end > uint64(payloadLen) || end%uint64(step) != 0 {
+			return nil, inIndexEntryError(len(dst)/2, local, end, nextLocal, prevEnd, size, payloadLen, step)
 		}
-		if n := len(buf) / IndexEntryBytes; cap(dst) < n {
-			dst = make([]uint32, 0, n)
-		}
-		for off := 0; off < len(buf); off += InIndexEntryBytes {
-			local, end := uint64(binary.LittleEndian.Uint32(buf[off:])), uint64(binary.LittleEndian.Uint32(buf[off+4:]))
-			if local < nextLocal || local >= uint64(size) || end <= prevEnd || end > uint64(payloadLen) || end&mask != 0 {
-				return nil, inIndexEntryError(len(dst)/2, local, end, nextLocal, prevEnd, size, payloadLen, step)
-			}
-			dst = append(dst, uint32(local), uint32(end))
-			nextLocal, prevEnd = local+1, end
-		}
-	case CodecVarint:
-		for off := 0; off < len(buf); {
-			// gap = local − previous local and length = the section's bytes,
-			// each a uvarint; binary.Uvarint takes the longer ones and every
-			// malformed one.
-			gap, length := uint64(buf[off]), uint64(0)
-			if off++; gap >= 0x80 {
-				n := 0
-				if gap, n = binary.Uvarint(buf[off-1:]); n <= 0 {
-					return nil, fmt.Errorf("in-index entry %d: truncated or overlong varint at offset %d: %w", len(dst)/2, off-1, storage.ErrCorrupt)
-				}
-				off += n - 1
-			}
-			if off < len(buf) && buf[off] < 0x80 {
-				length = uint64(buf[off])
-				off++
-			} else {
-				n := 0
-				if length, n = binary.Uvarint(buf[off:]); n <= 0 {
-					return nil, fmt.Errorf("in-index entry %d: truncated or overlong varint at offset %d: %w", len(dst)/2, off, storage.ErrCorrupt)
-				}
-				off += n
-			}
-			// A zero gap repeats the previous destination; and bounding both
-			// before the sums keeps them from wrapping.
-			if gap == 0 || gap > uint64(size) || length > uint64(payloadLen) {
-				return nil, fmt.Errorf("in-index entry %d: gap %d, section length %d for an interval of %d and %d payload bytes: %w", len(dst)/2, gap, length, size, payloadLen, storage.ErrCorrupt)
-			}
-			local, end := nextLocal+gap-1, prevEnd+length
-			if local >= uint64(size) || end <= prevEnd || end > uint64(payloadLen) || end&mask != 0 {
-				return nil, inIndexEntryError(len(dst)/2, local, end, nextLocal, prevEnd, size, payloadLen, step)
-			}
-			dst = append(dst, uint32(local), uint32(end))
-			nextLocal, prevEnd = local+1, end
-		}
-	default:
-		return nil, fmt.Errorf("in-index stored with codec %v: %w", c, storage.ErrCorrupt)
+		dst = append(dst, uint32(local), uint32(end))
+		nextLocal, prevEnd = local+1, end
 	}
 	if prevEnd != uint64(payloadLen) {
 		return nil, fmt.Errorf("in-index covers %d of the %d payload bytes: %w", prevEnd, payloadLen, storage.ErrCorrupt)
@@ -229,38 +166,36 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 }
 
 // metaMagic marks the meta layout below. A meta under any other magic was
-// written by an older build, and Open refuses it (errOlderStore): "HUSH" is
-// this layout over out-blocks of global destinations, "HUSG" that from
-// before CodecCOO, "HUSF" that with stored-size grids for the out-blocks and
-// out-indices, which a mixed store could then compress, "HUSE" without the
-// out-index page CRCs, "HUSD" without the source masks.
-const metaMagic = "HUSI"
+// written by an older build, and Open refuses it (errOlderStore): "HUSI" is
+// this layout with a grid of in-index stored sizes and a flag for CodecCOO
+// in-blocks, whose mixed stores kept varint sections behind varint
+// in-indices, "HUSH" that over out-blocks of global destinations, "HUSG"
+// that from before CodecCOO, "HUSF" that with stored-size grids for the
+// out-blocks and out-indices, which a mixed store could then compress,
+// "HUSE" without the out-index page CRCs, "HUSD" without the source masks.
+const metaMagic = "HUSJ"
 
 // metaHeaderLen is the magic and the vertex count, interval count and flags
-// word that follow it, whose bits say the records carry weights and the
-// in-blocks are CodecCOO.
+// word that follow it, whose one bit says the records carry weights.
 const metaHeaderLen = 4 + 3*8
 
-const (
-	metaWeighted = 1 << iota
-	metaCOO
-)
+const metaWeighted = 1
 
 // metaGrids are the P×P int64 grids a meta records, in order.
 func metaGrids(d *DualStore) []*[][]int64 {
-	return []*[][]int64{&d.BlockEdgeCount, &d.InBlockBytes, &d.InIndexEntries, &d.InIndexStoredBytes}
+	return []*[][]int64{&d.BlockEdgeCount, &d.InBlockBytes, &d.InIndexEntries}
 }
 
 // encodeMeta serializes the DualStore metadata: layout and flags, per-vertex
 // degrees, per-block edge counts, per in-block its stored payload size and
-// the entry count and stored size of its in-index, then — row-major, nonempty blocks
-// only — every out-block's source mask, ⌈Size(i)/64⌉ little-endian words,
+// the count of destinations it has records for — its in-index entries
+// where it has an in-index — then — row-major, nonempty blocks only —
+// every out-block's source mask, ⌈Size(i)/64⌉ little-endian words,
 // and last — row-major — the CRC32C of each PageBytes page of every
 // out-index, ⌈(Size(i)+1)·4/PageBytes⌉ little-endian words. The row view is
 // stored raw, so its sizes follow from the edge counts and the layout and
 // are not recorded. So a store written by a build can be reopened, every
-// in-block's and in-index's codec read off the flags or its stored size
-// (codecOf), ROP
+// in-block's codec read off the layout and its stored size (InCodec), ROP
 // told which blocks an active source has an edge in, and a page of an
 // out-index checked on its own. The predictor prices I/O from the same
 // sizes and masks.
@@ -275,9 +210,6 @@ func encodeMeta(d *DualStore) []byte {
 	flags := uint64(0)
 	if d.Weighted {
 		flags |= metaWeighted
-	}
-	if d.coo {
-		flags |= metaCOO
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, flags)
 	for v := 0; v < n; v++ {
@@ -334,7 +266,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	nv := binary.LittleEndian.Uint64(buf[4:])
 	np := binary.LittleEndian.Uint64(buf[12:])
 	flags := binary.LittleEndian.Uint64(buf[20:])
-	if flags > metaWeighted|metaCOO {
+	if flags > metaWeighted {
 		return fail("bad flags word %#x", flags)
 	}
 	// Vertex IDs are uint32 and NewLayout never keeps more intervals than
@@ -342,10 +274,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	if nv > math.MaxUint32 || np < 1 || (nv > 0 && np > nv) {
 		return fail("%d vertices in %d intervals", nv, np)
 	}
-	d := &DualStore{Layout: Layout{NumVertices: int(nv), P: int(np)}, Weighted: flags&metaWeighted != 0, coo: flags&metaCOO != 0, retries: new(atomic.Int64)}
-	if d.coo && d.Layout.intervalSize() > MaxCOOInterval {
-		return fail("CodecCOO in-blocks over intervals of %d vertices", d.Layout.intervalSize())
-	}
+	d := &DualStore{Layout: Layout{NumVertices: int(nv), P: int(np)}, Weighted: flags&metaWeighted != 0, retries: new(atomic.Int64)}
 	grids := metaGrids(d)
 	cell := uint64(len(grids) * 8)
 	// np·np·cell is compared by division first, so the product cannot wrap.
@@ -384,12 +313,17 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 					return fail("cell (%d,%d) records a negative count or size", i, j)
 				}
 			}
-			if d.InBlockBytes[i][j] > d.inRawBytes(i, j) || d.InIndexStoredBytes[i][j] > d.InIndexRawBytes(i, j) {
+			if d.InBlockBytes[i][j] > d.inRawBytes(i, j) {
 				return fail("cell (%d,%d) stores more than its raw bytes", i, j)
 			}
-			// A CodecCOO in-block is one record per edge and nothing else.
-			if d.coo && d.InBlockBytes[i][j] != d.inRawBytes(i, j) {
-				return fail("cell (%d,%d) records %d in-block bytes for %d CodecCOO records", i, j, d.InBlockBytes[i][j], d.BlockEdgeCount[i][j])
+			// Over wide intervals an in-block is its CodecNone records.
+			if !d.Layout.narrow() && d.InBlockBytes[i][j] != d.inRawBytes(i, j) {
+				return fail("cell (%d,%d) records %d in-block bytes for %d CodecNone records", i, j, d.InBlockBytes[i][j], d.BlockEdgeCount[i][j])
+			}
+			// A block has a destination for each record at most, and one at
+			// least if it has any.
+			if n := d.InIndexEntries[i][j]; n > d.BlockEdgeCount[i][j] || (n == 0) != (d.BlockEdgeCount[i][j] == 0) {
+				return fail("cell (%d,%d) records %d destinations for %d edges", i, j, n, d.BlockEdgeCount[i][j])
 			}
 			if d.BlockEdgeCount[i][j] > 0 {
 				words += maskWords(d.Layout.Size(i))

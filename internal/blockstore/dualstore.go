@@ -91,19 +91,13 @@ type DualStore struct {
 	// (the bytes I/O actually moves, which is what the predictor prices, and
 	// what the loaders hold every whole block read to):
 	// inRawBytes stored raw, less compressed. An out-block's is always
-	// OutBlockBytes.
+	// OutBlockBytes. Where intervals fit 16 bits an in-block's codec is read
+	// off it (InCodec).
 	InBlockBytes [][]int64
 	// InIndexEntries[i][j] is the number of destinations of interval j with
-	// an edge in in-block(i,j) — the entries of its in-index — and
-	// InIndexStoredBytes[i][j] that index's stored size: 8 bytes an entry
-	// stored raw, less compressed, 0 for a CodecCOO block, which stores
-	// none. An in-block's and an in-index's codec is read off these sizes
-	// (codecOf), unless the store is coo.
-	InIndexEntries     [][]int64
-	InIndexStoredBytes [][]int64
-	// coo marks a store whose in-blocks are all CodecCOO: FormatRaw over
-	// intervals of at most MaxCOOInterval vertices.
-	coo bool
+	// an edge in in-block(i,j): the entries of its in-index, where it has
+	// one (InIndexBytes).
+	InIndexEntries [][]int64
 	// SourceMasks[i][j] is the bitset of interval i's sources that have an
 	// edge in block (i,j) — bit k, in word k/64, for source lo_i+k: the
 	// sources whose out-index(i,j) section is nonempty — ⌈Size(i)/64⌉ words
@@ -118,10 +112,12 @@ type DualStore struct {
 	names *blobNames
 }
 
-// InCodec returns the codec of in-block(i,j)'s stored payload.
+// InCodec returns the codec of in-block(i,j)'s stored payload: CodecNone
+// over intervals wider than MaxCOOInterval, else CodecCOO or — stored in
+// fewer bytes than its records take — CodecVarint.
 func (d *DualStore) InCodec(i, j int) Codec {
-	if d.coo {
-		return CodecCOO
+	if !d.Layout.narrow() {
+		return CodecNone
 	}
 	return codecOf(d.InBlockBytes[i][j], d.inRawBytes(i, j))
 }
@@ -133,34 +129,24 @@ func (d *DualStore) inRawBytes(i, j int) int64 {
 	return d.BlockEdgeCount[i][j] * int64(RawRecordBytes(d.Weighted))
 }
 
-// inIndexCodec returns the codec of in-index(i,j) as stored: CodecNone for
-// a CodecCOO block too, which has none.
-func (d *DualStore) inIndexCodec(i, j int) Codec {
-	return codecOf(d.InIndexStoredBytes[i][j], d.InIndexRawBytes(i, j))
-}
-
 // InBlockStoredBytes returns the stored bytes of in-block(i,j) with its
 // in-index: what a COP scan reads of the block, and what the block cache
 // charges for it, since it holds the block as stored.
 func (d *DualStore) InBlockStoredBytes(i, j int) int64 {
-	return d.InBlockBytes[i][j] + d.InIndexStoredBytes[i][j]
+	return d.InBlockBytes[i][j] + d.InIndexBytes(i, j)
 }
 
 // InDecodeBytes returns what folding in-block(i,j) decodes: the logical
-// bytes — its raw records if the block is stored varint, plus its entries'
-// raw bytes if its in-index is — and the stored bytes they come from. It is
-// a function of the meta alone, so the predictor prices and an iteration
-// counts the same decode, whether the block came from the device or the
-// cache: the kernels fold a block as stored either way.
+// bytes — its CodecCOO records if the block is stored CodecVarint, else
+// none — and the stored bytes they come from. It is a function of the meta
+// alone, so the predictor prices and an iteration counts the same decode,
+// whether the block came from the device or the cache: the kernels fold a
+// block as stored either way.
 func (d *DualStore) InDecodeBytes(i, j int) (logical, stored int64) {
 	if d.InCodec(i, j) == CodecVarint {
-		logical, stored = d.inRawBytes(i, j), d.InBlockBytes[i][j]
+		return d.inRawBytes(i, j), d.InBlockBytes[i][j]
 	}
-	if d.inIndexCodec(i, j) == CodecVarint {
-		logical += d.InIndexRawBytes(i, j)
-		stored += d.InIndexStoredBytes[i][j]
-	}
-	return logical, stored
+	return 0, 0
 }
 
 // Extent is the span of the sources a ROP push reads from one out-block:
@@ -550,16 +536,16 @@ func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, buf [
 // LoadInBlockBytesScratch streams in-block(i,j) with its index, charged as
 // sequential reads — COP's block scan (Alg. 3 line 5) — and returns it as
 // stored: payload is the CRC-checked payload, InCodec(i,j) its layout, and
-// entries one (local destination, end byte offset of its section in payload)
-// pair per destination of the interval that has a record, ascending, each
-// section starting where the previous one ends — nil for a CodecCOO block,
-// which has no index and is one read. A stored-raw block holds packed raw
-// records (RawRecordBytes each, iterated in place via RawRec); a compressed
-// one holds self-contained varint sections, which the COP kernels fold as
-// they decode them (core/kernel.go). Both views alias sc's buffers. It is
-// the two steps of the prefetch window's hand-over, without the cache: the
-// read (readInBlock), then the in-index validated into entries
-// (inBlockEntries).
+// for a CodecNone block entries, one (local destination, end byte offset of
+// its section in payload) pair per destination of the interval that has a
+// record, ascending, each section starting where the previous one ends. A
+// CodecCOO or CodecVarint block has no index, is one read and gets nil
+// entries. CodecNone and CodecCOO blocks hold packed raw records
+// (RawRecordBytes each, iterated in place via RawRec); a CodecVarint one
+// holds group-varint key deltas, which the COP kernels fold as they decode
+// them (core/kernel.go). Both views alias sc's buffers. It is the two steps
+// of the prefetch window's hand-over, without the cache: the read
+// (readInBlock), then the in-index validated into entries (inBlockEntries).
 func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
 	payload, idx, err := d.readInBlock(i, j, sc)
 	if err != nil {
@@ -575,9 +561,10 @@ func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []ui
 
 // readInBlock reads in-block(i,j) and its in-index as stored, each blob
 // CRC-checked, into sc's buffers: the payload, which must be the stored size
-// the meta records, and the stored in-index bytes, nil for a CodecCOO block.
+// the meta records, and the stored in-index bytes, nil where intervals fit
+// 16 bits, whose in-blocks have none.
 func (d *DualStore) readInBlock(i, j int, sc *Scratch) (payload, idx []byte, err error) {
-	if d.InCodec(i, j) != CodecCOO {
+	if d.InCodec(i, j) == CodecNone {
 		if idx, err = d.readBlob(d.names.name(blobInIndex, i, j), &sc.idxRaw); err != nil {
 			return nil, nil, err
 		}
@@ -593,25 +580,23 @@ func (d *DualStore) readInBlock(i, j int, sc *Scratch) (payload, idx []byte, err
 }
 
 // inBlockEntries parses in-block(i,j)'s stored in-index idx into dst,
-// reusing its capacity, and checks it against the payload it indexes — nil
-// for a CodecCOO block. The kernels index accumulators and payload by the
-// entries unchecked, so every rule they rely on is checked here
-// (decodeInIndex), on every hand-over, whether the bytes came from the
-// device or the cache. A violation means a blob lied (or the blobs come from
-// two builds) and is reported as corruption. What a section or a CodecCOO
-// record says is checked by whoever folds it: a malformed varint, a
-// neighbour that names no vertex or a record out of order stops the
-// kernel's fold.
+// reusing its capacity, and checks it against the payload it indexes and
+// the entry count the meta records — nil for a block with no index. The
+// kernels index accumulators and payload by the entries unchecked, so every
+// rule they rely on is checked here (decodeInIndex), on every hand-over,
+// whether the bytes came from the device or the cache. A violation means a
+// blob lied (or the blobs come from two builds) and is reported as
+// corruption. What a record or a key delta says is checked by whoever folds
+// it: a neighbour that names no vertex, a record out of order or a
+// malformed segment stops the kernel's fold.
 func (d *DualStore) inBlockEntries(i, j int, payload, idx []byte, dst []uint32) ([]uint32, error) {
-	c := d.InCodec(i, j)
-	if c == CodecCOO {
+	if d.InCodec(i, j) != CodecNone {
 		return nil, nil
 	}
-	step := 1
-	if c == CodecNone {
-		step = RawRecordBytes(d.Weighted)
+	entries, err := decodeInIndex(dst, idx, d.Layout.Size(j), len(payload), RawRecordBytes(d.Weighted))
+	if err == nil && int64(len(entries)/2) != d.InIndexEntries[i][j] {
+		err = fmt.Errorf("%d entries, meta records %d: %w", len(entries)/2, d.InIndexEntries[i][j], storage.ErrCorrupt)
 	}
-	entries, err := decodeInIndex(dst, idx, d.inIndexCodec(i, j), d.Layout.Size(j), len(payload), step)
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: %s over %s: %w", d.names.name(blobInIndex, i, j), d.names.name(blobInBlock, i, j), err)
 	}
@@ -629,10 +614,10 @@ func checkStoredSize(name string, payload []byte, stored int64) error {
 	return nil
 }
 
-// LoadInBlockScratch is LoadInBlockBytesScratch without the index: of a
-// compressed block the stored payload, as the prefetch workers hand it
-// over. perfbench/trace.go calls it for compressed blocks; it goes when a
-// benchmark PR drops that call (ROADMAP 7d).
+// LoadInBlockScratch is LoadInBlockBytesScratch without the index: the
+// stored payload, as the prefetch workers hand it over. perfbench/trace.go
+// calls it for compressed blocks; it goes when a benchmark PR drops that
+// call (ROADMAP 7d).
 func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) ([]byte, error) {
 	payload, _, err := d.LoadInBlockBytesScratch(i, j, sc)
 	return payload, err
@@ -669,14 +654,10 @@ func (d *DualStore) OutIndexBytes(i, j int) int64 {
 	return int64(d.Layout.Size(i)+1) * IndexEntryBytes
 }
 
-// InIndexBytes returns the stored size of in-index(i,j), as recorded when
-// it was written: 0 for a CodecCOO block, which has none.
-func (d *DualStore) InIndexBytes(i, j int) int64 { return d.InIndexStoredBytes[i][j] }
-
-// InIndexRawBytes returns the size of in-index(i,j)'s decoded entries,
-// InIndexEntryBytes each: 0 for a CodecCOO block, which has no index.
-func (d *DualStore) InIndexRawBytes(i, j int) int64 {
-	if d.coo {
+// InIndexBytes returns the size of in-index(i,j), InIndexEntryBytes an
+// entry: 0 where intervals fit 16 bits, whose in-blocks have none.
+func (d *DualStore) InIndexBytes(i, j int) int64 {
+	if d.Layout.narrow() {
 		return 0
 	}
 	return d.InIndexEntries[i][j] * InIndexEntryBytes

@@ -357,17 +357,16 @@ func TestEmptyGraphBuild(t *testing.T) {
 func TestCodecRejectsCorruptPayloads(t *testing.T) {
 	for _, c := range []struct {
 		what     string
-		section  []byte
-		codec    Codec
+		payload  []byte
 		weighted bool
 	}{
-		{"raw payload of 7 bytes", make([]byte, 7), CodecNone, true},
-		{"varint whose weight is cut off", []byte{0x01, 0xAA}, CodecVarint, true},
-		{"unterminated varint", []byte{0xFF}, CodecVarint, true},
-		{"neighbor past uint32", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, CodecVarint, false},
-		{"unknown codec", nil, Codec(2), false},
+		{"a segment whose weights are cut off", []byte{1, 2, 0, 1, 0xAA}, true},
+		{"an unterminated record count", []byte{0xFF}, false},
+		{"a segment of no record", []byte{0, 1, 0}, false},
+		{"a key past 2³²", []byte{2, 9, 0xf3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, false},
+		{"a second segment on the first one's destination", []byte{1, 2, 0, 1, 1, 2, 0, 2}, false},
 	} {
-		if _, err := AppendSection(nil, c.section, c.codec, c.weighted); !errors.Is(err, storage.ErrCorrupt) {
+		if _, err := AppendGV(nil, c.payload, c.weighted); !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
 		}
 	}
@@ -388,9 +387,9 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.InIndexStoredBytes[1][0]++
+	ds.InBlockBytes[1][0]++
 	if _, err := decodeMeta(encodeMeta(ds)); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("in-index stored past its raw size: err = %v, want storage.ErrCorrupt-class", err)
+		t.Fatalf("in-block stored past its raw size: err = %v, want storage.ErrCorrupt-class", err)
 	}
 }
 

@@ -52,11 +52,14 @@ func ExampleDualStore_LoadOutRunScratch() {
 }
 
 // ExampleBuildOpts builds an unweighted store whose in-blocks are compressed
-// where that pays — the compact layout for PageRank/BFS/WCC workloads.
+// where that pays — the compact layout for PageRank/BFS/WCC workloads. Six
+// edges from interval 0 into interval 1 take 24 bytes as records and fewer
+// as group-varint key deltas.
 func ExampleBuildOpts() {
-	g := graph.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
+	g := graph.New(6)
+	for _, e := range [][2]graph.VertexID{{0, 3}, {0, 4}, {0, 5}, {1, 3}, {1, 4}, {2, 5}} {
+		g.AddEdge(e[0], e[1])
+	}
 	store := storage.NewMemStore(storage.NewDevice(storage.RAM))
 	ds, err := blockstore.BuildOpts(store, g, blockstore.Options{
 		P:        2,
@@ -70,5 +73,5 @@ func ExampleBuildOpts() {
 	fmt.Println("edges:", ds.NumEdges())
 	// Output:
 	// in-block (0,1): varint
-	// edges: 2
+	// edges: 6
 }

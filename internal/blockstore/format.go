@@ -4,34 +4,34 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"husgraph/internal/storage"
 )
 
 // Format is a build's compression policy: which encodings a build may store
-// the column view — in-blocks and in-indices, which COP streams whole — in.
-// The row view — out-blocks and out-indices, which ROP reads by offset — is
-// stored raw in every format, an out-block as one record per edge holding
-// its interval-local destination (OutRecordBytes). The format is not
-// recorded anywhere — a store is one format on disk, and a blob's codec
-// follows from its stored size (codecOf).
+// the column view — the in-blocks, which COP streams whole — in. The row
+// view — out-blocks and out-indices, which ROP reads by offset — is stored
+// raw in every format, an out-block as one record per edge holding its
+// interval-local destination (OutRecordBytes). The format is not recorded
+// anywhere — a store is one format on disk, and an in-block's codec follows
+// from the layout and its stored size (DualStore.InCodec).
 type Format int
 
 const (
-	// FormatRaw stores fixed-size packed records (neighbor uint32 behind an
-	// index, or in-blocks CodecCOO where intervals fit 16 bits; plus a
-	// float32 weight on weighted stores): nothing to decode, supports
-	// direct slicing.
+	// FormatRaw stores fixed-size packed records (CodecCOO where intervals
+	// fit 16 bits, else CodecNone behind an in-index; plus a float32 weight
+	// on weighted stores): nothing to decode, supports direct slicing.
 	FormatRaw Format = iota
-	// FormatMixed picks a codec (none | varint) *per in-block and per
-	// in-index* at build time, keeping varint only where it is strictly
-	// smaller. Per-destination sections stay self-contained (delta chains
-	// restart at every section boundary), so COP folds each as stored. The
-	// CRC32C of every frame covers the *compressed* bytes (see frame.go).
-	// This is GraphMP's compressed streamed shards, and like there the codec
-	// is a property of storage only: every in-block decodes back into the
-	// packed records FormatRaw stores (AppendSection). The out-blocks and
-	// out-indices are byte for byte a raw store's.
+	// FormatMixed stores each in-block of a store whose intervals fit 16
+	// bits as CodecVarint, group-varint deltas of its CodecCOO keys, where
+	// that is strictly smaller, and as the CodecCOO records otherwise.
+	// COP folds either as stored. The CRC32C of every frame covers the
+	// *compressed* bytes (see frame.go). This is GraphMP's compressed
+	// streamed shards, and like there the codec is a property of storage
+	// only: every CodecVarint block decodes back into the records FormatRaw
+	// stores (AppendGV). Over wider intervals a mixed store is a raw one;
+	// its out-blocks and out-indices are always byte for byte a raw store's.
 	FormatMixed
 )
 
@@ -59,18 +59,20 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// Codec identifies the encoding of one in-block's (or in-index's) stored
-// payload. The row view of every store is raw (OutRecordBytes); a FormatRaw
-// store's in-blocks are CodecCOO where intervals fit 16 bits, else
-// CodecNone; in a FormatMixed store an in-block or in-index is CodecVarint
-// exactly when its stored size is below its raw size (codecOf).
+// Codec identifies the encoding of one in-block's stored payload. The row
+// view of every store is raw (OutRecordBytes). Where intervals fit 16 bits
+// (MaxCOOInterval) an in-block has no in-index and is CodecCOO, or in a
+// FormatMixed store CodecVarint exactly when its stored size is below its
+// raw size (codecOf); over wider intervals it is CodecNone behind an
+// in-index, in either format.
 type Codec uint8
 
 const (
-	// CodecNone stores sections as packed fixed-size raw records.
+	// CodecNone stores sections as packed fixed-size raw records behind an
+	// in-index: the layout of intervals wider than MaxCOOInterval.
 	CodecNone Codec = iota
-	// CodecVarint delta-gap varint encodes each section's sorted neighbor
-	// IDs; weights, when stored, follow each ID as raw float32 bits.
+	// CodecVarint stores a block's CodecCOO keys as group-varint deltas
+	// in segments, and no in-index (appendGV).
 	CodecVarint
 	// CodecCOO stores an in-block as one record per edge and no in-index:
 	// a little-endian uint32 key — local destination high, local source
@@ -80,18 +82,19 @@ const (
 )
 
 // MaxCOOInterval is the widest interval a 16-bit local ID addresses: a
-// FormatRaw store whose intervals are no wider stores in-blocks CodecCOO.
+// store whose intervals are no wider stores its in-blocks' edges as keys,
+// CodecCOO or CodecVarint, with no in-index.
 const MaxCOOInterval = 1 << 16
 
-// codecOf is the codec of a blob stored in stored bytes whose CodecNone
-// encoding takes raw. The builder keeps varint only where it is strictly
-// smaller (encodeBlockPayload, encodeBucket), so the stored size the meta
-// records is the codec: nothing else on disk names it.
+// codecOf is the codec of an in-block keyed by (destination, source), stored
+// in stored bytes whose CodecCOO records take raw. The builder keeps
+// CodecVarint only where it is strictly smaller (encodeBucket), so the
+// stored size the meta records is the codec: nothing else on disk names it.
 func codecOf(stored, raw int64) Codec {
 	if stored < raw {
 		return CodecVarint
 	}
-	return CodecNone
+	return CodecCOO
 }
 
 // String names the codec for reports and frame errors.
@@ -108,105 +111,205 @@ func (c Codec) String() string {
 	}
 }
 
-// encodeVertexRecsCodec serializes one vertex's records (sorted by
-// neighbor, repeats allowed) with the given codec, appending to dst. A
-// CodecNone record's neighbour takes idBytes bytes: 4, or 2 in the
-// out-blocks of a store whose intervals fit 16 bits (OutRecordBytes).
-// Unweighted encodings drop the weight field entirely — the compactness real
-// systems exploit for PageRank, BFS and WCC (§4.4 credits HUS-Graph's "more
-// space-efficient" storage). Every section is self-contained: the varint
-// delta chain starts from -1, so a byte-range read of any subset of sections
-// decodes without context.
-func encodeVertexRecsCodec(dst []byte, recs []Rec, c Codec, idBytes int, weighted bool) []byte {
-	switch c {
-	case CodecNone:
-		for _, r := range recs {
-			if idBytes == 2 {
-				dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Nbr))
-			} else {
-				dst = binary.LittleEndian.AppendUint32(dst, r.Nbr)
+// encodeVertexRecs serializes one vertex's records as packed fixed-size
+// records, appending to dst. A record's neighbour takes idBytes bytes: 4,
+// or 2 in the out-blocks of a store whose intervals fit 16 bits
+// (OutRecordBytes); a CodecCOO record's neighbour is its key. Unweighted
+// encodings drop the weight field entirely — the compactness real systems
+// exploit for PageRank, BFS and WCC (§4.4 credits HUS-Graph's "more
+// space-efficient" storage).
+func encodeVertexRecs(dst []byte, recs []Rec, idBytes int, weighted bool) []byte {
+	for _, r := range recs {
+		if idBytes == 2 {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Nbr))
+		} else {
+			dst = binary.LittleEndian.AppendUint32(dst, r.Nbr)
+		}
+		if weighted {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(r.Weight))
+		}
+	}
+	return dst
+}
+
+// A CodecVarint in-block (DESIGN.md §4f) is its CodecCOO keys — local
+// destination << 16 | local source, non-decreasing — as deltas, cut into
+// segments. A segment is
+//
+//	uvarint(records) uvarint(key bytes) key bytes [records float32 weights]
+//
+// whose key bytes are groups of four deltas, the last group of a segment
+// holding the one to three left over: one tag byte, two bits per delta
+// (its byte length − 1, the first delta in the low bits), then each delta
+// in that many little-endian bytes. A segment's first delta is taken from
+// key 0, so it is the segment's first key; the weights, on a weighted
+// store, follow the keys in order. A segment ends at the first destination
+// change after GVSegmentRecords records, so every segment but the first
+// starts at a destination above the key before it, and a COP fold splits
+// a block at segment starts without decoding it (core's gvChunks).
+
+// GVSegmentRecords is the fewest records a segment of a CodecVarint
+// in-block holds, but the block's last.
+const GVSegmentRecords = 1024
+
+// gvLen is the byte length of delta x in a group: 1 to 4.
+func gvLen(x uint32) int { return 1 + (bits.Len32(x|1)-1)/8 }
+
+// appendGV appends the CodecVarint encoding of recs, whose neighbours are
+// CodecCOO keys in non-decreasing order, to dst.
+func appendGV(dst []byte, recs []Rec, weighted bool) []byte {
+	for len(recs) > 0 {
+		n := min(GVSegmentRecords, len(recs))
+		for n < len(recs) && recs[n].Nbr>>16 == recs[n-1].Nbr>>16 {
+			n++
+		}
+		seg := recs[:n]
+		recs = recs[n:]
+		size, prev := (n+3)/4, uint32(0)
+		for _, r := range seg {
+			if r.Nbr < prev {
+				panic(fmt.Sprintf("blockstore: keys not sorted (%#x after %#x)", r.Nbr, prev))
 			}
-			if weighted {
+			size += gvLen(r.Nbr - prev)
+			prev = r.Nbr
+		}
+		dst = binary.AppendUvarint(dst, uint64(n))
+		dst = binary.AppendUvarint(dst, uint64(size))
+		prev = 0
+		for g := 0; g < n; g += 4 {
+			at := len(dst)
+			dst = append(dst, 0)
+			for s := 0; s < 4 && g+s < n; s++ {
+				delta := seg[g+s].Nbr - prev
+				prev = seg[g+s].Nbr
+				l := gvLen(delta)
+				dst[at] |= byte(l-1) << (2 * s)
+				dst = binary.LittleEndian.AppendUint32(dst, delta)[:len(dst)+l]
+			}
+		}
+		if weighted {
+			for _, r := range seg {
 				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(r.Weight))
 			}
 		}
-		return dst
-	case CodecVarint:
-		prev := int64(-1)
-		var scratch [4]byte
-		for _, r := range recs {
-			// A repeated neighbour — a multigraph's parallel edge — is a zero
-			// gap, which AppendSection and the COP kernels read back as the
-			// same neighbour; only the first gap, from −1, cannot be zero.
-			delta := int64(r.Nbr) - prev
-			if delta < 0 {
-				panic(fmt.Sprintf("blockstore: records not sorted by neighbor (%d after %d)", r.Nbr, prev))
-			}
-			dst = binary.AppendUvarint(dst, uint64(delta))
-			if weighted {
-				binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(r.Weight))
-				dst = append(dst, scratch[:]...)
-			}
-			prev = int64(r.Nbr)
-		}
-		return dst
-	default:
-		panic("blockstore: unknown codec")
 	}
+	return dst
 }
 
-// AppendSection decodes one vertex's self-contained record section, stored
-// with codec c, into the packed raw records its CodecNone twin stores —
-// RawRecordBytes(weighted) bytes each — appending them to dst. It is the
-// only section decoder: the COP fallback kernel's sections go through it;
-// the specialised COP kernels fold a varint section as stored and must
-// accept and produce exactly what it does (core's FuzzFoldVarint).
-// Malformed input yields storage.ErrCorrupt-class errors — never a panic or
-// an out-of-bounds read — so corrupt-on-disk sections surface through the
-// same fault taxonomy as a bad frame CRC.
-func AppendSection(dst, section []byte, c Codec, weighted bool) ([]byte, error) {
-	step := RawRecordBytes(weighted)
-	switch c {
-	case CodecNone:
-		if len(section)%step != 0 {
-			return nil, fmt.Errorf("blockstore: raw payload length %d not a multiple of %d: %w", len(section), step, storage.ErrCorrupt)
-		}
-		return append(dst, section...), nil
-	case CodecVarint:
-		prev := int64(-1)
-		for off := 0; off < len(section); {
-			// Gaps of one to three bytes — all but a handful — are read in
-			// line; binary.Uvarint takes the rest and every malformed one.
-			var delta uint64
-			n := 0
-			if b0 := section[off]; b0 < 0x80 {
-				delta, n = uint64(b0), 1
-			} else if off+1 < len(section) && section[off+1] < 0x80 {
-				delta, n = uint64(b0&0x7f)|uint64(section[off+1])<<7, 2
-			} else if off+2 < len(section) && section[off+2] < 0x80 {
-				delta, n = uint64(b0&0x7f)|uint64(section[off+1]&0x7f)<<7|uint64(section[off+2])<<14, 3
-			} else if delta, n = binary.Uvarint(section[off:]); n <= 0 {
-				return nil, fmt.Errorf("blockstore: corrupt varint at offset %d: %w", off, storage.ErrCorrupt)
-			}
-			off += n
-			nbr := prev + int64(delta)
-			if nbr < 0 || nbr > math.MaxUint32 {
-				return nil, fmt.Errorf("blockstore: neighbor id %d out of range: %w", nbr, storage.ErrCorrupt)
-			}
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(nbr))
-			if weighted {
-				if off+4 > len(section) {
-					return nil, fmt.Errorf("blockstore: truncated weight at offset %d: %w", off, storage.ErrCorrupt)
-				}
-				dst = append(dst, section[off:off+4]...)
-				off += 4
-			}
-			prev = nbr
-		}
-		return dst, nil
-	default:
-		return nil, fmt.Errorf("blockstore: unknown codec %d: %w", c, storage.ErrCorrupt)
+// GVSegment is one segment of a CodecVarint in-block, as ParseGVSegment
+// finds it.
+type GVSegment struct {
+	// Records is the segment's key count, at least one.
+	Records int
+	// Keys are its group-varint key bytes, Weights its float32 weights on a
+	// weighted store, else empty.
+	Keys, Weights []byte
+	// End is the payload offset the next segment starts at.
+	End int
+}
+
+// ParseGVSegment reads the header of the CodecVarint segment at payload
+// offset off and slices the segment out. A header that is malformed,
+// counts no record, counts more records than key bytes — each delta takes
+// one at least — or more bytes than the payload holds is
+// storage.ErrCorrupt-class. Whether the key bytes hold the records the
+// header counts is checked by whoever decodes them: AppendGV, or the COP
+// fold.
+func ParseGVSegment(payload []byte, off int, weighted bool) (GVSegment, error) {
+	records, n := binary.Uvarint(payload[off:])
+	if n <= 0 {
+		return GVSegment{}, fmt.Errorf("blockstore: segment at byte %d: malformed record count: %w", off, storage.ErrCorrupt)
 	}
+	keyBytes, m := binary.Uvarint(payload[off+n:])
+	if m <= 0 {
+		return GVSegment{}, fmt.Errorf("blockstore: segment at byte %d: malformed key byte count: %w", off, storage.ErrCorrupt)
+	}
+	start := off + n + m
+	rest := uint64(len(payload) - start)
+	weights := uint64(0)
+	if weighted {
+		weights = 4 * records
+	}
+	if records == 0 || records > keyBytes || keyBytes > rest || weights > rest-keyBytes {
+		return GVSegment{}, fmt.Errorf("blockstore: segment at byte %d: %d records in %d key bytes, %d payload bytes left: %w", off, records, keyBytes, rest, storage.ErrCorrupt)
+	}
+	keysEnd := start + int(keyBytes)
+	end := keysEnd + int(weights)
+	return GVSegment{Records: int(records), Keys: payload[start:keysEnd], Weights: payload[keysEnd:end], End: end}, nil
+}
+
+// GVFirstKey returns the first key of a segment's key bytes — its first
+// delta — or ok = false where the first group's tag or delta runs past them.
+func GVFirstKey(keys []byte) (key uint64, ok bool) {
+	if len(keys) == 0 {
+		return 0, false
+	}
+	l := int(keys[0]&3) + 1
+	if len(keys) < 1+l {
+		return 0, false
+	}
+	for b := l; b >= 1; b-- {
+		key = key<<8 | uint64(keys[b])
+	}
+	return key, true
+}
+
+// AppendGV decodes a CodecVarint in-block into the CodecCOO records of its
+// raw twin, RawRecordBytes(weighted) each, appending them to dst. It is the
+// one decoder of the layout: the COP kernels fold a block as stored, and
+// must stop where it does and fold what it decodes (core's FuzzFoldGV).
+// Decoding stops, storage.ErrCorrupt-class, at the first record that breaks
+// a rule — a group's tag or delta running past its segment's key bytes, a
+// key past 2³², a segment but the first not starting at a destination above
+// the key before it — or at a malformed header (ParseGVSegment) or a
+// segment whose groups leave key bytes over; the records decoded before it
+// are returned with the error.
+func AppendGV(dst, payload []byte, weighted bool) ([]byte, error) {
+	var last uint64 // the key before the segment
+	for off, r := 0, 0; off < len(payload); {
+		seg, err := ParseGVSegment(payload, off, weighted)
+		if err != nil {
+			return dst, err
+		}
+		keys, key, p, tag := seg.Keys, uint64(0), 0, byte(0)
+		for k := 0; k < seg.Records; k, r = k+1, r+1 {
+			if k%4 == 0 {
+				if p >= len(keys) {
+					return dst, gvError(r, "its group's tag lies past the segment's %d key bytes", len(keys))
+				}
+				tag, p = keys[p], p+1
+			}
+			l := int(tag>>(2*(k%4))&3) + 1
+			if p+l > len(keys) {
+				return dst, gvError(r, "its %d-byte delta runs past the segment's %d key bytes", l, len(keys))
+			}
+			delta := uint64(0)
+			for b := p + l - 1; b >= p; b-- {
+				delta = delta<<8 | uint64(keys[b])
+			}
+			p += l
+			if key += delta; key > math.MaxUint32 {
+				return dst, gvError(r, "its key %#x lies past 2³²", key)
+			}
+			if k == 0 && r > 0 && key>>16 <= last>>16 {
+				return dst, gvError(r, "it starts a segment at key %#x, not at a destination above the key %#x before it", key, last)
+			}
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(key))
+			if weighted {
+				dst = append(dst, seg.Weights[4*k:4*k+4]...)
+			}
+		}
+		if p != len(keys) {
+			return dst, gvError(r, "the segment before it leaves %d of its %d key bytes undecoded", len(keys)-p, len(keys))
+		}
+		last, off = key, seg.End
+	}
+	return dst, nil
+}
+
+// gvError is AppendGV's refusal of record r.
+func gvError(r int, format string, args ...any) error {
+	return fmt.Errorf("blockstore: record %d: %s: %w", r, fmt.Sprintf(format, args...), storage.ErrCorrupt)
 }
 
 // RawRecordBytes returns the byte size of one record of a column view
@@ -222,7 +325,7 @@ func RawRecordBytes(weighted bool) int {
 // which is local to the block's destination interval: 2 where intervals fit
 // 16 bits (MaxCOOInterval), else 4.
 func (l Layout) localIDBytes() int {
-	if l.intervalSize() <= MaxCOOInterval {
+	if l.narrow() {
 		return 2
 	}
 	return 4

@@ -34,18 +34,18 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
-var allCodecs = []Codec{CodecNone, CodecVarint}
-
+// TestVertexRecsRoundTripBothFormats: the records a raw store keeps and
+// their mixed twin, group-varint key deltas, decode to the same bytes,
+// repeated keys, a destination change and a 4-byte delta among them.
 func TestVertexRecsRoundTripBothFormats(t *testing.T) {
-	recs := []Rec{{Nbr: 3, Weight: 1.5}, {Nbr: 4, Weight: 0}, {Nbr: 1000000, Weight: -2.25}}
-	for _, c := range allCodecs {
-		buf := encodeVertexRecsCodec(nil, recs, c, 4, true)
-		got, err := AppendSection(nil, buf, c, true)
+	recs := []Rec{{Nbr: 3, Weight: 1.5}, {Nbr: 4, Weight: 0}, {Nbr: 4, Weight: 7}, {Nbr: 1<<16 | 2, Weight: -2.25}, {Nbr: 0xffffffff, Weight: 1}}
+	for _, weighted := range []bool{false, true} {
+		got, err := AppendGV(nil, appendGV(nil, recs, weighted), weighted)
 		if err != nil {
-			t.Fatalf("%v: %v", c, err)
+			t.Fatalf("weighted=%v: %v", weighted, err)
 		}
-		if !reflect.DeepEqual(rawRecs(got, true), recs) {
-			t.Fatalf("%v: round trip %v != %v", c, rawRecs(got, true), recs)
+		if want := encodeVertexRecs(nil, recs, 4, weighted); !bytes.Equal(got, want) {
+			t.Fatalf("weighted=%v: round trip %x != %x", weighted, got, want)
 		}
 	}
 }
@@ -56,7 +56,7 @@ func TestCompressedEncodingRejectsUnsorted(t *testing.T) {
 			t.Fatal("unsorted records accepted")
 		}
 	}()
-	encodeVertexRecsCodec(nil, []Rec{{Nbr: 5}, {Nbr: 3}}, CodecVarint, 4, true)
+	appendGV(nil, []Rec{{Nbr: 5}, {Nbr: 3}}, true)
 }
 
 func TestCompressedSmallerOnRealBlocks(t *testing.T) {
@@ -129,7 +129,7 @@ func TestCompressedOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(opened.BlockEdgeCount, built.BlockEdgeCount) || !reflect.DeepEqual(opened.InBlockBytes, built.InBlockBytes) || !reflect.DeepEqual(opened.InIndexStoredBytes, built.InIndexStoredBytes) {
+	if !reflect.DeepEqual(opened.BlockEdgeCount, built.BlockEdgeCount) || !reflect.DeepEqual(opened.InBlockBytes, built.InBlockBytes) || !reflect.DeepEqual(opened.InIndexEntries, built.InIndexEntries) {
 		t.Fatal("byte sizes lost")
 	}
 }
@@ -141,31 +141,32 @@ func TestBuildRejectsUnknownFormat(t *testing.T) {
 	}
 }
 
-// Property: whatever codec stored a section, it decodes to the bytes its
-// CodecNone twin stores, appended after whatever dst already held —
-// AppendSection(prefix, encode(recs, c)) == prefix ‖ encode(recs, none) —
-// for sorted random neighbor sets, empty ones included, weighted and not.
+// Property: a CodecVarint block decodes to the CodecCOO records of its raw
+// twin, appended after whatever dst already held — AppendGV(prefix,
+// appendGV(recs)) == prefix ‖ the records — for sorted random keys, none
+// included, repeats included, in blocks long enough to span segments,
+// weighted and not.
 func TestQuickVertexRecsRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(50) // 0: an empty section
+		n := rng.Intn(3 * GVSegmentRecords) // 0: an empty block
 		recs := make([]Rec, 0, n)
-		nbr := uint32(0)
+		key := uint64(rng.Intn(1 << 20))
 		for k := 0; k < n; k++ {
-			nbr += 1 + uint32(rng.Intn(1000))
-			recs = append(recs, Rec{Nbr: nbr, Weight: rng.Float32()})
+			if key += uint64(rng.Intn(1 << (4 * rng.Intn(8)))); key >= 1<<32 { // gaps of zero to four bytes
+				break
+			}
+			recs = append(recs, Rec{Nbr: uint32(key), Weight: rng.Float32()})
 		}
 		prefix := make([]byte, rng.Intn(9))
 		rng.Read(prefix)
 		for _, weighted := range []bool{false, true} {
-			want := encodeVertexRecsCodec(append([]byte(nil), prefix...), recs, CodecNone, 4, weighted)
-			for _, c := range allCodecs {
-				dst := append(make([]byte, 0, len(prefix)), prefix...)
-				got, err := AppendSection(dst, encodeVertexRecsCodec(nil, recs, c, 4, weighted), c, weighted)
-				if err != nil || !bytes.Equal(got, want) {
-					t.Logf("codec %v weighted %v: err %v, %d bytes, want %d", c, weighted, err, len(got), len(want))
-					return false
-				}
+			want := encodeVertexRecs(append([]byte(nil), prefix...), recs, 4, weighted)
+			dst := append(make([]byte, 0, len(prefix)), prefix...)
+			got, err := AppendGV(dst, appendGV(nil, recs, weighted), weighted)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Logf("weighted %v: err %v, %d bytes, want %d", weighted, err, len(got), len(want))
+				return false
 			}
 		}
 		return true
@@ -217,11 +218,11 @@ func TestUnweightedStoresSmallerAndDecodeWeightOne(t *testing.T) {
 
 func TestRawRecAccessor(t *testing.T) {
 	recs := []Rec{{Nbr: 42, Weight: 2.5}, {Nbr: 99, Weight: 0.5}}
-	wbuf := encodeVertexRecsCodec(nil, recs, CodecNone, 4, true)
+	wbuf := encodeVertexRecs(nil, recs, 4, true)
 	if nbr, w := RawRec(wbuf, EdgeBytes, true); nbr != 99 || w != 0.5 {
 		t.Fatalf("weighted RawRec = %d, %v", nbr, w)
 	}
-	ubuf := encodeVertexRecsCodec(nil, recs, CodecNone, 4, false)
+	ubuf := encodeVertexRecs(nil, recs, 4, false)
 	if len(ubuf) != 2*RawRecordBytes(false) {
 		t.Fatalf("unweighted payload %d bytes", len(ubuf))
 	}

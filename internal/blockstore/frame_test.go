@@ -231,11 +231,13 @@ func TestOpenRefusesMetaItCannotSize(t *testing.T) {
 	}
 }
 
-// TestDecodeMetaRefusesBadCOOFlags: the flags word says how every in-block
-// is laid out, so a meta is refused, storage.ErrCorrupt-class, when it sets
-// a bit no build sets, marks CodecCOO in-blocks over intervals wider than a
-// record addresses, or records for a CodecCOO block in-index bytes or a
-// payload that is not its records.
+// TestDecodeMetaRefusesBadCOOFlags: the layout says how every in-block is
+// laid out — keyed, CodecCOO or CodecVarint, where intervals fit 16 bits,
+// else CodecNone behind an in-index — so a meta is refused,
+// storage.ErrCorrupt-class, when it sets a flag no build sets (the bit that
+// marked CodecCOO in-blocks before they were read off the layout among
+// them), records for a CodecNone block a payload that is not its records,
+// or counts a block's destinations past its edges or none for its edges.
 func TestDecodeMetaRefusesBadCOOFlags(t *testing.T) {
 	coo, err := BuildOpts(memStore(), chain(300), Options{P: 4})
 	if err != nil {
@@ -247,8 +249,8 @@ func TestDecodeMetaRefusesBadCOOFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !coo.coo || wide.coo {
-		t.Fatalf("CodecCOO: %v over intervals of %d, %v over %d", coo.coo, coo.Layout.Size(0), wide.coo, wide.Layout.Size(0))
+	if coo.InCodec(0, 0) != CodecCOO || wide.InCodec(0, 0) != CodecNone {
+		t.Fatalf("in-blocks %v over intervals of %d, %v over %d", coo.InCodec(0, 0), coo.Layout.Size(0), wide.InCodec(0, 0), wide.Layout.Size(0))
 	}
 	for _, d := range []*DualStore{coo, wide} {
 		if _, err := decodeMeta(encodeMeta(d)); err != nil {
@@ -261,20 +263,25 @@ func TestDecodeMetaRefusesBadCOOFlags(t *testing.T) {
 			meta[20] |= 4
 			return meta
 		},
-		"CodecCOO over intervals of MaxCOOInterval+1": func() []byte {
+		"the CodecCOO flag of an older build": func() []byte {
+			meta := encodeMeta(coo)
+			meta[20] |= 2
+			return meta
+		},
+		"a CodecNone payload short of its records": func() []byte {
 			lie := *wide
-			lie.coo = true
+			lie.InBlockBytes = alloc2D(1)
 			return encodeMeta(&lie)
 		},
-		"in-index bytes for a CodecCOO block": func() []byte {
+		"more destinations than edges": func() []byte {
 			lie := *coo
-			lie.InIndexStoredBytes = alloc2D(4)
-			lie.InIndexStoredBytes[0][0] = InIndexEntryBytes
+			lie.InIndexEntries = alloc2D(4)
+			lie.InIndexEntries[0][0] = coo.BlockEdgeCount[0][0] + 1
 			return encodeMeta(&lie)
 		},
-		"a CodecCOO payload short of its records": func() []byte {
+		"no destination for a block's edges": func() []byte {
 			lie := *coo
-			lie.InBlockBytes = alloc2D(4)
+			lie.InIndexEntries = alloc2D(4)
 			return encodeMeta(&lie)
 		},
 	}

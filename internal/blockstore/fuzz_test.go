@@ -23,53 +23,57 @@ func wantCorruptClass(t *testing.T, err error) {
 	}
 }
 
-// fuzzSection drives the one section decoder over arbitrary bytes: it may
-// only fail ErrCorrupt-class, and whatever it accepts is whole packed
-// records that — when their neighbors come out strictly sorted, as every
-// section Build writes does — re-encode under c and decode to the same
-// bytes again.
-func fuzzSection(t *testing.T, data []byte, c Codec, weighted bool) {
+// fuzzGV drives the one CodecVarint decoder over arbitrary bytes: it may
+// only fail ErrCorrupt-class, and whatever it accepts is whole records
+// whose keys never fall and that re-encode and decode to the same bytes
+// again.
+func fuzzGV(t *testing.T, data []byte, weighted bool) {
 	t.Helper()
-	out, err := AppendSection(nil, data, c, weighted)
+	out, err := AppendGV(nil, data, weighted)
 	if err != nil {
 		wantCorruptClass(t, err)
 		return
 	}
-	if len(out)%RawRecordBytes(weighted) != 0 {
-		t.Fatalf("%v section decoded to %d bytes, not a multiple of %d", c, len(out), RawRecordBytes(weighted))
+	step := RawRecordBytes(weighted)
+	if len(out)%step != 0 {
+		t.Fatalf("decoded to %d bytes, not a multiple of %d", len(out), step)
 	}
 	recs := rawRecs(out, weighted)
 	for i := 1; i < len(recs); i++ {
-		if recs[i].Nbr <= recs[i-1].Nbr {
-			return // decodable but not canonical: the encoder refuses it
+		if recs[i].Nbr < recs[i-1].Nbr {
+			t.Fatalf("accepted key %#x after %#x", recs[i].Nbr, recs[i-1].Nbr)
 		}
 	}
-	again, err := AppendSection(nil, encodeVertexRecsCodec(nil, recs, c, 4, weighted), c, weighted)
+	again, err := AppendGV(nil, appendGV(nil, recs, weighted), weighted)
 	if err != nil || !bytes.Equal(again, out) {
-		t.Fatalf("%v re-encode round trip broke: %v (%d vs %d bytes)", c, err, len(again), len(out))
+		t.Fatalf("re-encode round trip broke: %v (%d vs %d bytes)", err, len(again), len(out))
 	}
 }
 
-// FuzzDecodeVarint drives the one varint section decoder over bytes, and
-// unframes the same bytes as a blob.
+// FuzzDecodeVarint drives the one CodecVarint decoder, AppendGV, over
+// bytes, and unframes the same bytes as a blob.
 func FuzzDecodeVarint(f *testing.F) {
-	// Valid varint section encodings, weighted and not, and the empty one.
-	recs := []Rec{{Nbr: 1, Weight: 2}, {Nbr: 7, Weight: 0.5}, {Nbr: 1000000, Weight: -1}}
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, 4, true), true)
-	f.Add(encodeVertexRecsCodec(nil, recs, CodecVarint, 4, false), false)
+	// Valid encodings, weighted and not, and the empty one.
+	recs := []Rec{{Nbr: 1, Weight: 2}, {Nbr: 7, Weight: 0.5}, {Nbr: 1<<16 | 3, Weight: -1}, {Nbr: 1<<16 | 3, Weight: 4}, {Nbr: 9 << 16, Weight: 1}}
+	f.Add(appendGV(nil, recs, true), true)
+	f.Add(appendGV(nil, recs, false), false)
 	f.Add([]byte(nil), true)
-	// Gaps of one to five bytes, each an arm of the decoder's fast path or
-	// its fallback.
-	f.Add(encodeVertexRecsCodec(nil, []Rec{{Nbr: 0}, {Nbr: 200}, {Nbr: 40000}, {Nbr: 1 << 22}, {Nbr: 1<<32 - 1}}, CodecVarint, 4, false), false)
+	// Deltas of one to four bytes, and segments cut at destination changes.
+	var long []Rec
+	for k := uint32(0); k < 3*GVSegmentRecords; k++ {
+		long = append(long, Rec{Nbr: (k/300)<<16 | k%300*200})
+	}
+	f.Add(appendGV(nil, []Rec{{Nbr: 0}, {Nbr: 200}, {Nbr: 40000}, {Nbr: 1 << 22}, {Nbr: 1<<32 - 1}}, false), false)
+	f.Add(appendGV(nil, long, false), false)
 	// Truncated and corrupted variants.
-	full := encodeVertexRecsCodec(nil, recs, CodecVarint, 4, true)
+	full := appendGV(nil, recs, true)
 	f.Add(full[:len(full)-3], true)
 	mangled := append([]byte(nil), full...)
-	mangled[0] ^= 0xFF
+	mangled[2] ^= 0xFF
 	f.Add(mangled, true)
-	// Overlong/overflowing varints.
+	// Malformed headers.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false)
-	f.Add([]byte{0x80}, true)        // varint cut mid-continuation
+	f.Add([]byte{0x80}, true)        // a count cut mid-continuation
 	f.Add([]byte{0x80, 0x80}, false) // cut after the second byte
 	// Checksum frames, whole, truncated and corrupt, decoded through
 	// unframeBlob.
@@ -81,7 +85,7 @@ func FuzzDecodeVarint(f *testing.F) {
 	f.Add(flipped, true)
 
 	f.Fuzz(func(t *testing.T, data []byte, weighted bool) {
-		fuzzSection(t, data, CodecVarint, weighted)
+		fuzzGV(t, data, weighted)
 		// And as a framed blob: unframe must never panic and must reject
 		// anything whose CRC does not match.
 		if _, err := unframeBlob("fuzz", data); err != nil {
@@ -138,31 +142,31 @@ func FuzzDecodeMeta(f *testing.F) {
 }
 
 // FuzzDecodeInIndex: an in-index is the one thing the COP kernels trust
-// without a check of their own. Whatever bytes, codec tag, interval size and
-// payload length decodeInIndex is given, it either fails ErrCorrupt-class or
-// returns entries a kernel can follow blind: destinations strictly ascending
-// inside the interval, ends strictly ascending in whole records up to exactly
-// the payload's length.
+// without a check of their own. Whatever bytes, interval size and payload
+// length decodeInIndex is given, it either fails ErrCorrupt-class or returns
+// entries a kernel can follow blind: destinations strictly ascending inside
+// the interval, ends strictly ascending in whole records up to exactly the
+// payload's length.
 func FuzzDecodeInIndex(f *testing.F) {
-	// The last argument picks what ends must be multiples of: 1 (compressed
-	// payload), 4 or 8 (stored-raw records).
+	// The last argument picks what ends must be multiples of: 1, 4 or 8
+	// (the records of an unweighted or a weighted store).
 	three := []uint32{0, 8, 5, 16, 9, 40}
-	f.Add([]byte(nil), uint8(CodecNone), uint16(4), uint16(0), uint8(1))                              // empty block
-	f.Add([]byte(nil), uint8(CodecVarint), uint16(4), uint16(8), uint8(0))                            // no entry, yet records
-	f.Add(encodeInIndex([]uint32{3, 4}, CodecNone), uint8(CodecNone), uint16(4), uint16(4), uint8(1)) // one entry
-	f.Add(encodeInIndex([]uint32{3, 4}, CodecVarint), uint8(CodecVarint), uint16(4), uint16(4), uint8(0))
-	f.Add(encodeInIndex(three, CodecNone), uint8(CodecNone), uint16(10), uint16(40), uint8(2))
-	f.Add(encodeInIndex(three, CodecVarint), uint8(CodecVarint), uint16(10), uint16(40), uint8(2))
-	f.Add(encodeInIndex(three, CodecVarint), uint8(CodecVarint), uint16(9), uint16(40), uint8(1))   // local == Size
-	f.Add(encodeInIndex(three, CodecNone), uint8(CodecNone), uint16(9), uint16(40), uint8(1))       // local == Size
-	f.Add(encodeInIndex(three, CodecNone)[:20], uint8(CodecNone), uint16(10), uint16(40), uint8(1)) // odd words
-	f.Add([]byte{1, 0x80}, uint8(CodecVarint), uint16(4), uint16(8), uint8(0))                      // truncated varint
-	f.Add([]byte{0, 4}, uint8(CodecVarint), uint16(4), uint16(4), uint8(0))                         // zero gap
-	f.Add(encodeInIndex(three, CodecNone), uint8(2), uint16(10), uint16(40), uint8(1))              // no such index codec
+	f.Add([]byte(nil), uint16(4), uint16(0), uint8(1))                       // empty block
+	f.Add([]byte(nil), uint16(4), uint16(8), uint8(1))                       // no entry, yet records
+	f.Add(encodeIndex([]uint32{3, 4}), uint16(4), uint16(4), uint8(1))       // one entry
+	f.Add(encodeIndex([]uint32{3, 4}), uint16(4), uint16(4), uint8(2))       // one entry, not a whole 8-byte record
+	f.Add(encodeIndex(three), uint16(10), uint16(40), uint8(2))              // three entries
+	f.Add(encodeIndex(three), uint16(10), uint16(40), uint8(0))              // the same, bytes
+	f.Add(encodeIndex(three), uint16(9), uint16(40), uint8(1))               // local == Size
+	f.Add(encodeIndex(three), uint16(10), uint16(41), uint8(0))              // the payload past the last entry
+	f.Add(encodeIndex(three)[:20], uint16(10), uint16(40), uint8(1))         // odd words
+	f.Add(encodeIndex([]uint32{3, 4, 3, 8}), uint16(4), uint16(8), uint8(1)) // a destination repeated
+	f.Add(encodeIndex([]uint32{1, 8, 2, 8}), uint16(4), uint16(8), uint8(1)) // an empty section
+	f.Add(encodeIndex([]uint32{2, 4, 1, 8}), uint16(4), uint16(8), uint8(1)) // destinations falling
 
-	f.Fuzz(func(t *testing.T, data []byte, codec uint8, size, payloadLen uint16, stepSel uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, size, payloadLen uint16, stepSel uint8) {
 		step := [...]int{1, 4, 8}[stepSel%3]
-		entries, err := decodeInIndex(nil, data, Codec(codec), int(size), int(payloadLen), step)
+		entries, err := decodeInIndex(nil, data, int(size), int(payloadLen), step)
 		if err != nil {
 			wantCorruptClass(t, err)
 			return
@@ -181,12 +185,9 @@ func FuzzDecodeInIndex(f *testing.F) {
 		if prevEnd != uint32(payloadLen) {
 			t.Fatalf("accepted entries cover %d of %d payload bytes", prevEnd, payloadLen)
 		}
-		// What it accepts it can have written: both forms decode back to it.
-		for _, c := range []Codec{CodecNone, CodecVarint} {
-			again, err := decodeInIndex(nil, encodeInIndex(entries, c), c, int(size), int(payloadLen), step)
-			if err != nil || !eqU32(again, entries) {
-				t.Fatalf("%v re-encode round trip broke: %v", c, err)
-			}
+		// What it accepts it can have written: it re-encodes to the bytes.
+		if again := encodeIndex(entries); !bytes.Equal(again, data) {
+			t.Fatalf("re-encode round trip broke: %x vs %x", again, data)
 		}
 	})
 }

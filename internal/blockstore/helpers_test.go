@@ -2,7 +2,6 @@ package blockstore
 
 import (
 	"encoding/binary"
-	"fmt"
 )
 
 // Test-side views of loaded blocks. The package hands out packed records
@@ -81,42 +80,25 @@ func loadInBlock(ds *DualStore, i, j int) (testBlock, error) {
 }
 
 // loadInBlockRecords is in-block(i,j) as packed raw records behind its
-// in-index entries, whatever stored it: the loader's stored form, decoded by
-// decodeSections when the block is compressed, and regrouped by cooTwin when
-// it is one record per edge.
+// in-index entries, whatever stored it: the loader's stored form, decoded
+// by AppendGV when the block is compressed, and regrouped by cooTwin when
+// it is keyed.
 func loadInBlockRecords(ds *DualStore, i, j int, sc *Scratch) ([]byte, []uint32, error) {
 	payload, entries, err := ds.LoadInBlockBytesScratch(i, j, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch ds.InCodec(i, j) {
-	case CodecVarint:
-		return decodeSections(payload, entries, ds.Weighted)
-	case CodecCOO:
+	if c := ds.InCodec(i, j); c != CodecNone {
+		if c == CodecVarint {
+			if payload, err = AppendGV(nil, payload, ds.Weighted); err != nil {
+				return nil, nil, err
+			}
+		}
 		lo, _ := ds.Layout.Bounds(i)
 		recs, entries := cooTwin(payload, lo, ds.Weighted)
 		return recs, entries, nil
 	}
 	return payload, entries, nil
-}
-
-// decodeSections returns the CodecNone twin of a compressed in-block as the
-// loader hands it over: every listed section decoded by AppendSection, the
-// only section decoder, one after another, and the entries with each end
-// offset moved to the decoded one, in a new slice. A malformed section is
-// storage.ErrCorrupt-class, naming its destination.
-func decodeSections(payload []byte, entries []uint32, weighted bool) ([]byte, []uint32, error) {
-	var recs []byte
-	out := make([]uint32, len(entries))
-	var err error
-	for e, lo := 0, uint32(0); e+1 < len(entries); e += 2 {
-		hi := entries[e+1]
-		if recs, err = AppendSection(recs, payload[lo:hi], CodecVarint, weighted); err != nil {
-			return nil, nil, fmt.Errorf("in-block destination %d: %w", entries[e], err)
-		}
-		out[e], out[e+1], lo = entries[e], uint32(len(recs)), hi
-	}
-	return recs, out, nil
 }
 
 // cooTwin returns the packed raw records and in-index entries a CodecNone

@@ -1,7 +1,6 @@
 package blockstore_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -16,28 +15,21 @@ import (
 // TestCorruptInIndexIsAnError: the COP kernels index the accumulators and
 // the payload by in-index entries without a check of their own, so an index
 // that lies — correctly framed, CRC intact — has to be stopped by the loader.
-// Every rule of DESIGN.md §4m is broken here once in each index form: the
-// fixed-width form over a raw store's stored-raw payload, the varint form
-// over a mixed store's compressed one — the form the meta's recorded index
-// size names (codecOf) is the form the loader decodes. The raw store's
-// intervals are one vertex wider than a CodecCOO record addresses, so its
-// in-blocks keep their in-index. The loader must answer
-// storage.ErrCorrupt-class, and a COP run over the store must end in a
-// *core.IterError carrying it — never a panic, never a value.
+// Every rule of DESIGN.md §4m is broken here once. Only stores whose
+// intervals are wider than a key addresses keep in-indices, in either
+// format, so both stores' intervals here are one vertex wider than
+// MaxCOOInterval, and a mixed store's in-blocks are a raw one's. The loader
+// must answer storage.ErrCorrupt-class, and a COP run over the store must
+// end in a *core.IterError carrying it — never a panic, never a value.
 func TestCorruptInIndexIsAnError(t *testing.T) {
-	// A chain 0→1→… at P = 4, unweighted, with in-block (0,0) holding 15
-	// records, one for each of destinations 1..15: 0→…→63 over 64 vertices
-	// for the mixed store, 0→…→15 over intervals of MaxCOOInterval+1 for the
-	// raw one. Stored raw that is 4 bytes a record, so the honest entries are
-	// (k, 4k); the mixed store gap-codes each one-record section into one
-	// byte, so there they are (k, k).
-	const p, name = 4, "ii/0.0"
-	chain := func(format blockstore.Format, hops int) *graph.Graph {
-		n, last := 64, 64
-		if format == blockstore.FormatRaw {
-			n, last = p*(blockstore.MaxCOOInterval+1), 16
-		}
-		g := graph.New(n)
+	// A chain 0→1→…→15 at P = 4 over intervals of MaxCOOInterval+1,
+	// unweighted, with in-block (0,0) holding 15 records, one for each of
+	// destinations 1..15: 4 bytes a record, so the honest entries are
+	// (k, 4k).
+	const p, name, step = 4, "ii/0.0", 4
+	chain := func(hops int) *graph.Graph {
+		const last = 16
+		g := graph.New(p * (blockstore.MaxCOOInterval + 1))
 		for v := 0; v+1 < last; v++ {
 			for h := 1; h <= hops && v+h < last; h++ {
 				g.AddEdge(graph.VertexID(v), graph.VertexID(v+h))
@@ -52,98 +44,60 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 		}
 		return b
 	}
-	type lie struct {
-		what  string
-		codec blockstore.Codec
-		index func(step, size uint32) []byte // step: stored bytes per record; size: Size(j)
-	}
-	// honest returns the true entries with edit applied, fixed-width.
-	honest := func(step uint32, edit func(e []uint32) []uint32) []byte {
+	// honest returns the true entries with edit applied.
+	honest := func(edit func(e []uint32) []uint32) []byte {
 		var e []uint32
 		for k := uint32(1); k <= 15; k++ {
 			e = append(e, k, k*step)
 		}
 		return fixed(edit(e)...)
 	}
-	// varint returns the true entries gap-coded — (2, step), then (1, step)
-	// fourteen times — with edit applied to the bytes.
-	varint := func(step uint32, edit func(b []byte) []byte) []byte {
-		b := []byte{2, byte(step)}
-		for k := 2; k <= 15; k++ {
-			b = append(b, 1, byte(step))
-		}
-		return edit(b)
-	}
 	same := func(e []uint32) []uint32 { return e }
-	lies := []lie{
-		{"odd number of fixed-width words", blockstore.CodecNone, func(s, _ uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { return append(e, 16) })
+	lies := []struct {
+		what  string
+		index func(size uint32) []byte // size: Size(j)
+	}{
+		{"odd number of words", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { return append(e, 16) })
 		}},
-		{"destination repeated", blockstore.CodecNone, func(s, _ uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { e[4] = e[2]; return e })
+		{"destination repeated", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { e[4] = e[2]; return e })
 		}},
-		{"destinations descending", blockstore.CodecNone, func(s, _ uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { e[2], e[4] = e[4], e[2]; return e })
+		{"destinations descending", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { e[2], e[4] = e[4], e[2]; return e })
 		}},
-		{"destination == Size(j)", blockstore.CodecNone, func(s, size uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { e[28] = size; return e })
+		{"destination == Size(j)", func(size uint32) []byte {
+			return honest(func(e []uint32) []uint32 { e[28] = size; return e })
 		}},
-		{"end below its predecessor", blockstore.CodecNone, func(s, _ uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { e[5] = e[3] - s; return e })
+		{"end below its predecessor", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { e[5] = e[3] - step; return e })
 		}},
-		{"end equal to its predecessor", blockstore.CodecNone, func(s, _ uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { e[5] = e[3]; return e })
+		{"end equal to its predecessor", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { e[5] = e[3]; return e })
 		}},
-		{"end past the payload", blockstore.CodecNone, func(s, _ uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { e[29] += s; return e })
+		{"end past the payload", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { e[29] += step; return e })
 		}},
-		{"last end short of the payload", blockstore.CodecNone, func(s, _ uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { return e[:28] })
+		{"last end short of the payload", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { return e[:28] })
 		}},
-		{"no entry over a payload with records", blockstore.CodecNone, func(_, _ uint32) []byte { return nil }},
-		{"varint: zero gap", blockstore.CodecVarint, func(s, _ uint32) []byte {
-			return varint(s, func(b []byte) []byte { b[4] = 0; return b })
+		{"no entry over a payload with records", func(uint32) []byte { return nil }},
+		{"end inside a record", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { e[3]--; return e })
 		}},
-		{"varint: zero section length", blockstore.CodecVarint, func(s, _ uint32) []byte {
-			return varint(s, func(b []byte) []byte { b[5] = 0; return b })
-		}},
-		{"varint: truncated", blockstore.CodecVarint, func(s, _ uint32) []byte {
-			return varint(s, func(b []byte) []byte { return append(b[:len(b)-1], 0x80) })
-		}},
-		{"varint: entry without its length", blockstore.CodecVarint, func(s, _ uint32) []byte {
-			return varint(s, func(b []byte) []byte { return b[:len(b)-1] })
-		}},
-		{"varint: overlong", blockstore.CodecVarint, func(s, _ uint32) []byte {
-			return varint(s, func(b []byte) []byte { return append(bytes.Repeat([]byte{0xFF}, 10), b...) })
-		}},
-		{"varint: destination past the interval", blockstore.CodecVarint, func(s, _ uint32) []byte {
-			return varint(s, func(b []byte) []byte { b[28] = 2; return b })
-		}},
-		{"varint: section past the payload", blockstore.CodecVarint, func(s, _ uint32) []byte {
-			return varint(s, func(b []byte) []byte { b[29]++; return b })
-		}},
-		{"fixed-width words where the meta names varint", blockstore.CodecVarint, func(s, _ uint32) []byte {
-			return honest(s, same)
-		}},
-		// The one rule only a stored-raw payload has: an end inside a record.
-		{"end inside a record", blockstore.CodecNone, func(s, _ uint32) []byte {
-			return honest(s, func(e []uint32) []uint32 { e[3]--; return e })
+		{"one entry fewer than the meta counts", func(uint32) []byte {
+			return honest(func(e []uint32) []uint32 { return append(e[:26], e[28], e[29]) })
 		}},
 	}
 
 	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
-		g := chain(format, 1)
 		mem := storage.NewMemStore(storage.NewDevice(storage.RAM))
-		built, err := blockstore.BuildOpts(mem, g, blockstore.Options{P: p, Format: format})
+		built, err := blockstore.BuildOpts(mem, chain(1), blockstore.Options{P: p, Format: format})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := built.InCodec(0, 0); (got == blockstore.CodecNone) != (format == blockstore.FormatRaw) {
+		if got := built.InCodec(0, 0); got != blockstore.CodecNone {
 			t.Fatalf("%v store's in-block (0,0) is %v-coded", format, got)
-		}
-		step, form := uint32(4), func(s, _ uint32) []byte { return honest(s, same) }
-		if format == blockstore.FormatMixed {
-			step, form = 1, func(s, _ uint32) []byte { return varint(s, func(b []byte) []byte { return b }) }
 		}
 		size := uint32(built.Layout.Size(0))
 		// The honest index loads as built and as hand-framed here: what the
@@ -154,15 +108,12 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 			}
 		}
 		honestLoads("as built")
-		if err := mem.Put(name, blockstore.FrameForTest(form(step, size))); err != nil {
+		if err := mem.Put(name, blockstore.FrameForTest(honest(same))); err != nil {
 			t.Fatal(err)
 		}
 		honestLoads("hand-framed")
 		for _, c := range lies {
-			if (c.codec == blockstore.CodecNone) != (format == blockstore.FormatRaw) {
-				continue // the meta names the other form for this store's index
-			}
-			if err := mem.Put(name, blockstore.FrameForTest(c.index(step, size))); err != nil {
+			if err := mem.Put(name, blockstore.FrameForTest(c.index(size))); err != nil {
 				t.Fatal(err)
 			}
 			wantCorruptLoadAndRun(t, format.String()+": "+c.what, mem, storage.ErrCorrupt)
@@ -171,7 +122,7 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 		// And the lie nobody wrote: an ii/ blob from another build of the
 		// same shape, whose payload has a different length.
 		other := storage.NewMemStore(storage.NewDevice(storage.RAM))
-		if _, err := blockstore.BuildOpts(other, chain(format, 2), blockstore.Options{P: p, Format: format}); err != nil {
+		if _, err := blockstore.BuildOpts(other, chain(2), blockstore.Options{P: p, Format: format}); err != nil {
 			t.Fatal(err)
 		}
 		foreign, err := other.ReadAll(name)
@@ -189,7 +140,7 @@ func TestCorruptInIndexIsAnError(t *testing.T) {
 // encoded — the stored size the meta records does (DESIGN.md §4f). So a
 // compressed block swapped for its raw twin, the same cell of a raw build
 // of the same graph, must be refused for its length before anything decodes
-// raw records as varint gaps: in-block (0,0) by the COP loader and by a
+// raw records as key deltas: in-block (0,0) by the COP loader and by a
 // forced-COP run. Out-blocks are raw in every format, so the out-block lie
 // is one of another record size: out-block (0,0) of a weighted build, twice
 // as long, must be refused for its length by the cache's whole-payload read.

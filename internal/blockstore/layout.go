@@ -42,6 +42,11 @@ func (l Layout) intervalSize() int {
 	return (l.NumVertices + l.P - 1) / l.P
 }
 
+// narrow reports whether every interval fits 16 bits (MaxCOOInterval): an
+// out-block record then holds a 16-bit destination and an in-block its
+// edges as (destination, source) keys, with no in-index.
+func (l Layout) narrow() bool { return l.intervalSize() <= MaxCOOInterval }
+
 // Bounds returns the half-open vertex range [lo, hi) of interval i.
 func (l Layout) Bounds(i int) (lo, hi int) {
 	if i < 0 || i >= l.P {

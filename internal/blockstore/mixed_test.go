@@ -15,9 +15,9 @@ import (
 )
 
 // mixedGraph builds a graph whose blocks end up under different codecs.
-// Gap-coded neighbor IDs beat packed records wherever a block has edges, so
-// varint is the rule and CodecNone is left the empty blocks (P = 8 has
-// some).
+// Group-varint key deltas beat packed records wherever a block has more
+// than a few edges, so CodecVarint is the rule and CodecCOO is left the
+// sparsest and the empty blocks (P = 8 has some).
 func mixedGraph(weighted bool) *graph.Graph {
 	rng := rand.New(rand.NewSource(21))
 	g := gen.RMAT(256, 2400, gen.Graph500, rng)
@@ -27,23 +27,22 @@ func mixedGraph(weighted bool) *graph.Graph {
 	return g
 }
 
-// codecsOf counts a store's in-blocks and in-indices per codec: the blobs a
-// mixed store may compress.
-func codecsOf(ds *DualStore) (in, inIdx [2]int) {
+// codecsOf counts a store's in-blocks per codec: a mixed store compresses
+// only in-blocks.
+func codecsOf(ds *DualStore) (in [3]int) {
 	for i := 0; i < ds.Layout.P; i++ {
 		for j := 0; j < ds.Layout.P; j++ {
 			in[ds.InCodec(i, j)]++
-			inIdx[codecOf(ds.InIndexStoredBytes[i][j], ds.InIndexEntries[i][j]*InIndexEntryBytes)]++
 		}
 	}
-	return in, inIdx
+	return in
 }
 
 // TestMixedLoadsEqualRawLoads states the invariant compute rests on: the
 // codec is a property of storage only. One graph built raw and mixed hands
-// byte-identical (payload, idx) out of the in-block loader for every cell —
-// a compressed block once decodeSections has decoded it — and the row view,
-// which every format stores raw, is the raw store's blob for blob.
+// out of the in-block loader, for every cell, the raw store's CodecCOO
+// bytes — a CodecVarint block once AppendGV has decoded it — and the row
+// view, which every format stores raw, is the raw store's blob for blob.
 func TestMixedLoadsEqualRawLoads(t *testing.T) {
 	const p = 8
 	for _, weighted := range []bool{false, true} {
@@ -57,24 +56,32 @@ func TestMixedLoadsEqualRawLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, _ := codecsOf(mixed)
-		for _, c := range allCodecs {
+		in := codecsOf(mixed)
+		for _, c := range []Codec{CodecCOO, CodecVarint} {
 			if in[c] == 0 {
-				t.Fatalf("weighted=%v: mixed store has no %v in-block (%v): the comparison would not cover that decoder", weighted, c, in)
+				t.Fatalf("weighted=%v: mixed store has no %v in-block (%v): the comparison would not cover that layout", weighted, c, in)
 			}
 		}
 		rsc, msc := new(Scratch), new(Scratch)
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
-				wantP, wantIdx, err := loadInBlockRecords(raw, i, j, rsc)
+				want, wantIdx, err := raw.LoadInBlockBytesScratch(i, j, rsc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotP, gotIdx, err := loadInBlockRecords(mixed, i, j, msc)
+				got, gotIdx, err := mixed.LoadInBlockBytesScratch(i, j, msc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(gotP, wantP) || !eqU32(gotIdx, wantIdx) {
+				if raw.InCodec(i, j) != CodecCOO || wantIdx != nil || gotIdx != nil {
+					t.Fatalf("weighted=%v in-block (%d,%d): raw store's is %v, in-indices %v and %v", weighted, i, j, raw.InCodec(i, j), wantIdx, gotIdx)
+				}
+				if mixed.InCodec(i, j) == CodecVarint {
+					if got, err = AppendGV(nil, got, weighted); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(got, want) {
 					t.Fatalf("weighted=%v in-block (%d,%d) [%v]: loader output differs from the raw store's", weighted, i, j, mixed.InCodec(i, j))
 				}
 				for _, name := range []string{outBlockName(i, j), outIndexName(i, j)} {
@@ -107,11 +114,11 @@ func TestMixedBuildOpenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		builtIn, builtIdx := codecsOf(built)
-		if in, idx := codecsOf(opened); in != builtIn || idx != builtIdx || in[CodecVarint] == 0 || idx[CodecVarint] == 0 {
-			t.Fatalf("codecs across Open: in-blocks %v, in-indices %v; built %v, %v", in, idx, builtIn, builtIdx)
+		builtIn := codecsOf(built)
+		if in := codecsOf(opened); in != builtIn || in[CodecVarint] == 0 {
+			t.Fatalf("codecs across Open: in-blocks %v; built %v", in, builtIn)
 		}
-		if !reflect.DeepEqual(opened.InIndexStoredBytes, built.InIndexStoredBytes) || !reflect.DeepEqual(opened.BlockEdgeCount, built.BlockEdgeCount) {
+		if !reflect.DeepEqual(opened.InBlockBytes, built.InBlockBytes) || !reflect.DeepEqual(opened.BlockEdgeCount, built.BlockEdgeCount) {
 			t.Fatal("stored sizes lost across Open")
 		}
 		// Decoded blocks must be bit-identical to a raw build of the
@@ -165,16 +172,14 @@ func TestMixedNeverLargerThanRawPerBlock(t *testing.T) {
 			if mixed.InBlockBytes[i][j] > raw.InBlockBytes[i][j] {
 				t.Fatalf("mixed in-block (%d,%d) %d bytes > raw %d", i, j, mixed.InBlockBytes[i][j], raw.InBlockBytes[i][j])
 			}
-			if mixed.InBlockBytes[i][j] == raw.InBlockBytes[i][j] && mixed.InCodec(i, j) != CodecNone {
+			if mixed.InBlockBytes[i][j] == raw.InBlockBytes[i][j] && mixed.InCodec(i, j) != CodecCOO {
 				t.Fatalf("in-block (%d,%d): codec %v chosen without strictly paying", i, j, mixed.InCodec(i, j))
 			}
 			if mixed.InBlockBytes[i][j] < raw.InBlockBytes[i][j] {
 				anySmaller = true
 			}
-			// The raw store's CodecCOO blocks have no in-index: the limit is
-			// the fixed-width one a block stored raw behind an index has.
-			if got, limit := mixed.InIndexBytes(i, j), raw.InIndexEntries[i][j]*InIndexEntryBytes; got > limit {
-				t.Fatalf("mixed in-index (%d,%d) %d bytes > raw %d", i, j, got, limit)
+			if mixed.InIndexBytes(i, j) != 0 {
+				t.Fatalf("mixed in-block (%d,%d) over intervals of %d has an in-index", i, j, mixed.Layout.Size(0))
 			}
 			if mixed.OutBlockBytes(i, j) != raw.OutBlockBytes(i, j) || mixed.OutIndexBytes(i, j) != raw.OutIndexBytes(i, j) {
 				t.Fatalf("mixed row view (%d,%d) is not stored raw", i, j)
@@ -254,9 +259,8 @@ func TestMixedCorruptPayloadSurfacesChecksumError(t *testing.T) {
 // TestTimedOutCompressedReadDecodesOnce is the deadline/compression
 // interaction check: a FaultDelayed read on a compressed block that blows
 // the deadline is retried, and only the retry's bytes are handed over — the
-// load returns exactly the payload and in-index entries one clean load does,
-// and the timed-out attempt's late answer never reaches them, not even once
-// it lands.
+// load returns exactly the payload one clean load does, and the timed-out
+// attempt's late answer never reaches it, not even once it lands.
 func TestTimedOutCompressedReadDecodesOnce(t *testing.T) {
 	g := mixedGraph(false)
 	st := memStore()
@@ -274,7 +278,7 @@ func TestTimedOutCompressedReadDecodesOnce(t *testing.T) {
 	ci, cj := -1, -1
 	for i := 0; i < 2 && ci < 0; i++ {
 		for j := 0; j < 2; j++ {
-			if ds.BlockEdgeCount[i][j] > 0 && ds.InCodec(i, j) != CodecNone {
+			if ds.BlockEdgeCount[i][j] > 0 && ds.InCodec(i, j) == CodecVarint {
 				ci, cj = i, j
 				break
 			}
@@ -292,8 +296,8 @@ func TestTimedOutCompressedReadDecodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wantEntries) == 0 {
-		t.Fatal("baseline load of a compressed block handed over no entries")
+	if len(wantPayload) == 0 || wantEntries != nil {
+		t.Fatalf("baseline load of a compressed block handed over %d bytes, entries %v", len(wantPayload), wantEntries)
 	}
 
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultDelay, Name: inBlockName(ci, cj), Count: 1, Delay: 100 * time.Millisecond})
@@ -314,7 +318,7 @@ func TestTimedOutCompressedReadDecodesOnce(t *testing.T) {
 	if !eqBytes(payload, wantPayload) || !eqU32(entries, wantEntries) {
 		t.Fatal("retried compressed load handed over other bytes than a clean load")
 	}
-	if _, _, err := decodeSections(payload, entries, ds.Weighted); err != nil {
+	if _, err := AppendGV(nil, payload, ds.Weighted); err != nil {
 		t.Fatalf("retried compressed load does not decode: %v", err)
 	}
 }

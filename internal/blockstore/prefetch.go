@@ -21,9 +21,10 @@ import (
 // k, a small worker pool (PartitionedVC-style) loads blocks k+1.. into
 // pooled Scratch buffers — or serves them from the BlockCache — and
 // delivers each result on its own channel: a COP in-block as stored, from
-// the device or the cache, with its in-index validated into entries (a
-// compressed block for the COP kernel to fold as it decodes it), or a ROP
-// out-block's active sections (loadSections) — every read of an iteration.
+// the device or the cache, with its in-index, where it has one, validated
+// into entries (a compressed block for the COP kernel to fold as it decodes
+// it), or a ROP out-block's active sections (loadSections) — every read of
+// an iteration.
 //
 // Read-ahead is bounded by a token semaphore: at most `depth` results exist
 // between load-start and Take or Release, so memory stays at O(depth) blocks,
@@ -74,7 +75,6 @@ type Prefetcher struct {
 	nextConsume int // Next() cursor (single consumer)
 	unused      atomic.Int64
 	stallNanos  atomic.Int64
-	decodeNanos atomic.Int64
 	closed      bool
 }
 
@@ -105,11 +105,12 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 
 // PrefetchResult is one delivered block: for an in-block its Payload as
 // stored, in the codec the meta records (DualStore.InCodec), and ByteIdx,
-// its in-index entries — nil for a CodecCOO block; for an out-index Payload
-// alone — the (Size(i)+1)·4 bytes of its offsets (see CachedBlock), or of a
-// page-span load the bytes from offset Base on — with the block's active
-// Sections. Views alias either a pooled Scratch (returned by Release) or an
-// immutable cache entry; they are read-only and valid until Release.
+// its in-index entries — nil for a CodecCOO or CodecVarint block; for an
+// out-index Payload alone — the (Size(i)+1)·4 bytes of its offsets (see
+// CachedBlock), or of a page-span load the bytes from offset Base on — with
+// the block's active Sections. Views alias either a pooled Scratch
+// (returned by Release) or an immutable cache entry; they are read-only and
+// valid until Release.
 type PrefetchResult struct {
 	Key BlockKey
 	Err error
@@ -355,23 +356,18 @@ func (p *Prefetcher) read(req *prefetchReq, res *PrefetchResult) error {
 }
 
 // handOver turns res's bytes, read or cached, into what the kernels
-// consume: an in-block's in-index validated into entries (ByteIdx), timed
-// for DecodeTime when it is stored compressed, or, in a window over
-// extents, an out-index's active sections.
+// consume: a CodecNone in-block's in-index validated into entries
+// (ByteIdx), or, in a window over extents, an out-index's active sections.
 func (p *Prefetcher) handOver(res *PrefetchResult) error {
 	i, j := res.Key.I, res.Key.J
 	switch {
-	case res.Key.Kind == KindInBlock && p.ds.InCodec(i, j) != CodecCOO:
+	case res.Key.Kind == KindInBlock && p.ds.InCodec(i, j) == CodecNone:
 		if res.sc == nil {
 			res.sc = GetScratch()
 		}
-		start := time.Now()
 		entries, err := p.ds.inBlockEntries(i, j, res.Payload, res.idx, res.sc.idx)
 		if err != nil {
 			return err
-		}
-		if p.ds.inIndexCodec(i, j) == CodecVarint {
-			p.decodeNanos.Add(int64(time.Since(start)))
 		}
 		res.ByteIdx, res.sc.idx = entries, entries
 	case res.Key.Kind == KindOutIndex && p.extents != nil:
@@ -515,12 +511,6 @@ func (p *Prefetcher) consume(req *prefetchReq) *PrefetchResult {
 	<-req.ready
 	p.stallNanos.Add(int64(time.Since(t0)))
 	return req.res
-}
-
-// DecodeTime returns the cumulative wall time the hand-over spent decoding
-// compressed in-indices into entries.
-func (p *Prefetcher) DecodeTime() time.Duration {
-	return time.Duration(p.decodeNanos.Load())
 }
 
 // StallTime returns the cumulative wall time consumers spent blocked

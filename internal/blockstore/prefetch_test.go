@@ -7,6 +7,7 @@ import (
 	"time"
 	"unsafe"
 
+	"husgraph/internal/graph"
 	"husgraph/internal/storage"
 )
 
@@ -321,7 +322,7 @@ func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 		var stored, raw int64
 		for _, key := range inBlockSchedule(ds) {
 			stored += ds.InBlockStoredBytes(key.I, key.J)
-			raw += ds.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(ds.Weighted)) + ds.InIndexRawBytes(key.I, key.J)
+			raw += ds.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(ds.Weighted)) + ds.InIndexBytes(key.I, key.J)
 		}
 		if used := cache.Stats().BytesUsed; used != stored || format == FormatMixed && stored >= raw {
 			t.Fatalf("%v: cache charged %d bytes for blocks stored in %d, %d raw", format, used, stored, raw)
@@ -359,35 +360,52 @@ func cachedSweepMatchesDirectLoads(t *testing.T, ds *DualStore, cache *BlockCach
 // TestPrefetchValidatesCachedInIndex: a hit is handed over as a device read
 // is, its stored in-index validated against its payload, so a cached index
 // that no longer describes the payload is refused as corruption rather than
-// folded.
+// folded. Only a store whose intervals are wider than MaxCOOInterval has
+// in-indices, in either format; a keyed in-block's hit has none to lose.
 func TestPrefetchValidatesCachedInIndex(t *testing.T) {
+	wide := graph.New(2 * (MaxCOOInterval + 1))
+	for v := 0; v < 40; v++ {
+		wide.AddEdge(graph.VertexID(v), graph.VertexID(3*v%40))
+	}
 	for _, format := range []Format{FormatRaw, FormatMixed} {
-		ds := prefetchStore(t, format)
-		cache := NewBlockCache(1 << 20)
-		key := inKey(0, 0)
-		for pass := 0; pass < 2; pass++ {
-			pf := ds.NewPrefetcher([]BlockKey{key}, nil, nil, 0, cache)
-			res := pf.Next()
-			if pass == 1 {
-				if format == FormatRaw {
-					if res.Err != nil || !res.Cached {
-						t.Fatalf("raw: a CodecCOO hit, which has no in-index: %v, cached %v", res.Err, res.Cached)
-					}
-				} else if !errors.Is(res.Err, storage.ErrCorrupt) {
-					t.Fatalf("mixed: a hit whose cached in-index lost its last byte was handed over: %v", res.Err)
-				}
-			} else if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			res.Release()
-			pf.Close()
-			// Replace the entry with one whose index lost its last byte.
-			cache.mu.Lock()
-			if ent := cache.items[cacheKey{BlockKey: key}]; ent != nil && len(ent.blk.Index) > 0 {
-				ent.blk = &CachedBlock{Payload: ent.blk.Payload, Index: ent.blk.Index[:len(ent.blk.Index)-1]}
-			}
-			cache.mu.Unlock()
+		wideStore, err := BuildOpts(memStore(), wide, Options{P: 2, Format: format, Weighted: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, ds := range []*DualStore{prefetchStore(t, format), wideStore} {
+			cachedIndexLosesAByte(t, format, ds)
+		}
+	}
+}
+
+// cachedIndexLosesAByte loads in-block (0,0) of ds twice through one cache,
+// its cached in-index cut by a byte between the loads.
+func cachedIndexLosesAByte(t *testing.T, format Format, ds *DualStore) {
+	t.Helper()
+	cache := NewBlockCache(1 << 20)
+	key := inKey(0, 0)
+	for pass := 0; pass < 2; pass++ {
+		pf := ds.NewPrefetcher([]BlockKey{key}, nil, nil, 0, cache)
+		res := pf.Next()
+		if pass == 1 {
+			if c := ds.InCodec(0, 0); c != CodecNone {
+				if res.Err != nil || !res.Cached {
+					t.Fatalf("%v: a %v hit, which has no in-index: %v, cached %v", format, c, res.Err, res.Cached)
+				}
+			} else if !errors.Is(res.Err, storage.ErrCorrupt) {
+				t.Fatalf("%v: a hit whose cached in-index lost its last byte was handed over: %v", format, res.Err)
+			}
+		} else if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		res.Release()
+		pf.Close()
+		// Replace the entry with one whose index lost its last byte.
+		cache.mu.Lock()
+		if ent := cache.items[cacheKey{BlockKey: key}]; ent != nil && len(ent.blk.Index) > 0 {
+			ent.blk = &CachedBlock{Payload: ent.blk.Payload, Index: ent.blk.Index[:len(ent.blk.Index)-1]}
+		}
+		cache.mu.Unlock()
 	}
 }
 

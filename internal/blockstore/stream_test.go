@@ -119,7 +119,12 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 // kept every blob but its meta), and when out-block records took
 // interval-local destinations (magic HUSI: in both formats the ob/ blobs
 // hold 16-bit destinations, the oi/ blobs offsets into them, and the meta
-// their page CRCs; every column-view blob kept its bytes). A change that
+// their page CRCs; every column-view blob kept its bytes), and when a mixed
+// store over intervals that fit 16 bits stored its in-blocks as
+// group-varint key deltas with no in-index (magic HUSJ: the meta dropped its
+// in-index size grid and its CodecCOO flag; a raw store kept every blob but
+// its meta, a mixed store's ib/ blobs became key deltas or records and its
+// ii/ blobs went). A change that
 // moves a store byte — a layout, codec, frame or meta change — fails here
 // and says so by updating the digest.
 func TestStoreBytesGolden(t *testing.T) {
@@ -130,8 +135,8 @@ func TestStoreBytesGolden(t *testing.T) {
 		format Format
 		want   string
 	}{
-		{FormatRaw, "a19beee129d0c22f2a41c3a46d609d646cbb0d3c7dd94a5b1377fd590f977f53"},
-		{FormatMixed, "d5d31c8d7f1a2d00fbe309f5b473448206c0027e5bbf85aa3052166a1646ff77"},
+		{FormatRaw, "2f0697faaf35e5f500e990df90e3520eb28ec6a571d57106a60802d52f719e08"},
+		{FormatMixed, "5e3fd6a2c20a7eb2fce34be31e20641e5807b2c5566f059bcf4f0b7a3c79a834"},
 	} {
 		st := memStore()
 		if _, err := BuildOpts(st, g, Options{P: 4, Format: tc.format, Weighted: true}); err != nil {

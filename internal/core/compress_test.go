@@ -40,7 +40,7 @@ func buildWeighted(t *testing.T, g *graph.Graph, f blockstore.Format, prof stora
 		t.Fatal(err)
 	}
 	if f == blockstore.FormatMixed {
-		wantCodecs(t, ds, blockstore.CodecNone, blockstore.CodecVarint)
+		wantCodecs(t, ds, blockstore.CodecCOO, blockstore.CodecVarint)
 	}
 	return ds
 }

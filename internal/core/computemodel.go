@@ -57,9 +57,10 @@ func ModeledComputeTime(edgeWork, vertexWork, blocks int64, threads int) time.Du
 // testbed rather than measured by wall clock, so modeled runs replay
 // deterministically on any host.
 //
-// varintDecodeNsPerByte prices delta-gap varint decode per *decoded*
-// (logical) byte produced (~650 MB/s single-thread, the measured ballpark
-// for binary.Uvarint chains on commodity hardware).
+// varintDecodeNsPerByte prices the decode of a CodecVarint in-block per
+// *decoded* (logical) byte produced (~650 MB/s single-thread, the ballpark
+// once measured for binary.Uvarint chains on commodity hardware; not yet
+// calibrated against the group-varint layout, ROADMAP 3a).
 const varintDecodeNsPerByte = 1.5
 
 // ModeledDecodeTime prices the decompression of varintBytes logical bytes,

@@ -43,23 +43,32 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 				return 0, res.Err
 			}
 			// The block arrives as stored, from the device or the cache —
-			// one record per edge, or behind its in-index entries packed
-			// records or the varint sections of a compressed block, which
-			// the kernel decodes as it folds them; the meta's codec says
-			// which. The edge kernel splits the block across workers by
-			// destination.
+			// one key per edge, as a record or as the group-varint deltas
+			// of a compressed block, which the kernel decodes as it folds
+			// them, or over wide intervals packed records behind their
+			// in-index entries; the meta's codec says which. The edge
+			// kernel splits the block across workers by destination.
 			if len(res.Payload) == 0 {
 				res.Release()
 				continue
 			}
 			var err error
-			if codec := e.ds.InCodec(j, i); codec == blockstore.CodecCOO {
-				jlo, jhi := l.Bounds(j)
-				if bad := k.records(d[lo:hi], jlo, jhi, res.Payload); bad >= 0 {
-					err = fmt.Errorf("core: in-block (%d,%d) record %d: out of (destination, source) order, or naming a destination outside [0,%d) or a source outside [0,%d): %w", j, i, bad, hi-lo, jhi-jlo, storage.ErrCorrupt)
+			jlo, jhi := l.Bounds(j)
+			switch codec := e.ds.InCodec(j, i); codec {
+			case blockstore.CodecNone:
+				if bad := k.block(d[lo:hi], res.Payload, res.ByteIdx); bad >= 0 {
+					err = fmt.Errorf("core: in-block (%d,%d) destination %d: a neighbour outside [0,%d): %w", j, i, lo+int(res.ByteIdx[2*bad]), len(s), storage.ErrCorrupt)
 				}
-			} else if bad := k.block(d[lo:hi], res.Payload, res.ByteIdx, codec); bad >= 0 {
-				err = fmt.Errorf("core: in-block (%d,%d) destination %d: %v section holds a malformed varint or a neighbour outside [0,%d): %w", j, i, lo+int(res.ByteIdx[2*bad]), codec, len(s), storage.ErrCorrupt)
+			default:
+				var bad int
+				if codec == blockstore.CodecCOO {
+					bad = k.records(d[lo:hi], jlo, jhi, res.Payload)
+				} else {
+					bad = k.varint(d[lo:hi], jlo, jhi, res.Payload)
+				}
+				if bad >= 0 {
+					err = fmt.Errorf("core: in-block (%d,%d) record %d: %v keys malformed or out of (destination, source) order, or naming a destination outside [0,%d) or a source outside [0,%d): %w", j, i, bad, codec, hi-lo, jhi-jlo, storage.ErrCorrupt)
+				}
 			}
 			res.Release()
 			if err != nil {

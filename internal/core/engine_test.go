@@ -747,8 +747,8 @@ func TestPredictorTracksActualCosts(t *testing.T) {
 // included, whatever the format and however many blocks are sparse or
 // empty. The one difference is the checksum frame: every blob read carries a
 // fixed header the predictor does not price, read here off one blob — two
-// blobs a block, or one where the in-blocks are CodecCOO and have no
-// in-index. The decode it prices is the decode the iteration counts. Each
+// blobs a block, or one where the in-blocks are keyed, CodecCOO or
+// CodecVarint, and have no in-index. The decode it prices is the decode the iteration counts. Each
 // store runs two iterations without a cache, and two through a cache that
 // holds every block: its second iteration hits every block, is priced and
 // charged no byte, and — the cache holding blocks as stored — decodes what
@@ -763,7 +763,7 @@ func TestPredictedCOPBytesMatchCharged(t *testing.T) {
 				t.Fatal(err)
 			}
 			blobs := int64(2 * p * p)
-			if ds.InCodec(0, 0) == blockstore.CodecCOO {
+			if ds.InCodec(0, 0) != blockstore.CodecNone {
 				blobs = int64(p * p)
 			}
 			frames := blobs * (stored - ds.InBlockBytes[0][0])

@@ -36,20 +36,21 @@ import (
 // weighted stores, where a message may depend on the edge.
 //
 // A kernel reads the block in the layout blockstore hands it over in: one
-// (destination, source) record per edge (CodecCOO), or behind an in-index,
-// whose entries the kernels walk, packed raw records or — for a block
-// stored compressed — the varint sections as stored, each gap parsed and
-// folded in the same loop with no intermediate record. Each destination's
-// neighbours come out in the same ascending order in every layout, so all
-// three fold to the same bits.
+// (destination, source) key per edge, as a record (CodecCOO) or — for a
+// block stored compressed — as the group-varint deltas stored
+// (CodecVarint), each group parsed and folded in the same loop with no
+// intermediate record; or, over intervals wider than 16 bits, packed raw
+// records behind an in-index, whose entries the kernels walk (CodecNone).
+// Each destination's neighbours come out in the same ascending order in
+// every layout, so all three fold to the same bits.
 //
-// A neighbour is disk input: a crafted record, or a varint the CRC could
-// not tell from a valid one, may name no vertex. Every loop tests it against
+// A neighbour is disk input: a crafted record, or a delta the CRC could not
+// tell from a valid one, may name no vertex. Every loop tests it against
 // the arrays it indexes directly before the load — the test stands in for
 // the bounds check the compiler would emit there — and stops at the first
-// one that fails, at a malformed varint, or at a CodecCOO record whose key
-// is below the one before it; the sweep then ends the iteration with an
-// ErrCorrupt-class error (runCOP).
+// one that fails, at a malformed segment, or at a key below the one before
+// it; the sweep then ends the iteration with an ErrCorrupt-class error
+// (runCOP).
 
 // ReduceOp names the reduction a program's Combine performs.
 type ReduceOp uint8
@@ -184,11 +185,12 @@ type copKernel struct {
 	active []uint64
 
 	// The block in hand: d is the destination interval's accumulators,
-	// payload its records in the layout codec names, and idx its in-index —
-	// entry e is (idx[2e], idx[2e+1]): a destination's offset in d and the
-	// byte offset in payload its section ends at, where entry e+1's begins.
-	// blockstore validated every entry against both (DESIGN.md §4m). A
-	// CodecCOO block has none; its sources are local to [srcLo, srcHi).
+	// payload its records in the layout codec names, and idx a CodecNone
+	// block's in-index — entry e is (idx[2e], idx[2e+1]): a destination's
+	// offset in d and the byte offset in payload its section ends at, where
+	// entry e+1's begins. blockstore validated every entry against both
+	// (DESIGN.md §4m). A CodecCOO or CodecVarint block has none; its sources
+	// are local to [srcLo, srcHi).
 	d            []float64
 	idx          []uint32
 	payload      []byte
@@ -196,20 +198,21 @@ type copKernel struct {
 	srcLo, srcHi int
 
 	// bounds is the block's chunking (entryChunks, or recordChunks for a
-	// CodecCOO block); wg joins the chunk workers; bad is the first entry or
-	// record a fold stopped at, or noBad; bufs[c]
-	// is chunk c's buffer for the fallback's decoded sections; and next,
-	// words and deltas[c] are the column pass's frontier, chunking
-	// (wordChunks) and chunk c's largest value change. All live here so a
-	// block or a pass costs one allocation per worker spawned and none
-	// otherwise.
-	bounds []int
-	wg     sync.WaitGroup
-	bad    atomic.Int64
-	bufs   [][]byte
-	next   *bitset.Frontier
-	words  []int
-	deltas []float64
+	// CodecCOO block), gv a CodecVarint block's (gvChunks); wg joins the
+	// chunk workers; bad is the first entry or record a fold stopped at, or
+	// noBad; decoded holds a CodecVarint block's records for the Combine
+	// fallback (AppendGV); and next, words and deltas[c] are the column
+	// pass's frontier, chunking (wordChunks) and chunk c's largest value
+	// change. All live here so a block or a pass costs one allocation per
+	// worker spawned and none otherwise.
+	bounds  []int
+	gv      []gvChunk
+	wg      sync.WaitGroup
+	bad     atomic.Int64
+	decoded []byte
+	next    *bitset.Frontier
+	words   []int
+	deltas  []float64
 }
 
 // noBad is copKernel.bad while every fold has run to its end.
@@ -339,22 +342,17 @@ func (k *copKernel) passChunk(c int) {
 	k.deltas[c] = maxDelta
 }
 
-// block folds one in-block, its sections in the layout codec, into d. It
-// partitions the block's entries across workers by payload bytes and runs
-// the kernel on each chunk — the last on the calling goroutine, which would
-// otherwise only wait — and returns once every chunk is done: -1 when every
-// section folded, else the first entry whose section holds a malformed
-// varint or names a neighbour outside the vertex set. The fold stops there;
-// what it wrote before is left for the caller to discard.
-func (k *copKernel) block(d []float64, payload []byte, entries []uint32, codec blockstore.Codec) int {
-	k.d, k.idx, k.payload, k.codec = d, entries, payload, codec
+// block folds one CodecNone in-block, its packed records behind its
+// in-index entries, into d. It partitions the block's entries across
+// workers by payload bytes and runs the kernel on each chunk — the last on
+// the calling goroutine, which would otherwise only wait — and returns once
+// every chunk is done: -1 when every section folded, else the first entry
+// whose section names a neighbour outside the vertex set. The fold stops
+// there; what it wrote before is left for the caller to discard.
+func (k *copKernel) block(d []float64, payload []byte, entries []uint32) int {
+	k.d, k.idx, k.payload, k.codec = d, entries, payload, blockstore.CodecNone
 	k.bounds = entryChunks(k.bounds[:0], k.idx, k.threads)
-	if k.op == ReduceCustom && codec != blockstore.CodecNone {
-		for len(k.bufs) < len(k.bounds)-1 {
-			k.bufs = append(k.bufs, nil)
-		}
-	}
-	return k.fold()
+	return k.fold(len(k.bounds) - 1)
 }
 
 // records is block for a CodecCOO in-block whose sources are local to
@@ -365,15 +363,35 @@ func (k *copKernel) records(d []float64, srcLo, srcHi int, payload []byte) int {
 	k.d, k.idx, k.payload, k.codec, k.srcLo, k.srcHi = d, nil, payload, blockstore.CodecCOO, srcLo, srcHi
 	step := blockstore.RawRecordBytes(k.weighted)
 	k.bounds = recordChunks(k.bounds[:0], payload, step, k.threads)
-	if bad := k.fold(); bad >= 0 || len(payload)%step == 0 {
+	if bad := k.fold(len(k.bounds) - 1); bad >= 0 || len(payload)%step == 0 {
 		return bad
 	}
 	return len(payload) / step
 }
 
-// fold runs the block in hand's chunks, the last on the calling goroutine.
-func (k *copKernel) fold() int {
-	last := len(k.bounds) - 2
+// varint is block for a CodecVarint in-block whose sources are local to
+// [srcLo, srcHi): it returns -1 or the first record that breaks a rule —
+// blockstore.AppendGV's, or naming a destination or source outside its
+// interval. The Combine fallback folds the records AppendGV decodes the
+// block into, through records.
+func (k *copKernel) varint(d []float64, srcLo, srcHi int, payload []byte) int {
+	if k.op == ReduceCustom {
+		recs, err := blockstore.AppendGV(k.decoded[:0], payload, k.weighted)
+		k.decoded = recs
+		if bad := k.records(d, srcLo, srcHi, recs); bad >= 0 || err == nil {
+			return bad
+		}
+		return len(recs) / blockstore.RawRecordBytes(k.weighted)
+	}
+	k.d, k.idx, k.payload, k.codec, k.srcLo, k.srcHi = d, nil, payload, blockstore.CodecVarint, srcLo, srcHi
+	k.gv = gvChunks(k.gv[:0], payload, len(d), k.threads)
+	return k.fold(len(k.gv))
+}
+
+// fold runs the block in hand's n chunks, the last on the calling
+// goroutine.
+func (k *copKernel) fold(n int) int {
+	last := n - 1
 	if last < 0 {
 		return -1
 	}
@@ -402,6 +420,20 @@ func isActive(active []uint64, v uint32) bool { return active[v>>6]&(1<<(v&63)) 
 // if it stopped, lowers bad to the one it stopped at. Chunks own disjoint
 // destinations, so workers never write the same accumulator (§3.5).
 func (k *copKernel) runChunk(c int) {
+	if k.codec == blockstore.CodecVarint {
+		ch := k.gv[c]
+		m, d := k.m[k.srcLo:k.srcHi], k.d[:ch.limit]
+		var bad int
+		if k.op == ReduceSum {
+			bad = copSumGV(m, d, k.payload, ch.off, ch.end, ch.rec)
+		} else {
+			bad = copMinGV(m, d, k.payload, ch.off, ch.end, ch.rec)
+		}
+		if bad >= 0 {
+			k.lowerBad(int64(bad))
+		}
+		return
+	}
 	cl, ch := k.bounds[c], k.bounds[c+1]
 	if k.codec == blockstore.CodecCOO {
 		if bad := k.recordChunk(cl, ch); bad >= 0 {
@@ -415,17 +447,13 @@ func (k *copKernel) runChunk(c int) {
 		lo = int(k.idx[2*cl-1])
 	}
 	var bad int
-	switch raw := k.codec == blockstore.CodecNone; {
-	case k.op == ReduceSum && raw:
+	switch k.op {
+	case ReduceSum:
 		bad = copSumRaw(k.m, k.d, k.payload, idx, lo)
-	case k.op == ReduceSum:
-		bad = copSumVarint(k.m, k.d, k.payload, idx, lo)
-	case k.op == ReduceMin && raw:
+	case ReduceMin:
 		bad = copMinRaw(k.m, k.d, k.payload, idx, lo)
-	case k.op == ReduceMin:
-		bad = copMinVarint(k.m, k.d, k.payload, idx, lo)
 	default:
-		bad = k.combine(c, idx, lo)
+		bad = k.combine(idx, lo)
 	}
 	if bad >= 0 {
 		k.lowerBad(int64(cl + bad/2))
@@ -472,10 +500,9 @@ func (k *copKernel) recordChunk(lo, hi int) int {
 // and written back. They carry no IsActive check — an inactive source's
 // table entry is the reduction's identity (copKernel.pass), so folding it is
 // folding nothing — and no call, so the accumulator and cursors stay in
-// registers. They only ever see unweighted sections — 4-byte records,
-// or one uvarint gap per neighbour: reduceOf keeps weighted stores on the
-// fallback. Each returns -1, or the position in idx of the entry whose
-// section it stopped in.
+// registers. They only ever see unweighted sections of 4-byte records:
+// reduceOf keeps weighted stores on the fallback. Each returns -1, or the
+// position in idx of the entry whose section it stopped in.
 
 func copSumRaw(m, d []float64, payload []byte, idx []uint32, lo int) int {
 	for e := 0; e+1 < len(idx); e += 2 {
@@ -548,108 +575,202 @@ func copMinCOO(m, d []float64, recs []byte, prev, last uint32) int {
 	return -1
 }
 
-// The varint twins read a section as blockstore's encoder writes it: per
-// neighbour uvarint(neighbour − previous), the previous of the first being
-// −1, so nbr starts at ^0 and the first gap wraps it onto the neighbour.
-// Gaps of one to three bytes — all but a few on a real graph — are read in
-// line, each loop its own copy: a shared helper is past the inlining budget,
-// and the call per gap cost the fold half its speed. What they accept and
-// the values they fold are exactly what blockstore's section decoder makes
-// of the sections for the raw twins (FuzzFoldVarint).
+// The CodecVarint kernels fold the whole segments in payload[off:end),
+// whose first record is the block's record r, as the CodecCOO kernels fold
+// records: d[dst] ⊕= m[src] per key, in stored order. A group of four deltas
+// is read with four unaligned 4-byte loads, each masked to its delta's
+// length, while gvMaxGroup bytes of the segment are left, and
+// folded unrolled, with no call; the rest of a segment, whose loads would
+// run past it, is read from a padded copy one delta at a time. What they
+// accept and fold is what blockstore.AppendGV decodes, with each key's
+// destination in d — cut at the next chunk's first — and its source in m
+// (FuzzFoldGV); the first segment of a chunk is not held above the key
+// before it, which the chunk before stays below. Each returns -1, or the
+// block's record it stopped at.
 
-func copSumVarint(m, d []float64, payload []byte, idx []uint32, lo int) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		sec := payload[lo:hi]
-		acc := d[local]
-		nbr := ^uint64(0)
-		for off := 0; off < len(sec); {
-			gap := uint64(sec[off])
-			if off++; gap >= 0x80 {
-				if off < len(sec) && sec[off] < 0x80 {
-					gap = gap&0x7f | uint64(sec[off])<<7
-					off++
-				} else if off+1 < len(sec) && sec[off+1] < 0x80 {
-					gap = gap&0x7f | uint64(sec[off]&0x7f)<<7 | uint64(sec[off+1])<<14
-					off += 2
-				} else if gap, off = longGap(sec, off-1); off < 0 {
-					return e
-				}
-			}
-			if nbr += gap; nbr >= uint64(len(m)) {
-				return e
-			}
-			acc += m[nbr]
+// gvMaxGroup is the most bytes a group of four deltas takes: its tag and
+// four 4-byte deltas. While that many key bytes of a segment are left, a
+// group's four loads stay inside the segment.
+const gvMaxGroup = 17
+
+// gvMask keeps the low 1–4 bytes of a little-endian load, by a delta's two
+// tag bits.
+var gvMask = [4]uint32{0xff, 0xffff, 0xffffff, 0xffffffff}
+
+func copSumGV(m, d []float64, payload []byte, off, end, r int) int {
+	nd, nm := uint64(len(d)), uint64(len(m))
+	var last uint64 // the key before the segment
+	for first := true; off < end; first = false {
+		seg, err := blockstore.ParseGVSegment(payload, off, false)
+		if err != nil {
+			return r
 		}
-		d[local] = acc
-		lo = hi
+		keys, n := seg.Keys, seg.Records
+		if k0, ok := blockstore.GVFirstKey(keys); !ok || !first && k0>>16 <= last>>16 {
+			return r
+		}
+		key, p := uint64(0), 0
+		for ; n >= 4 && p+gvMaxGroup <= len(keys); n, r = n-4, r+4 {
+			g := keys[p : p+gvMaxGroup]
+			tag := g[0]
+			q := 1
+			k0 := key + uint64(binary.LittleEndian.Uint32(g[q:])&gvMask[tag&3])
+			q += int(tag&3) + 1
+			k1 := k0 + uint64(binary.LittleEndian.Uint32(g[q:])&gvMask[tag>>2&3])
+			q += int(tag>>2&3) + 1
+			k2 := k1 + uint64(binary.LittleEndian.Uint32(g[q:])&gvMask[tag>>4&3])
+			q += int(tag>>4&3) + 1
+			k3 := k2 + uint64(binary.LittleEndian.Uint32(g[q:])&gvMask[tag>>6])
+			p += q + int(tag>>6) + 1
+			if k0>>16 >= nd || k0&0xffff >= nm {
+				return r
+			}
+			d[k0>>16] += m[k0&0xffff]
+			if k1>>16 >= nd || k1&0xffff >= nm {
+				return r + 1
+			}
+			d[k1>>16] += m[k1&0xffff]
+			if k2>>16 >= nd || k2&0xffff >= nm {
+				return r + 2
+			}
+			d[k2>>16] += m[k2&0xffff]
+			if k3>>16 >= nd || k3&0xffff >= nm {
+				return r + 3
+			}
+			d[k3>>16] += m[k3&0xffff]
+			key = k3
+		}
+		tail, rem := keys[p:], len(keys)-p
+		var pad [2 * gvMaxGroup]byte
+		if rem < gvMaxGroup {
+			copy(pad[:], tail)
+			tail = pad[:]
+		}
+		q := 0
+		for n > 0 {
+			if q >= rem {
+				return r
+			}
+			tag := tail[q]
+			q++
+			for s := 0; s < 8 && n > 0; s, n, r = s+2, n-1, r+1 {
+				c := tag >> s & 3
+				if q+int(c) >= rem {
+					return r
+				}
+				key += uint64(binary.LittleEndian.Uint32(tail[q:]) & gvMask[c])
+				q += int(c) + 1
+				if key>>16 >= nd || key&0xffff >= nm {
+					return r
+				}
+				d[key>>16] += m[key&0xffff]
+			}
+		}
+		if q != rem {
+			return r
+		}
+		last, off = key, seg.End
 	}
 	return -1
 }
 
-func copMinVarint(m, d []float64, payload []byte, idx []uint32, lo int) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		sec := payload[lo:hi]
-		acc := d[local]
-		nbr := ^uint64(0)
-		for off := 0; off < len(sec); {
-			gap := uint64(sec[off])
-			if off++; gap >= 0x80 {
-				if off < len(sec) && sec[off] < 0x80 {
-					gap = gap&0x7f | uint64(sec[off])<<7
-					off++
-				} else if off+1 < len(sec) && sec[off+1] < 0x80 {
-					gap = gap&0x7f | uint64(sec[off]&0x7f)<<7 | uint64(sec[off+1])<<14
-					off += 2
-				} else if gap, off = longGap(sec, off-1); off < 0 {
-					return e
+func copMinGV(m, d []float64, payload []byte, off, end, r int) int {
+	nd, nm := uint64(len(d)), uint64(len(m))
+	var last uint64 // the key before the segment
+	for first := true; off < end; first = false {
+		seg, err := blockstore.ParseGVSegment(payload, off, false)
+		if err != nil {
+			return r
+		}
+		keys, n := seg.Keys, seg.Records
+		if k0, ok := blockstore.GVFirstKey(keys); !ok || !first && k0>>16 <= last>>16 {
+			return r
+		}
+		key, p := uint64(0), 0
+		for ; n >= 4 && p+gvMaxGroup <= len(keys); n, r = n-4, r+4 {
+			g := keys[p : p+gvMaxGroup]
+			tag := g[0]
+			q := 1
+			k0 := key + uint64(binary.LittleEndian.Uint32(g[q:])&gvMask[tag&3])
+			q += int(tag&3) + 1
+			k1 := k0 + uint64(binary.LittleEndian.Uint32(g[q:])&gvMask[tag>>2&3])
+			q += int(tag>>2&3) + 1
+			k2 := k1 + uint64(binary.LittleEndian.Uint32(g[q:])&gvMask[tag>>4&3])
+			q += int(tag>>4&3) + 1
+			k3 := k2 + uint64(binary.LittleEndian.Uint32(g[q:])&gvMask[tag>>6])
+			p += q + int(tag>>6) + 1
+			if k0>>16 >= nd || k0&0xffff >= nm {
+				return r
+			}
+			if v := m[k0&0xffff]; v < d[k0>>16] {
+				d[k0>>16] = v
+			}
+			if k1>>16 >= nd || k1&0xffff >= nm {
+				return r + 1
+			}
+			if v := m[k1&0xffff]; v < d[k1>>16] {
+				d[k1>>16] = v
+			}
+			if k2>>16 >= nd || k2&0xffff >= nm {
+				return r + 2
+			}
+			if v := m[k2&0xffff]; v < d[k2>>16] {
+				d[k2>>16] = v
+			}
+			if k3>>16 >= nd || k3&0xffff >= nm {
+				return r + 3
+			}
+			if v := m[k3&0xffff]; v < d[k3>>16] {
+				d[k3>>16] = v
+			}
+			key = k3
+		}
+		tail, rem := keys[p:], len(keys)-p
+		var pad [2 * gvMaxGroup]byte
+		if rem < gvMaxGroup {
+			copy(pad[:], tail)
+			tail = pad[:]
+		}
+		q := 0
+		for n > 0 {
+			if q >= rem {
+				return r
+			}
+			tag := tail[q]
+			q++
+			for s := 0; s < 8 && n > 0; s, n, r = s+2, n-1, r+1 {
+				c := tag >> s & 3
+				if q+int(c) >= rem {
+					return r
+				}
+				key += uint64(binary.LittleEndian.Uint32(tail[q:]) & gvMask[c])
+				q += int(c) + 1
+				if key>>16 >= nd || key&0xffff >= nm {
+					return r
+				}
+				if v := m[key&0xffff]; v < d[key>>16] {
+					d[key>>16] = v
 				}
 			}
-			if nbr += gap; nbr >= uint64(len(m)) {
-				return e
-			}
-			if v := m[nbr]; v < acc {
-				acc = v
-			}
 		}
-		d[local] = acc
-		lo = hi
+		if q != rem {
+			return r
+		}
+		last, off = key, seg.End
 	}
 	return -1
-}
-
-// longGap reads the uvarint of four or more bytes, or the malformed one,
-// at sec[off] and returns it with the offset past it, or off = -1 for a
-// truncated or overlong one. A gap above 2³² is refused here too: from any
-// neighbour it names no vertex, and refusing it keeps the caller's sum from
-// wrapping back into range.
-func longGap(sec []byte, off int) (uint64, int) {
-	gap, n := binary.Uvarint(sec[off:])
-	if n <= 0 || gap > 1<<32 {
-		return 0, -1
-	}
-	return gap, off + n
 }
 
 // The fallback COP kernel: Message and Combine per edge (Alg. 3 lines
-// 11–14 as written), over raw records — a varint section is first decoded
-// into the chunk's buffer, one section at a time, by blockstore's section
-// decoder.
+// 11–14 as written), over raw records — a CodecVarint block's decoded
+// first by blockstore.AppendGV (copKernel.varint).
 
-// combine folds chunk c's entries idx, whose first section begins at
-// payload byte lo, through Message and Combine.
-func (k *copKernel) combine(c int, idx []uint32, lo int) int {
+// combine folds the entries idx, whose first section begins at payload byte
+// lo, through Message and Combine.
+func (k *copKernel) combine(idx []uint32, lo int) int {
 	for e := 0; e+1 < len(idx); e += 2 {
 		local, hi := idx[e], int(idx[e+1])
 		sec := k.payload[lo:hi]
-		if k.codec != blockstore.CodecNone {
-			var err error
-			if k.bufs[c], err = blockstore.AppendSection(k.bufs[c][:0], sec, k.codec, k.weighted); err != nil {
-				return e
-			}
-			sec = k.bufs[c]
-		}
 		acc, dirty, ok := combineSection(k.prog, k.s, k.d[local], sec, k.active, k.weighted)
 		if !ok {
 			return e

@@ -38,13 +38,10 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 // every frontier — an inactive source's table entry is the reduction's
 // identity — so their legs differ only in which messages they fold; the
 // fallback tests the frontier per edge. ns/edge is the layer-level number
-// for the next kernel change.
-// The /varint legs fold the same block as a mixed store hands it over —
-// its varint sections as stored, decoded by the kernel as it folds them —
-// and the /decoded legs the raw records decodeSections makes of those
-// sections: per edge a decoded block must cost what the stored-raw one
-// does, and a stored-varint one what the decode saves on I/O is weighed
-// against. The /occ legs hold
+// for the next kernel change. At P = 1 a store's one in-block keeps its
+// in-index in either format (intervals wider than 2¹⁶), so these legs time
+// the CodecNone kernels; BenchmarkCOPScan times the keyed layouts. The
+// /occ legs hold
 // |E| = 2¹⁶ and the sum kernel fixed and vary how many of a P = 16
 // interval's 2¹⁴ destinations the edges land on — 5 %, 20 %, all of them —
 // which is what P does to a block: ns/edge should rise only with the
@@ -53,32 +50,17 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 func BenchmarkEdgeKernel(b *testing.B) {
 	n := 1 << 18
 	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
-	load := func(format blockstore.Format) (*blockstore.DualStore, []byte, []uint32) { // the block as the loader hands it over
-		ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: 1, Format: format})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if (ds.InCodec(0, 0) == blockstore.CodecNone) != (format == blockstore.FormatRaw) {
-			b.Fatalf("%v store's in-block is %v-coded", format, ds.InCodec(0, 0))
-		}
-		payload, byteIdx, err := ds.LoadInBlockBytesScratch(0, 0, new(blockstore.Scratch)) // the views keep the scratch alive
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ds, payload, byteIdx
-	}
-	ds, payload, byteIdx := load(blockstore.FormatRaw)
-	_, stored, storedIdx := load(blockstore.FormatMixed)
-	decoded, decodedIdx, err := decodeSections(stored, storedIdx, false)
+	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	blocks := []struct {
-		suffix  string
-		payload []byte
-		byteIdx []uint32
-		codec   blockstore.Codec
-	}{{"", payload, byteIdx, blockstore.CodecNone}, {"/decoded", decoded, decodedIdx, blockstore.CodecNone}, {"/varint", stored, storedIdx, blockstore.CodecVarint}}
+	if ds.InCodec(0, 0) != blockstore.CodecNone {
+		b.Fatalf("the in-block is %v-coded", ds.InCodec(0, 0))
+	}
+	payload, byteIdx, err := ds.LoadInBlockBytesScratch(0, 0, new(blockstore.Scratch)) // the views keep the scratch alive
+	if err != nil {
+		b.Fatal(err)
+	}
 	edges := float64(len(payload) / blockstore.RawRecordBytes(false))
 
 	s := make([]float64, n)
@@ -127,7 +109,7 @@ func BenchmarkEdgeKernel(b *testing.B) {
 			defer k.end()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.block(d[:size], occPayload, entries, blockstore.CodecNone)
+				k.block(d[:size], occPayload, entries)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*occEdges), "ns/edge")
 		})
@@ -138,21 +120,19 @@ func BenchmarkEdgeKernel(b *testing.B) {
 		op   ReduceOp
 	}{{"fallback", ReduceCustom}, {"sum", ReduceSum}, {"min", ReduceMin}} {
 		for _, fr := range frontiers {
-			for _, blk := range blocks {
-				b.Run(kern.name+"/"+fr.name+blk.suffix, func(b *testing.B) {
-					e := New(ds, Config{Threads: 1})
-					k := &e.cop
-					k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: kern.op}, s, fr.f)
-					defer k.end()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if k.block(d, blk.payload, blk.byteIdx, blk.codec) >= 0 {
-							b.Fatal("the fold refused a block the store built")
-						}
+			b.Run(kern.name+"/"+fr.name, func(b *testing.B) {
+				e := New(ds, Config{Threads: 1})
+				k := &e.cop
+				k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: kern.op}, s, fr.f)
+				defer k.end()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if k.block(d, payload, byteIdx) >= 0 {
+						b.Fatal("the fold refused a block the store built")
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
-				})
-			}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
+			})
 		}
 	}
 }
@@ -163,12 +143,13 @@ func BenchmarkEdgeKernel(b *testing.B) {
 // a scan and nothing else. Each leg reports ns/edge and B/edge, the bytes a
 // scan reads per edge (payload and in-index, frames excluded). /coo folds
 // the blocks as a raw store keeps them at this P, one 4-byte (destination,
-// source) record per edge; /raw the same records regrouped behind an
-// in-index, the layout of a raw store whose intervals are wider than 2¹⁶
-// (and of every raw store before CodecCOO); each with the sum and the min
-// kernel. /floor is a flat gather-sum over the same sources, no
-// destination at all: what reading the messages costs. DESIGN.md §4m has
-// the numbers; read them at -cpu 1.
+// source) record per edge; /gv as a mixed store of the same graph keeps
+// them, group-varint key deltas (CodecVarint) where that is smaller and the
+// records otherwise; /raw the records regrouped behind an in-index, the
+// layout of a store whose intervals are wider than 2¹⁶; each with the sum
+// and the min kernel. /floor is a flat gather-sum over the same sources, no
+// destination at all: what reading the messages costs. DESIGN.md §4f and
+// §4m have the numbers; read them at -cpu 1.
 func BenchmarkCOPScan(b *testing.B) {
 	const n, p = 1 << 18, 16
 	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
@@ -176,14 +157,19 @@ func BenchmarkCOPScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	mixed, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: p, Format: blockstore.FormatMixed})
+	if err != nil {
+		b.Fatal(err)
+	}
 	type block struct {
-		d, src   [2]int // destination and source interval bounds
-		coo, raw []byte
-		entries  []uint32
-		srcs     []uint32 // global sources, for the floor
+		d, src       [2]int // destination and source interval bounds
+		coo, raw, gv []byte
+		gvCodec      blockstore.Codec
+		entries      []uint32
+		srcs         []uint32 // global sources, for the floor
 	}
 	var blocks []block
-	var edges, rawBytes float64
+	var edges, rawBytes, gvBytes float64
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
 			payload, _, err := ds.LoadInBlockBytesScratch(j, i, new(blockstore.Scratch))
@@ -201,8 +187,13 @@ func BenchmarkCOPScan(b *testing.B) {
 			for off := 0; off < len(blk.raw); off += 4 {
 				blk.srcs = append(blk.srcs, binary.LittleEndian.Uint32(blk.raw[off:]))
 			}
+			if blk.gv, _, err = mixed.LoadInBlockBytesScratch(j, i, new(blockstore.Scratch)); err != nil {
+				b.Fatal(err)
+			}
+			blk.gvCodec = mixed.InCodec(j, i)
 			edges += float64(len(payload) / 4)
 			rawBytes += float64(len(blk.raw) + 4*len(blk.entries))
+			gvBytes += float64(len(blk.gv))
 			blocks = append(blocks, blk)
 		}
 	}
@@ -215,7 +206,7 @@ func BenchmarkCOPScan(b *testing.B) {
 		name string
 		op   ReduceOp
 	}{{"sum", ReduceSum}, {"min", ReduceMin}} {
-		for _, layout := range []string{"coo", "raw"} {
+		for _, layout := range []string{"coo", "gv", "raw"} {
 			b.Run(layout+"/"+kern.name, func(b *testing.B) {
 				e := New(ds, Config{Threads: 1})
 				k := &e.cop
@@ -226,10 +217,13 @@ func BenchmarkCOPScan(b *testing.B) {
 					for _, blk := range blocks {
 						dst := d[blk.d[0]:blk.d[1]]
 						bad := 0
-						if layout == "coo" {
+						switch {
+						case layout == "coo" || layout == "gv" && blk.gvCodec == blockstore.CodecCOO:
 							bad = k.records(dst, blk.src[0], blk.src[1], blk.coo)
-						} else {
-							bad = k.block(dst, blk.raw, blk.entries, blockstore.CodecNone)
+						case layout == "gv":
+							bad = k.varint(dst, blk.src[0], blk.src[1], blk.gv)
+						default:
+							bad = k.block(dst, blk.raw, blk.entries)
 						}
 						if bad >= 0 {
 							b.Fatal("the fold refused a block the store built")
@@ -237,10 +231,7 @@ func BenchmarkCOPScan(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
-				perEdge := 4.0
-				if layout == "raw" {
-					perEdge = rawBytes / edges
-				}
+				perEdge := map[string]float64{"coo": 4, "gv": gvBytes / edges, "raw": rawBytes / edges}[layout]
 				b.ReportMetric(perEdge, "B/edge")
 			})
 		}

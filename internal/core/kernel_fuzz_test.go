@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"husgraph/internal/bitset"
 	"husgraph/internal/blockstore"
 	"husgraph/internal/graph"
+	"husgraph/internal/storage"
 )
 
 // weightedMessage is the fallback's test program: a message that depends on
@@ -20,173 +22,216 @@ func (weightedMessage) Message(_ graph.VertexID, srcVal float64, w float32) floa
 }
 func (weightedMessage) Combine(acc, msg float64) (float64, bool) { return acc + msg, true }
 
-// foldCase is one FuzzFoldVarint input laid out for the kernels: a
-// compressed in-block's stored payload and in-index entries, the vertex
-// count its neighbours must fall under, the frontier's bitmap words (nil:
-// every vertex active), the program and what it declares, and the threads
-// the block is split over.
-type foldCase struct {
-	payload  []byte
-	entries  []uint32
-	n, size  int
-	active   []uint64
+// foldKernel is what a fold fuzz input's selector byte picks: the
+// reduction — sum, min or none, the Combine fallback, the only one a
+// weighted store takes — and its program, whether records carry weights,
+// the frontier (bit 4: the one the mask spells over n vertices, else full)
+// and 1–4 threads.
+type foldKernel struct {
 	prog     Program
 	op       ReduceOp
 	weighted bool
+	active   []uint64
 	threads  int
 }
 
-// decodeFoldCase reads a case out of fuzz bytes. Each cut byte c ends a
-// section 1 + c%16 bytes after the last one (the last section takes the
-// rest of the payload) and names a destination 1 + (c>>4)%3 past the
-// previous, so the entries are what blockstore validates before a kernel
-// sees them; the selector picks the reduction (sum, min or none — the
-// Combine fallback, the only one a weighted store takes), a full frontier
-// or the one the mask spells, the weights and 1–3 threads; the vertex
-// count is 1 + nsel².
-func decodeFoldCase(payload, cuts, mask []byte, sel uint8, nsel uint8) foldCase {
-	c := foldCase{payload: payload, n: 1 + int(nsel)*int(nsel), threads: 1 + int(sel>>4)%3}
-	c.op = [...]ReduceOp{ReduceSum, ReduceMin, ReduceCustom}[sel%3]
+func kernelOf(sel uint8, mask []byte, n int) foldKernel {
+	c := foldKernel{op: [...]ReduceOp{ReduceSum, ReduceMin, ReduceCustom}[sel%3], threads: 1 + int(sel>>4)%4}
 	c.weighted = sel&8 != 0 && c.op == ReduceCustom
 	c.prog = declared{testLabel{}, c.op}
 	if c.op == ReduceCustom {
 		c.prog = weightedMessage{}
 	}
 	if sel&4 != 0 {
-		c.active = make([]uint64, (c.n+63)/64)
+		c.active = make([]uint64, (n+63)/64)
 		for k := range c.active {
 			if k < len(mask) {
 				c.active[k] = uint64(mask[k]) * 0x0101010101010101
 			}
 		}
 	}
-	end, local := 0, -1
-	for k := 0; end < len(payload); k++ {
-		cut := byte(0xff)
-		if k < len(cuts) {
-			cut = cuts[k]
-		}
-		end = min(end+1+int(cut%16), len(payload))
-		if k >= len(cuts) {
-			end = len(payload)
-		}
-		local += 1 + int(cut>>4)%3
-		c.entries = append(c.entries, uint32(local), uint32(end))
-	}
-	c.size = local + 1
 	return c
 }
 
-// fold runs the kernel over payload and entries in layout codec, from the
-// same accumulators and message values every time, and returns the
-// accumulators and the entry the fold stopped at (-1: none).
-func (c foldCase) fold(payload []byte, entries []uint32, codec blockstore.Codec) ([]float64, int) {
-	s := make([]float64, c.n)
+// foldValues are a fold's source values over n vertices and its
+// accumulators over size destinations, the same every time.
+func foldValues(n, size int) (s, d []float64) {
+	s, d = make([]float64, n), make([]float64, size)
 	for v := range s {
 		s[v] = edgeCaseValues[v%len(edgeCaseValues)]
 	}
-	d := make([]float64, c.size)
 	for k := range d {
 		d[k] = edgeCaseValues[(k+5)%len(edgeCaseValues)]
 	}
-	k := &copKernel{prog: c.prog, op: c.op, weighted: c.weighted, threads: c.threads, s: s, active: c.active}
-	if c.op != ReduceCustom {
-		// As a sweep fills it: S[u] for an active u (testLabel's message),
-		// the reduction's identity for an inactive one.
-		k.m = make([]float64, c.n)
-		k.pass(0, c.n, nil, nil)
-	}
-	bad := k.block(d, payload, entries, codec)
-	return d, bad
+	return s, d
 }
 
-// FuzzFoldVarint holds the kernels that fold a compressed in-block as stored
-// to the decoder they replace on COP's path. Over arbitrary section bytes,
-// in-index entries, frontier and reduction, folding the varint sections must
-// stop at exactly the entry where decoding them with blockstore's section
-// decoder fails or the decoded records first name a neighbour outside the
-// vertex set, and otherwise leave the accumulators bit for bit where folding
-// the decoded raw twin (decodeSections) does. It never panics.
-func FuzzFoldVarint(f *testing.F) {
-	var valid []byte // three sections: {0, 5, 300}, {7}, {2, 3}
-	for _, sec := range [][]uint64{{1, 5, 295}, {8}, {3, 1}} {
-		for _, gap := range sec {
-			valid = binary.AppendUvarint(valid, gap)
-		}
+// kernel returns a copKernel for c over the source values s, its table
+// filled as a sweep fills it: S[u] for an active u (testLabel's message),
+// the reduction's identity for an inactive one.
+func (c foldKernel) kernel(s []float64) *copKernel {
+	k := &copKernel{prog: c.prog, op: c.op, weighted: c.weighted, threads: c.threads, s: s, active: c.active}
+	if c.op != ReduceCustom {
+		k.m = make([]float64, len(s))
+		k.pass(0, len(s), nil, nil)
 	}
-	f.Add(valid, []byte{3, 0x10}, []byte{0xff}, uint8(0), uint8(20))                                      // sum, all active
-	f.Add(valid, []byte{3, 0x10}, []byte{0x0f}, uint8(1|4|16), uint8(20))                                 // min, a partial frontier, 2 threads
-	f.Add(valid, []byte{3, 0x10}, []byte{0xff}, uint8(0), uint8(10))                                      // 300 ≥ |V| = 101
-	f.Add([]byte{1, 0x80}, []byte{}, []byte{}, uint8(1), uint8(3))                                        // unterminated gap
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, []byte{}, []byte{}, uint8(0), uint8(9))                   // 2³⁵ − 1: past uint32
-	f.Add([]byte{1, 0, 0, 0x80, 0x3f, 3, 0, 0, 0x80, 0x3f}, []byte{4}, []byte{}, uint8(2|8|32), uint8(4)) // weighted, Combine fallback, 3 threads
-	f.Add([]byte{1, 0, 0, 0x80}, []byte{}, []byte{}, uint8(2|8), uint8(4))                                // weighted: the weight cut short
-	f.Add(binary.AppendUvarint([]byte{2}, 20000), []byte{}, []byte{}, uint8(0), uint8(200))               // a three-byte gap, sum
-	f.Add(binary.AppendUvarint([]byte{2}, 20000), []byte{}, []byte{}, uint8(1), uint8(200))               // a three-byte gap, min
-	f.Fuzz(func(t *testing.T, payload, cuts, mask []byte, sel, nsel uint8) {
-		c := decodeFoldCase(payload, cuts, mask, sel, nsel)
-		// Where blockstore's decoder, then the raw twin's neighbours, say the
-		// fold must stop.
-		want := -1
-		for e, lo := 0, uint32(0); e < len(c.entries); e += 2 {
-			recs, err := blockstore.AppendSection(nil, payload[lo:c.entries[e+1]], blockstore.CodecVarint, c.weighted)
-			for off := 0; err == nil && off < len(recs); off += blockstore.RawRecordBytes(c.weighted) {
-				if nbr, _ := blockstore.RawRec(recs, off, c.weighted); int(nbr) >= c.n {
-					err = errNeighbour
+	return k
+}
+
+// gvEncode lays sorted keys out as a CodecVarint block whose segments end
+// at the first destination change after every records keys, each key's
+// weight float32(key%7) on a weighted store.
+func gvEncode(keys []uint32, every int, weighted bool) []byte {
+	var out []byte
+	for len(keys) > 0 {
+		n := min(every, len(keys))
+		for n < len(keys) && keys[n]>>16 == keys[n-1]>>16 {
+			n++
+		}
+		var body []byte
+		prev := uint32(0)
+		for g := 0; g < n; g += 4 {
+			at := len(body)
+			body = append(body, 0)
+			for k := g; k < min(g+4, n); k++ {
+				delta := keys[k] - prev
+				l := 1
+				for delta>>(8*l) != 0 && l < 4 {
+					l++
+				}
+				body[at] |= byte(l-1) << (2 * (k - g))
+				body = binary.LittleEndian.AppendUint32(body, delta)[:len(body)+l]
+				prev = keys[k]
+			}
+		}
+		out = binary.AppendUvarint(out, uint64(n))
+		out = binary.AppendUvarint(out, uint64(len(body)))
+		out = append(out, body...)
+		if weighted {
+			for _, k := range keys[:n] {
+				out = binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(k%7)))
+			}
+		}
+		keys = keys[n:]
+	}
+	return out
+}
+
+// FuzzFoldGV holds the CodecVarint kernels — sum, min and the Combine
+// fallback, weighted or not, over 1–4 threads — to decoding the block with
+// blockstore.AppendGV, the one decoder, and folding the records it yields
+// with the CodecCOO kernels on one thread (copSumCOO, copMinCOO,
+// combineCOO), the decoder's refusal stopping the reference after them.
+// The input is the stored bytes as given, or with bit 7 of the selector its
+// bytes read as 4-byte keys, sorted and laid out by gvEncode with segments
+// of at least 1 + ssel%8 keys. On one thread the fold must stop at the
+// reference's record, or nowhere, with the accumulators bit for bit where
+// the reference leaves them. Split across threads it must stop iff the
+// reference does, at a record no later — a chunk also refuses a
+// destination at or past the next chunk's first — and otherwise fold what
+// the reference folds; and no two chunks may fold one destination. It
+// never panics.
+func FuzzFoldGV(f *testing.F) {
+	keys := func(ks ...uint32) []byte {
+		var b []byte
+		for _, k := range ks {
+			b = binary.LittleEndian.AppendUint32(b, k)
+		}
+		return b
+	}
+	var many []uint32
+	for k := uint32(0); k < 300; k++ {
+		many = append(many, (k/7)<<16|(k*37)%200) // 43 destinations, gaps of one to three bytes
+	}
+	slices.Sort(many)
+	sorted := keys(0<<16|1, 0<<16|3, 1<<16|0, 1<<16|0, 4<<16|2, 5<<16|1, 5<<16|6, 9<<16|4)
+	f.Add(gvEncode(many, 8, false), uint16(50), uint16(200), uint8(0), []byte{0xff})                                                                                    // sum, all active
+	f.Add(gvEncode(many, 8, false), uint16(50), uint16(200), uint8(1|4|16), []byte{0x0f, 0xf0})                                                                         // min, a partial frontier, 2 threads
+	f.Add(gvEncode(many, 5, false), uint16(50), uint16(200), uint8(48), []byte{})                                                                                       // sum, 4 threads
+	f.Add(gvEncode(many, 5, true), uint16(50), uint16(200), uint8(2|8|32), []byte{})                                                                                    // weighted, the Combine fallback, 3 threads
+	f.Add(sorted, uint16(10), uint16(7), uint8(128|16), []byte{})                                                                                                       // keys laid out by the test, 2 threads
+	f.Add(sorted, uint16(10), uint16(7), uint8(128|1|48), []byte{})                                                                                                     // min over them, 4 threads
+	f.Add(gvEncode(many, 8, false), uint16(40), uint16(200), uint8(16), []byte{})                                                                                       // a destination past the interval
+	f.Add(gvEncode(many, 8, false), uint16(50), uint16(150), uint8(1), []byte{})                                                                                        // a source past the interval
+	f.Add([]byte{9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(4), uint16(4), uint8(0), []byte{})                                                                            // a header claiming more records than its bytes hold
+	f.Add([]byte{1, 9, 0, 0}, uint16(4), uint16(4), uint8(0), []byte{})                                                                                                 // a header claiming more bytes than the block holds
+	f.Add([]byte{1, 1, 0}, uint16(4), uint16(4), uint8(1), []byte{})                                                                                                    // a tag without its delta
+	f.Add([]byte{2, 5, 0xc0, 1, 0xff, 0xff, 0xff}, uint16(4), uint16(4), uint8(0), []byte{})                                                                            // a 4-byte delta past its segment
+	f.Add([]byte{2, 6, 0xc3, 0, 0, 1, 0, 0xff}, uint16(4), uint16(4), uint8(0), []byte{})                                                                               // a tag that runs past its segment
+	f.Add([]byte{2, 9, 0xf3, 0, 0, 1, 0, 0xff, 0xff, 0xff, 0xff}, uint16(4), uint16(4), uint8(2), []byte{})                                                             // a key past 2³²
+	f.Add(append(gvEncode([]uint32{3<<16 | 1}, 1, false), gvEncode([]uint32{2<<16 | 1}, 1, false)...), uint16(4), uint16(4), uint8(16), []byte{})                       // a segment below the key before it
+	f.Add(append(gvEncode([]uint32{3<<16 | 1}, 1, false), gvEncode([]uint32{3<<16 | 2}, 1, false)...), uint16(4), uint16(4), uint8(0), []byte{})                        // a segment on the destination before it
+	f.Add(append(gvEncode([]uint32{1<<16 | 1, 5<<16 | 0}, 1, false), gvEncode([]uint32{3<<16 | 2, 6<<16 | 1}, 1, false)...), uint16(8), uint16(4), uint8(16), []byte{}) // a chunk climbing into the next's first destination
+	f.Add(append(gvEncode([]uint32{1 << 16}, 1, false), 0, 0), uint16(4), uint16(4), uint8(0), []byte{})                                                                // key bytes left undecoded
+	f.Fuzz(func(t *testing.T, payload []byte, dsel, ssel uint16, sel uint8, mask []byte) {
+		sizeJ, sizeI := 1+int(dsel), 1+int(ssel)
+		srcLo := int(sel>>5&1) * 3 // the source interval need not start at 0
+		n := srcLo + sizeI
+		c := kernelOf(sel, mask, n)
+		if sel&128 != 0 {
+			var ks []uint32
+			for off := 0; off+4 <= len(payload); off += 4 {
+				ks = append(ks, binary.LittleEndian.Uint32(payload[off:]))
+			}
+			slices.Sort(ks)
+			payload = gvEncode(ks, 1+int(ssel)%8, c.weighted)
+		}
+		step := blockstore.RawRecordBytes(c.weighted)
+
+		// The reference: the decoder, then the CodecCOO kernels on one
+		// thread over what it decoded.
+		s, want := foldValues(n, sizeJ)
+		recs, decErr := blockstore.AppendGV(nil, payload, c.weighted)
+		if decErr != nil && !errors.Is(decErr, storage.ErrCorrupt) {
+			t.Fatalf("the decoder's refusal %v is not ErrCorrupt-class", decErr)
+		}
+		ref := c
+		ref.threads = 1
+		wantBad := ref.kernel(s).records(want, srcLo, n, recs)
+		if wantBad < 0 && decErr != nil {
+			wantBad = len(recs) / step
+		}
+
+		// However the block splits, the keys each chunk folds — decoded
+		// from its first segment on, below its limit — name destinations no
+		// other chunk's do: workers never write one accumulator together.
+		if !c.weighted {
+			owner := map[uint32]int{}
+			for ch, chunk := range gvChunks(nil, payload, sizeJ, c.threads) {
+				part, _ := blockstore.AppendGV(nil, payload[chunk.off:chunk.end], false)
+				for off := 0; off < len(part); off += 4 {
+					key := binary.LittleEndian.Uint32(part[off:])
+					if int(key>>16) >= chunk.limit || int(key&0xffff) >= sizeI {
+						break
+					}
+					if o, ok := owner[key>>16]; ok && o != ch {
+						t.Fatalf("chunks %d and %d both fold destination %d", o, ch, key>>16)
+					}
+					owner[key>>16] = ch
 				}
 			}
-			if err != nil {
-				want = e / 2
-				break
-			}
-			lo = c.entries[e+1]
 		}
-		got, bad := c.fold(payload, c.entries, blockstore.CodecVarint)
-		if bad != want {
-			t.Fatalf("%+v: the varint fold stopped at entry %d, the decoder at %d", c, bad, want)
+
+		_, got := foldValues(n, sizeJ)
+		bad := c.kernel(s).varint(got, srcLo, n, payload)
+		switch {
+		case c.threads == 1 && bad != wantBad:
+			t.Fatalf("%v: the fold stopped at record %d, the reference at %d (%v)", c.op, bad, wantBad, decErr)
+		case (bad < 0) != (wantBad < 0) || bad > wantBad:
+			t.Fatalf("%v, %d threads: the fold stopped at record %d, the reference at %d (%v)", c.op, c.threads, bad, wantBad, decErr)
+		case wantBad >= 0:
+			return // what a fold wrote before it stopped is discarded
 		}
-		if want >= 0 {
-			return
-		}
-		recs, rawEntries, err := decodeSections(payload, c.entries, c.weighted)
-		if err != nil {
-			t.Fatalf("%+v: decodeSections refused sections each decoded alone: %v", c, err)
-		}
-		wantD, rawBad := c.fold(recs, rawEntries, blockstore.CodecNone)
-		if rawBad >= 0 {
-			t.Fatalf("%+v: the raw twin stopped at entry %d", c, rawBad)
-		}
-		for k := range wantD {
-			if math.Float64bits(got[k]) != math.Float64bits(wantD[k]) {
-				t.Fatalf("%+v: accumulator %d folded to %v from the varint sections, %v from the raw twin", c, k, got[k], wantD[k])
+		for v := range got {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%v, %d threads: accumulator %d folded to %v, the reference %v", c.op, c.threads, v, got[v], want[v])
 			}
 		}
 	})
 }
 
-// errNeighbour marks a decoded record whose neighbour names no vertex.
-var errNeighbour = errors.New("neighbour outside the vertex set")
-
-// decodeSections returns the CodecNone twin of a compressed in-block as the
-// loader hands it over: every listed section decoded by
-// blockstore.AppendSection, the only section decoder, one after another,
-// and the entries with each end offset moved to the decoded one.
-func decodeSections(payload []byte, entries []uint32, weighted bool) ([]byte, []uint32, error) {
-	var recs []byte
-	out := make([]uint32, len(entries))
-	var err error
-	for e, lo := 0, uint32(0); e+1 < len(entries); e += 2 {
-		hi := entries[e+1]
-		if recs, err = blockstore.AppendSection(recs, payload[lo:hi], blockstore.CodecVarint, weighted); err != nil {
-			return nil, nil, err
-		}
-		out[e], out[e+1], lo = entries[e], uint32(len(recs)), hi
-	}
-	return recs, out, nil
-}
-
 // FuzzFoldCOO holds the CodecCOO kernels — sum, min and the Combine
-// fallback, weighted or not, over 1–3 threads — to a fold of one record at a
+// fallback, weighted or not, over 1–4 threads — to a fold of one record at a
 // time. Over arbitrary payload bytes, interval sizes and frontier, a record
 // is folded when its key is not below the one before it, its destination
 // lies in the destination interval and its source in the source interval;
@@ -221,32 +266,12 @@ func FuzzFoldCOO(f *testing.F) {
 		sizeJ, sizeI := 1+int(dsel), 1+int(ssel)
 		srcLo := int(sel>>6) * 3 // the source interval need not start at 0
 		n := srcLo + sizeI
-		// The kernel decodeFoldCase's selector picks, over n vertices.
-		c := decodeFoldCase(nil, nil, nil, sel, 0)
-		c.payload, c.n, c.size, c.active = payload, n, sizeJ, nil
-		if sel&4 != 0 {
-			c.active = make([]uint64, (n+63)/64)
-			for k := range c.active {
-				if k < len(mask) {
-					c.active[k] = uint64(mask[k]) * 0x0101010101010101
-				}
-			}
-		}
+		c := kernelOf(sel, mask, n)
 		step := blockstore.RawRecordBytes(c.weighted)
-		values := func() (s, d []float64) {
-			s, d = make([]float64, n), make([]float64, sizeJ)
-			for v := range s {
-				s[v] = edgeCaseValues[v%len(edgeCaseValues)]
-			}
-			for k := range d {
-				d[k] = edgeCaseValues[(k+5)%len(edgeCaseValues)]
-			}
-			return s, d
-		}
 
 		// The reference: one record at a time, Message and the declared
 		// reduction (or Combine) written out, into its own accumulators.
-		s, d := values()
+		s, d := foldValues(n, sizeJ)
 		want := -1
 		prev := uint32(0)
 		r := 0
@@ -295,31 +320,26 @@ func FuzzFoldCOO(f *testing.F) {
 			}
 			for r := lo; r < hi && prev <= key(r) && key(r) <= last && int(key(r)>>16) < sizeJ && int(key(r)&0xffff) < sizeI; r++ {
 				if o, ok := owner[key(r)>>16]; ok && o != ch {
-					t.Fatalf("%+v: chunks %d and %d of %v both fold destination %d", c, o, ch, bounds, key(r)>>16)
+					t.Fatalf("%v: chunks %d and %d of %v both fold destination %d", c.op, o, ch, bounds, key(r)>>16)
 				}
 				owner[key(r)>>16], prev = ch, key(r)
 			}
 		}
 
-		// The kernel, its table filled as a sweep fills it (foldCase.fold).
-		_, got := values()
-		k := &copKernel{prog: c.prog, op: c.op, weighted: c.weighted, threads: c.threads, s: s, active: c.active}
-		if c.op != ReduceCustom {
-			k.m = make([]float64, n)
-			k.pass(0, n, nil, nil)
-		}
-		bad := k.records(got, srcLo, n, payload)
+		// The kernel, its table filled as a sweep fills it.
+		_, got := foldValues(n, sizeJ)
+		bad := c.kernel(s).records(got, srcLo, n, payload)
 		switch {
 		case c.threads == 1 && bad != want:
-			t.Fatalf("%+v: the fold stopped at record %d, the reference at %d", c, bad, want)
+			t.Fatalf("%v: the fold stopped at record %d, the reference at %d", c.op, bad, want)
 		case (bad < 0) != (want < 0) || bad > want:
-			t.Fatalf("%+v, %d threads: the fold stopped at record %d, the reference at %d", c, c.threads, bad, want)
+			t.Fatalf("%v, %d threads: the fold stopped at record %d, the reference at %d", c.op, c.threads, bad, want)
 		case c.threads > 1 && want >= 0:
 			return // what a split fold wrote before it stopped is discarded
 		}
 		for v := range got {
 			if math.Float64bits(got[v]) != math.Float64bits(d[v]) {
-				t.Fatalf("%+v: accumulator %d folded to %v, the reference %v", c, v, got[v], d[v])
+				t.Fatalf("%v, %d threads: accumulator %d folded to %v, the reference %v", c.op, c.threads, v, got[v], d[v])
 			}
 		}
 	})

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"sort"
 	"sync"
+
+	"husgraph/internal/blockstore"
 )
 
 // parallelFor runs fn(k) for every k in [0, n) on up to t goroutines,
@@ -103,4 +105,40 @@ func recordChunks(dst []int, payload []byte, step, t int) []int {
 		}
 	}
 	return append(dst, n)
+}
+
+// gvChunk is one chunk of a CodecVarint in-block: the whole segments in
+// payload bytes [off, end), the block's record rec the first of them starts
+// with, and limit, the destination the chunk's keys must stay below.
+type gvChunk struct{ off, end, rec, limit int }
+
+// gvChunks splits a CodecVarint in-block over size destinations into at
+// most t chunks of whole segments and about equal bytes, and appends them
+// to dst; it reads only segment headers and first keys. A cut is made at a
+// segment start only where the segment's first destination lies above the
+// previous cut's, and the chunk the cut ends must stay below that
+// destination (the last chunk below size). A chunk's keys never fall from
+// its first one, so the chunks write disjoint ranges of destinations, each
+// a chunk's own, whatever the block holds; a sorted block meets the rule at
+// every segment start. No payload yields no chunk.
+func gvChunks(dst []gvChunk, payload []byte, size, t int) []gvChunk {
+	if len(payload) == 0 {
+		return dst
+	}
+	cur, cuts, from := gvChunk{}, 0, -1 // from: the last cut's destination
+	for off, rec := 0, 0; cuts+1 < t && off < len(payload); {
+		seg, err := blockstore.ParseGVSegment(payload, off, false)
+		if err != nil {
+			break
+		}
+		if key, ok := blockstore.GVFirstKey(seg.Keys); ok && off > 0 && off >= (cuts+1)*len(payload)/t && int(key>>16) > from {
+			from = int(key >> 16)
+			cur.end, cur.limit = off, min(from, size)
+			dst = append(dst, cur)
+			cur, cuts = gvChunk{off: off, rec: rec}, cuts+1
+		}
+		off, rec = seg.End, rec+seg.Records
+	}
+	cur.end, cur.limit = len(payload), size
+	return append(dst, cur)
 }

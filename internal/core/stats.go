@@ -42,11 +42,11 @@ type IterStats struct {
 	// Runtime is the modeled iteration time: max(IOTime, ComputeModeled),
 	// since the engine overlaps CPU processing and disk I/O (§3.5).
 	Runtime time.Duration
-	// DecodeTime is the measured wall-clock time spent decoding varint
-	// in-indices this iteration (diagnostic only, like ComputeTime; zero
-	// when every touched in-index is stored CodecNone). A compressed
-	// in-block is counted in DecodedBytes and CompressedBytes but not timed
-	// here: COP folds it as stored, parsing its gaps in the edge loop.
+	// DecodeTime is always 0: no in-index is stored compressed, and COP
+	// folds a compressed in-block as stored, parsing its deltas in the edge
+	// loop, so nothing is decoded apart from the fold (a compressed block is
+	// counted in DecodedBytes and CompressedBytes). It stays until the
+	// benchmark stops reading it into blockstore.decode_s.
 	DecodeTime time.Duration
 	// DecodeModeled prices this iteration's decompression work for the
 	// modeled testbed (see ModeledDecodeTime). With asynchronous

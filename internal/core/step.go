@@ -174,7 +174,6 @@ func (s *Step) End() (IterStats, error) {
 	if st.Model == ModelCOP {
 		st.DecodedBytes, st.CompressedBytes = e.copDecodeBytes()
 	}
-	st.DecodeTime = s.win.DecodeTime()
 	st.DecodeModeled = ModeledDecodeTime(st.DecodedBytes, e.cfg.Threads)
 	st.IO = e.ds.Device().Stats().Sub(s.ioBefore)
 	st.IOTime = st.IO.SimIO

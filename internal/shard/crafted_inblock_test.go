@@ -14,54 +14,136 @@ import (
 	"husgraph/internal/storage"
 )
 
-// TestCraftedInBlockIsAnError: a correctly framed in-block whose sections
-// lie — a record naming a neighbour past |V|, or, stored compressed, a varint
-// gap that overshoots the vertex set or never terminates — passes every
-// whole-read check (CRC, stored size, in-index), so only the COP kernel
-// that reads the section can refuse it. Each lie must end the run with a
-// storage.ErrCorrupt-class *core.IterError of iteration 0: before the
-// kernels tested their neighbours, a raw record past |V| panicked "index
-// out of range" inside the fold (in a chunk worker at Threads > 1, killing
-// the process). Every lie, over a raw and a mixed
-// store, at 1 and 4 threads, through one engine and two shards, read inline
-// and through a prefetching cache that keeps the block decoded; each
-// program picks another kernel — BFS the probing min, WCC the all-active
-// min, PageRank the all-active sum, SSSP on a weighted store the Combine
-// fallback — and every goroutine must be gone afterwards (leaktest.Main).
-// The raw store's intervals are one vertex wider than a CodecCOO record
-// addresses, so its in-blocks keep their in-index and packed records: the
-// same 64 vertices, spread over intervals of MaxCOOInterval+1.
+// TestCraftedInBlockIsAnError: a correctly framed in-block whose records
+// lie passes every whole-read check (CRC, stored size, in-index), so only
+// the COP kernel that reads the block can refuse it. Each lie must end the
+// run with a storage.ErrCorrupt-class *core.IterError of iteration 0:
+// before the kernels tested their neighbours, a raw record past |V|
+// panicked "index out of range" inside the fold (in a chunk worker at
+// Threads > 1, killing the process). Every lie runs at 1 and 4 threads,
+// through one engine and two shards, read inline and through a prefetching
+// cache that keeps the block as stored; each program picks another kernel —
+// BFS the probing min, WCC the all-active min, PageRank the all-active sum,
+// SSSP on a weighted store the Combine fallback — and every goroutine must
+// be gone afterwards (leaktest.Main). The raw store's intervals are one
+// vertex wider than a key addresses, so its in-blocks keep their in-index
+// and packed records: the ring's 64 vertices, spread over intervals of
+// MaxCOOInterval+1; its lie is a record naming a neighbour past |V|. The
+// mixed store's in-block (0,1) holds every edge from interval 0 to interval
+// 1 of 256 vertices, 4 096 keys in four segments of group-varint deltas, and
+// its lies break each rule of the layout once: a segment header counting
+// more records or bytes than the segment holds, a tag whose deltas run past
+// the segment, a delta carrying the key past 2³², a destination or a
+// source past its interval, a segment starting below the key before it,
+// and a segment's last key climbing onto the next segment's first
+// destination — where the block splits at 4 threads, so the chunk holding
+// the lie must stop before writing the accumulator the next chunk owns:
+// under -race a write from both is a reported race.
 func TestCraftedInBlockIsAnError(t *testing.T) {
-	// 64 vertices, P = 4: in-block (0,1) holds the edges v → v+17 of
-	// interval 0, one record per destination of interval 1 it reaches.
-	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
-		n, stride := craftedVertices, 1
-		if format == blockstore.FormatRaw {
-			n, stride = craftedP*(blockstore.MaxCOOInterval+1), 4100
+	raw := craftedGraph(craftedP*(blockstore.MaxCOOInterval+1), 4100)
+	craftedLies(t, blockstore.FormatRaw, raw, func(stored []byte, entries []uint32, codec blockstore.Codec, _ int) map[string]func(b []byte) {
+		if codec != blockstore.CodecNone || len(entries) < 4 {
+			t.Fatalf("raw: in-block (0,1) is %v with %d entries; want CodecNone and two or more entries", codec, len(entries)/2)
 		}
-		craftedLies(t, format, n, stride, func(stored []byte, entries []uint32, codec blockstore.Codec, _ int) map[string]func(b []byte) {
-			if want := format == blockstore.FormatMixed; (codec == blockstore.CodecVarint) != want || len(entries) < 4 {
-				t.Fatalf("%v: in-block (0,1) is %v with %d entries; want it compressed iff the store is mixed, and two or more entries", format, codec, len(entries)/2)
-			}
-			first := int(entries[1]) // the first destination's section is stored[:first]
-			if codec != blockstore.CodecVarint {
-				return map[string]func(b []byte){
-					// The first record's neighbour, stored raw, moved past |V|.
-					"a neighbour past |V|": func(b []byte) { binary.LittleEndian.PutUint32(b, uint32(n+5)) },
-				}
-			}
-			return map[string]func(b []byte){
-				// A one-byte gap from −1 to 126: its neighbour.
-				"a gap past |V|": func(b []byte) { b[0] = 0x7f },
-				// Continuation bits to the section's end.
-				"an unterminated varint": func(b []byte) {
-					for k := range first {
-						b[k] = 0xff
-					}
-				},
-			}
-		})
+		return map[string]func(b []byte){
+			// The first record's neighbour, stored raw, moved past |V|.
+			"a neighbour past |V|": func(b []byte) { binary.LittleEndian.PutUint32(b, uint32(raw.NumVertices+5)) },
+		}
+	})
+
+	const n = 4 * 64
+	dense := graph.New(n)
+	for u := 0; u < 64; u++ {
+		for v := 64; v < 128; v++ {
+			dense.AddWeightedEdge(graph.VertexID(u), graph.VertexID(v), float32(1+(u+v)%3))
+		}
 	}
+	for v := 0; v < n; v++ {
+		dense.AddWeightedEdge(graph.VertexID(v), graph.VertexID((v+1)%n), 1)
+	}
+	craftedLies(t, blockstore.FormatMixed, dense, func(stored []byte, entries []uint32, codec blockstore.Codec, step int) map[string]func(b []byte) {
+		weighted := step == blockstore.RawRecordBytes(true)
+		segs := gvSegments(t, stored, weighted)
+		if codec != blockstore.CodecVarint || entries != nil || len(segs) != 4 {
+			t.Fatalf("mixed: in-block (0,1) is %v with %d index words and %d segments; want CodecVarint, none and four", codec, len(entries), len(segs))
+		}
+		for k, sg := range segs {
+			if sg.Records != blockstore.GVSegmentRecords || stored[sg.keys+sg.tag(stored, 0)] != byte(map[bool]int{true: 0, false: 2}[k == 0]) {
+				t.Fatalf("mixed: segment %d holds %d records, first tag %#x; want %d, a 1-byte first key for segment 0 and 3-byte ones after", k, sg.Records, stored[sg.keys], blockstore.GVSegmentRecords)
+			}
+		}
+		// lastDst is the offset of the tag of the group with which the
+		// destination 16k+15 of segment k starts, its first delta 2 bytes.
+		lastDst := func(k int) int { return segs[k].keys + segs[k].tag(stored, (blockstore.GVSegmentRecords-64)/4) }
+		return map[string]func(b []byte){
+			"a segment header counting more records than it holds": func(b []byte) { b[segs[0].off]++ },
+			"a segment header counting more bytes than it holds": func(b []byte) {
+				at := segs[3].off + segs[3].countBytes
+				if b[at]&0x7f == 0x7f {
+					t.Fatalf("segment 3's key byte count %#x would lengthen", b[at])
+				}
+				b[at]++
+			},
+			"a tag whose deltas run past its segment": func(b []byte) {
+				b[segs[0].keys+segs[0].tag(b, blockstore.GVSegmentRecords/4-1)] = 0xff
+			},
+			"a delta carrying the key past 2³²": func(b []byte) {
+				// Segment 1's first group: its 3-byte first key, then a
+				// 4-byte delta of 2³² − 1.
+				at := segs[1].keys
+				b[at] = 0x0e
+				copy(b[at+4:], []byte{0xff, 0xff, 0xff, 0xff})
+			},
+			"a destination past its interval": func(b []byte) { b[segs[3].keys+3] = 0x40 }, // segment 3's first key, destination 48 → 64
+			"a source past its interval":      func(b []byte) { b[segs[3].keys+segs[3].keyBytes-1]++ },
+			"a segment starting below the key before it": func(b []byte) {
+				b[segs[2].keys+3] = 0x10 // destination 32 → 16
+			},
+			"a segment climbing onto the next one's first destination": func(b []byte) {
+				// Destination 31's first delta takes its third byte from
+				// the next delta: 0x01ffc1 carries the key to (32, 0).
+				at := lastDst(1)
+				if b[at] != 0x01 || b[at+1] != 0xc1 || b[at+2] != 0xff || b[at+3] != 0x01 {
+					t.Fatalf("segment 1's last destination starts % x", b[at:at+4])
+				}
+				b[at] = 0x02
+			},
+		}
+	})
+}
+
+// gvSegment is where one segment of a CodecVarint block lies in its
+// payload: its header at off, countBytes long — the record count — then its
+// key byte count, and its keyBytes key bytes at keys.
+type gvSegment struct {
+	blockstore.GVSegment
+	off, countBytes, keys, keyBytes int
+}
+
+// tag returns the offset in the segment's key bytes of group g's tag.
+func (s gvSegment) tag(payload []byte, g int) int {
+	at := 0
+	for ; g > 0; g-- {
+		tag := payload[s.keys+at]
+		at += 1 + int(tag&3) + int(tag>>2&3) + int(tag>>4&3) + int(tag>>6) + 4
+	}
+	return at
+}
+
+// gvSegments lists the segments of a CodecVarint block.
+func gvSegments(t *testing.T, payload []byte, weighted bool) []gvSegment {
+	t.Helper()
+	var segs []gvSegment
+	for off := 0; off < len(payload); {
+		seg, err := blockstore.ParseGVSegment(payload, off, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, count := binary.Uvarint(payload[off:])
+		segs = append(segs, gvSegment{GVSegment: seg, off: off, countBytes: count, keys: seg.End - len(seg.Weights) - len(seg.Keys), keyBytes: len(seg.Keys)})
+		off = seg.End
+	}
+	return segs
 }
 
 // TestCraftedCOORecordIsAnError: a raw store over intervals that fit 16
@@ -82,7 +164,7 @@ func TestCraftedInBlockIsAnError(t *testing.T) {
 // it, so a third chunk bounded below by the second's last key alone would
 // fold a destination the first chunk owns.
 func TestCraftedCOORecordIsAnError(t *testing.T) {
-	craftedLies(t, blockstore.FormatRaw, craftedVertices, 1, func(stored []byte, entries []uint32, codec blockstore.Codec, step int) map[string]func(b []byte) {
+	craftedLies(t, blockstore.FormatRaw, craftedGraph(craftedVertices, 1), func(stored []byte, entries []uint32, codec blockstore.Codec, step int) map[string]func(b []byte) {
 		recs := len(stored) / step
 		if codec != blockstore.CodecCOO || entries != nil || recs != 16 {
 			t.Fatalf("in-block (0,1) is %v with %d index words and %d records; want CodecCOO, none and sixteen", codec, len(entries), recs)
@@ -110,24 +192,29 @@ func TestCraftedCOORecordIsAnError(t *testing.T) {
 	})
 }
 
-// The crafted stores: craftedVertices vertices in craftedP intervals, each
-// vertex v joined to v+1 and v+17, symmetrized.
+// The crafted ring: craftedVertices vertices in craftedP intervals, each
+// vertex v joined to v+1 and v+17.
 const craftedVertices, craftedP = 64, 4
 
-// craftedLies builds the crafted graph — vertex v at ID v·stride of n —
-// in format for each program, hands in-block (0,1) as loaded, its codec and
-// its record size to lies, and runs every lie it returns, written over the
-// block's bytes (nil: the block cut short by two bytes), through every
-// configuration the tests above name.
-func craftedLies(t *testing.T, format blockstore.Format, n, stride int, lies func(stored []byte, entries []uint32, codec blockstore.Codec, step int) map[string]func(b []byte)) {
-	t.Helper()
-	const name = "ib/0.1"
+// craftedGraph is the crafted ring with vertex v at ID v·stride of n.
+func craftedGraph(n, stride int) *graph.Graph {
 	g := graph.New(n)
 	for v := 0; v < craftedVertices; v++ {
 		id := func(u int) graph.VertexID { return graph.VertexID(u % craftedVertices * stride) }
 		g.AddWeightedEdge(id(v), id(v+1), 1)
 		g.AddWeightedEdge(id(v), id(v+17), 2)
 	}
+	return g
+}
+
+// craftedLies builds g, symmetrized, over craftedP intervals in format for
+// each program, hands in-block (0,1) as loaded, its codec and its record
+// size to lies, and runs every lie it returns, written over the block's
+// bytes (nil: the block cut short by two bytes), through every
+// configuration the tests above name.
+func craftedLies(t *testing.T, format blockstore.Format, g *graph.Graph, lies func(stored []byte, entries []uint32, codec blockstore.Codec, step int) map[string]func(b []byte)) {
+	t.Helper()
+	const name = "ib/0.1"
 	g = g.Symmetrize()
 	progs := []struct {
 		prog     core.Program

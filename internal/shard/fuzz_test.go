@@ -605,7 +605,7 @@ type seedMeaning int
 const (
 	refuses     seedMeaning = iota // the cache refuses an admission in a PageRank run
 	bothModels                     // a hybrid SSSP runs ROP and COP iterations
-	bothCodecs                     // the mixed store holds a varint and a raw in-block
+	bothCodecs                     // the mixed store holds a group-varint (CodecVarint) and a plain-record (CodecCOO) in-block
 	fourShards                     // K = 4 over four intervals
 	onFile                         // the store is a FileStore
 	allWeighted                    // every store carries weights
@@ -614,7 +614,7 @@ const (
 	delayed                        // a BFS run's reads answered late
 	resumed                        // a killed PageRank run resumed from its checkpoint
 	twoShards                      // K = 2
-	cachedFold                     // a PageRank COP iteration hits every block and folds varint ones
+	cachedFold                     // a PageRank COP iteration hits every block and folds group-varint ones
 )
 
 // seedTriples lays g's edges out as the triples decodeEngineCase reads,
@@ -658,7 +658,7 @@ func engineSeeds() []engineSeed {
 	return []engineSeed{
 		{"ten isolated vertices, P = K = 4", seed([15]byte{2, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0}), nil},
 		{"one vertex, its self-loop; P and K clamp to 1; α −1 on HDD", seed([15]byte{2, 2, 1, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0}), nil},
-		{"mixed chain: varint block (0,0), the other fifteen raw; HDD", seed([15]byte{2, 1, 1, 0, 1, 1, 2, 0, 1, 0, 0, 0, 63, 0, 0}, chain...), []seedMeaning{bothCodecs}},
+		{"mixed chain: group-varint block (0,0), the other fifteen plain records; HDD", seed([15]byte{2, 1, 1, 0, 1, 1, 2, 0, 1, 0, 0, 0, 63, 0, 0}, chain...), []seedMeaning{bothCodecs}},
 		{"hub 3, self-loops; COP, 512 B cache", seed([15]byte{2, 1, 1, 1, 2, 2, 1, 1, 0, 0, 0, 0, 31, 7, 3}, [3]byte{5, 5, 0}, [3]byte{5, 6, 1}, [3]byte{9, 9, 2}), nil},
 		{"raw ROP over two shards", seed([15]byte{1, 1, 0, 0, 2, 1, 1, 1, 1, 0, 0, 0, 40, 0, 2}, [3]byte{2, 30, 3}, [3]byte{30, 2, 0}, [3]byte{2, 17, 1}), nil},
 		{"300 random triples and a hub: hybrid switches models", seed([15]byte{2, 1, 1, 2, 1, 1, 2, 0, 0, 0, 0, 0, 63, 21, 0}, random...), []seedMeaning{bothModels}},
@@ -692,7 +692,7 @@ func engineSeeds() []engineSeed {
 		{"web, mixed, COP, delays, killed after two iterations and resumed", seed([15]byte{2, 0, 1, 1, 1, 2, 0, 0, 0, 10, 0, 0, 255, 0, 0}, web...), []seedMeaning{resumed, bothCodecs, delayed}},
 		{"rmat, K = 2, COP, killed after one iteration and resumed", seed([15]byte{2, 1, 0, 1, 1, 2, 0, 0, 0, 4, 0, 0, 255, 0, 0}, rmat...), []seedMeaning{resumed, twoShards}},
 		{"tree on a FileStore, hybrid, killed after two iterations: its checkpoints in a store of its own", seed([15]byte{1, 0, 0, 2, 1, 0, 0, 0, 0, 8, 0, 1, 199, 0, 0}, tree...), []seedMeaning{resumed, onFile}},
-		{"web, mixed, COP, prefetch 2, a cache that holds every block: hits fold varint blocks as stored", seed([15]byte{2, 0, 1, 1, 1, 2, 2, 0, 0, 0, 0, 0, 255, 0, 0}, web...), []seedMeaning{cachedFold, bothCodecs}},
+		{"web, mixed, COP, prefetch 2, a cache that holds every block: hits fold group-varint blocks as stored", seed([15]byte{2, 0, 1, 1, 1, 2, 2, 0, 0, 0, 0, 0, 255, 0, 0}, web...), []seedMeaning{cachedFold, bothCodecs}},
 	}
 }
 
@@ -788,8 +788,8 @@ func TestEngineSeedsKeepTheirMeaning(t *testing.T) {
 						codecs[ds.InCodec(i, j)]++
 					}
 				}
-				if codecs[blockstore.CodecVarint] == 0 || codecs[blockstore.CodecNone] == 0 {
-					t.Errorf("%s: in-block codecs %v, want a varint and a raw one", s.name, codecs)
+				if codecs[blockstore.CodecVarint] == 0 || codecs[blockstore.CodecCOO] == 0 {
+					t.Errorf("%s: in-block codecs %v, want a group-varint and a plain-record one", s.name, codecs)
 				}
 			case fourShards:
 				if o := run("BFS"); o.k != 4 {
