@@ -41,7 +41,7 @@ func run() error {
 	blocks := flag.String("blocks", "", "build the dual-block store under this directory")
 	p := flag.Int("p", 8, "partition count for -blocks")
 	symmetric := flag.Bool("symmetric", false, "symmetrize before writing (WCC input)")
-	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed (mixed: where intervals fit 16 bits, each in-block as group-varint (destination, source) key deltas, plain key records where that does not pay; wider intervals, out-blocks and out-indices stay raw)")
+	blockFormat := flag.String("blockformat", "raw", "block record format for -blocks: raw|mixed (mixed: each in-block as group-varint (destination, source) key deltas, plain key records where that does not pay; out-blocks and out-indices stay raw)")
 	stats := flag.Bool("stats", false, "print structural statistics of the generated graph")
 	flag.Parse()
 
@@ -128,18 +128,14 @@ func run() error {
 }
 
 // buildSummary formats the dual-block build report: block population,
-// bytes written, the per-interval logical-vs-stored compression ratio, and
-// what the in-indices hold. Interval i covers its out-row (ob/i.*, oi/i.*)
-// and in-column (ib/*.i, ii/*.i), so every block and index is counted
-// exactly once. Logical bytes are the fixed-width form of everything: 4 or
-// 8 bytes a record, 4 an out-index offset, 8 an in-index entry — so a raw
-// store reports ratio 1.00 but where its out-block records hold 2-byte
-// local destinations (blockstore.OutRecordBytes), whose intervals fit 16
-// bits. In-block occupancy is the share of (destination, in-block) pairs
-// with an edge, which is what an in-index stores an entry for; a store over
-// intervals of at most blockstore.MaxCOOInterval stores one key per edge —
-// a record, or in a mixed store a group-varint delta where that is smaller
-// — and no in-index.
+// bytes written and the per-interval logical-vs-stored compression ratio.
+// Interval i covers its out-row (ob/i.*, oi/i.*) and in-column (ib/*.i), so
+// every block and index is counted exactly once. Logical bytes are the
+// fixed-width form of everything: 4 or 8 bytes a record, 4 an out-index
+// offset — so a raw store reports ratio 1.00 but where its out-block
+// records hold 2-byte local destinations (blockstore.OutRecordBytes), whose
+// intervals fit 16 bits, or where its in-blocks carry a tile directory,
+// whose intervals do not.
 func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 	l := ds.Layout
 	step := int64(blockstore.RawRecordBytes(ds.Weighted))
@@ -155,8 +151,7 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 	fmt.Fprintf(&b, "build summary: %d blocks (%d nonempty), %d blobs, %d bytes written\n",
 		2*l.P*l.P, nonempty, blobs, written)
 	fmt.Fprintf(&b, "  %-8s %10s %12s %12s %7s\n", "interval", "edges", "logical B", "stored B", "ratio")
-	var totLogical, totStored, totEdges, inEntries, inIdxStored int64
-	keyed := ds.InCodec(0, 0) != blockstore.CodecNone
+	var totLogical, totStored, totEdges int64
 	for i := 0; i < l.P; i++ {
 		var logical, stored, edges int64
 		idxRaw := int64(l.Size(i)+1) * blockstore.IndexEntryBytes
@@ -164,10 +159,8 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 			edges += ds.BlockEdgeCount[i][j]
 			logical += ds.BlockEdgeCount[i][j]*step + idxRaw
 			stored += ds.OutBlockBytes(i, j) + ds.OutIndexBytes(i, j)
-			logical += ds.BlockEdgeCount[j][i]*step + ds.InIndexBytes(j, i)
-			stored += ds.InBlockBytes[j][i] + ds.InIndexBytes(j, i)
-			inEntries += ds.InIndexEntries[j][i]
-			inIdxStored += ds.InIndexBytes(j, i)
+			logical += ds.BlockEdgeCount[j][i] * step
+			stored += ds.InBlockBytes[j][i]
 		}
 		fmt.Fprintf(&b, "  %-8d %10d %12d %12d %6.2fx\n", i, edges, logical, stored, ratio(logical, stored))
 		totLogical += logical
@@ -175,12 +168,6 @@ func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 		totEdges += edges
 	}
 	fmt.Fprintf(&b, "  %-8s %10d %12d %12d %6.2fx\n", "total", totEdges, totLogical, totStored, ratio(totLogical, totStored))
-	occupancy := 100 * float64(inEntries) / float64(max(l.P*l.NumVertices, 1))
-	if keyed {
-		fmt.Fprintf(&b, "  in-indices: none (one key per edge), mean in-block occupancy %.1f%%\n", occupancy)
-	} else {
-		fmt.Fprintf(&b, "  in-indices: %d entries in %d bytes, mean in-block occupancy %.1f%%\n", inEntries, inIdxStored, occupancy)
-	}
 	return b.String()
 }
 

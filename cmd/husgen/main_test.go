@@ -46,22 +46,21 @@ func buildFor(t *testing.T, format blockstore.Format) (*blockstore.DualStore, in
 // print no summary at all, and this output (block population, bytes
 // written, per-interval compression ratio) is what operators size
 // datasets with. A mixed store compresses only the column view — at this
-// P its in-blocks, group-varint key deltas where that is smaller, with no
-// in-index; its row view is stored raw, each out-block record a
+// P its in-blocks, group-varint key deltas where that is smaller; its row
+// view is stored raw, each out-block record a
 // 16-bit local destination and its weight — 6 bytes against the 8 logical
 // ones — so an interval's stored bytes hold its out-row at three quarters
 // of their logical size.
 func TestBuildSummaryGolden(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatMixed)
 	got := buildSummary(ds, blobs, written)
-	want := `build summary: 32 blocks (18 nonempty), 49 blobs, 2824 bytes written
+	want := `build summary: 32 blocks (18 nonempty), 49 blobs, 2696 bytes written
   interval      edges    logical B     stored B   ratio
   0                23          408          349   1.17x
   1                 8          304          280   1.09x
   2                 8          304          282   1.08x
   3                 7          296          276   1.07x
   total            46         1312         1187   1.11x
-  in-indices: none (one key per edge), mean in-block occupancy 32.8%
 `
 	if got != want {
 		t.Errorf("mixed summary drifted:\ngot:\n%s\nwant:\n%s", got, want)
@@ -74,17 +73,15 @@ func TestBuildSummaryGolden(t *testing.T) {
 // record stores a 2-byte local destination where the logical record has 4,
 // and an interval's line stores exactly 2 bytes per out-edge less than its
 // logical bytes (the total line too). Its in-blocks are one record per edge,
-// at their logical size: no in-index is stored or priced, and the last line
-// says so instead of printing index bytes, with the occupancy the blocks'
-// 42 destinations give.
+// at their logical size.
 func TestBuildSummaryRawRatioIsOne(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatRaw)
 	got := buildSummary(ds, blobs, written)
 	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if last := lines[len(lines)-1]; last != "  in-indices: none (one key per edge), mean in-block occupancy 32.8%" {
-		t.Fatalf("raw summary ends %q, want the line of a store without in-indices:\n%s", last, got)
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "  total ") {
+		t.Fatalf("raw summary ends %q, want the total line:\n%s", last, got)
 	}
-	for _, line := range lines[2 : len(lines)-1] {
+	for _, line := range lines[2:] {
 		var name string
 		var edges, logical, stored int64
 		if _, err := fmt.Sscan(line, &name, &edges, &logical, &stored); err != nil {

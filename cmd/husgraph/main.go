@@ -53,11 +53,11 @@
 // -store, the dual-block representation is kept in real files under DIR
 // instead of memory.
 //
-// -format mixed compresses the in-blocks COP streams where intervals fit 16
-// bits: each block's (destination, source) keys are stored as group-varint
+// -format mixed compresses the in-blocks COP streams: each block's
+// (destination, source) keys, tile by tile, are stored as group-varint
 // deltas where that is smaller and as plain records where it is not,
-// trading CPU decode for disk bandwidth. Over wider intervals, and for the
-// out-blocks and out-indices ROP reads by offset, every format is raw.
+// trading CPU decode for disk bandwidth. For the out-blocks and out-indices
+// ROP reads by offset, every format is raw.
 //
 // Vertex values, degrees and frontiers always live in memory and only
 // edges and their indices are read from the store (GraphMP's
@@ -140,7 +140,7 @@ func run(args []string) error {
 	memBudget := flags.Int64("membudget", 0, "if > 0, choose P so one block's working set fits this many bytes (paper §3.2)")
 	trace := flags.Bool("trace", false, "print per-iteration statistics")
 	storeDir := flags.String("store", "", "keep the dual-block store in real files under this directory")
-	formatName := flags.String("format", "raw", "block record format: raw|mixed (mixed stores COP's in-blocks as group-varint key deltas where intervals fit 16 bits and that is smaller; ROP's out-blocks and out-indices stay raw)")
+	formatName := flags.String("format", "raw", "block record format: raw|mixed (mixed stores COP's in-blocks as group-varint key deltas where that is smaller; ROP's out-blocks and out-indices stay raw)")
 	valuesOut := flags.String("valuesout", "", "write final vertex values to this file (one 'vertex value' line each)")
 	checkpointEvery := flags.Int("checkpoint", 0, "persist a resumable checkpoint every N iterations (0 = off; hus only)")
 	resume := flags.Bool("resume", false, "resume from a persisted checkpoint when one exists (hus only)")

@@ -71,13 +71,12 @@ func main() {
 		log.Fatal(err)
 	}
 	// The in-blocks are what the mixed format compresses: a COP scan reads
-	// each one as stored, with its in-index where it has one
-	// (InBlockStoredBytes). TotalEdgeBytes is every edge as a raw record of
-	// the column view.
+	// each one as stored (InBlockBytes). TotalEdgeBytes is every edge as a
+	// raw record of the column view.
 	var inBytes int64
 	for i := 0; i < ds.Layout.P; i++ {
 		for j := 0; j < ds.Layout.P; j++ {
-			inBytes += ds.InBlockStoredBytes(i, j)
+			inBytes += ds.InBlockBytes[i][j]
 		}
 	}
 	fmt.Printf("dual-block store: %d blobs, %.1f MB of in-blocks as a scan reads them (%.0f%% of raw)\n",

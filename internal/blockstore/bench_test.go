@@ -255,7 +255,7 @@ func BenchmarkBlockCacheSweep(b *testing.B) {
 						b.Fatal(res.Err)
 					}
 					if res.Cached {
-						hitBytes += ds.InBlockStoredBytes(res.Key.I, res.Key.J)
+						hitBytes += ds.InBlockBytes[res.Key.I][res.Key.J]
 					}
 					res.Release()
 				}

@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -117,7 +118,7 @@ const bucketsInFlight = 2
 // encodeBuckets takes the pass' 2·P buckets off spill and encodes each
 // (encodeBucket), bucketsInFlight at a time, rows and columns alternating —
 // row 0, column 0, row 1, column 1, … — so the two in flight put their
-// blobs under different prefixes (ob/ and oi/, ib/ and ii/): on a
+// blobs under different prefixes (ob/ and oi/, ib/): on a
 // FileStore, into different directories, whose file creations the kernel
 // does not serialize against each other. Concurrent buckets share no state:
 // row b writes only cells (b, c) of the masks and page CRCs, column b only
@@ -167,21 +168,23 @@ func (d *DualStore) encodeBuckets(spill *spiller, format Format) error {
 
 // bucketScratch is what encodeBucket orders a bucket in, kept across the
 // buckets one worker encodes: the bucket's records and the bounds of their
-// (block, vertex) runs.
+// (block, vertex) runs, and an in-block's records in tile order, each
+// tile's end and a cursor per destination (encodeInBlock).
 type bucketScratch struct {
 	recs   []Rec
 	bounds []uint32
+	tiled  []Rec
+	ends   []uint32
+	cur    []uint32
 }
 
 // encodeBucket writes the P blocks of one bucket — row b's out-blocks
 // (b, c), or with in set column b's in-blocks (c, b) — and their indices,
 // and records their sizes and, for a row, each out-block's source mask, read
 // off the out-index it lays out, and the page CRCs of each out-index. format
-// applies to a column only, which COP streams whole; a row, which ROP reads
-// by offset, is stored raw whatever the format, each record holding its
-// local destination (OutRecordBytes). A column whose intervals fit 16 bits
-// is stored as keys with no in-index blob: CodecCOO records, or in a mixed
-// store CodecVarint where that is strictly smaller.
+// applies to a column only, which COP streams whole (encodeInBlock); a row,
+// which ROP reads by offset, is stored raw whatever the format, each record
+// holding its local destination (OutRecordBytes).
 //
 // Each edge of the bucket is an (indexed vertex, neighbour) pair: a row's
 // edges as they came, a column's reversed (spiller.add). A block wants its
@@ -197,10 +200,9 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	l := d.Layout
 	lo, _ := l.Bounds(b)
 	size, numV, isz := uint32(l.Size(b)), uint32(l.NumVertices), uint32(l.intervalSize())
-	view, blockKind, indexKind, idBytes := "row", blobOutBlock, blobOutIndex, l.localIDBytes()
-	keyed := in && l.narrow() // a column of CodecCOO or CodecVarint blocks
+	view := "row"
 	if in {
-		view, blockKind, indexKind, idBytes = "column", blobInBlock, blobInIndex, 4
+		view = "column"
 	}
 	// Run (c, k) — vertex lo+k's records in block c — is key c·size+k. Count
 	// each key's records, checking the edge before its key indexes anything.
@@ -239,52 +241,94 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 	for key := 0; key < keys; key++ {
 		sec := recs[bounds[key]:bounds[key+1]]
 		sortRun(sec)
-		if in && !keyed {
-			continue // a column behind an in-index keeps global neighbours
-		}
-		// A row's neighbour becomes its local destination, a keyed column's
-		// its key: the local source under the local destination.
-		base, high := uint32(key/int(size))*isz, uint32(0)
-		if in {
-			high = uint32(key%int(size)) << 16
-		}
-		for r := range sec {
-			sec[r].Nbr = sec[r].Nbr - base | high
+		if !in { // a row's neighbour becomes its local destination
+			base := uint32(key/int(size)) * isz
+			for r := range sec {
+				sec[r].Nbr -= base
+			}
 		}
 	}
 	for c := 0; c < l.P; c++ {
-		i, j := c, b
-		if !in {
-			i, j = b, c
-		}
 		runs := bounds[c*int(size) : (c+1)*int(size)+1]
-		payload, idx := encodeBlockPayload(recs, runs, idBytes, d.Weighted, in)
-		if keyed && format == FormatMixed {
-			// Kept only where strictly smaller, as codecOf reads it.
-			if v := appendGV(make([]byte, 0, len(payload)), recs[runs[0]:runs[len(runs)-1]], d.Weighted); len(v) < len(payload) {
-				payload = v
+		if in {
+			if err := d.encodeInBlock(c, b, format, recs, runs, s); err != nil {
+				return err
 			}
+			continue
 		}
-		if err := d.putBlob(d.names.name(blockKind, i, j), payload); err != nil {
+		payload, idx := encodeOutBlock(recs, runs, l.localIDBytes(), d.Weighted)
+		if err := d.putBlob(d.names.name(blobOutBlock, b, c), payload); err != nil {
 			return err
 		}
-		if in {
-			d.InBlockBytes[i][j] = int64(len(payload))
-			d.InIndexEntries[i][j] = int64(len(idx) / 2)
-			if keyed {
-				continue
-			}
-		}
 		idxPayload := encodeIndex(idx)
-		if !in {
-			d.SourceMasks[i][j] = sourceMask(idx)
-			d.OutIndexPageCRCs[i][j] = pageCRCs(idxPayload)
-		}
-		if err := d.putBlob(d.names.name(indexKind, i, j), idxPayload); err != nil {
+		d.SourceMasks[b][c] = sourceMask(idx)
+		d.OutIndexPageCRCs[b][c] = pageCRCs(idxPayload)
+		if err := d.putBlob(d.names.name(blobOutIndex, b, c), idxPayload); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// encodeInBlock writes in-block(i,j), whose destination k's records are
+// recs[runs[k]:runs[k+1]], each naming a source of interval i, in order, and
+// records its stored size. The records are laid out as tiles (InTiles), in
+// (destination, source) order within each: tile (a,b) takes, for each
+// destination of tile row a, the run of its records whose sources fall in
+// tile column b, a cursor per destination marking where the next column's
+// begin. Each record's neighbour becomes its key in its tile, the local
+// destination over the local source. The block is stored as CodecCOO
+// records, or in a mixed store as CodecVarint tiles where that is strictly
+// smaller, as codecOf reads it.
+func (d *DualStore) encodeInBlock(i, j int, format Format, recs []Rec, runs []uint32, s *bucketScratch) error {
+	l := d.Layout
+	srcLo, _ := l.Bounds(i)
+	dsts := len(runs) - 1
+	s.cur = append(s.cur[:0], runs[:dsts]...)
+	s.tiled, s.ends = slices.Grow(s.tiled[:0], int(runs[dsts]-runs[0])), s.ends[:0]
+	for a := 0; a < tileSpan(dsts); a++ {
+		for b := 0; b < tileSpan(l.Size(i)); b++ {
+			for k := a * MaxCOOInterval; k < min((a+1)*MaxCOOInterval, dsts); k++ {
+				for ; s.cur[k] < runs[k+1]; s.cur[k]++ {
+					r := recs[s.cur[k]]
+					src := int(r.Nbr) - srcLo
+					if src >= (b+1)*MaxCOOInterval {
+						break
+					}
+					s.tiled = append(s.tiled, Rec{Nbr: uint32(k%MaxCOOInterval<<16 | src%MaxCOOInterval), Weight: r.Weight})
+				}
+			}
+			s.ends = append(s.ends, uint32(len(s.tiled)))
+		}
+	}
+	dir := tileDirBytes(l.Size(j), l.Size(i))
+	payload := encodeTiles(make([]byte, dir, dir+len(s.tiled)*RawRecordBytes(d.Weighted)), s.tiled, s.ends, func(dst []byte, tile []Rec) []byte {
+		return encodeVertexRecs(dst, tile, 4, d.Weighted)
+	})
+	if format == FormatMixed {
+		if v := encodeTiles(make([]byte, dir, len(payload)), s.tiled, s.ends, func(dst []byte, tile []Rec) []byte {
+			return appendGV(dst, tile, d.Weighted)
+		}); len(v) < len(payload) {
+			payload = v
+		}
+	}
+	d.InBlockBytes[i][j] = int64(len(payload))
+	return d.putBlob(d.names.name(blobInBlock, i, j), payload)
+}
+
+// encodeTiles appends to payload, which holds the block's zeroed tile
+// directory if it has one, each tile of tiled — tile t ends at record
+// ends[t] — encoded by enc, and fills the directory in.
+func encodeTiles(payload []byte, tiled []Rec, ends []uint32, enc func(dst []byte, tile []Rec) []byte) []byte {
+	dir, start := len(payload), uint32(0)
+	for t, end := range ends {
+		payload = enc(payload, tiled[start:end])
+		if dir > 0 {
+			binary.LittleEndian.PutUint32(payload[4*t:], uint32(len(payload)))
+		}
+		start = end
+	}
+	return payload
 }
 
 // sortRun puts one vertex's records in neighbour order, keeping repeated
@@ -298,32 +342,19 @@ func sortRun(run []Rec) {
 	}
 }
 
-// encodeBlockPayload encodes one block's per-vertex sections — vertex k's
-// records are recs[bounds[k]:bounds[k+1]] — as packed records, returning
-// the stored payload and the index into it. A record's neighbour takes
-// idBytes (encodeVertexRecs); a keyed column's neighbours are its keys. The
-// index is an out-block's len(bounds) byte offsets, or with entries set an
-// in-block's (local, end offset) pair per vertex that has a record —
-// written in the one pass over the runs either way.
-func encodeBlockPayload(recs []Rec, bounds []uint32, idBytes int, weighted, entries bool) ([]byte, []uint32) {
+// encodeOutBlock encodes one out-block's per-source sections — source k's
+// records are recs[bounds[k]:bounds[k+1]], their neighbours local
+// destinations of idBytes each (encodeVertexRecs) — as packed records,
+// returning the stored payload and its out-index, the byte offset of every
+// section and the payload's end.
+func encodeOutBlock(recs []Rec, bounds []uint32, idBytes int, weighted bool) ([]byte, []uint32) {
 	idx := make([]uint32, 0, len(bounds))
 	payload := make([]byte, 0, int(bounds[len(bounds)-1]-bounds[0])*(idBytes+RawRecordBytes(weighted)-4))
 	for k := 0; k+1 < len(bounds); k++ {
-		if !entries {
-			idx = append(idx, uint32(len(payload)))
-		}
-		if bounds[k] == bounds[k+1] {
-			continue
-		}
-		payload = encodeVertexRecs(payload, recs[bounds[k]:bounds[k+1]], idBytes, weighted)
-		if entries {
-			idx = append(idx, uint32(k), uint32(len(payload)))
-		}
-	}
-	if !entries {
 		idx = append(idx, uint32(len(payload)))
+		payload = encodeVertexRecs(payload, recs[bounds[k]:bounds[k+1]], idBytes, weighted)
 	}
-	return payload, idx
+	return payload, append(idx, uint32(len(payload)))
 }
 
 // sourceMask is the source bitset of an out-block whose out-index is idx: bit

@@ -15,12 +15,11 @@ import (
 // that working set resident turns steady-state iterations from disk-bound to
 // memory-bound — so the engine threads every block load through a BlockCache
 // under a strict byte budget. It holds a block exactly as stored — the
-// CRC-checked payload and, for an in-block that has one, its stored
-// in-index bytes — charged its stored size, so a compressed block takes the
-// room it takes on disk and the cache holds more of the graph. A hit costs
-// no read and no CRC; the window still validates the in-index of every
-// in-block it hands over, hit or miss, and the kernels fold a compressed one
-// as they decode it.
+// CRC-checked payload — charged its stored size, so a compressed block takes
+// the room it takes on disk and the cache holds more of the graph. A hit
+// costs no read and no CRC; COP checks the tile directory of every in-block
+// it folds, hit or miss, and the kernels fold a compressed one as they
+// decode it.
 //
 // The cache is access-granularity-aware (PartitionedVC-style): COP's
 // in-blocks and ROP's out-indices are cached whole, while ROP's selective
@@ -46,8 +45,8 @@ import (
 type BlockKind uint8
 
 const (
-	// KindInBlock is the fully-loaded in-block(i,j): its payload and its
-	// in-index, as stored.
+	// KindInBlock is the fully-loaded in-block(i,j): its payload, as
+	// stored.
 	KindInBlock BlockKind = iota
 	// KindOutIndex is out-index(i,j): per-source byte offsets into
 	// out-block(i,j), as stored: (Size(i)+1) little-endian uint32.
@@ -81,8 +80,7 @@ type BlockKey struct {
 // CachedBlock is one immutable cache entry, as stored:
 //
 //   - KindInBlock: Payload, the CRC-checked in-block payload in the codec
-//     the meta records (InCodec), and Index, its stored in-index bytes —
-//     nil for a CodecCOO or CodecVarint block, which has none.
+//     the meta records (InCodec).
 //   - KindOutIndex: Payload — the offset index LoadOutIndexScratch returns.
 //   - KindOutBlock: Payload — the out-block's packed raw records, which
 //     runs slice into.
@@ -91,14 +89,11 @@ type BlockKey struct {
 // reader that hits them, concurrently.
 type CachedBlock struct {
 	Payload []byte
-	Index   []byte
 }
 
 // Bytes returns the entry's budget charge: the bytes it holds, which for an
-// in-block is InBlockStoredBytes.
-func (b *CachedBlock) Bytes() int64 {
-	return int64(len(b.Payload)) + int64(len(b.Index))
-}
+// in-block is its InBlockBytes.
+func (b *CachedBlock) Bytes() int64 { return int64(len(b.Payload)) }
 
 // CacheStats is a snapshot of a BlockCache's counters.
 type CacheStats struct {

@@ -14,20 +14,15 @@ func payloadBlock(n int) *CachedBlock {
 func inKey(i, j int) BlockKey { return BlockKey{Kind: KindInBlock, I: i, J: j} }
 
 func TestCachedBlockBytes(t *testing.T) {
-	b := &CachedBlock{
-		Payload: make([]byte, 10),
-		Index:   make([]byte, 3),
-	}
-	if got := b.Bytes(); got != 10+3 {
+	b := &CachedBlock{Payload: make([]byte, 10)}
+	if got := b.Bytes(); got != 10 {
 		t.Fatalf("Bytes = %d", got)
 	}
-	// A cached in-block is held as stored and charged its stored size, the
-	// one size InBlockStoredBytes names: InBlockBytes + InIndexBytes, which
-	// is also the per-block term shard.cacheSlices splits a budget by. The
-	// paper example's in-block (0,0) holds 8 edges into 5 destinations: a
-	// raw store's, one CodecCOO record per edge, is its records alone; a
-	// mixed store's, compressed, less than its 8 raw records and 5 raw
-	// in-index entries.
+	// A cached in-block is held as stored and charged its stored size,
+	// InBlockBytes, which is also the per-block term shard.cacheSlices
+	// splits a budget by. The paper example's in-block (0,0) holds 8 edges:
+	// a raw store's, one CodecCOO record per edge, is its records alone; a
+	// mixed store's, compressed, less than its 8 records.
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		ds := prefetchStore(t, format)
 		cache := NewBlockCache(1 << 20)
@@ -46,14 +41,13 @@ func TestCachedBlockBytes(t *testing.T) {
 			if !ok {
 				t.Fatalf("%v: loaded in-block %+v not cached", format, key)
 			}
-			want := ds.InBlockBytes[key.I][key.J] + ds.InIndexBytes(key.I, key.J)
-			if got := blk.Bytes(); got != want || ds.InBlockStoredBytes(key.I, key.J) != want {
-				t.Fatalf("%v: cached in-block %+v charged %d bytes, stored size %d, want %d", format, key, got, ds.InBlockStoredBytes(key.I, key.J), want)
+			if got, want := blk.Bytes(), ds.InBlockBytes[key.I][key.J]; got != want {
+				t.Fatalf("%v: cached in-block %+v charged %d bytes, stored size %d", format, key, got, want)
 			}
 		}
-		got, raw := ds.InBlockStoredBytes(0, 0), int64(8*EdgeBytes+5*InIndexEntryBytes)
-		if format == FormatRaw && got != 8*EdgeBytes || format == FormatMixed && got >= raw || ds.InIndexEntries[0][0] != 5 {
-			t.Fatalf("%v: in-block (0,0) with %d entries charged %d bytes; raw, with 5 entries, it takes %d", format, ds.InIndexEntries[0][0], got, raw)
+		got, raw := ds.InBlockBytes[0][0], int64(8*EdgeBytes)
+		if format == FormatRaw && got != raw || format == FormatMixed && got >= raw {
+			t.Fatalf("%v: in-block (0,0) charged %d bytes; raw, it takes %d", format, got, raw)
 		}
 	}
 }

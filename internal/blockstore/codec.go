@@ -56,82 +56,25 @@ func checkOutIndex(buf []byte, entries int) error {
 	return nil
 }
 
-// The offset indices above are out-indices: ROP looks a source up in O(1).
-// The in-index (DESIGN.md §4m) is kept only by the in-blocks of a store
-// whose intervals are wider than MaxCOOInterval, CodecNone: one entry per
-// destination that has a record in the block, ascending — (local
-// destination, end byte offset of its section in the stored payload), a
-// section starting where the previous one ends. COP walks every listed
-// destination and never looks one up, so nothing is stored for the
-// destinations a block has no edge for: most of them, once P intervals
-// split every destination's in-edges P ways. In memory an in-index is a
-// flat []uint32, two words per entry.
-
-// InIndexEntryBytes is one in-index entry: two little-endian uint32, its
-// local destination and its section's end offset.
-const InIndexEntryBytes = 2 * IndexEntryBytes
-
-// decodeInIndex parses an in-index into dst, reusing its capacity, and
-// validates it against what the kernels will do with it: an entry's local
-// indexes the size accumulators of the destination interval and its end
-// bounds reads of the payloadLen stored payload bytes. So locals are
-// strictly ascending and below size; ends are strictly ascending (no entry
-// without a record), multiples of step, the record size, and the last is
-// payloadLen exactly, zero entries going with an empty payload. Anything
-// else is a storage.ErrCorrupt-class error naming the entry.
-func decodeInIndex(dst []uint32, buf []byte, size, payloadLen, step int) ([]uint32, error) {
-	if len(buf)%InIndexEntryBytes != 0 {
-		return nil, fmt.Errorf("in-index of %d bytes is not whole %d-byte entries: %w", len(buf), InIndexEntryBytes, storage.ErrCorrupt)
-	}
-	dst = dst[:0]
-	if n := len(buf) / IndexEntryBytes; cap(dst) < n {
-		dst = make([]uint32, 0, n)
-	}
-	// nextLocal is the smallest destination the next entry may name, prevEnd
-	// where its section starts.
-	var nextLocal, prevEnd uint64
-	for off := 0; off < len(buf); off += InIndexEntryBytes {
-		local, end := uint64(binary.LittleEndian.Uint32(buf[off:])), uint64(binary.LittleEndian.Uint32(buf[off+4:]))
-		if local < nextLocal || local >= uint64(size) || end <= prevEnd || end > uint64(payloadLen) || end%uint64(step) != 0 {
-			return nil, inIndexEntryError(len(dst)/2, local, end, nextLocal, prevEnd, size, payloadLen, step)
-		}
-		dst = append(dst, uint32(local), uint32(end))
-		nextLocal, prevEnd = local+1, end
-	}
-	if prevEnd != uint64(payloadLen) {
-		return nil, fmt.Errorf("in-index covers %d of the %d payload bytes: %w", prevEnd, payloadLen, storage.ErrCorrupt)
-	}
-	return dst, nil
-}
-
-// inIndexEntryError is decodeInIndex's refusal of entry e = (local, end),
-// read after an entry that left nextLocal and prevEnd.
-func inIndexEntryError(e int, local, end, nextLocal, prevEnd uint64, size, payloadLen, step int) error {
-	return fmt.Errorf("in-index entry %d = (destination %d, section end %d) after (%d, %d), for an interval of %d and %d payload bytes cut at multiples of %d: %w",
-		e, local, end, int64(nextLocal)-1, prevEnd, size, payloadLen, step, storage.ErrCorrupt)
-}
-
 // Blob names. Block (i,j) always means "edges from interval i to interval
 // j"; the out-block is indexed by source (resident in i's out-shard), the
 // in-block by destination (resident in j's in-shard).
 func outBlockName(i, j int) string { return fmt.Sprintf("ob/%d.%d", i, j) }
 func outIndexName(i, j int) string { return fmt.Sprintf("oi/%d.%d", i, j) }
 func inBlockName(i, j int) string  { return fmt.Sprintf("ib/%d.%d", i, j) }
-func inIndexName(i, j int) string  { return fmt.Sprintf("ii/%d.%d", i, j) }
 
 const metaName = "meta"
 
-// blobKind selects one of a cell's four blobs.
+// blobKind selects one of a cell's three blobs.
 type blobKind int
 
 const (
 	blobOutBlock blobKind = iota
 	blobOutIndex
 	blobInBlock
-	blobInIndex
 )
 
-var blobNameFuncs = [...]func(i, j int) string{outBlockName, outIndexName, inBlockName, inIndexName}
+var blobNameFuncs = [...]func(i, j int) string{outBlockName, outIndexName, inBlockName}
 
 // blobNames holds the P×P grids of block and index blob names, formatted
 // once per store: the read paths look a name up per load instead of
@@ -166,14 +109,17 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 }
 
 // metaMagic marks the meta layout below. A meta under any other magic was
-// written by an older build, and Open refuses it (errOlderStore): "HUSI" is
-// this layout with a grid of in-index stored sizes and a flag for CodecCOO
-// in-blocks, whose mixed stores kept varint sections behind varint
-// in-indices, "HUSH" that over out-blocks of global destinations, "HUSG"
-// that from before CodecCOO, "HUSF" that with stored-size grids for the
-// out-blocks and out-indices, which a mixed store could then compress,
-// "HUSE" without the out-index page CRCs, "HUSD" without the source masks.
-const metaMagic = "HUSJ"
+// written by an older build, and Open refuses it (errOlderStore): "HUSJ" is
+// this layout with a grid of per-block destination counts, whose stores
+// over intervals wider than 16 bits kept packed records behind in-indices
+// (ii/) where this one keeps tiles, "HUSI" that with a grid of in-index
+// stored sizes and a flag for CodecCOO in-blocks, whose mixed stores kept
+// varint sections behind varint in-indices, "HUSH" that over out-blocks of
+// global destinations, "HUSG" that from before CodecCOO, "HUSF" that with
+// stored-size grids for the out-blocks and out-indices, which a mixed store
+// could then compress, "HUSE" without the out-index page CRCs, "HUSD"
+// without the source masks.
+const metaMagic = "HUSK"
 
 // metaHeaderLen is the magic and the vertex count, interval count and flags
 // word that follow it, whose one bit says the records carry weights.
@@ -183,13 +129,12 @@ const metaWeighted = 1
 
 // metaGrids are the P×P int64 grids a meta records, in order.
 func metaGrids(d *DualStore) []*[][]int64 {
-	return []*[][]int64{&d.BlockEdgeCount, &d.InBlockBytes, &d.InIndexEntries}
+	return []*[][]int64{&d.BlockEdgeCount, &d.InBlockBytes}
 }
 
 // encodeMeta serializes the DualStore metadata: layout and flags, per-vertex
-// degrees, per-block edge counts, per in-block its stored payload size and
-// the count of destinations it has records for — its in-index entries
-// where it has an in-index — then — row-major, nonempty blocks only —
+// degrees, per-block edge counts, per in-block its stored payload size, then
+// — row-major, nonempty blocks only —
 // every out-block's source mask, ⌈Size(i)/64⌉ little-endian words,
 // and last — row-major — the CRC32C of each PageBytes page of every
 // out-index, ⌈(Size(i)+1)·4/PageBytes⌉ little-endian words. The row view is
@@ -302,7 +247,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 			}
 		}
 	}
-	// No builder stores a blob in more than its CodecNone bytes, nor a
+	// No builder stores an in-block in more than its CodecCOO bytes, nor a
 	// count or size below zero. The row view is raw: its sizes are derived.
 	words := 0 // of the masks: ⌈Size(i)/64⌉ per nonempty block
 	pages := 0 // of the page CRCs: ⌈(Size(i)+1)·4/PageBytes⌉ per out-index
@@ -314,16 +259,7 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 				}
 			}
 			if d.InBlockBytes[i][j] > d.inRawBytes(i, j) {
-				return fail("cell (%d,%d) stores more than its raw bytes", i, j)
-			}
-			// Over wide intervals an in-block is its CodecNone records.
-			if !d.Layout.narrow() && d.InBlockBytes[i][j] != d.inRawBytes(i, j) {
-				return fail("cell (%d,%d) records %d in-block bytes for %d CodecNone records", i, j, d.InBlockBytes[i][j], d.BlockEdgeCount[i][j])
-			}
-			// A block has a destination for each record at most, and one at
-			// least if it has any.
-			if n := d.InIndexEntries[i][j]; n > d.BlockEdgeCount[i][j] || (n == 0) != (d.BlockEdgeCount[i][j] == 0) {
-				return fail("cell (%d,%d) records %d destinations for %d edges", i, j, n, d.BlockEdgeCount[i][j])
+				return fail("cell (%d,%d) stores more than its CodecCOO bytes", i, j)
 			}
 			if d.BlockEdgeCount[i][j] > 0 {
 				words += maskWords(d.Layout.Size(i))

@@ -88,16 +88,11 @@ type DualStore struct {
 	// interval j (identical for the out-block and in-block views).
 	BlockEdgeCount [][]int64
 	// InBlockBytes[i][j] is the *stored* size of in-block(i,j)'s payload
-	// (the bytes I/O actually moves, which is what the predictor prices, and
-	// what the loaders hold every whole block read to):
+	// (the bytes I/O actually moves, which is what the predictor prices, the
+	// block cache charges, and the loaders hold every whole block read to):
 	// inRawBytes stored raw, less compressed. An out-block's is always
-	// OutBlockBytes. Where intervals fit 16 bits an in-block's codec is read
-	// off it (InCodec).
+	// OutBlockBytes. An in-block's codec is read off it (InCodec).
 	InBlockBytes [][]int64
-	// InIndexEntries[i][j] is the number of destinations of interval j with
-	// an edge in in-block(i,j): the entries of its in-index, where it has
-	// one (InIndexBytes).
-	InIndexEntries [][]int64
 	// SourceMasks[i][j] is the bitset of interval i's sources that have an
 	// edge in block (i,j) — bit k, in word k/64, for source lo_i+k: the
 	// sources whose out-index(i,j) section is nonempty — ⌈Size(i)/64⌉ words
@@ -112,39 +107,46 @@ type DualStore struct {
 	names *blobNames
 }
 
-// InCodec returns the codec of in-block(i,j)'s stored payload: CodecNone
-// over intervals wider than MaxCOOInterval, else CodecCOO or — stored in
-// fewer bytes than its records take — CodecVarint.
+// InCodec returns the codec of in-block(i,j)'s stored payload: CodecCOO,
+// or — stored in fewer bytes than its CodecCOO form takes — CodecVarint.
 func (d *DualStore) InCodec(i, j int) Codec {
-	if !d.Layout.narrow() {
-		return CodecNone
-	}
 	return codecOf(d.InBlockBytes[i][j], d.inRawBytes(i, j))
 }
 
-// inRawBytes is the size of in-block(i,j)'s records stored raw,
-// RawRecordBytes each: the most any in-block stores, and what a compressed
-// one decodes into.
+// inRawBytes is the size of in-block(i,j) stored CodecCOO: its records,
+// RawRecordBytes each, and its tile directory. It is the most any in-block
+// stores.
 func (d *DualStore) inRawBytes(i, j int) int64 {
+	return d.inRecordBytes(i, j) + int64(tileDirBytes(d.Layout.Size(j), d.Layout.Size(i)))
+}
+
+// inRecordBytes is the size of in-block(i,j)'s records: what a compressed
+// block decodes into.
+func (d *DualStore) inRecordBytes(i, j int) int64 {
 	return d.BlockEdgeCount[i][j] * int64(RawRecordBytes(d.Weighted))
 }
 
-// InBlockStoredBytes returns the stored bytes of in-block(i,j) with its
-// in-index: what a COP scan reads of the block, and what the block cache
-// charges for it, since it holds the block as stored.
-func (d *DualStore) InBlockStoredBytes(i, j int) int64 {
-	return d.InBlockBytes[i][j] + d.InIndexBytes(i, j)
+// InTiles cuts in-block(i,j)'s payload, as stored, into its tiles, appended
+// to dst[:0], and checks the tile directory against the payload: a
+// directory that lies is storage.ErrCorrupt-class. COP calls it on every
+// fold, whether the bytes came from the device or the cache.
+func (d *DualStore) InTiles(i, j int, payload []byte, dst []Tile) ([]Tile, error) {
+	tiles, err := appendTiles(dst[:0], d.Layout.Size(j), d.Layout.Size(i), payload)
+	if err != nil {
+		return nil, fmt.Errorf("blockstore: %s: %w", d.names.name(blobInBlock, i, j), err)
+	}
+	return tiles, nil
 }
 
 // InDecodeBytes returns what folding in-block(i,j) decodes: the logical
-// bytes — its CodecCOO records if the block is stored CodecVarint, else
+// bytes — its records if the block is stored CodecVarint, else
 // none — and the stored bytes they come from. It is a function of the meta
 // alone, so the predictor prices and an iteration counts the same decode,
 // whether the block came from the device or the cache: the kernels fold a
 // block as stored either way.
 func (d *DualStore) InDecodeBytes(i, j int) (logical, stored int64) {
 	if d.InCodec(i, j) == CodecVarint {
-		return d.inRawBytes(i, j), d.InBlockBytes[i][j]
+		return d.inRecordBytes(i, j), d.InBlockBytes[i][j]
 	}
 	return 0, 0
 }
@@ -454,12 +456,10 @@ func (d *DualStore) NumEdges() int64 {
 // must not be shared between concurrent loads; loaded views alias its
 // buffers and are invalidated by the next load into the same Scratch.
 type Scratch struct {
-	// raw and idxRaw hold a block's and an index's blob as read; idx the
-	// in-index entries parsed out of a stored in-index, read or cached; secs
+	// raw and idxRaw hold a block's and an out-index's blob as read; secs
 	// and runs a ROP entry's.
 	raw    []byte
 	idxRaw []byte
-	idx    []uint32
 	secs   []Section
 	runs   []run
 }
@@ -533,74 +533,29 @@ func (d *DualStore) LoadOutRunScratch(i, j int, startByte, endByte uint32, buf [
 	return d.readRange(d.names.name(blobOutBlock, i, j), int64(startByte), int64(endByte-startByte), buf)
 }
 
-// LoadInBlockBytesScratch streams in-block(i,j) with its index, charged as
-// sequential reads — COP's block scan (Alg. 3 line 5) — and returns it as
-// stored: payload is the CRC-checked payload, InCodec(i,j) its layout, and
-// for a CodecNone block entries, one (local destination, end byte offset of
-// its section in payload) pair per destination of the interval that has a
-// record, ascending, each section starting where the previous one ends. A
-// CodecCOO or CodecVarint block has no index, is one read and gets nil
-// entries. CodecNone and CodecCOO blocks hold packed raw records
-// (RawRecordBytes each, iterated in place via RawRec); a CodecVarint one
-// holds group-varint key deltas, which the COP kernels fold as they decode
-// them (core/kernel.go). Both views alias sc's buffers. It is the two steps
-// of the prefetch window's hand-over, without the cache: the read
-// (readInBlock), then the in-index validated into entries (inBlockEntries).
-func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
-	payload, idx, err := d.readInBlock(i, j, sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	entries, err := d.inBlockEntries(i, j, payload, idx, sc.idx)
-	if err != nil {
-		return nil, nil, err
-	}
-	sc.idx = entries
-	return payload, entries, nil
-}
-
-// readInBlock reads in-block(i,j) and its in-index as stored, each blob
-// CRC-checked, into sc's buffers: the payload, which must be the stored size
-// the meta records, and the stored in-index bytes, nil where intervals fit
-// 16 bits, whose in-blocks have none.
-func (d *DualStore) readInBlock(i, j int, sc *Scratch) (payload, idx []byte, err error) {
-	if d.InCodec(i, j) == CodecNone {
-		if idx, err = d.readBlob(d.names.name(blobInIndex, i, j), &sc.idxRaw); err != nil {
-			return nil, nil, err
-		}
-	}
+// LoadInBlockScratch streams in-block(i,j), charged as a sequential read —
+// COP's block scan (Alg. 3 line 5) — and returns it as stored, into sc's
+// buffers: the CRC-checked payload, which must be the stored size the meta
+// records, in the codec InCodec(i,j) names, which COP cuts into tiles
+// (InTiles) as it folds them. It is the prefetch workers' in-block read.
+func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) ([]byte, error) {
 	name := d.names.name(blobInBlock, i, j)
-	if payload, err = d.readBlob(name, &sc.raw); err != nil {
-		return nil, nil, err
+	payload, err := d.readBlob(name, &sc.raw)
+	if err != nil {
+		return nil, err
 	}
 	if err := checkStoredSize(name, payload, d.InBlockBytes[i][j]); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return payload, idx, nil
+	return payload, nil
 }
 
-// inBlockEntries parses in-block(i,j)'s stored in-index idx into dst,
-// reusing its capacity, and checks it against the payload it indexes and
-// the entry count the meta records — nil for a block with no index. The
-// kernels index accumulators and payload by the entries unchecked, so every
-// rule they rely on is checked here (decodeInIndex), on every hand-over,
-// whether the bytes came from the device or the cache. A violation means a
-// blob lied (or the blobs come from two builds) and is reported as
-// corruption. What a record or a key delta says is checked by whoever folds
-// it: a neighbour that names no vertex, a record out of order or a
-// malformed segment stops the kernel's fold.
-func (d *DualStore) inBlockEntries(i, j int, payload, idx []byte, dst []uint32) ([]uint32, error) {
-	if d.InCodec(i, j) != CodecNone {
-		return nil, nil
-	}
-	entries, err := decodeInIndex(dst, idx, d.Layout.Size(j), len(payload), RawRecordBytes(d.Weighted))
-	if err == nil && int64(len(entries)/2) != d.InIndexEntries[i][j] {
-		err = fmt.Errorf("%d entries, meta records %d: %w", len(entries)/2, d.InIndexEntries[i][j], storage.ErrCorrupt)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("blockstore: %s over %s: %w", d.names.name(blobInIndex, i, j), d.names.name(blobInBlock, i, j), err)
-	}
-	return entries, nil
+// LoadInBlockBytesScratch is LoadInBlockScratch with entries that are always
+// nil: no in-block has an in-index. It stays because perfbench compiles
+// against it, until ROADMAP 1b.
+func (d *DualStore) LoadInBlockBytesScratch(i, j int, sc *Scratch) ([]byte, []uint32, error) {
+	payload, err := d.LoadInBlockScratch(i, j, sc)
+	return payload, nil, err
 }
 
 // checkStoredSize holds a whole block read to the stored size the meta
@@ -612,15 +567,6 @@ func checkStoredSize(name string, payload []byte, stored int64) error {
 		return fmt.Errorf("blockstore: %s: %d bytes, meta records %d: %w: %w", name, len(payload), stored, errStoredSize, storage.ErrCorrupt)
 	}
 	return nil
-}
-
-// LoadInBlockScratch is LoadInBlockBytesScratch without the index: the
-// stored payload, as the prefetch workers hand it over. perfbench/trace.go
-// calls it for compressed blocks; it goes when a benchmark PR drops that
-// call (ROADMAP 7d).
-func (d *DualStore) LoadInBlockScratch(i, j int, sc *Scratch) ([]byte, error) {
-	payload, _, err := d.LoadInBlockBytesScratch(i, j, sc)
-	return payload, err
 }
 
 // LoadOutPayload streams the payload of out-block(i,j) in one sequential
@@ -642,7 +588,7 @@ func (d *DualStore) LoadOutPayload(i, j int) ([]byte, error) {
 
 // OutBlockBytes returns the size of out-block(i,j)'s payload in the row
 // view, stored raw in every format: BlockEdgeCount records of
-// OutRecordBytes, so half an in-block's raw size (inRawBytes) or less where
+// OutRecordBytes, so half an in-block's records (inRecordBytes) or less where
 // intervals fit 16 bits.
 func (d *DualStore) OutBlockBytes(i, j int) int64 {
 	return d.BlockEdgeCount[i][j] * int64(d.OutRecordBytes())
@@ -654,14 +600,9 @@ func (d *DualStore) OutIndexBytes(i, j int) int64 {
 	return int64(d.Layout.Size(i)+1) * IndexEntryBytes
 }
 
-// InIndexBytes returns the size of in-index(i,j), InIndexEntryBytes an
-// entry: 0 where intervals fit 16 bits, whose in-blocks have none.
-func (d *DualStore) InIndexBytes(i, j int) int64 {
-	if d.Layout.narrow() {
-		return 0
-	}
-	return d.InIndexEntries[i][j] * InIndexEntryBytes
-}
+// InIndexBytes is always 0: no in-block has an in-index. It stays because
+// perfbench compiles against it, until ROADMAP 1b.
+func (d *DualStore) InIndexBytes(i, j int) int64 { return 0 }
 
 // TotalEdgeBytes returns the size of every edge as a raw record of the
 // column view, RawRecordBytes each: the in-blocks of a FormatRaw store,

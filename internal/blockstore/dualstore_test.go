@@ -248,8 +248,8 @@ func TestBuildOnFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := int64(len(blk.Entries)/2), opened.InIndexEntries[1][0]; got == 0 || got != want {
-		t.Fatalf("in-block (1,0) loaded %d entries, meta records %d", got, want)
+	if got, want := int64(len(blk.Recs)), opened.BlockEdgeCount[1][0]; got == 0 || got != want {
+		t.Fatalf("in-block (1,0) loaded %d records, meta records %d edges", got, want)
 	}
 }
 
@@ -262,29 +262,15 @@ func TestSizeAccounting(t *testing.T) {
 	if got, want := ds.TotalEdgeBytes(), int64(g.NumEdges()*EdgeBytes); got != want {
 		t.Fatalf("TotalEdgeBytes = %d, want %d", got, want)
 	}
-	// An in-index is 8 bytes per (destination, block) pair that has an
-	// edge, counted here from the graph; an out-index 4 bytes per source of
-	// the interval and a closing offset.
-	pairs := map[[2]int]bool{}
-	for _, e := range g.Edges {
-		pairs[[2]int{ds.Layout.IntervalOf(e.Src), int(e.Dst)}] = true
-	}
-	var colSum, entries int64
+	// The in-blocks are one record per edge, their intervals one tile.
+	var colSum int64
 	for j := 0; j < ds.Layout.P; j++ {
 		for i := 0; i < ds.Layout.P; i++ {
-			colSum += ds.InBlockBytes[i][j] + ds.InIndexBytes(i, j)
-			entries += ds.InIndexEntries[i][j]
+			colSum += ds.InBlockBytes[i][j]
 		}
 	}
-	if entries != int64(len(pairs)) {
-		t.Fatalf("in-indices hold %d entries, the graph has %d (source interval, destination) pairs", entries, len(pairs))
-	}
-	wantIdx := entries * InIndexEntryBytes
-	if ds.InCodec(0, 0) == CodecCOO {
-		wantIdx = 0 // one record per edge, and no in-index
-	}
-	if colSum != ds.TotalEdgeBytes()+wantIdx {
-		t.Fatalf("column bytes %d != edges %d + indices %d", colSum, ds.TotalEdgeBytes(), wantIdx)
+	if colSum != ds.TotalEdgeBytes() {
+		t.Fatalf("column bytes %d != edges %d", colSum, ds.TotalEdgeBytes())
 	}
 	if got := ds.OutIndexBytes(0, 1); got != int64(ds.Layout.Size(0)+1)*IndexEntryBytes {
 		t.Fatalf("OutIndexBytes = %d", got)

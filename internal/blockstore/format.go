@@ -19,19 +19,19 @@ import (
 type Format int
 
 const (
-	// FormatRaw stores fixed-size packed records (CodecCOO where intervals
-	// fit 16 bits, else CodecNone behind an in-index; plus a float32 weight
-	// on weighted stores): nothing to decode, supports direct slicing.
+	// FormatRaw stores each in-block as fixed-size packed records, CodecCOO
+	// keys plus a float32 weight on weighted stores, tiled where intervals
+	// are wider than 16 bits (InTiles): nothing to decode, supports direct
+	// slicing.
 	FormatRaw Format = iota
-	// FormatMixed stores each in-block of a store whose intervals fit 16
-	// bits as CodecVarint, group-varint deltas of its CodecCOO keys, where
-	// that is strictly smaller, and as the CodecCOO records otherwise.
-	// COP folds either as stored. The CRC32C of every frame covers the
-	// *compressed* bytes (see frame.go). This is GraphMP's compressed
-	// streamed shards, and like there the codec is a property of storage
-	// only: every CodecVarint block decodes back into the records FormatRaw
-	// stores (AppendGV). Over wider intervals a mixed store is a raw one;
-	// its out-blocks and out-indices are always byte for byte a raw store's.
+	// FormatMixed stores each in-block's tiles as CodecVarint, group-varint
+	// deltas of their CodecCOO keys, where that makes the block strictly
+	// smaller, and as the CodecCOO records otherwise. COP folds either as
+	// stored. The CRC32C of every frame covers the *compressed* bytes (see
+	// frame.go). This is GraphMP's compressed streamed shards, and like
+	// there the codec is a property of storage only: every CodecVarint tile
+	// decodes back into the records FormatRaw stores (AppendGV). Its
+	// out-blocks and out-indices are always byte for byte a raw store's.
 	FormatMixed
 )
 
@@ -60,34 +60,97 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // Codec identifies the encoding of one in-block's stored payload. The row
-// view of every store is raw (OutRecordBytes). Where intervals fit 16 bits
-// (MaxCOOInterval) an in-block has no in-index and is CodecCOO, or in a
-// FormatMixed store CodecVarint exactly when its stored size is below its
-// raw size (codecOf); over wider intervals it is CodecNone behind an
-// in-index, in either format.
+// view of every store is raw (OutRecordBytes). An in-block is CodecCOO, or
+// in a FormatMixed store CodecVarint exactly when its stored size is below
+// its CodecCOO size (codecOf); every tile of a block takes the block's
+// codec.
 type Codec uint8
 
 const (
-	// CodecNone stores sections as packed fixed-size raw records behind an
-	// in-index: the layout of intervals wider than MaxCOOInterval.
+	// CodecNone is never an in-block's codec. It stays because perfbench
+	// compiles against it, until ROADMAP 1b drops that call.
 	CodecNone Codec = iota
-	// CodecVarint stores a block's CodecCOO keys as group-varint deltas
-	// in segments, and no in-index (appendGV).
+	// CodecVarint stores each tile's CodecCOO keys as group-varint deltas
+	// in segments (appendGV).
 	CodecVarint
-	// CodecCOO stores an in-block as one record per edge and no in-index:
-	// a little-endian uint32 key — local destination high, local source
-	// low — plus the weight on weighted stores. Keys are non-decreasing:
+	// CodecCOO stores each tile as one record per edge: a little-endian
+	// uint32 key — destination high, source low, both local to the tile —
+	// plus the weight on weighted stores. Keys are non-decreasing:
 	// (destination, source) order, repeated pairs in input order.
 	CodecCOO
 )
 
-// MaxCOOInterval is the widest interval a 16-bit local ID addresses: a
-// store whose intervals are no wider stores its in-blocks' edges as keys,
-// CodecCOO or CodecVarint, with no in-index.
+// MaxCOOInterval is the widest side of a tile, the most vertices a 16-bit
+// local ID addresses: an in-block over intervals no wider is one tile, and
+// a store whose intervals are no wider keeps 16-bit destinations in its
+// out-blocks (OutRecordBytes).
 const MaxCOOInterval = 1 << 16
 
-// codecOf is the codec of an in-block keyed by (destination, source), stored
-// in stored bytes whose CodecCOO records take raw. The builder keeps
+// An in-block (i,j) is stored as tiles (a,b), in (a,b) order: tile (a,b)
+// holds the block's edges into destinations [a·2¹⁶, (a+1)·2¹⁶) of interval
+// j from sources [b·2¹⁶, (b+1)·2¹⁶) of interval i, the last tile of a row or
+// column cut at the interval's end, its keys local to the tile. So a
+// destination's chain visits tiles (a,0), (a,1), … in ascending source
+// order. A block of more than one tile starts with its tile directory, one
+// little-endian uint32 per tile: the payload offset the tile ends at, the
+// first tile starting where the directory ends. A block of one tile — every
+// block of a store whose intervals fit 16 bits — has no directory.
+
+// tileSpan is the number of tiles an interval of size vertices is cut into:
+// one at least.
+func tileSpan(size int) int { return max(1, (size+MaxCOOInterval-1)/MaxCOOInterval) }
+
+// tileDirBytes is the size of the tile directory of an in-block whose
+// destination interval holds dsts vertices and source interval srcs: 0 for
+// a block of one tile.
+func tileDirBytes(dsts, srcs int) int {
+	if t := tileSpan(dsts) * tileSpan(srcs); t > 1 {
+		return 4 * t
+	}
+	return 0
+}
+
+// Tile is one tile of an in-block, as InTiles slices it out: its
+// destinations [DstLo, DstHi) local to the block's destination interval,
+// its sources [SrcLo, SrcHi) local to the source interval, and its keys in
+// the block's codec, local to the tile.
+type Tile struct {
+	DstLo, DstHi, SrcLo, SrcHi int
+	Payload                    []byte
+}
+
+// appendTiles cuts the payload of an in-block from an interval of srcs
+// vertices into one of dsts into its tiles, appended to dst. A directory
+// that does not fit the payload, or whose ends fall below the tile's start
+// or pass the payload, or whose last end is not the payload's length, is
+// storage.ErrCorrupt-class: the tiles returned cover the payload exactly,
+// in order. What a tile's keys say is checked by whoever folds them.
+func appendTiles(dst []Tile, dsts, srcs int, payload []byte) ([]Tile, error) {
+	rows, cols := tileSpan(dsts), tileSpan(srcs)
+	if rows*cols == 1 {
+		return append(dst, Tile{DstHi: dsts, SrcHi: srcs, Payload: payload}), nil
+	}
+	start := 4 * rows * cols // the directory's end
+	if start > len(payload) {
+		return dst, fmt.Errorf("a %d-tile directory in a %d-byte payload: %w", rows*cols, len(payload), storage.ErrCorrupt)
+	}
+	for t := 0; t < rows*cols; t++ {
+		end := int(binary.LittleEndian.Uint32(payload[4*t:]))
+		if end < start || end > len(payload) {
+			return dst, fmt.Errorf("tile %d of %d ends at byte %d, before its start %d or past the payload's %d bytes: %w", t, rows*cols, end, start, len(payload), storage.ErrCorrupt)
+		}
+		a, b := t/cols*MaxCOOInterval, t%cols*MaxCOOInterval
+		dst = append(dst, Tile{DstLo: a, DstHi: min(a+MaxCOOInterval, dsts), SrcLo: b, SrcHi: min(b+MaxCOOInterval, srcs), Payload: payload[start:end]})
+		start = end
+	}
+	if start != len(payload) {
+		return dst, fmt.Errorf("the tiles end at byte %d of a %d-byte payload: %w", start, len(payload), storage.ErrCorrupt)
+	}
+	return dst, nil
+}
+
+// codecOf is the codec of an in-block stored in stored bytes whose CodecCOO
+// form — its records and tile directory — takes raw. The builder keeps
 // CodecVarint only where it is strictly smaller (encodeBucket), so the
 // stored size the meta records is the codec: nothing else on disk names it.
 func codecOf(stored, raw int64) Codec {
@@ -313,7 +376,7 @@ func gvError(r int, format string, args ...any) error {
 }
 
 // RawRecordBytes returns the byte size of one record of a column view
-// stored raw: a CodecNone neighbour or a CodecCOO key, plus the weight.
+// stored raw: a CodecCOO key, plus the weight.
 func RawRecordBytes(weighted bool) int {
 	if weighted {
 		return EdgeBytes

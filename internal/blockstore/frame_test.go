@@ -153,7 +153,9 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 // source masks, "HUSE" before it recorded the out-indices' page CRCs,
 // "HUSF" while it recorded the stored sizes of a row view a mixed store
 // could compress, "HUSG" before a raw store's in-blocks became CodecCOO
-// records, "HUSH" while out-block records held global destinations — is
+// records, "HUSH" while out-block records held global destinations, "HUSI"
+// while a mixed store kept varint in-indices, "HUSJ" while wide in-blocks
+// kept an in-index and the meta a grid of their destination counts — is
 // refused with the one message that says how to rebuild it.
 // The magic alone decides: past it, nothing is read.
 func TestOpenRejectsOlderStores(t *testing.T) {
@@ -204,6 +206,14 @@ func TestOpenRejectsOlderStores(t *testing.T) {
 			copy(meta, "HUSH")
 			return frameBlob(meta)
 		}},
+		{"varint-in-indices", FormatMixed, func(meta []byte) []byte {
+			copy(meta, "HUSI")
+			return frameBlob(meta)
+		}},
+		{"destination-count-grid", FormatRaw, func(meta []byte) []byte {
+			copy(meta, "HUSJ")
+			return frameBlob(meta)
+		}},
 	} {
 		err := openWithMeta(t, c.format, c.rewrite)
 		if !errors.Is(err, errOlderStore) || !errors.Is(err, storage.ErrCorrupt) {
@@ -231,13 +241,13 @@ func TestOpenRefusesMetaItCannotSize(t *testing.T) {
 	}
 }
 
-// TestDecodeMetaRefusesBadCOOFlags: the layout says how every in-block is
-// laid out — keyed, CodecCOO or CodecVarint, where intervals fit 16 bits,
-// else CodecNone behind an in-index — so a meta is refused,
+// TestDecodeMetaRefusesBadCOOFlags: the layout and the stored size say how
+// every in-block is laid out — CodecCOO tiles, or CodecVarint ones where
+// the block is stored in fewer bytes — so a meta is refused,
 // storage.ErrCorrupt-class, when it sets a flag no build sets (the bit that
 // marked CodecCOO in-blocks before they were read off the layout among
-// them), records for a CodecNone block a payload that is not its records,
-// or counts a block's destinations past its edges or none for its edges.
+// them), or records for a tiled block more bytes than its records and tile
+// directory take.
 func TestDecodeMetaRefusesBadCOOFlags(t *testing.T) {
 	coo, err := BuildOpts(memStore(), chain(300), Options{P: 4})
 	if err != nil {
@@ -249,8 +259,8 @@ func TestDecodeMetaRefusesBadCOOFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coo.InCodec(0, 0) != CodecCOO || wide.InCodec(0, 0) != CodecNone {
-		t.Fatalf("in-blocks %v over intervals of %d, %v over %d", coo.InCodec(0, 0), coo.Layout.Size(0), wide.InCodec(0, 0), wide.Layout.Size(0))
+	if coo.InCodec(0, 0) != CodecCOO || wide.InCodec(0, 0) != CodecCOO || wide.InBlockBytes[0][0] != 4+4*4 {
+		t.Fatalf("in-blocks %v over intervals of %d, %v in %d bytes over %d", coo.InCodec(0, 0), coo.Layout.Size(0), wide.InCodec(0, 0), wide.InBlockBytes[0][0], wide.Layout.Size(0))
 	}
 	for _, d := range []*DualStore{coo, wide} {
 		if _, err := decodeMeta(encodeMeta(d)); err != nil {
@@ -268,20 +278,9 @@ func TestDecodeMetaRefusesBadCOOFlags(t *testing.T) {
 			meta[20] |= 2
 			return meta
 		},
-		"a CodecNone payload short of its records": func() []byte {
+		"a tiled block stored past its records and directory": func() []byte {
 			lie := *wide
-			lie.InBlockBytes = alloc2D(1)
-			return encodeMeta(&lie)
-		},
-		"more destinations than edges": func() []byte {
-			lie := *coo
-			lie.InIndexEntries = alloc2D(4)
-			lie.InIndexEntries[0][0] = coo.BlockEdgeCount[0][0] + 1
-			return encodeMeta(&lie)
-		},
-		"no destination for a block's edges": func() []byte {
-			lie := *coo
-			lie.InIndexEntries = alloc2D(4)
+			lie.InBlockBytes = [][]int64{{wide.InBlockBytes[0][0] + 1}}
 			return encodeMeta(&lie)
 		},
 	}

@@ -141,53 +141,57 @@ func FuzzDecodeMeta(f *testing.F) {
 	})
 }
 
-// FuzzDecodeInIndex: an in-index is the one thing the COP kernels trust
-// without a check of their own. Whatever bytes, interval size and payload
-// length decodeInIndex is given, it either fails ErrCorrupt-class or returns
-// entries a kernel can follow blind: destinations strictly ascending inside
-// the interval, ends strictly ascending in whole records up to exactly the
-// payload's length.
-func FuzzDecodeInIndex(f *testing.F) {
-	// The last argument picks what ends must be multiples of: 1, 4 or 8
-	// (the records of an unweighted or a weighted store).
-	three := []uint32{0, 8, 5, 16, 9, 40}
-	f.Add([]byte(nil), uint16(4), uint16(0), uint8(1))                       // empty block
-	f.Add([]byte(nil), uint16(4), uint16(8), uint8(1))                       // no entry, yet records
-	f.Add(encodeIndex([]uint32{3, 4}), uint16(4), uint16(4), uint8(1))       // one entry
-	f.Add(encodeIndex([]uint32{3, 4}), uint16(4), uint16(4), uint8(2))       // one entry, not a whole 8-byte record
-	f.Add(encodeIndex(three), uint16(10), uint16(40), uint8(2))              // three entries
-	f.Add(encodeIndex(three), uint16(10), uint16(40), uint8(0))              // the same, bytes
-	f.Add(encodeIndex(three), uint16(9), uint16(40), uint8(1))               // local == Size
-	f.Add(encodeIndex(three), uint16(10), uint16(41), uint8(0))              // the payload past the last entry
-	f.Add(encodeIndex(three)[:20], uint16(10), uint16(40), uint8(1))         // odd words
-	f.Add(encodeIndex([]uint32{3, 4, 3, 8}), uint16(4), uint16(8), uint8(1)) // a destination repeated
-	f.Add(encodeIndex([]uint32{1, 8, 2, 8}), uint16(4), uint16(8), uint8(1)) // an empty section
-	f.Add(encodeIndex([]uint32{2, 4, 1, 8}), uint16(4), uint16(8), uint8(1)) // destinations falling
+// FuzzTileDirectory: a tile directory is what COP cuts a block by before a
+// kernel checks a key. Whatever bytes and interval sizes appendTiles is
+// given, it either fails ErrCorrupt-class or returns the layout's tiles, in
+// (destination, source) order, whose payloads cover the bytes exactly, in
+// order, from the directory's end on — and what it accepts re-encodes to
+// the directory it read.
+func FuzzTileDirectory(f *testing.F) {
+	const wide = MaxCOOInterval + 1 // two tiles a side
+	ends := func(ends ...uint32) []byte { return encodeIndex(ends) }
+	f.Add([]byte(nil), uint32(4), uint32(4))                                                    // one empty tile
+	f.Add([]byte(nil), uint32(wide), uint32(wide))                                              // no room for the directory
+	f.Add(ends(16, 16, 16, 16), uint32(wide), uint32(wide))                                     // four empty tiles
+	f.Add(append(ends(20, 24, 24, 28), make([]byte, 12)...), uint32(wide), uint32(wide))        // three tiles with keys
+	f.Add(append(ends(24, 20, 24, 28), make([]byte, 12)...), uint32(wide), uint32(wide))        // ends falling
+	f.Add(append(ends(20, 24, 24, 24), make([]byte, 12)...), uint32(wide), uint32(wide))        // the last end short of the payload
+	f.Add(append(ends(20, 24, 24, 32), make([]byte, 12)...), uint32(wide), uint32(wide))        // an end past the payload
+	f.Add(append(ends(8, 24, 24, 28), make([]byte, 12)...), uint32(wide), uint32(wide))         // an end inside the directory
+	f.Add(make([]byte, 8), uint32(MaxCOOInterval), uint32(MaxCOOInterval))                      // one tile, no directory
+	f.Add(append(ends(12, 16, 20), make([]byte, 8)...), uint32(2*MaxCOOInterval+1), uint32(10)) // a column of three tiles
+	f.Add(ends(16, 16), uint32(wide), uint32(wide))                                             // a directory cut short
+	f.Add(encodeIndex(make([]uint32, 16)), uint32(4*MaxCOOInterval), uint32(4*MaxCOOInterval))  // sixteen tiles, ends zero
 
-	f.Fuzz(func(t *testing.T, data []byte, size, payloadLen uint16, stepSel uint8) {
-		step := [...]int{1, 4, 8}[stepSel%3]
-		entries, err := decodeInIndex(nil, data, int(size), int(payloadLen), step)
+	f.Fuzz(func(t *testing.T, data []byte, dsts, srcs uint32) {
+		dsts, srcs = dsts%(4*MaxCOOInterval+2), srcs%(4*MaxCOOInterval+2)
+		tiles, err := appendTiles(nil, int(dsts), int(srcs), data)
 		if err != nil {
 			wantCorruptClass(t, err)
 			return
 		}
-		if len(entries)%2 != 0 {
-			t.Fatalf("%d words accepted", len(entries))
+		rows, cols := tileSpan(int(dsts)), tileSpan(int(srcs))
+		if len(tiles) != rows*cols {
+			t.Fatalf("%d tiles over %d × %d", len(tiles), rows, cols)
 		}
-		nextLocal, prevEnd := uint32(0), uint32(0)
-		for e := 0; e < len(entries); e += 2 {
-			local, end := entries[e], entries[e+1]
-			if local < nextLocal || local >= uint32(size) || end <= prevEnd || end > uint32(payloadLen) || int(end)%step != 0 {
-				t.Fatalf("accepted entry %d = (%d, %d) after (%d, %d): size %d, payload %d, step %d", e/2, local, end, int64(nextLocal)-1, prevEnd, size, payloadLen, step)
+		at := tileDirBytes(int(dsts), int(srcs))
+		var dir []uint32
+		for k, tile := range tiles {
+			a, b := k/cols*MaxCOOInterval, k%cols*MaxCOOInterval
+			if tile.DstLo != a || tile.DstHi != min(a+MaxCOOInterval, int(dsts)) || tile.SrcLo != b || tile.SrcHi != min(b+MaxCOOInterval, int(srcs)) {
+				t.Fatalf("tile %d covers destinations [%d,%d), sources [%d,%d) of %d × %d", k, tile.DstLo, tile.DstHi, tile.SrcLo, tile.SrcHi, dsts, srcs)
 			}
-			nextLocal, prevEnd = local+1, end
+			if len(tile.Payload) > 0 && &tile.Payload[0] != &data[at] {
+				t.Fatalf("tile %d does not start at byte %d", k, at)
+			}
+			at += len(tile.Payload)
+			dir = append(dir, uint32(at))
 		}
-		if prevEnd != uint32(payloadLen) {
-			t.Fatalf("accepted entries cover %d of %d payload bytes", prevEnd, payloadLen)
+		if at != len(data) {
+			t.Fatalf("tiles cover %d of %d bytes", at, len(data))
 		}
-		// What it accepts it can have written: it re-encodes to the bytes.
-		if again := encodeIndex(entries); !bytes.Equal(again, data) {
-			t.Fatalf("re-encode round trip broke: %x vs %x", again, data)
+		if len(tiles) > 1 && !bytes.Equal(encodeIndex(dir), data[:4*len(tiles)]) {
+			t.Fatalf("directory %x re-encodes as %x", data[:4*len(tiles)], encodeIndex(dir))
 		}
 	})
 }

@@ -1,19 +1,21 @@
 package blockstore
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 )
 
 // Test-side views of loaded blocks. The package hands out packed records
-// behind an index, and these helpers regroup them into per-vertex []Rec of
-// global neighbours for assertions, reading records the way the engine does
-// (RawRec, OutRec).
+// behind an out-index, and in-blocks as tiles of keys, and these helpers
+// regroup them into per-vertex []Rec of global neighbours for assertions,
+// reading records the way the engine does (RawRec, OutRec).
 
 // testBlock is a fully loaded block regrouped for assertions. An out-block
 // carries Index: Index[k]..Index[k+1] delimits the records of the k-th
-// source. An in-block carries Entries, its in-index with ends counted in
-// records: (local destination, end) pairs, a destination's records starting
-// where the previous entry's end.
+// source. An in-block carries Entries, with ends counted in records:
+// (local destination, end) pairs, a destination's records starting where
+// the previous entry's end.
 type testBlock struct {
 	Index   []uint32
 	Entries []uint32
@@ -58,7 +60,7 @@ func outRecs(ds *DualStore, j int, payload []byte) []Rec {
 	return recs
 }
 
-// regroup turns (packed records, in-index entries) into a testBlock.
+// regroup turns (packed records, entries) into a testBlock.
 func regroup(payload []byte, entries []uint32, weighted bool) testBlock {
 	b := testBlock{Entries: make([]uint32, len(entries)), Recs: rawRecs(payload, weighted)}
 	for e := 0; e < len(entries); e += 2 {
@@ -79,45 +81,52 @@ func loadInBlock(ds *DualStore, i, j int) (testBlock, error) {
 	return regroup(payload, entries, ds.Weighted), nil
 }
 
-// loadInBlockRecords is in-block(i,j) as packed raw records behind its
-// in-index entries, whatever stored it: the loader's stored form, decoded
-// by AppendGV when the block is compressed, and regrouped by cooTwin when
-// it is keyed.
+// loadInBlockRecords is in-block(i,j) as packed raw records of global
+// sources, grouped by destination behind in-index entries (testBlock),
+// whatever stored it: the loader's stored form cut into its tiles
+// (InTiles), each tile decoded by AppendGV when the block is compressed, and
+// its keys made local to the block again. A destination's records come out
+// in tile order, its sources ascending.
 func loadInBlockRecords(ds *DualStore, i, j int, sc *Scratch) ([]byte, []uint32, error) {
-	payload, entries, err := ds.LoadInBlockBytesScratch(i, j, sc)
+	payload, err := ds.LoadInBlockScratch(i, j, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	if c := ds.InCodec(i, j); c != CodecNone {
-		if c == CodecVarint {
-			if payload, err = AppendGV(nil, payload, ds.Weighted); err != nil {
+	tiles, err := ds.InTiles(i, j, payload, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	step := RawRecordBytes(ds.Weighted)
+	type rec struct {
+		dst uint32
+		rec []byte
+	}
+	var recs []rec
+	lo, _ := ds.Layout.Bounds(i)
+	for _, t := range tiles {
+		keys := t.Payload
+		if ds.InCodec(i, j) == CodecVarint {
+			if keys, err = AppendGV(nil, keys, ds.Weighted); err != nil {
 				return nil, nil, err
 			}
 		}
-		lo, _ := ds.Layout.Bounds(i)
-		recs, entries := cooTwin(payload, lo, ds.Weighted)
-		return recs, entries, nil
-	}
-	return payload, entries, nil
-}
-
-// cooTwin returns the packed raw records and in-index entries a CodecNone
-// block would store for the CodecCOO records in payload, whose sources are
-// local to the interval starting at srcLo.
-func cooTwin(payload []byte, srcLo int, weighted bool) ([]byte, []uint32) {
-	step := RawRecordBytes(weighted)
-	var recs []byte
-	var entries []uint32
-	for off := 0; off+step <= len(payload); off += step {
-		key := binary.LittleEndian.Uint32(payload[off:])
-		if n := len(entries); n == 0 || entries[n-2] != key>>16 {
-			entries = append(entries, key>>16, 0)
+		for off := 0; off+step <= len(keys); off += step {
+			key := binary.LittleEndian.Uint32(keys[off:])
+			r := binary.LittleEndian.AppendUint32(nil, uint32(lo+t.SrcLo)+key&0xffff)
+			recs = append(recs, rec{uint32(t.DstLo) + key>>16, append(r, keys[off+4:off+step]...)})
 		}
-		recs = binary.LittleEndian.AppendUint32(recs, uint32(srcLo)+key&0xffff)
-		recs = append(recs, payload[off+4:off+step]...)
-		entries[len(entries)-1] = uint32(len(recs))
 	}
-	return recs, entries
+	slices.SortStableFunc(recs, func(a, b rec) int { return cmp.Compare(a.dst, b.dst) })
+	var packed []byte
+	var entries []uint32
+	for _, r := range recs {
+		if n := len(entries); n == 0 || entries[n-2] != r.dst {
+			entries = append(entries, r.dst, 0)
+		}
+		packed = append(packed, r.rec...)
+		entries[len(entries)-1] = uint32(len(packed))
+	}
+	return packed, entries, nil
 }
 
 // loadOutBlock loads out-block(i,j) whole: the out-index, and the payload in

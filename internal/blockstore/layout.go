@@ -9,9 +9,12 @@
 //	out-block(i,j): edges from interval i to interval j, indexed by source
 //	in-block(i,j):  edges from interval i to interval j, indexed by destination
 //
-// Per-vertex offset indices (out-index / in-index) are stored alongside each
-// block, enabling the selective loading of one active vertex's out-edges in
-// ROP and the conflict-free per-destination parallel update in COP.
+// A per-source offset index (out-index) is stored alongside each out-block,
+// enabling the selective loading of one active vertex's out-edges in ROP.
+// An in-block is stored as (destination, source) keys in destination order,
+// cut into tiles of at most 2¹⁶ × 2¹⁶ (InTiles), so COP splits each tile
+// across workers at destination changes for the conflict-free
+// per-destination parallel update.
 package blockstore
 
 import "fmt"
@@ -43,8 +46,8 @@ func (l Layout) intervalSize() int {
 }
 
 // narrow reports whether every interval fits 16 bits (MaxCOOInterval): an
-// out-block record then holds a 16-bit destination and an in-block its
-// edges as (destination, source) keys, with no in-index.
+// out-block record then holds a 16-bit destination, and an in-block is one
+// tile.
 func (l Layout) narrow() bool { return l.intervalSize() <= MaxCOOInterval }
 
 // Bounds returns the half-open vertex range [lo, hi) of interval i.

@@ -21,10 +21,9 @@ import (
 // k, a small worker pool (PartitionedVC-style) loads blocks k+1.. into
 // pooled Scratch buffers — or serves them from the BlockCache — and
 // delivers each result on its own channel: a COP in-block as stored, from
-// the device or the cache, with its in-index, where it has one, validated
-// into entries (a compressed block for the COP kernel to fold as it decodes
-// it), or a ROP out-block's active sections (loadSections) — every read of
-// an iteration.
+// the device or the cache (a compressed block for the COP kernel to fold as
+// it decodes it), or a ROP out-block's active sections (loadSections) —
+// every read of an iteration.
 //
 // Read-ahead is bounded by a token semaphore: at most `depth` results exist
 // between load-start and Take or Release, so memory stays at O(depth) blocks,
@@ -104,9 +103,8 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 }
 
 // PrefetchResult is one delivered block: for an in-block its Payload as
-// stored, in the codec the meta records (DualStore.InCodec), and ByteIdx,
-// its in-index entries — nil for a CodecCOO or CodecVarint block; for an
-// out-index Payload alone — the (Size(i)+1)·4 bytes of its offsets (see
+// stored, in the codec the meta records (DualStore.InCodec), which COP cuts
+// into tiles (DualStore.InTiles); for an out-index Payload alone — the (Size(i)+1)·4 bytes of its offsets (see
 // CachedBlock), or of a page-span load the bytes from offset Base on — with
 // the block's active Sections. Views alias either a pooled Scratch
 // (returned by Release) or an immutable cache entry; they are read-only and
@@ -116,7 +114,6 @@ type PrefetchResult struct {
 	Err error
 
 	Payload []byte
-	ByteIdx []uint32
 	// Base is the stored payload offset Payload starts at: nonzero only for
 	// an out-index loaded as a page span that does not start at page 0.
 	Base int
@@ -125,8 +122,7 @@ type PrefetchResult struct {
 	// Sections are an out-block's active sections, in source order.
 	Sections []Section
 
-	idx      []byte // an in-block's stored in-index, as read or cached
-	runBytes int64  // record-run bytes read from the device
+	runBytes int64 // record-run bytes read from the device
 	sc       *Scratch
 	pf       *Prefetcher
 	token    bool // holds a read-ahead token, handed back by Take or Release
@@ -169,7 +165,7 @@ func (r *PrefetchResult) dataBytes() int64 {
 	if r.Cached || r.Err != nil {
 		return r.runBytes
 	}
-	return r.runBytes + int64(len(r.Payload)) + int64(len(r.idx))
+	return r.runBytes + int64(len(r.Payload))
 }
 
 // NewPrefetcher starts a prefetch pipeline over schedule. extents, when
@@ -273,14 +269,14 @@ func (p *Prefetcher) worker() {
 }
 
 // entryBytes is what the cache will be charged for key's entry, read off the
-// meta: an in-block's stored bytes (InBlockStoredBytes), or a whole
+// meta: an in-block's stored bytes (InBlockBytes), or a whole
 // out-index. It is -1 for a page-span load of part of an out-index, which is
 // not cacheable; a cached out-index is always whole, so it serves any extent.
 func (p *Prefetcher) entryBytes(key BlockKey) int64 {
 	d := p.ds
 	switch key.Kind {
 	case KindInBlock:
-		return d.InBlockStoredBytes(key.I, key.J)
+		return d.InBlockBytes[key.I][key.J]
 	case KindOutIndex:
 		whole := d.OutIndexBytes(key.I, key.J)
 		if p.extents != nil {
@@ -302,7 +298,7 @@ func (p *Prefetcher) load(req *prefetchReq) *PrefetchResult {
 	*res = PrefetchResult{Key: key, pf: p, token: p.sem != nil}
 	if p.cache != nil {
 		if blk, ok := p.cache.Get(key); ok {
-			res.Cached, res.Payload, res.idx = true, blk.Payload, blk.Index
+			res.Cached, res.Payload = true, blk.Payload
 		}
 	}
 	// Ownership of the scratch transfers to the result: Release or Close
@@ -338,17 +334,17 @@ func (p *Prefetcher) read(req *prefetchReq, res *PrefetchResult) error {
 		x := p.extents[key.I*p.ds.Layout.P+key.J]
 		res.Payload, res.Base, err = p.ds.LoadOutIndexSpanScratch(key.I, key.J, x, sc)
 	case KindInBlock:
-		res.Payload, res.idx, err = p.ds.readInBlock(key.I, key.J, sc)
+		res.Payload, err = p.ds.LoadInBlockScratch(key.I, key.J, sc)
 	default:
 		err = fmt.Errorf("blockstore: prefetch: unknown block kind %d", key.Kind)
 	}
 	if err != nil || !req.admit {
 		return err
 	}
-	blk := &CachedBlock{Payload: append([]byte(nil), res.Payload...), Index: append([]byte(nil), res.idx...)}
+	blk := &CachedBlock{Payload: append([]byte(nil), res.Payload...)}
 	if p.cache.Put(key, blk) {
 		// Serve the immutable cached copy; the scratch is free now.
-		res.Payload, res.idx = blk.Payload, blk.Index
+		res.Payload = blk.Payload
 		PutScratch(sc)
 		res.sc = nil
 	}
@@ -356,27 +352,16 @@ func (p *Prefetcher) read(req *prefetchReq, res *PrefetchResult) error {
 }
 
 // handOver turns res's bytes, read or cached, into what the kernels
-// consume: a CodecNone in-block's in-index validated into entries
-// (ByteIdx), or, in a window over extents, an out-index's active sections.
+// consume: in a window over extents, an out-index's active sections. An
+// in-block is handed over as stored; COP checks its tiles as it folds them.
 func (p *Prefetcher) handOver(res *PrefetchResult) error {
-	i, j := res.Key.I, res.Key.J
-	switch {
-	case res.Key.Kind == KindInBlock && p.ds.InCodec(i, j) == CodecNone:
-		if res.sc == nil {
-			res.sc = GetScratch()
-		}
-		entries, err := p.ds.inBlockEntries(i, j, res.Payload, res.idx, res.sc.idx)
-		if err != nil {
-			return err
-		}
-		res.ByteIdx, res.sc.idx = entries, entries
-	case res.Key.Kind == KindOutIndex && p.extents != nil:
-		if res.sc == nil {
-			res.sc = GetScratch()
-		}
-		return p.loadSections(res)
+	if res.Key.Kind != KindOutIndex || p.extents == nil {
+		return nil
 	}
-	return nil
+	if res.sc == nil {
+		res.sc = GetScratch()
+	}
+	return p.loadSections(res)
 }
 
 // loadSections fills res.Sections from the out-index in res.Payload (from

@@ -7,25 +7,12 @@ import (
 	"time"
 	"unsafe"
 
-	"husgraph/internal/graph"
 	"husgraph/internal/storage"
 )
 
-// eqBytes/eqU32 compare slice contents treating nil and empty as equal
-// (loaders and cache promotion legitimately differ there).
+// eqBytes compares slice contents treating nil and empty as equal (loaders
+// and cache promotion legitimately differ there).
 func eqBytes(a, b []byte) bool { return string(a) == string(b) }
-
-func eqU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // prefetchStore materializes the paper example at P=2 in the given format.
 // The mixed build must hold a compressed in-block, or the tests built on it
@@ -36,10 +23,13 @@ func prefetchStore(t *testing.T, f Format) *DualStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f == FormatMixed && ds.InCodec(0, 0) == CodecNone {
-		t.Fatal("mixed paper-example store compressed nothing")
+	for _, key := range inBlockSchedule(ds) {
+		if f == FormatRaw || ds.InCodec(key.I, key.J) == CodecVarint {
+			return ds
+		}
 	}
-	return ds
+	t.Fatal("mixed paper-example store compressed nothing")
+	return nil
 }
 
 // inBlockSchedule lists every in-block column-major (COP's traversal);
@@ -78,11 +68,11 @@ func TestPrefetchMatchesSyncLoadsAllDepths(t *testing.T) {
 				if res.Key != key {
 					t.Fatalf("depth=%d: got key %+v, want %+v", depth, res.Key, key)
 				}
-				payload, byteIdx, err := ds.LoadInBlockBytesScratch(key.I, key.J, sc)
+				payload, err := ds.LoadInBlockScratch(key.I, key.J, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
+				if !eqBytes(res.Payload, payload) {
 					t.Fatalf("format=%v depth=%d (%d,%d): prefetched views differ from sync load", format, depth, key.I, key.J)
 				}
 				res.Release()
@@ -313,16 +303,16 @@ func TestPrefetchCachedResultsMatchScratchLoads(t *testing.T) {
 	// The promoted copies served on hits must be byte-identical to direct
 	// loads — a corrupted promotion would silently poison every later
 	// iteration. And a cached block is held as stored, so each store's cache
-	// is charged its stored in-blocks and in-indices, a mixed store's less
-	// than their raw records and entries.
+	// is charged its stored in-blocks, a mixed store's less than their raw
+	// records.
 	for _, format := range []Format{FormatRaw, FormatMixed} {
 		ds := prefetchStore(t, format)
 		cache := NewBlockCache(64 << 20)
 		cachedSweepMatchesDirectLoads(t, ds, cache)
 		var stored, raw int64
 		for _, key := range inBlockSchedule(ds) {
-			stored += ds.InBlockStoredBytes(key.I, key.J)
-			raw += ds.BlockEdgeCount[key.I][key.J]*int64(RawRecordBytes(ds.Weighted)) + ds.InIndexBytes(key.I, key.J)
+			stored += ds.InBlockBytes[key.I][key.J]
+			raw += ds.BlockEdgeCount[key.I][key.J] * int64(RawRecordBytes(ds.Weighted))
 		}
 		if used := cache.Stats().BytesUsed; used != stored || format == FormatMixed && stored >= raw {
 			t.Fatalf("%v: cache charged %d bytes for blocks stored in %d, %d raw", format, used, stored, raw)
@@ -344,68 +334,16 @@ func cachedSweepMatchesDirectLoads(t *testing.T, ds *DualStore, cache *BlockCach
 				t.Fatalf("pass 2 (%d,%d): expected a cache hit", key.I, key.J)
 			}
 			// The cache holds every block as stored.
-			payload, byteIdx, err := ds.LoadInBlockBytesScratch(key.I, key.J, sc)
+			payload, err := ds.LoadInBlockScratch(key.I, key.J, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !eqBytes(res.Payload, payload) || !eqU32(res.ByteIdx, byteIdx) {
+			if !eqBytes(res.Payload, payload) {
 				t.Fatalf("pass %d (%d,%d): cached views differ from direct load", pass+1, key.I, key.J)
 			}
 			res.Release()
 		}
 		pf.Close()
-	}
-}
-
-// TestPrefetchValidatesCachedInIndex: a hit is handed over as a device read
-// is, its stored in-index validated against its payload, so a cached index
-// that no longer describes the payload is refused as corruption rather than
-// folded. Only a store whose intervals are wider than MaxCOOInterval has
-// in-indices, in either format; a keyed in-block's hit has none to lose.
-func TestPrefetchValidatesCachedInIndex(t *testing.T) {
-	wide := graph.New(2 * (MaxCOOInterval + 1))
-	for v := 0; v < 40; v++ {
-		wide.AddEdge(graph.VertexID(v), graph.VertexID(3*v%40))
-	}
-	for _, format := range []Format{FormatRaw, FormatMixed} {
-		wideStore, err := BuildOpts(memStore(), wide, Options{P: 2, Format: format, Weighted: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ds := range []*DualStore{prefetchStore(t, format), wideStore} {
-			cachedIndexLosesAByte(t, format, ds)
-		}
-	}
-}
-
-// cachedIndexLosesAByte loads in-block (0,0) of ds twice through one cache,
-// its cached in-index cut by a byte between the loads.
-func cachedIndexLosesAByte(t *testing.T, format Format, ds *DualStore) {
-	t.Helper()
-	cache := NewBlockCache(1 << 20)
-	key := inKey(0, 0)
-	for pass := 0; pass < 2; pass++ {
-		pf := ds.NewPrefetcher([]BlockKey{key}, nil, nil, 0, cache)
-		res := pf.Next()
-		if pass == 1 {
-			if c := ds.InCodec(0, 0); c != CodecNone {
-				if res.Err != nil || !res.Cached {
-					t.Fatalf("%v: a %v hit, which has no in-index: %v, cached %v", format, c, res.Err, res.Cached)
-				}
-			} else if !errors.Is(res.Err, storage.ErrCorrupt) {
-				t.Fatalf("%v: a hit whose cached in-index lost its last byte was handed over: %v", format, res.Err)
-			}
-		} else if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		res.Release()
-		pf.Close()
-		// Replace the entry with one whose index lost its last byte.
-		cache.mu.Lock()
-		if ent := cache.items[cacheKey{BlockKey: key}]; ent != nil && len(ent.blk.Index) > 0 {
-			ent.blk = &CachedBlock{Payload: ent.blk.Payload, Index: ent.blk.Index[:len(ent.blk.Index)-1]}
-		}
-		cache.mu.Unlock()
 	}
 }
 
@@ -436,7 +374,7 @@ func TestPrefetchCopiesNoRefusedBlock(t *testing.T) {
 				case pf.reqs[n].admit:
 					admitted++
 					blk := resident(cache, key)
-					if blk == nil || unsafe.SliceData(res.Payload) != unsafe.SliceData(blk.Payload) || unsafe.SliceData(res.idx) != unsafe.SliceData(blk.Index) {
+					if blk == nil || unsafe.SliceData(res.Payload) != unsafe.SliceData(blk.Payload) {
 						t.Fatalf("%v depth=%d: admitted %+v not served from the cache", format, depth, key)
 					}
 					if got := blk.Bytes(); got != sizes[n] {

@@ -124,7 +124,9 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 // group-varint key deltas with no in-index (magic HUSJ: the meta dropped its
 // in-index size grid and its CodecCOO flag; a raw store kept every blob but
 // its meta, a mixed store's ib/ blobs became key deltas or records and its
-// ii/ blobs went). A change that
+// ii/ blobs went), and when in-blocks over wider intervals became tiles
+// (magic HUSK: the meta dropped its per-block destination-count grid; both
+// stores here fit 16 bits and kept every blob but the meta). A change that
 // moves a store byte — a layout, codec, frame or meta change — fails here
 // and says so by updating the digest.
 func TestStoreBytesGolden(t *testing.T) {
@@ -135,8 +137,8 @@ func TestStoreBytesGolden(t *testing.T) {
 		format Format
 		want   string
 	}{
-		{FormatRaw, "2f0697faaf35e5f500e990df90e3520eb28ec6a571d57106a60802d52f719e08"},
-		{FormatMixed, "5e3fd6a2c20a7eb2fce34be31e20641e5807b2c5566f059bcf4f0b7a3c79a834"},
+		{FormatRaw, "8ec169a8ffaabd871f562f34400ba1e10edc52462940595f522a2fe2a409b4c6"},
+		{FormatMixed, "48e01f7234b5d09c855d22ef3913a3d6f9aab520e1dbe6c4494212f1dcdaa2ba"},
 	} {
 		st := memStore()
 		if _, err := BuildOpts(st, g, Options{P: 4, Format: tc.format, Weighted: true}); err != nil {

@@ -318,51 +318,60 @@ func boundaryGraph(p, size int) *graph.Graph {
 	return g
 }
 
-// TestCOOLayoutBoundary builds raw stores on both sides of the widest
-// interval a CodecCOO record addresses — two intervals of
-// MaxCOOInterval vertices, whose in-blocks are one record per edge, and two
-// of one vertex more, whose in-blocks keep their in-index (boundaryGraph).
-// On both, forced-COP runs at 1 and 3 threads must give PageRank (the sum
-// kernel) the serial Gauss–Seidel sweep's values, WCC (the min kernel) its
-// oracle's and weighted SSSP (the Combine fallback) its oracle's, bit for
-// bit.
+// boundarySizes are the interval sizes the layout boundary tests run:
+// the widest interval one tile holds, one vertex more (a second tile of one
+// vertex), a third tile of one vertex, and four whole tiles.
+var boundarySizes = []int{blockstore.MaxCOOInterval, blockstore.MaxCOOInterval + 1, 2*blockstore.MaxCOOInterval + 1, 4 * blockstore.MaxCOOInterval}
+
+// TestCOOLayoutBoundary builds stores on both sides of the widest interval
+// one tile holds, and past it — two intervals of MaxCOOInterval vertices,
+// whose in-blocks are one tile, and of 2¹⁶ + 1, 2¹⁷ + 1 and 2¹⁸, whose
+// in-blocks are 2 × 2, 3 × 3 and 4 × 4 tiles, the last row and column of
+// the two odd sizes a single vertex wide (boundaryGraph) — in FormatRaw,
+// whose in-blocks are CodecCOO, and FormatMixed, whose in-blocks are
+// CodecVarint where that is smaller. On each, forced-COP runs at 1 and 3
+// threads must give PageRank (the sum kernel) the serial Gauss–Seidel
+// sweep's values, WCC (the min kernel) its oracle's and weighted SSSP (the
+// Combine fallback) its oracle's, bit for bit.
 func TestCOOLayoutBoundary(t *testing.T) {
 	const p = 2
-	for _, size := range []int{blockstore.MaxCOOInterval, blockstore.MaxCOOInterval + 1} {
+	for _, size := range boundarySizes {
 		g := boundaryGraph(p, size)
 		sym := g.Symmetrize()
-		want := blockstore.CodecCOO
-		if size > blockstore.MaxCOOInterval {
-			want = blockstore.CodecNone
-		}
-		build := func(g *graph.Graph, weighted bool) *blockstore.DualStore {
-			ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.SSD)), g, blockstore.Options{P: p, Weighted: weighted})
-			if err != nil {
-				t.Fatal(err)
+		for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
+			want := blockstore.CodecCOO
+			if format == blockstore.FormatMixed {
+				want = blockstore.CodecVarint
 			}
-			if got := ds.InCodec(p-1, p-1); got != want {
-				t.Fatalf("intervals of %d: in-block (%d,%d) is %v, want %v", size, p-1, p-1, got, want)
-			}
-			return ds
-		}
-		cases := []struct {
-			name     string
-			ds       *blockstore.DualStore
-			prog     core.Program
-			maxIters int
-			want     []float64
-		}{
-			{"pagerank", build(g, false), &algos.PageRank{}, 5, gaussSeidelPageRank(g, p, 5)},
-			{"wcc", build(sym, false), algos.WCC{}, 0, algos.OracleWCC(sym)},
-			{"sssp", build(g, true), algos.SSSP{Source: graph.VertexID(size - 1)}, 0, algos.OracleSSSP(g, graph.VertexID(size-1))},
-		}
-		for _, c := range cases {
-			for _, threads := range []int{1, 3} {
-				res, err := core.New(c.ds, core.Config{Model: core.ModelCOP, Threads: threads, MaxIters: c.maxIters}).Run(c.prog)
+			build := func(g *graph.Graph, weighted bool) *blockstore.DualStore {
+				ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.SSD)), g, blockstore.Options{P: p, Format: format, Weighted: weighted})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameValues(t, fmt.Sprintf("%s over intervals of %d, threads=%d", c.name, size, threads), res.Values, c.want)
+				if got := ds.InCodec(p-1, p-1); got != want {
+					t.Fatalf("%v intervals of %d: in-block (%d,%d) is %v, want %v", format, size, p-1, p-1, got, want)
+				}
+				return ds
+			}
+			cases := []struct {
+				name     string
+				ds       *blockstore.DualStore
+				prog     core.Program
+				maxIters int
+				want     []float64
+			}{
+				{"pagerank", build(g, false), &algos.PageRank{}, 5, gaussSeidelPageRank(g, p, 5)},
+				{"wcc", build(sym, false), algos.WCC{}, 0, algos.OracleWCC(sym)},
+				{"sssp", build(g, true), algos.SSSP{Source: graph.VertexID(size - 1)}, 0, algos.OracleSSSP(g, graph.VertexID(size-1))},
+			}
+			for _, c := range cases {
+				for _, threads := range []int{1, 3} {
+					res, err := core.New(c.ds, core.Config{Model: core.ModelCOP, Threads: threads, MaxIters: c.maxIters}).Run(c.prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameValues(t, fmt.Sprintf("%s over %v intervals of %d, threads=%d", c.name, format, size, threads), res.Values, c.want)
+				}
 			}
 		}
 	}
@@ -370,14 +379,14 @@ func TestCOOLayoutBoundary(t *testing.T) {
 
 // TestOutRecordBoundary is TestCOOLayoutBoundary's sibling for the row view:
 // over two intervals of MaxCOOInterval vertices an out-block record holds a
-// 16-bit local destination, over two of one vertex more a 32-bit one, and
-// the last vertex of each interval is the widest local ID either holds. On
-// both, forced-ROP and hybrid runs at 1 and 3 threads, in FormatRaw and
+// 16-bit local destination, over wider ones a 32-bit one, and the last
+// vertex of each interval is the widest local ID either holds. On each size,
+// forced-ROP and hybrid runs at 1 and 3 threads, in FormatRaw and
 // FormatMixed stores, must give BFS (the min push) and WCC their oracles'
 // values and weighted SSSP (the Combine fallback) its oracle's, bit for bit.
 func TestOutRecordBoundary(t *testing.T) {
 	const p = 2
-	for _, size := range []int{blockstore.MaxCOOInterval, blockstore.MaxCOOInterval + 1} {
+	for _, size := range boundarySizes {
 		g := boundaryGraph(p, size)
 		sym := g.Symmetrize()
 		src := graph.VertexID(size - 1)

@@ -13,7 +13,7 @@ import (
 // degrees whose P = 4 mixed builds hold in-blocks under both codecs
 // (buildFormat checks): the scatter and the hub's long gap-1 run are varint
 // blocks, and the last 200 vertices are isolated, leaving the empty blocks
-// CodecNone.
+// CodecCOO.
 func compressTestGraph() *graph.Graph {
 	g := graph.New(800)
 	for i := 0; i < 600; i++ {

@@ -28,9 +28,8 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 
 	// The column traversal order is this window's plan (copPlan):
 	// while this goroutine computes on in-block(j,i), the window's workers
-	// read and verify the next blocks (or serve them from the cache) and
-	// validate their in-indices. Every planned key is consumed by exactly
-	// one Next call.
+	// read and verify the next blocks (or serve them from the cache). Every
+	// planned key is consumed by exactly one Next call.
 	k := &e.cop
 	k.begin(e, prog, s, frontier)
 	defer k.end()
@@ -42,34 +41,15 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 			if res.Err != nil {
 				return 0, res.Err
 			}
-			// The block arrives as stored, from the device or the cache —
-			// one key per edge, as a record or as the group-varint deltas
-			// of a compressed block, which the kernel decodes as it folds
-			// them, or over wide intervals packed records behind their
-			// in-index entries; the meta's codec says which. The edge
-			// kernel splits the block across workers by destination.
-			if len(res.Payload) == 0 {
-				res.Release()
-				continue
-			}
-			var err error
-			jlo, jhi := l.Bounds(j)
-			switch codec := e.ds.InCodec(j, i); codec {
-			case blockstore.CodecNone:
-				if bad := k.block(d[lo:hi], res.Payload, res.ByteIdx); bad >= 0 {
-					err = fmt.Errorf("core: in-block (%d,%d) destination %d: a neighbour outside [0,%d): %w", j, i, lo+int(res.ByteIdx[2*bad]), len(s), storage.ErrCorrupt)
-				}
-			default:
-				var bad int
-				if codec == blockstore.CodecCOO {
-					bad = k.records(d[lo:hi], jlo, jhi, res.Payload)
-				} else {
-					bad = k.varint(d[lo:hi], jlo, jhi, res.Payload)
-				}
-				if bad >= 0 {
-					err = fmt.Errorf("core: in-block (%d,%d) record %d: %v keys malformed or out of (destination, source) order, or naming a destination outside [0,%d) or a source outside [0,%d): %w", j, i, bad, codec, hi-lo, jhi-jlo, storage.ErrCorrupt)
-				}
-			}
+			// The block arrives as stored, from the device or the cache, and
+			// is cut into its tiles, the directory checked on every fold.
+			// Each tile holds one key per edge, as a record or as the
+			// group-varint deltas of a compressed block, which the kernel
+			// decodes as it folds them; the meta's codec says which. The
+			// tiles fold in stored order, so each destination's chain visits
+			// its sources ascending, and the edge kernel splits each tile
+			// across workers by destination.
+			err := e.foldTiles(j, i, d[lo:hi], res.Payload)
 			res.Release()
 			if err != nil {
 				return 0, err
@@ -91,4 +71,33 @@ func (e *Engine) runCOP(prog Program, s, d []float64, frontier, next *bitset.Fro
 	// every source was active and the column passes rewrote the entries.
 	e.msgs.current = e.msgs.driven && k.m != nil && k.active == nil && prog.Kind() != Incremental
 	return maxDelta, nil
+}
+
+// foldTiles folds in-block(j,i), as stored, into the accumulators d of
+// destination interval i, tile by tile.
+func (e *Engine) foldTiles(j, i int, d []float64, payload []byte) error {
+	k := &e.cop
+	tiles, err := e.ds.InTiles(j, i, payload, k.tiles)
+	if err != nil {
+		return err
+	}
+	k.tiles = tiles
+	jlo, _ := e.ds.Layout.Bounds(j)
+	codec := e.ds.InCodec(j, i)
+	for _, t := range tiles {
+		if len(t.Payload) == 0 {
+			continue
+		}
+		dt, slo, shi := d[t.DstLo:t.DstHi], jlo+t.SrcLo, jlo+t.SrcHi
+		var bad int
+		if codec == blockstore.CodecCOO {
+			bad = k.records(dt, slo, shi, t.Payload)
+		} else {
+			bad = k.varint(dt, slo, shi, t.Payload)
+		}
+		if bad >= 0 {
+			return fmt.Errorf("core: in-block (%d,%d), tile at destination %d and source %d: record %d: %v keys malformed or out of (destination, source) order, or naming a destination outside [0,%d) or a source outside [0,%d): %w", j, i, t.DstLo, t.SrcLo, bad, codec, len(dt), shi-slo, storage.ErrCorrupt)
+		}
+	}
+	return nil
 }

@@ -333,7 +333,7 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes, p
 }
 
 // copScanBytes is what PredictCosts prices a COP iteration at: the sequential
-// bytes streaming every owned column's in-blocks and in-indices moves, and
+// bytes streaming every owned column's in-blocks moves, and
 // the logical bytes folding them decodes (copDecodeBytes). In-blocks
 // resident in the block cache skip the device, so their reads are priced at
 // zero — this is what lets the predictor keep preferring COP once the hot
@@ -343,7 +343,7 @@ func (e *Engine) copScanBytes() (seqBytes, decBytes int64) {
 	for j := e.lo; j < e.hi; j++ {
 		for i := 0; i < e.ds.Layout.P; i++ {
 			if e.cache == nil || !e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindInBlock, I: i, J: j}) {
-				seqBytes += e.ds.InBlockStoredBytes(i, j)
+				seqBytes += e.ds.InBlockBytes[i][j]
 			}
 		}
 	}

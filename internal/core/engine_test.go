@@ -311,7 +311,7 @@ func TestHybridPicksROPForSparseFrontier(t *testing.T) {
 	// A long path on HDD: one active vertex per iteration, so ROP's one
 	// random access beats streaming the whole edge set. The path must be
 	// long enough for that: a raw store's in-blocks carry one record per
-	// edge and no in-index, and a forced COP iteration over 2000 vertices
+	// edge, and a forced COP iteration over 2000 vertices
 	// costs less than a forced ROP one (116 µs against 223 µs), over 6000
 	// more (345 µs against 283 µs). The forced runs hold the premise.
 	g := pathGraph(6000)
@@ -499,8 +499,7 @@ func TestPredictorROPGrowsWithFrontier(t *testing.T) {
 	// One active vertex of a path costs ROP two positioned reads: its
 	// record and the out-index page holding its entries. A COP scan streams
 	// at least one 4-byte record per edge, so a path this long makes the
-	// scan dearer than those two reads at the HDD profile's rates, whatever
-	// the in-indices add.
+	// scan dearer than those two reads at the HDD profile's rates.
 	twoReads := storage.HDD.RandTime(blockstore.PageBytes+4, 2)
 	n := int(twoReads.Seconds()*storage.HDD.SeqBytesPerSec/4) + 2
 	g := pathGraph(n)
@@ -743,12 +742,11 @@ func TestPredictorTracksActualCosts(t *testing.T) {
 
 // TestPredictedCOPBytesMatchCharged: the predictor prices a COP iteration
 // from the sizes the meta blob recorded, the device charges what the
-// iteration actually reads — the two must be the same bytes, in-indices
-// included, whatever the format and however many blocks are sparse or
-// empty. The one difference is the checksum frame: every blob read carries a
-// fixed header the predictor does not price, read here off one blob — two
-// blobs a block, or one where the in-blocks are keyed, CodecCOO or
-// CodecVarint, and have no in-index. The decode it prices is the decode the iteration counts. Each
+// iteration actually reads — the two must be the same bytes, whatever the
+// format and however many blocks are sparse or empty. The one difference is
+// the checksum frame: every blob read carries a fixed header the predictor
+// does not price, read here off one blob, one blob a block. The decode it
+// prices is the decode the iteration counts. Each
 // store runs two iterations without a cache, and two through a cache that
 // holds every block: its second iteration hits every block, is priced and
 // charged no byte, and — the cache holding blocks as stored — decodes what
@@ -762,10 +760,7 @@ func TestPredictedCOPBytesMatchCharged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blobs := int64(2 * p * p)
-			if ds.InCodec(0, 0) != blockstore.CodecNone {
-				blobs = int64(p * p)
-			}
+			blobs := int64(p * p)
 			frames := blobs * (stored - ds.InBlockBytes[0][0])
 			for _, budget := range []int64{0, 64 << 20} {
 				var e *Engine

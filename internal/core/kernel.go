@@ -31,18 +31,18 @@ import (
 // Values are bit-identical to the per-edge interface loops: the table holds
 // exactly what Message would have returned, or that identity, combined in
 // the same order.
-// Those loops (copKernel.combine, the ReduceCustom arm of ropPush)
+// Those loops (copKernel.combineCOO, the ReduceCustom arm of ropPush)
 // remain the one fallback — for programs that declare nothing and for
 // weighted stores, where a message may depend on the edge.
 //
-// A kernel reads the block in the layout blockstore hands it over in: one
-// (destination, source) key per edge, as a record (CodecCOO) or — for a
-// block stored compressed — as the group-varint deltas stored
-// (CodecVarint), each group parsed and folded in the same loop with no
-// intermediate record; or, over intervals wider than 16 bits, packed raw
-// records behind an in-index, whose entries the kernels walk (CodecNone).
-// Each destination's neighbours come out in the same ascending order in
-// every layout, so all three fold to the same bits.
+// A kernel reads one tile of a block (blockstore.InTiles) in the layout
+// blockstore hands it over in: one (destination, source) key per edge, local
+// to the tile, as a record (CodecCOO) or — for a block stored compressed —
+// as the group-varint deltas stored (CodecVarint), each group parsed and
+// folded in the same loop with no intermediate record. runCOP folds a
+// block's tiles one after another, so each destination's neighbours come
+// out in the same ascending order at every interval width and in both
+// codecs, and fold to the same bits.
 //
 // A neighbour is disk input: a crafted record, or a delta the CRC could not
 // tell from a valid one, may name no vertex. Every loop tests it against
@@ -184,27 +184,22 @@ type copKernel struct {
 	// identity to fold, tests each source against it.
 	active []uint64
 
-	// The block in hand: d is the destination interval's accumulators,
-	// payload its records in the layout codec names, and idx a CodecNone
-	// block's in-index — entry e is (idx[2e], idx[2e+1]): a destination's
-	// offset in d and the byte offset in payload its section ends at, where
-	// entry e+1's begins. blockstore validated every entry against both
-	// (DESIGN.md §4m). A CodecCOO or CodecVarint block has none; its sources
-	// are local to [srcLo, srcHi).
+	// The tile in hand: d is its destinations' accumulators, payload its
+	// keys in the layout codec names, and its sources are [srcLo, srcHi).
 	d            []float64
-	idx          []uint32
 	payload      []byte
 	codec        blockstore.Codec
 	srcLo, srcHi int
 
-	// bounds is the block's chunking (entryChunks, or recordChunks for a
-	// CodecCOO block), gv a CodecVarint block's (gvChunks); wg joins the
-	// chunk workers; bad is the first entry or record a fold stopped at, or
-	// noBad; decoded holds a CodecVarint block's records for the Combine
-	// fallback (AppendGV); and next, words and deltas[c] are the column
-	// pass's frontier, chunking (wordChunks) and chunk c's largest value
-	// change. All live here so a block or a pass costs one allocation per
-	// worker spawned and none otherwise.
+	// tiles is the block in hand cut into tiles (foldTiles); bounds is a
+	// CodecCOO tile's chunking (recordChunks), gv a CodecVarint tile's
+	// (gvChunks); wg joins the chunk workers; bad is the first record a fold
+	// stopped at, or noBad; decoded holds a CodecVarint tile's records for
+	// the Combine fallback (AppendGV); and next, words and deltas[c] are the
+	// column pass's frontier, chunking (wordChunks) and chunk c's largest
+	// value change. All live here so a block or a pass costs one allocation
+	// per worker spawned and none otherwise.
+	tiles   []blockstore.Tile
 	bounds  []int
 	gv      []gvChunk
 	wg      sync.WaitGroup
@@ -242,7 +237,7 @@ func (k *copKernel) begin(e *Engine, prog Program, s []float64, frontier *bitset
 // end drops the sweep's references so an idle engine pins no run's arrays.
 func (k *copKernel) end() {
 	k.prog, k.s, k.m, k.active = nil, nil, nil, nil
-	k.d, k.idx, k.payload, k.next = nil, nil, nil, nil
+	k.d, k.payload, k.next = nil, nil, nil
 }
 
 // passMinChunk is the fewest vertices a pass worker takes: below it a spawn
@@ -342,25 +337,16 @@ func (k *copKernel) passChunk(c int) {
 	k.deltas[c] = maxDelta
 }
 
-// block folds one CodecNone in-block, its packed records behind its
-// in-index entries, into d. It partitions the block's entries across
-// workers by payload bytes and runs the kernel on each chunk — the last on
-// the calling goroutine, which would otherwise only wait — and returns once
-// every chunk is done: -1 when every section folded, else the first entry
-// whose section names a neighbour outside the vertex set. The fold stops
-// there; what it wrote before is left for the caller to discard.
-func (k *copKernel) block(d []float64, payload []byte, entries []uint32) int {
-	k.d, k.idx, k.payload, k.codec = d, entries, payload, blockstore.CodecNone
-	k.bounds = entryChunks(k.bounds[:0], k.idx, k.threads)
-	return k.fold(len(k.bounds) - 1)
-}
-
-// records is block for a CodecCOO in-block whose sources are local to
-// [srcLo, srcHi): it returns -1 or the first record that breaks a rule
-// (recordChunk), or the partial record ending a payload whose whole ones
-// all folded.
+// records folds one CodecCOO tile, whose sources are [srcLo, srcHi), into
+// its accumulators d. It partitions the tile's records across workers
+// (recordChunks) and runs the kernel on each chunk — the last on the
+// calling goroutine, which would otherwise only wait — and returns once
+// every chunk is done: -1 when every record folded, else the first record
+// that breaks a rule (recordChunk), or the partial record ending a payload
+// whose whole ones all folded. The fold stops there; what it wrote before is
+// left for the caller to discard.
 func (k *copKernel) records(d []float64, srcLo, srcHi int, payload []byte) int {
-	k.d, k.idx, k.payload, k.codec, k.srcLo, k.srcHi = d, nil, payload, blockstore.CodecCOO, srcLo, srcHi
+	k.d, k.payload, k.codec, k.srcLo, k.srcHi = d, payload, blockstore.CodecCOO, srcLo, srcHi
 	step := blockstore.RawRecordBytes(k.weighted)
 	k.bounds = recordChunks(k.bounds[:0], payload, step, k.threads)
 	if bad := k.fold(len(k.bounds) - 1); bad >= 0 || len(payload)%step == 0 {
@@ -369,11 +355,10 @@ func (k *copKernel) records(d []float64, srcLo, srcHi int, payload []byte) int {
 	return len(payload) / step
 }
 
-// varint is block for a CodecVarint in-block whose sources are local to
-// [srcLo, srcHi): it returns -1 or the first record that breaks a rule —
-// blockstore.AppendGV's, or naming a destination or source outside its
-// interval. The Combine fallback folds the records AppendGV decodes the
-// block into, through records.
+// varint is records for a CodecVarint tile: it returns -1 or the first
+// record that breaks a rule — blockstore.AppendGV's, or naming a
+// destination or source outside the tile. The Combine fallback folds the
+// records AppendGV decodes the tile into, through records.
 func (k *copKernel) varint(d []float64, srcLo, srcHi int, payload []byte) int {
 	if k.op == ReduceCustom {
 		recs, err := blockstore.AppendGV(k.decoded[:0], payload, k.weighted)
@@ -383,12 +368,12 @@ func (k *copKernel) varint(d []float64, srcLo, srcHi int, payload []byte) int {
 		}
 		return len(recs) / blockstore.RawRecordBytes(k.weighted)
 	}
-	k.d, k.idx, k.payload, k.codec, k.srcLo, k.srcHi = d, nil, payload, blockstore.CodecVarint, srcLo, srcHi
+	k.d, k.payload, k.codec, k.srcLo, k.srcHi = d, payload, blockstore.CodecVarint, srcLo, srcHi
 	k.gv = gvChunks(k.gv[:0], payload, len(d), k.threads)
 	return k.fold(len(k.gv))
 }
 
-// fold runs the block in hand's n chunks, the last on the calling
+// fold runs the tile in hand's n chunks, the last on the calling
 // goroutine.
 func (k *copKernel) fold(n int) int {
 	last := n - 1
@@ -416,8 +401,8 @@ func (k *copKernel) worker(c int) {
 // isActive tests vertex v in a frontier's bitmap words, in line.
 func isActive(active []uint64, v uint32) bool { return active[v>>6]&(1<<(v&63)) != 0 }
 
-// runChunk runs the block's kernel over chunk c's entries or records and,
-// if it stopped, lowers bad to the one it stopped at. Chunks own disjoint
+// runChunk runs the tile's kernel over chunk c's records and, if it
+// stopped, lowers bad to the one it stopped at. Chunks own disjoint
 // destinations, so workers never write the same accumulator (§3.5).
 func (k *copKernel) runChunk(c int) {
 	if k.codec == blockstore.CodecVarint {
@@ -435,32 +420,12 @@ func (k *copKernel) runChunk(c int) {
 		return
 	}
 	cl, ch := k.bounds[c], k.bounds[c+1]
-	if k.codec == blockstore.CodecCOO {
-		if bad := k.recordChunk(cl, ch); bad >= 0 {
-			k.lowerBad(int64(cl + bad))
-		}
-		return
-	}
-	// The chunk's entries, and where the first one's section begins.
-	idx, lo := k.idx[2*cl:2*ch], 0
-	if cl > 0 {
-		lo = int(k.idx[2*cl-1])
-	}
-	var bad int
-	switch k.op {
-	case ReduceSum:
-		bad = copSumRaw(k.m, k.d, k.payload, idx, lo)
-	case ReduceMin:
-		bad = copMinRaw(k.m, k.d, k.payload, idx, lo)
-	default:
-		bad = k.combine(idx, lo)
-	}
-	if bad >= 0 {
-		k.lowerBad(int64(cl + bad/2))
+	if bad := k.recordChunk(cl, ch); bad >= 0 {
+		k.lowerBad(int64(cl + bad))
 	}
 }
 
-// lowerBad records that a fold stopped at entry or record at: the lowest
+// lowerBad records that a fold stopped at record at: the lowest
 // wins whichever chunk gets here first.
 func (k *copKernel) lowerBad(at int64) {
 	for cur := k.bad.Load(); at < cur && !k.bad.CompareAndSwap(cur, at); cur = k.bad.Load() {
@@ -494,55 +459,15 @@ func (k *copKernel) recordChunk(lo, hi int) int {
 	}
 }
 
-// The specialised COP kernels, over the entries idx whose first section
-// begins at payload byte lo. Each listed destination's accumulator is read
-// once, folded over its in-neighbours in stored (ascending-source) order,
-// and written back. They carry no IsActive check — an inactive source's
-// table entry is the reduction's identity (copKernel.pass), so folding it is
-// folding nothing — and no call, so the accumulator and cursors stay in
-// registers. They only ever see unweighted sections of 4-byte records:
-// reduceOf keeps weighted stores on the fallback. Each returns -1, or the
-// position in idx of the entry whose section it stopped in.
-
-func copSumRaw(m, d []float64, payload []byte, idx []uint32, lo int) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		acc := d[local]
-		for off := lo; off < hi; off += 4 {
-			nbr := binary.LittleEndian.Uint32(payload[off:])
-			if int(nbr) >= len(m) {
-				return e
-			}
-			acc += m[nbr]
-		}
-		d[local] = acc
-		lo = hi
-	}
-	return -1
-}
-
-func copMinRaw(m, d []float64, payload []byte, idx []uint32, lo int) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		acc := d[local]
-		for off := lo; off < hi; off += 4 {
-			nbr := binary.LittleEndian.Uint32(payload[off:])
-			if int(nbr) >= len(m) {
-				return e
-			}
-			if v := m[nbr]; v < acc {
-				acc = v
-			}
-		}
-		d[local] = acc
-		lo = hi
-	}
-	return -1
-}
-
-// The CodecCOO kernels fold d[dst] ⊕= m[src] per record, m the source
-// interval's slice of the table, with no branch on a destination change:
-// one d[dst]'s chain is the raw kernels' register chain, in its order. A
+// The specialised COP kernels. Each tile's accumulator d[dst] is folded over
+// its in-neighbours in stored (ascending-source) order. They carry no
+// IsActive check — an inactive source's table entry is the reduction's
+// identity (copKernel.pass), so folding it is folding nothing — and no
+// call. They only ever see unweighted tiles: reduceOf keeps weighted stores
+// on the fallback.
+//
+// The CodecCOO kernels fold d[dst] ⊕= m[src] per record, m the tile's
+// sources' slice of the table, with no branch on a destination change. A
 // key (destination high, source low) must lie in [prev, last], not below
 // the key before it, and name a slot of d and of m; else the fold stops and
 // returns the record's position.
@@ -762,26 +687,8 @@ func copMinGV(m, d []float64, payload []byte, off, end, r int) int {
 }
 
 // The fallback COP kernel: Message and Combine per edge (Alg. 3 lines
-// 11–14 as written), over raw records — a CodecVarint block's decoded
+// 11–14 as written), over CodecCOO records — a CodecVarint tile's decoded
 // first by blockstore.AppendGV (copKernel.varint).
-
-// combine folds the entries idx, whose first section begins at payload byte
-// lo, through Message and Combine.
-func (k *copKernel) combine(idx []uint32, lo int) int {
-	for e := 0; e+1 < len(idx); e += 2 {
-		local, hi := idx[e], int(idx[e+1])
-		sec := k.payload[lo:hi]
-		acc, dirty, ok := combineSection(k.prog, k.s, k.d[local], sec, k.active, k.weighted)
-		if !ok {
-			return e
-		}
-		if dirty {
-			k.d[local] = acc
-		}
-		lo = hi
-	}
-	return -1
-}
 
 // combineCOO is the fallback over CodecCOO records, held to copSumCOO's
 // rules: Message from the source and the record's weight, then Combine.
@@ -802,27 +709,6 @@ func (k *copKernel) combineCOO(recs []byte, prev, last uint32) int {
 		}
 	}
 	return -1
-}
-
-// combineSection folds one destination's packed raw records into acc and
-// reports whether any Combine changed it, or ok = false at a neighbour that
-// names no vertex.
-func combineSection(prog Program, s []float64, acc float64, sec []byte, active []uint64, weighted bool) (_ float64, dirty, ok bool) {
-	step := blockstore.RawRecordBytes(weighted)
-	for off := 0; off < len(sec); off += step {
-		nbr, w := blockstore.RawRec(sec, off, weighted)
-		if int(nbr) >= len(s) {
-			return acc, dirty, false
-		}
-		if active != nil && !isActive(active, nbr) {
-			continue
-		}
-		if a, changed := prog.Combine(acc, prog.Message(nbr, s[nbr], w)); changed {
-			acc = a
-			dirty = true
-		}
-	}
-	return acc, dirty, true
 }
 
 // ropPush pushes source src (current value srcVal) along its out-edge

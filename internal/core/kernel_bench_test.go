@@ -38,15 +38,10 @@ func (p *benchRank) Reduce() ReduceOp { return p.reduce }
 // every frontier — an inactive source's table entry is the reduction's
 // identity — so their legs differ only in which messages they fold; the
 // fallback tests the frontier per edge. ns/edge is the layer-level number
-// for the next kernel change. At P = 1 a store's one in-block keeps its
-// in-index in either format (intervals wider than 2¹⁶), so these legs time
-// the CodecNone kernels; BenchmarkCOPScan times the keyed layouts. The
-// /occ legs hold
-// |E| = 2¹⁶ and the sum kernel fixed and vary how many of a P = 16
-// interval's 2¹⁴ destinations the edges land on — 5 %, 20 %, all of them —
-// which is what P does to a block: ns/edge should rise only with the
-// per-entry work (one accumulator load and store), not with the interval.
-// Read them at -cpu 1.
+// for the next kernel change. At P = 1 a store's one in-block is 4 × 4
+// tiles of CodecCOO records (intervals of 2¹⁸), so these legs time the
+// record kernels through runCOP's tile loop; BenchmarkCOPScan times the
+// layouts side by side. Read them at -cpu 1.
 func BenchmarkEdgeKernel(b *testing.B) {
 	n := 1 << 18
 	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
@@ -54,14 +49,14 @@ func BenchmarkEdgeKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if ds.InCodec(0, 0) != blockstore.CodecNone {
-		b.Fatalf("the in-block is %v-coded", ds.InCodec(0, 0))
-	}
-	payload, byteIdx, err := ds.LoadInBlockBytesScratch(0, 0, new(blockstore.Scratch)) // the views keep the scratch alive
+	payload, err := ds.LoadInBlockScratch(0, 0, new(blockstore.Scratch)) // the view keeps the scratch alive
 	if err != nil {
 		b.Fatal(err)
 	}
-	edges := float64(len(payload) / blockstore.RawRecordBytes(false))
+	if tiles, err := ds.InTiles(0, 0, payload, nil); err != nil || len(tiles) != 16 {
+		b.Fatalf("the in-block is %d tiles (%v), want 16", len(tiles), err)
+	}
+	edges := float64(ds.BlockEdgeCount[0][0])
 
 	s := make([]float64, n)
 	for v := range s {
@@ -90,31 +85,6 @@ func BenchmarkEdgeKernel(b *testing.B) {
 		frontiers = append(frontiers, namedFrontier{fmt.Sprintf("active=%d", pct), f})
 	}
 
-	const size, occEdges = 1 << 14, 1 << 16
-	for _, pct := range []int{5, 20, 100} {
-		dsts := size * pct / 100
-		rng := rand.New(rand.NewSource(int64(pct)))
-		occPayload := make([]byte, 0, 4*occEdges)
-		var entries []uint32
-		for k := 0; k < dsts; k++ {
-			for e := k * occEdges / dsts; e < (k+1)*occEdges/dsts; e++ {
-				occPayload = binary.LittleEndian.AppendUint32(occPayload, uint32(rng.Intn(n)))
-			}
-			entries = append(entries, uint32(k*size/dsts), uint32(len(occPayload)))
-		}
-		b.Run(fmt.Sprintf("sum/allactive/occ=%d", pct), func(b *testing.B) {
-			e := New(ds, Config{Threads: 1})
-			k := &e.cop
-			k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: ReduceSum}, s, bitset.FullFrontier(n))
-			defer k.end()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.block(d[:size], occPayload, entries)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*occEdges), "ns/edge")
-		})
-	}
-
 	for _, kern := range []struct {
 		name string
 		op   ReduceOp
@@ -127,8 +97,8 @@ func BenchmarkEdgeKernel(b *testing.B) {
 				defer k.end()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if k.block(d, payload, byteIdx) >= 0 {
-						b.Fatal("the fold refused a block the store built")
+					if err := e.foldTiles(0, 0, d, payload); err != nil {
+						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
@@ -141,60 +111,68 @@ func BenchmarkEdgeKernel(b *testing.B) {
 // Chung–Lu α 2.2, 2¹⁸ vertices, P = 16 — on one thread, column by column
 // as a COP sweep does, with the blocks already in memory: the edge loop of
 // a scan and nothing else. Each leg reports ns/edge and B/edge, the bytes a
-// scan reads per edge (payload and in-index, frames excluded). /coo folds
-// the blocks as a raw store keeps them at this P, one 4-byte (destination,
-// source) record per edge; /gv as a mixed store of the same graph keeps
-// them, group-varint key deltas (CodecVarint) where that is smaller and the
-// records otherwise; /raw the records regrouped behind an in-index, the
-// layout of a store whose intervals are wider than 2¹⁶; each with the sum
-// and the min kernel. /floor is a flat gather-sum over the same sources, no
-// destination at all: what reading the messages costs. DESIGN.md §4f and
-// §4m have the numbers; read them at -cpu 1.
+// scan reads per edge (payload, frames excluded). /coo folds the blocks as
+// a raw store keeps them at this P, one 4-byte (destination, source) record
+// per edge; /gv as a mixed store of the same graph keeps them, group-varint
+// key deltas (CodecVarint) where that is smaller and the records otherwise;
+// /tiled the same graph in a raw store at P = 2, whose intervals of 2¹⁷
+// vertices cut each in-block into 2 × 2 tiles folded through runCOP's tile
+// loop (foldTiles); each with the sum and the min kernel. /floor is a flat
+// gather-sum over the same sources, no destination at all: what reading the
+// messages costs. DESIGN.md §4f and §4m have the numbers; read them at
+// -cpu 1.
 func BenchmarkCOPScan(b *testing.B) {
 	const n, p = 1 << 18, 16
 	g := gen.ChungLu(n, 10*n, 2.2, rand.New(rand.NewSource(1)))
-	ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: p})
-	if err != nil {
-		b.Fatal(err)
+	build := func(opts blockstore.Options) *blockstore.DualStore {
+		ds, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ds
 	}
-	mixed, err := blockstore.BuildOpts(storage.NewMemStore(storage.NewDevice(storage.RAM)), g, blockstore.Options{P: p, Format: blockstore.FormatMixed})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds, mixed, tiled := build(blockstore.Options{P: p}), build(blockstore.Options{P: p, Format: blockstore.FormatMixed}), build(blockstore.Options{P: 2})
 	type block struct {
-		d, src       [2]int // destination and source interval bounds
-		coo, raw, gv []byte
-		gvCodec      blockstore.Codec
-		entries      []uint32
-		srcs         []uint32 // global sources, for the floor
+		i, j     int // the in-block (j, i): destination interval i
+		coo, gv  []byte
+		gvCodec  blockstore.Codec
+		srcs     []uint32 // global sources, for the floor
+		src, dst [2]int   // source and destination interval bounds
 	}
-	var blocks []block
-	var edges, rawBytes, gvBytes float64
+	load := func(ds *blockstore.DualStore, j, i int) []byte {
+		payload, err := ds.LoadInBlockScratch(j, i, new(blockstore.Scratch))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return payload
+	}
+	var blocks, tiledBlocks []block
+	var edges, gvBytes, tiledBytes float64
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			payload, _, err := ds.LoadInBlockBytesScratch(j, i, new(blockstore.Scratch))
-			if err != nil {
-				b.Fatal(err)
-			}
 			if ds.InCodec(j, i) != blockstore.CodecCOO {
 				b.Fatalf("in-block (%d,%d) of a raw store at P = %d is %v", j, i, p, ds.InCodec(j, i))
 			}
-			var blk block
-			blk.d[0], blk.d[1] = ds.Layout.Bounds(i)
+			blk := block{i: i, j: j, coo: load(ds, j, i), gv: load(mixed, j, i), gvCodec: mixed.InCodec(j, i)}
+			blk.dst[0], blk.dst[1] = ds.Layout.Bounds(i)
 			blk.src[0], blk.src[1] = ds.Layout.Bounds(j)
-			blk.coo = payload
-			blk.raw, blk.entries = cooTwin(payload, blk.src[0])
-			for off := 0; off < len(blk.raw); off += 4 {
-				blk.srcs = append(blk.srcs, binary.LittleEndian.Uint32(blk.raw[off:]))
+			for off := 0; off < len(blk.coo); off += 4 {
+				blk.srcs = append(blk.srcs, uint32(blk.src[0])+binary.LittleEndian.Uint32(blk.coo[off:])&0xffff)
 			}
-			if blk.gv, _, err = mixed.LoadInBlockBytesScratch(j, i, new(blockstore.Scratch)); err != nil {
-				b.Fatal(err)
-			}
-			blk.gvCodec = mixed.InCodec(j, i)
-			edges += float64(len(payload) / 4)
-			rawBytes += float64(len(blk.raw) + 4*len(blk.entries))
+			edges += float64(len(blk.coo) / 4)
 			gvBytes += float64(len(blk.gv))
 			blocks = append(blocks, blk)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 2; j++ {
+			blk := block{i: i, j: j, coo: load(tiled, j, i)}
+			blk.dst[0], blk.dst[1] = tiled.Layout.Bounds(i)
+			if tiles, err := tiled.InTiles(j, i, blk.coo, nil); err != nil || len(tiles) != 4 {
+				b.Fatalf("in-block (%d,%d) at P = 2 is %d tiles (%v), want 4", j, i, len(tiles), err)
+			}
+			tiledBytes += float64(len(blk.coo))
+			tiledBlocks = append(tiledBlocks, blk)
 		}
 	}
 	s := make([]float64, n)
@@ -206,24 +184,33 @@ func BenchmarkCOPScan(b *testing.B) {
 		name string
 		op   ReduceOp
 	}{{"sum", ReduceSum}, {"min", ReduceMin}} {
-		for _, layout := range []string{"coo", "gv", "raw"} {
+		for _, layout := range []string{"coo", "gv", "tiled"} {
 			b.Run(layout+"/"+kern.name, func(b *testing.B) {
-				e := New(ds, Config{Threads: 1})
+				store := ds
+				if layout == "tiled" {
+					store = tiled
+				}
+				e := New(store, Config{Threads: 1})
 				k := &e.cop
 				k.begin(e, &benchRank{deg: ds.OutDegrees, reduce: kern.op}, s, bitset.FullFrontier(n))
 				defer k.end()
 				b.ResetTimer()
 				for it := 0; it < b.N; it++ {
+					if layout == "tiled" {
+						for _, blk := range tiledBlocks {
+							if err := e.foldTiles(blk.j, blk.i, d[blk.dst[0]:blk.dst[1]], blk.coo); err != nil {
+								b.Fatal(err)
+							}
+						}
+						continue
+					}
 					for _, blk := range blocks {
-						dst := d[blk.d[0]:blk.d[1]]
-						bad := 0
-						switch {
-						case layout == "coo" || layout == "gv" && blk.gvCodec == blockstore.CodecCOO:
+						dst := d[blk.dst[0]:blk.dst[1]]
+						var bad int
+						if layout == "coo" || blk.gvCodec == blockstore.CodecCOO {
 							bad = k.records(dst, blk.src[0], blk.src[1], blk.coo)
-						case layout == "gv":
+						} else {
 							bad = k.varint(dst, blk.src[0], blk.src[1], blk.gv)
-						default:
-							bad = k.block(dst, blk.raw, blk.entries)
 						}
 						if bad >= 0 {
 							b.Fatal("the fold refused a block the store built")
@@ -231,7 +218,7 @@ func BenchmarkCOPScan(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*edges), "ns/edge")
-				perEdge := map[string]float64{"coo": 4, "gv": gvBytes / edges, "raw": rawBytes / edges}[layout]
+				perEdge := map[string]float64{"coo": 4, "gv": gvBytes / edges, "tiled": tiledBytes / edges}[layout]
 				b.ReportMetric(perEdge, "B/edge")
 			})
 		}
@@ -251,23 +238,6 @@ func BenchmarkCOPScan(b *testing.B) {
 			b.Fatal(sum)
 		}
 	})
-}
-
-// cooTwin regroups CodecCOO records whose sources are local to the
-// interval starting at srcLo, unweighted, into the packed raw records and
-// in-index entries a CodecNone block stores for them.
-func cooTwin(payload []byte, srcLo int) ([]byte, []uint32) {
-	var recs []byte
-	var entries []uint32
-	for off := 0; off+4 <= len(payload); off += 4 {
-		key := binary.LittleEndian.Uint32(payload[off:])
-		if n := len(entries); n == 0 || entries[n-2] != key>>16 {
-			entries = append(entries, key>>16, 0)
-		}
-		recs = binary.LittleEndian.AppendUint32(recs, uint32(srcLo)+key&0xffff)
-		entries[len(entries)-1] = uint32(len(recs))
-	}
-	return recs, entries
 }
 
 // BenchmarkROPSparseTail times the fixed cost of a sparse ROP iteration:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,11 +55,11 @@ func randomGraph(n, m int, seed int64) *graph.Graph {
 	return g
 }
 
-// shapedGraph is randomGraph with the two extreme in-index shapes forced in:
-// every destination of interval 0 has an in-edge from interval 0 (an entry
-// per destination, the largest index a block can have), and in-block (1,1)
-// holds the in-edges of one destination only (a single entry).
-func shapedGraph(t testing.TB, n, m, p int, seed int64) *graph.Graph {
+// shapedGraph is randomGraph with the two extreme in-block shapes forced
+// in: every destination of interval 0 has an in-edge from interval 0 (a key
+// for every destination), and in-block (1,1) holds the in-edges of one
+// destination only.
+func shapedGraph(n, m, p int, seed int64) *graph.Graph {
 	size := (n + p - 1) / p
 	g := graph.New(n)
 	for _, e := range randomGraph(n, m, seed).Edges {
@@ -72,10 +73,6 @@ func shapedGraph(t testing.TB, n, m, p int, seed int64) *graph.Graph {
 	g.AddEdge(graph.VertexID(size), graph.VertexID(size+1))
 	g.AddEdge(graph.VertexID(size+2), graph.VertexID(size+1))
 	g.Dedup()
-	ds := buildUnweighted(t, g, p, blockstore.FormatRaw)
-	if full, one := ds.InIndexEntries[0][0], ds.InIndexEntries[1][1]; full != int64(size) || one != 1 {
-		t.Fatalf("in-index (0,0) has %d entries, (1,1) %d; want %d and 1", full, one, size)
-	}
 	return g
 }
 
@@ -102,8 +99,8 @@ var edgeCaseValues = []float64{
 // values through each specialised COP kernel and through the ROP push, and
 // demands the accumulator the reduction's written-out Combine produces —
 // bit for bit, including which destinations a min activates. The COP kernels
-// see it as the two extreme in-index shapes: an entry for every destination
-// of the interval, and a single entry in the middle of it — over a bare
+// see it as the two extreme block shapes: a record for every destination of
+// the interval, and a single record in the middle of it — over a bare
 // table, and over one the pass filled for a one-source frontier. Over that
 // table an inactive source's edges into every destination must change no
 // accumulator's bits.
@@ -128,39 +125,39 @@ func TestKernelsMatchDeclaredCombine(t *testing.T) {
 			fill := &copKernel{prog: declared{constMessage{msg}, op}, op: op, threads: 1, s: vals, m: make([]float64, n), active: active.Bitmap().Words()}
 			fill.pass(0, n, nil, nil)
 
-			// One record per listed destination, all naming from.
-			run := func(name string, from int, dsts []int, fn func(d []float64, payload []byte, idx []uint32)) {
-				payload := make([]byte, 4*len(dsts))
-				var idx []uint32
+			// One CodecCOO record per listed destination, all naming from.
+			run := func(name string, from int, dsts []int, table []float64) {
+				var recs []byte
 				wantD := append([]float64(nil), vals...)
-				for e, k := range dsts {
-					payload[4*e] = byte(from)
-					idx = append(idx, uint32(k), uint32(4*(e+1)))
+				for _, k := range dsts {
+					recs = binary.LittleEndian.AppendUint32(recs, uint32(k)<<16|uint32(from))
 					if from == src {
 						wantD[k] = want[k]
 					}
 				}
 				d := append([]float64(nil), vals...)
-				fn(d, payload, idx)
+				kernel := copSumCOO
+				if op == ReduceMin {
+					kernel = copMinCOO
+				}
+				if bad := kernel(table, d, recs, 0, math.MaxUint32); bad >= 0 {
+					t.Fatalf("%v %s, %d records, msg %v: stopped at record %d", op, name, len(dsts), msg, bad)
+				}
 				if !sameBits(d, wantD) {
-					t.Errorf("%v %s, %d entries, msg %v: accumulators %v, want %v", op, name, len(dsts), msg, d, wantD)
+					t.Errorf("%v %s, %d records, msg %v: accumulators %v, want %v", op, name, len(dsts), msg, d, wantD)
 				}
 			}
 			every := make([]int, n)
 			for k := range every {
 				every[k] = k
 			}
-			kernel := copSumRaw
-			if op == ReduceMin {
-				kernel = copMinRaw
-			}
 			for _, dsts := range [][]int{every, {n / 2}} {
-				run("all-active", src, dsts, func(d []float64, payload []byte, idx []uint32) { kernel(m, d, payload, idx, 0) })
-				run("probe", src, dsts, func(d []float64, payload []byte, idx []uint32) { kernel(fill.m, d, payload, idx, 0) })
+				run("all-active", src, dsts, m)
+				run("probe", src, dsts, fill.m)
 			}
 			// An inactive source's identity, folded into every edge-case
 			// accumulator, must leave each one's bits as they are.
-			run("inactive source", (src+1)%n, every, func(d []float64, payload []byte, idx []uint32) { kernel(fill.m, d, payload, idx, 0) })
+			run("inactive source", (src+1)%n, every, fill.m)
 
 			// ROP: one source pushing msg to every destination of an
 			// interval starting at jlo, in records of either width.
@@ -253,7 +250,7 @@ func (constMessage) Apply(_ graph.VertexID, _, acc float64) (float64, bool) {
 // entry as in the ordinary ones between, stored raw and varint.
 func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
 	const n, p = 96, 4
-	g := shapedGraph(t, n, 900, p, 3)
+	g := shapedGraph(n, 900, p, 3)
 	skip := 41
 	want := make([]float64, n) // in-edges from every source but skip
 	for _, e := range g.Edges {
@@ -264,7 +261,7 @@ func TestProbePathSkipsExactlyTheInactiveSource(t *testing.T) {
 	for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
 		ds := buildUnweighted(t, g, p, format)
 		if format == blockstore.FormatMixed {
-			wantCodecs(t, ds, blockstore.CodecVarint) // every block has edges, so none is left CodecNone
+			wantCodecs(t, ds, blockstore.CodecVarint)
 		}
 		for _, prog := range []Program{testCount{}, declared{testCount{}, ReduceSum}} {
 			e := New(ds, Config{Threads: 2})
@@ -394,7 +391,7 @@ func TestSharedMessageTableAcrossOwners(t *testing.T) {
 // prefetch hand-off — not the two dozen it once did.
 func TestCOPIterationAllocations(t *testing.T) {
 	const n, p = 4096, 8
-	ds := buildUnweighted(t, shapedGraph(t, n, 40000, p, 5), p, blockstore.FormatRaw)
+	ds := buildUnweighted(t, shapedGraph(n, 40000, p, 5), p, blockstore.FormatRaw)
 	prog := declared{testCount{}, ReduceSum}
 	e := New(ds, Config{Threads: 2, PrefetchDepth: 2})
 	s, frontier := prog.Init(e.Context())

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sort"
 	"sync"
 
 	"husgraph/internal/blockstore"
@@ -36,44 +35,7 @@ func parallelFor(n, t int, fn func(k int)) {
 	wg.Wait()
 }
 
-// entryChunks splits an in-block's entries — idx holds two words per entry,
-// a destination and the payload byte offset its records end at (blockstore's
-// in-index) — into at most t contiguous chunks of roughly equal payload
-// bytes, and appends the chunk boundaries to dst: chunk c is entries
-// [b[c], b[c+1]). Power-law graphs concentrate most edges on few vertices,
-// so equal-entry chunks would leave one worker with almost all of a block's
-// edges; equal-work chunks keep the §3.5 intra-block parallelism effective.
-// Each boundary is a binary search over the entry ends, so chunking costs
-// O(t log entries) whatever the block. No entry yields no chunk.
-func entryChunks(dst []int, idx []uint32, t int) []int {
-	n := len(idx) / 2
-	if n == 0 {
-		return dst
-	}
-	dst = append(dst, 0)
-	if t > n {
-		t = n
-	}
-	if t > 1 {
-		target := max(int64(idx[2*n-1])/int64(t), 1)
-		// The last chunk takes whatever the first t-1 left, so rounding
-		// never spawns a worker for a few trailing records.
-		for lo, start, c := 0, int64(0), 1; c < t; c++ {
-			// hi is the first entry past lo whose records begin — where
-			// entry hi-1's end — at or after the chunk's byte target: entry
-			// lo is in its chunk regardless.
-			hi := lo + 1 + sort.Search(n-lo-1, func(k int) bool { return int64(idx[2*(lo+k)+1]) >= start+target })
-			if hi == n {
-				break
-			}
-			dst = append(dst, hi)
-			lo, start = hi, int64(idx[2*hi-1])
-		}
-	}
-	return append(dst, n)
-}
-
-// recordChunks splits a CodecCOO in-block's whole records, step bytes each,
+// recordChunks splits a CodecCOO tile's whole records, step bytes each,
 // into at most t contiguous chunks of about equal records, and appends the
 // boundaries to dst: chunk c is records [b[c], b[c+1]). An inner boundary
 // moves forward to the next destination change, so every destination lies
@@ -107,12 +69,12 @@ func recordChunks(dst []int, payload []byte, step, t int) []int {
 	return append(dst, n)
 }
 
-// gvChunk is one chunk of a CodecVarint in-block: the whole segments in
+// gvChunk is one chunk of a CodecVarint tile: the whole segments in
 // payload bytes [off, end), the block's record rec the first of them starts
 // with, and limit, the destination the chunk's keys must stay below.
 type gvChunk struct{ off, end, rec, limit int }
 
-// gvChunks splits a CodecVarint in-block over size destinations into at
+// gvChunks splits a CodecVarint tile over size destinations into at
 // most t chunks of whole segments and about equal bytes, and appends them
 // to dst; it reads only segment headers and first keys. A cut is made at a
 // segment start only where the segment's first destination lies above the

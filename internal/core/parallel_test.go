@@ -59,69 +59,3 @@ func TestParallelForActuallyParallel(t *testing.T) {
 		t.Fatal("no execution observed")
 	}
 }
-
-// entriesEnding returns an in-index whose k-th entry is destination k ending
-// at payload byte ends[k].
-func entriesEnding(ends ...uint32) []uint32 {
-	var idx []uint32
-	for k, end := range ends {
-		idx = append(idx, uint32(k), end)
-	}
-	return idx
-}
-
-func TestParallelWeightedChunksCoversAll(t *testing.T) {
-	// Skewed work: entry 0 owns almost everything. The chunks must tile the
-	// entries with no gap, overlap or empty chunk, at most t of them — also
-	// when t exceeds the entry count.
-	idx := entriesEnding(1000, 1001, 1002, 1003, 1004)
-	n := len(idx) / 2
-	for _, threads := range []int{1, 2, 4, 64} {
-		b := entryChunks(nil, idx, threads)
-		if len(b) < 2 || b[0] != 0 || b[len(b)-1] != n {
-			t.Fatalf("threads=%d: bounds %v do not span [0,%d)", threads, b, n)
-		}
-		if len(b)-1 > threads {
-			t.Fatalf("threads=%d: %d chunks", threads, len(b)-1)
-		}
-		for c := 0; c+1 < len(b); c++ {
-			if b[c] >= b[c+1] {
-				t.Fatalf("threads=%d: chunk %d of %v is empty or out of order", threads, c, b)
-			}
-		}
-	}
-}
-
-func TestParallelWeightedChunksIsolatesHeavyVertex(t *testing.T) {
-	// The heavy vertex must land in its own chunk so other workers get
-	// the rest — wherever it sits: the boundary search starts from the
-	// previous boundary's byte offset, not from zero.
-	b := entryChunks(nil, entriesEnding(1000, 1001, 1002, 1003, 1004), 4)
-	if len(b) < 3 {
-		t.Fatalf("no splitting happened: %v", b)
-	}
-	if b[1] != 1 {
-		t.Fatalf("heavy vertex chunk [0,%d) not isolated: %v", b[1], b)
-	}
-	if b := entryChunks(nil, entriesEnding(1, 2, 1002, 1003, 1004), 2); len(b) != 3 || b[1] != 3 {
-		t.Fatalf("heavy third entry, two threads: bounds %v, want [0 3 5]", b)
-	}
-}
-
-func TestParallelWeightedChunksEdgeCases(t *testing.T) {
-	if b := entryChunks(nil, nil, 4); len(b) != 0 {
-		t.Fatalf("no entry chunked: %v", b)
-	}
-	if b := entryChunks(nil, entriesEnding(8), 4); len(b) != 2 || b[0] != 0 || b[1] != 1 {
-		t.Fatalf("one entry, four threads: bounds %v, want [0 1]", b)
-	}
-	// Every entry its own chunk when there are threads to spare.
-	if b := entryChunks(nil, entriesEnding(4, 8, 12), 16); len(b) != 4 {
-		t.Fatalf("three equal entries, sixteen threads: bounds %v, want [0 1 2 3]", b)
-	}
-	// Appending reuses the caller's buffer.
-	buf := make([]int, 0, 8)
-	if b := entryChunks(buf, entriesEnding(4, 8), 2); &b[0] != &buf[:1][0] {
-		t.Fatal("bounds not appended to dst")
-	}
-}

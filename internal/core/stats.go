@@ -42,10 +42,10 @@ type IterStats struct {
 	// Runtime is the modeled iteration time: max(IOTime, ComputeModeled),
 	// since the engine overlaps CPU processing and disk I/O (§3.5).
 	Runtime time.Duration
-	// DecodeTime is always 0: no in-index is stored compressed, and COP
-	// folds a compressed in-block as stored, parsing its deltas in the edge
-	// loop, so nothing is decoded apart from the fold (a compressed block is
-	// counted in DecodedBytes and CompressedBytes). It stays until the
+	// DecodeTime is always 0: COP folds a compressed in-block as stored,
+	// parsing its deltas in the edge loop, so nothing is decoded apart from
+	// the fold (a compressed block is counted in DecodedBytes and
+	// CompressedBytes). It stays until the
 	// benchmark stops reading it into blockstore.decode_s.
 	DecodeTime time.Duration
 	// DecodeModeled prices this iteration's decompression work for the

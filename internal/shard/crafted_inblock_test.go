@@ -14,40 +14,51 @@ import (
 	"husgraph/internal/storage"
 )
 
-// TestCraftedInBlockIsAnError: a correctly framed in-block whose records
-// lie passes every whole-read check (CRC, stored size, in-index), so only
-// the COP kernel that reads the block can refuse it. Each lie must end the
-// run with a storage.ErrCorrupt-class *core.IterError of iteration 0:
-// before the kernels tested their neighbours, a raw record past |V|
-// panicked "index out of range" inside the fold (in a chunk worker at
+// TestCraftedInBlockIsAnError: a correctly framed in-block whose tiles or
+// records lie passes every whole-read check (CRC, stored size), so only COP,
+// which cuts the block into tiles and folds them, can refuse it. Each lie
+// must end the run with a storage.ErrCorrupt-class *core.IterError of
+// iteration 0: before the kernels tested their neighbours, a record past
+// |V| panicked "index out of range" inside the fold (in a chunk worker at
 // Threads > 1, killing the process). Every lie runs at 1 and 4 threads,
 // through one engine and two shards, read inline and through a prefetching
 // cache that keeps the block as stored; each program picks another kernel —
 // BFS the probing min, WCC the all-active min, PageRank the all-active sum,
 // SSSP on a weighted store the Combine fallback — and every goroutine must
 // be gone afterwards (leaktest.Main). The raw store's intervals are one
-// vertex wider than a key addresses, so its in-blocks keep their in-index
-// and packed records: the ring's 64 vertices, spread over intervals of
-// MaxCOOInterval+1; its lie is a record naming a neighbour past |V|. The
-// mixed store's in-block (0,1) holds every edge from interval 0 to interval
-// 1 of 256 vertices, 4 096 keys in four segments of group-varint deltas, and
-// its lies break each rule of the layout once: a segment header counting
-// more records or bytes than the segment holds, a tag whose deltas run past
-// the segment, a delta carrying the key past 2³², a destination or a
-// source past its interval, a segment starting below the key before it,
-// and a segment's last key climbing onto the next segment's first
-// destination — where the block splits at 4 threads, so the chunk holding
-// the lie must stop before writing the accumulator the next chunk owns:
-// under -race a write from both is a reported race.
+// vertex wider than a tile: the ring's 64 vertices, spread over intervals
+// of MaxCOOInterval+1, so in-block (0,1) is 2 × 2 tiles whose records all
+// lie in tile (0,0), the others a single vertex wide on one side or both
+// and empty. Its lies are told in the tile directory: ends that fall, a
+// last end short of the payload, a tile that is not whole records, and a
+// record moved into tile (0,1), one source wide, past whose edge its source
+// lies. The mixed store's in-block (0,1) holds every edge from interval 0
+// to interval 1 of 256 vertices, 4 096 keys in four segments of
+// group-varint deltas, and its lies break each rule of the layout once: a
+// segment header counting more records or bytes than the segment holds, a
+// tag whose deltas run past the segment, a delta carrying the key past 2³²,
+// a destination or a source past its interval, a segment starting below the
+// key before it, and a segment's last key climbing onto the next segment's
+// first destination — where the block splits at 4 threads, so the chunk
+// holding the lie must stop before writing the accumulator the next chunk
+// owns: under -race a write from both is a reported race.
 func TestCraftedInBlockIsAnError(t *testing.T) {
 	raw := craftedGraph(craftedP*(blockstore.MaxCOOInterval+1), 4100)
-	craftedLies(t, blockstore.FormatRaw, raw, func(stored []byte, entries []uint32, codec blockstore.Codec, _ int) map[string]func(b []byte) {
-		if codec != blockstore.CodecNone || len(entries) < 4 {
-			t.Fatalf("raw: in-block (0,1) is %v with %d entries; want CodecNone and two or more entries", codec, len(entries)/2)
+	craftedLies(t, blockstore.FormatRaw, raw, func(stored []byte, codec blockstore.Codec, step int) map[string]func(b []byte) {
+		end := func(b []byte, t int) uint32 { return binary.LittleEndian.Uint32(b[4*t:]) }
+		setEnd := func(b []byte, t int, e uint32) { binary.LittleEndian.PutUint32(b[4*t:], e) }
+		if n := uint32(len(stored)); codec != blockstore.CodecCOO || end(stored, 0) != n || end(stored, 3) != n || n < 16+2*uint32(step) {
+			t.Fatalf("raw: in-block (0,1) is %v in %d bytes, tile (0,0) ending at %d; want CodecCOO, two or more records, all in tile (0,0)", codec, n, end(stored, 0))
 		}
 		return map[string]func(b []byte){
-			// The first record's neighbour, stored raw, moved past |V|.
-			"a neighbour past |V|": func(b []byte) { binary.LittleEndian.PutUint32(b, uint32(raw.NumVertices+5)) },
+			"a tile directory whose ends fall": func(b []byte) { setEnd(b, 1, end(b, 0)-uint32(step)) },
+			"a last tile end short of the payload": func(b []byte) {
+				for t := 0; t < 4; t++ {
+					setEnd(b, t, uint32(len(b)-step))
+				}
+			},
+			"a CodecCOO tile that is not whole records": func(b []byte) { setEnd(b, 0, end(b, 0)-2) },
+			"a source past a partial tile's edge":       func(b []byte) { setEnd(b, 0, end(b, 0)-uint32(step)) },
 		}
 	})
 
@@ -61,11 +72,11 @@ func TestCraftedInBlockIsAnError(t *testing.T) {
 	for v := 0; v < n; v++ {
 		dense.AddWeightedEdge(graph.VertexID(v), graph.VertexID((v+1)%n), 1)
 	}
-	craftedLies(t, blockstore.FormatMixed, dense, func(stored []byte, entries []uint32, codec blockstore.Codec, step int) map[string]func(b []byte) {
+	craftedLies(t, blockstore.FormatMixed, dense, func(stored []byte, codec blockstore.Codec, step int) map[string]func(b []byte) {
 		weighted := step == blockstore.RawRecordBytes(true)
 		segs := gvSegments(t, stored, weighted)
-		if codec != blockstore.CodecVarint || entries != nil || len(segs) != 4 {
-			t.Fatalf("mixed: in-block (0,1) is %v with %d index words and %d segments; want CodecVarint, none and four", codec, len(entries), len(segs))
+		if codec != blockstore.CodecVarint || len(segs) != 4 {
+			t.Fatalf("mixed: in-block (0,1) is %v with %d segments; want CodecVarint and four", codec, len(segs))
 		}
 		for k, sg := range segs {
 			if sg.Records != blockstore.GVSegmentRecords || stored[sg.keys+sg.tag(stored, 0)] != byte(map[bool]int{true: 0, false: 2}[k == 0]) {
@@ -147,8 +158,8 @@ func gvSegments(t *testing.T, payload []byte, weighted bool) []gvSegment {
 }
 
 // TestCraftedCOORecordIsAnError: a raw store over intervals that fit 16
-// bits keeps its in-blocks as one (destination, source) record per edge and
-// no in-index, so nothing but the COP kernel checks a record. Each rule it
+// bits keeps its in-blocks as one tile of (destination, source) records, so
+// nothing but the COP kernel checks a record. Each rule it
 // holds records to is broken once in in-block (0,1) — a destination that
 // decreases, a source that decreases within one destination, a destination
 // past its interval, a source past its interval, and a payload that is not
@@ -164,10 +175,10 @@ func gvSegments(t *testing.T, payload []byte, weighted bool) []gvSegment {
 // it, so a third chunk bounded below by the second's last key alone would
 // fold a destination the first chunk owns.
 func TestCraftedCOORecordIsAnError(t *testing.T) {
-	craftedLies(t, blockstore.FormatRaw, craftedGraph(craftedVertices, 1), func(stored []byte, entries []uint32, codec blockstore.Codec, step int) map[string]func(b []byte) {
+	craftedLies(t, blockstore.FormatRaw, craftedGraph(craftedVertices, 1), func(stored []byte, codec blockstore.Codec, step int) map[string]func(b []byte) {
 		recs := len(stored) / step
-		if codec != blockstore.CodecCOO || entries != nil || recs != 16 {
-			t.Fatalf("in-block (0,1) is %v with %d index words and %d records; want CodecCOO, none and sixteen", codec, len(entries), recs)
+		if codec != blockstore.CodecCOO || recs != 16 {
+			t.Fatalf("in-block (0,1) is %v with %d records; want CodecCOO and sixteen", codec, recs)
 		}
 		key := func(b []byte, r int) uint32 { return binary.LittleEndian.Uint32(b[r*step:]) }
 		put := func(b []byte, r int, k uint32) { binary.LittleEndian.PutUint32(b[r*step:], k) }
@@ -212,7 +223,7 @@ func craftedGraph(n, stride int) *graph.Graph {
 // size to lies, and runs every lie it returns, written over the block's
 // bytes (nil: the block cut short by two bytes), through every
 // configuration the tests above name.
-func craftedLies(t *testing.T, format blockstore.Format, g *graph.Graph, lies func(stored []byte, entries []uint32, codec blockstore.Codec, step int) map[string]func(b []byte)) {
+func craftedLies(t *testing.T, format blockstore.Format, g *graph.Graph, lies func(stored []byte, codec blockstore.Codec, step int) map[string]func(b []byte)) {
 	t.Helper()
 	const name = "ib/0.1"
 	g = g.Symmetrize()
@@ -226,11 +237,11 @@ func craftedLies(t *testing.T, format blockstore.Format, g *graph.Graph, lies fu
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored, entries, err := built.LoadInBlockBytesScratch(0, 1, new(blockstore.Scratch))
+		stored, err := built.LoadInBlockScratch(0, 1, new(blockstore.Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for what, lie := range lies(stored, entries, built.InCodec(0, 1), blockstore.RawRecordBytes(pr.weighted)) {
+		for what, lie := range lies(stored, built.InCodec(0, 1), blockstore.RawRecordBytes(pr.weighted)) {
 			crafted := append([]byte(nil), stored...)
 			if lie == nil {
 				crafted = crafted[:len(crafted)-2]

@@ -132,9 +132,9 @@ func New(ds *blockstore.DualStore, cfg Config) (*Coordinator, error) {
 }
 
 // cacheSlices splits budget between k shards in proportion to the in-column
-// bytes each owns — the stored in-blocks and in-indices of its destination
-// intervals, which is what a COP sweep of its columns reads and what the
-// cache charges for them (InBlockStoredBytes) — rounding each
+// bytes each owns — the stored in-blocks of its destination intervals,
+// which is what a COP sweep of its columns reads and what the cache charges
+// for them (InBlockBytes) — rounding each
 // slice down. With no budget or no edges the split is even. A slice sized to
 // what its shard sweeps keeps one shard's slice from idling while the
 // other's falls short.
@@ -144,7 +144,7 @@ func cacheSlices(ds *blockstore.DualStore, budget int64, k int) []int64 {
 	var total int64
 	for j := 0; j < l.P; j++ { // column j: in-blocks (i, j)
 		for i := 0; i < l.P; i++ {
-			b := ds.InBlockStoredBytes(i, j)
+			b := ds.InBlockBytes[i][j]
 			owned[j*k/l.P] += b
 			total += b
 		}
