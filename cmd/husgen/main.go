@@ -131,11 +131,15 @@ func run() error {
 // bytes written and the per-interval logical-vs-stored compression ratio.
 // Interval i covers its out-row (ob/i.*, oi/i.*) and in-column (ib/*.i), so
 // every block and index is counted exactly once. Logical bytes are the
-// fixed-width form of everything: 4 or 8 bytes a record, 4 an out-index
-// offset — so a raw store reports ratio 1.00 but where its out-block
-// records hold 2-byte local destinations (blockstore.OutRecordBytes), whose
-// intervals fit 16 bits, or where its in-blocks carry a tile directory,
-// whose intervals do not.
+// fixed-width form of everything: 4 or 8 bytes a record, and for every
+// block an out-index of a 4-byte offset per source and one past the last.
+// Stored bytes are what the store holds: an out-index of a byte per source
+// and a 4-byte base per 64 (blockstore.OutIndexBytes), and none for an empty
+// block. So a raw store's ratio departs from 1.00 by its out-indices —
+// smaller than logical over intervals of more than 16 sources, larger over
+// fewer — by its out-block records where they hold 2-byte local
+// destinations (blockstore.OutRecordBytes), whose intervals fit 16 bits,
+// and by its in-blocks' tile directories, whose intervals do not.
 func buildSummary(ds *blockstore.DualStore, blobs int, written int64) string {
 	l := ds.Layout
 	step := int64(blockstore.RawRecordBytes(ds.Weighted))

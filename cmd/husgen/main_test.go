@@ -49,18 +49,18 @@ func buildFor(t *testing.T, format blockstore.Format) (*blockstore.DualStore, in
 // P its in-blocks, group-varint key deltas where that is smaller; its row
 // view is stored raw, each out-block record a
 // 16-bit local destination and its weight — 6 bytes against the 8 logical
-// ones — so an interval's stored bytes hold its out-row at three quarters
-// of their logical size.
+// ones — and each nonempty out-block's index one 68-byte group over its
+// 8-vertex interval, against a logical 36 for every block, empty or not.
 func TestBuildSummaryGolden(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatMixed)
 	got := buildSummary(ds, blobs, written)
-	want := `build summary: 32 blocks (18 nonempty), 49 blobs, 2696 bytes written
+	want := `build summary: 32 blocks (18 nonempty), 42 blobs, 2621 bytes written
   interval      edges    logical B     stored B   ratio
-  0                23          408          349   1.17x
-  1                 8          304          280   1.09x
-  2                 8          304          282   1.08x
-  3                 7          296          276   1.07x
-  total            46         1312         1187   1.11x
+  0                23          408          477   0.86x
+  1                 8          304          272   1.12x
+  2                 8          304          274   1.11x
+  3                 7          296          200   1.48x
+  total            46         1312         1223   1.07x
 `
 	if got != want {
 		t.Errorf("mixed summary drifted:\ngot:\n%s\nwant:\n%s", got, want)
@@ -68,12 +68,14 @@ func TestBuildSummaryGolden(t *testing.T) {
 }
 
 // TestBuildSummaryRawRatioIsOne checks the raw-format report prices
-// logical == stored on every interval line but for the row view's
-// destinations: the raw store's intervals fit 16 bits, so each out-block
-// record stores a 2-byte local destination where the logical record has 4,
-// and an interval's line stores exactly 2 bytes per out-edge less than its
-// logical bytes (the total line too). Its in-blocks are one record per edge,
-// at their logical size.
+// logical == stored on every interval line but for the row view: the raw
+// store's intervals fit 16 bits, so each out-block record stores a 2-byte
+// local destination where the logical record has 4, and its out-indices
+// store what blockstore.OutIndexBytes gives — none for an empty block —
+// where the logical ones hold a 4-byte offset per source and one past the
+// last for every block. So an interval's line stores exactly 2 bytes per
+// out-edge, plus what its out-indices save, less than its logical bytes.
+// Its in-blocks are one record per edge, at their logical size.
 func TestBuildSummaryRawRatioIsOne(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatRaw)
 	got := buildSummary(ds, blobs, written)
@@ -81,14 +83,24 @@ func TestBuildSummaryRawRatioIsOne(t *testing.T) {
 	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "  total ") {
 		t.Fatalf("raw summary ends %q, want the total line:\n%s", last, got)
 	}
-	for _, line := range lines[2:] {
+	l := ds.Layout
+	var totalSaved int64
+	for n, line := range lines[2:] {
 		var name string
 		var edges, logical, stored int64
 		if _, err := fmt.Sscan(line, &name, &edges, &logical, &stored); err != nil {
 			t.Fatalf("raw summary line %q: %v", line, err)
 		}
-		if logical-stored != 2*edges {
-			t.Fatalf("raw summary line %q stores %d bytes below logical, want 2 per out-edge (%d):\n%s", line, logical-stored, 2*edges, got)
+		saved := totalSaved
+		if i := n; i < l.P {
+			saved = 0
+			for j := 0; j < l.P; j++ {
+				saved += int64(l.Size(i)+1)*4 - ds.OutIndexBytes(i, j)
+			}
+			totalSaved += saved
+		}
+		if logical-stored != 2*edges+saved {
+			t.Fatalf("raw summary line %q stores %d bytes below logical, want 2 per out-edge and %d of out-indices (%d):\n%s", line, logical-stored, saved, 2*edges+saved, got)
 		}
 	}
 }

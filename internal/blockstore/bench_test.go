@@ -89,12 +89,12 @@ func BenchmarkLoadInBlockBytesScratch(b *testing.B) {
 }
 
 // BenchmarkLoadOutIndexScratch is ROP's per-block index load, through a
-// reused Scratch, cycling over all P² out-indices of a 17-page index each —
-// 2¹⁶ vertices at P = 4, the shape of perfbench's 2¹⁸-vertex, P = 16 stores:
-// whole (blob: the framed read and one CRC over 65 540 bytes; the index is
-// the verified read buffer itself) and as the page span of an extent over
-// 1, 4 and all 17 pages (one range read, a CRC per page). Every format
-// stores out-indices raw, so one store covers them all.
+// reused Scratch, cycling over all P² out-indices of a 5-page index each —
+// 2¹⁶ vertices at P = 4, the interval of perfbench's 2¹⁸-vertex, P = 16
+// stores: whole (blob: the framed read and one CRC over 17 472 bytes; the
+// index is the verified read buffer itself) and as the page span of an
+// extent over 1, 2 and all 5 pages (one range read, a CRC per page). Every
+// format stores out-indices raw, so one store covers them all.
 func BenchmarkLoadOutIndexScratch(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.New(1 << 16)
@@ -111,8 +111,8 @@ func BenchmarkLoadOutIndexScratch(b *testing.B) {
 	}{
 		{"pages/blob", Extent{}},
 		{"pages/span=1", Extent{First: 100, End: 101}},
-		{"pages/span=4", Extent{First: 1000, End: 4000}},
-		{"pages/span=17", Extent{First: 0, End: 1 << 14}},
+		{"pages/span=2", Extent{First: 1000, End: 4000}},
+		{"pages/span=5", Extent{First: 0, End: 1 << 14}},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			sc := &Scratch{}

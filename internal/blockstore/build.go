@@ -79,9 +79,11 @@ func build(store storage.Store, opts Options, spillEdges int, feed func(start fu
 			*m = alloc2D(p)
 		}
 		d.SourceMasks = make([][][]uint64, p)
+		d.OutIndexEscapes = make([][][]Escape, p)
 		d.OutIndexPageCRCs = make([][][]uint32, p)
 		for i := range d.SourceMasks {
 			d.SourceMasks[i] = make([][]uint64, p)
+			d.OutIndexEscapes[i] = make([][]Escape, p)
 			d.OutIndexPageCRCs[i] = make([][]uint32, p)
 		}
 		spill = newSpiller(store, p, spillEdges)
@@ -180,8 +182,8 @@ type bucketScratch struct {
 
 // encodeBucket writes the P blocks of one bucket — row b's out-blocks
 // (b, c), or with in set column b's in-blocks (c, b) — and their indices,
-// and records their sizes and, for a row, each out-block's source mask, read
-// off the out-index it lays out, and the page CRCs of each out-index. format
+// and records their sizes and, for a row, each nonempty out-block's source
+// mask, its out-index's escapes and the out-index's page CRCs. format
 // applies to a column only, which COP streams whole (encodeInBlock); a row,
 // which ROP reads by offset, is stored raw whatever the format, each record
 // holding its local destination (OutRecordBytes).
@@ -256,14 +258,19 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 			}
 			continue
 		}
-		payload, idx := encodeOutBlock(recs, runs, l.localIDBytes(), d.Weighted)
+		sec := recs[runs[0]:runs[len(runs)-1]]
+		payload := encodeVertexRecs(make([]byte, 0, len(sec)*d.OutRecordBytes()), sec, l.localIDBytes(), d.Weighted)
 		if err := d.putBlob(d.names.name(blobOutBlock, b, c), payload); err != nil {
 			return err
 		}
-		idxPayload := encodeIndex(idx)
-		d.SourceMasks[b][c] = sourceMask(idx)
-		d.OutIndexPageCRCs[b][c] = pageCRCs(idxPayload)
-		if err := d.putBlob(d.names.name(blobOutIndex, b, c), idxPayload); err != nil {
+		if len(payload) == 0 {
+			continue // an empty block has no out-index
+		}
+		idx, escapes := encodeOutIndex(runs)
+		d.SourceMasks[b][c] = sourceMask(runs)
+		d.OutIndexEscapes[b][c] = escapes
+		d.OutIndexPageCRCs[b][c] = pageCRCs(idx)
+		if err := d.putBlob(d.names.name(blobOutIndex, b, c), idx); err != nil {
 			return err
 		}
 	}
@@ -342,31 +349,12 @@ func sortRun(run []Rec) {
 	}
 }
 
-// encodeOutBlock encodes one out-block's per-source sections — source k's
-// records are recs[bounds[k]:bounds[k+1]], their neighbours local
-// destinations of idBytes each (encodeVertexRecs) — as packed records,
-// returning the stored payload and its out-index, the byte offset of every
-// section and the payload's end.
-func encodeOutBlock(recs []Rec, bounds []uint32, idBytes int, weighted bool) ([]byte, []uint32) {
-	idx := make([]uint32, 0, len(bounds))
-	payload := make([]byte, 0, int(bounds[len(bounds)-1]-bounds[0])*(idBytes+RawRecordBytes(weighted)-4))
-	for k := 0; k+1 < len(bounds); k++ {
-		idx = append(idx, uint32(len(payload)))
-		payload = encodeVertexRecs(payload, recs[bounds[k]:bounds[k+1]], idBytes, weighted)
-	}
-	return payload, append(idx, uint32(len(payload)))
-}
-
-// sourceMask is the source bitset of an out-block whose out-index is idx: bit
-// k set iff source k's section is nonempty, idx[k+1] > idx[k]. A block with no
-// edges (its last offset is 0) has none.
-func sourceMask(idx []uint32) []uint64 {
-	if idx[len(idx)-1] == 0 {
-		return nil
-	}
-	m := make([]uint64, maskWords(len(idx)-1))
-	for k := 0; k+1 < len(idx); k++ {
-		if idx[k+1] > idx[k] {
+// sourceMask is the source bitset of a nonempty block whose source k's
+// records are [runs[k], runs[k+1]): bit k set iff source k has one.
+func sourceMask(runs []uint32) []uint64 {
+	m := make([]uint64, maskWords(len(runs)-1))
+	for k := 0; k+1 < len(runs); k++ {
+		if runs[k+1] > runs[k] {
 			m[k/64] |= 1 << (k % 64)
 		}
 	}

@@ -48,8 +48,9 @@ const (
 	// KindInBlock is the fully-loaded in-block(i,j): its payload, as
 	// stored.
 	KindInBlock BlockKind = iota
-	// KindOutIndex is out-index(i,j): per-source byte offsets into
-	// out-block(i,j), as stored: (Size(i)+1) little-endian uint32.
+	// KindOutIndex is out-index(i,j) whole, as stored: a record offset per
+	// 64 sources and a degree byte per source of out-block(i,j)
+	// (OutIndexBytes).
 	KindOutIndex
 	// KindOutBlock is the whole raw payload of out-block(i,j), promoted
 	// into the cache once run-granular reads crossed the density
@@ -81,7 +82,7 @@ type BlockKey struct {
 //
 //   - KindInBlock: Payload, the CRC-checked in-block payload in the codec
 //     the meta records (InCodec).
-//   - KindOutIndex: Payload — the offset index LoadOutIndexScratch returns.
+//   - KindOutIndex: Payload — the whole out-index LoadOutIndexScratch returns.
 //   - KindOutBlock: Payload — the out-block's packed raw records, which
 //     runs slice into.
 //

@@ -19,7 +19,9 @@ const (
 	// EdgeBytes is M: one block edge record (neighbor uint32 + weight
 	// float32).
 	EdgeBytes = 8
-	// IndexEntryBytes is one per-vertex offset entry in a block index.
+	// IndexEntryBytes is a fixed-width per-source offset, what husgen's
+	// report counts an out-index at logically; the stored out-index takes a
+	// byte a source (outIndexBytes).
 	IndexEntryBytes = 4
 	// VertexValueBytes is N: one vertex value (float64).
 	VertexValueBytes = 8
@@ -32,28 +34,6 @@ const (
 type Rec struct {
 	Nbr    graph.VertexID
 	Weight float32
-}
-
-// encodeIndex serializes a per-vertex offset index (edge-count prefix sums,
-// len = interval size + 1).
-func encodeIndex(idx []uint32) []byte {
-	buf := make([]byte, len(idx)*IndexEntryBytes)
-	for i, v := range idx {
-		binary.LittleEndian.PutUint32(buf[i*IndexEntryBytes:], v)
-	}
-	return buf
-}
-
-// checkOutIndex holds an out-index read whole to its one shape, entries
-// offsets of IndexEntryBytes each: offset k is the little-endian uint32 at
-// 4k. Any other length is storage.ErrCorrupt-class. The offsets are not
-// checked against each other or the block: ROP checks the few it reads
-// (core/rop.go), so a lookup stays O(1), not O(interval).
-func checkOutIndex(buf []byte, entries int) error {
-	if want := entries * IndexEntryBytes; len(buf) != want {
-		return fmt.Errorf("out-index of %d bytes, want %d entries of %d: %w", len(buf), entries, IndexEntryBytes, storage.ErrCorrupt)
-	}
-	return nil
 }
 
 // Blob names. Block (i,j) always means "edges from interval i to interval
@@ -109,17 +89,18 @@ func (n *blobNames) name(k blobKind, i, j int) string {
 }
 
 // metaMagic marks the meta layout below. A meta under any other magic was
-// written by an older build, and Open refuses it (errOlderStore): "HUSJ" is
-// this layout with a grid of per-block destination counts, whose stores
-// over intervals wider than 16 bits kept packed records behind in-indices
-// (ii/) where this one keeps tiles, "HUSI" that with a grid of in-index
-// stored sizes and a flag for CodecCOO in-blocks, whose mixed stores kept
-// varint sections behind varint in-indices, "HUSH" that over out-blocks of
-// global destinations, "HUSG" that from before CodecCOO, "HUSF" that with
-// stored-size grids for the out-blocks and out-indices, which a mixed store
-// could then compress, "HUSE" without the out-index page CRCs, "HUSD"
-// without the source masks.
-const metaMagic = "HUSK"
+// written by an older build, and Open refuses it (errOlderStore): "HUSK" is
+// this layout over out-indices of a uint32 offset per source, empty blocks'
+// among them, and no escapes, "HUSJ" that with a grid of per-block
+// destination counts, whose stores over intervals wider than 16 bits kept
+// packed records behind in-indices (ii/) where this one keeps tiles, "HUSI"
+// that with a grid of in-index stored sizes and a flag for CodecCOO
+// in-blocks, whose mixed stores kept varint sections behind varint
+// in-indices, "HUSH" that over out-blocks of global destinations, "HUSG" that
+// from before CodecCOO, "HUSF" that with stored-size grids for the
+// out-blocks and out-indices, which a mixed store could then compress,
+// "HUSE" without the out-index page CRCs, "HUSD" without the source masks.
+const metaMagic = "HUSL"
 
 // metaHeaderLen is the magic and the vertex count, interval count and flags
 // word that follow it, whose one bit says the records carry weights.
@@ -134,21 +115,21 @@ func metaGrids(d *DualStore) []*[][]int64 {
 
 // encodeMeta serializes the DualStore metadata: layout and flags, per-vertex
 // degrees, per-block edge counts, per in-block its stored payload size, then
-// — row-major, nonempty blocks only —
-// every out-block's source mask, ⌈Size(i)/64⌉ little-endian words,
-// and last — row-major — the CRC32C of each PageBytes page of every
-// out-index, ⌈(Size(i)+1)·4/PageBytes⌉ little-endian words. The row view is
-// stored raw, so its sizes follow from the edge counts and the layout and
+// — row-major, nonempty blocks only — every out-block's source mask,
+// ⌈Size(i)/64⌉ little-endian words, then the CRC32C of each PageBytes page
+// of every out-index, and last every out-index's escapes: their count, then
+// each escape's local source and degree, little-endian uint32s. The row view
+// is stored raw, so its sizes follow from the edge counts and the layout and
 // are not recorded. So a store written by a build can be reopened, every
 // in-block's codec read off the layout and its stored size (InCodec), ROP
-// told which blocks an active source has an edge in, and a page of an
-// out-index checked on its own. The predictor prices I/O from the same
-// sizes and masks.
+// told which blocks an active source has an edge in and a section's exact
+// degree where its index byte escapes, and a page of an out-index checked on
+// its own. The predictor prices I/O from the same sizes and masks.
 func encodeMeta(d *DualStore) []byte {
 	p := d.Layout.P
 	n := d.Layout.NumVertices
 	grids := metaGrids(d)
-	buf := make([]byte, 0, metaHeaderLen+n*8+len(grids)*p*p*8+p*n/8+4*p*((n+p)*IndexEntryBytes/PageBytes+p))
+	buf := make([]byte, 0, metaHeaderLen+n*8+len(grids)*p*p*8+p*n/8+4*p*(n/indexPageGroups/indexGroupSources+2*p))
 	buf = append(buf, metaMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
@@ -182,6 +163,18 @@ func encodeMeta(d *DualStore) []byte {
 			}
 		}
 	}
+	for i, row := range d.OutIndexEscapes {
+		for j, escapes := range row {
+			if d.BlockEdgeCount[i][j] == 0 {
+				continue
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(escapes)))
+			for _, x := range escapes {
+				buf = binary.LittleEndian.AppendUint32(buf, x.Src)
+				buf = binary.LittleEndian.AppendUint32(buf, x.Degree)
+			}
+		}
+	}
 	return buf
 }
 
@@ -194,10 +187,13 @@ func encodeMeta(d *DualStore) []byte {
 // the interval, at least one live source and no more than the block has
 // edges. Whether each bit matches its out-index is not checked here — that
 // would read every index at Open; ROP refuses a live bit over an empty
-// section where it reads one (core/rop.go), and otherwise a mask is trusted
-// as far as the CRC it shares with BlockEdgeCount (DESIGN.md §4o). The page
-// CRCs are held to their count, one per page of each out-index; a wrong value
-// shows where the page it covers is read (DESIGN.md §4p).
+// section where it reads one (indexSections), and otherwise a mask is
+// trusted as far as the CRC it shares with BlockEdgeCount (DESIGN.md §4o).
+// The page CRCs are held to their count, one per page of each nonempty
+// block's out-index; a wrong value shows where the page it covers is read
+// (DESIGN.md §4p). A block's escapes are held to what a build writes: no
+// more than its live sources, each of a live source, ascending, of a degree
+// of degreeEscape or more, and together no more than the block's edges.
 func decodeMeta(buf []byte) (*DualStore, error) {
 	fail := func(format string, args ...any) (*DualStore, error) {
 		return nil, fmt.Errorf("blockstore: bad meta: %w: %w", fmt.Errorf(format, args...), storage.ErrCorrupt)
@@ -223,8 +219,8 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	grids := metaGrids(d)
 	cell := uint64(len(grids) * 8)
 	// np·np·cell is compared by division first, so the product cannot wrap.
-	// The masks and page CRCs follow the grids; their length is checked once
-	// the grids that size them are read.
+	// The masks, page CRCs and escapes follow the grids; their length is
+	// checked once the grids that size them are read.
 	if size := uint64(len(buf)); np > size/cell/np || metaHeaderLen+nv*8+np*np*cell > size {
 		return fail("length %d does not fit %d vertices in %d intervals", len(buf), nv, np)
 	}
@@ -249,8 +245,9 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 	}
 	// No builder stores an in-block in more than its CodecCOO bytes, nor a
 	// count or size below zero. The row view is raw: its sizes are derived.
-	words := 0 // of the masks: ⌈Size(i)/64⌉ per nonempty block
-	pages := 0 // of the page CRCs: ⌈(Size(i)+1)·4/PageBytes⌉ per out-index
+	words := 0    // of the masks: ⌈Size(i)/64⌉ per nonempty block
+	pages := 0    // of the page CRCs: one per page of each nonempty block's out-index
+	nonempty := 0 // escape counts
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
 			for _, m := range grids {
@@ -263,27 +260,40 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 			}
 			if d.BlockEdgeCount[i][j] > 0 {
 				words += maskWords(d.Layout.Size(i))
+				pages += indexPages(d.OutIndexBytes(i, j))
+				nonempty++
 			}
 		}
-		pages += p * indexPages(d.OutIndexBytes(i, 0))
 	}
-	// The two sections' sizes follow from the grids just validated: a byte
-	// more is a mask for a block that has no edges, a byte less a nonempty
-	// block without a mask or an out-index page without a CRC. Only then is
-	// anything allocated for them.
-	if rest := len(buf) - off; rest != words*8+pages*4 {
-		return fail("%d bytes of source masks and page CRCs, want %d for the nonempty blocks and %d for the out-index pages", rest, words*8, pages*4)
+	// The fixed sections' sizes follow from the grids just validated: a byte
+	// less is a nonempty block without a mask or an out-index page without a
+	// CRC, and the escapes take at least a count a nonempty block. Only then
+	// is anything allocated for them; the escapes, whose lists vary in
+	// length, must then take the rest exactly.
+	if rest := len(buf) - off; rest < words*8+pages*4+nonempty*4 {
+		return fail("%d bytes of source masks, page CRCs and escapes, want %d for the nonempty blocks' masks, %d for their out-index pages and %d at least for their escapes", rest, words*8, pages*4, nonempty*4)
 	}
 	flat := make([]uint64, words)
 	for k := range flat {
 		flat[k] = binary.LittleEndian.Uint64(buf[off+8*k:])
 	}
+	off += words * 8
+	crcs := make([]uint32, pages)
+	for k := range crcs {
+		crcs[k] = binary.LittleEndian.Uint32(buf[off+4*k:])
+	}
+	off += pages * 4
 	d.SourceMasks = make([][][]uint64, p)
+	d.OutIndexPageCRCs = make([][][]uint32, p)
+	d.OutIndexEscapes = make([][][]Escape, p)
 	for i := range d.SourceMasks {
 		d.SourceMasks[i] = make([][]uint64, p)
+		d.OutIndexPageCRCs[i] = make([][]uint32, p)
+		d.OutIndexEscapes[i] = make([][]Escape, p)
 		size, w := d.Layout.Size(i), maskWords(d.Layout.Size(i))
 		for j := 0; j < p; j++ {
-			if d.BlockEdgeCount[i][j] == 0 {
+			edges := d.BlockEdgeCount[i][j]
+			if edges == 0 {
 				continue
 			}
 			mask := flat[:w:w]
@@ -298,25 +308,47 @@ func decodeMeta(buf []byte) (*DualStore, error) {
 			case size%64 != 0 && mask[w-1]>>(size%64) != 0:
 				return fail("block (%d,%d): source mask sets bits past the interval's %d vertices", i, j, size)
 			case live == 0:
-				return fail("block (%d,%d): %d edges and no live source", i, j, d.BlockEdgeCount[i][j])
-			case int64(live) > d.BlockEdgeCount[i][j]:
-				return fail("block (%d,%d): %d live sources for %d edges", i, j, live, d.BlockEdgeCount[i][j])
+				return fail("block (%d,%d): %d edges and no live source", i, j, edges)
+			case int64(live) > edges:
+				return fail("block (%d,%d): %d live sources for %d edges", i, j, live, edges)
 			}
 			d.SourceMasks[i][j] = mask
+			pg := indexPages(d.OutIndexBytes(i, j))
+			d.OutIndexPageCRCs[i][j], crcs = crcs[:pg:pg], crcs[pg:]
+			if len(buf)-off < 4 {
+				return fail("block (%d,%d): escapes cut short", i, j)
+			}
+			count := binary.LittleEndian.Uint32(buf[off:])
+			off += 4
+			if uint64(count) > uint64(live) || uint64(count)*8 > uint64(len(buf)-off) {
+				return fail("block (%d,%d): %d escapes for %d live sources in %d bytes", i, j, count, live, len(buf)-off)
+			}
+			if count == 0 {
+				continue
+			}
+			escapes := make([]Escape, count)
+			var total int64
+			for k := range escapes {
+				x := Escape{Src: binary.LittleEndian.Uint32(buf[off:]), Degree: binary.LittleEndian.Uint32(buf[off+4:])}
+				off += 8
+				total += int64(x.Degree)
+				switch {
+				case int(x.Src) >= size || mask[x.Src/64]>>(x.Src%64)&1 == 0:
+					return fail("block (%d,%d): escape of source %d, not a live one of the interval's %d", i, j, x.Src, size)
+				case k > 0 && x.Src <= escapes[k-1].Src:
+					return fail("block (%d,%d): escape of source %d after one of source %d", i, j, x.Src, escapes[k-1].Src)
+				case x.Degree < degreeEscape:
+					return fail("block (%d,%d): escape of source %d of degree %d", i, j, x.Src, x.Degree)
+				case total > edges:
+					return fail("block (%d,%d): escapes of %d edges or more in a block of %d", i, j, total, edges)
+				}
+				escapes[k] = x
+			}
+			d.OutIndexEscapes[i][j] = escapes
 		}
 	}
-	off += words * 8
-	crcs := make([]uint32, pages)
-	for k := range crcs {
-		crcs[k] = binary.LittleEndian.Uint32(buf[off+4*k:])
-	}
-	d.OutIndexPageCRCs = make([][][]uint32, p)
-	for i := range d.OutIndexPageCRCs {
-		d.OutIndexPageCRCs[i] = make([][]uint32, p)
-		n := indexPages(d.OutIndexBytes(i, 0))
-		for j := 0; j < p; j++ {
-			d.OutIndexPageCRCs[i][j], crcs = crcs[:n:n], crcs[n:]
-		}
+	if off != len(buf) {
+		return fail("%d bytes past the escapes", len(buf)-off)
 	}
 	return d, nil
 }
@@ -327,7 +359,7 @@ func maskWords(size int) int { return (size + 63) / 64 }
 
 // PageBytes is the unit an out-index is checked and range-read in:
 // the meta records a CRC32C per page of its payload, and ROP reads only the
-// pages holding the entries its active sources use (DualStore.OutIndexSpan).
+// pages holding the groups its active sources use (DualStore.OutIndexSpan).
 const PageBytes = 4096
 
 // indexPages is the number of PageBytes pages a payload of stored bytes

@@ -99,8 +99,14 @@ type DualStore struct {
 	// for a nonempty block and nil for an empty one. ROP visits block (i,j)
 	// only when its mask meets the frontier (Extent).
 	SourceMasks [][][]uint64
+	// OutIndexEscapes[i][j] is the escapes of out-index(i,j): the exact
+	// degree of each source whose index byte is degreeEscape, in source
+	// order, nil where there is none. ROP reads a section's length off it
+	// where the index escapes (indexSections).
+	OutIndexEscapes [][][]Escape
 	// OutIndexPageCRCs[i][j] is the CRC32C of each PageBytes page of
-	// out-index(i,j)'s payload, the last page partial. A page-span load
+	// out-index(i,j)'s payload, the last page partial, and nil for an empty
+	// block, which has no out-index. A page-span load
 	// (LoadOutIndexSpanScratch) checks every page it reads against it.
 	OutIndexPageCRCs [][][]uint32
 	// names is the blob-name grid the read paths index (see blobNames).
@@ -172,11 +178,12 @@ func (d *DualStore) Extent(i, j int, f *bitset.Frontier) Extent {
 }
 
 // OutIndexSpan returns the bytes [off, end) of out-index(i,j)'s payload a
-// push over the sources of x reads: the PageBytes pages holding its entries
-// x.First through x.End — offset[End] closes the last source's section.
+// push over the sources of x reads: the PageBytes pages holding the groups
+// of its sources x.First through x.End−1.
 func (d *DualStore) OutIndexSpan(i, j int, x Extent) (off, end int64) {
-	off = int64(x.First) * IndexEntryBytes / PageBytes * PageBytes
-	end = min((int64(x.End)*IndexEntryBytes/PageBytes+1)*PageBytes, d.OutIndexBytes(i, j))
+	const sources = indexPageGroups * indexGroupSources // a page's
+	off = int64(x.First) / sources * PageBytes
+	end = min((int64(x.End-1)/sources+1)*PageBytes, d.OutIndexBytes(i, j))
 	return off, end
 }
 
@@ -477,18 +484,22 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
 // LoadOutIndexScratch reads out-index(i,j) whole, charged as a sequential
-// read, through sc's buffers: per-source *byte* offsets into out-block(i,j)'s
-// payload, Size(i)+1 of them, offset k the little-endian uint32 at 4k. The
-// view is the CRC-verified read buffer itself, invalidated by the next load
-// into sc.
+// read, through sc's buffers: its groups as stored (outindex.go), the
+// OutIndexBytes the layout gives it, and any other length is
+// storage.ErrCorrupt-class. An empty block has no out-index: its load reads
+// nothing and returns no bytes. The view is the CRC-verified read buffer
+// itself, invalidated by the next load into sc.
 func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]byte, error) {
+	if d.BlockEdgeCount[i][j] == 0 {
+		return nil, nil
+	}
 	name := d.names.name(blobOutIndex, i, j)
 	idx, err := d.readBlob(name, &sc.idxRaw)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkOutIndex(idx, d.Layout.Size(i)+1); err != nil {
-		return nil, fmt.Errorf("blockstore: %s: %w", name, err)
+	if want := d.OutIndexBytes(i, j); int64(len(idx)) != want {
+		return nil, fmt.Errorf("blockstore: %s: out-index of %d bytes, want %d: %w", name, len(idx), want, storage.ErrCorrupt)
 	}
 	return idx, nil
 }
@@ -497,8 +508,8 @@ func (d *DualStore) LoadOutIndexScratch(i, j int, sc *Scratch) ([]byte, error) {
 // of out-index(i,j), through sc's buffers: the pages OutIndexSpan names,
 // with one range read that skips the frame header, each page checked against
 // the CRC the meta records for it. It returns the bytes and the payload
-// offset base they start at: offset k is the little-endian uint32 at 4k−base,
-// for First ≤ k ≤ End. A page whose CRC does not match is
+// offset base they start at: group g is at groupOffset(g)−base, for the
+// groups of sources First through End−1. A page whose CRC does not match is
 // storage.ErrCorrupt-class, and never retried.
 func (d *DualStore) LoadOutIndexSpanScratch(i, j int, x Extent, sc *Scratch) (idx []byte, base int, err error) {
 	off, end := d.OutIndexSpan(i, j, x)
@@ -594,10 +605,14 @@ func (d *DualStore) OutBlockBytes(i, j int) int64 {
 	return d.BlockEdgeCount[i][j] * int64(d.OutRecordBytes())
 }
 
-// OutIndexBytes returns the size of out-index(i,j): (Size(i)+1)·4, stored
-// raw in every format.
+// OutIndexBytes returns the size of out-index(i,j), the same in every
+// format: a group of 68 bytes per 64 sources of interval i, 60 groups to a
+// PageBytes page — and 0 for an empty block, which has no out-index.
 func (d *DualStore) OutIndexBytes(i, j int) int64 {
-	return int64(d.Layout.Size(i)+1) * IndexEntryBytes
+	if d.BlockEdgeCount[i][j] == 0 {
+		return 0
+	}
+	return outIndexBytes(d.Layout.Size(i))
 }
 
 // InIndexBytes is always 0: no in-block has an in-index. It stays because

@@ -272,8 +272,9 @@ func TestSizeAccounting(t *testing.T) {
 	if colSum != ds.TotalEdgeBytes() {
 		t.Fatalf("column bytes %d != edges %d", colSum, ds.TotalEdgeBytes())
 	}
-	if got := ds.OutIndexBytes(0, 1); got != int64(ds.Layout.Size(0)+1)*IndexEntryBytes {
-		t.Fatalf("OutIndexBytes = %d", got)
+	// 25 sources: one 68-byte group.
+	if got := ds.OutIndexBytes(0, 1); ds.BlockEdgeCount[0][1] == 0 || ds.Layout.Size(0) != 25 || got != 68 {
+		t.Fatalf("OutIndexBytes = %d over %d sources and %d edges", got, ds.Layout.Size(0), ds.BlockEdgeCount[0][1])
 	}
 }
 
@@ -356,9 +357,18 @@ func TestCodecRejectsCorruptPayloads(t *testing.T) {
 			t.Fatalf("%s: err = %v, want storage.ErrCorrupt-class", c.what, err)
 		}
 	}
-	for _, n := range []int{6, 12} {
-		if err := checkOutIndex(make([]byte, n), 2); !errors.Is(err, storage.ErrCorrupt) {
-			t.Fatalf("out-index of %d bytes for 2 entries: err = %v, want storage.ErrCorrupt-class", n, err)
+	// An out-index read whole is the one group its 16-source interval takes.
+	mem := memStore()
+	d, err := BuildOpts(mem, chain(64), Options{P: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{67, 69} {
+		if err := mem.Put("oi/0.0", frameBlob(make([]byte, n))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.LoadOutIndexScratch(0, 0, &Scratch{}); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("out-index of %d bytes for one 68-byte group: err = %v, want storage.ErrCorrupt-class", n, err)
 		}
 	}
 	if _, err := decodeMeta([]byte("JUNK")); err == nil {

@@ -27,8 +27,10 @@ func ExampleDualStore_LoadOutRunScratch() {
 	}
 
 	// Vertex 0 lives in interval 0; its out-edges into interval 1
-	// (vertices 2, 3) sit in out-block (0, 1); the out-index holds local
-	// vertex k's byte offset into it as the little-endian uint32 at 4k.
+	// (vertices 2, 3) sit in out-block (0, 1). The out-index holds, for
+	// each 64 sources, the record its first source's section starts at as
+	// a little-endian uint32, then each source's degree in the block as a
+	// byte: vertex 0 is local source 0, the first of the first group.
 	sc := blockstore.GetScratch()
 	defer blockstore.PutScratch(sc)
 	idx, err := ds.LoadOutIndexScratch(0, 1, sc)
@@ -37,7 +39,9 @@ func ExampleDualStore_LoadOutRunScratch() {
 	}
 	// An out-block holds packed records in every format, each naming its
 	// destination local to interval 1, which starts at vertex 2.
-	sec, err := ds.LoadOutRunScratch(0, 1, binary.LittleEndian.Uint32(idx[0:]), binary.LittleEndian.Uint32(idx[4:]), nil)
+	step := uint32(ds.OutRecordBytes())
+	start, degree := binary.LittleEndian.Uint32(idx[0:]), uint32(idx[4])
+	sec, err := ds.LoadOutRunScratch(0, 1, start*step, (start+degree)*step, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

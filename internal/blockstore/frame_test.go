@@ -155,8 +155,9 @@ func openWithMeta(t *testing.T, format Format, rewrite func(meta []byte) []byte)
 // could compress, "HUSG" before a raw store's in-blocks became CodecCOO
 // records, "HUSH" while out-block records held global destinations, "HUSI"
 // while a mixed store kept varint in-indices, "HUSJ" while wide in-blocks
-// kept an in-index and the meta a grid of their destination counts — is
-// refused with the one message that says how to rebuild it.
+// kept an in-index and the meta a grid of their destination counts, "HUSK"
+// while an out-index held a uint32 offset per source, empty blocks' too —
+// is refused with the one message that says how to rebuild it.
 // The magic alone decides: past it, nothing is read.
 func TestOpenRejectsOlderStores(t *testing.T) {
 	for _, c := range []struct {
@@ -212,6 +213,10 @@ func TestOpenRejectsOlderStores(t *testing.T) {
 		}},
 		{"destination-count-grid", FormatRaw, func(meta []byte) []byte {
 			copy(meta, "HUSJ")
+			return frameBlob(meta)
+		}},
+		{"wide-out-indices", FormatMixed, func(meta []byte) []byte {
+			copy(meta, "HUSK")
 			return frameBlob(meta)
 		}},
 	} {

@@ -100,8 +100,9 @@ func FuzzDecodeVarint(f *testing.F) {
 // bytes, decodeMeta fails ErrCorrupt-class without panicking or allocating
 // beyond what the payload's length covers — nor accepting a blob stored in
 // more than its raw bytes, which no builder writes, a mask no build could
-// have made, or a page-CRC section of another size than the out-indices'
-// pages — and a meta it accepts is one encodeMeta writes: it
+// have made, a page-CRC section of another size than the out-indices'
+// pages, or escapes no build could have made — and a meta it accepts is one
+// encodeMeta writes: it
 // re-encodes to the same bytes.
 func FuzzDecodeMeta(f *testing.F) {
 	for _, format := range []Format{FormatRaw, FormatMixed} {
@@ -128,6 +129,15 @@ func FuzzDecodeMeta(f *testing.F) {
 	}
 	f.Add(overflowMeta(0, 1<<31))
 	f.Add(overflowMeta(1<<61, 0))
+	// A store whose out-indices escape, and each way of lying about them.
+	ds, err = BuildOpts(memStore(), escapeGraph(), Options{P: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeMeta(ds))
+	for _, meta := range badEscapeMetas(f) {
+		f.Add(meta)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := decodeMeta(data)
@@ -149,7 +159,7 @@ func FuzzDecodeMeta(f *testing.F) {
 // the directory it read.
 func FuzzTileDirectory(f *testing.F) {
 	const wide = MaxCOOInterval + 1 // two tiles a side
-	ends := func(ends ...uint32) []byte { return encodeIndex(ends) }
+	ends := le32s
 	f.Add([]byte(nil), uint32(4), uint32(4))                                                    // one empty tile
 	f.Add([]byte(nil), uint32(wide), uint32(wide))                                              // no room for the directory
 	f.Add(ends(16, 16, 16, 16), uint32(wide), uint32(wide))                                     // four empty tiles
@@ -161,7 +171,7 @@ func FuzzTileDirectory(f *testing.F) {
 	f.Add(make([]byte, 8), uint32(MaxCOOInterval), uint32(MaxCOOInterval))                      // one tile, no directory
 	f.Add(append(ends(12, 16, 20), make([]byte, 8)...), uint32(2*MaxCOOInterval+1), uint32(10)) // a column of three tiles
 	f.Add(ends(16, 16), uint32(wide), uint32(wide))                                             // a directory cut short
-	f.Add(encodeIndex(make([]uint32, 16)), uint32(4*MaxCOOInterval), uint32(4*MaxCOOInterval))  // sixteen tiles, ends zero
+	f.Add(le32s(make([]uint32, 16)...), uint32(4*MaxCOOInterval), uint32(4*MaxCOOInterval))     // sixteen tiles, ends zero
 
 	f.Fuzz(func(t *testing.T, data []byte, dsts, srcs uint32) {
 		dsts, srcs = dsts%(4*MaxCOOInterval+2), srcs%(4*MaxCOOInterval+2)
@@ -190,8 +200,8 @@ func FuzzTileDirectory(f *testing.F) {
 		if at != len(data) {
 			t.Fatalf("tiles cover %d of %d bytes", at, len(data))
 		}
-		if len(tiles) > 1 && !bytes.Equal(encodeIndex(dir), data[:4*len(tiles)]) {
-			t.Fatalf("directory %x re-encodes as %x", data[:4*len(tiles)], encodeIndex(dir))
+		if len(tiles) > 1 && !bytes.Equal(le32s(dir...), data[:4*len(tiles)]) {
+			t.Fatalf("directory %x re-encodes as %x", data[:4*len(tiles)], le32s(dir...))
 		}
 	})
 }

@@ -148,8 +148,8 @@ func loadOutBlock(ds *DualStore, i, j int) (testBlock, error) {
 	return b, nil
 }
 
-// loadOutIndexWords loads out-index(i,j) whole and reads its Size(i)+1
-// offsets out of the bytes the loader hands over.
+// loadOutIndexWords loads out-index(i,j) whole and works out the byte
+// offsets of its Size(i)+1 section bounds (outIndexWords).
 func loadOutIndexWords(ds *DualStore, i, j int) ([]uint32, error) {
 	sc := GetScratch()
 	defer PutScratch(sc)
@@ -157,16 +157,51 @@ func loadOutIndexWords(ds *DualStore, i, j int) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return outIndexWords(b), nil
+	return outIndexWords(ds, i, j, b), nil
 }
 
-// outIndexWords reads an out-index's offsets out of its bytes.
-func outIndexWords(b []byte) []uint32 {
-	idx := make([]uint32, len(b)/IndexEntryBytes)
-	for k := range idx {
-		idx[k] = binary.LittleEndian.Uint32(b[k*IndexEntryBytes:])
+// outIndexWords works the byte offsets of out-index(i,j)'s section bounds
+// out of its bytes b by hand — each group's base, then a plain running sum of
+// its sources' degree bytes, a byte 255 taking the degree the meta's escape
+// for its source gives — the way a reader of the old index of a uint32
+// offset per source and one past the last would have read them. An empty
+// block's offsets are all 0.
+func outIndexWords(ds *DualStore, i, j int, b []byte) []uint32 {
+	n := ds.Layout.Size(i)
+	idx := make([]uint32, n+1)
+	if len(b) == 0 {
+		return idx
 	}
+	escapes := map[uint32]uint32{}
+	for _, x := range ds.OutIndexEscapes[i][j] {
+		escapes[x.Src] = x.Degree
+	}
+	step := uint32(ds.OutRecordBytes())
+	var at uint32 // in records
+	for k := 0; k < n; k++ {
+		group := k / 64
+		off := group/60*4096 + group%60*68
+		if k%64 == 0 {
+			at = binary.LittleEndian.Uint32(b[off:])
+		}
+		deg := uint32(b[off+4+k%64])
+		if deg == 255 {
+			deg = escapes[uint32(k)]
+		}
+		idx[k] = at * step
+		at += deg
+	}
+	idx[n] = at * step
 	return idx
+}
+
+// le32s lays words out as little-endian uint32s.
+func le32s(words ...uint32) []byte {
+	var b []byte
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
 }
 
 // loadOutSection reads vertex k's section of out-block(i,j) the way ROP does

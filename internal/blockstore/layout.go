@@ -9,7 +9,8 @@
 //	out-block(i,j): edges from interval i to interval j, indexed by source
 //	in-block(i,j):  edges from interval i to interval j, indexed by destination
 //
-// A per-source offset index (out-index) is stored alongside each out-block,
+// A per-source index (out-index) is stored alongside each nonempty
+// out-block — a record offset per 64 sources and a degree byte per source —
 // enabling the selective loading of one active vertex's out-edges in ROP.
 // An in-block is stored as (destination, source) keys in destination order,
 // cut into tiles of at most 2¹⁶ × 2¹⁶ (InTiles), so COP splits each tile
@@ -100,9 +101,9 @@ func ChooseP(numVertices int, numEdges int64, weighted bool, memoryBudget int64)
 	for p := 1; p < numVertices; p *= 2 {
 		interval := int64((numVertices + p - 1) / p)
 		block := numEdges / int64(p*p) * recBytes * skew
-		// Working set: the block, its per-vertex index, the source and
+		// Working set: the block, its out-index, the source and
 		// destination intervals' values plus the engine's second copy.
-		working := block + (interval+1)*IndexEntryBytes + 4*interval*VertexValueBytes
+		working := block + outIndexBytes(int(interval)) + 4*interval*VertexValueBytes
 		if working <= memoryBudget {
 			return p
 		}

@@ -131,7 +131,9 @@ func TestChoosePFitsWorkingSet(t *testing.T) {
 	p := ChooseP(v, e, false, budget)
 	interval := int64((v + p - 1) / p)
 	block := e / int64(p*p) * 4 * 4 // skew factor 4, 4B records
-	working := block + (interval+1)*IndexEntryBytes + 4*interval*VertexValueBytes
+	groups := (interval + 63) / 64  // of the out-index: 68 bytes each, 60 to a 4 KiB page
+	index := (groups-1)/60*4096 + ((groups-1)%60+1)*68
+	working := block + index + 4*interval*VertexValueBytes
 	if working > budget {
 		t.Fatalf("P=%d working set %d exceeds budget %d", p, working, budget)
 	}

@@ -6,27 +6,29 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"husgraph/internal/graph"
 	"husgraph/internal/storage"
 )
 
-// pagedGraph has 8200 vertices in two intervals at P = 2: each out-index is
-// 4101 entries, 16404 bytes — four whole pages and a partial fifth.
+// pagedGraph has 32000 vertices in two intervals at P = 2: each out-index is
+// 250 groups of 64 sources, 60 to a page — 3840 sources a page — so 17064
+// bytes, four whole pages and a partial fifth of ten groups.
 func pagedGraph() *graph.Graph {
 	rng := rand.New(rand.NewSource(44))
-	g := graph.New(8200)
+	g := graph.New(32000)
 	for k := 0; k < 40000; k++ {
-		g.AddEdge(graph.VertexID(rng.Intn(8200)), graph.VertexID(rng.Intn(8200)))
+		g.AddEdge(graph.VertexID(rng.Intn(32000)), graph.VertexID(rng.Intn(32000)))
 	}
 	g.Dedup()
 	return g
 }
 
 // TestOutIndexSpanReadsVerifiedPages: a page-span load of an out-index is
-// one random read of exactly the pages holding the extent's entries First
-// through End — no frame header, nothing sequential — and hands back those
+// one random read of exactly the pages holding the groups of the extent's
+// sources First through End−1 — no frame header, nothing sequential — and hands back those
 // bytes of the index with their offset; a page whose CRC the meta records
 // otherwise is ErrCorrupt-class, wherever in the span it sits, and a span
 // that does not touch it still loads. A mixed store's out-index is the same
@@ -40,8 +42,8 @@ func TestOutIndexSpanReadsVerifiedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(whole) != 16404 || len(ds.OutIndexPageCRCs[0][1]) != 5 {
-		t.Fatalf("out-index (0,1): %d bytes, %d page CRCs; want 16404 and 5", len(whole), len(ds.OutIndexPageCRCs[0][1]))
+	if len(whole) != 17064 || len(ds.OutIndexPageCRCs[0][1]) != 5 {
+		t.Fatalf("out-index (0,1): %d bytes, %d page CRCs; want 17064 and 5", len(whole), len(ds.OutIndexPageCRCs[0][1]))
 	}
 	sc := &Scratch{}
 	for _, c := range []struct {
@@ -49,11 +51,12 @@ func TestOutIndexSpanReadsVerifiedPages(t *testing.T) {
 		off, end int64
 	}{
 		{Extent{0, 1}, 0, 4096},
-		{Extent{1023, 1024}, 0, 8192},      // entry 1024 opens page 1
-		{Extent{1024, 4095}, 4096, 16384},  // pages 1–3
-		{Extent{4099, 4100}, 16384, 16404}, // the partial last page alone
-		{Extent{0, 4100}, 0, 16404},        // every page
-		{Extent{2000, 2001}, 4096, 8192},   // one page inside
+		{Extent{3839, 3840}, 0, 4096},        // the last source of page 0
+		{Extent{3839, 3841}, 0, 8192},        // source 3840 opens page 1
+		{Extent{3840, 15360}, 4096, 16384},   // pages 1–3
+		{Extent{15360, 16000}, 16384, 17064}, // the partial last page alone
+		{Extent{0, 16000}, 0, 17064},         // every page
+		{Extent{7000, 7001}, 4096, 8192},     // one page inside
 	} {
 		what := fmt.Sprintf("extent %+v", c.x)
 		if off, end := ds.OutIndexSpan(0, 1, c.x); off != c.off || end != c.end {
@@ -80,9 +83,9 @@ func TestOutIndexSpanReadsVerifiedPages(t *testing.T) {
 		fail bool
 	}{
 		{Extent{0, 1}, false},
-		{Extent{1023, 1024}, true},
-		{Extent{0, 4100}, true},
-		{Extent{2100, 2101}, false},
+		{Extent{3839, 3841}, true},
+		{Extent{0, 16000}, true},
+		{Extent{8000, 8001}, false},
 	} {
 		_, _, err := ds.LoadOutIndexSpanScratch(0, 1, c.x, sc)
 		if c.fail != (err != nil) || err != nil && !errors.Is(err, storage.ErrCorrupt) {
@@ -98,7 +101,7 @@ func TestOutIndexSpanReadsVerifiedPages(t *testing.T) {
 	if !reflect.DeepEqual(mixed.OutIndexPageCRCs, ds.OutIndexPageCRCs) {
 		t.Fatal("the mixed store's out-index page CRCs differ from the raw store's")
 	}
-	got, base, err := mixed.LoadOutIndexSpanScratch(0, 1, Extent{1024, 4095}, sc)
+	got, base, err := mixed.LoadOutIndexSpanScratch(0, 1, Extent{3840, 15360}, sc)
 	if err != nil || base != 4096 || !bytes.Equal(got, whole[4096:16384]) {
 		t.Fatalf("mixed out-index: %d bytes from %d (%v), want pages 1–3 of the raw index", len(got), base, err)
 	}
@@ -119,8 +122,9 @@ func TestOpenRefusesFlippedPageCRC(t *testing.T) {
 
 // badPageCRCMetas are meta payloads whose page-CRC section holds one CRC too
 // few or too many — for the raw chain(300) store at P = 4, one page per
-// index — or, of a mixed store whose out-indices span five pages each, a
-// whole index's CRCs too few.
+// index of its seven nonempty blocks, the seven escape counts after them —
+// or, of a mixed store whose out-indices span five pages each, a whole
+// index's CRCs too few, or a CRC for an empty block.
 func badPageCRCMetas(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	d, err := BuildOpts(memStore(), chain(300), Options{P: 4, Weighted: true})
@@ -128,22 +132,26 @@ func badPageCRCMetas(tb testing.TB) map[string][]byte {
 		tb.Fatal(err)
 	}
 	honest := encodeMeta(d)
+	crcsEnd := len(honest) - 7*4
 	m, err := BuildOpts(memStore(), pagedGraph(), Options{P: 2, Format: FormatMixed})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	m.OutIndexPageCRCs[1][1] = nil
+	d.OutIndexPageCRCs[0][3] = []uint32{0}
 	return map[string][]byte{
-		"one word short":                     honest[:len(honest)-4],
-		"one word long":                      append(honest[:len(honest):len(honest)], 0, 0, 0, 0),
+		"one word short":                     append(slices.Clone(honest[:crcsEnd-4]), honest[crcsEnd:]...),
+		"one word long":                      append(append(slices.Clone(honest[:crcsEnd]), 0, 0, 0, 0), honest[crcsEnd:]...),
 		"a mixed store's out-index left out": encodeMeta(m),
+		"a CRC for an empty block":           encodeMeta(d),
 	}
 }
 
 // TestDecodeMetaRefusesBadPageCRCs: the page-CRC section is sized from the
-// layout, one CRC per page of every out-index in every format, so a section
-// a word short or long, or one without a mixed store's out-index, is refused
-// storage.ErrCorrupt-class.
+// layout, one CRC per page of every nonempty block's out-index in every
+// format, so a section a word short or long, one without a mixed store's
+// out-index, or one with a CRC for an empty block, which has no out-index,
+// is refused storage.ErrCorrupt-class.
 func TestDecodeMetaRefusesBadPageCRCs(t *testing.T) {
 	for what, meta := range badPageCRCMetas(t) {
 		if _, err := decodeMeta(meta); !errors.Is(err, storage.ErrCorrupt) {
@@ -165,9 +173,9 @@ func FuzzOutIndexPages(f *testing.F) {
 	}
 	size := int32(ds.Layout.Size(0))
 	f.Add(uint8(1), uint16(0), uint16(0), uint32(0), uint8(0))          // no corruption
-	f.Add(uint8(1), uint16(1023), uint16(0), uint32(17+4096), uint8(1)) // first byte of page 1
-	f.Add(uint8(0), uint16(0), uint16(4100), uint32(3), uint8(0x80))    // the frame header
-	f.Add(uint8(3), uint16(4099), uint16(0), uint32(17), uint8(0xff))   // another page
+	f.Add(uint8(1), uint16(3839), uint16(1), uint32(17+4096), uint8(1)) // first byte of page 1
+	f.Add(uint8(0), uint16(0), uint16(16000), uint32(3), uint8(0x80))   // the frame header
+	f.Add(uint8(3), uint16(15999), uint16(0), uint32(17), uint8(0xff))  // another page
 	f.Fuzz(func(t *testing.T, block uint8, first, length uint16, pos uint32, xor uint8) {
 		i, j := int(block>>1&1), int(block&1)
 		name := outIndexName(i, j)

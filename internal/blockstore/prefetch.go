@@ -1,7 +1,6 @@
 package blockstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"husgraph/internal/bitset"
-	"husgraph/internal/storage"
 )
 
 // Async block prefetch pipeline.
@@ -104,9 +102,9 @@ func (req *prefetchReq) deliver(res *PrefetchResult) {
 
 // PrefetchResult is one delivered block: for an in-block its Payload as
 // stored, in the codec the meta records (DualStore.InCodec), which COP cuts
-// into tiles (DualStore.InTiles); for an out-index Payload alone — the (Size(i)+1)·4 bytes of its offsets (see
-// CachedBlock), or of a page-span load the bytes from offset Base on — with
-// the block's active Sections. Views alias either a pooled Scratch
+// into tiles (DualStore.InTiles); for an out-index Payload alone — the whole
+// index (see CachedBlock), or of a page-span load the bytes from offset Base
+// on — with the block's active Sections. Views alias either a pooled Scratch
 // (returned by Release) or an immutable cache entry; they are read-only and
 // valid until Release.
 type PrefetchResult struct {
@@ -367,12 +365,12 @@ func (p *Prefetcher) handOver(res *PrefetchResult) error {
 // loadSections fills res.Sections from the out-index in res.Payload (from
 // byte res.Base on): one section per source of frontier ∧ the block's source
 // mask, ascending. The loaders checked only the index's length or its pages'
-// CRCs, so every section is checked before any is read: it starts at or
-// after the previous one's end, ends inside the block and cuts it at whole
-// records, or a run would slice out of bounds and the push read past a
-// section; and it is nonempty, or mask and index disagree. Sections closer
-// than the device's coalesce gap share a run, and each run is one read into
-// res.sc.raw or a slice of the run cache (loadRun).
+// CRCs, so every section is checked before any is read (indexSections): it
+// starts at or after the previous one's end and ends inside the block, or a
+// run would slice out of bounds and the push read past a section; and it is
+// nonempty, or mask and index disagree. Sections closer than the device's
+// coalesce gap share a run, and each run is one read into res.sc.raw or a
+// slice of the run cache (loadRun).
 func (p *Prefetcher) loadSections(res *PrefetchResult) error {
 	d, sc := p.ds, res.sc
 	i, j := res.Key.I, res.Key.J
@@ -384,20 +382,16 @@ func (p *Prefetcher) loadSections(res *PrefetchResult) error {
 		secs = append(secs, Section{V: int32(v)})
 		return true
 	})
+	if err := indexSections(res.Payload, res.Base, d.OutIndexEscapes[i][j], d.BlockEdgeCount[i][j], lo, secs); err != nil {
+		return fmt.Errorf("blockstore: out-index (%d,%d): %w", i, j, err)
+	}
 
 	coalesce := d.Device().Profile().CoalesceBytes()
 	step := uint32(d.OutRecordBytes())
-	blockBytes := d.OutBlockBytes(i, j)
 	runs := sc.runs[:0]
-	var prevEnd, total uint32
+	var total uint32
 	for k := range secs {
-		at := 4*(int(secs[k].V)-lo) - res.Base
-		rs := binary.LittleEndian.Uint32(res.Payload[at:])
-		re := binary.LittleEndian.Uint32(res.Payload[at+4:])
-		if rs < prevEnd || re <= rs || int64(re) > blockBytes || rs%step != 0 || re%step != 0 {
-			return fmt.Errorf("blockstore: out-index (%d,%d) vertex %d: section [%d, %d) after byte %d of a %d-byte block of %d-byte records, for a source the meta's mask marks live: %w", i, j, secs[k].V, rs, re, prevEnd, blockBytes, step, storage.ErrCorrupt)
-		}
-		prevEnd = re
+		rs, re := secs[k].s*step, secs[k].e*step
 		secs[k].s, secs[k].e = rs, re
 		if n := len(runs); n > 0 && int64(rs-runs[n-1].e) <= coalesce {
 			total += re - runs[n-1].e

@@ -118,9 +118,10 @@ func badMaskMetas(tb testing.TB) map[string][]byte {
 		return encodeMeta(d)
 	}
 	honest := build(func(*DualStore) {})
-	// The page-CRC section follows the masks: one CRC for each of the 16
-	// one-page out-indices.
-	masksEnd := len(honest) - 16*4
+	// The page CRCs and the escapes follow the masks: one CRC for each of
+	// the seven nonempty blocks' one-page out-indices, then an escape count
+	// of 0 for each.
+	masksEnd := len(honest) - 7*4 - 7*4
 	return map[string][]byte{
 		// Source 0's bit moved to 75, one past the interval: as many live
 		// sources as before, so only the bound refuses it.

@@ -126,7 +126,12 @@ func TestBuildStreamingTinySpillBudget(t *testing.T) {
 // its meta, a mixed store's ib/ blobs became key deltas or records and its
 // ii/ blobs went), and when in-blocks over wider intervals became tiles
 // (magic HUSK: the meta dropped its per-block destination-count grid; both
-// stores here fit 16 bits and kept every blob but the meta). A change that
+// stores here fit 16 bits and kept every blob but the meta), and when
+// out-indices became a record offset per 64 sources and a degree byte per
+// source (magic HUSL: the meta gained each out-index's escapes and keeps
+// masks and page CRCs for nonempty blocks only; both stores kept every ob/
+// and ib/ blob, their oi/ blobs took the narrow layout, and an empty block
+// has none — every block of this graph has an edge). A change that
 // moves a store byte — a layout, codec, frame or meta change — fails here
 // and says so by updating the digest.
 func TestStoreBytesGolden(t *testing.T) {
@@ -137,8 +142,8 @@ func TestStoreBytesGolden(t *testing.T) {
 		format Format
 		want   string
 	}{
-		{FormatRaw, "8ec169a8ffaabd871f562f34400ba1e10edc52462940595f522a2fe2a409b4c6"},
-		{FormatMixed, "48e01f7234b5d09c855d22ef3913a3d6f9aab520e1dbe6c4494212f1dcdaa2ba"},
+		{FormatRaw, "3872258853bf1e053a8ddf7fad4dae1f044b8ffa472a9a7beae6314cf6dbb166"},
+		{FormatMixed, "70afcc9a63dae9eb4cf0ba7b813373364687e97fa169c93c23239077dd82c3ab"},
 	} {
 		st := memStore()
 		if _, err := BuildOpts(st, g, Options{P: 4, Format: tc.format, Weighted: true}); err != nil {

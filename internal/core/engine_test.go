@@ -843,10 +843,10 @@ func TestPredictedROPIndexBytesMatchCharged(t *testing.T) {
 		members []int
 	}{
 		{randomGraph(600, 2500, 11), []int{2, 8}, []int{7, 8, 300, 599}},
-		// 2100-vertex intervals: 8404-byte indices, pages [0, 4096),
-		// [4096, 8192) and [8192, 8404). 7 and 8 need page 0 of row 0's,
-		// 4199 page 2 of row 1's.
-		{randomGraph(4200, 20000, 11), []int{2}, []int{7, 8, 4199}},
+		// 8000-vertex intervals: 125 groups, 8532-byte indices, pages
+		// [0, 4096), [4096, 8192) and [8192, 8532). 7 and 8 need page 0
+		// of row 0's, 15999 page 2 of row 1's.
+		{randomGraph(16000, 60000, 11), []int{2}, []int{7, 8, 15999}},
 	} {
 		n := c.g.NumVertices
 		for _, format := range []blockstore.Format{blockstore.FormatRaw, blockstore.FormatMixed} {
@@ -891,7 +891,7 @@ func TestPredictedROPIndexBytesMatchCharged(t *testing.T) {
 				if live == 0 || pricedPages == 0 {
 					t.Fatalf("%s: %d live out-indices, %d bytes of pages priced", what, live, pricedPages)
 				}
-				if idx := int64(ds.Layout.Size(0)+1) * blockstore.IndexEntryBytes; n > 600 && pricedPages >= live*idx {
+				if idx := ds.OutIndexBytes(0, 0); n > 600 && pricedPages >= live*idx {
 					t.Fatalf("%s: page spans of %d bytes for %d live %d-byte indices; none is a strict part", what, pricedPages, live, idx)
 				}
 				res, err := e.Run(sparseStart{members: c.members})

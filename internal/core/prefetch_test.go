@@ -231,8 +231,8 @@ func TestEnginePrefetchSurfacesPermanentFaults(t *testing.T) {
 
 // TestCacheHoldsOnlyWholeOutIndices: a page-span load of an out-index is
 // cached only when its span is the whole index, and a cached index serves
-// any extent. A path through four 2050-vertex intervals (8204-byte indices,
-// three pages), with vertex 0 also pointing at all of interval 0: iteration 1
+// any extent. A path through four 3900-vertex intervals (4164-byte indices,
+// two pages), with vertex 0 also pointing at all of interval 0: iteration 1
 // pushes all of interval 0, whose span of out-index (0,0) is every page, and
 // the rest walk the path one vertex an iteration, each reading one or two
 // pages at a moving extent. Forced ROP through a cache, synchronous and
@@ -240,7 +240,7 @@ func TestEnginePrefetchSurfacesPermanentFaults(t *testing.T) {
 // many iterations, and leave in the cache out-index (0,0), whole, and no
 // other.
 func TestCacheHoldsOnlyWholeOutIndices(t *testing.T) {
-	const size = 2050
+	const size = 3900
 	g := pathGraph(4 * size)
 	for v := 2; v < size; v++ {
 		g.AddEdge(0, graph.VertexID(v))
@@ -271,7 +271,7 @@ func TestCacheHoldsOnlyWholeOutIndices(t *testing.T) {
 				if ok {
 					n = len(blk.Payload)
 				}
-				if ok != (i == 0 && j == 0) || ok && n != (size+1)*blockstore.IndexEntryBytes {
+				if ok != (i == 0 && j == 0) || ok && int64(n) != ds.OutIndexBytes(0, 0) {
 					t.Fatalf("depth %d: out-index (%d,%d) cached %v (%d bytes); want only (0,0), whole", depth, i, j, ok, n)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"husgraph/internal/algos"
@@ -38,53 +39,60 @@ func pageCRCsByHand(payload []byte) []uint32 {
 // TestCraftedOutIndexIsAnError: ROP reads an out-index in place and the
 // loader checks only its length or, read as pages, that they carry the CRCs
 // the meta records — re-recorded here for each crafted blob, so that what is
-// tested is what ROP checks. The offsets ROP uses are checked where it uses
-// them — each active span must start at or after the previous one's end,
-// end inside its block, start and end on a record boundary, and be
-// nonempty, since ROP walks only the sources the meta's mask marks as
-// having an edge in the block (the mask carries the meta's CRC; the index is
-// what is checked against it). A correctly framed out-index that lies must
-// end the run with a storage.ErrCorrupt-class *core.IterError: before the
-// checks, decreasing entries panicked in ropAccumulate (inside a
-// parallelFor goroutine at Threads > 1, killing the process), an entry
-// past the block's end came back as the store's plain out-of-range error,
-// two sections out of order across inactive vertices pushed one vertex's
-// value along another's edges without a word, and a section cut mid-record
-// on a weighted store panicked reading the weight past its end. Each lie
-// must be refused in the iteration that first reads it. Every lie, over an
-// unweighted raw store, a mixed one (whose out-indices and out-blocks are
-// the raw store's) and a weighted raw one, at 1 and 4 threads, through one
-// engine and two shards; and every goroutine must be gone afterwards
-// (leaktest.Main).
+// tested is what ROP checks. An out-index is a group per 64 sources: the
+// record offset of the group's first section, then a degree byte per source,
+// 255 standing for a degree the meta's escape list gives exactly. Each
+// active section is worked out from them where ROP uses it, and must start
+// at or after the previous one's end, end inside its block, and be nonempty,
+// since ROP walks only the sources the meta's mask marks as having an edge
+// in the block (the mask carries the meta's CRC; the index is what is
+// checked against it); a byte of 255 must have its escape, and the escapes
+// it reads must ascend. The escape list passes Open's checks when it is
+// read from the meta, so the lies about it are set on the opened store, as
+// the page CRCs are. A correctly framed out-index, or escape list, that lies
+// must end the run with a storage.ErrCorrupt-class *core.IterError in the
+// iteration that first reads the lie — never a panic, nor a push of one
+// source's value along another's edges. Every lie, over an unweighted raw
+// store, a mixed one (whose out-indices and out-blocks are the raw store's)
+// and a weighted raw one, at 1 and 4 threads, through one engine and two
+// shards, with and without a block cache (which holds an index whole); and
+// every goroutine must be gone afterwards (leaktest.Main).
 func TestCraftedOutIndexIsAnError(t *testing.T) {
-	// 64 vertices, P = 4, BFS from vertex 0. Iteration 0 pushes vertex 0's
-	// section of each out-block (0, j) — entries 0 and 1 of out-index
-	// (0, j). Vertex 0 points at everyone but 3 and 4, so iteration 1 pushes
-	// vertices 1, 2, 5, …, 15 of row 0 and not the two between 2 and 5,
-	// whose edges into interval 1 make their sections of out-block (0,1)
-	// nonempty.
-	const n, p, name = 64, 4, "oi/0.1"
-	g := graph.New(n)
-	for v := 1; v < n; v++ {
+	// 64 vertices, P = 4, BFS from vertex 0: out-index (0,1) is one group,
+	// a base of 0 and sixteen degrees. Iteration 0 pushes vertex 0's section
+	// of each out-block (0, j). Vertex 0 points at everyone but 3 and 4, so
+	// iteration 1 pushes vertices 1, 2, 5, …, 15 of row 0 and not the two
+	// between 2 and 5, whose degree bytes it sums over; 2, 5 and 15 have
+	// edges into interval 1.
+	g := graph.New(64)
+	for v := 1; v < 64; v++ {
 		if v != 3 && v != 4 {
 			g.AddEdge(0, graph.VertexID(v))
 		}
-		g.AddEdge(graph.VertexID(v), graph.VertexID((v+1)%n))
+		g.AddEdge(graph.VertexID(v), graph.VertexID((v+1)%64))
 	}
 	g.AddEdge(2, 20)
 	g.AddEdge(5, 21)
 	g.Dedup()
-	fixed := func(words []uint32) []byte {
-		var b []byte
-		for _, w := range words {
-			b = binary.LittleEndian.AppendUint32(b, w)
+	// 1024 vertices, P = 2: vertices 0, 1 and 2 point at 300, 280 and 260
+	// vertices of interval 1, so their degree bytes in out-index (0,1)
+	// escape, and vertex 3 at one. Iteration 0 pushes vertex 0, iteration 1
+	// vertex 3 (0 → 3), whose section starts past the three escaped ones.
+	escaping := graph.New(1024)
+	escaping.AddEdge(0, 3)
+	escaping.AddEdge(3, 512)
+	for src := 0; src < 3; src++ {
+		for v := 512; v < 812-20*src; v++ {
+			escaping.AddEdge(graph.VertexID(src), graph.VertexID(v))
 		}
-		return b
 	}
+	escaping.Dedup()
+
+	base := func(idx []byte, records int64) { binary.LittleEndian.PutUint32(idx, uint32(records)) }
 	for _, store := range []blockstore.Options{
-		{P: p, Format: blockstore.FormatRaw},
-		{P: p, Format: blockstore.FormatMixed},
-		{P: p, Format: blockstore.FormatRaw, Weighted: true},
+		{P: 4, Format: blockstore.FormatRaw},
+		{P: 4, Format: blockstore.FormatMixed},
+		{P: 4, Format: blockstore.FormatRaw, Weighted: true},
 	} {
 		mem := storage.NewMemStore(storage.NewDevice(storage.SSD))
 		built, err := blockstore.BuildOpts(mem, g, store)
@@ -95,71 +103,91 @@ func TestCraftedOutIndexIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		words := make([]uint32, len(honest)/4)
-		for k := range words {
-			words[k] = binary.LittleEndian.Uint32(honest[4*k:])
+		degs := honest[4:20]
+		if binary.LittleEndian.Uint32(honest) != 0 || degs[0] != 16 || degs[2] != 1 || degs[3] != 0 || degs[4] != 0 || degs[5] != 1 || degs[15] != 1 {
+			t.Fatalf("%+v: out-index (0,1) is %v; want a base of 0, vertex 0 of degree 16, 2, 5 and 15 of 1, 3 and 4 of 0", store, honest)
 		}
-		blockBytes := uint32(built.OutBlockBytes(0, 1))
-		if words[0] != 0 || words[1] == 0 || words[2] == words[3] || words[3] != words[5] || words[5] == words[6] {
-			t.Fatalf("%+v: out-index (0,1) is %v; want vertices 0, 2 and 5 to have sections, 3 and 4 none", store, words)
+		records := built.BlockEdgeCount[0][1]
+		runLies(t, mem, store, honest, []outIndexLie{
+			// Vertex 0's section starts at the block's end.
+			{"a base past the block", func(idx []byte) { base(idx, records) }, nil, 0},
+			// Vertex 3, never pushed while 5 is, claims 200 edges, so 5's
+			// section starts past the block.
+			{"degrees that sum past it", func(idx []byte) { idx[4+3] = 200 }, nil, 1},
+			// Vertex 2's edge handed to vertex 3, which the meta's mask marks
+			// dead in the block: skipping 2 would drop the edge 2 → 20
+			// without a word.
+			{"a live source's section empty", func(idx []byte) { idx[4+2], idx[4+3] = 0, 1 }, nil, 1},
+			// Vertex 4's byte escapes, and the block has no escapes.
+			{"a degree byte 255 with no escape", func(idx []byte) { idx[4+4] = 255 }, nil, 1},
+		})
+
+		store.P = 2
+		mem = storage.NewMemStore(storage.NewDevice(storage.SSD))
+		built, err = blockstore.BuildOpts(mem, escaping, store)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Decreasing: vertex 0's section ends before it starts.
-		decreasing := append([]uint32(nil), words...)
-		decreasing[0], decreasing[1] = words[1], 0
-		// Past the end: every offset from vertex 0's end on moved past the
-		// block.
-		pastEnd := append([]uint32(nil), words...)
-		for k := 1; k < len(pastEnd); k++ {
-			pastEnd[k] += blockBytes
+		if honest, err = built.LoadOutIndexScratch(0, 1, &blockstore.Scratch{}); err != nil {
+			t.Fatal(err)
 		}
-		// Out of order: vertices 2 and 5 trade sections, so 5's starts
-		// before 2's ends. Each span iteration 1 reads is well formed on its
-		// own — the malformed ones are 3's or 4's, read an iteration later.
-		swapped := append([]uint32(nil), words...)
-		swapped[2], swapped[3], swapped[4], swapped[5], swapped[6] = words[5], words[6], words[6], words[2], words[3]
-		// Mask live, span empty: vertex 2's section shrunk to nothing and
-		// handed to vertex 3, which the meta's mask marks dead in the block.
-		// Skipping 2 and never visiting 3 would drop the edge 2 → 20 without
-		// a word; the mask and the index disagree, and iteration 1 — the
-		// first with 2 active — must say so.
-		emptied := append([]uint32(nil), words...)
-		emptied[3] = words[2]
-		// Mid-record: vertex 15's section, the block's last, ends two bytes
-		// early; vertex 5's starts two bytes late, the spare bytes going to
-		// vertex 4, which is never active. Either span is ordered, nonempty
-		// and inside the block — only its record boundaries are wrong.
-		endsMid := append([]uint32(nil), words...)
-		endsMid[len(endsMid)-1] -= 2
-		startsMid := append([]uint32(nil), words...)
-		startsMid[5] += 2
-		for _, c := range []struct {
-			what  string
-			index []uint32
-			iter  int // the first iteration that reads the lie
-		}{
-			{"decreasing", decreasing, 0},
-			{"past the block's end", pastEnd, 0},
-			{"sections out of order", swapped, 1},
-			{"a live source's section empty", emptied, 1},
-			{"a section ending mid-record", endsMid, 1},
-			{"a section starting mid-record", startsMid, 1},
-		} {
-			index := fixed(c.index)
-			if err := mem.Put(name, frameByHand(index)); err != nil {
-				t.Fatal(err)
-			}
-			for _, threads := range []int{1, 4} {
-				for _, k := range []int{1, 2} {
-					what := fmt.Sprintf("%v/weighted=%v/%s/threads=%d/K=%d", store.Format, store.Weighted, c.what, threads, k)
+		want := []blockstore.Escape{{Src: 0, Degree: 300}, {Src: 1, Degree: 280}, {Src: 2, Degree: 260}}
+		if x := built.OutIndexEscapes[0][1]; string(honest[4:8]) != "\xff\xff\xff\x01" || !slices.Equal(x, want) {
+			t.Fatalf("%+v: out-index (0,1) degree bytes %v, escapes %v; want 255 thrice and 1, escapes %v", store, honest[4:8], x, want)
+		}
+		runLies(t, mem, store, honest, []outIndexLie{
+			// Vertex 0 finds vertex 1's escape, 20 records short, where its
+			// own should be.
+			{"escapes out of order", nil, func(x []blockstore.Escape) { x[0], x[1] = x[1], x[0] }, 0},
+			// Vertex 0's escape twice and vertex 1's none: the second names
+			// a source vertex 0's section has already summed.
+			{"an escape naming a source twice", nil, func(x []blockstore.Escape) { x[1] = x[0] }, 0},
+			// Vertex 1's exact degree below what its byte could hold:
+			// vertex 3's section would start 270 records early.
+			{"an escape below 255", nil, func(x []blockstore.Escape) { x[1].Degree = 10 }, 1},
+		})
+	}
+}
+
+// outIndexLie is one crafted lie about out-index (0,1).
+type outIndexLie struct {
+	what    string
+	index   func(idx []byte)          // rewrites the index's bytes
+	escapes func([]blockstore.Escape) // rewrites its escapes
+	iter    int                       // the first iteration that reads the lie
+}
+
+// runLies puts each lie's out-index (0,1) — the honest one rewritten — into
+// mem, opens it with the lie's escapes, and runs BFS under forced ROP, which
+// must fail in the lie's iteration at 1 and 4 threads, K = 1 and 2, with and
+// without a cache.
+func runLies(t *testing.T, mem *storage.MemStore, store blockstore.Options, honest []byte, lies []outIndexLie) {
+	t.Helper()
+	for _, c := range lies {
+		index := append([]byte(nil), honest...)
+		if c.index != nil {
+			c.index(index)
+		}
+		if err := mem.Put("oi/0.1", frameByHand(index)); err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 4} {
+			for _, k := range []int{1, 2} {
+				for _, cache := range []int64{0, 64 << 20} {
+					what := fmt.Sprintf("%v/weighted=%v/P=%d/%s/threads=%d/K=%d/cache=%d", store.Format, store.Weighted, store.P, c.what, threads, k, cache)
 					ds, err := blockstore.Open(mem)
 					if err != nil {
 						t.Fatal(err)
 					}
 					ds.OutIndexPageCRCs[0][1] = pageCRCsByHand(index)
+					if c.escapes != nil {
+						ds.OutIndexEscapes[0][1] = append([]blockstore.Escape(nil), ds.OutIndexEscapes[0][1]...)
+						c.escapes(ds.OutIndexEscapes[0][1])
+					}
 					if _, err := ds.LoadOutIndexScratch(0, 1, &blockstore.Scratch{}); err != nil {
 						t.Fatalf("%s: the loader refused the crafted index (%v); the lie must reach ROP", what, err)
 					}
-					co, err := shard.New(ds, shard.Config{Config: core.Config{Model: core.ModelROP, Threads: threads}, Shards: k})
+					co, err := shard.New(ds, shard.Config{Config: core.Config{Model: core.ModelROP, Threads: threads, CacheBudgetBytes: cache}, Shards: k})
 					if err != nil {
 						t.Fatal(err)
 					}

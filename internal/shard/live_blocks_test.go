@@ -61,13 +61,13 @@ func (s *indexReads) take() (names []string, pageBytes, runBytes int64) {
 
 // TestROPVisitsOnlyLiveBlocks: a ROP iteration visits block (i,j) only when
 // an active source has an edge in it. Which blocks those are is worked out
-// here from the CRC-verified out-indices, not from the meta's masks, and
-// every ROP iteration of a BFS must then read exactly their out-indices —
-// synchronously, where a read is a Take, and through a read-ahead window
-// that must end with nothing read and left unconsumed, so that a plan with
-// one key too many fails — and be charged for exactly the
-// page spans of their out-indices — the PageBytes pages holding the entries
-// of their first through one past their last live source — and for no
+// here from the CRC-verified out-indices' degree bytes, not from the meta's
+// masks, and every ROP iteration of a BFS must then read exactly their
+// out-indices — synchronously, where a read is a Take, and through a
+// read-ahead window that must end with nothing read and left unconsumed, so
+// that a plan with one key too many fails — and be charged for exactly the
+// page spans of their out-indices — the PageBytes pages holding the degree
+// bytes of their first through their last live source — and for no
 // sequential byte: the vertex arrays are resident. Some nonempty block of
 // an active row must be dead along the way, or nothing was skipped. The
 // values are the oracle's, and forced COP's, bit for bit, at threads {1, 4}
@@ -112,9 +112,11 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 				if idx[i][j] == nil {
 					continue
 				}
-				first, last := -1, -1 // byte offsets of the first and last live source's entries
+				first, last := -1, -1 // byte offsets of the first and last live source's degrees
 				f.RangeIn(lo, hi, func(v int) bool {
-					if k := 4 * (v - lo); string(idx[i][j][k:k+4]) != string(idx[i][j][k+4:k+8]) {
+					// Groups of a 4-byte base and 64 degree bytes, 60 to a page.
+					g := (v - lo) / 64
+					if k := g/60*blockstore.PageBytes + g%60*68 + 4 + (v-lo)%64; idx[i][j][k] != 0 {
 						if first < 0 {
 							first = k
 						}
@@ -128,7 +130,7 @@ func TestROPVisitsOnlyLiveBlocks(t *testing.T) {
 				}
 				keys = append(keys, blockstore.BlockKey{Kind: blockstore.KindOutIndex, I: i, J: j})
 				off := first / blockstore.PageBytes * blockstore.PageBytes
-				end := min((last+4)/blockstore.PageBytes*blockstore.PageBytes+blockstore.PageBytes, len(idx[i][j]))
+				end := min(last/blockstore.PageBytes*blockstore.PageBytes+blockstore.PageBytes, len(idx[i][j]))
 				pageBytes += int64(end - off)
 			}
 		}
