@@ -51,10 +51,11 @@ func buildFor(t *testing.T, format blockstore.Format) (*blockstore.DualStore, in
 // 16-bit local destination and its weight — 6 bytes against the 8 logical
 // ones — and each nonempty out-block's index one 68-byte group over its
 // 8-vertex interval, against a logical 36 for every block, empty or not.
+// An empty out-block has no blob at all, neither records nor index.
 func TestBuildSummaryGolden(t *testing.T) {
 	ds, blobs, written := buildFor(t, blockstore.FormatMixed)
 	got := buildSummary(ds, blobs, written)
-	want := `build summary: 32 blocks (18 nonempty), 42 blobs, 2621 bytes written
+	want := `build summary: 32 blocks (18 nonempty), 35 blobs, 2502 bytes written
   interval      edges    logical B     stored B   ratio
   0                23          408          477   0.86x
   1                 8          304          272   1.12x

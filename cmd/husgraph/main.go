@@ -469,10 +469,9 @@ func run(args []string) error {
 	fmt.Printf("  modeled runtime:  %v (I/O %v, compute %v)\n",
 		res.TotalRuntime().Round(time.Microsecond), res.TotalIOTime().Round(time.Microsecond), res.TotalComputeModeled().Round(time.Microsecond))
 	fmt.Printf("  I/O amount:     %s MB (%s)\n", report.MB(res.TotalIO().TotalBytes()), res.TotalIO())
-	if db := res.TotalDecodedBytes(); db > 0 {
-		ratio := float64(db) / float64(res.TotalCompressedBytes())
-		fmt.Printf("  decode:         %s MB logical from %s MB stored (%.2fx), modeled decode %v\n",
-			report.MB(db), report.MB(res.TotalCompressedBytes()), ratio, res.TotalDecodeModeled().Round(time.Microsecond))
+	if db, cb := res.TotalDecodedBytes(), res.TotalCompressedBytes(); db > 0 && cb > 0 {
+		fmt.Printf("  compressed in-blocks: %s MB folded as stored (%s MB as records, %.2fx)\n",
+			report.MB(cb), report.MB(db), float64(db)/float64(cb))
 	}
 	if build > 0 {
 		fmt.Printf("  build time:     %v\n", build.Round(time.Millisecond))

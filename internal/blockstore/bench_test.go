@@ -134,10 +134,10 @@ func BenchmarkLoadOutIndexScratch(b *testing.B) {
 
 // BenchmarkDecodeInBlock times the decode alone — one CodecVarint in-block
 // through AppendGV into a presized buffer, no read and no CRC — and reports
-// ns per decoded byte: the measured counterpart of core's
-// varintDecodeNsPerByte = 1.5 (ROADMAP 2c calibrates against it). The COP
-// kernels fold the same layout without the records (core's BenchmarkCOPScan
-// /gv legs).
+// ns per decoded byte. It is the decoder the COP Combine fallback runs on a
+// compressed tile before it folds the records (core's copKernel.varint);
+// the specialised kernels fold the same layout without the records (core's
+// BenchmarkCOPScan /gv legs).
 func BenchmarkDecodeInBlock(b *testing.B) {
 	g := gen.RMAT(1<<14, 200000, gen.Graph500, rand.New(rand.NewSource(1)))
 	const p = 8

@@ -183,7 +183,8 @@ type bucketScratch struct {
 // encodeBucket writes the P blocks of one bucket — row b's out-blocks
 // (b, c), or with in set column b's in-blocks (c, b) — and their indices,
 // and records their sizes and, for a row, each nonempty out-block's source
-// mask, its out-index's escapes and the out-index's page CRCs. format
+// mask, its out-index's escapes and the out-index's page CRCs; an empty
+// out-block gets no blob and no out-index, since nothing reads them. format
 // applies to a column only, which COP streams whole (encodeInBlock); a row,
 // which ROP reads by offset, is stored raw whatever the format, each record
 // holding its local destination (OutRecordBytes).
@@ -260,11 +261,11 @@ func (d *DualStore) encodeBucket(b int, in bool, format Format, edges []graph.Ed
 		}
 		sec := recs[runs[0]:runs[len(runs)-1]]
 		payload := encodeVertexRecs(make([]byte, 0, len(sec)*d.OutRecordBytes()), sec, l.localIDBytes(), d.Weighted)
+		if len(payload) == 0 {
+			continue // an empty block has no out-block and no out-index
+		}
 		if err := d.putBlob(d.names.name(blobOutBlock, b, c), payload); err != nil {
 			return err
-		}
-		if len(payload) == 0 {
-			continue // an empty block has no out-index
 		}
 		idx, escapes := encodeOutIndex(runs)
 		d.SourceMasks[b][c] = sourceMask(runs)

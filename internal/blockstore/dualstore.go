@@ -147,9 +147,9 @@ func (d *DualStore) InTiles(i, j int, payload []byte, dst []Tile) ([]Tile, error
 // InDecodeBytes returns what folding in-block(i,j) decodes: the logical
 // bytes — its records if the block is stored CodecVarint, else
 // none — and the stored bytes they come from. It is a function of the meta
-// alone, so the predictor prices and an iteration counts the same decode,
-// whether the block came from the device or the cache: the kernels fold a
-// block as stored either way.
+// alone, so an iteration counts the same bytes whether the block came from
+// the device or the cache: the kernels fold a block as stored either way.
+// The counts are reported, not priced.
 func (d *DualStore) InDecodeBytes(i, j int) (logical, stored int64) {
 	if d.InCodec(i, j) == CodecVarint {
 		return d.inRecordBytes(i, j), d.InBlockBytes[i][j]

@@ -137,9 +137,11 @@ func loadOutBlock(ds *DualStore, i, j int) (testBlock, error) {
 	if err != nil {
 		return testBlock{}, err
 	}
-	payload, err := ds.LoadOutPayload(i, j)
-	if err != nil {
-		return testBlock{}, err
+	var payload []byte
+	if ds.BlockEdgeCount[i][j] > 0 { // an empty block has no out-block
+		if payload, err = ds.LoadOutPayload(i, j); err != nil {
+			return testBlock{}, err
+		}
 	}
 	b := testBlock{Index: idx, Recs: outRecs(ds, j, payload)}
 	for k := range b.Index {

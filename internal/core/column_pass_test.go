@@ -298,13 +298,16 @@ func TestMessageTableCurrency(t *testing.T) {
 
 // boundaryGraph is a weighted graph over p intervals of size vertices,
 // with edges into and out of each interval's last vertex, whose local ID is
-// the widest a record holds. Vertex 0 reaches every vertex, so WCC and SSSP
-// converge in a few sweeps.
+// the widest a record holds. Beside those it has an edge from vertex 0 to
+// every sixteenth vertex and as many random edges, an eighth of an edge per
+// vertex: few enough that the widest intervals run in seconds under the
+// race detector, and that the random edges leave the components small, so
+// WCC and SSSP converge in a few sweeps.
 func boundaryGraph(p, size int) *graph.Graph {
 	n := p * size
 	rng := rand.New(rand.NewSource(int64(size)))
 	g := graph.New(n)
-	for e := 0; e < n; e++ {
+	for e := 0; e < n; e += 16 {
 		g.AddWeightedEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), float32(1+rng.Intn(4)))
 		g.AddWeightedEdge(0, graph.VertexID(e), float32(1+rng.Intn(4)))
 	}

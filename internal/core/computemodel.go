@@ -23,7 +23,9 @@ const (
 	ModeledCores = 16
 	// edgeCostNanos prices one edge visit (frontier check, message,
 	// combine) — calibrated to this codebase's measured single-thread
-	// throughput (~5–8 ns/edge on commodity hardware).
+	// throughput (~5–8 ns/edge on commodity hardware). A COP edge costs
+	// this whatever its in-block's codec: a compressed in-block is folded
+	// as stored, with no decode pass to price (DESIGN.md §4f).
 	edgeCostNanos = 6
 	// vertexCostNanos prices the per-vertex serial work of an iteration
 	// (apply/synchronize/activation scans).
@@ -51,33 +53,6 @@ func ModeledComputeTime(edgeWork, vertexWork, blocks int64, threads int) time.Du
 	par := edgeWork * edgeCostNanos / int64(effectiveThreads(threads))
 	ser := vertexWork*vertexCostNanos + blocks*blockCostNanos
 	return time.Duration(par+ser) * time.Nanosecond
-}
-
-// Decode-cost model. Like compute, decode is priced for the modeled
-// testbed rather than measured by wall clock, so modeled runs replay
-// deterministically on any host.
-//
-// varintDecodeNsPerByte prices the decode of a CodecVarint in-block per
-// *decoded* (logical) byte produced (~650 MB/s single-thread, the ballpark
-// once measured for binary.Uvarint chains on commodity hardware; not yet
-// calibrated against the group-varint layout, ROADMAP 3a).
-const varintDecodeNsPerByte = 1.5
-
-// ModeledDecodeTime prices the decompression of varintBytes logical bytes,
-// divided across the modeled worker count. Where the price lands (Step.End:
-// CPU side with prefetch, I/O side without) is a kept convention from when
-// the block loads decoded; COP now folds varint in-blocks in the edge loop,
-// a known deviation until the decode rate is calibrated (DESIGN.md §4f).
-func ModeledDecodeTime(varintBytes int64, threads int) time.Duration {
-	ns := float64(varintBytes) * varintDecodeNsPerByte / float64(effectiveThreads(threads))
-	return time.Duration(ns) * time.Nanosecond
-}
-
-// defaultDecodeNsPerByte is the predictor's decode price per logical byte:
-// the varint rate at the configured parallelism, as ModeledDecodeTime
-// charges it.
-func defaultDecodeNsPerByte(threads int) float64 {
-	return varintDecodeNsPerByte / float64(effectiveThreads(threads))
 }
 
 // iterationWork returns the edge and block work of the coming iteration

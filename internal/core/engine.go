@@ -164,10 +164,9 @@ func ChooseModel(cfg Config, f *bitset.Frontier, st *IterStats, predict func(*bi
 // would have measured), and with the executor's access coalescing
 // mirrored: when a block's active ranges sit closer together than the
 // device's coalesce gap, loading it degenerates into one scan instead of
-// per-vertex seeks. C_cop has a decode-cost term beside T_sequential: the
-// logical bytes the column scan would decompress, priced at the rate
-// DecodeModeled charges them. Zero for stores with no compressed blobs; ROP
-// reads the row view, which is stored raw, so C_rop has none.
+// per-vertex seeks. C_cop is the column scan's sequential bytes alone,
+// whatever the in-blocks' codec: a compressed in-block is folded as stored,
+// so there is no decode to price.
 func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
 	return PredictCostsOver(f, e)
 }
@@ -179,16 +178,15 @@ func (e *Engine) PredictCosts(f *bitset.Frontier) (crop, ccop time.Duration) {
 // interval: summing each engine's PredictCosts rounds once per engine,
 // which can tip a near tie the other way.
 func PredictCostsOver(f *bitset.Frontier, engines ...*Engine) (crop, ccop time.Duration) {
-	var pageBytes, pageReads, copBytes, decBytes int64
+	var pageBytes, pageReads, copBytes int64
 	for _, e := range engines {
 		random, pb, pr := e.ropCost(f)
-		cb, db := e.copScanBytes()
 		crop += random
-		pageBytes, pageReads, copBytes, decBytes = pageBytes+pb, pageReads+pr, copBytes+cb, decBytes+db
+		pageBytes, pageReads, copBytes = pageBytes+pb, pageReads+pr, copBytes+e.copScanBytes()
 	}
-	prof, threads := engines[0].ds.Device().Profile(), engines[0].cfg.Threads
+	prof := engines[0].ds.Device().Profile()
 	crop += prof.RandTime(pageBytes, pageReads)
-	ccop = prof.SeqTime(copBytes) + time.Duration(float64(decBytes)*defaultDecodeNsPerByte(threads))
+	ccop = prof.SeqTime(copBytes)
 	return crop, ccop
 }
 
@@ -333,13 +331,11 @@ func (e *Engine) ropCost(f *bitset.Frontier) (random time.Duration, pageBytes, p
 }
 
 // copScanBytes is what PredictCosts prices a COP iteration at: the sequential
-// bytes streaming every owned column's in-blocks moves, and
-// the logical bytes folding them decodes (copDecodeBytes). In-blocks
-// resident in the block cache skip the device, so their reads are priced at
-// zero — this is what lets the predictor keep preferring COP once the hot
-// columns have been cached — but the cache holds them as stored, so their
-// decode is priced like any other's.
-func (e *Engine) copScanBytes() (seqBytes, decBytes int64) {
+// bytes streaming every owned column's in-blocks moves. In-blocks resident
+// in the block cache skip the device, so their reads are priced at zero —
+// this is what lets the predictor keep preferring COP once the hot columns
+// have been cached.
+func (e *Engine) copScanBytes() (seqBytes int64) {
 	for j := e.lo; j < e.hi; j++ {
 		for i := 0; i < e.ds.Layout.P; i++ {
 			if e.cache == nil || !e.cache.Peek(blockstore.BlockKey{Kind: blockstore.KindInBlock, I: i, J: j}) {
@@ -347,13 +343,12 @@ func (e *Engine) copScanBytes() (seqBytes, decBytes int64) {
 			}
 		}
 	}
-	decBytes, _ = e.copDecodeBytes()
-	return seqBytes, decBytes
+	return seqBytes
 }
 
 // copDecodeBytes sums DualStore.InDecodeBytes over the COP plan: the
-// logical and stored bytes folding every owned column decodes, which is
-// what a COP iteration counts, cached blocks included.
+// logical and stored bytes of every owned column's compressed in-blocks,
+// which a COP iteration counts, cached blocks included.
 func (e *Engine) copDecodeBytes() (logical, stored int64) {
 	for j := e.lo; j < e.hi; j++ {
 		for i := 0; i < e.ds.Layout.P; i++ {

@@ -81,26 +81,37 @@ func TestPrefetchDepthDoesNotChangeIO(t *testing.T) {
 	// Without a cache, the pipeline reads exactly the blocks the
 	// synchronous path reads — read-ahead changes when I/O happens, never
 	// what is read. Totals must match byte for byte, and so must the modeled
-	// runtime: it already assumes I/O and compute overlap.
-	g := prefetchTestGraph()
-	for _, model := range []Model{ModelROP, ModelCOP} {
-		run := func(depth int) *Result {
-			ds := buildStore(t, g, 4, storage.HDD)
-			res, err := New(ds, Config{Model: model, Threads: 4, PrefetchDepth: depth}).Run(testBFS{})
-			if err != nil {
-				t.Fatal(err)
+	// runtime: it already assumes I/O and compute overlap. A mixed store's
+	// compressed in-blocks are priced by their bytes and edges alone, so
+	// its runtime does not move with the depth either.
+	stores := []struct {
+		format blockstore.Format
+		build  func() *blockstore.DualStore
+	}{
+		{blockstore.FormatRaw, func() *blockstore.DualStore { return buildStore(t, prefetchTestGraph(), 4, storage.HDD) }},
+		{blockstore.FormatMixed, func() *blockstore.DualStore {
+			return buildFormat(t, compressTestGraph(), blockstore.FormatMixed, storage.HDD)
+		}},
+	}
+	for _, s := range stores {
+		for _, model := range []Model{ModelROP, ModelCOP} {
+			run := func(depth int) *Result {
+				res, err := New(s.build(), Config{Model: model, Threads: 4, PrefetchDepth: depth}).Run(testBFS{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			return res
-		}
-		sync, async := run(0), run(3)
-		if s, a := sync.TotalIO(), async.TotalIO(); s != a {
-			t.Fatalf("%v: prefetch changed device traffic: sync %+v async %+v", model, s, a)
-		}
-		if s, a := sync.TotalRuntime(), async.TotalRuntime(); s != a {
-			t.Fatalf("%v: prefetch changed the modeled runtime: sync %v async %v", model, s, a)
-		}
-		if async.PrefetchUnusedBytes != 0 {
-			t.Fatalf("%v: healthy run wasted %d prefetched bytes", model, async.PrefetchUnusedBytes)
+			sync, async := run(0), run(3)
+			if si, ai := sync.TotalIO(), async.TotalIO(); si != ai {
+				t.Fatalf("%v %v: prefetch changed device traffic: sync %+v async %+v", s.format, model, si, ai)
+			}
+			if sr, ar := sync.TotalRuntime(), async.TotalRuntime(); sr != ar {
+				t.Fatalf("%v %v: prefetch changed the modeled runtime: sync %v async %v", s.format, model, sr, ar)
+			}
+			if async.PrefetchUnusedBytes != 0 {
+				t.Fatalf("%v %v: healthy run wasted %d prefetched bytes", s.format, model, async.PrefetchUnusedBytes)
+			}
 		}
 	}
 }

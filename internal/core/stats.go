@@ -40,7 +40,8 @@ type IterStats struct {
 	// 16-core testbed (see ModeledComputeTime).
 	ComputeModeled time.Duration
 	// Runtime is the modeled iteration time: max(IOTime, ComputeModeled),
-	// since the engine overlaps CPU processing and disk I/O (§3.5).
+	// since the engine overlaps CPU processing and disk I/O (§3.5). It
+	// does not depend on Config.PrefetchDepth.
 	Runtime time.Duration
 	// DecodeTime is always 0: COP folds a compressed in-block as stored,
 	// parsing its deltas in the edge loop, so nothing is decoded apart from
@@ -48,18 +49,13 @@ type IterStats struct {
 	// CompressedBytes). It stays until the
 	// benchmark stops reading it into blockstore.decode_s.
 	DecodeTime time.Duration
-	// DecodeModeled prices this iteration's decompression work for the
-	// modeled testbed (see ModeledDecodeTime). With asynchronous
-	// prefetching the decode overlaps I/O and is charged to the CPU side
-	// of Runtime; without it decode serializes behind each read and is
-	// charged to the I/O side.
-	DecodeModeled time.Duration
-	// DecodedBytes and CompressedBytes describe the decompression volume
-	// of this iteration: logical bytes produced by non-trivial codecs and
-	// the stored bytes they came from — DualStore.InDecodeBytes summed
-	// over a COP iteration's plan, cached blocks included, since the cache
-	// holds them as stored. Their ratio is the realized compression ratio
-	// of the touched working set.
+	// DecodedBytes and CompressedBytes count the compressed in-blocks of
+	// this iteration: the bytes their records would take and the stored
+	// bytes the fold reads instead — DualStore.InDecodeBytes summed over a
+	// COP iteration's plan, cached blocks included, since the cache holds
+	// them as stored. Their ratio is the realized compression ratio of the
+	// touched working set. Neither is priced: a compressed edge costs
+	// ComputeModeled what a raw one does.
 	DecodedBytes    int64
 	CompressedBytes int64
 	// MaxDelta is the largest per-vertex value change (Additive programs
@@ -204,16 +200,6 @@ func (r *Result) TotalComputeModeled() time.Duration {
 	var t time.Duration
 	for _, it := range r.Iterations {
 		t += it.ComputeModeled
-	}
-	return t
-}
-
-// TotalDecodeModeled returns the summed modeled decompression time (the
-// quantity Runtime uses).
-func (r *Result) TotalDecodeModeled() time.Duration {
-	var t time.Duration
-	for _, it := range r.Iterations {
-		t += it.DecodeModeled
 	}
 	return t
 }

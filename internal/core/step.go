@@ -152,7 +152,7 @@ func (s *Step) FinalizeOwned(sv, d []float64) {
 }
 
 // End closes the prefetch window and computes the iteration's attribution
-// (I/O, decode, modeled runtime, cache deltas, read-ahead waste). It must be called on every path — the window's pipeline has to
+// (I/O, compressed bytes, modeled runtime, cache deltas, read-ahead waste). It must be called on every path — the window's pipeline has to
 // land its device charges — and returns the Exec error, if any, alongside
 // the partial stats.
 func (s *Step) End() (IterStats, error) {
@@ -174,29 +174,11 @@ func (s *Step) End() (IterStats, error) {
 	if st.Model == ModelCOP {
 		st.DecodedBytes, st.CompressedBytes = e.copDecodeBytes()
 	}
-	st.DecodeModeled = ModeledDecodeTime(st.DecodedBytes, e.cfg.Threads)
 	st.IO = e.ds.Device().Stats().Sub(s.ioBefore)
 	st.IOTime = st.IO.SimIO
 	st.PrefetchStall = s.win.StallTime()
 	st.PrefetchUnusedBytes = s.win.UnusedBytes()
-	// Decode placement is a kept convention, not where decode runs: with
-	// prefetch it lands on the CPU side of the max(), at depth 0 on the
-	// I/O side, as when the loads decoded. A COP in-block is now folded
-	// as stored, in the edge loop, so at depth 0 the model charges the
-	// I/O path with work the CPU does — a known deviation, kept so
-	// modeled numbers replay, until the decode rate is calibrated
-	// (DESIGN.md §4f).
-	ioSide := st.IOTime
-	cpuSide := st.ComputeModeled
-	if e.cfg.PrefetchDepth > 0 {
-		cpuSide += st.DecodeModeled
-	} else {
-		ioSide += st.DecodeModeled
-	}
-	st.Runtime = ioSide
-	if cpuSide > st.Runtime {
-		st.Runtime = cpuSide
-	}
+	st.Runtime = max(st.IOTime, st.ComputeModeled)
 	st.MaxDelta = s.maxDelta
 	if e.cache != nil {
 		delta := e.cache.Stats().Sub(s.cacheBefore)

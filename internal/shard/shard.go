@@ -270,16 +270,14 @@ func (c *Coordinator) arbitrate(frontier *bitset.Frontier, st *core.IterStats) c
 }
 
 // combine folds the K per-shard iteration reports in c.stats into the run's
-// combined IterStats. Capacity-like quantities (I/O traffic, modeled compute
-// and decode work, cache counters) sum; wall-like quantities
+// combined IterStats. Capacity-like quantities (I/O traffic, modeled compute,
+// compressed bytes, cache counters) sum; wall-like quantities
 // (IOTime, ComputeTime, PrefetchStall, per-shard Runtime) take the maximum,
 // modeling K devices serving disjoint ranges in parallel — so the combined
 // IOTime is deliberately max-of-shards rather than IO.SimIO, which carries
 // the summed traffic. Runtime is the slowest shard's wall plus the modeled
-// barrier merge. Each shard's store fork counts its own decodes, so the
-// decode fields sum — DecodeTime, like one engine's, is time summed over the
-// workers that decoded — and the run's DecodeModeled prices the summed
-// bytes, as one engine's would. Retries and the bucket fields are
+// barrier merge. Each shard's store fork counts its own compressed
+// in-blocks, so the decode fields sum. Retries and the bucket fields are
 // run-level: core.Drive fills them (see core.ShardIterStats).
 func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.IterStats) core.IterStats {
 	st := core.IterStats{
@@ -320,7 +318,6 @@ func (c *Coordinator) combine(iter int, frontier *bitset.Frontier, header core.I
 		sumRuntime += ss.Runtime
 		st.Shards = append(st.Shards, core.ShardIterStats{Shard: i, Stats: ss})
 	}
-	st.DecodeModeled = core.ModeledDecodeTime(st.DecodedBytes, c.cfg.Threads)
 	st.MergeTime = MergedFrontierCost(c.ds.Layout.NumVertices, c.k)
 	st.Runtime = maxRuntime + st.MergeTime
 	if sumRuntime > 0 {
