@@ -10,9 +10,9 @@
 //	         [-p P | -membudget BYTES] [-shards K] [-delta W] [-format raw|mixed]
 //	         [-trace] [-stats] [-store DIR]
 //	         [-valuesout FILE] [-prefetch DEPTH] [-cache-mb MB]
-//	         [-checkpoint N] [-resume] [-retries N] [-retry-backoff D]
-//	         [-read-deadline D] [-fault-transient N] [-fault-bitflip N]
-//	         [-fault-stall N] [-fault-after N] [-fault-seed S]
+//	         [-checkpoint N] [-resume] [-retries N] [-read-deadline D]
+//	         [-fault-transient N] [-fault-bitflip N] [-fault-stall N]
+//	         [-fault-after N] [-fault-seed S]
 //
 // -prefetch enables the asynchronous block-prefetch pipeline (DEPTH worker
 // goroutines reading ahead of the executor); -cache-mb retains hot blocks,
@@ -60,10 +60,10 @@
 // ROP reads by offset, every format is raw.
 //
 // The summary's wall time is the run alone for -system hus: building the
-// store (and reopening it behind the fault injector) is printed on its own
-// build time line, as the device's counters drop it from the modeled
-// accounting. For a baseline system the wall time covers its run with its
-// own preprocessing, which it does not report apart.
+// store is printed on its own build time line, as the device's counters
+// drop it from the modeled accounting. For a baseline system the wall time
+// covers its run with its own preprocessing, which it does not report
+// apart.
 //
 // Vertex values, degrees and frontiers always live in memory and only
 // edges and their indices are read from the store (GraphMP's
@@ -79,6 +79,7 @@
 //
 // -read-deadline bounds every block/index read attempt: one still
 // unanswered at the deadline fails transient and is retried under -retries.
+// A transient read is retried at once.
 //
 // Exit codes classify the outcome for wrappers: 0 success, 1 generic
 // failure, 2 transient-fault retry budget exhausted, 3 permanent device
@@ -153,8 +154,7 @@ func run(args []string) error {
 	prefetch := flags.Int("prefetch", 0, "asynchronous block-prefetch depth overlapping I/O with compute (0 = synchronous loads; hus only)")
 	cacheMB := flags.Int64("cache-mb", 0, "hot-block cache budget in MiB, retaining blocks as stored across iterations (0 = off; hus only)")
 	stats := flags.Bool("stats", false, "print per-iteration cache and prefetch statistics (hit ratio, stall; hus only)")
-	retries := flags.Int("retries", 0, "retry reads failing with a transient fault up to N times each, with exponential backoff")
-	retryBackoff := flags.Duration("retry-backoff", 0, "initial backoff before the first read retry (0 = 1ms default)")
+	retries := flags.Int("retries", 0, "retry reads failing with a transient fault up to N times each, retried at once")
 	readDeadline := flags.Duration("read-deadline", 0, "per-attempt read timeout; an attempt still unanswered at the deadline fails transient, into -retries (0 = unbounded)")
 	faultTransient := flags.Int("fault-transient", 0, "inject N transient read faults (demonstrates -retries)")
 	faultBitflip := flags.Int("fault-bitflip", 0, "inject N single-bit read corruptions (demonstrates checksum detection)")
@@ -247,7 +247,7 @@ func run(args []string) error {
 
 	var res *core.Result
 	var faults *storage.FaultStore
-	var build time.Duration // the hus store's build, and its fault reopen
+	var build time.Duration // the hus store's build
 	sysName := *system
 	start := time.Now()
 	if sysName == "hus" {
@@ -285,8 +285,9 @@ func run(args []string) error {
 			return err
 		}
 		if *faultTransient > 0 || *faultBitflip > 0 || *faultStall > 0 {
-			// Wrap the built store so faults hit the run's reads, not the
-			// preprocessing writes.
+			// Wrap the built store so faults hit the run's reads alone: not
+			// the preprocessing writes, and not a reread of the meta, which
+			// the built store already holds and no read deadline bounds.
 			faults = storage.NewFaultStore(st, *faultSeed)
 			if *faultTransient > 0 {
 				faults.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, After: *faultAfter, Count: int64(*faultTransient)})
@@ -300,9 +301,7 @@ func run(args []string) error {
 			// Timed-out attempts stay parked on the stall gate; unpark them
 			// on the way out so the process exits cleanly.
 			defer faults.ReleaseStalled()
-			if ds, err = blockstore.Open(faults); err != nil {
-				return err
-			}
+			ds = ds.Fork(faults)
 		}
 		dev.Reset() // exclude preprocessing from the run accounting
 		build, start = time.Since(start), time.Now()
@@ -313,7 +312,6 @@ func run(args []string) error {
 			CheckpointEvery:  *checkpointEvery,
 			Resume:           *resume,
 			ReadRetries:      *retries,
-			RetryBackoff:     *retryBackoff,
 			ReadDeadline:     *readDeadline,
 			PrefetchDepth:    *prefetch,
 			CacheBudgetBytes: *cacheMB << 20,
@@ -479,8 +477,8 @@ func run(args []string) error {
 	fmt.Printf("  wall time:      %v\n", wall.Round(time.Millisecond))
 	if *cacheMB > 0 || *prefetch > 0 {
 		c := res.Cache
-		fmt.Printf("  cache/prefetch: %d hits, %d misses (%.1f%% hit rate), %d evictions, %s MB resident, %s MB read ahead unused\n",
-			c.Hits, c.Misses, 100*c.HitRate(), c.Evictions, report.MB(c.BytesUsed), report.MB(res.PrefetchUnusedBytes))
+		fmt.Printf("  cache/prefetch: %d hits, %d misses (%.1f%% hit rate), %d evictions, %s MB resident\n",
+			c.Hits, c.Misses, 100*c.HitRate(), c.Evictions, report.MB(c.BytesUsed))
 		if c.RunHits+c.RunMisses > 0 || c.Promotions > 0 || c.AdmissionRejected > 0 {
 			fmt.Printf("  run cache:      %d run hits, %d run misses, %d block promotions, %d admission rejections\n",
 				c.RunHits, c.RunMisses, c.Promotions, c.AdmissionRejected)
@@ -516,7 +514,7 @@ func summaryLabel(algo, system, dataset, input, device string) string {
 var husOnlyFlags = []string{
 	"input", "model", "format", "store", "membudget", "shards",
 	"checkpoint", "resume", "prefetch", "cache-mb", "stats",
-	"retries", "retry-backoff", "read-deadline",
+	"retries", "read-deadline",
 	"fault-transient", "fault-bitflip", "fault-stall", "fault-after", "fault-seed",
 }
 
@@ -569,14 +567,13 @@ var faultCounts = []string{"fault-transient", "fault-bitflip", "fault-stall"}
 
 // flagNeeds lists the flags that can only take effect alongside another:
 // -resume reads a checkpoint, which only a -store directory can hold (the
-// in-memory store is built fresh by this process); -retry-backoff paces
-// -retries; -fault-after and -fault-seed schedule injected faults.
+// in-memory store is built fresh by this process); -fault-after and
+// -fault-seed schedule injected faults.
 var flagNeeds = []struct {
 	flag  string
 	needs []string // any one of them on will do
 }{
 	{"resume", []string{"store"}},
-	{"retry-backoff", []string{"retries"}},
 	{"fault-after", faultCounts},
 	{"fault-seed", faultCounts},
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"husgraph/internal/experiments"
 	"husgraph/internal/storage"
@@ -135,8 +137,6 @@ func TestNeedsMet(t *testing.T) {
 		{name: "nothing typed"},
 		{name: "resume without store", typed: []string{"resume"}, errPart: "-resume has no effect without -store"},
 		{name: "resume with store", typed: []string{"resume", "store"}, on: []string{"store"}},
-		{name: "backoff without retries", typed: []string{"retry-backoff"}, errPart: "-retry-backoff has no effect without -retries"},
-		{name: "backoff with retries", typed: []string{"retry-backoff", "retries"}, on: []string{"retries"}},
 		{name: "after without a fault count", typed: []string{"fault-after"}, errPart: "-fault-after has no effect without -fault-transient or -fault-bitflip"},
 		{name: "seed without a fault count", typed: []string{"fault-seed"}, errPart: "-fault-seed has no effect without -fault-transient"},
 		{name: "after and seed with a fault count", typed: []string{"fault-after", "fault-seed", "fault-bitflip"}, on: []string{"fault-bitflip"}},
@@ -216,33 +216,80 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 	}
 }
 
-// retiredFlagArgs, set in a child of TestRetiredFaultDelayFlags, holds the
-// command line the child hands run.
-const retiredFlagArgs = "HUSGRAPH_TEST_RETIRED_FLAG_ARGS"
+// childArgs, set in a child of the test binary (runChild), holds the
+// command line the child hands run before any test runs.
+const childArgs = "HUSGRAPH_TEST_CHILD_ARGS"
+
+func TestMain(m *testing.M) {
+	if args := os.Getenv(childArgs); args != "" {
+		if err := run(strings.Fields(args)); err != nil {
+			fmt.Fprintf(os.Stderr, "husgraph: %v\n", err)
+			os.Exit(exitCode(err))
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runChild runs husgraph with args in a child of the test binary, as main
+// would, and returns its output and exit code. A child that has not
+// exited within a minute is killed: a hung run fails its test, not the
+// whole binary.
+func runChild(t *testing.T, args string) (string, int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), childArgs+"="+args)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("husgraph %s: %v", args, err)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("husgraph %s did not exit within a minute\n%s", args, out)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
 
 // TestRetiredFaultDelayFlags: -fault-delay and -fault-delay-by are gone (a
 // slow read is bounded by the -read-deadline timeout and retried; nothing
-// duplicates it), so typing either fails flag parsing — exit 2 naming the
-// flag — before a graph is generated. The flag set exits the process on a
-// parse error, so each command line runs in a child of the test binary.
+// duplicates it), and so is -retry-backoff (a transient read is retried at
+// once), so typing any of them fails flag parsing — exit 2 naming the flag
+// — before a graph is generated. The flag set exits the process on a parse
+// error, so each command line runs in a child of the test binary.
 func TestRetiredFaultDelayFlags(t *testing.T) {
-	if args := os.Getenv(retiredFlagArgs); args != "" {
-		run(strings.Fields(args))
-		os.Exit(0)
-	}
-	for _, args := range []string{"-fault-delay 5", "-fault-delay-by 1ms"} {
+	for _, args := range []string{"-fault-delay 5", "-fault-delay-by 1ms", "-retry-backoff 1ms"} {
 		t.Run(args, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run=^TestRetiredFaultDelayFlags$")
-			cmd.Env = append(os.Environ(), retiredFlagArgs+"="+args)
-			out, err := cmd.CombinedOutput()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Fatalf("husgraph %s: %v, want exit 2\n%s", args, err, out)
+			out, code := runChild(t, args)
+			if code != 2 {
+				t.Fatalf("husgraph %s: exit %d, want 2\n%s", args, code, out)
 			}
-			if want := "flag provided but not defined: " + strings.Fields(args)[0]; !strings.Contains(string(out), want) {
+			if want := "flag provided but not defined: " + strings.Fields(args)[0]; !strings.Contains(out, want) {
 				t.Fatalf("husgraph %s printed\n%s\nwant %q", args, out, want)
 			}
 		})
+	}
+}
+
+// TestStallOnTheFirstReadIsRetried: the fault injector sees only the run's
+// reads, so a stall injected on the very first one (-fault-after 0) lands
+// on a block read under the read deadline and costs one retry. It used to
+// land on the store's meta read, which no deadline bounds, and hang the
+// run, which the runtime then killed as a deadlock.
+func TestStallOnTheFirstReadIsRetried(t *testing.T) {
+	input := filepath.Join(t.TempDir(), "e.txt")
+	//lint:ignore huslint/rawio the test writes the user's -input edge-list text file, which no store holds
+	if err := os.WriteFile(input, []byte("0 1\n1 2\n2 3\n3 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := "-input " + input + " -algo BFS -p 2 -read-deadline 50ms -retries 1 -fault-stall 1 -fault-after 0"
+	out, code := runChild(t, args)
+	if code != 0 {
+		t.Fatalf("husgraph %s: exit %d, want 0\n%s", args, code, out)
+	}
+	if !strings.Contains(out, "1 read retries") {
+		t.Fatalf("husgraph %s printed\n%s\nwant %q", args, out, "1 read retries")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,51 +15,15 @@ import (
 
 // RetryPolicy bounds how DualStore read paths retry faults classified
 // transient (errors wrapping storage.ErrTransient), a read attempt that
-// outlives Deadline among them. Backoff is exponential and never shrinks:
-// the k-th retry sleeps min(Backoff·2^(k-1), max(Backoff, retryBackoffMax)).
+// outlives Deadline among them. A transient read is retried at once.
 type RetryPolicy struct {
 	// MaxRetries is the number of re-attempts after the first failure;
 	// 0 disables retrying.
 	MaxRetries int
-	// Backoff is the sleep before the first retry; 0 retries immediately.
-	Backoff time.Duration
 	// Deadline bounds every read attempt: one still unanswered at the
 	// deadline fails ErrTransient-class and is retried like any transient
 	// fault. 0 reads inline with no deadline (a hung read then blocks).
 	Deadline time.Duration
-	// Sleep replaces time.Sleep (tests); nil uses time.Sleep.
-	Sleep func(time.Duration)
-	// Jitter scatters each backoff sleep uniformly over
-	// [1-Jitter, 1+Jitter) of its nominal value (clamped to [0,1]), so N
-	// prefetch workers retrying the same fault don't hammer a recovering
-	// device in lockstep. 0 keeps the deterministic doubling sequence.
-	Jitter float64
-	// Rand supplies uniform [0,1) samples for jitter; nil uses a locked
-	// package-level seeded source. Tests inject a deterministic sequence.
-	Rand func() float64
-	// Abort, when non-nil, ends backoff sleeps early once it is closed
-	// (the prefetcher wires its quit channel here): the in-progress sleep
-	// returns immediately and the read resolves with its last error
-	// instead of walking the rest of the ladder. Ignored when Sleep is
-	// injected.
-	Abort <-chan struct{}
-}
-
-// retryBackoffMax caps the exponential growth of the backoff between read
-// retries; a Backoff above it is its own cap.
-const retryBackoffMax = 250 * time.Millisecond
-
-// jitterRng is the fallback jitter source when RetryPolicy.Rand is nil,
-// locked because concurrent prefetch workers draw from it.
-var (
-	jitterMu  sync.Mutex
-	jitterRng = rand.New(rand.NewSource(0x68757367))
-)
-
-func jitterFloat() float64 {
-	jitterMu.Lock()
-	defer jitterMu.Unlock()
-	return jitterRng.Float64()
 }
 
 // DualStore is a graph materialized in the dual-block representation on a
@@ -284,16 +247,6 @@ func (d *DualStore) Fork(store storage.Store) *DualStore {
 // are in flight.
 func (d *DualStore) SetRetryPolicy(p RetryPolicy) { d.retry = p }
 
-// WithAbort returns a view of d whose retry-backoff sleeps end early once
-// ch is closed — the prefetcher hands its workers one of these wired to
-// its quit channel so Close isn't delayed by a full backoff ladder. The
-// view shares metadata and counters with d exactly like Fork.
-func (d *DualStore) WithAbort(ch <-chan struct{}) *DualStore {
-	f := *d
-	f.retry.Abort = ch
-	return &f
-}
-
 // Retries returns the cumulative number of retry attempts issued by read
 // paths since the store was created. The engine snapshots it around
 // iterations to attribute retries in IterStats.
@@ -322,69 +275,22 @@ func (d *DualStore) issue(r blobRead, b []byte) ([]byte, error) {
 }
 
 // withRetry runs attempts of read until one succeeds, fails
-// non-transiently, or the retry budget is exhausted. Each retry sleeps
-// the exponentially grown (optionally jittered) backoff first; a closed
-// Abort channel ends the ladder with the last error. Each attempt is
-// bounded by the policy's Deadline.
+// non-transiently, or the retry budget is exhausted; a retry is issued at
+// once. Each attempt is bounded by the policy's Deadline.
 func (d *DualStore) withRetry(buf []byte, read blobRead) ([]byte, error) {
 	res, err := d.attempt(buf, read)
-	backoff := d.retry.Backoff
-	ceiling := max(backoff, retryBackoffMax)
-	for attempt := 0; attempt < d.retry.MaxRetries && errors.Is(err, storage.ErrTransient); attempt++ {
+	for n := 0; n < d.retry.MaxRetries && errors.Is(err, storage.ErrTransient); n++ {
 		d.retries.Add(1)
-		if backoff > 0 {
-			if aborted := d.sleepBackoff(d.jittered(backoff)); aborted {
-				return res, err
-			}
-			backoff = min(2*backoff, ceiling)
-		}
 		res, err = d.attempt(buf, read)
 	}
 	return res, err
-}
-
-// jittered scatters one backoff sleep per the policy's Jitter/Rand.
-func (d *DualStore) jittered(backoff time.Duration) time.Duration {
-	j := d.retry.Jitter
-	if j <= 0 {
-		return backoff
-	}
-	if j > 1 {
-		j = 1
-	}
-	r := jitterFloat
-	if d.retry.Rand != nil {
-		r = d.retry.Rand
-	}
-	return time.Duration(float64(backoff) * (1 - j + 2*j*r()))
-}
-
-// sleepBackoff sleeps dur, returning early (aborted=true) if the policy's
-// Abort channel closes first.
-func (d *DualStore) sleepBackoff(dur time.Duration) (aborted bool) {
-	if d.retry.Sleep != nil {
-		d.retry.Sleep(dur)
-		return false
-	}
-	if d.retry.Abort == nil {
-		time.Sleep(dur)
-		return false
-	}
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return false
-	case <-d.retry.Abort:
-		return true
-	}
 }
 
 // attempt performs one read attempt. Without a deadline the read runs
 // inline into buf. With one, it reads into a fresh buffer on its own
 // goroutine, so a late answer can never scribble over a buffer the caller
 // owns by then; an attempt unanswered at the deadline fails with an
-// ErrTransient-class error, into the retry ladder. The result channel is
+// ErrTransient-class error, which withRetry retries. The result channel is
 // buffered, so a late read finishes its send and exits instead of leaking.
 func (d *DualStore) attempt(buf []byte, read blobRead) ([]byte, error) {
 	deadline := d.retry.Deadline

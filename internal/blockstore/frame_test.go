@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"reflect"
 	"testing"
-	"time"
 
 	"husgraph/internal/graph"
 	"husgraph/internal/storage"
@@ -390,12 +388,7 @@ func TestRetryRecoversTransientReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slept []time.Duration
-	d.SetRetryPolicy(RetryPolicy{
-		MaxRetries: 3,
-		Backoff:    100 * time.Millisecond,
-		Sleep:      func(dur time.Duration) { slept = append(slept, dur) },
-	})
+	d.SetRetryPolicy(RetryPolicy{MaxRetries: 3})
 	// Three consecutive transient failures on in-block reads: attempt,
 	// retry-fail, retry-fail, retry-succeed.
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, Name: "ib/", Count: 3})
@@ -408,11 +401,6 @@ func TestRetryRecoversTransientReads(t *testing.T) {
 	}
 	if got := d.Retries(); got != 3 {
 		t.Fatalf("Retries() = %d, want 3", got)
-	}
-	// Exponential backoff: 100ms, 200ms, then the 250ms cap.
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, retryBackoffMax}
-	if !reflect.DeepEqual(slept, want) {
-		t.Fatalf("backoff sequence = %v, want %v", slept, want)
 	}
 }
 

@@ -182,6 +182,7 @@ func (r *PrefetchResult) dataBytes() int64 {
 // Close must be called when done (normally deferred), even after an error.
 func (d *DualStore) NewPrefetcher(schedule []BlockKey, extents []Extent, frontier *bitset.Frontier, depth int, cache *BlockCache) *Prefetcher {
 	p := &Prefetcher{
+		ds:       d,
 		cache:    cache,
 		extents:  extents,
 		frontier: frontier,
@@ -191,9 +192,6 @@ func (d *DualStore) NewPrefetcher(schedule []BlockKey, extents []Extent, frontie
 	}
 	// More workers than entries would only wait for tokens no entry needs.
 	depth = min(depth, len(schedule))
-	// Workers read through a view whose retry backoff aborts when quit
-	// closes, so Close is never delayed by a worker mid-backoff-ladder.
-	p.ds = d.WithAbort(p.quit)
 	for i, key := range schedule {
 		req := &p.reqs[i]
 		req.key = key

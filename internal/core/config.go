@@ -54,11 +54,6 @@ func ParseModel(s string) (Model, error) {
 // (§3.4); above it COP is selected unconditionally.
 const DefaultAlpha = 0.05
 
-// retryJitter scatters each retry backoff over ±20 % of its nominal value,
-// so concurrent prefetch workers don't retry a recovering device in
-// lockstep.
-const retryJitter = 0.2
-
 // Config controls an engine run.
 type Config struct {
 	// Threads is the worker-thread count (§3.5); 0 means GOMAXPROCS.
@@ -85,16 +80,10 @@ type Config struct {
 	Resume bool
 	// ReadRetries re-attempts block/index/aux reads that fail with an
 	// error classified transient (storage.ErrTransient) up to this many
-	// times each, with exponential backoff; 0 disables retrying and
+	// times each, retried at once; 0 disables retrying and
 	// surfaces the first transient fault. Retries are counted in
 	// IterStats.Retries and Result.Recovery.
 	ReadRetries int
-	// RetryBackoff is the sleep before the first retry, doubled on each
-	// subsequent retry up to 250ms (or up to RetryBackoff itself when it is
-	// larger: the ladder never shrinks) and scattered ±20 % so concurrent
-	// prefetch workers don't retry a recovering device in lockstep; 0 with
-	// ReadRetries > 0 defaults to 1ms.
-	RetryBackoff time.Duration
 	// ReadDeadline is a hard timeout on every block/index/aux read attempt:
 	// an attempt still unanswered at the deadline fails transient, naming
 	// the blob and the deadline, and ReadRetries reissues it like any
@@ -151,9 +140,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxIters <= 0 {
 		c.MaxIters = 100000
-	}
-	if c.ReadRetries > 0 && c.RetryBackoff == 0 {
-		c.RetryBackoff = time.Millisecond
 	}
 	return c
 }

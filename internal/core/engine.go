@@ -76,9 +76,7 @@ func New(ds *blockstore.DualStore, cfg Config) *Engine {
 	}
 	ds.SetRetryPolicy(blockstore.RetryPolicy{
 		MaxRetries: e.cfg.ReadRetries,
-		Backoff:    e.cfg.RetryBackoff,
 		Deadline:   e.cfg.ReadDeadline,
-		Jitter:     retryJitter,
 	})
 	return e
 }

@@ -487,7 +487,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	// WithDefaults documents that applying it twice changes nothing: the
 	// shard coordinator's engines resolve the resolved config again.
-	for _, c := range []Config{{}, {Alpha: -1, ReadRetries: 2}, {Threads: 3, MaxIters: 7, RetryBackoff: time.Second, PrefetchDepth: 2}} {
+	for _, c := range []Config{{}, {Alpha: -1, ReadRetries: 2}, {Threads: 3, MaxIters: 7, PrefetchDepth: 2}} {
 		once := c.WithDefaults()
 		if twice := once.WithDefaults(); !reflect.DeepEqual(twice, once) {
 			t.Fatalf("WithDefaults not idempotent on %+v:\n once  %+v\n twice %+v", c, once, twice)

@@ -86,7 +86,7 @@ func TestEngineRetriesTransientFaultsAndReportsCount(t *testing.T) {
 		storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, After: 3, Count: 2},
 		storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, After: 20, Count: 3},
 	)
-	res, err := New(ds, Config{Model: ModelCOP, ReadRetries: 3, RetryBackoff: 1}).Run(testBFS{})
+	res, err := New(ds, Config{Model: ModelCOP, ReadRetries: 3}).Run(testBFS{})
 	if err != nil {
 		t.Fatalf("transient faults with retries enabled failed the run: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestEngineTransientBurstExceedingBudgetFails(t *testing.T) {
 	ds, fs := faultyStore(t, 300, 4, 1)
 	// A burst longer than the per-read retry budget must surface.
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, After: 5, Count: 10})
-	_, err := New(ds, Config{Model: ModelCOP, ReadRetries: 2, RetryBackoff: 1}).Run(testBFS{})
+	_, err := New(ds, Config{Model: ModelCOP, ReadRetries: 2}).Run(testBFS{})
 	if !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("err = %v, want wrapped storage.ErrTransient", err)
 	}
@@ -155,7 +155,7 @@ func TestEngineDetectsBitFlipCorruption(t *testing.T) {
 	// burn retries (corruption is not transient).
 	ds, fs := faultyStore(t, 300, 4, 7)
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultBitFlip, Name: "ib/", After: 2, Count: 1})
-	_, err := New(ds, Config{Model: ModelCOP, ReadRetries: 3, RetryBackoff: 1}).Run(testBFS{})
+	_, err := New(ds, Config{Model: ModelCOP, ReadRetries: 3}).Run(testBFS{})
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("err = %v, want wrapped storage.ErrCorrupt", err)
 	}
@@ -172,7 +172,7 @@ func TestEngineDetectsBitFlipCorruption(t *testing.T) {
 	// without a retry.
 	ds, fs = faultyStore(t, 4*3900, 4, 7)
 	fs.Inject(storage.Fault{Op: storage.OpRead, Kind: storage.FaultBitFlip, Name: "oi/", After: 1023, Count: 1})
-	_, err = New(ds, Config{Model: ModelROP, ReadRetries: 3, RetryBackoff: 1}).Run(testBFS{})
+	_, err = New(ds, Config{Model: ModelROP, ReadRetries: 3}).Run(testBFS{})
 	var ie *IterError
 	if !errors.As(err, &ie) || !errors.Is(err, storage.ErrCorrupt) || ie.Iter != 1023 {
 		t.Fatalf("ROP: err = %v, want a *IterError of iteration 1023 wrapping storage.ErrCorrupt", err)

@@ -203,7 +203,7 @@ func TestEnginePrefetchRetriesTransientFaults(t *testing.T) {
 			storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, After: 3, Count: 2},
 			storage.Fault{Op: storage.OpRead, Kind: storage.FaultTransient, After: 20, Count: 3},
 		)
-		res, err := New(ds, Config{Model: model, Threads: 2, PrefetchDepth: 2, ReadRetries: 3, RetryBackoff: 1}).Run(testBFS{})
+		res, err := New(ds, Config{Model: model, Threads: 2, PrefetchDepth: 2, ReadRetries: 3}).Run(testBFS{})
 		if err != nil {
 			t.Fatalf("%v: transient faults with retries enabled failed the run: %v", model, err)
 		}

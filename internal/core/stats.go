@@ -72,8 +72,10 @@ type IterStats struct {
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64
-	// PrefetchUnusedBytes counts bytes the prefetch pipeline read ahead
-	// but discarded unconsumed (an aborted or truncated traversal).
+	// PrefetchUnusedBytes is always 0 on a returned result: a successful
+	// iteration consumes every window entry it planned, and a failed one
+	// returns before the count is taken (Step.End). It stays because
+	// perfbench reads Result.PrefetchUnusedBytes, until ROADMAP 1b.
 	PrefetchUnusedBytes int64
 	// PrefetchStall is the wall time consumers spent blocked on reads
 	// that had not completed when requested — the residual I/O latency
@@ -151,7 +153,9 @@ type Result struct {
 	// disabled): cumulative hits/misses/evictions and end-of-run
 	// residency.
 	Cache blockstore.CacheStats
-	// PrefetchUnusedBytes totals the per-iteration unused read-ahead.
+	// PrefetchUnusedBytes totals IterStats.PrefetchUnusedBytes, so it is
+	// always 0. perfbench's blockstore.prefetch_unused_bytes reads it,
+	// until ROADMAP 1b.
 	PrefetchUnusedBytes int64
 }
 

@@ -337,7 +337,6 @@ func (c engineCase) run(t *testing.T, g *graph.Graph, fp fuzzProgram, prog core.
 	cfg := core.Config{
 		Model: c.model, Threads: c.threads, PrefetchDepth: c.prefetch,
 		CacheBudgetBytes: c.cache, Alpha: c.alpha, MaxIters: fp.maxIters,
-		RetryBackoff: time.Nanosecond,
 		OnIteration: func(st core.IterStats) {
 			n := counted.read.Load()
 			read = append(read, n-last)
